@@ -238,7 +238,22 @@ let build_fast d =
   let edge_tbl = Array.of_list (List.rev !rows_rev) in
   finish ~small ~alpha_syms states alphabet edge_tbl
 
-let build d = if Intern.enabled () then build_fast d else build_naive d
+(* One automaton per dependency, keyed structurally: every run of a
+   workflow asks for the same demand automata.  The value is immutable
+   apart from the [required] cache, whose contents depend only on the
+   automaton, so sharing it between callers is invisible. *)
+let memo : t Expr.Tbl.t = Expr.Tbl.create 64
+let () = Intern.register_clearer (fun () -> Expr.Tbl.reset memo)
+
+let build d =
+  if not (Intern.enabled ()) then build_naive d
+  else
+    match Expr.Tbl.find_opt memo d with
+    | Some a -> a
+    | None ->
+        let a = build_fast d in
+        Expr.Tbl.add memo d a;
+        a
 
 let transitions t =
   let acc = ref [] in

@@ -21,7 +21,10 @@ val build : Expr.t -> t
     semantically equal states (exact over the dependency's alphabet).
     When {!Intern.enabled}, states dedup through a hash table keyed on
     the interned canonical form with a FIFO frontier; the result —
-    states, numbering, edges, flags — is identical to {!build_naive}. *)
+    states, numbering, edges, flags — is identical to {!build_naive}.
+    Also when enabled, results are memoized keyed structurally on the
+    dependency, so a repeated build returns the same value; the memo is
+    emptied by {!Intern.clear_memos}. *)
 
 val build_naive : Expr.t -> t
 (** The original quadratic construction (linear-scan dedup, list-append

@@ -17,7 +17,7 @@ let make_plan deps literal =
   in
   { literal; guard; watched }
 
-let compile deps =
+let compile_uncached deps =
   let lits =
     List.fold_left
       (fun acc d -> Literal.Set.union acc (Expr.literals d))
@@ -34,6 +34,30 @@ let compile deps =
       lits Symbol.Set.empty
   in
   { deps; alphabet; table }
+
+(* One compilation per dependency list, keyed structurally: every run of
+   a workflow compiles the same dependencies. *)
+module Deps_tbl = Hashtbl.Make (struct
+  type t = Expr.t list
+
+  let equal = List.equal Expr.equal_syntactic
+
+  let hash deps =
+    List.fold_left (fun h d -> ((h * 31) + Expr.hash d) land max_int) 17 deps
+end)
+
+let memo : t Deps_tbl.t = Deps_tbl.create 16
+let () = Intern.register_clearer (fun () -> Deps_tbl.reset memo)
+
+let compile deps =
+  if not (Intern.enabled ()) then compile_uncached deps
+  else
+    match Deps_tbl.find_opt memo deps with
+    | Some t -> t
+    | None ->
+        let t = compile_uncached deps in
+        Deps_tbl.add memo deps t;
+        t
 
 let dependencies t = t.deps
 let alphabet t = t.alphabet

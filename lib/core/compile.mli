@@ -20,6 +20,11 @@ type event_plan = {
 type t
 
 val compile : Expr.t list -> t
+(** When {!Intern.enabled}, memoized keyed structurally on the
+    dependency list: a repeated call returns the same value until
+    {!Intern.clear_memos}.  With interning disabled every call compiles
+    afresh. *)
+
 val dependencies : t -> Expr.t list
 val alphabet : t -> Symbol.Set.t
 val plan : t -> Literal.t -> event_plan

@@ -71,6 +71,28 @@ let rec compare a b =
 
 let equal_syntactic a b = compare a b = 0
 
+(* Full structural hash, consistent with [compare]: unlike the
+   depth-capped polymorphic hash it sees every node, so dependencies
+   sharing a long common prefix still spread over a memo table. *)
+let rec hash = function
+  | Zero -> 1
+  | Top -> 2
+  | Atom l ->
+      (Symbol.hash l.Literal.sym * 4)
+      + (match l.Literal.pol with Literal.Pos -> 3 | Literal.Neg -> 4)
+  | Seq (a, b) -> node 5 a b
+  | Choice (a, b) -> node 6 a b
+  | Conj (a, b) -> node 7 a b
+
+and node tag a b = ((((tag * 31) + hash a) * 31) + hash b) land max_int
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal_syntactic
+  let hash = hash
+end)
+
 (* Precedence: + (lowest), |, · (highest); parenthesize as needed. *)
 let rec pp_prec prec ppf e =
   let open Format in

@@ -56,6 +56,13 @@ val size : t -> int
 
 val compare : t -> t -> int
 val equal_syntactic : t -> t -> bool
+
+val hash : t -> int
+(** Structural hash over every node, consistent with {!compare}. *)
+
+module Tbl : Hashtbl.S with type key = t
+(** Hash tables keyed structurally on expressions. *)
+
 val pp : Format.formatter -> t -> unit
 (** Prints in the paper's notation, e.g. [~e + ~f + e.f]. *)
 

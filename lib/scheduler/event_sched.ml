@@ -1,6 +1,8 @@
 open Wf_core
 open Wf_tasks
 
+type occurrence = Ground.occurrence = { lit : Literal.t; seqno : int; time : float }
+
 type config = {
   seed : int64;
   base_latency : float;
@@ -16,8 +18,6 @@ type config = {
   flow : Flow.config option;
   arrival : Flow.arrival;
 }
-
-and occurrence = { lit : Literal.t; seqno : int; time : float }
 
 let default_config =
   {
@@ -46,306 +46,119 @@ type result = {
   rejected : Literal.t list;
 }
 
-(* Per-actor durable state: the write-ahead journal plus the reentrancy
-   depth of [deliver] — a nested delivery (an actor's own fire feeding
-   back as its occurrence) must not checkpoint a half-applied state. *)
-type jstate = {
-  mutable j : (Actor.input, Actor.snapshot) Wf_store.Journal.t;
-  mutable depth : int;
-  media : Wf_store.Media.Sim.sim option;
-      (* simulated storage under the journal; [None] = perfectly
-         durable in-memory journal (the pre-store behavior) *)
-}
-
-type runtime = {
-  wf : Workflow_def.t;
+(* The network side of a run; the actors, agents and journals live in
+   the shared ground core. *)
+type net = {
   cfg : config;
   net : (Symbol.t * Messages.t) Channel.wire Wf_sim.Netsim.t;
   chan : (Symbol.t * Messages.t) Channel.t;
-  compiled : Compile.t;
-  actors : (Symbol.t, Actor.t) Hashtbl.t;
-  ctxs : (Symbol.t, Actor.ctx) Hashtbl.t; (* memoized per-actor contexts *)
-  journals : (Symbol.t, jstate) Hashtbl.t;
-  actor_seeds : (Symbol.t, unit -> Actor.t) Hashtbl.t;
-      (* immutable creation parameters, to re-derive a fresh actor on
-         recovery (configuration is spec-derived, not journaled) *)
-  replay_stats : Wf_obs.Metrics.t; (* scratch sink for muted replays *)
-  agents : (string, Agent.t) Hashtbl.t;
-  agent_of_symbol : (Symbol.t, string) Hashtbl.t;
-  subscriptions : (Symbol.t, Symbol.Set.t) Hashtbl.t;
-  pending_trigger_complements : (Symbol.t, Literal.t list) Hashtbl.t;
-  decided_set : (Symbol.t, unit) Hashtbl.t;
-  mutable seqno : int;
-  mutable occurrences : occurrence list; (* newest first *)
-  mutable rejected : Literal.t list;
 }
 
-let stats rt = Wf_sim.Netsim.stats rt.net
+type runtime = net Ground.t
 
-let decided_globally rt sym = Hashtbl.mem rt.decided_set sym
+let site (rt : runtime) sym = Actor.site (Ground.actor_of rt sym)
 
-let actor_of rt sym =
-  match Hashtbl.find_opt rt.actors sym with
-  | Some a -> a
-  | None -> Fmt.invalid_arg "no actor for %a" Symbol.pp sym
-
-let subscribers_of rt sym =
-  Option.value (Hashtbl.find_opt rt.subscriptions sym) ~default:Symbol.Set.empty
-
-(* Per-actor context: messages originate at the actor's site.  The
-   record and its closures are allocated once per actor, not per
-   message. *)
-let rec ctx_for rt (actor : Actor.t) : Actor.ctx =
-  let sym = Actor.symbol actor in
-  match Hashtbl.find_opt rt.ctxs sym with
-  | Some ctx -> ctx
-  | None ->
-      let ctx =
-        {
-          Actor.send =
-            (fun dst msg ->
-              let dst_site = Actor.site (actor_of rt dst) in
-              Channel.send rt.chan ~src:(Actor.site actor) ~dst:dst_site
-                (dst, msg);
-              Wf_obs.Metrics.incr (stats rt) ("msg_" ^ Messages.label msg));
-          Actor.fire = (fun lit -> fire rt lit);
-          Actor.reject = (fun lit -> reject rt lit);
-          Actor.trigger_task = (fun lit -> trigger_task rt lit);
-          Actor.stats = stats rt;
-          Actor.emit_assim =
-            (match Wf_sim.Netsim.tracer rt.net with
-            | None -> None
-            | Some sink ->
-                let site = Actor.site actor in
-                let name = Symbol.name sym in
-                Some
-                  (fun outcome guard ->
-                    Wf_obs.Trace.emit sink
-                      (Wf_obs.Trace.make
-                         ~time:(Wf_sim.Netsim.now rt.net)
-                         ~site ~actor:name
-                         (Wf_obs.Trace.Assim { outcome; guard }))));
-        }
-      in
-      Hashtbl.add rt.ctxs sym ctx;
-      ctx
-
-(* The journaled entry point: append the input (write-ahead), apply it,
-   and checkpoint when due — but only at depth 0, because an actor's own
-   fire feeds back as a nested delivery of its occurrence, and a
-   checkpoint taken inside the outer apply would freeze a half-applied
-   state. *)
-and deliver rt actor input =
-  let js = Hashtbl.find rt.journals (Actor.symbol actor) in
-  Wf_store.Journal.append js.j input;
-  (* Inputs the actor cannot re-derive after a crash must be durable
-     before their effects become externally visible: the channel has
-     already acked an [I_message] (it will never redeliver it) and an
-     [I_attempt] advanced the agent, which lives outside the journal.
-     [I_occurred] entries stay unsynced — a salvage that rolls one back
-     leaves the actor undecided, and the recovery handshake plus the
-     global decided-set re-establish the fate — so torn-tail and
-     lost-tail faults keep a real surface to bite on. *)
-  (match input with
-  | Actor.I_message _ | Actor.I_attempt _ -> Wf_store.Journal.sync js.j
-  | Actor.I_occurred _ | Actor.I_close -> ());
-  js.depth <- js.depth + 1;
-  Fun.protect
-    ~finally:(fun () -> js.depth <- js.depth - 1)
-    (fun () -> Actor.apply (ctx_for rt actor) actor input);
-  if js.depth = 0 && Wf_store.Journal.wants_checkpoint js.j then
-    Wf_store.Journal.checkpoint js.j (Actor.snapshot actor)
-
-and fire rt lit =
-  let sym = Literal.symbol lit in
-  if decided_globally rt sym then ()
-  else begin
-    rt.seqno <- rt.seqno + 1;
-    let seqno = rt.seqno in
-    let time = Wf_sim.Netsim.now rt.net in
-    let occurrence = { lit; seqno; time } in
-    rt.occurrences <- occurrence :: rt.occurrences;
-    Hashtbl.replace rt.decided_set (Literal.symbol lit) ();
-    rt.cfg.on_event occurrence;
-    Wf_obs.Metrics.incr (stats rt) "occurrences";
-    (* Own actor learns first (it hosts the event). *)
-    let actor = actor_of rt sym in
-    deliver rt actor (Actor.I_occurred { lit; seqno });
-    (* The owning agent advances; triggered transitions already advanced
-       the agent, so use the stashed complements instead. *)
-    let complements =
-      match Hashtbl.find_opt rt.pending_trigger_complements sym with
-      | Some cs ->
-          Hashtbl.remove rt.pending_trigger_complements sym;
-          cs
-      | None -> (
-          if not (Literal.is_pos lit) then []
-          else
-            match Hashtbl.find_opt rt.agent_of_symbol sym with
-            | None -> []
-            | Some instance ->
-                let agent = Hashtbl.find rt.agents instance in
-                let cs = Agent.on_accepted agent sym in
-                schedule_agent rt agent;
-                cs)
-    in
-    (* Announce to every subscriber actor. *)
-    Symbol.Set.iter
-      (fun watcher_sym ->
-        if not (Symbol.equal watcher_sym sym) then begin
-          let dst_site = Actor.site (actor_of rt watcher_sym) in
-          Channel.send rt.chan ~src:(Actor.site actor) ~dst:dst_site
-            (watcher_sym, Messages.Announce { lit; seqno });
-          Wf_obs.Metrics.incr (stats rt) "msg_announce"
-        end)
-      (subscribers_of rt sym);
-    (* Newly impossible events: their complements occur. *)
-    List.iter (fun c -> fire rt c) complements
-  end
-
-and reject rt lit =
-  rt.rejected <- lit :: rt.rejected;
-  Wf_obs.Metrics.incr (stats rt) "rejections";
-  match Hashtbl.find_opt rt.agent_of_symbol (Literal.symbol lit) with
-  | None -> ()
-  | Some instance ->
-      let agent = Hashtbl.find rt.agents instance in
-      Agent.on_rejected agent (Literal.symbol lit);
-      schedule_agent rt agent
-
-and trigger_task rt lit =
-  match Hashtbl.find_opt rt.agent_of_symbol (Literal.symbol lit) with
-  | None -> false
-  | Some instance -> (
-      let agent = Hashtbl.find rt.agents instance in
-      match Agent.trigger agent (Literal.symbol lit) with
-      | None -> false
-      | Some complements ->
-          Hashtbl.replace rt.pending_trigger_complements (Literal.symbol lit)
-            complements;
-          schedule_agent rt agent;
-          true)
-
-and schedule_agent rt agent =
+let rec schedule_agent (rt : runtime) agent =
+  let { cfg; net; chan } = rt.driver in
   match Agent.want agent with
   | None -> ()
   | Some (sym, attr) ->
       Agent.begin_attempt agent sym;
       let delay =
-        Flow.arrival_delay rt.cfg.arrival
-          ~rng:(Wf_sim.Netsim.rng rt.net)
-          ~now:(Wf_sim.Netsim.now rt.net)
-          ~mean:rt.cfg.think_time
+        Flow.arrival_delay cfg.arrival ~rng:(Wf_sim.Netsim.rng net)
+          ~now:(Wf_sim.Netsim.now net) ~mean:cfg.think_time
       in
       (* Admission gate: with flow control on, an attempt arriving
          while the local site is over the shed watermark is refused
          with Busy and retried after the verdict's seeded backoff —
          load sheds at the boundary instead of growing queues. *)
       let rec admitted_thunk first () =
-        match Channel.flow rt.chan with
-        | None -> attempt_body rt agent sym attr
+        match Channel.flow chan with
+        | None -> attempt rt agent sym attr
         | Some fl -> (
-            let site = Actor.site (actor_of rt sym) in
             match
-              Flow.admit fl ~site ~actor:(Symbol.name sym) ~first ()
+              Flow.admit fl ~site:(site rt sym) ~actor:(Symbol.name sym) ~first ()
             with
-            | Flow.Admitted -> attempt_body rt agent sym attr
+            | Flow.Admitted -> attempt rt agent sym attr
             | Flow.Busy { retry_after } ->
-                Wf_sim.Netsim.schedule rt.net ~delay:retry_after
+                Wf_sim.Netsim.schedule net ~delay:retry_after
                   (admitted_thunk first))
       in
-      Wf_sim.Netsim.schedule rt.net ~delay (fun () ->
-          admitted_thunk (Wf_sim.Netsim.now rt.net) ())
+      Wf_sim.Netsim.schedule net ~delay (fun () ->
+          admitted_thunk (Wf_sim.Netsim.now net) ())
 
-and attempt_body rt agent sym attr =
-  Wf_obs.Metrics.incr (stats rt) "attempts";
-  if attr.Attribute.controllable then begin
-            let actor = actor_of rt sym in
-            (* Vet the complements the transition entails together with
-               the event's own guard: committing must be allowed to
-               preclude aborting, etc. *)
-            let entailed =
-              Guard.conj_all
-                (List.map
-                   (fun c -> (Compile.plan rt.compiled c).Compile.guard)
-                   (Agent.would_make_unreachable agent sym))
-            in
-            deliver rt actor (Actor.I_attempt { pol = Literal.Pos; entailed })
-          end
-          else begin
-            (* Uncontrollable: announced, not requested.  Record a
-               violation if the guard would have said no. *)
-            let actor = actor_of rt sym in
-            let g = (Compile.plan rt.compiled (Literal.pos sym)).Compile.guard in
-            let know = Actor.knowledge actor in
-            (match
-               match Gtable.status_hint g know with
-               | Some s -> s
-               | None -> Knowledge.status know g
-             with
-            | Knowledge.False ->
-                Wf_obs.Metrics.incr (stats rt) "uncontrollable_violations"
-            | _ -> ());
-            fire rt (Literal.pos sym)
-          end
+(* An uncontrollable event is announced, not requested: record a
+   violation if its guard would have said no. *)
+and attempt rt agent sym attr =
+  if Ground.attempt rt agent sym attr then
+    Wf_obs.Metrics.incr rt.stats "uncontrollable_violations"
 
-(* Rebuild a crashed actor: fresh instance from the spec-derived seed,
-   restore the latest checkpoint, replay the journal suffix with side
-   effects muted (the pre-crash incarnation already performed them).
-   The stale memoized ctx is dropped so closures never capture a dead
-   actor record. *)
-let recover_actor rt sym =
+let hooks : net Ground.hooks =
+  {
+    send =
+      (fun rt ~priority ~src ~dst msg ->
+        Channel.send ~priority rt.driver.chan ~src:(site rt src)
+          ~dst:(site rt dst) (dst, msg));
+    kick = schedule_agent;
+    now = (fun rt -> Wf_sim.Netsim.now rt.driver.net);
+    on_fire = (fun rt o -> rt.driver.cfg.on_event o);
+    emit_assim =
+      (fun rt sym ->
+        match rt.driver.cfg.tracer with
+        | None -> None
+        | Some sink ->
+            let site = site rt sym and name = Symbol.name sym in
+            Some
+              (fun outcome guard ->
+                Wf_obs.Trace.emit sink
+                  (Wf_obs.Trace.make
+                     ~time:(Wf_sim.Netsim.now rt.driver.net)
+                     ~site ~actor:name
+                     (Wf_obs.Trace.Assim { outcome; guard }))));
+    settle =
+      (fun rt -> Wf_sim.Netsim.run ~max_steps:rt.driver.cfg.max_steps rt.driver.net);
+    iter_agents = (fun rt f -> Hashtbl.iter (fun _ agent -> f agent) rt.agents);
+  }
+
+(* With simulated storage under the journal, a crash first damages the
+   media (seeded faults), then the journal is rebuilt from whatever the
+   salvage scan verifies — the in-memory mirror is volatile and died
+   with the site.  Recovery then replays it like any journal. *)
+let salvage (rt : runtime) sym =
+  let { cfg; net; _ } = rt.driver in
   let js = Hashtbl.find rt.journals sym in
-  (* With simulated storage under the journal, a crash first damages
-     the media (seeded faults), then the journal is rebuilt from
-     whatever the salvage scan verifies — the in-memory mirror is
-     volatile and died with the site. *)
-  (match js.media with
+  match js.media with
   | None -> ()
   | Some m ->
       let before = Wf_store.Journal.total_appended js.j in
       Wf_store.Media.Sim.crash m;
       let j', report =
-        Wf_store.Journal.reload ~checkpoint_every:rt.cfg.checkpoint_every
+        Wf_store.Journal.reload ~checkpoint_every:cfg.checkpoint_every
           Actor.codec
           (Wf_store.Media.Sim.device m)
       in
       js.j <- j';
       let open Wf_store.Log in
       let fallback = report.sr_ckpt = Fallback in
-      Wf_obs.Metrics.incr (stats rt) "store_salvages";
-      Wf_obs.Metrics.add (stats rt) "store_dropped_entries"
+      Wf_obs.Metrics.incr rt.stats "store_salvages";
+      Wf_obs.Metrics.add rt.stats "store_dropped_entries"
         (before - report.sr_total_entries);
-      Wf_obs.Metrics.add (stats rt) "store_dropped_bytes"
-        report.sr_dropped_bytes;
-      if fallback then Wf_obs.Metrics.incr (stats rt) "store_ckpt_fallbacks";
-      (match rt.cfg.tracer with
-      | None -> ()
-      | Some sink ->
+      Wf_obs.Metrics.add rt.stats "store_dropped_bytes" report.sr_dropped_bytes;
+      if fallback then Wf_obs.Metrics.incr rt.stats "store_ckpt_fallbacks";
+      Option.iter
+        (fun sink ->
           Wf_obs.Trace.emit sink
-            (Wf_obs.Trace.make
-               ~time:(Wf_sim.Netsim.now rt.net)
-               ~site:(Workflow_def.site_of rt.wf sym)
+            (Wf_obs.Trace.make ~time:(Wf_sim.Netsim.now net) ~site:(site rt sym)
                ~actor:(Symbol.name sym)
                (Wf_obs.Trace.Store_salvage
                   {
                     kept = report.sr_frames;
                     dropped = report.sr_dropped_bytes;
                     fallback;
-                  }))));
-  let fresh = (Hashtbl.find rt.actor_seeds sym) () in
-  let ckpt, suffix = Wf_store.Journal.recover js.j in
-  (match ckpt with Some s -> Actor.restore fresh s | None -> ());
-  let mctx = Actor.muted_ctx rt.replay_stats in
-  List.iter (fun input -> Actor.apply mctx fresh input) suffix;
-  Hashtbl.replace rt.actors sym fresh;
-  Hashtbl.remove rt.ctxs sym;
-  Wf_obs.Metrics.incr (stats rt) "actor_recoveries";
-  Wf_obs.Metrics.add (stats rt) "replayed_entries" (List.length suffix)
+                  })))
+        cfg.tracer
 
-let build cfg wf =
-  let deps = Workflow_def.dependencies wf in
-  let compiled = Compile.compile deps in
+let build cfg wf plan : runtime =
   let num_sites = Workflow_def.num_sites wf in
   let net =
     Wf_sim.Netsim.create ~seed:cfg.seed ~faults:cfg.faults ~num_sites
@@ -354,10 +167,30 @@ let build cfg wf =
       ()
   in
   Wf_sim.Netsim.set_tracer net cfg.tracer;
+  let stats = Wf_sim.Netsim.stats net in
   (* Per-actor storage media draw their fault seeds from a dedicated
      stream derived from the run seed, so enabling the store does not
      perturb the run's own randomness. *)
   let store_rng = Wf_sim.Rng.create (Int64.logxor cfg.seed 0x53544F52L) in
+  let journal (a : Run_plan.actor) =
+    let j = Wf_store.Journal.create ~checkpoint_every:cfg.checkpoint_every () in
+    let media =
+      Option.map
+        (fun faults ->
+          let m =
+            Wf_store.Media.Sim.create ~faults
+              ~seed:(Wf_sim.Rng.next_int64 store_rng)
+              ~stats ?tracer:cfg.tracer
+              ~clock:(fun () -> Wf_sim.Netsim.now net)
+              ~site:a.site ~actor:(Symbol.name a.sym) ()
+          in
+          Wf_store.Journal.attach j
+            (Wf_store.Log.create Actor.codec (Wf_store.Media.Sim.device m));
+          m)
+        cfg.store
+    in
+    { Ground.j; depth = 0; media }
+  in
   (* Retransmission timeout: generously above one round trip, so the
      fault-free fast path rarely fires a retransmit. *)
   let chan =
@@ -366,293 +199,43 @@ let build cfg wf =
       ?flow:cfg.flow net
   in
   let rt =
-    {
-      wf;
-      cfg;
-      net;
-      chan;
-      compiled;
-      actors = Hashtbl.create 64;
-      ctxs = Hashtbl.create 64;
-      journals = Hashtbl.create 64;
-      actor_seeds = Hashtbl.create 64;
-      replay_stats = Wf_obs.Metrics.create ();
-      agents = Hashtbl.create 16;
-      agent_of_symbol = Hashtbl.create 64;
-      subscriptions = Hashtbl.create 64;
-      pending_trigger_complements = Hashtbl.create 8;
-      decided_set = Hashtbl.create 64;
-      seqno = 0;
-      occurrences = [];
-      rejected = [];
-    }
+    Ground.create ~stats ~journal ~hooks ~driver:{ cfg; net; chan } wf plan
   in
-  (* Agents. *)
-  List.iter
-    (fun (task : Workflow_def.task) ->
-      let agent =
-        Agent.create ~instance:task.instance ~model:task.model
-          ~script:task.script ~parametrize:task.parametrize ()
-      in
-      Hashtbl.replace rt.agents task.instance agent;
-      List.iter
-        (fun (ev, _, _) ->
-          let sym =
-            Task_model.symbol_of_event task.model ~instance:task.instance ev
-          in
-          Hashtbl.replace rt.agent_of_symbol sym task.instance)
-        task.model.Task_model.significant)
-    wf.Workflow_def.tasks;
-  (* The symbols needing actors: dependency alphabet plus all task
-     events (unmentioned ones get guard ⊤). *)
-  let symbols =
-    Hashtbl.fold (fun sym _ acc -> Symbol.Set.add sym acc) rt.agent_of_symbol
-      (Compile.alphabet compiled)
-  in
-  (* Demand automata for triggerable events. *)
-  let automata = List.map (fun d -> (d, Automaton.build d)) deps in
-  Symbol.Set.iter
-    (fun sym ->
-      let attr = Workflow_def.attribute_of wf sym in
-      let attr_pos = attr in
-      let attr_neg = Attribute.uncontrollable in
-      let plan_pos = Compile.plan compiled (Literal.pos sym) in
-      let plan_neg = Compile.plan compiled (Literal.neg sym) in
-      let demand_automata =
-        if attr.Attribute.triggerable then
-          List.filter_map
-            (fun (d, aut) ->
-              if Literal.Set.mem (Literal.pos sym) (Expr.literals d) then
-                Some aut
-              else None)
-            automata
-        else []
-      in
-      let seed () =
-        Actor.create ~sym ~site:(Workflow_def.site_of wf sym)
-          ~guard_pos:plan_pos.Compile.guard ~guard_neg:plan_neg.Compile.guard
-          ~attr_pos ~attr_neg ~demand_automata ()
-      in
-      let actor = seed () in
-      Hashtbl.replace rt.actors sym actor;
-      Hashtbl.replace rt.actor_seeds sym seed;
-      let media =
-        match cfg.store with
-        | None -> None
-        | Some faults ->
-            Some
-              (Wf_store.Media.Sim.create ~faults
-                 ~seed:(Wf_sim.Rng.next_int64 store_rng)
-                 ~stats:(stats rt) ?tracer:cfg.tracer
-                 ~clock:(fun () -> Wf_sim.Netsim.now net)
-                 ~site:(Workflow_def.site_of wf sym)
-                 ~actor:(Symbol.name sym) ())
-      in
-      let j =
-        Wf_store.Journal.create ~checkpoint_every:cfg.checkpoint_every ()
-      in
-      (match media with
-      | None -> ()
-      | Some m ->
-          Wf_store.Journal.attach j
-            (Wf_store.Log.create Actor.codec (Wf_store.Media.Sim.device m)));
-      Hashtbl.replace rt.journals sym { j; depth = 0; media };
-      (* Subscriptions: guard symbols of both polarities, the full
-         alphabet of the demand automata, and the guards of complements
-         the owning task's transitions may entail. *)
-      let watch =
-        Symbol.Set.union plan_pos.Compile.watched plan_neg.Compile.watched
-      in
-      let watch =
-        match Workflow_def.owner_of wf sym with
-        | None -> watch
-        | Some task ->
-            let model = task.Workflow_def.model in
-            (match
-               Task_model.event_of_symbol model ~instance:task.Workflow_def.instance
-                 (Symbol.make (Symbol.base sym))
-             with
-            | None -> watch
-            | Some ev ->
-                List.fold_left
-                  (fun acc (tr : Task_model.transition) ->
-                    if tr.Task_model.event <> ev then acc
-                    else
-                      let before =
-                        Task_model.unreachable_events model tr.Task_model.from_state
-                      in
-                      let after =
-                        Task_model.unreachable_events model tr.Task_model.to_state
-                      in
-                      List.fold_left
-                        (fun acc gone ->
-                          if List.mem gone before then acc
-                          else
-                            let gone_sym =
-                              Task_model.symbol_of_event model
-                                ~instance:task.Workflow_def.instance gone
-                            in
-                            Symbol.Set.union acc
-                              (Compile.plan compiled (Literal.neg gone_sym))
-                                .Compile.watched)
-                        acc after)
-                  watch model.Task_model.transitions)
-      in
-      let watch =
-        List.fold_left
-          (fun acc aut ->
-            List.fold_left
-              (fun acc l -> Symbol.Set.add (Literal.symbol l) acc)
-              acc (Automaton.alphabet aut))
-          watch demand_automata
-      in
-      Symbol.Set.iter
-        (fun watched_sym ->
-          if not (Symbol.equal watched_sym sym) then
-            let current =
-              Option.value
-                (Hashtbl.find_opt rt.subscriptions watched_sym)
-                ~default:Symbol.Set.empty
-            in
-            Hashtbl.replace rt.subscriptions watched_sym
-              (Symbol.Set.add sym current))
-        watch)
-    symbols;
   (* Site message dispatch, behind the reliable channel: each protocol
      message is handled exactly once even when the network drops,
      duplicates, or reorders the wire traffic. *)
   for site = 0 to num_sites - 1 do
-    Channel.on_receive rt.chan site (fun _src (target, msg) ->
-        let actor = actor_of rt target in
-        deliver rt actor (Actor.I_message msg))
+    Channel.on_receive chan site (fun _src (target, msg) ->
+        Ground.deliver rt (Ground.actor_of rt target) (Actor.I_message msg))
   done;
   (* Crash recovery: when a site restarts, the channel's hook (created
      first, so it runs first) has already bumped the epoch and said
      Hello; now rebuild each hosted actor from its journal and run the
-     actor-level handshake — an undecided recovered actor pings the
-     peers it watches, and any peer with a decided fate re-announces
-     it. *)
+     actor-level handshake. *)
   Wf_sim.Netsim.on_restart net (fun site ->
-      let hosted =
-        Hashtbl.fold
-          (fun sym actor acc ->
-            if Actor.site actor = site then sym :: acc else acc)
-          rt.actors []
-      in
-      let hosted = List.sort Symbol.compare hosted in
-      List.iter (fun sym -> recover_actor rt sym) hosted;
-      let epoch = Channel.epoch rt.chan site in
+      let hosted = Ground.hosted rt site in
       List.iter
         (fun sym ->
-          let actor = actor_of rt sym in
-          if Actor.decided actor = None then
-            Symbol.Set.iter
-              (fun peer ->
-                if
-                  Hashtbl.mem rt.actors peer
-                  && not (Knowledge.decided (Actor.knowledge actor) peer)
-                then begin
-                  let dst_site = Actor.site (actor_of rt peer) in
-                  (* Recovery traffic rides the priority lane: it must
-                     never wait behind the data backlog it is trying to
-                     unblock. *)
-                  Channel.send ~priority:true rt.chan ~src:site ~dst:dst_site
-                    (peer, Messages.Recovered { sym; epoch });
-                  Wf_obs.Metrics.incr (stats rt) "msg_recovered"
-                end)
-              (Actor.watched_symbols actor))
-        hosted);
+          salvage rt sym;
+          Ground.recover rt sym)
+        hosted;
+      Ground.handshake rt ~epoch:(Channel.epoch chan site) hosted);
   rt
 
-let close_round rt =
-  (* Emit complements of events that can no longer occur. *)
-  let progress = ref false in
-  Hashtbl.iter
-    (fun _ agent ->
-      if Agent.finished agent then
-        List.iter
-          (fun c ->
-            let sym = Literal.symbol c in
-            if
-              Hashtbl.mem rt.actors sym
-              && (not (decided_globally rt sym))
-              && Actor.parked_count (actor_of rt sym) = 0
-            then begin
-              fire rt c;
-              progress := true
-            end)
-          (Agent.undecided_complements agent))
-    rt.agents;
-  !progress
-
-let rec close_rounds rt budget =
-  if budget > 0 && close_round rt then begin
-    Wf_sim.Netsim.run ~max_steps:rt.cfg.max_steps rt.net;
-    close_rounds rt (budget - 1)
-  end
-
-let final_close rt =
-  (* Reject whatever is still parked — one symbol at a time, lowest
-     first, letting each rejection's consequences (agent fallbacks,
-     announcements) propagate before the next: a rejected commit's
-     fallback abort routinely unblocks other parked events. *)
-  let rec reject_loop budget =
-    if budget > 0 then begin
-      let parked_actors =
-        Hashtbl.fold
-          (fun sym actor acc ->
-            if Actor.parked_count actor > 0 then (sym, actor) :: acc else acc)
-          rt.actors []
-      in
-      match
-        List.sort (fun (s1, _) (s2, _) -> Symbol.compare s1 s2) parked_actors
-      with
-      | [] -> ()
-      | (_, actor) :: _ ->
-          deliver rt actor Actor.I_close;
-          Wf_sim.Netsim.run ~max_steps:rt.cfg.max_steps rt.net;
-          close_rounds rt 16;
-          reject_loop (budget - 1)
-    end
-  in
-  reject_loop 256;
-  (* Then decide leftover symbols negatively so the realized trace is
-     maximal, again letting each round settle. *)
-  let rec neg_loop budget =
-    let undecided =
-      Hashtbl.fold
-        (fun sym _ acc ->
-          if decided_globally rt sym then acc else sym :: acc)
-        rt.actors []
-    in
-    match List.sort Symbol.compare undecided with
-    | [] -> ()
-    | sym :: _ when budget > 0 ->
-        fire rt (Literal.neg sym);
-        Wf_sim.Netsim.run ~max_steps:rt.cfg.max_steps rt.net;
-        close_rounds rt 16;
-        reject_loop 64;
-        neg_loop (budget - 1)
-    | _ -> ()
-  in
-  neg_loop 1024
-
-let trace_of rt =
-  List.rev_map (fun o -> o.lit) rt.occurrences
-
 let run ?(config = default_config) wf =
-  (match Workflow_def.validate wf with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Event_sched.run: " ^ msg));
-  let rt = build config wf in
-  (* Kick off every agent. *)
-  Hashtbl.iter (fun _ agent -> schedule_agent rt agent) rt.agents;
-  Wf_sim.Netsim.run ~max_steps:config.max_steps rt.net;
-  (* Closing: alternate complement emission and network drain. *)
-  close_rounds rt 64;
-  final_close rt;
-  let deps = Workflow_def.dependencies rt.wf in
-  let trace = trace_of rt in
+  let plan =
+    match Run_plan.of_workflow wf with
+    | Ok plan -> plan
+    | Error msg -> invalid_arg ("Event_sched.run: " ^ msg)
+  in
+  let rt = build config wf plan in
+  (* Kick off every agent, run to quiescence, then close: alternate
+     complement emission and network drain. *)
+  hooks.iter_agents rt (schedule_agent rt);
+  hooks.settle rt;
+  Ground.close rt;
+  let deps = Compile.dependencies (Run_plan.compiled plan) in
+  let trace = List.rev_map (fun o -> o.lit) rt.occurrences in
   let violations = Correctness.violations deps trace in
   let generated =
     if config.check_generates then Some (Correctness.generates deps trace)
@@ -660,8 +243,8 @@ let run ?(config = default_config) wf =
   in
   {
     trace = List.rev rt.occurrences;
-    stats = stats rt;
-    makespan = Wf_sim.Netsim.now rt.net;
+    stats = rt.stats;
+    makespan = Wf_sim.Netsim.now rt.driver.net;
     satisfied = violations = [];
     violations;
     generated;

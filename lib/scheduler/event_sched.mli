@@ -9,6 +9,11 @@ open Wf_tasks
     agents attempt events; occurrences are announced only to the actors
     whose guards mention them.
 
+    The plan — compiled guards, demand automata, actor parameters and
+    subscriptions — is built once per spec ({!Run_plan}) and shared by
+    every run of it; a run builds only its mutable state (actors,
+    journals, agents, channel, network).
+
     The run ends with a {e closing} phase: when all activity quiesces,
     the complements of events that can no longer occur are emitted
     (making the realized trace maximal, as the temporal semantics

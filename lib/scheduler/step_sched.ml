@@ -1,11 +1,12 @@
 open Wf_core
 open Wf_tasks
 
-(* A step-controllable twin of [Event_sched]: same actors, agents,
-   journals, and recovery path, but no network — protocol messages wait
-   in explicit per-(sender, receiver) FIFO queues and every transition
-   happens only when the caller performs it.  See the interface for the
-   model relative to the simulator. *)
+(* A step-controllable driver of the ground core [Event_sched] drives:
+   same plan, actors, agents, journals, recovery and closing
+   ([Ground]), but no network — protocol messages wait in explicit
+   per-(sender, receiver) FIFO queues and every transition happens only
+   when the caller performs it.  See the interface for the model
+   relative to the simulator. *)
 
 module Pair = struct
   type t = Symbol.t * Symbol.t
@@ -45,173 +46,48 @@ module Dq = struct
   let to_list q = q.front @ List.rev q.back
 end
 
-type jstate = {
-  mutable j : (Actor.input, Actor.snapshot) Wf_store.Journal.t;
-  mutable depth : int;
-}
-
-type t = {
+(* The checker's side of a run: queues, epochs and the violation
+   counters, all reverted on backtracking.  Actors, agents and journals
+   live in the shared ground core. *)
+type queues = {
   wf : Workflow_def.t;
-  compiled : Compile.t;
   nsites : int;
-  stats : Wf_obs.Metrics.t;
-  replay_stats : Wf_obs.Metrics.t;
-  actors : (Symbol.t, Actor.t) Hashtbl.t;
-  ctxs : (Symbol.t, Actor.ctx) Hashtbl.t;
-  journals : (Symbol.t, jstate) Hashtbl.t;
-  actor_seeds : (Symbol.t, unit -> Actor.t) Hashtbl.t;
-  agents : (string, Agent.t) Hashtbl.t;
   instances : string list; (* sorted *)
-  symbols : Symbol.t list; (* sorted *)
-  agent_of_symbol : (Symbol.t, string) Hashtbl.t;
-  subscriptions : (Symbol.t, Symbol.Set.t) Hashtbl.t;
-  pending_trigger_complements : (Symbol.t, Literal.t list) Hashtbl.t;
   epochs : int array;
   mutable queues : Messages.t Dq.t PairMap.t; (* oldest first *)
-  mutable decided : Symbol.Set.t;
-  mutable seqno : int;
-  mutable occurrences : (Literal.t * int) list; (* newest first *)
-  mutable rejected : Literal.t list;
   mutable forced : int;
   mutable uncontrollable : int;
   mutable crashes : int;
 }
 
-let workflow t = t.wf
-let compiled t = t.compiled
-let num_sites t = t.nsites
-let symbols t = t.symbols
-let stats t = t.stats
-let rejected t = List.rev t.rejected
-let forced t = t.forced
-let uncontrollable t = t.uncontrollable
-let crashes_used t = t.crashes
-let epoch t site = t.epochs.(site)
-let trace t = List.rev_map fst t.occurrences
-let decided_globally t sym = Symbol.Set.mem sym t.decided
+type t = queues Ground.t
 
-let actor_of t sym =
-  match Hashtbl.find_opt t.actors sym with
-  | Some a -> a
-  | None -> Fmt.invalid_arg "Step_sched: no actor for %a" Symbol.pp sym
+let workflow (t : t) = t.driver.wf
+let compiled (t : t) = Run_plan.compiled t.plan
+let num_sites (t : t) = t.driver.nsites
+let symbols (t : t) = Run_plan.symbols t.plan
+let stats (t : t) = t.stats
+let rejected (t : t) = List.rev t.rejected
+let forced (t : t) = t.driver.forced
+let uncontrollable (t : t) = t.driver.uncontrollable
+let crashes_used (t : t) = t.driver.crashes
+let epoch (t : t) site = t.driver.epochs.(site)
+let trace (t : t) = List.rev_map (fun (o : Ground.occurrence) -> o.lit) t.occurrences
 
-let subscribers_of t sym =
-  Option.value (Hashtbl.find_opt t.subscriptions sym) ~default:Symbol.Set.empty
-
-let enqueue t ~src ~dst msg =
+let enqueue (t : t) ~src ~dst msg =
+  let d = t.driver in
   let key = (src, dst) in
-  let q = Option.value (PairMap.find_opt key t.queues) ~default:Dq.empty in
-  t.queues <- PairMap.add key (Dq.push q msg) t.queues
-
-(* Per-actor context.  Unlike [Event_sched]'s, the closures capture only
-   the symbol, never the actor record, so recovery can swap in a fresh
-   actor without invalidating the memoized context. *)
-let rec ctx_for t sym : Actor.ctx =
-  match Hashtbl.find_opt t.ctxs sym with
-  | Some ctx -> ctx
-  | None ->
-      let ctx =
-        {
-          Actor.send =
-            (fun dst msg ->
-              enqueue t ~src:sym ~dst msg;
-              Wf_obs.Metrics.incr t.stats ("msg_" ^ Messages.label msg));
-          Actor.fire = (fun lit -> fire t lit);
-          Actor.reject = (fun lit -> reject t lit);
-          Actor.trigger_task = (fun lit -> trigger_task t lit);
-          Actor.stats = t.stats;
-          Actor.emit_assim =
-            (* The [Forced] counter must revert on backtracking, so it
-               lives in the snapshotted state, not in the metrics. *)
-            Some
-              (fun outcome _guard ->
-                match outcome with
-                | Wf_obs.Trace.Forced -> t.forced <- t.forced + 1
-                | _ -> ());
-        }
-      in
-      Hashtbl.add t.ctxs sym ctx;
-      ctx
-
-(* Journaled delivery: append (write-ahead), apply, checkpoint at the
-   transition boundary — [Event_sched.deliver] verbatim. *)
-and deliver t actor input =
-  let js = Hashtbl.find t.journals (Actor.symbol actor) in
-  Wf_store.Journal.append js.j input;
-  js.depth <- js.depth + 1;
-  Fun.protect
-    ~finally:(fun () -> js.depth <- js.depth - 1)
-    (fun () -> Actor.apply (ctx_for t (Actor.symbol actor)) actor input);
-  if js.depth = 0 && Wf_store.Journal.wants_checkpoint js.j then
-    Wf_store.Journal.checkpoint js.j (Actor.snapshot actor)
-
-and fire t lit =
-  let sym = Literal.symbol lit in
-  if decided_globally t sym then ()
-  else begin
-    t.seqno <- t.seqno + 1;
-    let seqno = t.seqno in
-    t.occurrences <- (lit, seqno) :: t.occurrences;
-    t.decided <- Symbol.Set.add sym t.decided;
-    Wf_obs.Metrics.incr t.stats "occurrences";
-    (* Own actor learns first (it hosts the event). *)
-    let actor = actor_of t sym in
-    deliver t actor (Actor.I_occurred { lit; seqno });
-    (* The owning agent advances; triggered transitions already advanced
-       the agent, so use the stashed complements instead. *)
-    let complements =
-      match Hashtbl.find_opt t.pending_trigger_complements sym with
-      | Some cs ->
-          Hashtbl.remove t.pending_trigger_complements sym;
-          cs
-      | None -> (
-          if not (Literal.is_pos lit) then []
-          else
-            match Hashtbl.find_opt t.agent_of_symbol sym with
-            | None -> []
-            | Some instance ->
-                Agent.on_accepted (Hashtbl.find t.agents instance) sym)
-    in
-    (* Announce to every subscriber actor — queued, not delivered: the
-       propagation order is the caller's to choose. *)
-    Symbol.Set.iter
-      (fun watcher_sym ->
-        if not (Symbol.equal watcher_sym sym) then begin
-          enqueue t ~src:sym ~dst:watcher_sym (Messages.Announce { lit; seqno });
-          Wf_obs.Metrics.incr t.stats "msg_announce"
-        end)
-      (subscribers_of t sym);
-    (* Newly impossible events: their complements occur. *)
-    List.iter (fun c -> fire t c) complements
-  end
-
-and reject t lit =
-  t.rejected <- lit :: t.rejected;
-  Wf_obs.Metrics.incr t.stats "rejections";
-  match Hashtbl.find_opt t.agent_of_symbol (Literal.symbol lit) with
-  | None -> ()
-  | Some instance -> Agent.on_rejected (Hashtbl.find t.agents instance) (Literal.symbol lit)
-
-and trigger_task t lit =
-  match Hashtbl.find_opt t.agent_of_symbol (Literal.symbol lit) with
-  | None -> false
-  | Some instance -> (
-      let agent = Hashtbl.find t.agents instance in
-      match Agent.trigger agent (Literal.symbol lit) with
-      | None -> false
-      | Some complements ->
-          Hashtbl.replace t.pending_trigger_complements (Literal.symbol lit)
-            complements;
-          true)
+  let q = Option.value (PairMap.find_opt key d.queues) ~default:Dq.empty in
+  d.queues <- PairMap.add key (Dq.push q msg) d.queues
 
 (* {2 Transitions} *)
 
-let enabled_attempts t =
+let enabled_attempts (t : t) =
   List.filter
     (fun instance -> Agent.want (Hashtbl.find t.agents instance) <> None)
-    t.instances
+    t.driver.instances
 
-let do_attempt t instance =
+let do_attempt (t : t) instance =
   let agent =
     match Hashtbl.find_opt t.agents instance with
     | Some a -> a
@@ -221,97 +97,41 @@ let do_attempt t instance =
   | None -> invalid_arg ("Step_sched.do_attempt: no enabled attempt for " ^ instance)
   | Some (sym, attr) ->
       Agent.begin_attempt agent sym;
-      Wf_obs.Metrics.incr t.stats "attempts";
-      if attr.Attribute.controllable then begin
-        let actor = actor_of t sym in
-        (* Vet the complements the transition entails together with the
-           event's own guard: committing must be allowed to preclude
-           aborting, etc. *)
-        let entailed =
-          Guard.conj_all
-            (List.map
-               (fun c -> (Compile.plan t.compiled c).Compile.guard)
-               (Agent.would_make_unreachable agent sym))
-        in
-        deliver t actor (Actor.I_attempt { pol = Literal.Pos; entailed })
-      end
-      else begin
-        (* Uncontrollable: announced, not requested.  Record a violation
-           if the guard would have said no. *)
-        let actor = actor_of t sym in
-        let g = (Compile.plan t.compiled (Literal.pos sym)).Compile.guard in
-        let know = Actor.knowledge actor in
-        (match
-           match Gtable.status_hint g know with
-           | Some s -> s
-           | None -> Knowledge.status know g
-         with
-        | Knowledge.False -> t.uncontrollable <- t.uncontrollable + 1
-        | _ -> ());
-        fire t (Literal.pos sym)
-      end
+      if Ground.attempt t agent sym attr then
+        t.driver.uncontrollable <- t.driver.uncontrollable + 1
 
-let nonempty_queues t = List.map fst (PairMap.bindings t.queues)
+let nonempty_queues (t : t) = List.map fst (PairMap.bindings t.driver.queues)
 
-let queue_head t key =
-  match PairMap.find_opt key t.queues with
+let queue_head (t : t) key =
+  match PairMap.find_opt key t.driver.queues with
   | Some q -> Dq.peek q
   | None -> None
 
-let do_deliver t ((_, dst) as key) =
-  match Option.bind (PairMap.find_opt key t.queues) Dq.pop with
+let do_deliver (t : t) ((_, dst) as key) =
+  let d = t.driver in
+  match Option.bind (PairMap.find_opt key d.queues) Dq.pop with
   | None -> invalid_arg "Step_sched.do_deliver: empty queue"
   | Some (msg, rest) ->
-      t.queues <-
-        (if Dq.is_empty rest then PairMap.remove key t.queues
-         else PairMap.add key rest t.queues);
+      d.queues <-
+        (if Dq.is_empty rest then PairMap.remove key d.queues
+         else PairMap.add key rest d.queues);
       Wf_obs.Metrics.incr t.stats "messages_delivered";
-      deliver t (actor_of t dst) (Actor.I_message msg)
+      Ground.deliver t (Ground.actor_of t dst) (Actor.I_message msg)
 
-(* Rebuild a crashed actor from its journal: fresh instance from the
-   spec-derived seed, restore the latest checkpoint, replay the suffix
-   with side effects muted — [Event_sched.recover_actor]. *)
-let recover_actor t sym =
-  let js = Hashtbl.find t.journals sym in
-  let fresh = (Hashtbl.find t.actor_seeds sym) () in
-  let ckpt, suffix = Wf_store.Journal.recover js.j in
-  (match ckpt with Some s -> Actor.restore fresh s | None -> ());
-  let mctx = Actor.muted_ctx t.replay_stats in
-  List.iter (fun input -> Actor.apply mctx fresh input) suffix;
-  Hashtbl.replace t.actors sym fresh;
-  Wf_obs.Metrics.incr t.stats "actor_recoveries";
-  Wf_obs.Metrics.add t.stats "replayed_entries" (List.length suffix)
+let check_site name (t : t) site =
+  if site < 0 || site >= t.driver.nsites then
+    invalid_arg ("Step_sched." ^ name ^ ": site out of range")
 
-let hosted_symbols t site =
-  List.filter (fun sym -> Workflow_def.site_of t.wf sym = site) t.symbols
-
-let do_crash t site =
-  if site < 0 || site >= t.nsites then
-    invalid_arg "Step_sched.do_crash: site out of range";
-  t.crashes <- t.crashes + 1;
-  t.epochs.(site) <- t.epochs.(site) + 1;
+let do_crash (t : t) site =
+  check_site "do_crash" t site;
+  let d = t.driver in
+  d.crashes <- d.crashes + 1;
+  d.epochs.(site) <- d.epochs.(site) + 1;
   Wf_obs.Metrics.incr t.stats "net_crashes";
   Wf_obs.Metrics.incr t.stats "net_restarts";
-  let hosted = hosted_symbols t site in
-  List.iter (fun sym -> recover_actor t sym) hosted;
-  (* Actor-level handshake: an undecided recovered actor pings the peers
-     it watches; a peer with a decided fate re-announces it. *)
-  let epoch = t.epochs.(site) in
-  List.iter
-    (fun sym ->
-      let actor = actor_of t sym in
-      if Actor.decided actor = None then
-        Symbol.Set.iter
-          (fun peer ->
-            if
-              Hashtbl.mem t.actors peer
-              && not (Knowledge.decided (Actor.knowledge actor) peer)
-            then begin
-              enqueue t ~src:sym ~dst:peer (Messages.Recovered { sym; epoch });
-              Wf_obs.Metrics.incr t.stats "msg_recovered"
-            end)
-          (Actor.watched_symbols actor))
-    hosted
+  let hosted = Ground.hosted t site in
+  List.iter (Ground.recover t) hosted;
+  Ground.handshake t ~epoch:d.epochs.(site) hosted
 
 (* Torn-write soundness probe.  One actor's journal content (latest
    checkpoint + suffix) is re-serialized through the binary codec onto a
@@ -321,17 +141,9 @@ let do_crash t site =
    state rebuilt from the salvaged log must equal the state ordinary
    journal recovery rebuilds: the torn frame's input was never applied,
    so losing it must lose nothing. *)
-let torn_recovery_ok t sym =
-  let js = Hashtbl.find t.journals sym in
-  let ckpt, suffix = Wf_store.Journal.recover js.j in
-  let rebuild ck sfx =
-    let fresh = (Hashtbl.find t.actor_seeds sym) () in
-    (match ck with Some s -> Actor.restore fresh s | None -> ());
-    let mctx = Actor.muted_ctx t.replay_stats in
-    List.iter (fun input -> Actor.apply mctx fresh input) sfx;
-    fresh
-  in
-  let reference = rebuild ckpt suffix in
+let torn_recovery_ok (t : t) sym =
+  let ckpt, suffix = Wf_store.Journal.recover (Hashtbl.find t.journals sym).j in
+  let reference = Ground.replay t sym (ckpt, suffix) in
   let synced_frames =
     (match ckpt with Some _ -> 1 | None -> 0) + List.length suffix
   in
@@ -354,15 +166,12 @@ let torn_recovery_ok t sym =
         Wf_store.Log.recover Actor.codec (Wf_store.Media.Sim.device sim)
       in
       report.Wf_store.Log.sr_frames = synced_frames
-      && Actor.equal_state reference (rebuild ckpt' suffix'))
+      && Actor.equal_state reference (Ground.replay t sym (ckpt', suffix')))
     keeps
 
 let do_crash_torn t site =
-  if site < 0 || site >= t.nsites then
-    invalid_arg "Step_sched.do_crash_torn: site out of range";
-  let ok =
-    List.for_all (fun sym -> torn_recovery_ok t sym) (hosted_symbols t site)
-  in
+  check_site "do_crash_torn" t site;
+  let ok = List.for_all (torn_recovery_ok t) (Ground.hosted t site) in
   do_crash t site;
   ok
 
@@ -377,42 +186,40 @@ type snapshot = {
   s_epochs : int array;
   s_decided : Symbol.Set.t;
   s_seqno : int;
-  s_occurrences : (Literal.t * int) list;
+  s_occurrences : Ground.occurrence list;
   s_rejected : Literal.t list;
   s_forced : int;
   s_uncontrollable : int;
   s_crashes : int;
 }
 
-let snapshot t =
+let snapshot (t : t) =
+  let d = t.driver and symbols = symbols t in
   {
     s_actors =
-      List.map (fun sym -> (sym, Actor.snapshot (actor_of t sym))) t.symbols;
+      List.map (fun sym -> (sym, Actor.snapshot (Ground.actor_of t sym))) symbols;
     s_journals =
       List.map
-        (fun sym ->
-          (sym, Wf_store.Journal.copy (Hashtbl.find t.journals sym).j))
-        t.symbols;
+        (fun sym -> (sym, Wf_store.Journal.copy (Hashtbl.find t.journals sym).j))
+        symbols;
     s_agents =
-      List.map
-        (fun i -> (i, Agent.snapshot (Hashtbl.find t.agents i)))
-        t.instances;
-    s_queues = t.queues;
+      List.map (fun i -> (i, Agent.snapshot (Hashtbl.find t.agents i))) d.instances;
+    s_queues = d.queues;
     s_pending =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.pending_trigger_complements
-        [];
-    s_epochs = Array.copy t.epochs;
+      Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.pending_trigger_complements [];
+    s_epochs = Array.copy d.epochs;
     s_decided = t.decided;
     s_seqno = t.seqno;
     s_occurrences = t.occurrences;
     s_rejected = t.rejected;
-    s_forced = t.forced;
-    s_uncontrollable = t.uncontrollable;
-    s_crashes = t.crashes;
+    s_forced = d.forced;
+    s_uncontrollable = d.uncontrollable;
+    s_crashes = d.crashes;
   }
 
-let restore t s =
-  List.iter (fun (sym, sa) -> Actor.restore (actor_of t sym) sa) s.s_actors;
+let restore (t : t) s =
+  let d = t.driver in
+  List.iter (fun (sym, sa) -> Actor.restore (Ground.actor_of t sym) sa) s.s_actors;
   (* Re-copy on every restore so the snapshot stays pristine: one
      snapshot seeds many branches. *)
   List.iter
@@ -421,22 +228,20 @@ let restore t s =
       js.j <- Wf_store.Journal.copy j;
       js.depth <- 0)
     s.s_journals;
-  List.iter
-    (fun (i, sa) -> Agent.restore (Hashtbl.find t.agents i) sa)
-    s.s_agents;
-  t.queues <- s.s_queues;
+  List.iter (fun (i, sa) -> Agent.restore (Hashtbl.find t.agents i) sa) s.s_agents;
+  d.queues <- s.s_queues;
   Hashtbl.reset t.pending_trigger_complements;
   List.iter
     (fun (k, v) -> Hashtbl.replace t.pending_trigger_complements k v)
     s.s_pending;
-  Array.blit s.s_epochs 0 t.epochs 0 (Array.length t.epochs);
+  Array.blit s.s_epochs 0 d.epochs 0 (Array.length d.epochs);
   t.decided <- s.s_decided;
   t.seqno <- s.s_seqno;
   t.occurrences <- s.s_occurrences;
   t.rejected <- s.s_rejected;
-  t.forced <- s.s_forced;
-  t.uncontrollable <- s.s_uncontrollable;
-  t.crashes <- s.s_crashes
+  d.forced <- s.s_forced;
+  d.uncontrollable <- s.s_uncontrollable;
+  d.crashes <- s.s_crashes
 
 module F = Fingerprint
 
@@ -458,17 +263,19 @@ let fp_msg h (m : Messages.t) =
   | Messages.Release { sym; holder } -> fp_lit (fp_sym (F.int h 7) sym) holder
   | Messages.Recovered { sym; epoch } -> F.int (fp_sym (F.int h 8) sym) epoch
 
-let fingerprint t =
+let fingerprint (t : t) =
+  let d = t.driver in
   let h = F.init in
   (* Actors and agents in their fixed sorted orders. *)
   let h =
-    List.fold_left (fun h sym -> F.int h (Actor.fingerprint (actor_of t sym))) h
-      t.symbols
+    List.fold_left
+      (fun h sym -> F.int h (Actor.fingerprint (Ground.actor_of t sym)))
+      h (symbols t)
   in
   let h =
     List.fold_left
       (fun h i -> F.int h (Agent.fingerprint (Hashtbl.find t.agents i)))
-      h t.instances
+      h d.instances
   in
   let h =
     PairMap.fold
@@ -476,11 +283,11 @@ let fingerprint t =
         (* Fold in logical (oldest-first) order so two states whose
            deques differ only in front/back split fingerprint alike. *)
         F.list fp_msg (fp_sym (fp_sym h src) dst) (Dq.to_list q))
-      t.queues h
+      d.queues h
   in
   let h =
     List.fold_left
-      (fun h (lit, seqno) -> F.int (fp_lit h lit) seqno)
+      (fun h (o : Ground.occurrence) -> F.int (fp_lit h o.lit) o.seqno)
       (F.int h (List.length t.occurrences))
       t.occurrences
   in
@@ -494,182 +301,11 @@ let fingerprint t =
          (Hashtbl.fold (fun k v acc -> (k, v) :: acc)
             t.pending_trigger_complements []))
   in
-  let h = Array.fold_left F.int h t.epochs in
+  let h = Array.fold_left F.int h d.epochs in
   let h = Symbol.Set.fold (fun s h -> fp_sym h s) t.decided h in
-  F.int (F.int (F.int (F.int h t.seqno) t.forced) t.uncontrollable) t.crashes
+  F.int (F.int (F.int (F.int h t.seqno) d.forced) d.uncontrollable) d.crashes
 
 (* {2 Build} *)
-
-let build ?(checkpoint_every = 32) ?(guard_overrides = []) wf =
-  (match Workflow_def.validate wf with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Step_sched.build: " ^ msg));
-  let deps = Workflow_def.dependencies wf in
-  let compiled = Compile.compile deps in
-  let nsites = Workflow_def.num_sites wf in
-  (* Agents. *)
-  let agents = Hashtbl.create 16 in
-  let agent_of_symbol = Hashtbl.create 64 in
-  List.iter
-    (fun (task : Workflow_def.task) ->
-      let agent =
-        Agent.create ~instance:task.instance ~model:task.model
-          ~script:task.script ~parametrize:task.parametrize ()
-      in
-      Hashtbl.replace agents task.instance agent;
-      List.iter
-        (fun (ev, _, _) ->
-          let sym =
-            Task_model.symbol_of_event task.model ~instance:task.instance ev
-          in
-          Hashtbl.replace agent_of_symbol sym task.instance)
-        task.model.Task_model.significant)
-    wf.Workflow_def.tasks;
-  let instances =
-    List.sort String.compare
-      (List.map (fun (task : Workflow_def.task) -> task.instance)
-         wf.Workflow_def.tasks)
-  in
-  (* The symbols needing actors: dependency alphabet plus all task
-     events (unmentioned ones get guard ⊤). *)
-  let symbol_set =
-    Hashtbl.fold
-      (fun sym _ acc -> Symbol.Set.add sym acc)
-      agent_of_symbol (Compile.alphabet compiled)
-  in
-  let symbols = Symbol.Set.elements symbol_set in
-  let t =
-    {
-      wf;
-      compiled;
-      nsites;
-      stats = Wf_obs.Metrics.create ();
-      replay_stats = Wf_obs.Metrics.create ();
-      actors = Hashtbl.create 64;
-      ctxs = Hashtbl.create 64;
-      journals = Hashtbl.create 64;
-      actor_seeds = Hashtbl.create 64;
-      agents;
-      instances;
-      symbols;
-      agent_of_symbol;
-      subscriptions = Hashtbl.create 64;
-      pending_trigger_complements = Hashtbl.create 8;
-      epochs = Array.make (max nsites 1) 0;
-      queues = PairMap.empty;
-      decided = Symbol.Set.empty;
-      seqno = 0;
-      occurrences = [];
-      rejected = [];
-      forced = 0;
-      uncontrollable = 0;
-      crashes = 0;
-    }
-  in
-  let guard_for lit =
-    match
-      List.find_opt (fun (l, _) -> Literal.equal l lit) guard_overrides
-    with
-    | Some (_, g) -> g
-    | None -> (Compile.plan compiled lit).Compile.guard
-  in
-  (* Demand automata for triggerable events. *)
-  let automata = List.map (fun d -> (d, Automaton.build d)) deps in
-  List.iter
-    (fun sym ->
-      let attr = Workflow_def.attribute_of wf sym in
-      let attr_pos = attr in
-      let attr_neg = Attribute.uncontrollable in
-      let plan_pos = Compile.plan compiled (Literal.pos sym) in
-      let plan_neg = Compile.plan compiled (Literal.neg sym) in
-      let demand_automata =
-        if attr.Attribute.triggerable then
-          List.filter_map
-            (fun (d, aut) ->
-              if Literal.Set.mem (Literal.pos sym) (Expr.literals d) then
-                Some aut
-              else None)
-            automata
-        else []
-      in
-      let seed () =
-        Actor.create ~sym ~site:(Workflow_def.site_of wf sym)
-          ~guard_pos:(guard_for (Literal.pos sym))
-          ~guard_neg:(guard_for (Literal.neg sym))
-          ~attr_pos ~attr_neg ~demand_automata ()
-      in
-      Hashtbl.replace t.actors sym (seed ());
-      Hashtbl.replace t.actor_seeds sym seed;
-      Hashtbl.replace t.journals sym
-        { j = Wf_store.Journal.create ~checkpoint_every (); depth = 0 };
-      (* Subscriptions: guard symbols of both polarities, the full
-         alphabet of the demand automata, and the guards of complements
-         the owning task's transitions may entail — [Event_sched]'s
-         computation verbatim. *)
-      let watch =
-        Symbol.Set.union plan_pos.Compile.watched plan_neg.Compile.watched
-      in
-      let watch =
-        match Workflow_def.owner_of wf sym with
-        | None -> watch
-        | Some task -> (
-            let model = task.Workflow_def.model in
-            match
-              Task_model.event_of_symbol model
-                ~instance:task.Workflow_def.instance
-                (Symbol.make (Symbol.base sym))
-            with
-            | None -> watch
-            | Some ev ->
-                List.fold_left
-                  (fun acc (tr : Task_model.transition) ->
-                    if tr.Task_model.event <> ev then acc
-                    else
-                      let before =
-                        Task_model.unreachable_events model
-                          tr.Task_model.from_state
-                      in
-                      let after =
-                        Task_model.unreachable_events model
-                          tr.Task_model.to_state
-                      in
-                      List.fold_left
-                        (fun acc gone ->
-                          if List.mem gone before then acc
-                          else
-                            let gone_sym =
-                              Task_model.symbol_of_event model
-                                ~instance:task.Workflow_def.instance gone
-                            in
-                            Symbol.Set.union acc
-                              (Compile.plan compiled (Literal.neg gone_sym))
-                                .Compile.watched)
-                        acc after)
-                  watch model.Task_model.transitions)
-      in
-      let watch =
-        List.fold_left
-          (fun acc aut ->
-            List.fold_left
-              (fun acc l -> Symbol.Set.add (Literal.symbol l) acc)
-              acc (Automaton.alphabet aut))
-          watch demand_automata
-      in
-      Symbol.Set.iter
-        (fun watched_sym ->
-          if not (Symbol.equal watched_sym sym) then
-            let current =
-              Option.value
-                (Hashtbl.find_opt t.subscriptions watched_sym)
-                ~default:Symbol.Set.empty
-            in
-            Hashtbl.replace t.subscriptions watched_sym
-              (Symbol.Set.add sym current))
-        watch)
-    symbols;
-  t
-
-(* {2 Closing} *)
 
 (* Deterministically drain everything pending: enabled attempts first
    (sorted by instance), then queued deliveries in sorted pair order.
@@ -687,72 +323,56 @@ let drain t =
         | [] -> continue_ := false)
   done
 
-let close_round t =
-  (* Emit complements of events that can no longer occur. *)
-  let progress = ref false in
-  List.iter
-    (fun instance ->
-      let agent = Hashtbl.find t.agents instance in
-      if Agent.finished agent then
-        List.iter
-          (fun c ->
-            let sym = Literal.symbol c in
-            if
-              Hashtbl.mem t.actors sym
-              && (not (decided_globally t sym))
-              && Actor.parked_count (actor_of t sym) = 0
-            then begin
-              fire t c;
-              progress := true
-            end)
-          (Agent.undecided_complements agent))
-    t.instances;
-  !progress
+let hooks : queues Ground.hooks =
+  {
+    (* Queued, not delivered: the propagation order is the caller's. *)
+    send = (fun t ~priority:_ ~src ~dst msg -> enqueue t ~src ~dst msg);
+    kick = (fun _ _ -> ());
+    now = (fun _ -> 0.0);
+    on_fire = (fun _ _ -> ());
+    emit_assim =
+      (* The [Forced] counter must revert on backtracking, so it lives
+         in the snapshotted state, not in the metrics. *)
+      (fun t _ ->
+        Some
+          (fun outcome _guard ->
+            match outcome with
+            | Wf_obs.Trace.Forced -> t.driver.forced <- t.driver.forced + 1
+            | _ -> ()));
+    settle = drain;
+    iter_agents =
+      (fun t f ->
+        List.iter (fun i -> f (Hashtbl.find t.agents i)) t.driver.instances);
+  }
 
-let rec close_rounds t budget =
-  if budget > 0 && close_round t then begin
-    drain t;
-    close_rounds t (budget - 1)
-  end
-
-let final_close t =
-  (* Reject whatever is still parked — one symbol at a time, lowest
-     first, letting each rejection's consequences propagate. *)
-  let rec reject_loop budget =
-    if budget > 0 then begin
-      let parked =
-        List.filter (fun sym -> Actor.parked_count (actor_of t sym) > 0)
-          t.symbols
-      in
-      match parked with
-      | [] -> ()
-      | sym :: _ ->
-          deliver t (actor_of t sym) Actor.I_close;
-          drain t;
-          close_rounds t 16;
-          reject_loop (budget - 1)
-    end
+let build ?(checkpoint_every = 32) ?(guard_overrides = []) wf =
+  let plan =
+    match Run_plan.of_workflow wf with
+    | Ok plan -> plan
+    | Error msg -> invalid_arg ("Step_sched.build: " ^ msg)
   in
-  reject_loop 256;
-  (* Then decide leftover symbols negatively so the realized trace is
-     maximal, again letting each round settle. *)
-  let rec neg_loop budget =
-    let undecided =
-      List.filter (fun sym -> not (decided_globally t sym)) t.symbols
-    in
-    match undecided with
-    | [] -> ()
-    | sym :: _ when budget > 0 ->
-        fire t (Literal.neg sym);
-        drain t;
-        close_rounds t 16;
-        reject_loop 64;
-        neg_loop (budget - 1)
-    | _ -> ()
+  let nsites = Workflow_def.num_sites wf in
+  let driver =
+    {
+      wf;
+      nsites;
+      instances =
+        List.sort String.compare
+          (List.map (fun (task : Workflow_def.task) -> task.instance) wf.tasks);
+      epochs = Array.make (max nsites 1) 0;
+      queues = PairMap.empty;
+      forced = 0;
+      uncontrollable = 0;
+      crashes = 0;
+    }
   in
-  neg_loop 1024
+  let journal _ =
+    let j = Wf_store.Journal.create ~checkpoint_every () in
+    { Ground.j; depth = 0; media = None }
+  in
+  Ground.create ~guard_overrides ~stats:(Wf_obs.Metrics.create ()) ~journal ~hooks
+    ~driver wf plan
 
 let run_closing t =
   drain t;
-  close_rounds t 64;
-  final_close t
+  Ground.close t

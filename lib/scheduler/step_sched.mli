@@ -1,11 +1,12 @@
 open Wf_core
 
-(** A step-controllable twin of {!Event_sched} for the exhaustive model
-    checker.
+(** A step-controllable driver of {!Event_sched}'s transition core
+    ({!Ground}) for the exhaustive model checker.
 
     {!Event_sched} drives the guard actors through the virtual-time
     network: latencies and fault draws pick one interleaving per seed.
-    [Step_sched] removes the network entirely.  Protocol messages sit in
+    [Step_sched] drives the same actors, agents, journals, recovery and
+    closing code, but removes the network entirely.  Protocol messages sit in
     explicit per-(sender, receiver) FIFO queues, agent attempts wait
     until asked for, and every transition — deliver one queued message,
     let one agent attempt its next event, crash-and-recover one site —
@@ -36,11 +37,12 @@ val build :
   ?guard_overrides:(Literal.t * Guard.t) list ->
   Wf_tasks.Workflow_def.t ->
   t
-(** Compile the workflow and set up actors, agents, journals, and
-    subscriptions — {!Event_sched.build} without the network.
-    [guard_overrides] substitutes the synthesized guard of the given
-    literals at actor creation; the test suite uses it to plant a wrong
-    guard and watch the checker catch the divergence. *)
+(** Set up actors, agents and journals from the workflow's
+    {!Run_plan} — the plan {!Event_sched} runs from, without the
+    network.  [guard_overrides] substitutes the synthesized guard of the
+    given literals at actor creation (including recovery), never in the
+    shared plan; the test suite uses it to plant a wrong guard and
+    watch the checker catch the divergence. *)
 
 (** {2 Transitions} *)
 

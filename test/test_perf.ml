@@ -105,6 +105,85 @@ let automaton_disabled_is_naive =
       Intern.set_enabled true;
       same_automaton off (Automaton.build_naive d))
 
+(* --- compile-once memos ---------------------------------------------------- *)
+
+(* A repeated build or compile is the same value; after [clear_memos]
+   it is a fresh but structurally equal one; with interning disabled
+   nothing is memoized. *)
+let test_memo_contract () =
+  let deps = List.map snd (Catalog.travel_workflow ()) in
+  let d = List.hd deps in
+  let same_compiled a b =
+    List.equal
+      (fun (p : Compile.event_plan) (q : Compile.event_plan) ->
+        Literal.equal p.literal q.literal
+        && Guard.equal p.guard q.guard
+        && Symbol.Set.equal p.watched q.watched)
+      (Compile.plans a) (Compile.plans b)
+  in
+  Intern.clear_memos ();
+  let a1 = Automaton.build d and c1 = Compile.compile deps in
+  checkb "repeated build is the memoized value" (Automaton.build d == a1);
+  checkb "repeated compile is the memoized value" (Compile.compile deps == c1);
+  checkb "structurally equal key hits the memo"
+    (Compile.compile (List.map Fun.id deps) == c1);
+  Intern.clear_memos ();
+  let a2 = Automaton.build d and c2 = Compile.compile deps in
+  checkb "cleared build is fresh" (a2 != a1);
+  checkb "cleared build is structurally equal" (same_automaton a1 a2);
+  checkb "cleared compile is fresh" (c2 != c1);
+  checkb "cleared compile is structurally equal" (same_compiled c1 c2);
+  let a3, a4, c3, c4 =
+    Intern.set_enabled false;
+    Fun.protect
+      ~finally:(fun () -> Intern.set_enabled true)
+      (fun () ->
+        ( Automaton.build d,
+          Automaton.build d,
+          Compile.compile deps,
+          Compile.compile deps ))
+  in
+  checkb "disabled builds are never shared"
+    (a3 != a4 && a3 != a2 && same_automaton a3 a2);
+  checkb "disabled compiles are never shared"
+    (c3 != c4 && c3 != c2 && same_compiled c3 c2);
+  checkb "the memo survives a disabled interval" (Automaton.build d == a2)
+
+(* The run plan is keyed on the spec's data: a renamed copy shares it, a
+   moved task does not. *)
+let test_plan_memo () =
+  let open Wf_tasks in
+  let open Wf_scheduler in
+  let plan wf =
+    match Run_plan.of_workflow wf with
+    | Ok p -> p
+    | Error msg -> Alcotest.fail msg
+  in
+  let wf = Test_sched.travel_wf () in
+  Intern.clear_memos ();
+  let p = plan wf in
+  checkb "repeated plan is the memoized value" (plan wf == p);
+  checkb "a renamed copy shares the plan"
+    (plan { wf with Workflow_def.name = "renamed" } == p);
+  let moved =
+    {
+      wf with
+      Workflow_def.tasks =
+        List.map
+          (fun (t : Workflow_def.task) -> { t with site = t.site + 1 })
+          wf.tasks;
+    }
+  in
+  checkb "a moved task gets its own plan" (plan moved != p);
+  Intern.set_enabled false;
+  let off1, off2 =
+    Fun.protect ~finally:(fun () -> Intern.set_enabled true) (fun () ->
+        (plan wf, plan wf))
+  in
+  checkb "disabled plans are never shared" (off1 != off2 && off1 != p);
+  Intern.clear_memos ();
+  checkb "cleared plan is fresh" (plan wf != p)
+
 (* --- indexed assimilation ------------------------------------------------ *)
 
 (* Random announcement streams: occurrences and promises of random
@@ -159,6 +238,8 @@ let suite =
     all_guards_agree;
     automaton_agrees;
     automaton_disabled_is_naive;
+    Alcotest.test_case "compile-once memo contract" `Quick test_memo_contract;
+    Alcotest.test_case "run plan memo keyed on spec data" `Quick test_plan_memo;
     assimilation_agrees;
     Alcotest.test_case "unwatched announcements are no-ops" `Quick
       test_unwatched_is_noop;

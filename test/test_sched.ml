@@ -362,14 +362,33 @@ let test_central_routes_through_center () =
   checkb "central uses messages"
     (Wf_obs.Metrics.count r.Event_sched.stats "messages_sent" > 0)
 
+(* The same seed realizes the same run however the spec-invariant part
+   was obtained: compiled from empty memo tables, reused from the
+   previous run, or built by the naive memo-free kernels. *)
 let test_determinism () =
-  let r1 = run_dist ~seed:99L (travel_wf ()) in
-  let r2 = run_dist ~seed:99L (travel_wf ()) in
-  check
-    Alcotest.(list string)
-    "same seed, same trace"
-    (List.map Literal.to_string (Event_sched.trace_literals r1))
-    (List.map Literal.to_string (Event_sched.trace_literals r2))
+  let observe (r : Event_sched.result) =
+    ( List.map
+        (fun (o : Event_sched.occurrence) ->
+          Printf.sprintf "%s#%d@%h" (Literal.to_string o.lit) o.seqno o.time)
+        r.trace,
+      Wf_obs.Metrics.counters r.stats )
+  in
+  let run () = observe (run_dist ~seed:99L (travel_wf ())) in
+  Intern.clear_memos ();
+  let cold = run () in
+  let warm = run () in
+  let naive =
+    Intern.set_enabled false;
+    Fun.protect ~finally:(fun () -> Intern.set_enabled true) run
+  in
+  let same label (t1, c1) (t2, c2) =
+    check Alcotest.(list string) (label ^ ": same trace") t1 t2;
+    check
+      Alcotest.(list (pair string int))
+      (label ^ ": same counters") c1 c2
+  in
+  same "cold vs warm" cold warm;
+  same "cold vs memo-free" cold naive
 
 let suite =
   [
