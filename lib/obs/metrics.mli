@@ -1,12 +1,11 @@
 (** Typed metrics registry: counters, gauges, and fixed-bucket log-scale
     histograms.
 
-    This replaces the ad-hoc [Wf_sim.Stats] usage across the runtime
-    stack (network simulator, channel, schedulers, bench harness).
-    Where [Stats] keeps every observed sample in an unbounded list —
-    linear memory per observation and a quadratic accumulate-merge —
-    a {!histogram} here is a fixed array of geometrically spaced
-    buckets: O(1) memory, O(1) observe, O(buckets) merge and quantile.
+    One registry serves the whole runtime stack (network simulator,
+    channel, schedulers, bench harness).  Instead of keeping every
+    observed sample, a histogram is a fixed array of geometrically
+    spaced buckets: O(1) memory, O(1) observe, O(buckets) merge and
+    quantile.
 
     {2 Histogram design}
 
@@ -18,15 +17,15 @@
     sample of rank [ceil (p * n)], clamped to the exact observed
     [min, max].  The relative error versus the exact nearest-rank sample
     is therefore at most [sqrt 1.05 - 1 < 2.5%] inside the tracked
-    range.  [Wf_sim.Stats] (kept as the exact per-sample utility)
-    serves as the oracle for that bound in the test suite.
+    range.  The test suite checks that bound against an exact
+    per-sample nearest-rank oracle.
 
     {2 Registry}
 
-    A registry is string-keyed like [Stats], so porting call sites is
-    mechanical: [incr]/[add] for counters, [observe] for histograms,
-    [set_gauge] for gauges.  Names live in disjoint namespaces per type;
-    reusing a counter name as a histogram creates two metrics. *)
+    A registry is string-keyed: [incr]/[add] for counters, [observe]
+    for histograms, [set_gauge] for gauges.  Names live in disjoint
+    namespaces per type; reusing a counter name as a histogram creates
+    two metrics. *)
 
 type t
 
@@ -39,8 +38,8 @@ type summary = {
   p95 : float;
   p99 : float;
 }
-(** Same shape as [Wf_sim.Stats.summary]; percentiles are histogram
-    approximations (see above), n/mean/min/max are exact. *)
+(** Percentiles are histogram approximations (see above),
+    n/mean/min/max are exact. *)
 
 val create : unit -> t
 
@@ -79,7 +78,7 @@ val quantile : t -> string -> float -> float
     [p >= 1] the exact max. *)
 
 val summarize : t -> string -> summary
-(** All-zero/[nan] summary for unknown names, like [Stats.summarize]. *)
+(** All-zero/[nan] summary for unknown names. *)
 
 val histogram_names : t -> string list
 

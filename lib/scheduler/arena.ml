@@ -38,23 +38,3 @@ let equal a b =
   let n = a.rows * a.width in
   let rec go i = i >= n || (a.cells.(i) = b.cells.(i) && go (i + 1)) in
   go 0
-
-module B = Wf_store.Binio
-
-let encode buf t =
-  B.put_uint buf t.width;
-  B.put_uint buf t.rows;
-  for i = 0 to (t.rows * t.width) - 1 do
-    B.put_int buf t.cells.(i)
-  done
-
-let decode r =
-  let width = B.get_uint r in
-  if width <= 0 then raise (B.Corrupt "arena: non-positive width");
-  let rows = B.get_uint r in
-  let t = create ~capacity:(max 1 rows) ~width () in
-  if rows > 0 then ensure t (rows - 1);
-  for i = 0 to (rows * width) - 1 do
-    t.cells.(i) <- B.get_int r
-  done;
-  t

@@ -4,8 +4,8 @@
     fates, compiled-guard states).  Rows are dense — the fleet engine's
     binding interner hands out consecutive ids — so the whole fleet's
     guard state is a single int array: no per-instance heap blocks, no
-    boxing, O(1) access, and the checkpoint of 10^6 instances is one
-    linear scan. *)
+    boxing, O(1) access.  The arena is never serialized: the fleet
+    engine rebuilds it from its occurrence log on restore. *)
 
 type t
 
@@ -34,10 +34,3 @@ val words : t -> int
 
 val equal : t -> t -> bool
 (** Same width, same rows in use, cell-for-cell equal. *)
-
-val encode : Buffer.t -> t -> unit
-(** Checkpoint codec: width, rows, then the in-use cells as varints. *)
-
-val decode : Wf_store.Binio.reader -> t
-(** Inverse of {!encode}; raises {!Wf_store.Binio.Corrupt} on
-    malformed input. *)

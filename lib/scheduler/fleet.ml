@@ -22,15 +22,16 @@ open Wf_core
    - {e Arena storage}.  Per-binding state is two int vectors in a flat
      {!Arena}: a fate word per event base (empty / parked@tick /
      occurred(pol)@seqno) and a table state per positive guard slot.
-     No per-instance heap blocks; the checkpoint of the whole fleet is
-     one linear scan.
+     No per-instance heap blocks.  The arena is a cache of the
+     occurrence log: a checkpoint shares the append-only logs and saves
+     only the parked fates, and restore rebuilds the arena by replay.
 
    Bindings whose guard exceeds the gtable bound (no compiled table)
    stay on the symbolic leg: the fallback rebuilds a tiny Knowledge
    over the template's own marked alphabet from the binding's fate
    words — same verdicts as Param_sched, no substitution, no global
-   state.  The engine journals inputs and checkpoints the arena as one
-   frame, mirroring Param_sched's recovery contract. *)
+   state.  The engine journals inputs and checkpoints as Param_sched
+   does (see [snapshot]). *)
 
 type outcome = Param_sched.outcome =
   | Accepted
@@ -43,13 +44,21 @@ type input = F_attempt of Symbol.t | F_occurred of Literal.t
 
 module B = Wf_store.Binio
 
+(* A checkpoint holds no arena: per-binding guard state is a function
+   of the occurrence log (residuation, §3.4) plus the parked fates, so
+   [restore] rebuilds the arena by replaying the log.  [f_tokens] and
+   [f_occ] are the engine's own arrays, shared, valid up to [f_n] and
+   [f_occ_len]: the engine writes only past those prefixes ([intern],
+   [push_occ]) and grows by copying, so a prefix is never written
+   again once a snapshot has seen it. *)
 type snapshot = {
+  f_n : int; (* bindings *)
+  f_tokens : string array; (* binding id -> token, prefix [f_n] *)
+  f_occ_len : int;
+  f_occ : int array; (* packed occurrence log, prefix [f_occ_len] *)
   f_ptick : int;
-  f_parked_n : int;
-  f_tokens : string; (* varint-packed reverse map, binding-id order *)
-  f_arena : string; (* Arena codec payload *)
-  f_occ : string; (* varint-packed occurrence log *)
   f_extras : Literal.t array; (* off-spec occurrence log, oldest first *)
+  f_parked : int array; (* (binding, base, fate word) per parked fate *)
 }
 
 let put_input buf = function
@@ -66,14 +75,22 @@ let get_input r =
   | 1 -> F_occurred (Wire.get_literal r)
   | n -> raise (B.Corrupt (Printf.sprintf "unknown fleet input tag %d" n))
 
+(* The durable frame: O(bindings + occurrences) to encode, and only
+   encoded when a store is attached. *)
 let put_snapshot buf s =
+  B.put_uint buf s.f_n;
+  for i = 0 to s.f_n - 1 do
+    B.put_string buf s.f_tokens.(i)
+  done;
+  B.put_uint buf s.f_occ_len;
+  for i = 0 to s.f_occ_len - 1 do
+    B.put_int buf s.f_occ.(i)
+  done;
   B.put_int buf s.f_ptick;
-  B.put_int buf s.f_parked_n;
-  B.put_string buf s.f_tokens;
-  B.put_string buf s.f_arena;
-  B.put_string buf s.f_occ;
   B.put_uint buf (Array.length s.f_extras);
-  Array.iter (Wire.put_literal buf) s.f_extras
+  Array.iter (Wire.put_literal buf) s.f_extras;
+  B.put_uint buf (Array.length s.f_parked);
+  Array.iter (B.put_int buf) s.f_parked
 
 (* explicit loops: the reader is sequential, and [Array.init]'s
    evaluation order is unspecified *)
@@ -89,13 +106,16 @@ let read_array n f r =
   end
 
 let get_snapshot r =
+  let f_n = B.get_uint r in
+  let f_tokens = read_array f_n B.get_string r in
+  let f_occ_len = B.get_uint r in
+  let f_occ = read_array f_occ_len B.get_int r in
   let f_ptick = B.get_int r in
-  let f_parked_n = B.get_int r in
-  let f_tokens = B.get_string r in
-  let f_arena = B.get_string r in
-  let f_occ = B.get_string r in
   let f_extras = read_array (B.get_uint r) Wire.get_literal r in
-  { f_ptick; f_parked_n; f_tokens; f_arena; f_occ; f_extras }
+  let f_parked = read_array (B.get_uint r) B.get_int r in
+  if Array.length f_parked mod 3 <> 0 then
+    raise (B.Corrupt "fleet snapshot: ragged parked triples");
+  { f_n; f_tokens; f_occ_len; f_occ; f_ptick; f_extras; f_parked }
 
 let codec : (input, snapshot) Wf_store.Log.codec =
   {
@@ -476,15 +496,12 @@ let occ_entry_literal t entry =
     { Literal.sym = ground_symbol t b t.token_arr.(bind); pol }
   else t.extras_log.(-entry - 1)
 
-let record_onspec t bind b pol =
-  t.seqno <- t.seqno + 1;
-  let prev = Arena.get t.arena bind b in
-  if tag_of prev = tag_parked then t.parked_n <- t.parked_n - 1;
-  Arena.set t.arena bind b (occurred_word ~pol ~seqno:t.seqno);
-  let nb = Array.length t.bases in
-  push_occ t
-    ((((bind * nb) + b) lsl 1)
-    lor (match pol with Literal.Pos -> 1 | Literal.Neg -> 0));
+(* Mark (bind, b) occurred at [seqno] and step every compiled table that
+   reads base [b]; returns the number of table steps.  The arena is a
+   cache of the occurrence log: live recording and [restore]'s replay
+   both go through here. *)
+let set_occurred t bind b pol ~seqno =
+  Arena.set t.arena bind b (occurred_word ~pol ~seqno);
   let st = t.steps.(b) in
   for i = 0 to Array.length st - 1 do
     let col, tbl, cp, cn = st.(i) in
@@ -492,7 +509,18 @@ let record_onspec t bind b pol =
     Arena.set t.arena bind col
       (Gtable.step_input tbl (Arena.get t.arena bind col) input)
   done;
-  Wf_obs.Metrics.add t.fstats "fleet_table_steps" (Array.length st)
+  Array.length st
+
+let record_onspec t bind b pol =
+  t.seqno <- t.seqno + 1;
+  if tag_of (Arena.get t.arena bind b) = tag_parked then
+    t.parked_n <- t.parked_n - 1;
+  let nb = Array.length t.bases in
+  push_occ t
+    ((((bind * nb) + b) lsl 1)
+    lor (match pol with Literal.Pos -> 1 | Literal.Neg -> 0));
+  Wf_obs.Metrics.add t.fstats "fleet_table_steps"
+    (set_occurred t bind b pol ~seqno:t.seqno)
 
 let record_extra t (lit : Literal.t) =
   t.seqno <- t.seqno + 1;
@@ -679,65 +707,80 @@ let apply_occurred t lit =
 
 (* --- crash recovery ------------------------------------------------------ *)
 
+(* O(1) in the logs, which are shared (see [snapshot]'s type), plus one
+   read-only scan of the fate columns that allocates only the parked
+   triples. *)
 let snapshot t =
+  let nb = Array.length t.bases in
+  let parked = Array.make (3 * t.parked_n) 0 in
+  let k = ref 0 in
+  for bind = 0 to t.n_bindings - 1 do
+    for b = 0 to nb - 1 do
+      let w = Arena.get t.arena bind b in
+      if tag_of w = tag_parked then begin
+        parked.(!k) <- bind;
+        parked.(!k + 1) <- b;
+        parked.(!k + 2) <- w;
+        k := !k + 3
+      end
+    done
+  done;
   {
+    f_n = t.n_bindings;
+    f_tokens = t.token_arr;
+    f_occ_len = t.occ_len;
+    f_occ = t.occ;
     f_ptick = t.ptick;
-    f_parked_n = t.parked_n;
-    f_tokens =
-      B.encode
-        (fun buf () ->
-          B.put_uint buf t.n_bindings;
-          for i = 0 to t.n_bindings - 1 do
-            B.put_string buf t.token_arr.(i)
-          done)
-        ();
-    f_arena = B.encode Arena.encode t.arena;
-    f_occ =
-      B.encode
-        (fun buf () ->
-          B.put_uint buf t.occ_len;
-          for i = 0 to t.occ_len - 1 do
-            B.put_int buf t.occ.(i)
-          done)
-        ();
     f_extras = Array.sub t.extras_log 0 t.extras_len;
+    f_parked = parked;
   }
 
+(* Copies what it keeps (the snapshot's arrays stay shared with the
+   engine that took it), then rebuilds the arena: replay the log through
+   [set_occurred] — without counting table steps, which were counted
+   when they first ran — and overlay the parked fates. *)
 let restore t s =
+  let n = s.f_n and nb = Array.length t.bases in
+  let corrupt_if c = if c then raise (B.Corrupt "fleet snapshot: bad index") in
+  t.token_arr <- Array.sub s.f_tokens 0 n;
+  t.n_bindings <- n;
+  t.itab_keys <- Array.make (itab_capacity_for n) itab_absent;
+  t.itab_vals <- Array.make (Array.length t.itab_keys) 0;
+  for i = 0 to n - 1 do
+    itab_put t t.token_arr.(i) i
+  done;
+  t.occ <- Array.sub s.f_occ 0 s.f_occ_len;
+  t.occ_len <- s.f_occ_len;
+  t.seqno <- s.f_occ_len;
   t.ptick <- s.f_ptick;
-  t.parked_n <- s.f_parked_n;
-  (let r = B.reader s.f_tokens in
-   let n = B.get_uint r in
-   t.token_arr <- read_array n B.get_string r;
-   t.n_bindings <- n;
-   t.itab_keys <- Array.make (itab_capacity_for n) itab_absent;
-   t.itab_vals <- Array.make (Array.length t.itab_keys) 0;
-   for i = 0 to n - 1 do
-     itab_put t t.token_arr.(i) i
-   done);
-  (match B.decode Arena.decode s.f_arena with
-  | Some a ->
-      if Arena.width a <> Arena.width t.arena then
-        raise (B.Corrupt "fleet snapshot: arena width mismatch");
-      t.arena <- a
-  | None -> raise (B.Corrupt "fleet snapshot: bad arena payload"));
-  let r = B.reader s.f_occ in
-  let n = B.get_uint r in
-  t.occ <- read_array n B.get_int r;
-  t.occ_len <- n;
-  t.seqno <- n;
   t.extras_log <- Array.copy s.f_extras;
   t.extras_len <- Array.length s.f_extras;
   Hashtbl.reset t.extras;
+  t.arena <- Arena.create ~capacity:(max 1 n) ~width:(Arena.width t.arena) ();
+  if n > 0 then Arena.ensure t.arena (n - 1);
   for i = 0 to t.occ_len - 1 do
     let entry = t.occ.(i) in
-    if entry < 0 then begin
+    if entry >= 0 then begin
+      let packed = entry lsr 1 in
+      corrupt_if (packed / nb >= n);
+      let pol = if entry land 1 <> 0 then Literal.Pos else Literal.Neg in
+      ignore (set_occurred t (packed / nb) (packed mod nb) pol ~seqno:(i + 1))
+    end
+    else begin
       let lit = t.extras_log.(-entry - 1) in
       Hashtbl.replace t.extras
         (Symbol.name lit.Literal.sym)
         (((i + 1) lsl 1)
         lor (match lit.Literal.pol with Literal.Pos -> 1 | Literal.Neg -> 0))
     end
+  done;
+  let p = s.f_parked in
+  t.parked_n <- Array.length p / 3;
+  for k = 0 to t.parked_n - 1 do
+    let bind = p.(3 * k) and b = p.((3 * k) + 1) and w = p.((3 * k) + 2) in
+    corrupt_if
+      (bind < 0 || bind >= n || b < 0 || b >= nb || tag_of w <> tag_parked);
+    Arena.set t.arena bind b w
   done
 
 let maybe_checkpoint t =

@@ -46,9 +46,13 @@ val create :
   t
 (** Same contract as {!Param_sched.create}, plus: raises
     [Invalid_argument] when the spec is not {!eligible}.
-    [checkpoint_every] defaults to 1024 — a fleet checkpoint encodes
-    the whole arena as one frame (O(bindings)), so drivers running
-    10^6 bindings should raise the cadence further to amortize it. *)
+    [checkpoint_every] defaults to 1024.  An in-memory checkpoint
+    shares the engine's append-only token and occurrence logs and
+    copies only the parked fates: one read-only scan of the fate
+    columns, no per-binding allocation.  With a [store] the checkpoint
+    is also encoded as one durable frame of tokens and logs (no arena),
+    which is O(bindings); drivers running 10^6 bindings against a store
+    should raise the cadence to amortize it. *)
 
 val set_tracer : t -> Wf_obs.Trace.sink option -> unit
 
@@ -99,8 +103,10 @@ val state_words : t -> int
 
 val recover : t -> t
 (** Crash and rebuild from the journal: same contract as
-    {!Param_sched.recover} — the arena checkpoint is restored as one
-    frame and the input suffix replayed silently. *)
+    {!Param_sched.recover}.  The checkpoint is restored by replaying its
+    occurrence log into a fresh arena (table steps are not counted
+    again) and overlaying the parked fates; the input suffix is then
+    replayed silently. *)
 
 val last_salvage : t -> Wf_store.Log.salvage_report option
 

@@ -108,3 +108,41 @@ let qprop ?(count = 200) name gen prop =
       QCheck2.Test.check_exn
         ~rand:(Random.State.make [| prop_seed () |])
         (QCheck2.Test.make ~count ~name gen prop))
+
+(* --- Nearest-rank oracle ------------------------------------------------- *)
+
+(* The exact per-sample summary that [Wf_obs.Metrics]' histogram
+   quantiles are checked against.  Nearest-rank: percentile p of n
+   sorted samples is the smallest sample such that at least p*n samples
+   are <= it, i.e. index ceil(p*n) - 1 of the sorted array.  Truncating
+   p*(n-1) instead biases high percentiles low: p99 of 50 samples would
+   read index 48 instead of 49. *)
+type summary = {
+  n : int;
+  mean : float;
+  min : float;
+  max : float;
+  p50 : float;
+  p95 : float;
+  p99 : float;
+}
+
+let nearest_rank sorted p =
+  let n = Array.length sorted in
+  let idx = int_of_float (Float.ceil (p *. float_of_int n)) - 1 in
+  sorted.(Int.max 0 (Int.min (n - 1) idx))
+
+let summarize samples =
+  if samples = [] then invalid_arg "Helpers.summarize: no samples";
+  let arr = Array.of_list samples in
+  Array.sort Float.compare arr;
+  let n = Array.length arr in
+  {
+    n;
+    mean = Array.fold_left ( +. ) 0.0 arr /. float_of_int n;
+    min = arr.(0);
+    max = arr.(n - 1);
+    p50 = nearest_rank arr 0.50;
+    p95 = nearest_rank arr 0.95;
+    p99 = nearest_rank arr 0.99;
+  }

@@ -4,9 +4,8 @@
    engines with identical input streams — deterministic sagas, random
    QCheck streams with off-spec noise, flow-controlled drains — and
    compare every observable: per-call outcomes, realized traces, parked
-   backlogs, reconstructed knowledge.  Also hosts the Arena codec
-   roundtrip, fleet crash/recovery, and the actor waiter-FIFO
-   regression. *)
+   backlogs, reconstructed knowledge.  Also hosts the arena rebuild
+   check, fleet crash/recovery, and the actor waiter-FIFO regression. *)
 
 open Wf_core
 open Wf_scheduler
@@ -342,9 +341,121 @@ let test_fleet_driver () =
         sym_run.Param_driver.trace fleet_crashy.Param_driver.trace)
     [ 3L; 7L; 11L ]
 
+(* --- crash points: checkpoint by sharing, restore by replay -------------- *)
+
+type step = In of ev | Crash
+
+(* Streams over one template's own bases (tokens 0..5, both polarities,
+   duplicates certain) plus off-spec noise, with crashes anywhere. *)
+let gen_crash_case =
+  let open QCheck2.Gen in
+  let tok = map string_of_int (int_bound 5) in
+  oneofl [ ([ saga ], [ "c"; "p" ]); (two_stage, [ "a"; "b"; "c" ]) ]
+  >>= fun (deps, bases) ->
+  let base = oneofl bases in
+  map
+    (fun steps -> (deps, steps))
+    (list_size (int_bound 150)
+       (frequency
+          [
+            (5, map2 (fun b t -> In (A (psym b t))) base tok);
+            (3, map2 (fun b t -> In (O (Literal.pos (psym b t)))) base tok);
+            (1, map2 (fun b t -> In (O (Literal.neg (psym b t)))) base tok);
+            (1, map (fun t -> In (A (Symbol.parametrized "z" [ t; t ]))) tok);
+            (1, return Crash);
+          ]))
+
+let cadences = [ 1; 7; 64 ]
+let stores = [ None; Some Wf_store.Media.Sim.no_faults ]
+
+let stats_of fe =
+  let m = Fleet.stats fe in
+  (Wf_obs.Metrics.counters m, Wf_obs.Metrics.gauges m)
+
+(* Every cadence, in memory and over fault-free media: each recover is
+   exact, a recover that replays nothing leaves the counters alone, and
+   the crashing engine stays in lockstep with an uncrashed Param_sched. *)
+let prop_crash_points (deps, steps) =
+  List.iter
+    (fun cadence ->
+      List.iter
+        (fun store ->
+          let se = Param_sched.create deps in
+          let fe = ref (Fleet.create ~checkpoint_every:cadence ?store deps) in
+          let inputs = ref 0 in
+          List.iteri
+            (fun i step ->
+              match step with
+              | In (A sym) ->
+                  incr inputs;
+                  let a = Param_sched.attempt se sym in
+                  let b = Fleet.attempt !fe sym in
+                  if a <> b then
+                    Alcotest.failf
+                      "cadence %d, step %d, attempt %s: symbolic=%s fleet=%s"
+                      cadence i (Symbol.name sym) (show_outcome a)
+                      (show_outcome b)
+              | In (O l) ->
+                  incr inputs;
+                  Param_sched.occurred se l;
+                  Fleet.occurred !fe l
+              | Crash ->
+                  let before = stats_of !fe in
+                  let fe' = Fleet.recover !fe in
+                  if not (Fleet.equal_state !fe fe') then
+                    Alcotest.failf "cadence %d, step %d: recovered state differs"
+                      cadence i;
+                  if !inputs mod cadence = 0 && stats_of fe' <> before then
+                    Alcotest.failf "cadence %d, step %d: empty replay moved stats"
+                      cadence i;
+                  check trace_testable "trace in lockstep after recover"
+                    (Param_sched.trace se) (Fleet.trace fe');
+                  fe := fe')
+            steps;
+          check trace_testable "final traces agree" (Param_sched.trace se)
+            (Fleet.trace !fe);
+          checkb "final parked backlogs agree"
+            (List.equal Symbol.equal (Param_sched.parked se) (Fleet.parked !fe));
+          checkb "final knowledge agrees"
+            (Knowledge.equal (Param_sched.knowledge se) (Fleet.knowledge !fe)))
+        stores)
+    cadences;
+  true
+
+(* A checkpoint shares the engine's logs.  Inputs fed to the original
+   engine after the checkpoint must not leak into what a later recover
+   restores, and engines recovered from one checkpoint must not leak
+   into each other: each must match an engine that never crashed. *)
+let prop_checkpoint_aliasing (deps, steps) =
+  let evs = List.filter_map (function In ev -> Some ev | Crash -> None) steps in
+  let flip = function O l -> O (Literal.complement l) | a -> a in
+  let fed evs =
+    let e = Fleet.create deps in
+    feed_fleet e evs;
+    e
+  in
+  List.iter
+    (fun cadence ->
+      let prefix, rest = split_at (List.length evs / cadence * cadence) evs in
+      let other = List.rev_map flip rest in
+      let fe = Fleet.create ~checkpoint_every:cadence deps in
+      feed_fleet fe prefix;
+      let r0 = Fleet.recover fe in
+      checkb "restore at the checkpoint" (Fleet.equal_state r0 (fed prefix));
+      feed_fleet fe rest;
+      let r1 = Fleet.recover fe in
+      feed_fleet r0 other;
+      let expect = fed (prefix @ rest) in
+      checkb "original unaffected by its restores" (Fleet.equal_state fe expect);
+      checkb "later recover = checkpoint + suffix" (Fleet.equal_state r1 expect);
+      checkb "restored engine evolves on its own"
+        (Fleet.equal_state r0 (fed (prefix @ other))))
+    cadences;
+  true
+
 (* --- arena --------------------------------------------------------------- *)
 
-let test_arena_roundtrip () =
+let test_arena_rebuild () =
   let a = Arena.create ~capacity:2 ~width:3 () in
   for r = 0 to 99 do
     Arena.ensure a r;
@@ -354,16 +465,30 @@ let test_arena_roundtrip () =
   done;
   check Alcotest.int "rows tracked" 100 (Arena.rows a);
   checkb "capacity doubled past rows" (Arena.words a >= 300);
-  let s = Wf_store.Binio.encode Arena.encode a in
-  (match Wf_store.Binio.decode Arena.decode s with
-  | None -> Alcotest.fail "arena codec must roundtrip"
-  | Some b ->
-      checkb "decoded arena equal (width, rows, cells)" (Arena.equal a b);
-      check Alcotest.int "cell survives" (Arena.get a 57 2) (Arena.get b 57 2));
   (* Equality ignores slack capacity but not content. *)
   let c = Arena.create ~capacity:512 ~width:3 () in
   Arena.ensure c 99;
-  checkb "zero arena differs from the filled one" (not (Arena.equal a c))
+  checkb "zero arena differs from the filled one" (not (Arena.equal a c));
+  (* A checkpoint carries no arena: with a checkpoint after every input
+     the journal suffix is empty, so [recover] is pure restore, and the
+     arena it rebuilds from the occurrence log and parked fates must
+     equal the live one — fate words, seqnos and table states. *)
+  let stream =
+    crash_stream
+    @ List.concat_map
+        (fun i ->
+          let tok = string_of_int (10 + i) in
+          [ A (psym "b" tok); O (Literal.pos (psym "a" tok)); A (psym "c" tok) ])
+        (List.init 40 Fun.id)
+  in
+  let fe = Fleet.create ~checkpoint_every:1 two_stage in
+  feed_fleet fe stream;
+  checkb "parked fates to overlay" (Fleet.parked_count fe > 0);
+  let fe' = Fleet.recover fe in
+  checkb "arena rebuilt from the log equals the live one"
+    (Fleet.equal_state fe fe');
+  checkb "parked order survives the rebuild"
+    (List.equal Symbol.equal (Fleet.parked fe) (Fleet.parked fe'))
 
 (* --- actor waiter queue (reservation FIFO) ------------------------------- *)
 
@@ -433,7 +558,11 @@ let suite =
       test_fleet_recover_with_store;
     Alcotest.test_case "driver dispatch: fleet = symbolic, crashes invisible"
       `Quick test_fleet_driver;
-    Alcotest.test_case "arena codec roundtrip" `Quick test_arena_roundtrip;
+    qprop ~count:100 "crash points: recover exact, lockstep"
+      gen_crash_case prop_crash_points;
+    qprop ~count:100 "checkpoint aliasing: restores isolated"
+      gen_crash_case prop_checkpoint_aliasing;
+    Alcotest.test_case "arena rebuild from the log" `Quick test_arena_rebuild;
     Alcotest.test_case "reservation waiters drain FIFO" `Quick
       test_reservation_waiters_fifo;
   ]

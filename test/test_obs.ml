@@ -1,24 +1,15 @@
 (* The observability layer: typed metrics registry (counters, gauges,
-   log-scale histograms), the structured trace with its JSONL schema,
-   and the fixed [Wf_sim.Stats] percentile/merge it replaces.  The
-   exact per-sample [Stats] serves as the oracle for the histogram
-   quantile error bound. *)
+   log-scale histograms) and the structured trace with its JSONL schema.
+   The exact nearest-rank summary of [Helpers.summarize] serves as the
+   oracle for the histogram quantile error bound. *)
 
 open Wf_scheduler
 open Helpers
 module Metrics = Wf_obs.Metrics
 module Trace = Wf_obs.Trace
 module Json = Wf_obs.Json
-module Stats = Wf_sim.Stats
 
-(* --- Stats: nearest-rank percentile regression --------------------------- *)
-
-let stats_summary samples =
-  let s = Stats.create () in
-  List.iter (Stats.observe s "x") samples;
-  match Stats.summarize s "x" with
-  | Some sum -> sum
-  | None -> Alcotest.fail "summary expected"
+(* --- the nearest-rank oracle ------------------------------------------- *)
 
 let test_percentile_nearest_rank () =
   (* Nearest-rank: percentile p of n sorted samples is the sample of
@@ -26,50 +17,21 @@ let test_percentile_nearest_rank () =
      and p95 the 48th (48.0).  The old truncating definition read
      index 48 / 46 — values 49.0 / 47.0 — so these expectations fail
      against it. *)
-  let sum = stats_summary (List.init 50 (fun i -> float_of_int (50 - i))) in
-  check (Alcotest.float 0.0) "p99 of 1..50" 50.0 sum.Stats.p99;
-  check (Alcotest.float 0.0) "p95 of 1..50" 48.0 sum.Stats.p95;
-  check (Alcotest.float 0.0) "p50 of 1..50" 25.0 sum.Stats.p50;
+  let sum = summarize (List.init 50 (fun i -> float_of_int (50 - i))) in
+  check (Alcotest.float 0.0) "p99 of 1..50" 50.0 sum.p99;
+  check (Alcotest.float 0.0) "p95 of 1..50" 48.0 sum.p95;
+  check (Alcotest.float 0.0) "p50 of 1..50" 25.0 sum.p50;
   (* 1..100: ranks land exactly on ceil(p*n) with no rounding slack. *)
-  let sum = stats_summary (List.init 100 (fun i -> float_of_int (i + 1))) in
-  check (Alcotest.float 0.0) "p99 of 1..100" 99.0 sum.Stats.p99;
-  check (Alcotest.float 0.0) "p95 of 1..100" 95.0 sum.Stats.p95;
-  check (Alcotest.float 0.0) "p50 of 1..100" 50.0 sum.Stats.p50;
-  let sum = stats_summary [ 4.0; 1.0; 3.0; 2.0 ] in
-  check (Alcotest.float 0.0) "p50 of 4 samples" 2.0 sum.Stats.p50;
-  check (Alcotest.float 0.0) "p99 of 4 samples" 4.0 sum.Stats.p99;
-  let sum = stats_summary [ 7.0 ] in
-  check (Alcotest.float 0.0) "p50 of singleton" 7.0 sum.Stats.p50;
-  check (Alcotest.float 0.0) "p99 of singleton" 7.0 sum.Stats.p99
-
-let test_stats_merge () =
-  let a = Stats.create () and b = Stats.create () in
-  Stats.incr a "c";
-  Stats.add b "c" 2;
-  List.iter (Stats.observe a "x") [ 1.0; 2.0 ];
-  List.iter (Stats.observe b "x") [ 3.0; 4.0 ];
-  Stats.observe b "only_b" 9.0;
-  let m = Stats.merge a b in
-  check Alcotest.int "counters add" 3 (Stats.count m "c");
-  (match Stats.summarize m "x" with
-  | Some s ->
-      check Alcotest.int "series concatenated" 4 s.Stats.n;
-      check (Alcotest.float 0.0) "min survives" 1.0 s.Stats.min;
-      check (Alcotest.float 0.0) "max survives" 4.0 s.Stats.max
-  | None -> Alcotest.fail "summary expected");
-  checkb "one-sided series kept" (Option.is_some (Stats.summarize m "only_b"));
-  (* The accumulation pattern the fix makes linear. *)
-  let agg = ref (Stats.create ()) in
-  for i = 1 to 10 do
-    let batch = Stats.create () in
-    Stats.observe batch "x" (float_of_int i);
-    agg := Stats.merge !agg batch
-  done;
-  match Stats.summarize !agg "x" with
-  | Some s -> check Alcotest.int "accumulated" 10 s.Stats.n
-  | None -> Alcotest.fail "summary expected"
-
-(* --- Metrics: registry basics -------------------------------------------- *)
+  let sum = summarize (List.init 100 (fun i -> float_of_int (i + 1))) in
+  check (Alcotest.float 0.0) "p99 of 1..100" 99.0 sum.p99;
+  check (Alcotest.float 0.0) "p95 of 1..100" 95.0 sum.p95;
+  check (Alcotest.float 0.0) "p50 of 1..100" 50.0 sum.p50;
+  let sum = summarize [ 4.0; 1.0; 3.0; 2.0 ] in
+  check (Alcotest.float 0.0) "p50 of 4 samples" 2.0 sum.p50;
+  check (Alcotest.float 0.0) "p99 of 4 samples" 4.0 sum.p99;
+  let sum = summarize [ 7.0 ] in
+  check (Alcotest.float 0.0) "p50 of singleton" 7.0 sum.p50;
+  check (Alcotest.float 0.0) "p99 of singleton" 7.0 sum.p99
 
 let test_metrics_registry () =
   let m = Metrics.create () in
@@ -104,34 +66,29 @@ let test_metrics_registry () =
 let test_histogram_quantile_bound () =
   (* The documented bound: inside the tracked range the histogram's
      nearest-rank quantile is within sqrt(1.05)-1 < 2.5% (we assert the
-     looser 5%) of the exact nearest-rank sample from the Stats
-     oracle. *)
+     looser 5%) of the exact nearest-rank sample from the oracle. *)
   let rng = Wf_sim.Rng.create 7L in
   List.iter
     (fun n ->
-      let reg = Metrics.create () and oracle = Stats.create () in
+      let reg = Metrics.create () and samples = ref [] in
       for _ = 1 to n do
         let x = Wf_sim.Rng.exponential rng ~mean:3.0 +. 0.001 in
         Metrics.observe reg "lat" x;
-        Stats.observe oracle "lat" x
+        samples := x :: !samples
       done;
-      let exact =
-        match Stats.summarize oracle "lat" with
-        | Some s -> s
-        | None -> Alcotest.fail "oracle summary expected"
-      in
+      let exact = summarize !samples in
       let approx = Metrics.summarize reg "lat" in
-      check Alcotest.int "n agrees" exact.Stats.n approx.Metrics.n;
+      check Alcotest.int "n agrees" exact.n approx.Metrics.n;
       let within name a e =
         checkb
           (Printf.sprintf "%s within 5%% at n=%d (%g vs %g)" name n a e)
           (Float.abs (a -. e) /. e <= 0.05)
       in
-      within "p50" approx.Metrics.p50 exact.Stats.p50;
-      within "p95" approx.Metrics.p95 exact.Stats.p95;
-      within "p99" approx.Metrics.p99 exact.Stats.p99;
-      check (Alcotest.float 1e-9) "min exact" exact.Stats.min approx.Metrics.min;
-      check (Alcotest.float 1e-9) "max exact" exact.Stats.max approx.Metrics.max)
+      within "p50" approx.Metrics.p50 exact.p50;
+      within "p95" approx.Metrics.p95 exact.p95;
+      within "p99" approx.Metrics.p99 exact.p99;
+      check (Alcotest.float 1e-9) "min exact" exact.min approx.Metrics.min;
+      check (Alcotest.float 1e-9) "max exact" exact.max approx.Metrics.max)
     [ 10; 100; 1000 ]
 
 let test_metrics_merge_associative () =
@@ -442,7 +399,6 @@ let suite =
   [
     Alcotest.test_case "percentile is nearest-rank" `Quick
       test_percentile_nearest_rank;
-    Alcotest.test_case "stats merge" `Quick test_stats_merge;
     Alcotest.test_case "metrics registry" `Quick test_metrics_registry;
     Alcotest.test_case "histogram quantile error bound" `Quick
       test_histogram_quantile_bound;

@@ -1,4 +1,4 @@
-(* The simulation substrate: heap, RNG, stats, and the network. *)
+(* The simulation substrate: heap, RNG, and the network. *)
 
 open Wf_sim
 open Helpers
@@ -140,24 +140,16 @@ let test_rng_exponential_mean () =
   let mean = !total /. float_of_int n in
   checkb "mean near 5" (mean > 4.5 && mean < 5.5)
 
+(* Run statistics live in [Wf_obs.Metrics]; the exact per-sample
+   summary the simulator used to keep survives as the test oracle. *)
 let test_stats () =
-  let s = Stats.create () in
-  Stats.incr s "a";
-  Stats.add s "a" 2;
-  check Alcotest.int "counter" 3 (Stats.count s "a");
-  check Alcotest.int "missing counter" 0 (Stats.count s "b");
-  List.iter (fun x -> Stats.observe s "lat" x) [ 1.0; 2.0; 3.0; 4.0 ];
-  (match Stats.summarize s "lat" with
-  | Some sum ->
-      check Alcotest.int "n" 4 sum.Stats.n;
-      check (Alcotest.float 0.001) "mean" 2.5 sum.Stats.mean;
-      check (Alcotest.float 0.001) "min" 1.0 sum.Stats.min;
-      check (Alcotest.float 0.001) "max" 4.0 sum.Stats.max
-  | None -> Alcotest.fail "summary expected");
-  let s2 = Stats.create () in
-  Stats.incr s2 "a";
-  let merged = Stats.merge s s2 in
-  check Alcotest.int "merged counter" 4 (Stats.count merged "a")
+  let sum = summarize [ 1.0; 2.0; 3.0; 4.0 ] in
+  check Alcotest.int "n" 4 sum.n;
+  check (Alcotest.float 0.001) "mean" 2.5 sum.mean;
+  check (Alcotest.float 0.001) "min" 1.0 sum.min;
+  check (Alcotest.float 0.001) "max" 4.0 sum.max;
+  check (Alcotest.float 0.0) "p50" 2.0 sum.p50;
+  check (Alcotest.float 0.0) "p99" 4.0 sum.p99
 
 let test_netsim_delivery () =
   let net =
