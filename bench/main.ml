@@ -1711,6 +1711,7 @@ type sc_row = {
   sc_state_words : int; (* fleet flat-state words; -1 for param *)
   sc_table_steps : int;
   sc_symbolic_evals : int;
+  sc_table_states : int; (* fleet compiled-table states; -1 for param *)
   sc_drained : bool;
   sc_violations : int;
 }
@@ -1722,6 +1723,7 @@ type sc_eng = {
   sc_trace : unit -> Trace.t;
   sc_stats : unit -> Wf_obs.Metrics.t;
   sc_words : unit -> int;
+  sc_table_states : unit -> int;
 }
 
 let sc_prepare_lag = 8.0 (* mean prepare lag, in mean inter-arrival units *)
@@ -1737,10 +1739,10 @@ let sc_make_engine engine n =
         sc_trace = (fun () -> Param_sched.trace e);
         sc_stats = (fun () -> Param_sched.stats e);
         sc_words = (fun () -> -1);
+        sc_table_states = (fun () -> -1);
       }
   | `Fleet ->
-      (* A fleet checkpoint encodes the whole arena, so the cadence
-         scales with the fleet: ~16 checkpoints over the run. *)
+      (* ~16 checkpoints over the run: each scans the fate columns. *)
       let e = Fleet.create ~checkpoint_every:(max 1024 (n / 16)) [ ov_template ] in
       {
         sc_attempt = Fleet.attempt e;
@@ -1749,6 +1751,7 @@ let sc_make_engine engine n =
         sc_trace = (fun () -> Fleet.trace e);
         sc_stats = (fun () -> Fleet.stats e);
         sc_words = (fun () -> Fleet.state_words e);
+        sc_table_states = (fun () -> Fleet.table_states e);
       }
 
 let sc_run ~engine ~n ~seed ~audit =
@@ -1848,6 +1851,7 @@ let sc_run ~engine ~n ~seed ~audit =
       sc_state_words = eng.sc_words ();
       sc_table_steps = Wf_obs.Metrics.count stats "fleet_table_steps";
       sc_symbolic_evals = Wf_obs.Metrics.count stats "fleet_symbolic_evals";
+      sc_table_states = eng.sc_table_states ();
       sc_drained = eng.sc_parked_count () = 0 && events = 2 * n;
       sc_violations = !violations;
     }
@@ -1864,6 +1868,9 @@ type sc_gates = {
   sg_speed_ok : bool;
   sg_drain_ok : bool;
   sg_big_ok : bool; (* the largest fleet leg completed and drained *)
+  sg_symbolic_ok : bool;
+      (* every fleet leg's symbolic evaluations within its table states:
+         Open verdicts are tabulated per state, not per binding *)
 }
 
 (* Absolute per-binding budget used by the CI smoke gate. At smoke scale
@@ -1910,9 +1917,14 @@ let sc_gate_rows ~smoke rows =
     sg_drain_ok =
       List.for_all (fun r -> r.sc_drained && r.sc_violations = 0) rows;
     sg_big_ok = big_ok;
+    sg_symbolic_ok =
+      List.for_all
+        (fun r -> r.sc_engine <> "fleet" || r.sc_symbolic_evals <= r.sc_table_states)
+        rows;
   }
 
-let sc_all_ok g = g.sg_mem_ok && g.sg_speed_ok && g.sg_drain_ok && g.sg_big_ok
+let sc_all_ok g =
+  g.sg_mem_ok && g.sg_speed_ok && g.sg_drain_ok && g.sg_big_ok && g.sg_symbolic_ok
 
 let bench_scale ~smoke () =
   section "SCALE"
@@ -1949,6 +1961,9 @@ let bench_scale ~smoke () =
     base_n g.sg_speedup;
   Printf.printf "all legs drained exactly-once: %b; %d-binding leg ok: %b\n"
     g.sg_drain_ok big_n g.sg_big_ok;
+  Printf.printf
+    "fleet symbolic evaluations within table states on every leg: %b\n"
+    g.sg_symbolic_ok;
   Printf.printf "scale gates %s\n%!" (if sc_all_ok g then "PASS" else "FAIL");
   rows
 
@@ -1961,11 +1976,12 @@ let write_scale_json path ~smoke rows =
       "{\"engine\": \"%s\", \"bindings\": %d, \"inputs\": %d, \"events\": \
        %d, \"wall_s\": %s, \"events_per_s\": %s, \"p99_enable_us\": %s, \
        \"bytes_per_instance\": %s, \"state_words\": %d, \"table_steps\": \
-       %d, \"symbolic_evals\": %d, \"drained\": %b, \"violations\": %d}"
+       %d, \"symbolic_evals\": %d, \"table_states\": %d, \"drained\": %b, \
+       \"violations\": %d}"
       r.sc_engine r.sc_bindings r.sc_inputs r.sc_events (js r.sc_wall_s)
       (js r.sc_events_per_s) (js r.sc_p99_enable_us)
       (js r.sc_bytes_per_instance) r.sc_state_words r.sc_table_steps
-      r.sc_symbolic_evals r.sc_drained r.sc_violations
+      r.sc_symbolic_evals r.sc_table_states r.sc_drained r.sc_violations
   in
   Printf.fprintf oc "{\n  \"suite\": \"scale\",\n  \"mode\": \"%s\",\n"
     (if smoke then "smoke" else "full");
@@ -1980,11 +1996,12 @@ let write_scale_json path ~smoke rows =
      \"fleet_bytes_per_instance\": %s,\n    \"mem_budget_bytes\": %.1f,\n    \
      \"mem_gate\": \"%s\",\n    \"mem_ok\": %b,\n    \"fleet_speedup\": \
      %s,\n    \"speed_ok\": %b,\n    \"drain_exactly_once_ok\": %b,\n    \
-     \"largest_leg_ok\": %b,\n    \"ok\": %b\n  }\n}\n"
+     \"largest_leg_ok\": %b,\n    \"fleet_symbolic_bounded\": %b,\n    \
+     \"ok\": %b\n  }\n}\n"
     (js g.sg_mem_ratio) (js g.sg_fleet_bytes) sc_mem_budget_bytes
     (if smoke then "bytes_per_instance <= budget" else "ratio >= 10x")
     g.sg_mem_ok (js g.sg_speedup) g.sg_speed_ok g.sg_drain_ok g.sg_big_ok
-    (sc_all_ok g);
+    g.sg_symbolic_ok (sc_all_ok g);
   close_out oc
 
 (* --- main --------------------------------------------------------------------- *)

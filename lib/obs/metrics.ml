@@ -61,6 +61,32 @@ let sorted_bindings tbl f =
 
 let counters t = sorted_bindings t.counters (fun r -> !r)
 
+(* A handle holds the registry's cell once the counter exists there;
+   until its first bump it holds a private cell, so resolving a handle
+   registers nothing. *)
+type counter = {
+  c_owner : t;
+  c_name : string;
+  mutable c_cell : int ref;
+  mutable c_live : bool;
+}
+
+let counter t name =
+  match Hashtbl.find_opt t.counters name with
+  | Some r -> { c_owner = t; c_name = name; c_cell = r; c_live = true }
+  | None -> { c_owner = t; c_name = name; c_cell = ref 0; c_live = false }
+
+let bump_by c k =
+  if not c.c_live then begin
+    (match Hashtbl.find_opt c.c_owner.counters c.c_name with
+    | Some r -> c.c_cell <- r
+    | None -> Hashtbl.add c.c_owner.counters c.c_name c.c_cell);
+    c.c_live <- true
+  end;
+  c.c_cell := !(c.c_cell) + k
+
+let bump c = bump_by c 1
+
 (* --- gauges -------------------------------------------------------------- *)
 
 let set_gauge t name v =
@@ -110,14 +136,38 @@ let hist t name =
       Hashtbl.add t.histograms name h;
       h
 
-let observe t name v =
+let add_sample h v =
+  let i = bucket_of v in
+  h.buckets.(i) <- h.buckets.(i) + 1;
+  h.h_n <- h.h_n + 1;
+  h.h_sum <- h.h_sum +. v;
+  if v < h.h_min then h.h_min <- v;
+  if v > h.h_max then h.h_max <- v
+
+let observe t name v = if not (Float.is_nan v) then add_sample (hist t name) v
+
+(* Lazily registered like [counter]: the histogram is looked up (or
+   created) on the first recorded sample, then held. *)
+type histogram_handle = {
+  h_owner : t;
+  h_name : string;
+  mutable h_hist : histogram option;
+}
+
+let histogram t name =
+  { h_owner = t; h_name = name; h_hist = Hashtbl.find_opt t.histograms name }
+
+let record hh v =
   if not (Float.is_nan v) then begin
-    let h = hist t name in
-    h.buckets.(bucket_of v) <- h.buckets.(bucket_of v) + 1;
-    h.h_n <- h.h_n + 1;
-    h.h_sum <- h.h_sum +. v;
-    if v < h.h_min then h.h_min <- v;
-    if v > h.h_max then h.h_max <- v
+    let h =
+      match hh.h_hist with
+      | Some h -> h
+      | None ->
+          let h = hist hh.h_owner hh.h_name in
+          hh.h_hist <- Some h;
+          h
+    in
+    add_sample h v
   end
 
 let hist_quantile h p =

@@ -25,7 +25,8 @@
     A registry is string-keyed: [incr]/[add] for counters, [observe]
     for histograms, [set_gauge] for gauges.  Names live in disjoint
     namespaces per type; reusing a counter name as a histogram creates
-    two metrics. *)
+    two metrics.  Hot paths resolve a name once into a {!counter} or
+    {!histogram_handle} and update through it without hashing. *)
 
 type t
 
@@ -54,6 +55,23 @@ val count : t -> string -> int
 val counters : t -> (string * int) list
 (** All counters, sorted by name. *)
 
+type counter
+(** A counter resolved once, for hot paths that would otherwise hash
+    its name on every increment. *)
+
+val counter : t -> string -> counter
+(** [counter t name] resolves the handle without registering anything:
+    a counter that is never bumped stays absent from {!counters} and
+    {!to_json}, exactly as if [incr] had never been called.  Handles
+    and the string API address the same cell. *)
+
+val bump : counter -> unit
+(** [incr] through a handle. *)
+
+val bump_by : counter -> int -> unit
+(** [add] through a handle; [bump_by c 0] registers the counter, like
+    [add t name 0]. *)
+
 (** {2 Gauges} *)
 
 val set_gauge : t -> string -> float -> unit
@@ -71,6 +89,15 @@ val gauges : t -> (string * float) list
 
 val observe : t -> string -> float -> unit
 (** Record a sample.  NaN samples are dropped. *)
+
+type histogram_handle
+(** A histogram resolved once (see {!counter}). *)
+
+val histogram : t -> string -> histogram_handle
+(** Registers nothing until the first non-NaN sample is recorded. *)
+
+val record : histogram_handle -> float -> unit
+(** [observe] through a handle. *)
 
 val quantile : t -> string -> float -> float
 (** [quantile t name p] with [p] clamped to [0, 1]; [nan] when the

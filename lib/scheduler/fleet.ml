@@ -19,19 +19,27 @@ open Wf_core
      occurrence [p(17)] is classified to (base, binding) once and then
      steps binding 17's state int through the shared table.
 
-   - {e Arena storage}.  Per-binding state is two int vectors in a flat
-     {!Arena}: a fate word per event base (empty / parked@tick /
-     occurred(pol)@seqno) and a table state per positive guard slot.
-     No per-instance heap blocks.  The arena is a cache of the
-     occurrence log: a checkpoint shares the append-only logs and saves
-     only the parked fates, and restore rebuilds the arena by replay.
+   - {e Arena storage}.  Per-binding state is two int vectors in a
+     segmented {!Arena}: a fate word per event base (empty /
+     parked@tick / occurred(pol)@seqno) and a table state per positive
+     guard slot.  No per-instance heap blocks.  The arena is a cache of
+     the occurrence log: a checkpoint shares the append-only logs and
+     saves only the parked fates, and restore rebuilds the arena by
+     replay.
 
-   Bindings whose guard exceeds the gtable bound (no compiled table)
-   stay on the symbolic leg: the fallback rebuilds a tiny Knowledge
-   over the template's own marked alphabet from the binding's fate
-   words — same verdicts as Param_sched, no substitution, no global
-   state.  The engine journals inputs and checkpoints as Param_sched
-   does (see [snapshot]). *)
+   - {e Per-state Open verdicts}.  Where a compiled table leaves a
+     state [Open], the verdict is still a function of that state alone
+     (every undecided symbol of the alphabet is reserved, see
+     [open_verdict]), so each state's verdict is computed symbolically
+     once, by the first binding that reaches it, and read from an int
+     array ever after.
+
+   Guards that exceed the gtable bound (no compiled table) stay on the
+   symbolic leg for every decision: the fallback rebuilds a tiny
+   Knowledge over the template's own marked alphabet from the binding's
+   fate words — same verdicts as Param_sched, no substitution, no
+   global state.  The engine journals inputs and checkpoints as
+   Param_sched does (see [snapshot]). *)
 
 type outcome = Param_sched.outcome =
   | Accepted
@@ -47,15 +55,12 @@ module B = Wf_store.Binio
 (* A checkpoint holds no arena: per-binding guard state is a function
    of the occurrence log (residuation, §3.4) plus the parked fates, so
    [restore] rebuilds the arena by replaying the log.  [f_tokens] and
-   [f_occ] are the engine's own arrays, shared, valid up to [f_n] and
-   [f_occ_len]: the engine writes only past those prefixes ([intern],
-   [push_occ]) and grows by copying, so a prefix is never written
-   again once a snapshot has seen it. *)
+   [f_occ] are views of the engine's append-only vectors
+   ({!Arena.Vec.share}): their segments are shared, and the engine only
+   ever pushes past the views' lengths. *)
 type snapshot = {
-  f_n : int; (* bindings *)
-  f_tokens : string array; (* binding id -> token, prefix [f_n] *)
-  f_occ_len : int;
-  f_occ : int array; (* packed occurrence log, prefix [f_occ_len] *)
+  f_tokens : string Arena.Vec.t; (* binding id -> token *)
+  f_occ : int Arena.Vec.t; (* packed occurrence log *)
   f_ptick : int;
   f_extras : Literal.t array; (* off-spec occurrence log, oldest first *)
   f_parked : int array; (* (binding, base, fate word) per parked fate *)
@@ -78,14 +83,10 @@ let get_input r =
 (* The durable frame: O(bindings + occurrences) to encode, and only
    encoded when a store is attached. *)
 let put_snapshot buf s =
-  B.put_uint buf s.f_n;
-  for i = 0 to s.f_n - 1 do
-    B.put_string buf s.f_tokens.(i)
-  done;
-  B.put_uint buf s.f_occ_len;
-  for i = 0 to s.f_occ_len - 1 do
-    B.put_int buf s.f_occ.(i)
-  done;
+  B.put_uint buf (Arena.Vec.length s.f_tokens);
+  Arena.Vec.iter (B.put_string buf) s.f_tokens;
+  B.put_uint buf (Arena.Vec.length s.f_occ);
+  Arena.Vec.iter (B.put_int buf) s.f_occ;
   B.put_int buf s.f_ptick;
   B.put_uint buf (Array.length s.f_extras);
   Array.iter (Wire.put_literal buf) s.f_extras;
@@ -105,17 +106,22 @@ let read_array n f r =
     arr
   end
 
+let read_vec fill n f r =
+  let v = Arena.Vec.create fill in
+  for _ = 1 to n do
+    Arena.Vec.push v (f r)
+  done;
+  v
+
 let get_snapshot r =
-  let f_n = B.get_uint r in
-  let f_tokens = read_array f_n B.get_string r in
-  let f_occ_len = B.get_uint r in
-  let f_occ = read_array f_occ_len B.get_int r in
+  let f_tokens = read_vec "" (B.get_uint r) B.get_string r in
+  let f_occ = read_vec 0 (B.get_uint r) B.get_int r in
   let f_ptick = B.get_int r in
   let f_extras = read_array (B.get_uint r) Wire.get_literal r in
   let f_parked = read_array (B.get_uint r) B.get_int r in
   if Array.length f_parked mod 3 <> 0 then
     raise (B.Corrupt "fleet snapshot: ragged parked triples");
-  { f_n; f_tokens; f_occ_len; f_occ; f_ptick; f_extras; f_parked }
+  { f_tokens; f_occ; f_ptick; f_extras; f_parked }
 
 let codec : (input, snapshot) Wf_store.Log.codec =
   {
@@ -175,7 +181,27 @@ type slot = {
   s_table : Gtable.t option; (* shared compiled residuation table *)
   s_col : int; (* arena column of this slot's table state *)
   s_alpha : (Symbol.t * int) array; (* (marked symbol, base id) alphabet *)
+  s_open : int array;
+      (* per table state: its verdict once known ([verdict_code]), 0
+         before; empty without a table *)
 }
+
+(* Counters bumped on every input, resolved once against [fstats]. *)
+type counters = {
+  c_attempts : Wf_obs.Metrics.counter;
+  c_occurred : Wf_obs.Metrics.counter;
+  c_table_steps : Wf_obs.Metrics.counter;
+  c_symbolic : Wf_obs.Metrics.counter;
+}
+
+let counters_of m =
+  let c = Wf_obs.Metrics.counter m in
+  {
+    c_attempts = c "fleet_attempts";
+    c_occurred = c "fleet_occurred";
+    c_table_steps = c "fleet_table_steps";
+    c_symbolic = c "fleet_symbolic_evals";
+  }
 
 type t = {
   deps : Ptemplate.t list;
@@ -196,22 +222,22 @@ type t = {
      identity, so any token content is admissible as a key. *)
   mutable itab_keys : string array;
   mutable itab_vals : int array;
-  mutable token_arr : string array; (* binding id -> token *)
-  mutable n_bindings : int;
-  mutable occ : int array; (* packed occurrence log, oldest first *)
-  mutable occ_len : int;
+  mutable tokens : string Arena.Vec.t; (* binding id -> token *)
+  mutable occ : int Arena.Vec.t; (* packed occurrence log, oldest first *)
   mutable extras_log : Literal.t array; (* off-spec occurrences *)
   mutable extras_len : int;
   extras : (string, int) Hashtbl.t; (* symbol name -> (seqno lsl 1) lor pol *)
   mutable seqno : int;
   mutable ptick : int; (* park-order clock *)
   mutable parked_n : int;
+  mutable parked_peak : int; (* last value sent to fleet_parked_peak *)
   journal : (input, snapshot) Wf_store.Journal.t;
   media : Wf_store.Media.Sim.sim option;
   mutable last_salvage : Wf_store.Log.salvage_report option;
   tracer : Wf_obs.Trace.sink option ref;
   tick : int ref;
   fstats : Wf_obs.Metrics.t;
+  ctr : counters;
   flow : Flow.t option;
   mutable work : int;
 }
@@ -268,18 +294,12 @@ let itab_capacity_for n =
   !cap
 
 let itab_maybe_grow t =
-  if 5 * (t.n_bindings + 1) > 4 * Array.length t.itab_keys then begin
+  if 5 * (Arena.Vec.length t.tokens + 1) > 4 * Array.length t.itab_keys then begin
     let keys = t.itab_keys and vals = t.itab_vals in
     t.itab_keys <- Array.make (2 * Array.length keys) itab_absent;
     t.itab_vals <- Array.make (2 * Array.length vals) 0;
     Array.iteri (fun i k -> if k != itab_absent then itab_put t k vals.(i)) keys
   end
-
-(* Array growth: double while small, then 1.125x — at 10^5+ rows the
-   doubling slack alone would be a third of the footprint. *)
-let grown_cap cur needed =
-  let g = if cur < 8192 then 2 * cur else cur + (cur / 8) in
-  max (max 1024 g) needed
 
 let create ?(checkpoint_every = 1024) ?store ?(store_seed = 1L) ?flow deps =
   if not (eligible deps) then
@@ -341,7 +361,17 @@ let create ?(checkpoint_every = 1024) ?store ?(store_seed = 1L) ?flow deps =
                   (fun sym -> (sym, Hashtbl.find base_index (Symbol.base sym)))
                   (Symbol.Set.elements (Guard.symbols g)))
            in
-           { s_guard = g; s_table = Gtable.lookup g; s_col = nb + j; s_alpha = alpha })
+           let table = Gtable.lookup g in
+           {
+             s_guard = g;
+             s_table = table;
+             s_col = nb + j;
+             s_alpha = alpha;
+             s_open =
+               (match table with
+               | Some tbl -> Array.make (Gtable.num_states tbl) 0
+               | None -> [||]);
+           })
          pos_templates)
   in
   let pos_slots = Array.make nb [||] in
@@ -401,25 +431,25 @@ let create ?(checkpoint_every = 1024) ?store ?(store_seed = 1L) ?flow deps =
     slots;
     pos_slots;
     steps;
-    arena = Arena.create ~width:(nb + Array.length slots) ();
+    arena = Arena.create ~width:(nb + Array.length slots);
     itab_keys = Array.make 1024 itab_absent;
     itab_vals = Array.make 1024 0;
-    token_arr = [||];
-    n_bindings = 0;
-    occ = [||];
-    occ_len = 0;
+    tokens = Arena.Vec.create "";
+    occ = Arena.Vec.create 0;
     extras_log = [||];
     extras_len = 0;
     extras = Hashtbl.create 16;
     seqno = 0;
     ptick = 0;
     parked_n = 0;
+    parked_peak = 0;
     journal;
     media;
     last_salvage = None;
     tracer;
     tick;
     fstats;
+    ctr = counters_of fstats;
     flow;
     work = 0;
   }
@@ -454,22 +484,17 @@ let intern t tok =
   match itab_find t tok with
   | i when i >= 0 -> i
   | _ ->
-      let i = t.n_bindings in
-      if i >= Array.length t.token_arr then begin
-        let cap = grown_cap (Array.length t.token_arr) (i + 1) in
-        let arr = Array.make cap "" in
-        Array.blit t.token_arr 0 arr 0 i;
-        t.token_arr <- arr
-      end;
+      let i = Arena.Vec.length t.tokens in
       itab_maybe_grow t;
       itab_put t tok i;
-      t.token_arr.(i) <- tok;
-      t.n_bindings <- i + 1;
+      Arena.Vec.push t.tokens tok;
       Arena.ensure t.arena i;
       i
 
 let ground_symbol t b tok =
   Symbol.parametrized t.bases.(b) (List.init t.base_arity.(b) (fun _ -> tok))
+
+let token t bind = Arena.Vec.get t.tokens bind
 
 (* --- occurrence log ------------------------------------------------------ *)
 
@@ -477,15 +502,7 @@ let ground_symbol t b tok =
    ((binding * |bases| + base) lsl 1) lor polarity; off-spec entries are
    [-(k+1)] indexing [extras_log].  The seqno of entry i is i+1 — one
    seqno per recorded occurrence, in log order. *)
-let push_occ t entry =
-  if t.occ_len >= Array.length t.occ then begin
-    let cap = grown_cap (Array.length t.occ) (t.occ_len + 1) in
-    let arr = Array.make cap 0 in
-    Array.blit t.occ 0 arr 0 t.occ_len;
-    t.occ <- arr
-  end;
-  t.occ.(t.occ_len) <- entry;
-  t.occ_len <- t.occ_len + 1
+let push_occ t entry = Arena.Vec.push t.occ entry
 
 let occ_entry_literal t entry =
   if entry >= 0 then
@@ -493,7 +510,7 @@ let occ_entry_literal t entry =
     let packed = entry lsr 1 in
     let nb = Array.length t.bases in
     let b = packed mod nb and bind = packed / nb in
-    { Literal.sym = ground_symbol t b t.token_arr.(bind); pol }
+    { Literal.sym = ground_symbol t b (token t bind); pol }
   else t.extras_log.(-entry - 1)
 
 (* Mark (bind, b) occurred at [seqno] and step every compiled table that
@@ -519,7 +536,7 @@ let record_onspec t bind b pol =
   push_occ t
     ((((bind * nb) + b) lsl 1)
     lor (match pol with Literal.Pos -> 1 | Literal.Neg -> 0));
-  Wf_obs.Metrics.add t.fstats "fleet_table_steps"
+  Wf_obs.Metrics.bump_by t.ctr.c_table_steps
     (set_occurred t bind b pol ~seqno:t.seqno)
 
 let record_extra t (lit : Literal.t) =
@@ -540,14 +557,13 @@ let record_extra t (lit : Literal.t) =
 
 (* --- evaluation ---------------------------------------------------------- *)
 
-(* Symbolic fallback: rebuild the binding's knowledge over the slot's
+(* Symbolic evaluation: rebuild the binding's knowledge over the slot's
    own marked alphabet from its fate words.  Verdict-equal to
    Param_sched's [eval_active] on the instantiated guard — the
    renaming [?x → token] is an isomorphism of guards and knowledge
    restrictions, and [Knowledge.status] only consults symbols of the
-   guard. *)
-let slot_symbolic t slot bind =
-  Wf_obs.Metrics.incr t.fstats "fleet_symbolic_evals";
+   guard.  Uncounted; decisions go through [slot_symbolic]. *)
+let symbolic_status t slot bind =
   let know = ref Knowledge.empty in
   let reserved = ref Symbol.Set.empty in
   Array.iter
@@ -562,13 +578,41 @@ let slot_symbolic t slot bind =
     slot.s_alpha;
   Knowledge.status ~reserved:!reserved !know slot.s_guard
 
+let slot_symbolic t slot bind =
+  Wf_obs.Metrics.bump t.ctr.c_symbolic;
+  symbolic_status t slot bind
+
+let verdict_code = function
+  | Knowledge.True -> 1
+  | Knowledge.False -> 2
+  | Knowledge.Unknown -> 3
+
+(* The verdict of a binding whose table state [st] is [Open].  The
+   state is the residual of the guard by the binding's occurrences
+   (§3.4), and every symbol still in the alphabet but undecided is
+   reserved: a fleet binding's events are decided only through this
+   engine, one input at a time.  The status therefore asks what the
+   residual admits when nothing else happens, which the residual alone
+   determines — so the first binding to reach [st] evaluates it
+   symbolically and every later one reads [s_open]. *)
+let open_verdict t slot bind st =
+  match Array.unsafe_get slot.s_open st with
+  | 1 -> Knowledge.True
+  | 2 -> Knowledge.False
+  | 3 -> Knowledge.Unknown
+  | _ ->
+      let v = slot_symbolic t slot bind in
+      slot.s_open.(st) <- verdict_code v;
+      v
+
 let slot_status t slot bind =
   match slot.s_table with
   | Some tbl -> (
-      match Gtable.verdict tbl (Arena.get t.arena bind slot.s_col) with
+      let st = Arena.get t.arena bind slot.s_col in
+      match Gtable.verdict tbl st with
       | Gtable.Enabled -> Knowledge.True
       | Gtable.Violated -> Knowledge.False
-      | Gtable.Open -> slot_symbolic t slot bind)
+      | Gtable.Open -> open_verdict t slot bind st)
   | None -> slot_symbolic t slot bind
 
 let combine a b =
@@ -622,6 +666,12 @@ let emit_assim t sym outcome =
            ~site:0 ~actor:(Symbol.name sym)
            (Wf_obs.Trace.Assim { outcome; guard }))
 
+(* [emit_assim] for binding [bind]'s instance of base [b]: the ground
+   symbol is built only when a sink is listening. *)
+let emit_assim_at t b bind outcome =
+  if Option.is_some !(t.tracer) then
+    emit_assim t (ground_symbol t b (token t bind)) outcome
+
 (* --- the engine ---------------------------------------------------------- *)
 
 (* Binding-level dispatch: an occurrence for binding [bind] can only
@@ -644,19 +694,17 @@ let rec retry_binding t bind =
       if tag_of w = tag_parked then begin
         match decide t bind b with
         | Knowledge.True ->
-            emit_assim t (ground_symbol t b t.token_arr.(bind))
-              Wf_obs.Trace.Enabled;
+            emit_assim_at t b bind Wf_obs.Trace.Enabled;
             record_onspec t bind b Literal.Pos;
             progress := true
         | Knowledge.False | Knowledge.Unknown ->
-            emit_assim t (ground_symbol t b t.token_arr.(bind))
-              Wf_obs.Trace.Reduced
+            emit_assim_at t b bind Wf_obs.Trace.Reduced
       end)
     order;
   if !progress then retry_binding t bind
 
 let apply_attempt t sym =
-  Wf_obs.Metrics.incr t.fstats "fleet_attempts";
+  Wf_obs.Metrics.bump t.ctr.c_attempts;
   match classify t sym with
   | On_spec (b, tok) -> (
       let bind = intern t tok in
@@ -678,8 +726,11 @@ let apply_attempt t sym =
               t.ptick <- t.ptick + 1;
               Arena.set t.arena bind b (parked_word ~tick:t.ptick);
               t.parked_n <- t.parked_n + 1;
-              Wf_obs.Metrics.gauge_max t.fstats "fleet_parked_peak"
-                (float_of_int t.parked_n)
+              if t.parked_n > t.parked_peak then begin
+                t.parked_peak <- t.parked_n;
+                Wf_obs.Metrics.gauge_max t.fstats "fleet_parked_peak"
+                  (float_of_int t.parked_n)
+              end
             end;
             Parked)
   | Off_spec ->
@@ -693,7 +744,7 @@ let apply_attempt t sym =
       end
 
 let apply_occurred t lit =
-  Wf_obs.Metrics.incr t.fstats "fleet_occurred";
+  Wf_obs.Metrics.bump t.ctr.c_occurred;
   let sym = Literal.symbol lit in
   match classify t sym with
   | On_spec (b, tok) ->
@@ -714,7 +765,7 @@ let snapshot t =
   let nb = Array.length t.bases in
   let parked = Array.make (3 * t.parked_n) 0 in
   let k = ref 0 in
-  for bind = 0 to t.n_bindings - 1 do
+  for bind = 0 to Arena.rows t.arena - 1 do
     for b = 0 to nb - 1 do
       let w = Arena.get t.arena bind b in
       if tag_of w = tag_parked then begin
@@ -726,40 +777,38 @@ let snapshot t =
     done
   done;
   {
-    f_n = t.n_bindings;
-    f_tokens = t.token_arr;
-    f_occ_len = t.occ_len;
-    f_occ = t.occ;
+    f_tokens = Arena.Vec.share t.tokens;
+    f_occ = Arena.Vec.share t.occ;
     f_ptick = t.ptick;
     f_extras = Array.sub t.extras_log 0 t.extras_len;
     f_parked = parked;
   }
 
-(* Copies what it keeps (the snapshot's arrays stay shared with the
-   engine that took it), then rebuilds the arena: replay the log through
-   [set_occurred] — without counting table steps, which were counted
-   when they first ran — and overlay the parked fates. *)
+(* Takes writable copies of the snapshot's vectors ({!Arena.Vec.restore}:
+   the engine that took the snapshot, and every other engine restored
+   from it, keep writing their own last segments), then rebuilds the
+   arena: replay the log through [set_occurred] — without counting
+   table steps, which were counted when they first ran — and overlay
+   the parked fates. *)
 let restore t s =
-  let n = s.f_n and nb = Array.length t.bases in
+  let n = Arena.Vec.length s.f_tokens and nb = Array.length t.bases in
   let corrupt_if c = if c then raise (B.Corrupt "fleet snapshot: bad index") in
-  t.token_arr <- Array.sub s.f_tokens 0 n;
-  t.n_bindings <- n;
+  t.tokens <- Arena.Vec.restore s.f_tokens;
   t.itab_keys <- Array.make (itab_capacity_for n) itab_absent;
   t.itab_vals <- Array.make (Array.length t.itab_keys) 0;
   for i = 0 to n - 1 do
-    itab_put t t.token_arr.(i) i
+    itab_put t (token t i) i
   done;
-  t.occ <- Array.sub s.f_occ 0 s.f_occ_len;
-  t.occ_len <- s.f_occ_len;
-  t.seqno <- s.f_occ_len;
+  t.occ <- Arena.Vec.restore s.f_occ;
+  t.seqno <- Arena.Vec.length t.occ;
   t.ptick <- s.f_ptick;
   t.extras_log <- Array.copy s.f_extras;
   t.extras_len <- Array.length s.f_extras;
   Hashtbl.reset t.extras;
-  t.arena <- Arena.create ~capacity:(max 1 n) ~width:(Arena.width t.arena) ();
+  t.arena <- Arena.create ~width:(Arena.width t.arena);
   if n > 0 then Arena.ensure t.arena (n - 1);
-  for i = 0 to t.occ_len - 1 do
-    let entry = t.occ.(i) in
+  for i = 0 to Arena.Vec.length t.occ - 1 do
+    let entry = Arena.Vec.get t.occ i in
     if entry >= 0 then begin
       let packed = entry lsr 1 in
       corrupt_if (packed / nb >= n);
@@ -837,6 +886,8 @@ let recover t =
       tracer = t.tracer;
       tick = t.tick;
       fstats = t.fstats;
+      ctr = t.ctr;
+      parked_peak = t.parked_peak;
       flow = t.flow;
       work = t.work;
     }
@@ -868,22 +919,20 @@ let recover t =
   t.tracer := saved;
   fresh
 
+let vec_equal eq a b =
+  let n = Arena.Vec.length a in
+  Int.equal n (Arena.Vec.length b)
+  &&
+  let rec go i = i >= n || (eq (Arena.Vec.get a i) (Arena.Vec.get b i) && go (i + 1)) in
+  go 0
+
 let equal_state a b =
   Int.equal a.seqno b.seqno
   && Int.equal a.ptick b.ptick
   && Int.equal a.parked_n b.parked_n
-  && Int.equal a.n_bindings b.n_bindings
-  && (let rec toks i =
-        i >= a.n_bindings
-        || (String.equal a.token_arr.(i) b.token_arr.(i) && toks (i + 1))
-      in
-      toks 0)
+  && vec_equal String.equal a.tokens b.tokens
   && Arena.equal a.arena b.arena
-  && Int.equal a.occ_len b.occ_len
-  && (let rec occs i =
-        i >= a.occ_len || (a.occ.(i) = b.occ.(i) && occs (i + 1))
-      in
-      occs 0)
+  && vec_equal Int.equal a.occ b.occ
   && Int.equal a.extras_len b.extras_len
   &&
   let rec extras i =
@@ -897,18 +946,20 @@ let equal_state a b =
 let parked t =
   let nb = Array.length t.bases in
   let acc = ref [] in
-  for bind = 0 to t.n_bindings - 1 do
+  for bind = 0 to Arena.rows t.arena - 1 do
     for b = 0 to nb - 1 do
       let w = Arena.get t.arena bind b in
       if tag_of w = tag_parked then
-        acc := (parked_tick w, ground_symbol t b t.token_arr.(bind)) :: !acc
+        acc := (parked_tick w, ground_symbol t b (token t bind)) :: !acc
     done
   done;
   List.map snd (List.sort (fun (ta, _) (tb, _) -> Int.compare tb ta) !acc)
 
 let parked_count t = t.parked_n
 
-let trace t = List.init t.occ_len (fun i -> occ_entry_literal t t.occ.(i))
+let trace t =
+  List.init (Arena.Vec.length t.occ) (fun i ->
+      occ_entry_literal t (Arena.Vec.get t.occ i))
 
 let decided t sym =
   match classify t sym with
@@ -920,17 +971,49 @@ let decided t sym =
 
 let knowledge t =
   let know = ref Knowledge.empty in
-  for i = 0 to t.occ_len - 1 do
-    know := Knowledge.occurred (occ_entry_literal t t.occ.(i)) ~seqno:(i + 1) !know
+  for i = 0 to Arena.Vec.length t.occ - 1 do
+    know :=
+      Knowledge.occurred
+        (occ_entry_literal t (Arena.Vec.get t.occ i))
+        ~seqno:(i + 1) !know
   done;
   !know
 
-let bindings t = t.n_bindings
+let bindings t = Arena.Vec.length t.tokens
 let guard_templates t = t.templates
 let stats t = t.fstats
 let work t = t.work
 let last_salvage t = t.last_salvage
 
+let table_states t =
+  Array.fold_left
+    (fun acc slot ->
+      match slot.s_table with
+      | Some tbl -> acc + Gtable.num_states tbl
+      | None -> acc)
+    0 t.slots
+
+(* Every (binding, table slot) pair whose state is Open: the verdict the
+   decisions read ([open_verdict], filled on a miss) against a fresh
+   uncounted symbolic evaluation of that binding. *)
+let audit_open_verdicts t =
+  let checked = ref 0 and mismatches = ref 0 in
+  for bind = 0 to Arena.rows t.arena - 1 do
+    Array.iter
+      (fun slot ->
+        match slot.s_table with
+        | Some tbl ->
+            let st = Arena.get t.arena bind slot.s_col in
+            if Gtable.verdict tbl st = Gtable.Open then begin
+              incr checked;
+              if open_verdict t slot bind st <> symbolic_status t slot bind then
+                incr mismatches
+            end
+        | None -> ())
+      t.slots
+  done;
+  (!checked, !mismatches)
+
 let state_words t =
-  Arena.words t.arena + Array.length t.occ + Array.length t.token_arr
+  Arena.words t.arena + Arena.Vec.words t.occ + Arena.Vec.words t.tokens
   + Array.length t.itab_keys + Array.length t.itab_vals

@@ -5,10 +5,12 @@ open Wf_core
     Behaviorally a drop-in for {!Param_sched} on {e fleet-eligible}
     specs — same outcomes, same occurred sequences, same seqnos, same
     journal/recover contract — but per-binding guard state lives in a
-    flat {!Arena} of int words (one event-fate word per (binding, event
-    base), one compiled-table state per (binding, guard)) indexed by a
-    dense binding interner, instead of per-instance symbolic knowledge
-    and memoized per-instance guard tables.
+    segmented {!Arena} of int words (one event-fate word per (binding,
+    event base), one compiled-table state per (binding, guard)) indexed
+    by a dense binding interner, instead of per-instance symbolic
+    knowledge and memoized per-instance guard tables.  The occurrence
+    log and the token table are append-only {!Arena.Vec}s: growth never
+    copies what is already stored.
 
     {b Eligibility} ({!eligible}): every dependency has exactly one
     distinct variable and every atom's parameters are all variables
@@ -17,6 +19,15 @@ open Wf_core
     own token, so bindings are independent: an occurrence for binding
     [i] cannot change a verdict of binding [j <> i], and the engine
     dispatches attempts, occurrences, and parked retries per binding.
+
+    {b Per-state verdicts}: a decision on a table-compiled guard reads
+    the binding's table state.  A decisive state answers directly; an
+    [Open] state's verdict is evaluated symbolically once, by the first
+    binding that reaches it, and cached per (guard, state).  This is
+    exact because every undecided symbol of a fleet binding is reserved
+    (only this engine decides it), so the verdict depends on the
+    residual guard alone.  [fleet_symbolic_evals] therefore never
+    exceeds {!table_states}, however many bindings run.
 
     {b Symbolic fallback}: guards whose compiled table exceeds the
     {!Gtable} bound (or with tables globally off) are evaluated
@@ -47,7 +58,8 @@ val create :
 (** Same contract as {!Param_sched.create}, plus: raises
     [Invalid_argument] when the spec is not {!eligible}.
     [checkpoint_every] defaults to 1024.  An in-memory checkpoint
-    shares the engine's append-only token and occurrence logs and
+    shares the segments of the engine's append-only token and
+    occurrence logs (copying one directory word per segment) and
     copies only the parked fates: one read-only scan of the fate
     columns, no per-binding allocation.  With a [store] the checkpoint
     is also encoded as one durable frame of tokens and logs (no arena),
@@ -90,23 +102,38 @@ val guard_templates : t -> (int * Ptemplate.atom * Guard.t) list
 
 val stats : t -> Wf_obs.Metrics.t
 (** [fleet_*] counters (attempts, occurred, table steps, symbolic
-    fallback evaluations, parked peak) plus the admission controller's
-    [flow_*] metrics when created with a [flow] config. *)
+    evaluations, parked peak) plus the admission controller's [flow_*]
+    metrics when created with a [flow] config.  [fleet_symbolic_evals]
+    counts every {!Knowledge.status} call: per-state verdict fills on
+    compiled guards, every decision on uncompiled ones. *)
+
+val table_states : t -> int
+(** States of the compiled tables over all positive guard slots: the
+    bound on [fleet_symbolic_evals] when every guard has a table. *)
+
+val audit_open_verdicts : t -> int * int
+(** [(checked, mismatches)] over every (binding, compiled guard) whose
+    table state is [Open]: the cached per-state verdict the decisions
+    read (filled on a miss, counted) against a fresh symbolic evaluation
+    of that binding (uncounted).  O(bindings × guards); for tests. *)
 
 val work : t -> int
 (** Cumulative decision evaluations, Param_sched's unit of work. *)
 
 val state_words : t -> int
-(** Words held by the flat per-binding state (arena + occurrence log +
-    interner reverse map) — the bench's bytes-per-instance numerator
-    for the engine's own structures. *)
+(** Words held by the flat per-binding state (arena, occurrence log,
+    token table and interner, whole segments included) — the bench's
+    bytes-per-instance numerator for the engine's own structures. *)
 
 val recover : t -> t
 (** Crash and rebuild from the journal: same contract as
     {!Param_sched.recover}.  The checkpoint is restored by replaying its
     occurrence log into a fresh arena (table steps are not counted
     again) and overlaying the parked fates; the input suffix is then
-    replayed silently. *)
+    replayed silently.  The recovered engine keeps the checkpoint's
+    full log segments shared and copies the partial last ones, so it
+    never writes where the crashed engine, or another engine recovered
+    from the same checkpoint, can. *)
 
 val last_salvage : t -> Wf_store.Log.salvage_report option
 

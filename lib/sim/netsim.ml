@@ -54,6 +54,19 @@ type 'msg event =
 
 type 'msg pending = { p_src : site; p_dst : site; p_control : bool; p_payload : 'msg }
 
+(* Per-message metrics, resolved once in [create]; each registers on
+   first use, so the registry's contents match name-keyed updates. *)
+type net_metrics = {
+  m_sent : Metrics.counter;
+  m_remote : Metrics.counter;
+  m_delivered : Metrics.counter;
+  m_recv : Metrics.counter array; (* site_recv_<site> *)
+  m_latency : Metrics.histogram_handle;
+  m_dropped : Metrics.counter;
+  m_stalled : Metrics.counter;
+  m_crash_drops : Metrics.counter;
+}
+
 type 'msg t = {
   num_sites : int;
   latency : site -> site -> latency;
@@ -63,6 +76,7 @@ type 'msg t = {
       (* crash draws use their own stream so enabling crash injection
          does not perturb latency/think-time draws of the main stream *)
   stats : Metrics.t;
+  m : net_metrics;
   mutable tracer : Trace.sink option;
   queue : 'msg event Heap.t;
   handlers : (site -> 'msg -> unit) option array;
@@ -89,6 +103,8 @@ let next_seq t =
   t.seq
 
 let create ?(seed = 42L) ?(faults = no_faults) ~num_sites ~latency () =
+  let stats = Metrics.create () in
+  let c = Metrics.counter stats in
   let t =
     {
       num_sites;
@@ -96,7 +112,19 @@ let create ?(seed = 42L) ?(faults = no_faults) ~num_sites ~latency () =
       faults;
       rng = Rng.create seed;
       crash_rng = Rng.create (Int64.logxor seed 0x9E3779B97F4A7C15L);
-      stats = Metrics.create ();
+      stats;
+      m =
+        {
+          m_sent = c "messages_sent";
+          m_remote = c "messages_remote";
+          m_delivered = c "messages_delivered";
+          m_recv =
+            Array.init num_sites (fun i -> c (Printf.sprintf "site_recv_%d" i));
+          m_latency = Metrics.histogram stats "message_latency";
+          m_dropped = c "messages_dropped";
+          m_stalled = c "net_stalled";
+          m_crash_drops = c "net_crash_drops";
+        };
       tracer = None;
       queue = Heap.create ();
       handlers = Array.make num_sites None;
@@ -270,8 +298,8 @@ let enqueue_delivery t ~src ~dst ~control payload =
   end
 
 let send ?(control = false) t ~src ~dst payload =
-  Metrics.incr t.stats "messages_sent";
-  if src <> dst then Metrics.incr t.stats "messages_remote";
+  Metrics.bump t.m.m_sent;
+  if src <> dst then Metrics.bump t.m.m_remote;
   (match t.tracer with
   | None -> ()
   | Some sink ->
@@ -319,7 +347,7 @@ let quiescent t =
    both the latency heap and the controlled-mode ready list. *)
 let execute_delivery t ~src ~dst ~control ~sent payload =
   if t.paused.(dst) then begin
-    Metrics.incr t.stats "net_stalled";
+    Metrics.bump t.m.m_stalled;
     (* keep the original send time: latency observed at
        eventual delivery includes the stall *)
     t.stalled.(dst) <-
@@ -329,7 +357,7 @@ let execute_delivery t ~src ~dst ~control ~sent payload =
     (* A crashed process receives nothing; the channel's
        retransmission layer recovers the loss after the
        epoch handshake. *)
-    Metrics.incr t.stats "net_crash_drops";
+    Metrics.bump t.m.m_crash_drops;
     match t.tracer with
     | None -> ()
     | Some sink ->
@@ -338,9 +366,9 @@ let execute_delivery t ~src ~dst ~control ~sent payload =
              (Trace.Drop { src; dst; reason = Trace.Crashed }))
   end
   else begin
-    Metrics.incr t.stats "messages_delivered";
-    Metrics.incr t.stats (Printf.sprintf "site_recv_%d" dst);
-    Metrics.observe t.stats "message_latency" (t.clock -. sent);
+    Metrics.bump t.m.m_delivered;
+    Metrics.bump t.m.m_recv.(dst);
+    Metrics.record t.m.m_latency (t.clock -. sent);
     (match t.tracer with
     | None -> ()
     | Some sink ->
@@ -348,7 +376,7 @@ let execute_delivery t ~src ~dst ~control ~sent payload =
           (Trace.make ~time:t.clock ~site:dst (Trace.Deliver { src; dst })));
     (match t.handlers.(dst) with
     | Some h -> h src payload
-    | None -> Metrics.incr t.stats "messages_dropped");
+    | None -> Metrics.bump t.m.m_dropped);
     (* Crash-on-deliver point: the receiving process dies
        right after the handler ran — the transition took
        effect and was journaled, but anything volatile is

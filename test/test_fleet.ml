@@ -456,7 +456,7 @@ let prop_checkpoint_aliasing (deps, steps) =
 (* --- arena --------------------------------------------------------------- *)
 
 let test_arena_rebuild () =
-  let a = Arena.create ~capacity:2 ~width:3 () in
+  let a = Arena.create ~width:3 in
   for r = 0 to 99 do
     Arena.ensure a r;
     for c = 0 to 2 do
@@ -464,9 +464,9 @@ let test_arena_rebuild () =
     done
   done;
   check Alcotest.int "rows tracked" 100 (Arena.rows a);
-  checkb "capacity doubled past rows" (Arena.words a >= 300);
-  (* Equality ignores slack capacity but not content. *)
-  let c = Arena.create ~capacity:512 ~width:3 () in
+  checkb "a segment covers the rows" (Arena.words a >= 300);
+  (* Equality ignores unused segment rows but not content. *)
+  let c = Arena.create ~width:3 in
   Arena.ensure c 99;
   checkb "zero arena differs from the filled one" (not (Arena.equal a c));
   (* A checkpoint carries no arena: with a checkpoint after every input
@@ -489,6 +489,226 @@ let test_arena_rebuild () =
     (Fleet.equal_state fe fe');
   checkb "parked order survives the rebuild"
     (List.equal Symbol.equal (Fleet.parked fe) (Fleet.parked fe'))
+
+(* Rows, log entries and tokens on both sides of a segment boundary. *)
+let test_segment_boundaries () =
+  let seg = Arena.seg_rows in
+  check Alcotest.int "segment size" 4096 seg;
+  let a = Arena.create ~width:2 in
+  Arena.ensure a (seg - 1);
+  let one_segment = Arena.words a in
+  Arena.ensure a seg;
+  checkb "row 4096 appends a segment" (Arena.words a > one_segment);
+  Arena.ensure a (seg + 1);
+  check Alcotest.int "row 4097 shares it" (Arena.words a)
+    (let b = Arena.create ~width:2 in
+     Arena.ensure b seg;
+     Arena.words b);
+  List.iter
+    (fun r ->
+      Arena.set a r 0 (r + 1);
+      Arena.set a r 1 (-r))
+    [ seg - 1; seg; seg + 1 ];
+  List.iter
+    (fun r ->
+      check Alcotest.int "fate cell" (r + 1) (Arena.get a r 0);
+      check Alcotest.int "state cell" (-r) (Arena.get a r 1))
+    [ seg - 1; seg; seg + 1 ];
+  (* A view keeps its length while the source grows past the boundary;
+     a restored copy's pushes never reach the source or a sibling. *)
+  let v = Arena.Vec.create 0 in
+  for i = 0 to seg - 2 do
+    Arena.Vec.push v i
+  done;
+  let view = Arena.Vec.share v in
+  List.iter (Arena.Vec.push v) [ -1; -2; -3 ];
+  check Alcotest.int "view length" (seg - 1) (Arena.Vec.length view);
+  check Alcotest.int "source crossed the boundary" (seg + 2) (Arena.Vec.length v);
+  let r1 = Arena.Vec.restore view and r2 = Arena.Vec.restore view in
+  List.iter (Arena.Vec.push r1) [ 7; 8 ];
+  Arena.Vec.push r2 9;
+  check Alcotest.int "source entry 4095 kept" (-1) (Arena.Vec.get v (seg - 1));
+  check Alcotest.int "source entry 4096 kept" (-2) (Arena.Vec.get v seg);
+  check Alcotest.int "restored copy" 8 (Arena.Vec.get r1 seg);
+  check Alcotest.int "sibling copy" 9 (Arena.Vec.get r2 (seg - 1));
+  check Alcotest.int "shared prefix" (seg - 2) (Arena.Vec.get r2 (seg - 2));
+  (* Engines: [n] parked bindings, then [len] occurrence-log entries
+     (a positive prepare logs itself and its released commit, a
+     negative one only itself), checkpointed on the last input.  The
+     restore must equal the live engine.  The original then appends
+     across the boundary and is recovered again (the same checkpoint
+     plus a suffix); the first restored engine appends other inputs,
+     and none of the three may leak into another. *)
+  let prefix n len =
+    let kpos = len / 2 and kneg = len mod 2 in
+    List.init n (fun j -> A (psym "c" (string_of_int j)))
+    @ List.init kpos (fun j -> O (Literal.pos (psym "p" (string_of_int j))))
+    @ List.init kneg (fun j -> O (Literal.neg (psym "p" (string_of_int (kpos + j)))))
+  in
+  let extend tag =
+    List.concat_map
+      (fun j ->
+        let tok = Printf.sprintf "%s%d" tag j in
+        [ A (psym "c" tok); O (Literal.pos (psym "p" tok)) ])
+      [ 0; 1; 2 ]
+  in
+  let fed evs =
+    let e = Fleet.create [ saga ] in
+    feed_fleet e evs;
+    e
+  in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun len ->
+          let pre = prefix n len in
+          let fe = Fleet.create ~checkpoint_every:(List.length pre) [ saga ] in
+          feed_fleet fe pre;
+          check Alcotest.int "bindings at the boundary" n (Fleet.bindings fe);
+          check Alcotest.int "log at the boundary" len
+            (Trace.length (Fleet.trace fe));
+          let r0 = Fleet.recover fe in
+          if not (Fleet.equal_state fe r0) then
+            Alcotest.failf "n=%d len=%d: restore differs" n len;
+          let rest = extend "r" and other = extend "o" in
+          feed_fleet fe rest;
+          let r1 = Fleet.recover fe in
+          feed_fleet r0 other;
+          if not (Fleet.equal_state fe (fed (pre @ rest))) then
+            Alcotest.failf "n=%d len=%d: original touched by its restore" n len;
+          if not (Fleet.equal_state r0 (fed (pre @ other))) then
+            Alcotest.failf "n=%d len=%d: restored engine touched" n len;
+          if not (Fleet.equal_state r1 (fed (pre @ rest))) then
+            Alcotest.failf "n=%d len=%d: checkpoint + suffix differs" n len)
+        [ seg - 1; seg; seg + 1 ])
+    [ seg - 1; seg; seg + 1 ]
+
+(* --- per-state Open verdicts --------------------------------------------- *)
+
+(* x0·x1·…·x(k-1) over one binding. *)
+let chain k =
+  let atoms = List.init k (fun i -> Ptemplate.atom (Printf.sprintf "x%d" i) [ v "x" ]) in
+  List.fold_left Ptemplate.seq (List.hd atoms) (List.tl atoms)
+
+let mixed =
+  [
+    Ptemplate.choice_all
+      [
+        Ptemplate.seq (Ptemplate.atom "a" [ v "x" ])
+          (Ptemplate.seq (Ptemplate.atom "b" [ v "x" ]) (Ptemplate.atom "c" [ v "x" ]));
+        Ptemplate.seq (Ptemplate.atom "c" [ v "x" ]) (Ptemplate.atom "a" [ v "x" ]);
+        Ptemplate.atom ~pol:Literal.Neg "b" [ v "x" ];
+      ];
+    Ptemplate.choice_all
+      [
+        Ptemplate.atom ~pol:Literal.Neg "d" [ v "x" ];
+        Ptemplate.seq (Ptemplate.atom "b" [ v "x" ]) (Ptemplate.atom "d" [ v "x" ]);
+      ];
+  ]
+
+(* If a and b both occur, a comes first; a needs c before it.  Its
+   guards have Open states with different verdicts (Unknown until c,
+   True after it while b is reserved), so a verdict cache keyed by
+   anything coarser than (guard, state) shows up here. *)
+let guarded_order =
+  [
+    Ptemplate.Conj
+      ( Ptemplate.choice_all
+          [
+            Ptemplate.atom ~pol:Literal.Neg "a" [ v "x" ];
+            Ptemplate.atom ~pol:Literal.Neg "b" [ v "x" ];
+            Ptemplate.seq (Ptemplate.atom "a" [ v "x" ]) (Ptemplate.atom "b" [ v "x" ]);
+          ],
+        Ptemplate.choice_all
+          [
+            Ptemplate.atom ~pol:Literal.Neg "a" [ v "x" ];
+            Ptemplate.seq (Ptemplate.atom "c" [ v "x" ]) (Ptemplate.atom "a" [ v "x" ]);
+          ] );
+  ]
+
+(* Every sequence of distinct bases, each occurring with either
+   polarity: every occurrence history a binding can have. *)
+let rec histories = function
+  | [] -> [ [] ]
+  | bases ->
+      []
+      :: List.concat_map
+           (fun b ->
+             let rest = histories (List.filter (( <> ) b) bases) in
+             List.concat_map
+               (fun pos -> List.map (fun h -> (b, pos) :: h) rest)
+               [ true; false ])
+           bases
+
+(* One binding per history in one engine, so a state's verdict is
+   filled by the first binding to reach it and read by all the others;
+   each read must equal that binding's own symbolic evaluation. *)
+let test_open_verdicts_exact () =
+  List.iter
+    (fun (name, deps) ->
+      let bases =
+        List.sort_uniq String.compare
+          (List.concat_map
+             (fun d ->
+               List.map (fun (a : Ptemplate.atom) -> a.Ptemplate.base) (Ptemplate.atoms d))
+             deps)
+      in
+      let fe = Fleet.create deps in
+      List.iteri
+        (fun i h ->
+          let tok = string_of_int i in
+          List.iter
+            (fun (b, pos) ->
+              let s = psym b tok in
+              Fleet.occurred fe (if pos then Literal.pos s else Literal.neg s))
+            h)
+        (histories bases);
+      let checked, mismatches = Fleet.audit_open_verdicts fe in
+      if mismatches > 0 then
+        Alcotest.failf "%s: %d of %d Open verdicts differ from symbolic" name
+          mismatches checked;
+      checkb (name ^ ": Open states reached") (checked > 0);
+      let evals = Wf_obs.Metrics.count (Fleet.stats fe) "fleet_symbolic_evals" in
+      if evals > Fleet.table_states fe then
+        Alcotest.failf "%s: %d symbolic evaluations over %d table states" name
+          evals (Fleet.table_states fe))
+    [
+      ("saga", [ saga ]);
+      ("two_stage", two_stage);
+      ("chain-3", [ chain 3 ]);
+      ("chain-4", [ chain 4 ]);
+      ("chain-5", [ chain 5 ]);
+      ("mixed", mixed);
+      ("guarded_order", guarded_order);
+    ]
+
+let test_symbolic_bounded () =
+  (* Decisions on many bindings read the tabulated verdicts: the
+     symbolic evaluations stay within the table states, not the
+     bindings, and the run still matches Param_sched. *)
+  let evs =
+    List.concat_map
+      (fun j ->
+        let tok = string_of_int j in
+        match j mod 3 with
+        | 0 -> [ A (psym "c" tok); O (Literal.pos (psym "p" tok)) ]
+        | 1 -> [ O (Literal.pos (psym "p" tok)); A (psym "c" tok) ]
+        | _ -> [ A (psym "c" tok); O (Literal.neg (psym "p" tok)); A (psym "c" tok) ])
+      (List.init 300 Fun.id)
+  in
+  let _, fe = run_both [ saga ] evs in
+  let evals = Wf_obs.Metrics.count (Fleet.stats fe) "fleet_symbolic_evals" in
+  checkb "some Open state evaluated" (evals > 0);
+  checkb "evaluations bounded by table states" (evals <= Fleet.table_states fe);
+  (* With tables off every decision is symbolic again. *)
+  Gtable.set_enabled false;
+  Fun.protect
+    ~finally:(fun () -> Gtable.set_enabled true)
+    (fun () ->
+      let _, fe = run_both [ saga ] evs in
+      check Alcotest.int "no tables" 0 (Fleet.table_states fe);
+      checkb "every decision symbolic"
+        (Wf_obs.Metrics.count (Fleet.stats fe) "fleet_symbolic_evals" >= 300))
 
 (* --- actor waiter queue (reservation FIFO) ------------------------------- *)
 
@@ -563,6 +783,12 @@ let suite =
     qprop ~count:100 "checkpoint aliasing: restores isolated"
       gen_crash_case prop_checkpoint_aliasing;
     Alcotest.test_case "arena rebuild from the log" `Quick test_arena_rebuild;
+    Alcotest.test_case "segmented storage across segment boundaries" `Quick
+      test_segment_boundaries;
+    Alcotest.test_case "per-state Open verdicts exact on every history" `Quick
+      test_open_verdicts_exact;
+    Alcotest.test_case "symbolic evaluations bounded by table states" `Quick
+      test_symbolic_bounded;
     Alcotest.test_case "reservation waiters drain FIFO" `Quick
       test_reservation_waiters_fifo;
   ]

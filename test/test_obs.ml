@@ -161,6 +161,73 @@ let test_metrics_json () =
   check Alcotest.int "histogram n exported" 3
     (Option.get (Json.to_int (Option.get (Json.member "n" hist))))
 
+let test_metrics_handles () =
+  (* Handles resolve without registering: only what is bumped or
+     recorded shows up, and it shows up exactly as the string API
+     would have put it there. *)
+  let m = Metrics.create () in
+  let sent = Metrics.counter m "sent" and idle = Metrics.counter m "idle" in
+  let zero = Metrics.counter m "zero" in
+  let lat = Metrics.histogram m "lat" and quiet = Metrics.histogram m "quiet" in
+  check Alcotest.string "resolving registers nothing"
+    {|{"counters":{},"gauges":{},"histograms":{}}|} (Metrics.to_json m);
+  Metrics.bump sent;
+  Metrics.bump_by sent 2;
+  Metrics.bump_by zero 0;
+  Metrics.record lat Float.nan;
+  checkb "a NaN sample registers nothing" (Metrics.histogram_names m = []);
+  List.iter (Metrics.record lat) [ 1.0; 2.0; 4.0 ];
+  check Alcotest.int "bump visible to count" 3 (Metrics.count m "sent");
+  Metrics.incr m "sent";
+  Metrics.bump sent;
+  check Alcotest.int "handle and name share the cell" 5 (Metrics.count m "sent");
+  checkb "never-bumped handle stays absent"
+    (List.map fst (Metrics.counters m) = [ "sent"; "zero" ]);
+  ignore (idle, quiet);
+  checkb "unrecorded histogram stays absent" (Metrics.histogram_names m = [ "lat" ]);
+  (* A name registered through the string API after the handle was
+     resolved: the first bump joins the existing cell. *)
+  let late = Metrics.counter m "late" in
+  Metrics.add m "late" 10;
+  Metrics.bump late;
+  check Alcotest.int "late handle joins the registered cell" 11
+    (Metrics.count m "late");
+  (* Same updates through the string API give byte-identical JSON. *)
+  let r = Metrics.create () in
+  Metrics.add r "sent" 5;
+  Metrics.add r "zero" 0;
+  Metrics.add r "late" 11;
+  List.iter (Metrics.observe r "lat") [ 1.0; 2.0; 4.0 ];
+  check Alcotest.string "same JSON as the string API" (Metrics.to_json r)
+    (Metrics.to_json m)
+
+let test_netsim_delivery_metrics () =
+  (* Netsim's per-delivery metrics go through handles resolved at
+     create: each site's receive counter lands on its own name, sites
+     that received nothing stay absent, and a delivery to a site
+     without a handler counts as dropped. *)
+  let net =
+    Wf_sim.Netsim.create ~seed:5L ~num_sites:4
+      ~latency:(Wf_sim.Netsim.uniform_latency ~base:1.0 ~jitter:0.5)
+      ()
+  in
+  List.iter (fun site -> Wf_sim.Netsim.on_receive net site (fun _ _ -> ())) [ 0; 1; 2 ];
+  List.iter
+    (fun (src, dst) -> Wf_sim.Netsim.send net ~src ~dst ())
+    [ (0, 1); (2, 1); (1, 2); (0, 3) ];
+  Wf_sim.Netsim.run net;
+  let m = Wf_sim.Netsim.stats net in
+  check Alcotest.int "site 1 received two" 2 (Metrics.count m "site_recv_1");
+  check Alcotest.int "site 2 received one" 1 (Metrics.count m "site_recv_2");
+  check Alcotest.int "site 3 received one" 1 (Metrics.count m "site_recv_3");
+  checkb "site 0 received nothing: absent"
+    (not (List.mem_assoc "site_recv_0" (Metrics.counters m)));
+  check Alcotest.int "delivered" 4 (Metrics.count m "messages_delivered");
+  check Alcotest.int "no handler at site 3" 1 (Metrics.count m "messages_dropped");
+  check Alcotest.int "sent" 4 (Metrics.count m "messages_sent");
+  check Alcotest.int "latency samples" 4
+    (Metrics.summarize m "message_latency").Metrics.n
+
 (* --- Trace: schema round-trip -------------------------------------------- *)
 
 let all_kinds =
@@ -405,6 +472,10 @@ let suite =
     Alcotest.test_case "metrics merge associative" `Quick
       test_metrics_merge_associative;
     Alcotest.test_case "metrics JSON export" `Quick test_metrics_json;
+    Alcotest.test_case "metrics handles register lazily" `Quick
+      test_metrics_handles;
+    Alcotest.test_case "netsim delivery metrics per site" `Quick
+      test_netsim_delivery_metrics;
     Alcotest.test_case "trace JSONL round trip" `Quick test_trace_roundtrip;
     Alcotest.test_case "trace file validation" `Quick test_trace_files;
     Alcotest.test_case "traced faulty run agrees with metrics" `Quick
