@@ -1489,7 +1489,7 @@ let ov_run ~flow ~arrival ~load ~jobs ~seed =
         Ov_heap.push heap (now +. retry_after) (Ov_retry j)
     | Param_sched.Parked ->
         charge now w0;
-        let depth = List.length (Param_sched.parked eng) in
+        let depth = Param_sched.parked_count eng in
         if depth > !max_parked then max_parked := depth;
         Ov_heap.push heap !free_at (Ov_prepare j)
     | Param_sched.Accepted | Param_sched.Already ->
@@ -1724,6 +1724,10 @@ type sc_eng = {
   sc_stats : unit -> Wf_obs.Metrics.t;
   sc_words : unit -> int;
   sc_table_states : unit -> int;
+  sc_symbolic_evals : unit -> int;
+      (* symbolic guard evaluations actually run: Param_sched's instance
+         evaluations (cache misses and open instances), Fleet's
+         [fleet_symbolic_evals] *)
 }
 
 let sc_prepare_lag = 8.0 (* mean prepare lag, in mean inter-arrival units *)
@@ -1740,6 +1744,7 @@ let sc_make_engine engine n =
         sc_stats = (fun () -> Param_sched.stats e);
         sc_words = (fun () -> -1);
         sc_table_states = (fun () -> -1);
+        sc_symbolic_evals = (fun () -> Param_sched.evaluations e);
       }
   | `Fleet ->
       (* ~16 checkpoints over the run: each scans the fate columns. *)
@@ -1752,6 +1757,9 @@ let sc_make_engine engine n =
         sc_stats = (fun () -> Fleet.stats e);
         sc_words = (fun () -> Fleet.state_words e);
         sc_table_states = (fun () -> Fleet.table_states e);
+        sc_symbolic_evals =
+          (fun () ->
+            Wf_obs.Metrics.count (Fleet.stats e) "fleet_symbolic_evals");
       }
 
 let sc_run ~engine ~n ~seed ~audit =
@@ -1850,7 +1858,7 @@ let sc_run ~engine ~n ~seed ~audit =
       sc_bytes_per_instance = bytes_per_instance;
       sc_state_words = eng.sc_words ();
       sc_table_steps = Wf_obs.Metrics.count stats "fleet_table_steps";
-      sc_symbolic_evals = Wf_obs.Metrics.count stats "fleet_symbolic_evals";
+      sc_symbolic_evals = eng.sc_symbolic_evals ();
       sc_table_states = eng.sc_table_states ();
       sc_drained = eng.sc_parked_count () = 0 && events = 2 * n;
       sc_violations = !violations;

@@ -60,13 +60,31 @@ let codec : (input, snapshot) Wf_store.Log.codec =
     dec_ckpt = B.decode get_snapshot;
   }
 
+(* One matching positive template of an attempt, substituted once when
+   the attempt is made.  A closed instance (no free variable left after
+   binding) reads the knowledge only at its own symbols, so its status
+   is a function of their fates: the last evaluation's status is cached
+   under the fate vector it read, and reused while the vector holds.  An
+   open instance quantifies over the global token set and is evaluated
+   afresh every time; only its substitution is kept. *)
+type instance = {
+  guard : Guard.t; (* the template with the attempt's bindings substituted *)
+  syms : Symbol.t array; (* [Guard.symbols guard] *)
+  free : string list; (* variables left unbound; [] = closed *)
+  key : Knowledge.fate option array;
+      (* closed: the fates of [syms] at the last evaluation *)
+  mutable status : Knowledge.status; (* closed: that evaluation's result *)
+  mutable evaluated : bool; (* closed: [key] and [status] are filled *)
+}
+
+(* An attempt and its instances.  A parked entry carries its cache for
+   as long as the attempt stays in the backlog; the cache is derived
+   state, never snapshotted or compared. *)
+type entry = { sym : Symbol.t; insts : instance array }
+
 type t = {
   deps : Ptemplate.t list;
   templates : (int * Ptemplate.atom * Guard.t) list;
-  watch_bases : (Ptemplate.atom * string list) list;
-      (* per positive atom: base names its guard template mentions — an
-         occurrence with a known token and an unrelated base cannot
-         change the atom's instance statuses *)
   journal : (input, snapshot) Wf_store.Journal.t;
   media : Wf_store.Media.Sim.sim option;
       (* simulated storage under the journal; [None] = perfectly
@@ -75,9 +93,9 @@ type t = {
   mutable know : Knowledge.t;
   mutable seqno : int;
   mutable occurrences : Literal.t list; (* newest first *)
-  mutable parked_syms : Symbol.t list;
+  mutable parked : entry list; (* newest first *)
   mutable parked_n : int;
-      (* |parked_syms|, maintained incrementally: the admission gate
+      (* |parked|, maintained incrementally: the admission gate
          reads the backlog depth on every attempt and the retry loop
          checks progress on every pass, so a [List.length] there is a
          full traversal per event — O(p) per input at fleet scale *)
@@ -95,10 +113,13 @@ type t = {
       (* admission control over the parked backlog; [None] = every
          attempt admitted (historical behavior) *)
   mutable work : int;
-      (* cumulative decision evaluations (attempt decides + parked
-         re-decides): the engine's unit of work, exposed so open-loop
+      (* cumulative decisions (attempt decides + parked re-decides, cache
+         hits included): the engine's unit of work, exposed so open-loop
          drivers can charge a virtual service cost that grows with the
          parked backlog *)
+  mutable evaluations : int;
+      (* instance evaluations the decisions actually ran (cache misses
+         and open instances) *)
   token_set : (string, unit) Hashtbl.t;
       (* distinct non-marker tokens across recorded occurrences — the
          instance-enumeration universe.  Maintained incrementally by
@@ -129,20 +150,6 @@ let create ?(checkpoint_every = 32) ?store ?(store_seed = 1L) ?flow deps =
              (Ptemplate.atoms dep))
          deps)
   in
-  let watch_bases =
-    List.filter_map
-      (fun (_, (atom : Ptemplate.atom), g) ->
-        if atom.Ptemplate.pol <> Literal.Pos then None
-        else
-          Some
-            ( atom,
-              Symbol.Set.fold
-                (fun sym acc ->
-                  let b = Symbol.base sym in
-                  if List.mem b acc then acc else b :: acc)
-                (Guard.symbols g) [] ))
-      templates
-  in
   let media =
     Option.map
       (fun faults -> Wf_store.Media.Sim.create ~faults ~seed:store_seed ())
@@ -171,20 +178,20 @@ let create ?(checkpoint_every = 32) ?store ?(store_seed = 1L) ?flow deps =
   {
     deps;
     templates;
-    watch_bases;
     journal;
     media;
     last_salvage = None;
     know = Knowledge.empty;
     seqno = 0;
     occurrences = [];
-    parked_syms = [];
+    parked = [];
     parked_n = 0;
     tracer;
     tick;
     fstats;
     flow;
     work = 0;
+    evaluations = 0;
     token_set = Hashtbl.create 64;
     token_list = [];
   }
@@ -211,42 +218,45 @@ let subst_symbol bindings sym =
 
 let subst bindings g = Guard.map_symbols (subst_symbol bindings) g
 
-let free_vars g =
-  Symbol.Set.fold
-    (fun sym acc ->
+let free_vars syms =
+  Array.fold_left
+    (fun acc sym ->
       List.fold_left
         (fun acc arg ->
           if is_marker arg && not (List.mem (marker_var arg) acc) then
             marker_var arg :: acc
           else acc)
         acc (Symbol.args sym))
-    (Guard.symbols g) []
+    [] syms
 
 let has_fresh_arg sym = List.exists (String.equal fresh_marker) (Symbol.args sym)
 
 (* --- evaluation ---------------------------------------------------------- *)
 
-let undecided_symbols t g =
+let undecided_symbols know g =
   Symbol.Set.filter
-    (fun sym -> not (Knowledge.decided t.know sym))
+    (fun sym -> not (Knowledge.decided know sym))
     (Guard.symbols g)
 
 (* A ground, active (or bound) instance: undecided symbols are known to
    be undecided right now — the engine is the single arbiter.  Ground
    instances have a closed alphabet, so the compiled residuation table
    may short-circuit the evaluation; [Open] (and fresh instances below,
-   whose alphabet grows with unseen tokens) stay on the symbolic leg. *)
-let eval_active t g =
-  match Gtable.status_hint g t.know with
+   whose alphabet grows with unseen tokens) stay on the symbolic leg.
+   Every read of [know] is at a symbol of [g]: [Knowledge.status]
+   evaluates [g]'s own constraints, the table's alphabet is
+   [Guard.symbols g], and the reserved set is its undecided subset. *)
+let eval_active know g =
+  match Gtable.status_hint g know with
   | Some s -> s
-  | None -> Knowledge.status ~reserved:(undecided_symbols t g) t.know g
+  | None -> Knowledge.status ~reserved:(undecided_symbols know g) know g
 
 (* A fresh instance: its never-seen tokens will never occur. *)
-let eval_fresh t g =
-  let undecided = undecided_symbols t g in
+let eval_fresh know g =
+  let undecided = undecided_symbols know g in
   let never = Symbol.Set.filter has_fresh_arg undecided in
   let reserved = Symbol.Set.diff undecided never in
-  Knowledge.status ~reserved ~never t.know g
+  Knowledge.status ~reserved ~never know g
 
 let combine a b =
   match (a, b) with
@@ -279,71 +289,127 @@ let rec combos vars values =
         (fun value -> List.map (fun c -> (v, value) :: c) smaller)
         values
 
-let active t g =
-  Symbol.Set.exists (Knowledge.decided t.know) (Guard.symbols g)
+let active know g =
+  Symbol.Set.exists (Knowledge.decided know) (Guard.symbols g)
 
-let instance_status t template ~bound =
-  let g0 = subst bound template in
-  match free_vars g0 with
-  | [] -> eval_active t g0
+let instance template bound =
+  let guard = subst bound template in
+  let syms = Array.of_list (Symbol.Set.elements (Guard.symbols guard)) in
+  let free = free_vars syms in
+  let key =
+    match free with [] -> Array.make (Array.length syms) None | _ -> [||]
+  in
+  { guard; syms; free; key; status = Knowledge.Unknown; evaluated = false }
+
+(* One instance under [know], uncached: closed instances evaluate
+   directly; open ones quantify their free variables over the seen
+   tokens plus a generic fresh one. *)
+let evaluate t know inst =
+  match inst.free with
+  | [] -> eval_active know inst.guard
   | free ->
-      let values = known_values t in
+      let g0 = inst.guard in
       let status_of_combo acc combo =
         let g1 = subst combo g0 in
         (* Instances none of whose events have occurred are subsumed by
            the generic fresh instance. *)
-        if active t g1 then combine acc (eval_active t g1) else acc
+        if active know g1 then combine acc (eval_active know g1) else acc
       in
       let seen_part =
-        List.fold_left status_of_combo Knowledge.True (combos free values)
+        List.fold_left status_of_combo Knowledge.True
+          (combos free (known_values t))
       in
       let fresh_bindings = List.map (fun v -> (v, fresh_marker)) free in
-      combine seen_part (eval_fresh t (subst fresh_bindings g0))
+      combine seen_part (eval_fresh know (subst fresh_bindings g0))
+
+let instance_status t template ~bound =
+  evaluate t t.know (instance template bound)
+
+(* Polarities are immediates, so [==] is their equality. *)
+let same_fate a b =
+  match (a, b) with
+  | None, None -> true
+  | Some (Knowledge.Occurred (p, m)), Some (Knowledge.Occurred (q, n)) ->
+      p == q && Int.equal m n
+  | Some (Knowledge.Promised p), Some (Knowledge.Promised q) -> p == q
+  | _ -> false
+
+(* A closed instance's status is a function of the fates of its own
+   symbols (see [eval_active]) — seqnos included, as pending terms are
+   order-sensitive — so the cached status holds under any knowledge that
+   agrees with [key] at [syms]. *)
+let cached know inst =
+  inst.evaluated
+  &&
+  let n = Array.length inst.syms in
+  let rec holds i =
+    i = n
+    || same_fate inst.key.(i) (Knowledge.fate_of know inst.syms.(i))
+       && holds (i + 1)
+  in
+  holds 0
+
+let instance_decision t inst =
+  if cached t.know inst then inst.status
+  else begin
+    t.evaluations <- t.evaluations + 1;
+    let s = evaluate t t.know inst in
+    (match inst.free with
+    | [] ->
+        Array.iteri
+          (fun i sym -> inst.key.(i) <- Knowledge.fate_of t.know sym)
+          inst.syms;
+        inst.status <- s;
+        inst.evaluated <- true
+    | _ :: _ -> () (* open: depends on the token set, never cached *));
+    s
+  end
+
+(* The attempt's instances: one per matching positive template, in
+   template order. *)
+let entry_of t sym =
+  {
+    sym;
+    insts =
+      Array.of_list
+        (List.filter_map
+           (fun (_, atom, template) ->
+             if atom.Ptemplate.pol <> Literal.Pos then None
+             else
+               Option.map (instance template)
+                 (Ptemplate.match_symbol atom sym))
+           t.templates);
+  }
 
 (* --- tracing ------------------------------------------------------------- *)
 
 let set_tracer t sink = t.tracer := sink
 
-(* The guard id of a decision about [sym]: the interned id of the first
-   matching positive template's instance guard.  Only computed (and
-   only interned) when a sink is listening. *)
-let guard_uid_for t sym =
-  let rec find = function
-    | [] -> -1
-    | (_, (atom : Ptemplate.atom), template) :: rest ->
-        if atom.Ptemplate.pol <> Literal.Pos then find rest
-        else (
-          match Ptemplate.match_symbol atom sym with
-          | None -> find rest
-          | Some bound -> Guard.uid (subst bound template))
-  in
-  find t.templates
-
-let emit_assim t sym outcome =
+(* The guard id of a decision about an attempt: the interned id of its
+   first instance's guard (the first matching positive template).  Only
+   computed (and only interned) when a sink is listening. *)
+let emit_assim t e outcome =
   match !(t.tracer) with
   | None -> ()
   | Some sink ->
+      let guard =
+        if Array.length e.insts = 0 then -1 else Guard.uid e.insts.(0).guard
+      in
       Wf_obs.Trace.emit sink
         (Wf_obs.Trace.make
            ~time:(float_of_int !(t.tick))
-           ~site:0 ~actor:(Symbol.name sym)
-           (Wf_obs.Trace.Assim { outcome; guard = guard_uid_for t sym }))
+           ~site:0 ~actor:(Symbol.name e.sym)
+           (Wf_obs.Trace.Assim { outcome; guard }))
 
 (* --- the engine ---------------------------------------------------------- *)
 
-let decide t sym =
+(* Every decision counts as work, cache hits included: open-loop drivers
+   charge virtual service time by [work]. *)
+let decide t e =
   t.work <- t.work + 1;
-  let verdicts =
-    List.filter_map
-      (fun (_, atom, template) ->
-        if atom.Ptemplate.pol <> Literal.Pos then None
-        else
-          match Ptemplate.match_symbol atom sym with
-          | None -> None
-          | Some bound -> Some (instance_status t template ~bound))
-      t.templates
-  in
-  List.fold_left combine Knowledge.True verdicts
+  Array.fold_left
+    (fun acc inst -> combine acc (instance_decision t inst))
+    Knowledge.True e.insts
 
 let record t lit =
   t.seqno <- t.seqno + 1;
@@ -351,70 +417,69 @@ let record t lit =
   t.occurrences <- lit :: t.occurrences;
   note_tokens t (Literal.symbol lit)
 
-(* Can news about [base] change [decide t sym]?  [decide] evaluates the
-   guard templates of the atoms matching [sym], and every knowledge
-   lookup those evaluations make is at a symbol whose base comes from
-   the template guard — so an occurrence with an unrelated base leaves
-   the decision as it was.  (Occurrences introducing a never-seen token
-   are excluded by the caller: a fresh token enlarges the enumerated
-   instance combos themselves.) *)
-let relevant t sym base =
-  List.exists
-    (fun ((atom : Ptemplate.atom), bases) ->
-      Option.is_some (Ptemplate.match_symbol atom sym)
-      && List.exists (String.equal base) bases)
-    t.watch_bases
+(* Can news about [base] change [decide t e]?  Every knowledge lookup of
+   the decision is at a symbol of one of [e]'s instances (or, for an open
+   instance, at an instantiation of one — same base), so an occurrence
+   with an unrelated base leaves the decision as it was.  (Occurrences
+   introducing a never-seen token are excluded by the caller: a fresh
+   token enlarges the enumerated instance combos themselves.) *)
+let watches e base =
+  Array.exists
+    (fun inst ->
+      Array.exists (fun sym -> String.equal (Symbol.base sym) base) inst.syms)
+    e.insts
 
 let rec retry_parked ?touched t =
-  let parked = t.parked_syms in
+  let parked = t.parked in
   let taken = t.parked_n in
-  t.parked_syms <- [];
+  t.parked <- [];
   t.parked_n <- 0;
   let kept = ref 0 in
   let still =
     List.filter
-      (fun sym ->
+      (fun e ->
         let keep =
-          if Knowledge.decided t.know sym then false
+          if Knowledge.decided t.know e.sym then false
           else if
             match touched with
-            | Some base -> not (relevant t sym base)
+            | Some base -> not (watches e base)
             | None -> false
           then true (* unaffected: stays parked without re-deciding *)
           else
-            match decide t sym with
+            match decide t e with
             | Knowledge.True ->
-                emit_assim t sym Wf_obs.Trace.Enabled;
-                record t (Literal.pos sym);
+                emit_assim t e Wf_obs.Trace.Enabled;
+                record t (Literal.pos e.sym);
                 false
             | Knowledge.False | Knowledge.Unknown ->
-                emit_assim t sym Wf_obs.Trace.Reduced;
+                emit_assim t e Wf_obs.Trace.Reduced;
                 true
         in
         if keep then incr kept;
         keep)
       parked
   in
-  t.parked_syms <- still @ t.parked_syms;
+  t.parked <- still @ t.parked;
   t.parked_n <- t.parked_n + !kept;
   if !kept < taken then retry_parked t
 
 let apply_attempt t sym =
   if Knowledge.decided t.know sym then Already
   else
-    match decide t sym with
+    let e = entry_of t sym in
+    match decide t e with
     | Knowledge.True ->
-        emit_assim t sym Wf_obs.Trace.Enabled;
+        emit_assim t e Wf_obs.Trace.Enabled;
         record t (Literal.pos sym);
         retry_parked t;
         Accepted
     | Knowledge.False ->
-        emit_assim t sym Wf_obs.Trace.Rejected;
+        emit_assim t e Wf_obs.Trace.Rejected;
         Rejected
     | Knowledge.Unknown ->
-        emit_assim t sym Wf_obs.Trace.Parked;
-        if not (List.exists (Symbol.equal sym) t.parked_syms) then begin
-          t.parked_syms <- sym :: t.parked_syms;
+        emit_assim t e Wf_obs.Trace.Parked;
+        if not (List.exists (fun p -> Symbol.equal sym p.sym) t.parked) then begin
+          t.parked <- e :: t.parked;
           t.parked_n <- t.parked_n + 1
         end;
         Parked
@@ -437,19 +502,22 @@ let apply_occurred t lit =
 
 (* --- crash recovery ------------------------------------------------------ *)
 
+let parked t = List.map (fun e -> e.sym) t.parked
+
 let snapshot t =
   {
     s_know = t.know;
     s_seqno = t.seqno;
     s_occurrences = t.occurrences;
-    s_parked_syms = t.parked_syms;
+    s_parked_syms = parked t;
   }
 
 let restore t s =
   t.know <- s.s_know;
   t.seqno <- s.s_seqno;
   t.occurrences <- s.s_occurrences;
-  t.parked_syms <- s.s_parked_syms;
+  (* the instance caches are derived: restored entries start empty *)
+  t.parked <- List.map (entry_of t) s.s_parked_syms;
   t.parked_n <- List.length s.s_parked_syms;
   rebuild_tokens t
 
@@ -519,6 +587,7 @@ let recover t =
       fstats = t.fstats;
       flow = t.flow;
       work = t.work;
+      evaluations = t.evaluations;
     }
   in
   fresh.last_salvage <-
@@ -555,14 +624,26 @@ let equal_state a b =
   Knowledge.equal a.know b.know
   && Int.equal a.seqno b.seqno
   && List.equal Literal.equal a.occurrences b.occurrences
-  && List.equal Symbol.equal a.parked_syms b.parked_syms
+  && List.equal (fun x y -> Symbol.equal x.sym y.sym) a.parked b.parked
 
-let parked t = t.parked_syms
 let parked_count t = t.parked_n
 let trace t = List.rev t.occurrences
 let knowledge t = t.know
 let guard_templates t = t.templates
 let stats t = t.fstats
 let work t = t.work
+let evaluations t = t.evaluations
+
+let cached_decision ?know t sym =
+  let know = Option.value know ~default:t.know in
+  match List.find_opt (fun e -> Symbol.equal e.sym sym) t.parked with
+  | None -> None
+  | Some e ->
+      if Array.for_all (cached know) e.insts then
+        Some
+          (Array.fold_left
+             (fun acc inst -> combine acc inst.status)
+             Knowledge.True e.insts)
+      else None
 
 let last_salvage t = t.last_salvage

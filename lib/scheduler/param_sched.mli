@@ -91,11 +91,22 @@ val stats : t -> Wf_obs.Metrics.t
     config (empty otherwise). *)
 
 val work : t -> int
-(** Cumulative decision evaluations (attempt decides plus parked
-    re-decides) — the engine's unit of work.  An attempt landing on a
-    backlog of [p] parked tokens costs O(p) re-decides, so open-loop
-    drivers use the delta of this counter to charge a virtual service
-    cost that honestly grows with congestion. *)
+(** Cumulative decisions counted (attempt decides plus parked
+    re-decides, whether or not they hit the instance cache) — the
+    engine's unit of work.  An attempt landing on a backlog of [p]
+    parked tokens costs O(p) re-decides, so open-loop drivers use the
+    delta of this counter to charge a virtual service cost that
+    honestly grows with congestion. *)
+
+val evaluations : t -> int
+(** Cumulative instance evaluations the decisions actually ran,
+    separate from {!work}.  Each parked attempt caches, per closed
+    instance (no free variable left after binding), the status of its
+    last evaluation keyed by the fates ({!Knowledge.fate_of}, polarity
+    and seqno) of the instance's own symbols; a re-decide whose fates
+    still match reuses it.  Cache misses and open instances (evaluated
+    afresh every time) count here; hits do not.  Carried across
+    {!recover} like {!work}. *)
 
 val recover : t -> t
 (** Simulate a crash and restart: rebuild a fresh engine from the same
@@ -120,6 +131,15 @@ val equal_state : t -> t -> bool
 val instance_status :
   t -> Guard.t -> bound:(string * string) list -> Knowledge.status
 (** Evaluate one guard-template instance under the engine's current
-    knowledge: bound variables are substituted; remaining free variables
-    are universally quantified over active bindings plus a fresh one.
-    Exposed for the Example 14 walkthrough and tests. *)
+    knowledge, bypassing the instance cache: bound variables are
+    substituted; remaining free variables are universally quantified
+    over active bindings plus a fresh one.  Exposed for the Example 14
+    walkthrough and tests. *)
+
+val cached_decision :
+  ?know:Knowledge.t -> t -> Symbol.t -> Knowledge.status option
+(** For a parked [sym]: the decision a re-decide would take from the
+    instance cache if the engine's knowledge were [know] (default: its
+    own) — [Some] when every instance is closed and holds a status whose
+    fate key matches [know], [None] when the re-decide would evaluate
+    (or [sym] is not parked).  Reads only; for tests. *)

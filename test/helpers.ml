@@ -103,11 +103,11 @@ let prop_seed () =
   | Some s -> ( try int_of_string s with _ -> 0xC0FFEE)
   | None -> 0xC0FFEE
 
-let qprop ?(count = 200) name gen prop =
+let qprop ?(count = 200) ?print name gen prop =
   Alcotest.test_case name `Quick (fun () ->
       QCheck2.Test.check_exn
         ~rand:(Random.State.make [| prop_seed () |])
-        (QCheck2.Test.make ~count ~name gen prop))
+        (QCheck2.Test.make ~count ?print ~name gen prop))
 
 (* --- Nearest-rank oracle ------------------------------------------------- *)
 

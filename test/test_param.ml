@@ -222,6 +222,238 @@ let test_param_driver () =
         (Trace.well_formed r.Param_driver.trace))
     [ 3; 7; 11 ]
 
+
+(* --- the parked instance cache ------------------------------------------- *)
+
+let psym = Test_fleet.psym
+let saga = Test_fleet.saga
+
+let status_testable =
+  Alcotest.testable
+    (fun ppf (s : Knowledge.status) ->
+      Format.pp_print_string ppf
+        (match s with True -> "True" | False -> "False" | Unknown -> "Unknown"))
+    ( = )
+
+let combine (a : Knowledge.status) (b : Knowledge.status) : Knowledge.status =
+  match (a, b) with
+  | False, _ | _, False -> False
+  | True, True -> True
+  | _ -> Unknown
+
+(* The uncached decision about [sym]: a fresh fold of [instance_status]
+   over the matching positive guard templates. *)
+let fresh_decision eng sym =
+  List.fold_left
+    (fun acc (_, (atom : Ptemplate.atom), template) ->
+      if atom.Ptemplate.pol <> Literal.Pos then acc
+      else
+        match Ptemplate.match_symbol atom sym with
+        | None -> acc
+        | Some bound ->
+            combine acc (Param_sched.instance_status eng template ~bound))
+    Knowledge.True
+    (Param_sched.guard_templates eng)
+
+(* [know] with [sym]'s occurrence moved to a later seqno (the engine
+   records occurrences only, never promises). *)
+let reseq know sym =
+  List.fold_left
+    (fun k s ->
+      match Knowledge.fate_of know s with
+      | Some (Knowledge.Occurred (pol, n)) ->
+          let seqno = if Symbol.equal s sym then n + 100 else n in
+          Knowledge.occurred { Literal.sym = s; pol } ~seqno k
+      | _ -> k)
+    Knowledge.empty (Knowledge.symbols know)
+
+(* Saga: c(j)'s closed instance reads only p(j) and c(j).  Re-decides
+   whose fates did not move are counted as work but evaluate nothing; a
+   moved fate re-keys the cache, seqno included; a restored engine
+   starts with an empty cache and decides the same. *)
+let test_instance_cache () =
+  let eng = Param_sched.create ~checkpoint_every:1 [ saga ] in
+  let c j = psym "c" (string_of_int j) in
+  let occur b j =
+    Param_sched.occurred eng (Literal.pos (psym b (string_of_int j)))
+  in
+  for j = 0 to 3 do
+    checkb "commit before prepare parks"
+      (Param_sched.attempt eng (c j) = Param_sched.Parked)
+  done;
+  check Alcotest.int "one evaluation per attempt" 4 (Param_sched.evaluations eng);
+  occur "p" 9;
+  check Alcotest.int "a fresh token re-decides every parked attempt" 8
+    (Param_sched.work eng);
+  check Alcotest.int "unmoved fates evaluate nothing" 4
+    (Param_sched.evaluations eng);
+  check
+    Alcotest.(option status_testable)
+    "the cache holds c(2)'s decision" (Some Knowledge.Unknown)
+    (Param_sched.cached_decision eng (c 2));
+  occur "p" 1;
+  (* c(3), c(2), c(1), c(0) re-decide; c(1) misses and is accepted; the
+     three left re-decide once more on the pass it triggered *)
+  check Alcotest.int "every re-decide is work" 15 (Param_sched.work eng);
+  check Alcotest.int "only c(1)'s instance evaluated" 5
+    (Param_sched.evaluations eng);
+  checkb "c(1) went through"
+    (Trace.mem (Literal.pos (c 1)) (Param_sched.trace eng));
+  Param_sched.occurred eng (Literal.neg (psym "p" "2"));
+  check Alcotest.int "~p(2) re-keys c(2) only" 6 (Param_sched.evaluations eng);
+  check
+    Alcotest.(option status_testable)
+    "c(2) is doomed and stays parked" (Some Knowledge.False)
+    (Param_sched.cached_decision eng (c 2));
+  (* pending terms are order-sensitive, so the key holds seqnos *)
+  check
+    Alcotest.(option status_testable)
+    "p(2) at another seqno misses the key" None
+    (Param_sched.cached_decision
+       ~know:(reseq (Param_sched.knowledge eng) (psym "p" "2"))
+       eng (c 2));
+  occur "p" 8;
+  check Alcotest.int "the re-keyed instance hits again" 6
+    (Param_sched.evaluations eng);
+  let r = Param_sched.recover eng in
+  checkb "recovered state equal" (Param_sched.equal_state eng r);
+  checkb "restored entries hold no cached decision"
+    (List.for_all
+       (fun s -> Param_sched.cached_decision r s = None)
+       (Param_sched.parked r));
+  let e0 = Param_sched.evaluations eng and r0 = Param_sched.evaluations r in
+  let fresh_p = Literal.pos (psym "p" "7") in
+  Param_sched.occurred eng fresh_p;
+  Param_sched.occurred r fresh_p;
+  check Alcotest.int "warm cache: hits" 0 (Param_sched.evaluations eng - e0);
+  check Alcotest.int "cold cache: one evaluation per parked attempt" 3
+    (Param_sched.evaluations r - r0);
+  checkb "warm and cold engines agree" (Param_sched.equal_state eng r)
+
+type spec_case = { name : string; deps : Ptemplate.t list; bases : string list }
+
+let mutex_case () =
+  let { Wf_lang.Elaborate.templates; _ } =
+    Wf_lang.Elaborate.load_file (Filename.concat Test_check.spec_dir "mutex.wf")
+  in
+  {
+    name = "mutex.wf";
+    deps = List.map snd templates;
+    bases = [ "b_t1"; "e_t1"; "b_t2"; "e_t2" ];
+  }
+
+let spec_cases =
+  lazy
+    [
+      { name = "saga"; deps = [ saga ]; bases = [ "c"; "p" ] };
+      {
+        name = "chain-3";
+        deps = [ Test_fleet.chain 3 ];
+        bases = [ "x0"; "x1"; "x2" ];
+      };
+      mutex_case ();
+    ]
+
+(* Streams over a spec's own bases (tokens 0..3, both polarities,
+   duplicates certain), with crashes anywhere. *)
+let gen_cache_case =
+  let open QCheck2.Gen in
+  int_bound 2 >>= fun which ->
+  let case = List.nth (Lazy.force spec_cases) which in
+  let sym = map2 psym (oneofl case.bases) (map string_of_int (int_bound 3)) in
+  let input ev = Test_fleet.In ev in
+  map
+    (fun steps -> (case, steps))
+    (list_size (int_bound 80)
+       (frequency
+          [
+            (5, map (fun s -> input (Test_fleet.A s)) sym);
+            (3, map (fun s -> input (Test_fleet.O (Literal.pos s))) sym);
+            (1, map (fun s -> input (Test_fleet.O (Literal.neg s))) sym);
+            (1, return Test_fleet.Crash);
+          ]))
+
+let print_cache_case (case, steps) =
+  Printf.sprintf "%s: %s" case.name
+    (String.concat " "
+       (List.map
+          (function
+            | Test_fleet.In (Test_fleet.A s) -> Symbol.name s
+            | Test_fleet.In (Test_fleet.O l) -> "!" ^ Literal.to_string l
+            | Test_fleet.Crash -> "CRASH")
+          steps))
+
+let lost_tail =
+  { Wf_store.Media.Sim.no_faults with lost_tail = 1.0; max_faults = max_int }
+
+(* (checkpoint cadence, store, compiled tables on, recovery exact) *)
+let cache_configs =
+  [
+    (7, None, true, true);
+    (1, None, false, true);
+    (7, Some Wf_store.Media.Sim.no_faults, true, true);
+    (1, Some Wf_store.Media.Sim.no_faults, false, true);
+    (7, Some lost_tail, true, false);
+    (7, Some lost_tail, false, false);
+  ]
+
+(* After every input: each parked attempt's cached decision equals a
+   fresh fold of [instance_status], and an engine recovered at that
+   point (empty cache) is state-equal.  Crash steps switch to the
+   recovered engine; over lossy media it has lost a suffix and the
+   stream diverges from what the crashed engine saw. *)
+let prop_cache_exact (case, steps) =
+  List.iter
+    (fun (cadence, store, tables, exact) ->
+      Gtable.set_enabled tables;
+      Fun.protect ~finally:(fun () -> Gtable.set_enabled true) @@ fun () ->
+      let eng =
+        ref (Param_sched.create ~checkpoint_every:cadence ?store case.deps)
+      in
+      let fail i fmt =
+        Printf.ksprintf
+          (fun msg ->
+            Alcotest.failf "%s, cadence %d, store %b, tables %b, step %d: %s"
+              case.name cadence (store <> None) tables i msg)
+          fmt
+      in
+      let audit i =
+        let e = !eng in
+        List.iter
+          (fun sym ->
+            match Param_sched.cached_decision e sym with
+            | Some d when d <> fresh_decision e sym ->
+                fail i "stale cached decision for %s" (Symbol.name sym)
+            | _ -> ())
+          (Param_sched.parked e)
+      in
+      List.iteri
+        (fun i step ->
+          match step with
+          | Test_fleet.In ev ->
+              (match ev with
+              | Test_fleet.A sym -> ignore (Param_sched.attempt !eng sym)
+              | Test_fleet.O l -> Param_sched.occurred !eng l);
+              audit i;
+              if store = None
+                 && not (Param_sched.equal_state !eng (Param_sched.recover !eng))
+              then fail i "recovered engine differs"
+          | Test_fleet.Crash ->
+              let r = Param_sched.recover !eng in
+              if exact && not (Param_sched.equal_state !eng r) then
+                fail i "recovered state differs";
+              if
+                cadence = 1
+                && List.exists
+                     (fun s -> Param_sched.cached_decision r s <> None)
+                     (Param_sched.parked r)
+              then fail i "a restored entry kept a cached decision";
+              eng := r;
+              audit i)
+        steps)
+    cache_configs;
+  true
+
 let suite =
   [
     Alcotest.test_case "parametrized workflow driver" `Quick test_param_driver;
@@ -236,4 +468,9 @@ let suite =
     Alcotest.test_case "Example 14: resurrection" `Quick test_example14;
     Alcotest.test_case "Example 12: bound parameters" `Quick test_bound_variables;
     Alcotest.test_case "Already and parking dedup" `Quick test_already_and_dedup;
+    Alcotest.test_case "instance cache: hits, misses, cold restore" `Quick
+      test_instance_cache;
+    qprop ~count:100 ~print:print_cache_case
+      "instance cache exact under crashes, stores, tables off" gen_cache_case
+      prop_cache_exact;
   ]

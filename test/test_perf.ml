@@ -228,6 +228,97 @@ let test_unwatched_is_noop () =
   checkb "unwatched promise returns the index physically unchanged"
     (Guard.Indexed.promised z ix == ix)
 
+
+(* --- Param_sched's instance cache ---------------------------------------- *)
+
+open Wf_scheduler
+
+type burst_ev = Commit of int | Prepare of int
+
+(* A param-burst-shaped run: the saga template behind Flow admission,
+   64 synchronized open-loop sources at half the estimated capacity, and
+   a virtual server charging a fixed quantum per input plus a share per
+   decision counted by [work].  Returns the drained engine. *)
+let burst_run ~jobs ~seed =
+  let s0 = 1.0 and s1 = 0.04 and watermark = 10 and sources = 64 in
+  let flow =
+    {
+      Flow.default_config with
+      shed_watermark = watermark;
+      retry_base = 1.0;
+      retry_backoff = 2.0;
+      retry_max = 64.0;
+      probe_every = 256;
+    }
+  in
+  let capacity =
+    1.0 /. ((2.0 *. s0) +. (s1 *. (2.0 +. (2.0 *. float_of_int watermark))))
+  in
+  let rng = Wf_sim.Rng.create (Int64.of_int seed) in
+  let mean = float_of_int sources /. (4.0 *. 0.5 *. capacity) in
+  let src = Array.make sources 0.0 in
+  let arrivals =
+    Array.init jobs (fun j ->
+        let s = j mod sources in
+        src.(s) <- src.(s) +. Flow.arrival_delay Flow.Burst ~rng ~now:src.(s) ~mean;
+        src.(s))
+  in
+  Array.sort Float.compare arrivals;
+  let eng =
+    Param_sched.create ~flow ~store_seed:(Int64.of_int seed) [ Test_fleet.saga ]
+  in
+  let heap = Wf_sim.Heap.create () and seq = ref 0 in
+  let push key ev =
+    Wf_sim.Heap.push heap ~key ~seq:!seq ev;
+    incr seq
+  in
+  Array.iteri (fun j t -> push t (Commit j)) arrivals;
+  let free_at = ref 0.0 in
+  let charge now w0 =
+    free_at :=
+      Float.max now !free_at +. s0
+      +. (s1 *. float_of_int (Param_sched.work eng - w0))
+  in
+  let sym b j = Symbol.parametrized b [ string_of_int j ] in
+  let rec loop () =
+    match Wf_sim.Heap.pop heap with
+    | None -> ()
+    | Some (now, _, ev) ->
+        let w0 = Param_sched.work eng in
+        (match ev with
+        | Commit j -> (
+            match Param_sched.attempt eng (sym "c" j) with
+            | Param_sched.Busy { retry_after } ->
+                push (now +. retry_after) (Commit j)
+            | Param_sched.Parked ->
+                charge now w0;
+                push !free_at (Prepare j)
+            | Param_sched.Accepted | Param_sched.Already -> charge now w0
+            | Param_sched.Rejected -> Alcotest.fail "commit rejected")
+        | Prepare j ->
+            Param_sched.occurred eng (Literal.pos (sym "p" j));
+            charge now w0);
+        loop ()
+  in
+  loop ();
+  eng
+
+(* The cache must leave the virtual service model alone — [work] still
+   counts every decision, pinned to the value measured before the cache
+   existed — while each job's closed instance is evaluated about twice:
+   once when its commit parks, once when its prepare moves the fates. *)
+let test_burst_counts () =
+  let jobs = 2000 in
+  let eng = burst_run ~jobs ~seed:1 in
+  check Alcotest.int "drained" 0 (Param_sched.parked_count eng);
+  check Alcotest.int "two events per job" (2 * jobs)
+    (Trace.length (Param_sched.trace eng));
+  check Alcotest.int "work: every decision counted" 25556 (Param_sched.work eng);
+  let evals = Param_sched.evaluations eng in
+  if float_of_int evals > 2.1 *. float_of_int jobs then
+    Alcotest.failf "%d instance evaluations for %d jobs (> 2.1 per job)" evals
+      jobs
+
 let suite =
   [
     Alcotest.test_case "interned ids are canonical" `Quick test_intern_ids;
@@ -243,4 +334,6 @@ let suite =
     assimilation_agrees;
     Alcotest.test_case "unwatched announcements are no-ops" `Quick
       test_unwatched_is_noop;
+    Alcotest.test_case "param-burst shape: work pinned, evaluations bounded"
+      `Quick test_burst_counts;
   ]
