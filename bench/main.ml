@@ -1716,15 +1716,13 @@ type sc_row = {
   sc_violations : int;
 }
 
-type sc_eng = {
-  sc_attempt : Symbol.t -> Param_sched.outcome;
-  sc_occurred : Literal.t -> unit;
-  sc_parked_count : unit -> int;
-  sc_trace : unit -> Trace.t;
-  sc_stats : unit -> Wf_obs.Metrics.t;
-  sc_words : unit -> int;
-  sc_table_states : unit -> int;
-  sc_symbolic_evals : unit -> int;
+(* What the scale leg reads beyond {!Param_engine.S}. *)
+type 'e sc_eng = {
+  sc_name : string; (* "param" | "fleet" *)
+  sc_create : int -> 'e; (* for [n] bindings *)
+  sc_words : 'e -> int;
+  sc_table_states : 'e -> int;
+  sc_symbolic_evals : 'e -> int;
       (* symbolic guard evaluations actually run: Param_sched's instance
          evaluations (cache misses and open instances), Fleet's
          [fleet_symbolic_evals] *)
@@ -1732,37 +1730,29 @@ type sc_eng = {
 
 let sc_prepare_lag = 8.0 (* mean prepare lag, in mean inter-arrival units *)
 
-let sc_make_engine engine n =
-  match engine with
-  | `Param ->
-      let e = Param_sched.create [ ov_template ] in
-      {
-        sc_attempt = Param_sched.attempt e;
-        sc_occurred = Param_sched.occurred e;
-        sc_parked_count = (fun () -> Param_sched.parked_count e);
-        sc_trace = (fun () -> Param_sched.trace e);
-        sc_stats = (fun () -> Param_sched.stats e);
-        sc_words = (fun () -> -1);
-        sc_table_states = (fun () -> -1);
-        sc_symbolic_evals = (fun () -> Param_sched.evaluations e);
-      }
-  | `Fleet ->
-      (* ~16 checkpoints over the run: each scans the fate columns. *)
-      let e = Fleet.create ~checkpoint_every:(max 1024 (n / 16)) [ ov_template ] in
-      {
-        sc_attempt = Fleet.attempt e;
-        sc_occurred = Fleet.occurred e;
-        sc_parked_count = (fun () -> Fleet.parked_count e);
-        sc_trace = (fun () -> Fleet.trace e);
-        sc_stats = (fun () -> Fleet.stats e);
-        sc_words = (fun () -> Fleet.state_words e);
-        sc_table_states = (fun () -> Fleet.table_states e);
-        sc_symbolic_evals =
-          (fun () ->
-            Wf_obs.Metrics.count (Fleet.stats e) "fleet_symbolic_evals");
-      }
+let sc_param =
+  {
+    sc_name = "param";
+    sc_create = (fun _ -> Param_sched.create [ ov_template ]);
+    sc_words = (fun _ -> -1);
+    sc_table_states = (fun _ -> -1);
+    sc_symbolic_evals = Param_sched.evaluations;
+  }
 
-let sc_run ~engine ~n ~seed ~audit =
+let sc_fleet =
+  {
+    sc_name = "fleet";
+    (* ~16 checkpoints over the run: each scans the fate columns. *)
+    sc_create =
+      (fun n -> Fleet.create ~checkpoint_every:(max 1024 (n / 16)) [ ov_template ]);
+    sc_words = Fleet.state_words;
+    sc_table_states = Fleet.table_states;
+    sc_symbolic_evals =
+      (fun e -> Wf_obs.Metrics.count (Fleet.stats e) "fleet_symbolic_evals");
+  }
+
+let sc_run (type e) (module E : Param_engine.S with type t = e) (x : e sc_eng)
+    ~n ~seed ~audit =
   let rng = Wf_sim.Rng.create seed in
   (* Virtual-time schedule as flat preallocated arrays (slot [2j] is
      commit j's arrival, slot [2j+1] its prepare, an exponential lag
@@ -1790,7 +1780,7 @@ let sc_run ~engine ~n ~seed ~audit =
   let sym b j = Symbol.parametrized b [ string_of_int j ] in
   Gc.compact ();
   let live0 = (Gc.stat ()).Gc.live_words in
-  let eng = sc_make_engine engine n in
+  let eng = x.sc_create n in
   let inputs = ref 0 in
   let t0 = Monotonic_clock.get () in
   for i = 0 to m - 1 do
@@ -1798,14 +1788,14 @@ let sc_run ~engine ~n ~seed ~audit =
     let j = slot / 2 in
     incr inputs;
     if slot land 1 = 0 then begin
-      match eng.sc_attempt (sym "c" j) with
-      | Param_sched.Parked | Param_sched.Accepted | Param_sched.Already -> ()
-      | Param_sched.Rejected | Param_sched.Busy _ ->
+      match E.attempt eng (sym "c" j) with
+      | Parked | Accepted | Already -> ()
+      | Rejected | Busy _ ->
           failwith "scale: commit rejected or shed"
     end
     else begin
       let u0 = Monotonic_clock.get () in
-      eng.sc_occurred (Literal.pos (sym "p" j));
+      E.occurred eng (Literal.pos (sym "p" j));
       let us = (Monotonic_clock.get () -. u0) /. 1e3 in
       enable_lat.(!n_lat) <- us;
       incr n_lat
@@ -1816,10 +1806,10 @@ let sc_run ~engine ~n ~seed ~audit =
   let live1 = (Gc.stat ()).Gc.live_words in
   let bytes_per_instance = float_of_int ((live1 - live0) * 8) /. float_of_int n in
   ignore (Sys.opaque_identity (times, order));
-  let trace = eng.sc_trace () in
+  let trace = E.trace eng in
   let events = Trace.length trace in
   let violations = ref 0 in
-  if eng.sc_parked_count () <> 0 then incr violations;
+  if E.parked_count eng <> 0 then incr violations;
   if events <> 2 * n then incr violations;
   if audit then begin
     (* Exactly-once and dependency order, token by token. *)
@@ -1845,10 +1835,10 @@ let sc_run ~engine ~n ~seed ~audit =
     if !n_lat = 0 then nan
     else lat.(min (!n_lat - 1) (int_of_float (0.99 *. float_of_int !n_lat)))
   in
-  let stats = eng.sc_stats () in
+  let stats = E.stats eng in
   let row =
     {
-      sc_engine = (match engine with `Param -> "param" | `Fleet -> "fleet");
+      sc_engine = x.sc_name;
       sc_bindings = n;
       sc_inputs = !inputs;
       sc_events = events;
@@ -1856,11 +1846,11 @@ let sc_run ~engine ~n ~seed ~audit =
       sc_events_per_s = float_of_int !inputs /. wall;
       sc_p99_enable_us = p99;
       sc_bytes_per_instance = bytes_per_instance;
-      sc_state_words = eng.sc_words ();
+      sc_state_words = x.sc_words eng;
       sc_table_steps = Wf_obs.Metrics.count stats "fleet_table_steps";
-      sc_symbolic_evals = eng.sc_symbolic_evals ();
-      sc_table_states = eng.sc_table_states ();
-      sc_drained = eng.sc_parked_count () = 0 && events = 2 * n;
+      sc_symbolic_evals = x.sc_symbolic_evals eng;
+      sc_table_states = x.sc_table_states eng;
+      sc_drained = E.parked_count eng = 0 && events = 2 * n;
       sc_violations = !violations;
     }
   in
@@ -1943,17 +1933,17 @@ let bench_scale ~smoke () =
     "bindings" "inputs" "wall_s" "events/s" "p99_us" "bytes/inst" "drain"
     "viol";
   let rows = ref [] in
-  let leg i ~engine ~n ~audit =
+  let leg i engine x ~n ~audit =
     let seed = Int64.of_int (0x5CA1E + (41 * i)) in
-    let r = sc_run ~engine ~n ~seed ~audit in
+    let r = sc_run engine x ~n ~seed ~audit in
     Printf.printf "%-7s %9d %9d %8.2f %12.0f %10.1f %11.1f %7b %5d\n%!"
       r.sc_engine r.sc_bindings r.sc_inputs r.sc_wall_s r.sc_events_per_s
       r.sc_p99_enable_us r.sc_bytes_per_instance r.sc_drained r.sc_violations;
     rows := r :: !rows
   in
-  leg 0 ~engine:`Param ~n:base_n ~audit:true;
-  leg 1 ~engine:`Fleet ~n:base_n ~audit:true;
-  leg 2 ~engine:`Fleet ~n:big_n ~audit:false;
+  leg 0 (module Param_sched) sc_param ~n:base_n ~audit:true;
+  leg 1 (module Fleet) sc_fleet ~n:base_n ~audit:true;
+  leg 2 (module Fleet) sc_fleet ~n:big_n ~audit:false;
   let rows = List.rev !rows in
   let g = sc_gate_rows ~smoke rows in
   if smoke then

@@ -53,7 +53,9 @@ let run_parametrized seed flow fleet def templates tracer collector trace_file
        consistent base arities)";
     exit 2
   end;
-  let engine = if fleet then `Fleet else `Symbolic in
+  let engine =
+    if fleet then (module Fleet : Param_engine.S) else (module Param_sched)
+  in
   let r =
     Param_driver.run ~seed:(Int64.of_int seed) ?tracer ?flow ~engine
       ~templates:tmpls def

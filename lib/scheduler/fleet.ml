@@ -38,103 +38,21 @@ open Wf_core
    symbolic leg for every decision: the fallback rebuilds a tiny
    Knowledge over the template's own marked alphabet from the binding's
    fate words — same verdicts as Param_sched, no substitution, no
-   global state.  The engine journals inputs and checkpoints as
-   Param_sched does (see [snapshot]). *)
+   global state.  Journaling, admission and recovery are the shared
+   {!Param_engine} shell; this module holds the state, the decisions
+   and the snapshot (see [snapshot]). *)
 
-type outcome = Param_sched.outcome =
+type outcome = Param_engine.outcome =
   | Accepted
   | Parked
   | Rejected
   | Already
   | Busy of { retry_after : float }
 
-type input = F_attempt of Symbol.t | F_occurred of Literal.t
-
-module B = Wf_store.Binio
-
-(* A checkpoint holds no arena: per-binding guard state is a function
-   of the occurrence log (residuation, §3.4) plus the parked fates, so
-   [restore] rebuilds the arena by replaying the log.  [f_tokens] and
-   [f_occ] are views of the engine's append-only vectors
-   ({!Arena.Vec.share}): their segments are shared, and the engine only
-   ever pushes past the views' lengths. *)
-type snapshot = {
-  f_tokens : string Arena.Vec.t; (* binding id -> token *)
-  f_occ : int Arena.Vec.t; (* packed occurrence log *)
-  f_ptick : int;
-  f_extras : Literal.t array; (* off-spec occurrence log, oldest first *)
-  f_parked : int array; (* (binding, base, fate word) per parked fate *)
-}
-
-let put_input buf = function
-  | F_attempt sym ->
-      B.put_uint buf 0;
-      Wire.put_symbol buf sym
-  | F_occurred lit ->
-      B.put_uint buf 1;
-      Wire.put_literal buf lit
-
-let get_input r =
-  match B.get_uint r with
-  | 0 -> F_attempt (Wire.get_symbol r)
-  | 1 -> F_occurred (Wire.get_literal r)
-  | n -> raise (B.Corrupt (Printf.sprintf "unknown fleet input tag %d" n))
-
-(* The durable frame: O(bindings + occurrences) to encode, and only
-   encoded when a store is attached. *)
-let put_snapshot buf s =
-  B.put_uint buf (Arena.Vec.length s.f_tokens);
-  Arena.Vec.iter (B.put_string buf) s.f_tokens;
-  B.put_uint buf (Arena.Vec.length s.f_occ);
-  Arena.Vec.iter (B.put_int buf) s.f_occ;
-  B.put_int buf s.f_ptick;
-  B.put_uint buf (Array.length s.f_extras);
-  Array.iter (Wire.put_literal buf) s.f_extras;
-  B.put_uint buf (Array.length s.f_parked);
-  Array.iter (B.put_int buf) s.f_parked
-
-(* explicit loops: the reader is sequential, and [Array.init]'s
-   evaluation order is unspecified *)
-let read_array n f r =
-  if n = 0 then [||]
-  else begin
-    let first = f r in
-    let arr = Array.make n first in
-    for i = 1 to n - 1 do
-      arr.(i) <- f r
-    done;
-    arr
-  end
-
-let read_vec fill n f r =
-  let v = Arena.Vec.create fill in
-  for _ = 1 to n do
-    Arena.Vec.push v (f r)
-  done;
-  v
-
-let get_snapshot r =
-  let f_tokens = read_vec "" (B.get_uint r) B.get_string r in
-  let f_occ = read_vec 0 (B.get_uint r) B.get_int r in
-  let f_ptick = B.get_int r in
-  let f_extras = read_array (B.get_uint r) Wire.get_literal r in
-  let f_parked = read_array (B.get_uint r) B.get_int r in
-  if Array.length f_parked mod 3 <> 0 then
-    raise (B.Corrupt "fleet snapshot: ragged parked triples");
-  { f_tokens; f_occ; f_ptick; f_extras; f_parked }
-
-let codec : (input, snapshot) Wf_store.Log.codec =
-  {
-    enc_entry = B.encode put_input;
-    dec_entry = B.decode get_input;
-    enc_ckpt = B.encode put_snapshot;
-    dec_ckpt = B.decode get_snapshot;
-  }
-
 (* --- eligibility --------------------------------------------------------- *)
 
-let is_marker arg = String.length arg > 1 && arg.[0] = '?'
-let fresh_marker = "*"
+let is_marker = Param_engine.is_marker
+let fresh_marker = Param_engine.fresh_marker
 
 (* One distinct variable per dependency, and every atom's parameters
    are all variables (hence all that variable) with arity >= 1.  Then
@@ -174,846 +92,749 @@ let eligible deps =
         (Ptemplate.atoms dep))
     deps
 
-(* --- engine -------------------------------------------------------------- *)
+module Core = struct
+  module B = Wf_store.Binio
 
-type slot = {
-  s_guard : Guard.t; (* template guard, over marked symbols *)
-  s_table : Gtable.t option; (* shared compiled residuation table *)
-  s_col : int; (* arena column of this slot's table state *)
-  s_alpha : (Symbol.t * int) array; (* (marked symbol, base id) alphabet *)
-  s_open : int array;
-      (* per table state: its verdict once known ([verdict_code]), 0
-         before; empty without a table *)
-}
-
-(* Counters bumped on every input, resolved once against [fstats]. *)
-type counters = {
-  c_attempts : Wf_obs.Metrics.counter;
-  c_occurred : Wf_obs.Metrics.counter;
-  c_table_steps : Wf_obs.Metrics.counter;
-  c_symbolic : Wf_obs.Metrics.counter;
-}
-
-let counters_of m =
-  let c = Wf_obs.Metrics.counter m in
-  {
-    c_attempts = c "fleet_attempts";
-    c_occurred = c "fleet_occurred";
-    c_table_steps = c "fleet_table_steps";
-    c_symbolic = c "fleet_symbolic_evals";
+  (* A checkpoint holds no arena: per-binding guard state is a function
+     of the occurrence log (residuation, §3.4) plus the parked fates, so
+     [restore] rebuilds the arena by replaying the log.  [f_tokens] and
+     [f_occ] are views of the engine's append-only vectors
+     ({!Arena.Vec.share}): their segments are shared, and the engine only
+     ever pushes past the views' lengths. *)
+  type snapshot = {
+    f_tokens : string Arena.Vec.t; (* binding id -> token *)
+    f_occ : int Arena.Vec.t; (* packed occurrence log *)
+    f_ptick : int;
+    f_extras : Literal.t array; (* off-spec occurrence log, oldest first *)
+    f_parked : int array; (* (binding, base, fate word) per parked fate *)
   }
 
-type t = {
-  deps : Ptemplate.t list;
-  templates : (int * Ptemplate.atom * Guard.t) list; (* Param_sched order *)
-  bases : string array;
-  base_arity : int array;
-  base_index : (string, int) Hashtbl.t;
-  slots : slot array; (* positive templates, in template order *)
-  pos_slots : int array array; (* per base: its positive slots *)
-  steps : (int * Gtable.t * int * int) array array;
-      (* per base: (state col, table, pos input, neg input) for every
-         slot whose compiled alphabet contains the base *)
-  mutable arena : Arena.t; (* width = |bases| + |slots| *)
-  (* Binding interner, open-addressed (power-of-two capacity, linear
-     probing, resize at 4/5 load): at fleet scale a generic Hashtbl
-     costs ~6 words per binding in cons buckets and slack, these two
-     flat arrays ~3.  [itab_absent] marks empty slots by physical
-     identity, so any token content is admissible as a key. *)
-  mutable itab_keys : string array;
-  mutable itab_vals : int array;
-  mutable tokens : string Arena.Vec.t; (* binding id -> token *)
-  mutable occ : int Arena.Vec.t; (* packed occurrence log, oldest first *)
-  mutable extras_log : Literal.t array; (* off-spec occurrences *)
-  mutable extras_len : int;
-  extras : (string, int) Hashtbl.t; (* symbol name -> (seqno lsl 1) lor pol *)
-  mutable seqno : int;
-  mutable ptick : int; (* park-order clock *)
-  mutable parked_n : int;
-  mutable parked_peak : int; (* last value sent to fleet_parked_peak *)
-  journal : (input, snapshot) Wf_store.Journal.t;
-  media : Wf_store.Media.Sim.sim option;
-  mutable last_salvage : Wf_store.Log.salvage_report option;
-  tracer : Wf_obs.Trace.sink option ref;
-  tick : int ref;
-  fstats : Wf_obs.Metrics.t;
-  ctr : counters;
-  flow : Flow.t option;
-  mutable work : int;
-}
+  (* The durable frame: O(bindings + occurrences) to encode, and only
+     encoded when a store is attached. *)
+  let put_snapshot buf s =
+    B.put_uint buf (Arena.Vec.length s.f_tokens);
+    Arena.Vec.iter (B.put_string buf) s.f_tokens;
+    B.put_uint buf (Arena.Vec.length s.f_occ);
+    Arena.Vec.iter (B.put_int buf) s.f_occ;
+    B.put_int buf s.f_ptick;
+    B.put_uint buf (Array.length s.f_extras);
+    Array.iter (Wire.put_literal buf) s.f_extras;
+    B.put_uint buf (Array.length s.f_parked);
+    Array.iter (B.put_int buf) s.f_parked
 
-(* Fate words (arena columns 0..|bases|-1), tag in the low 2 bits:
-   0 = undecided, 1 = parked (park tick in bits 2..), 3 = occurred
-   (polarity in bit 2, global seqno in bits 3.. — seqnos preserve the
-   assimilation order that pending terms are sensitive to). *)
-let tag_of w = w land 3
-let tag_parked = 1
-let tag_occurred = 3
-let parked_word ~tick = (tick lsl 2) lor tag_parked
-let parked_tick w = w lsr 2
-
-let occurred_word ~pol ~seqno =
-  (seqno lsl 3)
-  lor ((match pol with Literal.Pos -> 1 | Literal.Neg -> 0) lsl 2)
-  lor tag_occurred
-
-let occurred_pol w = if w land 4 <> 0 then Literal.Pos else Literal.Neg
-let occurred_seqno w = w lsr 3
-
-(* --- binding interner ----------------------------------------------------- *)
-
-let itab_absent = String.make 1 '\000'
-
-let itab_find t tok =
-  let mask = Array.length t.itab_keys - 1 in
-  let rec probe i =
-    let k = Array.unsafe_get t.itab_keys i in
-    if k == itab_absent then -1
-    else if String.equal k tok then Array.unsafe_get t.itab_vals i
-    else probe ((i + 1) land mask)
-  in
-  probe (Hashtbl.hash tok land mask)
-
-(* [tok] must be absent. *)
-let itab_put t tok v =
-  let mask = Array.length t.itab_keys - 1 in
-  let rec probe i =
-    if t.itab_keys.(i) == itab_absent then begin
-      t.itab_keys.(i) <- tok;
-      t.itab_vals.(i) <- v
-    end
-    else probe ((i + 1) land mask)
-  in
-  probe (Hashtbl.hash tok land mask)
-
-let itab_capacity_for n =
-  let cap = ref 1024 in
-  while 5 * (n + 1) > 4 * !cap do
-    cap := 2 * !cap
-  done;
-  !cap
-
-let itab_maybe_grow t =
-  if 5 * (Arena.Vec.length t.tokens + 1) > 4 * Array.length t.itab_keys then begin
-    let keys = t.itab_keys and vals = t.itab_vals in
-    t.itab_keys <- Array.make (2 * Array.length keys) itab_absent;
-    t.itab_vals <- Array.make (2 * Array.length vals) 0;
-    Array.iteri (fun i k -> if k != itab_absent then itab_put t k vals.(i)) keys
-  end
-
-let create ?(checkpoint_every = 1024) ?store ?(store_seed = 1L) ?flow deps =
-  if not (eligible deps) then
-    invalid_arg "Fleet.create: dependencies are not fleet-eligible";
-  (* Same synthesis, same order as Param_sched.create: the differential
-     suite depends on matching template order (combine is
-     order-insensitive, but trace guard ids pick the first match). *)
-  let templates =
-    List.concat
-      (List.mapi
-         (fun i dep ->
-           let skel = Ptemplate.skeleton dep in
-           List.map
-             (fun (a : Ptemplate.atom) ->
-               let lit : Literal.t =
-                 {
-                   Literal.sym = Ptemplate.symbol_of_atom Ptemplate.var_marker a;
-                   pol = a.Ptemplate.pol;
-                 }
-               in
-               (i, a, Synth.guard skel lit))
-             (Ptemplate.atoms dep))
-         deps)
-  in
-  let base_index = Hashtbl.create 16 in
-  let rev_bases = ref [] in
-  let rev_arity = ref [] in
-  let n_bases = ref 0 in
-  let note_base name ar =
-    if not (Hashtbl.mem base_index name) then begin
-      Hashtbl.add base_index name !n_bases;
-      rev_bases := name :: !rev_bases;
-      rev_arity := ar :: !rev_arity;
-      incr n_bases
-    end
-  in
-  List.iter
-    (fun (_, (atom : Ptemplate.atom), g) ->
-      note_base atom.Ptemplate.base (List.length atom.Ptemplate.params);
-      Symbol.Set.iter
-        (fun sym -> note_base (Symbol.base sym) (List.length (Symbol.args sym)))
-        (Guard.symbols g))
-    templates;
-  let bases = Array.of_list (List.rev !rev_bases) in
-  let base_arity = Array.of_list (List.rev !rev_arity) in
-  let nb = Array.length bases in
-  let pos_templates =
-    List.filter
-      (fun (_, (atom : Ptemplate.atom), _) -> atom.Ptemplate.pol = Literal.Pos)
-      templates
-  in
-  let slots =
-    Array.of_list
-      (List.mapi
-         (fun j (_, _, g) ->
-           let alpha =
-             Array.of_list
-               (List.map
-                  (fun sym -> (sym, Hashtbl.find base_index (Symbol.base sym)))
-                  (Symbol.Set.elements (Guard.symbols g)))
-           in
-           let table = Gtable.lookup g in
-           {
-             s_guard = g;
-             s_table = table;
-             s_col = nb + j;
-             s_alpha = alpha;
-             s_open =
-               (match table with
-               | Some tbl -> Array.make (Gtable.num_states tbl) 0
-               | None -> [||]);
-           })
-         pos_templates)
-  in
-  let pos_slots = Array.make nb [||] in
-  List.iteri
-    (fun j (_, (atom : Ptemplate.atom), _) ->
-      let b = Hashtbl.find base_index atom.Ptemplate.base in
-      pos_slots.(b) <- Array.append pos_slots.(b) [| j |])
-    pos_templates;
-  let steps = Array.make nb [||] in
-  Array.iter
-    (fun slot ->
-      match slot.s_table with
-      | None -> ()
-      | Some tbl ->
-          Array.iter
-            (fun (sym, b) ->
-              match
-                ( Gtable.occ_input tbl sym Literal.Pos,
-                  Gtable.occ_input tbl sym Literal.Neg )
-              with
-              | Some cp, Some cn ->
-                  steps.(b) <- Array.append steps.(b) [| (slot.s_col, tbl, cp, cn) |]
-              | _ -> ())
-            slot.s_alpha)
-    slots;
-  let media =
-    Option.map
-      (fun faults -> Wf_store.Media.Sim.create ~faults ~seed:store_seed ())
-      store
-  in
-  let journal = Wf_store.Journal.create ~checkpoint_every () in
-  (match media with
-  | None -> ()
-  | Some m ->
-      Wf_store.Journal.attach journal
-        (Wf_store.Log.create codec (Wf_store.Media.Sim.device m)));
-  let tracer = ref None in
-  let tick = ref 0 in
-  let fstats = Wf_obs.Metrics.create () in
-  let flow =
-    Option.map
-      (fun cfg ->
-        Flow.create ~config:cfg ~num_sites:1
-          ~seed:(Int64.logxor store_seed 0x466C4F57L)
-          ~stats:fstats
-          ~now:(fun () -> float_of_int !tick)
-          ~tracer:(fun () -> !tracer)
-          ())
-      flow
-  in
-  {
-    deps;
-    templates;
-    bases;
-    base_arity;
-    base_index;
-    slots;
-    pos_slots;
-    steps;
-    arena = Arena.create ~width:(nb + Array.length slots);
-    itab_keys = Array.make 1024 itab_absent;
-    itab_vals = Array.make 1024 0;
-    tokens = Arena.Vec.create "";
-    occ = Arena.Vec.create 0;
-    extras_log = [||];
-    extras_len = 0;
-    extras = Hashtbl.create 16;
-    seqno = 0;
-    ptick = 0;
-    parked_n = 0;
-    parked_peak = 0;
-    journal;
-    media;
-    last_salvage = None;
-    tracer;
-    tick;
-    fstats;
-    ctr = counters_of fstats;
-    flow;
-    work = 0;
-  }
-
-(* --- classification and interning ---------------------------------------- *)
-
-(* A ground symbol is on-spec when its base and arity match the spec
-   and its arguments are all one ordinary token: then it is exactly one
-   binding's instance of one event base.  Everything else — unknown
-   base, arity mismatch, mixed-argument tuples, marker-shaped tokens —
-   matches no template atom (or would re-open variables), so no guard
-   ever mentions it: it is vacuously enabled and recorded off to the
-   side, mirroring Param_sched's empty-verdict path. *)
-type cls = On_spec of int * string | Off_spec
-
-let classify t sym =
-  match Hashtbl.find_opt t.base_index (Symbol.base sym) with
-  | None -> Off_spec
-  | Some b -> (
-      match Symbol.args sym with
-      | [] -> Off_spec
-      | a0 :: rest ->
-          if
-            List.compare_length_with rest (t.base_arity.(b) - 1) = 0
-            && List.for_all (String.equal a0) rest
-            && (not (is_marker a0))
-            && not (String.equal a0 fresh_marker)
-          then On_spec (b, a0)
-          else Off_spec)
-
-let intern t tok =
-  match itab_find t tok with
-  | i when i >= 0 -> i
-  | _ ->
-      let i = Arena.Vec.length t.tokens in
-      itab_maybe_grow t;
-      itab_put t tok i;
-      Arena.Vec.push t.tokens tok;
-      Arena.ensure t.arena i;
-      i
-
-let ground_symbol t b tok =
-  Symbol.parametrized t.bases.(b) (List.init t.base_arity.(b) (fun _ -> tok))
-
-let token t bind = Arena.Vec.get t.tokens bind
-
-(* --- occurrence log ------------------------------------------------------ *)
-
-(* One int per occurrence: on-spec entries pack
-   ((binding * |bases| + base) lsl 1) lor polarity; off-spec entries are
-   [-(k+1)] indexing [extras_log].  The seqno of entry i is i+1 — one
-   seqno per recorded occurrence, in log order. *)
-let push_occ t entry = Arena.Vec.push t.occ entry
-
-let occ_entry_literal t entry =
-  if entry >= 0 then
-    let pol = if entry land 1 <> 0 then Literal.Pos else Literal.Neg in
-    let packed = entry lsr 1 in
-    let nb = Array.length t.bases in
-    let b = packed mod nb and bind = packed / nb in
-    { Literal.sym = ground_symbol t b (token t bind); pol }
-  else t.extras_log.(-entry - 1)
-
-(* Mark (bind, b) occurred at [seqno] and step every compiled table that
-   reads base [b]; returns the number of table steps.  The arena is a
-   cache of the occurrence log: live recording and [restore]'s replay
-   both go through here. *)
-let set_occurred t bind b pol ~seqno =
-  Arena.set t.arena bind b (occurred_word ~pol ~seqno);
-  let st = t.steps.(b) in
-  for i = 0 to Array.length st - 1 do
-    let col, tbl, cp, cn = st.(i) in
-    let input = match pol with Literal.Pos -> cp | Literal.Neg -> cn in
-    Arena.set t.arena bind col
-      (Gtable.step_input tbl (Arena.get t.arena bind col) input)
-  done;
-  Array.length st
-
-let record_onspec t bind b pol =
-  t.seqno <- t.seqno + 1;
-  if tag_of (Arena.get t.arena bind b) = tag_parked then
-    t.parked_n <- t.parked_n - 1;
-  let nb = Array.length t.bases in
-  push_occ t
-    ((((bind * nb) + b) lsl 1)
-    lor (match pol with Literal.Pos -> 1 | Literal.Neg -> 0));
-  Wf_obs.Metrics.bump_by t.ctr.c_table_steps
-    (set_occurred t bind b pol ~seqno:t.seqno)
-
-let record_extra t (lit : Literal.t) =
-  t.seqno <- t.seqno + 1;
-  if t.extras_len >= Array.length t.extras_log then begin
-    let cap = max 16 (2 * Array.length t.extras_log) in
-    let arr = Array.make cap lit in
-    Array.blit t.extras_log 0 arr 0 t.extras_len;
-    t.extras_log <- arr
-  end;
-  t.extras_log.(t.extras_len) <- lit;
-  t.extras_len <- t.extras_len + 1;
-  Hashtbl.replace t.extras
-    (Symbol.name lit.Literal.sym)
-    ((t.seqno lsl 1)
-    lor (match lit.Literal.pol with Literal.Pos -> 1 | Literal.Neg -> 0));
-  push_occ t (-t.extras_len)
-
-(* --- evaluation ---------------------------------------------------------- *)
-
-(* Symbolic evaluation: rebuild the binding's knowledge over the slot's
-   own marked alphabet from its fate words.  Verdict-equal to
-   Param_sched's [eval_active] on the instantiated guard — the
-   renaming [?x → token] is an isomorphism of guards and knowledge
-   restrictions, and [Knowledge.status] only consults symbols of the
-   guard.  Uncounted; decisions go through [slot_symbolic]. *)
-let symbolic_status t slot bind =
-  let know = ref Knowledge.empty in
-  let reserved = ref Symbol.Set.empty in
-  Array.iter
-    (fun (sym, b) ->
-      let w = Arena.get t.arena bind b in
-      if tag_of w = tag_occurred then
-        know :=
-          Knowledge.occurred
-            { Literal.sym; pol = occurred_pol w }
-            ~seqno:(occurred_seqno w) !know
-      else reserved := Symbol.Set.add sym !reserved)
-    slot.s_alpha;
-  Knowledge.status ~reserved:!reserved !know slot.s_guard
-
-let slot_symbolic t slot bind =
-  Wf_obs.Metrics.bump t.ctr.c_symbolic;
-  symbolic_status t slot bind
-
-let verdict_code = function
-  | Knowledge.True -> 1
-  | Knowledge.False -> 2
-  | Knowledge.Unknown -> 3
-
-(* The verdict of a binding whose table state [st] is [Open].  The
-   state is the residual of the guard by the binding's occurrences
-   (§3.4), and every symbol still in the alphabet but undecided is
-   reserved: a fleet binding's events are decided only through this
-   engine, one input at a time.  The status therefore asks what the
-   residual admits when nothing else happens, which the residual alone
-   determines — so the first binding to reach [st] evaluates it
-   symbolically and every later one reads [s_open]. *)
-let open_verdict t slot bind st =
-  match Array.unsafe_get slot.s_open st with
-  | 1 -> Knowledge.True
-  | 2 -> Knowledge.False
-  | 3 -> Knowledge.Unknown
-  | _ ->
-      let v = slot_symbolic t slot bind in
-      slot.s_open.(st) <- verdict_code v;
-      v
-
-let slot_status t slot bind =
-  match slot.s_table with
-  | Some tbl -> (
-      let st = Arena.get t.arena bind slot.s_col in
-      match Gtable.verdict tbl st with
-      | Gtable.Enabled -> Knowledge.True
-      | Gtable.Violated -> Knowledge.False
-      | Gtable.Open -> open_verdict t slot bind st)
-  | None -> slot_symbolic t slot bind
-
-let combine a b =
-  match (a, b) with
-  | Knowledge.False, _ | _, Knowledge.False -> Knowledge.False
-  | Knowledge.True, Knowledge.True -> Knowledge.True
-  | _ -> Knowledge.Unknown
-
-let decide t bind b =
-  t.work <- t.work + 1;
-  let slots = t.pos_slots.(b) in
-  let rec go acc i =
-    if i >= Array.length slots then acc
-    else
-      match acc with
-      | Knowledge.False -> acc
-      | _ -> go (combine acc (slot_status t t.slots.(slots.(i)) bind)) (i + 1)
-  in
-  go Knowledge.True 0
-
-(* --- tracing ------------------------------------------------------------- *)
-
-let set_tracer t sink = t.tracer := sink
-
-let inst_guard slot tok =
-  Guard.map_symbols
-    (fun sym ->
-      match Symbol.args sym with
-      | [] -> sym
-      | args ->
-          Symbol.parametrized (Symbol.base sym)
-            (List.map (fun a -> if is_marker a then tok else a) args))
-    slot.s_guard
-
-(* Mirrors Param_sched.guard_uid_for: the interned instance guard of
-   the first matching positive template; only computed when a sink is
-   listening. *)
-let emit_assim t sym outcome =
-  match !(t.tracer) with
-  | None -> ()
-  | Some sink ->
-      let guard =
-        match classify t sym with
-        | On_spec (b, tok) when Array.length t.pos_slots.(b) > 0 ->
-            Guard.uid (inst_guard t.slots.(t.pos_slots.(b).(0)) tok)
-        | _ -> -1
-      in
-      Wf_obs.Trace.emit sink
-        (Wf_obs.Trace.make
-           ~time:(float_of_int !(t.tick))
-           ~site:0 ~actor:(Symbol.name sym)
-           (Wf_obs.Trace.Assim { outcome; guard }))
-
-(* [emit_assim] for binding [bind]'s instance of base [b]: the ground
-   symbol is built only when a sink is listening. *)
-let emit_assim_at t b bind outcome =
-  if Option.is_some !(t.tracer) then
-    emit_assim t (ground_symbol t b (token t bind)) outcome
-
-(* --- the engine ---------------------------------------------------------- *)
-
-(* Binding-level dispatch: an occurrence for binding [bind] can only
-   change [bind]'s own verdicts (independence, see the header), so the
-   retry loop walks just that binding's parked attempts — newest first
-   by park tick, matching Param_sched's global parked list order — and
-   recurses until a pass accepts nothing, like [retry_parked]. *)
-let rec retry_binding t bind =
-  let nb = Array.length t.bases in
-  let order = ref [] in
-  for b = nb - 1 downto 0 do
-    let w = Arena.get t.arena bind b in
-    if tag_of w = tag_parked then order := (parked_tick w, b) :: !order
-  done;
-  let order = List.sort (fun (ta, _) (tb, _) -> Int.compare tb ta) !order in
-  let progress = ref false in
-  List.iter
-    (fun (_, b) ->
-      let w = Arena.get t.arena bind b in
-      if tag_of w = tag_parked then begin
-        match decide t bind b with
-        | Knowledge.True ->
-            emit_assim_at t b bind Wf_obs.Trace.Enabled;
-            record_onspec t bind b Literal.Pos;
-            progress := true
-        | Knowledge.False | Knowledge.Unknown ->
-            emit_assim_at t b bind Wf_obs.Trace.Reduced
-      end)
-    order;
-  if !progress then retry_binding t bind
-
-let apply_attempt t sym =
-  Wf_obs.Metrics.bump t.ctr.c_attempts;
-  match classify t sym with
-  | On_spec (b, tok) -> (
-      let bind = intern t tok in
-      let w = Arena.get t.arena bind b in
-      if tag_of w = tag_occurred then Already
-      else
-        match decide t bind b with
-        | Knowledge.True ->
-            emit_assim t sym Wf_obs.Trace.Enabled;
-            record_onspec t bind b Literal.Pos;
-            retry_binding t bind;
-            Accepted
-        | Knowledge.False ->
-            emit_assim t sym Wf_obs.Trace.Rejected;
-            Rejected
-        | Knowledge.Unknown ->
-            emit_assim t sym Wf_obs.Trace.Parked;
-            if tag_of w <> tag_parked then begin
-              t.ptick <- t.ptick + 1;
-              Arena.set t.arena bind b (parked_word ~tick:t.ptick);
-              t.parked_n <- t.parked_n + 1;
-              if t.parked_n > t.parked_peak then begin
-                t.parked_peak <- t.parked_n;
-                Wf_obs.Metrics.gauge_max t.fstats "fleet_parked_peak"
-                  (float_of_int t.parked_n)
-              end
-            end;
-            Parked)
-  | Off_spec ->
-      if Hashtbl.mem t.extras (Symbol.name sym) then Already
-      else begin
-        (* no template matches: the empty verdict conjunction is True *)
-        t.work <- t.work + 1;
-        emit_assim t sym Wf_obs.Trace.Enabled;
-        record_extra t (Literal.pos sym);
-        Accepted
-      end
-
-let apply_occurred t lit =
-  Wf_obs.Metrics.bump t.ctr.c_occurred;
-  let sym = Literal.symbol lit in
-  match classify t sym with
-  | On_spec (b, tok) ->
-      let bind = intern t tok in
-      if tag_of (Arena.get t.arena bind b) <> tag_occurred then begin
-        record_onspec t bind b lit.Literal.pol;
-        retry_binding t bind
-      end
-  | Off_spec ->
-      if not (Hashtbl.mem t.extras (Symbol.name sym)) then record_extra t lit
-
-(* --- crash recovery ------------------------------------------------------ *)
-
-(* O(1) in the logs, which are shared (see [snapshot]'s type), plus one
-   read-only scan of the fate columns that allocates only the parked
-   triples. *)
-let snapshot t =
-  let nb = Array.length t.bases in
-  let parked = Array.make (3 * t.parked_n) 0 in
-  let k = ref 0 in
-  for bind = 0 to Arena.rows t.arena - 1 do
-    for b = 0 to nb - 1 do
-      let w = Arena.get t.arena bind b in
-      if tag_of w = tag_parked then begin
-        parked.(!k) <- bind;
-        parked.(!k + 1) <- b;
-        parked.(!k + 2) <- w;
-        k := !k + 3
-      end
-    done
-  done;
-  {
-    f_tokens = Arena.Vec.share t.tokens;
-    f_occ = Arena.Vec.share t.occ;
-    f_ptick = t.ptick;
-    f_extras = Array.sub t.extras_log 0 t.extras_len;
-    f_parked = parked;
-  }
-
-(* Takes writable copies of the snapshot's vectors ({!Arena.Vec.restore}:
-   the engine that took the snapshot, and every other engine restored
-   from it, keep writing their own last segments), then rebuilds the
-   arena: replay the log through [set_occurred] — without counting
-   table steps, which were counted when they first ran — and overlay
-   the parked fates. *)
-let restore t s =
-  let n = Arena.Vec.length s.f_tokens and nb = Array.length t.bases in
-  let corrupt_if c = if c then raise (B.Corrupt "fleet snapshot: bad index") in
-  t.tokens <- Arena.Vec.restore s.f_tokens;
-  t.itab_keys <- Array.make (itab_capacity_for n) itab_absent;
-  t.itab_vals <- Array.make (Array.length t.itab_keys) 0;
-  for i = 0 to n - 1 do
-    itab_put t (token t i) i
-  done;
-  t.occ <- Arena.Vec.restore s.f_occ;
-  t.seqno <- Arena.Vec.length t.occ;
-  t.ptick <- s.f_ptick;
-  t.extras_log <- Array.copy s.f_extras;
-  t.extras_len <- Array.length s.f_extras;
-  Hashtbl.reset t.extras;
-  t.arena <- Arena.create ~width:(Arena.width t.arena);
-  if n > 0 then Arena.ensure t.arena (n - 1);
-  for i = 0 to Arena.Vec.length t.occ - 1 do
-    let entry = Arena.Vec.get t.occ i in
-    if entry >= 0 then begin
-      let packed = entry lsr 1 in
-      corrupt_if (packed / nb >= n);
-      let pol = if entry land 1 <> 0 then Literal.Pos else Literal.Neg in
-      ignore (set_occurred t (packed / nb) (packed mod nb) pol ~seqno:(i + 1))
-    end
+  (* explicit loops: the reader is sequential, and [Array.init]'s
+     evaluation order is unspecified *)
+  let read_array n f r =
+    if n = 0 then [||]
     else begin
-      let lit = t.extras_log.(-entry - 1) in
-      Hashtbl.replace t.extras
-        (Symbol.name lit.Literal.sym)
-        (((i + 1) lsl 1)
-        lor (match lit.Literal.pol with Literal.Pos -> 1 | Literal.Neg -> 0))
+      let first = f r in
+      let arr = Array.make n first in
+      for i = 1 to n - 1 do
+        arr.(i) <- f r
+      done;
+      arr
     end
-  done;
-  let p = s.f_parked in
-  t.parked_n <- Array.length p / 3;
-  for k = 0 to t.parked_n - 1 do
-    let bind = p.(3 * k) and b = p.((3 * k) + 1) and w = p.((3 * k) + 2) in
-    corrupt_if
-      (bind < 0 || bind >= n || b < 0 || b >= nb || tag_of w <> tag_parked);
-    Arena.set t.arena bind b w
-  done
 
-let maybe_checkpoint t =
-  if Wf_store.Journal.wants_checkpoint t.journal then
-    Wf_store.Journal.checkpoint t.journal (snapshot t)
+  let read_vec fill n f r =
+    let v = Arena.Vec.create fill in
+    for _ = 1 to n do
+      Arena.Vec.push v (f r)
+    done;
+    v
 
-let admit_gate t sym =
-  match t.flow with
-  | None -> None
-  | Some fl -> (
-      match
-        Flow.admit fl ~site:0 ~actor:(Symbol.name sym) ~depth:t.parked_n
-          ~first:(float_of_int !(t.tick))
-          ()
-      with
-      | Flow.Admitted -> None
-      | Flow.Busy { retry_after } -> Some retry_after)
+  let get_snapshot r =
+    let f_tokens = read_vec "" (B.get_uint r) B.get_string r in
+    let f_occ = read_vec 0 (B.get_uint r) B.get_int r in
+    let f_ptick = B.get_int r in
+    let f_extras = read_array (B.get_uint r) Wire.get_literal r in
+    let f_parked = read_array (B.get_uint r) B.get_int r in
+    if Array.length f_parked mod 3 <> 0 then
+      raise (B.Corrupt "fleet snapshot: ragged parked triples");
+    { f_tokens; f_occ; f_ptick; f_extras; f_parked }
 
-let attempt t sym =
-  match admit_gate t sym with
-  | Some retry_after -> Busy { retry_after }
-  | None ->
-      Wf_store.Journal.append t.journal (F_attempt sym);
-      incr t.tick;
-      let out = apply_attempt t sym in
-      maybe_checkpoint t;
-      out
+  (* --- engine -------------------------------------------------------------- *)
 
-let occurred t lit =
-  Wf_store.Journal.append t.journal (F_occurred lit);
-  incr t.tick;
-  apply_occurred t lit;
-  maybe_checkpoint t
+  type slot = {
+    s_guard : Guard.t; (* template guard, over marked symbols *)
+    s_table : Gtable.t option; (* shared compiled residuation table *)
+    s_col : int; (* arena column of this slot's table state *)
+    s_alpha : (Symbol.t * int) array; (* (marked symbol, base id) alphabet *)
+    s_open : int array;
+        (* per table state: its verdict once known ([verdict_code]), 0
+           before; empty without a table *)
+  }
 
-let recover t =
-  let journal, salvage =
-    match t.media with
-    | None -> (t.journal, None)
-    | Some m ->
-        Wf_store.Media.Sim.crash m;
-        let j', report =
-          Wf_store.Journal.reload
-            ~checkpoint_every:(Wf_store.Journal.checkpoint_interval t.journal)
-            codec
-            (Wf_store.Media.Sim.device m)
-        in
-        (j', Some report)
-  in
-  let fresh =
+  (* Counters bumped on every input, resolved once against [fstats]. *)
+  type counters = {
+    c_attempts : Wf_obs.Metrics.counter;
+    c_occurred : Wf_obs.Metrics.counter;
+    c_table_steps : Wf_obs.Metrics.counter;
+    c_symbolic : Wf_obs.Metrics.counter;
+  }
+
+  let counters_of m =
+    let c = Wf_obs.Metrics.counter m in
     {
-      (create t.deps) with
-      journal;
-      media = t.media;
-      tracer = t.tracer;
-      tick = t.tick;
-      fstats = t.fstats;
-      ctr = t.ctr;
-      parked_peak = t.parked_peak;
-      flow = t.flow;
-      work = t.work;
+      c_attempts = c "fleet_attempts";
+      c_occurred = c "fleet_occurred";
+      c_table_steps = c "fleet_table_steps";
+      c_symbolic = c "fleet_symbolic_evals";
     }
-  in
-  fresh.last_salvage <-
-    (match salvage with None -> t.last_salvage | some -> some);
-  (match (salvage, !(t.tracer)) with
-  | Some report, Some sink ->
-      Wf_obs.Trace.emit sink
-        (Wf_obs.Trace.make
-           ~time:(float_of_int !(t.tick))
-           ~site:0
-           (Wf_obs.Trace.Store_salvage
-              {
-                kept = report.Wf_store.Log.sr_frames;
-                dropped = report.Wf_store.Log.sr_dropped_bytes;
-                fallback = report.Wf_store.Log.sr_ckpt = Wf_store.Log.Fallback;
-              }))
-  | _ -> ());
-  let saved = !(t.tracer) in
-  t.tracer := None;
-  let ckpt, suffix = Wf_store.Journal.recover journal in
-  (match ckpt with Some s -> restore fresh s | None -> ());
-  List.iter
-    (function
-      | F_attempt sym -> ignore (apply_attempt fresh sym)
-      | F_occurred lit -> apply_occurred fresh lit)
-    suffix;
-  t.tracer := saved;
-  fresh
 
-let vec_equal eq a b =
-  let n = Arena.Vec.length a in
-  Int.equal n (Arena.Vec.length b)
-  &&
-  let rec go i = i >= n || (eq (Arena.Vec.get a i) (Arena.Vec.get b i) && go (i + 1)) in
-  go 0
+  type t = {
+    env : Param_engine.env;
+    bases : string array;
+    base_arity : int array;
+    base_index : (string, int) Hashtbl.t;
+    slots : slot array; (* positive templates, in template order *)
+    pos_slots : int array array; (* per base: its positive slots *)
+    steps : (int * Gtable.t * int * int) array array;
+        (* per base: (state col, table, pos input, neg input) for every
+           slot whose compiled alphabet contains the base *)
+    mutable arena : Arena.t; (* width = |bases| + |slots| *)
+    (* Binding interner, open-addressed (power-of-two capacity, linear
+       probing, resize at 4/5 load): at fleet scale a generic Hashtbl
+       costs ~6 words per binding in cons buckets and slack, these two
+       flat arrays ~3.  [itab_absent] marks empty slots by physical
+       identity, so any token content is admissible as a key. *)
+    mutable itab_keys : string array;
+    mutable itab_vals : int array;
+    mutable tokens : string Arena.Vec.t; (* binding id -> token *)
+    mutable occ : int Arena.Vec.t; (* packed occurrence log, oldest first *)
+    mutable extras_log : Literal.t array; (* off-spec occurrences *)
+    mutable extras_len : int;
+    extras : (string, int) Hashtbl.t; (* symbol name -> (seqno lsl 1) lor pol *)
+    mutable seqno : int;
+    mutable ptick : int; (* park-order clock *)
+    mutable parked_n : int;
+    mutable parked_peak : int; (* last value sent to fleet_parked_peak *)
+    ctr : counters;
+  }
 
-let equal_state a b =
-  Int.equal a.seqno b.seqno
-  && Int.equal a.ptick b.ptick
-  && Int.equal a.parked_n b.parked_n
-  && vec_equal String.equal a.tokens b.tokens
-  && Arena.equal a.arena b.arena
-  && vec_equal Int.equal a.occ b.occ
-  && Int.equal a.extras_len b.extras_len
-  &&
-  let rec extras i =
-    i >= a.extras_len
-    || (Literal.equal a.extras_log.(i) b.extras_log.(i) && extras (i + 1))
-  in
-  extras 0
+  (* Fate words (arena columns 0..|bases|-1), tag in the low 2 bits:
+     0 = undecided, 1 = parked (park tick in bits 2..), 3 = occurred
+     (polarity in bit 2, global seqno in bits 3.. — seqnos preserve the
+     assimilation order that pending terms are sensitive to). *)
+  let tag_of w = w land 3
+  let tag_parked = 1
+  let tag_occurred = 3
+  let parked_word ~tick = (tick lsl 2) lor tag_parked
+  let parked_tick w = w lsr 2
 
-(* --- queries ------------------------------------------------------------- *)
+  let occurred_word ~pol ~seqno =
+    (seqno lsl 3)
+    lor ((match pol with Literal.Pos -> 1 | Literal.Neg -> 0) lsl 2)
+    lor tag_occurred
 
-let parked t =
-  let nb = Array.length t.bases in
-  let acc = ref [] in
-  for bind = 0 to Arena.rows t.arena - 1 do
-    for b = 0 to nb - 1 do
-      let w = Arena.get t.arena bind b in
-      if tag_of w = tag_parked then
-        acc := (parked_tick w, ground_symbol t b (token t bind)) :: !acc
-    done
-  done;
-  List.map snd (List.sort (fun (ta, _) (tb, _) -> Int.compare tb ta) !acc)
+  let occurred_pol w = if w land 4 <> 0 then Literal.Pos else Literal.Neg
+  let occurred_seqno w = w lsr 3
 
-let parked_count t = t.parked_n
+  (* --- binding interner ----------------------------------------------------- *)
 
-let trace t =
-  List.init (Arena.Vec.length t.occ) (fun i ->
-      occ_entry_literal t (Arena.Vec.get t.occ i))
+  let itab_absent = String.make 1 '\000'
 
-let decided t sym =
-  match classify t sym with
-  | On_spec (b, tok) -> (
-      match itab_find t tok with
-      | -1 -> false
-      | bind -> tag_of (Arena.get t.arena bind b) = tag_occurred)
-  | Off_spec -> Hashtbl.mem t.extras (Symbol.name sym)
+  let itab_find t tok =
+    let mask = Array.length t.itab_keys - 1 in
+    let rec probe i =
+      let k = Array.unsafe_get t.itab_keys i in
+      if k == itab_absent then -1
+      else if String.equal k tok then Array.unsafe_get t.itab_vals i
+      else probe ((i + 1) land mask)
+    in
+    probe (Hashtbl.hash tok land mask)
 
-let knowledge t =
-  let know = ref Knowledge.empty in
-  for i = 0 to Arena.Vec.length t.occ - 1 do
-    know :=
-      Knowledge.occurred
-        (occ_entry_literal t (Arena.Vec.get t.occ i))
-        ~seqno:(i + 1) !know
-  done;
-  !know
+  (* [tok] must be absent. *)
+  let itab_put t tok v =
+    let mask = Array.length t.itab_keys - 1 in
+    let rec probe i =
+      if t.itab_keys.(i) == itab_absent then begin
+        t.itab_keys.(i) <- tok;
+        t.itab_vals.(i) <- v
+      end
+      else probe ((i + 1) land mask)
+    in
+    probe (Hashtbl.hash tok land mask)
 
-let bindings t = Arena.Vec.length t.tokens
-let guard_templates t = t.templates
-let stats t = t.fstats
-let work t = t.work
-let last_salvage t = t.last_salvage
+  let itab_capacity_for n =
+    let cap = ref 1024 in
+    while 5 * (n + 1) > 4 * !cap do
+      cap := 2 * !cap
+    done;
+    !cap
 
-let table_states t =
-  Array.fold_left
-    (fun acc slot ->
-      match slot.s_table with
-      | Some tbl -> acc + Gtable.num_states tbl
-      | None -> acc)
-    0 t.slots
+  let itab_maybe_grow t =
+    if 5 * (Arena.Vec.length t.tokens + 1) > 4 * Array.length t.itab_keys then begin
+      let keys = t.itab_keys and vals = t.itab_vals in
+      t.itab_keys <- Array.make (2 * Array.length keys) itab_absent;
+      t.itab_vals <- Array.make (2 * Array.length vals) 0;
+      Array.iteri (fun i k -> if k != itab_absent then itab_put t k vals.(i)) keys
+    end
 
-(* Every (binding, table slot) pair whose state is Open: the verdict the
-   decisions read ([open_verdict], filled on a miss) against a fresh
-   uncounted symbolic evaluation of that binding. *)
-let audit_open_verdicts t =
-  let checked = ref 0 and mismatches = ref 0 in
-  for bind = 0 to Arena.rows t.arena - 1 do
+  let checkpoint_every = 1024
+
+  let create env deps templates =
+    if not (eligible deps) then
+      invalid_arg "Fleet.create: dependencies are not fleet-eligible";
+    let base_index = Hashtbl.create 16 in
+    let rev_bases = ref [] in
+    let rev_arity = ref [] in
+    let n_bases = ref 0 in
+    let note_base name ar =
+      if not (Hashtbl.mem base_index name) then begin
+        Hashtbl.add base_index name !n_bases;
+        rev_bases := name :: !rev_bases;
+        rev_arity := ar :: !rev_arity;
+        incr n_bases
+      end
+    in
+    List.iter
+      (fun (_, (atom : Ptemplate.atom), g) ->
+        note_base atom.Ptemplate.base (List.length atom.Ptemplate.params);
+        Symbol.Set.iter
+          (fun sym -> note_base (Symbol.base sym) (List.length (Symbol.args sym)))
+          (Guard.symbols g))
+      templates;
+    let bases = Array.of_list (List.rev !rev_bases) in
+    let base_arity = Array.of_list (List.rev !rev_arity) in
+    let nb = Array.length bases in
+    let pos_templates =
+      List.filter
+        (fun (_, (atom : Ptemplate.atom), _) -> atom.Ptemplate.pol = Literal.Pos)
+        templates
+    in
+    let slots =
+      Array.of_list
+        (List.mapi
+           (fun j (_, _, g) ->
+             let alpha =
+               Array.of_list
+                 (List.map
+                    (fun sym -> (sym, Hashtbl.find base_index (Symbol.base sym)))
+                    (Symbol.Set.elements (Guard.symbols g)))
+             in
+             let table = Gtable.lookup g in
+             {
+               s_guard = g;
+               s_table = table;
+               s_col = nb + j;
+               s_alpha = alpha;
+               s_open =
+                 (match table with
+                 | Some tbl -> Array.make (Gtable.num_states tbl) 0
+                 | None -> [||]);
+             })
+           pos_templates)
+    in
+    let pos_slots = Array.make nb [||] in
+    List.iteri
+      (fun j (_, (atom : Ptemplate.atom), _) ->
+        let b = Hashtbl.find base_index atom.Ptemplate.base in
+        pos_slots.(b) <- Array.append pos_slots.(b) [| j |])
+      pos_templates;
+    let steps = Array.make nb [||] in
     Array.iter
       (fun slot ->
         match slot.s_table with
+        | None -> ()
         | Some tbl ->
-            let st = Arena.get t.arena bind slot.s_col in
-            if Gtable.verdict tbl st = Gtable.Open then begin
-              incr checked;
-              if open_verdict t slot bind st <> symbolic_status t slot bind then
-                incr mismatches
-            end
-        | None -> ())
-      t.slots
-  done;
-  (!checked, !mismatches)
+            Array.iter
+              (fun (sym, b) ->
+                match
+                  ( Gtable.occ_input tbl sym Literal.Pos,
+                    Gtable.occ_input tbl sym Literal.Neg )
+                with
+                | Some cp, Some cn ->
+                    steps.(b) <- Array.append steps.(b) [| (slot.s_col, tbl, cp, cn) |]
+                | _ -> ())
+              slot.s_alpha)
+      slots;
+    {
+      env;
+      bases;
+      base_arity;
+      base_index;
+      slots;
+      pos_slots;
+      steps;
+      arena = Arena.create ~width:(nb + Array.length slots);
+      itab_keys = Array.make 1024 itab_absent;
+      itab_vals = Array.make 1024 0;
+      tokens = Arena.Vec.create "";
+      occ = Arena.Vec.create 0;
+      extras_log = [||];
+      extras_len = 0;
+      extras = Hashtbl.create 16;
+      seqno = 0;
+      ptick = 0;
+      parked_n = 0;
+      parked_peak = 0;
+      ctr = counters_of env.fstats;
+    }
 
-let state_words t =
-  Arena.words t.arena + Arena.Vec.words t.occ + Arena.Vec.words t.tokens
-  + Array.length t.itab_keys + Array.length t.itab_vals
+  let carry ~from t = t.parked_peak <- from.parked_peak
+
+  (* --- classification and interning ---------------------------------------- *)
+
+  (* A ground symbol is on-spec when its base and arity match the spec
+     and its arguments are all one ordinary token: then it is exactly one
+     binding's instance of one event base.  Everything else — unknown
+     base, arity mismatch, mixed-argument tuples, marker-shaped tokens —
+     matches no template atom (or would re-open variables), so no guard
+     ever mentions it: it is vacuously enabled and recorded off to the
+     side, mirroring Param_sched's empty-verdict path. *)
+  type cls = On_spec of int * string | Off_spec
+
+  let classify t sym =
+    match Hashtbl.find_opt t.base_index (Symbol.base sym) with
+    | None -> Off_spec
+    | Some b -> (
+        match Symbol.args sym with
+        | [] -> Off_spec
+        | a0 :: rest ->
+            if
+              List.compare_length_with rest (t.base_arity.(b) - 1) = 0
+              && List.for_all (String.equal a0) rest
+              && (not (is_marker a0))
+              && not (String.equal a0 fresh_marker)
+            then On_spec (b, a0)
+            else Off_spec)
+
+  let intern t tok =
+    match itab_find t tok with
+    | i when i >= 0 -> i
+    | _ ->
+        let i = Arena.Vec.length t.tokens in
+        itab_maybe_grow t;
+        itab_put t tok i;
+        Arena.Vec.push t.tokens tok;
+        Arena.ensure t.arena i;
+        i
+
+  let ground_symbol t b tok =
+    Symbol.parametrized t.bases.(b) (List.init t.base_arity.(b) (fun _ -> tok))
+
+  let token t bind = Arena.Vec.get t.tokens bind
+
+  (* --- occurrence log ------------------------------------------------------ *)
+
+  (* One int per occurrence: on-spec entries pack
+     ((binding * |bases| + base) lsl 1) lor polarity; off-spec entries are
+     [-(k+1)] indexing [extras_log].  The seqno of entry i is i+1 — one
+     seqno per recorded occurrence, in log order. *)
+  let push_occ t entry = Arena.Vec.push t.occ entry
+
+  let occ_entry_literal t entry =
+    if entry >= 0 then
+      let pol = if entry land 1 <> 0 then Literal.Pos else Literal.Neg in
+      let packed = entry lsr 1 in
+      let nb = Array.length t.bases in
+      let b = packed mod nb and bind = packed / nb in
+      { Literal.sym = ground_symbol t b (token t bind); pol }
+    else t.extras_log.(-entry - 1)
+
+  (* Mark (bind, b) occurred at [seqno] and step every compiled table that
+     reads base [b]; returns the number of table steps.  The arena is a
+     cache of the occurrence log: live recording and [restore]'s replay
+     both go through here. *)
+  let set_occurred t bind b pol ~seqno =
+    Arena.set t.arena bind b (occurred_word ~pol ~seqno);
+    let st = t.steps.(b) in
+    for i = 0 to Array.length st - 1 do
+      let col, tbl, cp, cn = st.(i) in
+      let input = match pol with Literal.Pos -> cp | Literal.Neg -> cn in
+      Arena.set t.arena bind col
+        (Gtable.step_input tbl (Arena.get t.arena bind col) input)
+    done;
+    Array.length st
+
+  let record_onspec t bind b pol =
+    t.seqno <- t.seqno + 1;
+    if tag_of (Arena.get t.arena bind b) = tag_parked then
+      t.parked_n <- t.parked_n - 1;
+    let nb = Array.length t.bases in
+    push_occ t
+      ((((bind * nb) + b) lsl 1)
+      lor (match pol with Literal.Pos -> 1 | Literal.Neg -> 0));
+    Wf_obs.Metrics.bump_by t.ctr.c_table_steps
+      (set_occurred t bind b pol ~seqno:t.seqno)
+
+  let record_extra t (lit : Literal.t) =
+    t.seqno <- t.seqno + 1;
+    if t.extras_len >= Array.length t.extras_log then begin
+      let cap = max 16 (2 * Array.length t.extras_log) in
+      let arr = Array.make cap lit in
+      Array.blit t.extras_log 0 arr 0 t.extras_len;
+      t.extras_log <- arr
+    end;
+    t.extras_log.(t.extras_len) <- lit;
+    t.extras_len <- t.extras_len + 1;
+    Hashtbl.replace t.extras
+      (Symbol.name lit.Literal.sym)
+      ((t.seqno lsl 1)
+      lor (match lit.Literal.pol with Literal.Pos -> 1 | Literal.Neg -> 0));
+    push_occ t (-t.extras_len)
+
+  (* --- evaluation ---------------------------------------------------------- *)
+
+  (* Symbolic evaluation: rebuild the binding's knowledge over the slot's
+     own marked alphabet from its fate words.  Verdict-equal to
+     Param_sched's [eval_active] on the instantiated guard — the
+     renaming [?x → token] is an isomorphism of guards and knowledge
+     restrictions, and [Knowledge.status] only consults symbols of the
+     guard.  Uncounted; decisions go through [slot_symbolic]. *)
+  let symbolic_status t slot bind =
+    let know = ref Knowledge.empty in
+    let reserved = ref Symbol.Set.empty in
+    Array.iter
+      (fun (sym, b) ->
+        let w = Arena.get t.arena bind b in
+        if tag_of w = tag_occurred then
+          know :=
+            Knowledge.occurred
+              { Literal.sym; pol = occurred_pol w }
+              ~seqno:(occurred_seqno w) !know
+        else reserved := Symbol.Set.add sym !reserved)
+      slot.s_alpha;
+    Knowledge.status ~reserved:!reserved !know slot.s_guard
+
+  let slot_symbolic t slot bind =
+    Wf_obs.Metrics.bump t.ctr.c_symbolic;
+    symbolic_status t slot bind
+
+  let verdict_code = function
+    | Knowledge.True -> 1
+    | Knowledge.False -> 2
+    | Knowledge.Unknown -> 3
+
+  (* The verdict of a binding whose table state [st] is [Open].  The
+     state is the residual of the guard by the binding's occurrences
+     (§3.4), and every symbol still in the alphabet but undecided is
+     reserved: a fleet binding's events are decided only through this
+     engine, one input at a time.  The status therefore asks what the
+     residual admits when nothing else happens, which the residual alone
+     determines — so the first binding to reach [st] evaluates it
+     symbolically and every later one reads [s_open]. *)
+  let open_verdict t slot bind st =
+    match Array.unsafe_get slot.s_open st with
+    | 1 -> Knowledge.True
+    | 2 -> Knowledge.False
+    | 3 -> Knowledge.Unknown
+    | _ ->
+        let v = slot_symbolic t slot bind in
+        slot.s_open.(st) <- verdict_code v;
+        v
+
+  let slot_status t slot bind =
+    match slot.s_table with
+    | Some tbl -> (
+        let st = Arena.get t.arena bind slot.s_col in
+        match Gtable.verdict tbl st with
+        | Gtable.Enabled -> Knowledge.True
+        | Gtable.Violated -> Knowledge.False
+        | Gtable.Open -> open_verdict t slot bind st)
+    | None -> slot_symbolic t slot bind
+
+  let decide t bind b =
+    t.env.work <- t.env.work + 1;
+    let slots = t.pos_slots.(b) in
+    let rec go acc i =
+      if i >= Array.length slots then acc
+      else
+        match acc with
+        | Knowledge.False -> acc
+        | _ -> go (Param_engine.combine acc (slot_status t t.slots.(slots.(i)) bind)) (i + 1)
+    in
+    go Knowledge.True 0
+
+  (* --- tracing ------------------------------------------------------------- *)
+
+  let inst_guard slot tok =
+    Guard.map_symbols
+      (fun sym ->
+        match Symbol.args sym with
+        | [] -> sym
+        | args ->
+            Symbol.parametrized (Symbol.base sym)
+              (List.map (fun a -> if is_marker a then tok else a) args))
+      slot.s_guard
+
+  (* The guard id {!Param_engine.S.set_tracer} documents: the interned
+     instance guard of the first matching positive template; only
+     computed when a sink is listening. *)
+  let emit_assim t sym outcome =
+    if Param_engine.tracing t.env then
+      Param_engine.emit_assim t.env sym outcome
+        ~guard:
+          (match classify t sym with
+          | On_spec (b, tok) when Array.length t.pos_slots.(b) > 0 ->
+              Guard.uid (inst_guard t.slots.(t.pos_slots.(b).(0)) tok)
+          | _ -> -1)
+
+  (* [emit_assim] for binding [bind]'s instance of base [b]: the ground
+     symbol is built only when a sink is listening. *)
+  let emit_assim_at t b bind outcome =
+    if Param_engine.tracing t.env then
+      emit_assim t (ground_symbol t b (token t bind)) outcome
+
+  (* --- the engine ---------------------------------------------------------- *)
+
+  (* Binding-level dispatch: an occurrence for binding [bind] can only
+     change [bind]'s own verdicts (independence, see the header), so the
+     retry loop walks just that binding's parked attempts — newest first
+     by park tick, matching Param_sched's global parked list order — and
+     recurses until a pass accepts nothing, like [retry_parked]. *)
+  let rec retry_binding t bind =
+    let nb = Array.length t.bases in
+    let order = ref [] in
+    for b = nb - 1 downto 0 do
+      let w = Arena.get t.arena bind b in
+      if tag_of w = tag_parked then order := (parked_tick w, b) :: !order
+    done;
+    let order = List.sort (fun (ta, _) (tb, _) -> Int.compare tb ta) !order in
+    let progress = ref false in
+    List.iter
+      (fun (_, b) ->
+        let w = Arena.get t.arena bind b in
+        if tag_of w = tag_parked then begin
+          match decide t bind b with
+          | Knowledge.True ->
+              emit_assim_at t b bind Wf_obs.Trace.Enabled;
+              record_onspec t bind b Literal.Pos;
+              progress := true
+          | Knowledge.False | Knowledge.Unknown ->
+              emit_assim_at t b bind Wf_obs.Trace.Reduced
+        end)
+      order;
+    if !progress then retry_binding t bind
+
+  let apply_attempt t sym =
+    Wf_obs.Metrics.bump t.ctr.c_attempts;
+    match classify t sym with
+    | On_spec (b, tok) -> (
+        let bind = intern t tok in
+        let w = Arena.get t.arena bind b in
+        if tag_of w = tag_occurred then Already
+        else
+          match decide t bind b with
+          | Knowledge.True ->
+              emit_assim t sym Wf_obs.Trace.Enabled;
+              record_onspec t bind b Literal.Pos;
+              retry_binding t bind;
+              Accepted
+          | Knowledge.False ->
+              emit_assim t sym Wf_obs.Trace.Rejected;
+              Rejected
+          | Knowledge.Unknown ->
+              emit_assim t sym Wf_obs.Trace.Parked;
+              if tag_of w <> tag_parked then begin
+                t.ptick <- t.ptick + 1;
+                Arena.set t.arena bind b (parked_word ~tick:t.ptick);
+                t.parked_n <- t.parked_n + 1;
+                if t.parked_n > t.parked_peak then begin
+                  t.parked_peak <- t.parked_n;
+                  Wf_obs.Metrics.gauge_max t.env.fstats "fleet_parked_peak"
+                    (float_of_int t.parked_n)
+                end
+              end;
+              Parked)
+    | Off_spec ->
+        if Hashtbl.mem t.extras (Symbol.name sym) then Already
+        else begin
+          (* no template matches: the empty verdict conjunction is True *)
+          t.env.work <- t.env.work + 1;
+          emit_assim t sym Wf_obs.Trace.Enabled;
+          record_extra t (Literal.pos sym);
+          Accepted
+        end
+
+  let apply_occurred t lit =
+    Wf_obs.Metrics.bump t.ctr.c_occurred;
+    let sym = Literal.symbol lit in
+    match classify t sym with
+    | On_spec (b, tok) ->
+        let bind = intern t tok in
+        if tag_of (Arena.get t.arena bind b) <> tag_occurred then begin
+          record_onspec t bind b lit.Literal.pol;
+          retry_binding t bind
+        end
+    | Off_spec ->
+        if not (Hashtbl.mem t.extras (Symbol.name sym)) then record_extra t lit
+
+  (* --- crash recovery ------------------------------------------------------ *)
+
+  (* O(1) in the logs, which are shared (see [snapshot]'s type), plus one
+     read-only scan of the fate columns that allocates only the parked
+     triples. *)
+  let snapshot t =
+    let nb = Array.length t.bases in
+    let parked = Array.make (3 * t.parked_n) 0 in
+    let k = ref 0 in
+    for bind = 0 to Arena.rows t.arena - 1 do
+      for b = 0 to nb - 1 do
+        let w = Arena.get t.arena bind b in
+        if tag_of w = tag_parked then begin
+          parked.(!k) <- bind;
+          parked.(!k + 1) <- b;
+          parked.(!k + 2) <- w;
+          k := !k + 3
+        end
+      done
+    done;
+    {
+      f_tokens = Arena.Vec.share t.tokens;
+      f_occ = Arena.Vec.share t.occ;
+      f_ptick = t.ptick;
+      f_extras = Array.sub t.extras_log 0 t.extras_len;
+      f_parked = parked;
+    }
+
+  (* Takes writable copies of the snapshot's vectors ({!Arena.Vec.restore}:
+     the engine that took the snapshot, and every other engine restored
+     from it, keep writing their own last segments), then rebuilds the
+     arena: replay the log through [set_occurred] — without counting
+     table steps, which were counted when they first ran — and overlay
+     the parked fates. *)
+  let restore t s =
+    let n = Arena.Vec.length s.f_tokens and nb = Array.length t.bases in
+    let corrupt_if c = if c then raise (B.Corrupt "fleet snapshot: bad index") in
+    t.tokens <- Arena.Vec.restore s.f_tokens;
+    t.itab_keys <- Array.make (itab_capacity_for n) itab_absent;
+    t.itab_vals <- Array.make (Array.length t.itab_keys) 0;
+    for i = 0 to n - 1 do
+      itab_put t (token t i) i
+    done;
+    t.occ <- Arena.Vec.restore s.f_occ;
+    t.seqno <- Arena.Vec.length t.occ;
+    t.ptick <- s.f_ptick;
+    t.extras_log <- Array.copy s.f_extras;
+    t.extras_len <- Array.length s.f_extras;
+    Hashtbl.reset t.extras;
+    t.arena <- Arena.create ~width:(Arena.width t.arena);
+    if n > 0 then Arena.ensure t.arena (n - 1);
+    for i = 0 to Arena.Vec.length t.occ - 1 do
+      let entry = Arena.Vec.get t.occ i in
+      if entry >= 0 then begin
+        let packed = entry lsr 1 in
+        corrupt_if (packed / nb >= n);
+        let pol = if entry land 1 <> 0 then Literal.Pos else Literal.Neg in
+        ignore (set_occurred t (packed / nb) (packed mod nb) pol ~seqno:(i + 1))
+      end
+      else begin
+        let lit = t.extras_log.(-entry - 1) in
+        Hashtbl.replace t.extras
+          (Symbol.name lit.Literal.sym)
+          (((i + 1) lsl 1)
+          lor (match lit.Literal.pol with Literal.Pos -> 1 | Literal.Neg -> 0))
+      end
+    done;
+    let p = s.f_parked in
+    t.parked_n <- Array.length p / 3;
+    for k = 0 to t.parked_n - 1 do
+      let bind = p.(3 * k) and b = p.((3 * k) + 1) and w = p.((3 * k) + 2) in
+      corrupt_if
+        (bind < 0 || bind >= n || b < 0 || b >= nb || tag_of w <> tag_parked);
+      Arena.set t.arena bind b w
+    done
+
+  let vec_equal eq a b =
+    let n = Arena.Vec.length a in
+    Int.equal n (Arena.Vec.length b)
+    &&
+    let rec go i = i >= n || (eq (Arena.Vec.get a i) (Arena.Vec.get b i) && go (i + 1)) in
+    go 0
+
+  let equal_state a b =
+    Int.equal a.seqno b.seqno
+    && Int.equal a.ptick b.ptick
+    && Int.equal a.parked_n b.parked_n
+    && vec_equal String.equal a.tokens b.tokens
+    && Arena.equal a.arena b.arena
+    && vec_equal Int.equal a.occ b.occ
+    && Int.equal a.extras_len b.extras_len
+    &&
+    let rec extras i =
+      i >= a.extras_len
+      || (Literal.equal a.extras_log.(i) b.extras_log.(i) && extras (i + 1))
+    in
+    extras 0
+
+  (* --- queries ------------------------------------------------------------- *)
+
+  let parked t =
+    let nb = Array.length t.bases in
+    let acc = ref [] in
+    for bind = 0 to Arena.rows t.arena - 1 do
+      for b = 0 to nb - 1 do
+        let w = Arena.get t.arena bind b in
+        if tag_of w = tag_parked then
+          acc := (parked_tick w, ground_symbol t b (token t bind)) :: !acc
+      done
+    done;
+    List.map snd (List.sort (fun (ta, _) (tb, _) -> Int.compare tb ta) !acc)
+
+  let parked_count t = t.parked_n
+
+  let trace t =
+    List.init (Arena.Vec.length t.occ) (fun i ->
+        occ_entry_literal t (Arena.Vec.get t.occ i))
+
+  let decided t sym =
+    match classify t sym with
+    | On_spec (b, tok) -> (
+        match itab_find t tok with
+        | -1 -> false
+        | bind -> tag_of (Arena.get t.arena bind b) = tag_occurred)
+    | Off_spec -> Hashtbl.mem t.extras (Symbol.name sym)
+
+  let knowledge t =
+    let know = ref Knowledge.empty in
+    for i = 0 to Arena.Vec.length t.occ - 1 do
+      know :=
+        Knowledge.occurred
+          (occ_entry_literal t (Arena.Vec.get t.occ i))
+          ~seqno:(i + 1) !know
+    done;
+    !know
+
+  let bindings t = Arena.Vec.length t.tokens
+
+  let table_states t =
+    Array.fold_left
+      (fun acc slot ->
+        match slot.s_table with
+        | Some tbl -> acc + Gtable.num_states tbl
+        | None -> acc)
+      0 t.slots
+
+  (* Every (binding, table slot) pair whose state is Open: the verdict the
+     decisions read ([open_verdict], filled on a miss) against a fresh
+     uncounted symbolic evaluation of that binding. *)
+  let audit_open_verdicts t =
+    let checked = ref 0 and mismatches = ref 0 in
+    for bind = 0 to Arena.rows t.arena - 1 do
+      Array.iter
+        (fun slot ->
+          match slot.s_table with
+          | Some tbl ->
+              let st = Arena.get t.arena bind slot.s_col in
+              if Gtable.verdict tbl st = Gtable.Open then begin
+                incr checked;
+                if open_verdict t slot bind st <> symbolic_status t slot bind then
+                  incr mismatches
+              end
+          | None -> ())
+        t.slots
+    done;
+    (!checked, !mismatches)
+
+  let state_words t =
+    Arena.words t.arena + Arena.Vec.words t.occ + Arena.Vec.words t.tokens
+    + Array.length t.itab_keys + Array.length t.itab_vals
+end
+
+include Param_engine.Make (Core)
+
+let bindings t = Core.bindings (core t)
+let table_states t = Core.table_states (core t)
+let audit_open_verdicts t = Core.audit_open_verdicts (core t)
+let state_words t = Core.state_words (core t)

@@ -8,47 +8,11 @@ type result = {
   finished : bool;
 }
 
-(* Engine dispatch: the driver speaks to either parametrized engine
-   through one record of closures, so the step loop below is engine
-   agnostic.  Each closure set owns a ref to the live engine so that
-   [e_recover] can swap in the rebuilt one. *)
-type eng = {
-  e_attempt : Symbol.t -> Param_sched.outcome;
-  e_decided : Symbol.t -> bool;
-  e_trace : unit -> Trace.t;
-  e_parked : unit -> Symbol.t list;
-  e_recover : unit -> unit;
-}
-
-let symbolic_eng ?tracer ?flow templates =
-  let e = ref (Param_sched.create ?flow templates) in
-  Param_sched.set_tracer !e tracer;
-  {
-    e_attempt = (fun sym -> Param_sched.attempt !e sym);
-    e_decided = (fun sym -> Knowledge.decided (Param_sched.knowledge !e) sym);
-    e_trace = (fun () -> Param_sched.trace !e);
-    e_parked = (fun () -> Param_sched.parked !e);
-    e_recover = (fun () -> e := Param_sched.recover !e);
-  }
-
-let fleet_eng ?tracer ?flow templates =
-  let e = ref (Fleet.create ?flow templates) in
-  Fleet.set_tracer !e tracer;
-  {
-    e_attempt = (fun sym -> Fleet.attempt !e sym);
-    e_decided = (fun sym -> Fleet.decided !e sym);
-    e_trace = (fun () -> Fleet.trace !e);
-    e_parked = (fun () -> Fleet.parked !e);
-    e_recover = (fun () -> e := Fleet.recover !e);
-  }
-
 let run ?(seed = 42L) ?(max_steps = 100_000) ?crash_every ?tracer ?flow
-    ?(engine = `Symbolic) ~templates wf =
-  let eng =
-    match engine with
-    | `Symbolic -> symbolic_eng ?tracer ?flow templates
-    | `Fleet -> fleet_eng ?tracer ?flow templates
-  in
+    ?(engine = (module Param_sched : Param_engine.S)) ~templates wf =
+  let module E = (val engine) in
+  let e = ref (E.create ?flow templates) in
+  E.set_tracer !e tracer;
   let rng = Wf_sim.Rng.create seed in
   let agents =
     List.map
@@ -67,52 +31,58 @@ let run ?(seed = 42L) ?(max_steps = 100_000) ?crash_every ?tracer ?flow
      step loop has no clock; the admission controller's probe admission
      guarantees the retry eventually lands). *)
   let busy : (string, unit) Hashtbl.t = Hashtbl.create 8 in
-  let handle agent sym outcome =
-    match outcome with
-    | Param_sched.Accepted | Param_sched.Already ->
+  (* One attempt; the trace grows exactly when it is [Accepted] (the
+     accept plus any parked retries it releases), so that is the
+     driver's progress signal. *)
+  let attempt agent sym =
+    incr attempts;
+    let outcome = E.attempt !e sym in
+    (match outcome with
+    | Accepted | Already ->
         Hashtbl.remove busy (Agent.instance agent);
         ignore (Agent.on_accepted agent sym)
-    | Param_sched.Parked -> Hashtbl.remove busy (Agent.instance agent)
-    | Param_sched.Rejected ->
+    | Parked -> Hashtbl.remove busy (Agent.instance agent)
+    | Rejected ->
         Hashtbl.remove busy (Agent.instance agent);
         Agent.on_rejected agent sym
-    | Param_sched.Busy _ -> Hashtbl.replace busy (Agent.instance agent) ()
+    | Busy _ -> Hashtbl.replace busy (Agent.instance agent) ());
+    outcome = Accepted
   in
   let progress () = List.exists (fun a -> not (Agent.finished a)) agents in
   while progress () && !steps < max_steps && !stalled < 10_000 do
     incr steps;
-    let before = Trace.length (eng.e_trace ()) in
     let live = List.filter (fun a -> not (Agent.finished a)) agents in
-    if live <> [] then begin
+    let accepted =
+      live <> []
+      &&
       let agent = Wf_sim.Rng.pick rng live in
       match Agent.want agent with
       | None -> (
           (* Awaiting a parked decision: poke the engine. *)
           match Agent.awaiting agent with
-          | Some sym when eng.e_decided sym -> ignore (Agent.on_accepted agent sym)
+          | Some sym when E.decided !e sym ->
+              ignore (Agent.on_accepted agent sym);
+              false
           | Some sym when Hashtbl.mem busy (Agent.instance agent) ->
-              incr attempts;
-              handle agent sym (eng.e_attempt sym)
-          | _ -> ())
+              attempt agent sym
+          | _ -> false)
       | Some (sym, _) ->
-          incr attempts;
           Agent.begin_attempt agent sym;
-          handle agent sym (eng.e_attempt sym)
-    end;
+          attempt agent sym
+    in
     (* Simulated engine crash: throw the in-memory engine away and
-       rebuild it from its journal (checkpoint + replay).  Agents model
-       durable tasks and keep their state. *)
+       rebuild it from its journal (checkpoint + replay), which keeps
+       the trace.  Agents model durable tasks and keep their state. *)
     (match crash_every with
     | Some k when k > 0 && !attempts >= !last_crash + k ->
         last_crash := !attempts;
-        eng.e_recover ()
+        e := E.recover !e
     | _ -> ());
-    if Trace.length (eng.e_trace ()) = before then incr stalled
-    else stalled := 0
+    if accepted then stalled := 0 else incr stalled
   done;
   {
-    trace = eng.e_trace ();
+    trace = E.trace !e;
     attempts = !attempts;
-    parked_final = eng.e_parked ();
+    parked_final = E.parked !e;
     finished = List.for_all Agent.finished agents;
   }

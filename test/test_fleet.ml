@@ -69,42 +69,45 @@ let test_eligible () =
 type ev = A of Symbol.t | O of Literal.t
 
 let show_outcome = function
-  | Param_sched.Accepted -> "accepted"
-  | Param_sched.Parked -> "parked"
-  | Param_sched.Rejected -> "rejected"
-  | Param_sched.Already -> "already"
-  | Param_sched.Busy { retry_after } -> Printf.sprintf "busy(%g)" retry_after
+  | Param_engine.Accepted -> "accepted"
+  | Param_engine.Parked -> "parked"
+  | Param_engine.Rejected -> "rejected"
+  | Param_engine.Already -> "already"
+  | Param_engine.Busy { retry_after } -> Printf.sprintf "busy(%g)" retry_after
 
-(* Feed the same stream to both engines; every divergence is a failure.
+module type E = Param_engine.S
+
+(* Feed the same stream to two engines; every divergence is a failure.
    Returns the engines for further probing. *)
-let run_both ?flow deps evs =
-  let se = Param_sched.create ?flow deps in
-  let fe = Fleet.create ?flow deps in
+let lockstep (type a b) (module L : E with type t = a)
+    (module R : E with type t = b) ?flow deps evs : a * b =
+  let l = L.create ?flow deps in
+  let r = R.create ?flow deps in
   List.iteri
     (fun i ev ->
       match ev with
       | A sym ->
-          let a = Param_sched.attempt se sym in
-          let b = Fleet.attempt fe sym in
+          let a = L.attempt l sym in
+          let b = R.attempt r sym in
           if a <> b then
             Alcotest.failf "event %d, attempt %s: symbolic=%s fleet=%s" i
               (Symbol.name sym) (show_outcome a) (show_outcome b)
-      | O l ->
-          Param_sched.occurred se l;
-          Fleet.occurred fe l)
+      | O lit ->
+          L.occurred l lit;
+          R.occurred r lit)
     evs;
-  check trace_testable "traces agree" (Param_sched.trace se) (Fleet.trace fe);
+  check trace_testable "traces agree" (L.trace l) (R.trace r);
   checkb "parked backlogs agree (content and order)"
-    (List.equal Symbol.equal (Param_sched.parked se) (Fleet.parked fe));
-  checkb "knowledge agrees"
-    (Knowledge.equal (Param_sched.knowledge se) (Fleet.knowledge fe));
+    (List.equal Symbol.equal (L.parked l) (R.parked r));
+  checkb "knowledge agrees" (Knowledge.equal (L.knowledge l) (R.knowledge r));
   check Alcotest.int "symbolic parked counter = |parked|"
-    (List.length (Param_sched.parked se))
-    (Param_sched.parked_count se);
+    (List.length (L.parked l)) (L.parked_count l);
   check Alcotest.int "fleet parked counter = |parked|"
-    (List.length (Fleet.parked fe))
-    (Fleet.parked_count fe);
-  (se, fe)
+    (List.length (R.parked r)) (R.parked_count r);
+  (l, r)
+
+let run_both ?flow deps evs =
+  lockstep (module Param_sched) (module Fleet) ?flow deps evs
 
 let test_differential_deterministic () =
   (* Out-of-order commits park, prepares release them binding by
@@ -297,24 +300,22 @@ let test_fleet_recover_with_store () =
   let fe'' = Fleet.recover fe' in
   checkb "second recovery still exact" (Fleet.equal_state fe fe'')
 
-let test_fleet_driver () =
-  (* End to end through Param_driver's engine dispatch: same seeds,
-     same workflow, begin-before-end chain dependencies — the fleet run
-     (with injected crashes) must realize the same trace as the
-     symbolic run. *)
-  let wf =
-    Wf_tasks.Workflow_def.make ~name:"fleet"
-      ~tasks:
-        [
-          Wf_tasks.Workflow_def.task ~instance:"t1"
-            ~model:Wf_tasks.Task_model.loop_task
-            ~script:(Wf_tasks.Agent.looping 3) ~parametrize:true ();
-          Wf_tasks.Workflow_def.task ~instance:"t2"
-            ~model:Wf_tasks.Task_model.loop_task
-            ~script:(Wf_tasks.Agent.looping 3) ~parametrize:true ();
-        ]
-      ~deps:[] ()
-  in
+(* Two looping parametrized tasks with begin-before-end chain
+   dependencies, for the Param_driver runs. *)
+let driver_wf =
+  Wf_tasks.Workflow_def.make ~name:"fleet"
+    ~tasks:
+      [
+        Wf_tasks.Workflow_def.task ~instance:"t1"
+          ~model:Wf_tasks.Task_model.loop_task
+          ~script:(Wf_tasks.Agent.looping 3) ~parametrize:true ();
+        Wf_tasks.Workflow_def.task ~instance:"t2"
+          ~model:Wf_tasks.Task_model.loop_task
+          ~script:(Wf_tasks.Agent.looping 3) ~parametrize:true ();
+      ]
+    ~deps:[] ()
+
+let driver_templates =
   let chain t =
     Ptemplate.choice_all
       [
@@ -324,13 +325,22 @@ let test_fleet_driver () =
           (Ptemplate.atom ("e_" ^ t) [ v "x" ]);
       ]
   in
-  let templates = [ chain "t1"; chain "t2" ] in
+  [ chain "t1"; chain "t2" ]
+
+let test_fleet_driver () =
+  (* End to end through Param_driver's engine dispatch: same seeds,
+     same workflow — the fleet run (with injected crashes) must realize
+     the same trace as the symbolic run. *)
+  let wf = driver_wf and templates = driver_templates in
   List.iter
     (fun seed ->
       let sym_run = Param_driver.run ~seed ~templates wf in
-      let fleet_run = Param_driver.run ~seed ~engine:`Fleet ~templates wf in
+      let fleet_run =
+        Param_driver.run ~seed ~engine:(module Fleet) ~templates wf
+      in
       let fleet_crashy =
-        Param_driver.run ~seed ~engine:`Fleet ~crash_every:5 ~templates wf
+        Param_driver.run ~seed ~engine:(module Fleet) ~crash_every:5 ~templates
+          wf
       in
       checkb "all three runs finish"
         (sym_run.Param_driver.finished && fleet_run.Param_driver.finished
@@ -368,28 +378,30 @@ let gen_crash_case =
 let cadences = [ 1; 7; 64 ]
 let stores = [ None; Some Wf_store.Media.Sim.no_faults ]
 
-let stats_of fe =
-  let m = Fleet.stats fe in
-  (Wf_obs.Metrics.counters m, Wf_obs.Metrics.gauges m)
-
-(* Every cadence, in memory and over fault-free media: each recover is
-   exact, a recover that replays nothing leaves the counters alone, and
-   the crashing engine stays in lockstep with an uncrashed Param_sched. *)
-let prop_crash_points (deps, steps) =
+(* Every cadence, in memory and over fault-free media: each recover of
+   the crashing engine [C] is exact, a recover that replays nothing
+   leaves the counters alone, and [C] stays in lockstep with an
+   uncrashed [R]. *)
+let crash_points (type r c) (module R : E with type t = r)
+    (module C : E with type t = c) (deps, steps) =
+  let stats_of e =
+    let m = C.stats e in
+    (Wf_obs.Metrics.counters m, Wf_obs.Metrics.gauges m)
+  in
   List.iter
     (fun cadence ->
       List.iter
         (fun store ->
-          let se = Param_sched.create deps in
-          let fe = ref (Fleet.create ~checkpoint_every:cadence ?store deps) in
+          let se = R.create deps in
+          let fe = ref (C.create ~checkpoint_every:cadence ?store deps) in
           let inputs = ref 0 in
           List.iteri
             (fun i step ->
               match step with
               | In (A sym) ->
                   incr inputs;
-                  let a = Param_sched.attempt se sym in
-                  let b = Fleet.attempt !fe sym in
+                  let a = R.attempt se sym in
+                  let b = C.attempt !fe sym in
                   if a <> b then
                     Alcotest.failf
                       "cadence %d, step %d, attempt %s: symbolic=%s fleet=%s"
@@ -397,30 +409,32 @@ let prop_crash_points (deps, steps) =
                       (show_outcome b)
               | In (O l) ->
                   incr inputs;
-                  Param_sched.occurred se l;
-                  Fleet.occurred !fe l
+                  R.occurred se l;
+                  C.occurred !fe l
               | Crash ->
                   let before = stats_of !fe in
-                  let fe' = Fleet.recover !fe in
-                  if not (Fleet.equal_state !fe fe') then
+                  let fe' = C.recover !fe in
+                  if not (C.equal_state !fe fe') then
                     Alcotest.failf "cadence %d, step %d: recovered state differs"
                       cadence i;
                   if !inputs mod cadence = 0 && stats_of fe' <> before then
                     Alcotest.failf "cadence %d, step %d: empty replay moved stats"
                       cadence i;
                   check trace_testable "trace in lockstep after recover"
-                    (Param_sched.trace se) (Fleet.trace fe');
+                    (R.trace se) (C.trace fe');
                   fe := fe')
             steps;
-          check trace_testable "final traces agree" (Param_sched.trace se)
-            (Fleet.trace !fe);
+          check trace_testable "final traces agree" (R.trace se) (C.trace !fe);
           checkb "final parked backlogs agree"
-            (List.equal Symbol.equal (Param_sched.parked se) (Fleet.parked !fe));
+            (List.equal Symbol.equal (R.parked se) (C.parked !fe));
           checkb "final knowledge agrees"
-            (Knowledge.equal (Param_sched.knowledge se) (Fleet.knowledge !fe)))
+            (Knowledge.equal (R.knowledge se) (C.knowledge !fe)))
         stores)
     cadences;
   true
+
+let prop_crash_points case =
+  crash_points (module Param_sched) (module Fleet) case
 
 (* A checkpoint shares the engine's logs.  Inputs fed to the original
    engine after the checkpoint must not leak into what a later recover
@@ -452,6 +466,163 @@ let prop_checkpoint_aliasing (deps, steps) =
         (Fleet.equal_state r0 (fed (prefix @ other))))
     cadences;
   true
+
+(* --- decision records ------------------------------------------------------ *)
+
+(* The Assim records of a decision stream.  [Reduced] records differ by
+   design: Param_sched re-decides every parked token after an accept,
+   Fleet only the binding that moved.  Guard ids are interned per
+   process, so they compare only within one. *)
+let decisions records =
+  List.filter_map
+    (fun (r : Wf_obs.Trace.record) ->
+      match r.Wf_obs.Trace.kind with
+      | Wf_obs.Trace.Assim { outcome; guard }
+        when outcome <> Wf_obs.Trace.Reduced ->
+          Some (r.Wf_obs.Trace.time, r.Wf_obs.Trace.actor, outcome, guard)
+      | _ -> None)
+    records
+
+let assims records =
+  List.filter (fun r -> Wf_obs.Trace.kind_name r = "assim") records
+
+let salvages records =
+  List.length
+    (List.filter (fun r -> Wf_obs.Trace.kind_name r = "store_salvage") records)
+
+(* Run [steps] on a traced engine, recovering at every [Crash] (or
+   skipping it when [crashes] is off). *)
+let traced (type a) (module M : E with type t = a) ?store ?(crashes = true)
+    deps steps =
+  let sink, records = Wf_obs.Trace.collector () in
+  let e = ref (M.create ~checkpoint_every:3 ?store deps) in
+  M.set_tracer !e (Some sink);
+  List.iter
+    (function
+      | In (A sym) -> ignore (M.attempt !e sym)
+      | In (O l) -> M.occurred !e l
+      | Crash -> if crashes then e := M.recover !e)
+    steps;
+  records ()
+
+let crash_faults =
+  {
+    Wf_store.Media.Sim.torn_write = 0.5;
+    lost_tail = 0.0;
+    bit_flip = 0.5;
+    ckpt_corrupt = 0.2;
+    max_faults = 8;
+  }
+
+(* Both engines emit the same decisions; replay after a recover emits
+   none (the crashing run traces exactly what the uncrashed one does);
+   and every recover over a store emits exactly one salvage record. *)
+let engines = [ ("param_sched", (module Param_sched : E)); ("fleet", (module Fleet)) ]
+
+let prop_same_decisions (deps, steps) =
+  let crashes = List.length (List.filter (( = ) Crash) steps) in
+  if
+    decisions (traced (module Param_sched) deps steps)
+    <> decisions (traced (module Fleet) deps steps)
+  then Alcotest.fail "decision records differ between the engines";
+  List.iter
+    (fun (name, (module M : E)) ->
+      let uncrashed = assims (traced (module M) ~crashes:false deps steps) in
+      if assims (traced (module M) deps steps) <> uncrashed then
+        Alcotest.failf "%s: replay emitted decision records" name;
+      let clean = traced (module M) ~store:Wf_store.Media.Sim.no_faults deps steps in
+      if assims clean <> uncrashed then
+        Alcotest.failf "%s: replay from the store emitted decision records" name;
+      check Alcotest.int (name ^ ": one salvage per recover") crashes
+        (salvages clean);
+      check Alcotest.int (name ^ ": one salvage per recover, faulty store")
+        crashes
+        (salvages (traced (module M) ~store:crash_faults deps steps)))
+    engines;
+  true
+
+let test_driver_decisions () =
+  (* Param_driver runs, with and without injected crashes: the engines
+     decide alike, and the crashes are invisible in the records. *)
+  let run engine ?crash_every seed =
+    let sink, records = Wf_obs.Trace.collector () in
+    ignore
+      (Param_driver.run ~seed ~engine ?crash_every ~tracer:sink
+         ~templates:driver_templates driver_wf);
+    records ()
+  in
+  List.iter
+    (fun seed ->
+      let sym = run (module Param_sched) seed
+      and fleet = run (module Fleet) seed in
+      checkb "records emitted" (decisions sym <> []);
+      checkb "engines decide alike" (decisions sym = decisions fleet);
+      List.iter
+        (fun (name, engine) ->
+          let crashy = run engine ~crash_every:5 seed in
+          if assims crashy <> assims (run engine seed) then
+            Alcotest.failf "%s: crash replay emitted decision records" name;
+          check Alcotest.int (name ^ ": no store, no salvage") 0
+            (salvages crashy))
+        engines)
+    [ 1L; 5L; 9L ]
+
+(* A fixed stream over media that tears and flips bits at every crash:
+   what each salvage keeps is a function of the bytes the journal wrote,
+   so these values pin the entry codec and the snapshot codecs. *)
+let test_salvage_pinned () =
+  let store =
+    {
+      Wf_store.Media.Sim.torn_write = 1.0;
+      lost_tail = 0.0;
+      bit_flip = 1.0;
+      ckpt_corrupt = 0.0;
+      max_faults = 8;
+    }
+  in
+  let chunk k =
+    List.concat_map
+      (fun j ->
+        let tok = string_of_int ((k * 10) + j) in
+        [
+          A (psym "c" tok);
+          A (psym "b" tok);
+          O (Literal.pos (psym "a" tok));
+          A (psym "c" tok);
+        ])
+      [ 0; 1; 2 ]
+  in
+  let salvaged (type a) (module M : E with type t = a) =
+    let e =
+      ref (M.create ~checkpoint_every:4 ~store ~store_seed:21L two_stage)
+    in
+    List.map
+      (fun k ->
+        List.iter
+          (function A s -> ignore (M.attempt !e s) | O l -> M.occurred !e l)
+          (chunk k);
+        e := M.recover !e;
+        match M.last_salvage !e with
+        | None -> Alcotest.fail "no salvage report"
+        | Some r ->
+            ( r.Wf_store.Log.sr_frames,
+              r.Wf_store.Log.sr_dropped_bytes,
+              Wf_store.Log.ckpt_source_name r.Wf_store.Log.sr_ckpt ))
+      [ 0; 1; 2; 3 ]
+  in
+  let pins = Alcotest.(list (triple int int string)) in
+  check pins "param_sched salvage"
+    [
+      (14, 144, "fallback"); (12, 883, "latest"); (10, 803, "latest");
+      (20, 331, "latest");
+    ]
+    (salvaged (module Param_sched));
+  check pins "fleet salvage"
+    [
+      (3, 269, "none"); (14, 99, "fallback"); (18, 297, "latest");
+      (30, 106, "fallback");
+    ]
+    (salvaged (module Fleet))
 
 (* --- arena --------------------------------------------------------------- *)
 
@@ -782,6 +953,12 @@ let suite =
       gen_crash_case prop_crash_points;
     qprop ~count:100 "checkpoint aliasing: restores isolated"
       gen_crash_case prop_checkpoint_aliasing;
+    qprop ~count:100 "decision records: engines agree, replay silent"
+      gen_crash_case prop_same_decisions;
+    Alcotest.test_case "decision records through the driver" `Quick
+      test_driver_decisions;
+    Alcotest.test_case "salvage of a faulty store pinned" `Quick
+      test_salvage_pinned;
     Alcotest.test_case "arena rebuild from the log" `Quick test_arena_rebuild;
     Alcotest.test_case "segmented storage across segment boundaries" `Quick
       test_segment_boundaries;
