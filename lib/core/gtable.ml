@@ -31,22 +31,30 @@ let bit_set b i =
   Bytes.unsafe_set b (i lsr 3)
     (Char.unsafe_chr (Char.code (Bytes.unsafe_get b (i lsr 3)) lor (1 lsl (i land 7))))
 
-module Sym_tbl = Hashtbl.Make (struct
-  type t = Symbol.t
+(* Status-memo keys pack a per-symbol code and a state into one int. *)
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
 
-  let equal = Symbol.equal
-  let hash = Symbol.hash
+  let equal = Int.equal
+
+  let hash x =
+    let x = x * 0x9E3779B97F4A7C1 in
+    (x lxor (x lsr 29)) land max_int
 end)
 
 type t = {
   syms : Symbol.t array; (* the guard's alphabet, sorted *)
-  sym_index : int Sym_tbl.t;
+  sym_index : int Symbol_tbl.t;
   width : int; (* 4 * |syms|: per-symbol inputs □x, □x̄, ◇x, ◇x̄ *)
   next : int array; (* next.(s * width + input) = successor state *)
   enabled : Bytes.t; (* residual is ⊤ *)
   violated : Bytes.t; (* residual is 0 *)
   forced : Bytes.t; (* some literal's complement-occurrence violates *)
   guards : Guard.t array; (* residual guard per state, for fallback *)
+  state_bits : int; (* bits of a state number in a status-memo key *)
+  status_memo : Knowledge.status Int_tbl.t option;
+      (* (status code, state) -> Knowledge.status of the compiled guard;
+         [None] when the alphabet is too wide to pack a code *)
 }
 
 (* Input codes within a symbol's 4-slot group. *)
@@ -57,7 +65,7 @@ let initial _ = 0
 let num_states t = Array.length t.guards
 let num_symbols t = Array.length t.syms
 let alphabet t = Array.to_list t.syms
-let mem_symbol t sym = Sym_tbl.mem t.sym_index sym
+let mem_symbol t sym = Symbol_tbl.mem t.sym_index sym
 let guard_of t s = t.guards.(s)
 
 let verdict t s =
@@ -68,12 +76,12 @@ let verdict t s =
 let is_forced t s = bit_get t.forced s
 
 let step_occurred t s (l : Literal.t) =
-  match Sym_tbl.find_opt t.sym_index l.Literal.sym with
+  match Symbol_tbl.find_opt t.sym_index l.Literal.sym with
   | None -> s
   | Some i -> t.next.((s * t.width) + (4 * i) + occ_code l.Literal.pol)
 
 let step_promised t s (l : Literal.t) =
-  match Sym_tbl.find_opt t.sym_index l.Literal.sym with
+  match Symbol_tbl.find_opt t.sym_index l.Literal.sym with
   | None -> s
   | Some i -> t.next.((s * t.width) + (4 * i) + prom_code l.Literal.pol)
 
@@ -81,7 +89,7 @@ let step_promised t s (l : Literal.t) =
    (symbol, polarity) to its input column once, then step every
    instance with a single array read — no per-step hash lookup. *)
 let occ_input t sym pol =
-  match Sym_tbl.find_opt t.sym_index sym with
+  match Symbol_tbl.find_opt t.sym_index sym with
   | None -> None
   | Some i -> Some ((4 * i) + occ_code pol)
 
@@ -90,21 +98,32 @@ let step_input t s input = t.next.((s * t.width) + input)
 (* Replay a knowledge onto the table: occurrences in seqno order (the
    order the symbolic engine assimilated them — pending terms are
    order-sensitive), then the still-outstanding promises (per-symbol
-   mask intersections, which commute). *)
-let of_knowledge t know =
+   mask intersections, which commute).  [replay] stops before the
+   promises and returns them as (symbol index, literal) in the order
+   they are applied — descending index — so a hypothetical extra
+   occurrence or promise replays exactly without rebuilding the
+   knowledge. *)
+let replay t know =
   let occs = ref [] in
   let proms = ref [] in
-  Array.iter
-    (fun sym ->
+  Array.iteri
+    (fun i sym ->
       match Knowledge.fate_of know sym with
       | Some (Knowledge.Occurred (pol, n)) ->
           occs := (n, { Literal.sym; pol }) :: !occs
-      | Some (Knowledge.Promised pol) -> proms := { Literal.sym; pol } :: !proms
+      | Some (Knowledge.Promised pol) ->
+          proms := (i, { Literal.sym; pol }) :: !proms
       | None -> ())
     t.syms;
   let occs = List.sort (fun (a, _) (b, _) -> Int.compare a b) !occs in
-  let s = List.fold_left (fun s (_, l) -> step_occurred t s l) 0 occs in
-  List.fold_left (fun s l -> step_promised t s l) s !proms
+  (List.fold_left (fun s (_, l) -> step_occurred t s l) 0 occs, !proms)
+
+let apply_promises t s proms =
+  List.fold_left (fun s (_, l) -> step_promised t s l) s proms
+
+let of_knowledge t know =
+  let s, proms = replay t know in
+  apply_promises t s proms
 
 (* --- compilation --------------------------------------------------------- *)
 
@@ -120,6 +139,12 @@ end)
    symbolic walk it replaces. *)
 let default_max_states = 1024
 let max_symbols = 30 (* 4*30 inputs per state; wider guards stay symbolic *)
+
+(* A status-memo key spends [code_bits] per alphabet symbol; wider
+   alphabets keep compiled stepping but evaluate Open states
+   symbolically. *)
+let code_bits = 3
+let max_memo_symbols = 15
 
 let compile ?(max_states = default_max_states) g0 =
   let sym_list = Symbol.Set.elements (Guard.symbols g0) in
@@ -196,9 +221,30 @@ let compile ?(max_states = default_max_states) g0 =
           if !f then bit_set forced s
         end
       done;
-      let sym_index = Sym_tbl.create (max 1 k) in
-      Array.iteri (fun i sym -> Sym_tbl.replace sym_index sym i) syms;
-      Some { syms; sym_index; width; next; enabled; violated; forced; guards }
+      let sym_index = Symbol_tbl.create (max 1 k) in
+      Array.iteri (fun i sym -> Symbol_tbl.replace sym_index sym i) syms;
+      let state_bits =
+        let rec go b = if 1 lsl b >= n then b else go (b + 1) in
+        go 0
+      in
+      let status_memo =
+        if k <= max_memo_symbols && (code_bits * k) + state_bits <= 62 then
+          Some (Int_tbl.create 16)
+        else None
+      in
+      Some
+        {
+          syms;
+          sym_index;
+          width;
+          next;
+          enabled;
+          violated;
+          forced;
+          guards;
+          state_bits;
+          status_memo;
+        }
     end
   end
 
@@ -216,12 +262,22 @@ let active () = !enabled_flag && Intern.enabled ()
 let memo : (int, t option) Hashtbl.t = Hashtbl.create 256
 let compiled_states = ref 0
 let fallbacks = ref 0
+let memo_misses = ref 0
+let symbolic_evals = ref 0
 
 let () =
   Intern.register_clearer (fun () ->
+      Hashtbl.iter
+        (fun _ r ->
+          match r with
+          | Some { status_memo = Some m; _ } -> Int_tbl.reset m
+          | _ -> ())
+        memo;
       Hashtbl.reset memo;
       compiled_states := 0;
-      fallbacks := 0)
+      fallbacks := 0;
+      memo_misses := 0;
+      symbolic_evals := 0)
 
 let lookup g =
   if not (active ()) then None
@@ -246,11 +302,180 @@ let status_hint g know =
       | Violated -> Some Knowledge.False
       | Open -> None)
 
+(* --- status memo ---------------------------------------------------------
+
+   [Knowledge.status] of the compiled guard reads the knowledge and the
+   reservation set only at the guard's own symbols.  Of that, the table
+   state already holds everything order-sensitive: it is the residual
+   after the occurrences in seqno order and then the promises, and
+   pending terms residuate to ⊤ or 0 exactly when [pending_status]
+   says so.  What the state does not hold is each symbol's fate and
+   whether it is reserved, which [mask_status] and the coverage check
+   read.  A per-symbol code of 3 bits carries exactly that:
+
+     0 undecided  1 undecided, reserved  2 occurred  3 occurred negated
+     4/5 promised (negated)  6/7 promised (negated), reserved
+
+   (reservation of an occurred symbol is never read).  So the verdict
+   is a function of (code, state), and one symbolic evaluation per
+   distinct pair serves every later query that lands on it. *)
+
+let fate_code ~reserved know sym =
+  let res () = Symbol.Set.mem sym reserved in
+  match Knowledge.fate_of know sym with
+  | Some (Knowledge.Occurred (Literal.Pos, _)) -> 2
+  | Some (Knowledge.Occurred (Literal.Neg, _)) -> 3
+  | Some (Knowledge.Promised pol) ->
+      4 + (match pol with Literal.Pos -> 0 | Literal.Neg -> 1)
+      + if res () then 2 else 0
+  | None -> if res () then 1 else 0
+
+let code_field code i = (code lsr (code_bits * i)) land 7
+
+let set_field code i v =
+  code land lnot (7 lsl (code_bits * i)) lor (v lsl (code_bits * i))
+
+type view = {
+  v_know : Knowledge.t;
+  v_reserved : Symbol.Set.t;
+  v_occ : state; (* after the occurrences alone *)
+  v_proms : (int * Literal.t) list; (* outstanding promises, as applied *)
+  v_state : state; (* = [of_knowledge t v_know] *)
+  v_code : int;
+}
+
+let memo_live t = t.status_memo <> None && active ()
+
+let view t ~reserved know =
+  let occ, proms = replay t know in
+  let code = ref 0 in
+  if t.status_memo <> None then
+    Array.iteri
+      (fun i sym -> code := set_field !code i (fate_code ~reserved know sym))
+      t.syms;
+  {
+    v_know = know;
+    v_reserved = reserved;
+    v_occ = occ;
+    v_proms = proms;
+    v_state = apply_promises t occ proms;
+    v_code = !code;
+  }
+
+let view_state v = v.v_state
+let view_fresh v ~reserved know = v.v_know == know && v.v_reserved == reserved
+
+let symbolic_status ?reserved ?never know g =
+  incr symbolic_evals;
+  Knowledge.status ?reserved ?never know g
+
+(* While [audit_status_memo] runs, every memo hit is also evaluated
+   symbolically on the querying knowledge (uncounted), and a different
+   verdict counts as a mismatch. *)
+let auditing = ref false
+let audit_hits = ref 0
+let audit_mismatches = ref 0
+
+(* Look (state, code) up; on a miss evaluate the compiled guard under
+   the knowledge the caller describes, and remember it. *)
+let memo_status t s code ~reserved know =
+  match t.status_memo with
+  | Some m when active () -> (
+      let key = (code lsl t.state_bits) lor s in
+      match Int_tbl.find_opt m key with
+      | Some st ->
+          if !auditing then begin
+            incr audit_hits;
+            if Knowledge.status ~reserved (know ()) t.guards.(0) <> st then
+              incr audit_mismatches
+          end;
+          st
+      | None ->
+          let st = Knowledge.status ~reserved (know ()) t.guards.(0) in
+          incr memo_misses;
+          Int_tbl.add m key st;
+          st)
+  | _ -> symbolic_status ~reserved (know ()) t.guards.(0)
+
+let view_status t v =
+  match verdict t v.v_state with
+  | Enabled -> Knowledge.True
+  | Violated -> Knowledge.False
+  | Open ->
+      memo_status t v.v_state v.v_code ~reserved:v.v_reserved (fun () ->
+          v.v_know)
+
+(* The status after hypothetically recording [lits] on top of the view.
+   One literal on a symbol the knowledge leaves open steps the cached
+   occurrence prefix (an occurrence stamped [max_int] replays last
+   among occurrences) or joins the promises in their replay order;
+   every other case rebuilds the knowledge and replays it in full, so
+   the memo key is always exactly that of the hypothetical knowledge. *)
+let status_after ~occurred t v lits =
+  let record k (l : Literal.t) =
+    if occurred then Knowledge.occurred l ~seqno:max_int k
+    else Knowledge.promised l k
+  in
+  let rebuild () = List.fold_left record v.v_know lits in
+  let reserved = v.v_reserved in
+  if not (memo_live t) then symbolic_status ~reserved (rebuild ()) t.guards.(0)
+  else
+    match lits with
+    | [ (l : Literal.t) ] -> (
+        match Symbol_tbl.find_opt t.sym_index l.Literal.sym with
+        | None when not (occurred && Knowledge.decided v.v_know l.Literal.sym) ->
+            (* outside the alphabet: neither state nor code moves *)
+            memo_status t v.v_state v.v_code ~reserved rebuild
+        | Some i when code_field v.v_code i <= 1 ->
+            let pol = match l.Literal.pol with Literal.Pos -> 0 | Literal.Neg -> 1 in
+            let s, field =
+              if occurred then
+                ( apply_promises t
+                    (t.next.((v.v_occ * t.width) + (4 * i) + occ_code l.Literal.pol))
+                    v.v_proms,
+                  2 + pol )
+              else
+                let rec insert = function
+                  | ((j, _) as p) :: rest when j > i -> p :: insert rest
+                  | rest -> (i, l) :: rest
+                in
+                ( apply_promises t v.v_occ (insert v.v_proms),
+                  4 + pol + (2 * code_field v.v_code i) )
+            in
+            memo_status t s (set_field v.v_code i field) ~reserved rebuild
+        | _ ->
+            let v' = view t ~reserved (rebuild ()) in
+            memo_status t v'.v_state v'.v_code ~reserved (fun () -> v'.v_know))
+    | _ ->
+        let v' = view t ~reserved (rebuild ()) in
+        memo_status t v'.v_state v'.v_code ~reserved (fun () -> v'.v_know)
+
+let status_if_occurred t v lits = status_after ~occurred:true t v lits
+let status_if_promised t v lits = status_after ~occurred:false t v lits
+
+type audit = { hits_checked : int; mismatches : int }
+
+let audit_status_memo f =
+  auditing := true;
+  audit_hits := 0;
+  audit_mismatches := 0;
+  let r = Fun.protect ~finally:(fun () -> auditing := false) f in
+  (r, { hits_checked = !audit_hits; mismatches = !audit_mismatches })
+
 let stats () =
   [
     ("compiled_guards", Hashtbl.length memo);
     ("compiled_states", !compiled_states);
     ("uncompilable", !fallbacks);
+    ( "status_memo_entries",
+      Hashtbl.fold
+        (fun _ r n ->
+          match r with
+          | Some { status_memo = Some m; _ } -> n + Int_tbl.length m
+          | _ -> n)
+        memo 0 );
+    ("status_memo_misses", !memo_misses);
+    ("status_symbolic", !symbolic_evals);
   ]
 
 (* Canonical fingerprint of the flattened table (alphabet, transitions,

@@ -104,10 +104,70 @@ val status_hint : Guard.t -> Knowledge.t -> Knowledge.status option
     under this knowledge; [None] when no table is available or the
     state is [Open].  The caller falls back to {!Knowledge.status}. *)
 
+(** {1 Status memo}
+
+    An [Open] state leaves the decision to {!Knowledge.status}.  That
+    verdict depends only on the table state and, per alphabet symbol,
+    its fate (undecided, occurred [±], promised [±]) and whether it is
+    reserved: the state carries everything order-sensitive.  Each
+    table with at most 15 symbols memoizes the verdict per
+    (per-symbol code, state) pair, so the symbolic evaluation runs once
+    per distinct pair.  The memo is derived data: {!Intern.clear_memos}
+    empties it, and while the tables or the interned engine are
+    switched off every query below evaluates symbolically. *)
+
+type view
+(** A knowledge and reservation set as one table sees them: the
+    occurrence-prefix state, the outstanding promises, the state
+    {!of_knowledge} reaches and the per-symbol code. *)
+
+val view : t -> reserved:Symbol.Set.t -> Knowledge.t -> view
+
+val view_state : view -> state
+(** [view_state (view t ~reserved k) = of_knowledge t k]. *)
+
+val view_fresh : view -> reserved:Symbol.Set.t -> Knowledge.t -> bool
+(** The view was taken of exactly these values (physical equality:
+    knowledge and reservation sets are immutable and replaced on
+    change). *)
+
+val view_status : t -> view -> Knowledge.status
+(** [Knowledge.status ~reserved k g] for the compiled guard [g]: a
+    decisive verdict answers at once, an [Open] state through the
+    memo. *)
+
+val status_if_occurred : t -> view -> Literal.t list -> Knowledge.status
+(** The status after recording each literal as occurred with seqno
+    [max_int] ({!Knowledge.occurred}), in order. *)
+
+val status_if_promised : t -> view -> Literal.t list -> Knowledge.status
+(** The status after recording each literal as promised. *)
+
+val symbolic_status :
+  ?reserved:Symbol.Set.t -> ?never:Symbol.Set.t -> Knowledge.t -> Guard.t ->
+  Knowledge.status
+(** {!Knowledge.status}, counted in [status_symbolic]: the path for
+    guards without a table or with a too-wide alphabet, and for
+    [~never] queries, which the code does not cover. *)
+
+type audit = { hits_checked : int; mismatches : int }
+
+val audit_status_memo : (unit -> 'a) -> 'a * audit
+(** [audit_status_memo f] runs [f] with every memo hit checked: the hit
+    is also evaluated by {!Knowledge.status} on the knowledge that asked
+    (not counted in [status_symbolic]), and a different verdict counts
+    as a mismatch.  This checks the claim the memo rests on, that every
+    knowledge with the same (state, code) gets the same verdict, over
+    whatever workload [f] runs.  Misses need no check: they are
+    evaluated on the asking knowledge. *)
+
 (** {1 Observability} *)
 
 val stats : unit -> (string * int) list
-(** [compiled_guards], [compiled_states], [uncompilable]. *)
+(** [compiled_guards], [compiled_states], [uncompilable], and the
+    status-memo counters [status_memo_entries], [status_memo_misses]
+    and [status_symbolic] (evaluations that bypassed the memo).  All
+    are process-wide and reset by {!Intern.clear_memos}. *)
 
 val fingerprint : t -> int
 (** Canonical fingerprint of alphabet, transitions, and verdict

@@ -24,10 +24,10 @@ type parked = {
       (* compiled residuation table: [None] = not looked up yet,
          [Some None] = guard stays symbolic.  A derived cache — never
          snapshotted, fingerprinted, or compared; rebuilt after restore. *)
-  mutable tview : (Knowledge.t * Gtable.state) option;
-      (* last (knowledge, table state) pair: knowledge values are
-         immutable and replaced on change, so physical equality of the
-         map detects staleness exactly *)
+  mutable tview : Gtable.view option;
+      (* the table's view of the last (knowledge, reservations) pair:
+         both values are immutable and replaced on change, so physical
+         equality detects staleness exactly *)
 }
 
 let park ~pol ~via_trigger guard =
@@ -55,6 +55,8 @@ type t = {
   attr_pos : Attribute.t;
   attr_neg : Attribute.t;
   demand_automata : Automaton.t list;
+  mutable tbl_pos : Gtable.t option option; (* [guard_pos]'s table, as [parked.tbl] *)
+  mutable tbl_neg : Gtable.t option option;
   mutable knowledge : Knowledge.t;
   mutable reserved : Symbol.Set.t; (* reservations I hold *)
   mutable reserve_queue : Symbol.t list; (* to acquire, ascending *)
@@ -84,6 +86,8 @@ let create ~sym ~site ~guard_pos ~guard_neg ~attr_pos ~attr_neg
     attr_pos;
     attr_neg;
     demand_automata;
+    tbl_pos = None;
+    tbl_neg = None;
     knowledge = Knowledge.empty;
     reserved = Symbol.Set.empty;
     reserve_queue = [];
@@ -110,32 +114,66 @@ let lit t pol : Literal.t = { Literal.sym = t.sym; pol }
 let guard_of t = function Literal.Pos -> t.guard_pos | Literal.Neg -> t.guard_neg
 let attr_of t = function Literal.Pos -> t.attr_pos | Literal.Neg -> t.attr_neg
 
-(* Compiled-table fast path for the steady-state evaluation in
-   [try_fire]: a decisive verdict (residual ⊤ or 0) short-circuits the
-   symbolic [Knowledge.status]; [Open] falls back — reservations and
-   coverage-[True] sums need the full check.  Decisive verdicts are
-   sound under reservations because they hold over all completions. *)
-let parked_verdict t (p : parked) =
-  let tbl =
-    match p.tbl with
-    | Some tbl -> tbl
-    | None ->
-        let tbl = Gtable.lookup p.guard in
-        p.tbl <- Some tbl;
-        tbl
-  in
-  match tbl with
-  | None -> Gtable.Open
-  | Some tbl ->
-      let s =
-        match p.tview with
-        | Some (k, s) when k == t.knowledge -> s
-        | _ ->
-            let s = Gtable.of_knowledge tbl t.knowledge in
-            p.tview <- Some (t.knowledge, s);
-            s
+(* Decisions read the compiled table of the guard they evaluate: a
+   decisive verdict (residual ⊤ or 0) answers at once — sound under
+   reservations because it holds over all completions — and an [Open]
+   state answers through the table's status memo.  Guards without a
+   table evaluate symbolically. *)
+let resolve cache guard =
+  match cache with Some tbl -> tbl | None -> Gtable.lookup guard
+
+let parked_table (p : parked) =
+  let tbl = resolve p.tbl p.guard in
+  p.tbl <- Some tbl;
+  tbl
+
+let own_table t pol =
+  match pol with
+  | Literal.Pos ->
+      let tbl = resolve t.tbl_pos t.guard_pos in
+      t.tbl_pos <- Some tbl;
+      tbl
+  | Literal.Neg ->
+      let tbl = resolve t.tbl_neg t.guard_neg in
+      t.tbl_neg <- Some tbl;
+      tbl
+
+let parked_view t (p : parked) tbl =
+  match p.tview with
+  | Some v when Gtable.view_fresh v ~reserved:t.reserved t.knowledge -> v
+  | _ ->
+      let v = Gtable.view tbl ~reserved:t.reserved t.knowledge in
+      p.tview <- Some v;
+      v
+
+(* Where a decision reads its guard: the compiled table with its view
+   of the actor's knowledge, or the symbolic guard. *)
+type source = Table of Gtable.t * Gtable.view | Symbolic of Guard.t
+
+let parked_source t (p : parked) =
+  match parked_table p with
+  | Some tbl -> Table (tbl, parked_view t p tbl)
+  | None -> Symbolic p.guard
+
+let status_now t = function
+  | Table (tbl, v) -> Gtable.view_status tbl v
+  | Symbolic g -> Gtable.symbolic_status ~reserved:t.reserved t.knowledge g
+
+(* The status after hypothetically recording [lits] as occurred (seqno
+   [max_int]) or promised. *)
+let status_after t ~occurred src lits =
+  match src with
+  | Table (tbl, v) ->
+      if occurred then Gtable.status_if_occurred tbl v lits
+      else Gtable.status_if_promised tbl v lits
+  | Symbolic g ->
+      let record k l =
+        if occurred then Knowledge.occurred l ~seqno:max_int k
+        else Knowledge.promised l k
       in
-      Gtable.verdict tbl s
+      Gtable.symbolic_status ~reserved:t.reserved
+        (List.fold_left record t.knowledge lits)
+        g
 
 let release_all ctx t =
   Symbol.Set.iter
@@ -173,8 +211,16 @@ let rec advance_reservations ctx t =
 
    Reservations: [¬f]-style constraints are discharged by holding [f]
    undecided; reservations are acquired in ascending symbol order. *)
-let pursue ctx t pol g =
-  let needs = Knowledge.needs ~reserved:t.reserved t.knowledge g in
+let pursue ctx t (p : parked) =
+  let pol = p.pol in
+  let needs = Knowledge.needs ~reserved:t.reserved t.knowledge p.guard in
+  (* Would the candidate's actual occurrence, or its promise (together
+     with what we hold), let us fire? *)
+  let src = parked_source t p in
+  let enables cand =
+    status_after t ~occurred:true src [ cand ] = Knowledge.True
+    || status_after t ~occurred:false src [ cand ] = Knowledge.True
+  in
   let wanted_reserves = ref Symbol.Set.empty in
   List.iter
     (fun n ->
@@ -219,32 +265,19 @@ let pursue ctx t pol g =
             let premature =
               cand_pol = Literal.Neg && Symbol.Set.mem sym reserve_targets
             in
-            if (not premature) && not (Literal.Set.mem cand t.promise_requested)
+            if
+              (not premature)
+              && (not (Literal.Set.mem cand t.promise_requested))
+              && enables cand
             then begin
-              (* Request a promise when either the candidate's actual
-                 occurrence or its promise (together with what we hold)
-                 would let us fire. *)
-              let by_occurrence =
-                Knowledge.status ~reserved:t.reserved
-                  (Knowledge.occurred cand ~seqno:max_int t.knowledge)
-                  g
-              in
-              let by_promise =
-                Knowledge.status ~reserved:t.reserved
-                  (Knowledge.promised cand t.knowledge)
-                  g
-              in
-              if by_occurrence = Knowledge.True || by_promise = Knowledge.True
-              then begin
-                t.promise_requested <- Literal.Set.add cand t.promise_requested;
-                Wf_obs.Metrics.incr ctx.stats "promise_requests";
-                ctx.send sym
-                  (Messages.Promise_request
-                     { target = cand; requester = lit t pol; offers = [ lit t pol ] })
-              end
+              t.promise_requested <- Literal.Set.add cand t.promise_requested;
+              Wf_obs.Metrics.incr ctx.stats "promise_requests";
+              ctx.send sym
+                (Messages.Promise_request
+                   { target = cand; requester = lit t pol; offers = [ lit t pol ] })
             end)
           [ Literal.Pos; Literal.Neg ])
-    (Guard.symbols g)
+    p.watch
 
 let do_fire ctx t (p : parked) =
   let l = lit t p.pol in
@@ -269,13 +302,7 @@ let rec try_fire ctx t (p : parked) =
         t.parked <- List.filter (fun q -> q != p) t.parked;
         if not p.via_trigger then ctx.reject (lit t p.pol)
     | None -> (
-        let status =
-          match parked_verdict t p with
-          | Gtable.Enabled -> Knowledge.True
-          | Gtable.Violated -> Knowledge.False
-          | Gtable.Open ->
-              Knowledge.status ~reserved:t.reserved t.knowledge p.guard
-        in
+        let status = status_now t (parked_source t p) in
         (* While our symbol is reserved we defer firing — but a guard
            that has collapsed to 0 can never recover, so a rejectable
            attempt is rejected deterministically even while held
@@ -311,7 +338,7 @@ let rec try_fire ctx t (p : parked) =
                  else Wf_obs.Trace.Reduced)
                 p.guard;
               p.evals <- p.evals + 1;
-              pursue ctx t p.pol p.guard)
+              pursue ctx t p)
 
 and grant_or_defer ctx t (pol, requester, offers) =
   match t.decided_pol with
@@ -346,17 +373,21 @@ and grant_or_defer ctx t (pol, requester, offers) =
         if not (sacrifice ()) then defer ()
       end
       else begin
-        let k_promised =
-          List.fold_left (fun k o -> Knowledge.promised o k) t.knowledge offers
+        let src =
+          match existing with
+          | Some p -> parked_source t p
+          | None -> (
+              match own_table t pol with
+              | Some tbl ->
+                  Table (tbl, Gtable.view tbl ~reserved:t.reserved t.knowledge)
+              | None -> Symbolic (guard_of t pol))
         in
-        let effective =
-          match existing with Some p -> p.guard | None -> guard_of t pol
-        in
-        match Knowledge.status ~reserved:t.reserved k_promised effective with
+        match status_after t ~occurred:false src offers with
         | Knowledge.True -> (
             (* The offers alone enable us: promise and fire at once
                (the mutual-[◇] consensus of Example 11). *)
-            t.knowledge <- k_promised;
+            t.knowledge <-
+              List.fold_left (fun k o -> Knowledge.promised o k) t.knowledge offers;
             Wf_obs.Metrics.incr ctx.stats "promises_granted";
             ctx.send (Literal.symbol requester)
               (Messages.Promise { lit = lit t pol; to_ = requester });
@@ -374,12 +405,7 @@ and grant_or_defer ctx t (pol, requester, offers) =
                announcements arrive — "the latter can proceed, generate a
                message, and thereby cause the first to discharge its
                promise". *)
-            let k_occurred =
-              List.fold_left
-                (fun k o -> Knowledge.occurred o ~seqno:max_int k)
-                t.knowledge offers
-            in
-            match Knowledge.status ~reserved:t.reserved k_occurred effective with
+            match status_after t ~occurred:true src offers with
             | Knowledge.True ->
                 Wf_obs.Metrics.incr ctx.stats "promises_granted_conditional";
                 ctx.send (Literal.symbol requester)
@@ -467,7 +493,7 @@ let rec consider_reservation ctx t requester =
       t.parked <> []
       && List.for_all
            (fun p ->
-             Knowledge.status ~reserved:t.reserved
+             Gtable.symbolic_status ~reserved:t.reserved
                ~never:(Symbol.Set.singleton (Literal.symbol requester))
                t.knowledge p.guard
              = Knowledge.False)

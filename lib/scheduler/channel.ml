@@ -14,6 +14,22 @@ type 'a wire =
    key must be the full triple. *)
 type key = site * int * int (* origin, epoch, mid *)
 
+(* The dedup, outbox and mailbox tables hash their int tuples directly
+   instead of through the polymorphic hash; the per-(origin, epoch)
+   watermarks use the core's int-pair table. *)
+let mix h x =
+  let h = (h lxor x) * 0x100000001b3 in
+  h lxor (h lsr 29)
+
+module Key_tbl = Hashtbl.Make (struct
+  type t = key
+
+  let equal ((o, e, m) : t) ((o', e', m') : t) =
+    Int.equal m m' && Int.equal e e' && Int.equal o o'
+
+  let hash ((o, e, m) : t) = mix (mix (mix 0 o) e) m land max_int
+end)
+
 type 'a pending = {
   p_src : site;
   p_dst : site;
@@ -36,14 +52,14 @@ type 'a t = {
   rng : Wf_sim.Rng.t;
       (* the channel's own stream (split off the network's at creation)
          so jitter draws do not perturb latency/fault randomness *)
-  pending : (key, 'a pending) Hashtbl.t; (* durable sender outbox *)
-  seen : (key, unit) Hashtbl.t; (* receiver dedup above the watermark *)
-  seen_floor : (site * int, int ref) Hashtbl.t;
+  pending : 'a pending Key_tbl.t; (* durable sender outbox *)
+  seen : unit Key_tbl.t; (* receiver dedup above the watermark *)
+  seen_floor : int ref Wf_core.Intern.Pair_tbl.t;
       (* Cumulative dedup watermark per (origin, epoch): every mid at or
          below the floor has been delivered, so its [seen] entry can be
          pruned — mids are assigned densely, so a long fault-free run
          keeps O(reorder window) entries instead of O(messages). *)
-  dead : (key, 'a pending) Hashtbl.t; (* gave up; revived on peer Hello *)
+  dead : 'a pending Key_tbl.t; (* gave up; revived on peer Hello *)
   epochs : int array; (* durable: bumped on every restart *)
   mids : int array; (* volatile: reset to 0 on restart *)
   peer_epoch : int array array; (* per observer: highest epoch seen per origin *)
@@ -60,20 +76,22 @@ type 'a t = {
   stall_on : (site * site, unit) Hashtbl.t; (* active stall checkers *)
   mbox : (site, (site * key * 'a * float) Queue.t) Hashtbl.t;
       (* receiver inbound mailbox: (wire src, key, payload, enqueued) *)
-  mbox_keys : (key, unit) Hashtbl.t; (* queued-not-yet-consumed dedup *)
+  mbox_keys : unit Key_tbl.t; (* queued-not-yet-consumed dedup *)
   draining : bool array;
   handlers : (site, site -> 'a -> unit) Hashtbl.t;
+  m_acks : Metrics.counter; (* chan_acks, bumped once per delivered copy *)
+  m_ack_latency : Metrics.histogram_handle;
 }
 
 let default_backoff = 2.0
 
 let net t = t.net
 let stats t = Wf_sim.Netsim.stats t.net
-let unacked t = Hashtbl.length t.pending
-let dead_letters t = Hashtbl.length t.dead
+let unacked t = Key_tbl.length t.pending
+let dead_letters t = Key_tbl.length t.dead
 let epoch t site = t.epochs.(site)
 let flow t = t.flow
-let dedup_size t = Hashtbl.length t.seen
+let dedup_size t = Key_tbl.length t.seen
 
 let now t = Wf_sim.Netsim.now t.net
 
@@ -85,15 +103,15 @@ let emit_trace t r =
 (* --- receiver dedup with cumulative watermark ---------------------------- *)
 
 let floor_ref t origin epoch =
-  match Hashtbl.find_opt t.seen_floor (origin, epoch) with
+  match Wf_core.Intern.Pair_tbl.find_opt t.seen_floor (origin, epoch) with
   | Some r -> r
   | None ->
       let r = ref (-1) in
-      Hashtbl.replace t.seen_floor (origin, epoch) r;
+      Wf_core.Intern.Pair_tbl.replace t.seen_floor (origin, epoch) r;
       r
 
 let is_seen t ((origin, epoch, mid) : key) =
-  mid <= !(floor_ref t origin epoch) || Hashtbl.mem t.seen (origin, epoch, mid)
+  mid <= !(floor_ref t origin epoch) || Key_tbl.mem t.seen (origin, epoch, mid)
 
 (* Mark delivered and advance the watermark over any now-contiguous
    prefix, pruning the entries it covers.  The [seen] table is shared
@@ -103,11 +121,11 @@ let is_seen t ((origin, epoch, mid) : key) =
 let mark_seen t ((origin, epoch, mid) as key : key) =
   let fl = floor_ref t origin epoch in
   if mid > !fl then begin
-    Hashtbl.replace t.seen key ();
+    Key_tbl.replace t.seen key ();
     let rec advance () =
       let next : key = (origin, epoch, !fl + 1) in
-      if Hashtbl.mem t.seen next then begin
-        Hashtbl.remove t.seen next;
+      if Key_tbl.mem t.seen next then begin
+        Key_tbl.remove t.seen next;
         incr fl;
         advance ()
       end
@@ -140,14 +158,14 @@ let wire_of p =
     }
 
 let rec retransmit t key () =
-  match Hashtbl.find_opt t.pending key with
+  match Key_tbl.find_opt t.pending key with
   | None -> () (* acked meanwhile *)
   | Some p ->
       if p.p_tries >= t.max_retries then begin
-        Hashtbl.remove t.pending key;
+        Key_tbl.remove t.pending key;
         (* Keep the message: if the silent destination turns out to have
            crashed, its restart Hello revives the transfer. *)
-        Hashtbl.replace t.dead key p;
+        Key_tbl.replace t.dead key p;
         Metrics.incr (stats t) "chan_gave_up";
         emit_trace t
           (Trace.make ~time:(now t) ~site:p.p_src ~epoch:p.p_epoch ~mid:p.p_mid
@@ -191,7 +209,7 @@ let drain_blocked t flow ~src ~dst =
     if Flow.try_acquire flow ~src ~dst then begin
       let key, _since = Queue.pop q in
       Flow.note_unblocked flow ~src;
-      match Hashtbl.find_opt t.pending key with
+      match Key_tbl.find_opt t.pending key with
       | Some p when not p.p_sent -> transmit t p
       | _ -> () (* shed from the outbox meanwhile; skip *)
     end
@@ -209,7 +227,7 @@ let rec stall_check t flow ~src ~dst () =
     | Some (key, since) when Flow.stalled flow ~src ~dst ~since ->
         let _ = Queue.pop q in
         Flow.note_unblocked flow ~src;
-        (match Hashtbl.find_opt t.pending key with
+        (match Key_tbl.find_opt t.pending key with
         | Some p when not p.p_sent -> transmit t p
         | _ -> ())
     | _ -> ());
@@ -250,7 +268,7 @@ let send ?(priority = false) t ~src ~dst payload =
         p_sent = false;
       }
     in
-    Hashtbl.replace t.pending (key_of p) p;
+    Key_tbl.replace t.pending (key_of p) p;
     match t.flow with
     | Some flow when (not priority) && src <> dst ->
         (* Credit gate: transmit only inside the receiver's window;
@@ -271,23 +289,30 @@ let send ?(priority = false) t ~src ~dst payload =
 (* [observer] just learned (via Hello, or a Data stamped with a newer
    epoch) that [origin] restarted: resurrect the observer's gave-up
    messages to [origin] with their original keys, so receiver dedup
-   still suppresses the ones that did arrive before the silence. *)
+   still suppresses the ones that did arrive before the silence.  They
+   go out in send order — ascending (epoch, mid) — never in the dead
+   table's hash order. *)
 let revive_dead_to t ~observer ~origin =
   let mine =
-    Hashtbl.fold
+    Key_tbl.fold
       (fun key p acc ->
         if p.p_dst = origin && p.p_src = observer then (key, p) :: acc else acc)
       t.dead []
   in
+  let send_order (_, a) (_, b) =
+    match Int.compare a.p_epoch b.p_epoch with
+    | 0 -> Int.compare a.p_mid b.p_mid
+    | c -> c
+  in
   List.iter
     (fun (key, p) ->
-      Hashtbl.remove t.dead key;
+      Key_tbl.remove t.dead key;
       p.p_tries <- 0;
-      Hashtbl.replace t.pending key p;
+      Key_tbl.replace t.pending key p;
       Metrics.incr (stats t) "chan_revived";
       Wf_sim.Netsim.send t.net ~src:p.p_src ~dst:p.p_dst (wire_of p);
       Wf_sim.Netsim.schedule t.net ~delay:(rto_after t 0) (retransmit t key))
-    mine
+    (List.sort send_order mine)
 
 (* Re-announce a full credit window from [receiver] to [peer] after an
    epoch bump on either side: both ledgers are volatile, so the PR 3
@@ -343,10 +368,10 @@ let create ?(rto = 3.0) ?(backoff = default_backoff) ?(max_rto = 60.0)
       max_retries;
       retransmit_jitter;
       rng = Wf_sim.Rng.split (Wf_sim.Netsim.rng net);
-      pending = Hashtbl.create 256;
-      seen = Hashtbl.create 256;
-      seen_floor = Hashtbl.create 16;
-      dead = Hashtbl.create 16;
+      pending = Key_tbl.create 256;
+      seen = Key_tbl.create 256;
+      seen_floor = Wf_core.Intern.Pair_tbl.create 16;
+      dead = Key_tbl.create 16;
       epochs = Array.make n 0;
       mids = Array.make n 0;
       peer_epoch = Array.init n (fun _ -> Array.make n 0);
@@ -355,9 +380,11 @@ let create ?(rto = 3.0) ?(backoff = default_backoff) ?(max_rto = 60.0)
       blocked = Hashtbl.create 16;
       stall_on = Hashtbl.create 16;
       mbox = Hashtbl.create 16;
-      mbox_keys = Hashtbl.create 256;
+      mbox_keys = Key_tbl.create 256;
       draining = Array.make n false;
       handlers = Hashtbl.create 16;
+      m_acks = Metrics.counter (Wf_sim.Netsim.stats net) "chan_acks";
+      m_ack_latency = Metrics.histogram (Wf_sim.Netsim.stats net) "ack_latency";
     }
   in
   (* Epoch handshake, sender side: a restarted site loses its volatile
@@ -379,7 +406,7 @@ let create ?(rto = 3.0) ?(backoff = default_backoff) ?(max_rto = 60.0)
           (match Hashtbl.find_opt t.mbox site with
           | None -> ()
           | Some q ->
-              Queue.iter (fun (_, key, _, _) -> Hashtbl.remove t.mbox_keys key) q;
+              Queue.iter (fun (_, key, _, _) -> Key_tbl.remove t.mbox_keys key) q;
               Queue.clear q);
           t.draining.(site) <- false;
           Flow.on_restart fl ~site;
@@ -407,7 +434,7 @@ let mailbox t site =
 let consume t site src ((origin, d_epoch, d_mid) as key : key) payload =
   mark_seen t key;
   if origin <> site || t.local_reliable then begin
-    Metrics.incr (stats t) "chan_acks";
+    Metrics.bump t.m_acks;
     Wf_sim.Netsim.send ~control:true t.net ~src:site ~dst:origin
       (Ack { mid = d_mid; epoch = d_epoch })
   end;
@@ -440,7 +467,7 @@ let rec drain_mailbox t flow site () =
           end
         done
     | Some (src, ((origin, _, _) as key), payload, enqueued) ->
-        Hashtbl.remove t.mbox_keys key;
+        Key_tbl.remove t.mbox_keys key;
         Metrics.observe (stats t) "flow_queue_wait" (now t -. enqueued);
         consume t site src key payload;
         (* Batch credit grants on consumption. *)
@@ -474,17 +501,17 @@ let on_receive t site handler =
                 Metrics.incr (stats t) "chan_duplicates_suppressed";
                 if origin <> site || t.local_reliable then begin
                   (* Consumed earlier; the ack must have been lost. *)
-                  Metrics.incr (stats t) "chan_acks";
+                  Metrics.bump t.m_acks;
                   Wf_sim.Netsim.send ~control:true t.net ~src:site ~dst:origin
                     (Ack { mid; epoch })
                 end
               end
-              else if Hashtbl.mem t.mbox_keys key then
+              else if Key_tbl.mem t.mbox_keys key then
                 (* Queued but not yet consumed: suppress the duplicate
                    without acking — the consumption ack settles it. *)
                 Metrics.incr (stats t) "chan_duplicates_suppressed"
               else if Flow.mailbox_enqueue flow ~dst:site then begin
-                Hashtbl.replace t.mbox_keys key ();
+                Key_tbl.replace t.mbox_keys key ();
                 Queue.push (src, key, payload, now t) (mailbox t site);
                 if not t.draining.(site) then begin
                   t.draining.(site) <- true;
@@ -501,7 +528,7 @@ let on_receive t site handler =
                  post-restart (mid 0, epoch n+1) is never suppressed by
                  a pre-crash (mid 0, epoch n). *)
               if origin <> site || t.local_reliable then begin
-                Metrics.incr (stats t) "chan_acks";
+                Metrics.bump t.m_acks;
                 Wf_sim.Netsim.send ~control:true t.net ~src:site ~dst:origin
                   (Ack { mid; epoch })
               end;
@@ -513,14 +540,14 @@ let on_receive t site handler =
               end)
       | Ack { mid; epoch } -> (
           let key : key = (site, epoch, mid) in
-          match Hashtbl.find_opt t.pending key with
+          match Key_tbl.find_opt t.pending key with
           | None ->
               (* Duplicate ack — or a message that gave up and was then
                  consumed after all (slow mailbox): settle it. *)
-              Hashtbl.remove t.dead key
+              Key_tbl.remove t.dead key
           | Some p ->
-              Hashtbl.remove t.pending key;
-              Metrics.observe (stats t) "ack_latency" (now t -. p.p_first_sent);
+              Key_tbl.remove t.pending key;
+              Metrics.record t.m_ack_latency (now t -. p.p_first_sent);
               emit_trace t
                 (Trace.make ~time:(now t) ~site ~epoch ~mid
                    (Trace.Ack { dst = p.p_dst }));

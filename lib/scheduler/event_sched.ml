@@ -126,7 +126,7 @@ let hooks : net Ground.hooks =
    with the site.  Recovery then replays it like any journal. *)
 let salvage (rt : runtime) sym =
   let { cfg; net; _ } = rt.driver in
-  let js = Hashtbl.find rt.journals sym in
+  let js = Symbol_tbl.find rt.journals sym in
   match js.media with
   | None -> ()
   | Some m ->

@@ -27,11 +27,13 @@ and 'd t = {
   guard_overrides : (Literal.t * Guard.t) list;
   stats : Wf_obs.Metrics.t;
   replay_stats : Wf_obs.Metrics.t;
-  actors : (Symbol.t, Actor.t) Hashtbl.t;
-  ctxs : (Symbol.t, Actor.ctx) Hashtbl.t;
-  journals : (Symbol.t, jstate) Hashtbl.t;
+  actors : Actor.t Symbol_tbl.t;
+  ctxs : Actor.ctx Symbol_tbl.t;
+  journals : jstate Symbol_tbl.t;
   agents : (string, Agent.t) Hashtbl.t;
-  pending_trigger_complements : (Symbol.t, Literal.t list) Hashtbl.t;
+  owners : Agent.t Symbol_tbl.t;
+  msg_counters : Wf_obs.Metrics.counter array;
+  pending_trigger_complements : Literal.t list Symbol_tbl.t;
   mutable decided : Symbol.Set.t;
   mutable seqno : int;
   mutable occurrences : occurrence list;
@@ -61,11 +63,16 @@ let create ?(guard_overrides = []) ~stats ~journal ~hooks ~driver
       guard_overrides;
       stats;
       replay_stats = Wf_obs.Metrics.create ();
-      actors = Hashtbl.create 64;
-      ctxs = Hashtbl.create 64;
-      journals = Hashtbl.create 64;
+      actors = Symbol_tbl.create 64;
+      ctxs = Symbol_tbl.create 64;
+      journals = Symbol_tbl.create 64;
       agents = Hashtbl.create 16;
-      pending_trigger_complements = Hashtbl.create 8;
+      owners = Symbol_tbl.create 64;
+      msg_counters =
+        Array.map
+          (fun l -> Wf_obs.Metrics.counter stats ("msg_" ^ l))
+          Messages.labels;
+      pending_trigger_complements = Symbol_tbl.create 8;
       decided = Symbol.Set.empty;
       seqno = 0;
       occurrences = [];
@@ -80,30 +87,33 @@ let create ?(guard_overrides = []) ~stats ~journal ~hooks ~driver
     wf.tasks;
   List.iter
     (fun sym ->
-      Hashtbl.replace t.actors sym (fresh_actor t sym);
-      Hashtbl.replace t.journals sym (journal (Run_plan.actor plan sym)))
+      Symbol_tbl.replace t.actors sym (fresh_actor t sym);
+      Symbol_tbl.replace t.journals sym (journal (Run_plan.actor plan sym));
+      Option.iter
+        (fun instance ->
+          Symbol_tbl.replace t.owners sym (Hashtbl.find t.agents instance))
+        (Run_plan.owner plan sym))
     (Run_plan.symbols plan);
   t
 
 let decided t sym = Symbol.Set.mem sym t.decided
 
 let actor_of t sym =
-  match Hashtbl.find_opt t.actors sym with
+  match Symbol_tbl.find_opt t.actors sym with
   | Some a -> a
   | None -> Fmt.invalid_arg "no actor for %a" Symbol.pp sym
 
-let agent_of t sym =
-  Option.map (Hashtbl.find t.agents) (Run_plan.owner t.plan sym)
+let agent_of t sym = Symbol_tbl.find_opt t.owners sym
 
 let send ?(priority = false) t ~src ~dst msg =
   t.hooks.send t ~priority ~src ~dst msg;
-  Wf_obs.Metrics.incr t.stats ("msg_" ^ Messages.label msg)
+  Wf_obs.Metrics.bump t.msg_counters.(Messages.tag msg)
 
 (* Per-actor context, allocated once per symbol.  The closures capture
    only the symbol, never the actor record, so recovery can swap in a
    fresh actor without invalidating the context. *)
 let rec ctx_for t sym : Actor.ctx =
-  match Hashtbl.find_opt t.ctxs sym with
+  match Symbol_tbl.find_opt t.ctxs sym with
   | Some ctx -> ctx
   | None ->
       let ctx =
@@ -116,7 +126,7 @@ let rec ctx_for t sym : Actor.ctx =
           emit_assim = t.hooks.emit_assim t sym;
         }
       in
-      Hashtbl.add t.ctxs sym ctx;
+      Symbol_tbl.add t.ctxs sym ctx;
       ctx
 
 (* The journaled entry point: append the input (write-ahead), apply it,
@@ -125,7 +135,7 @@ let rec ctx_for t sym : Actor.ctx =
    checkpoint taken inside the outer apply would freeze a half-applied
    state. *)
 and deliver t actor input =
-  let js = Hashtbl.find t.journals (Actor.symbol actor) in
+  let js = Symbol_tbl.find t.journals (Actor.symbol actor) in
   Wf_store.Journal.append js.j input;
   (* Inputs the actor cannot re-derive after a crash must be durable
      before their effects become externally visible: the channel has
@@ -161,9 +171,9 @@ and fire t lit =
     (* The owning agent advances; triggered transitions already advanced
        the agent, so use the stashed complements instead. *)
     let complements =
-      match Hashtbl.find_opt t.pending_trigger_complements sym with
+      match Symbol_tbl.find_opt t.pending_trigger_complements sym with
       | Some cs ->
-          Hashtbl.remove t.pending_trigger_complements sym;
+          Symbol_tbl.remove t.pending_trigger_complements sym;
           cs
       | None -> (
           if not (Literal.is_pos lit) then []
@@ -203,7 +213,7 @@ and trigger_task t lit =
       match Agent.trigger agent sym with
       | None -> false
       | Some complements ->
-          Hashtbl.replace t.pending_trigger_complements sym complements;
+          Symbol_tbl.replace t.pending_trigger_complements sym complements;
           t.hooks.kick t agent;
           true)
 
@@ -244,9 +254,9 @@ let replay t sym (ckpt, suffix) =
 
 let recover t sym =
   let ((_, suffix) as content) =
-    Wf_store.Journal.recover (Hashtbl.find t.journals sym).j
+    Wf_store.Journal.recover (Symbol_tbl.find t.journals sym).j
   in
-  Hashtbl.replace t.actors sym (replay t sym content);
+  Symbol_tbl.replace t.actors sym (replay t sym content);
   Wf_obs.Metrics.incr t.stats "actor_recoveries";
   Wf_obs.Metrics.add t.stats "replayed_entries" (List.length suffix)
 
@@ -263,7 +273,7 @@ let handshake t ~epoch hosted =
         Symbol.Set.iter
           (fun peer ->
             if
-              Hashtbl.mem t.actors peer
+              Symbol_tbl.mem t.actors peer
               && not (Knowledge.decided (Actor.knowledge actor) peer)
             then
               send ~priority:true t ~src:sym ~dst:peer
@@ -282,7 +292,7 @@ let close_round t =
           (fun c ->
             let sym = Literal.symbol c in
             if
-              Hashtbl.mem t.actors sym
+              Symbol_tbl.mem t.actors sym
               && (not (decided t sym))
               && Actor.parked_count (actor_of t sym) = 0
             then begin

@@ -48,11 +48,14 @@ and 'd t = {
   guard_overrides : (Literal.t * Guard.t) list;
   stats : Wf_obs.Metrics.t;
   replay_stats : Wf_obs.Metrics.t;  (** scratch sink for muted replays *)
-  actors : (Symbol.t, Actor.t) Hashtbl.t;
-  ctxs : (Symbol.t, Actor.ctx) Hashtbl.t;
-  journals : (Symbol.t, jstate) Hashtbl.t;
+  actors : Actor.t Symbol_tbl.t;
+  ctxs : Actor.ctx Symbol_tbl.t;
+  journals : jstate Symbol_tbl.t;
   agents : (string, Agent.t) Hashtbl.t;
-  pending_trigger_complements : (Symbol.t, Literal.t list) Hashtbl.t;
+  owners : Agent.t Symbol_tbl.t;  (** each owned plan symbol's agent *)
+  msg_counters : Wf_obs.Metrics.counter array;
+      (** [msg_<label>] per {!Messages.tag}, resolved once *)
+  pending_trigger_complements : Literal.t list Symbol_tbl.t;
   mutable decided : Symbol.Set.t;
   mutable seqno : int;
   mutable occurrences : occurrence list;  (** newest first *)

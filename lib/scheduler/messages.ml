@@ -45,12 +45,25 @@ let symbols = function
   | Release { sym; holder } -> [ sym; Literal.symbol holder ]
   | Recovered { sym; _ } -> [ sym ]
 
-let label = function
-  | Announce _ -> "announce"
-  | Promise_request _ -> "promise_request"
-  | Promise _ -> "promise"
-  | Reserve _ -> "reserve"
-  | Reserve_granted _ -> "reserve_granted"
-  | Reserve_denied _ -> "reserve_denied"
-  | Release _ -> "release"
-  | Recovered _ -> "recovered"
+let labels =
+  [|
+    "announce";
+    "promise_request";
+    "promise";
+    "reserve";
+    "reserve_granted";
+    "reserve_denied";
+    "release";
+    "recovered";
+  |]
+
+let tag = function
+  | Announce _ -> 0
+  | Promise_request _ -> 1
+  | Promise _ -> 2
+  | Reserve _ -> 3
+  | Reserve_granted _ -> 4
+  | Reserve_denied _ -> 5
+  | Release _ -> 6
+  | Recovered _ -> 7
+

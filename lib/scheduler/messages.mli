@@ -32,8 +32,12 @@ type t =
   | Recovered of { sym : Symbol.t; epoch : int }
 
 val pp : Format.formatter -> t -> unit
-val label : t -> string
-(** Short tag for statistics ("announce", "promise", ...). *)
+val tag : t -> int
+(** The constructor's index into {!labels}, so per-kind counters can be
+    resolved once and indexed per message. *)
+
+val labels : string array
+(** Short names for statistics ("announce", "promise", ...), by {!tag}. *)
 
 val symbols : t -> Symbol.t list
 (** Every symbol the message mentions (literals contribute their

@@ -142,7 +142,7 @@ let do_crash (t : t) site =
    journal recovery rebuilds: the torn frame's input was never applied,
    so losing it must lose nothing. *)
 let torn_recovery_ok (t : t) sym =
-  let ckpt, suffix = Wf_store.Journal.recover (Hashtbl.find t.journals sym).j in
+  let ckpt, suffix = Wf_store.Journal.recover (Symbol_tbl.find t.journals sym).j in
   let reference = Ground.replay t sym (ckpt, suffix) in
   let synced_frames =
     (match ckpt with Some _ -> 1 | None -> 0) + List.length suffix
@@ -200,13 +200,13 @@ let snapshot (t : t) =
       List.map (fun sym -> (sym, Actor.snapshot (Ground.actor_of t sym))) symbols;
     s_journals =
       List.map
-        (fun sym -> (sym, Wf_store.Journal.copy (Hashtbl.find t.journals sym).j))
+        (fun sym -> (sym, Wf_store.Journal.copy (Symbol_tbl.find t.journals sym).j))
         symbols;
     s_agents =
       List.map (fun i -> (i, Agent.snapshot (Hashtbl.find t.agents i))) d.instances;
     s_queues = d.queues;
     s_pending =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.pending_trigger_complements [];
+      Symbol_tbl.fold (fun k v acc -> (k, v) :: acc) t.pending_trigger_complements [];
     s_epochs = Array.copy d.epochs;
     s_decided = t.decided;
     s_seqno = t.seqno;
@@ -224,15 +224,15 @@ let restore (t : t) s =
      snapshot seeds many branches. *)
   List.iter
     (fun (sym, j) ->
-      let js = Hashtbl.find t.journals sym in
+      let js = Symbol_tbl.find t.journals sym in
       js.j <- Wf_store.Journal.copy j;
       js.depth <- 0)
     s.s_journals;
   List.iter (fun (i, sa) -> Agent.restore (Hashtbl.find t.agents i) sa) s.s_agents;
   d.queues <- s.s_queues;
-  Hashtbl.reset t.pending_trigger_complements;
+  Symbol_tbl.reset t.pending_trigger_complements;
   List.iter
-    (fun (k, v) -> Hashtbl.replace t.pending_trigger_complements k v)
+    (fun (k, v) -> Symbol_tbl.replace t.pending_trigger_complements k v)
     s.s_pending;
   Array.blit s.s_epochs 0 d.epochs 0 (Array.length d.epochs);
   t.decided <- s.s_decided;
@@ -298,7 +298,7 @@ let fingerprint (t : t) =
       h
       (List.sort
          (fun (a, _) (b, _) -> Symbol.compare a b)
-         (Hashtbl.fold (fun k v acc -> (k, v) :: acc)
+         (Symbol_tbl.fold (fun k v acc -> (k, v) :: acc)
             t.pending_trigger_complements []))
   in
   let h = Array.fold_left F.int h d.epochs in

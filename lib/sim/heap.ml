@@ -2,6 +2,12 @@ type 'a entry = { key : float; seq : int; value : 'a }
 
 type 'a t = { mutable data : 'a entry array; mutable len : int }
 
+(* Vacated slots hold this placeholder, never a popped entry: a stale
+   reference would keep a delivered payload or a fired closure alive
+   until the slot is reused.  Slots at or beyond [len] are never read. *)
+let vacant : Obj.t entry = { key = infinity; seq = max_int; value = Obj.repr () }
+let vacant () : 'a entry = Obj.magic vacant
+
 let create () = { data = [||]; len = 0 }
 let is_empty h = h.len = 0
 let size h = h.len
@@ -32,34 +38,32 @@ let rec sift_down h i =
     sift_down h !smallest
   end
 
-let grow h entry =
+let grow h =
   let cap = Array.length h.data in
   if h.len = cap then begin
     let ncap = max 16 (2 * cap) in
-    let data = Array.make ncap entry in
+    let data = Array.make ncap (vacant ()) in
     Array.blit h.data 0 data 0 h.len;
     h.data <- data
   end
 
 let push h ~key ~seq value =
   let entry = { key; seq; value } in
-  grow h entry;
+  grow h;
   h.data.(h.len) <- entry;
   h.len <- h.len + 1;
   sift_up h (h.len - 1)
 
-let pop h =
-  if h.len = 0 then None
-  else begin
-    let top = h.data.(0) in
-    h.len <- h.len - 1;
-    if h.len > 0 then begin
-      h.data.(0) <- h.data.(h.len);
-      sift_down h 0
-    end;
-    Some (top.key, top.seq, top.value)
-  end
+let min_key h =
+  if h.len = 0 then invalid_arg "Heap.min_key: empty heap";
+  h.data.(0).key
 
-let peek h = if h.len = 0 then None else
+(* Remove the root, refill from the last slot and clear that slot. *)
+let take h =
+  if h.len = 0 then invalid_arg "Heap.take: empty heap";
   let top = h.data.(0) in
-  Some (top.key, top.seq, top.value)
+  h.len <- h.len - 1;
+  h.data.(0) <- h.data.(h.len);
+  h.data.(h.len) <- vacant ();
+  if h.len > 0 then sift_down h 0;
+  top.value

@@ -1,7 +1,9 @@
 (** Binary min-heap keyed by [(float, int)] pairs.
 
     The integer component is a tie-breaking sequence number, which makes
-    the simulator's event ordering total and deterministic. *)
+    the simulator's event ordering total and deterministic.  A removed
+    element is dropped from the heap's storage at once, so the heap
+    never keeps a popped value reachable. *)
 
 type 'a t
 
@@ -11,7 +13,10 @@ val size : 'a t -> int
 
 val push : 'a t -> key:float -> seq:int -> 'a -> unit
 
-val pop : 'a t -> (float * int * 'a) option
-(** Remove and return the minimum element. *)
+val min_key : 'a t -> float
+(** Key of the minimum element, without allocating.  Raises
+    [Invalid_argument] on an empty heap. *)
 
-val peek : 'a t -> (float * int * 'a) option
+val take : 'a t -> 'a
+(** Remove the minimum element and return its value.  Raises
+    [Invalid_argument] on an empty heap. *)

@@ -80,7 +80,9 @@ type 'msg t = {
   mutable tracer : Trace.sink option;
   queue : 'msg event Heap.t;
   handlers : (site -> 'msg -> unit) option array;
-  last_delivery : (site * site, float) Hashtbl.t;
+  last_delivery : float array;
+      (* per link, [src * num_sites + dst]: the latest FIFO arrival
+         time scheduled; [neg_infinity] before the first *)
   paused : bool array;
   stalled : 'msg event list array; (* newest first, per paused site *)
   crashed : bool array;
@@ -128,7 +130,7 @@ let create ?(seed = 42L) ?(faults = no_faults) ~num_sites ~latency () =
       tracer = None;
       queue = Heap.create ();
       handlers = Array.make num_sites None;
-      last_delivery = Hashtbl.create 64;
+      last_delivery = Array.make (num_sites * num_sites) neg_infinity;
       paused = Array.make num_sites false;
       stalled = Array.make num_sites [];
       crashed = Array.make num_sites false;
@@ -281,15 +283,14 @@ let enqueue_delivery t ~src ~dst ~control payload =
   (* FIFO per link for normal traffic; a reordered message escapes the
      clamp (and does not tighten it for its successors), which is
      exactly the bounded out-of-order delivery being modelled. *)
-  let key = (src, dst) in
+  let link = (src * t.num_sites) + dst in
   let arrival =
     if reordered then arrival
     else
-      match Hashtbl.find_opt t.last_delivery key with
-      | Some last when last >= arrival -> last +. 1e-9
-      | _ -> arrival
+      let last = t.last_delivery.(link) in
+      if last >= arrival then last +. 1e-9 else arrival
   in
-  if not reordered then Hashtbl.replace t.last_delivery key arrival;
+  if not reordered then t.last_delivery.(link) <- arrival;
   (* Receive-side stats (site_recv_*, message_latency) are recorded at
      actual delivery in [run], not here: a message enqueued into a
      site's crash window is swallowed and must not count as received. *)
@@ -409,18 +410,18 @@ let run ?(until = infinity) ?(max_steps = max_int) t =
     | Some choose when t.ready <> [] ->
         incr steps;
         deliver_chosen t choose
-    | _ -> (
-        match Heap.peek t.queue with
-        | None -> continue := false
-        | Some (time, _, _) when time > until -> continue := false
-        | Some _ -> (
-            match Heap.pop t.queue with
-            | None -> continue := false
-            | Some (time, _, event) -> (
-                t.clock <- max t.clock time;
-                incr steps;
-                match event with
-                | Action f -> f ()
-                | Deliver { src; dst; control; sent; payload } ->
-                    execute_delivery t ~src ~dst ~control ~sent payload)))
+    | _ ->
+        if Heap.is_empty t.queue then continue := false
+        else
+          let time = Heap.min_key t.queue in
+          if time > until then continue := false
+          else begin
+            let event = Heap.take t.queue in
+            if time > t.clock then t.clock <- time;
+            incr steps;
+            match event with
+            | Action f -> f ()
+            | Deliver { src; dst; control; sent; payload } ->
+                execute_delivery t ~src ~dst ~control ~sent payload
+          end
   done

@@ -22,6 +22,10 @@ type t = {
   model : Task_model.t;
   script : script;
   parametrize : bool;
+  symbols : (string * Symbol.t) list;
+      (* each significant event's symbol, in model order, computed once *)
+  by_base : (string * string) list;
+      (* symbol base -> event, for the argument-free symbols above *)
   mutable state : string;
   mutable plan : string list; (* events still to attempt *)
   mutable awaiting : Symbol.t option;
@@ -37,11 +41,26 @@ let create ~instance ~model ~script ?(parametrize = false) () =
   (match Task_model.validate model with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Agent.create: invalid model: " ^ msg));
+  let symbols =
+    List.map
+      (fun (ev, _, _) -> (ev, Task_model.symbol_of_event model ~instance ev))
+      model.Task_model.significant
+  in
+  (* [Task_model.event_of_symbol] on an argument-free symbol: the first
+     significant event whose symbol has no arguments and the same base. *)
+  let by_base =
+    List.filter_map
+      (fun (ev, sym) ->
+        if Symbol.args sym = [] then Some (Symbol.base sym, ev) else None)
+      symbols
+  in
   {
     instance;
     model;
     script;
     parametrize;
+    symbols;
+    by_base;
     state = model.Task_model.init;
     plan = expand_script script;
     awaiting = None;
@@ -58,17 +77,26 @@ let awaiting t = t.awaiting
 let count_of t event =
   Option.value (List.assoc_opt event t.counts) ~default:0
 
+(* The tables hold a handful of entries: a linear scan on [String.equal]
+   beats hashing the key. *)
+let rec find_string key = function
+  | [] -> None
+  | (k, v) :: rest -> if String.equal k key then Some v else find_string key rest
+
 let symbol_of t event =
-  let base = Task_model.symbol_of_event t.model ~instance:t.instance event in
+  let base =
+    match find_string event t.symbols with
+    | Some sym -> sym
+    | None -> Task_model.symbol_of_event t.model ~instance:t.instance event
+  in
   if t.parametrize then
     Symbol.parametrized (Symbol.name base)
       [ string_of_int (count_of t event + 1) ]
   else base
 
 let event_of_symbol t sym =
-  (* Strip any occurrence parameter before matching. *)
-  let plain = Symbol.make (Symbol.base sym) in
-  Task_model.event_of_symbol t.model ~instance:t.instance plain
+  (* Match on the base: any occurrence parameter is stripped. *)
+  find_string (Symbol.base sym) t.by_base
 
 let owns t sym = Option.is_some (event_of_symbol t sym)
 

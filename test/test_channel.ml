@@ -197,6 +197,39 @@ let test_retransmit_jitter_desync () =
   let b0 = retransmit_times ~seed:2L ~retransmit_jitter:0.0 in
   checkb "zero jitter is seed-independent lockstep" (a0 = b0)
 
+(* Messages given up on while their destination was down are revived
+   by its restart Hello in the order they were first sent, not in the
+   order the dead-letter table happens to hash them. *)
+let test_revival_order () =
+  let n = 8 in
+  let net =
+    Netsim.create ~seed:3L ~num_sites:2
+      ~latency:(Netsim.uniform_latency ~base:1.0 ~jitter:0.0)
+      ()
+  in
+  let chan = Channel.create ~rto:1.0 ~max_rto:2.0 ~max_retries:2 net in
+  let received = ref [] in
+  Channel.on_receive chan 1 (fun _src i -> received := i :: !received);
+  Channel.on_receive chan 0 (fun _ _ -> ());
+  Netsim.crash_site net 1;
+  for i = 0 to n - 1 do
+    Channel.send chan ~src:0 ~dst:1 i
+  done;
+  Netsim.run net;
+  let count name = Wf_obs.Metrics.count (Netsim.stats net) name in
+  check Alcotest.int "every message given up" n (count "chan_gave_up");
+  check Alcotest.int "all dead letters" n (Channel.dead_letters chan);
+  check Alcotest.(list int) "nothing delivered to the crashed site" [] !received;
+  Netsim.restart_site net 1;
+  Netsim.run net;
+  check Alcotest.int "every message revived" n (count "chan_revived");
+  check
+    Alcotest.(list int)
+    "revived in send order"
+    (List.init n (fun i -> i))
+    (List.rev !received);
+  check Alcotest.int "nothing pending" 0 (Channel.unacked chan)
+
 let suite =
   [
     Alcotest.test_case "clean network" `Quick test_clean_network;
@@ -207,6 +240,8 @@ let suite =
     Alcotest.test_case "site pause/resume" `Quick test_pause_resume;
     Alcotest.test_case "ack latency series" `Quick test_ack_latency_observed;
     Alcotest.test_case "retry cap on a dead link" `Quick test_retry_cap;
+    Alcotest.test_case "revival after restart keeps send order" `Quick
+      test_revival_order;
     Alcotest.test_case "adjacent-seed senders desynchronize retries" `Quick
       test_retransmit_jitter_desync;
   ]

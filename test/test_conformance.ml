@@ -122,13 +122,24 @@ let conformance_sweep ~faults ~label () =
           [ `Distributed; `Central ])
     (spec_files ())
 
+(* Every status-memo hit during the sweep must agree with
+   [Knowledge.status] of the knowledge that asked. *)
+let audited label f =
+  let r, a = Gtable.audit_status_memo f in
+  checkb (label ^ ": the sweep hit the status memo") (a.Gtable.hits_checked > 0);
+  check Alcotest.int (label ^ ": status-memo audit mismatches") 0
+    a.Gtable.mismatches;
+  r
+
 let test_conformance_reliable () =
-  conformance_sweep ~faults:Wf_sim.Netsim.no_faults ~label:"clean" ()
+  audited "clean" (fun () ->
+      conformance_sweep ~faults:Wf_sim.Netsim.no_faults ~label:"clean" ())
 
 let test_conformance_faulty () =
   (* Aggregate the counters across the sweep: the fault layer and the
      reliable channel must both demonstrably engage. *)
   let agg = ref (Wf_obs.Metrics.create ()) in
+  audited "faulty" @@ fun () ->
   List.iter
     (fun path ->
       let { Wf_lang.Elaborate.def; templates } =

@@ -179,6 +179,143 @@ let hint_sound =
           | Some s -> Knowledge.status know g = s)
         (Expr.literals d))
 
+(* --- Status memo ----------------------------------------------------------- *)
+
+(* A knowledge script in seqno order over the three-symbol pool, plus a
+   reserved subset drawn independently, so a symbol can be promised
+   and reserved at once. *)
+let gen_memo_case =
+  QCheck2.Gen.(
+    triple gen_expr
+      (list_size (int_bound 8) (pair bool gen_literal))
+      (list_size (int_bound 3) (oneofl symbol_names)))
+
+let knowledge_prefixes steps =
+  let _, _, prefixes =
+    List.fold_left
+      (fun (k, n, acc) (promise, x) ->
+        let k, n =
+          if promise then (Knowledge.promised x k, n)
+          else if Knowledge.decided k (Literal.symbol x) then (k, n)
+          else (Knowledge.occurred x ~seqno:n k, n + 1)
+        in
+        (k, n, k :: acc))
+      (Knowledge.empty, 0, [ Knowledge.empty ])
+      steps
+  in
+  prefixes
+
+(* [f] applied to the hypothetical knowledge, or [None] where recording
+   the literals contradicts an occurrence (both paths raise there). *)
+let guarded f = try Some (f ()) with Invalid_argument _ -> None
+
+(* The memoized status equals [Knowledge.status] for the view itself and
+   for every hypothetical occurrence or promise of one or two pool
+   literals, at every prefix of the script, and every memo hit on the
+   way passes the audit. *)
+let memo_matches_symbolic =
+  qprop ~count:150 "status memo = Knowledge.status (views and probes)"
+    gen_memo_case (fun (d, steps, reserved) ->
+      let reserved =
+        Symbol.Set.of_list (List.map (fun n -> Literal.symbol (lit n)) reserved)
+      in
+      let pool = List.concat_map (fun n -> [ lit n; lit ("~" ^ n) ]) symbol_names in
+      let offers = [] :: List.map (fun l -> [ l ]) pool @ [ [ lit "e"; lit "~f" ] ] in
+      let ok, audit =
+        Gtable.audit_status_memo @@ fun () ->
+        Literal.Set.for_all
+          (fun l ->
+            let g = Synth.guard d l in
+            match Gtable.lookup g with
+            | None -> true
+            | Some tbl ->
+                List.for_all
+                  (fun k ->
+                    let v = Gtable.view tbl ~reserved k in
+                    Gtable.view_state v = Gtable.of_knowledge tbl k
+                    && Gtable.view_status tbl v = Knowledge.status ~reserved k g
+                    && List.for_all
+                         (fun lits ->
+                           let sym record table =
+                             guarded (fun () ->
+                                 Knowledge.status ~reserved
+                                   (List.fold_left record k lits)
+                                   g)
+                             = guarded (fun () -> table tbl v lits)
+                           in
+                           sym
+                             (fun k o -> Knowledge.occurred o ~seqno:max_int k)
+                             Gtable.status_if_occurred
+                           && sym
+                                (fun k o -> Knowledge.promised o k)
+                                Gtable.status_if_promised)
+                         offers)
+                  (knowledge_prefixes steps))
+          (Expr.literals d)
+      in
+      ok && audit.Gtable.mismatches = 0)
+
+let stat name = List.assoc name (Gtable.stats ())
+
+(* A guard over more symbols than a code packs (the first event's guard
+   in a 17-event chain: 16 symbols, 2 states) compiles but answers its
+   Open states symbolically; a narrow
+   guard fills one memo entry per distinct (code, state) and answers
+   repeats from it.  With tables off nothing is memoized. *)
+let test_memo_counters () =
+  Intern.clear_memos ();
+  let chain = List.init 17 (fun i -> lit (Printf.sprintf "w%02d" i)) in
+  let wide =
+    Synth.guard (Expr.seq_all (List.map Expr.atom chain)) (List.hd chain)
+  in
+  let tbl =
+    match Gtable.lookup wide with
+    | Some t -> t
+    | None -> Alcotest.fail "the wide chain guard should compile"
+  in
+  check Alcotest.int "wide alphabet" 16 (Gtable.num_symbols tbl);
+  let v = Gtable.view tbl ~reserved:Symbol.Set.empty Knowledge.empty in
+  checkb "wide guard is Open" (Gtable.verdict tbl (Gtable.view_state v) = Gtable.Open);
+  checkb "wide guard undecided" (Gtable.view_status tbl v = Knowledge.Unknown);
+  check Alcotest.int "wide guard went symbolic" 1 (stat "status_symbolic");
+  check Alcotest.int "wide guard made no entry" 0 (stat "status_memo_entries");
+  let g = Synth.guard (Expr.seq_all [ e; f; g ]) (lit "g") in
+  let tbl =
+    match Gtable.lookup g with
+    | Some t -> t
+    | None -> Alcotest.fail "the chain guard should compile"
+  in
+  let know = Knowledge.occurred (lit "e") ~seqno:1 Knowledge.empty in
+  let reserved = Symbol.Set.singleton (Literal.symbol (lit "f")) in
+  let v = Gtable.view tbl ~reserved know in
+  let first = Gtable.view_status tbl v in
+  let again, audit =
+    Gtable.audit_status_memo (fun () ->
+        Gtable.view_status tbl (Gtable.view tbl ~reserved know))
+  in
+  checkb "repeat answers alike" (first = again);
+  check Alcotest.int "the repeat is an audited hit" 1 audit.Gtable.hits_checked;
+  check Alcotest.int "audit is clean" 0 audit.Gtable.mismatches;
+  check Alcotest.int "one entry" 1 (stat "status_memo_entries");
+  check Alcotest.int "one miss" 1 (stat "status_memo_misses");
+  check Alcotest.int "no new symbolic fallback" 1 (stat "status_symbolic");
+  ignore (Gtable.status_if_occurred tbl v [ lit "f" ]);
+  check Alcotest.int "a decisive probe state is memoized too" 2
+    (stat "status_memo_entries");
+  Intern.clear_memos ();
+  check Alcotest.int "clear_memos resets entries" 0 (stat "status_memo_entries");
+  check Alcotest.int "clear_memos resets misses" 0 (stat "status_memo_misses");
+  check Alcotest.int "clear_memos resets fallbacks" 0 (stat "status_symbolic");
+  (* Tables off: the same queries stay symbolic and create no entry. *)
+  Gtable.set_enabled false;
+  Fun.protect
+    ~finally:(fun () -> Gtable.set_enabled true)
+    (fun () ->
+      checkb "no table while off" (Gtable.lookup g = None);
+      ignore (Gtable.view_status tbl (Gtable.view tbl ~reserved know));
+      check Alcotest.int "no entry while off" 0 (stat "status_memo_entries");
+      check Alcotest.int "counted as symbolic" 1 (stat "status_symbolic"))
+
 (* --- Model-checker invariance -------------------------------------------- *)
 
 (* Tables only short-circuit guard evaluations; they never change the
@@ -214,6 +351,9 @@ let suite =
     Alcotest.test_case "verdict matrix renders" `Quick test_verdict_matrix;
     differential;
     hint_sound;
+    memo_matches_symbolic;
+    Alcotest.test_case "status memo counters and the symbol bound" `Quick
+      test_memo_counters;
     Alcotest.test_case "wfmc explores the same states with tables off" `Quick
       test_mc_invariance;
   ]

@@ -281,9 +281,9 @@ let burst_run ~jobs ~seed =
   in
   let sym b j = Symbol.parametrized b [ string_of_int j ] in
   let rec loop () =
-    match Wf_sim.Heap.pop heap with
-    | None -> ()
-    | Some (now, _, ev) ->
+    if not (Wf_sim.Heap.is_empty heap) then begin
+        let now = Wf_sim.Heap.min_key heap in
+        let ev = Wf_sim.Heap.take heap in
         let w0 = Param_sched.work eng in
         (match ev with
         | Commit j -> (
@@ -299,6 +299,7 @@ let burst_run ~jobs ~seed =
             Param_sched.occurred eng (Literal.pos (sym "p" j));
             charge now w0);
         loop ()
+    end
   in
   loop ();
   eng

@@ -362,33 +362,137 @@ let test_central_routes_through_center () =
   checkb "central uses messages"
     (Wf_obs.Metrics.count r.Event_sched.stats "messages_sent" > 0)
 
+(* A run as the pins and the determinism check compare it: each
+   occurrence with its seqno and exact time, and every counter. *)
+let observe (r : Event_sched.result) =
+  ( List.map
+      (fun (o : Event_sched.occurrence) ->
+        Printf.sprintf "%s#%d@%h" (Literal.to_string o.lit) o.seqno o.time)
+      r.trace,
+    Wf_obs.Metrics.counters r.stats )
+
+(* Drops, duplicates, reordering and crashes on the network, torn and
+   lost-tail writes under the journals, and credit flow control — the
+   fault load of wfbench's travel-faulty workload. *)
+let faulty_config seed =
+  {
+    Event_sched.default_config with
+    seed;
+    faults =
+      {
+        Wf_sim.Netsim.no_faults with
+        drop_rate = 0.05;
+        duplicate_rate = 0.025;
+        reorder_rate = 0.05;
+        reorder_window = 2.0;
+        crash_on_deliver = 0.02;
+        crash_on_send = 0.01;
+        restart_delay = 2.0;
+        max_crashes = 6;
+      };
+    store =
+      Some
+        {
+          Wf_store.Media.Sim.no_faults with
+          torn_write = 0.5;
+          lost_tail = 0.5;
+          max_faults = 4;
+        };
+    flow = Some Flow.default_config;
+  }
+
 (* The same seed realizes the same run however the spec-invariant part
    was obtained: compiled from empty memo tables, reused from the
-   previous run, or built by the naive memo-free kernels. *)
+   previous run, or built by the naive memo-free kernels — fault-free,
+   and again under network, crash and storage faults with flow control,
+   where recovery replays actors and retransmits messages. *)
 let test_determinism () =
-  let observe (r : Event_sched.result) =
-    ( List.map
-        (fun (o : Event_sched.occurrence) ->
-          Printf.sprintf "%s#%d@%h" (Literal.to_string o.lit) o.seqno o.time)
-        r.trace,
-      Wf_obs.Metrics.counters r.stats )
-  in
-  let run () = observe (run_dist ~seed:99L (travel_wf ())) in
-  Intern.clear_memos ();
-  let cold = run () in
-  let warm = run () in
-  let naive =
-    Intern.set_enabled false;
-    Fun.protect ~finally:(fun () -> Intern.set_enabled true) run
-  in
   let same label (t1, c1) (t2, c2) =
     check Alcotest.(list string) (label ^ ": same trace") t1 t2;
     check
       Alcotest.(list (pair string int))
       (label ^ ": same counters") c1 c2
   in
-  same "cold vs warm" cold warm;
-  same "cold vs memo-free" cold naive
+  let legs label run =
+    Intern.clear_memos ();
+    let cold = run () in
+    let warm = run () in
+    let naive =
+      Intern.set_enabled false;
+      Fun.protect ~finally:(fun () -> Intern.set_enabled true) run
+    in
+    same (label ^ "cold vs warm") cold warm;
+    same (label ^ "cold vs memo-free") cold naive
+  in
+  legs "" (fun () -> observe (run_dist ~seed:99L (travel_wf ())));
+  legs "faulty+store: " (fun () ->
+      observe (Event_sched.run ~config:(faulty_config 99L) (travel_wf ())))
+
+(* Behaviour pins: the realized traces (literal, seqno, exact time) and
+   every counter of 24 seeded runs of the five-copy travel workflow
+   (fault-free, and under faults with store and flow control), digested.
+   The digests were computed before the actor's decisions moved onto
+   compiled tables and the message path onto resolved keys; any
+   decision, retransmit or recovery that differs moves them. *)
+let pin_workflow =
+  let copies = 5 in
+  Workflow_def.make ~name:"travel"
+    ~tasks:
+      (List.concat
+         (List.init copies (fun i ->
+              let suffix = string_of_int i and site = 3 * i in
+              [
+                Workflow_def.task ~instance:("buy" ^ suffix)
+                  ~model:Task_model.transaction ~site
+                  ~script:(Agent.transactional ()) ();
+                Workflow_def.task ~instance:("book" ^ suffix)
+                  ~model:Task_model.compensatable_transaction ~site:(site + 1)
+                  ~script:(Agent.straight_line [ "commit" ]) ();
+                Workflow_def.task ~instance:("cancel" ^ suffix)
+                  ~model:Task_model.compensatable_transaction ~site:(site + 2)
+                  ~script:(Agent.straight_line [ "commit" ]) ();
+              ])))
+    ~deps:
+      (List.concat
+         (List.init copies (fun i ->
+              let ev base = Literal.event (base ^ string_of_int i) in
+              [
+                (Printf.sprintf "d1_%d" i, Catalog.requires (ev "s_buy") (ev "s_book"));
+                ( Printf.sprintf "d2_%d" i,
+                  Expr.choice
+                    (Expr.atom (Literal.complement (ev "c_buy")))
+                    (Expr.seq (Expr.atom (ev "c_book")) (Expr.atom (ev "c_buy")))
+                );
+                ( Printf.sprintf "d3_%d" i,
+                  Expr.choice_all
+                    [
+                      Expr.atom (Literal.complement (ev "c_book"));
+                      Expr.atom (ev "c_buy");
+                      Expr.atom (ev "s_cancel");
+                    ] );
+              ])))
+    ()
+
+let pin_digest config =
+  let buf = Buffer.create 65536 in
+  List.iter
+    (fun seed ->
+      let traces, counters =
+        observe (Event_sched.run ~config:(config (Int64.of_int seed)) pin_workflow)
+      in
+      List.iter (fun o -> Buffer.add_string buf (o ^ ";")) traces;
+      List.iter
+        (fun (n, c) -> Buffer.add_string buf (Printf.sprintf "%s=%d," n c))
+        counters;
+      Buffer.add_char buf '\n')
+    (List.init 24 (fun i -> i + 1));
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_behaviour_pins () =
+  check Alcotest.string "travel x 24 seeds" "62f66872c4a0c7f2165a3e82102110c3"
+    (pin_digest (fun seed -> { Event_sched.default_config with seed }));
+  check Alcotest.string "travel-faulty x 24 seeds" "73a12e384c1c14568e6881ed2416a890"
+    (pin_digest faulty_config)
 
 let suite =
   [
@@ -412,4 +516,6 @@ let suite =
     Alcotest.test_case "central: dependency pairs" `Quick test_central_pairs;
     Alcotest.test_case "central: messages" `Quick test_central_routes_through_center;
     Alcotest.test_case "determinism" `Quick test_determinism;
+    Alcotest.test_case "behaviour pins (travel, travel-faulty)" `Quick
+      test_behaviour_pins;
   ]

@@ -7,18 +7,14 @@ let test_heap_order () =
   let h = Heap.create () in
   checkb "empty" (Heap.is_empty h);
   List.iteri
-    (fun i key -> Heap.push h ~key ~seq:i "x")
+    (fun i key -> Heap.push h ~key ~seq:i i)
     [ 5.0; 1.0; 3.0; 1.0; 4.0 ];
   check Alcotest.int "size" 5 (Heap.size h);
   let keys = ref [] in
-  let rec drain () =
-    match Heap.pop h with
-    | None -> ()
-    | Some (k, s, _) ->
-        keys := (k, s) :: !keys;
-        drain ()
-  in
-  drain ();
+  while not (Heap.is_empty h) do
+    let k = Heap.min_key h in
+    keys := (k, Heap.take h) :: !keys
+  done;
   let sorted = List.rev !keys in
   checkb "keys ascending"
     (sorted = List.sort compare sorted);
@@ -32,15 +28,42 @@ let test_heap_order () =
 let test_heap_interleaved () =
   let h = Heap.create () in
   Heap.push h ~key:2.0 ~seq:0 "a";
-  (match Heap.pop h with
-  | Some (k, _, "a") -> check (Alcotest.float 0.0) "first" 2.0 k
-  | _ -> Alcotest.fail "expected a");
+  check (Alcotest.float 0.0) "first key" 2.0 (Heap.min_key h);
+  check Alcotest.string "first" "a" (Heap.take h);
   Heap.push h ~key:1.0 ~seq:1 "b";
   Heap.push h ~key:3.0 ~seq:2 "c";
-  (match Heap.peek h with
-  | Some (_, _, v) -> check Alcotest.string "peek min" "b" v
-  | None -> Alcotest.fail "empty");
-  check Alcotest.int "size preserved by peek" 2 (Heap.size h)
+  check (Alcotest.float 0.0) "min key" 1.0 (Heap.min_key h);
+  check Alcotest.int "size preserved by min_key" 2 (Heap.size h);
+  check Alcotest.string "take min" "b" (Heap.take h);
+  Alcotest.check_raises "take on empty"
+    (Invalid_argument "Heap.take: empty heap") (fun () ->
+      ignore (Heap.take h : string);
+      ignore (Heap.take h : string))
+
+(* Popped values are released at once: neither the vacated slot nor the
+   spare capacity keeps a delivered payload reachable. *)
+let test_heap_releases_popped () =
+  let h = Heap.create () in
+  let n = 6 in
+  let w = Weak.create n in
+  let fill () =
+    for i = 0 to n - 1 do
+      let v = Bytes.make 64 (Char.chr (65 + i)) in
+      Weak.set w i (Some v);
+      Heap.push h ~key:(float_of_int (n - i)) ~seq:i v
+    done
+  in
+  fill ();
+  check (Alcotest.float 0.0) "min key" 1.0 (Heap.min_key h);
+  let order = List.init n (fun _ -> Bytes.get (Heap.take h) 0) in
+  check Alcotest.(list char) "take pops by key" [ 'F'; 'E'; 'D'; 'C'; 'B'; 'A' ] order;
+  Gc.full_major ();
+  for i = 0 to n - 1 do
+    checkb (Printf.sprintf "popped value %d collectable" i) (not (Weak.check w i))
+  done;
+  (* the heap itself stays reachable across the collection *)
+  Heap.push h ~key:0.0 ~seq:n (Bytes.empty);
+  check Alcotest.int "heap still usable" 1 (Heap.size h)
 
 let test_rng_determinism () =
   let a = Rng.create 7L and b = Rng.create 7L in
@@ -331,6 +354,8 @@ let suite =
   [
     Alcotest.test_case "heap ordering" `Quick test_heap_order;
     Alcotest.test_case "heap interleaved" `Quick test_heap_interleaved;
+    Alcotest.test_case "heap releases popped values" `Quick
+      test_heap_releases_popped;
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng ranges" `Quick test_rng_ranges;
     Alcotest.test_case "rng int uniformity (chi-square)" `Slow
@@ -363,9 +388,11 @@ let suite =
         let h = Wf_sim.Heap.create () in
         List.iteri (fun i k -> Wf_sim.Heap.push h ~key:k ~seq:i ()) keys;
         let rec drain acc =
-          match Wf_sim.Heap.pop h with
-          | None -> List.rev acc
-          | Some (k, _, ()) -> drain (k :: acc)
+          if Wf_sim.Heap.is_empty h then List.rev acc
+          else
+            let k = Wf_sim.Heap.min_key h in
+            Wf_sim.Heap.take h;
+            drain (k :: acc)
         in
         let out = drain [] in
         out = List.sort compare out && List.length out = List.length keys);
