@@ -331,7 +331,7 @@ let bench_latency () =
       in
       let central =
         Central_sched.run
-          ~config:{ Central_sched.default_config with base_latency = latency }
+          ~config:{ Event_sched.default_config with base_latency = latency }
           wf
       in
       Printf.printf "%8.1f | %12.1f | %12.1f
@@ -361,7 +361,7 @@ let bench_faults () =
       in
       let central =
         Central_sched.run
-          ~config:{ Central_sched.default_config with faults }
+          ~config:{ Event_sched.default_config with faults }
           wf
       in
       let msgs (r : Event_sched.result) name =
@@ -444,7 +444,7 @@ let bench_crash ?(smoke = false) () =
         (Event_sched.run ~config:{ Event_sched.default_config with faults } wf);
       emit "central"
         (Central_sched.run
-           ~config:{ Central_sched.default_config with faults }
+           ~config:{ Event_sched.default_config with faults }
            wf))
     probs;
   List.rev !rows

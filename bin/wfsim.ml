@@ -255,46 +255,32 @@ let run path scheduler seed latency jitter think verbose check_gen no_gtable
         }
     else None
   in
-  let r =
+  let run =
     match scheduler with
-    | "distributed" ->
-        Event_sched.run
-          ~config:
-            {
-              Event_sched.default_config with
-              seed = Int64.of_int seed;
-              base_latency = latency;
-              jitter;
-              think_time = think;
-              check_generates = check_gen;
-              checkpoint_every;
-              faults;
-              store;
-              tracer;
-              flow;
-              arrival;
-            }
-          def
-    | "central" ->
-        Central_sched.run
-          ~config:
-            {
-              Central_sched.default_config with
-              seed = Int64.of_int seed;
-              base_latency = latency;
-              jitter;
-              think_time = think;
-              checkpoint_every;
-              faults;
-              store;
-              tracer;
-              flow;
-              arrival;
-            }
-          def
+    | "distributed" -> Event_sched.run
+    | "central" -> Central_sched.run
     | s ->
         prerr_endline ("unknown scheduler " ^ s);
         exit 2
+  in
+  let r =
+    run
+      ~config:
+        {
+          Event_sched.default_config with
+          seed = Int64.of_int seed;
+          base_latency = latency;
+          jitter;
+          think_time = think;
+          check_generates = check_gen;
+          checkpoint_every;
+          faults;
+          store;
+          tracer;
+          flow;
+          arrival;
+        }
+      def
   in
   show_result verbose r;
   (match collector with

@@ -1,35 +1,6 @@
 open Wf_core
 open Wf_tasks
 
-type config = {
-  seed : int64;
-  base_latency : float;
-  jitter : float;
-  think_time : float;
-  max_steps : int;
-  checkpoint_every : int;
-  faults : Wf_sim.Netsim.fault_config;
-  store : Wf_store.Media.Sim.fault_config option;
-  tracer : Wf_obs.Trace.sink option;
-  flow : Flow.config option;
-  arrival : Flow.arrival;
-}
-
-let default_config =
-  {
-    seed = 42L;
-    base_latency = 1.0;
-    jitter = 0.2;
-    think_time = 0.5;
-    max_steps = 2_000_000;
-    checkpoint_every = 32;
-    faults = Wf_sim.Netsim.no_faults;
-    store = None;
-    tracer = None;
-    flow = None;
-    arrival = Flow.Poisson;
-  }
-
 type msg =
   | Attempt of Literal.t * Literal.t list
     (* agent -> center: the event plus the complements its transition
@@ -57,7 +28,7 @@ type dep_state = {
    ground truth, committed once per event.  The residual-automaton
    states, parked attempts, trigger set, and decided view are volatile
    and reconstructed after a crash by replaying the input journal
-   (checkpoint + suffix) with commits and sends muted. *)
+   (checkpoint + suffix) with commits, sends and [on_event] muted. *)
 type c_input =
   | C_attempt of Literal.t * Literal.t list
   | C_occurred of Literal.t
@@ -131,7 +102,8 @@ let c_codec : (c_input, c_snapshot) Wf_store.Log.codec =
 
 type runtime = {
   wf : Workflow_def.t;
-  cfg : config;
+  cfg : Event_sched.config;
+  plan : Run_plan.t;
   net : msg Channel.wire Wf_sim.Netsim.t;
   chan : msg Channel.t;
   deps : dep_state list;
@@ -139,9 +111,7 @@ type runtime = {
   media : Wf_store.Media.Sim.sim option;
       (* simulated storage under the center's journal; [None] = the
          pre-store perfectly durable in-memory journal *)
-  agents : (string, Agent.t) Hashtbl.t;
-  agent_site : (string, int) Hashtbl.t;
-  agent_of_symbol : (Symbol.t, string) Hashtbl.t;
+  agents : (string, Agent.t * int) Hashtbl.t;  (* instance -> agent, site *)
   decided_set : (Symbol.t, unit) Hashtbl.t;
   mutable replaying : bool;
   mutable parked : (Literal.t * Literal.t list) list;
@@ -235,11 +205,16 @@ let feasible rt lit =
         b)
     rt.deps
 
-let send_to_agent rt instance m =
-  if not rt.replaying then begin
-    let site = Hashtbl.find rt.agent_site instance in
-    Channel.send rt.chan ~src:central_site ~dst:site m
-  end
+(* The agent owning the literal's symbol, with its site. *)
+let owner rt lit =
+  Option.map (Hashtbl.find rt.agents)
+    (Run_plan.owner rt.plan (Literal.symbol lit))
+
+let send_to_owner rt lit m =
+  if not rt.replaying then
+    match owner rt lit with
+    | Some (_, site) -> Channel.send rt.chan ~src:central_site ~dst:site m
+    | None -> ()
 
 (* Assimilation trace point of the central decision procedure.  The
    "guard" of the center is the joint residual-automaton state, so the
@@ -267,13 +242,11 @@ let rec record rt lit =
        volatile state below is rebuilt. *)
     if not rt.replaying then begin
       rt.seqno <- rt.seqno + 1;
-      rt.occurrences <-
-        {
-          Event_sched.lit;
-          seqno = rt.seqno;
-          time = Wf_sim.Netsim.now rt.net;
-        }
-        :: rt.occurrences;
+      let o =
+        { Event_sched.lit; seqno = rt.seqno; time = Wf_sim.Netsim.now rt.net }
+      in
+      rt.occurrences <- o :: rt.occurrences;
+      rt.cfg.on_event o;
       Wf_obs.Metrics.incr (stats rt) "occurrences"
     end;
     List.iter
@@ -297,9 +270,7 @@ and retry_parked rt =
 and decide ?(retry = false) rt lit entailed =
   if decided rt (Literal.symbol lit) then begin
     emit_assim rt lit Wf_obs.Trace.Rejected;
-    match Hashtbl.find_opt rt.agent_of_symbol (Literal.symbol lit) with
-    | Some instance -> send_to_agent rt instance (Rejected lit)
-    | None -> ()
+    send_to_owner rt lit (Rejected lit)
   end
   else if
     acceptable rt lit entailed
@@ -309,9 +280,7 @@ and decide ?(retry = false) rt lit entailed =
   then begin
     emit_assim rt lit Wf_obs.Trace.Enabled;
     record rt lit;
-    match Hashtbl.find_opt rt.agent_of_symbol (Literal.symbol lit) with
-    | Some instance -> send_to_agent rt instance (Accepted lit)
-    | None -> ()
+    send_to_owner rt lit (Accepted lit)
   end
   else if feasible rt lit then begin
     if not rt.replaying then
@@ -328,9 +297,7 @@ and decide ?(retry = false) rt lit entailed =
       Wf_obs.Metrics.incr (stats rt) "rejections"
     end;
     emit_assim rt lit Wf_obs.Trace.Rejected;
-    match Hashtbl.find_opt rt.agent_of_symbol (Literal.symbol lit) with
-    | Some instance -> send_to_agent rt instance (Rejected lit)
-    | None -> ()
+    send_to_owner rt lit (Rejected lit)
   end
 
 (* Trigger triggerable events required on every accepting path of some
@@ -350,9 +317,7 @@ and fire_triggers rt =
           then begin
             rt.triggered <- Literal.Set.add l rt.triggered;
             if not rt.replaying then Wf_obs.Metrics.incr (stats rt) "triggers";
-            match Hashtbl.find_opt rt.agent_of_symbol (Literal.symbol l) with
-            | Some instance -> send_to_agent rt instance (Trigger l)
-            | None -> ()
+            send_to_owner rt l (Trigger l)
           end)
         required)
     rt.deps
@@ -366,9 +331,7 @@ let apply_center rt = function
       emit_assim rt lit Wf_obs.Trace.Rejected;
       if not rt.replaying then begin
         rt.rejected <- lit :: rt.rejected;
-        match Hashtbl.find_opt rt.agent_of_symbol (Literal.symbol lit) with
-        | Some instance -> send_to_agent rt instance (Rejected lit)
-        | None -> ()
+        send_to_owner rt lit (Rejected lit)
       end
 
 let snapshot_center rt =
@@ -395,38 +358,9 @@ let deliver_center rt input =
     Wf_store.Journal.checkpoint rt.journal (snapshot_center rt)
 
 let recover_center rt =
-  (match rt.media with
-  | None -> ()
-  | Some m ->
-      let before = Wf_store.Journal.total_appended rt.journal in
-      Wf_store.Media.Sim.crash m;
-      let j', report =
-        Wf_store.Journal.reload ~checkpoint_every:rt.cfg.checkpoint_every
-          c_codec
-          (Wf_store.Media.Sim.device m)
-      in
-      rt.journal <- j';
-      let open Wf_store.Log in
-      let fallback = report.sr_ckpt = Fallback in
-      Wf_obs.Metrics.incr (stats rt) "store_salvages";
-      Wf_obs.Metrics.add (stats rt) "store_dropped_entries"
-        (before - report.sr_total_entries);
-      Wf_obs.Metrics.add (stats rt) "store_dropped_bytes"
-        report.sr_dropped_bytes;
-      if fallback then Wf_obs.Metrics.incr (stats rt) "store_ckpt_fallbacks";
-      match rt.cfg.tracer with
-      | None -> ()
-      | Some sink ->
-          Wf_obs.Trace.emit sink
-            (Wf_obs.Trace.make
-               ~time:(Wf_sim.Netsim.now rt.net)
-               ~site:central_site
-               (Wf_obs.Trace.Store_salvage
-                  {
-                    kept = report.sr_frames;
-                    dropped = report.sr_dropped_bytes;
-                    fallback;
-                  })));
+  rt.journal <-
+    Event_sched.salvage rt.cfg rt.net c_codec ~site:central_site rt.media
+      rt.journal;
   rt.replaying <- true;
   List.iter (fun ds -> ds.state <- 0) rt.deps;
   rt.parked <- [];
@@ -445,70 +379,45 @@ let recover_center rt =
   Wf_obs.Metrics.incr (stats rt) "center_recoveries";
   Wf_obs.Metrics.add (stats rt) "center_replayed_entries" (List.length suffix)
 
-let rec schedule_agent rt agent =
+let rec schedule_agent rt ((agent, site) as owner) =
   match Agent.want agent with
   | None -> ()
   | Some (sym, attr) ->
       Agent.begin_attempt agent sym;
-      let delay =
-        Flow.arrival_delay rt.cfg.arrival
-          ~rng:(Wf_sim.Netsim.rng rt.net)
-          ~now:(Wf_sim.Netsim.now rt.net)
-          ~mean:rt.cfg.think_time
-      in
-      let site = Hashtbl.find rt.agent_site (Agent.instance agent) in
-      let attempt_body () =
-        Wf_obs.Metrics.incr (stats rt) "attempts";
-        let m =
-          if attr.Attribute.controllable then
-            Attempt (Literal.pos sym, Agent.would_make_unreachable agent sym)
-          else Occurred (Literal.pos sym)
-        in
-        Channel.send rt.chan ~src:site ~dst:central_site m;
-        if not attr.Attribute.controllable then begin
-          (* Uncontrollable events take effect at the task at once. *)
-          let complements = Agent.on_accepted agent sym in
-          List.iter
-            (fun c ->
-              Channel.send rt.chan ~src:site ~dst:central_site (Occurred c))
-            complements;
-          schedule_agent rt agent
-        end
-      in
-      (* Admission gate: the congested resource is the center, so the
-         verdict keys on the central site's depth, while the shed
-         streak and trace record stay with the attempting site. *)
-      let rec admitted_thunk first () =
-        match Channel.flow rt.chan with
-        | None -> attempt_body ()
-        | Some fl -> (
-            match
-              Flow.admit fl ~site ~actor:(Symbol.name sym)
-                ~depth:(Flow.depth fl ~site:central_site)
-                ~first ()
-            with
-            | Flow.Admitted -> attempt_body ()
-            | Flow.Busy { retry_after } ->
-                Wf_sim.Netsim.schedule rt.net ~delay:retry_after
-                  (admitted_thunk first))
-      in
-      Wf_sim.Netsim.schedule rt.net ~delay (fun () ->
-          admitted_thunk (Wf_sim.Netsim.now rt.net) ())
+      (* The congested resource is the center, so the admission verdict
+         keys on the central site's depth, while the shed streak and
+         trace record stay with the attempting site. *)
+      Event_sched.arrive rt.cfg rt.net rt.chan ~site ~depth_site:central_site
+        sym (fun () ->
+          Wf_obs.Metrics.incr (stats rt) "attempts";
+          let m =
+            if attr.Attribute.controllable then
+              Attempt (Literal.pos sym, Agent.would_make_unreachable agent sym)
+            else Occurred (Literal.pos sym)
+          in
+          Channel.send rt.chan ~src:site ~dst:central_site m;
+          if not attr.Attribute.controllable then begin
+            (* Uncontrollable events take effect at the task at once. *)
+            let complements = Agent.on_accepted agent sym in
+            List.iter
+              (fun c ->
+                Channel.send rt.chan ~src:site ~dst:central_site (Occurred c))
+              complements;
+            schedule_agent rt owner
+          end)
 
-let agent_handle rt agent m =
+let agent_handle rt ((agent, site) as owner) m =
   match m with
   | Accepted lit ->
-      let site = Hashtbl.find rt.agent_site (Agent.instance agent) in
       let complements = Agent.on_accepted agent (Literal.symbol lit) in
       List.iter
         (fun c -> Channel.send rt.chan ~src:site ~dst:central_site (Occurred c))
         complements;
-      schedule_agent rt agent
+      schedule_agent rt owner
   | Rejected lit ->
       Agent.on_rejected agent (Literal.symbol lit);
-      schedule_agent rt agent
+      schedule_agent rt owner
   | Trigger lit -> (
-      let site = Hashtbl.find rt.agent_site (Agent.instance agent) in
       match Agent.trigger agent (Literal.symbol lit) with
       | None -> Wf_obs.Metrics.incr (stats rt) "trigger_faults"
       | Some complements ->
@@ -516,51 +425,62 @@ let agent_handle rt agent m =
           List.iter
             (fun c -> Channel.send rt.chan ~src:site ~dst:central_site (Occurred c))
             complements;
-          schedule_agent rt agent)
+          schedule_agent rt owner)
   | Attempt _ | Occurred _ -> ()
 
-let run ?(config = default_config) wf =
-  (match Workflow_def.validate wf with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Central_sched.run: " ^ msg));
-  let deps_exprs = Workflow_def.dependencies wf in
-  let num_sites = max 1 (Workflow_def.num_sites wf) in
-  let net =
-    Wf_sim.Netsim.create ~seed:config.seed ~faults:config.faults ~num_sites
-      ~latency:
-        (Wf_sim.Netsim.uniform_latency ~base:config.base_latency
-           ~jitter:config.jitter)
-      ()
+(* Closing round: complements of events that can no longer occur, for
+   every finished agent, unless the center holds a parked attempt on
+   the symbol. *)
+let close_round rt =
+  let progress = ref false in
+  Hashtbl.iter
+    (fun _ (agent, _) ->
+      if Agent.finished agent then
+        List.iter
+          (fun c ->
+            let sym = Literal.symbol c in
+            if
+              (not (decided rt sym))
+              && not
+                   (List.exists
+                      (fun (l, _) -> Symbol.equal (Literal.symbol l) sym)
+                      rt.parked)
+            then begin
+              deliver_center rt (C_occurred c);
+              progress := true
+            end)
+          (Agent.undecided_complements agent))
+    rt.agents;
+  !progress
+
+let run ?(config = Event_sched.default_config) wf =
+  let plan =
+    match Run_plan.of_workflow wf with
+    | Ok plan -> plan
+    | Error msg -> invalid_arg ("Central_sched.run: " ^ msg)
   in
-  Wf_sim.Netsim.set_tracer net config.tracer;
-  let chan =
-    Channel.create
-      ~rto:(3.0 *. (config.base_latency +. config.jitter) +. 0.5)
-      ?flow:config.flow net
+  let deps = Workflow_def.dependencies wf in
+  let net, chan = Event_sched.network config wf in
+  (* The center's medium seeds its faults from the run seed directly:
+     there is one medium, not a stream of per-actor ones. *)
+  let journal, media =
+    Event_sched.journal config net c_codec
+      ~seed:(fun () -> Int64.logxor config.seed 0x53544F52L)
+      ~site:central_site ~actor:"center"
   in
-  let media =
-    match config.store with
-    | None -> None
-    | Some faults ->
-        Some
-          (Wf_store.Media.Sim.create ~faults
-             ~seed:(Int64.logxor config.seed 0x53544F52L)
-             ~stats:(Wf_sim.Netsim.stats net) ?tracer:config.tracer
-             ~clock:(fun () -> Wf_sim.Netsim.now net)
-             ~site:central_site ~actor:"center" ())
-  in
-  let journal =
-    Wf_store.Journal.create ~checkpoint_every:config.checkpoint_every ()
-  in
-  (match media with
-  | None -> ()
-  | Some m ->
-      Wf_store.Journal.attach journal
-        (Wf_store.Log.create c_codec (Wf_store.Media.Sim.device m)));
+  let agents = Hashtbl.create 16 in
+  List.iter
+    (fun (task : Workflow_def.task) ->
+      Hashtbl.replace agents task.instance
+        ( Agent.create ~instance:task.instance ~model:task.model
+            ~script:task.script ~parametrize:task.parametrize (),
+          task.site ))
+    wf.Workflow_def.tasks;
   let rt =
     {
       wf;
       cfg = config;
+      plan;
       net;
       chan;
       media;
@@ -574,11 +494,9 @@ let run ?(config = default_config) wf =
               state = 0;
               feas = Hashtbl.create 64;
             })
-          deps_exprs;
+          deps;
       journal;
-      agents = Hashtbl.create 16;
-      agent_site = Hashtbl.create 16;
-      agent_of_symbol = Hashtbl.create 64;
+      agents;
       decided_set = Hashtbl.create 64;
       replaying = false;
       parked = [];
@@ -588,37 +506,18 @@ let run ?(config = default_config) wf =
       rejected = [];
     }
   in
-  List.iter
-    (fun (task : Workflow_def.task) ->
-      let agent =
-        Agent.create ~instance:task.instance ~model:task.model
-          ~script:task.script ~parametrize:task.parametrize ()
-      in
-      Hashtbl.replace rt.agents task.instance agent;
-      Hashtbl.replace rt.agent_site task.instance task.site;
-      List.iter
-        (fun (ev, _, _) ->
-          let sym =
-            Task_model.symbol_of_event task.model ~instance:task.instance ev
-          in
-          Hashtbl.replace rt.agent_of_symbol sym task.instance)
-        task.model.Task_model.significant)
-    wf.Workflow_def.tasks;
   (* Message dispatch: requests are handled by the center; replies are
      routed to the owning agent by the literal they carry. *)
-  for site = 0 to num_sites - 1 do
-    Channel.on_receive rt.chan site (fun _src m ->
+  for site = 0 to Workflow_def.num_sites wf - 1 do
+    Channel.on_receive chan site (fun _src m ->
         match m with
         | Attempt (lit, entailed) ->
             if site = central_site then
               deliver_center rt (C_attempt (lit, entailed))
         | Occurred lit ->
             if site = central_site then deliver_center rt (C_occurred lit)
-        | Accepted lit | Rejected lit | Trigger lit -> (
-            match Hashtbl.find_opt rt.agent_of_symbol (Literal.symbol lit) with
-            | Some instance ->
-                agent_handle rt (Hashtbl.find rt.agents instance) m
-            | None -> ()))
+        | Accepted lit | Rejected lit | Trigger lit ->
+            Option.iter (fun owner -> agent_handle rt owner m) (owner rt lit))
   done;
   (* Crash recovery of the center: the channel's restart hook (created
      first) has already bumped the epoch; rebuild the volatile center
@@ -627,86 +526,30 @@ let run ?(config = default_config) wf =
      the channel. *)
   Wf_sim.Netsim.on_restart net (fun site ->
       if site = central_site then recover_center rt);
-  Hashtbl.iter (fun _ agent -> schedule_agent rt agent) rt.agents;
-  Wf_sim.Netsim.run ~max_steps:config.max_steps rt.net;
-  (* Closing: complements of events that can no longer occur, then
-     reject leftover parked attempts, then decide leftovers negatively. *)
-  let close_round () =
-    let progress = ref false in
-    Hashtbl.iter
-      (fun _ agent ->
-        if Agent.finished agent then
-          List.iter
-            (fun c ->
-              let sym = Literal.symbol c in
-              if
-                (not (decided rt sym))
-                && not
-                     (List.exists
-                        (fun (l, _) -> Symbol.equal (Literal.symbol l) sym)
-                        rt.parked)
-              then begin
-                deliver_center rt (C_occurred c);
-                progress := true
-              end)
-            (Agent.undecided_complements agent))
-      rt.agents;
-    !progress
+  Hashtbl.iter (fun _ owner -> schedule_agent rt owner) agents;
+  let settle () = Wf_sim.Netsim.run ~max_steps:config.max_steps net in
+  settle ();
+  let symbols =
+    Symbol.Set.elements
+      (List.fold_left
+         (fun acc ds -> Symbol.Set.union acc (Expr.symbols ds.dep))
+         Symbol.Set.empty rt.deps)
   in
-  let rec close_loop budget =
-    if budget > 0 && close_round () then begin
-      Wf_sim.Netsim.run ~max_steps:config.max_steps rt.net;
-      close_loop (budget - 1)
-    end
-  in
-  close_loop 64;
-  (* Reject parked attempts one at a time, lowest symbol first, letting
-     each rejection's consequences propagate before the next. *)
-  let rec reject_loop budget =
-    if budget > 0 then
+  Ground.closing ~settle
+    ~complements:(fun () -> close_round rt)
+    ~reject_lowest:(fun () ->
       match
-        List.sort
-          (fun (l1, _) (l2, _) -> Literal.compare l1 l2)
-          rt.parked
+        List.sort (fun (l1, _) (l2, _) -> Literal.compare l1 l2) rt.parked
       with
-      | [] -> ()
-      | (lit, entailed) :: _ ->
-          ignore entailed;
+      | [] -> false
+      | (lit, _) :: _ ->
           deliver_center rt (C_reject lit);
-          Wf_sim.Netsim.run ~max_steps:config.max_steps rt.net;
-          close_loop 16;
-          reject_loop (budget - 1)
-  in
-  reject_loop 256;
-  let all_symbols =
-    List.fold_left
-      (fun acc ds -> Symbol.Set.union acc (Expr.symbols ds.dep))
-      Symbol.Set.empty rt.deps
-  in
-  let rec neg_loop budget =
-    match
-      List.sort Symbol.compare
-        (Symbol.Set.elements
-           (Symbol.Set.filter (fun sym -> not (decided rt sym)) all_symbols))
-    with
-    | [] -> ()
-    | sym :: _ when budget > 0 ->
-        deliver_center rt (C_occurred (Literal.neg sym));
-        Wf_sim.Netsim.run ~max_steps:config.max_steps rt.net;
-        close_loop 16;
-        reject_loop 64;
-        neg_loop (budget - 1)
-    | _ -> ()
-  in
-  neg_loop 1024;
-  let trace = List.rev_map (fun o -> o.Event_sched.lit) rt.occurrences in
-  let violations = Correctness.violations deps_exprs trace in
-  {
-    Event_sched.trace = List.rev rt.occurrences;
-    stats = stats rt;
-    makespan = Wf_sim.Netsim.now rt.net;
-    satisfied = violations = [];
-    violations;
-    generated = None;
-    rejected = List.rev rt.rejected;
-  }
+          true)
+    ~negate_lowest:(fun () ->
+      match List.find_opt (fun sym -> not (decided rt sym)) symbols with
+      | None -> false
+      | Some sym ->
+          deliver_center rt (C_occurred (Literal.neg sym));
+          true);
+  Event_sched.result config net ~deps ~occurrences:rt.occurrences
+    ~rejected:rt.rejected

@@ -12,51 +12,19 @@ open Wf_tasks
     make it acceptable.  Triggerable events are triggered when a
     residual requires them on every accepting path.
 
-    The result type matches {!Event_sched.result} so benches can compare
-    message counts, makespan, and site load directly. *)
+    The run shell — config, network and channel, journal and its
+    salvage, arrivals and admission, closing protocol, result — is the
+    distributed engine's ({!Event_sched}, {!Ground.closing}), so the two
+    differ only in how they decide.  Center-specific details:
+    - the center journals every input and syncs every append (its
+      occurrence log is durable by assumption); a crash of site 0
+      recovers by checkpoint + replay with commits, sends, trace records
+      and [on_event] muted;
+    - its one storage medium seeds its faults from [seed lxor
+      0x53544F52], and its [Store_salvage] records carry no actor;
+    - admission verdicts key on site 0's queue depth, the congested
+      resource;
+    - [Assim] records carry a fingerprint of the joint
+      residual-automaton state as the guard id. *)
 
-type config = {
-  seed : int64;
-  base_latency : float;
-  jitter : float;
-  think_time : float;
-  max_steps : int;
-  checkpoint_every : int;
-      (** journal appends between checkpoints of the center's volatile
-          state (residual-automaton states, parked attempts, triggers) *)
-  faults : Wf_sim.Netsim.fault_config;
-      (** network fault injection; agent/center traffic rides the
-          reliable {!Channel} (acks, retransmits, dedup), and the center
-          journals every input so a crash of site 0 recovers by
-          checkpoint + replay with commits and sends muted.  Agents
-          model durable transactional tasks: they keep their state
-          across a site crash, and deliveries they missed are
-          retransmitted. *)
-  store : Wf_store.Media.Sim.fault_config option;
-      (** simulated storage under the center's journal (default [None]
-          = perfectly durable in-memory journal).  The center models
-          synchronous commits, so every journal append is synced —
-          torn/lost-tail faults cannot fire, but bit flips and
-          checkpoint corruption can, and recovery then rebuilds the
-          volatile state from the salvage scan's verified prefix,
-          reporting what was dropped in the [store_*] counters and
-          [Store_salvage] trace records. *)
-  tracer : Wf_obs.Trace.sink option;
-      (** structured trace sink (default [None]); the center emits
-          [Assim] records for accept/park/reject decisions with a
-          fingerprint of the joint residual-automaton state as the
-          guard id, silent during journal replay *)
-  flow : Flow.config option;
-      (** credit-based flow control and admission control (default
-          [None] = historical unbounded behavior).  The congested
-          resource is the center: admission verdicts key on site 0's
-          local queue depth, so agents across the fleet shed attempts
-          with seeded-backoff retries when the center saturates.
-          See {!Flow}. *)
-  arrival : Flow.arrival;
-      (** agent attempt arrival process (default {!Flow.Poisson}) *)
-}
-
-val default_config : config
-
-val run : ?config:config -> Workflow_def.t -> Event_sched.result
+val run : ?config:Event_sched.config -> Workflow_def.t -> Event_sched.result

@@ -46,6 +46,124 @@ type result = {
   rejected : Literal.t list;
 }
 
+(* {2 The simulated run shell}
+
+   Network, journals, salvage, arrivals and the result: everything a
+   simulated ground run needs besides its decision procedure.  The
+   centralized baseline ({!Central_sched}) runs on the same shell. *)
+
+let network cfg wf =
+  let net =
+    Wf_sim.Netsim.create ~seed:cfg.seed ~faults:cfg.faults
+      ~num_sites:(Workflow_def.num_sites wf)
+      ~latency:
+        (Wf_sim.Netsim.uniform_latency ~base:cfg.base_latency ~jitter:cfg.jitter)
+      ()
+  in
+  Wf_sim.Netsim.set_tracer net cfg.tracer;
+  (* Retransmission timeout: generously above one round trip, so the
+     fault-free fast path rarely fires a retransmit. *)
+  let chan =
+    Channel.create
+      ~rto:(3.0 *. (cfg.base_latency +. cfg.jitter) +. 0.5)
+      ?flow:cfg.flow net
+  in
+  (net, chan)
+
+let journal cfg net codec ~seed ~site ~actor =
+  let j = Wf_store.Journal.create ~checkpoint_every:cfg.checkpoint_every () in
+  let media =
+    Option.map
+      (fun faults ->
+        let m =
+          Wf_store.Media.Sim.create ~faults ~seed:(seed ())
+            ~stats:(Wf_sim.Netsim.stats net) ?tracer:cfg.tracer
+            ~clock:(fun () -> Wf_sim.Netsim.now net)
+            ~site ~actor ()
+        in
+        Wf_store.Journal.attach j
+          (Wf_store.Log.create codec (Wf_store.Media.Sim.device m));
+        m)
+      cfg.store
+  in
+  (j, media)
+
+(* With simulated storage under the journal, a crash first damages the
+   media (seeded faults), then the journal is rebuilt from whatever the
+   salvage scan verifies — the in-memory mirror is volatile and died
+   with the site.  Recovery then replays it like any journal. *)
+let salvage cfg net codec ~site ?actor media j =
+  match media with
+  | None -> j
+  | Some m ->
+      let stats = Wf_sim.Netsim.stats net in
+      let before = Wf_store.Journal.total_appended j in
+      Wf_store.Media.Sim.crash m;
+      let j', report =
+        Wf_store.Journal.reload ~checkpoint_every:cfg.checkpoint_every codec
+          (Wf_store.Media.Sim.device m)
+      in
+      let open Wf_store.Log in
+      let fallback = report.sr_ckpt = Fallback in
+      Wf_obs.Metrics.incr stats "store_salvages";
+      Wf_obs.Metrics.add stats "store_dropped_entries"
+        (before - report.sr_total_entries);
+      Wf_obs.Metrics.add stats "store_dropped_bytes" report.sr_dropped_bytes;
+      if fallback then Wf_obs.Metrics.incr stats "store_ckpt_fallbacks";
+      Option.iter
+        (fun sink ->
+          Wf_obs.Trace.emit sink
+            (Wf_obs.Trace.make ~time:(Wf_sim.Netsim.now net) ~site ?actor
+               (Wf_obs.Trace.Store_salvage
+                  {
+                    kept = report.sr_frames;
+                    dropped = report.sr_dropped_bytes;
+                    fallback;
+                  })))
+        cfg.tracer;
+      j'
+
+let arrive cfg net chan ~site ?depth_site sym attempt =
+  let delay =
+    Flow.arrival_delay cfg.arrival ~rng:(Wf_sim.Netsim.rng net)
+      ~now:(Wf_sim.Netsim.now net) ~mean:cfg.think_time
+  in
+  (* Admission gate: with flow control on, an attempt arriving while the
+     gating site is over the shed watermark is refused with Busy and
+     retried after the verdict's seeded backoff — load sheds at the
+     boundary instead of growing queues. *)
+  let rec admitted_thunk first () =
+    match Channel.flow chan with
+    | None -> attempt ()
+    | Some fl -> (
+        let depth = Option.map (fun s -> Flow.depth fl ~site:s) depth_site in
+        match Flow.admit fl ~site ~actor:(Symbol.name sym) ?depth ~first () with
+        | Flow.Admitted -> attempt ()
+        | Flow.Busy { retry_after } ->
+            Wf_sim.Netsim.schedule net ~delay:retry_after (admitted_thunk first))
+  in
+  Wf_sim.Netsim.schedule net ~delay (fun () ->
+      admitted_thunk (Wf_sim.Netsim.now net) ())
+
+let result cfg net ~deps ~occurrences ~rejected =
+  let trace = List.rev_map (fun o -> o.lit) occurrences in
+  let violations = Correctness.violations deps trace in
+  let generated =
+    if cfg.check_generates then Some (Correctness.generates deps trace)
+    else None
+  in
+  {
+    trace = List.rev occurrences;
+    stats = Wf_sim.Netsim.stats net;
+    makespan = Wf_sim.Netsim.now net;
+    satisfied = violations = [];
+    violations;
+    generated;
+    rejected = List.rev rejected;
+  }
+
+(* {2 The distributed engine} *)
+
 (* The network side of a run; the actors, agents and journals live in
    the shared ground core. *)
 type net = {
@@ -64,28 +182,8 @@ let rec schedule_agent (rt : runtime) agent =
   | None -> ()
   | Some (sym, attr) ->
       Agent.begin_attempt agent sym;
-      let delay =
-        Flow.arrival_delay cfg.arrival ~rng:(Wf_sim.Netsim.rng net)
-          ~now:(Wf_sim.Netsim.now net) ~mean:cfg.think_time
-      in
-      (* Admission gate: with flow control on, an attempt arriving
-         while the local site is over the shed watermark is refused
-         with Busy and retried after the verdict's seeded backoff —
-         load sheds at the boundary instead of growing queues. *)
-      let rec admitted_thunk first () =
-        match Channel.flow chan with
-        | None -> attempt rt agent sym attr
-        | Some fl -> (
-            match
-              Flow.admit fl ~site:(site rt sym) ~actor:(Symbol.name sym) ~first ()
-            with
-            | Flow.Admitted -> attempt rt agent sym attr
-            | Flow.Busy { retry_after } ->
-                Wf_sim.Netsim.schedule net ~delay:retry_after
-                  (admitted_thunk first))
-      in
-      Wf_sim.Netsim.schedule net ~delay (fun () ->
-          admitted_thunk (Wf_sim.Netsim.now net) ())
+      arrive cfg net chan ~site:(site rt sym) sym (fun () ->
+          attempt rt agent sym attr)
 
 (* An uncontrollable event is announced, not requested: record a
    violation if its guard would have said no. *)
@@ -120,103 +218,43 @@ let hooks : net Ground.hooks =
     iter_agents = (fun rt f -> Hashtbl.iter (fun _ agent -> f agent) rt.agents);
   }
 
-(* With simulated storage under the journal, a crash first damages the
-   media (seeded faults), then the journal is rebuilt from whatever the
-   salvage scan verifies — the in-memory mirror is volatile and died
-   with the site.  Recovery then replays it like any journal. *)
-let salvage (rt : runtime) sym =
-  let { cfg; net; _ } = rt.driver in
-  let js = Symbol_tbl.find rt.journals sym in
-  match js.media with
-  | None -> ()
-  | Some m ->
-      let before = Wf_store.Journal.total_appended js.j in
-      Wf_store.Media.Sim.crash m;
-      let j', report =
-        Wf_store.Journal.reload ~checkpoint_every:cfg.checkpoint_every
-          Actor.codec
-          (Wf_store.Media.Sim.device m)
-      in
-      js.j <- j';
-      let open Wf_store.Log in
-      let fallback = report.sr_ckpt = Fallback in
-      Wf_obs.Metrics.incr rt.stats "store_salvages";
-      Wf_obs.Metrics.add rt.stats "store_dropped_entries"
-        (before - report.sr_total_entries);
-      Wf_obs.Metrics.add rt.stats "store_dropped_bytes" report.sr_dropped_bytes;
-      if fallback then Wf_obs.Metrics.incr rt.stats "store_ckpt_fallbacks";
-      Option.iter
-        (fun sink ->
-          Wf_obs.Trace.emit sink
-            (Wf_obs.Trace.make ~time:(Wf_sim.Netsim.now net) ~site:(site rt sym)
-               ~actor:(Symbol.name sym)
-               (Wf_obs.Trace.Store_salvage
-                  {
-                    kept = report.sr_frames;
-                    dropped = report.sr_dropped_bytes;
-                    fallback;
-                  })))
-        cfg.tracer
-
 let build cfg wf plan : runtime =
-  let num_sites = Workflow_def.num_sites wf in
-  let net =
-    Wf_sim.Netsim.create ~seed:cfg.seed ~faults:cfg.faults ~num_sites
-      ~latency:
-        (Wf_sim.Netsim.uniform_latency ~base:cfg.base_latency ~jitter:cfg.jitter)
-      ()
-  in
-  Wf_sim.Netsim.set_tracer net cfg.tracer;
-  let stats = Wf_sim.Netsim.stats net in
+  let net, chan = network cfg wf in
   (* Per-actor storage media draw their fault seeds from a dedicated
      stream derived from the run seed, so enabling the store does not
      perturb the run's own randomness. *)
   let store_rng = Wf_sim.Rng.create (Int64.logxor cfg.seed 0x53544F52L) in
   let journal (a : Run_plan.actor) =
-    let j = Wf_store.Journal.create ~checkpoint_every:cfg.checkpoint_every () in
-    let media =
-      Option.map
-        (fun faults ->
-          let m =
-            Wf_store.Media.Sim.create ~faults
-              ~seed:(Wf_sim.Rng.next_int64 store_rng)
-              ~stats ?tracer:cfg.tracer
-              ~clock:(fun () -> Wf_sim.Netsim.now net)
-              ~site:a.site ~actor:(Symbol.name a.sym) ()
-          in
-          Wf_store.Journal.attach j
-            (Wf_store.Log.create Actor.codec (Wf_store.Media.Sim.device m));
-          m)
-        cfg.store
+    let j, media =
+      journal cfg net Actor.codec
+        ~seed:(fun () -> Wf_sim.Rng.next_int64 store_rng)
+        ~site:a.site ~actor:(Symbol.name a.sym)
     in
     { Ground.j; depth = 0; media }
   in
-  (* Retransmission timeout: generously above one round trip, so the
-     fault-free fast path rarely fires a retransmit. *)
-  let chan =
-    Channel.create
-      ~rto:(3.0 *. (cfg.base_latency +. cfg.jitter) +. 0.5)
-      ?flow:cfg.flow net
-  in
   let rt =
-    Ground.create ~stats ~journal ~hooks ~driver:{ cfg; net; chan } wf plan
+    Ground.create ~stats:(Wf_sim.Netsim.stats net) ~journal ~hooks
+      ~driver:{ cfg; net; chan } wf plan
   in
   (* Site message dispatch, behind the reliable channel: each protocol
      message is handled exactly once even when the network drops,
      duplicates, or reorders the wire traffic. *)
-  for site = 0 to num_sites - 1 do
+  for site = 0 to Workflow_def.num_sites wf - 1 do
     Channel.on_receive chan site (fun _src (target, msg) ->
         Ground.deliver rt (Ground.actor_of rt target) (Actor.I_message msg))
   done;
   (* Crash recovery: when a site restarts, the channel's hook (created
      first, so it runs first) has already bumped the epoch and said
-     Hello; now rebuild each hosted actor from its journal and run the
-     actor-level handshake. *)
+     Hello; now salvage and rebuild each hosted actor from its journal
+     and run the actor-level handshake. *)
   Wf_sim.Netsim.on_restart net (fun site ->
       let hosted = Ground.hosted rt site in
       List.iter
         (fun sym ->
-          salvage rt sym;
+          let js = Symbol_tbl.find rt.journals sym in
+          js.j <-
+            salvage cfg net Actor.codec ~site ~actor:(Symbol.name sym) js.media
+              js.j;
           Ground.recover rt sym)
         hosted;
       Ground.handshake rt ~epoch:(Channel.epoch chan site) hosted);
@@ -234,21 +272,8 @@ let run ?(config = default_config) wf =
   hooks.iter_agents rt (schedule_agent rt);
   hooks.settle rt;
   Ground.close rt;
-  let deps = Compile.dependencies (Run_plan.compiled plan) in
-  let trace = List.rev_map (fun o -> o.lit) rt.occurrences in
-  let violations = Correctness.violations deps trace in
-  let generated =
-    if config.check_generates then Some (Correctness.generates deps trace)
-    else None
-  in
-  {
-    trace = List.rev rt.occurrences;
-    stats = rt.stats;
-    makespan = Wf_sim.Netsim.now rt.driver.net;
-    satisfied = violations = [];
-    violations;
-    generated;
-    rejected = List.rev rt.rejected;
-  }
+  result config rt.driver.net
+    ~deps:(Compile.dependencies (Run_plan.compiled plan))
+    ~occurrences:rt.occurrences ~rejected:rt.rejected
 
 let trace_literals result = List.map (fun o -> o.lit) result.trace

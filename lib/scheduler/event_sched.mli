@@ -94,3 +94,39 @@ type result = {
 val run : ?config:config -> Workflow_def.t -> result
 
 val trace_literals : result -> Trace.t
+
+(** {2 The simulated run shell}
+
+    Everything a simulated ground run needs besides its decision
+    procedure; {!Central_sched} runs on it too. *)
+
+val network :
+  config -> Workflow_def.t -> 'm Channel.wire Wf_sim.Netsim.t * 'm Channel.t
+(** The simulated network, one site per workflow site, and the reliable
+    channel over it. *)
+
+val journal :
+  config -> _ Wf_sim.Netsim.t -> ('i, 's) Wf_store.Log.codec ->
+  seed:(unit -> int64) -> site:int -> actor:string ->
+  ('i, 's) Wf_store.Journal.t * Wf_store.Media.Sim.sim option
+(** A journal, mirrored onto a simulated medium when [config.store] is
+    set; [seed] is called only then, for the medium's fault stream. *)
+
+val salvage :
+  config -> _ Wf_sim.Netsim.t -> ('i, 's) Wf_store.Log.codec -> site:int ->
+  ?actor:string -> Wf_store.Media.Sim.sim option ->
+  ('i, 's) Wf_store.Journal.t -> ('i, 's) Wf_store.Journal.t
+(** The journal a crash of [site] leaves: with a medium, damage it and
+    reload what its salvage scan verifies, counted in [store_*] and
+    traced as [Store_salvage]. *)
+
+val arrive :
+  config -> _ Wf_sim.Netsim.t -> _ Channel.t -> site:int -> ?depth_site:int ->
+  Symbol.t -> (unit -> unit) -> unit
+(** Run an attempt after the think time, through the admission gate at
+    [site] keyed on [depth_site]'s queue depth (default [site]'s). *)
+
+val result :
+  config -> _ Wf_sim.Netsim.t -> deps:Expr.t list ->
+  occurrences:occurrence list -> rejected:Literal.t list -> result
+(** The result from occurrences and rejections, both newest first. *)

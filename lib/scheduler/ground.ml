@@ -302,42 +302,59 @@ let close_round t =
           (Agent.undecided_complements agent));
   !progress
 
-let rec close_rounds t budget =
-  if budget > 0 && close_round t then begin
-    t.hooks.settle t;
-    close_rounds t (budget - 1)
-  end
-
-let close t =
-  close_rounds t 64;
-  let symbols = Run_plan.symbols t.plan in
-  (* Reject whatever is still parked — one symbol at a time, lowest
-     first, letting each rejection's consequences (agent fallbacks,
-     announcements) propagate before the next: a rejected commit's
-     fallback abort routinely unblocks other parked events. *)
-  let rec reject_loop budget =
-    if budget > 0 then
-      match
-        List.find_opt (fun sym -> Actor.parked_count (actor_of t sym) > 0) symbols
-      with
-      | None -> ()
-      | Some sym ->
-          deliver t (actor_of t sym) Actor.I_close;
-          t.hooks.settle t;
-          close_rounds t 16;
-          reject_loop (budget - 1)
+(* The closing protocol, phase order and budgets, over the engine's own
+   steps.  [complements] emits complements of events that can no longer
+   occur; [reject_lowest] and [negate_lowest] act on the lowest parked
+   attempt or undecided symbol.  Each returns whether it did anything. *)
+let closing ~settle ~complements ~reject_lowest ~negate_lowest =
+  let rec close_rounds budget =
+    if budget > 0 && complements () then begin
+      settle ();
+      close_rounds (budget - 1)
+    end
   in
-  reject_loop 256;
+  (* Reject whatever is still parked, one at a time, letting each
+     rejection's consequences (agent fallbacks, announcements) propagate
+     before the next: a rejected commit's fallback abort routinely
+     unblocks other parked events. *)
+  let rec reject_loop budget =
+    if budget > 0 && reject_lowest () then begin
+      settle ();
+      close_rounds 16;
+      reject_loop (budget - 1)
+    end
+  in
   (* Then decide leftover symbols negatively so the realized trace is
      maximal, again letting each round settle. *)
   let rec neg_loop budget =
-    match List.find_opt (fun sym -> not (decided t sym)) symbols with
-    | Some sym when budget > 0 ->
-        fire t (Literal.neg sym);
-        t.hooks.settle t;
-        close_rounds t 16;
-        reject_loop 64;
-        neg_loop (budget - 1)
-    | _ -> ()
+    if budget > 0 && negate_lowest () then begin
+      settle ();
+      close_rounds 16;
+      reject_loop 64;
+      neg_loop (budget - 1)
+    end
   in
+  close_rounds 64;
+  reject_loop 256;
   neg_loop 1024
+
+let close t =
+  let symbols = Run_plan.symbols t.plan in
+  let lowest p f =
+    match List.find_opt p symbols with
+    | None -> false
+    | Some sym ->
+        f sym;
+        true
+  in
+  closing
+    ~settle:(fun () -> t.hooks.settle t)
+    ~complements:(fun () -> close_round t)
+    ~reject_lowest:(fun () ->
+      lowest
+        (fun sym -> Actor.parked_count (actor_of t sym) > 0)
+        (fun sym -> deliver t (actor_of t sym) Actor.I_close))
+    ~negate_lowest:(fun () ->
+      lowest
+        (fun sym -> not (decided t sym))
+        (fun sym -> fire t (Literal.neg sym)))

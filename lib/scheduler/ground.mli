@@ -102,8 +102,21 @@ val handshake : 'd t -> epoch:int -> Symbol.t list -> unit
     peers whose fate it does not know with {!Messages.Recovered}, on the
     priority lane; a decided peer re-announces. *)
 
+val closing :
+  settle:(unit -> unit) ->
+  complements:(unit -> bool) ->
+  reject_lowest:(unit -> bool) ->
+  negate_lowest:(unit -> bool) ->
+  unit
+(** The closing protocol, once the engine has settled: alternate
+    complement emission (events that can no longer occur) with
+    settling; reject parked attempts one at a time, lowest first; then
+    decide leftover symbols negatively so the trace is maximal.  The
+    phase order and round budgets live here; the engine supplies the
+    steps, each returning whether it acted. *)
+
 val close : 'd t -> unit
-(** Deterministic closing, once the driver has settled: alternate
-    complement emission (events that can no longer occur) with settling;
-    reject parked attempts one symbol at a time, lowest first; then
-    decide leftover symbols negatively so the trace is maximal. *)
+(** {!closing} over the actors: complements of finished agents' events
+    whose actors hold no parked attempt, [I_close] to the lowest symbol
+    with a parked attempt, and the negation of the lowest undecided
+    symbol. *)

@@ -443,7 +443,7 @@ let run_one ~sched ~faults ~seed ~arrival wf =
       Central_sched.run
         ~config:
           {
-            Central_sched.default_config with
+            Event_sched.default_config with
             seed;
             faults;
             flow = Some sweep_flow;

@@ -13,7 +13,6 @@ let () =
       ("channel", Test_channel.suite);
       ("observability", Test_obs.suite);
       ("tasks", Test_tasks.suite);
-      ("store", Test_store.suite);
       ("log", Test_log.suite);
       ("schedulers", Test_sched.suite);
       ("conformance", Test_conformance.suite);

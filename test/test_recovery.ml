@@ -413,7 +413,7 @@ let run_one ~sched ~faults ~seed wf =
         wf
   | `Central ->
       Central_sched.run
-        ~config:{ Central_sched.default_config with seed; faults }
+        ~config:{ Event_sched.default_config with seed; faults }
         wf
 
 let sched_name = function `Distributed -> "dist" | `Central -> "central"

@@ -310,7 +310,7 @@ let test_random_catalog_workflows () =
     let rc =
       Central_sched.run
         ~config:
-          { Central_sched.default_config with seed = Int64.of_int trial }
+          { Event_sched.default_config with seed = Int64.of_int trial }
         wf
     in
     checkb
@@ -321,7 +321,7 @@ let test_random_catalog_workflows () =
 (* --- centralized baseline ------------------------------------------------- *)
 
 let run_central ?(seed = 42L) wf =
-  Central_sched.run ~config:{ Central_sched.default_config with seed } wf
+  Central_sched.run ~config:{ Event_sched.default_config with seed } wf
 
 let test_central_travel () =
   let r = run_central (travel_wf ()) in
@@ -354,6 +354,45 @@ let test_central_pairs () =
           ("sc", Catalog.strong_commit "t1" "t2");
         ] );
     ]
+
+(* Central runs on the distributed engine's config: Definition 4 when
+   asked, and the occurrence hook at every occurrence, in order. *)
+let on_event_log config =
+  let seen = ref [] in
+  ({ config with Event_sched.on_event = (fun o -> seen := o :: !seen) }, seen)
+
+let test_central_config () =
+  let config, seen =
+    on_event_log { Event_sched.default_config with check_generates = true }
+  in
+  let r = Central_sched.run ~config (travel_wf ()) in
+  check Alcotest.(option bool) "central Definition 4" (Some true)
+    r.Event_sched.generated;
+  checkb "on_event = trace" (List.rev !seen = r.Event_sched.trace)
+
+(* A crash of the center replays its journal with side effects muted:
+   the hook fires once per occurrence, never again during replay. *)
+let test_central_replay_mutes_on_event () =
+  let config, seen =
+    on_event_log
+      {
+        Event_sched.default_config with
+        seed = 4L;
+        checkpoint_every = 1000;
+        faults =
+          {
+            Wf_sim.Netsim.no_faults with
+            crash_on_deliver = 0.2;
+            restart_delay = 2.0;
+          };
+      }
+  in
+  let r = Central_sched.run ~config (travel_wf ()) in
+  let count = Wf_obs.Metrics.count r.Event_sched.stats in
+  checkb "center recovered" (count "center_recoveries" > 0);
+  checkb "replayed entries" (count "center_replayed_entries" > 0);
+  checkb "satisfied" r.Event_sched.satisfied;
+  checkb "on_event once per occurrence" (List.rev !seen = r.Event_sched.trace)
 
 let test_central_routes_through_center () =
   let r = run_central (travel_wf ()) in
@@ -473,12 +512,12 @@ let pin_workflow =
               ])))
     ()
 
-let pin_digest config =
+let pin_digest ?(run = Event_sched.run) config =
   let buf = Buffer.create 65536 in
   List.iter
     (fun seed ->
       let traces, counters =
-        observe (Event_sched.run ~config:(config (Int64.of_int seed)) pin_workflow)
+        observe (run ~config:(config (Int64.of_int seed)) pin_workflow)
       in
       List.iter (fun o -> Buffer.add_string buf (o ^ ";")) traces;
       List.iter
@@ -493,6 +532,17 @@ let test_behaviour_pins () =
     (pin_digest (fun seed -> { Event_sched.default_config with seed }));
   check Alcotest.string "travel-faulty x 24 seeds" "73a12e384c1c14568e6881ed2416a890"
     (pin_digest faulty_config)
+
+(* The same pins for the centralized baseline, computed before it moved
+   onto the distributed engine's run shell. *)
+let test_central_pins () =
+  check Alcotest.string "central travel x 24 seeds"
+    "9ed2bc272c5cfaf7afc6b07c0edb3cfa"
+    (pin_digest ~run:Central_sched.run (fun seed ->
+         { Event_sched.default_config with seed }));
+  check Alcotest.string "central travel-faulty x 24 seeds"
+    "aa39ecd1ea0378c07e48547b8f9f8f1a"
+    (pin_digest ~run:Central_sched.run faulty_config)
 
 let suite =
   [
@@ -515,7 +565,12 @@ let suite =
     Alcotest.test_case "central: seeds" `Slow test_central_seed_sweep;
     Alcotest.test_case "central: dependency pairs" `Quick test_central_pairs;
     Alcotest.test_case "central: messages" `Quick test_central_routes_through_center;
+    Alcotest.test_case "central: honours the config" `Quick test_central_config;
+    Alcotest.test_case "central: replay mutes on_event" `Quick
+      test_central_replay_mutes_on_event;
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "behaviour pins (travel, travel-faulty)" `Quick
       test_behaviour_pins;
+    Alcotest.test_case "central behaviour pins (travel, travel-faulty)" `Quick
+      test_central_pins;
   ]
