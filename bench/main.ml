@@ -4,7 +4,8 @@
 
    Run with:  dune exec bench/main.exe [-- FLAGS]
 
-   Flags:
+   Flags (at most one suite flag; without one, the paper sections run
+   and then the CORE suite):
      --scaling   run only the CORE before/after scaling suite
      --crash     run only the crash-recovery overhead suite
      --check     run only the model-checker exploration suite
@@ -12,18 +13,20 @@
      --overload  run only the open-loop overload/flow-control suite
      --scale     run only the fleet-scale suite (10^5..10^6 bindings)
      --smoke     small configs and quotas (CI smoke job)
-     --json [F]  write the selected suite's numbers to F (default
-                 BENCH_CORE.json, BENCH_CRASH.json with --crash,
-                 BENCH_CHECK.json with --check, BENCH_STORE.json with
-                 --store, BENCH_OVERLOAD.json with --overload, or
-                 BENCH_SCALE.json with --scale, in the current
-                 directory) *)
+     --json [F]  write the suite's artifact to F (default: the suite's
+                 BENCH_*.json in the current directory)
+
+   Every suite checks named gates; the process exits 1 when one fails
+   and 2 on a usage error. *)
 
 open Wf_core
 open Wf_tasks
 open Wf_scheduler
 open Bechamel
 open Toolkit
+module Json = Wf_obs.Json
+
+let int n = Json.Num (float_of_int n)
 
 (* --- timing helper -------------------------------------------------------- *)
 
@@ -379,24 +382,13 @@ let bench_faults () =
 
 (* --- CRASH: crash-recovery overhead ----------------------------------------- *)
 
-type crash_row = {
-  c_sched : string;
-  c_prob : float;
-  c_makespan : float;
-  c_messages : int;
-  c_crashes : int;
-  c_recoveries : int;
-  c_replayed : int;
-  c_satisfied : bool;
-}
-
 (* Crash-recovery overhead: the same workflow under growing crash
    probability.  Overhead shows up as makespan stretch (restart delays,
    retransmissions into crash windows) and message inflation; the
    recovery columns count actor/center rebuilds and the journal entries
    replayed to get there.  Every run must still satisfy all
    dependencies — recovery is exercised, not merely survived. *)
-let bench_crash ?(smoke = false) () =
+let bench_crash ~smoke =
   section "CRASH"
     "Makespan and recovery work under increasing crash probability (travel)";
   let n = if smoke then 2 else 5 in
@@ -411,34 +403,36 @@ let bench_crash ?(smoke = false) () =
   in
   Printf.printf "%6s %-12s | %9s %6s %7s %7s %8s | %s\n" "prob" "scheduler"
     "makespan" "msgs" "crashes" "recover" "replayed" "ok";
-  let rows = ref [] in
+  let rows = ref [] and all_satisfied = ref true in
   List.iter
     (fun prob ->
       let wf = travel_wf ~n () in
       let faults = faults_of prob in
-      let count (r : Event_sched.result) name =
-        Wf_obs.Metrics.count r.Event_sched.stats name
-      in
-      let emit c_sched (r : Event_sched.result) =
-        let row =
-          {
-            c_sched;
-            c_prob = prob;
-            c_makespan = r.Event_sched.makespan;
-            c_messages = count r "messages_sent";
-            c_crashes = count r "net_crashes";
-            c_recoveries =
-              count r "actor_recoveries" + count r "center_recoveries";
-            c_replayed =
-              count r "replayed_entries" + count r "center_replayed_entries";
-            c_satisfied = r.Event_sched.satisfied;
-          }
+      let emit sched (r : Event_sched.result) =
+        let count name = Wf_obs.Metrics.count r.Event_sched.stats name in
+        let messages = count "messages_sent" and crashes = count "net_crashes" in
+        let recoveries = count "actor_recoveries" + count "center_recoveries" in
+        let replayed =
+          count "replayed_entries" + count "center_replayed_entries"
         in
-        rows := row :: !rows;
-        Printf.printf "%6.2f %-12s | %9.1f %6d %7d %7d %8d | %s\n%!" prob
-          c_sched row.c_makespan row.c_messages row.c_crashes row.c_recoveries
-          row.c_replayed
-          (if row.c_satisfied then "satisfied" else "VIOLATION")
+        let satisfied = r.Event_sched.satisfied in
+        all_satisfied := !all_satisfied && satisfied;
+        rows :=
+          Json.Obj
+            [
+              ("scheduler", Json.Str sched);
+              ("crash_prob", Json.Num prob);
+              ("makespan", Json.Num r.Event_sched.makespan);
+              ("messages", int messages);
+              ("crashes", int crashes);
+              ("recoveries", int recoveries);
+              ("replayed_entries", int replayed);
+              ("satisfied", Json.Bool satisfied);
+            ]
+          :: !rows;
+        Printf.printf "%6.2f %-12s | %9.1f %6d %7d %7d %8d | %s\n%!" prob sched
+          r.Event_sched.makespan messages crashes recoveries replayed
+          (if satisfied then "satisfied" else "VIOLATION")
       in
       emit "distributed"
         (Event_sched.run ~config:{ Event_sched.default_config with faults } wf);
@@ -447,43 +441,15 @@ let bench_crash ?(smoke = false) () =
            ~config:{ Event_sched.default_config with faults }
            wf))
     probs;
-  List.rev !rows
-
-let write_crash_json path ~smoke rows =
-  let oc = open_out path in
-  let row_json r =
-    Printf.sprintf
-      "{\"scheduler\": \"%s\", \"crash_prob\": %.2f, \"makespan\": %.1f, \
-       \"messages\": %d, \"crashes\": %d, \"recoveries\": %d, \
-       \"replayed_entries\": %d, \"satisfied\": %b}"
-      r.c_sched r.c_prob r.c_makespan r.c_messages r.c_crashes r.c_recoveries
-      r.c_replayed r.c_satisfied
-  in
-  Printf.fprintf oc "{\n  \"suite\": \"crash-recovery\",\n  \"mode\": \"%s\",\n"
-    (if smoke then "smoke" else "full");
-  Printf.fprintf oc "  \"all_satisfied\": %b,\n"
-    (List.for_all (fun r -> r.c_satisfied) rows);
-  Printf.fprintf oc "  \"results\": [\n    %s\n  ]\n}\n"
-    (String.concat ",\n    " (List.map row_json rows));
-  close_out oc
+  ( [ ("results", Json.List (List.rev !rows)) ],
+    [ ("all_satisfied", !all_satisfied) ] )
 
 (* --- CHECK: exhaustive model checking ---------------------------------------- *)
-
-type check_row = {
-  k_spec : string;
-  k_crash_depth : int;
-  k_naive_states : int;
-  k_dpor_states : int;
-  k_dpor_traces : int;
-  k_divergences : int;
-  k_complete : bool;
-  k_states_per_sec : float;
-}
 
 (* The model checker's economics: states explored per second (DPOR side,
    the one CI runs), and the naive/DPOR state-count ratio — how much of
    the interleaving space the reduction proves redundant. *)
-let bench_check ?(smoke = false) () =
+let bench_check ~smoke =
   section "CHECK"
     "Exhaustive interleaving exploration: DPOR reduction and throughput";
   let spec_dir =
@@ -507,6 +473,7 @@ let bench_check ?(smoke = false) () =
   in
   Printf.printf "%-16s %5s | %10s %10s %9s | %8s %6s | %12s\n" "spec" "crash"
     "naive" "dpor" "reduction" "runs" "divs" "states/sec";
+  let all_clean = ref true and max_reduction = ref 0.0 in
   let rows =
     List.map
       (fun (spec, crash_depth) ->
@@ -520,54 +487,35 @@ let bench_check ?(smoke = false) () =
           Wf_check.Mc.check ~crash_depth ~max_states ~dpor:false
             ~spec_name:spec wf
         in
-        let row =
-          {
-            k_spec = spec;
-            k_crash_depth = crash_depth;
-            k_naive_states = naive.Wf_check.Mc.r_states;
-            k_dpor_states = dpor.Wf_check.Mc.r_states;
-            k_dpor_traces = dpor.Wf_check.Mc.r_traces;
-            k_divergences = List.length dpor.Wf_check.Mc.r_divergences;
-            k_complete =
-              dpor.Wf_check.Mc.r_complete && naive.Wf_check.Mc.r_complete;
-            k_states_per_sec = float_of_int dpor.Wf_check.Mc.r_states /. secs;
-          }
+        let naive_states = naive.Wf_check.Mc.r_states in
+        let dpor_states = dpor.Wf_check.Mc.r_states in
+        let reduction = float_of_int naive_states /. float_of_int dpor_states in
+        let divergences = List.length dpor.Wf_check.Mc.r_divergences in
+        let complete =
+          dpor.Wf_check.Mc.r_complete && naive.Wf_check.Mc.r_complete
         in
+        let per_sec = float_of_int dpor_states /. secs in
+        all_clean := !all_clean && divergences = 0 && complete;
+        max_reduction := Float.max !max_reduction reduction;
         Printf.printf "%-16s %5d | %10d %10d %8.1fx | %8d %6d | %12.0f\n%!"
-          spec crash_depth row.k_naive_states row.k_dpor_states
-          (float_of_int row.k_naive_states /. float_of_int row.k_dpor_states)
-          row.k_dpor_traces row.k_divergences row.k_states_per_sec;
-        row)
+          spec crash_depth naive_states dpor_states reduction
+          dpor.Wf_check.Mc.r_traces divergences per_sec;
+        Json.Obj
+          [
+            ("spec", Json.Str spec);
+            ("crash_depth", int crash_depth);
+            ("naive_states", int naive_states);
+            ("dpor_states", int dpor_states);
+            ("reduction", Json.Num reduction);
+            ("dpor_traces", int dpor.Wf_check.Mc.r_traces);
+            ("divergences", int divergences);
+            ("complete", Json.Bool complete);
+            ("dpor_states_per_sec", Json.Num per_sec);
+          ])
       configs
   in
-  rows
-
-let write_check_json path ~smoke rows =
-  let oc = open_out path in
-  let row_json r =
-    Printf.sprintf
-      "{\"spec\": \"%s\", \"crash_depth\": %d, \"naive_states\": %d, \
-       \"dpor_states\": %d, \"reduction\": %.2f, \"dpor_traces\": %d, \
-       \"divergences\": %d, \"complete\": %b, \"dpor_states_per_sec\": %.0f}"
-      r.k_spec r.k_crash_depth r.k_naive_states r.k_dpor_states
-      (float_of_int r.k_naive_states /. float_of_int r.k_dpor_states)
-      r.k_dpor_traces r.k_divergences r.k_complete r.k_states_per_sec
-  in
-  let max_reduction =
-    List.fold_left
-      (fun acc r ->
-        Float.max acc
-          (float_of_int r.k_naive_states /. float_of_int r.k_dpor_states))
-      0.0 rows
-  in
-  Printf.fprintf oc "{\n  \"suite\": \"model-check\",\n  \"mode\": \"%s\",\n"
-    (if smoke then "smoke" else "full");
-  Printf.fprintf oc "  \"all_clean\": %b,\n  \"max_reduction\": %.2f,\n"
-    (List.for_all (fun r -> r.k_divergences = 0 && r.k_complete) rows)
-    max_reduction;
-  Printf.fprintf oc "  \"results\": [\n    %s\n  ]\n}\n"
-    (String.concat ",\n    " (List.map row_json rows));
-  close_out oc
+  ( [ ("max_reduction", Json.Num !max_reduction); ("results", Json.List rows) ],
+    [ ("all_clean", !all_clean) ] )
 
 (* --- STORE: durable log overhead and salvage --------------------------------- *)
 
@@ -579,29 +527,12 @@ let store_codec : (string, string) Wf_store.Log.codec =
     dec_ckpt = Option.some;
   }
 
-type salvage_row = {
-  v_fault : string;
-  v_trials : int;
-  v_fired : int;  (** trials in which the fault actually bit *)
-  v_fallbacks : int;  (** salvages that fell back to an older checkpoint *)
-  v_kept : float;  (** mean fraction of entries surviving the salvage *)
-  v_valid : bool;  (** every salvage was a valid prefix + clean re-scan *)
-}
-
-type store_report = {
-  s_plain_ns : float;  (** journal append, no durable backend *)
-  s_framed_ns : float;  (** journal append mirrored into the framed log *)
-  s_bytes_per_entry : float;
-  s_recover : (int * float) list;  (** log length (entries) → scan time *)
-  s_salvage : salvage_row list;
-}
-
 (* The durable layer's economics: what framing + checksumming costs per
    append, how the salvage scan's latency grows with log length, and —
    per fault kind at probability 1 — how much of the log survives and
    whether every salvage is a valid prefix (the soundness claim the
    QCheck differential tests in anger). *)
-let bench_store ?(smoke = false) () =
+let bench_store ~smoke =
   section "STORE"
     "Framed-log append overhead, salvage latency, and fault survival";
   let batch = 256 in
@@ -662,7 +593,7 @@ let bench_store ?(smoke = false) () =
                 (Wf_store.Log.recover store_codec (Wf_store.Media.Sim.device sim)))
         in
         Printf.printf "salvage scan over %6d entries: %12s\n%!" n (pp_ns t);
-        (n, t))
+        Json.Obj [ ("entries", int n); ("scan_ns", Json.Num t) ])
       lengths
   in
   (* Fault survival: 24 entries with checkpoints at 8 and 16, the final
@@ -715,6 +646,7 @@ let bench_store ?(smoke = false) () =
   in
   Printf.printf "%-14s %7s %7s %10s %10s %7s\n" "fault" "trials" "fired"
     "fallbacks" "kept" "valid";
+  let all_valid = ref true and all_fired = ref true in
   let salvage_rows =
     List.map
       (fun kind ->
@@ -727,56 +659,36 @@ let bench_store ?(smoke = false) () =
           kept := !kept +. k;
           valid := !valid && v
         done;
-        let row =
-          {
-            v_fault = kind;
-            v_trials = trials;
-            v_fired = !fired;
-            v_fallbacks = !fallbacks;
-            v_kept = !kept /. float_of_int (trials * total);
-            v_valid = !valid;
-          }
-        in
+        let kept = !kept /. float_of_int (trials * total) in
+        all_valid := !all_valid && !valid;
+        all_fired := !all_fired && !fired > 0;
         Printf.printf "%-14s %7d %7d %10d %9.1f%% %7s\n%!" kind trials !fired
-          !fallbacks (100.0 *. row.v_kept)
-          (if row.v_valid then "yes" else "NO");
-        row)
+          !fallbacks (100.0 *. kept)
+          (if !valid then "yes" else "NO");
+        Json.Obj
+          [
+            ("fault", Json.Str kind);
+            ("trials", int trials);
+            ("fired", int !fired);
+            ("fallbacks", int !fallbacks);
+            ("mean_kept_fraction", Json.Num kept);
+            ("all_valid", Json.Bool !valid);
+          ])
       [ "torn_write"; "lost_tail"; "bit_flip"; "ckpt_corrupt" ]
   in
-  {
-    s_plain_ns = plain_ns;
-    s_framed_ns = framed_ns;
-    s_bytes_per_entry = bytes_per_entry;
-    s_recover = recover_rows;
-    s_salvage = salvage_rows;
-  }
-
-let write_store_json path ~smoke r =
-  let oc = open_out path in
-  let salvage_json v =
-    Printf.sprintf
-      "{\"fault\": \"%s\", \"trials\": %d, \"fired\": %d, \"fallbacks\": %d, \
-       \"mean_kept_fraction\": %.3f, \"all_valid\": %b}"
-      v.v_fault v.v_trials v.v_fired v.v_fallbacks v.v_kept v.v_valid
-  in
-  let recover_json (n, t) =
-    Printf.sprintf "{\"entries\": %d, \"scan_ns\": %.0f}" n t
-  in
-  Printf.fprintf oc "{\n  \"suite\": \"store\",\n  \"mode\": \"%s\",\n"
-    (if smoke then "smoke" else "full");
-  Printf.fprintf oc "  \"all_valid\": %b,\n"
-    (List.for_all (fun v -> v.v_valid) r.s_salvage);
-  Printf.fprintf oc
-    "  \"append\": {\"plain_ns\": %.1f, \"framed_ns\": %.1f, \"overhead\": \
-     %.2f, \"bytes_per_entry\": %.1f},\n"
-    r.s_plain_ns r.s_framed_ns
-    (r.s_framed_ns /. r.s_plain_ns)
-    r.s_bytes_per_entry;
-  Printf.fprintf oc "  \"recovery\": [\n    %s\n  ],\n"
-    (String.concat ",\n    " (List.map recover_json r.s_recover));
-  Printf.fprintf oc "  \"salvage\": [\n    %s\n  ]\n}\n"
-    (String.concat ",\n    " (List.map salvage_json r.s_salvage));
-  close_out oc
+  ( [
+      ( "append",
+        Json.Obj
+          [
+            ("plain_ns", Json.Num plain_ns);
+            ("framed_ns", Json.Num framed_ns);
+            ("overhead", Json.Num (framed_ns /. plain_ns));
+            ("bytes_per_entry", Json.Num bytes_per_entry);
+          ] );
+      ("recovery", Json.List recover_rows);
+      ("salvage", Json.List salvage_rows);
+    ],
+    [ ("all_valid", !all_valid); ("all_fired", !all_fired) ] )
 
 (* --- E13/E14: parametrized scheduling --------------------------------------- *)
 
@@ -988,6 +900,9 @@ let bench_fastpath () =
 type core_row = {
   bench : string;
   config : string;
+  identity : string option;
+      (* automaton-build only: the state identity [Automaton] uses for
+         this dependency, "semantic" or "syntactic" *)
   naive_ns : float;
   opt_ns : float;
   minor_words : float; (* allocation of one optimized-leg execution *)
@@ -995,6 +910,18 @@ type core_row = {
 }
 
 let speedup r = r.naive_ns /. r.opt_ns
+
+let core_row_json r =
+  Json.Obj
+    ([ ("bench", Json.Str r.bench); ("config", Json.Str r.config) ]
+    @ (match r.identity with Some m -> [ ("identity", Json.Str m) ] | None -> [])
+    @ [
+        ("naive_ns", Json.Num r.naive_ns);
+        ("optimized_ns", Json.Num r.opt_ns);
+        ("speedup", Json.Num (speedup r));
+        ("minor_words", Json.Num r.minor_words);
+        ("major_words", Json.Num r.major_words);
+      ])
 
 (* Allocation of a single execution, from [Gc.quick_stat] deltas; words
    are deterministic where timings are not, so one sample suffices.
@@ -1046,7 +973,7 @@ let min_ns ~budget fn =
 
 (* The two legs alternate rep by rep, so contention windows longer than
    a single rep degrade both sides equally instead of skewing the ratio. *)
-let core_bench ~budget ~rows ~bench ~config work =
+let core_bench ~budget ~rows ~bench ~config ?identity work =
   let work () = ignore (work ()) in
   let naive () = with_intern false work in
   let opt () =
@@ -1067,13 +994,24 @@ let core_bench ~budget ~rows ~bench ~config work =
   done;
   let minor_words, major_words = alloc_words opt in
   let row =
-    { bench; config; naive_ns = !best_n; opt_ns = !best_o;
+    { bench; config; identity; naive_ns = !best_n; opt_ns = !best_o;
       minor_words; major_words }
   in
   rows := row :: !rows;
-  Printf.printf "%-18s %-14s %12s %12s %8.1fx %10s %10s\n%!" bench config
+  Printf.printf "%-18s %-14s %12s %12s %8.1fx %10s %10s%s\n%!" bench config
     (pp_ns !best_n) (pp_ns !best_o) (speedup row) (pp_words minor_words)
     (pp_words major_words)
+    (match identity with Some m -> " " ^ m | None -> "")
+
+(* Automaton identifies states semantically over a small alphabet and
+   syntactically otherwise; an automaton-build row names which. *)
+let build_bench ~budget ~rows ~config d =
+  let identity =
+    if Automaton.small_alphabet (Expr.symbols d) then "semantic"
+    else "syntactic"
+  in
+  core_bench ~budget ~rows ~bench:"automaton-build" ~config ~identity (fun () ->
+      ignore (Automaton.build d))
 
 (* Three synthetic dependency families of growing width: chains
    x0.x1...xn (long sequential residuation), fan-ins (x0 & ... & xn).fin
@@ -1114,7 +1052,7 @@ let cube_dep n =
       Expr.seq_all (List.init n (fun i -> Expr.event (Printf.sprintf "z%d" i)));
     ]
 
-let bench_core ~smoke () =
+let bench_core ~smoke =
   section "CORE" "Hash-consed symbolic core vs naive oracle (before/after)";
   let budget = if smoke then 5e7 else 5e8 in
   let chains = if smoke then [ 4 ] else [ 4; 6; 8; 10 ] in
@@ -1125,8 +1063,8 @@ let bench_core ~smoke () =
   let runs = if smoke then [ 1 ] else [ 2; 5 ] in
   let noise = if smoke then 16 else 64 in
   let rows = ref [] in
-  Printf.printf "%-18s %-14s %12s %12s %8s %10s %10s\n" "bench" "config"
-    "naive" "optimized" "speedup" "opt-minor" "opt-major";
+  Printf.printf "%-18s %-14s %12s %12s %8s %10s %10s %s\n" "bench" "config"
+    "naive" "optimized" "speedup" "opt-minor" "opt-major" "identity";
   (* Per-bench rows run narrow to wide, so the last row of each bench is
      its widest configuration — the headline number in the JSON. *)
   let dep_benches mk fam widths =
@@ -1136,8 +1074,7 @@ let bench_core ~smoke () =
         let config = Printf.sprintf "%s-%d" fam n in
         core_bench ~budget ~rows ~bench:"guard-synthesis" ~config (fun () ->
             ignore (Synth.all_guards [ d ]));
-        core_bench ~budget ~rows ~bench:"automaton-build" ~config (fun () ->
-            ignore (Automaton.build d)))
+        build_bench ~budget ~rows ~config d)
       widths
   in
   (* Family order makes the last row of each bench its widest: chains
@@ -1146,10 +1083,7 @@ let bench_core ~smoke () =
   dep_benches chain_dep "chain" chains;
   List.iter
     (fun n ->
-      let d = grid_dep n in
-      core_bench ~budget ~rows ~bench:"automaton-build"
-        ~config:(Printf.sprintf "grid-%d" n) (fun () ->
-          ignore (Automaton.build d)))
+      build_bench ~budget ~rows ~config:(Printf.sprintf "grid-%d" n) (grid_dep n))
     grids;
   List.iter
     (fun k ->
@@ -1161,10 +1095,7 @@ let bench_core ~smoke () =
   dep_benches fanin_dep "fanin" fanins;
   List.iter
     (fun n ->
-      let d = cube_dep n in
-      core_bench ~budget ~rows ~bench:"automaton-build"
-        ~config:(Printf.sprintf "cube-%d" n) (fun () ->
-          ignore (Automaton.build d)))
+      build_bench ~budget ~rows ~config:(Printf.sprintf "cube-%d" n) (cube_dep n))
     cubes;
   List.iter
     (fun n ->
@@ -1173,6 +1104,12 @@ let bench_core ~smoke () =
         ~config:(Printf.sprintf "travel-%d" n) (fun () ->
           ignore (Event_sched.run wf)))
     runs;
+  let emit row =
+    rows := row :: !rows;
+    Printf.printf "%-18s %-14s %12s %12s %8.1fx %10s %10s\n%!" row.bench
+      row.config (pp_ns row.naive_ns) (pp_ns row.opt_ns) (speedup row)
+      (pp_words row.minor_words) (pp_words row.major_words)
+  in
   (* Indexed assimilation: a wide fan-in guard fed a stream that is
      mostly announcements of symbols the guard never mentions — the
      watch index skips them outright, the naive fold renormalizes the
@@ -1188,7 +1125,6 @@ let bench_core ~smoke () =
            ::
            (if j < fanin_n then [ lit (Printf.sprintf "x%d" j) ] else [])))
   in
-  let config = Printf.sprintf "fanin-%d+%dnoise" fanin_n noise in
   let naive_ns =
     min_ns ~budget (fun () ->
         ignore
@@ -1202,17 +1138,9 @@ let bench_core ~smoke () =
   in
   let opt_ns = min_ns ~budget indexed_fold in
   let minor_words, major_words = alloc_words indexed_fold in
-  let row =
-    { bench = "assimilation"; config; naive_ns; opt_ns;
-      minor_words; major_words }
-  in
-  let emit row =
-    rows := row :: !rows;
-    Printf.printf "%-18s %-14s %12s %12s %8.1fx %10s %10s\n%!" row.bench
-      row.config (pp_ns row.naive_ns) (pp_ns row.opt_ns) (speedup row)
-      (pp_words row.minor_words) (pp_words row.major_words)
-  in
-  emit row;
+  emit
+    { bench = "assimilation"; config = Printf.sprintf "fanin-%d+%dnoise" fanin_n noise;
+      identity = None; naive_ns; opt_ns; minor_words; major_words };
   (* Steady-state compiled assimilation: the full lifetime of a chain
      guard, replayed symbol by symbol.  The symbolic leg is the indexed
      fold the schedulers used before tables — each step residuates the
@@ -1257,47 +1185,81 @@ let bench_core ~smoke () =
       let minor_words, major_words = alloc_words compiled in
       emit
         { bench = "guard-assimilation"; config = Printf.sprintf "chain-%d" n;
-          naive_ns; opt_ns; minor_words; major_words })
+          identity = None; naive_ns; opt_ns; minor_words; major_words })
     ga_chains;
-  List.rev !rows
-
-(* Hand-rolled JSON (no extra dependencies); nan timings become null. *)
-let js_float x =
-  if Float.is_nan x then "null" else Printf.sprintf "%.1f" x
-
-let js_ratio r =
-  if Float.is_nan r.naive_ns || Float.is_nan r.opt_ns then "null"
-  else Printf.sprintf "%.2f" (speedup r)
-
-(* For each bench the widest (last-listed) config is the headline
-   number: the ISSUE's acceptance bar is "optimized measurably faster on
-   the widest scaling config". *)
-let widest_rows rows =
-  List.fold_left
-    (fun acc r -> (r.bench, r) :: List.remove_assoc r.bench acc)
-    [] rows
-  |> List.rev
-
-let write_core_json path ~smoke rows =
-  let oc = open_out path in
-  let row_json r =
-    Printf.sprintf
-      "{\"bench\": \"%s\", \"config\": \"%s\", \"naive_ns\": %s, \
-       \"optimized_ns\": %s, \"speedup\": %s, \"minor_words\": %.0f, \
-       \"major_words\": %.0f}"
-      r.bench r.config (js_float r.naive_ns) (js_float r.opt_ns) (js_ratio r)
-      r.minor_words r.major_words
+  let rows = List.rev !rows in
+  let of_bench b = List.filter (fun r -> r.bench = b) rows in
+  (* The widest (last-listed) config of each bench is its headline
+     number. *)
+  let widest =
+    List.fold_left
+      (fun acc r -> (r.bench, r) :: List.remove_assoc r.bench acc)
+      [] rows
+    |> List.rev
   in
-  Printf.fprintf oc "{\n  \"suite\": \"core-scaling\",\n  \"mode\": \"%s\",\n"
-    (if smoke then "smoke" else "full");
-  Printf.fprintf oc "  \"results\": [\n    %s\n  ],\n"
-    (String.concat ",\n    " (List.map row_json rows));
-  Printf.fprintf oc "  \"widest\": {\n    %s\n  }\n}\n"
-    (String.concat ",\n    "
-       (List.map
-          (fun (bench, r) -> Printf.sprintf "\"%s\": %s" bench (row_json r))
-          (widest_rows rows)));
-  close_out oc
+  (* Perf floors far below the ratios a quiet machine measures (shared
+     CI runners are noisy): compiled-table assimilation stays an order
+     of magnitude ahead of the symbolic fold on its widest config, and
+     the interned automaton build never loses to the naive oracle. *)
+  let assim_5x =
+    match List.rev (of_bench "guard-assimilation") with
+    | r :: _ -> speedup r >= 5.0
+    | [] -> false
+  in
+  ( [
+      ("results", Json.List (List.map core_row_json rows));
+      ("widest", Json.Obj (List.map (fun (b, r) -> (b, core_row_json r)) widest));
+    ],
+    [
+      ("guard_assimilation_widest_5x", assim_5x);
+      ( "automaton_build_1x",
+        List.for_all (fun r -> speedup r >= 1.0) (of_bench "automaton-build") );
+    ] )
+
+(* --- open-loop fleets: OVERLOAD and SCALE ------------------------------------- *)
+
+let binding_sym base j = Symbol.parametrized base [ string_of_int j ]
+
+(* Open-loop Poisson arrivals: [f j t] sees arrival [j] at virtual time
+   [t], in order, so [f] may draw from [rng] between arrivals. *)
+let poisson_arrivals rng ~mean n f =
+  let t = ref 0.0 in
+  for j = 0 to n - 1 do
+    t := !t +. Flow.arrival_delay Flow.Poisson ~rng ~now:!t ~mean;
+    f j !t
+  done
+
+(* Exactly-once and dependency order over a realized trace: every token
+   occurs once, and binding j's prepare precedes its commit.  Returns
+   the number of violations. *)
+let audit_trace trace ~jobs =
+  let violations = ref 0 in
+  let pos = Hashtbl.create (4 * jobs) in
+  List.iteri
+    (fun i (l : Literal.t) ->
+      let name = Symbol.name (Literal.symbol l) in
+      if Hashtbl.mem pos name then incr violations else Hashtbl.add pos name i)
+    trace;
+  for j = 0 to jobs - 1 do
+    match
+      ( Hashtbl.find_opt pos (Symbol.name (binding_sym "p" j)),
+        Hashtbl.find_opt pos (Symbol.name (binding_sym "c" j)) )
+    with
+    | Some ip, Some ic when ip < ic -> ()
+    | _ -> incr violations
+  done;
+  !violations
+
+(* The chain family both suites run, per binding x: either the commit
+   never happens or its prepare precedes it. *)
+let saga_template =
+  Ptemplate.choice_all
+    [
+      Ptemplate.atom ~pol:Literal.Neg "c" [ Ptemplate.Var "x" ];
+      Ptemplate.seq
+        (Ptemplate.atom "p" [ Ptemplate.Var "x" ])
+        (Ptemplate.atom "c" [ Ptemplate.Var "x" ]);
+    ]
 
 (* --- OVERLOAD: open-loop fleet arrivals against the admission gate ----------- *)
 
@@ -1327,64 +1289,8 @@ let write_core_json path ~smoke rows =
    bench's gates.  Goodput counts only completions inside the arrival
    window, so late drained jobs do not flatter a saturated leg. *)
 
+
 type ov_event = Ov_arrive of int | Ov_retry of int | Ov_prepare of int
-
-(* Binary min-heap on (time, push order): equal-time events pop FIFO,
-   keeping runs deterministic. *)
-module Ov_heap = struct
-  type t = {
-    mutable a : (float * int * ov_event) array;
-    mutable n : int;
-    mutable seq : int;
-  }
-
-  let dummy = (0.0, 0, Ov_arrive (-1))
-  let create () = { a = Array.make 1024 dummy; n = 0; seq = 0 }
-
-  let before (t1, s1, _) (t2, s2, _) = t1 < t2 || (t1 = t2 && s1 < s2)
-
-  let push h time ev =
-    if h.n = Array.length h.a then begin
-      let a' = Array.make (2 * h.n) dummy in
-      Array.blit h.a 0 a' 0 h.n;
-      h.a <- a'
-    end;
-    h.a.(h.n) <- (time, h.seq, ev);
-    h.seq <- h.seq + 1;
-    let i = ref h.n in
-    h.n <- h.n + 1;
-    while !i > 0 && before h.a.(!i) h.a.((!i - 1) / 2) do
-      let p = (!i - 1) / 2 in
-      let tmp = h.a.(p) in
-      h.a.(p) <- h.a.(!i);
-      h.a.(!i) <- tmp;
-      i := p
-    done
-
-  let pop h =
-    if h.n = 0 then None
-    else begin
-      let time, _, ev = h.a.(0) in
-      h.n <- h.n - 1;
-      h.a.(0) <- h.a.(h.n);
-      let i = ref 0 in
-      let sifting = ref true in
-      while !sifting do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let m = ref !i in
-        if l < h.n && before h.a.(l) h.a.(!m) then m := l;
-        if r < h.n && before h.a.(r) h.a.(!m) then m := r;
-        if !m = !i then sifting := false
-        else begin
-          let tmp = h.a.(!m) in
-          h.a.(!m) <- h.a.(!i);
-          h.a.(!i) <- tmp;
-          i := !m
-        end
-      done;
-      Some (time, ev)
-    end
-end
 
 type ov_row = {
   ov_family : string; (* "flow" | "noflow" *)
@@ -1424,29 +1330,14 @@ let ov_capacity =
   1.0
   /. ((2.0 *. ov_s0) +. (ov_s1 *. (2.0 +. (2.0 *. float_of_int ov_watermark))))
 
-let ov_template =
-  Ptemplate.choice_all
-    [
-      Ptemplate.atom ~pol:Literal.Neg "c" [ Ptemplate.Var "x" ];
-      Ptemplate.seq
-        (Ptemplate.atom "p" [ Ptemplate.Var "x" ])
-        (Ptemplate.atom "c" [ Ptemplate.Var "x" ]);
-    ]
-
 let ov_run ~flow ~arrival ~load ~jobs ~seed =
   let rng = Wf_sim.Rng.create seed in
   let offered = load *. ov_capacity in
   let arrivals = Array.make jobs 0.0 in
   (match arrival with
   | Flow.Poisson ->
-      let t = ref 0.0 in
-      for j = 0 to jobs - 1 do
-        t :=
-          !t
-          +. Flow.arrival_delay Flow.Poisson ~rng ~now:!t
-               ~mean:(1.0 /. offered);
-        arrivals.(j) <- !t
-      done
+      poisson_arrivals rng ~mean:(1.0 /. offered) jobs (fun j t ->
+          arrivals.(j) <- t)
   | Flow.Burst ->
       (* [sources] synchronized open-loop sources, each firing once per
          batch period, together offering the same aggregate rate. *)
@@ -1464,11 +1355,16 @@ let ov_run ~flow ~arrival ~load ~jobs ~seed =
   let eng =
     Param_sched.create
       ?flow:(if flow then Some ov_flow_config else None)
-      ~store_seed:seed [ ov_template ]
+      ~store_seed:seed [ saga_template ]
   in
-  let heap = Ov_heap.create () in
-  Array.iteri (fun j t -> Ov_heap.push heap t (Ov_arrive j)) arrivals;
-  let sym b j = Symbol.parametrized b [ string_of_int j ] in
+  (* Events pop by (time, push order): equal-time events run FIFO. *)
+  let heap = Wf_sim.Heap.create () in
+  let pushed = ref 0 in
+  let push time ev =
+    Wf_sim.Heap.push heap ~key:time ~seq:!pushed ev;
+    incr pushed
+  in
+  Array.iteri (fun j t -> push t (Ov_arrive j)) arrivals;
   let free_at = ref 0.0 in
   let done_at = Array.make jobs nan in
   let drained = ref 0 in
@@ -1483,15 +1379,15 @@ let ov_run ~flow ~arrival ~load ~jobs ~seed =
   in
   let commit j now =
     let w0 = Param_sched.work eng in
-    match Param_sched.attempt eng (sym "c" j) with
+    match Param_sched.attempt eng (binding_sym "c" j) with
     | Param_sched.Busy { retry_after } ->
         (* shed at the gate: no server time spent, caller owns the timer *)
-        Ov_heap.push heap (now +. retry_after) (Ov_retry j)
+        push (now +. retry_after) (Ov_retry j)
     | Param_sched.Parked ->
         charge now w0;
         let depth = Param_sched.parked_count eng in
         if depth > !max_parked then max_parked := depth;
-        Ov_heap.push heap !free_at (Ov_prepare j)
+        push !free_at (Ov_prepare j)
     | Param_sched.Accepted | Param_sched.Already ->
         charge now w0;
         complete j
@@ -1499,39 +1395,20 @@ let ov_run ~flow ~arrival ~load ~jobs ~seed =
   in
   let prepare j now =
     let w0 = Param_sched.work eng in
-    Param_sched.occurred eng (Literal.pos (sym "p" j));
+    Param_sched.occurred eng (Literal.pos (binding_sym "p" j));
     charge now w0;
     complete j
   in
-  let running = ref true in
-  while !running do
-    match Ov_heap.pop heap with
-    | None -> running := false
-    | Some (now, (Ov_arrive j | Ov_retry j)) -> commit j now
-    | Some (now, Ov_prepare j) -> prepare j now
+  while not (Wf_sim.Heap.is_empty heap) do
+    let now = Wf_sim.Heap.min_key heap in
+    match Wf_sim.Heap.take heap with
+    | Ov_arrive j | Ov_retry j -> commit j now
+    | Ov_prepare j -> prepare j now
   done;
   let stats = Param_sched.stats eng in
   let last = arrivals.(jobs - 1) in
   let in_window = ref 0 in
   Array.iter (fun t -> if t <= last then incr in_window) done_at;
-  (* exactly-once / dependency audit over the realized trace *)
-  let violations = ref 0 in
-  if Param_sched.parked eng <> [] then incr violations;
-  let pos = Hashtbl.create (4 * jobs) in
-  List.iteri
-    (fun i (l : Literal.t) ->
-      let name = Symbol.name (Literal.symbol l) in
-      if Hashtbl.mem pos name then incr violations (* duplicate token *)
-      else Hashtbl.add pos name i)
-    (Param_sched.trace eng);
-  for j = 0 to jobs - 1 do
-    match
-      ( Hashtbl.find_opt pos (Symbol.name (sym "p" j)),
-        Hashtbl.find_opt pos (Symbol.name (sym "c" j)) )
-    with
-    | Some ip, Some ic when ip < ic -> ()
-    | _ -> incr violations
-  done;
   {
     ov_family = (if flow then "flow" else "noflow");
     ov_arrival = Flow.arrival_to_string arrival;
@@ -1545,62 +1422,30 @@ let ov_run ~flow ~arrival ~load ~jobs ~seed =
     ov_max_parked = !max_parked;
     ov_in_window = !in_window;
     ov_drained = !drained;
-    ov_violations = !violations;
+    ov_violations =
+      Bool.to_int (Param_sched.parked_count eng <> 0)
+      + audit_trace (Param_sched.trace eng) ~jobs;
   }
 
-type ov_gates = {
-  g_flow_ratios : (string * float) list; (* per arrival kind, at 2x *)
-  g_flow_ok : bool;
-  g_parked_ok : bool;
-  g_drain_ok : bool;
-  g_collapse_ratio : float; (* noflow 2x goodput / flow poisson 2x *)
-  g_collapse_ok : bool;
-}
+let ov_row_json r =
+  Json.Obj
+    [
+      ("family", Json.Str r.ov_family);
+      ("arrival", Json.Str r.ov_arrival);
+      ("load", Json.Num r.ov_load);
+      ("jobs", int r.ov_jobs);
+      ("offered", Json.Num r.ov_offered);
+      ("goodput", Json.Num r.ov_goodput);
+      ("window", Json.Num r.ov_window);
+      ("shed", int r.ov_shed);
+      ("probe_admits", int r.ov_probes);
+      ("max_parked", int r.ov_max_parked);
+      ("completed_in_window", int r.ov_in_window);
+      ("drained", int r.ov_drained);
+      ("violations", int r.ov_violations);
+    ]
 
-let ov_gate_rows rows =
-  let fam f = List.filter (fun r -> r.ov_family = f) rows in
-  let at2 = List.filter (fun r -> r.ov_load >= 1.99) in
-  let peak rs = List.fold_left (fun m r -> Float.max m r.ov_goodput) 0.0 rs in
-  let flow = fam "flow" and base = fam "noflow" in
-  let flow_ratios =
-    List.map
-      (fun r ->
-        let family_peak =
-          peak (List.filter (fun x -> x.ov_arrival = r.ov_arrival) flow)
-        in
-        (r.ov_arrival, r.ov_goodput /. family_peak))
-      (at2 flow)
-  in
-  let flow_ok =
-    flow_ratios <> [] && List.for_all (fun (_, x) -> x >= 0.8) flow_ratios
-  in
-  let parked_ok =
-    List.for_all (fun r -> r.ov_max_parked <= ov_watermark + r.ov_probes) flow
-  in
-  let drain_ok =
-    List.for_all
-      (fun r -> r.ov_violations = 0 && r.ov_drained = r.ov_jobs)
-      rows
-  in
-  let flow2 =
-    match List.filter (fun r -> r.ov_arrival = "poisson") (at2 flow) with
-    | r :: _ -> r.ov_goodput
-    | [] -> nan
-  in
-  let base2 = match at2 base with r :: _ -> r.ov_goodput | [] -> nan in
-  let collapse_ratio = base2 /. flow2 in
-  {
-    g_flow_ratios = flow_ratios;
-    g_flow_ok = flow_ok;
-    g_parked_ok = parked_ok;
-    g_drain_ok = drain_ok;
-    g_collapse_ratio = collapse_ratio;
-    g_collapse_ok = collapse_ratio < 0.6;
-  }
-
-let ov_all_ok g = g.g_flow_ok && g.g_parked_ok && g.g_drain_ok && g.g_collapse_ok
-
-let bench_overload ~smoke () =
+let bench_overload ~smoke =
   section "OVERLOAD"
     "Open-loop fleet arrivals: admission gate vs unbounded backlog";
   let flow_jobs = if smoke then 2000 else 10_000 in
@@ -1635,69 +1480,72 @@ let bench_overload ~smoke () =
       leg (20 + i) ~flow:false ~arrival:Flow.Poisson ~load ~jobs:base_jobs)
     loads;
   let rows = List.rev !rows in
-  let g = ov_gate_rows rows in
-  List.iter
-    (fun (arr, x) ->
-      Printf.printf "flow %s 2x goodput ratio: %.2f (gate: >= 0.80)\n" arr x)
-    g.g_flow_ratios;
-  Printf.printf
-    "parked bounded by watermark + probes: %b; drains clean: %b\n"
-    g.g_parked_ok g.g_drain_ok;
-  Printf.printf "baseline 2x goodput vs flow 2x: %.2f (gate: < 0.60)\n"
-    g.g_collapse_ratio;
-  Printf.printf "overload gates %s\n%!"
-    (if ov_all_ok g then "PASS" else "FAIL");
-  rows
-
-let write_overload_json path ~smoke rows =
-  let g = ov_gate_rows rows in
-  let ov_js x = if Float.is_nan x then "null" else Printf.sprintf "%.4f" x in
-  let oc = open_out path in
-  let row_json r =
-    Printf.sprintf
-      "{\"family\": \"%s\", \"arrival\": \"%s\", \"load\": %.2f, \"jobs\": \
-       %d, \"offered\": %s, \"goodput\": %s, \"window\": %s, \"shed\": %d, \
-       \"probe_admits\": %d, \"max_parked\": %d, \"completed_in_window\": \
-       %d, \"drained\": %d, \"violations\": %d}"
-      r.ov_family r.ov_arrival r.ov_load r.ov_jobs (ov_js r.ov_offered)
-      (ov_js r.ov_goodput) (ov_js r.ov_window) r.ov_shed r.ov_probes
-      r.ov_max_parked r.ov_in_window r.ov_drained r.ov_violations
+  let fam f = List.filter (fun r -> r.ov_family = f) rows in
+  let at2 = List.filter (fun r -> r.ov_load >= 1.99) in
+  let peak rs = List.fold_left (fun m r -> Float.max m r.ov_goodput) 0.0 rs in
+  let flow = fam "flow" and base = fam "noflow" in
+  (* Saturated goodput per arrival kind, as a share of its family peak. *)
+  let flow_ratios =
+    List.map
+      (fun r ->
+        let family_peak =
+          peak (List.filter (fun x -> x.ov_arrival = r.ov_arrival) flow)
+        in
+        (r.ov_arrival, r.ov_goodput /. family_peak))
+      (at2 flow)
   in
-  Printf.fprintf oc
-    "{\n  \"suite\": \"overload\",\n  \"mode\": \"%s\",\n"
-    (if smoke then "smoke" else "full");
-  Printf.fprintf oc
-    "  \"config\": {\"s0\": %.2f, \"s1\": %.2f, \"shed_watermark\": %d, \
-     \"probe_every\": %d, \"retry_base\": %.1f, \"retry_max\": %.1f, \
-     \"capacity_est\": %.4f},\n"
-    ov_s0 ov_s1 ov_watermark ov_flow_config.Flow.probe_every
-    ov_flow_config.Flow.retry_base ov_flow_config.Flow.retry_max ov_capacity;
-  Printf.fprintf oc "  \"legs\": [\n    %s\n  ],\n"
-    (String.concat ",\n    " (List.map row_json rows));
-  Printf.fprintf oc
-    "  \"gates\": {\n    \"flow_2x_ratios\": {%s},\n    \
-     \"flow_goodput_ok\": %b,\n    \"parked_bounded_ok\": %b,\n    \
-     \"drain_clean_ok\": %b,\n    \"collapse_ratio\": %s,\n    \
-     \"baseline_collapses_ok\": %b,\n    \"ok\": %b\n  }\n}\n"
-    (String.concat ", "
-       (List.map
-          (fun (arr, x) -> Printf.sprintf "\"%s\": %s" arr (ov_js x))
-          g.g_flow_ratios))
-    g.g_flow_ok g.g_parked_ok g.g_drain_ok
-    (ov_js g.g_collapse_ratio)
-    g.g_collapse_ok (ov_all_ok g);
-  close_out oc
+  let flow2 =
+    match List.filter (fun r -> r.ov_arrival = "poisson") (at2 flow) with
+    | r :: _ -> r.ov_goodput
+    | [] -> nan
+  in
+  let base2 = match at2 base with r :: _ -> r.ov_goodput | [] -> nan in
+  let collapse_ratio = base2 /. flow2 in
+  List.iter
+    (fun (arr, x) -> Printf.printf "flow %s 2x goodput ratio: %.2f\n" arr x)
+    flow_ratios;
+  Printf.printf "baseline 2x goodput vs flow 2x: %.2f\n" collapse_ratio;
+  ( [
+      ( "config",
+        Json.Obj
+          [
+            ("s0", Json.Num ov_s0);
+            ("s1", Json.Num ov_s1);
+            ("shed_watermark", int ov_watermark);
+            ("probe_every", int ov_flow_config.Flow.probe_every);
+            ("retry_base", Json.Num ov_flow_config.Flow.retry_base);
+            ("retry_max", Json.Num ov_flow_config.Flow.retry_max);
+            ("capacity_est", Json.Num ov_capacity);
+          ] );
+      ("legs", Json.List (List.map ov_row_json rows));
+      ( "summary",
+        Json.Obj
+          [
+            ( "flow_2x_ratios",
+              Json.Obj (List.map (fun (a, x) -> (a, Json.Num x)) flow_ratios) );
+            ("collapse_ratio", Json.Num collapse_ratio);
+          ] );
+    ],
+    [
+      ( "flow_goodput_ok",
+        flow_ratios <> [] && List.for_all (fun (_, x) -> x >= 0.8) flow_ratios );
+      ( "parked_bounded_ok",
+        List.for_all (fun r -> r.ov_max_parked <= ov_watermark + r.ov_probes) flow );
+      ( "drain_clean_ok",
+        List.for_all (fun r -> r.ov_violations = 0 && r.ov_drained = r.ov_jobs) rows );
+      ("baseline_collapses_ok", collapse_ratio < 0.6);
+    ] )
 
 (* --- fleet scale bench (BENCH_SCALE.json) ------------------------------------- *)
 
 (* One spec, 10^5..10^6 parameter bindings: the arena-backed Fleet
    engine against the symbolic Param_sched baseline on the same
-   prepare/commit saga and the same Poisson arrival process (PR 9's
-   open-loop machinery).  Commits arrive first and park; each prepare
-   lands an exponential lag later and un-parks its commit.  Reported
-   per leg: sustained journaled inputs per wall second, p99 wall-clock
-   latency of an enabling input (an occurrence that retires events),
-   and GC-measured live bytes per instance. *)
+   prepare/commit saga and the same Poisson arrival process as
+   OVERLOAD.  Commits arrive first and park; each prepare lands an
+   exponential lag later and un-parks its commit.  Reported per leg:
+   sustained journaled inputs per wall second, p99 wall-clock latency
+   of an enabling input (an occurrence that retires events), and
+   GC-measured live bytes per instance. *)
 
 type sc_row = {
   sc_engine : string; (* "param" | "fleet" *)
@@ -1733,7 +1581,7 @@ let sc_prepare_lag = 8.0 (* mean prepare lag, in mean inter-arrival units *)
 let sc_param =
   {
     sc_name = "param";
-    sc_create = (fun _ -> Param_sched.create [ ov_template ]);
+    sc_create = (fun _ -> Param_sched.create [ saga_template ]);
     sc_words = (fun _ -> -1);
     sc_table_states = (fun _ -> -1);
     sc_symbolic_evals = Param_sched.evaluations;
@@ -1744,7 +1592,7 @@ let sc_fleet =
     sc_name = "fleet";
     (* ~16 checkpoints over the run: each scans the fate columns. *)
     sc_create =
-      (fun n -> Fleet.create ~checkpoint_every:(max 1024 (n / 16)) [ ov_template ]);
+      (fun n -> Fleet.create ~checkpoint_every:(max 1024 (n / 16)) [ saga_template ]);
     sc_words = Fleet.state_words;
     sc_table_states = Fleet.table_states;
     sc_symbolic_evals =
@@ -1763,12 +1611,9 @@ let sc_run (type e) (module E : Param_engine.S with type t = e) (x : e sc_eng)
      mid-run and corrupt the accounting. *)
   let m = 2 * n in
   let times = Array.make m 0.0 in
-  let t = ref 0.0 in
-  for j = 0 to n - 1 do
-    t := !t +. Flow.arrival_delay Flow.Poisson ~rng ~now:!t ~mean:1.0;
-    times.(2 * j) <- !t;
-    times.((2 * j) + 1) <- !t +. Wf_sim.Rng.exponential rng ~mean:sc_prepare_lag
-  done;
+  poisson_arrivals rng ~mean:1.0 n (fun j t ->
+      times.(2 * j) <- t;
+      times.((2 * j) + 1) <- t +. Wf_sim.Rng.exponential rng ~mean:sc_prepare_lag);
   let order = Array.init m (fun i -> i) in
   Array.sort
     (fun a b ->
@@ -1777,7 +1622,6 @@ let sc_run (type e) (module E : Param_engine.S with type t = e) (x : e sc_eng)
     order;
   let enable_lat = Array.make n 0.0 in
   let n_lat = ref 0 in
-  let sym b j = Symbol.parametrized b [ string_of_int j ] in
   Gc.compact ();
   let live0 = (Gc.stat ()).Gc.live_words in
   let eng = x.sc_create n in
@@ -1788,14 +1632,14 @@ let sc_run (type e) (module E : Param_engine.S with type t = e) (x : e sc_eng)
     let j = slot / 2 in
     incr inputs;
     if slot land 1 = 0 then begin
-      match E.attempt eng (sym "c" j) with
+      match E.attempt eng (binding_sym "c" j) with
       | Parked | Accepted | Already -> ()
       | Rejected | Busy _ ->
           failwith "scale: commit rejected or shed"
     end
     else begin
       let u0 = Monotonic_clock.get () in
-      E.occurred eng (Literal.pos (sym "p" j));
+      E.occurred eng (Literal.pos (binding_sym "p" j));
       let us = (Monotonic_clock.get () -. u0) /. 1e3 in
       enable_lat.(!n_lat) <- us;
       incr n_lat
@@ -1808,27 +1652,12 @@ let sc_run (type e) (module E : Param_engine.S with type t = e) (x : e sc_eng)
   ignore (Sys.opaque_identity (times, order));
   let trace = E.trace eng in
   let events = Trace.length trace in
-  let violations = ref 0 in
-  if E.parked_count eng <> 0 then incr violations;
-  if events <> 2 * n then incr violations;
-  if audit then begin
-    (* Exactly-once and dependency order, token by token. *)
-    let pos = Hashtbl.create (4 * n) in
-    List.iteri
-      (fun i (l : Literal.t) ->
-        let name = Symbol.name (Literal.symbol l) in
-        if Hashtbl.mem pos name then incr violations
-        else Hashtbl.add pos name i)
-      trace;
-    for j = 0 to n - 1 do
-      match
-        ( Hashtbl.find_opt pos (Symbol.name (sym "p" j)),
-          Hashtbl.find_opt pos (Symbol.name (sym "c" j)) )
-      with
-      | Some ip, Some ic when ip < ic -> ()
-      | _ -> incr violations
-    done
-  end;
+  let drained = E.parked_count eng = 0 && events = 2 * n in
+  let violations =
+    Bool.to_int (E.parked_count eng <> 0)
+    + Bool.to_int (events <> 2 * n)
+    + if audit then audit_trace trace ~jobs:n else 0
+  in
   let lat = Array.sub enable_lat 0 !n_lat in
   Array.sort compare lat;
   let p99 =
@@ -1850,26 +1679,32 @@ let sc_run (type e) (module E : Param_engine.S with type t = e) (x : e sc_eng)
       sc_table_steps = Wf_obs.Metrics.count stats "fleet_table_steps";
       sc_symbolic_evals = x.sc_symbolic_evals eng;
       sc_table_states = x.sc_table_states eng;
-      sc_drained = E.parked_count eng = 0 && events = 2 * n;
-      sc_violations = !violations;
+      sc_drained = drained;
+      sc_violations = violations;
     }
   in
   (* Keep the engine alive through both GC measurements above. *)
   ignore (Sys.opaque_identity eng);
   row
 
-type sc_gates = {
-  sg_mem_ratio : float; (* param bytes/inst over fleet bytes/inst, same n *)
-  sg_fleet_bytes : float; (* fleet bytes/inst at the shared baseline n *)
-  sg_mem_ok : bool;
-  sg_speedup : float; (* fleet events/s over param events/s, same n *)
-  sg_speed_ok : bool;
-  sg_drain_ok : bool;
-  sg_big_ok : bool; (* the largest fleet leg completed and drained *)
-  sg_symbolic_ok : bool;
-      (* every fleet leg's symbolic evaluations within its table states:
-         Open verdicts are tabulated per state, not per binding *)
-}
+let sc_row_json r =
+  Json.Obj
+    [
+      ("engine", Json.Str r.sc_engine);
+      ("bindings", int r.sc_bindings);
+      ("inputs", int r.sc_inputs);
+      ("events", int r.sc_events);
+      ("wall_s", Json.Num r.sc_wall_s);
+      ("events_per_s", Json.Num r.sc_events_per_s);
+      ("p99_enable_us", Json.Num r.sc_p99_enable_us);
+      ("bytes_per_instance", Json.Num r.sc_bytes_per_instance);
+      ("state_words", int r.sc_state_words);
+      ("table_steps", int r.sc_table_steps);
+      ("symbolic_evals", int r.sc_symbolic_evals);
+      ("table_states", int r.sc_table_states);
+      ("drained", Json.Bool r.sc_drained);
+      ("violations", int r.sc_violations);
+    ]
 
 (* Absolute per-binding budget used by the CI smoke gate. At smoke scale
    (10^4 bindings) the fixed table floors and power-of-two interner slack
@@ -1877,54 +1712,7 @@ type sc_gates = {
    full run enforces the >= 10x ratio from the acceptance criteria. *)
 let sc_mem_budget_bytes = 256.0
 
-let sc_gate_rows ~smoke rows =
-  let find e n =
-    List.find_opt (fun r -> r.sc_engine = e && r.sc_bindings = n) rows
-  in
-  let base_n =
-    List.fold_left
-      (fun acc r -> if r.sc_engine = "param" then max acc r.sc_bindings else acc)
-      0 rows
-  in
-  let big_n =
-    List.fold_left
-      (fun acc r -> if r.sc_engine = "fleet" then max acc r.sc_bindings else acc)
-      0 rows
-  in
-  let mem_ratio, fleet_bytes, speedup =
-    match (find "param" base_n, find "fleet" base_n) with
-    | Some p, Some f ->
-        ( p.sc_bytes_per_instance /. f.sc_bytes_per_instance,
-          f.sc_bytes_per_instance,
-          f.sc_events_per_s /. p.sc_events_per_s )
-    | _ -> (nan, nan, nan)
-  in
-  let big_ok =
-    match find "fleet" big_n with
-    | Some r -> r.sc_drained && r.sc_violations = 0
-    | None -> false
-  in
-  {
-    sg_mem_ratio = mem_ratio;
-    sg_fleet_bytes = fleet_bytes;
-    sg_mem_ok =
-      (if smoke then fleet_bytes <= sc_mem_budget_bytes
-       else mem_ratio >= 10.0);
-    sg_speedup = speedup;
-    sg_speed_ok = speedup >= 1.0;
-    sg_drain_ok =
-      List.for_all (fun r -> r.sc_drained && r.sc_violations = 0) rows;
-    sg_big_ok = big_ok;
-    sg_symbolic_ok =
-      List.for_all
-        (fun r -> r.sc_engine <> "fleet" || r.sc_symbolic_evals <= r.sc_table_states)
-        rows;
-  }
-
-let sc_all_ok g =
-  g.sg_mem_ok && g.sg_speed_ok && g.sg_drain_ok && g.sg_big_ok && g.sg_symbolic_ok
-
-let bench_scale ~smoke () =
+let bench_scale ~smoke =
   section "SCALE"
     "Fleet execution engine: one spec, 10^5..10^6 parameter bindings";
   let base_n = if smoke then 10_000 else 100_000 in
@@ -1932,172 +1720,192 @@ let bench_scale ~smoke () =
   Printf.printf "%-7s %9s %9s %8s %12s %10s %11s %7s %5s\n" "engine"
     "bindings" "inputs" "wall_s" "events/s" "p99_us" "bytes/inst" "drain"
     "viol";
-  let rows = ref [] in
   let leg i engine x ~n ~audit =
     let seed = Int64.of_int (0x5CA1E + (41 * i)) in
     let r = sc_run engine x ~n ~seed ~audit in
     Printf.printf "%-7s %9d %9d %8.2f %12.0f %10.1f %11.1f %7b %5d\n%!"
       r.sc_engine r.sc_bindings r.sc_inputs r.sc_wall_s r.sc_events_per_s
       r.sc_p99_enable_us r.sc_bytes_per_instance r.sc_drained r.sc_violations;
-    rows := r :: !rows
+    r
   in
-  leg 0 (module Param_sched) sc_param ~n:base_n ~audit:true;
-  leg 1 (module Fleet) sc_fleet ~n:base_n ~audit:true;
-  leg 2 (module Fleet) sc_fleet ~n:big_n ~audit:false;
-  let rows = List.rev !rows in
-  let g = sc_gate_rows ~smoke rows in
-  if smoke then
-    Printf.printf
-      "fleet bytes/instance at %d bindings: %.1f (gate: <= %.0f); \
-       param/fleet ratio %.1fx\n"
-      base_n g.sg_fleet_bytes sc_mem_budget_bytes g.sg_mem_ratio
-  else
-    Printf.printf
-      "memory ratio param/fleet at %d bindings: %.1fx (gate: >= 10x)\n" base_n
-      g.sg_mem_ratio;
-  Printf.printf "fleet speedup over param at %d bindings: %.2fx (gate: >= 1x)\n"
-    base_n g.sg_speedup;
-  Printf.printf "all legs drained exactly-once: %b; %d-binding leg ok: %b\n"
-    g.sg_drain_ok big_n g.sg_big_ok;
+  let param = leg 0 (module Param_sched) sc_param ~n:base_n ~audit:true in
+  let fleet = leg 1 (module Fleet) sc_fleet ~n:base_n ~audit:true in
+  let big = leg 2 (module Fleet) sc_fleet ~n:big_n ~audit:false in
+  let rows = [ param; fleet; big ] in
+  let clean r = r.sc_drained && r.sc_violations = 0 in
+  (* Memory and speed compare the two engines at the same [base_n]. *)
+  let mem_ratio = param.sc_bytes_per_instance /. fleet.sc_bytes_per_instance in
+  let fleet_speedup = fleet.sc_events_per_s /. param.sc_events_per_s in
   Printf.printf
-    "fleet symbolic evaluations within table states on every leg: %b\n"
-    g.sg_symbolic_ok;
-  Printf.printf "scale gates %s\n%!" (if sc_all_ok g then "PASS" else "FAIL");
-  rows
+    "param/fleet bytes per instance at %d bindings: %.1fx; fleet speedup %.2fx\n"
+    base_n mem_ratio fleet_speedup;
+  ( [
+      ( "config",
+        Json.Obj
+          [
+            ("spec", Json.Str "~c[x] + p[x].c[x]");
+            ("arrival", Json.Str "poisson");
+            ("prepare_lag_mean", Json.Num sc_prepare_lag);
+          ] );
+      ("legs", Json.List (List.map sc_row_json rows));
+      ( "summary",
+        Json.Obj
+          [
+            ("mem_ratio_param_over_fleet", Json.Num mem_ratio);
+            ("fleet_bytes_per_instance", Json.Num fleet.sc_bytes_per_instance);
+            ("mem_budget_bytes", Json.Num sc_mem_budget_bytes);
+            ( "mem_gate",
+              Json.Str
+                (if smoke then "bytes_per_instance <= budget" else "ratio >= 10x") );
+            ("fleet_speedup", Json.Num fleet_speedup);
+          ] );
+    ],
+    [
+      ( "mem_ok",
+        if smoke then fleet.sc_bytes_per_instance <= sc_mem_budget_bytes
+        else mem_ratio >= 10.0 );
+      ("speed_ok", fleet_speedup >= 1.0);
+      ("drain_exactly_once_ok", List.for_all clean rows);
+      ("largest_leg_ok", clean big);
+      (* Open verdicts are tabulated per table state, not per binding. *)
+      ( "fleet_symbolic_bounded",
+        List.for_all
+          (fun r -> r.sc_engine <> "fleet" || r.sc_symbolic_evals <= r.sc_table_states)
+          rows );
+    ] )
 
-let write_scale_json path ~smoke rows =
-  let g = sc_gate_rows ~smoke rows in
-  let js x = if Float.is_nan x then "null" else Printf.sprintf "%.4f" x in
-  let oc = open_out path in
-  let row_json r =
-    Printf.sprintf
-      "{\"engine\": \"%s\", \"bindings\": %d, \"inputs\": %d, \"events\": \
-       %d, \"wall_s\": %s, \"events_per_s\": %s, \"p99_enable_us\": %s, \
-       \"bytes_per_instance\": %s, \"state_words\": %d, \"table_steps\": \
-       %d, \"symbolic_evals\": %d, \"table_states\": %d, \"drained\": %b, \
-       \"violations\": %d}"
-      r.sc_engine r.sc_bindings r.sc_inputs r.sc_events (js r.sc_wall_s)
-      (js r.sc_events_per_s) (js r.sc_p99_enable_us)
-      (js r.sc_bytes_per_instance) r.sc_state_words r.sc_table_steps
-      r.sc_symbolic_evals r.sc_table_states r.sc_drained r.sc_violations
+(* --- artifacts: one suite table, one writer, one exit status ------------------ *)
+
+(* A suite returns its artifact's body fields and its named gates. *)
+type suite = {
+  flag : string;
+  name : string;
+  file : string;  (** default artifact for a bare [--json] *)
+  run : smoke:bool -> (string * Json.t) list * (string * bool) list;
+}
+
+(* The first entry also runs when no suite flag is given, after the
+   paper sections. *)
+let suites =
+  let suite flag name file run = { flag; name; file; run } in
+  [
+    suite "--scaling" "core-scaling" "BENCH_CORE.json" bench_core;
+    suite "--crash" "crash-recovery" "BENCH_CRASH.json" bench_crash;
+    suite "--check" "model-check" "BENCH_CHECK.json" bench_check;
+    suite "--store" "store" "BENCH_STORE.json" bench_store;
+    suite "--overload" "overload" "BENCH_OVERLOAD.json" bench_overload;
+    suite "--scale" "scale" "BENCH_SCALE.json" bench_scale;
+  ]
+
+let git_rev () =
+  try
+    let ic = Unix.open_process_in "git describe --always --dirty 2>/dev/null" in
+    let rev = try input_line ic with End_of_file -> "" in
+    ignore (Unix.close_process_in ic);
+    if rev = "" then "unknown" else rev
+  with Unix.Unix_error _ -> "unknown"
+
+(* Top-level fields one per line, and the members of a top-level list
+   or object one per line, so artifacts diff row by row. *)
+let write_artifact path fields =
+  let block opening closing items =
+    opening ^ "\n    " ^ String.concat ",\n    " items ^ "\n  " ^ closing
   in
-  Printf.fprintf oc "{\n  \"suite\": \"scale\",\n  \"mode\": \"%s\",\n"
-    (if smoke then "smoke" else "full");
-  Printf.fprintf oc
-    "  \"config\": {\"spec\": \"~c[x] + p[x].c[x]\", \"arrival\": \
-     \"poisson\", \"prepare_lag_mean\": %.1f},\n"
-    sc_prepare_lag;
-  Printf.fprintf oc "  \"legs\": [\n    %s\n  ],\n"
-    (String.concat ",\n    " (List.map row_json rows));
-  Printf.fprintf oc
-    "  \"gates\": {\n    \"mem_ratio_param_over_fleet\": %s,\n    \
-     \"fleet_bytes_per_instance\": %s,\n    \"mem_budget_bytes\": %.1f,\n    \
-     \"mem_gate\": \"%s\",\n    \"mem_ok\": %b,\n    \"fleet_speedup\": \
-     %s,\n    \"speed_ok\": %b,\n    \"drain_exactly_once_ok\": %b,\n    \
-     \"largest_leg_ok\": %b,\n    \"fleet_symbolic_bounded\": %b,\n    \
-     \"ok\": %b\n  }\n}\n"
-    (js g.sg_mem_ratio) (js g.sg_fleet_bytes) sc_mem_budget_bytes
-    (if smoke then "bytes_per_instance <= budget" else "ratio >= 10x")
-    g.sg_mem_ok (js g.sg_speedup) g.sg_speed_ok g.sg_drain_ok g.sg_big_ok
-    g.sg_symbolic_ok (sc_all_ok g);
+  let value = function
+    | Json.List (_ :: _ as xs) -> block "[" "]" (List.map Json.to_string xs)
+    | Json.Obj (_ :: _ as kvs) ->
+        block "{" "}"
+          (List.map (fun (k, v) -> Json.quote k ^ ": " ^ Json.to_string v) kvs)
+    | v -> Json.to_string v
+  in
+  let oc = open_out path in
+  output_string oc
+    ("{\n  "
+    ^ String.concat ",\n  "
+        (List.map (fun (k, v) -> Json.quote k ^ ": " ^ value v) fields)
+    ^ "\n}\n");
   close_out oc
+
+(* Runs [s], prints its gates, writes the artifact when asked; true iff
+   every gate passed. *)
+let run_suite s ~smoke ~json =
+  let body, gates = s.run ~smoke in
+  let ok = List.for_all snd gates in
+  List.iter
+    (fun (g, pass) ->
+      Printf.printf "gate %-30s %s\n" g (if pass then "PASS" else "FAIL"))
+    gates;
+  Printf.printf "%s gates %s\n%!" s.name (if ok then "PASS" else "FAIL");
+  Option.iter
+    (fun path ->
+      write_artifact path
+        ([
+           ("suite", Json.Str s.name);
+           ("mode", Json.Str (if smoke then "smoke" else "full"));
+           ("git_rev", Json.Str (git_rev ()));
+         ]
+        @ body
+        @ [
+            ( "gates",
+              Json.Obj
+                (List.map (fun (g, pass) -> (g, Json.Bool pass)) gates
+                @ [ ("ok", Json.Bool ok) ]) );
+          ]);
+      Printf.printf "wrote %s\n" path)
+    json;
+  ok
 
 (* --- main --------------------------------------------------------------------- *)
 
-let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let smoke = List.mem "--smoke" args in
-  let scaling_only = List.mem "--scaling" args in
-  let crash_only = List.mem "--crash" args in
-  let check_only = List.mem "--check" args in
-  let store_only = List.mem "--store" args in
-  let overload_only = List.mem "--overload" args in
-  let scale_only = List.mem "--scale" args in
-  let json_path =
-    let rec find = function
-      | "--json" :: next :: _ when String.length next > 0 && next.[0] <> '-' ->
-          Some next
-      | "--json" :: _ -> Some "BENCH_CORE.json"
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find args
+let usage () =
+  prerr_endline
+    ("usage: main.exe ["
+    ^ String.concat "|" (List.map (fun s -> s.flag) suites)
+    ^ "] [--smoke] [--json [FILE]]");
+  exit 2
+
+(* At most one suite flag; a bare [--json] means the suite's own file. *)
+let parse_args args =
+  let rec go suite smoke json = function
+    | [] -> (suite, smoke, json)
+    | "--smoke" :: rest -> go suite true json rest
+    | "--json" :: file :: rest when file <> "" && file.[0] <> '-' ->
+        go suite smoke (Some (Some file)) rest
+    | "--json" :: rest -> go suite smoke (Some None) rest
+    | flag :: rest -> (
+        match (suite, List.find_opt (fun s -> s.flag = flag) suites) with
+        | None, Some s -> go (Some s) smoke json rest
+        | _ -> usage ())
   in
+  go None false None args
+
+let () =
+  let chosen, smoke, json = parse_args (List.tl (Array.to_list Sys.argv)) in
   Printf.printf
     "Reproduction benches: Singh, \"Synthesizing Distributed Constrained \
      Events from Transactional Workflow Specifications\" (ICDE 1996)\n";
-  if store_only then begin
-    let r = bench_store ~smoke () in
-    match json_path with
-    | Some path ->
-        let path = if path = "BENCH_CORE.json" then "BENCH_STORE.json" else path in
-        write_store_json path ~smoke r;
-        Printf.printf "wrote %s\n" path
-    | None -> ()
-  end
-  else if overload_only then begin
-    let rows = bench_overload ~smoke () in
-    match json_path with
-    | Some path ->
-        let path =
-          if path = "BENCH_CORE.json" then "BENCH_OVERLOAD.json" else path
-        in
-        write_overload_json path ~smoke rows;
-        Printf.printf "wrote %s\n" path
-    | None -> ()
-  end
-  else if scale_only then begin
-    let rows = bench_scale ~smoke () in
-    match json_path with
-    | Some path ->
-        let path =
-          if path = "BENCH_CORE.json" then "BENCH_SCALE.json" else path
-        in
-        write_scale_json path ~smoke rows;
-        Printf.printf "wrote %s\n" path
-    | None -> ()
-  end
-  else if check_only then begin
-    let rows = bench_check ~smoke () in
-    match json_path with
-    | Some path ->
-        let path = if path = "BENCH_CORE.json" then "BENCH_CHECK.json" else path in
-        write_check_json path ~smoke rows;
-        Printf.printf "wrote %s\n" path
-    | None -> ()
-  end
-  else if crash_only then begin
-    let rows = bench_crash ~smoke () in
-    match json_path with
-    | Some path ->
-        let path = if path = "BENCH_CORE.json" then "BENCH_CRASH.json" else path in
-        write_crash_json path ~smoke rows;
-        Printf.printf "wrote %s\n" path
-    | None -> ()
-  end
-  else begin
-    if not scaling_only then begin
-      bench_universe ();
-      bench_automata ();
-      bench_figure3 ();
-      bench_guards ();
-      bench_execution ();
-      bench_travel ();
-      bench_two_phase ();
-      bench_latency ();
-      bench_faults ();
-      bench_crash ~smoke () |> ignore;
-      bench_param ();
-      bench_precompile ();
-      bench_scalability ();
-      bench_synthesis_scaling ();
-      bench_fastpath ()
-    end;
-    let rows = bench_core ~smoke () in
-    match json_path with
-    | Some path ->
-        write_core_json path ~smoke rows;
-        Printf.printf "wrote %s\n" path
-    | None -> ()
-  end;
-  Printf.printf "\nAll artifacts regenerated.\n"
+  let s =
+    match chosen with
+    | Some s -> s
+    | None ->
+        bench_universe ();
+        bench_automata ();
+        bench_figure3 ();
+        bench_guards ();
+        bench_execution ();
+        bench_travel ();
+        bench_two_phase ();
+        bench_latency ();
+        bench_faults ();
+        ignore (bench_crash ~smoke);
+        bench_param ();
+        bench_precompile ();
+        bench_scalability ();
+        bench_synthesis_scaling ();
+        bench_fastpath ();
+        List.hd suites
+  in
+  let json = Option.map (Option.value ~default:s.file) json in
+  let ok = run_suite s ~smoke ~json in
+  Printf.printf "\nAll artifacts regenerated.\n";
+  exit (if ok then 0 else 1)

@@ -31,6 +31,11 @@ val build_naive : Expr.t -> t
     frontier, memo-free residuation) — the differential-testing oracle
     and the "before" leg of the benches. *)
 
+val small_alphabet : Symbol.Set.t -> bool
+(** Whether a dependency over these symbols gets semantic state
+    identity (equivalence over the trace universe); larger alphabets
+    identify states by their syntactic canonical form. *)
+
 val initial : t -> state
 val state_nf : t -> state -> Nf.t
 val state_expr : t -> state -> Expr.t

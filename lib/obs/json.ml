@@ -29,6 +29,18 @@ let float_str f =
   else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
   else Printf.sprintf "%.12g" f
 
+let rec to_string = function
+  | Null -> "null"
+  | Bool b -> string_of_bool b
+  | Num f -> if Float.is_finite f then float_str f else "null"
+  | Str s -> quote s
+  | List xs -> "[" ^ String.concat ", " (List.map to_string xs) ^ "]"
+  | Obj kvs ->
+      "{"
+      ^ String.concat ", "
+          (List.map (fun (k, v) -> quote k ^ ": " ^ to_string v) kvs)
+      ^ "}"
+
 (* --- parser -------------------------------------------------------------- *)
 
 exception Fail of int * string

@@ -2,8 +2,10 @@
 
     The container has no JSON library, so the trace exporter and the
     metrics registry hand-roll their output; this module centralises
-    string escaping and provides a small recursive-descent parser, used
-    by {!Trace.parse_line} to validate traces (CI smoke job, tests).
+    string escaping, renders whole trees ({!to_string}, used by the
+    bench artifacts) and provides a small recursive-descent parser,
+    used by {!Trace.parse_line} to validate traces (CI smoke job,
+    tests).
 
     The parser accepts the JSON subset the exporters emit — objects,
     arrays, strings with standard escapes, numbers, booleans, null —
@@ -22,9 +24,15 @@ val quote : string -> string
     spliced into a JSON document. *)
 
 val float_str : float -> string
-(** Canonical float formatting for exported JSON: shortest round-trip
-    decimal, with a guard so nan/inf (invalid JSON) become [null]able
-    sentinels ([0]). *)
+(** Canonical float formatting for exported JSON: integers below 1e15
+    exactly, other numbers to 12 significant digits, with a guard so
+    nan/inf (invalid JSON) become [null]able sentinels ([0]). *)
+
+val to_string : t -> string
+(** One-line rendering, the inverse of {!parse}: strings go through
+    {!quote}, finite numbers through {!float_str}, non-finite numbers
+    print [null].  [parse (to_string j) = Ok j] whenever every number
+    in [j] is finite and has at most 12 significant digits. *)
 
 val parse : string -> (t, string) result
 (** Parse a complete JSON document; trailing whitespace is allowed,

@@ -278,6 +278,44 @@ let test_trace_roundtrip () =
     (Result.is_error (Trace.parse_line {|{"t":0,"kind":"send","site":0}|}));
   checkb "garbage rejected" (Result.is_error (Trace.parse_line "not json"))
 
+(* --- JSON rendering ---------------------------------------------------- *)
+
+(* Trees whose numbers [Json.float_str] prints exactly: finite, rounded
+   to 12 significant digits. *)
+let gen_json : Json.t QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let round12 f =
+    if Float.is_finite f then float_of_string (Printf.sprintf "%.12g" f) else 0.0
+  in
+  let num = map round12 (oneof [ map float_of_int int; float ]) in
+  let leaf =
+    oneof
+      [
+        pure Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun f -> Json.Num f) num;
+        map (fun s -> Json.Str s) string;
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 1 then leaf
+         else
+           let kids = list_size (int_bound 4) (self (n / 4)) in
+           oneof
+             [
+               leaf;
+               map (fun xs -> Json.List xs) kids;
+               map
+                 (fun kvs -> Json.Obj kvs)
+                 (list_size (int_bound 4) (pair string (self (n / 4))));
+             ])
+
+let test_json_non_finite () =
+  check Alcotest.string "nan" "null" (Json.to_string (Json.Num nan));
+  check Alcotest.string "inf in a list" "[null, 1.5]"
+    (Json.to_string (Json.List [ Json.Num infinity; Json.Num 1.5 ]))
+
 let test_trace_files () =
   let path = Filename.temp_file "wf_trace" ".jsonl" in
   Fun.protect
@@ -477,6 +515,10 @@ let suite =
     Alcotest.test_case "netsim delivery metrics per site" `Quick
       test_netsim_delivery_metrics;
     Alcotest.test_case "trace JSONL round trip" `Quick test_trace_roundtrip;
+    qprop "json to_string inverts parse" ~print:Json.to_string gen_json
+      (fun j -> Json.parse (Json.to_string j) = Ok j);
+    Alcotest.test_case "json non-finite numbers print null" `Quick
+      test_json_non_finite;
     Alcotest.test_case "trace file validation" `Quick test_trace_files;
     Alcotest.test_case "traced faulty run agrees with metrics" `Quick
       test_traced_run_agrees;
