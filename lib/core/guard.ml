@@ -529,9 +529,10 @@ let map_symbols f g =
 (* Guards contain Symbol.Map values, whose balanced-tree shape depends
    on construction order, so the polymorphic hash is not stable across
    structurally equal guards; the interner is keyed on [compare]
-   instead.  The table is only populated when something asks for uids
-   (i.e. when tracing is enabled) and is dropped by [Intern.clear_memos]
-   alongside the other memo tables. *)
+   instead.  It fills with every guard something asks a uid for: trace
+   records name residual guards by uid, and [Gtable.lookup] keys its
+   compiled-table memo by uid on every lookup.  It is dropped by
+   [Intern.clear_memos] alongside the other memo tables. *)
 module GMap = Map.Make (struct
   type nonrec t = t
 

@@ -157,6 +157,7 @@ val map_symbols : (Symbol.t -> Symbol.t) -> t -> t
 val uid : t -> int
 (** Dense interned id of the guard, keyed on [compare], stable within a
     process run.  The observability layer uses it to name residual
-    guards in trace records ([Wf_obs.Trace.Assim]); the table is only
-    populated when tracing asks for ids and is reset by
-    [Intern.clear_memos]. *)
+    guards in trace records ([Wf_obs.Trace.Assim]), and [Gtable.lookup]
+    keys its compiled-table memo by it on every lookup, so the table
+    holds every guard traced or looked up, and each call pays a
+    [compare]-keyed map probe.  Reset by [Intern.clear_memos]. *)

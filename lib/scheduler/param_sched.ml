@@ -52,18 +52,12 @@ let undecided_symbols know g =
     (fun sym -> not (Knowledge.decided know sym))
     (Guard.symbols g)
 
-(* A ground, active (or bound) instance: undecided symbols are known to
-   be undecided right now — the engine is the single arbiter.  Ground
-   instances have a closed alphabet, so the compiled residuation table
-   may short-circuit the evaluation; [Open] (and fresh instances below,
-   whose alphabet grows with unseen tokens) stay on the symbolic leg.
-   Every read of [know] is at a symbol of [g]: [Knowledge.status]
-   evaluates [g]'s own constraints, the table's alphabet is
-   [Guard.symbols g], and the reserved set is its undecided subset. *)
+(* A ground, active (or bound) instance of an open template's
+   enumeration: undecided symbols are known to be undecided right now —
+   the engine is the single arbiter — so they are all reserved.  Every
+   read of [know] is at a symbol of [g]. *)
 let eval_active know g =
-  match Gtable.status_hint g know with
-  | Some s -> s
-  | None -> Knowledge.status ~reserved:(undecided_symbols know g) know g
+  Knowledge.status ~reserved:(undecided_symbols know g) know g
 
 (* A fresh instance: its never-seen tokens will never occur. *)
 let eval_fresh know g =
@@ -84,6 +78,16 @@ let rec combos vars values =
 let active know g =
   Symbol.Set.exists (Knowledge.decided know) (Guard.symbols g)
 
+(* A symbol's fate, mirrored from the knowledge: [Knowledge.fate_of]
+   at the symbol.  The core resolves each symbol it decides about to one
+   cell, shared by every instance and entry that mentions the symbol, so
+   the hot reads (cache keys, parked and decided tests) are a field load
+   instead of a probe of the knowledge map. *)
+type cell = { mutable fate : Knowledge.fate option }
+
+let cell_decided c =
+  match c.fate with Some (Knowledge.Occurred _) -> true | _ -> false
+
 (* One matching positive template of an attempt, substituted once when
    the attempt is made.  A closed instance (no free variable left after
    binding) reads the knowledge only at its own symbols, so its status
@@ -95,20 +99,43 @@ type instance = {
   guard : Guard.t; (* the template with the attempt's bindings substituted *)
   syms : Symbol.t array; (* [Guard.symbols guard] *)
   free : string list; (* variables left unbound; [] = closed *)
+  cells : cell array; (* closed: the fate cells of [syms] *)
   key : Knowledge.fate option array;
       (* closed: the fates of [syms] at the last evaluation *)
   mutable status : Knowledge.status; (* closed: that evaluation's result *)
   mutable evaluated : bool; (* closed: [key] and [status] are filled *)
 }
 
-let instance template bound =
+let instance cell_of template bound =
   let guard = subst bound template in
   let syms = Array.of_list (Symbol.Set.elements (Guard.symbols guard)) in
   let free = free_vars syms in
-  let key =
-    match free with [] -> Array.make (Array.length syms) None | _ -> [||]
+  let cells, key =
+    match free with
+    | [] -> (Array.map cell_of syms, Array.make (Array.length syms) None)
+    | _ -> ([||], [||])
   in
-  { guard; syms; free; key; status = Knowledge.Unknown; evaluated = false }
+  {
+    guard;
+    syms;
+    free;
+    cells;
+    key;
+    status = Knowledge.Unknown;
+    evaluated = false;
+  }
+
+(* A closed instance evaluated directly on the knowledge, with its
+   undecided symbols reserved as in [eval_active]; the reserved set is
+   read off the cells. *)
+let eval_closed know inst =
+  let reserved = ref Symbol.Set.empty in
+  Array.iteri
+    (fun i c ->
+      if not (cell_decided c) then
+        reserved := Symbol.Set.add inst.syms.(i) !reserved)
+    inst.cells;
+  Knowledge.status ~reserved:!reserved know inst.guard
 
 (* Polarities are immediates, so [==] is their equality. *)
 let same_fate a b =
@@ -120,24 +147,29 @@ let same_fate a b =
   | _ -> false
 
 (* A closed instance's status is a function of the fates of its own
-   symbols (see [eval_active]) — seqnos included, as pending terms are
-   order-sensitive — so the cached status holds under any knowledge that
-   agrees with [key] at [syms]. *)
-let cached know inst =
+   symbols — seqnos included, as pending terms are order-sensitive — so
+   the cached status holds under any knowledge that agrees with [key] at
+   [syms].  [fate inst i] is the current fate of [inst.syms.(i)]. *)
+let cached_under fate inst =
   inst.evaluated
   &&
   let n = Array.length inst.syms in
   let rec holds i =
-    i = n
-    || same_fate inst.key.(i) (Knowledge.fate_of know inst.syms.(i))
-       && holds (i + 1)
+    i = n || (same_fate inst.key.(i) (fate inst i) && holds (i + 1))
   in
   holds 0
+
+let cell_fate inst i = inst.cells.(i).fate
+let cached inst = cached_under cell_fate inst
 
 (* An attempt and its instances.  A parked entry carries its cache for
    as long as the attempt stays in the backlog; the cache is derived
    state, never snapshotted or compared. *)
-type entry = { sym : Symbol.t; insts : instance array }
+type entry = {
+  sym : Symbol.t;
+  cell : cell; (* [sym]'s *)
+  insts : instance array;
+}
 
 (* --- the engine core ------------------------------------------------------ *)
 
@@ -188,6 +220,11 @@ module Core = struct
            instead of O(knowledge symbols × tokens), which would make a
            fleet of n bindings O(n^2) just to notice each token is new. *)
     mutable token_list : string list; (* same tokens, newest first *)
+    cells : cell Symbol_tbl.t;
+        (* the fate cells resolved so far; each equals [Knowledge.fate_of
+           know] at its symbol.  [record] updates them; [restore] drops
+           them and they are re-resolved from the restored knowledge as
+           entries are rebuilt. *)
   }
 
   let checkpoint_every = 32
@@ -204,6 +241,7 @@ module Core = struct
       evaluations = 0;
       token_set = Hashtbl.create 64;
       token_list = [];
+      cells = Symbol_tbl.create 64;
     }
 
   let carry ~from t = t.evaluations <- from.evaluations
@@ -224,12 +262,22 @@ module Core = struct
 
   let known_values t = t.token_list
 
-  (* One instance under [know], uncached: closed instances evaluate
-     directly; open ones quantify their free variables over the seen
-     tokens plus a generic fresh one. *)
-  let evaluate t know inst =
+  (* [sym]'s fate cell, resolved from the knowledge on first use. *)
+  let cell t sym =
+    match Symbol_tbl.find_opt t.cells sym with
+    | Some c -> c
+    | None ->
+        let c = { fate = Knowledge.fate_of t.know sym } in
+        Symbol_tbl.add t.cells sym c;
+        c
+
+  (* One instance, uncached: closed instances evaluate directly; open
+     ones quantify their free variables over the seen tokens plus a
+     generic fresh one. *)
+  let evaluate t inst =
+    let know = t.know in
     match inst.free with
-    | [] -> eval_active know inst.guard
+    | [] -> eval_closed know inst
     | free ->
         let g0 = inst.guard in
         let status_of_combo acc combo =
@@ -246,15 +294,13 @@ module Core = struct
         combine seen_part (eval_fresh know (subst fresh_bindings g0))
 
   let instance_decision t inst =
-    if cached t.know inst then inst.status
+    if cached inst then inst.status
     else begin
       t.evaluations <- t.evaluations + 1;
-      let s = evaluate t t.know inst in
+      let s = evaluate t inst in
       (match inst.free with
       | [] ->
-          Array.iteri
-            (fun i sym -> inst.key.(i) <- Knowledge.fate_of t.know sym)
-            inst.syms;
+          Array.iteri (fun i c -> inst.key.(i) <- c.fate) inst.cells;
           inst.status <- s;
           inst.evaluated <- true
       | _ :: _ -> () (* open: depends on the token set, never cached *));
@@ -263,16 +309,17 @@ module Core = struct
 
   (* The attempt's instances: one per matching positive template, in
      template order. *)
-  let entry_of t sym =
+  let entry_of t sym c =
     {
       sym;
+      cell = c;
       insts =
         Array.of_list
           (List.filter_map
              (fun (_, atom, template) ->
                if atom.Ptemplate.pol <> Literal.Pos then None
                else
-                 Option.map (instance template)
+                 Option.map (instance (cell t) template)
                    (Ptemplate.match_symbol atom sym))
              t.templates);
     }
@@ -294,9 +341,11 @@ module Core = struct
       (fun acc inst -> combine acc (instance_decision t inst))
       Knowledge.True e.insts
 
-  let record t lit =
+  (* Record [lit] as occurred; [cell] is its symbol's fate cell. *)
+  let record t cell lit =
     t.seqno <- t.seqno + 1;
     t.know <- Knowledge.occurred lit ~seqno:t.seqno t.know;
+    cell.fate <- Some (Knowledge.Occurred (lit.Literal.pol, t.seqno));
     t.occurrences <- lit :: t.occurrences;
     note_tokens t (Literal.symbol lit)
 
@@ -322,7 +371,7 @@ module Core = struct
       List.filter
         (fun e ->
           let keep =
-            if Knowledge.decided t.know e.sym then false
+            if cell_decided e.cell then false
             else if
               match touched with
               | Some base -> not (watches e base)
@@ -332,7 +381,7 @@ module Core = struct
               match decide t e with
               | Knowledge.True ->
                   emit_assim t e Wf_obs.Trace.Enabled;
-                  record t (Literal.pos e.sym);
+                  record t e.cell (Literal.pos e.sym);
                   false
               | Knowledge.False | Knowledge.Unknown ->
                   emit_assim t e Wf_obs.Trace.Reduced;
@@ -347,13 +396,14 @@ module Core = struct
     if !kept < taken then retry_parked t
 
   let apply_attempt t sym =
-    if Knowledge.decided t.know sym then Already
+    let c = cell t sym in
+    if cell_decided c then Already
     else
-      let e = entry_of t sym in
+      let e = entry_of t sym c in
       match decide t e with
       | Knowledge.True ->
           emit_assim t e Wf_obs.Trace.Enabled;
-          record t (Literal.pos sym);
+          record t c (Literal.pos sym);
           retry_parked t;
           Accepted
       | Knowledge.False ->
@@ -368,8 +418,9 @@ module Core = struct
           Parked
 
   let apply_occurred t lit =
-    if not (Knowledge.decided t.know (Literal.symbol lit)) then begin
-      let sym = Literal.symbol lit in
+    let sym = Literal.symbol lit in
+    let c = cell t sym in
+    if not (cell_decided c) then begin
       (* A token never seen before enlarges the instance enumeration for
          every template with free variables, so only gate the retry when
          all of the occurrence's tokens are already known. *)
@@ -378,7 +429,7 @@ module Core = struct
           (fun arg -> (not (is_marker arg)) && not (Hashtbl.mem t.token_set arg))
           (Symbol.args sym)
       in
-      record t lit;
+      record t c lit;
       if fresh_token then retry_parked t
       else retry_parked ~touched:(Symbol.base sym) t
     end
@@ -397,8 +448,11 @@ module Core = struct
     t.know <- s.s_know;
     t.seqno <- s.s_seqno;
     t.occurrences <- s.s_occurrences;
-    (* the instance caches are derived: restored entries start empty *)
-    t.parked <- List.map (entry_of t) s.s_parked_syms;
+    (* the cells and instance caches are derived: cells are re-resolved
+       from the restored knowledge, restored entries start uncached *)
+    Symbol_tbl.reset t.cells;
+    t.parked <-
+      List.map (fun sym -> entry_of t sym (cell t sym)) s.s_parked_syms;
     t.parked_n <- List.length s.s_parked_syms;
     rebuild_tokens t
 
@@ -418,19 +472,30 @@ include Param_engine.Make (Core)
 
 let evaluations t = (core t).Core.evaluations
 
+(* Private cells read straight from the knowledge: the evaluation
+   shares nothing with the engine's cells or caches. *)
 let instance_status t template ~bound =
   let c = core t in
-  Core.evaluate c c.Core.know (instance template bound)
+  let own sym = { fate = Knowledge.fate_of c.Core.know sym } in
+  Core.evaluate c (instance own template bound)
 
 let cached_decision ?know t sym =
   let c = core t in
-  let know = Option.value know ~default:c.Core.know in
+  let cached =
+    match know with
+    | None -> cached
+    | Some know ->
+        cached_under (fun inst i -> Knowledge.fate_of know inst.syms.(i))
+  in
   match List.find_opt (fun e -> Symbol.equal e.sym sym) c.Core.parked with
   | None -> None
   | Some e ->
-      if Array.for_all (cached know) e.insts then
+      if Array.for_all cached e.insts then
         Some
           (Array.fold_left
              (fun acc inst -> combine acc inst.status)
              Knowledge.True e.insts)
       else None
+
+let fate_cells t =
+  Symbol_tbl.fold (fun sym c acc -> (sym, c.fate) :: acc) (core t).Core.cells []

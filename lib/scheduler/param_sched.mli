@@ -37,7 +37,8 @@ val evaluations : t -> int
     instance (no free variable left after binding), the status of its
     last evaluation keyed by the fates ({!Knowledge.fate_of}, polarity
     and seqno) of the instance's own symbols; a re-decide whose fates
-    still match reuses it.  Cache misses and open instances (evaluated
+    still match reuses it.  The fates are read from per-symbol cells the
+    engine resolves once and updates as it records occurrences.  Cache misses and open instances (evaluated
     afresh every time) count here; hits do not.  Carried across
     {!recover} like {!work}. *)
 
@@ -55,4 +56,12 @@ val cached_decision :
     instance cache if the engine's knowledge were [know] (default: its
     own) — [Some] when every instance is closed and holds a status whose
     fate key matches [know], [None] when the re-decide would evaluate
-    (or [sym] is not parked).  Reads only; for tests. *)
+    (or [sym] is not parked).  Without [know] the fates are read from
+    the engine's fate cells, as a re-decide reads them.  Reads only;
+    for tests. *)
+
+val fate_cells : t -> (Symbol.t * Knowledge.fate option) list
+(** The engine's per-symbol fate cells, in no particular order: every
+    symbol its decisions have resolved since creation or the last
+    {!recover}, with the fate the cell holds.  Each should equal
+    {!Knowledge.fate_of} of {!knowledge} at the symbol.  For tests. *)

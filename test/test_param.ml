@@ -386,39 +386,47 @@ let print_cache_case (case, steps) =
 let lost_tail =
   { Wf_store.Media.Sim.no_faults with lost_tail = 1.0; max_faults = max_int }
 
-(* (checkpoint cadence, store, compiled tables on, recovery exact) *)
+(* (checkpoint cadence, store, recovery exact) *)
 let cache_configs =
   [
-    (7, None, true, true);
-    (1, None, false, true);
-    (7, Some Wf_store.Media.Sim.no_faults, true, true);
-    (1, Some Wf_store.Media.Sim.no_faults, false, true);
-    (7, Some lost_tail, true, false);
-    (7, Some lost_tail, false, false);
+    (7, None, true);
+    (1, None, true);
+    (7, Some Wf_store.Media.Sim.no_faults, true);
+    (1, Some Wf_store.Media.Sim.no_faults, true);
+    (7, Some lost_tail, false);
   ]
 
-(* After every input: each parked attempt's cached decision equals a
-   fresh fold of [instance_status], and an engine recovered at that
-   point (empty cache) is state-equal.  Crash steps switch to the
+(* After every input: every fate cell equals the knowledge's fate at its
+   symbol, each parked attempt's cached decision (read from the cells)
+   equals a fresh fold of [instance_status], and an engine recovered at
+   that point (empty cache) is state-equal.  Crash steps switch to the
    recovered engine; over lossy media it has lost a suffix and the
-   stream diverges from what the crashed engine saw. *)
+   stream diverges from what the crashed engine saw.  Param_sched is
+   fully symbolic: a run compiles no table and leaves [Gtable.stats]
+   as it found it. *)
 let prop_cache_exact (case, steps) =
   List.iter
-    (fun (cadence, store, tables, exact) ->
-      Gtable.set_enabled tables;
-      Fun.protect ~finally:(fun () -> Gtable.set_enabled true) @@ fun () ->
+    (fun (cadence, store, exact) ->
+      let tables0 = Gtable.stats () in
       let eng =
         ref (Param_sched.create ~checkpoint_every:cadence ?store case.deps)
       in
       let fail i fmt =
         Printf.ksprintf
           (fun msg ->
-            Alcotest.failf "%s, cadence %d, store %b, tables %b, step %d: %s"
-              case.name cadence (store <> None) tables i msg)
+            Alcotest.failf "%s, cadence %d, store %b, step %d: %s" case.name
+              cadence (store <> None) i msg)
           fmt
       in
       let audit i =
         let e = !eng in
+        let know = Param_sched.knowledge e in
+        List.iter
+          (fun (sym, fate) ->
+            if fate <> Knowledge.fate_of know sym then
+              fail i "fate cell of %s differs from the knowledge"
+                (Symbol.name sym))
+          (Param_sched.fate_cells e);
         List.iter
           (fun sym ->
             match Param_sched.cached_decision e sym with
@@ -450,7 +458,9 @@ let prop_cache_exact (case, steps) =
               then fail i "a restored entry kept a cached decision";
               eng := r;
               audit i)
-        steps)
+        steps;
+      if Gtable.stats () <> tables0 then
+        fail (List.length steps) "the run changed Gtable.stats")
     cache_configs;
   true
 
@@ -471,6 +481,6 @@ let suite =
     Alcotest.test_case "instance cache: hits, misses, cold restore" `Quick
       test_instance_cache;
     qprop ~count:100 ~print:print_cache_case
-      "instance cache exact under crashes, stores, tables off" gen_cache_case
+      "instance cache exact under crashes, stores, fate cells" gen_cache_case
       prop_cache_exact;
   ]
