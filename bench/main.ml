@@ -1561,7 +1561,7 @@ type sc_row = {
   sc_symbolic_evals : int;
   sc_table_states : int;
       (* fleet: states of its compiled tables; param: Gtable states
-         compiled during the leg *)
+         compiled or renamed during the leg *)
   sc_drained : bool;
   sc_violations : int;
 }
@@ -1572,7 +1572,8 @@ type 'e sc_eng = {
   sc_create : int -> 'e; (* for [n] bindings *)
   sc_words : 'e -> int;
   sc_table_states : 'e -> compiled:int -> int;
-      (* [compiled]: the Gtable states compiled during the leg *)
+      (* [compiled]: the Gtable states compiled or renamed during the
+         leg *)
   sc_symbolic_evals : 'e -> int;
       (* symbolic guard evaluations actually run: Param_sched's instance
          evaluations (cache misses and open instances), Fleet's
@@ -1625,7 +1626,10 @@ let sc_run (type e) (module E : Param_engine.S with type t = e) (x : e sc_eng)
     order;
   let enable_lat = Array.make n 0.0 in
   let n_lat = ref 0 in
-  let compiled_states () = List.assoc "compiled_states" (Gtable.stats ()) in
+  let compiled_states () =
+    let stats = Gtable.stats () in
+    List.assoc "compiled_states" stats + List.assoc "renamed_states" stats
+  in
   let states0 = compiled_states () in
   Gc.compact ();
   let live0 = (Gc.stat ()).Gc.live_words in

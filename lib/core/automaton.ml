@@ -161,9 +161,7 @@ let build_naive d =
    structural miss with a small alphabet we still scan once for a
    semantic match, then record the interned id as an alias so every
    later structural equal is O(1). *)
-let build_fast d =
-  let alpha_syms = Expr.symbols d in
-  let alphabet = Literal.Set.elements (Expr.literals d) in
+let build_fast ~alpha_syms ~alphabet d =
   let alpha = List.mapi (fun i l -> (i, l, Intern.literal l)) alphabet in
   let d0 = Nf.of_expr d in
   let small = small_alphabet alpha_syms in
@@ -238,12 +236,58 @@ let build_fast d =
   let edge_tbl = Array.of_list (List.rev !rows_rev) in
   finish ~small ~alpha_syms states alphabet edge_tbl
 
+(* The automaton of a renamed dependency, from the original's: under an
+   order-preserving renaming the sorted alphabet, the breadth-first
+   numbering and every canonical form carry over position by position,
+   so only the symbolic parts are renamed.  The edge and flag arrays are
+   immutable and shared; the [required] cache starts empty. *)
+let rename f a =
+  let alphabet = List.map (Literal.rename f) a.alphabet in
+  {
+    a with
+    states = Array.map (Nf.rename f) a.states;
+    alphabet;
+    lit_index = make_lit_index alphabet;
+    required = None;
+  }
+
 (* One automaton per dependency, keyed structurally: every run of a
    workflow asks for the same demand automata.  The value is immutable
    apart from the [required] cache, whose contents depend only on the
-   automaton, so sharing it between callers is invisible. *)
+   automaton, so sharing it between callers is invisible.  Behind the
+   exact memo, one per shape (see {!Shape}): the first dependency of a
+   shape is built, with its sorted symbols kept beside it, and every
+   later one renames that automaton. *)
 let memo : t Expr.Tbl.t = Expr.Tbl.create 64
-let () = Intern.register_clearer (fun () -> Expr.Tbl.reset memo)
+let shapes : (Symbol.t array * t) Expr.Tbl.t = Expr.Tbl.create 64
+let built = ref 0
+let renamed = ref 0
+
+let () =
+  Intern.register_clearer (fun () ->
+      Expr.Tbl.reset memo;
+      Expr.Tbl.reset shapes;
+      built := 0;
+      renamed := 0)
+
+let build_shape d =
+  let lits = Expr.literals d in
+  let alpha_syms =
+    Literal.Set.fold
+      (fun l acc -> Symbol.Set.add (Literal.symbol l) acc)
+      lits Symbol.Set.empty
+  in
+  let syms = Array.of_list (Symbol.Set.elements alpha_syms) in
+  let key = Expr.rename (Shape.canonical syms) d in
+  match Expr.Tbl.find_opt shapes key with
+  | Some (from, a) ->
+      incr renamed;
+      rename (Shape.between from syms) a
+  | None ->
+      let a = build_fast ~alpha_syms ~alphabet:(Literal.Set.elements lits) d in
+      incr built;
+      Expr.Tbl.add shapes key (syms, a);
+      a
 
 let build d =
   if not (Intern.enabled ()) then build_naive d
@@ -251,9 +295,11 @@ let build d =
     match Expr.Tbl.find_opt memo d with
     | Some a -> a
     | None ->
-        let a = build_fast d in
+        let a = build_shape d in
         Expr.Tbl.add memo d a;
         a
+
+let stats () = [ ("built", !built); ("renamed", !renamed) ]
 
 let transitions t =
   let acc = ref [] in

@@ -23,8 +23,17 @@ val build : Expr.t -> t
     the interned canonical form with a FIFO frontier; the result —
     states, numbering, edges, flags — is identical to {!build_naive}.
     Also when enabled, results are memoized keyed structurally on the
-    dependency, so a repeated build returns the same value; the memo is
-    emptied by {!Intern.clear_memos}. *)
+    dependency, so a repeated build returns the same value.  Behind that
+    exact memo sits one keyed on the dependency's {!Shape}: a
+    dependency that an order-preserving renaming carries onto an
+    earlier one gets the earlier automaton renamed, equal to a fresh
+    build, with no residuation.  Both memos are emptied by
+    {!Intern.clear_memos}. *)
+
+val stats : unit -> (string * int) list
+(** [built]: automata constructed by residuation since the last
+    {!Intern.clear_memos}; [renamed]: automata obtained by renaming the
+    automaton of an earlier dependency of the same shape. *)
 
 val build_naive : Expr.t -> t
 (** The original quadratic construction (linear-scan dedup, list-append

@@ -115,15 +115,6 @@ let travel_workflow ?cid () =
         ] );
   ]
 
-let mutual_exclusion ~enter1 ~exit1 ~enter2 =
-  Expr.choice_all
-    [
-      Expr.seq (Expr.atom enter2) (Expr.atom enter1);
-      Expr.atom (Literal.complement exit1);
-      Expr.atom (Literal.complement enter2);
-      Expr.seq (Expr.atom exit1) (Expr.atom enter2);
-    ]
-
 let named =
   [
     ("d_arrow", d_arrow);

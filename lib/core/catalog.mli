@@ -96,12 +96,6 @@ val travel_workflow : ?cid:string -> unit -> (string * Expr.t) list
     [cancel]; with [?cid] the parametrized variant of Example 12
     (events like [s_buy(c42)]). *)
 
-(** {1 Mutual exclusion (Example 13)} *)
-
-val mutual_exclusion : enter1:Literal.t -> exit1:Literal.t -> enter2:Literal.t -> Expr.t
-(** If [T1] enters its critical section before [T2], then [T1] exits
-    before [T2] enters: [b2·b1 + ē1 + b̄2 + e1·b2]. *)
-
 val named : (string * Expr.t) list
 (** A selection of catalog instances over tasks [t1], [t2], used by
     benches and the guard showcase. *)

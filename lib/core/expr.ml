@@ -45,6 +45,13 @@ let symbols e =
     (fun l acc -> Symbol.Set.add (Literal.symbol l) acc)
     (literals e) Symbol.Set.empty
 
+let rec rename f = function
+  | (Zero | Top) as e -> e
+  | Atom l -> Atom (Literal.rename f l)
+  | Seq (a, b) -> Seq (rename f a, rename f b)
+  | Choice (a, b) -> Choice (rename f a, rename f b)
+  | Conj (a, b) -> Conj (rename f a, rename f b)
+
 let rec size = function
   | Zero | Top | Atom _ -> 1
   | Seq (a, b) | Choice (a, b) | Conj (a, b) -> 1 + size a + size b

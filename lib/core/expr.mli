@@ -51,6 +51,10 @@ val literals : t -> Literal.Set.t
 val symbols : t -> Symbol.Set.t
 (** Symbols mentioned in [E]. *)
 
+val rename : (Symbol.t -> Symbol.t) -> t -> t
+(** Rename every atom's symbol, keeping the tree as it is (no smart
+    constructor runs). *)
+
 val size : t -> int
 (** Number of operators and atoms, for benchmarks and generators. *)
 

@@ -146,12 +146,18 @@ let max_symbols = 30 (* 4*30 inputs per state; wider guards stay symbolic *)
 let code_bits = 3
 let max_memo_symbols = 15
 
-let compile ?(max_states = default_max_states) g0 =
-  let sym_list = Symbol.Set.elements (Guard.symbols g0) in
-  let k = List.length sym_list in
+let index_symbols syms =
+  let sym_index = Symbol_tbl.create (max 1 (Array.length syms)) in
+  Array.iteri (fun i sym -> Symbol_tbl.replace sym_index sym i) syms;
+  sym_index
+
+let new_status_memo () = Int_tbl.create 16
+
+(* [syms]: the guard's symbols, sorted. *)
+let compile_over ~max_states syms g0 =
+  let k = Array.length syms in
   if k > max_symbols then None
   else begin
-    let syms = Array.of_list sym_list in
     let width = 4 * k in
     let index = ref (GMap.singleton g0 0) in
     let rev_guards = ref [ g0 ] in
@@ -221,15 +227,14 @@ let compile ?(max_states = default_max_states) g0 =
           if !f then bit_set forced s
         end
       done;
-      let sym_index = Symbol_tbl.create (max 1 k) in
-      Array.iteri (fun i sym -> Symbol_tbl.replace sym_index sym i) syms;
+      let sym_index = index_symbols syms in
       let state_bits =
         let rec go b = if 1 lsl b >= n then b else go (b + 1) in
         go 0
       in
       let status_memo =
         if k <= max_memo_symbols && (code_bits * k) + state_bits <= 62 then
-          Some (Int_tbl.create 16)
+          Some (new_status_memo ())
         else None
       in
       Some
@@ -248,6 +253,11 @@ let compile ?(max_states = default_max_states) g0 =
     end
   end
 
+let compile ?(max_states = default_max_states) g0 =
+  compile_over ~max_states
+    (Array.of_list (Symbol.Set.elements (Guard.symbols g0)))
+    g0
+
 (* --- memoized lookup ----------------------------------------------------- *)
 
 let enabled_flag = ref true
@@ -259,8 +269,30 @@ let table_enabled () = !enabled_flag
    tables go with it. *)
 let active () = !enabled_flag && Intern.enabled ()
 
+(* The table of a renamed guard, from the original's: under an
+   order-preserving renaming the sorted alphabet, the breadth-first
+   numbering and every residual's canonical form carry over position by
+   position, so only the symbolic parts are renamed.  The transition and
+   verdict arrays are immutable and shared; the status memo, keyed by
+   state and code and filled by symbolic evaluation, starts empty. *)
+let rename t syms =
+  let f = Shape.between t.syms syms in
+  {
+    t with
+    syms;
+    sym_index = index_symbols syms;
+    guards = Array.map (Guard.rename f) t.guards;
+    status_memo = Option.map (fun _ -> new_status_memo ()) t.status_memo;
+  }
+
+(* Per guard, keyed by its interned uid; behind it, per shape (see
+   {!Shape}), keyed by the canonical guard: the first guard of a shape
+   is compiled and every later one renames its table. *)
 let memo : (int, t option) Hashtbl.t = Hashtbl.create 256
+let shapes : t option GMap.t ref = ref GMap.empty
 let compiled_states = ref 0
+let renamed_guards = ref 0
+let renamed_states = ref 0
 let fallbacks = ref 0
 let memo_misses = ref 0
 let symbolic_evals = ref 0
@@ -274,10 +306,32 @@ let () =
           | _ -> ())
         memo;
       Hashtbl.reset memo;
+      shapes := GMap.empty;
       compiled_states := 0;
+      renamed_guards := 0;
+      renamed_states := 0;
       fallbacks := 0;
       memo_misses := 0;
       symbolic_evals := 0)
+
+let compile_shape g =
+  let syms = Array.of_list (Symbol.Set.elements (Guard.symbols g)) in
+  let key = Guard.rename (Shape.canonical syms) g in
+  match GMap.find_opt key !shapes with
+  | Some (Some t) ->
+      incr renamed_guards;
+      renamed_states := !renamed_states + num_states t;
+      Some (rename t syms)
+  | Some None ->
+      incr fallbacks;
+      None
+  | None ->
+      let r = compile_over ~max_states:default_max_states syms g in
+      (match r with
+      | Some t -> compiled_states := !compiled_states + num_states t
+      | None -> incr fallbacks);
+      shapes := GMap.add key r !shapes;
+      r
 
 let lookup g =
   if not (active ()) then None
@@ -286,10 +340,7 @@ let lookup g =
     match Hashtbl.find_opt memo uid with
     | Some r -> r
     | None ->
-        let r = compile g in
-        (match r with
-        | Some t -> compiled_states := !compiled_states + num_states t
-        | None -> incr fallbacks);
+        let r = compile_shape g in
         Hashtbl.add memo uid r;
         r
 
@@ -466,6 +517,8 @@ let stats () =
   [
     ("compiled_guards", Hashtbl.length memo);
     ("compiled_states", !compiled_states);
+    ("renamed_guards", !renamed_guards);
+    ("renamed_states", !renamed_states);
     ("uncompilable", !fallbacks);
     ( "status_memo_entries",
       Hashtbl.fold

@@ -46,9 +46,14 @@ val compile : ?max_states:int -> Guard.t -> t option
 
 val lookup : Guard.t -> t option
 (** Memoized [compile], keyed on the interned {!Guard.uid}; fleets of
-    instances sharing a guard pay compilation once.  Always [None]
-    while tables are {!set_enabled} off or {!Intern.enabled} is off.
-    The memo is dropped by {!Intern.clear_memos}. *)
+    instances sharing a guard pay compilation once.  A guard missing
+    from that memo is looked up by its {!Shape}: when an
+    order-preserving renaming carries it onto an earlier guard, the
+    earlier table is renamed (alphabet, residual guards, a fresh status
+    memo; the transition and verdict arrays are shared), equal to a
+    fresh [compile] with no residuation.  Always [None] while tables
+    are {!set_enabled} off or {!Intern.enabled} is off.  Both memos
+    are dropped by {!Intern.clear_memos}. *)
 
 val set_enabled : bool -> unit
 (** Global switch (default on).  Off: [lookup] answers [None]
@@ -164,10 +169,14 @@ val audit_status_memo : (unit -> 'a) -> 'a * audit
 (** {1 Observability} *)
 
 val stats : unit -> (string * int) list
-(** [compiled_guards], [compiled_states], [uncompilable], and the
-    status-memo counters [status_memo_entries], [status_memo_misses]
-    and [status_symbolic] (evaluations that bypassed the memo).  All
-    are process-wide and reset by {!Intern.clear_memos}. *)
+(** [compiled_guards] (guards {!lookup} has answered, whether
+    compiled, renamed or uncompilable), [compiled_states] (states of
+    tables built by [compile]), [renamed_guards] and [renamed_states]
+    (tables and their states obtained by renaming a table of the same
+    shape), [uncompilable], and the status-memo counters
+    [status_memo_entries], [status_memo_misses] and [status_symbolic]
+    (evaluations that bypassed the memo).  All are process-wide and
+    reset by {!Intern.clear_memos}. *)
 
 val fingerprint : t -> int
 (** Canonical fingerprint of alphabet, transitions, and verdict

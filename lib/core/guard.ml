@@ -495,12 +495,6 @@ let mask_requirement sym m =
     Need_undecided sym
   else Need_wait
 
-let product_requirements p =
-  Symbol.Map.fold
-    (fun sym m acc -> mask_requirement sym m :: acc)
-    p.masks
-    (List.map (fun _ -> Need_wait) p.pending)
-
 (* --- comparison and printing ------------------------------------------- *)
 
 let compare = List.compare compare_product
@@ -523,6 +517,18 @@ let map_symbols f g =
          | Some p' -> Some p'
          | None -> None)
        g)
+
+let rename f g =
+  List.map
+    (fun p ->
+      {
+        masks =
+          Symbol.Map.fold
+            (fun sym m acc -> Symbol.Map.add (f sym) m acc)
+            p.masks Symbol.Map.empty;
+        pending = List.map (Term.rename f) p.pending;
+      })
+    g
 
 (* --- interned ids -------------------------------------------------------- *)
 

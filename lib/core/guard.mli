@@ -138,21 +138,28 @@ type requirement =
       (** agreement that the symbol is still undecided ([¬]-consensus) *)
   | Need_wait  (** only further occurrences can discharge it *)
 
-val product_requirements : product -> requirement list
-(** One requirement per remaining constraint of the product: what would
-    be needed to fire through this product. *)
-
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 
 val mask_requirement : Symbol.t -> Symbol_state.mask -> requirement
-(** The discharge mode of a single mask constraint (see
-    {!product_requirements}). *)
+(** The discharge mode of a single mask constraint: what would be needed
+    to fire through a product that constrains the symbol by the mask. *)
 
 val map_symbols : (Symbol.t -> Symbol.t) -> t -> t
-(** Rename every symbol (used to instantiate guard templates, Section 5).
-    The mapping must be injective on the guard's symbols. *)
+(** Substitute symbols and renormalize (used to instantiate guard
+    templates, Section 5, where the mapping may merge symbols).  The
+    renormalization can merge products the original form kept apart,
+    so this is not a renaming: use {!rename} where the result must be
+    the form a fresh build over the new symbols would give. *)
+
+val rename : (Symbol.t -> Symbol.t) -> t -> t
+(** Rename every symbol without renormalizing: products, masks and
+    pending terms keep their order and content.  The mapping must be
+    injective on the guard's symbols.  When it is also order-preserving
+    on them, the result is exactly what synthesis and assimilation over
+    the renamed symbols would build, because normalization compares
+    symbols only through {!Symbol.compare}. *)
 
 val uid : t -> int
 (** Dense interned id of the guard, keyed on [compare], stable within a

@@ -9,6 +9,7 @@ let complement_of name = neg (Symbol.make name)
 let complement t = { t with pol = (match t.pol with Pos -> Neg | Neg -> Pos) }
 let is_pos t = t.pol = Pos
 let symbol t = t.sym
+let rename f t = { t with sym = f t.sym }
 
 let compare a b =
   match Symbol.compare a.sym b.sym with

@@ -23,6 +23,10 @@ val complement : t -> t
 
 val is_pos : t -> bool
 val symbol : t -> Symbol.t
+
+val rename : (Symbol.t -> Symbol.t) -> t -> t
+(** The literal on the renamed symbol, same polarity. *)
+
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -126,8 +126,6 @@ let rec of_expr : Expr.t -> t = function
 let to_expr t =
   Expr.choice_all (List.map (fun p -> Expr.conj_all (List.map Term.to_expr p)) t)
 
-let of_terms terms = normalize_sum (List.map (fun tm -> [ tm ]) terms)
-
 let satisfies u t =
   List.exists (fun p -> List.for_all (fun tm -> Term.satisfies u tm) p) t
 
@@ -139,6 +137,7 @@ let symbols t =
     (fun l acc -> Symbol.Set.add (Literal.symbol l) acc)
     (literals t) Symbol.Set.empty
 
+let rename f t = List.map (List.map (Term.rename f)) t
 let compare = List.compare compare_product
 let equal a b = compare a b = 0
 let pp ppf t = Expr.pp ppf (to_expr t)

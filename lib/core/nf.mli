@@ -32,10 +32,6 @@ val is_top : t -> bool
 val of_expr : Expr.t -> t
 val to_expr : t -> Expr.t
 
-val of_terms : Term.t list -> t
-(** Sum of singleton products, e.g. a dependency written as a choice of
-    sequence terms. *)
-
 val sum : t -> t -> t
 val conj : t -> t -> t
 val seq : t -> t -> t
@@ -50,6 +46,13 @@ val normalize_product : Term.t list -> product option
 val satisfies : Trace.t -> t -> bool
 val literals : t -> Literal.Set.t
 val symbols : t -> Symbol.Set.t
+val rename : (Symbol.t -> Symbol.t) -> t -> t
+(** Rename every symbol without renormalizing: products and terms keep
+    their order.  When the renaming is order-preserving on the normal
+    form's symbols, the result is the normal form of the renamed
+    expression, since every sort and absorption test here compares
+    symbols only through {!Symbol.compare}. *)
+
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -11,7 +11,6 @@ let make lits =
 
 let top = []
 let is_top t = List.is_empty t
-let mem_literal lit t = List.exists (Literal.equal lit) t
 let mem_symbol sym t = List.exists (fun l -> Symbol.equal (Literal.symbol l) sym) t
 
 let literals t =
@@ -46,4 +45,5 @@ let pp ppf = function
         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ".")
         Literal.pp ppf t
 
+let rename f t = List.map (Literal.rename f) t
 let to_expr t = Expr.seq_all (List.map Expr.atom t)

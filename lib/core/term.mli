@@ -19,7 +19,6 @@ val make : Literal.t list -> t option
 val top : t
 val is_top : t -> bool
 
-val mem_literal : Literal.t -> t -> bool
 val mem_symbol : Symbol.t -> t -> bool
 val literals : t -> Literal.Set.t
 (** Literals of the term and their complements ([Γ_τ]). *)
@@ -38,4 +37,7 @@ val residue : t -> Literal.t -> t option
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
+val rename : (Symbol.t -> Symbol.t) -> t -> t
+(** Rename every literal's symbol, keeping the literal order. *)
+
 val to_expr : t -> Expr.t

@@ -25,17 +25,12 @@ let rec sat u i (g : Formula.t) =
       some_j i
   | Formula.Not a -> not (sat u i a)
 
-let sat_initially u g = sat u 0 g
-
 let points alphabet =
   List.concat_map
     (fun u -> List.init (Trace.length u + 1) (fun i -> (u, i)))
     (Universe.maximal_traces alphabet)
 
 let valid alphabet g = List.for_all (fun (u, i) -> sat u i g) (points alphabet)
-
-let unsatisfiable alphabet g =
-  List.for_all (fun (u, i) -> not (sat u i g)) (points alphabet)
 
 let equivalent ?alphabet a b =
   let alpha =

@@ -10,13 +10,8 @@
 val sat : Trace.t -> int -> Formula.t -> bool
 (** [sat u i g] is [u ⊨ᵢ g].  [i] ranges over [0..length u]. *)
 
-val sat_initially : Trace.t -> Formula.t -> bool
-(** [sat u 0 g]. *)
-
 val valid : Symbol.Set.t -> Formula.t -> bool
 (** True at every index of every maximal trace over the alphabet. *)
-
-val unsatisfiable : Symbol.Set.t -> Formula.t -> bool
 
 val equivalent : ?alphabet:Symbol.Set.t -> Formula.t -> Formula.t -> bool
 (** Agreement at every (maximal trace, index) pair.  When [alphabet] is

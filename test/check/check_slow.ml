@@ -3,7 +3,9 @@
    mc_* explorations; this suite runs the expensive ones — the paper's
    travel example exhaustively, the full naive-vs-DPOR agreement check
    on mc_indep, and deeper crash bounds — that would bloat `dune
-   runtest` past its edit-compile-test budget. *)
+   runtest` past its edit-compile-test budget.  It also runs the
+   shape-memo equivariance properties (test/equivariance.ml) at a deep
+   budget. *)
 
 open Wf_core
 module Mc = Wf_check.Mc
@@ -79,6 +81,27 @@ let () =
       (Mc.check ~crash_depth:1 ~max_states:2_000_000
          ~spec_name:"mc_indep.wf" (load "mc_indep.wf"))
   in
+
+  (* Renaming equivariance of the shape memos at the deep budget (the
+     quick one runs in test_perf), on a seed of its own so the two
+     budgets draw different cases. *)
+  List.iter
+    (fun (name, count, prop) ->
+      let test =
+        QCheck2.Test.make ~count ~print:Equivariance.print ~name
+          Equivariance.gen prop
+      in
+      match
+        QCheck2.Test.check_exn
+          ~rand:(Random.State.make [| Helpers.prop_seed () + 1 |])
+          test
+      with
+      | () -> say "%s: %d cases" name count
+      | exception e -> fail "%s: %s" name (Printexc.to_string e))
+    [
+      ("renamed automata = fresh builds", 2_000, Equivariance.automata);
+      ("renamed guard tables = fresh compiles", 20_000, Equivariance.tables);
+    ];
 
   if !failures > 0 then begin
     say "@check: %d failures" !failures;

@@ -56,21 +56,24 @@ let suite_seeds label n =
 
 let symbol_names = [ "e"; "f"; "g" ]
 
-let gen_literal : Literal.t QCheck2.Gen.t =
+let gen_literal_over names : Literal.t QCheck2.Gen.t =
   QCheck2.Gen.map2
     (fun name pos ->
       if pos then Literal.event name else Literal.complement_of name)
-    (QCheck2.Gen.oneofl symbol_names)
+    (QCheck2.Gen.oneofl names)
     QCheck2.Gen.bool
+
+let gen_literal = gen_literal_over symbol_names
 
 (* Random expressions biased toward the shapes dependencies take:
    sums of short sequences, occasional conjunctions.  QCheck2 generators
    carry integrated shrinking, so a failing expression automatically
    shrinks toward a minimal counterexample (smaller size, then smaller
    subterms) — no hand-written shrinker needed. *)
-let gen_expr : Expr.t QCheck2.Gen.t =
+let gen_expr_over ?(size = 8) names : Expr.t QCheck2.Gen.t =
   let open QCheck2.Gen in
-  sized_size (int_bound 8)
+  let gen_literal = gen_literal_over names in
+  sized_size (int_bound size)
   @@ fix (fun self n ->
          if n <= 0 then
            oneof [ map Expr.atom gen_literal; return Expr.top; return Expr.zero ]
@@ -83,6 +86,7 @@ let gen_expr : Expr.t QCheck2.Gen.t =
                (1, map2 Expr.conj (self (n / 2)) (self (n / 2)));
              ])
 
+let gen_expr = gen_expr_over symbol_names
 let gen_expr_pair = QCheck2.Gen.pair gen_expr gen_expr
 let gen_expr_triple = QCheck2.Gen.triple gen_expr gen_expr gen_expr
 

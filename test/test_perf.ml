@@ -78,20 +78,7 @@ let all_guards_agree =
 
 (* --- automaton construction ---------------------------------------------- *)
 
-let same_automaton a b =
-  Automaton.num_states a = Automaton.num_states b
-  && List.equal Literal.equal (Automaton.alphabet a) (Automaton.alphabet b)
-  && List.for_all2
-       (fun (s1, l1, d1) (s2, l2, d2) ->
-         s1 = s2 && Literal.equal l1 l2 && d1 = d2)
-       (Automaton.transitions a) (Automaton.transitions b)
-  && List.for_all
-       (fun s ->
-         Nf.equal (Automaton.state_nf a s) (Automaton.state_nf b s)
-         && Automaton.is_accepting a s = Automaton.is_accepting b s
-         && Automaton.is_dead a s = Automaton.is_dead b s
-         && Automaton.can_complete a s = Automaton.can_complete b s)
-       (List.init (Automaton.num_states a) Fun.id)
+let same_automaton = Equivariance.same_automaton
 
 let automaton_agrees =
   qprop "fast automaton build = naive build (states, edges, flags)" gen_expr
@@ -104,6 +91,52 @@ let automaton_disabled_is_naive =
       let off = Automaton.build d in
       Intern.set_enabled true;
       same_automaton off (Automaton.build_naive d))
+
+(* --- shape memos ------------------------------------------------------------ *)
+
+(* Renaming equivariance (see Equivariance): a renamed dependency's
+   automaton and a renamed guard's table equal fresh builds, whether
+   the shape memo hits (order-preserving) or must miss (reversing). *)
+let automata_equivariant =
+  qprop ~count:100 ~print:Equivariance.print
+    "renamed automata = fresh builds (shape memo)" Equivariance.gen
+    Equivariance.automata
+
+let tables_equivariant =
+  qprop ~count:1000 ~print:Equivariance.print
+    "renamed guard tables = fresh compiles (shape memo)" Equivariance.gen
+    Equivariance.tables
+
+(* A guard whose table holds a residual that renormalization rewrites
+   (two of its products merge on a second pass): a renamed table must
+   keep that residual exactly as a fresh compile builds it, which a
+   renaming through Guard.map_symbols would not. *)
+let test_rename_keeps_residuals () =
+  let d =
+    Expr.choice
+      (Expr.seq (Expr.conj nf (Expr.complement "h")) ng)
+      (Expr.seq ne g)
+  in
+  let case =
+    {
+      Equivariance.deps = [ d ];
+      lit = lit "~e";
+      targets =
+        List.sort Symbol.compare (List.filteri (fun i _ -> i >= 3) Equivariance.pool);
+    }
+  in
+  let tbl =
+    match Gtable.compile (Synth.workflow_guard case.deps case.lit) with
+    | Some t -> t
+    | None -> Alcotest.fail "the guard should compile"
+  in
+  checkb "some residual is not a fixpoint of renormalization"
+    (List.exists
+       (fun s ->
+         let r = Gtable.guard_of tbl s in
+         not (Guard.equal (Guard.map_symbols Fun.id r) r))
+       (List.init (Gtable.num_states tbl) Fun.id));
+  checkb "renamed tables equal fresh compiles" (Equivariance.tables case)
 
 (* --- compile-once memos ---------------------------------------------------- *)
 
@@ -330,6 +363,10 @@ let suite =
     all_guards_agree;
     automaton_agrees;
     automaton_disabled_is_naive;
+    automata_equivariant;
+    tables_equivariant;
+    Alcotest.test_case "renamed tables keep unrenormalized residuals" `Quick
+      test_rename_keeps_residuals;
     Alcotest.test_case "compile-once memo contract" `Quick test_memo_contract;
     Alcotest.test_case "run plan memo keyed on spec data" `Quick test_plan_memo;
     assimilation_agrees;
