@@ -1,6 +1,7 @@
 (* Benchmark harness: regenerates every figure, example, and claim of
    the paper's evaluation (see DESIGN.md's experiment index), printing
-   the artifact next to a Bechamel timing of the computation behind it.
+   the artifact next to a min-of-repeats timing of the computation
+   behind it.
 
    Run with:  dune exec bench/main.exe [-- FLAGS]
 
@@ -16,38 +17,54 @@
      --json [F]  write the suite's artifact to F (default: the suite's
                  BENCH_*.json in the current directory)
 
-   Every suite checks named gates; the process exits 1 when one fails
-   and 2 on a usage error. *)
+   OVERLOAD and SCALE run wfbench's saga workload ([Wfbench_lib.Saga]):
+   its template, symbols, audit and service model.  Every suite checks
+   named gates; the process exits 1 when one fails and 2 on a usage
+   error. *)
 
 open Wf_core
 open Wf_tasks
 open Wf_scheduler
-open Bechamel
-open Toolkit
 module Json = Wf_obs.Json
+module Run = Wfbench_lib.Run
+module Saga = Wfbench_lib.Saga
 
 let int n = Json.Num (float_of_int n)
 
 (* --- timing helper -------------------------------------------------------- *)
 
-(* One Bechamel Test.make per measured kernel; OLS estimate of ns/run. *)
-let measure_ns ?(quota = 0.1) name fn =
-  let test = Test.make ~name (Staged.stage fn) in
-  let cfg =
-    Benchmark.cfg ~limit:300 ~quota:(Time.second quota) ~kde:None
-      ~stabilize:false ()
+(* Wall time of [k] back-to-back calls, in ns, on wfbench's monotonic
+   clock. *)
+let time_calls k fn =
+  let t0 = Run.now_ns () in
+  for _ = 1 to k do
+    ignore (Sys.opaque_identity (fn ()))
+  done;
+  float_of_int (Run.now_ns () - t0)
+
+(* Below this, clock resolution and the timing loop are a visible share
+   of a sample, so shorter kernels are batched up to it. *)
+let batch_floor_ns = 1e5
+
+(* ns per call of [fn]: the minimum over repeated samples, the sample
+   least disturbed by the machine.  A kernel shorter than
+   [batch_floor_ns] runs k times per sample (k doubling from 1 until a
+   sample reaches the floor); a longer one keeps one call per sample.
+   The repeat count fits [budget] ns, between 3 and 25 samples. *)
+let min_ns ?(budget = 1e8) fn =
+  ignore (Sys.opaque_identity (fn ()));
+  (* warm-up *)
+  let rec calibrate k =
+    let t = time_calls k fn in
+    if t >= batch_floor_ns || k >= 1 lsl 20 then (k, t) else calibrate (2 * k)
   in
-  let raw = Benchmark.all cfg [ Instance.monotonic_clock ] test in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let res = Analyze.all ols Instance.monotonic_clock raw in
-  match Hashtbl.fold (fun _ v acc -> v :: acc) res [] with
-  | [ v ] -> (
-      match Analyze.OLS.estimates v with
-      | Some (x :: _) -> x
-      | _ -> nan)
-  | _ -> nan
+  let k, first = calibrate 1 in
+  let reps = max 3 (min 25 (int_of_float (budget /. Float.max first 1.0))) in
+  let best = ref first in
+  for _ = 2 to reps do
+    best := Float.min !best (time_calls k fn)
+  done;
+  !best /. float_of_int k
 
 let pp_ns ns =
   if Float.is_nan ns then "n/a"
@@ -86,7 +103,7 @@ let bench_universe () =
     [ 1; 2; 3; 4; 5 ];
   let alpha3 = Universe.of_names [ "e"; "f"; "g" ] in
   Printf.printf "enumeration of U_E (n=3): %s\n"
-    (pp_ns (measure_ns "universe:n3" (fun () -> Universe.traces alpha3)))
+    (pp_ns (min_ns (fun () -> Universe.traces alpha3)))
 
 (* --- F2: Figure 2, scheduler-state automata -------------------------------- *)
 
@@ -105,7 +122,7 @@ let bench_automata () =
       (* Built automata are memoized: empty the memos so every sample
          constructs one. *)
       let t =
-        measure_ns ("automaton:" ^ name) (fun () ->
+        min_ns (fun () ->
             Intern.clear_memos ();
             Automaton.build d)
       in
@@ -123,7 +140,7 @@ let bench_figure3 () =
       Printf.printf "  %s : %s\n" name (if holds then "holds" else "VIOLATED"))
     (Tables.example8_laws ());
   Printf.printf "model checking the six laws: %s\n"
-    (pp_ns (measure_ns "fig3:laws" (fun () -> Tables.example8_laws ())))
+    (pp_ns (min_ns Tables.example8_laws))
 
 (* --- F4/E9: guard synthesis ------------------------------------------------ *)
 
@@ -149,9 +166,7 @@ let bench_guards () =
   List.iter
     (fun (name, d) ->
       let ev = List.hd (Literal.Set.elements (Expr.literals d)) in
-      let t =
-        measure_ns ("synth:" ^ name) (fun () -> Synth.guard d ev)
-      in
+      let t = min_ns (fun () -> Synth.guard d ev) in
       Printf.printf "%-18s %-10s %12s %6d\n" name (Literal.to_string ev)
         (pp_ns t)
         (Guard.size (Synth.guard d ev)))
@@ -462,9 +477,9 @@ let bench_check ~smoke =
       .Wf_lang.Elaborate.def
   in
   let timed fn =
-    let t0 = Monotonic_clock.get () in
+    let t0 = Run.now_ns () in
     let r = fn () in
-    (r, (Monotonic_clock.get () -. t0) /. 1e9)
+    (r, Run.seconds_since t0)
   in
   let configs =
     [ ("mc_pair.wf", 0); ("mc_trigger.wf", 0); ("mc_indep.wf", 0);
@@ -538,7 +553,7 @@ let bench_store ~smoke =
   let batch = 256 in
   let payload i = Printf.sprintf "entry-%04d" i in
   let plain_ns =
-    measure_ns "store:plain-append" (fun () ->
+    min_ns (fun () ->
         let j = Wf_store.Journal.create ~checkpoint_every:max_int () in
         for i = 0 to batch - 1 do
           Wf_store.Journal.append j (payload i)
@@ -546,7 +561,7 @@ let bench_store ~smoke =
     /. float_of_int batch
   in
   let framed_ns =
-    measure_ns "store:framed-append" (fun () ->
+    min_ns (fun () ->
         let sim = Wf_store.Media.Sim.create () in
         let log = Wf_store.Log.create store_codec (Wf_store.Media.Sim.device sim) in
         let j = Wf_store.Journal.create ~checkpoint_every:max_int () in
@@ -588,9 +603,8 @@ let bench_store ~smoke =
         done;
         Wf_store.Log.sync log;
         let t =
-          measure_ns (Printf.sprintf "store:recover-%d" n) (fun () ->
-              ignore
-                (Wf_store.Log.recover store_codec (Wf_store.Media.Sim.device sim)))
+          min_ns (fun () ->
+              Wf_store.Log.recover store_codec (Wf_store.Media.Sim.device sim))
         in
         Printf.printf "salvage scan over %6d entries: %12s\n%!" n (pp_ns t);
         Json.Obj [ ("entries", int n); ("scan_ns", Json.Num t) ])
@@ -753,7 +767,7 @@ let bench_param () =
   Printf.printf "; after g[7]: %s (resurrected)\n" (status ());
   Printf.printf "parametrized decision: %s\n"
     (pp_ns
-       (measure_ns "param:decide" (fun () ->
+       (min_ns (fun () ->
             Param_sched.instance_status eng14 template ~bound:[])))
 
 (* --- S1: precompilation pays off -------------------------------------------- *)
@@ -773,15 +787,15 @@ let bench_precompile () =
   in
   let trace = Trace.of_events [ "s_book"; "s_buy"; "c_book" ] in
   let t_pre =
-    measure_ns "decide:precompiled" (fun () ->
+    min_ns (fun () ->
         Knowledge.status know plan.Compile.guard)
   in
   let t_fly =
-    measure_ns "decide:synthesize-then-evaluate" (fun () ->
+    min_ns (fun () ->
         Knowledge.status know (Synth.workflow_guard deps ev))
   in
   let t_naive =
-    measure_ns "decide:naive-residual-scan" (fun () ->
+    min_ns (fun () ->
         (* re-fold every dependency over the whole trace, then residuate
            by the candidate event and test satisfiability *)
         List.for_all
@@ -846,10 +860,7 @@ let bench_synthesis_scaling () =
       let mid = lit (Printf.sprintf "x%d" (n / 2)) in
       let states = Automaton.num_states (Automaton.build d) in
       let paths = List.length (Paths.pi d) in
-      let t =
-        measure_ns (Printf.sprintf "synth:chain%d" n) (fun () ->
-            Synth.guard d mid)
-      in
+      let t = min_ns (fun () -> Synth.guard d mid) in
       Printf.printf "%-28s %8d %10d %8d %12s\n"
         (Printf.sprintf "chain of %d events" n)
         states paths
@@ -872,16 +883,8 @@ let bench_fastpath () =
               (Printf.sprintf "b%d" i))
       in
       let ev = lit "c_a0" in
-      let t_fast =
-        measure_ns
-          (Printf.sprintf "fastpath:perdep%d" k)
-          (fun () -> Synth.workflow_guard deps ev)
-      in
-      let t_mono =
-        measure_ns
-          (Printf.sprintf "fastpath:mono%d" k)
-          (fun () -> Synth.guard (Expr.conj_all deps) ev)
-      in
+      let t_fast = min_ns (fun () -> Synth.workflow_guard deps ev) in
+      let t_mono = min_ns (fun () -> Synth.guard (Expr.conj_all deps) ev) in
       Printf.printf "%-4d %16s %16s %8.1fx\n" k (pp_ns t_fast) (pp_ns t_mono)
         (t_mono /. t_fast))
     [ 1; 2; 3 ]
@@ -932,7 +935,7 @@ let core_row_json r =
 let alloc_words fn =
   Gc.minor ();
   let s0 = Gc.quick_stat () in
-  fn ();
+  ignore (Sys.opaque_identity (fn ()));
   Gc.minor ();
   let s1 = Gc.quick_stat () in
   ( s1.Gc.minor_words -. s0.Gc.minor_words,
@@ -949,30 +952,10 @@ let with_intern enabled fn =
   Intern.clear_memos ();
   Fun.protect ~finally:(fun () -> Intern.set_enabled prev) fn
 
-(* Bechamel's OLS needs long steady runs to converge; on a shared
-   machine its estimates for millisecond-scale workloads swing by
-   several x between invocations.  The CORE rows instead report the
-   minimum of repeated wall-clock timings — the minimum is the run least
-   disturbed by the machine, and both legs are measured identically. *)
-let time_once fn =
-  let t0 = Monotonic_clock.get () in
-  fn ();
-  Monotonic_clock.get () -. t0
-
-let min_ns ~budget fn =
-  fn () |> ignore;
-  (* warm-up (and first estimate) *)
-  let once = Float.max (time_once fn) 1.0 in
-  let reps = max 3 (min 25 (int_of_float (budget /. once))) in
-  let best = ref once in
-  for _ = 2 to reps do
-    let t = time_once fn in
-    if t < !best then best := t
-  done;
-  !best
-
-(* The two legs alternate rep by rep, so contention windows longer than
-   a single rep degrade both sides equally instead of skewing the ratio. *)
+(* The CORE kernels are millisecond-scale, so each sample is one call,
+   as in [min_ns] past its batch floor.  The two legs alternate rep by
+   rep, so contention windows longer than a single rep degrade both
+   sides equally instead of skewing the ratio. *)
 let core_bench ~budget ~rows ~bench ~config ?identity work =
   let work () = ignore (work ()) in
   let naive () = with_intern false work in
@@ -983,13 +966,13 @@ let core_bench ~budget ~rows ~bench ~config ?identity work =
   in
   naive ();
   opt ();
-  let best_n = ref (Float.max (time_once naive) 1.0) in
-  let best_o = ref (Float.max (time_once opt) 1.0) in
+  let best_n = ref (Float.max (time_calls 1 naive) 1.0) in
+  let best_o = ref (Float.max (time_calls 1 opt) 1.0) in
   let reps = max 3 (min 25 (int_of_float (budget /. (!best_n +. !best_o)))) in
   for _ = 2 to reps do
-    let t = time_once naive in
+    let t = time_calls 1 naive in
     if t < !best_n then best_n := t;
-    let t = time_once opt in
+    let t = time_calls 1 opt in
     if t < !best_o then best_o := t
   done;
   let minor_words, major_words = alloc_words opt in
@@ -1127,14 +1110,12 @@ let bench_core ~smoke =
   in
   let naive_ns =
     min_ns ~budget (fun () ->
-        ignore
-          (List.fold_left (fun g x -> Guard.assimilate_occurred x g) g0 news))
+        List.fold_left (fun g x -> Guard.assimilate_occurred x g) g0 news)
   in
   let indexed_fold () =
-    ignore
-      (List.fold_left
-         (fun ix x -> Guard.Indexed.occurred x ix)
-         (Guard.Indexed.of_guard g0) news)
+    List.fold_left
+      (fun ix x -> Guard.Indexed.occurred x ix)
+      (Guard.Indexed.of_guard g0) news
   in
   let opt_ns = min_ns ~budget indexed_fold in
   let minor_words, major_words = alloc_words indexed_fold in
@@ -1145,8 +1126,8 @@ let bench_core ~smoke =
      guard, replayed symbol by symbol.  The symbolic leg is the indexed
      fold the schedulers used before tables — each step residuates the
      remaining chain — while the compiled leg walks the transition table
-     built once (and memoized) by Gtable.  The passes multiplier keeps
-     one sample well above clock resolution. *)
+     built once (and memoized) by Gtable.  Both legs are sub-microsecond
+     per pass, so [min_ns] batches them. *)
   let ga_chains = if smoke then [ 4 ] else [ 6; 10 ] in
   List.iter
     (fun n ->
@@ -1163,22 +1144,15 @@ let bench_core ~smoke =
             "guard-assimilation" n
       | Some tbl ->
       let stream = List.init (n - 1) (fun i -> lit (Printf.sprintf "x%d" i)) in
-      let passes = 200 in
       let symbolic () =
-        for _ = 1 to passes do
-          ignore
-            (List.fold_left
-               (fun ix x -> Guard.Indexed.occurred x ix)
-               (Guard.Indexed.of_guard g0) stream)
-        done
+        List.fold_left
+          (fun ix x -> Guard.Indexed.occurred x ix)
+          (Guard.Indexed.of_guard g0) stream
       in
       let compiled () =
-        for _ = 1 to passes do
-          ignore
-            (List.fold_left
-               (fun s x -> Gtable.step_occurred tbl s x)
-               (Gtable.initial tbl) stream)
-        done
+        List.fold_left
+          (fun s x -> Gtable.step_occurred tbl s x)
+          (Gtable.initial tbl) stream
       in
       let naive_ns = min_ns ~budget symbolic in
       let opt_ns = min_ns ~budget compiled in
@@ -1218,8 +1192,6 @@ let bench_core ~smoke =
 
 (* --- open-loop fleets: OVERLOAD and SCALE ------------------------------------- *)
 
-let binding_sym base j = Symbol.parametrized base [ string_of_int j ]
-
 (* Open-loop Poisson arrivals: [f j t] sees arrival [j] at virtual time
    [t], in order, so [f] may draw from [rng] between arrivals. *)
 let poisson_arrivals rng ~mean n f =
@@ -1228,38 +1200,6 @@ let poisson_arrivals rng ~mean n f =
     t := !t +. Flow.arrival_delay Flow.Poisson ~rng ~now:!t ~mean;
     f j !t
   done
-
-(* Exactly-once and dependency order over a realized trace: every token
-   occurs once, and binding j's prepare precedes its commit.  Returns
-   the number of violations. *)
-let audit_trace trace ~jobs =
-  let violations = ref 0 in
-  let pos = Hashtbl.create (4 * jobs) in
-  List.iteri
-    (fun i (l : Literal.t) ->
-      let name = Symbol.name (Literal.symbol l) in
-      if Hashtbl.mem pos name then incr violations else Hashtbl.add pos name i)
-    trace;
-  for j = 0 to jobs - 1 do
-    match
-      ( Hashtbl.find_opt pos (Symbol.name (binding_sym "p" j)),
-        Hashtbl.find_opt pos (Symbol.name (binding_sym "c" j)) )
-    with
-    | Some ip, Some ic when ip < ic -> ()
-    | _ -> incr violations
-  done;
-  !violations
-
-(* The chain family both suites run, per binding x: either the commit
-   never happens or its prepare precedes it. *)
-let saga_template =
-  Ptemplate.choice_all
-    [
-      Ptemplate.atom ~pol:Literal.Neg "c" [ Ptemplate.Var "x" ];
-      Ptemplate.seq
-        (Ptemplate.atom "p" [ Ptemplate.Var "x" ])
-        (Ptemplate.atom "c" [ Ptemplate.Var "x" ]);
-    ]
 
 (* --- OVERLOAD: open-loop fleet arrivals against the admission gate ----------- *)
 
@@ -1287,8 +1227,9 @@ let saga_template =
    exactly once (prepare before commit, nothing parked): the
    exactly-once/dependency audit over the realized trace is part of the
    bench's gates.  Goodput counts only completions inside the arrival
-   window, so late drained jobs do not flatter a saturated leg. *)
-
+   window, so late drained jobs do not flatter a saturated leg.  The
+   template, the audit and the service model (s0, s1, the watermark and
+   the capacity estimate) are wfbench's param-burst ones. *)
 
 type ov_event = Ov_arrive of int | Ov_retry of int | Ov_prepare of int
 
@@ -1308,31 +1249,9 @@ type ov_row = {
   ov_violations : int;
 }
 
-let ov_s0 = 1.0 (* fixed virtual service per engine input *)
-let ov_s1 = 0.04 (* virtual service per decision evaluation *)
-let ov_watermark = 10
-
-let ov_flow_config =
-  {
-    Flow.default_config with
-    shed_watermark = ov_watermark;
-    retry_base = 1.0;
-    retry_backoff = 2.0;
-    retry_max = 64.0;
-    probe_every = 256;
-  }
-
-(* Saturated-regime capacity estimate: a prepare/commit pair costs two
-   fixed quanta plus the prepare's sweep over a backlog pinned at the
-   watermark (each sweep re-decides the parked set twice: once to admit
-   the unblocked commit, once to confirm no further progress). *)
-let ov_capacity =
-  1.0
-  /. ((2.0 *. ov_s0) +. (ov_s1 *. (2.0 +. (2.0 *. float_of_int ov_watermark))))
-
 let ov_run ~flow ~arrival ~load ~jobs ~seed =
   let rng = Wf_sim.Rng.create seed in
-  let offered = load *. ov_capacity in
+  let offered = load *. Saga.capacity in
   let arrivals = Array.make jobs 0.0 in
   (match arrival with
   | Flow.Poisson ->
@@ -1341,11 +1260,10 @@ let ov_run ~flow ~arrival ~load ~jobs ~seed =
   | Flow.Burst ->
       (* [sources] synchronized open-loop sources, each firing once per
          batch period, together offering the same aggregate rate. *)
-      let sources = 64 in
-      let mean = float_of_int sources /. (4.0 *. offered) in
-      let src_now = Array.make sources 0.0 in
+      let mean = float_of_int Saga.sources /. (4.0 *. offered) in
+      let src_now = Array.make Saga.sources 0.0 in
       for j = 0 to jobs - 1 do
-        let s = j mod sources in
+        let s = j mod Saga.sources in
         src_now.(s) <-
           src_now.(s)
           +. Flow.arrival_delay Flow.Burst ~rng ~now:src_now.(s) ~mean;
@@ -1354,8 +1272,8 @@ let ov_run ~flow ~arrival ~load ~jobs ~seed =
       Array.sort compare arrivals);
   let eng =
     Param_sched.create
-      ?flow:(if flow then Some ov_flow_config else None)
-      ~store_seed:seed [ saga_template ]
+      ?flow:(if flow then Some Saga.flow_config else None)
+      ~store_seed:seed [ Saga.template ]
   in
   (* Events pop by (time, push order): equal-time events run FIFO. *)
   let heap = Wf_sim.Heap.create () in
@@ -1371,7 +1289,7 @@ let ov_run ~flow ~arrival ~load ~jobs ~seed =
   let max_parked = ref 0 in
   let charge now w0 =
     let dw = Param_sched.work eng - w0 in
-    free_at := Float.max now !free_at +. ov_s0 +. (ov_s1 *. float_of_int dw)
+    free_at := Float.max now !free_at +. Saga.s0 +. (Saga.s1 *. float_of_int dw)
   in
   let complete j =
     done_at.(j) <- !free_at;
@@ -1379,7 +1297,7 @@ let ov_run ~flow ~arrival ~load ~jobs ~seed =
   in
   let commit j now =
     let w0 = Param_sched.work eng in
-    match Param_sched.attempt eng (binding_sym "c" j) with
+    match Param_sched.attempt eng (Saga.sym "c" j) with
     | Param_sched.Busy { retry_after } ->
         (* shed at the gate: no server time spent, caller owns the timer *)
         push (now +. retry_after) (Ov_retry j)
@@ -1395,7 +1313,7 @@ let ov_run ~flow ~arrival ~load ~jobs ~seed =
   in
   let prepare j now =
     let w0 = Param_sched.work eng in
-    Param_sched.occurred eng (Literal.pos (binding_sym "p" j));
+    Param_sched.occurred eng (Literal.pos (Saga.sym "p" j));
     charge now w0;
     complete j
   in
@@ -1424,7 +1342,7 @@ let ov_run ~flow ~arrival ~load ~jobs ~seed =
     ov_drained = !drained;
     ov_violations =
       Bool.to_int (Param_sched.parked_count eng <> 0)
-      + audit_trace (Param_sched.trace eng) ~jobs;
+      + Saga.audit ~n:jobs (Param_sched.trace eng);
   }
 
 let ov_row_json r =
@@ -1454,7 +1372,7 @@ let bench_overload ~smoke =
   Printf.printf
     "capacity estimate %.3f pairs per virtual time unit; baseline runs \
      fewer jobs because its collapse is quadratic in real CPU too\n"
-    ov_capacity;
+    Saga.capacity;
   Printf.printf "%-8s %-8s %5s %7s %9s %9s %8s %7s %7s %7s %5s\n" "family"
     "arrival" "load" "jobs" "offered" "goodput" "shed" "probes" "maxprk"
     "drain" "viol";
@@ -1509,13 +1427,13 @@ let bench_overload ~smoke =
       ( "config",
         Json.Obj
           [
-            ("s0", Json.Num ov_s0);
-            ("s1", Json.Num ov_s1);
-            ("shed_watermark", int ov_watermark);
-            ("probe_every", int ov_flow_config.Flow.probe_every);
-            ("retry_base", Json.Num ov_flow_config.Flow.retry_base);
-            ("retry_max", Json.Num ov_flow_config.Flow.retry_max);
-            ("capacity_est", Json.Num ov_capacity);
+            ("s0", Json.Num Saga.s0);
+            ("s1", Json.Num Saga.s1);
+            ("shed_watermark", int Saga.watermark);
+            ("probe_every", int Saga.flow_config.Flow.probe_every);
+            ("retry_base", Json.Num Saga.flow_config.Flow.retry_base);
+            ("retry_max", Json.Num Saga.flow_config.Flow.retry_max);
+            ("capacity_est", Json.Num Saga.capacity);
           ] );
       ("legs", Json.List (List.map ov_row_json rows));
       ( "summary",
@@ -1530,7 +1448,7 @@ let bench_overload ~smoke =
       ( "flow_goodput_ok",
         flow_ratios <> [] && List.for_all (fun (_, x) -> x >= 0.8) flow_ratios );
       ( "parked_bounded_ok",
-        List.for_all (fun r -> r.ov_max_parked <= ov_watermark + r.ov_probes) flow );
+        List.for_all (fun r -> r.ov_max_parked <= Saga.watermark + r.ov_probes) flow );
       ( "drain_clean_ok",
         List.for_all (fun r -> r.ov_violations = 0 && r.ov_drained = r.ov_jobs) rows );
       ("baseline_collapses_ok", collapse_ratio < 0.6);
@@ -1585,7 +1503,7 @@ let sc_prepare_lag = 8.0 (* mean prepare lag, in mean inter-arrival units *)
 let sc_param =
   {
     sc_name = "param";
-    sc_create = (fun _ -> Param_sched.create [ saga_template ]);
+    sc_create = (fun _ -> Param_sched.create [ Saga.template ]);
     sc_words = (fun _ -> -1);
     sc_table_states = (fun _ ~compiled -> compiled);
     sc_symbolic_evals = Param_sched.evaluations;
@@ -1596,7 +1514,7 @@ let sc_fleet =
     sc_name = "fleet";
     (* ~16 checkpoints over the run: each scans the fate columns. *)
     sc_create =
-      (fun n -> Fleet.create ~checkpoint_every:(max 1024 (n / 16)) [ saga_template ]);
+      (fun n -> Fleet.create ~checkpoint_every:(Saga.cadence n) [ Saga.template ]);
     sc_words = Fleet.state_words;
     sc_table_states = (fun e ~compiled:_ -> Fleet.table_states e);
     sc_symbolic_evals =
@@ -1612,7 +1530,9 @@ let sc_run (type e) (module E : Param_engine.S with type t = e) (x : e sc_eng)
      before the memory baseline and stay fully live until after the
      final measurement, so the live-words delta holds engine-held
      structures only — a consumable event heap would free its tuples
-     mid-run and corrupt the accounting. *)
+     mid-run and corrupt the accounting.  Symbols, unlike wfbench's
+     [Saga.fleet_schedule], are built inside the timed loop: the token
+     strings an engine keeps are then charged to its footprint. *)
   let m = 2 * n in
   let times = Array.make m 0.0 in
   poisson_arrivals rng ~mean:1.0 n (fun j t ->
@@ -1635,26 +1555,25 @@ let sc_run (type e) (module E : Param_engine.S with type t = e) (x : e sc_eng)
   let live0 = (Gc.stat ()).Gc.live_words in
   let eng = x.sc_create n in
   let inputs = ref 0 in
-  let t0 = Monotonic_clock.get () in
+  let t0 = Run.now_ns () in
   for i = 0 to m - 1 do
     let slot = order.(i) in
     let j = slot / 2 in
     incr inputs;
     if slot land 1 = 0 then begin
-      match E.attempt eng (binding_sym "c" j) with
+      match E.attempt eng (Saga.sym "c" j) with
       | Parked | Accepted | Already -> ()
       | Rejected | Busy _ ->
           failwith "scale: commit rejected or shed"
     end
     else begin
-      let u0 = Monotonic_clock.get () in
-      E.occurred eng (Literal.pos (binding_sym "p" j));
-      let us = (Monotonic_clock.get () -. u0) /. 1e3 in
-      enable_lat.(!n_lat) <- us;
+      let u0 = Run.now_ns () in
+      E.occurred eng (Literal.pos (Saga.sym "p" j));
+      enable_lat.(!n_lat) <- Run.us_since u0;
       incr n_lat
     end
   done;
-  let wall = (Monotonic_clock.get () -. t0) /. 1e9 in
+  let wall = Run.seconds_since t0 in
   let compiled = compiled_states () - states0 in
   Gc.compact ();
   let live1 = (Gc.stat ()).Gc.live_words in
@@ -1666,14 +1585,9 @@ let sc_run (type e) (module E : Param_engine.S with type t = e) (x : e sc_eng)
   let violations =
     Bool.to_int (E.parked_count eng <> 0)
     + Bool.to_int (events <> 2 * n)
-    + if audit then audit_trace trace ~jobs:n else 0
+    + if audit then Saga.audit ~n trace else 0
   in
-  let lat = Array.sub enable_lat 0 !n_lat in
-  Array.sort compare lat;
-  let p99 =
-    if !n_lat = 0 then nan
-    else lat.(min (!n_lat - 1) (int_of_float (0.99 *. float_of_int !n_lat)))
-  in
+  let p99 = Wfbench_lib.Quantile.percentile (Array.sub enable_lat 0 !n_lat) 0.99 in
   let stats = E.stats eng in
   let row =
     {
@@ -1821,6 +1735,39 @@ let git_rev () =
     if rev = "" then "unknown" else rev
   with Unix.Unix_error _ -> "unknown"
 
+(* Digest of the sorted paths and contents of every *.ml, *.mli and
+   dune file under lib/, bin/ and bench/ of the checkout (the nearest
+   directory at or above the working one holding dune-project), so an
+   artifact names its code even when [git_rev] ends in -dirty. *)
+let source_digest () =
+  let rec root dir =
+    if Sys.file_exists (Filename.concat dir "dune-project") then Some dir
+    else
+      let up = Filename.dirname dir in
+      if up = dir then None else root up
+  in
+  let source f =
+    f = "dune" || Filename.check_suffix f ".ml" || Filename.check_suffix f ".mli"
+  in
+  let rec walk top rel acc =
+    let path = Filename.concat top rel in
+    if not (Sys.file_exists path) then acc
+    else if Sys.is_directory path then
+      Array.fold_left
+        (fun acc f -> walk top (Filename.concat rel f) acc)
+        acc (Sys.readdir path)
+    else if source (Filename.basename rel) then rel :: acc
+    else acc
+  in
+  match root (Sys.getcwd ()) with
+  | None -> "unknown"
+  | Some top ->
+      List.fold_left (fun acc d -> walk top d acc) [] [ "lib"; "bin"; "bench" ]
+      |> List.sort String.compare
+      |> List.map (fun rel -> rel ^ "\000" ^ Digest.file (Filename.concat top rel))
+      |> String.concat ""
+      |> Digest.string |> Digest.to_hex
+
 (* Top-level fields one per line, and the members of a top-level list
    or object one per line, so artifacts diff row by row. *)
 let write_artifact path fields =
@@ -1859,6 +1806,7 @@ let run_suite s ~smoke ~json =
            ("suite", Json.Str s.name);
            ("mode", Json.Str (if smoke then "smoke" else "full"));
            ("git_rev", Json.Str (git_rev ()));
+           ("source_digest", Json.Str (source_digest ()));
          ]
         @ body
         @ [

@@ -98,61 +98,6 @@ let parse_partition s =
       | _ -> fail ())
   | _ -> fail ()
 
-(* --bindings N: standalone fleet stress over the canonical saga spec
-   [~c[x] + p[x].c[x]], N synthetic bindings with Poisson commit
-   arrivals and lagged prepares — the workload of [bench --scale]. *)
-let run_fleet_stress n seed =
-  if n <= 0 then begin
-    prerr_endline "wfsim: --bindings expects a positive binding count";
-    exit 2
-  end;
-  let template =
-    Ptemplate.choice_all
-      [
-        Ptemplate.atom ~pol:Literal.Neg "c" [ Ptemplate.Var "x" ];
-        Ptemplate.seq
-          (Ptemplate.atom "p" [ Ptemplate.Var "x" ])
-          (Ptemplate.atom "c" [ Ptemplate.Var "x" ]);
-      ]
-  in
-  let rng = Wf_sim.Rng.create (Int64.of_int seed) in
-  let m = 2 * n in
-  let times = Array.make m 0.0 in
-  let t = ref 0.0 in
-  for j = 0 to n - 1 do
-    t := !t +. Flow.arrival_delay Flow.Poisson ~rng ~now:!t ~mean:1.0;
-    times.(2 * j) <- !t;
-    times.((2 * j) + 1) <- !t +. Wf_sim.Rng.exponential rng ~mean:8.0
-  done;
-  let order = Array.init m (fun i -> i) in
-  Array.sort
-    (fun a b ->
-      let c = Float.compare times.(a) times.(b) in
-      if c <> 0 then c else Int.compare a b)
-    order;
-  let e = Fleet.create ~checkpoint_every:(max 1024 (n / 16)) [ template ] in
-  let sym b j = Symbol.parametrized b [ string_of_int j ] in
-  let t0 = Sys.time () in
-  Array.iter
-    (fun slot ->
-      let j = slot / 2 in
-      if slot land 1 = 0 then ignore (Fleet.attempt e (sym "c" j))
-      else Fleet.occurred e (Literal.pos (sym "p" j)))
-    order;
-  let wall = Sys.time () -. t0 in
-  let events = Trace.length (Fleet.trace e) in
-  let drained = Fleet.parked_count e = 0 && events = m in
-  Format.printf "fleet stress: %d bindings, %d inputs (~c[x] + p[x].c[x])@." n
-    m;
-  Format.printf "  events realized: %d, drained exactly-once: %b@." events
-    drained;
-  Format.printf "  cpu time: %.2fs (%.0f events/s)@." wall
-    (float_of_int events /. Float.max wall 1e-9);
-  let words = Fleet.state_words e in
-  Format.printf "  engine state: %d words (%.1f bytes/instance)@." words
-    (float_of_int (words * 8) /. float_of_int n);
-  if drained then 0 else 1
-
 let validate_trace path =
   match Wf_obs.Trace.validate_file path with
   | Ok n ->
@@ -167,14 +112,11 @@ let run path scheduler seed latency jitter think verbose check_gen no_gtable
     crash_prob crash_on_send restart_delay max_crashes checkpoint_every
     store store_torn store_lost_tail store_bit_flip store_ckpt_corrupt
     store_max_faults mailbox_cap credit_window shed_watermark arrival_s
-    fleet bindings trace_file chrome_file metrics_json validate =
+    fleet trace_file chrome_file metrics_json validate =
   Gtable.set_enabled (not no_gtable);
   match validate with
   | Some trace_path -> exit (validate_trace trace_path)
   | None ->
-  (match bindings with
-  | Some n -> exit (run_fleet_stress n seed)
-  | None -> ());
   let path =
     match path with
     | Some p -> p
@@ -397,10 +339,6 @@ let fleet =
   Arg.(value & flag & info [ "fleet" ]
          ~doc:"Run a parametrized spec on the arena-backed fleet execution engine instead of the symbolic per-instance engine. Requires a fleet-eligible spec: every dependency parametrized over exactly one variable, all-variable atom parameters, consistent base arities. Behaviorally identical outcomes; flat per-binding state sized for 10^5..10^6 bindings.")
 
-let bindings =
-  Arg.(value & opt (some int) None & info [ "bindings" ] ~docv:"N"
-         ~doc:"Standalone fleet stress: run the canonical saga spec over N synthetic parameter bindings (Poisson commit arrivals, lagged prepares — the $(b,bench --scale) workload), print throughput and bytes/instance, and exit; no SPEC.wf is run. Honors $(b,--seed).")
-
 let trace_file =
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
          ~doc:"Write the structured trace (send/deliver/drop/crash, channel retransmits/acks/epochs, guard-assimilation outcomes) as JSONL, one record per line.")
@@ -426,7 +364,7 @@ let cmd =
           $ crash_on_send $ restart_delay $ max_crashes $ checkpoint_every
           $ store $ store_torn $ store_lost_tail $ store_bit_flip
           $ store_ckpt_corrupt $ store_max_faults $ mailbox_cap
-          $ credit_window $ shed_watermark $ arrival $ fleet $ bindings
+          $ credit_window $ shed_watermark $ arrival $ fleet
           $ trace_file $ chrome_file $ metrics_json $ validate)
 
 let () = exit (Cmd.eval' cmd)

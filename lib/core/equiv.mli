@@ -14,5 +14,3 @@ val entails : ?alphabet:Symbol.Set.t -> Expr.t -> Expr.t -> bool
 
 val is_zero : ?alphabet:Symbol.Set.t -> Expr.t -> bool
 val is_top : ?alphabet:Symbol.Set.t -> Expr.t -> bool
-
-val joint_alphabet : Expr.t -> Expr.t -> Symbol.Set.t

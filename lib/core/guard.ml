@@ -445,7 +445,6 @@ module Indexed = struct
 
   let to_guard t = List.map (fun e -> e.prod) t.entries
   let watches_occurred t sym = Symbol.Set.mem sym t.occ_watch
-  let watches_promised t sym = Symbol.Set.mem sym t.mask_watch
 
   (* Both updates assimilate the watching products, pass the rest
      through, and renormalize the sum exactly as the naive path would:

@@ -123,10 +123,6 @@ module Indexed : sig
 
   val watches_occurred : t -> Symbol.t -> bool
   (** Whether an occurrence of the symbol can change the guard. *)
-
-  val watches_promised : t -> Symbol.t -> bool
-  (** Whether a promise on the symbol can change the guard (the symbol
-      appears in some product's masks). *)
 end
 
 (** {1 Requirements analysis (drives the runtime protocols)} *)

@@ -97,8 +97,6 @@ val kind_name : record -> string
     ["ack"], ["epoch_bump"], ["assim"], ["store_fault"],
     ["store_salvage"], ["shed"], ["credit"], ["dead_letter"]. *)
 
-val outcome_name : outcome -> string
-
 val line_of : record -> string
 (** One JSONL line (no trailing newline). *)
 

@@ -84,17 +84,6 @@ val note_occurred : ctx -> t -> Literal.t -> seqno:int -> unit
 
 val handle : ctx -> t -> Messages.t -> unit
 
-val re_evaluate : ?touched:Symbol.t -> ctx -> t -> unit
-(** Re-examine parked attempts, deferred promise grants, and trigger
-    demand; called after every knowledge change.  [touched] names the
-    one symbol the triggering message was about: parked attempts whose
-    guard does not mention it are skipped (their status cannot have
-    changed).  News about the actor's own symbol always rescans
-    everything; omit [touched] when more than one thing changed. *)
-
-val force_reject_parked : ctx -> t -> unit
-(** End-of-run: reject whatever is still parked. *)
-
 (** {2 Crash recovery}
 
     The actor's state evolution is a deterministic function of its
@@ -112,7 +101,8 @@ type input =
 
 val apply : ctx -> t -> input -> unit
 (** Dispatch one input to the matching entry point ({!attempt},
-    {!note_occurred}, {!handle}, {!force_reject_parked}). *)
+    {!note_occurred}, {!handle}); [I_close] is the end of the run and
+    rejects whatever is still parked. *)
 
 val muted_ctx : Wf_obs.Metrics.t -> ctx
 (** A context whose effects are no-ops (and whose trigger always

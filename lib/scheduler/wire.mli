@@ -22,10 +22,6 @@ val put_symbol_set : Buffer.t -> Symbol.Set.t -> unit
 val get_symbol_set : reader -> Symbol.Set.t
 val put_literal_set : Buffer.t -> Literal.Set.t -> unit
 val get_literal_set : reader -> Literal.Set.t
-val put_term : Buffer.t -> Term.t -> unit
-val get_term : reader -> Term.t
-val put_mask : Buffer.t -> Symbol_state.mask -> unit
-val get_mask : reader -> Symbol_state.mask
 val put_guard : Buffer.t -> Guard.t -> unit
 val get_guard : reader -> Guard.t
 val put_knowledge : Buffer.t -> Knowledge.t -> unit

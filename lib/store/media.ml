@@ -87,7 +87,6 @@ module Sim = struct
 
   let contents s = Bytes.sub_string s.data 0 s.len
   let length s = s.len
-  let synced_length s = s.synced
   let faults_injected s = s.injected
 
   let incr_stat s name =

@@ -105,6 +105,5 @@ module Sim : sig
 
   val contents : sim -> string
   val length : sim -> int
-  val synced_length : sim -> int
   val faults_injected : sim -> int
 end

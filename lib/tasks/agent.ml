@@ -215,8 +215,6 @@ let undecided_complements t =
         else Some (Literal.neg (symbol_of t ev)))
       t.model.Task_model.significant
 
-let occurred_count t = List.length t.occurred
-
 (* ---- Model-checker support ------------------------------------------
 
    The checker snapshots the agent's six mutable fields before exploring

@@ -94,8 +94,6 @@ val undecided_complements : t -> Literal.t list
     (closing the trace into a maximal one).  Empty for parametrizing
     agents, whose unseen instances are handled by quantification. *)
 
-val occurred_count : t -> int
-
 (** {2 Model-checker support}
 
     The exhaustive checker explores delivery interleavings by

@@ -300,12 +300,80 @@ let actor_replay_agrees =
       List.iter (fun item -> feed (input_of_item seqno item)) items;
       if close then feed Actor.I_close;
       (* Crash: rebuild from the spec-derived seed, restore the latest
-         checkpoint, replay the suffix with effects muted. *)
+         checkpoint, replay the suffix with effects muted.  Both pass
+         through the journal codec, as they do on durable media. *)
       let fresh = mk_actor d in
       let ckpt, suffix = Wf_store.Journal.recover j in
-      (match ckpt with Some s -> Actor.restore fresh s | None -> ());
-      List.iter (Actor.apply ctx fresh) suffix;
+      let codec = Actor.codec in
+      let round_trip dec enc x = Option.get (dec (enc x)) in
+      Option.iter
+        (fun s -> Actor.restore fresh (round_trip codec.dec_ckpt codec.enc_ckpt s))
+        ckpt;
+      List.iter
+        (fun x ->
+          Actor.apply ctx fresh (round_trip codec.dec_entry codec.enc_entry x))
+        suffix;
       Actor.equal_state live fresh)
+
+(* --- actor journal codec --------------------------------------------------- *)
+
+(* Inputs are plain data except a guard, whose product maps compare by
+   content rather than by tree shape. *)
+let input_equal (a : Actor.input) (b : Actor.input) =
+  match (a, b) with
+  | I_attempt x, I_attempt y ->
+      x.pol = y.pol && Guard.equal x.entailed y.entailed
+  | _ -> a = b
+
+let gen_codec_symbol =
+  QCheck2.Gen.(
+    oneof
+      [
+        map Literal.symbol gen_literal;
+        map (fun k -> Symbol.parametrized "p" [ string_of_int k ]) small_nat;
+      ])
+
+(* One input of every shape: an attempt whose entailed guard is
+   synthesized from a random dependency, an occurrence, the close, and
+   one message per constructor. *)
+let gen_codec_inputs =
+  let open QCheck2.Gen in
+  let+ d = gen_expr
+  and+ pol = oneofl [ Literal.Pos; Literal.Neg ]
+  and+ a = gen_literal
+  and+ b = gen_literal
+  and+ offers = list_size (int_bound 3) gen_literal
+  and+ sym = gen_codec_symbol
+  and+ n = nat in
+  Actor.
+    [
+      I_attempt { pol; entailed = Synth.guard d a };
+      I_occurred { lit = b; seqno = n };
+      I_close;
+    ]
+  @ List.map
+      (fun m -> Actor.I_message m)
+      Messages.
+        [
+          Announce { lit = a; seqno = n };
+          Promise_request { target = a; requester = b; offers };
+          Promise { lit = a; to_ = b };
+          Reserve { sym; requester = a };
+          Reserve_granted { sym; to_ = a };
+          Reserve_denied { sym; to_ = b };
+          Release { sym; holder = a };
+          Recovered { sym; epoch = n };
+        ]
+
+let actor_codec_round_trips =
+  qprop "actor codec decodes every input to what was encoded"
+    gen_codec_inputs (fun inputs ->
+      List.for_all
+        (fun x ->
+          match Actor.codec.dec_entry (Actor.codec.enc_entry x) with
+          | Some y -> input_equal x y
+          | None -> false)
+        inputs)
 
 (* --- parametrized engine ------------------------------------------------- *)
 
@@ -681,4 +749,5 @@ let suite =
       test_store_faultfree_matches_memory;
     Alcotest.test_case "crashy runs replay deterministically" `Quick
       test_crashy_determinism;
+    actor_codec_round_trips;
   ]
