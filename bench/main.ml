@@ -562,10 +562,11 @@ let bench_store ~smoke =
   in
   let framed_ns =
     min_ns (fun () ->
-        let sim = Wf_store.Media.Sim.create () in
-        let log = Wf_store.Log.create store_codec (Wf_store.Media.Sim.device sim) in
-        let j = Wf_store.Journal.create ~checkpoint_every:max_int () in
-        Wf_store.Journal.attach j log;
+        let j =
+          Wf_store.Journal.create ~checkpoint_every:max_int
+            ~store:(store_codec, Wf_store.Media.Sim.create ())
+            ()
+        in
         for i = 0 to batch - 1 do
           Wf_store.Journal.append j (payload i)
         done;
@@ -574,12 +575,15 @@ let bench_store ~smoke =
   in
   let bytes_per_entry =
     let stats = Wf_obs.Metrics.create () in
-    let sim = Wf_store.Media.Sim.create ~stats () in
-    let log = Wf_store.Log.create store_codec (Wf_store.Media.Sim.device sim) in
+    let j =
+      Wf_store.Journal.create ~checkpoint_every:max_int
+        ~store:(store_codec, Wf_store.Media.Sim.create ~stats ())
+        ()
+    in
     for i = 0 to batch - 1 do
-      Wf_store.Log.append log (payload i)
+      Wf_store.Journal.append j (payload i)
     done;
-    Wf_store.Log.sync log;
+    Wf_store.Journal.sync j;
     float_of_int (Wf_obs.Metrics.count stats "store_appended_bytes")
     /. float_of_int batch
   in
@@ -610,9 +614,9 @@ let bench_store ~smoke =
         Json.Obj [ ("entries", int n); ("scan_ns", Json.Num t) ])
       lengths
   in
-  (* Fault survival: 24 entries with checkpoints at 8 and 16, the final
-     third unsynced, one fault kind forced per crash.  A salvage is
-     valid when the kept entries are a consecutive prefix continuation
+  (* Fault survival: 24 entries through a journal on the medium, with
+     checkpoints at 8 and 16, the final third unsynced, one fault kind
+     forced per crash of the journal.  A salvage is valid when the kept entries are a consecutive prefix continuation
      of the chosen checkpoint and a second scan of the repaired image
      is clean. *)
   let trials = if smoke then 50 else 200 in
@@ -628,15 +632,18 @@ let bench_store ~smoke =
     in
     let stats = Wf_obs.Metrics.create () in
     let sim = Wf_store.Media.Sim.create ~faults ~seed ~stats () in
-    let log = Wf_store.Log.create store_codec (Wf_store.Media.Sim.device sim) in
-    for i = 0 to total - 1 do
-      Wf_store.Log.append log (Printf.sprintf "e-%d" i);
-      if i = 7 || i = 15 then Wf_store.Log.checkpoint log (string_of_int (i + 1))
-    done;
-    Wf_store.Media.Sim.crash sim;
-    let _, (ckpt, suffix), r =
-      Wf_store.Log.recover store_codec (Wf_store.Media.Sim.device sim)
+    let j =
+      Wf_store.Journal.create ~checkpoint_every:max_int
+        ~store:(store_codec, sim) ()
     in
+    for i = 0 to total - 1 do
+      Wf_store.Journal.append j (Printf.sprintf "e-%d" i);
+      if i = 7 || i = 15 then
+        Wf_store.Journal.checkpoint j (string_of_int (i + 1))
+    done;
+    Wf_store.Journal.crash j;
+    let ckpt, suffix = Wf_store.Journal.recover j in
+    let r = Option.get (Wf_store.Journal.last_salvage j) in
     let start = match ckpt with None -> 0 | Some c -> int_of_string c in
     let consecutive =
       List.for_all2

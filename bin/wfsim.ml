@@ -170,8 +170,7 @@ let run path scheduler seed latency jitter think verbose check_gen no_gtable
        scheduler@.";
   let faults =
     {
-      Wf_sim.Netsim.no_faults with
-      drop_rate;
+      Wf_sim.Netsim.drop_rate;
       duplicate_rate;
       reorder_rate;
       reorder_window;

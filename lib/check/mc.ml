@@ -230,6 +230,38 @@ type state = {
   mutable max_depth : int;
 }
 
+let create_state ~dpor ~crash_depth ~torn_writes ~max_states ~guard_overrides
+    wf =
+  let sched = Step.build ~guard_overrides wf in
+  let deps = Workflow_def.dependencies wf in
+  {
+    sched;
+    cl = build_classes wf;
+    deps;
+    alphabet =
+      List.fold_left
+        (fun acc s -> Symbol.Set.add s acc)
+        Symbol.Set.empty (Step.symbols sched);
+    denots =
+      List.map
+        (fun d -> (d, lazy (Semantics.maximal_denotation (Expr.symbols d) d)))
+        deps;
+    dpor;
+    crash_depth;
+    torn_writes;
+    max_states;
+    visited = Hashtbl.create 4096;
+    seen_traces = Hashtbl.create 256;
+    closed_traces = [];
+    divergences = [];
+    states = 0;
+    transitions = 0;
+    traces = 0;
+    dedup_hits = 0;
+    sleep_skips = 0;
+    max_depth = 0;
+  }
+
 exception Bounded
 
 let max_divergences = 16
@@ -414,37 +446,8 @@ let check ?(crash_depth = 0) ?(torn_writes = false) ?(max_states = 500_000)
           ("Mc.check: parametrized (looping) task " ^ task.instance
          ^ " — the checker needs a finite static alphabet"))
     wf.Workflow_def.tasks;
-  let sched = Step.build ~guard_overrides wf in
-  let deps = Workflow_def.dependencies wf in
   let st =
-    {
-      sched;
-      cl = build_classes wf;
-      deps;
-      alphabet =
-        List.fold_left
-          (fun acc s -> Symbol.Set.add s acc)
-          Symbol.Set.empty (Step.symbols sched);
-      denots =
-        List.map
-          (fun d ->
-            (d, lazy (Semantics.maximal_denotation (Expr.symbols d) d)))
-          deps;
-      dpor;
-      crash_depth;
-      torn_writes;
-      max_states;
-      visited = Hashtbl.create 4096;
-      seen_traces = Hashtbl.create 256;
-      closed_traces = [];
-      divergences = [];
-      states = 0;
-      transitions = 0;
-      traces = 0;
-      dedup_hits = 0;
-      sleep_skips = 0;
-      max_depth = 0;
-    }
+    create_state ~dpor ~crash_depth ~torn_writes ~max_states ~guard_overrides wf
   in
   let complete =
     match explore st 0 Tkey.Set.empty [] with
@@ -462,7 +465,7 @@ let check ?(crash_depth = 0) ?(torn_writes = false) ?(max_states = 500_000)
     r_max_depth = st.max_depth;
     r_complete = complete;
     r_crash_depth = crash_depth;
-    r_recoveries = Wf_obs.Metrics.count (Step.stats sched) "actor_recoveries";
+    r_recoveries = Wf_obs.Metrics.count (Step.stats st.sched) "actor_recoveries";
     r_closed_traces = List.rev st.closed_traces;
     r_divergences = List.rev st.divergences;
   }
@@ -553,38 +556,13 @@ let load_schedule path =
           loop 1 [])
 
 let replay ?(guard_overrides = []) wf schedule =
-  let sched = Step.build ~guard_overrides wf in
-  let deps = Workflow_def.dependencies wf in
+  (* Replay follows one schedule: no reduction, every torn placement
+     probed, no state bound. *)
   let st =
-    {
-      sched;
-      cl = build_classes wf;
-      deps;
-      alphabet =
-        List.fold_left
-          (fun acc s -> Symbol.Set.add s acc)
-          Symbol.Set.empty (Step.symbols sched);
-      denots =
-        List.map
-          (fun d ->
-            (d, lazy (Semantics.maximal_denotation (Expr.symbols d) d)))
-          deps;
-      dpor = false;
-      crash_depth = 0;
-      torn_writes = true;
-      max_states = max_int;
-      visited = Hashtbl.create 1;
-      seen_traces = Hashtbl.create 1;
-      closed_traces = [];
-      divergences = [];
-      states = 0;
-      transitions = 0;
-      traces = 0;
-      dedup_hits = 0;
-      sleep_skips = 0;
-      max_depth = 0;
-    }
+    create_state ~dpor:false ~crash_depth:0 ~torn_writes:true
+      ~max_states:max_int ~guard_overrides wf
   in
+  let sched = st.sched in
   let rec apply i = function
     | [] -> Ok ()
     | key :: rest -> (

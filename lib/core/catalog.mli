@@ -29,12 +29,6 @@ val d_arrow_transpose : Expr.t
 val d_lt : Expr.t
 (** The paper's [D< = ē + f̄ + e·f] over events [e], [f]. *)
 
-(** {1 Task events} *)
-
-val start_of : string -> Literal.t
-val commit_of : string -> Literal.t
-val abort_of : string -> Literal.t
-
 (** {1 Standard intertask dependencies}
 
     [t1] and [t2] name tasks; events are [s_ti], [c_ti], [a_ti]. *)

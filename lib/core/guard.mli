@@ -32,7 +32,6 @@ type t = product list
 
 val top : t
 val bottom : t
-val of_mask : Symbol.t -> Symbol_state.mask -> t
 val has : Literal.t -> t
 (** [□x]. *)
 

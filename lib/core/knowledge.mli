@@ -42,9 +42,6 @@ val equal : t -> t -> bool
 
 type status = True | False | Unknown
 
-val product_status :
-  ?reserved:Symbol.Set.t -> ?never:Symbol.Set.t -> t -> Guard.product -> status
-
 val status :
   ?reserved:Symbol.Set.t -> ?never:Symbol.Set.t -> t -> Guard.t -> status
 (** Evaluate a guard.  [True] means it holds at this instant and the

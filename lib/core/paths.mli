@@ -13,9 +13,5 @@ val pi : Expr.t -> Trace.t list
 (** [Π(D)]: all symbol-distinct residuation paths of [D] ending at a
     semantically-[⊤] residual. *)
 
-val sequence_guard : Trace.t -> Literal.t -> Guard.t
-(** The closed form above; [Guard.bottom] if the event is not on the
-    sequence. *)
-
 val guard_via_paths : Expr.t -> Literal.t -> Guard.t
-(** Lemma 5's sum over [Π(D)]. *)
+(** Lemma 5's sum over [Π(D)] of the closed form above. *)

@@ -19,13 +19,9 @@ val guard : Expr.t -> Literal.t -> Guard.t
     shared subresiduals are computed once across all guards of a run
     (in particular across the literals of {!all_guards}). *)
 
-val guard_nf : Nf.t -> Literal.t -> Guard.t
-
 val guard_naive : Expr.t -> Literal.t -> Guard.t
 (** Memo-per-call reference implementation on top of memo-free
     residuation — the differential-testing oracle. *)
-
-val guard_nf_naive : Nf.t -> Literal.t -> Guard.t
 
 val workflow_guard : Expr.t list -> Literal.t -> Guard.t
 (** Guard on [e] due to a workflow: the conjunction of the guards from

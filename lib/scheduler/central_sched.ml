@@ -107,10 +107,7 @@ type runtime = {
   net : msg Channel.wire Wf_sim.Netsim.t;
   chan : msg Channel.t;
   deps : dep_state list;
-  mutable journal : (c_input, c_snapshot) Wf_store.Journal.t;
-  media : Wf_store.Media.Sim.sim option;
-      (* simulated storage under the center's journal; [None] = the
-         pre-store perfectly durable in-memory journal *)
+  journal : (c_input, c_snapshot) Wf_store.Journal.t;
   agents : (string, Agent.t * int) Hashtbl.t;  (* instance -> agent, site *)
   decided_set : (Symbol.t, unit) Hashtbl.t;
   mutable replaying : bool;
@@ -358,9 +355,7 @@ let deliver_center rt input =
     Wf_store.Journal.checkpoint rt.journal (snapshot_center rt)
 
 let recover_center rt =
-  rt.journal <-
-    Event_sched.salvage rt.cfg rt.net c_codec ~site:central_site rt.media
-      rt.journal;
+  Wf_store.Journal.crash rt.journal;
   rt.replaying <- true;
   List.iter (fun ds -> ds.state <- 0) rt.deps;
   rt.parked <- [];
@@ -463,7 +458,7 @@ let run ?(config = Event_sched.default_config) wf =
   let net, chan = Event_sched.network config wf in
   (* The center's medium seeds its faults from the run seed directly:
      there is one medium, not a stream of per-actor ones. *)
-  let journal, media =
+  let journal =
     Event_sched.journal config net c_codec
       ~seed:(fun () -> Int64.logxor config.seed 0x53544F52L)
       ~site:central_site ~actor:"center"
@@ -483,7 +478,6 @@ let run ?(config = Event_sched.default_config) wf =
       plan;
       net;
       chan;
-      media;
       deps =
         List.map
           (fun d ->

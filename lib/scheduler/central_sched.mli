@@ -13,7 +13,7 @@ open Wf_tasks
     residual requires them on every accepting path.
 
     The run shell — config, network and channel, journal and its
-    salvage, arrivals and admission, closing protocol, result — is the
+    medium, arrivals and admission, closing protocol, result — is the
     distributed engine's ({!Event_sched}, {!Ground.closing}), so the two
     differ only in how they decide.  Center-specific details:
     - the center journals every input and syncs every append (its
@@ -21,7 +21,8 @@ open Wf_tasks
       recovers by checkpoint + replay with commits, sends, trace records
       and [on_event] muted;
     - its one storage medium seeds its faults from [seed lxor
-      0x53544F52], and its [Store_salvage] records carry no actor;
+      0x53544F52], and its [Store_salvage] records, like its
+      [Store_fault] records, carry [actor = "center"];
     - admission verdicts key on site 0's queue depth, the congested
       resource;
     - [Assim] records carry a fingerprint of the joint

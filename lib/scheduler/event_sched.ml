@@ -48,7 +48,7 @@ type result = {
 
 (* {2 The simulated run shell}
 
-   Network, journals, salvage, arrivals and the result: everything a
+   Network, journals, arrivals and the result: everything a
    simulated ground run needs besides its decision procedure.  The
    centralized baseline ({!Central_sched}) runs on the same shell. *)
 
@@ -71,57 +71,18 @@ let network cfg wf =
   (net, chan)
 
 let journal cfg net codec ~seed ~site ~actor =
-  let j = Wf_store.Journal.create ~checkpoint_every:cfg.checkpoint_every () in
-  let media =
+  let store =
     Option.map
       (fun faults ->
-        let m =
+        ( codec,
           Wf_store.Media.Sim.create ~faults ~seed:(seed ())
-            ~stats:(Wf_sim.Netsim.stats net) ?tracer:cfg.tracer
+            ~stats:(Wf_sim.Netsim.stats net)
+            ~tracer:(fun () -> cfg.tracer)
             ~clock:(fun () -> Wf_sim.Netsim.now net)
-            ~site ~actor ()
-        in
-        Wf_store.Journal.attach j
-          (Wf_store.Log.create codec (Wf_store.Media.Sim.device m));
-        m)
+            ~site ~actor () ))
       cfg.store
   in
-  (j, media)
-
-(* With simulated storage under the journal, a crash first damages the
-   media (seeded faults), then the journal is rebuilt from whatever the
-   salvage scan verifies — the in-memory mirror is volatile and died
-   with the site.  Recovery then replays it like any journal. *)
-let salvage cfg net codec ~site ?actor media j =
-  match media with
-  | None -> j
-  | Some m ->
-      let stats = Wf_sim.Netsim.stats net in
-      let before = Wf_store.Journal.total_appended j in
-      Wf_store.Media.Sim.crash m;
-      let j', report =
-        Wf_store.Journal.reload ~checkpoint_every:cfg.checkpoint_every codec
-          (Wf_store.Media.Sim.device m)
-      in
-      let open Wf_store.Log in
-      let fallback = report.sr_ckpt = Fallback in
-      Wf_obs.Metrics.incr stats "store_salvages";
-      Wf_obs.Metrics.add stats "store_dropped_entries"
-        (before - report.sr_total_entries);
-      Wf_obs.Metrics.add stats "store_dropped_bytes" report.sr_dropped_bytes;
-      if fallback then Wf_obs.Metrics.incr stats "store_ckpt_fallbacks";
-      Option.iter
-        (fun sink ->
-          Wf_obs.Trace.emit sink
-            (Wf_obs.Trace.make ~time:(Wf_sim.Netsim.now net) ~site ?actor
-               (Wf_obs.Trace.Store_salvage
-                  {
-                    kept = report.sr_frames;
-                    dropped = report.sr_dropped_bytes;
-                    fallback;
-                  })))
-        cfg.tracer;
-      j'
+  Wf_store.Journal.create ~checkpoint_every:cfg.checkpoint_every ?store ()
 
 let arrive cfg net chan ~site ?depth_site sym attempt =
   let delay =
@@ -225,12 +186,12 @@ let build cfg wf plan : runtime =
      perturb the run's own randomness. *)
   let store_rng = Wf_sim.Rng.create (Int64.logxor cfg.seed 0x53544F52L) in
   let journal (a : Run_plan.actor) =
-    let j, media =
+    let j =
       journal cfg net Actor.codec
         ~seed:(fun () -> Wf_sim.Rng.next_int64 store_rng)
         ~site:a.site ~actor:(Symbol.name a.sym)
     in
-    { Ground.j; depth = 0; media }
+    { Ground.j; depth = 0 }
   in
   let rt =
     Ground.create ~stats:(Wf_sim.Netsim.stats net) ~journal ~hooks
@@ -245,16 +206,14 @@ let build cfg wf plan : runtime =
   done;
   (* Crash recovery: when a site restarts, the channel's hook (created
      first, so it runs first) has already bumped the epoch and said
-     Hello; now salvage and rebuild each hosted actor from its journal
-     and run the actor-level handshake. *)
+     Hello; now crash each hosted actor's journal (a salvage, over a
+     medium), rebuild the actor from it and run the actor-level
+     handshake. *)
   Wf_sim.Netsim.on_restart net (fun site ->
       let hosted = Ground.hosted rt site in
       List.iter
         (fun sym ->
-          let js = Symbol_tbl.find rt.journals sym in
-          js.j <-
-            salvage cfg net Actor.codec ~site ~actor:(Symbol.name sym) js.media
-              js.j;
+          Wf_store.Journal.crash (Symbol_tbl.find rt.journals sym).j;
           Ground.recover rt sym)
         hosted;
       Ground.handshake rt ~epoch:(Channel.epoch chan site) hosted);

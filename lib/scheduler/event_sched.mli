@@ -34,7 +34,7 @@ type config = {
           smaller means shorter replays, larger means cheaper appends *)
   faults : Wf_sim.Netsim.fault_config;
       (** network fault injection (drops, duplication, reordering,
-          partitions, site pauses, site crash/restart); protocol
+          partitions, site crash/restart); protocol
           messages ride the reliable {!Channel} and every actor keeps a
           write-ahead journal, so correctness survives any bounded
           fault load: a restarted site replays each hosted actor from
@@ -98,7 +98,10 @@ val trace_literals : result -> Trace.t
 (** {2 The simulated run shell}
 
     Everything a simulated ground run needs besides its decision
-    procedure; {!Central_sched} runs on it too. *)
+    procedure: the network and channel, journals (each owning its
+    simulated medium, so a crash is {!Wf_store.Journal.crash}),
+    arrivals through admission, and the result.  {!Central_sched} runs
+    on it too. *)
 
 val network :
   config -> Workflow_def.t -> 'm Channel.wire Wf_sim.Netsim.t * 'm Channel.t
@@ -108,17 +111,12 @@ val network :
 val journal :
   config -> _ Wf_sim.Netsim.t -> ('i, 's) Wf_store.Log.codec ->
   seed:(unit -> int64) -> site:int -> actor:string ->
-  ('i, 's) Wf_store.Journal.t * Wf_store.Media.Sim.sim option
-(** A journal, mirrored onto a simulated medium when [config.store] is
-    set; [seed] is called only then, for the medium's fault stream. *)
-
-val salvage :
-  config -> _ Wf_sim.Netsim.t -> ('i, 's) Wf_store.Log.codec -> site:int ->
-  ?actor:string -> Wf_store.Media.Sim.sim option ->
-  ('i, 's) Wf_store.Journal.t -> ('i, 's) Wf_store.Journal.t
-(** The journal a crash of [site] leaves: with a medium, damage it and
-    reload what its salvage scan verifies, counted in [store_*] and
-    traced as [Store_salvage]. *)
+  ('i, 's) Wf_store.Journal.t
+(** A journal that owns a simulated medium when [config.store] is set;
+    [seed] is called only then, for the medium's fault stream.  The
+    medium counts into the network's stats and traces into
+    [config.tracer] as [site]/[actor], so a {!Wf_store.Journal.crash}
+    reports its salvage there. *)
 
 val arrive :
   config -> _ Wf_sim.Netsim.t -> _ Channel.t -> site:int -> ?depth_site:int ->

@@ -4,9 +4,8 @@ open Wf_tasks
 type occurrence = { lit : Literal.t; seqno : int; time : float }
 
 type jstate = {
-  mutable j : (Actor.input, Actor.snapshot) Wf_store.Journal.t;
+  j : (Actor.input, Actor.snapshot) Wf_store.Journal.t;
   mutable depth : int;
-  media : Wf_store.Media.Sim.sim option;
 }
 
 type 'd hooks = {

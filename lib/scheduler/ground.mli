@@ -17,14 +17,12 @@ open Wf_tasks
 type occurrence = { lit : Literal.t; seqno : int; time : float }
 
 type jstate = {
-  mutable j : (Actor.input, Actor.snapshot) Wf_store.Journal.t;
+  j : (Actor.input, Actor.snapshot) Wf_store.Journal.t;
+      (** owns the simulated medium under it, if any *)
   mutable depth : int;
       (** reentrancy depth of {!deliver}: a nested delivery (an actor's
           own fire feeding back as its occurrence) must not checkpoint a
           half-applied state *)
-  media : Wf_store.Media.Sim.sim option;
-      (** simulated storage under the journal; [None] = perfectly
-          durable in-memory journal *)
 }
 
 type 'd hooks = {

@@ -144,10 +144,6 @@ module Make (C : CORE) = struct
     core : C.t;
     env : env;
     journal : (input, C.snapshot) Wf_store.Journal.t;
-    media : Wf_store.Media.Sim.sim option;
-        (* simulated storage under the journal; [None] = perfectly
-           durable in-memory journal *)
-    mutable last_salvage : Wf_store.Log.salvage_report option;
     flow : Flow.t option;
         (* admission control over the parked backlog; [None] = every
            attempt admitted *)
@@ -161,18 +157,9 @@ module Make (C : CORE) = struct
       dec_ckpt = B.decode C.get_snapshot;
     }
 
-  let make env ~journal ~media ~flow deps =
+  let make env ~journal ~flow deps =
     let templates = synthesize deps in
-    {
-      deps;
-      templates;
-      core = C.create env deps templates;
-      env;
-      journal;
-      media;
-      last_salvage = None;
-      flow;
-    }
+    { deps; templates; core = C.create env deps templates; env; journal; flow }
 
   let create ?(checkpoint_every = C.checkpoint_every) ?store
       ?(store_seed = 1L) ?flow deps =
@@ -184,17 +171,18 @@ module Make (C : CORE) = struct
         work = 0;
       }
     in
-    let media =
+    let store =
       Option.map
-        (fun faults -> Wf_store.Media.Sim.create ~faults ~seed:store_seed ())
+        (fun faults ->
+          ( codec,
+            Wf_store.Media.Sim.create ~faults ~seed:store_seed
+              ~stats:env.fstats
+              ~tracer:(fun () -> !(env.tracer))
+              ~clock:(fun () -> float_of_int !(env.tick))
+              () ))
         store
     in
-    let journal = Wf_store.Journal.create ~checkpoint_every () in
-    Option.iter
-      (fun m ->
-        Wf_store.Journal.attach journal
-          (Wf_store.Log.create codec (Wf_store.Media.Sim.device m)))
-      media;
+    let journal = Wf_store.Journal.create ~checkpoint_every ?store () in
     let flow =
       Option.map
         (fun config ->
@@ -206,7 +194,7 @@ module Make (C : CORE) = struct
             ())
         flow
     in
-    make env ~journal ~media ~flow deps
+    make env ~journal ~flow deps
 
   let core t = t.core
   let set_tracer t sink = t.env.tracer := sink
@@ -242,51 +230,23 @@ module Make (C : CORE) = struct
     maybe_checkpoint t
 
   let recover t =
-    (* With simulated storage, the crash first damages the media, and
-       the journal is rebuilt from the salvage scan — the in-memory
+    (* Over a medium, the crash salvages the journal — the in-memory
        mirror is volatile and died with the engine. *)
-    let journal, salvage =
-      match t.media with
-      | None -> (t.journal, None)
-      | Some m ->
-          Wf_store.Media.Sim.crash m;
-          let j', report =
-            Wf_store.Journal.reload
-              ~checkpoint_every:(Wf_store.Journal.checkpoint_interval t.journal)
-              codec
-              (Wf_store.Media.Sim.device m)
-          in
-          (j', Some report)
-    in
+    Wf_store.Journal.crash t.journal;
     (* The shared [tracer] and [tick] refs (and the flow controller whose
        closures capture them) carry over, so the fresh engine keeps the
        sink, the logical clock, and the admission state. *)
     let fresh =
-      make { t.env with work = t.env.work } ~journal ~media:t.media
-        ~flow:t.flow t.deps
+      make { t.env with work = t.env.work } ~journal:t.journal ~flow:t.flow
+        t.deps
     in
     C.carry ~from:t.core fresh.core;
-    fresh.last_salvage <-
-      (match salvage with None -> t.last_salvage | some -> some);
-    (match (salvage, !(t.env.tracer)) with
-    | Some report, Some sink ->
-        Wf_obs.Trace.emit sink
-          (Wf_obs.Trace.make
-             ~time:(float_of_int !(t.env.tick))
-             ~site:0
-             (Wf_obs.Trace.Store_salvage
-                {
-                  kept = report.Wf_store.Log.sr_frames;
-                  dropped = report.Wf_store.Log.sr_dropped_bytes;
-                  fallback = report.Wf_store.Log.sr_ckpt = Wf_store.Log.Fallback;
-                }))
-    | _ -> ());
     (* replay is silent: the shared sink is unhooked for its duration,
        so re-applied inputs do not re-emit decisions the pre-crash
        engine traced *)
     let saved = !(t.env.tracer) in
     t.env.tracer := None;
-    let ckpt, suffix = Wf_store.Journal.recover journal in
+    let ckpt, suffix = Wf_store.Journal.recover t.journal in
     Option.iter (C.restore fresh.core) ckpt;
     List.iter
       (function
@@ -305,5 +265,5 @@ module Make (C : CORE) = struct
   let guard_templates t = t.templates
   let stats t = t.env.fstats
   let work t = t.env.work
-  let last_salvage t = t.last_salvage
+  let last_salvage t = Wf_store.Journal.last_salvage t.journal
 end

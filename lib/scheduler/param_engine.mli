@@ -13,11 +13,12 @@ open Wf_core
     - the journaled input (an attempt or an occurrence) and its durable
       entry codec;
     - template synthesis ({!synthesize});
-    - journal, simulated media, admission control, trace sink and
-      logical clock;
+    - the journal (which owns its simulated medium), admission
+      control, trace sink and logical clock;
     - the input sequence: admit, journal, tick, apply, checkpoint;
-    - crash recovery: damage the media, reload, report the salvage,
-      restore the checkpoint and replay the suffix silently.
+    - crash recovery: crash the journal ({!Wf_store.Journal.crash},
+      which salvages and reports over a medium), restore the checkpoint
+      and replay the suffix silently.
 
     An engine supplies a {!CORE} (its state, decisions, snapshot codec)
     and gets the {!S} surface from {!Make}. *)
@@ -125,7 +126,10 @@ module type S = sig
       checksummed framed log over simulated storage seeded with
       [store_seed]: {!recover} then injects the configured faults and
       rebuilds from the salvage scan instead of trusting the in-memory
-      journal.  [flow] (default absent) enables admission control:
+      journal.  The medium counts into {!stats} ([store_*], salvages
+      included) and traces [Store_fault] and [Store_salvage] records
+      into the engine's sink at site 0, stamped with the logical
+      clock.  [flow] (default absent) enables admission control:
       {!attempt} sheds with [Busy] when the parked backlog is at or
       above the config's [shed_watermark] — shed attempts are refused
       {e before} they are journaled, so crash replay sees exactly the
@@ -198,7 +202,8 @@ module type S = sig
 
   val last_salvage : t -> Wf_store.Log.salvage_report option
   (** The salvage report of the most recent {!recover} over simulated
-      storage; [None] before any such recovery (or without a store). *)
+      storage ({!Wf_store.Journal.last_salvage}); [None] before any such
+      recovery (or without a store). *)
 
   val equal_state : t -> t -> bool
   (** Equality of the mutable engine state (what {!recover} must

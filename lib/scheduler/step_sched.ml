@@ -154,19 +154,19 @@ let torn_recovery_ok (t : t) sym =
   List.for_all
     (fun keep ->
       let sim = Wf_store.Media.Sim.create () in
-      let log =
-        Wf_store.Log.create Actor.codec (Wf_store.Media.Sim.device sim)
-      in
-      (match ckpt with Some s -> Wf_store.Log.checkpoint log s | None -> ());
-      List.iter (fun e -> Wf_store.Log.append log e) suffix;
-      Wf_store.Log.sync log;
-      Wf_store.Log.append log Actor.I_close;
+      let j = Wf_store.Journal.create ~store:(Actor.codec, sim) () in
+      Option.iter (Wf_store.Journal.checkpoint j) ckpt;
+      List.iter (Wf_store.Journal.append j) suffix;
+      Wf_store.Journal.sync j;
+      Wf_store.Journal.append j Actor.I_close;
       Wf_store.Media.Sim.tear_tail sim ~keep;
-      let _, (ckpt', suffix'), report =
-        Wf_store.Log.recover Actor.codec (Wf_store.Media.Sim.device sim)
-      in
+      (* A fault-free medium draws nothing on the crash: only the torn
+         frame is lost. *)
+      Wf_store.Journal.crash j;
+      let report = Option.get (Wf_store.Journal.last_salvage j) in
       report.Wf_store.Log.sr_frames = synced_frames
-      && Actor.equal_state reference (Ground.replay t sym (ckpt', suffix')))
+      && Actor.equal_state reference
+           (Ground.replay t sym (Wf_store.Journal.recover j)))
     keeps
 
 let do_crash_torn t site =
@@ -220,12 +220,12 @@ let snapshot (t : t) =
 let restore (t : t) s =
   let d = t.driver in
   List.iter (fun (sym, sa) -> Actor.restore (Ground.actor_of t sym) sa) s.s_actors;
-  (* Re-copy on every restore so the snapshot stays pristine: one
-     snapshot seeds many branches. *)
+  (* Restoring copies out of the snapshot's journals, which stay
+     pristine: one snapshot seeds many branches. *)
   List.iter
     (fun (sym, j) ->
       let js = Symbol_tbl.find t.journals sym in
-      js.j <- Wf_store.Journal.copy j;
+      Wf_store.Journal.restore js.j ~from:j;
       js.depth <- 0)
     s.s_journals;
   List.iter (fun (i, sa) -> Agent.restore (Hashtbl.find t.agents i) sa) s.s_agents;
@@ -368,7 +368,7 @@ let build ?(checkpoint_every = 32) ?(guard_overrides = []) wf =
   in
   let journal _ =
     let j = Wf_store.Journal.create ~checkpoint_every () in
-    { Ground.j; depth = 0; media = None }
+    { Ground.j; depth = 0 }
   in
   Ground.create ~guard_overrides ~stats:(Wf_obs.Metrics.create ()) ~journal ~hooks
     ~driver wf plan

@@ -12,15 +12,12 @@ type partition = {
   group_b : site list;
 }
 
-type pause = { paused_site : site; pause_from : float; pause_until : float }
-
 type fault_config = {
   drop_rate : float;
   duplicate_rate : float;
   reorder_rate : float;
   reorder_window : float;
   partitions : partition list;
-  pauses : pause list;
   crash_on_deliver : float;
   crash_on_send : float;
   restart_delay : float;
@@ -34,7 +31,6 @@ let no_faults =
     reorder_rate = 0.0;
     reorder_window = 0.0;
     partitions = [];
-    pauses = [];
     crash_on_deliver = 0.0;
     crash_on_send = 0.0;
     restart_delay = 1.0;
@@ -63,7 +59,6 @@ type net_metrics = {
   m_recv : Metrics.counter array; (* site_recv_<site> *)
   m_latency : Metrics.histogram_handle;
   m_dropped : Metrics.counter;
-  m_stalled : Metrics.counter;
   m_crash_drops : Metrics.counter;
 }
 
@@ -83,8 +78,6 @@ type 'msg t = {
   last_delivery : float array;
       (* per link, [src * num_sites + dst]: the latest FIFO arrival
          time scheduled; [neg_infinity] before the first *)
-  paused : bool array;
-  stalled : 'msg event list array; (* newest first, per paused site *)
   crashed : bool array;
   mutable restart_hooks : (site -> unit) list; (* registration order *)
   mutable crashes_injected : int;
@@ -124,15 +117,12 @@ let create ?(seed = 42L) ?(faults = no_faults) ~num_sites ~latency () =
             Array.init num_sites (fun i -> c (Printf.sprintf "site_recv_%d" i));
           m_latency = Metrics.histogram stats "message_latency";
           m_dropped = c "messages_dropped";
-          m_stalled = c "net_stalled";
           m_crash_drops = c "net_crash_drops";
         };
       tracer = None;
       queue = Heap.create ();
       handlers = Array.make num_sites None;
       last_delivery = Array.make (num_sites * num_sites) neg_infinity;
-      paused = Array.make num_sites false;
-      stalled = Array.make num_sites [];
       crashed = Array.make num_sites false;
       restart_hooks = [];
       crashes_injected = 0;
@@ -142,23 +132,6 @@ let create ?(seed = 42L) ?(faults = no_faults) ~num_sites ~latency () =
       ready = [];
     }
   in
-  (* Configured pause windows become timed pause/resume actions. *)
-  List.iter
-    (fun { paused_site; pause_from; pause_until } ->
-      if paused_site < 0 || paused_site >= num_sites then
-        invalid_arg "Netsim.create: pause site out of range";
-      Heap.push t.queue ~key:pause_from ~seq:(next_seq t)
-        (Action (fun () -> t.paused.(paused_site) <- true));
-      Heap.push t.queue ~key:pause_until ~seq:(next_seq t)
-        (Action
-           (fun () ->
-             t.paused.(paused_site) <- false;
-             let backlog = List.rev t.stalled.(paused_site) in
-             t.stalled.(paused_site) <- [];
-             List.iter
-               (fun ev -> Heap.push t.queue ~key:t.clock ~seq:(next_seq t) ev)
-               backlog)))
-    faults.pauses;
   t
 
 let now t = t.clock
@@ -183,18 +156,6 @@ let on_receive t site handler =
     invalid_arg "Netsim.on_receive: bad site";
   t.handlers.(site) <- Some handler
 
-let pause_site t site =
-  if site < 0 || site >= t.num_sites then invalid_arg "Netsim.pause_site";
-  t.paused.(site) <- true
-
-let resume_site t site =
-  if site < 0 || site >= t.num_sites then invalid_arg "Netsim.resume_site";
-  t.paused.(site) <- false;
-  let backlog = List.rev t.stalled.(site) in
-  t.stalled.(site) <- [];
-  List.iter (fun ev -> Heap.push t.queue ~key:t.clock ~seq:(next_seq t) ev) backlog
-
-let site_paused t site = t.paused.(site)
 let num_sites t = t.num_sites
 
 let on_restart t hook = t.restart_hooks <- t.restart_hooks @ [ hook ]
@@ -339,22 +300,13 @@ let send ?(control = false) t ~src ~dst payload =
 let schedule t ~delay action =
   Heap.push t.queue ~key:(t.clock +. delay) ~seq:(next_seq t) (Action action)
 
-let quiescent t =
-  Heap.is_empty t.queue && t.ready = []
-  && Array.for_all (fun q -> q = []) t.stalled
+let quiescent t = Heap.is_empty t.queue && t.ready = []
 
-(* Execute one delivery at the current clock: stall behind a pause, drop
-   into a crash window, or run the handler — the one delivery path for
-   both the latency heap and the controlled-mode ready list. *)
+(* Execute one delivery at the current clock: drop into a crash window,
+   or run the handler — the one delivery path for both the latency heap
+   and the controlled-mode ready list. *)
 let execute_delivery t ~src ~dst ~control ~sent payload =
-  if t.paused.(dst) then begin
-    Metrics.bump t.m.m_stalled;
-    (* keep the original send time: latency observed at
-       eventual delivery includes the stall *)
-    t.stalled.(dst) <-
-      Deliver { src; dst; control; sent; payload } :: t.stalled.(dst)
-  end
-  else if t.crashed.(dst) then begin
+  if t.crashed.(dst) then begin
     (* A crashed process receives nothing; the channel's
        retransmission layer recovers the loss after the
        epoch handshake. *)

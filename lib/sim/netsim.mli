@@ -16,14 +16,13 @@
     per-message drop and duplication on remote links, bounded reordering
     (a reordered message picks up extra delay and escapes the per-link
     FIFO clamp), link partitions over virtual-time windows (messages
-    sent across a severed link are silently lost), and site pauses
-    (deliveries to a paused site stall and flush on resume).  All fault
+    sent across a severed link are silently lost).  All fault
     randomness flows from the simulator's seeded {!Rng}, so a faulty run
     is replayable from [(seed, fault_config)] alone.  Same-site messages
     are never dropped, duplicated, or reordered.
 
     Fault counters land in {!stats}: ["net_drops"], ["net_duplicates"],
-    ["net_reordered"], ["net_partition_drops"], ["net_stalled"].
+    ["net_reordered"], ["net_partition_drops"].
 
     {2 Crash/restart injection}
 
@@ -57,15 +56,12 @@ type partition = {
   group_b : site list;  (** both directions between the groups are cut *)
 }
 
-type pause = { paused_site : site; pause_from : float; pause_until : float }
-
 type fault_config = {
   drop_rate : float;  (** per-message loss probability on remote links *)
   duplicate_rate : float;  (** per-message duplication probability *)
   reorder_rate : float;  (** probability a message is delayed out of order *)
   reorder_window : float;  (** max extra delay of a reordered message *)
   partitions : partition list;
-  pauses : pause list;  (** timed site pauses (see {!pause_site}) *)
   crash_on_deliver : float;
       (** probability a site crashes right after handling a non-control
           remote delivery *)
@@ -79,7 +75,7 @@ type fault_config = {
 }
 
 val no_faults : fault_config
-(** All rates zero, no partitions, no pauses: the perfect network.
+(** All rates zero, no partitions: the perfect network.
     A network created with [no_faults] consumes the random stream
     exactly as the pre-fault simulator did. *)
 
@@ -99,10 +95,8 @@ val stats : 'msg t -> Wf_obs.Metrics.t
 (** The network's metrics registry.  Counters named above land here;
     receive-side metrics (["site_recv_%d"], ["message_latency"]) are
     recorded at the moment a handler actually runs — a message
-    swallowed by a crash window or still stalled behind a pause has
-    not been received and only shows up in ["net_crash_drops"] /
-    ["net_stalled"].  Latency of a stalled-then-flushed delivery
-    includes the stall. *)
+    swallowed by a crash window has not been received and only shows
+    up in ["net_crash_drops"]. *)
 
 val rng : 'msg t -> Rng.t
 
@@ -140,14 +134,6 @@ val schedule : 'msg t -> delay:float -> (unit -> unit) -> unit
 (** Run a local action after a virtual delay.  Timed actions are not
     subject to faults (they model local computation, not messages). *)
 
-val pause_site : 'msg t -> site -> unit
-(** Stop delivering to the site; arriving messages stall in order. *)
-
-val resume_site : 'msg t -> site -> unit
-(** Deliver the stalled backlog (in arrival order) and resume. *)
-
-val site_paused : 'msg t -> site -> bool
-
 val num_sites : 'msg t -> int
 
 val crash_site : 'msg t -> site -> unit
@@ -170,7 +156,7 @@ val run : ?until:float -> ?max_steps:int -> 'msg t -> unit
 (** Process events until the queue drains (or limits are hit). *)
 
 val quiescent : 'msg t -> bool
-(** No pending events and no stalled deliveries. *)
+(** No pending events and no ready deliveries. *)
 
 (** {2 Controlled delivery}
 

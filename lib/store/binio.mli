@@ -12,7 +12,6 @@ exception Corrupt of string
 type reader
 
 val reader : string -> reader
-val at_end : reader -> bool
 
 val put_uint : Buffer.t -> int -> unit
 val get_uint : reader -> int

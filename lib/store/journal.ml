@@ -11,10 +11,16 @@
    central scheduler.  Entries after the latest checkpoint are kept
    newest-first (cons is O(1)); [recover] reverses once.
 
-   A journal may carry a durable backend (a framed [Log] over a
-   [Media] device): every append/checkpoint is then mirrored to the
-   backend, and [reload] rebuilds the in-memory state from whatever the
-   backend's salvage scan could verify after a storage fault. *)
+   A journal may own a simulated medium: every append/checkpoint is then
+   mirrored into a framed [Log] on it, and [crash] is the one path by
+   which any engine's journal survives a storage crash — damage the
+   medium, salvage, rebuild the mirror, report. *)
+
+type ('entry, 'ckpt) store = {
+  medium : Media.Sim.sim;
+  codec : ('entry, 'ckpt) Log.codec;
+  mutable log : ('entry, 'ckpt) Log.t;
+}
 
 type ('entry, 'ckpt) t = {
   checkpoint_every : int;
@@ -23,10 +29,11 @@ type ('entry, 'ckpt) t = {
   mutable suffix_len : int;
   mutable appended : int; (* total over the journal's lifetime *)
   mutable checkpoints : int;
-  mutable log : ('entry, 'ckpt) Log.t option; (* durable backend, if any *)
+  store : ('entry, 'ckpt) store option; (* durable backend, if any *)
+  mutable last_salvage : Log.salvage_report option;
 }
 
-let create ?(checkpoint_every = 32) () =
+let create ?(checkpoint_every = 32) ?store () =
   if checkpoint_every <= 0 then
     invalid_arg "Journal.create: checkpoint_every must be positive";
   {
@@ -36,18 +43,16 @@ let create ?(checkpoint_every = 32) () =
     suffix_len = 0;
     appended = 0;
     checkpoints = 0;
-    log = None;
+    store =
+      Option.map
+        (fun (codec, medium) ->
+          { medium; codec; log = Log.create codec (Media.Sim.device medium) })
+        store;
+    last_salvage = None;
   }
 
-let attach t log =
-  if t.appended > 0 || t.ckpt <> None then
-    invalid_arg "Journal.attach: journal not fresh";
-  if Log.frames_written log <> 0 then
-    invalid_arg "Journal.attach: log not fresh (use reload)";
-  t.log <- Some log
-
 let append t entry =
-  (match t.log with None -> () | Some l -> Log.append l entry);
+  (match t.store with None -> () | Some s -> Log.append s.log entry);
   t.suffix <- entry :: t.suffix;
   t.suffix_len <- t.suffix_len + 1;
   t.appended <- t.appended + 1
@@ -55,45 +60,63 @@ let append t entry =
 let wants_checkpoint t = t.suffix_len >= t.checkpoint_every
 
 let checkpoint t snapshot =
-  (match t.log with None -> () | Some l -> Log.checkpoint l snapshot);
+  (match t.store with None -> () | Some s -> Log.checkpoint s.log snapshot);
   t.ckpt <- Some snapshot;
   t.suffix <- [];
   t.suffix_len <- 0;
   t.checkpoints <- t.checkpoints + 1
 
-let sync t = match t.log with None -> () | Some l -> Log.sync l
+let sync t = match t.store with None -> () | Some s -> Log.sync s.log
 
 (* Pure read of the in-memory mirror: no backend I/O, no mutation, so
    calling it twice — or interleaved with appends, or inside the
    checkpoint window — always reflects exactly the current state. *)
 let recover t = (t.ckpt, List.rev t.suffix)
 
+(* Without a medium the in-memory journal is the durable state and a
+   crash leaves it as it was.  With one, the mirror died with the site:
+   the medium draws its faults, the salvage scan keeps the longest
+   verifiable prefix, and the mirror is rebuilt from it. *)
+let crash t =
+  match t.store with
+  | None -> ()
+  | Some s ->
+      let before = t.appended in
+      Media.Sim.crash s.medium;
+      let log, (ckpt, entries), report =
+        Log.recover s.codec (Media.Sim.device s.medium)
+      in
+      s.log <- log;
+      t.ckpt <- ckpt;
+      t.suffix <- List.rev entries;
+      t.suffix_len <- List.length entries;
+      t.appended <- report.Log.sr_total_entries;
+      t.checkpoints <- report.Log.sr_checkpoints;
+      t.last_salvage <- Some report;
+      Media.Sim.record_salvage s.medium ~kept:report.Log.sr_frames
+        ~dropped_entries:(before - report.Log.sr_total_entries)
+        ~dropped_bytes:report.Log.sr_dropped_bytes
+        ~fallback:(report.Log.sr_ckpt = Log.Fallback)
+
+let last_salvage t = t.last_salvage
+
 (* Entries and checkpoints are immutable values, so a field-wise copy is
    a full logical copy: the original and the copy evolve independently
    while sharing the (persistent) suffix spine.  The copy deliberately
    drops the durable backend — it is a volatile snapshot (the model
-   checker's), and mirroring its appends into the original's media
+   checker's), and mirroring its appends into the original's medium
    would corrupt the sequence numbering. *)
-let copy t = { t with log = None }
+let copy t = { t with store = None }
+
+let restore t ~from =
+  if Option.is_some t.store then invalid_arg "Journal.restore: journal has a medium";
+  t.ckpt <- from.ckpt;
+  t.suffix <- from.suffix;
+  t.suffix_len <- from.suffix_len;
+  t.appended <- from.appended;
+  t.checkpoints <- from.checkpoints;
+  t.last_salvage <- from.last_salvage
+
 let suffix_length t = t.suffix_len
 let total_appended t = t.appended
 let checkpoints_taken t = t.checkpoints
-
-let reload ?(checkpoint_every = 32) codec media =
-  if checkpoint_every <= 0 then
-    invalid_arg "Journal.reload: checkpoint_every must be positive";
-  let log, (ckpt, entries), report = Log.recover codec media in
-  let t =
-    {
-      checkpoint_every;
-      ckpt;
-      suffix = List.rev entries;
-      suffix_len = List.length entries;
-      appended = report.Log.sr_total_entries;
-      checkpoints = report.Log.sr_checkpoints;
-      log = Some log;
-    }
-  in
-  (t, report)
-
-let checkpoint_interval t = t.checkpoint_every

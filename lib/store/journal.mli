@@ -11,23 +11,24 @@
     function of the input sequence, which the property suite checks.
 
     The journal keeps entries and checkpoints as in-memory values of
-    arbitrary type; a durable backend is optional.  {!attach} mirrors
-    every append and checkpoint into a framed {!Log} over a {!Media}
-    device, and {!reload} rebuilds a journal from whatever that log's
-    salvage scan could verify after a storage fault — the two halves of
-    surviving torn writes and lost tails. *)
+    arbitrary type; a durable backend is optional.  A journal created
+    with a simulated {!Media.Sim} medium owns it: every append and
+    checkpoint is mirrored into a framed {!Log} on it, and {!crash} is
+    the one path by which the journal survives a storage crash — it
+    damages the medium, salvages what the log's scan can verify,
+    rebuilds the mirror from it and reports the salvage. *)
 
 type ('entry, 'ckpt) t
 
-val create : ?checkpoint_every:int -> unit -> ('entry, 'ckpt) t
+val create :
+  ?checkpoint_every:int ->
+  ?store:('entry, 'ckpt) Log.codec * Media.Sim.sim ->
+  unit ->
+  ('entry, 'ckpt) t
 (** [checkpoint_every] (default 32, must be positive) is the number of
-    appends after which {!wants_checkpoint} turns true. *)
-
-val attach : ('entry, 'ckpt) t -> ('entry, 'ckpt) Log.t -> unit
-(** Mirror all subsequent appends and checkpoints into [log].  Both the
-    journal and the log must be fresh (nothing appended): an existing
-    image is opened with {!reload} instead.  Raises [Invalid_argument]
-    otherwise. *)
+    appends after which {!wants_checkpoint} turns true.  With [store],
+    the journal owns the (empty) medium and mirrors onto it through the
+    codec; [Invalid_argument] if the medium already holds an image. *)
 
 val append : ('entry, 'ckpt) t -> 'entry -> unit
 
@@ -55,29 +56,34 @@ val recover : ('entry, 'ckpt) t -> 'ckpt option * 'entry list
     suffix unchanged — double invocation can never lose or duplicate
     entries. *)
 
+val crash : ('entry, 'ckpt) t -> unit
+(** The journal a crash leaves.  Without a medium the in-memory journal
+    is perfectly durable and nothing changes.  With one, the medium
+    draws its seeded faults ({!Media.Sim.crash}), the salvage scan
+    ({!Log.recover}) keeps the longest verifiable prefix and repairs
+    the image, and the mirror is rebuilt from the salvaged checkpoint
+    and suffix; {!total_appended} and {!checkpoints_taken} restart from
+    the salvaged counts.  The salvage is reported through the medium's
+    own stats and trace sink ({!Media.Sim.record_salvage}) and kept for
+    {!last_salvage}. *)
+
+val last_salvage : ('entry, 'ckpt) t -> Log.salvage_report option
+(** What the most recent {!crash} over a medium kept and dropped;
+    [None] before the first one, and always without a medium. *)
+
 val copy : ('entry, 'ckpt) t -> ('entry, 'ckpt) t
 (** An independent logical copy (entries and checkpoints are treated as
     immutable values and shared).  The model checker snapshots a
     journaled actor's durable state with this before exploring a
-    branch, so backtracking restores the journal along with the
-    volatile state.  The copy has no durable backend, even if the
-    original does — mirroring a volatile snapshot's appends into the
-    original's media would corrupt its frame sequence. *)
+    branch.  The copy has no medium, even if the original does —
+    mirroring a volatile snapshot's appends into the original's medium
+    would corrupt its frame sequence. *)
 
-val reload :
-  ?checkpoint_every:int ->
-  ('entry, 'ckpt) Log.codec ->
-  Media.t ->
-  ('entry, 'ckpt) t * Log.salvage_report
-(** Rebuild a journal from a (possibly fault-damaged) media image: run
-    {!Log.recover}, adopt the salvaged checkpoint and suffix, and keep
-    the repaired log attached as the durable backend.  The report says
-    exactly what was kept and dropped; [total_appended] and
-    [checkpoints_taken] restart from the salvaged counts. *)
+val restore : ('entry, 'ckpt) t -> from:('entry, 'ckpt) t -> unit
+(** Rewind the journal's mirror to [from]'s, which stays untouched, so
+    one {!copy} can seed many branches.  Only for journals without a
+    medium (the model checker's); [Invalid_argument] otherwise. *)
 
 val suffix_length : ('entry, 'ckpt) t -> int
 val total_appended : ('entry, 'ckpt) t -> int
 val checkpoints_taken : ('entry, 'ckpt) t -> int
-
-val checkpoint_interval : ('entry, 'ckpt) t -> int
-(** The [checkpoint_every] this journal was created with. *)

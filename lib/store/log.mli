@@ -21,7 +21,6 @@
 
 val magic : char
 val header_length : int
-val trailer_length : int
 
 type ('entry, 'ckpt) codec = {
   enc_entry : 'entry -> string;
@@ -75,7 +74,6 @@ type salvage_report = {
   sr_ckpt_failures : int;  (** checksum-valid checkpoints that failed decode *)
 }
 
-val stop_reason_name : stop_reason -> string
 val ckpt_source_name : ckpt_source -> string
 val pp_report : Format.formatter -> salvage_report -> unit
 

@@ -53,14 +53,14 @@ module Sim = struct
     mutable last_ckpt : (int * int) option; (* pos, len of newest ckpt frame *)
     mutable injected : int;
     stats : Wf_obs.Metrics.t option;
-    tracer : Wf_obs.Trace.sink option;
+    tracer : unit -> Wf_obs.Trace.sink option;
     clock : unit -> float;
     site : int;
     actor : string;
   }
 
-  let create ?(faults = no_faults) ?(seed = 1L) ?stats ?tracer
-      ?(clock = fun () -> 0.0) ?(site = 0) ?(actor = "") () =
+  let create ?(faults = no_faults) ?(seed = 1L) ?stats
+      ?(tracer = fun () -> None) ?(clock = fun () -> 0.0) ?(site = 0) ?(actor = "") () =
     {
       faults;
       rng = Wf_sim.Rng.create seed;
@@ -146,15 +146,24 @@ module Sim = struct
 
   (* --- fault injection ---------------------------------------------------- *)
 
-  let record_fault s name =
-    s.injected <- s.injected + 1;
-    incr_stat s ("store_fault_" ^ name);
-    match s.tracer with
+  let emit s kind =
+    match s.tracer () with
     | None -> ()
     | Some sink ->
         Wf_obs.Trace.emit sink
-          (Wf_obs.Trace.make ~time:(s.clock ()) ~site:s.site ~actor:s.actor
-             (Wf_obs.Trace.Store_fault { fault = name }))
+          (Wf_obs.Trace.make ~time:(s.clock ()) ~site:s.site ~actor:s.actor kind)
+
+  let record_fault s name =
+    s.injected <- s.injected + 1;
+    incr_stat s ("store_fault_" ^ name);
+    emit s (Wf_obs.Trace.Store_fault { fault = name })
+
+  let record_salvage s ~kept ~dropped_entries ~dropped_bytes ~fallback =
+    incr_stat s "store_salvages";
+    add_stat s "store_dropped_entries" dropped_entries;
+    add_stat s "store_dropped_bytes" dropped_bytes;
+    if fallback then incr_stat s "store_ckpt_fallbacks";
+    emit s (Wf_obs.Trace.Store_salvage { kept; dropped = dropped_bytes; fallback })
 
   (* Deterministic injectors: exactly the mutations the seeded [crash]
      path draws, exposed directly so fixtures and the model checker can

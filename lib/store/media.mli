@@ -12,7 +12,8 @@
     simulator.  Its fault model mirrors [Wf_sim.Netsim]'s crash
     injection: probabilities drawn from the medium's own RNG stream,
     capped by a fault budget, applied only when the owner declares a
-    crash via {!Sim.crash}:
+    crash via {!Sim.crash} (which {!Journal.crash} does for the
+    journal that owns the medium):
 
     - [torn_write] — the final unsynced frame is cut mid-write;
     - [lost_tail] — everything after the last [sync] is lost;
@@ -53,7 +54,7 @@ module Sim : sig
     ?faults:fault_config ->
     ?seed:int64 ->
     ?stats:Wf_obs.Metrics.t ->
-    ?tracer:Wf_obs.Trace.sink ->
+    ?tracer:(unit -> Wf_obs.Trace.sink option) ->
     ?clock:(unit -> float) ->
     ?site:int ->
     ?actor:string ->
@@ -61,14 +62,16 @@ module Sim : sig
     sim
   (** Fresh empty medium.  [stats] receives [store_appends],
       [store_appended_bytes], [store_syncs] and [store_fault_*]
-      counters; [tracer] receives a [Store_fault] record per injected
-      fault, stamped with [clock ()], [site] and [actor]. *)
+      counters, and the salvage counters of {!record_salvage}; the sink
+      [tracer ()] names at the time receives a [Store_fault] record per
+      injected fault and a [Store_salvage] record per salvage, stamped
+      with [clock ()], [site] and [actor]. *)
 
   val load :
     ?faults:fault_config ->
     ?seed:int64 ->
     ?stats:Wf_obs.Metrics.t ->
-    ?tracer:Wf_obs.Trace.sink ->
+    ?tracer:(unit -> Wf_obs.Trace.sink option) ->
     ?clock:(unit -> float) ->
     ?site:int ->
     ?actor:string ->
@@ -102,6 +105,15 @@ module Sim : sig
   val corrupt_ckpt : sim -> truncated:bool -> unit
   (** Truncate the image mid-checkpoint-frame, or flip a bit inside the
       checkpoint frame.  No-op when no checkpoint frame exists. *)
+
+  val record_salvage :
+    sim -> kept:int -> dropped_entries:int -> dropped_bytes:int ->
+    fallback:bool -> unit
+  (** Report one salvage of the log on this medium: count
+      [store_salvages], [store_dropped_entries], [store_dropped_bytes]
+      and (on a checkpoint fallback) [store_ckpt_fallbacks], and trace
+      a [Store_salvage] record of [kept] frames beside the medium's
+      [Store_fault] records.  {!Journal.crash} is its caller. *)
 
   val contents : sim -> string
   val length : sim -> int

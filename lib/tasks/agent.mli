@@ -51,10 +51,6 @@ val model : t -> Task_model.t
 val state : t -> string
 val awaiting : t -> Symbol.t option
 
-val symbol_of : t -> string -> Symbol.t
-(** Symbol of the next occurrence of the event (with the occurrence
-    count when parametrizing). *)
-
 val attribute_of : t -> Symbol.t -> Attribute.t option
 (** Attributes if the symbol belongs to this agent. *)
 

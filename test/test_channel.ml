@@ -1,5 +1,5 @@
 (* The reliable-delivery channel: exactly-once handling over a network
-   that drops, duplicates, reorders, partitions, and pauses. *)
+   that drops, duplicates, reorders and partitions. *)
 
 open Wf_sim
 open Wf_scheduler
@@ -100,21 +100,6 @@ let test_partition_window () =
   checkb "partition cut traffic"
     (Wf_obs.Metrics.count (Netsim.stats net) "net_partition_drops" > 0);
   checkb "deliveries happened after the window" (Netsim.now net >= 50.0)
-
-let test_pause_resume () =
-  let net = make_net () in
-  let chan = Channel.create ~rto:4.0 net in
-  let received = ref [] in
-  Channel.on_receive chan 1 (fun _ i -> received := i :: !received);
-  Channel.on_receive chan 0 (fun _ _ -> ());
-  Netsim.pause_site net 1;
-  for i = 0 to 9 do
-    Channel.send chan ~src:0 ~dst:1 i
-  done;
-  Netsim.schedule net ~delay:30.0 (fun () -> Netsim.resume_site net 1);
-  Netsim.run net;
-  exactly_once "pause/resume" (List.rev !received) 10;
-  checkb "deliveries stalled" (Wf_obs.Metrics.count (Netsim.stats net) "net_stalled" > 0)
 
 let test_ack_latency_observed () =
   let net, _, _ = collect ~n:10 () in
@@ -237,7 +222,6 @@ let suite =
     Alcotest.test_case "50% duplication" `Quick test_duplicating_network;
     Alcotest.test_case "loss+dup+reorder chaos" `Quick test_chaotic_network;
     Alcotest.test_case "timed partition" `Quick test_partition_window;
-    Alcotest.test_case "site pause/resume" `Quick test_pause_resume;
     Alcotest.test_case "ack latency series" `Quick test_ack_latency_observed;
     Alcotest.test_case "retry cap on a dead link" `Quick test_retry_cap;
     Alcotest.test_case "revival after restart keeps send order" `Quick

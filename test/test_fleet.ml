@@ -380,13 +380,17 @@ let stores = [ None; Some Wf_store.Media.Sim.no_faults ]
 
 (* Every cadence, in memory and over fault-free media: each recover of
    the crashing engine [C] is exact, a recover that replays nothing
-   leaves the counters alone, and [C] stays in lockstep with an
-   uncrashed [R]. *)
+   leaves the engine's counters alone (over a medium it counts one
+   salvage among the medium's [store_*] counters, and nothing else
+   moves), and [C] stays in lockstep with an uncrashed [R]. *)
 let crash_points (type r c) (module R : E with type t = r)
     (module C : E with type t = c) (deps, steps) =
+  let is_store (name, _) = String.starts_with ~prefix:"store_" name in
   let stats_of e =
     let m = C.stats e in
-    (Wf_obs.Metrics.counters m, Wf_obs.Metrics.gauges m)
+    ( List.filter (fun c -> not (is_store c)) (Wf_obs.Metrics.counters m),
+      Wf_obs.Metrics.gauges m,
+      Wf_obs.Metrics.count m "store_salvages" )
   in
   List.iter
     (fun cadence ->
@@ -412,12 +416,16 @@ let crash_points (type r c) (module R : E with type t = r)
                   R.occurred se l;
                   C.occurred !fe l
               | Crash ->
-                  let before = stats_of !fe in
+                  let counters, gauges, salvages = stats_of !fe in
                   let fe' = C.recover !fe in
                   if not (C.equal_state !fe fe') then
                     Alcotest.failf "cadence %d, step %d: recovered state differs"
                       cadence i;
-                  if !inputs mod cadence = 0 && stats_of fe' <> before then
+                  let salvaged = if store = None then 0 else 1 in
+                  if
+                    !inputs mod cadence = 0
+                    && stats_of fe' <> (counters, gauges, salvages + salvaged)
+                  then
                     Alcotest.failf "cadence %d, step %d: empty replay moved stats"
                       cadence i;
                   check trace_testable "trace in lockstep after recover"
@@ -568,9 +576,10 @@ let test_driver_decisions () =
     [ 1L; 5L; 9L ]
 
 (* A fixed stream over media that tears and flips bits at every crash:
-   what each salvage keeps is a function of the bytes the journal wrote,
-   so these values pin the entry codec and the snapshot codecs. *)
-let test_salvage_pinned () =
+   four chunks of twelve inputs, each followed by a recover.  Returns
+   each recover's salvage report with the journal's length just before
+   that crash, and the trace records of the whole run. *)
+let salvage_stream (type a) (module M : E with type t = a) =
   let store =
     {
       Wf_store.Media.Sim.torn_write = 1.0;
@@ -592,23 +601,38 @@ let test_salvage_pinned () =
         ])
       [ 0; 1; 2 ]
   in
-  let salvaged (type a) (module M : E with type t = a) =
-    let e =
-      ref (M.create ~checkpoint_every:4 ~store ~store_seed:21L two_stage)
-    in
+  let sink, records = Wf_obs.Trace.collector () in
+  let e = ref (M.create ~checkpoint_every:4 ~store ~store_seed:21L two_stage) in
+  M.set_tracer !e (Some sink);
+  let journaled = ref 0 in
+  let reports =
     List.map
       (fun k ->
         List.iter
           (function A s -> ignore (M.attempt !e s) | O l -> M.occurred !e l)
           (chunk k);
+        let before = !journaled + List.length (chunk k) in
         e := M.recover !e;
         match M.last_salvage !e with
         | None -> Alcotest.fail "no salvage report"
         | Some r ->
-            ( r.Wf_store.Log.sr_frames,
-              r.Wf_store.Log.sr_dropped_bytes,
-              Wf_store.Log.ckpt_source_name r.Wf_store.Log.sr_ckpt ))
+            journaled := r.Wf_store.Log.sr_total_entries;
+            (before, r))
       [ 0; 1; 2; 3 ]
+  in
+  (!e, reports, records ())
+
+(* What each salvage keeps is a function of the bytes the journal wrote,
+   so these values pin the entry codec and the snapshot codecs. *)
+let test_salvage_pinned () =
+  let salvaged engine =
+    let _, reports, _ = salvage_stream engine in
+    List.map
+      (fun (_, r) ->
+        ( r.Wf_store.Log.sr_frames,
+          r.Wf_store.Log.sr_dropped_bytes,
+          Wf_store.Log.ckpt_source_name r.Wf_store.Log.sr_ckpt ))
+      reports
   in
   let pins = Alcotest.(list (triple int int string)) in
   check pins "param_sched salvage"
@@ -623,6 +647,48 @@ let test_salvage_pinned () =
       (30, 106, "fallback");
     ]
     (salvaged (module Fleet))
+
+(* No salvage runs silently: over the same stream, each engine's
+   [store_*] counters agree with its [Store_salvage] records and with
+   the salvage reports. *)
+let test_salvage_counted () =
+  List.iter
+    (fun (name, (module M : E)) ->
+      let e, reports, records = salvage_stream (module M) in
+      let salvages =
+        List.filter_map
+          (fun (r : Wf_obs.Trace.record) ->
+            match r.Wf_obs.Trace.kind with
+            | Wf_obs.Trace.Store_salvage { kept; dropped; fallback } ->
+                Some (kept, dropped, fallback)
+            | _ -> None)
+          records
+      in
+      let count c = Wf_obs.Metrics.count (M.stats e) c in
+      let sum f = List.fold_left (fun acc x -> acc + f x) 0 in
+      check Alcotest.(list (triple int int bool))
+        (name ^ ": one record per salvage report")
+        (List.map
+           (fun (_, r) ->
+             ( r.Wf_store.Log.sr_frames,
+               r.Wf_store.Log.sr_dropped_bytes,
+               r.Wf_store.Log.sr_ckpt = Wf_store.Log.Fallback ))
+           reports)
+        salvages;
+      check Alcotest.int (name ^ ": store_salvages") (List.length salvages)
+        (count "store_salvages");
+      check Alcotest.int (name ^ ": store_dropped_bytes")
+        (sum (fun (_, d, _) -> d) salvages)
+        (count "store_dropped_bytes");
+      check Alcotest.int (name ^ ": store_ckpt_fallbacks")
+        (List.length (List.filter (fun (_, _, f) -> f) salvages))
+        (count "store_ckpt_fallbacks");
+      check Alcotest.int (name ^ ": store_dropped_entries")
+        (sum (fun (before, r) -> before - r.Wf_store.Log.sr_total_entries) reports)
+        (count "store_dropped_entries");
+      checkb (name ^ ": the stream salvages with losses")
+        (count "store_dropped_bytes" > 0))
+    engines
 
 (* --- arena --------------------------------------------------------------- *)
 
@@ -968,4 +1034,6 @@ let suite =
       test_symbolic_bounded;
     Alcotest.test_case "reservation waiters drain FIFO" `Quick
       test_reservation_waiters_fifo;
+    Alcotest.test_case "param engines count their salvages" `Quick
+      test_salvage_counted;
   ]

@@ -306,8 +306,7 @@ let test_fixture_truncated_ckpt =
 
 let test_journal_mirror_reload () =
   let sim = fresh_sim () in
-  let j = Journal.create ~checkpoint_every:2 () in
-  Journal.attach j (Log.create int_codec (Media.Sim.device sim));
+  let j = Journal.create ~checkpoint_every:2 ~store:(int_codec, sim) () in
   let n = ref 0 in
   for i = 0 to 6 do
     Journal.append j i;
@@ -315,16 +314,22 @@ let test_journal_mirror_reload () =
     if Journal.wants_checkpoint j then Journal.checkpoint j !n
   done;
   Journal.sync j;
-  let j', report = Journal.reload ~checkpoint_every:2 int_codec (Media.Sim.device sim) in
-  checkb "clean reload" (report.Log.sr_stop = Log.Clean);
-  checkb "mirror agrees" (Journal.recover j' = Journal.recover j);
+  let before = Journal.recover j in
+  checkb "no salvage before a crash" (Journal.last_salvage j = None);
+  (* A fault-free medium loses nothing on a crash: the salvage rebuilds
+     exactly the mirror it replaced. *)
+  Journal.crash j;
+  (match Journal.last_salvage j with
+  | Some report -> checkb "clean reload" (report.Log.sr_stop = Log.Clean)
+  | None -> Alcotest.fail "crash over a medium reports no salvage");
+  checkb "mirror agrees" (Journal.recover j = before);
   check Alcotest.int "lifetime appends carried over" 7
-    (Journal.total_appended j');
+    (Journal.total_appended j);
   check Alcotest.int "checkpoints carried over" 3
-    (Journal.checkpoints_taken j');
-  checkb "attach rejects a used journal"
+    (Journal.checkpoints_taken j);
+  checkb "create rejects a used medium"
     (try
-       Journal.attach j (Log.create int_codec (Media.Sim.device (fresh_sim ())));
+       ignore (Journal.create ~store:(int_codec, sim) ());
        false
      with Invalid_argument _ -> true)
 
@@ -360,8 +365,7 @@ let salvage_is_prefix_replay =
         }
       in
       let sim = Media.Sim.create ~faults ~seed:(Int64.of_int seed) () in
-      let j = ref (Journal.create ~checkpoint_every ()) in
-      Journal.attach !j (Log.create int_codec (Media.Sim.device sim));
+      let j = Journal.create ~checkpoint_every ~store:(int_codec, sim) () in
       (* Crash points: spread the requested crashes over the appends. *)
       let crash_after =
         if crashes = 0 then []
@@ -370,18 +374,17 @@ let salvage_is_prefix_replay =
       let count = ref 0 in
       let ok = ref true in
       let check_prefix () =
-        let ckpt, suffix = Journal.recover !j in
+        let ckpt, suffix = Journal.recover j in
         let m = match ckpt with Some m -> m | None -> 0 in
         let expected = List.init (List.length suffix) (fun i -> m + i) in
         if not (suffix = expected && m + List.length suffix <= !count) then
           ok := false
       in
       let reload () =
-        Media.Sim.crash sim;
-        let j', report = Journal.reload ~checkpoint_every int_codec (Media.Sim.device sim) in
-        j := j';
+        Journal.crash j;
+        let report = Option.get (Journal.last_salvage j) in
         (* The salvage accounting must agree with the rebuilt mirror. *)
-        let _, suffix = Journal.recover !j in
+        let _, suffix = Journal.recover j in
         if
           report.Log.sr_entries <> List.length suffix
           || report.Log.sr_total_entries > !count
@@ -394,17 +397,17 @@ let salvage_is_prefix_replay =
       in
       for i = 0 to n - 1 do
         ignore i;
-        Journal.append !j !count;
+        Journal.append j !count;
         incr count;
-        if Journal.wants_checkpoint !j then Journal.checkpoint !j !count;
+        if Journal.wants_checkpoint j then Journal.checkpoint j !count;
         if List.mem !count crash_after then reload ()
       done;
       reload ();
       (* Recovery is idempotent: a second scan of the repaired image is
          clean and changes nothing. *)
-      let j2, report2 = Journal.reload ~checkpoint_every int_codec (Media.Sim.device sim) in
+      let _, recovered, report2 = Log.recover int_codec (Media.Sim.device sim) in
       if report2.Log.sr_stop <> Log.Clean then ok := false;
-      if Journal.recover j2 <> Journal.recover !j then ok := false;
+      if recovered <> Journal.recover j then ok := false;
       check_prefix ();
       !ok)
 

@@ -291,23 +291,6 @@ let test_netsim_partition_window () =
   check Alcotest.int "both directions cut" 2
     (Wf_obs.Metrics.count (Netsim.stats net) "net_partition_drops")
 
-let test_netsim_pause_resume () =
-  let net = faulty_net Netsim.no_faults in
-  let received = ref [] in
-  Netsim.on_receive net 1 (fun _ i -> received := i :: !received);
-  Netsim.pause_site net 1;
-  checkb "paused" (Netsim.site_paused net 1);
-  for i = 1 to 5 do
-    Netsim.send net ~src:0 ~dst:1 i
-  done;
-  Netsim.schedule net ~delay:20.0 (fun () -> Netsim.resume_site net 1);
-  Netsim.run net;
-  check Alcotest.(list int) "backlog flushed in order" [ 1; 2; 3; 4; 5 ]
-    (List.rev !received);
-  checkb "stalled deliveries counted"
-    (Wf_obs.Metrics.count (Netsim.stats net) "net_stalled" >= 5);
-  checkb "flushed at resume time" (Netsim.now net >= 20.0)
-
 let test_netsim_reorder () =
   (* Reordering must break per-link FIFO while still delivering every
      message exactly once. *)
@@ -376,8 +359,6 @@ let suite =
       test_netsim_duplicate_all;
     Alcotest.test_case "faults: partition window cuts both ways" `Quick
       test_netsim_partition_window;
-    Alcotest.test_case "faults: pause buffers, resume flushes" `Quick
-      test_netsim_pause_resume;
     Alcotest.test_case "faults: reorder breaks FIFO, keeps multiset" `Quick
       test_netsim_reorder;
     Alcotest.test_case "faults: same seed replays identically" `Quick
