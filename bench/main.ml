@@ -1051,7 +1051,6 @@ let bench_core ~smoke =
   let cubes = if smoke then [] else [ 2; 3 ] in
   let overlaps = if smoke then [ 2 ] else [ 2; 4; 6 ] in
   let runs = if smoke then [ 1 ] else [ 2; 5 ] in
-  let noise = if smoke then 16 else 64 in
   let rows = ref [] in
   Printf.printf "%-18s %-14s %12s %12s %8s %10s %10s %s\n" "bench" "config"
     "naive" "optimized" "speedup" "opt-minor" "opt-major" "identity";
@@ -1100,35 +1099,6 @@ let bench_core ~smoke =
       row.config (pp_ns row.naive_ns) (pp_ns row.opt_ns) (speedup row)
       (pp_words row.minor_words) (pp_words row.major_words)
   in
-  (* Indexed assimilation: a wide fan-in guard fed a stream that is
-     mostly announcements of symbols the guard never mentions — the
-     watch index skips them outright, the naive fold renormalizes the
-     whole sum every time. *)
-  let fanin_n = List.fold_left max 2 fanins in
-  let g0 =
-    with_intern true (fun () -> Synth.guard (fanin_dep fanin_n) (lit "fin"))
-  in
-  let news =
-    List.concat
-      (List.init noise (fun j ->
-           lit (Printf.sprintf "y%d" j)
-           ::
-           (if j < fanin_n then [ lit (Printf.sprintf "x%d" j) ] else [])))
-  in
-  let naive_ns =
-    min_ns ~budget (fun () ->
-        List.fold_left (fun g x -> Guard.assimilate_occurred x g) g0 news)
-  in
-  let indexed_fold () =
-    List.fold_left
-      (fun ix x -> Guard.Indexed.occurred x ix)
-      (Guard.Indexed.of_guard g0) news
-  in
-  let opt_ns = min_ns ~budget indexed_fold in
-  let minor_words, major_words = alloc_words indexed_fold in
-  emit
-    { bench = "assimilation"; config = Printf.sprintf "fanin-%d+%dnoise" fanin_n noise;
-      identity = None; naive_ns; opt_ns; minor_words; major_words };
   (* Steady-state compiled assimilation: the full lifetime of a chain
      guard, replayed symbol by symbol.  The symbolic leg is the indexed
      fold the schedulers used before tables — each step residuates the

@@ -10,13 +10,14 @@
    Closed-alphabet precondition: a table is only valid while the
    guard's symbol set is fixed.  Ground guards (everything the actor
    and central schedulers evaluate) satisfy it; parametrized templates
-   gain symbols as fresh tokens arrive, so the parametrized engine only
-   consults tables for fully-instantiated ground guards and falls back
-   to the symbolic engine for fresh instances.
+   gain symbols as fresh tokens arrive, so Fleet compiles a template
+   guard over one binding's marked symbols and Param_sched compiles
+   none.
 
    The symbolic leg stays authoritative: a table answers [Enabled] /
-   [Violated] only when the residual is syntactically ⊤ / 0, and every
-   integration site treats [Open] as "ask [Knowledge.status]".  Both
+   [Violated] only when the residual is syntactically ⊤ / 0, and an
+   [Open] state is answered by [Knowledge.status], through the status
+   memo where the alphabet allows one.  Both
    decisive answers are sound under extra restrictions (reservations,
    never-sets) because they hold over *all* completions: restricting
    the future preserves them. *)
@@ -120,10 +121,6 @@ let replay t know =
 
 let apply_promises t s proms =
   List.fold_left (fun s (_, l) -> step_promised t s l) s proms
-
-let of_knowledge t know =
-  let s, proms = replay t know in
-  apply_promises t s proms
 
 (* --- compilation --------------------------------------------------------- *)
 
@@ -262,7 +259,6 @@ let compile ?(max_states = default_max_states) g0 =
 
 let enabled_flag = ref true
 let set_enabled b = enabled_flag := b
-let table_enabled () = !enabled_flag
 
 (* The compiled path rides the interned ids ({!Guard.uid}); when the
    hash-consed engine is switched off (the differential naive leg) the
@@ -344,15 +340,6 @@ let lookup g =
         Hashtbl.add memo uid r;
         r
 
-let status_hint g know =
-  match lookup g with
-  | None -> None
-  | Some t -> (
-      match verdict t (of_knowledge t know) with
-      | Enabled -> Some Knowledge.True
-      | Violated -> Some Knowledge.False
-      | Open -> None)
-
 (* --- status memo ---------------------------------------------------------
 
    [Knowledge.status] of the compiled guard reads the knowledge and the
@@ -391,7 +378,7 @@ type view = {
   v_reserved : Symbol.Set.t;
   v_occ : state; (* after the occurrences alone *)
   v_proms : (int * Literal.t) list; (* outstanding promises, as applied *)
-  v_state : state; (* = [of_knowledge t v_know] *)
+  v_state : state; (* after the occurrences, then the promises *)
   v_code : int;
 }
 
@@ -413,7 +400,6 @@ let view t ~reserved know =
     v_code = !code;
   }
 
-let view_state v = v.v_state
 let view_fresh v ~reserved know = v.v_know == know && v.v_reserved == reserved
 
 let symbolic_status ?reserved ?never know g =

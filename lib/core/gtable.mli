@@ -12,18 +12,19 @@
     one array read instead of a DNF rewrite.
 
     {b Closed-alphabet precondition}: a table is valid only while the
-    guard's symbol set is fixed.  Parametrized templates grow symbols
-    as fresh tokens arrive, so the parametrized engine compiles only
-    fully-instantiated ground guards and keeps fresh instances on the
-    symbolic leg.
+    guard's symbol set is fixed.  Parametrized guards grow symbols as
+    fresh tokens arrive, so [Fleet] compiles each template guard once
+    over a single binding's marked symbols and steps every binding
+    through it, while [Param_sched] compiles no table and stays the
+    symbolic oracle.
 
     {b Soundness of decisive verdicts}: [Enabled]/[Violated] mean the
     residual is syntactically ⊤/0 — true (false) in {e every}
     completion consistent with the assimilated knowledge.  Restricting
     the future (reservations, never-sets) preserves both, so
-    integration sites may short-circuit {!Knowledge.status} on a
-    decisive verdict and must fall back on [Open] (e.g. coverage-[True]
-    guards such as [□x + □x̄ + ¬x|¬x̄] stay [Open] syntactically).
+    {!view_status} answers a decisive state at once and leaves an
+    [Open] one to the status memo (coverage-[True] guards such as
+    [□x + □x̄ + ¬x|¬x̄] stay [Open] syntactically).
 
     The symbolic engine remains the differential oracle: switch the
     tables off with {!set_enabled} and every caller degrades to the
@@ -58,8 +59,6 @@ val lookup : Guard.t -> t option
 val set_enabled : bool -> unit
 (** Global switch (default on).  Off: [lookup] answers [None]
     everywhere, so every evaluation takes the symbolic leg. *)
-
-val table_enabled : unit -> bool
 
 (** {1 Inspection} *)
 
@@ -99,16 +98,6 @@ val step_input : t -> state -> int -> state
 (** Step by a pre-resolved input column (see {!occ_input}).  The column
     must come from the same table. *)
 
-val of_knowledge : t -> Knowledge.t -> state
-(** Replay a knowledge onto the table: occurrences in seqno order (the
-    symbolic assimilation order — pending terms are order-sensitive),
-    then outstanding promises. *)
-
-val status_hint : Guard.t -> Knowledge.t -> Knowledge.status option
-(** [Some True]/[Some False] when the compiled table decides the guard
-    under this knowledge; [None] when no table is available or the
-    state is [Open].  The caller falls back to {!Knowledge.status}. *)
-
 (** {1 Status memo}
 
     An [Open] state leaves the decision to {!Knowledge.status}.  That
@@ -123,13 +112,11 @@ val status_hint : Guard.t -> Knowledge.t -> Knowledge.status option
 
 type view
 (** A knowledge and reservation set as one table sees them: the
-    occurrence-prefix state, the outstanding promises, the state
-    {!of_knowledge} reaches and the per-symbol code. *)
+    occurrence-prefix state, the outstanding promises, the state the
+    knowledge reaches (occurrences in seqno order, then promises) and
+    the per-symbol code. *)
 
 val view : t -> reserved:Symbol.Set.t -> Knowledge.t -> view
-
-val view_state : view -> state
-(** [view_state (view t ~reserved k) = of_knowledge t k]. *)
 
 val view_fresh : view -> reserved:Symbol.Set.t -> Knowledge.t -> bool
 (** The view was taken of exactly these values (physical equality:

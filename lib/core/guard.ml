@@ -477,23 +477,6 @@ module Indexed = struct
         (normalize_sum (touched' @ List.map (fun e -> e.prod) rest))
 end
 
-(* --- requirements ------------------------------------------------------- *)
-
-type requirement =
-  | Need_promise of Literal.t
-  | Need_undecided of Symbol.t
-  | Need_wait
-
-let mask_requirement sym m =
-  let open Symbol_state in
-  if subset (possible_after_promise Literal.Pos) m then
-    Need_promise (Literal.pos sym)
-  else if subset (possible_after_promise Literal.Neg) m then
-    Need_promise (Literal.neg sym)
-  else if subset (union (of_situation C) (of_situation D)) m then
-    Need_undecided sym
-  else Need_wait
-
 (* --- comparison and printing ------------------------------------------- *)
 
 let compare = List.compare compare_product

@@ -109,7 +109,11 @@ val assimilate_promise : Literal.t -> t -> t
     equivalent but may differ structurally, because re-running
     {!val-sum}'s normalization can merge products the previous pass left
     apart; callers that compare against the naive path should fall back
-    to {!equivalent} (the differential tests do). *)
+    to {!equivalent} (the differential tests do).
+
+    No scheduler calls it: runtime decisions read a compiled [Gtable] or
+    [Knowledge.status].  It is the symbolic leg of the CORE
+    [guard-assimilation] bench, whose gate was set against it. *)
 module Indexed : sig
   type guard := t
 
@@ -124,22 +128,11 @@ module Indexed : sig
   (** Whether an occurrence of the symbol can change the guard. *)
 end
 
-(** {1 Requirements analysis (drives the runtime protocols)} *)
-
-type requirement =
-  | Need_promise of Literal.t
-      (** a promise [◇x] from [x]'s actor would discharge it *)
-  | Need_undecided of Symbol.t
-      (** agreement that the symbol is still undecided ([¬]-consensus) *)
-  | Need_wait  (** only further occurrences can discharge it *)
+(** {1 Comparison and renaming} *)
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-
-val mask_requirement : Symbol.t -> Symbol_state.mask -> requirement
-(** The discharge mode of a single mask constraint: what would be needed
-    to fire through a product that constrains the symbol by the mask. *)
 
 val map_symbols : (Symbol.t -> Symbol.t) -> t -> t
 (** Substitute symbols and renormalize (used to instantiate guard

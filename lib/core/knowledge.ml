@@ -171,35 +171,6 @@ let status ?(reserved = Symbol.Set.empty) ?(never = Symbol.Set.empty) t
     if coverable <> [] && all_covered [] syms then True else Unknown
   end
 
-let requirements ?(reserved = Symbol.Set.empty) t (g : Guard.t) =
-  let never = Symbol.Set.empty in
-  List.filter_map
-    (fun p ->
-      match product_status ~reserved t p with
-      | True | False -> None
-      | Unknown ->
-          let remaining =
-            Symbol.Map.fold
-              (fun sym mask acc ->
-                match mask_status ~reserved ~never t sym mask with
-                | True | False -> acc
-                | Unknown -> (
-                    match Symbol.Map.find_opt sym t with
-                    | Some (Promised _) -> Guard.Need_wait :: acc
-                    | _ -> Guard.mask_requirement sym mask :: acc))
-              p.Guard.masks []
-          in
-          let remaining =
-            List.fold_left
-              (fun acc tau ->
-                match pending_status t tau with
-                | True | False -> acc
-                | Unknown -> Guard.Need_wait :: acc)
-              remaining p.Guard.pending
-          in
-          Some remaining)
-    g
-
 type needs = {
   unresolved : int;
   promises : Literal.t list;

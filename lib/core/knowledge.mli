@@ -54,10 +54,6 @@ val status :
     [never] marks symbols of universally-quantified fresh parametrized
     instances: their events never occur (situation [D], Section 5.2). *)
 
-val requirements : ?reserved:Symbol.Set.t -> t -> Guard.t -> Guard.requirement list list
-(** For each product that is still [Unknown], the outstanding
-    requirements — what the runtime protocols could do about them. *)
-
 val pp : Format.formatter -> t -> unit
 
 type needs = {

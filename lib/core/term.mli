@@ -19,7 +19,6 @@ val make : Literal.t list -> t option
 val top : t
 val is_top : t -> bool
 
-val mem_symbol : Symbol.t -> t -> bool
 val literals : t -> Literal.Set.t
 (** Literals of the term and their complements ([Γ_τ]). *)
 

@@ -30,8 +30,6 @@ let points alphabet =
     (fun u -> List.init (Trace.length u + 1) (fun i -> (u, i)))
     (Universe.maximal_traces alphabet)
 
-let valid alphabet g = List.for_all (fun (u, i) -> sat u i g) (points alphabet)
-
 let equivalent ?alphabet a b =
   let alpha =
     match alphabet with

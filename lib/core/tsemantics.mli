@@ -10,9 +10,6 @@
 val sat : Trace.t -> int -> Formula.t -> bool
 (** [sat u i g] is [u ⊨ᵢ g].  [i] ranges over [0..length u]. *)
 
-val valid : Symbol.Set.t -> Formula.t -> bool
-(** True at every index of every maximal trace over the alphabet. *)
-
 val equivalent : ?alphabet:Symbol.Set.t -> Formula.t -> Formula.t -> bool
 (** Agreement at every (maximal trace, index) pair.  When [alphabet] is
     omitted the joint mentioned symbols are used, which is sound because

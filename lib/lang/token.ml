@@ -44,4 +44,3 @@ let to_string = function
   | ZERO -> "0"
   | EOF -> "<eof>"
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)

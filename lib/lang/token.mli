@@ -23,5 +23,4 @@ type t =
   | ZERO  (** [0] *)
   | EOF
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

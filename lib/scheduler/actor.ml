@@ -531,7 +531,7 @@ and drain_waiters ctx t =
       t.waiters_front <- rest;
       consider_reservation ctx t requester
 
-let attempt ?(entailed = Guard.top) ctx t pol =
+let attempt ~entailed ctx t pol =
   match t.decided_pol with
   | Some d when d = pol -> () (* already occurred *)
   | Some _ -> ctx.reject (lit t pol)

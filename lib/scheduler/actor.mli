@@ -72,37 +72,32 @@ val parked_count : t -> int
 val waiters : t -> Literal.t list
 val knowledge : t -> Knowledge.t
 
-val attempt : ?entailed:Guard.t -> ctx -> t -> Literal.polarity -> unit
-(** The agent attempts the event (controllable path).  [entailed] is the
-    conjunction of the guards of the complements the event's transition
-    entails (events it makes unreachable); it is vetted together with
-    the event's own guard. *)
+(** {2 Inputs and crash recovery}
 
-val note_occurred : ctx -> t -> Literal.t -> seqno:int -> unit
-(** An occurrence announcement reached this actor (possibly its own
-    event's); assimilate and re-evaluate parked work. *)
-
-val handle : ctx -> t -> Messages.t -> unit
-
-(** {2 Crash recovery}
-
-    The actor's state evolution is a deterministic function of its
-    input sequence, so a write-ahead journal of {!input}s plus periodic
-    {!snapshot}s suffices to reconstruct the exact pre-crash state:
-    restore the latest snapshot into a fresh actor and {!apply} the
-    journal suffix under {!muted_ctx} (the pre-crash incarnation already
-    performed the side effects). *)
+    Every input enters through {!apply}, the one entry point, so the
+    runtime can journal it first.  The actor's state evolution is a
+    deterministic function of its input sequence, so a write-ahead
+    journal of {!input}s plus periodic {!snapshot}s suffices to
+    reconstruct the exact pre-crash state: restore the latest snapshot
+    into a fresh actor and {!apply} the journal suffix under
+    {!muted_ctx} (the pre-crash incarnation already performed the side
+    effects). *)
 
 type input =
   | I_attempt of { pol : Literal.polarity; entailed : Guard.t }
+      (** The agent attempts the event (controllable path).  [entailed]
+          is the conjunction of the guards of the complements the
+          event's transition entails (events it makes unreachable); it
+          is vetted together with the event's own guard. *)
   | I_occurred of { lit : Literal.t; seqno : int }
-  | I_message of Messages.t
+      (** An occurrence announcement reached this actor (possibly its
+          own event's): assimilate it and re-evaluate parked work. *)
+  | I_message of Messages.t  (** A protocol message from a peer actor. *)
   | I_close
+      (** The end of the run: reject whatever is still parked. *)
 
 val apply : ctx -> t -> input -> unit
-(** Dispatch one input to the matching entry point ({!attempt},
-    {!note_occurred}, {!handle}); [I_close] is the end of the run and
-    rejects whatever is still parked. *)
+(** Process one input. *)
 
 val muted_ctx : Wf_obs.Metrics.t -> ctx
 (** A context whose effects are no-ops (and whose trigger always

@@ -234,9 +234,10 @@ let attempt t agent sym (attr : Attribute.t) =
     let g = Run_plan.guard t.plan (Literal.pos sym) in
     let know = Actor.knowledge (actor_of t sym) in
     let status =
-      match Gtable.status_hint g know with
-      | Some s -> s
-      | None -> Knowledge.status know g
+      match Gtable.lookup g with
+      | Some tbl ->
+          Gtable.view_status tbl (Gtable.view tbl ~reserved:Symbol.Set.empty know)
+      | None -> Gtable.symbolic_status know g
     in
     fire t (Literal.pos sym);
     status = Knowledge.False

@@ -5,7 +5,3 @@
 
 val bytes : bytes -> pos:int -> len:int -> int32
 val string : string -> int32
-
-val update : int32 -> bytes -> pos:int -> len:int -> int32
-(** Incremental form: [update crc b ~pos ~len] extends a running
-    checksum ([bytes] is [update 0l]). *)

@@ -19,7 +19,6 @@
     Recovery never silently diverges — everything dropped or skipped
     is in the {!salvage_report}. *)
 
-val magic : char
 val header_length : int
 
 type ('entry, 'ckpt) codec = {

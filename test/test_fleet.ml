@@ -983,7 +983,8 @@ let test_reservation_waiters_fifo () =
   in
   List.iter
     (fun r ->
-      Actor.handle ctx actor (Messages.Reserve { sym = esym; requester = r }))
+      Actor.apply ctx actor
+        (Actor.I_message (Messages.Reserve { sym = esym; requester = r })))
     arrival;
   (* Nothing is parked, so the first requester was granted immediately;
      the rest queued behind it in arrival order. *)
@@ -992,7 +993,8 @@ let test_reservation_waiters_fifo () =
   checkb "queue preserves arrival order"
     (List.equal Literal.equal (List.tl arrival) (Actor.waiters actor));
   for _ = 1 to n do
-    Actor.handle ctx actor (Messages.Release { sym = esym; holder = lit "e" })
+    Actor.apply ctx actor
+      (Actor.I_message (Messages.Release { sym = esym; holder = lit "e" }))
   done;
   checkb "grants follow arrival order exactly, nobody starved"
     (List.equal Literal.equal arrival (List.rev !granted));

@@ -1,11 +1,12 @@
-(* Compiled guard tables (Gtable): unit pins on a chain guard, the
-   differential property against the symbolic assimilation engine —
-   walking the table step by step must land on exactly the residual
+(* Compiled guard tables (Gtable): unit pins on a chain guard; the
+   differential property against the symbolic assimilation engine
+   (walking the table step by step must land on exactly the residual
    guard the naive fold computes, with matching verdicts, and stay
-   semantically equal to the indexed fold — and the model-checker
-   state-count invariance: switching tables off must not change what
-   wfmc explores, because tables only short-circuit evaluations whose
-   answers they share with the symbolic path. *)
+   semantically equal to the indexed fold); the status memo against
+   Knowledge.status; and the model-checker state-count invariance:
+   switching tables off must not change what wfmc explores, because
+   tables only short-circuit evaluations whose answers they share with
+   the symbolic path. *)
 
 open Wf_core
 open Helpers
@@ -68,7 +69,6 @@ let test_switch_and_memo () =
   Fun.protect
     ~finally:(fun () -> Gtable.set_enabled true)
     (fun () ->
-      checkb "switch reads back" (not (Gtable.table_enabled ()));
       checkb "lookup is None while disabled" (Gtable.lookup g = None));
   match (Gtable.lookup g, Gtable.lookup g) with
   | Some a, Some b -> checkb "lookup memoizes per guard" (a == b)
@@ -153,32 +153,6 @@ let differential =
                    g)
         (Expr.literals d))
 
-(* Soundness of the short-circuit the schedulers take: whenever the
-   table decides a guard under some knowledge, the symbolic
-   Knowledge.status must say the same thing. *)
-let hint_sound =
-  qprop ~count:150 "status_hint agrees with Knowledge.status when decisive"
-    gen_script
-    (fun (d, steps) ->
-      Literal.Set.for_all
-        (fun l ->
-          let g = Synth.guard d l in
-          (* Occurrences are unique per symbol in any real run;
-             Knowledge.occurred rejects contradictions, so drop the
-             re-deliveries the raw script may contain. *)
-          let know, _ =
-            List.fold_left
-              (fun (k, n) (promise, x) ->
-                if promise then (Knowledge.promised x k, n)
-                else if Knowledge.decided k (Literal.symbol x) then (k, n)
-                else (Knowledge.occurred x ~seqno:n k, n + 1))
-              (Knowledge.empty, 0) steps
-          in
-          match Gtable.status_hint g know with
-          | None -> true
-          | Some s -> Knowledge.status know g = s)
-        (Expr.literals d))
-
 (* --- Status memo ----------------------------------------------------------- *)
 
 (* A knowledge script in seqno order over the three-symbol pool, plus a
@@ -232,8 +206,7 @@ let memo_matches_symbolic =
                 List.for_all
                   (fun k ->
                     let v = Gtable.view tbl ~reserved k in
-                    Gtable.view_state v = Gtable.of_knowledge tbl k
-                    && Gtable.view_status tbl v = Knowledge.status ~reserved k g
+                    Gtable.view_status tbl v = Knowledge.status ~reserved k g
                     && List.for_all
                          (fun lits ->
                            let sym record table =
@@ -275,7 +248,6 @@ let test_memo_counters () =
   in
   check Alcotest.int "wide alphabet" 16 (Gtable.num_symbols tbl);
   let v = Gtable.view tbl ~reserved:Symbol.Set.empty Knowledge.empty in
-  checkb "wide guard is Open" (Gtable.verdict tbl (Gtable.view_state v) = Gtable.Open);
   checkb "wide guard undecided" (Gtable.view_status tbl v = Knowledge.Unknown);
   check Alcotest.int "wide guard went symbolic" 1 (stat "status_symbolic");
   check Alcotest.int "wide guard made no entry" 0 (stat "status_memo_entries");
@@ -350,7 +322,6 @@ let suite =
       test_fingerprint_stable;
     Alcotest.test_case "verdict matrix renders" `Quick test_verdict_matrix;
     differential;
-    hint_sound;
     memo_matches_symbolic;
     Alcotest.test_case "status memo counters and the symbol bound" `Quick
       test_memo_counters;

@@ -239,13 +239,13 @@ let test_parked_zero_rejected_while_held () =
   let ctx, fired, rejected = recording_ctx () in
   let actor = mk_actor (Expr.seq f e) in
   (* under f·e, e may occur only after f *)
-  Actor.attempt ctx actor Literal.Pos;
+  Actor.apply ctx actor (Actor.I_attempt { pol = Literal.Pos; entailed = Guard.top });
   check Alcotest.int "attempt parked on undecided f" 1
     (Actor.parked_count actor);
   (* "a" < "e", so the reservation is granted and the actor is held. *)
-  Actor.handle ctx actor
-    (Messages.Reserve { sym = esym; requester = lit "a" });
-  Actor.note_occurred ctx actor (lit "~f") ~seqno:1;
+  Actor.apply ctx actor
+    (Actor.I_message (Messages.Reserve { sym = esym; requester = lit "a" }));
+  Actor.apply ctx actor (Actor.I_occurred { lit = lit "~f"; seqno = 1 });
   checkb "guard-0 attempt rejected even while held"
     (List.exists (Literal.equal (lit "e")) !rejected);
   check Alcotest.int "nothing parked forever" 0 (Actor.parked_count actor);

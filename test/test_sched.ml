@@ -148,6 +148,42 @@ let test_abort_dependency () =
   checkb "t1 aborted" (Trace.mem (lit "a_t1") t);
   checkb "t2 aborted too" (Trace.mem (lit "a_t2") t)
 
+(* An uncontrollable event is announced, not requested: it fires
+   whatever its guard says, and the scheduler counts a violation
+   exactly when the guard is already false.  Forbidding t1's abort makes
+   its guard 0, so the aborting agent violates it once; under the abort
+   dependency the abort is allowed.  The compiled-table decision and the
+   symbolic one (tables off) count alike. *)
+let test_uncontrollable_verdict () =
+  let violations dep =
+    let wf =
+      Workflow_def.make ~name:"unc"
+        ~tasks:
+          [
+            Workflow_def.task ~instance:"t1" ~model:Task_model.transaction
+              ~site:0 ~script:(Agent.aborting ()) ();
+            Workflow_def.task ~instance:"t2" ~model:Task_model.transaction
+              ~site:1 ();
+          ]
+        ~deps:[ ("d", dep) ] ()
+    in
+    let r = run_dist ~check_generates:false wf in
+    checkb "t1 aborted" (Trace.mem (lit "a_t1") (Event_sched.trace_literals r));
+    Wf_obs.Metrics.count r.Event_sched.stats "uncontrollable_violations"
+  in
+  List.iter
+    (fun tables ->
+      Gtable.set_enabled tables;
+      Fun.protect
+        ~finally:(fun () -> Gtable.set_enabled true)
+        (fun () ->
+          let leg = if tables then "tables" else "symbolic" in
+          check Alcotest.int (leg ^ ": forbidden abort is a violation") 1
+            (violations (Expr.atom (lit "~a_t1")));
+          check Alcotest.int (leg ^ ": allowed abort is clean") 0
+            (violations (Catalog.abort_dependency "t1" "t2"))))
+    [ true; false ]
+
 let test_serial_dependency () =
   let r = run_dist (pair_wf [ ("sd", Catalog.serial "t1" "t2") ]) in
   assert_good "serial" r;
@@ -554,6 +590,8 @@ let suite =
     Alcotest.test_case "order + requirement" `Quick test_order_and_requirement;
     Alcotest.test_case "exclusion" `Quick test_exclusion;
     Alcotest.test_case "abort dependency" `Quick test_abort_dependency;
+    Alcotest.test_case "uncontrollable verdict" `Quick
+      test_uncontrollable_verdict;
     Alcotest.test_case "serial dependency" `Quick test_serial_dependency;
     Alcotest.test_case "two-phase commit" `Quick test_two_phase_commit;
     Alcotest.test_case "two-phase abort" `Quick test_two_phase_abort;
