@@ -322,14 +322,13 @@ let closed_divergences st schedule =
       add "not-maximal"
         (Fmt.str "undecided: %a" (Fmt.list ~sep:Fmt.sp Symbol.pp) undecided)
     end;
-    (match Correctness.violations st.deps tr with
-    | [] -> ()
-    | viols ->
-        add "violation"
-          (Fmt.str "%d dependencies violated by %a" (List.length viols)
-             Trace.pp tr));
+    let viols = Correctness.violations st.deps tr in
+    if viols <> [] then
+      add "violation"
+        (Fmt.str "%d dependencies violated by %a" (List.length viols)
+           Trace.pp tr);
     let gen = Correctness.generates st.deps tr in
-    let sat = Correctness.satisfies_all st.deps tr in
+    let sat = viols = [] in
     if not gen then
       add "generates" (Fmt.str "not generated (Definition 4): %a" Trace.pp tr);
     if gen <> sat then

@@ -1,19 +1,9 @@
 type state = int
 
-module Lit_tbl = Hashtbl.Make (struct
-  type t = Literal.t
-
-  let equal a b = Literal.compare a b = 0
-
-  let hash (l : t) =
-    (Symbol.hash l.Literal.sym * 2)
-    + (match l.Literal.pol with Literal.Pos -> 0 | Literal.Neg -> 1)
-end)
-
 type t = {
   states : Nf.t array; (* index = state id; 0 = initial *)
   alphabet : Literal.t list;
-  lit_index : int Lit_tbl.t; (* literal -> position in [alphabet] *)
+  lit_index : int Literal.Tbl.t; (* literal -> position in [alphabet] *)
   edges : state array array; (* edges.(s).(i) = step on alphabet.(i) *)
   accepting : bool array;
   dead : bool array;
@@ -39,12 +29,12 @@ let index_in alphabet l =
   go 0 alphabet
 
 let make_lit_index alphabet =
-  let tbl = Lit_tbl.create 32 in
-  List.iteri (fun i l -> Lit_tbl.replace tbl l i) alphabet;
+  let tbl = Literal.Tbl.create 32 in
+  List.iteri (fun i l -> Literal.Tbl.replace tbl l i) alphabet;
   tbl
 
 let step t s l =
-  match Lit_tbl.find_opt t.lit_index l with
+  match Literal.Tbl.find_opt t.lit_index l with
   | None -> s
   | Some i -> t.edges.(s).(i)
 

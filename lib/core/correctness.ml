@@ -23,5 +23,7 @@ let theorem6_holds deps alphabet =
     (fun u -> generates deps u = satisfies_all deps u)
     (Universe.maximal_traces alphabet)
 
+(* One index per trace, shared by every dependency. *)
 let violations deps u =
-  List.filter (fun d -> not (Semantics.satisfies u d)) deps
+  let ix = Semantics.index u in
+  List.filter (fun d -> not (Semantics.holds ix d)) deps

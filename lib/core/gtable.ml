@@ -56,6 +56,18 @@ type t = {
   status_memo : Knowledge.status Int_tbl.t option;
       (* (status code, state) -> Knowledge.status of the compiled guard;
          [None] when the alphabet is too wide to pack a code *)
+  mutable pursuit_memo : pursuit_memo option;
+      (* created on the first pursuit of a table that has a status
+         memo, so compiling and renaming allocate none *)
+}
+
+and pursuit = { reserves : Symbol.t list; enabling : Literal.t list }
+
+and pursuit_memo = {
+  terms : Term.t array; (* the pending terms of the guard's products *)
+  pursuits : pursuit Int_tbl.t option;
+      (* (status code, each term's pending status) -> what a parked
+         attempt pursues; [None] when the key does not fit an int *)
 }
 
 (* Input codes within a symbol's 4-slot group. *)
@@ -148,7 +160,7 @@ let index_symbols syms =
   Array.iteri (fun i sym -> Symbol_tbl.replace sym_index sym i) syms;
   sym_index
 
-let new_status_memo () = Int_tbl.create 16
+let new_memo () = Int_tbl.create 16
 
 (* [syms]: the guard's symbols, sorted. *)
 let compile_over ~max_states syms g0 =
@@ -231,7 +243,7 @@ let compile_over ~max_states syms g0 =
       in
       let status_memo =
         if k <= max_memo_symbols && (code_bits * k) + state_bits <= 62 then
-          Some (new_status_memo ())
+          Some (new_memo ())
         else None
       in
       Some
@@ -246,6 +258,7 @@ let compile_over ~max_states syms g0 =
           guards;
           state_bits;
           status_memo;
+          pursuit_memo = None;
         }
     end
   end
@@ -269,8 +282,9 @@ let active () = !enabled_flag && Intern.enabled ()
    order-preserving renaming the sorted alphabet, the breadth-first
    numbering and every residual's canonical form carry over position by
    position, so only the symbolic parts are renamed.  The transition and
-   verdict arrays are immutable and shared; the status memo, keyed by
-   state and code and filled by symbolic evaluation, starts empty. *)
+   verdict arrays are immutable and shared; the status and pursuit
+   memos, filled by symbolic evaluation, start empty (pursuits name
+   symbols, so they never carry over). *)
 let rename t syms =
   let f = Shape.between t.syms syms in
   {
@@ -278,7 +292,8 @@ let rename t syms =
     syms;
     sym_index = index_symbols syms;
     guards = Array.map (Guard.rename f) t.guards;
-    status_memo = Option.map (fun _ -> new_status_memo ()) t.status_memo;
+    status_memo = Option.map (fun _ -> new_memo ()) t.status_memo;
+    pursuit_memo = None;
   }
 
 (* Per guard, keyed by its interned uid; behind it, per shape (see
@@ -292,14 +307,19 @@ let renamed_states = ref 0
 let fallbacks = ref 0
 let memo_misses = ref 0
 let symbolic_evals = ref 0
+let pursuit_misses = ref 0
 
 let () =
   Intern.register_clearer (fun () ->
       Hashtbl.iter
         (fun _ r ->
           match r with
-          | Some { status_memo = Some m; _ } -> Int_tbl.reset m
-          | _ -> ())
+          | Some t ->
+              Option.iter Int_tbl.reset t.status_memo;
+              Option.iter
+                (fun p -> Option.iter Int_tbl.reset p.pursuits)
+                t.pursuit_memo
+          | None -> ())
         memo;
       Hashtbl.reset memo;
       shapes := GMap.empty;
@@ -308,7 +328,8 @@ let () =
       renamed_states := 0;
       fallbacks := 0;
       memo_misses := 0;
-      symbolic_evals := 0)
+      symbolic_evals := 0;
+      pursuit_misses := 0)
 
 let compile_shape g =
   let syms = Array.of_list (Symbol.Set.elements (Guard.symbols g)) in
@@ -412,6 +433,8 @@ let symbolic_status ?reserved ?never know g =
 let auditing = ref false
 let audit_hits = ref 0
 let audit_mismatches = ref 0
+let audit_pursuit_hits = ref 0
+let audit_pursuit_mismatches = ref 0
 
 (* Look (state, code) up; on a miss evaluate the compiled guard under
    the knowledge the caller describes, and remember it. *)
@@ -490,14 +513,147 @@ let status_after ~occurred t v lits =
 let status_if_occurred t v lits = status_after ~occurred:true t v lits
 let status_if_promised t v lits = status_after ~occurred:false t v lits
 
-type audit = { hits_checked : int; mismatches : int }
+(* --- pursuit memo --------------------------------------------------------
+
+   A parked attempt with an [Unknown] guard pursues two things: the
+   reservations [Knowledge.needs] asks for, and promise requests to
+   every undecided literal whose occurrence or promise would make the
+   guard [True].  Both are functions of the guard's per-symbol code and
+   of the pending status of each of its pending terms:
+
+   - [needs] reads a symbol only through [mask_status] and its
+     [Promised] test, which see exactly what the code records
+     (occurred ±, promised ± and reserved or not, undecided and
+     reserved or not), and reads the occurrence order only through
+     [pending_status];
+   - a probe adds one undecided literal [l] (an occurrence at seqno
+     [max_int], or a promise) and evaluates [Knowledge.status], which
+     reads the same two things.  A promise changes no pending status.
+     An occurrence of [l] last changes a term's status by the term
+     alone: [True] and [False] stay; [Unknown] (the occurred literals
+     are a prefix of the term, in order, and the code says which) goes
+     to [True] or stays [Unknown] if [l] is the next literal, stays
+     [Unknown] if [l]'s symbol is not in the term, and goes to [False]
+     otherwise.
+
+   So the key is the code and one 2-bit status per pending term.  The
+   table state after the occurrences is not a key: states are
+   canonical residuals, so occurrence orders that [pending_status]
+   tells apart may reach the same state.  [audit_status_memo] checks
+   every hit. *)
+
+let derive_pursuit ~reserved know g syms enables =
+  let reserves =
+    List.sort_uniq Symbol.compare
+      (List.concat_map
+         (fun n -> n.Knowledge.reserves)
+         (Knowledge.needs ~reserved know g))
+  in
+  let enabling =
+    List.concat_map
+      (fun sym ->
+        if Knowledge.decided know sym then []
+        else List.filter enables [ Literal.pos sym; Literal.neg sym ])
+      syms
+  in
+  { reserves; enabling }
+
+(* The probe of one literal, by the status [eval] gives a knowledge. *)
+let enables_by eval know (l : Literal.t) =
+  eval (Knowledge.occurred l ~seqno:max_int know) = Knowledge.True
+  || eval (Knowledge.promised l know) = Knowledge.True
+
+let symbolic_pursuit ~reserved know g =
+  derive_pursuit ~reserved know g
+    (Symbol.Set.elements (Guard.symbols g))
+    (enables_by (fun k -> symbolic_status ~reserved k g) know)
+
+let pursuit_memo t =
+  match t.pursuit_memo with
+  | Some _ as m -> m
+  | None when t.status_memo = None -> None
+  | None ->
+      let terms =
+        Array.of_list
+          (List.sort_uniq (List.compare Literal.compare)
+             (List.concat_map (fun p -> p.Guard.pending) t.guards.(0)))
+      in
+      let fits =
+        (code_bits * Array.length t.syms) + (2 * Array.length terms) <= 62
+      in
+      let m =
+        { terms; pursuits = (if fits then Some (new_memo ()) else None) }
+      in
+      t.pursuit_memo <- Some m;
+      Some m
+
+let pending_code know tau =
+  match Knowledge.pending_status know tau with
+  | Knowledge.Unknown -> 0
+  | Knowledge.True -> 1
+  | Knowledge.False -> 2
+
+let pursuit t v =
+  let reserved = v.v_reserved and know = v.v_know and g = t.guards.(0) in
+  match if active () then pursuit_memo t else None with
+  | Some { terms; pursuits = Some m } -> (
+      let key =
+        Array.fold_left
+          (fun key tau -> (key lsl 2) lor pending_code know tau)
+          v.v_code terms
+      in
+      match Int_tbl.find_opt m key with
+      | Some pu ->
+          if !auditing then begin
+            incr audit_pursuit_hits;
+            let fresh =
+              derive_pursuit ~reserved know g (Array.to_list t.syms)
+                (enables_by (fun k -> Knowledge.status ~reserved k g) know)
+            in
+            if fresh <> pu then incr audit_pursuit_mismatches
+          end;
+          pu
+      | None ->
+          let pu =
+            derive_pursuit ~reserved know g (Array.to_list t.syms) (fun l ->
+                status_after ~occurred:true t v [ l ] = Knowledge.True
+                || status_after ~occurred:false t v [ l ] = Knowledge.True)
+          in
+          incr pursuit_misses;
+          Int_tbl.add m key pu;
+          pu)
+  | _ -> symbolic_pursuit ~reserved know g
+
+type audit = {
+  hits_checked : int;
+  mismatches : int;
+  pursuit_hits_checked : int;
+  pursuit_mismatches : int;
+}
 
 let audit_status_memo f =
   auditing := true;
   audit_hits := 0;
   audit_mismatches := 0;
+  audit_pursuit_hits := 0;
+  audit_pursuit_mismatches := 0;
   let r = Fun.protect ~finally:(fun () -> auditing := false) f in
-  (r, { hits_checked = !audit_hits; mismatches = !audit_mismatches })
+  ( r,
+    {
+      hits_checked = !audit_hits;
+      mismatches = !audit_mismatches;
+      pursuit_hits_checked = !audit_pursuit_hits;
+      pursuit_mismatches = !audit_pursuit_mismatches;
+    } )
+
+let memo_entries select =
+  Hashtbl.fold
+    (fun _ r n ->
+      match r with
+      | Some t -> (
+          match select t with Some m -> n + Int_tbl.length m | None -> n)
+      | None -> n)
+    memo 0
 
 let stats () =
   [
@@ -506,15 +662,13 @@ let stats () =
     ("renamed_guards", !renamed_guards);
     ("renamed_states", !renamed_states);
     ("uncompilable", !fallbacks);
-    ( "status_memo_entries",
-      Hashtbl.fold
-        (fun _ r n ->
-          match r with
-          | Some { status_memo = Some m; _ } -> n + Int_tbl.length m
-          | _ -> n)
-        memo 0 );
+    ("status_memo_entries", memo_entries (fun t -> t.status_memo));
     ("status_memo_misses", !memo_misses);
     ("status_symbolic", !symbolic_evals);
+    ( "pursuit_memo_entries",
+      memo_entries (fun t -> Option.bind t.pursuit_memo (fun p -> p.pursuits))
+    );
+    ("pursuit_memo_misses", !pursuit_misses);
   ]
 
 (* Canonical fingerprint of the flattened table (alphabet, transitions,

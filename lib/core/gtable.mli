@@ -142,16 +142,58 @@ val symbolic_status :
     guards without a table or with a too-wide alphabet, and for
     [~never] queries, which the code does not cover. *)
 
-type audit = { hits_checked : int; mismatches : int }
+(** {1 Pursuit memo}
+
+    A parked attempt whose guard is [Unknown] pursues reservations
+    ({!Knowledge.needs}) and promises from every undecided literal
+    whose occurrence or promise would make the guard [True].  Both are
+    functions of the per-symbol code (fate and reservation) and of the
+    {!Knowledge.pending_status} of each pending term of the guard: the
+    code is all they read of a symbol, the pending statuses all they
+    read of the occurrence order, and a probe's occurrence (stamped
+    last) or promise moves each pending status by the term alone.  So
+    each table with a status memo also memoizes its pursuits under that
+    key.  The table state after the occurrences is not the key:
+    canonical residuals can merge occurrence orders that the pending
+    terms tell apart.  The caller applies its own per-call filters
+    (reservations held or backed off, requests already sent). *)
+
+type pursuit = {
+  reserves : Symbol.t list;
+      (** symbols {!Knowledge.needs} asks to reserve, ascending *)
+  enabling : Literal.t list;
+      (** undecided literals whose occurrence (seqno [max_int]) or
+          promise makes the status [True]: ascending symbol, [Pos]
+          before [Neg] *)
+}
+
+val pursuit : t -> view -> pursuit
+(** The view's pursuit, through the memo; while the memo is off (tables
+    or the interned engine switched off, or too wide a key: 3 bits per
+    symbol and 2 per pending term must fit 62) it is
+    {!symbolic_pursuit}. *)
+
+val symbolic_pursuit : reserved:Symbol.Set.t -> Knowledge.t -> Guard.t -> pursuit
+(** The same pursuit of any guard, evaluated symbolically (the probes
+    count in [status_symbolic]). *)
+
+type audit = {
+  hits_checked : int;
+  mismatches : int;
+  pursuit_hits_checked : int;
+  pursuit_mismatches : int;
+}
 
 val audit_status_memo : (unit -> 'a) -> 'a * audit
-(** [audit_status_memo f] runs [f] with every memo hit checked: the hit
-    is also evaluated by {!Knowledge.status} on the knowledge that asked
-    (not counted in [status_symbolic]), and a different verdict counts
-    as a mismatch.  This checks the claim the memo rests on, that every
-    knowledge with the same (state, code) gets the same verdict, over
-    whatever workload [f] runs.  Misses need no check: they are
-    evaluated on the asking knowledge. *)
+(** [audit_status_memo f] runs [f] with every memo hit checked: a
+    status hit is also evaluated by {!Knowledge.status} on the
+    knowledge that asked, a pursuit hit is recomputed from
+    {!Knowledge.needs} and {!Knowledge.status} (neither counted in
+    [status_symbolic]), and a different answer counts as a mismatch.
+    This checks the claim each memo rests on, that every knowledge with
+    the same key gets the same answer, over whatever workload [f] runs.
+    Misses need no check: they are evaluated on the asking
+    knowledge. *)
 
 (** {1 Observability} *)
 
@@ -162,8 +204,10 @@ val stats : unit -> (string * int) list
     (tables and their states obtained by renaming a table of the same
     shape), [uncompilable], and the status-memo counters
     [status_memo_entries], [status_memo_misses] and [status_symbolic]
-    (evaluations that bypassed the memo).  All are process-wide and
-    reset by {!Intern.clear_memos}. *)
+    (evaluations that bypassed the memo), and the pursuit-memo
+    counters [pursuit_memo_entries] and [pursuit_memo_misses].  All are
+    process-wide (no run's metrics registry sees them) and reset by
+    {!Intern.clear_memos}. *)
 
 val fingerprint : t -> int
 (** Canonical fingerprint of alphabet, transitions, and verdict

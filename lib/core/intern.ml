@@ -22,19 +22,7 @@ end
 
 module Ids_tbl = Hashtbl.Make (Ids)
 
-module Lit_key = struct
-  type t = Literal.t
-
-  let equal (a : t) (b : t) = Literal.compare a b = 0
-
-  let hash (l : t) =
-    (Symbol.hash l.Literal.sym * 2)
-    + (match l.Literal.pol with Literal.Pos -> 0 | Literal.Neg -> 1)
-end
-
-module Lit_tbl = Hashtbl.Make (Lit_key)
-
-let lit_tbl : id Lit_tbl.t = Lit_tbl.create 256
+let lit_tbl : id Literal.Tbl.t = Literal.Tbl.create 256
 let term_tbl : id Ids_tbl.t = Ids_tbl.create 1024
 let prod_tbl : id Ids_tbl.t = Ids_tbl.create 1024
 let nf_tbl : id Ids_tbl.t = Ids_tbl.create 1024
@@ -46,11 +34,11 @@ let fresh () =
   id
 
 let literal l =
-  match Lit_tbl.find_opt lit_tbl l with
+  match Literal.Tbl.find_opt lit_tbl l with
   | Some id -> id
   | None ->
       let id = fresh () in
-      Lit_tbl.add lit_tbl l id;
+      Literal.Tbl.add lit_tbl l id;
       id
 
 let intern_ids tbl ids =
@@ -90,7 +78,7 @@ module Pair_tbl = Hashtbl.Make (Pair_key)
 
 let stats () =
   [
-    ("literals", Lit_tbl.length lit_tbl);
+    ("literals", Literal.Tbl.length lit_tbl);
     ("terms", Ids_tbl.length term_tbl);
     ("products", Ids_tbl.length prod_tbl);
     ("nfs", Ids_tbl.length nf_tbl);

@@ -54,6 +54,12 @@ val status :
     [never] marks symbols of universally-quantified fresh parametrized
     instances: their events never occur (situation [D], Section 5.2). *)
 
+val pending_status : ?never:Symbol.Set.t -> t -> Term.t -> status
+(** Status of an order-sensitive pending term [◇τ] of a product:
+    [True] once all of [τ]'s literals occurred in [τ]'s order, [False]
+    once one occurred with the wrong polarity or out of order (or an
+    earlier one is still missing), else [Unknown]. *)
+
 val pp : Format.formatter -> t -> unit
 
 type needs = {

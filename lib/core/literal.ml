@@ -17,6 +17,7 @@ let compare a b =
   | c -> c
 
 let equal a b = compare a b = 0
+let hash t = (Symbol.hash t.sym * 2) + match t.pol with Pos -> 0 | Neg -> 1
 
 let pp ppf t =
   match t.pol with
@@ -33,3 +34,10 @@ end
 
 module Set = Set.Make (Ord)
 module Map = Map.Make (Ord)
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)

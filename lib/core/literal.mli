@@ -29,6 +29,7 @@ val rename : (Symbol.t -> Symbol.t) -> t -> t
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
+val hash : t -> int
 val pp : Format.formatter -> t -> unit
 (** Prints [e] or [~e]. *)
 
@@ -36,3 +37,4 @@ val to_string : t -> string
 
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t
+module Tbl : Hashtbl.S with type key = t

@@ -35,15 +35,6 @@ let suffix j u =
   in
   drop j u
 
-let splits u =
-  let rec go rev_v w acc =
-    let here = (List.rev rev_v, w) in
-    match w with
-    | [] -> List.rev (here :: acc)
-    | x :: rest -> go (x :: rev_v) rest (here :: acc)
-  in
-  go [] u []
-
 let append u v =
   let w = u @ v in
   if well_formed w then Some w else None

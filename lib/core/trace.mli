@@ -36,9 +36,6 @@ val prefix : int -> t -> t
 val suffix : int -> t -> t
 (** [suffix j u] is [u] with its first [j] events removed ([u^j]). *)
 
-val splits : t -> (t * t) list
-(** All decompositions [u = v @ w], in order of increasing [|v|]. *)
-
 val append : t -> t -> t option
 (** [append u v] is [Some (u @ v)] when the result is well formed, which
     is the side condition [uv ∈ U_E] of Semantics 6. *)

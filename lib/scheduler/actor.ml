@@ -1,12 +1,34 @@
 open Wf_core
 open Wf_tasks
 
+(* A registry and the counters the decision path bumps on every run,
+   resolved on it once; rarer outcomes count through [stats] by name. *)
+type meters = {
+  stats : Wf_obs.Metrics.t;
+  parked_evaluations : Wf_obs.Metrics.counter;
+  promise_requests : Wf_obs.Metrics.counter;
+  promises_granted : Wf_obs.Metrics.counter;
+  reservations_granted : Wf_obs.Metrics.counter;
+  triggers : Wf_obs.Metrics.counter;
+}
+
+let meters stats =
+  let c = Wf_obs.Metrics.counter stats in
+  {
+    stats;
+    parked_evaluations = c "parked_evaluations";
+    promise_requests = c "promise_requests";
+    promises_granted = c "promises_granted";
+    reservations_granted = c "reservations_granted";
+    triggers = c "triggers";
+  }
+
 type ctx = {
   send : Symbol.t -> Messages.t -> unit;
   fire : Literal.t -> unit;
   reject : Literal.t -> unit;
   trigger_task : Literal.t -> bool;
-  stats : Wf_obs.Metrics.t;
+  meters : meters;
   emit_assim : (Wf_obs.Trace.outcome -> int -> unit) option;
       (* trace hook for guard-assimilation outcomes; [None] (replay,
          tracing off) costs one branch per decision *)
@@ -210,86 +232,69 @@ let rec advance_reservations ctx t =
    compensation of Example 4.
 
    Reservations: [¬f]-style constraints are discharged by holding [f]
-   undecided; reservations are acquired in ascending symbol order. *)
+   undecided; reservations are acquired in ascending symbol order.
+
+   What to pursue depends only on the guard and the knowledge, so a
+   compiled table answers it from its pursuit memo ({!Gtable.pursuit});
+   the filters below read the actor's own protocol state. *)
 let pursue ctx t (p : parked) =
   let pol = p.pol in
-  let needs = Knowledge.needs ~reserved:t.reserved t.knowledge p.guard in
-  (* Would the candidate's actual occurrence, or its promise (together
-     with what we hold), let us fire? *)
-  let src = parked_source t p in
-  let enables cand =
-    status_after t ~occurred:true src [ cand ] = Knowledge.True
-    || status_after t ~occurred:false src [ cand ] = Knowledge.True
+  let pu =
+    match parked_source t p with
+    | Table (tbl, v) -> Gtable.pursuit tbl v
+    | Symbolic g -> Gtable.symbolic_pursuit ~reserved:t.reserved t.knowledge g
   in
-  let wanted_reserves = ref Symbol.Set.empty in
-  List.iter
-    (fun n ->
-      List.iter
-        (fun sym ->
-          if
-            (not (Symbol.Set.mem sym t.reserved))
-            && not (Symbol.Set.mem sym t.reserve_backoff)
-          then wanted_reserves := Symbol.Set.add sym !wanted_reserves)
-        n.Knowledge.reserves)
-    needs;
-  if not (Symbol.Set.is_empty !wanted_reserves) then begin
-    let queue =
-      List.sort_uniq Symbol.compare
-        (Symbol.Set.elements !wanted_reserves @ t.reserve_queue)
-    in
-    t.reserve_queue <- queue;
+  let wanted_reserves =
+    List.filter
+      (fun sym ->
+        (not (Symbol.Set.mem sym t.reserved))
+        && not (Symbol.Set.mem sym t.reserve_backoff))
+      pu.Gtable.reserves
+  in
+  if wanted_reserves <> [] then begin
+    t.reserve_queue <-
+      List.sort_uniq Symbol.compare (wanted_reserves @ t.reserve_queue);
     advance_reservations ctx t
   end;
-  let reserve_targets =
-    Symbol.Set.union t.reserved
-      (Symbol.Set.union !wanted_reserves (Symbol.Set.of_list t.reserve_queue))
+  (* Held, wanted, queued or in flight. *)
+  let reserve_target sym =
+    Symbol.Set.mem sym t.reserved
+    || List.exists (Symbol.equal sym) wanted_reserves
+    || List.exists (Symbol.equal sym) t.reserve_queue
+    || match t.reserve_inflight with Some s -> Symbol.equal s sym | None -> false
   in
-  let reserve_targets =
-    match t.reserve_inflight with
-    | Some sym -> Symbol.Set.add sym reserve_targets
-    | None -> reserve_targets
-  in
-  Symbol.Set.iter
-    (fun sym ->
+  List.iter
+    (fun (cand : Literal.t) ->
+      let sym = cand.Literal.sym in
+      (* Escalation order: while a reservation on the symbol is
+         available or in progress, do not ask for its negative
+         eventuality — a ¬-consensus is gentler than forcing the
+         grantee to renounce its event (sacrifice). *)
+      let premature = cand.Literal.pol = Literal.Neg && reserve_target sym in
       if
         (not (Symbol.equal sym t.sym))
-        && not (Knowledge.decided t.knowledge sym)
-      then
-        List.iter
-          (fun cand_pol ->
-            let cand : Literal.t = { Literal.sym; pol = cand_pol } in
-            (* Escalation order: while a reservation on the symbol is
-               available or in progress, do not ask for its negative
-               eventuality — a ¬-consensus is gentler than forcing the
-               grantee to renounce its event (sacrifice). *)
-            let premature =
-              cand_pol = Literal.Neg && Symbol.Set.mem sym reserve_targets
-            in
-            if
-              (not premature)
-              && (not (Literal.Set.mem cand t.promise_requested))
-              && enables cand
-            then begin
-              t.promise_requested <- Literal.Set.add cand t.promise_requested;
-              Wf_obs.Metrics.incr ctx.stats "promise_requests";
-              ctx.send sym
-                (Messages.Promise_request
-                   { target = cand; requester = lit t pol; offers = [ lit t pol ] })
-            end)
-          [ Literal.Pos; Literal.Neg ])
-    p.watch
+        && (not premature)
+        && not (Literal.Set.mem cand t.promise_requested)
+      then begin
+        t.promise_requested <- Literal.Set.add cand t.promise_requested;
+        Wf_obs.Metrics.bump ctx.meters.promise_requests;
+        ctx.send sym
+          (Messages.Promise_request
+             { target = cand; requester = lit t pol; offers = [ lit t pol ] })
+      end)
+    pu.Gtable.enabling
 
 let do_fire ctx t (p : parked) =
   let l = lit t p.pol in
   let ok =
     if p.via_trigger then begin
-      Wf_obs.Metrics.incr ctx.stats "triggers";
+      Wf_obs.Metrics.bump ctx.meters.triggers;
       ctx.trigger_task l
     end
     else true
   in
   if ok then ctx.fire l
-  else Wf_obs.Metrics.incr ctx.stats "trigger_faults";
+  else Wf_obs.Metrics.incr ctx.meters.stats "trigger_faults";
   release_all ctx t
 
 let rec try_fire ctx t (p : parked) =
@@ -327,12 +332,12 @@ let rec try_fire ctx t (p : parked) =
                 if not p.via_trigger then ctx.reject (lit t p.pol)
               end
               else begin
-                Wf_obs.Metrics.incr ctx.stats "forced_violations";
+                Wf_obs.Metrics.incr ctx.meters.stats "forced_violations";
                 note_assim ctx Wf_obs.Trace.Forced p.guard;
                 do_fire ctx t p
               end
           | Knowledge.Unknown ->
-              Wf_obs.Metrics.incr ctx.stats "parked_evaluations";
+              Wf_obs.Metrics.bump ctx.meters.parked_evaluations;
               note_assim ctx
                 (if p.evals = 0 then Wf_obs.Trace.Parked
                  else Wf_obs.Trace.Reduced)
@@ -364,7 +369,7 @@ and grant_or_defer ctx t (pol, requester, offers) =
                && Symbol.compare (Literal.symbol requester) t.sym < 0
                && (attr_of t p.pol).Attribute.rejectable ->
             t.parked <- List.filter (fun q -> q != p) t.parked;
-            Wf_obs.Metrics.incr ctx.stats "sacrificed_attempts";
+            Wf_obs.Metrics.incr ctx.meters.stats "sacrificed_attempts";
             ctx.reject (lit t p.pol);
             true
         | _ -> false
@@ -388,7 +393,7 @@ and grant_or_defer ctx t (pol, requester, offers) =
                (the mutual-[◇] consensus of Example 11). *)
             t.knowledge <-
               List.fold_left (fun k o -> Knowledge.promised o k) t.knowledge offers;
-            Wf_obs.Metrics.incr ctx.stats "promises_granted";
+            Wf_obs.Metrics.bump ctx.meters.promises_granted;
             ctx.send (Literal.symbol requester)
               (Messages.Promise { lit = lit t pol; to_ = requester });
             match existing with
@@ -398,7 +403,7 @@ and grant_or_defer ctx t (pol, requester, offers) =
                 let p = park ~pol ~via_trigger:true (guard_of t pol) in
                 t.parked <- p :: t.parked;
                 try_fire ctx t p)
-        | Knowledge.False -> Wf_obs.Metrics.incr ctx.stats "promises_refused"
+        | Knowledge.False -> Wf_obs.Metrics.incr ctx.meters.stats "promises_refused"
         | Knowledge.Unknown -> (
             (* Conditional promise ([14]): if the offered events actually
                occurring would enable us, promise now and fire when their
@@ -407,7 +412,7 @@ and grant_or_defer ctx t (pol, requester, offers) =
                promise". *)
             match status_after t ~occurred:true src offers with
             | Knowledge.True ->
-                Wf_obs.Metrics.incr ctx.stats "promises_granted_conditional";
+                Wf_obs.Metrics.incr ctx.meters.stats "promises_granted_conditional";
                 ctx.send (Literal.symbol requester)
                   (Messages.Promise { lit = lit t pol; to_ = requester });
                 if existing = None && triggerable then begin
@@ -484,7 +489,7 @@ let rec consider_reservation ctx t requester =
   let sym = t.sym in
   if t.decided_pol <> None then begin
     (* The requester hears the announcement (it watches the symbol). *)
-    Wf_obs.Metrics.incr ctx.stats "reservations_denied";
+    Wf_obs.Metrics.incr ctx.meters.stats "reservations_denied";
     ctx.send (Literal.symbol requester)
       (Messages.Reserve_denied { sym; to_ = requester })
   end
@@ -505,7 +510,7 @@ let rec consider_reservation ctx t requester =
     in
     if t.holder = None && orderly then begin
       t.holder <- Some requester;
-      Wf_obs.Metrics.incr ctx.stats "reservations_granted";
+      Wf_obs.Metrics.bump ctx.meters.reservations_granted;
       ctx.send (Literal.symbol requester)
         (Messages.Reserve_granted { sym; to_ = requester })
     end
@@ -513,7 +518,7 @@ let rec consider_reservation ctx t requester =
       (* Busy: queue until the holder releases. *)
       t.waiters_back <- requester :: t.waiters_back
     else begin
-      Wf_obs.Metrics.incr ctx.stats "reservations_denied";
+      Wf_obs.Metrics.incr ctx.meters.stats "reservations_denied";
       ctx.send (Literal.symbol requester)
         (Messages.Reserve_denied { sym; to_ = requester })
     end
@@ -553,7 +558,7 @@ let attempt ~entailed ctx t pol =
             ctx.reject (lit t pol)
           end
           else begin
-            Wf_obs.Metrics.incr ctx.stats "forced_violations";
+            Wf_obs.Metrics.incr ctx.meters.stats "forced_violations";
             note_assim ctx Wf_obs.Trace.Forced p.guard;
             do_fire ctx t p
           end
@@ -571,7 +576,7 @@ let note_occurred ctx t l ~seqno =
    end);
   (try t.knowledge <- Knowledge.occurred l ~seqno t.knowledge
    with Invalid_argument _ ->
-     Wf_obs.Metrics.incr ctx.stats "contradictory_announcements");
+     Wf_obs.Metrics.incr ctx.meters.stats "contradictory_announcements");
   t.reserve_backoff <- Symbol.Set.empty;
   t.promise_requested <-
     Literal.Set.filter
@@ -592,7 +597,7 @@ let handle ctx t msg =
          known fate are counted and ignored. *)
       match Knowledge.fate_of t.knowledge (Literal.symbol l) with
       | Some (Knowledge.Occurred (pol, _)) when pol = l.Literal.pol ->
-          Wf_obs.Metrics.incr ctx.stats "duplicate_announcements"
+          Wf_obs.Metrics.incr ctx.meters.stats "duplicate_announcements"
       | _ -> note_occurred ctx t l ~seqno)
   | Messages.Promise { lit = l; _ } ->
       t.knowledge <- Knowledge.promised l t.knowledge;
@@ -631,7 +636,7 @@ let handle ctx t msg =
          absorbs the copy if it already knew. *)
       match (t.decided_pol, Knowledge.seqno_of t.knowledge t.sym) with
       | Some pol, Some seqno ->
-          Wf_obs.Metrics.incr ctx.stats "recovery_reannounces";
+          Wf_obs.Metrics.incr ctx.meters.stats "recovery_reannounces";
           ctx.send sym (Messages.Announce { lit = lit t pol; seqno })
       | _ -> ())
 
@@ -641,7 +646,7 @@ let force_reject_parked ctx t =
   List.iter
     (fun p ->
       if not p.via_trigger then ctx.reject (lit t p.pol);
-      Wf_obs.Metrics.incr ctx.stats "parked_rejected_at_close")
+      Wf_obs.Metrics.incr ctx.meters.stats "parked_rejected_at_close")
     parked;
   release_all ctx t
 
@@ -670,6 +675,7 @@ let apply ctx t = function
 
 let muted_ctx stats =
   {
+    meters = meters stats;
     send = (fun _ _ -> ());
     fire = ignore;
     reject = ignore;
@@ -677,7 +683,6 @@ let muted_ctx stats =
        succeeded or faulted, the actor's own state ends up the same
        (firing is a [ctx] effect, not a state change). *)
     trigger_task = (fun _ -> true);
-    stats;
     emit_assim = None;
   }
 

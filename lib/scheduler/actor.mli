@@ -32,6 +32,14 @@ open Wf_tasks
       its event is required on every accepting path ("the scheduler
       causes the events to occur when necessary", Example 4). *)
 
+type meters
+(** A registry and its per-decision counters ([parked_evaluations],
+    [promise_requests], [promises_granted], [reservations_granted],
+    [triggers]) resolved on it once ({!Wf_obs.Metrics.counter}): like
+    [incr], a counter appears in the registry on its first bump. *)
+
+val meters : Wf_obs.Metrics.t -> meters
+
 type ctx = {
   send : Symbol.t -> Messages.t -> unit;
       (** route a protocol message to another symbol's actor *)
@@ -41,7 +49,9 @@ type ctx = {
   reject : Literal.t -> unit;  (** permanently forbid an attempt *)
   trigger_task : Literal.t -> bool;
       (** cause the event in the owning task; false on a trigger fault *)
-  stats : Wf_obs.Metrics.t;
+  meters : meters;
+      (** where the actor counts; one [meters stats] per registry can be
+          shared by every context on it *)
   emit_assim : (Wf_obs.Trace.outcome -> int -> unit) option;
       (** trace hook, called with the assimilation outcome and the
           evaluated guard's {!Wf_core.Guard.uid} at every guard

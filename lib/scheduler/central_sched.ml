@@ -464,13 +464,11 @@ let run ?(config = Event_sched.default_config) wf =
       ~site:central_site ~actor:"center"
   in
   let agents = Hashtbl.create 16 in
-  List.iter
-    (fun (task : Workflow_def.task) ->
+  List.iter2
+    (fun (task : Workflow_def.task) spec ->
       Hashtbl.replace agents task.instance
-        ( Agent.create ~instance:task.instance ~model:task.model
-            ~script:task.script ~parametrize:task.parametrize (),
-          task.site ))
-    wf.Workflow_def.tasks;
+        (Agent.instantiate spec ~script:task.script, task.site))
+    wf.Workflow_def.tasks (Run_plan.agents plan);
   let rt =
     {
       wf;

@@ -25,7 +25,10 @@ and 'd t = {
   driver : 'd;
   guard_overrides : (Literal.t * Guard.t) list;
   stats : Wf_obs.Metrics.t;
-  replay_stats : Wf_obs.Metrics.t;
+  meters : Actor.meters;
+  occurrences_counter : Wf_obs.Metrics.counter;
+  attempts_counter : Wf_obs.Metrics.counter;
+  replay_ctx : Actor.ctx;
   actors : Actor.t Symbol_tbl.t;
   ctxs : Actor.ctx Symbol_tbl.t;
   journals : jstate Symbol_tbl.t;
@@ -61,7 +64,10 @@ let create ?(guard_overrides = []) ~stats ~journal ~hooks ~driver
       driver;
       guard_overrides;
       stats;
-      replay_stats = Wf_obs.Metrics.create ();
+      meters = Actor.meters stats;
+      occurrences_counter = Wf_obs.Metrics.counter stats "occurrences";
+      attempts_counter = Wf_obs.Metrics.counter stats "attempts";
+      replay_ctx = Actor.muted_ctx (Wf_obs.Metrics.create ());
       actors = Symbol_tbl.create 64;
       ctxs = Symbol_tbl.create 64;
       journals = Symbol_tbl.create 64;
@@ -78,12 +84,11 @@ let create ?(guard_overrides = []) ~stats ~journal ~hooks ~driver
       rejected = [];
     }
   in
-  List.iter
-    (fun (task : Workflow_def.task) ->
+  List.iter2
+    (fun (task : Workflow_def.task) spec ->
       Hashtbl.replace t.agents task.instance
-        (Agent.create ~instance:task.instance ~model:task.model
-           ~script:task.script ~parametrize:task.parametrize ()))
-    wf.tasks;
+        (Agent.instantiate spec ~script:task.script))
+    wf.tasks (Run_plan.agents plan);
   List.iter
     (fun sym ->
       Symbol_tbl.replace t.actors sym (fresh_actor t sym);
@@ -121,7 +126,7 @@ let rec ctx_for t sym : Actor.ctx =
           fire = (fun lit -> fire t lit);
           reject = (fun lit -> reject t lit);
           trigger_task = (fun lit -> trigger_task t lit);
-          stats = t.stats;
+          meters = t.meters;
           emit_assim = t.hooks.emit_assim t sym;
         }
       in
@@ -164,7 +169,7 @@ and fire t lit =
     t.occurrences <- occurrence :: t.occurrences;
     t.decided <- Symbol.Set.add sym t.decided;
     t.hooks.on_fire t occurrence;
-    Wf_obs.Metrics.incr t.stats "occurrences";
+    Wf_obs.Metrics.bump t.occurrences_counter;
     (* Own actor learns first (it hosts the event). *)
     deliver t (actor_of t sym) (Actor.I_occurred { lit; seqno });
     (* The owning agent advances; triggered transitions already advanced
@@ -217,14 +222,13 @@ and trigger_task t lit =
           true)
 
 let attempt t agent sym (attr : Attribute.t) =
-  Wf_obs.Metrics.incr t.stats "attempts";
+  Wf_obs.Metrics.bump t.attempts_counter;
   if attr.controllable then begin
     (* Vet the complements the transition entails together with the
        event's own guard: committing must be allowed to preclude
        aborting, etc. *)
     let entailed =
-      Guard.conj_all
-        (List.map (Run_plan.guard t.plan) (Agent.would_make_unreachable agent sym))
+      Run_plan.entailed_guard t.plan (Agent.would_make_unreachable agent sym)
     in
     deliver t (actor_of t sym) (Actor.I_attempt { pol = Literal.Pos; entailed });
     false
@@ -248,8 +252,7 @@ let attempt t agent sym (attr : Attribute.t) =
 let replay t sym (ckpt, suffix) =
   let fresh = fresh_actor t sym in
   Option.iter (Actor.restore fresh) ckpt;
-  let mctx = Actor.muted_ctx t.replay_stats in
-  List.iter (Actor.apply mctx fresh) suffix;
+  List.iter (Actor.apply t.replay_ctx fresh) suffix;
   fresh
 
 let recover t sym =

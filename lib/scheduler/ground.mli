@@ -45,7 +45,10 @@ and 'd t = {
   driver : 'd;
   guard_overrides : (Literal.t * Guard.t) list;
   stats : Wf_obs.Metrics.t;
-  replay_stats : Wf_obs.Metrics.t;  (** scratch sink for muted replays *)
+  meters : Actor.meters;  (** resolved on [stats], shared by every ctx *)
+  occurrences_counter : Wf_obs.Metrics.counter;
+  attempts_counter : Wf_obs.Metrics.counter;
+  replay_ctx : Actor.ctx;  (** muted, counting into a registry no run reads *)
   actors : Actor.t Symbol_tbl.t;
   ctxs : Actor.ctx Symbol_tbl.t;
   journals : jstate Symbol_tbl.t;

@@ -10,16 +10,30 @@ type actor = {
   demand_automata : Automaton.t list;
 }
 
+(* Entailed-guard memo keys: the literal lists [Agent.would_make_unreachable]
+   returns. *)
+module Lits_tbl = Hashtbl.Make (struct
+  type t = Literal.t list
+
+  let equal = List.equal Literal.equal
+
+  let hash lits =
+    List.fold_left (fun h l -> ((h * 31) + Literal.hash l) land max_int) 0 lits
+end)
+
 type t = {
   compiled : Compile.t;
   symbols : Symbol.t list;
   actors : actor Symbol.Map.t;
   owners : string Symbol.Map.t;
   subscriptions : Symbol.Set.t Symbol.Map.t;
+  agents : Agent.spec list;
+  entailed : Guard.t Lits_tbl.t;
 }
 
 let compiled t = t.compiled
 let symbols t = t.symbols
+let agents t = t.agents
 
 let actor t sym =
   match Symbol.Map.find_opt sym t.actors with
@@ -32,6 +46,14 @@ let subscribers t sym =
   Option.value (Symbol.Map.find_opt sym t.subscriptions) ~default:Symbol.Set.empty
 
 let guard t lit = (Compile.plan t.compiled lit).Compile.guard
+
+let entailed_guard t lits =
+  match Lits_tbl.find_opt t.entailed lits with
+  | Some g -> g
+  | None ->
+      let g = Guard.conj_all (List.map (guard t) lits) in
+      Lits_tbl.add t.entailed lits g;
+      g
 
 (* The guards of complements the owning task's transitions on [sym] may
    entail: an attempt vets them, so the actor must hear about the
@@ -142,12 +164,21 @@ let build (wf : Workflow_def.t) =
           watch subs)
       actors Symbol.Map.empty
   in
+  let agents =
+    List.map
+      (fun (task : Workflow_def.task) ->
+        Agent.spec ~instance:task.instance ~model:task.model
+          ~parametrize:task.parametrize ())
+      wf.tasks
+  in
   {
     compiled;
     symbols = Symbol.Set.elements symbol_set;
     actors;
     owners;
     subscriptions;
+    agents;
+    entailed = Lits_tbl.create 16;
   }
 
 (* The memo key is the spec's data, compared structurally: dependencies,

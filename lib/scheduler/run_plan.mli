@@ -3,13 +3,15 @@ open Wf_tasks
 
 (** The spec-invariant part of a ground run, computed once per spec.
 
-    Everything {!Event_sched} and {!Step_sched} derive from the
-    workflow's data alone lives here: the compiled guards, the symbols
-    that get an actor, each actor's creation parameters (site,
-    attributes, both guards, demand automata), the owning task instance
-    of every task event, and the subscription map.  A run builds only
-    its mutable state — actors, journals, agents, queues or network —
-    from a plan.
+    Everything {!Event_sched}, {!Step_sched} and {!Central_sched}
+    derive from the workflow's data alone lives here: the compiled
+    guards, the symbols that get an actor, each actor's creation
+    parameters (site, attributes, both guards, demand automata), the
+    owning task instance of every task event, the subscription map,
+    each task's {!Agent.spec} and the conjunctions of entailed
+    complement guards attempts have asked for.  A run builds only its
+    mutable state — actors, journals, agents, queues or network — from
+    a plan.
 
     {!of_workflow} is memoized keyed on the spec's data: the dependency
     expressions, each task's instance, model, site and [parametrize]
@@ -56,3 +58,13 @@ val subscribers : t -> Symbol.t -> Symbol.Set.t
 val guard : t -> Literal.t -> Guard.t
 (** The synthesized guard of a literal ([⊤] if no dependency mentions
     it). *)
+
+val agents : t -> Agent.spec list
+(** One agent spec per task, in the workflow's task order: the model is
+    validated and its unreachable events tabulated once per plan, and a
+    run instantiates an agent from each with the task's script. *)
+
+val entailed_guard : t -> Literal.t list -> Guard.t
+(** [Guard.conj_all (List.map (guard t) lits)]: the guards of the
+    complements an attempt entails ({!Agent.would_make_unreachable}),
+    memoized on the plan keyed by the literal list. *)

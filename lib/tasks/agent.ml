@@ -17,15 +17,24 @@ let transactional () =
 let aborting () = straight_line [ "start"; "abort" ]
 let looping k = { steps = [ "enter"; "exit" ]; on_reject = (fun _ -> None); repeat = k }
 
-type t = {
+(* The immutable part of an agent, shared by every run of a plan: the
+   model (validated once), each significant event's symbol and the
+   significant events unreachable from each state. *)
+type spec = {
   instance : string;
   model : Task_model.t;
-  script : script;
   parametrize : bool;
   symbols : (string * Symbol.t) list;
-      (* each significant event's symbol, in model order, computed once *)
+      (* each significant event's symbol, in model order *)
   by_base : (string * string) list;
       (* symbol base -> event, for the argument-free symbols above *)
+  unreachable : (string * string list) list;
+      (* state -> [Task_model.unreachable_events], for every state *)
+}
+
+type t = {
+  spec : spec;
+  script : script;
   mutable state : string;
   mutable plan : string list; (* events still to attempt *)
   mutable awaiting : Symbol.t option;
@@ -37,10 +46,10 @@ type t = {
 let expand_script script =
   List.concat (List.init (max 1 script.repeat) (fun _ -> script.steps))
 
-let create ~instance ~model ~script ?(parametrize = false) () =
+let spec ~instance ~model ?(parametrize = false) () =
   (match Task_model.validate model with
   | Ok () -> ()
-  | Error msg -> invalid_arg ("Agent.create: invalid model: " ^ msg));
+  | Error msg -> invalid_arg ("Agent.spec: invalid model: " ^ msg));
   let symbols =
     List.map
       (fun (ev, _, _) -> (ev, Task_model.symbol_of_event model ~instance ev))
@@ -54,14 +63,18 @@ let create ~instance ~model ~script ?(parametrize = false) () =
         if Symbol.args sym = [] then Some (Symbol.base sym, ev) else None)
       symbols
   in
+  let unreachable =
+    List.map
+      (fun st -> (st, Task_model.unreachable_events model st))
+      model.Task_model.states
+  in
+  { instance; model; parametrize; symbols; by_base; unreachable }
+
+let instantiate spec ~script =
   {
-    instance;
-    model;
+    spec;
     script;
-    parametrize;
-    symbols;
-    by_base;
-    state = model.Task_model.init;
+    state = spec.model.Task_model.init;
     plan = expand_script script;
     awaiting = None;
     occurred = [];
@@ -69,8 +82,11 @@ let create ~instance ~model ~script ?(parametrize = false) () =
     given_up = false;
   }
 
-let instance t = t.instance
-let model t = t.model
+let create ~instance ~model ~script ?parametrize () =
+  instantiate (spec ~instance ~model ?parametrize ()) ~script
+
+let instance t = t.spec.instance
+let model t = t.spec.model
 let state t = t.state
 let awaiting t = t.awaiting
 
@@ -85,23 +101,24 @@ let rec find_string key = function
 
 let symbol_of t event =
   let base =
-    match find_string event t.symbols with
+    match find_string event t.spec.symbols with
     | Some sym -> sym
-    | None -> Task_model.symbol_of_event t.model ~instance:t.instance event
+    | None ->
+        Task_model.symbol_of_event t.spec.model ~instance:t.spec.instance event
   in
-  if t.parametrize then
+  if t.spec.parametrize then
     Symbol.parametrized (Symbol.name base)
       [ string_of_int (count_of t event + 1) ]
   else base
 
 let event_of_symbol t sym =
   (* Match on the base: any occurrence parameter is stripped. *)
-  find_string (Symbol.base sym) t.by_base
+  find_string (Symbol.base sym) t.spec.by_base
 
 let owns t sym = Option.is_some (event_of_symbol t sym)
 
 let attribute_of t sym =
-  Option.map (Task_model.attribute t.model) (event_of_symbol t sym)
+  Option.map (Task_model.attribute t.spec.model) (event_of_symbol t sym)
 
 let want t =
   if t.given_up || Option.is_some t.awaiting then None
@@ -109,46 +126,43 @@ let want t =
     match t.plan with
     | [] -> None
     | event :: _ ->
-        if Task_model.next_state t.model t.state event = None then None
-        else Some (symbol_of t event, Task_model.attribute t.model event)
+        if Task_model.next_state t.spec.model t.state event = None then None
+        else Some (symbol_of t event, Task_model.attribute t.spec.model event)
 
 let begin_attempt t sym = t.awaiting <- Some sym
 
-let complements_made_unreachable t ~before ~after =
-  if t.parametrize then []
+(* Validation puts every state a transition reaches among the model's
+   states, so each has an entry. *)
+let unreachable_from spec st = List.assoc st spec.unreachable
+
+(* The complements of the significant events the transition [before ->
+   after] makes unreachable, other than [event] and those that
+   occurred. *)
+let complements_made_unreachable t ~before ~after ~event =
+  if t.spec.parametrize then []
   else
-    let was = Task_model.unreachable_events t.model before in
-    let now = Task_model.unreachable_events t.model after in
+    let was = unreachable_from t.spec before in
     List.filter_map
       (fun ev ->
-        if (not (List.mem ev was)) && not (List.mem ev t.occurred) then
-          Some (Literal.neg (symbol_of t ev))
+        if
+          (not (List.mem ev was))
+          && (not (List.mem ev t.occurred))
+          && not (String.equal ev event)
+        then Some (Literal.neg (symbol_of t ev))
         else None)
-      now
+      (unreachable_from t.spec after)
 
 let would_make_unreachable t sym =
   match event_of_symbol t sym with
   | None -> []
   | Some event -> (
-      match Task_model.next_state t.model t.state event with
+      match Task_model.next_state t.spec.model t.state event with
       | None -> []
       | Some next ->
-          if t.parametrize then []
-          else
-            let was = Task_model.unreachable_events t.model t.state in
-            let now = Task_model.unreachable_events t.model next in
-            List.filter_map
-              (fun ev ->
-                if
-                  (not (List.mem ev was))
-                  && (not (List.mem ev t.occurred))
-                  && ev <> event
-                then Some (Literal.neg (symbol_of t ev))
-                else None)
-              now)
+          complements_made_unreachable t ~before:t.state ~after:next ~event)
 
 let advance t event =
-  match Task_model.next_state t.model t.state event with
+  match Task_model.next_state t.spec.model t.state event with
   | None -> None
   | Some next ->
       let before = t.state in
@@ -157,7 +171,7 @@ let advance t event =
       t.occurred <- event :: t.occurred;
       t.counts <- (event, count_of t event + 1) :: List.remove_assoc event t.counts;
       t.state <- next;
-      Some (complements_made_unreachable t ~before ~after:next)
+      Some (complements_made_unreachable t ~before ~after:next ~event)
 
 let on_accepted t sym =
   (match t.awaiting with
@@ -203,17 +217,17 @@ let finished t =
   t.awaiting = None
   && (t.given_up || t.plan = []
      || List.for_all
-          (fun ev -> Task_model.next_state t.model t.state ev = None)
+          (fun ev -> Task_model.next_state t.spec.model t.state ev = None)
           [ List.hd t.plan ])
 
 let undecided_complements t =
-  if t.parametrize then []
+  if t.spec.parametrize then []
   else
     List.filter_map
       (fun (ev, _, _) ->
         if List.mem ev t.occurred then None
         else Some (Literal.neg (symbol_of t ev)))
-      t.model.Task_model.significant
+      t.spec.model.Task_model.significant
 
 (* ---- Model-checker support ------------------------------------------
 

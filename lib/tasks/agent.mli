@@ -36,7 +36,22 @@ val aborting : unit -> script
 val looping : int -> script
 (** [enter]/[exit] repeated the given number of times (Example 13). *)
 
+type spec
+(** The immutable part of an agent: its instance and model, each
+    significant event's symbol, and the significant events unreachable
+    from each model state.  Built once per task and shared by every
+    agent instantiated from it (a run plan holds one per task). *)
+
+val spec :
+  instance:string -> model:Task_model.t -> ?parametrize:bool -> unit -> spec
+(** Validate the model ({!Task_model.validate}; [Invalid_argument] if it
+    is invalid) and tabulate {!Task_model.unreachable_events} over its
+    states. *)
+
 type t
+
+val instantiate : spec -> script:script -> t
+(** A fresh agent in the model's initial state, following the script. *)
 
 val create :
   instance:string ->
@@ -45,6 +60,7 @@ val create :
   ?parametrize:bool ->
   unit ->
   t
+(** [instantiate (spec ~instance ~model ?parametrize ()) ~script]. *)
 
 val instance : t -> string
 val model : t -> Task_model.t

@@ -170,4 +170,9 @@ let suite =
     qtest ~count:200 "conj entails operands" gen_expr (fun x ->
         Equiv.entails (Expr.conj x f) x);
     qtest ~count:100 "equiv is reflexive" gen_expr (fun x -> Equiv.equal x x);
+    qprop ~count:300 ~print:Expr.to_string
+      "positional satisfaction = split enumeration" gen_expr (fun x ->
+        List.for_all
+          (fun u -> Semantics.satisfies u x = Reference.satisfies u x)
+          (Universe.traces alpha_efg));
   ]

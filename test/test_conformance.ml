@@ -123,12 +123,17 @@ let conformance_sweep ~faults ~label () =
     (spec_files ())
 
 (* Every status-memo hit during the sweep must agree with
-   [Knowledge.status] of the knowledge that asked. *)
+   [Knowledge.status] of the knowledge that asked, and every
+   pursuit-memo hit with the pursuit recomputed from it. *)
 let audited label f =
   let r, a = Gtable.audit_status_memo f in
   checkb (label ^ ": the sweep hit the status memo") (a.Gtable.hits_checked > 0);
   check Alcotest.int (label ^ ": status-memo audit mismatches") 0
     a.Gtable.mismatches;
+  checkb (label ^ ": the sweep hit the pursuit memo")
+    (a.Gtable.pursuit_hits_checked > 0);
+  check Alcotest.int (label ^ ": pursuit-memo audit mismatches") 0
+    a.Gtable.pursuit_mismatches;
   r
 
 let test_conformance_reliable () =
@@ -196,6 +201,45 @@ let test_faulty_determinism () =
     (List.map Literal.to_string (Event_sched.trace_literals r1))
     (List.map Literal.to_string (Event_sched.trace_literals r2))
 
+(* [Correctness.violations] (one positions index per trace) against the
+   split-enumeration reference, on the engines' realized traces of every
+   ground spec, their reversals and every prefix: the reversed and
+   truncated traces violate ordering and existence dependencies, so the
+   comparison is not only over empty verdicts. *)
+let test_violations_match_reference () =
+  let violated = ref 0 in
+  List.iter
+    (fun path ->
+      let { Wf_lang.Elaborate.def; templates } =
+        Wf_lang.Elaborate.load_file path
+      in
+      if templates = [] then
+        let deps = Wf_tasks.Workflow_def.dependencies def in
+        List.iter
+          (fun (sched, seed) ->
+            let trace =
+              Event_sched.trace_literals
+                (run_one ~sched ~faults:Wf_sim.Netsim.no_faults ~seed def)
+            in
+            let cases =
+              List.rev trace
+              :: List.init (List.length trace + 1) (fun i -> Trace.prefix i trace)
+            in
+            List.iter
+              (fun u ->
+                let got = Correctness.violations deps u in
+                violated := !violated + List.length got;
+                check
+                  (Alcotest.list expr_testable)
+                  (Printf.sprintf "%s %s seed %Ld: violations of %s"
+                     (Filename.basename path) (sched_name sched) seed
+                     (Trace.to_string u))
+                  (Reference.violations deps u) got)
+              cases)
+          [ (`Distributed, 1L); (`Distributed, 5L); (`Central, 9L) ])
+    (spec_files ());
+  checkb "some case violates a dependency" (!violated > 0)
+
 let suite =
   [
     Alcotest.test_case "specs x schedulers x 20 seeds (reliable net)" `Slow
@@ -204,4 +248,6 @@ let suite =
       test_conformance_faulty;
     Alcotest.test_case "faulty runs replay deterministically" `Quick
       test_faulty_determinism;
+    Alcotest.test_case "violations match the split-enumeration reference"
+      `Quick test_violations_match_reference;
   ]

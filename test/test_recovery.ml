@@ -211,13 +211,14 @@ let test_dead_letter_revival () =
 
 let recording_ctx () =
   let fired = ref [] and rejected = ref [] in
+  let stats = Wf_obs.Metrics.create () in
   let ctx =
     {
       Actor.send = (fun _ _ -> ());
       fire = (fun l -> fired := l :: !fired);
       reject = (fun l -> rejected := l :: !rejected);
       trigger_task = (fun _ -> true);
-      stats = Wf_obs.Metrics.create ();
+      meters = Actor.meters stats;
       emit_assim = None;
     }
   in

@@ -580,6 +580,28 @@ let test_central_pins () =
     "aa39ecd1ea0378c07e48547b8f9f8f1a"
     (pin_digest ~run:Central_sched.run faulty_config)
 
+(* The memo claims under the pin workloads: every status-memo and
+   pursuit-memo hit of the 24 pinned seeds, fault-free and faulty,
+   agrees with the symbolic answer for the knowledge that asked. *)
+let test_pin_memo_audit () =
+  List.iter
+    (fun (label, config) ->
+      Intern.clear_memos ();
+      let (), a =
+        Gtable.audit_status_memo (fun () ->
+            ignore (pin_digest config))
+      in
+      checkb (label ^ ": status-memo hits") (a.Gtable.hits_checked > 0);
+      check Alcotest.int (label ^ ": status-memo mismatches") 0
+        a.Gtable.mismatches;
+      checkb (label ^ ": pursuit-memo hits") (a.Gtable.pursuit_hits_checked > 0);
+      check Alcotest.int (label ^ ": pursuit-memo mismatches") 0
+        a.Gtable.pursuit_mismatches)
+    [
+      ("travel", fun seed -> { Event_sched.default_config with seed });
+      ("travel-faulty", faulty_config);
+    ]
+
 let suite =
   [
     Alcotest.test_case "travel happy path" `Quick test_travel_happy;
@@ -611,4 +633,6 @@ let suite =
       test_behaviour_pins;
     Alcotest.test_case "central behaviour pins (travel, travel-faulty)" `Quick
       test_central_pins;
+    Alcotest.test_case "memo audits over the pinned seeds" `Quick
+      test_pin_memo_audit;
   ]
