@@ -16,7 +16,7 @@ let compare a b =
   | 0 -> Stdlib.compare a.pol b.pol
   | c -> c
 
-let equal a b = compare a b = 0
+let equal a b = a.pol = b.pol && Symbol.equal a.sym b.sym
 let hash t = (Symbol.hash t.sym * 2) + match t.pol with Pos -> 0 | Neg -> 1
 
 let pp ppf t =

@@ -29,7 +29,10 @@ let compare a b =
   | 0 -> List.compare String.compare a.args b.args
   | c -> c
 
-let equal a b = compare a b = 0
+(* Unequal hashes prove inequality, so [equal] answers most distinct
+   pairs without walking a name; [compare] cannot use the hash because
+   map order is the string order. *)
+let equal a b = a.h = b.h && compare a b = 0
 let hash t = t.h
 let pp ppf t = Format.pp_print_string ppf (name t)
 

@@ -63,13 +63,10 @@ type 'a t = {
   epochs : int array; (* durable: bumped on every restart *)
   mids : int array; (* volatile: reset to 0 on restart *)
   peer_epoch : int array array; (* per observer: highest epoch seen per origin *)
-  local_reliable : bool;
-      (* Same-site messages normally skip the ack machinery (the
-         simulator never link-faults them), but a crashed site drops
-         every delivery — including local ones — so when the fault
-         config can crash sites, same-site traffic needs the
-         retransmission machinery too or a local handoff lost in a
-         crash window is lost forever. *)
+  direct : bool array;
+      (* per link, [src * num_sites + dst]: the link delivers every
+         message exactly once ({!Wf_sim.Netsim.exactly_once}) and no
+         mailbox can refuse one, so its sends skip the protocol *)
   flow : Flow.t option;
   blocked : (site * site, (key * float) Queue.t) Hashtbl.t;
       (* sends awaiting credit, FIFO per (src, dst), with block time *)
@@ -80,6 +77,7 @@ type 'a t = {
   draining : bool array;
   handlers : (site, site -> 'a -> unit) Hashtbl.t;
   m_acks : Metrics.counter; (* chan_acks, bumped once per delivered copy *)
+  m_direct : Metrics.counter; (* chan_direct_sends *)
   m_ack_latency : Metrics.histogram_handle;
 }
 
@@ -246,15 +244,21 @@ let ensure_stall_check t flow ~src ~dst =
       (stall_check t flow ~src ~dst)
   end
 
+let is_direct t ~src ~dst =
+  t.direct.((src * Wf_sim.Netsim.num_sites t.net) + dst)
+
 let send ?(priority = false) t ~src ~dst payload =
-  let mid = t.mids.(src) in
-  t.mids.(src) <- mid + 1;
-  let epoch = t.epochs.(src) in
-  if src = dst && not t.local_reliable then
-    (* Same-site messages never link-fault: skip the ack machinery. *)
+  if is_direct t ~src ~dst then begin
+    (* Nothing to recover from: no id, outbox entry, timer or ack. *)
+    Metrics.bump t.m_direct;
+    let epoch = t.epochs.(src) in
     Wf_sim.Netsim.send t.net ~src ~dst
-      (Data { mid; epoch; origin = src; prio = priority; payload })
+      (Data { mid = -1; epoch; origin = src; prio = priority; payload })
+  end
   else begin
+    let mid = t.mids.(src) in
+    t.mids.(src) <- mid + 1;
+    let epoch = t.epochs.(src) in
     let p =
       {
         p_src = src;
@@ -342,10 +346,13 @@ let create ?(rto = 3.0) ?(backoff = default_backoff) ?(max_rto = 60.0)
     ?(max_retries = 30) ?(retransmit_jitter = default_retransmit_jitter) ?flow
     net =
   let n = Wf_sim.Netsim.num_sites net in
-  let local_reliable =
+  (* A full mailbox refuses messages, so under flow control every
+     cross-site link is lossy whatever the network does. *)
+  let direct =
     let fc = Wf_sim.Netsim.fault_config net in
-    fc.Wf_sim.Netsim.crash_on_deliver > 0.0
-    || fc.Wf_sim.Netsim.crash_on_send > 0.0
+    Array.init (n * n) (fun link ->
+        let src = link / n and dst = link mod n in
+        Wf_sim.Netsim.exactly_once fc ~src ~dst && (flow = None || src = dst))
   in
   let flow =
     match flow with
@@ -375,7 +382,7 @@ let create ?(rto = 3.0) ?(backoff = default_backoff) ?(max_rto = 60.0)
       epochs = Array.make n 0;
       mids = Array.make n 0;
       peer_epoch = Array.init n (fun _ -> Array.make n 0);
-      local_reliable;
+      direct;
       flow;
       blocked = Hashtbl.create 16;
       stall_on = Hashtbl.create 16;
@@ -384,6 +391,7 @@ let create ?(rto = 3.0) ?(backoff = default_backoff) ?(max_rto = 60.0)
       draining = Array.make n false;
       handlers = Hashtbl.create 16;
       m_acks = Metrics.counter (Wf_sim.Netsim.stats net) "chan_acks";
+      m_direct = Metrics.counter (Wf_sim.Netsim.stats net) "chan_direct_sends";
       m_ack_latency = Metrics.histogram (Wf_sim.Netsim.stats net) "ack_latency";
     }
   in
@@ -433,11 +441,9 @@ let mailbox t site =
    mark happen here and a crash wipes only unacked mailbox entries. *)
 let consume t site src ((origin, d_epoch, d_mid) as key : key) payload =
   mark_seen t key;
-  if origin <> site || t.local_reliable then begin
-    Metrics.bump t.m_acks;
-    Wf_sim.Netsim.send ~control:true t.net ~src:site ~dst:origin
-      (Ack { mid = d_mid; epoch = d_epoch })
-  end;
+  Metrics.bump t.m_acks;
+  Wf_sim.Netsim.send ~control:true t.net ~src:site ~dst:origin
+    (Ack { mid = d_mid; epoch = d_epoch });
   match Hashtbl.find_opt t.handlers site with
   | None -> ()
   | Some handler -> handler src payload
@@ -488,6 +494,8 @@ let on_receive t site handler =
   Hashtbl.replace t.handlers site handler;
   Wf_sim.Netsim.on_receive t.net site (fun src wire ->
       match wire with
+      | Data { payload; origin; _ } when is_direct t ~src:origin ~dst:site ->
+          handler src payload
       | Data { mid; epoch; origin; prio; payload } -> (
           let key : key = (origin, epoch, mid) in
           if origin <> site then note_peer_epoch t ~observer:site ~origin epoch;
@@ -499,12 +507,10 @@ let on_receive t site handler =
                  the sender's retransmission redelivers it later. *)
               if is_seen t key then begin
                 Metrics.incr (stats t) "chan_duplicates_suppressed";
-                if origin <> site || t.local_reliable then begin
-                  (* Consumed earlier; the ack must have been lost. *)
-                  Metrics.bump t.m_acks;
-                  Wf_sim.Netsim.send ~control:true t.net ~src:site ~dst:origin
-                    (Ack { mid; epoch })
-                end
+                (* Consumed earlier; the ack must have been lost. *)
+                Metrics.bump t.m_acks;
+                Wf_sim.Netsim.send ~control:true t.net ~src:site ~dst:origin
+                  (Ack { mid; epoch })
               end
               else if Key_tbl.mem t.mbox_keys key then
                 (* Queued but not yet consumed: suppress the duplicate
@@ -521,17 +527,15 @@ let on_receive t site handler =
                 end
               end
           | _ ->
-              (* Direct path (no flow control, or priority lane): ack
+              (* Unqueued path (no flow control, or priority lane): ack
                  every copy — the previous ack may itself have been
                  lost.  Deliver to the handler at most once per key — a
                  fresh epoch makes an old mid a distinct message, so a
                  post-restart (mid 0, epoch n+1) is never suppressed by
                  a pre-crash (mid 0, epoch n). *)
-              if origin <> site || t.local_reliable then begin
-                Metrics.bump t.m_acks;
-                Wf_sim.Netsim.send ~control:true t.net ~src:site ~dst:origin
-                  (Ack { mid; epoch })
-              end;
+              Metrics.bump t.m_acks;
+              Wf_sim.Netsim.send ~control:true t.net ~src:site ~dst:origin
+                (Ack { mid; epoch });
               if is_seen t key then
                 Metrics.incr (stats t) "chan_duplicates_suppressed"
               else begin

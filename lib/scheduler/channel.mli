@@ -42,11 +42,20 @@
     deliveries to a crashed site are dropped by the simulator and the
     normal retransmission timers recover them.
 
-    Same-site messages bypass the machinery when the fault
-    configuration cannot crash sites (the simulator never link-faults
-    them).  With crash injection enabled they ride the full ack and
-    retransmission path too: a crashed site drops {e local} deliveries
-    as well, and a lost local handoff would otherwise stay lost.
+    {2 Exactly-once links}
+
+    The protocol runs only where the network can lose or repeat a
+    message.  A link that {!Wf_sim.Netsim.exactly_once} admits, and
+    that no mailbox can refuse (under flow control every cross-site
+    link is lossy, since a full mailbox refuses messages), carries a
+    send as one [Data] with no id ([mid = -1]), no outbox entry, no
+    retransmit timer and no ack; the receiver hands it to the handler
+    without a dedup probe (counted ["chan_direct_sends"]).  With
+    [no_faults], or reordering alone, every link is such a link; with a
+    crash probability none is, since a crashed site drops {e local}
+    deliveries as well; with loss, duplication or a partition only the
+    same-site links and the links no partition separates stay direct.
+    Both ends decide from the same fault config, so they always agree.
 
     All timers run on the network's virtual clock and all randomness is
     the network's, so reliable delivery over a faulty network remains
@@ -73,9 +82,10 @@
     below the watermark are redundant with it and a long fault-free
     run keeps O(reorder window) entries instead of O(messages).
 
-    Counters in the network's {!Wf_obs.Metrics.t}: ["chan_retransmits"],
-    ["chan_duplicates_suppressed"], ["chan_acks"], ["chan_gave_up"],
-    ["chan_revived"]; histogram ["ack_latency"] (first send to ack).
+    Counters in the network's {!Wf_obs.Metrics.t}: ["chan_direct_sends"],
+    ["chan_retransmits"], ["chan_duplicates_suppressed"], ["chan_acks"],
+    ["chan_gave_up"], ["chan_revived"]; histogram ["ack_latency"] (first
+    send to ack).
     With flow control: the [flow_*] counters, gauges and histograms
     documented in {!Flow}, plus ["flow_queue_wait"] (mailbox entry to
     consumption). *)
@@ -123,6 +133,7 @@ val send : ?priority:bool -> 'a t -> src:site -> dst:site -> 'a -> unit
 (** Send with at-least-once retransmission; combined with receiver-side
     dedup the payload is processed exactly once — across restarts of
     either endpoint, as long as the destination eventually stays up.
+    On an exactly-once link the send is a single direct [Data].
     [priority] (default false) takes the strict priority lane under
     flow control: the send bypasses the credit gate and the receiver
     consumes it immediately instead of queueing it in the mailbox —

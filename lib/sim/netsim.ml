@@ -160,8 +160,25 @@ let num_sites t = t.num_sites
 
 let on_restart t hook = t.restart_hooks <- t.restart_hooks @ [ hook ]
 
+let can_crash fc = fc.crash_on_deliver > 0.0 || fc.crash_on_send > 0.0
+
+(* Does the partition cut the (src, dst) link?  Both directions between
+   the two groups are cut. *)
+let separates { group_a; group_b; _ } src dst =
+  (List.mem src group_a && List.mem dst group_b)
+  || (List.mem src group_b && List.mem dst group_a)
+
+let exactly_once fc ~src ~dst =
+  (not (can_crash fc))
+  && (src = dst
+     || fc.drop_rate <= 0.0
+        && fc.duplicate_rate <= 0.0
+        && not (List.exists (fun p -> separates p src dst) fc.partitions))
+
 let crash_site t site =
   if site < 0 || site >= t.num_sites then invalid_arg "Netsim.crash_site";
+  if not (can_crash t.faults) then
+    invalid_arg "Netsim.crash_site: the fault config cannot crash a site";
   if not t.crashed.(site) then begin
     t.crashed.(site) <- true;
     Metrics.incr t.stats "net_crashes";
@@ -209,14 +226,11 @@ let maybe_crash t ~prob site =
   end
 
 (* Is the (src, dst) link severed by some partition window at the
-   current virtual time?  Partitions cut both directions between the two
-   groups. *)
+   current virtual time? *)
 let partitioned t src dst =
   List.exists
-    (fun { cut_from; cut_until; group_a; group_b } ->
-      t.clock >= cut_from && t.clock < cut_until
-      && ((List.mem src group_a && List.mem dst group_b)
-         || (List.mem src group_b && List.mem dst group_a)))
+    (fun p ->
+      t.clock >= p.cut_from && t.clock < p.cut_until && separates p src dst)
     t.faults.partitions
 
 let enqueue_delivery t ~src ~dst ~control payload =

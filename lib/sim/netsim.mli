@@ -113,8 +113,18 @@ val tracer : 'msg t -> Wf_obs.Trace.sink option
 
 val fault_config : 'msg t -> fault_config
 (** The fault configuration the network was created with; layers above
-    consult it to decide how defensively to behave (e.g. the channel
-    only arms same-site retransmission when crashes are possible). *)
+    consult it, through {!exactly_once}, to decide how defensively to
+    behave. *)
+
+val exactly_once : fault_config -> src:site -> dst:site -> bool
+(** Whether the [src -> dst] link delivers every message exactly once
+    under the config.  False if the config can crash a site (a crash
+    window drops every delivery, same-site ones included).  For a
+    cross-site link also false if the config drops or duplicates
+    messages, or has a partition window separating the two sites.
+    Reordering alone keeps it true: the link may reorder, but it loses
+    and repeats nothing.  The channel skips its ack protocol on exactly
+    these links. *)
 
 val on_receive : 'msg t -> site -> (site -> 'msg -> unit) -> unit
 (** Install the message handler of a site; the callback receives the
@@ -138,7 +148,13 @@ val num_sites : 'msg t -> int
 
 val crash_site : 'msg t -> site -> unit
 (** Crash the site now: until {!restart_site}, every delivery to it is
-    dropped (["net_crash_drops"]).  Idempotent. *)
+    dropped (["net_crash_drops"]).  Idempotent.  Raises
+    [Invalid_argument] when the fault config cannot crash a site
+    ([crash_on_deliver] and [crash_on_send] both zero): layers above
+    rely on {!exactly_once}, and a crash there would lose messages
+    they send without acknowledgement.  A config with a crash
+    probability and [max_crashes = 0] allows manual crashes without
+    injecting any. *)
 
 val restart_site : 'msg t -> site -> unit
 (** Bring a crashed site back and run the registered {!on_restart}

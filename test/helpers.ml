@@ -24,6 +24,13 @@ let ng = Expr.complement "g"
 let alpha_ef = Universe.of_names [ "e"; "f" ]
 let alpha_efg = Universe.of_names [ "e"; "f"; "g" ]
 
+(* A network fault config that admits manual [Netsim.crash_site] and
+   injects nothing: a crash probability with a zero crash budget.  A
+   config without crash capability refuses manual crashes, since the
+   channel then sends without acknowledgement. *)
+let manual_crashes =
+  { Wf_sim.Netsim.no_faults with crash_on_deliver = 1.0; max_crashes = 0 }
+
 (* --- Conformance seed streams -------------------------------------------- *)
 
 (* Each sweep draws its seeds from a label-derived splitmix stream

@@ -102,7 +102,14 @@ let test_partition_window () =
   checkb "deliveries happened after the window" (Netsim.now net >= 50.0)
 
 let test_ack_latency_observed () =
-  let net, _, _ = collect ~n:10 () in
+  (* A clean link delivers exactly once: nothing to acknowledge. *)
+  let net, _, received = collect ~n:10 () in
+  exactly_once "clean" received 10;
+  let count name = Wf_obs.Metrics.count (Netsim.stats net) name in
+  check Alcotest.int "no acks on a clean link" 0 (count "chan_acks");
+  check Alcotest.int "every send direct" 10 (count "chan_direct_sends");
+  let faults = { Netsim.no_faults with drop_rate = 0.3 } in
+  let net, _, _ = collect ~n:10 ~faults () in
   let s = Wf_obs.Metrics.summarize (Netsim.stats net) "ack_latency" in
   check Alcotest.int "one sample per message" 10 s.Wf_obs.Metrics.n;
   checkb "ack latency covers a round trip" (s.Wf_obs.Metrics.min >= 2.0)
@@ -188,7 +195,7 @@ let test_retransmit_jitter_desync () =
 let test_revival_order () =
   let n = 8 in
   let net =
-    Netsim.create ~seed:3L ~num_sites:2
+    Netsim.create ~seed:3L ~faults:manual_crashes ~num_sites:2
       ~latency:(Netsim.uniform_latency ~base:1.0 ~jitter:0.0)
       ()
   in
@@ -215,6 +222,114 @@ let test_revival_order () =
     (List.rev !received);
   check Alcotest.int "nothing pending" 0 (Channel.unacked chan)
 
+(* Random fault configs over a three-site stream: every site sends to
+   every site, itself included, spread over virtual time so partition
+   windows and crashes meet traffic.  Whatever the config, each payload
+   reaches its handler exactly once.  The channel acks nothing exactly
+   when every link it used delivers exactly once (flow control makes
+   the cross-site links lossy, as a full mailbox refuses messages), and
+   a configured loss or duplicate source always makes the predicate
+   false on the links it reaches. *)
+type fault_set = {
+  drop : bool;
+  dup : bool;
+  reorder : bool;
+  partition : bool;
+  crash_deliver : bool;
+  crash_send : bool;
+  flow : bool;
+}
+
+let gen_fault_set =
+  QCheck2.Gen.(
+    map2
+      (fun (drop, dup, reorder, partition) (crash_deliver, crash_send, flow) ->
+        { drop; dup; reorder; partition; crash_deliver; crash_send; flow })
+      (quad bool bool bool bool) (triple bool bool bool))
+
+let show_fault_set (f, seed) =
+  Printf.sprintf
+    "drop=%b dup=%b reorder=%b partition=%b crash_deliver=%b crash_send=%b \
+     flow=%b seed=%d"
+    f.drop f.dup f.reorder f.partition f.crash_deliver f.crash_send f.flow seed
+
+let faults_of f =
+  {
+    Netsim.drop_rate = (if f.drop then 0.2 else 0.0);
+    duplicate_rate = (if f.dup then 0.2 else 0.0);
+    reorder_rate = (if f.reorder then 0.3 else 0.0);
+    reorder_window = 5.0;
+    partitions =
+      (if f.partition then
+         [
+           {
+             Netsim.cut_from = 2.0;
+             cut_until = 20.0;
+             group_a = [ 0 ];
+             group_b = [ 2 ];
+           };
+         ]
+       else []);
+    crash_on_deliver = (if f.crash_deliver then 0.05 else 0.0);
+    crash_on_send = (if f.crash_send then 0.05 else 0.0);
+    restart_delay = 2.0;
+    max_crashes = 3;
+  }
+
+let sites = 3
+let rounds = 4
+
+let prop_exactly_once_links (f, seed) =
+  let fc = faults_of f in
+  let net = make_net ~num_sites:sites ~seed:(Int64.of_int seed) ~faults:fc () in
+  let sink, records = Wf_obs.Trace.collector () in
+  Netsim.set_tracer net (Some sink);
+  let flow = if f.flow then Some Flow.default_config else None in
+  let chan = Channel.create ~rto:4.0 ?flow net in
+  let received = ref [] and sent = ref [] in
+  for site = 0 to sites - 1 do
+    Channel.on_receive chan site (fun src m ->
+        received := (src, site, m) :: !received)
+  done;
+  for round = 0 to rounds - 1 do
+    Netsim.schedule net ~delay:(4.0 *. float_of_int round) (fun () ->
+        for src = 0 to sites - 1 do
+          if not (Netsim.site_crashed net src) then
+            for dst = 0 to sites - 1 do
+              let m = (round * 100) + (src * 10) + dst in
+              sent := (src, dst, m) :: !sent;
+              Channel.send chan ~src ~dst m
+            done
+        done)
+  done;
+  Netsim.run net;
+  let count name = Wf_obs.Metrics.count (Netsim.stats net) name in
+  let no_ack_records =
+    List.for_all
+      (fun (r : Wf_obs.Trace.record) ->
+        match r.Wf_obs.Trace.kind with Wf_obs.Trace.Ack _ -> false | _ -> true)
+      (records ())
+  in
+  let eo (src, dst) = Netsim.exactly_once fc ~src ~dst in
+  let direct ((src, dst) as link) = eo link && ((not f.flow) || src = dst) in
+  let used = List.map (fun (src, dst, _) -> (src, dst)) !sent in
+  let links =
+    List.concat_map
+      (fun src -> List.init sites (fun dst -> (src, dst)))
+      (List.init sites Fun.id)
+  in
+  let remote = List.filter (fun (src, dst) -> src <> dst) links in
+  let crash = f.crash_deliver || f.crash_send in
+  let all_direct = List.for_all direct used in
+  List.sort compare !received = List.sort compare !sent
+  && (count "chan_acks" = 0) = all_direct
+  && no_ack_records = all_direct
+  && count "chan_direct_sends" = List.length (List.filter direct used)
+  && ((not (f.drop || f.dup)) || not (List.exists eo remote))
+  && ((not crash) || not (List.exists eo links))
+  && ((not f.partition) || not (eo (0, 2) || eo (2, 0)))
+  && (f.drop || f.dup || crash || f.partition || List.for_all eo links)
+
 let suite =
   [
     Alcotest.test_case "clean network" `Quick test_clean_network;
@@ -228,4 +343,8 @@ let suite =
       test_revival_order;
     Alcotest.test_case "adjacent-seed senders desynchronize retries" `Quick
       test_retransmit_jitter_desync;
+    qprop ~count:150 "acks exactly off the exactly-once links"
+      ~print:show_fault_set
+      QCheck2.Gen.(pair gen_fault_set (int_bound 10_000))
+      prop_exactly_once_links;
   ]

@@ -25,6 +25,30 @@ let test_symbol_param_identity () =
   checkb "plain vs parametrized differ"
     (not (Symbol.equal (Symbol.make "f") (Symbol.parametrized "f" [ "1" ])))
 
+(* [Symbol.equal] rejects on differing precomputed hashes before it
+   walks names; it must still agree with the string order [compare]
+   keeps for maps.  Both sides are built afresh, so no pair is
+   physically equal. *)
+let gen_symbol =
+  QCheck2.Gen.(
+    map2
+      (fun base args ->
+        match args with
+        | None -> Symbol.make base
+        | Some args -> Symbol.parametrized base args)
+      (oneofl [ "e"; "f"; "ef"; "s_buy0" ])
+      (opt (list_size (int_bound 2) (oneofl [ "1"; "2"; "12"; "" ]))))
+
+let prop_symbol_equal_is_compare =
+  qprop ~count:500 "Symbol.equal and Literal.equal agree with compare"
+    ~print:(fun (a, b) -> Symbol.name a ^ " vs " ^ Symbol.name b)
+    QCheck2.Gen.(pair gen_symbol gen_symbol)
+    (fun (a, b) ->
+      Symbol.equal a b = (Symbol.compare a b = 0)
+      && Symbol.equal a b = Symbol.equal b a
+      && Literal.equal (Literal.pos a) (Literal.pos b) = Symbol.equal a b
+      && not (Literal.equal (Literal.pos a) (Literal.neg b)))
+
 let test_literal_complement () =
   let l = Literal.event "e" in
   checkb "complement flips" (not (Literal.is_pos (Literal.complement l)));
@@ -116,4 +140,5 @@ let suite =
       (gen_trace_over alpha_efg)
       (fun u ->
         List.for_all (fun (v, w) -> Trace.equal u (v @ w)) (Reference.splits u));
+    prop_symbol_equal_is_compare;
   ]

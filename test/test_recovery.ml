@@ -74,7 +74,7 @@ let raw_net ?(num_sites = 2) ?(seed = 7L) ?(faults = Netsim.no_faults) () =
     ()
 
 let test_crash_drops_and_restart () =
-  let net = raw_net () in
+  let net = raw_net ~faults:manual_crashes () in
   let received = ref [] in
   Netsim.on_receive net 1 (fun _ m -> received := m :: !received);
   Netsim.on_receive net 0 (fun _ _ -> ());
@@ -93,6 +93,19 @@ let test_crash_drops_and_restart () =
   Netsim.send net ~src:0 ~dst:1 "after";
   Netsim.run net;
   checkb "post-restart delivery works" (!received = [ "after" ])
+
+let test_crash_needs_capability () =
+  let refused faults =
+    let net = raw_net ~faults () in
+    match Netsim.crash_site net 1 with
+    | () -> false
+    | exception Invalid_argument _ -> not (Netsim.site_crashed net 1)
+  in
+  checkb "no crash probability: manual crash refused" (refused Netsim.no_faults);
+  checkb "link faults alone: manual crash refused"
+    (refused { Netsim.no_faults with drop_rate = 0.5; duplicate_rate = 0.5 });
+  checkb "crash probability with a zero budget: manual crash allowed"
+    (not (refused manual_crashes))
 
 let test_crash_budget_terminates () =
   (* Crash probability 1.0 with immediate restart: every delivery
@@ -150,7 +163,7 @@ let test_epoch_mid_reuse_not_suppressed () =
      same mid as its first pre-crash message — but a fresh epoch.  The
      receiver must treat it as a distinct message, while a stale copy of
      the pre-crash wire message stays suppressed. *)
-  let net = raw_net () in
+  let net = raw_net ~faults:manual_crashes () in
   let chan = Channel.create ~rto:5.0 net in
   let received = ref [] in
   Channel.on_receive chan 1 (fun _ m -> received := m :: !received);
@@ -186,7 +199,7 @@ let test_epoch_mid_reuse_not_suppressed () =
 let test_dead_letter_revival () =
   (* The destination stays crashed long enough for the sender to give
      up; its restart Hello revives the transfer with its original key. *)
-  let net = raw_net () in
+  let net = raw_net ~faults:manual_crashes () in
   let chan = Channel.create ~rto:1.0 ~max_retries:2 net in
   let received = ref [] in
   Channel.on_receive chan 1 (fun _ m -> received := m :: !received);
@@ -751,4 +764,6 @@ let suite =
     Alcotest.test_case "crashy runs replay deterministically" `Quick
       test_crashy_determinism;
     actor_codec_round_trips;
+    Alcotest.test_case "manual crash needs a crash-capable config" `Quick
+      test_crash_needs_capability;
   ]
