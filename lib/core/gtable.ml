@@ -115,24 +115,35 @@ let step_input t s input = t.next.((s * t.width) + input)
    promises and returns them as (symbol index, literal) in the order
    they are applied — descending index — so a hypothetical extra
    occurrence or promise replays exactly without rebuilding the
-   knowledge. *)
+   knowledge.  It also returns the highest seqno replayed and the
+   occurred symbols as a bit set over their indices. *)
 let replay t know =
   let occs = ref [] in
   let proms = ref [] in
+  let occurred = ref 0 in
   Array.iteri
     (fun i sym ->
       match Knowledge.fate_of know sym with
       | Some (Knowledge.Occurred (pol, n)) ->
-          occs := (n, { Literal.sym; pol }) :: !occs
+          occs := (n, { Literal.sym; pol }) :: !occs;
+          occurred := !occurred lor (1 lsl i)
       | Some (Knowledge.Promised pol) ->
           proms := (i, { Literal.sym; pol }) :: !proms
       | None -> ())
     t.syms;
   let occs = List.sort (fun (a, _) (b, _) -> Int.compare a b) !occs in
-  (List.fold_left (fun s (_, l) -> step_occurred t s l) 0 occs, !proms)
+  let state, top =
+    List.fold_left (fun (s, _) (n, l) -> (step_occurred t s l, n)) (0, min_int) occs
+  in
+  (state, !proms, top, !occurred)
 
 let apply_promises t s proms =
   List.fold_left (fun s (_, l) -> step_promised t s l) s proms
+
+(* A promise joins the outstanding ones in their replay order. *)
+let rec insert_promise i l = function
+  | ((j, _) as p) :: rest when j > i -> p :: insert_promise i l rest
+  | rest -> (i, l) :: rest
 
 (* --- compilation --------------------------------------------------------- *)
 
@@ -361,6 +372,30 @@ let lookup g =
         Hashtbl.add memo uid r;
         r
 
+(* A guard with its table, looked up on the first query while the
+   tables are on and kept from then on: the holder asks the memo once,
+   not once per query.  While the tables are off a query answers [None]
+   and remembers nothing, like [lookup]. *)
+type cell = {
+  c_guard : Guard.t;
+  c_symbols : Symbol.Set.t Lazy.t;
+  mutable c_table : t option option;
+}
+
+let cell g = { c_guard = g; c_symbols = lazy (Guard.symbols g); c_table = None }
+let cell_guard c = c.c_guard
+let cell_symbols c = Lazy.force c.c_symbols
+
+let cell_table c =
+  if not (active ()) then None
+  else
+    match c.c_table with
+    | Some r -> r
+    | None ->
+        let r = lookup c.c_guard in
+        c.c_table <- Some r;
+        r
+
 (* --- status memo ---------------------------------------------------------
 
    [Knowledge.status] of the compiled guard reads the knowledge and the
@@ -401,12 +436,16 @@ type view = {
   v_proms : (int * Literal.t) list; (* outstanding promises, as applied *)
   v_state : state; (* after the occurrences, then the promises *)
   v_code : int;
+  v_top : int; (* the highest seqno among the occurrences replayed *)
+  v_occurred : int;
+      (* bit [i]: alphabet symbol [i] has occurred ([max_symbols] keeps
+         the alphabet within one int) *)
 }
 
 let memo_live t = t.status_memo <> None && active ()
 
 let view t ~reserved know =
-  let occ, proms = replay t know in
+  let occ, proms, top, occurred = replay t know in
   let code = ref 0 in
   if t.status_memo <> None then
     Array.iteri
@@ -419,9 +458,16 @@ let view t ~reserved know =
     v_proms = proms;
     v_state = apply_promises t occ proms;
     v_code = !code;
+    v_top = top;
+    v_occurred = occurred;
   }
 
-let view_fresh v ~reserved know = v.v_know == know && v.v_reserved == reserved
+let view_equal a b =
+  a.v_occ = b.v_occ && a.v_state = b.v_state && a.v_code = b.v_code
+  && a.v_top = b.v_top && a.v_occurred = b.v_occurred
+  && List.equal
+       (fun (i, l) (j, m) -> i = j && Literal.equal l m)
+       a.v_proms b.v_proms
 
 let symbolic_status ?reserved ?never know g =
   incr symbolic_evals;
@@ -435,6 +481,99 @@ let audit_hits = ref 0
 let audit_mismatches = ref 0
 let audit_pursuit_hits = ref 0
 let audit_pursuit_mismatches = ref 0
+let audit_views = ref 0
+let audit_view_mismatches = ref 0
+
+(* --- stepped views ---------------------------------------------------------
+
+   A view follows its holder's knowledge and reservations one input at
+   a time.  An occurrence steps the occurrence prefix by one column,
+   which equals the replay exactly when it comes last in seqno order:
+   an occurrence stamped below one the view already holds, or of a
+   symbol already occurred, rebuilds instead.  A promise joins the
+   outstanding ones in replay order (a repeated promise rebuilds); a
+   reservation or release moves only the symbol's code.  Inputs on
+   symbols outside the alphabet move neither state nor code. *)
+
+type input =
+  | Occurred of Literal.t * int
+  | Promised of Literal.t
+  | Reserved of Symbol.t
+  | Released of Symbol.t
+
+let pol_bit = function Literal.Pos -> 0 | Literal.Neg -> 1
+
+let step t v ~reserved know = function
+  | Occurred (l, seqno) -> (
+      match Symbol_tbl.find_opt t.sym_index l.Literal.sym with
+      | None -> Some { v with v_know = know; v_reserved = reserved }
+      | Some i ->
+          if v.v_occurred land (1 lsl i) <> 0 || seqno <= v.v_top then None
+          else
+            let occ = step_input t v.v_occ ((4 * i) + occ_code l.Literal.pol) in
+            let proms = List.filter (fun (j, _) -> j <> i) v.v_proms in
+            Some
+              {
+                v_know = know;
+                v_reserved = reserved;
+                v_occ = occ;
+                v_proms = proms;
+                v_state = apply_promises t occ proms;
+                v_code =
+                  (if t.status_memo = None then 0
+                   else set_field v.v_code i (2 + pol_bit l.Literal.pol));
+                v_top = seqno;
+                v_occurred = v.v_occurred lor (1 lsl i);
+              })
+  | Promised l -> (
+      match Symbol_tbl.find_opt t.sym_index l.Literal.sym with
+      | Some i when v.v_occurred land (1 lsl i) = 0 ->
+          if List.exists (fun (j, _) -> j = i) v.v_proms then None
+          else
+            let proms = insert_promise i l v.v_proms in
+            Some
+              {
+                v with
+                v_know = know;
+                v_reserved = reserved;
+                v_proms = proms;
+                v_state = apply_promises t v.v_occ proms;
+                v_code =
+                  (if t.status_memo = None then 0
+                   else
+                     set_field v.v_code i
+                       (4 + pol_bit l.Literal.pol + (2 * code_field v.v_code i)));
+              }
+      | _ ->
+          (* outside the alphabet, or decided: the knowledge ignores it *)
+          Some { v with v_know = know; v_reserved = reserved })
+  | (Reserved sym | Released sym) as input -> (
+      let held = match input with Reserved _ -> 2 | _ -> 0 in
+      match Symbol_tbl.find_opt t.sym_index sym with
+      | Some i when t.status_memo <> None ->
+          let f = code_field v.v_code i in
+          let f =
+            if f <= 1 then held / 2 else if f >= 4 then (f land 5) lor held else f
+          in
+          Some
+            {
+              v with
+              v_know = know;
+              v_reserved = reserved;
+              v_code = set_field v.v_code i f;
+            }
+      | _ -> Some { v with v_know = know; v_reserved = reserved })
+
+let step_view t v ~reserved know input =
+  match step t v ~reserved know input with
+  | None -> view t ~reserved know
+  | Some v' ->
+      if !auditing then begin
+        incr audit_views;
+        if not (view_equal v' (view t ~reserved know)) then
+          incr audit_view_mismatches
+      end;
+      v'
 
 (* Look (state, code) up; on a miss evaluate the compiled guard under
    the knowledge the caller describes, and remember it. *)
@@ -495,11 +634,7 @@ let status_after ~occurred t v lits =
                     v.v_proms,
                   2 + pol )
               else
-                let rec insert = function
-                  | ((j, _) as p) :: rest when j > i -> p :: insert rest
-                  | rest -> (i, l) :: rest
-                in
-                ( apply_promises t v.v_occ (insert v.v_proms),
+                ( apply_promises t v.v_occ (insert_promise i l v.v_proms),
                   4 + pol + (2 * code_field v.v_code i) )
             in
             memo_status t s (set_field v.v_code i field) ~reserved rebuild
@@ -629,6 +764,8 @@ type audit = {
   mismatches : int;
   pursuit_hits_checked : int;
   pursuit_mismatches : int;
+  views_checked : int;
+  view_mismatches : int;
 }
 
 let audit_status_memo f =
@@ -637,6 +774,8 @@ let audit_status_memo f =
   audit_mismatches := 0;
   audit_pursuit_hits := 0;
   audit_pursuit_mismatches := 0;
+  audit_views := 0;
+  audit_view_mismatches := 0;
   let r = Fun.protect ~finally:(fun () -> auditing := false) f in
   ( r,
     {
@@ -644,6 +783,8 @@ let audit_status_memo f =
       mismatches = !audit_mismatches;
       pursuit_hits_checked = !audit_pursuit_hits;
       pursuit_mismatches = !audit_pursuit_mismatches;
+      views_checked = !audit_views;
+      view_mismatches = !audit_view_mismatches;
     } )
 
 let memo_entries select =

@@ -98,6 +98,26 @@ val step_input : t -> state -> int -> state
 (** Step by a pre-resolved input column (see {!occ_input}).  The column
     must come from the same table. *)
 
+(** {1 Cells} *)
+
+type cell
+(** A guard together with its table, for a holder that queries it many
+    times: a run plan holds one per actor guard and per vetted attempt
+    guard, so the runs on it look each table up once. *)
+
+val cell : Guard.t -> cell
+(** A cell that has not looked its table up yet. *)
+
+val cell_guard : cell -> Guard.t
+
+val cell_symbols : cell -> Symbol.Set.t
+(** {!Guard.symbols} of the guard, computed once. *)
+
+val cell_table : cell -> t option
+(** [lookup (cell_guard c)], remembered after the first query that
+    finds the tables on.  While the tables or the interned engine are
+    switched off it answers [None] and remembers nothing. *)
+
 (** {1 Status memo}
 
     An [Open] state leaves the decision to {!Knowledge.status}.  That
@@ -113,15 +133,35 @@ val step_input : t -> state -> int -> state
 type view
 (** A knowledge and reservation set as one table sees them: the
     occurrence-prefix state, the outstanding promises, the state the
-    knowledge reaches (occurrences in seqno order, then promises) and
-    the per-symbol code. *)
+    knowledge reaches (occurrences in seqno order, then promises), the
+    per-symbol code, and the highest seqno and the set of symbols among
+    the occurrences. *)
 
 val view : t -> reserved:Symbol.Set.t -> Knowledge.t -> view
+(** Build the view from scratch: one {!Knowledge.fate_of} per alphabet
+    symbol, the occurrences sorted and replayed, then the promises. *)
 
-val view_fresh : view -> reserved:Symbol.Set.t -> Knowledge.t -> bool
-(** The view was taken of exactly these values (physical equality:
-    knowledge and reservation sets are immutable and replaced on
-    change). *)
+(** One input to a knowledge or reservation set. *)
+type input =
+  | Occurred of Literal.t * int  (** {!Knowledge.occurred} with this seqno *)
+  | Promised of Literal.t  (** {!Knowledge.promised} *)
+  | Reserved of Symbol.t  (** the symbol joined the reservations *)
+  | Released of Symbol.t  (** the symbol left the reservations *)
+
+val step_view : t -> view -> reserved:Symbol.Set.t -> Knowledge.t -> input -> view
+(** [step_view t v ~reserved k input], where [k] and [reserved] are the
+    values after [input] was applied to the ones [v] was taken of:
+    equal ({!view_equal}) to [view t ~reserved k], by one {!step_input}
+    of the occurrence prefix, one promise replay or one code field.
+    Two cases rebuild instead: an occurrence whose seqno is not above
+    every occurrence the view holds (states replay occurrences in
+    seqno order) or of a symbol already occurred, and a second promise
+    on one symbol.  Inputs on symbols outside the alphabet move only
+    the knowledge and reservations the view answers from. *)
+
+val view_equal : view -> view -> bool
+(** Same occurrence-prefix state, outstanding promises, state, code,
+    highest seqno and occurred symbols. *)
 
 val view_status : t -> view -> Knowledge.status
 (** [Knowledge.status ~reserved k g] for the compiled guard [g]: a
@@ -182,18 +222,21 @@ type audit = {
   mismatches : int;
   pursuit_hits_checked : int;
   pursuit_mismatches : int;
+  views_checked : int;
+  view_mismatches : int;
 }
 
 val audit_status_memo : (unit -> 'a) -> 'a * audit
-(** [audit_status_memo f] runs [f] with every memo hit checked: a
-    status hit is also evaluated by {!Knowledge.status} on the
-    knowledge that asked, a pursuit hit is recomputed from
-    {!Knowledge.needs} and {!Knowledge.status} (neither counted in
-    [status_symbolic]), and a different answer counts as a mismatch.
-    This checks the claim each memo rests on, that every knowledge with
-    the same key gets the same answer, over whatever workload [f] runs.
-    Misses need no check: they are evaluated on the asking
-    knowledge. *)
+(** [audit_status_memo f] runs [f] with every memo hit and every
+    stepped view checked: a status hit is also evaluated by
+    {!Knowledge.status} on the knowledge that asked, a pursuit hit is
+    recomputed from {!Knowledge.needs} and {!Knowledge.status} (neither
+    counted in [status_symbolic]), a view {!step_view} stepped (not
+    rebuilt) is compared with a fresh {!view}, and a different answer
+    counts as a mismatch.  This checks the claim each memo rests on,
+    that every knowledge with the same key gets the same answer, and
+    the one stepping rests on, over whatever workload [f] runs.  Misses
+    need no check: they are evaluated on the asking knowledge. *)
 
 (** {1 Observability} *)
 

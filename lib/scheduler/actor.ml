@@ -37,31 +37,30 @@ type ctx = {
 type parked = {
   pol : Literal.polarity;
   via_trigger : bool;
-  guard : Guard.t;
+  cell : Gtable.cell; (* the guard and its compiled table, if any *)
   watch : Symbol.Set.t; (* symbols whose news can move this attempt *)
   mutable evals : int;
       (* Unknown-status evaluations so far: 0 means the next Unknown is
          the initial parking, >0 means a re-evaluation (trace Reduced) *)
-  mutable tbl : Gtable.t option option;
-      (* compiled residuation table: [None] = not looked up yet,
-         [Some None] = guard stays symbolic.  A derived cache — never
-         snapshotted, fingerprinted, or compared; rebuilt after restore. *)
-  mutable tview : Gtable.view option;
-      (* the table's view of the last (knowledge, reservations) pair:
-         both values are immutable and replaced on change, so physical
-         equality detects staleness exactly *)
+  mutable tview : (Gtable.t * Gtable.view) option;
+      (* the table's view of the actor's knowledge and reservations,
+         built on the first table decision and then stepped by every
+         input that changes either (see [step_views]).  A derived cache
+         — never snapshotted, fingerprinted, or compared; rebuilt after
+         restore. *)
 }
 
-let park ~pol ~via_trigger guard =
+let park ~pol ~via_trigger cell =
   {
     pol;
     via_trigger;
-    guard;
-    watch = Guard.symbols guard;
+    cell;
+    watch = Gtable.cell_symbols cell;
     evals = 0;
-    tbl = None;
     tview = None;
   }
+
+let guard_of_parked p = Gtable.cell_guard p.cell
 
 (* Trace hook: guard ids are only interned when a sink is listening. *)
 let note_assim ctx outcome guard =
@@ -72,13 +71,11 @@ let note_assim ctx outcome guard =
 type t = {
   sym : Symbol.t;
   site : int;
-  guard_pos : Guard.t;
-  guard_neg : Guard.t;
+  guard_pos : Gtable.cell;
+  guard_neg : Gtable.cell;
   attr_pos : Attribute.t;
   attr_neg : Attribute.t;
   demand_automata : Automaton.t list;
-  mutable tbl_pos : Gtable.t option option; (* [guard_pos]'s table, as [parked.tbl] *)
-  mutable tbl_neg : Gtable.t option option;
   mutable knowledge : Knowledge.t;
   mutable reserved : Symbol.Set.t; (* reservations I hold *)
   mutable reserve_queue : Symbol.t list; (* to acquire, ascending *)
@@ -108,8 +105,6 @@ let create ~sym ~site ~guard_pos ~guard_neg ~attr_pos ~attr_neg
     attr_pos;
     attr_neg;
     demand_automata;
-    tbl_pos = None;
-    tbl_neg = None;
     knowledge = Knowledge.empty;
     reserved = Symbol.Set.empty;
     reserve_queue = [];
@@ -133,49 +128,43 @@ let parked_count t = List.length t.parked
 let knowledge t = t.knowledge
 
 let lit t pol : Literal.t = { Literal.sym = t.sym; pol }
-let guard_of t = function Literal.Pos -> t.guard_pos | Literal.Neg -> t.guard_neg
+let cell_of t = function Literal.Pos -> t.guard_pos | Literal.Neg -> t.guard_neg
+let guard_of t pol = Gtable.cell_guard (cell_of t pol)
 let attr_of t = function Literal.Pos -> t.attr_pos | Literal.Neg -> t.attr_neg
 
 (* Decisions read the compiled table of the guard they evaluate: a
    decisive verdict (residual ⊤ or 0) answers at once — sound under
    reservations because it holds over all completions — and an [Open]
    state answers through the table's status memo.  Guards without a
-   table evaluate symbolically. *)
-let resolve cache guard =
-  match cache with Some tbl -> tbl | None -> Gtable.lookup guard
+   table evaluate symbolically.
 
-let parked_table (p : parked) =
-  let tbl = resolve p.tbl p.guard in
-  p.tbl <- Some tbl;
-  tbl
-
-let own_table t pol =
-  match pol with
-  | Literal.Pos ->
-      let tbl = resolve t.tbl_pos t.guard_pos in
-      t.tbl_pos <- Some tbl;
-      tbl
-  | Literal.Neg ->
-      let tbl = resolve t.tbl_neg t.guard_neg in
-      t.tbl_neg <- Some tbl;
-      tbl
-
-let parked_view t (p : parked) tbl =
-  match p.tview with
-  | Some v when Gtable.view_fresh v ~reserved:t.reserved t.knowledge -> v
-  | _ ->
-      let v = Gtable.view tbl ~reserved:t.reserved t.knowledge in
-      p.tview <- Some v;
-      v
-
-(* Where a decision reads its guard: the compiled table with its view
+   Where a decision reads its guard: the compiled table with its view
    of the actor's knowledge, or the symbolic guard. *)
 type source = Table of Gtable.t * Gtable.view | Symbolic of Guard.t
 
 let parked_source t (p : parked) =
-  match parked_table p with
-  | Some tbl -> Table (tbl, parked_view t p tbl)
-  | None -> Symbolic p.guard
+  match p.tview with
+  | Some (tbl, v) -> Table (tbl, v)
+  | None -> (
+      match Gtable.cell_table p.cell with
+      | Some tbl ->
+          let v = Gtable.view tbl ~reserved:t.reserved t.knowledge in
+          p.tview <- Some (tbl, v);
+          Table (tbl, v)
+      | None -> Symbolic (guard_of_parked p))
+
+(* Every parked view follows the actor's knowledge and reservations:
+   each input that changes either steps it ({!Gtable.step_view}), after
+   the actor's own fields took the new values. *)
+let step_views t input =
+  List.iter
+    (fun p ->
+      match p.tview with
+      | None -> ()
+      | Some (tbl, v) ->
+          p.tview <-
+            Some (tbl, Gtable.step_view tbl v ~reserved:t.reserved t.knowledge input))
+    t.parked
 
 let status_now t = function
   | Table (tbl, v) -> Gtable.view_status tbl v
@@ -198,10 +187,13 @@ let status_after t ~occurred src lits =
         g
 
 let release_all ctx t =
+  let held = t.reserved in
   Symbol.Set.iter
-    (fun sym -> ctx.send sym (Messages.Release { sym; holder = lit t Literal.Pos }))
-    t.reserved;
-  t.reserved <- Symbol.Set.empty;
+    (fun sym ->
+      ctx.send sym (Messages.Release { sym; holder = lit t Literal.Pos });
+      t.reserved <- Symbol.Set.remove sym t.reserved;
+      step_views t (Gtable.Released sym))
+    held;
   t.reserve_queue <- [];
   t.reserve_inflight <- None
 
@@ -323,17 +315,17 @@ let rec try_fire ctx t (p : parked) =
           match status with
           | Knowledge.True ->
               t.parked <- List.filter (fun q -> q != p) t.parked;
-              note_assim ctx Wf_obs.Trace.Enabled p.guard;
+              note_assim ctx Wf_obs.Trace.Enabled (guard_of_parked p);
               do_fire ctx t p
           | Knowledge.False ->
               t.parked <- List.filter (fun q -> q != p) t.parked;
               if (attr_of t p.pol).Attribute.rejectable then begin
-                note_assim ctx Wf_obs.Trace.Rejected p.guard;
+                note_assim ctx Wf_obs.Trace.Rejected (guard_of_parked p);
                 if not p.via_trigger then ctx.reject (lit t p.pol)
               end
               else begin
                 Wf_obs.Metrics.incr ctx.meters.stats "forced_violations";
-                note_assim ctx Wf_obs.Trace.Forced p.guard;
+                note_assim ctx Wf_obs.Trace.Forced (guard_of_parked p);
                 do_fire ctx t p
               end
           | Knowledge.Unknown ->
@@ -341,7 +333,7 @@ let rec try_fire ctx t (p : parked) =
               note_assim ctx
                 (if p.evals = 0 then Wf_obs.Trace.Parked
                  else Wf_obs.Trace.Reduced)
-                p.guard;
+                (guard_of_parked p);
               p.evals <- p.evals + 1;
               pursue ctx t p)
 
@@ -382,7 +374,7 @@ and grant_or_defer ctx t (pol, requester, offers) =
           match existing with
           | Some p -> parked_source t p
           | None -> (
-              match own_table t pol with
+              match Gtable.cell_table (cell_of t pol) with
               | Some tbl ->
                   Table (tbl, Gtable.view tbl ~reserved:t.reserved t.knowledge)
               | None -> Symbolic (guard_of t pol))
@@ -391,8 +383,11 @@ and grant_or_defer ctx t (pol, requester, offers) =
         | Knowledge.True -> (
             (* The offers alone enable us: promise and fire at once
                (the mutual-[◇] consensus of Example 11). *)
-            t.knowledge <-
-              List.fold_left (fun k o -> Knowledge.promised o k) t.knowledge offers;
+            List.iter
+              (fun o ->
+                t.knowledge <- Knowledge.promised o t.knowledge;
+                step_views t (Gtable.Promised o))
+              offers;
             Wf_obs.Metrics.bump ctx.meters.promises_granted;
             ctx.send (Literal.symbol requester)
               (Messages.Promise { lit = lit t pol; to_ = requester });
@@ -400,7 +395,7 @@ and grant_or_defer ctx t (pol, requester, offers) =
             | Some p -> try_fire ctx t p
             | None ->
                 (* Triggerable and enabled: cause the event now. *)
-                let p = park ~pol ~via_trigger:true (guard_of t pol) in
+                let p = park ~pol ~via_trigger:true (cell_of t pol) in
                 t.parked <- p :: t.parked;
                 try_fire ctx t p)
         | Knowledge.False -> Wf_obs.Metrics.incr ctx.meters.stats "promises_refused"
@@ -418,7 +413,7 @@ and grant_or_defer ctx t (pol, requester, offers) =
                 if existing = None && triggerable then begin
                   (* Commit to eventually triggering it. *)
                   t.parked <-
-                    park ~pol ~via_trigger:true (guard_of t pol) :: t.parked
+                    park ~pol ~via_trigger:true (cell_of t pol) :: t.parked
                 end
             | Knowledge.False | Knowledge.Unknown -> defer ())
       end
@@ -454,7 +449,7 @@ and check_trigger_demand ctx t =
     in
     if demanded then begin
       t.trigger_engaged <- true;
-      let p = park ~pol:Literal.Pos ~via_trigger:true (guard_of t Literal.Pos) in
+      let p = park ~pol:Literal.Pos ~via_trigger:true t.guard_pos in
       t.parked <- p :: t.parked;
       try_fire ctx t p
     end
@@ -500,7 +495,7 @@ let rec consider_reservation ctx t requester =
            (fun p ->
              Gtable.symbolic_status ~reserved:t.reserved
                ~never:(Symbol.Set.singleton (Literal.symbol requester))
-               t.knowledge p.guard
+               t.knowledge (guard_of_parked p)
              = Knowledge.False)
            t.parked
     in
@@ -536,12 +531,17 @@ and drain_waiters ctx t =
       t.waiters_front <- rest;
       consider_reservation ctx t requester
 
-let attempt ~entailed ctx t pol =
+let attempt ?vetted ~entailed ctx t pol =
   match t.decided_pol with
   | Some d when d = pol -> () (* already occurred *)
   | Some _ -> ctx.reject (lit t pol)
   | None ->
-      let p = park ~pol ~via_trigger:false (Guard.conj (guard_of t pol) entailed) in
+      let cell =
+        match vetted with
+        | Some cell -> cell
+        | None -> Gtable.cell (Guard.conj (guard_of t pol) entailed)
+      in
+      let p = park ~pol ~via_trigger:false cell in
       if List.exists (fun q -> q.pol = pol && not q.via_trigger) t.parked then ()
       else begin
         let attr = attr_of t pol in
@@ -554,12 +554,12 @@ let attempt ~entailed ctx t pol =
         if (not attr.Attribute.delayable) && List.memq p t.parked then begin
           t.parked <- List.filter (fun q -> q != p) t.parked;
           if attr.Attribute.rejectable then begin
-            note_assim ctx Wf_obs.Trace.Rejected p.guard;
+            note_assim ctx Wf_obs.Trace.Rejected (guard_of_parked p);
             ctx.reject (lit t pol)
           end
           else begin
             Wf_obs.Metrics.incr ctx.meters.stats "forced_violations";
-            note_assim ctx Wf_obs.Trace.Forced p.guard;
+            note_assim ctx Wf_obs.Trace.Forced (guard_of_parked p);
             do_fire ctx t p
           end
         end
@@ -574,9 +574,12 @@ let note_occurred ctx t l ~seqno =
      t.decided_pol <- Some l.Literal.pol;
      t.holder <- None
    end);
-  (try t.knowledge <- Knowledge.occurred l ~seqno t.knowledge
-   with Invalid_argument _ ->
-     Wf_obs.Metrics.incr ctx.meters.stats "contradictory_announcements");
+  (match Knowledge.occurred l ~seqno t.knowledge with
+  | know ->
+      t.knowledge <- know;
+      step_views t (Gtable.Occurred (l, seqno))
+  | exception Invalid_argument _ ->
+      Wf_obs.Metrics.incr ctx.meters.stats "contradictory_announcements");
   t.reserve_backoff <- Symbol.Set.empty;
   t.promise_requested <-
     Literal.Set.filter
@@ -601,6 +604,7 @@ let handle ctx t msg =
       | _ -> note_occurred ctx t l ~seqno)
   | Messages.Promise { lit = l; _ } ->
       t.knowledge <- Knowledge.promised l t.knowledge;
+      step_views t (Gtable.Promised l);
       re_evaluate ~touched:(Literal.symbol l) ctx t
   | Messages.Promise_request { target; requester; offers } ->
       if Symbol.equal (Literal.symbol target) t.sym then
@@ -611,7 +615,10 @@ let handle ctx t msg =
       (match t.reserve_inflight with
       | Some s when Symbol.equal s sym -> t.reserve_inflight <- None
       | _ -> ());
-      t.reserved <- Symbol.Set.add sym t.reserved;
+      if not (Symbol.Set.mem sym t.reserved) then begin
+        t.reserved <- Symbol.Set.add sym t.reserved;
+        step_views t (Gtable.Reserved sym)
+      end;
       t.reserve_queue <- List.filter (fun s -> not (Symbol.equal s sym)) t.reserve_queue;
       advance_reservations ctx t;
       re_evaluate ~touched:sym ctx t
@@ -667,8 +674,8 @@ type input =
   | I_message of Messages.t
   | I_close
 
-let apply ctx t = function
-  | I_attempt { pol; entailed } -> attempt ~entailed ctx t pol
+let apply ?vetted ctx t = function
+  | I_attempt { pol; entailed } -> attempt ?vetted ~entailed ctx t pol
   | I_occurred { lit = l; seqno } -> note_occurred ctx t l ~seqno
   | I_message m -> handle ctx t m
   | I_close -> force_reject_parked ctx t
@@ -710,7 +717,8 @@ let snapshot t =
     s_reserve_backoff = t.reserve_backoff;
     s_holder = t.holder;
     s_waiters = waiters t;
-    s_parked = List.map (fun p -> (p.pol, p.via_trigger, p.guard)) t.parked;
+    s_parked =
+      List.map (fun p -> (p.pol, p.via_trigger, guard_of_parked p)) t.parked;
     s_decided_pol = t.decided_pol;
     s_promise_requested = t.promise_requested;
     s_deferred_grants = t.deferred_grants;
@@ -728,7 +736,7 @@ let restore t s =
   t.waiters_back <- [];
   t.parked <-
     List.map
-      (fun (pol, via_trigger, guard) -> park ~pol ~via_trigger guard)
+      (fun (pol, via_trigger, guard) -> park ~pol ~via_trigger (Gtable.cell guard))
       s.s_parked;
   t.decided_pol <- s.s_decided_pol;
   t.promise_requested <- s.s_promise_requested;
@@ -796,7 +804,7 @@ let fingerprint t =
   let h =
     list
       (fun h p ->
-        int (bool (fp_pol h p.pol) p.via_trigger) (Guard.uid p.guard))
+        int (bool (fp_pol h p.pol) p.via_trigger) (Guard.uid (guard_of_parked p)))
       h t.parked
   in
   let h = option fp_pol h t.decided_pol in
@@ -815,8 +823,8 @@ let watched_symbols t =
       (fun acc p -> Symbol.Set.union acc p.watch)
       Symbol.Set.empty t.parked
   in
-  let acc = Symbol.Set.union acc (Guard.symbols t.guard_pos) in
-  let acc = Symbol.Set.union acc (Guard.symbols t.guard_neg) in
+  let acc = Symbol.Set.union acc (Gtable.cell_symbols t.guard_pos) in
+  let acc = Symbol.Set.union acc (Gtable.cell_symbols t.guard_neg) in
   Symbol.Set.remove t.sym acc
 
 (* --- durable journal codec ------------------------------------------------ *)

@@ -63,13 +63,19 @@ type t
 val create :
   sym:Symbol.t ->
   site:int ->
-  guard_pos:Guard.t ->
-  guard_neg:Guard.t ->
+  guard_pos:Gtable.cell ->
+  guard_neg:Gtable.cell ->
   attr_pos:Attribute.t ->
   attr_neg:Attribute.t ->
   ?demand_automata:Automaton.t list ->
   unit ->
   t
+(** The guards come with their tables ({!Gtable.cell}): a run plan
+    hands every run's actor the same cells, so a table is looked up
+    once per plan.  Decisions on a compiled table read a view of the
+    actor's knowledge and reservations per parked attempt, built on the
+    first decision and then stepped by each input that changes either
+    ({!Gtable.step_view}). *)
 
 val symbol : t -> Symbol.t
 val site : t -> int
@@ -106,8 +112,12 @@ type input =
   | I_close
       (** The end of the run: reject whatever is still parked. *)
 
-val apply : ctx -> t -> input -> unit
-(** Process one input. *)
+val apply : ?vetted:Gtable.cell -> ctx -> t -> input -> unit
+(** Process one input.  [vetted], read only by an [I_attempt], is the
+    guard the attempt vets — the actor's own guard of the polarity
+    conjoined with [entailed] — with its table, when the caller already
+    holds it; without it the actor conjoins the two and looks the table
+    up.  A wrong [vetted] is not detected. *)
 
 val muted_ctx : Wf_obs.Metrics.t -> ctx
 (** A context whose effects are no-ops (and whose trigger always

@@ -79,6 +79,17 @@ type 'a t = {
   m_acks : Metrics.counter; (* chan_acks, bumped once per delivered copy *)
   m_direct : Metrics.counter; (* chan_direct_sends *)
   m_ack_latency : Metrics.histogram_handle;
+  m_lossy : lossy_meters Lazy.t;
+      (* resolved on first use: runs whose links are all direct never
+         retransmit, suppress a duplicate or queue in a mailbox *)
+}
+
+and lossy_meters = {
+  m_retransmits : Metrics.counter;
+  m_duplicates : Metrics.counter; (* chan_duplicates_suppressed *)
+  m_gave_up : Metrics.counter;
+  m_revived : Metrics.counter;
+  m_queue_wait : Metrics.histogram_handle; (* flow_queue_wait *)
 }
 
 let default_backoff = 2.0
@@ -157,14 +168,14 @@ let wire_of p =
 
 let rec retransmit t key () =
   match Key_tbl.find_opt t.pending key with
-  | None -> () (* acked meanwhile *)
+  | None -> Wf_sim.Netsim.idle t.net (* acked meanwhile *)
   | Some p ->
       if p.p_tries >= t.max_retries then begin
         Key_tbl.remove t.pending key;
         (* Keep the message: if the silent destination turns out to have
            crashed, its restart Hello revives the transfer. *)
         Key_tbl.replace t.dead key p;
-        Metrics.incr (stats t) "chan_gave_up";
+        Metrics.bump (Lazy.force t.m_lossy).m_gave_up;
         emit_trace t
           (Trace.make ~time:(now t) ~site:p.p_src ~epoch:p.p_epoch ~mid:p.p_mid
              (Trace.Give_up { dst = p.p_dst }));
@@ -174,7 +185,7 @@ let rec retransmit t key () =
       end
       else begin
         p.p_tries <- p.p_tries + 1;
-        Metrics.incr (stats t) "chan_retransmits";
+        Metrics.bump (Lazy.force t.m_lossy).m_retransmits;
         emit_trace t
           (Trace.make ~time:(now t) ~site:p.p_src ~epoch:p.p_epoch ~mid:p.p_mid
              (Trace.Retransmit { dst = p.p_dst; tries = p.p_tries }));
@@ -219,7 +230,10 @@ let drain_blocked t flow ~src ~dst =
    transmits one message, which restarts the consume/grant cycle. *)
 let rec stall_check t flow ~src ~dst () =
   let q = blocked_queue t ~src ~dst in
-  if Queue.is_empty q then Hashtbl.remove t.stall_on (src, dst)
+  if Queue.is_empty q then begin
+    Hashtbl.remove t.stall_on (src, dst);
+    Wf_sim.Netsim.idle t.net (* the backlog drained meanwhile *)
+  end
   else begin
     (match Queue.peek_opt q with
     | Some (key, since) when Flow.stalled flow ~src ~dst ~since ->
@@ -313,7 +327,7 @@ let revive_dead_to t ~observer ~origin =
       Key_tbl.remove t.dead key;
       p.p_tries <- 0;
       Key_tbl.replace t.pending key p;
-      Metrics.incr (stats t) "chan_revived";
+      Metrics.bump (Lazy.force t.m_lossy).m_revived;
       Wf_sim.Netsim.send t.net ~src:p.p_src ~dst:p.p_dst (wire_of p);
       Wf_sim.Netsim.schedule t.net ~delay:(rto_after t 0) (retransmit t key))
     (List.sort send_order mine)
@@ -347,12 +361,25 @@ let create ?(rto = 3.0) ?(backoff = default_backoff) ?(max_rto = 60.0)
     net =
   let n = Wf_sim.Netsim.num_sites net in
   (* A full mailbox refuses messages, so under flow control every
-     cross-site link is lossy whatever the network does. *)
+     cross-site link is lossy whatever the network does.  Without a
+     partition the predicate reads only whether the link is local, so
+     it is evaluated once per kind of link. *)
   let direct =
     let fc = Wf_sim.Netsim.fault_config net in
-    Array.init (n * n) (fun link ->
-        let src = link / n and dst = link mod n in
-        Wf_sim.Netsim.exactly_once fc ~src ~dst && (flow = None || src = dst))
+    let direct ~src ~dst =
+      Wf_sim.Netsim.exactly_once fc ~src ~dst && (flow = None || src = dst)
+    in
+    if fc.Wf_sim.Netsim.partitions = [] && n > 1 then begin
+      let local = direct ~src:0 ~dst:0 and remote = direct ~src:0 ~dst:1 in
+      let links = Array.make (n * n) remote in
+      if local <> remote then
+        for site = 0 to n - 1 do
+          links.((site * n) + site) <- local
+        done;
+      links
+    end
+    else
+      Array.init (n * n) (fun link -> direct ~src:(link / n) ~dst:(link mod n))
   in
   let flow =
     match flow with
@@ -375,8 +402,8 @@ let create ?(rto = 3.0) ?(backoff = default_backoff) ?(max_rto = 60.0)
       max_retries;
       retransmit_jitter;
       rng = Wf_sim.Rng.split (Wf_sim.Netsim.rng net);
-      pending = Key_tbl.create 256;
-      seen = Key_tbl.create 256;
+      pending = Key_tbl.create 16;
+      seen = Key_tbl.create 16;
       seen_floor = Wf_core.Intern.Pair_tbl.create 16;
       dead = Key_tbl.create 16;
       epochs = Array.make n 0;
@@ -387,12 +414,23 @@ let create ?(rto = 3.0) ?(backoff = default_backoff) ?(max_rto = 60.0)
       blocked = Hashtbl.create 16;
       stall_on = Hashtbl.create 16;
       mbox = Hashtbl.create 16;
-      mbox_keys = Key_tbl.create 256;
+      mbox_keys = Key_tbl.create 16;
       draining = Array.make n false;
       handlers = Hashtbl.create 16;
       m_acks = Metrics.counter (Wf_sim.Netsim.stats net) "chan_acks";
       m_direct = Metrics.counter (Wf_sim.Netsim.stats net) "chan_direct_sends";
       m_ack_latency = Metrics.histogram (Wf_sim.Netsim.stats net) "ack_latency";
+      m_lossy =
+        lazy
+          (let stats = Wf_sim.Netsim.stats net in
+           let c = Metrics.counter stats in
+           {
+             m_retransmits = c "chan_retransmits";
+             m_duplicates = c "chan_duplicates_suppressed";
+             m_gave_up = c "chan_gave_up";
+             m_revived = c "chan_revived";
+             m_queue_wait = Metrics.histogram stats "flow_queue_wait";
+           });
     }
   in
   (* Epoch handshake, sender side: a restarted site loses its volatile
@@ -474,7 +512,7 @@ let rec drain_mailbox t flow site () =
         done
     | Some (src, ((origin, _, _) as key), payload, enqueued) ->
         Key_tbl.remove t.mbox_keys key;
-        Metrics.observe (stats t) "flow_queue_wait" (now t -. enqueued);
+        Metrics.record (Lazy.force t.m_lossy).m_queue_wait (now t -. enqueued);
         consume t site src key payload;
         (* Batch credit grants on consumption. *)
         (if origin <> site then
@@ -506,7 +544,7 @@ let on_receive t site handler =
                  A full mailbox refuses the message unacknowledged and
                  the sender's retransmission redelivers it later. *)
               if is_seen t key then begin
-                Metrics.incr (stats t) "chan_duplicates_suppressed";
+                Metrics.bump (Lazy.force t.m_lossy).m_duplicates;
                 (* Consumed earlier; the ack must have been lost. *)
                 Metrics.bump t.m_acks;
                 Wf_sim.Netsim.send ~control:true t.net ~src:site ~dst:origin
@@ -515,7 +553,7 @@ let on_receive t site handler =
               else if Key_tbl.mem t.mbox_keys key then
                 (* Queued but not yet consumed: suppress the duplicate
                    without acking — the consumption ack settles it. *)
-                Metrics.incr (stats t) "chan_duplicates_suppressed"
+                Metrics.bump (Lazy.force t.m_lossy).m_duplicates
               else if Flow.mailbox_enqueue flow ~dst:site then begin
                 Key_tbl.replace t.mbox_keys key ();
                 Queue.push (src, key, payload, now t) (mailbox t site);
@@ -537,7 +575,7 @@ let on_receive t site handler =
               Wf_sim.Netsim.send ~control:true t.net ~src:site ~dst:origin
                 (Ack { mid; epoch });
               if is_seen t key then
-                Metrics.incr (stats t) "chan_duplicates_suppressed"
+                Metrics.bump (Lazy.force t.m_lossy).m_duplicates
               else begin
                 mark_seen t key;
                 handler src payload

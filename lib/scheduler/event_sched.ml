@@ -116,7 +116,12 @@ let result cfg net ~deps ~occurrences ~rejected =
   {
     trace = List.rev occurrences;
     stats = Wf_sim.Netsim.stats net;
-    makespan = Wf_sim.Netsim.now net;
+    (* The last thing the run did: a timer that found nothing to do
+       ([Netsim.idle]) moved the clock without counting. *)
+    makespan =
+      (match occurrences with
+      | o :: _ -> Float.max o.time (Wf_sim.Netsim.busy_until net)
+      | [] -> Wf_sim.Netsim.busy_until net);
     satisfied = violations = [];
     violations;
     generated;
@@ -126,16 +131,15 @@ let result cfg net ~deps ~occurrences ~rejected =
 (* {2 The distributed engine} *)
 
 (* The network side of a run; the actors, agents and journals live in
-   the shared ground core. *)
+   the shared ground core.  A wire payload names its destination by
+   plan slot. *)
 type net = {
   cfg : config;
-  net : (Symbol.t * Messages.t) Channel.wire Wf_sim.Netsim.t;
-  chan : (Symbol.t * Messages.t) Channel.t;
+  net : (int * Messages.t) Channel.wire Wf_sim.Netsim.t;
+  chan : (int * Messages.t) Channel.t;
 }
 
 type runtime = net Ground.t
-
-let site (rt : runtime) sym = Actor.site (Ground.actor_of rt sym)
 
 let rec schedule_agent (rt : runtime) agent =
   let { cfg; net; chan } = rt.driver in
@@ -143,30 +147,31 @@ let rec schedule_agent (rt : runtime) agent =
   | None -> ()
   | Some (sym, attr) ->
       Agent.begin_attempt agent sym;
-      arrive cfg net chan ~site:(site rt sym) sym (fun () ->
-          attempt rt agent sym attr)
+      let slot = Ground.slot_of rt sym in
+      arrive cfg net chan ~site:slot.site sym (fun () ->
+          attempt rt agent slot attr)
 
 (* An uncontrollable event is announced, not requested: record a
    violation if its guard would have said no. *)
-and attempt rt agent sym attr =
-  if Ground.attempt rt agent sym attr then
+and attempt rt agent slot attr =
+  if Ground.attempt rt agent slot attr then
     Wf_obs.Metrics.incr rt.stats "uncontrollable_violations"
 
 let hooks : net Ground.hooks =
   {
     send =
       (fun rt ~priority ~src ~dst msg ->
-        Channel.send ~priority rt.driver.chan ~src:(site rt src)
-          ~dst:(site rt dst) (dst, msg));
+        Channel.send ~priority rt.driver.chan ~src:src.site ~dst:dst.site
+          (dst.index, msg));
     kick = schedule_agent;
     now = (fun rt -> Wf_sim.Netsim.now rt.driver.net);
     on_fire = (fun rt o -> rt.driver.cfg.on_event o);
     emit_assim =
-      (fun rt sym ->
+      (fun rt (slot : Ground.slot) ->
         match rt.driver.cfg.tracer with
         | None -> None
         | Some sink ->
-            let site = site rt sym and name = Symbol.name sym in
+            let site = slot.site and name = Symbol.name slot.sym in
             Some
               (fun outcome guard ->
                 Wf_obs.Trace.emit sink
@@ -176,7 +181,7 @@ let hooks : net Ground.hooks =
                      (Wf_obs.Trace.Assim { outcome; guard }))));
     settle =
       (fun rt -> Wf_sim.Netsim.run ~max_steps:rt.driver.cfg.max_steps rt.driver.net);
-    iter_agents = (fun rt f -> Hashtbl.iter (fun _ agent -> f agent) rt.agents);
+    iter_tasks = (fun rt f -> Hashtbl.iter (fun _ task -> f task) rt.tasks);
   }
 
 let build cfg wf plan : runtime =
@@ -202,7 +207,7 @@ let build cfg wf plan : runtime =
      duplicates, or reorders the wire traffic. *)
   for site = 0 to Workflow_def.num_sites wf - 1 do
     Channel.on_receive chan site (fun _src (target, msg) ->
-        Ground.deliver rt (Ground.actor_of rt target) (Actor.I_message msg))
+        Ground.deliver rt.slots.(target) (Actor.I_message msg))
   done;
   (* Crash recovery: when a site restarts, the channel's hook (created
      first, so it runs first) has already bumped the epoch and said
@@ -212,9 +217,9 @@ let build cfg wf plan : runtime =
   Wf_sim.Netsim.on_restart net (fun site ->
       let hosted = Ground.hosted rt site in
       List.iter
-        (fun sym ->
-          Wf_store.Journal.crash (Symbol_tbl.find rt.journals sym).j;
-          Ground.recover rt sym)
+        (fun (slot : Ground.slot) ->
+          Wf_store.Journal.crash slot.journal.j;
+          Ground.recover rt slot)
         hosted;
       Ground.handshake rt ~epoch:(Channel.epoch chan site) hosted);
   rt
@@ -228,7 +233,7 @@ let run ?(config = default_config) wf =
   let rt = build config wf plan in
   (* Kick off every agent, run to quiescence, then close: alternate
      complement emission and network drain. *)
-  hooks.iter_agents rt (schedule_agent rt);
+  hooks.iter_tasks rt (fun task -> schedule_agent rt task.Ground.agent);
   hooks.settle rt;
   Ground.close rt;
   result config rt.driver.net

@@ -29,10 +29,26 @@ let default_config =
 
 type verdict = Admitted | Busy of { retry_after : float }
 
+(* Per-message metrics, resolved once in [create]; each registers on
+   first use, so the registry's contents match name-keyed updates. *)
+type meters = {
+  credits_consumed : Metrics.counter;
+  sends_blocked : Metrics.counter;
+  credit_overrides : Metrics.counter;
+  mailbox_rejects : Metrics.counter;
+  mailbox_enqueued : Metrics.counter;
+  credits_granted : Metrics.counter;
+  admitted : Metrics.counter;
+  probe_admits : Metrics.counter;
+  shed : Metrics.counter;
+  admission_latency : Metrics.histogram_handle;
+}
+
 type t = {
   cfg : config;
   rng : Wf_sim.Rng.t;
   stats : Metrics.t;
+  m : meters;
   now : unit -> float;
   tracer : unit -> Trace.sink option;
   credits : int array array;  (* sender view: credits.(src).(dst) left *)
@@ -55,6 +71,20 @@ let create ?(config = default_config) ~num_sites ~seed ~stats ~now
     cfg = config;
     rng = Wf_sim.Rng.create seed;
     stats;
+    m =
+      (let c = Metrics.counter stats in
+       {
+         credits_consumed = c "flow_credits_consumed";
+         sends_blocked = c "flow_sends_blocked";
+         credit_overrides = c "flow_credit_overrides";
+         mailbox_rejects = c "flow_mailbox_rejects";
+         mailbox_enqueued = c "flow_mailbox_enqueued";
+         credits_granted = c "flow_credits_granted";
+         admitted = c "flow_admitted";
+         probe_admits = c "flow_probe_admits";
+         shed = c "flow_shed";
+         admission_latency = Metrics.histogram stats "flow_admission_latency";
+       });
     now;
     tracer;
     credits = Array.init n (fun _ -> Array.make n config.credit_window);
@@ -74,14 +104,14 @@ let gauge_max t name v = Metrics.gauge_max t.stats name (float_of_int v)
 let try_acquire t ~src ~dst =
   if t.credits.(src).(dst) > 0 then begin
     t.credits.(src).(dst) <- t.credits.(src).(dst) - 1;
-    Metrics.incr t.stats "flow_credits_consumed";
+    Metrics.bump t.m.credits_consumed;
     true
   end
   else false
 
 let note_blocked t ~src =
   t.backlog.(src) <- t.backlog.(src) + 1;
-  Metrics.incr t.stats "flow_sends_blocked";
+  Metrics.bump t.m.sends_blocked;
   gauge_max t "flow_max_backlog" t.backlog.(src)
 
 let note_unblocked t ~src = t.backlog.(src) <- max 0 (t.backlog.(src) - 1)
@@ -96,7 +126,7 @@ let on_grant t ~src ~dst ~grant ~reset =
 let stalled t ~src ~dst ~since =
   if t.credits.(src).(dst) = 0 && t.now () -. since >= t.cfg.stall_timeout
   then begin
-    Metrics.incr t.stats "flow_credit_overrides";
+    Metrics.bump t.m.credit_overrides;
     true
   end
   else false
@@ -105,12 +135,12 @@ let stalled t ~src ~dst ~since =
 
 let mailbox_enqueue t ~dst =
   if t.mailbox.(dst) >= t.cfg.mailbox_cap then begin
-    Metrics.incr t.stats "flow_mailbox_rejects";
+    Metrics.bump t.m.mailbox_rejects;
     false
   end
   else begin
     t.mailbox.(dst) <- t.mailbox.(dst) + 1;
-    Metrics.incr t.stats "flow_mailbox_enqueued";
+    Metrics.bump t.m.mailbox_enqueued;
     gauge_max t "flow_max_mailbox_depth" t.mailbox.(dst);
     true
   end
@@ -119,7 +149,7 @@ let grant_ready t ~dst ~origin ~threshold =
   let pending = t.consumed.(dst).(origin) in
   if pending >= threshold && pending > 0 then begin
     t.consumed.(dst).(origin) <- 0;
-    Metrics.add t.stats "flow_credits_granted" pending;
+    Metrics.bump_by t.m.credits_granted pending;
     pending
   end
   else 0
@@ -133,7 +163,7 @@ let flush_grant t ~dst ~origin = grant_ready t ~dst ~origin ~threshold:1
 
 let reset_window t ~receiver ~peer =
   t.consumed.(receiver).(peer) <- 0;
-  Metrics.add t.stats "flow_credits_granted" t.cfg.credit_window;
+  Metrics.bump_by t.m.credits_granted t.cfg.credit_window;
   t.cfg.credit_window
 
 let on_restart t ~site =
@@ -148,8 +178,8 @@ let admit t ~site ?actor ?depth:d ~first () =
   let d = match d with Some d -> d | None -> depth t ~site in
   let admitted () =
     t.shed_streak.(site) <- 0;
-    Metrics.incr t.stats "flow_admitted";
-    Metrics.observe t.stats "flow_admission_latency" (t.now () -. first);
+    Metrics.bump t.m.admitted;
+    Metrics.record t.m.admission_latency (t.now () -. first);
     Admitted
   in
   if d < t.cfg.shed_watermark then admitted ()
@@ -157,13 +187,13 @@ let admit t ~site ?actor ?depth:d ~first () =
     t.shed_probe.(site) <- t.shed_probe.(site) + 1;
     if t.cfg.probe_every > 0 && t.shed_probe.(site) mod t.cfg.probe_every = 0
     then begin
-      Metrics.incr t.stats "flow_probe_admits";
+      Metrics.bump t.m.probe_admits;
       admitted ()
     end
     else begin
       let streak = min t.shed_streak.(site) 30 in
       t.shed_streak.(site) <- t.shed_streak.(site) + 1;
-      Metrics.incr t.stats "flow_shed";
+      Metrics.bump t.m.shed;
       let base =
         Float.min t.cfg.retry_max
           (t.cfg.retry_base *. (t.cfg.retry_backoff ** float_of_int streak))

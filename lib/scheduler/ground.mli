@@ -12,7 +12,13 @@ open Wf_tasks
     and takes the rest from the driver's {!hooks}: [Event_sched] routes
     messages through the channel and settles by running the simulated
     network; [Step_sched] queues them per actor pair and settles by
-    draining in sorted order.  ['d] is the driver's own state. *)
+    draining in sorted order.  ['d] is the driver's own state.
+
+    A run addresses its actors by plan slot ({!Run_plan.actor}'s
+    [index]): one {!slot} per plan symbol holds everything the run keeps
+    for it, so delivering, firing, announcing and the closing scans read
+    arrays, and only a symbol named inside a message or returned by an
+    agent is looked up in the plan's index. *)
 
 type occurrence = { lit : Literal.t; seqno : int; time : float }
 
@@ -25,18 +31,44 @@ type jstate = {
           half-applied state *)
 }
 
+type slot = {
+  index : int;  (** the plan slot: [sym]'s rank in {!Run_plan.symbols} *)
+  sym : Symbol.t;
+  site : int;
+  plan_actor : Run_plan.actor;
+  mutable actor : Actor.t;  (** replaced by recovery *)
+  mutable ctx : Actor.ctx;  (** the live context, closing over the slot *)
+  journal : jstate;
+  task : task option;  (** the task whose significant events include it *)
+  vets : bool;
+      (** no guard override replaced the positive guard, so an attempt
+          vets the plan's {!Run_plan.attempt} guard *)
+  mutable decided : bool;  (** the symbol occurred, in either polarity *)
+  mutable pending_complements : Literal.t list option;
+      (** complements a trigger already advanced the agent past, for the
+          occurrence to emit *)
+}
+
+and task = {
+  agent : Agent.t;
+  mutable events : slot list;
+      (** the slots of its significant events, in slot order; the
+          agent names them by these slots' own symbols
+          ({!Agent.spec}'s [canonical]), so a complement it returns
+          finds its slot by address *)
+}
+
 type 'd hooks = {
-  send :
-    'd t -> priority:bool -> src:Symbol.t -> dst:Symbol.t -> Messages.t -> unit;
-      (** transport a protocol message between two symbols' actors *)
+  send : 'd t -> priority:bool -> src:slot -> dst:slot -> Messages.t -> unit;
+      (** transport a protocol message between two actors *)
   kick : 'd t -> Agent.t -> unit;  (** the agent may want to attempt next *)
   now : 'd t -> float;  (** timestamp for occurrences *)
   on_fire : 'd t -> occurrence -> unit;
-  emit_assim : 'd t -> Symbol.t -> (Wf_obs.Trace.outcome -> int -> unit) option;
+  emit_assim : 'd t -> slot -> (Wf_obs.Trace.outcome -> int -> unit) option;
       (** the actor's {!Actor.ctx} assimilation hook *)
   settle : 'd t -> unit;  (** run pending work to quiescence *)
-  iter_agents : 'd t -> (Agent.t -> unit) -> unit;
-      (** the driver's agent order for closing rounds *)
+  iter_tasks : 'd t -> (task -> unit) -> unit;
+      (** the driver's task order for closing rounds *)
 }
 
 and 'd t = {
@@ -48,16 +80,12 @@ and 'd t = {
   meters : Actor.meters;  (** resolved on [stats], shared by every ctx *)
   occurrences_counter : Wf_obs.Metrics.counter;
   attempts_counter : Wf_obs.Metrics.counter;
+  rejections_counter : Wf_obs.Metrics.counter;
   replay_ctx : Actor.ctx;  (** muted, counting into a registry no run reads *)
-  actors : Actor.t Symbol_tbl.t;
-  ctxs : Actor.ctx Symbol_tbl.t;
-  journals : jstate Symbol_tbl.t;
-  agents : (string, Agent.t) Hashtbl.t;
-  owners : Agent.t Symbol_tbl.t;  (** each owned plan symbol's agent *)
+  slots : slot array;  (** by plan slot *)
+  tasks : (string, task) Hashtbl.t;  (** by instance *)
   msg_counters : Wf_obs.Metrics.counter array;
       (** [msg_<label>] per {!Messages.tag}, resolved once *)
-  pending_trigger_complements : Literal.t list Symbol_tbl.t;
-  mutable decided : Symbol.Set.t;
   mutable seqno : int;
   mutable occurrences : occurrence list;  (** newest first *)
   mutable rejected : Literal.t list;  (** newest first *)
@@ -72,33 +100,35 @@ val create :
   Workflow_def.t ->
   Run_plan.t ->
   'd t
-(** One actor and journal per plan symbol, in sorted order, and one
-    agent per task.  [guard_overrides] substitutes guards whenever an
-    actor is created, including on recovery. *)
+(** One slot (actor, context and journal) per plan symbol, in slot
+    order, and one agent per task.  [guard_overrides] substitutes guards
+    whenever an actor is created, including on recovery. *)
 
-val actor_of : 'd t -> Symbol.t -> Actor.t
+val slot_of : 'd t -> Symbol.t -> slot
+(** Raises [Invalid_argument] naming a symbol without an actor. *)
 
-val deliver : 'd t -> Actor.t -> Actor.input -> unit
+val deliver : ?vetted:Gtable.cell -> slot -> Actor.input -> unit
 (** Journaled delivery: append (syncing inputs that cannot be
-    re-derived after a crash), apply, checkpoint at depth 0. *)
+    re-derived after a crash), apply ({!Actor.apply}, with [vetted]),
+    checkpoint at depth 0. *)
 
-val attempt : 'd t -> Agent.t -> Symbol.t -> Attribute.t -> bool
+val attempt : 'd t -> Agent.t -> slot -> Attribute.t -> bool
 (** The agent attempts the event: a controllable one goes to its actor
     for vetting together with the guards of the complements it entails;
     an uncontrollable one fires outright.  [true] iff it was
     uncontrollable and its guard said [False]. *)
 
-val replay : 'd t -> Symbol.t -> Actor.snapshot option * Actor.input list -> Actor.t
+val replay : 'd t -> slot -> Actor.snapshot option * Actor.input list -> Actor.t
 (** A fresh actor with the checkpoint restored and the suffix applied
     with side effects muted. *)
 
-val recover : 'd t -> Symbol.t -> unit
-(** Rebuild the symbol's actor from its journal ({!replay}). *)
+val recover : 'd t -> slot -> unit
+(** Rebuild the slot's actor from its journal ({!replay}). *)
 
-val hosted : 'd t -> int -> Symbol.t list
-(** The site's symbols, sorted. *)
+val hosted : 'd t -> int -> slot list
+(** The site's slots, in slot order. *)
 
-val handshake : 'd t -> epoch:int -> Symbol.t list -> unit
+val handshake : 'd t -> epoch:int -> slot list -> unit
 (** After recovering these actors: each undecided one pings the watched
     peers whose fate it does not know with {!Messages.Recovered}, on the
     priority lane; a decided peer re-announces. *)

@@ -3,12 +3,17 @@ open Wf_tasks
 
 type actor = {
   sym : Symbol.t;
+  index : int;
   site : int;
   attr : Attribute.t;
-  guard_pos : Guard.t;
-  guard_neg : Guard.t;
+  guard_pos : Gtable.cell;
+  guard_neg : Gtable.cell;
   demand_automata : Automaton.t list;
+  owner : string option;
+  subscribers : int array;
 }
+
+type attempt = { lit : Literal.t; entailed : Guard.t; vetted : Gtable.cell }
 
 (* Entailed-guard memo keys: the literal lists [Agent.would_make_unreachable]
    returns. *)
@@ -21,39 +26,51 @@ module Lits_tbl = Hashtbl.Make (struct
     List.fold_left (fun h l -> ((h * 31) + Literal.hash l) land max_int) 0 lits
 end)
 
+(* The entailed-guard memo's entry: the conjunction, and the attempts
+   that have vetted it, each with the guard it vets. *)
+type entailed = { e_guard : Guard.t; mutable e_attempts : attempt list }
+
 type t = {
   compiled : Compile.t;
   symbols : Symbol.t list;
-  actors : actor Symbol.Map.t;
-  owners : string Symbol.Map.t;
-  subscriptions : Symbol.Set.t Symbol.Map.t;
+  actors : actor array; (* by slot *)
+  index : int Symbol_tbl.t;
   agents : Agent.spec list;
-  entailed : Guard.t Lits_tbl.t;
+  entailed : entailed Lits_tbl.t;
 }
 
 let compiled t = t.compiled
 let symbols t = t.symbols
 let agents t = t.agents
+let actors t = t.actors
+let index t sym = Symbol_tbl.find_opt t.index sym
 
-let actor t sym =
-  match Symbol.Map.find_opt sym t.actors with
-  | Some a -> a
-  | None -> Fmt.invalid_arg "Run_plan: no actor for %a" Symbol.pp sym
-
-let owner t sym = Symbol.Map.find_opt sym t.owners
-
-let subscribers t sym =
-  Option.value (Symbol.Map.find_opt sym t.subscriptions) ~default:Symbol.Set.empty
-
+let owner t sym = Option.bind (index t sym) (fun i -> t.actors.(i).owner)
 let guard t lit = (Compile.plan t.compiled lit).Compile.guard
 
-let entailed_guard t lits =
-  match Lits_tbl.find_opt t.entailed lits with
-  | Some g -> g
+let attempt t lit lits =
+  let e =
+    match Lits_tbl.find_opt t.entailed lits with
+    | Some e -> e
+    | None ->
+        let e =
+          { e_guard = Guard.conj_all (List.map (guard t) lits); e_attempts = [] }
+        in
+        Lits_tbl.add t.entailed lits e;
+        e
+  in
+  match List.find_opt (fun a -> Literal.equal a.lit lit) e.e_attempts with
+  | Some a -> a
   | None ->
-      let g = Guard.conj_all (List.map (guard t) lits) in
-      Lits_tbl.add t.entailed lits g;
-      g
+      let a =
+        {
+          lit;
+          entailed = e.e_guard;
+          vetted = Gtable.cell (Guard.conj (guard t lit) e.e_guard);
+        }
+      in
+      e.e_attempts <- a :: e.e_attempts;
+      a
 
 (* The guards of complements the owning task's transitions on [sym] may
    entail: an attempt vets them, so the actor must hear about the
@@ -108,75 +125,85 @@ let build (wf : Workflow_def.t) =
       owners (Compile.alphabet compiled)
   in
   let automata = List.map (fun d -> (d, Automaton.build d)) deps in
-  let actor_of sym =
-    let attr = Workflow_def.attribute_of wf sym in
-    let demand_automata =
-      if attr.Attribute.triggerable then
-        List.filter_map
-          (fun (d, aut) ->
-            if Literal.Set.mem (Literal.pos sym) (Expr.literals d) then Some aut
-            else None)
-          automata
-      else []
-    in
-    {
-      sym;
-      site = Workflow_def.site_of wf sym;
-      attr;
-      guard_pos = (Compile.plan compiled (Literal.pos sym)).Compile.guard;
-      guard_neg = (Compile.plan compiled (Literal.neg sym)).Compile.guard;
-      demand_automata;
-    }
-  in
-  let actors =
-    Symbol.Set.fold
-      (fun sym acc -> Symbol.Map.add sym (actor_of sym) acc)
-      symbol_set Symbol.Map.empty
+  let symbols = Array.of_list (Symbol.Set.elements symbol_set) in
+  let index = Symbol_tbl.create (Array.length symbols) in
+  Array.iteri (fun i sym -> Symbol_tbl.replace index sym i) symbols;
+  let attr_of sym = Workflow_def.attribute_of wf sym in
+  let demand =
+    Array.map
+      (fun sym ->
+        if (attr_of sym).Attribute.triggerable then
+          List.filter_map
+            (fun (d, aut) ->
+              if Literal.Set.mem (Literal.pos sym) (Expr.literals d) then
+                Some aut
+              else None)
+            automata
+        else [])
+      symbols
   in
   (* Subscriptions: guard symbols of both polarities, the full alphabet
-     of the demand automata, and the entailed complements' guards. *)
-  let subscriptions =
-    Symbol.Map.fold
-      (fun sym a subs ->
-        let watch =
-          Symbol.Set.union
-            (Compile.plan compiled (Literal.pos sym)).Compile.watched
-            (Compile.plan compiled (Literal.neg sym)).Compile.watched
-          |> Symbol.Set.union (entailed_watches compiled wf sym)
-        in
-        let watch =
+     of the demand automata, and the entailed complements' guards.
+     Slots ascend with their symbols, so each subscriber array lists
+     its actors in symbol order. *)
+  let subscriptions = Array.make (Array.length symbols) [] in
+  for i = Array.length symbols - 1 downto 0 do
+    let sym = symbols.(i) in
+    let watch =
+      Symbol.Set.union
+        (Compile.plan compiled (Literal.pos sym)).Compile.watched
+        (Compile.plan compiled (Literal.neg sym)).Compile.watched
+      |> Symbol.Set.union (entailed_watches compiled wf sym)
+    in
+    let watch =
+      List.fold_left
+        (fun acc aut ->
           List.fold_left
-            (fun acc aut ->
-              List.fold_left
-                (fun acc l -> Symbol.Set.add (Literal.symbol l) acc)
-                acc (Automaton.alphabet aut))
-            watch a.demand_automata
-        in
-        Symbol.Set.fold
-          (fun watched subs ->
-            if Symbol.equal watched sym then subs
-            else
-              Symbol.Map.update watched
-                (fun cur ->
-                  let cur = Option.value cur ~default:Symbol.Set.empty in
-                  Some (Symbol.Set.add sym cur))
-                subs)
-          watch subs)
-      actors Symbol.Map.empty
+            (fun acc l -> Symbol.Set.add (Literal.symbol l) acc)
+            acc (Automaton.alphabet aut))
+        watch demand.(i)
+    in
+    Symbol.Set.iter
+      (fun watched ->
+        match Symbol_tbl.find_opt index watched with
+        | Some w when w <> i -> subscriptions.(w) <- i :: subscriptions.(w)
+        | _ -> ())
+      watch
+  done;
+  let actors =
+    Array.mapi
+      (fun i sym ->
+        let guard lit = Gtable.cell (Compile.plan compiled lit).Compile.guard in
+        {
+          sym;
+          index = i;
+          site = Workflow_def.site_of wf sym;
+          attr = attr_of sym;
+          guard_pos = guard (Literal.pos sym);
+          guard_neg = guard (Literal.neg sym);
+          demand_automata = demand.(i);
+          owner = Symbol.Map.find_opt sym owners;
+          subscribers = Array.of_list subscriptions.(i);
+        })
+      symbols
+  in
+  (* Agents name their events by the plan's own symbols, so a symbol an
+     agent returns finds its slot by address. *)
+  let canonical sym =
+    match Symbol_tbl.find_opt index sym with Some i -> symbols.(i) | None -> sym
   in
   let agents =
     List.map
       (fun (task : Workflow_def.task) ->
         Agent.spec ~instance:task.instance ~model:task.model
-          ~parametrize:task.parametrize ())
+          ~parametrize:task.parametrize ~canonical ())
       wf.tasks
   in
   {
     compiled;
-    symbols = Symbol.Set.elements symbol_set;
+    symbols = Array.to_list symbols;
     actors;
-    owners;
-    subscriptions;
+    index;
     agents;
     entailed = Lits_tbl.create 16;
   }

@@ -13,6 +13,12 @@ open Wf_tasks
     mutable state — actors, journals, agents, queues or network — from
     a plan.
 
+    The plan numbers its actors once: slot [i] is the [i]-th symbol of
+    {!symbols}, so slot order is symbol order.  Each {!actor} record
+    carries its slot, its owner and its subscribers as slots, and its
+    two guards as {!Gtable.cell}s, so a run addresses actors by index
+    and looks each guard's table up once per plan, not once per run.
+
     {!of_workflow} is memoized keyed on the spec's data: the dependency
     expressions, each task's instance, model, site and [parametrize]
     flag, and the attribute overrides — never on the workflow's name or
@@ -22,13 +28,22 @@ open Wf_tasks
 
 type actor = {
   sym : Symbol.t;
+  index : int;  (** the actor's slot: [sym]'s rank in {!symbols} *)
   site : int;
   attr : Attribute.t;  (** the positive literal's; the negative is uncontrollable *)
-  guard_pos : Guard.t;
-  guard_neg : Guard.t;
+  guard_pos : Gtable.cell;  (** the positive literal's guard and its table *)
+  guard_neg : Gtable.cell;
   demand_automata : Automaton.t list;
       (** automata of the dependencies mentioning the symbol, when it
           is triggerable *)
+  owner : string option;
+      (** the task instance whose significant events include the symbol *)
+  subscribers : int array;
+      (** the slots of the actors told of the symbol's occurrences,
+          ascending: those whose guards of either polarity mention it,
+          whose demand automata read it, or whose task's transitions may
+          entail a complement whose guard mentions it.  Never the
+          actor's own slot. *)
 }
 
 type t
@@ -43,28 +58,32 @@ val symbols : t -> Symbol.t list
 (** Every symbol with an actor — the dependency alphabet plus all task
     events (unmentioned ones get guard [⊤]) — sorted. *)
 
-val actor : t -> Symbol.t -> actor
-(** Raises [Invalid_argument] for a symbol without an actor. *)
+val actors : t -> actor array
+(** Every actor, by slot. *)
+
+val index : t -> Symbol.t -> int option
+(** The symbol's slot, if it has an actor. *)
 
 val owner : t -> Symbol.t -> string option
 (** The task instance whose significant events include the symbol. *)
-
-val subscribers : t -> Symbol.t -> Symbol.Set.t
-(** The actors told of the symbol's occurrences: those whose guards of
-    either polarity mention it, whose demand automata read it, or whose
-    task's transitions may entail a complement whose guard mentions
-    it.  Never includes the symbol itself. *)
-
-val guard : t -> Literal.t -> Guard.t
-(** The synthesized guard of a literal ([⊤] if no dependency mentions
-    it). *)
 
 val agents : t -> Agent.spec list
 (** One agent spec per task, in the workflow's task order: the model is
     validated and its unreachable events tabulated once per plan, and a
     run instantiates an agent from each with the task's script. *)
 
-val entailed_guard : t -> Literal.t list -> Guard.t
-(** [Guard.conj_all (List.map (guard t) lits)]: the guards of the
-    complements an attempt entails ({!Agent.would_make_unreachable}),
-    memoized on the plan keyed by the literal list. *)
+type attempt = {
+  lit : Literal.t;  (** the attempted literal *)
+  entailed : Guard.t;
+      (** the conjoined guards of the complements the attempt entails *)
+  vetted : Gtable.cell;
+      (** [Guard.conj (guard lit) entailed] and its table: what the
+          attempt vets *)
+}
+
+val attempt : t -> Literal.t -> Literal.t list -> attempt
+(** [attempt t lit lits]: the attempt of [lit] whose transition entails
+    the complements [lits] ({!Agent.would_make_unreachable}).  The
+    entailed conjunction is memoized on the plan keyed by the literal
+    list, and each attempted literal's vetted guard next to it, so a
+    repeated attempt conjoins and interns nothing. *)

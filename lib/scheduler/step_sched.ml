@@ -72,7 +72,14 @@ let forced (t : t) = t.driver.forced
 let uncontrollable (t : t) = t.driver.uncontrollable
 let crashes_used (t : t) = t.driver.crashes
 let epoch (t : t) site = t.driver.epochs.(site)
+let decided (t : t) =
+  Array.fold_right
+    (fun (slot : Ground.slot) acc -> if slot.decided then slot.sym :: acc else acc)
+    t.slots []
+
 let trace (t : t) = List.rev_map (fun (o : Ground.occurrence) -> o.lit) t.occurrences
+
+let agent_of (t : t) instance = (Hashtbl.find t.tasks instance).Ground.agent
 
 let enqueue (t : t) ~src ~dst msg =
   let d = t.driver in
@@ -84,20 +91,20 @@ let enqueue (t : t) ~src ~dst msg =
 
 let enabled_attempts (t : t) =
   List.filter
-    (fun instance -> Agent.want (Hashtbl.find t.agents instance) <> None)
+    (fun instance -> Agent.want (agent_of t instance) <> None)
     t.driver.instances
 
 let do_attempt (t : t) instance =
   let agent =
-    match Hashtbl.find_opt t.agents instance with
-    | Some a -> a
+    match Hashtbl.find_opt t.tasks instance with
+    | Some task -> task.agent
     | None -> invalid_arg ("Step_sched.do_attempt: unknown instance " ^ instance)
   in
   match Agent.want agent with
   | None -> invalid_arg ("Step_sched.do_attempt: no enabled attempt for " ^ instance)
   | Some (sym, attr) ->
       Agent.begin_attempt agent sym;
-      if Ground.attempt t agent sym attr then
+      if Ground.attempt t agent (Ground.slot_of t sym) attr then
         t.driver.uncontrollable <- t.driver.uncontrollable + 1
 
 let nonempty_queues (t : t) = List.map fst (PairMap.bindings t.driver.queues)
@@ -116,7 +123,7 @@ let do_deliver (t : t) ((_, dst) as key) =
         (if Dq.is_empty rest then PairMap.remove key d.queues
          else PairMap.add key rest d.queues);
       Wf_obs.Metrics.incr t.stats "messages_delivered";
-      Ground.deliver t (Ground.actor_of t dst) (Actor.I_message msg)
+      Ground.deliver (Ground.slot_of t dst) (Actor.I_message msg)
 
 let check_site name (t : t) site =
   if site < 0 || site >= t.driver.nsites then
@@ -141,9 +148,9 @@ let do_crash (t : t) site =
    state rebuilt from the salvaged log must equal the state ordinary
    journal recovery rebuilds: the torn frame's input was never applied,
    so losing it must lose nothing. *)
-let torn_recovery_ok (t : t) sym =
-  let ckpt, suffix = Wf_store.Journal.recover (Symbol_tbl.find t.journals sym).j in
-  let reference = Ground.replay t sym (ckpt, suffix) in
+let torn_recovery_ok (t : t) (slot : Ground.slot) =
+  let ckpt, suffix = Wf_store.Journal.recover slot.journal.j in
+  let reference = Ground.replay t slot (ckpt, suffix) in
   let synced_frames =
     (match ckpt with Some _ -> 1 | None -> 0) + List.length suffix
   in
@@ -166,7 +173,7 @@ let torn_recovery_ok (t : t) sym =
       let report = Option.get (Wf_store.Journal.last_salvage j) in
       report.Wf_store.Log.sr_frames = synced_frames
       && Actor.equal_state reference
-           (Ground.replay t sym (Wf_store.Journal.recover j)))
+           (Ground.replay t slot (Wf_store.Journal.recover j)))
     keeps
 
 let do_crash_torn t site =
@@ -177,14 +184,16 @@ let do_crash_torn t site =
 
 (* {2 Backtracking} *)
 
+(* Per-slot state in slot order: actor, journal, decided flag and the
+   complements a trigger stashed. *)
 type snapshot = {
-  s_actors : (Symbol.t * Actor.snapshot) list;
-  s_journals : (Symbol.t * (Actor.input, Actor.snapshot) Wf_store.Journal.t) list;
+  s_actors : Actor.snapshot array;
+  s_journals : (Actor.input, Actor.snapshot) Wf_store.Journal.t array;
   s_agents : (string * Agent.snapshot) list;
   s_queues : Messages.t Dq.t PairMap.t;
-  s_pending : (Symbol.t * Literal.t list) list;
+  s_pending : Literal.t list option array;
   s_epochs : int array;
-  s_decided : Symbol.Set.t;
+  s_decided : bool array;
   s_seqno : int;
   s_occurrences : Ground.occurrence list;
   s_rejected : Literal.t list;
@@ -194,21 +203,17 @@ type snapshot = {
 }
 
 let snapshot (t : t) =
-  let d = t.driver and symbols = symbols t in
+  let d = t.driver in
+  let per_slot f = Array.map f t.slots in
   {
-    s_actors =
-      List.map (fun sym -> (sym, Actor.snapshot (Ground.actor_of t sym))) symbols;
-    s_journals =
-      List.map
-        (fun sym -> (sym, Wf_store.Journal.copy (Symbol_tbl.find t.journals sym).j))
-        symbols;
+    s_actors = per_slot (fun slot -> Actor.snapshot slot.actor);
+    s_journals = per_slot (fun slot -> Wf_store.Journal.copy slot.journal.j);
     s_agents =
-      List.map (fun i -> (i, Agent.snapshot (Hashtbl.find t.agents i))) d.instances;
+      List.map (fun i -> (i, Agent.snapshot (agent_of t i))) d.instances;
     s_queues = d.queues;
-    s_pending =
-      Symbol_tbl.fold (fun k v acc -> (k, v) :: acc) t.pending_trigger_complements [];
+    s_pending = per_slot (fun slot -> slot.pending_complements);
     s_epochs = Array.copy d.epochs;
-    s_decided = t.decided;
+    s_decided = per_slot (fun slot -> slot.decided);
     s_seqno = t.seqno;
     s_occurrences = t.occurrences;
     s_rejected = t.rejected;
@@ -219,23 +224,19 @@ let snapshot (t : t) =
 
 let restore (t : t) s =
   let d = t.driver in
-  List.iter (fun (sym, sa) -> Actor.restore (Ground.actor_of t sym) sa) s.s_actors;
   (* Restoring copies out of the snapshot's journals, which stay
      pristine: one snapshot seeds many branches. *)
-  List.iter
-    (fun (sym, j) ->
-      let js = Symbol_tbl.find t.journals sym in
-      Wf_store.Journal.restore js.j ~from:j;
-      js.depth <- 0)
-    s.s_journals;
-  List.iter (fun (i, sa) -> Agent.restore (Hashtbl.find t.agents i) sa) s.s_agents;
+  Array.iteri
+    (fun i (slot : Ground.slot) ->
+      Actor.restore slot.actor s.s_actors.(i);
+      Wf_store.Journal.restore slot.journal.j ~from:s.s_journals.(i);
+      slot.journal.depth <- 0;
+      slot.pending_complements <- s.s_pending.(i);
+      slot.decided <- s.s_decided.(i))
+    t.slots;
+  List.iter (fun (i, sa) -> Agent.restore (agent_of t i) sa) s.s_agents;
   d.queues <- s.s_queues;
-  Symbol_tbl.reset t.pending_trigger_complements;
-  List.iter
-    (fun (k, v) -> Symbol_tbl.replace t.pending_trigger_complements k v)
-    s.s_pending;
   Array.blit s.s_epochs 0 d.epochs 0 (Array.length d.epochs);
-  t.decided <- s.s_decided;
   t.seqno <- s.s_seqno;
   t.occurrences <- s.s_occurrences;
   t.rejected <- s.s_rejected;
@@ -266,15 +267,16 @@ let fp_msg h (m : Messages.t) =
 let fingerprint (t : t) =
   let d = t.driver in
   let h = F.init in
-  (* Actors and agents in their fixed sorted orders. *)
+  (* Actors (in slot order, which is symbol order) and agents in their
+     fixed sorted orders. *)
   let h =
-    List.fold_left
-      (fun h sym -> F.int h (Actor.fingerprint (Ground.actor_of t sym)))
-      h (symbols t)
+    Array.fold_left
+      (fun h (slot : Ground.slot) -> F.int h (Actor.fingerprint slot.actor))
+      h t.slots
   in
   let h =
     List.fold_left
-      (fun h i -> F.int h (Agent.fingerprint (Hashtbl.find t.agents i)))
+      (fun h i -> F.int h (Agent.fingerprint (agent_of t i)))
       h d.instances
   in
   let h =
@@ -293,16 +295,19 @@ let fingerprint (t : t) =
   in
   let h = F.list fp_lit h t.rejected in
   let h =
-    List.fold_left
-      (fun h (sym, cs) -> F.list fp_lit (fp_sym h sym) cs)
-      h
-      (List.sort
-         (fun (a, _) (b, _) -> Symbol.compare a b)
-         (Symbol_tbl.fold (fun k v acc -> (k, v) :: acc)
-            t.pending_trigger_complements []))
+    Array.fold_left
+      (fun h (slot : Ground.slot) ->
+        match slot.pending_complements with
+        | Some cs -> F.list fp_lit (fp_sym h slot.sym) cs
+        | None -> h)
+      h t.slots
   in
   let h = Array.fold_left F.int h d.epochs in
-  let h = Symbol.Set.fold (fun s h -> fp_sym h s) t.decided h in
+  let h =
+    Array.fold_left
+      (fun h (slot : Ground.slot) -> if slot.decided then fp_sym h slot.sym else h)
+      h t.slots
+  in
   F.int (F.int (F.int (F.int h t.seqno) d.forced) d.uncontrollable) d.crashes
 
 (* {2 Build} *)
@@ -326,7 +331,8 @@ let drain t =
 let hooks : queues Ground.hooks =
   {
     (* Queued, not delivered: the propagation order is the caller's. *)
-    send = (fun t ~priority:_ ~src ~dst msg -> enqueue t ~src ~dst msg);
+    send =
+      (fun t ~priority:_ ~src ~dst msg -> enqueue t ~src:src.sym ~dst:dst.sym msg);
     kick = (fun _ _ -> ());
     now = (fun _ -> 0.0);
     on_fire = (fun _ _ -> ());
@@ -340,9 +346,9 @@ let hooks : queues Ground.hooks =
             | Wf_obs.Trace.Forced -> t.driver.forced <- t.driver.forced + 1
             | _ -> ()));
     settle = drain;
-    iter_agents =
+    iter_tasks =
       (fun t f ->
-        List.iter (fun i -> f (Hashtbl.find t.agents i)) t.driver.instances);
+        List.iter (fun i -> f (Hashtbl.find t.tasks i)) t.driver.instances);
   }
 
 let build ?(checkpoint_every = 32) ?(guard_overrides = []) wf =

@@ -116,6 +116,10 @@ val run_closing : t -> unit
 val trace : t -> Literal.t list
 (** Realized occurrences, oldest first. *)
 
+val decided : t -> Symbol.t list
+(** The symbols that occurred in either polarity, in symbol order: the
+    per-slot flags {!snapshot} captures and {!fingerprint} folds. *)
+
 val rejected : t -> Literal.t list
 val forced : t -> int
 (** Guard decisions forced through against a [False] verdict (would-be

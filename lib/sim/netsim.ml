@@ -60,7 +60,24 @@ type net_metrics = {
   m_latency : Metrics.histogram_handle;
   m_dropped : Metrics.counter;
   m_crash_drops : Metrics.counter;
+  m_reordered : Metrics.counter;
+  m_duplicates : Metrics.counter;
+  m_link_drops : Metrics.counter; (* net_drops *)
+  m_partition_drops : Metrics.counter;
+  m_crashes : Metrics.counter;
+  m_restarts : Metrics.counter;
 }
+
+(* [site_recv_<i>], formatted once per site number for every network. *)
+let recv_names = ref [||]
+
+let recv_name i =
+  if i >= Array.length !recv_names then
+    recv_names :=
+      Array.init
+        (max (i + 1) (2 * Array.length !recv_names))
+        (fun j -> Printf.sprintf "site_recv_%d" j);
+  !recv_names.(i)
 
 type 'msg t = {
   num_sites : int;
@@ -82,6 +99,10 @@ type 'msg t = {
   mutable restart_hooks : (site -> unit) list; (* registration order *)
   mutable crashes_injected : int;
   mutable clock : float;
+  mutable busy : float;
+      (* the clock when the last delivery, or action that did not
+         declare itself idle, ran *)
+  mutable busy_before : float; (* [busy] before the running action *)
   mutable seq : int;
   mutable chooser : ('msg pending list -> int) option;
       (* controlled delivery: when set, sent messages skip the latency
@@ -113,11 +134,16 @@ let create ?(seed = 42L) ?(faults = no_faults) ~num_sites ~latency () =
           m_sent = c "messages_sent";
           m_remote = c "messages_remote";
           m_delivered = c "messages_delivered";
-          m_recv =
-            Array.init num_sites (fun i -> c (Printf.sprintf "site_recv_%d" i));
+          m_recv = Array.init num_sites (fun i -> c (recv_name i));
           m_latency = Metrics.histogram stats "message_latency";
           m_dropped = c "messages_dropped";
           m_crash_drops = c "net_crash_drops";
+          m_reordered = c "net_reordered";
+          m_duplicates = c "net_duplicates";
+          m_link_drops = c "net_drops";
+          m_partition_drops = c "net_partition_drops";
+          m_crashes = c "net_crashes";
+          m_restarts = c "net_restarts";
         };
       tracer = None;
       queue = Heap.create ();
@@ -127,6 +153,8 @@ let create ?(seed = 42L) ?(faults = no_faults) ~num_sites ~latency () =
       restart_hooks = [];
       crashes_injected = 0;
       clock = 0.0;
+      busy = 0.0;
+      busy_before = 0.0;
       seq = 0;
       chooser = None;
       ready = [];
@@ -135,6 +163,7 @@ let create ?(seed = 42L) ?(faults = no_faults) ~num_sites ~latency () =
   t
 
 let now t = t.clock
+let busy_until t = t.busy
 let stats t = t.stats
 let fault_config t = t.faults
 let rng t = t.rng
@@ -181,7 +210,7 @@ let crash_site t site =
     invalid_arg "Netsim.crash_site: the fault config cannot crash a site";
   if not t.crashed.(site) then begin
     t.crashed.(site) <- true;
-    Metrics.incr t.stats "net_crashes";
+    Metrics.bump t.m.m_crashes;
     match t.tracer with
     | None -> ()
     | Some sink ->
@@ -192,7 +221,7 @@ let restart_site t site =
   if site < 0 || site >= t.num_sites then invalid_arg "Netsim.restart_site";
   if t.crashed.(site) then begin
     t.crashed.(site) <- false;
-    Metrics.incr t.stats "net_restarts";
+    Metrics.bump t.m.m_restarts;
     (match t.tracer with
     | None -> ()
     | Some sink ->
@@ -249,7 +278,7 @@ let enqueue_delivery t ~src ~dst ~control payload =
   in
   let delay =
     if reordered then begin
-      Metrics.incr t.stats "net_reordered";
+      Metrics.bump t.m.m_reordered;
       delay +. Rng.float t.rng fc.reorder_window
     end
     else delay
@@ -284,7 +313,7 @@ let send ?(control = false) t ~src ~dst payload =
            (Trace.Send { src; dst; control })));
   let fc = t.faults in
   let drop reason counter =
-    Metrics.incr t.stats counter;
+    Metrics.bump counter;
     match t.tracer with
     | None -> ()
     | Some sink ->
@@ -293,16 +322,16 @@ let send ?(control = false) t ~src ~dst payload =
              (Trace.Drop { src; dst; reason }))
   in
   if src <> dst && partitioned t src dst then
-    drop Trace.Partition "net_partition_drops"
+    drop Trace.Partition t.m.m_partition_drops
   else if src <> dst && fc.drop_rate > 0.0 && Rng.float t.rng 1.0 < fc.drop_rate
-  then drop Trace.Link "net_drops"
+  then drop Trace.Link t.m.m_link_drops
   else begin
     enqueue_delivery t ~src ~dst ~control payload;
     if
       src <> dst && fc.duplicate_rate > 0.0
       && Rng.float t.rng 1.0 < fc.duplicate_rate
     then begin
-      Metrics.incr t.stats "net_duplicates";
+      Metrics.bump t.m.m_duplicates;
       enqueue_delivery t ~src ~dst ~control payload
     end
   end;
@@ -313,6 +342,8 @@ let send ?(control = false) t ~src ~dst payload =
 
 let schedule t ~delay action =
   Heap.push t.queue ~key:(t.clock +. delay) ~seq:(next_seq t) (Action action)
+
+let idle t = t.busy <- t.busy_before
 
 let quiescent t = Heap.is_empty t.queue && t.ready = []
 
@@ -383,11 +414,15 @@ let run ?(until = infinity) ?(max_steps = max_int) t =
           if time > until then continue := false
           else begin
             let event = Heap.take t.queue in
-            if time > t.clock then t.clock <- time;
             incr steps;
+            if time > t.clock then t.clock <- time;
             match event with
-            | Action f -> f ()
+            | Action f ->
+                t.busy_before <- t.busy;
+                t.busy <- t.clock;
+                f ()
             | Deliver { src; dst; control; sent; payload } ->
+                t.busy <- t.clock;
                 execute_delivery t ~src ~dst ~control ~sent payload
           end
   done

@@ -144,6 +144,20 @@ val schedule : 'msg t -> delay:float -> (unit -> unit) -> unit
 (** Run a local action after a virtual delay.  Timed actions are not
     subject to faults (they model local computation, not messages). *)
 
+val idle : 'msg t -> unit
+(** Called by a running {!schedule}d action that found nothing to do
+    (a retransmit timer of a message acked meanwhile, a stall check of
+    a backlog drained meanwhile): the action does not count in
+    {!busy_until}.  The clock moved to it like to any event, so every
+    time stamped later is unchanged.  Call it only from inside an
+    action. *)
+
+val busy_until : 'msg t -> float
+(** The clock when the last delivery (or drop into a crash window) or
+    action that did not call {!idle} ran: the virtual time the run was
+    last doing anything.  A run's makespan, which idle timers must not
+    stretch. *)
+
 val num_sites : 'msg t -> int
 
 val crash_site : 'msg t -> site -> unit

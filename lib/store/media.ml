@@ -43,6 +43,12 @@ module Sim = struct
       max_faults = 0;
     }
 
+  type meters = {
+    appends : Wf_obs.Metrics.counter;
+    appended_bytes : Wf_obs.Metrics.counter;
+    syncs : Wf_obs.Metrics.counter;
+  }
+
   type sim = {
     faults : fault_config;
     rng : Wf_sim.Rng.t;
@@ -53,6 +59,7 @@ module Sim = struct
     mutable last_ckpt : (int * int) option; (* pos, len of newest ckpt frame *)
     mutable injected : int;
     stats : Wf_obs.Metrics.t option;
+    mutable meters : meters option; (* on [stats], once resolved *)
     tracer : unit -> Wf_obs.Trace.sink option;
     clock : unit -> float;
     site : int;
@@ -71,6 +78,7 @@ module Sim = struct
       last_ckpt = None;
       injected = 0;
       stats;
+      meters = None;
       tracer;
       clock;
       site;
@@ -92,6 +100,24 @@ module Sim = struct
   let incr_stat s name =
     match s.stats with None -> () | Some m -> Wf_obs.Metrics.incr m name
 
+  (* The per-append and per-sync counters, resolved on the medium's
+     first append or sync; crash-time counters stay name-keyed. *)
+  let meters s =
+    match (s.meters, s.stats) with
+    | (Some _ as m), _ | (None as m), None -> m
+    | None, Some stats ->
+        let c = Wf_obs.Metrics.counter stats in
+        let m =
+          Some
+            {
+              appends = c "store_appends";
+              appended_bytes = c "store_appended_bytes";
+              syncs = c "store_syncs";
+            }
+        in
+        s.meters <- m;
+        m
+
   let add_stat s name n =
     match s.stats with None -> () | Some m -> Wf_obs.Metrics.add m name n
 
@@ -112,8 +138,11 @@ module Sim = struct
     ensure s n;
     Bytes.blit_string chunk 0 s.data s.len n;
     s.len <- s.len + n;
-    incr_stat s "store_appends";
-    add_stat s "store_appended_bytes" n
+    match meters s with
+    | None -> ()
+    | Some m ->
+        Wf_obs.Metrics.bump m.appends;
+        Wf_obs.Metrics.bump_by m.appended_bytes n
 
   let clamp_hint len = function
     | Some (pos, flen) when pos + flen <= len -> Some (pos, flen)
@@ -128,7 +157,7 @@ module Sim = struct
 
   let sync s =
     s.synced <- s.len;
-    incr_stat s "store_syncs"
+    match meters s with None -> () | Some m -> Wf_obs.Metrics.bump m.syncs
 
   let note_frame s ~pos ~len ~ckpt =
     s.last_frame <- Some (pos, len);

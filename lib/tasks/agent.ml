@@ -46,13 +46,14 @@ type t = {
 let expand_script script =
   List.concat (List.init (max 1 script.repeat) (fun _ -> script.steps))
 
-let spec ~instance ~model ?(parametrize = false) () =
+let spec ~instance ~model ?(parametrize = false) ?(canonical = Fun.id) () =
   (match Task_model.validate model with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Agent.spec: invalid model: " ^ msg));
   let symbols =
     List.map
-      (fun (ev, _, _) -> (ev, Task_model.symbol_of_event model ~instance ev))
+      (fun (ev, _, _) ->
+        (ev, canonical (Task_model.symbol_of_event model ~instance ev)))
       model.Task_model.significant
   in
   (* [Task_model.event_of_symbol] on an argument-free symbol: the first

@@ -43,10 +43,18 @@ type spec
     agent instantiated from it (a run plan holds one per task). *)
 
 val spec :
-  instance:string -> model:Task_model.t -> ?parametrize:bool -> unit -> spec
+  instance:string ->
+  model:Task_model.t ->
+  ?parametrize:bool ->
+  ?canonical:(Symbol.t -> Symbol.t) ->
+  unit ->
+  spec
 (** Validate the model ({!Task_model.validate}; [Invalid_argument] if it
     is invalid) and tabulate {!Task_model.unreachable_events} over its
-    states. *)
+    states.  [canonical] (default the identity) picks the value each
+    significant event's symbol is represented by — an equal symbol the
+    caller already holds, so its agents hand back symbols the caller
+    compares by address. *)
 
 type t
 

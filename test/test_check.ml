@@ -380,6 +380,50 @@ let test_seed_streams () =
   check Alcotest.int "120 seeds, no collisions" 120
     (List.length (List.sort_uniq Int64.compare all))
 
+(* --- Step_sched state ------------------------------------------------------ *)
+
+(* Snapshot, run to the end (every symbol fires), restore: the
+   fingerprint and the per-slot decided flags are the snapshot's
+   again. *)
+let test_snapshot_restore_decided () =
+  let t = Step.build (load "mc_pair.wf") in
+  (match Step.enabled_attempts t with
+  | i :: _ -> Step.do_attempt t i
+  | [] -> Alcotest.fail "mc_pair should start with an attempt");
+  let snap = Step.snapshot t in
+  let fp = Step.fingerprint t and decided = Step.decided t in
+  Step.run_closing t;
+  check Alcotest.int "the closed run decides every symbol"
+    (List.length (Step.symbols t))
+    (List.length (Step.decided t));
+  checkb "the closed run moved the fingerprint" (Step.fingerprint t <> fp);
+  Step.restore t snap;
+  check Alcotest.int "fingerprint restored" fp (Step.fingerprint t);
+  check
+    Alcotest.(list string)
+    "decided flags restored"
+    (List.map Symbol.name decided)
+    (List.map Symbol.name (Step.decided t))
+
+(* A guard naming a symbol no actor hosts makes its actor pursue that
+   symbol; the message cannot be routed and the run says which symbol
+   it could not find. *)
+let test_send_without_actor () =
+  let ghost = Literal.pos (Symbol.make "ghost") in
+  let t =
+    Step.build
+      ~guard_overrides:[ (Literal.event "c_t1", Guard.will ghost) ]
+      (load "mc_pair.wf")
+  in
+  match Step.run_closing t with
+  | () -> Alcotest.fail "a send to ghost should raise"
+  | exception Invalid_argument msg ->
+      let n = String.length "ghost" in
+      let rec names i =
+        i + n <= String.length msg && (String.sub msg i n = "ghost" || names (i + 1))
+      in
+      checkb ("the error names the symbol: " ^ msg) (names 0)
+
 let suite =
   [
     Alcotest.test_case "mc_pair exhaustively verified" `Quick
@@ -405,4 +449,8 @@ let suite =
       test_netsim_chooser;
     Alcotest.test_case "conformance seed streams are pinned" `Quick
       test_seed_streams;
+    Alcotest.test_case "snapshot/restore brings back fingerprint and decided"
+      `Quick test_snapshot_restore_decided;
+    Alcotest.test_case "a send to a symbol without an actor names it" `Quick
+      test_send_without_actor;
   ]

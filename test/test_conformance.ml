@@ -123,8 +123,9 @@ let conformance_sweep ~faults ~label () =
     (spec_files ())
 
 (* Every status-memo hit during the sweep must agree with
-   [Knowledge.status] of the knowledge that asked, and every
-   pursuit-memo hit with the pursuit recomputed from it. *)
+   [Knowledge.status] of the knowledge that asked, every pursuit-memo
+   hit with the pursuit recomputed from it, and every stepped view with
+   a fresh view of the same knowledge. *)
 let audited label f =
   let r, a = Gtable.audit_status_memo f in
   checkb (label ^ ": the sweep hit the status memo") (a.Gtable.hits_checked > 0);
@@ -134,6 +135,9 @@ let audited label f =
     (a.Gtable.pursuit_hits_checked > 0);
   check Alcotest.int (label ^ ": pursuit-memo audit mismatches") 0
     a.Gtable.pursuit_mismatches;
+  checkb (label ^ ": the sweep stepped parked views") (a.Gtable.views_checked > 0);
+  check Alcotest.int (label ^ ": stepped-view audit mismatches") 0
+    a.Gtable.view_mismatches;
   r
 
 let test_conformance_reliable () =

@@ -973,8 +973,8 @@ let test_reservation_waiters_fifo () =
   let esym = Literal.symbol (lit "e") in
   let actor =
     Actor.create ~sym:esym ~site:0
-      ~guard_pos:(Synth.guard e (lit "e"))
-      ~guard_neg:(Synth.guard e (lit "~e"))
+      ~guard_pos:(Gtable.cell (Synth.guard e (lit "e")))
+      ~guard_neg:(Gtable.cell (Synth.guard e (lit "~e")))
       ~attr_pos:Wf_tasks.Attribute.default
       ~attr_neg:Wf_tasks.Attribute.uncontrollable ()
   in

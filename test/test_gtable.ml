@@ -448,6 +448,90 @@ let test_mc_invariance () =
         (with_tables false (fun () -> states name)))
     [ ("mc_pair.wf", 91); ("mc_trigger.wf", 242) ]
 
+(* --- Stepped views --------------------------------------------------------- *)
+
+(* Inputs to a knowledge and reservation set over the pool: occurrences
+   with seqnos drawn at random (so they arrive out of seqno order and
+   may tie), promises, reservations and releases. *)
+let gen_view_case =
+  QCheck2.Gen.(
+    pair gen_expr
+      (list_size (int_bound 12)
+         (triple (int_bound 3) gen_literal (int_bound 16))))
+
+(* Apply one input the way the actor does, returning the new knowledge
+   and reservations and the view input, or [None] where the actor
+   changes nothing (a contradicting occurrence, a reservation already
+   held, a release of one not held). *)
+let apply_input (k, reserved) (kind, (l : Literal.t), seqno) =
+  let sym = Literal.symbol l in
+  match kind with
+  | 0 -> (
+      match Knowledge.occurred l ~seqno k with
+      | k' -> Some ((k', reserved), Gtable.Occurred (l, seqno))
+      | exception Invalid_argument _ -> None)
+  | 1 -> Some ((Knowledge.promised l k, reserved), Gtable.Promised l)
+  | 2 ->
+      if Symbol.Set.mem sym reserved then None
+      else Some ((k, Symbol.Set.add sym reserved), Gtable.Reserved sym)
+  | _ ->
+      if not (Symbol.Set.mem sym reserved) then None
+      else Some ((k, Symbol.Set.remove sym reserved), Gtable.Released sym)
+
+(* After every input the stepped view equals a fresh view of the same
+   knowledge and reservations, and the audit, which compares every
+   view it stepped with a fresh one, agrees. *)
+let stepped_view_matches_fresh =
+  qprop ~count:300 "stepped view = fresh view (random inputs)" gen_view_case
+    (fun (d, inputs) ->
+      let ok, audit =
+        Gtable.audit_status_memo @@ fun () ->
+        Literal.Set.for_all
+          (fun l ->
+            match Gtable.lookup (Synth.guard d l) with
+            | None -> true
+            | Some tbl ->
+                let state = (Knowledge.empty, Symbol.Set.empty) in
+                let v = Gtable.view tbl ~reserved:Symbol.Set.empty Knowledge.empty in
+                let rec go state v = function
+                  | [] -> true
+                  | input :: rest -> (
+                      match apply_input state input with
+                      | None -> go state v rest
+                      | Some (((k, reserved) as state), step) ->
+                          let v = Gtable.step_view tbl v ~reserved k step in
+                          Gtable.view_equal v (Gtable.view tbl ~reserved k)
+                          && go state v rest)
+                in
+                go state v inputs)
+          (Expr.literals d)
+      in
+      ok && audit.Gtable.view_mismatches = 0)
+
+(* Table states replay occurrences in seqno order, so an announcement
+   stamped below one the view holds must rebuild: under e·f·g, g's
+   guard holds once e then f occurred; f announced first (seqno 2) and
+   e late (seqno 1) is that order, while stepping e after f would read
+   f before e and violate it. *)
+let test_late_announcement_rebuilds () =
+  let tbl = compile_exn (chain_guard ()) in
+  let reserved = Symbol.Set.empty in
+  let k1 = Knowledge.occurred (lit "f") ~seqno:2 Knowledge.empty in
+  let k2 = Knowledge.occurred (lit "e") ~seqno:1 k1 in
+  let (), audit =
+    Gtable.audit_status_memo (fun () ->
+        let v = Gtable.view tbl ~reserved Knowledge.empty in
+        let v = Gtable.step_view tbl v ~reserved k1 (Gtable.Occurred (lit "f", 2)) in
+        let v = Gtable.step_view tbl v ~reserved k2 (Gtable.Occurred (lit "e", 1)) in
+        checkb "the late announcement's view equals a fresh one"
+          (Gtable.view_equal v (Gtable.view tbl ~reserved k2));
+        checkb "e then f enables g"
+          (Gtable.view_status tbl v = Knowledge.True))
+  in
+  check Alcotest.int "only the in-order step was stepped" 1
+    audit.Gtable.views_checked;
+  check Alcotest.int "and it matched" 0 audit.Gtable.view_mismatches
+
 let suite =
   [
     Alcotest.test_case "chain guard walks to its verdicts" `Quick
@@ -470,4 +554,7 @@ let suite =
       test_memo_counters;
     Alcotest.test_case "wfmc explores the same states with tables off" `Quick
       test_mc_invariance;
+    stepped_view_matches_fresh;
+    Alcotest.test_case "a late lower-seqno announcement rebuilds the view"
+      `Quick test_late_announcement_rebuilds;
   ]

@@ -241,8 +241,8 @@ let esym = Literal.symbol (lit "e")
 
 let mk_actor d =
   Actor.create ~sym:esym ~site:0
-    ~guard_pos:(Synth.guard d (lit "e"))
-    ~guard_neg:(Synth.guard d (lit "~e"))
+    ~guard_pos:(Gtable.cell (Synth.guard d (lit "e")))
+    ~guard_neg:(Gtable.cell (Synth.guard d (lit "~e")))
     ~attr_pos:Wf_tasks.Attribute.default
     ~attr_neg:Wf_tasks.Attribute.uncontrollable ()
 

@@ -593,7 +593,8 @@ let test_central_pins () =
 
 (* The memo claims under the pin workloads: every status-memo and
    pursuit-memo hit of the 24 pinned seeds, fault-free and faulty,
-   agrees with the symbolic answer for the knowledge that asked. *)
+   agrees with the symbolic answer for the knowledge that asked, and
+   every stepped view with a fresh one. *)
 let test_pin_memo_audit () =
   List.iter
     (fun (label, config) ->
@@ -607,9 +608,48 @@ let test_pin_memo_audit () =
         a.Gtable.mismatches;
       checkb (label ^ ": pursuit-memo hits") (a.Gtable.pursuit_hits_checked > 0);
       check Alcotest.int (label ^ ": pursuit-memo mismatches") 0
-        a.Gtable.pursuit_mismatches)
+        a.Gtable.pursuit_mismatches;
+      checkb (label ^ ": stepped views") (a.Gtable.views_checked > 0);
+      check Alcotest.int (label ^ ": stepped-view mismatches") 0
+        a.Gtable.view_mismatches)
     [
       ("travel", fun seed -> { Event_sched.default_config with seed });
+      ("travel-faulty", faulty_config);
+    ]
+
+(* On a lossy network a retransmit timer whose message was acked
+   meanwhile, or a stall check whose backlog drained, does nothing and
+   says so ([Netsim.idle]): the makespan is the time of the run's last
+   trace record, never an idle timer's.  Drops alone, and the pin's
+   full fault load (crashes, store faults, flow control). *)
+let test_makespan_ends_at_last_record () =
+  List.iter
+    (fun (label, config) ->
+      List.iter
+        (fun seed ->
+          let sink, records = Wf_obs.Trace.collector () in
+          let r =
+            Event_sched.run
+              ~config:{ (config (Int64.of_int seed)) with tracer = Some sink }
+              (travel_wf ())
+          in
+          let last =
+            List.fold_left
+              (fun acc (rc : Wf_obs.Trace.record) -> Float.max acc rc.time)
+              0.0 (records ())
+          in
+          check (Alcotest.float 0.0)
+            (Printf.sprintf "%s seed %d: makespan = last trace record" label seed)
+            last r.Event_sched.makespan)
+        (List.init 20 (fun i -> i + 1)))
+    [
+      ( "drops",
+        fun seed ->
+          {
+            Event_sched.default_config with
+            seed;
+            faults = { Wf_sim.Netsim.no_faults with drop_rate = 0.05 };
+          } );
       ("travel-faulty", faulty_config);
     ]
 
@@ -646,4 +686,6 @@ let suite =
       test_central_pins;
     Alcotest.test_case "memo audits over the pinned seeds" `Quick
       test_pin_memo_audit;
+    Alcotest.test_case "lossy makespan ends at the last trace record" `Quick
+      test_makespan_ends_at_last_record;
   ]
