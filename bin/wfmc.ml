@@ -1,9 +1,9 @@
 (* wfmc — exhaustively model-check a workflow specification: enumerate
-   every delivery interleaving (and, with --crash-depth, every placement
-   of crash/recover transitions) on the spec's universe and check each
-   maximal run against the symbolic oracle.  Exit codes: 0 clean,
-   1 divergences found, 2 usage/spec error, 3 exploration incomplete
-   (--max-states hit). *)
+   the interleavings of the simulator's own runs over a controlled,
+   fault-free network (and, with --crash-depth, every placement of crash
+   steps) on the spec's universe and check each maximal run against the
+   symbolic oracle.  Exit codes: 0 clean, 1 divergences found,
+   2 usage/spec error, 3 exploration incomplete (--max-states hit). *)
 
 open Wf_core
 open Wf_check
@@ -135,7 +135,7 @@ let path = Arg.(value & pos 0 (some file) None & info [] ~docv:"SPEC.wf")
 
 let crash_depth =
   Arg.(value & opt int 0 & info [ "crash-depth" ] ~docv:"N"
-         ~doc:"Explore up to $(docv) atomic crash-and-recover transitions per interleaving (default 0: no crashes).")
+         ~doc:"Explore up to $(docv) crash steps per interleaving, each a crash and restart of one site with journal recovery and the recovery handshake (default 0: no crashes).")
 
 let torn_writes =
   Arg.(value & flag & info [ "torn-writes" ]

@@ -1,6 +1,10 @@
 open Wf_core
 open Wf_tasks
-module Step = Wf_scheduler.Step_sched
+module Netsim = Wf_sim.Netsim
+module Channel = Wf_scheduler.Channel
+module Ground = Wf_scheduler.Ground
+module Run_plan = Wf_scheduler.Run_plan
+module Actor = Wf_scheduler.Actor
 module Messages = Wf_scheduler.Messages
 module Trace_obs = Wf_obs.Trace
 
@@ -184,32 +188,268 @@ let coupling_classes wf =
          | x :: _, y :: _ -> Symbol.compare x y
          | _ -> Stdlib.compare a b)
 
+(* {2 The explored system}
+
+   A run of [Event_sched] over a [Netsim] in controlled mode.  Every
+   message lands in the lane of its (sending actor, receiving actor)
+   pair, FIFO, and every agent arrival waits as a due action labeled
+   with the attempted event's slot; a transition takes one lane's head
+   or one arrival.  The run has no snapshot: a state is reached by
+   replaying its schedule on a fresh build, which the run's determinism
+   makes exact. *)
+
+let plan_of wf =
+  match Run_plan.of_workflow wf with
+  | Ok plan -> plan
+  | Error msg -> invalid_arg ("Mc: " ^ msg)
+
+let lane (rt : Ground.t) : Ground.payload Channel.wire -> int = function
+  | Channel.Data { payload = src, dst, _; _ } -> (src * Array.length rt.slots) + dst
+  | Channel.Hello { origin; _ } -> -1 - origin
+  | Channel.Ack _ | Channel.Credit _ -> min_int
+
+(* The transition a choice performs; [None] for control traffic. *)
+let key_of (rt : Ground.t) = function
+  | Netsim.Ready { payload = Channel.Data { payload = src, dst, _; _ }; _ } ->
+      Some (Tkey.Deliver (rt.slots.(src).sym, rt.slots.(dst).sym))
+  | Netsim.Ready _ -> None
+  | Netsim.Due { label } ->
+      Option.map
+        (fun (task : Ground.task) -> Tkey.Attempt (Agent.instance task.agent))
+        rt.slots.(label).task
+
+let performs rt key c =
+  match key_of rt c with Some k -> Tkey.compare k key = 0 | None -> false
+
+let index_where p choices =
+  let rec find i = function
+    | [] -> None
+    | c :: rest -> if p c then Some i else find (i + 1) rest
+  in
+  find 0 choices
+
+(* The closing run's chooser: control traffic first, then the least
+   transition — attempts by instance, then deliveries by pair. *)
+let least rt choices =
+  let _, best, _ =
+    List.fold_left
+      (fun (i, best, best_key) c ->
+        let k = key_of rt c in
+        if i = 0 || Option.compare Tkey.compare k best_key < 0 then (i + 1, i, k)
+        else (i + 1, best, best_key))
+      (0, 0, None) choices
+  in
+  best
+
+let fresh ~guard_overrides wf plan =
+  let rt =
+    Wf_scheduler.Event_sched.build ~guard_overrides
+      Wf_scheduler.Event_sched.default_config wf plan
+  in
+  Netsim.set_chooser rt.net ~lane:(lane rt) (least rt);
+  Ground.start rt;
+  rt
+
+let start ?(guard_overrides = []) wf = fresh ~guard_overrides wf (plan_of wf)
+
+let take (rt : Ground.t) key =
+  match index_where (performs rt key) (Netsim.choices rt.net) with
+  | Some i -> Netsim.take rt.net i
+  | None -> invalid_arg ("Mc: " ^ Tkey.to_string key ^ " is not enabled")
+
+(* A crash through the network's restart path: the channel bumps the
+   epoch and says Hello, then every hosted actor recovers from its
+   journal and runs the handshake.  The Hellos are delivered within the
+   step; they touch no actor. *)
+let crash (rt : Ground.t) site =
+  Netsim.crash_restart rt.net site;
+  let rec hellos () =
+    match
+      index_where (fun c -> Option.is_none (key_of rt c)) (Netsim.choices rt.net)
+    with
+    | Some i ->
+        Netsim.take rt.net i;
+        hellos ()
+    | None -> ()
+  in
+  hellos ()
+
+let perform rt = function
+  | (Tkey.Attempt _ | Tkey.Deliver _) as key -> take rt key
+  | Tkey.Crash site | Tkey.Torn site -> crash rt site
+
+(* Torn-write soundness probe.  One actor's journal content (latest
+   checkpoint + suffix) is re-serialized through the binary codec onto a
+   fresh simulated medium and synced; then one more in-flight entry is
+   appended and its frame torn at byte [keep] — the crash struck
+   mid-write.  Salvage must keep exactly the synced frames, and the
+   state rebuilt from the salvaged log must equal the state ordinary
+   journal recovery rebuilds: the torn frame's input was never applied,
+   so losing it must lose nothing. *)
+let torn_recovery_ok rt (slot : Ground.slot) =
+  let ckpt, suffix = Wf_store.Journal.recover slot.journal.j in
+  let reference = Ground.replay rt slot (ckpt, suffix) in
+  let synced_frames =
+    (match ckpt with Some _ -> 1 | None -> 0) + List.length suffix
+  in
+  (* Tear inside the header, at its last byte, and inside the payload. *)
+  let keeps =
+    [ 1; Wf_store.Log.header_length - 1; Wf_store.Log.header_length + 3 ]
+  in
+  List.for_all
+    (fun keep ->
+      let sim = Wf_store.Media.Sim.create () in
+      let j = Wf_store.Journal.create ~store:(Actor.codec, sim) () in
+      Option.iter (Wf_store.Journal.checkpoint j) ckpt;
+      List.iter (Wf_store.Journal.append j) suffix;
+      Wf_store.Journal.sync j;
+      Wf_store.Journal.append j Actor.I_close;
+      Wf_store.Media.Sim.tear_tail sim ~keep;
+      (* A fault-free medium draws nothing on the crash: only the torn
+         frame is lost. *)
+      Wf_store.Journal.crash j;
+      let report = Option.get (Wf_store.Journal.last_salvage j) in
+      report.Wf_store.Log.sr_frames = synced_frames
+      && Actor.equal_state reference
+           (Ground.replay rt slot (Wf_store.Journal.recover j)))
+    keeps
+
+let count (rt : Ground.t) name = Wf_obs.Metrics.count rt.stats name
+let crashes_used rt = count rt "net_crashes"
+let trace (rt : Ground.t) = List.rev_map (fun (o : Ground.occurrence) -> o.lit) rt.occurrences
+
+module F = Fingerprint
+
+let fp_sym h s = F.string h (Symbol.name s)
+let fp_pol h = function Literal.Pos -> F.int h 1 | Literal.Neg -> F.int h 2
+let fp_lit h (l : Literal.t) = fp_pol (fp_sym h l.Literal.sym) l.Literal.pol
+
+let fp_msg h (m : Messages.t) =
+  match m with
+  | Messages.Announce { lit; seqno } -> F.int (fp_lit (F.int h 1) lit) seqno
+  | Messages.Promise_request { target; requester; offers } ->
+      F.list fp_lit (fp_lit (fp_lit (F.int h 2) target) requester) offers
+  | Messages.Promise { lit; to_ } -> fp_lit (fp_lit (F.int h 3) lit) to_
+  | Messages.Reserve { sym; requester } ->
+      fp_lit (fp_sym (F.int h 4) sym) requester
+  | Messages.Reserve_granted { sym; to_ } ->
+      fp_lit (fp_sym (F.int h 5) sym) to_
+  | Messages.Reserve_denied { sym; to_ } -> fp_lit (fp_sym (F.int h 6) sym) to_
+  | Messages.Release { sym; holder } -> fp_lit (fp_sym (F.int h 7) sym) holder
+  | Messages.Recovered { sym; epoch } -> F.int (fp_sym (F.int h 8) sym) epoch
+
+(* Canonical fingerprint of the explored state: actors (slot order),
+   agents (instance order), the ready lanes (lane order, each oldest
+   first) and due arrivals, the occurrence sequence, rejections, stashed
+   trigger complements, channel epochs, decided flags, the violation
+   counters and the crashes spent. *)
+let fingerprint (rt : Ground.t) =
+  let h =
+    Array.fold_left
+      (fun h (slot : Ground.slot) -> F.int h (Actor.fingerprint slot.actor))
+      F.init rt.slots
+  in
+  let h =
+    List.fold_left
+      (fun h i -> F.int h (Agent.fingerprint (Hashtbl.find rt.tasks i).agent))
+      h
+      (List.sort String.compare (List.of_seq (Hashtbl.to_seq_keys rt.tasks)))
+  in
+  let ready =
+    List.stable_sort
+      (fun (a : _ Netsim.pending) (b : _ Netsim.pending) ->
+        Int.compare (lane rt a.p_payload) (lane rt b.p_payload))
+      (Netsim.pending_deliveries rt.net)
+  in
+  let h =
+    List.fold_left
+      (fun h (p : _ Netsim.pending) ->
+        match p.p_payload with
+        | Channel.Data { payload = src, dst, msg; _ } ->
+            fp_msg (F.int (F.int h src) dst) msg
+        | _ -> F.int h (lane rt p.p_payload))
+      h ready
+  in
+  let h =
+    F.list F.int h
+      (List.sort Int.compare
+         (List.filter_map
+            (function Netsim.Due { label } -> Some label | Netsim.Ready _ -> None)
+            (Netsim.choices rt.net)))
+  in
+  let h =
+    List.fold_left
+      (fun h (o : Ground.occurrence) -> F.int (fp_lit h o.lit) o.seqno)
+      (F.int h (List.length rt.occurrences))
+      rt.occurrences
+  in
+  let h = F.list fp_lit h rt.rejected in
+  let h =
+    Array.fold_left
+      (fun h (slot : Ground.slot) ->
+        match slot.pending_complements with
+        | Some cs -> F.list fp_lit (fp_sym h slot.sym) cs
+        | None -> h)
+      h rt.slots
+  in
+  let h =
+    Seq.fold_left
+      (fun h site -> F.int h (Channel.epoch rt.chan site))
+      h
+      (Seq.init (Netsim.num_sites rt.net) Fun.id)
+  in
+  let h =
+    Array.fold_left
+      (fun h (slot : Ground.slot) -> if slot.decided then fp_sym h slot.sym else h)
+      h rt.slots
+  in
+  List.fold_left
+    (fun h name -> F.int h (count rt name))
+    (F.int h rt.seqno)
+    [ "forced_violations"; "uncontrollable_violations"; "net_crashes" ]
+
+(* The transitions a state offers, sorted (attempts by instance, then
+   deliveries by pair), each delivery with the message it delivers. *)
+let moves (rt : Ground.t) =
+  List.filter_map
+    (fun c ->
+      Option.map
+        (fun k ->
+          match c with
+          | Netsim.Ready { payload = Channel.Data { payload = _, _, msg; _ }; _ } ->
+              (k, Some msg)
+          | _ -> (k, None))
+        (key_of rt c))
+    (Netsim.choices rt.net)
+  |> List.sort (fun (a, _) (b, _) -> Tkey.compare a b)
+
 (* The footprint of a transition, as a set of coupling classes.  For a
-   delivery the payload matters: the head message is inspected at call
-   time, which is safe for sleep-set members too — no other transition
-   can pop (only append to) that queue, so the head is stable while the
-   key sits in a sleep set. *)
-let footprint cl t key =
+   delivery the payload matters: the lane's head, as the state shows it,
+   which is stable while the key sits in a sleep set — no other
+   transition can take (only append to) that lane. *)
+let footprint cl moves key =
   match key with
   | Tkey.Attempt instance ->
       Option.value
         (Hashtbl.find_opt cl.by_instance instance)
         ~default:IntSet.empty
   | Tkey.Deliver (src, dst) ->
-      let base = classes_of cl [ src; dst ] in
       let payload =
-        match Step.queue_head t (src, dst) with
-        | Some msg -> classes_of cl (Messages.symbols msg)
-        | None -> IntSet.empty
+        match List.find_opt (fun (k, _) -> Tkey.compare k key = 0) moves with
+        | Some (_, Some msg) -> classes_of cl (Messages.symbols msg)
+        | _ -> IntSet.empty
       in
-      IntSet.union base payload
+      IntSet.union (classes_of cl [ src; dst ]) payload
   | Tkey.Crash site | Tkey.Torn site ->
       Option.value (Hashtbl.find_opt cl.by_site site) ~default:IntSet.empty
 
 (* {2 The DFS} *)
 
 type state = {
-  sched : Step.t;
+  wf : Workflow_def.t;
+  plan : Run_plan.t;
+  guard_overrides : (Literal.t * Guard.t) list;
+  nsites : int;
   cl : classes;
   deps : Expr.t list;
   alphabet : Symbol.Set.t;
@@ -220,6 +460,7 @@ type state = {
   max_states : int;
   visited : (int, Tkey.Set.t list ref) Hashtbl.t;
   seen_traces : (int, unit) Hashtbl.t;
+  mutable live : Ground.t option; (* the run, while at the explored state *)
   mutable closed_traces : Literal.t list list; (* newest first *)
   mutable divergences : divergence list; (* newest first, capped *)
   mutable states : int;
@@ -228,20 +469,21 @@ type state = {
   mutable dedup_hits : int;
   mutable sleep_skips : int;
   mutable max_depth : int;
+  mutable recoveries : int;
 }
 
 let create_state ~dpor ~crash_depth ~torn_writes ~max_states ~guard_overrides
     wf =
-  let sched = Step.build ~guard_overrides wf in
+  let plan = plan_of wf in
   let deps = Workflow_def.dependencies wf in
   {
-    sched;
+    wf;
+    plan;
+    guard_overrides;
+    nsites = Workflow_def.num_sites wf;
     cl = build_classes wf;
     deps;
-    alphabet =
-      List.fold_left
-        (fun acc s -> Symbol.Set.add s acc)
-        Symbol.Set.empty (Step.symbols sched);
+    alphabet = Symbol.Set.of_list (Run_plan.symbols plan);
     denots =
       List.map
         (fun d -> (d, lazy (Semantics.maximal_denotation (Expr.symbols d) d)))
@@ -252,6 +494,7 @@ let create_state ~dpor ~crash_depth ~torn_writes ~max_states ~guard_overrides
     max_states;
     visited = Hashtbl.create 4096;
     seen_traces = Hashtbl.create 256;
+    live = None;
     closed_traces = [];
     divergences = [];
     states = 0;
@@ -260,54 +503,81 @@ let create_state ~dpor ~crash_depth ~torn_writes ~max_states ~guard_overrides
     dedup_hits = 0;
     sleep_skips = 0;
     max_depth = 0;
+    recoveries = 0;
   }
+
+(* The run at the end of [schedule] (newest first): the live one, or a
+   fresh build that replays it. *)
+let at st schedule =
+  match st.live with
+  | Some rt -> rt
+  | None ->
+      let rt = fresh ~guard_overrides:st.guard_overrides st.wf st.plan in
+      List.iter (perform rt) (List.rev schedule);
+      st.live <- Some rt;
+      rt
 
 exception Bounded
 
 let max_divergences = 16
 
-(* A torn crash whose salvage diverges is recorded immediately — the
-   defect is in the storage layer, not in the closed trace, so it must
-   not wait for (or depend on) the terminal-state oracle. *)
-let store_divergence st site schedule =
-  if List.length st.divergences < max_divergences then
-    st.divergences <-
-      {
-        d_kind = "store";
-        d_detail =
-          Fmt.str
-            "torn-write salvage diverged from journal recovery at site %d"
-            site;
-        d_schedule = schedule;
-        d_trace = Step.trace st.sched;
-      }
-      :: st.divergences
+(* The transport's contract, checked at every explored delivery: the
+   channel and the site handler hand the message to its addressee
+   exactly once.  The addressee's journal takes the message, plus its
+   own occurrence if the message decided it, and nothing else. *)
+let handed_once (rt : Ground.t) dst f =
+  let slot = rt.slots.(Option.get (Run_plan.index rt.plan dst)) in
+  let appended () = Wf_store.Journal.total_appended slot.journal.j in
+  let before = appended () and was_decided = slot.decided in
+  f ();
+  appended () - before = if slot.decided && not was_decided then 2 else 1
 
-let execute st key schedule =
+(* Perform one transition of the explored schedule: a torn crash first
+   probes the site's journals, a delivery checks the transport, and
+   recoveries are counted.  Either defect is recorded at once: it lies
+   in the storage or transport layer, not in the closed trace, so it
+   must not wait for (or depend on) the terminal-state oracle. *)
+let execute st rt key schedule =
+  let diverged kind detail =
+    if List.length st.divergences < max_divergences then
+      st.divergences <-
+        { d_kind = kind; d_detail = detail; d_schedule = schedule; d_trace = trace rt }
+        :: st.divergences
+  in
   match key with
-  | Tkey.Attempt i -> Step.do_attempt st.sched i
-  | Tkey.Deliver (a, b) -> Step.do_deliver st.sched (a, b)
-  | Tkey.Crash s -> Step.do_crash st.sched s
-  | Tkey.Torn s ->
-      if not (Step.do_crash_torn st.sched s) then store_divergence st s schedule
+  | Tkey.Attempt _ -> perform rt key
+  | Tkey.Deliver (_, dst) ->
+      if not (handed_once rt dst (fun () -> perform rt key)) then
+        diverged "delivery"
+          (Fmt.str "%s did not hand its message to %a exactly once"
+             (Tkey.to_string key) Symbol.pp dst)
+  | Tkey.Crash site | Tkey.Torn site ->
+      if
+        key = Tkey.Torn site
+        && not (List.for_all (torn_recovery_ok rt) (Ground.hosted rt site))
+      then
+        diverged "store"
+          (Fmt.str "torn-write salvage diverged from journal recovery at site %d"
+             site);
+      let before = count rt "actor_recoveries" in
+      perform rt key;
+      st.recoveries <- st.recoveries + count rt "actor_recoveries" - before
 
 let trace_fp tr =
-  let module F = Fingerprint in
   List.fold_left
     (fun h (l : Literal.t) ->
       F.int (F.string h (Symbol.name l.Literal.sym))
         (match l.Literal.pol with Literal.Pos -> 1 | Literal.Neg -> 2))
     F.init tr
 
-(* The oracle, run on a closed (drained + deterministically closed)
-   state: the realized trace must be a well-formed maximal trace that
+(* The oracle, run on a closed (settled + deterministically closed)
+   run: the realized trace must be a well-formed maximal trace that
    every dependency accepts, that the workflow generates (Definition 4),
    and whose per-dependency projections lie in the dependencies'
    maximal denotations; and no guard decision may have been forced
    through or violated by an uncontrollable event along the way. *)
-let closed_divergences st schedule =
-  let t = st.sched in
-  let tr = Step.trace t in
+let closed_divergences st rt schedule =
+  let tr = trace rt in
   let divs = ref [] in
   let add kind detail =
     divs := { d_kind = kind; d_detail = detail; d_schedule = schedule; d_trace = tr } :: !divs
@@ -346,52 +616,38 @@ let closed_divergences st schedule =
                Trace.pp proj))
       st.denots
   end;
-  if Step.forced t > 0 then
-    add "forced" (Fmt.str "%d guard decisions forced through" (Step.forced t));
-  if Step.uncontrollable t > 0 then
+  let forced = count rt "forced_violations" in
+  if forced > 0 then
+    add "forced" (Fmt.str "%d guard decisions forced through" forced);
+  let uncontrollable = count rt "uncontrollable_violations" in
+  if uncontrollable > 0 then
     add "uncontrollable"
       (Fmt.str "%d uncontrollable events fired against a False guard"
-         (Step.uncontrollable t));
+         uncontrollable);
   List.rev !divs
 
-let check_terminal st schedule =
+(* Close the live run with [Event_sched]'s own close and check it; the
+   run is spent. *)
+let check_terminal st rt schedule =
   st.traces <- st.traces + 1;
-  let snap = Step.snapshot st.sched in
-  Step.run_closing st.sched;
-  let tr = Step.trace st.sched in
+  Ground.close rt;
+  st.live <- None;
+  let tr = trace rt in
   let fp = trace_fp tr in
   if not (Hashtbl.mem st.seen_traces fp) then begin
     Hashtbl.replace st.seen_traces fp ();
     st.closed_traces <- tr :: st.closed_traces
   end;
   if List.length st.divergences < max_divergences then
-    st.divergences <- List.rev_append (closed_divergences st schedule) st.divergences;
-  Step.restore st.sched snap
-
-let enabled_transitions st =
-  let t = st.sched in
-  let attempts =
-    List.map (fun i -> Tkey.Attempt i) (Step.enabled_attempts t)
-  in
-  let delivers =
-    List.map (fun (a, b) -> Tkey.Deliver (a, b)) (Step.nonempty_queues t)
-  in
-  let crashes =
-    if Step.crashes_used t < st.crash_depth then begin
-      let plain = List.init (Step.num_sites t) (fun s -> Tkey.Crash s) in
-      if st.torn_writes then
-        plain @ List.init (Step.num_sites t) (fun s -> Tkey.Torn s)
-      else plain
-    end
-    else []
-  in
-  (attempts, delivers, crashes)
+    st.divergences <-
+      List.rev_append (closed_divergences st rt schedule) st.divergences
 
 let rec explore st depth sleep schedule =
   st.states <- st.states + 1;
   if st.states > st.max_states then raise Bounded;
   if depth > st.max_depth then st.max_depth <- depth;
-  let fp = Step.fingerprint st.sched in
+  let rt = at st schedule in
+  let fp = fingerprint rt in
   let skip =
     match Hashtbl.find_opt st.visited fp with
     | Some stored -> List.exists (fun s -> Tkey.Set.subset s sleep) !stored
@@ -404,36 +660,48 @@ let rec explore st depth sleep schedule =
         (* drop dominated entries so the table stays small *)
         stored := sleep :: List.filter (fun s -> not (Tkey.Set.subset sleep s)) !stored
     | None -> Hashtbl.add st.visited fp (ref [ sleep ]));
-    let attempts, delivers, crashes = enabled_transitions st in
-    if attempts = [] && delivers = [] then check_terminal st (List.rev schedule);
-    let enabled = attempts @ delivers @ crashes in
-    if enabled <> [] then begin
-      let snap = Step.snapshot st.sched in
-      let sleep = ref sleep in
-      List.iter
-        (fun key ->
-          if st.dpor && Tkey.Set.mem key !sleep then
-            st.sleep_skips <- st.sleep_skips + 1
-          else begin
-            (* Footprints are computed in the parent state, where every
-               queue head the sleep set refers to is still intact. *)
-            let kfp = footprint st.cl st.sched key in
-            let child_sleep =
-              if st.dpor then
-                Tkey.Set.filter
-                  (fun s ->
-                    IntSet.disjoint (footprint st.cl st.sched s) kfp)
-                  !sleep
-              else Tkey.Set.empty
-            in
-            execute st key (List.rev (key :: schedule));
-            st.transitions <- st.transitions + 1;
-            explore st (depth + 1) child_sleep (key :: schedule);
-            Step.restore st.sched snap;
-            if st.dpor then sleep := Tkey.Set.add key !sleep
-          end)
-        enabled
-    end
+    let moves = moves rt in
+    let crashes =
+      if crashes_used rt < st.crash_depth then
+        List.init st.nsites (fun s -> Tkey.Crash s)
+        @ if st.torn_writes then List.init st.nsites (fun s -> Tkey.Torn s) else []
+      else []
+    in
+    let enabled = List.map fst moves @ crashes in
+    (* Footprints are computed here, where every lane head the sleep
+       set refers to is still intact. *)
+    let footprints =
+      List.map
+        (fun k -> (k, footprint st.cl moves k))
+        (Tkey.Set.elements (Tkey.Set.union sleep (Tkey.Set.of_list enabled)))
+    in
+    let footprint_of k =
+      snd (List.find (fun (k', _) -> Tkey.compare k k' = 0) footprints)
+    in
+    if moves = [] then check_terminal st rt (List.rev schedule);
+    let sleep = ref sleep in
+    List.iter
+      (fun key ->
+        if st.dpor && Tkey.Set.mem key !sleep then
+          st.sleep_skips <- st.sleep_skips + 1
+        else begin
+          let kfp = footprint_of key in
+          let child_sleep =
+            if st.dpor then
+              Tkey.Set.filter
+                (fun s -> IntSet.disjoint (footprint_of s) kfp)
+                !sleep
+            else Tkey.Set.empty
+          in
+          let rt = at st schedule in
+          let schedule = key :: schedule in
+          execute st rt key (List.rev schedule);
+          st.transitions <- st.transitions + 1;
+          explore st (depth + 1) child_sleep schedule;
+          st.live <- None;
+          if st.dpor then sleep := Tkey.Set.add key !sleep
+        end)
+      enabled
   end
 
 let check ?(crash_depth = 0) ?(torn_writes = false) ?(max_states = 500_000)
@@ -464,7 +732,7 @@ let check ?(crash_depth = 0) ?(torn_writes = false) ?(max_states = 500_000)
     r_max_depth = st.max_depth;
     r_complete = complete;
     r_crash_depth = crash_depth;
-    r_recoveries = Wf_obs.Metrics.count (Step.stats st.sched) "actor_recoveries";
+    r_recoveries = st.recoveries;
     r_closed_traces = List.rev st.closed_traces;
     r_divergences = List.rev st.divergences;
   }
@@ -555,28 +823,27 @@ let load_schedule path =
           loop 1 [])
 
 let replay ?(guard_overrides = []) wf schedule =
-  (* Replay follows one schedule: no reduction, every torn placement
-     probed, no state bound. *)
+  (* Replay follows one schedule: every torn placement probed, no
+     state bound. *)
   let st =
     create_state ~dpor:false ~crash_depth:0 ~torn_writes:true
       ~max_states:max_int ~guard_overrides wf
   in
-  let sched = st.sched in
+  let rt = fresh ~guard_overrides st.wf st.plan in
   let rec apply i = function
     | [] -> Ok ()
     | key :: rest -> (
         let enabled =
           match key with
-          | Tkey.Attempt instance ->
-              List.mem instance (Step.enabled_attempts sched)
-          | Tkey.Deliver (a, b) -> Step.queue_head sched (a, b) <> None
-          | Tkey.Crash s | Tkey.Torn s -> s >= 0 && s < Step.num_sites sched
+          | Tkey.Attempt _ | Tkey.Deliver _ ->
+              List.exists (performs rt key) (Netsim.choices rt.net)
+          | Tkey.Crash s | Tkey.Torn s -> s >= 0 && s < st.nsites
         in
         if not enabled then
           Error
             (Fmt.str "step %d: %s is not enabled" i (Tkey.to_string key))
         else
-          match execute st key (List.filteri (fun j _ -> j <= i) schedule) with
+          match execute st rt key (List.filteri (fun j _ -> j <= i) schedule) with
           | () -> apply (i + 1) rest
           | exception exn ->
               Error (Fmt.str "step %d: %s" i (Printexc.to_string exn)))
@@ -584,7 +851,5 @@ let replay ?(guard_overrides = []) wf schedule =
   match apply 0 schedule with
   | Error _ as e -> e
   | Ok () ->
-      Step.run_closing sched;
-      Ok
-        ( List.rev st.divergences @ closed_divergences st schedule,
-          Step.trace sched )
+      Ground.close rt;
+      Ok (List.rev st.divergences @ closed_divergences st rt schedule, trace rt)

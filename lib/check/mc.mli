@@ -4,16 +4,57 @@ open Wf_core
     reduction.
 
     Where the conformance suites sample schedules (one per seed), [Mc]
-    enumerates {e all} of them: it drives {!Wf_scheduler.Step_sched}
-    through a depth-first search over every delivery interleaving of a
-    spec on its universe — plus, behind {!check}'s [crash_depth] bound,
-    every placement of atomic crash-and-recover transitions — and checks
-    every maximal interleaving against the symbolic oracle
-    ({!Wf_core.Semantics}, {!Wf_core.Correctness}).
+    enumerates the schedules of a spec's runs on its universe — plus,
+    behind {!check}'s [crash_depth] bound, every placement of crash
+    transitions — and checks every maximal run against the symbolic
+    oracle ({!Wf_core.Semantics}, {!Wf_core.Correctness}).
+
+    {2 The explored system}
+
+    A run is the code the simulator runs: {!Wf_scheduler.Event_sched}'s
+    build — actors, agents, journals, the reliable channel and its
+    restart hook — over a {!Wf_sim.Netsim} in controlled mode on the
+    fault-free network, whose links are exactly-once.  Nothing happens
+    until the checker chooses it: a transition delivers the oldest
+    message of one (sending actor, receiving actor) lane through the
+    channel and the site handler, or lets one agent's pending arrival
+    make its attempt.  A crash is one step through the network's
+    restart path ({!Wf_sim.Netsim.crash_restart}): the channel bumps the
+    site's epoch and says Hello, then each hosted actor's journal
+    crashes, the actor recovers from it, and the recovery handshake
+    sends its messages; the Hellos are delivered within the step.
+    Nothing is delivered or dropped in between, which is why the step
+    is sound on exactly-once links.  A maximal run is closed by
+    {!Wf_scheduler.Ground.close}, the close every simulated run ends
+    with, under a deterministic chooser (attempts by instance, then
+    deliveries by pair).
+
+    {2 What is covered}
+
+    The model is per-pair FIFO over the real transport.  The simulator's
+    fault-free network is FIFO per site link, so co-hosted actors'
+    messages on one link arrive in send order there, while the checker
+    also explores their reorderings: every fault-free simulator
+    schedule is among the explored ones.  Under [--reorder-rate] the
+    network is still exactly-once but may reorder messages within a
+    pair, and those orders are covered by sampling only.  Neither
+    alternative model fits: any order within a pair explodes (travel
+    did not finish within 5M states), and per-site-link FIFO explores
+    fewer schedules than per-pair FIFO.  Drops, duplicates, retransmit
+    timers and crash windows are not explored either: the channel's
+    lossy path is covered by the fault sweeps.
+
+    {2 Search}
+
+    The search is stateless: a state is reached by replaying its
+    schedule on a fresh build (the run is deterministic), and states are
+    deduplicated by a fingerprint over the actors, agents, decided
+    flags, occurrences, rejections and violation counters, the ready
+    lanes and pending arrivals, and the channel's epochs.
 
     {2 Reduction}
 
-    Deliveries commute when their footprints are disjoint.  Footprints
+    Transitions commute when their footprints are disjoint.  Footprints
     are {e coupling classes}: the union-find closure of "appears in the
     same dependency or belongs to the same task" over the spec's
     symbols.  A transition's class set covers everything it can read or
@@ -31,20 +72,26 @@ open Wf_core
 
     The DFS prunes with {e sleep sets} (a transition proven independent
     of everything explored since it was last available is not re-fired)
-    and dedups states by {!Wf_scheduler.Step_sched.fingerprint}; a
-    visited state is re-explored only when reached with a strictly
-    smaller sleep set, the standard guard against the sleep-set /
-    state-caching interaction. *)
+    and dedups states by fingerprint; a visited state is re-explored
+    only when reached with a strictly smaller sleep set, the standard
+    guard against the sleep-set / state-caching interaction
+    (Flanagan and Godefroid, {e Dynamic Partial-Order Reduction}, POPL
+    2005). *)
 
 (** A transition of the explored system. *)
 module Tkey : sig
   type t =
-    | Attempt of string  (** the instance's agent attempts its next event *)
-    | Deliver of Symbol.t * Symbol.t  (** head message, sender → receiver *)
-    | Crash of int  (** atomic crash-and-recover of the site *)
+    | Attempt of string  (** the instance's pending arrival makes its attempt *)
+    | Deliver of Symbol.t * Symbol.t
+        (** the oldest message of the lane, sender → receiver *)
+    | Crash of int  (** crash and restart the site in one step *)
     | Torn of int
-        (** crash-and-recover with a torn-write probe on the site's
-            journals ({!Wf_scheduler.Step_sched.do_crash_torn}) *)
+        (** a crash preceded by a torn-write probe on every hosted
+            journal: the journal's content is re-serialized through
+            {!Wf_scheduler.Actor.codec} onto a fresh simulated medium,
+            synced, and an in-flight entry's frame is torn at several
+            byte offsets; the salvage must keep the synced frames and
+            rebuild the state journal recovery rebuilds *)
 
   val compare : t -> t -> int
   val to_string : t -> string
@@ -55,9 +102,10 @@ end
 type divergence = {
   d_kind : string;
       (** ["ill-formed"], ["not-maximal"], ["violation"], ["generates"],
-          ["denotation"], ["forced"], ["uncontrollable"], or ["store"]
-          (a torn-write placement whose salvage diverged from journal
-          recovery) *)
+          ["denotation"], ["forced"], ["uncontrollable"], ["store"] (a
+          torn-write placement whose salvage diverged from journal
+          recovery), or ["delivery"] (a delivery that did not hand its
+          message to the addressed actor exactly once) *)
   d_detail : string;
   d_schedule : Tkey.t list;  (** the interleaving that exposed it *)
   d_trace : Literal.t list;  (** the closed trace it realized *)
@@ -101,10 +149,11 @@ val check :
     crashes ({!Tkey.Torn}) at every point a plain crash is placed,
     sharing the [crash_depth] budget — each probes that a frame torn
     mid-write salvages back to exactly the journal-recovery state,
-    reporting a ["store"] divergence otherwise;
-    [max_states] (default 500_000) bounds the exploration; [dpor]
+    reporting a ["store"] divergence otherwise; every explored delivery
+    checks the transport, reporting a ["delivery"] divergence unless the
+    addressed actor took the message exactly once; [max_states] (default 500_000) bounds the exploration; [dpor]
     (default true) enables the reduction; [guard_overrides] plants
-    wrong guards (via {!Wf_scheduler.Step_sched.build}) so tests can
+    wrong guards (via {!Wf_scheduler.Event_sched.build}) so tests can
     watch the checker catch the resulting divergences.  Parametrized
     (looping) tasks are rejected: the checker needs a finite static
     alphabet.  *)
@@ -135,6 +184,28 @@ val replay :
     enabled), close the run, and return the divergences of the final
     state plus the realized closed trace.  [Error] if the schedule does
     not apply to the spec. *)
+
+(** {2 One run, step by step}
+
+    The explored system, driven one transition at a time: what the
+    search and {!replay} do. *)
+
+val start :
+  ?guard_overrides:(Literal.t * Guard.t) list ->
+  Wf_tasks.Workflow_def.t ->
+  Wf_scheduler.Ground.t
+(** A fresh run in controlled mode, its agents started. *)
+
+val moves : Wf_scheduler.Ground.t -> (Tkey.t * Wf_scheduler.Messages.t option) list
+(** The attempts and deliveries the run offers, sorted, each delivery
+    with the message it delivers. *)
+
+val perform : Wf_scheduler.Ground.t -> Tkey.t -> unit
+(** Perform one transition ({!Tkey.Torn} as a plain crash).  Raises
+    [Invalid_argument] if it is not offered. *)
+
+val fingerprint : Wf_scheduler.Ground.t -> int
+(** The fingerprint the search deduplicates states by. *)
 
 (** {2 Introspection} *)
 

@@ -382,8 +382,8 @@ let rec schedule_agent rt ((agent, site) as owner) =
       (* The congested resource is the center, so the admission verdict
          keys on the central site's depth, while the shed streak and
          trace record stay with the attempting site. *)
-      Event_sched.arrive rt.cfg rt.net rt.chan ~site ~depth_site:central_site
-        sym (fun () ->
+      Ground.arrive rt.cfg.arrival ~think_time:rt.cfg.think_time rt.net
+        rt.chan ~site ~depth_site:central_site sym (fun () ->
           Wf_obs.Metrics.incr (stats rt) "attempts";
           let m =
             if attr.Attribute.controllable then

@@ -48,9 +48,9 @@ type result = {
 
 (* {2 The simulated run shell}
 
-   Network, journals, arrivals and the result: everything a
-   simulated ground run needs besides its decision procedure.  The
-   centralized baseline ({!Central_sched}) runs on the same shell. *)
+   Network, journals and the result: everything a simulated ground run
+   needs besides its decision procedure.  The centralized baseline
+   ({!Central_sched}) runs on the same shell. *)
 
 let network cfg wf =
   let net =
@@ -84,28 +84,6 @@ let journal cfg net codec ~seed ~site ~actor =
   in
   Wf_store.Journal.create ~checkpoint_every:cfg.checkpoint_every ?store ()
 
-let arrive cfg net chan ~site ?depth_site sym attempt =
-  let delay =
-    Flow.arrival_delay cfg.arrival ~rng:(Wf_sim.Netsim.rng net)
-      ~now:(Wf_sim.Netsim.now net) ~mean:cfg.think_time
-  in
-  (* Admission gate: with flow control on, an attempt arriving while the
-     gating site is over the shed watermark is refused with Busy and
-     retried after the verdict's seeded backoff — load sheds at the
-     boundary instead of growing queues. *)
-  let rec admitted_thunk first () =
-    match Channel.flow chan with
-    | None -> attempt ()
-    | Some fl -> (
-        let depth = Option.map (fun s -> Flow.depth fl ~site:s) depth_site in
-        match Flow.admit fl ~site ~actor:(Symbol.name sym) ?depth ~first () with
-        | Flow.Admitted -> attempt ()
-        | Flow.Busy { retry_after } ->
-            Wf_sim.Netsim.schedule net ~delay:retry_after (admitted_thunk first))
-  in
-  Wf_sim.Netsim.schedule net ~delay (fun () ->
-      admitted_thunk (Wf_sim.Netsim.now net) ())
-
 let result cfg net ~deps ~occurrences ~rejected =
   let trace = List.rev_map (fun o -> o.lit) occurrences in
   let violations = Correctness.violations deps trace in
@@ -130,61 +108,7 @@ let result cfg net ~deps ~occurrences ~rejected =
 
 (* {2 The distributed engine} *)
 
-(* The network side of a run; the actors, agents and journals live in
-   the shared ground core.  A wire payload names its destination by
-   plan slot. *)
-type net = {
-  cfg : config;
-  net : (int * Messages.t) Channel.wire Wf_sim.Netsim.t;
-  chan : (int * Messages.t) Channel.t;
-}
-
-type runtime = net Ground.t
-
-let rec schedule_agent (rt : runtime) agent =
-  let { cfg; net; chan } = rt.driver in
-  match Agent.want agent with
-  | None -> ()
-  | Some (sym, attr) ->
-      Agent.begin_attempt agent sym;
-      let slot = Ground.slot_of rt sym in
-      arrive cfg net chan ~site:slot.site sym (fun () ->
-          attempt rt agent slot attr)
-
-(* An uncontrollable event is announced, not requested: record a
-   violation if its guard would have said no. *)
-and attempt rt agent slot attr =
-  if Ground.attempt rt agent slot attr then
-    Wf_obs.Metrics.incr rt.stats "uncontrollable_violations"
-
-let hooks : net Ground.hooks =
-  {
-    send =
-      (fun rt ~priority ~src ~dst msg ->
-        Channel.send ~priority rt.driver.chan ~src:src.site ~dst:dst.site
-          (dst.index, msg));
-    kick = schedule_agent;
-    now = (fun rt -> Wf_sim.Netsim.now rt.driver.net);
-    on_fire = (fun rt o -> rt.driver.cfg.on_event o);
-    emit_assim =
-      (fun rt (slot : Ground.slot) ->
-        match rt.driver.cfg.tracer with
-        | None -> None
-        | Some sink ->
-            let site = slot.site and name = Symbol.name slot.sym in
-            Some
-              (fun outcome guard ->
-                Wf_obs.Trace.emit sink
-                  (Wf_obs.Trace.make
-                     ~time:(Wf_sim.Netsim.now rt.driver.net)
-                     ~site ~actor:name
-                     (Wf_obs.Trace.Assim { outcome; guard }))));
-    settle =
-      (fun rt -> Wf_sim.Netsim.run ~max_steps:rt.driver.cfg.max_steps rt.driver.net);
-    iter_tasks = (fun rt f -> Hashtbl.iter (fun _ task -> f task) rt.tasks);
-  }
-
-let build cfg wf plan : runtime =
+let build ?guard_overrides cfg wf plan =
   let net, chan = network cfg wf in
   (* Per-actor storage media draw their fault seeds from a dedicated
      stream derived from the run seed, so enabling the store does not
@@ -199,14 +123,16 @@ let build cfg wf plan : runtime =
     { Ground.j; depth = 0 }
   in
   let rt =
-    Ground.create ~stats:(Wf_sim.Netsim.stats net) ~journal ~hooks
-      ~driver:{ cfg; net; chan } wf plan
+    Ground.create ?guard_overrides ~net ~chan ~journal ~arrival:cfg.arrival
+      ~think_time:cfg.think_time ~max_steps:cfg.max_steps
+      ~on_event:cfg.on_event wf plan
   in
   (* Site message dispatch, behind the reliable channel: each protocol
      message is handled exactly once even when the network drops,
-     duplicates, or reorders the wire traffic. *)
+     duplicates, or reorders the wire traffic.  The payload names the
+     receiving actor by slot. *)
   for site = 0 to Workflow_def.num_sites wf - 1 do
-    Channel.on_receive chan site (fun _src (target, msg) ->
+    Channel.on_receive chan site (fun _src (_, target, msg) ->
         Ground.deliver rt.slots.(target) (Actor.I_message msg))
   done;
   (* Crash recovery: when a site restarts, the channel's hook (created
@@ -233,10 +159,9 @@ let run ?(config = default_config) wf =
   let rt = build config wf plan in
   (* Kick off every agent, run to quiescence, then close: alternate
      complement emission and network drain. *)
-  hooks.iter_tasks rt (fun task -> schedule_agent rt task.Ground.agent);
-  hooks.settle rt;
+  Ground.start rt;
   Ground.close rt;
-  result config rt.driver.net
+  result config rt.net
     ~deps:(Compile.dependencies (Run_plan.compiled plan))
     ~occurrences:rt.occurrences ~rejected:rt.rejected
 

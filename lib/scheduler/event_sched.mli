@@ -92,6 +92,20 @@ type result = {
 }
 
 val run : ?config:config -> Workflow_def.t -> result
+(** {!build}, {!Ground.start}, {!Ground.close}, then the {!result}. *)
+
+val build :
+  ?guard_overrides:(Literal.t * Guard.t) list ->
+  config -> Workflow_def.t -> Run_plan.t -> Ground.t
+(** A run of the plan, not yet started: the network and channel, one
+    journal per actor, the site handlers (a payload names its receiving
+    actor's slot) and the restart hook, which crashes each hosted
+    actor's journal, recovers the actor from it and runs the
+    {!Ground.handshake}.  [guard_overrides] substitutes the synthesized
+    guard of the given literals whenever an actor is created, never in
+    the shared plan; the model checker's tests plant wrong guards with
+    it.  The model checker puts the network in controlled mode before
+    {!Ground.start}. *)
 
 val trace_literals : result -> Trace.t
 
@@ -99,9 +113,9 @@ val trace_literals : result -> Trace.t
 
     Everything a simulated ground run needs besides its decision
     procedure: the network and channel, journals (each owning its
-    simulated medium, so a crash is {!Wf_store.Journal.crash}),
-    arrivals through admission, and the result.  {!Central_sched} runs
-    on it too. *)
+    simulated medium, so a crash is {!Wf_store.Journal.crash}) and the
+    result; arrivals go through {!Ground.arrive}.  {!Central_sched}
+    runs on it too. *)
 
 val network :
   config -> Workflow_def.t -> 'm Channel.wire Wf_sim.Netsim.t * 'm Channel.t
@@ -117,12 +131,6 @@ val journal :
     medium counts into the network's stats and traces into
     [config.tracer] as [site]/[actor], so a {!Wf_store.Journal.crash}
     reports its salvage there. *)
-
-val arrive :
-  config -> _ Wf_sim.Netsim.t -> _ Channel.t -> site:int -> ?depth_site:int ->
-  Symbol.t -> (unit -> unit) -> unit
-(** Run an attempt after the think time, through the admission gate at
-    [site] keyed on [depth_site]'s queue depth (default [site]'s). *)
 
 val result :
   config -> _ Wf_sim.Netsim.t -> deps:Expr.t list ->

@@ -24,20 +24,16 @@ type slot = {
 
 and task = { agent : Agent.t; mutable events : slot list }
 
-type 'd hooks = {
-  send : 'd t -> priority:bool -> src:slot -> dst:slot -> Messages.t -> unit;
-  kick : 'd t -> Agent.t -> unit;
-  now : 'd t -> float;
-  on_fire : 'd t -> occurrence -> unit;
-  emit_assim : 'd t -> slot -> (Wf_obs.Trace.outcome -> int -> unit) option;
-  settle : 'd t -> unit;
-  iter_tasks : 'd t -> (task -> unit) -> unit;
-}
+type payload = int * int * Messages.t
 
-and 'd t = {
+type t = {
   plan : Run_plan.t;
-  hooks : 'd hooks;
-  driver : 'd;
+  net : payload Channel.wire Wf_sim.Netsim.t;
+  chan : payload Channel.t;
+  arrival : Flow.arrival;
+  think_time : float;
+  max_steps : int;
+  on_event : occurrence -> unit;
   guard_overrides : (Literal.t * Guard.t) list;
   stats : Wf_obs.Metrics.t;
   meters : Actor.meters;
@@ -78,8 +74,32 @@ let slot_of t sym =
   | None -> Fmt.invalid_arg "no actor for %a" Symbol.pp sym
 
 let send ?(priority = false) t ~src ~dst msg =
-  t.hooks.send t ~priority ~src ~dst msg;
+  Channel.send ~priority t.chan ~src:src.site ~dst:dst.site
+    (src.index, dst.index, msg);
   Wf_obs.Metrics.bump t.msg_counters.(Messages.tag msg)
+
+let arrive arrival ~think_time net chan ~site ?depth_site ?label sym attempt =
+  let delay =
+    Flow.arrival_delay arrival ~rng:(Wf_sim.Netsim.rng net)
+      ~now:(Wf_sim.Netsim.now net) ~mean:think_time
+  in
+  (* Admission gate: with flow control on, an attempt arriving while the
+     gating site is over the shed watermark is refused with Busy and
+     retried after the verdict's seeded backoff — load sheds at the
+     boundary instead of growing queues. *)
+  let rec admitted_thunk first () =
+    match Channel.flow chan with
+    | None -> attempt ()
+    | Some fl -> (
+        let depth = Option.map (fun s -> Flow.depth fl ~site:s) depth_site in
+        match Flow.admit fl ~site ~actor:(Symbol.name sym) ?depth ~first () with
+        | Flow.Admitted -> attempt ()
+        | Flow.Busy { retry_after } ->
+            Wf_sim.Netsim.schedule ?label net ~delay:retry_after
+              (admitted_thunk first))
+  in
+  Wf_sim.Netsim.schedule ?label net ~delay (fun () ->
+      admitted_thunk (Wf_sim.Netsim.now net) ())
 
 (* An event of the task: agents name their events by the plan's own
    symbols, so the slot is found by address. *)
@@ -129,10 +149,10 @@ let rec fire t slot lit =
   if not slot.decided then begin
     t.seqno <- t.seqno + 1;
     let seqno = t.seqno in
-    let occurrence = { lit; seqno; time = t.hooks.now t } in
+    let occurrence = { lit; seqno; time = Wf_sim.Netsim.now t.net } in
     t.occurrences <- occurrence :: t.occurrences;
     slot.decided <- true;
-    t.hooks.on_fire t occurrence;
+    t.on_event occurrence;
     Wf_obs.Metrics.bump t.occurrences_counter;
     (* Own actor learns first (it hosts the event). *)
     deliver slot (Actor.I_occurred { lit; seqno });
@@ -150,7 +170,7 @@ let rec fire t slot lit =
             | None -> []
             | Some { agent; _ } ->
                 let cs = Agent.on_accepted agent slot.sym in
-                t.hooks.kick t agent;
+                kick t agent;
                 cs)
     in
     (* Announce to every subscriber actor, in symbol order. *)
@@ -169,7 +189,51 @@ and reject t slot lit =
   | None -> ()
   | Some { agent; _ } ->
       Agent.on_rejected agent slot.sym;
-      t.hooks.kick t agent
+      kick t agent
+
+(* The agent may want to attempt next: it commits to the event now and
+   the attempt arrives after the think time, labeled with the event's
+   slot for a chooser. *)
+and kick t agent =
+  match Agent.want agent with
+  | None -> ()
+  | Some (sym, attr) ->
+      Agent.begin_attempt agent sym;
+      let slot = slot_of t sym in
+      arrive t.arrival ~think_time:t.think_time t.net t.chan ~site:slot.site
+        ~label:slot.index sym (fun () ->
+          if attempt t agent slot attr then
+            Wf_obs.Metrics.incr t.stats "uncontrollable_violations")
+
+(* An uncontrollable event is announced, not requested: [true] iff its
+   guard said [False]. *)
+and attempt t agent slot (attr : Attribute.t) =
+  Wf_obs.Metrics.bump t.attempts_counter;
+  if attr.controllable then begin
+    (* Vet the complements the transition entails together with the
+       event's own guard: committing must be allowed to preclude
+       aborting, etc. *)
+    let a =
+      Run_plan.attempt t.plan (Literal.pos slot.sym)
+        (Agent.would_make_unreachable agent slot.sym)
+    in
+    let vetted = if slot.vets then Some a.vetted else None in
+    deliver ?vetted slot
+      (Actor.I_attempt { pol = Literal.Pos; entailed = a.entailed });
+    false
+  end
+  else begin
+    let cell = slot.plan_actor.guard_pos in
+    let know = Actor.knowledge slot.actor in
+    let status =
+      match Gtable.cell_table cell with
+      | Some tbl ->
+          Gtable.view_status tbl (Gtable.view tbl ~reserved:Symbol.Set.empty know)
+      | None -> Gtable.symbolic_status know (Gtable.cell_guard cell)
+    in
+    fire t slot (Literal.pos slot.sym);
+    status = Knowledge.False
+  end
 
 and trigger_task t slot =
   match slot.task with
@@ -179,7 +243,7 @@ and trigger_task t slot =
       | None -> false
       | Some complements ->
           slot.pending_complements <- Some complements;
-          t.hooks.kick t agent;
+          kick t agent;
           true)
 
 (* Per-slot context, built once per run.  The closures capture the
@@ -192,11 +256,21 @@ let ctx_for t slot : Actor.ctx =
     reject = (fun lit -> reject t (slot_for t slot lit) lit);
     trigger_task = (fun lit -> trigger_task t (slot_for t slot lit));
     meters = t.meters;
-    emit_assim = t.hooks.emit_assim t slot;
+    emit_assim =
+      Option.map
+        (fun sink ->
+          let site = slot.site and name = Symbol.name slot.sym in
+          fun outcome guard ->
+            Wf_obs.Trace.emit sink
+              (Wf_obs.Trace.make ~time:(Wf_sim.Netsim.now t.net) ~site
+                 ~actor:name
+                 (Wf_obs.Trace.Assim { outcome; guard })))
+        (Wf_sim.Netsim.tracer t.net);
   }
 
-let create ?(guard_overrides = []) ~stats ~journal ~hooks ~driver
-    (wf : Workflow_def.t) plan =
+let create ?(guard_overrides = []) ~net ~chan ~journal ~arrival ~think_time
+    ~max_steps ~on_event (wf : Workflow_def.t) plan =
+  let stats = Wf_sim.Netsim.stats net in
   let tasks = Hashtbl.create 16 in
   List.iter2
     (fun (task : Workflow_def.task) spec ->
@@ -227,8 +301,12 @@ let create ?(guard_overrides = []) ~stats ~journal ~hooks ~driver
   let t =
     {
       plan;
-      hooks;
-      driver;
+      net;
+      chan;
+      arrival;
+      think_time;
+      max_steps;
+      on_event;
       guard_overrides;
       stats;
       meters = Actor.meters stats;
@@ -253,35 +331,6 @@ let create ?(guard_overrides = []) ~stats ~journal ~hooks ~driver
     Option.iter (fun task -> task.events <- slot :: task.events) slot.task
   done;
   t
-
-let attempt t agent slot (attr : Attribute.t) =
-  Wf_obs.Metrics.bump t.attempts_counter;
-  if attr.controllable then begin
-    (* Vet the complements the transition entails together with the
-       event's own guard: committing must be allowed to preclude
-       aborting, etc. *)
-    let a =
-      Run_plan.attempt t.plan (Literal.pos slot.sym)
-        (Agent.would_make_unreachable agent slot.sym)
-    in
-    let vetted = if slot.vets then Some a.vetted else None in
-    deliver ?vetted slot
-      (Actor.I_attempt { pol = Literal.Pos; entailed = a.entailed });
-    false
-  end
-  else begin
-    (* Uncontrollable: announced, not requested. *)
-    let cell = slot.plan_actor.guard_pos in
-    let know = Actor.knowledge slot.actor in
-    let status =
-      match Gtable.cell_table cell with
-      | Some tbl ->
-          Gtable.view_status tbl (Gtable.view tbl ~reserved:Symbol.Set.empty know)
-      | None -> Gtable.symbolic_status know (Gtable.cell_guard cell)
-    in
-    fire t slot (Literal.pos slot.sym);
-    status = Knowledge.False
-  end
 
 (* {2 Recovery} *)
 
@@ -322,7 +371,7 @@ let handshake t ~epoch hosted =
 let close_round t =
   (* Emit complements of events that can no longer occur. *)
   let progress = ref false in
-  t.hooks.iter_tasks t (fun task ->
+  Hashtbl.iter (fun _ task ->
       if Agent.finished task.agent then
         List.iter
           (fun c ->
@@ -334,7 +383,8 @@ let close_round t =
                   progress := true
                 end
             | None -> ())
-          (Agent.undecided_complements task.agent));
+          (Agent.undecided_complements task.agent))
+    t.tasks;
   !progress
 
 (* The closing protocol, phase order and budgets, over the engine's own
@@ -373,7 +423,12 @@ let closing ~settle ~complements ~reject_lowest ~negate_lowest =
   reject_loop 256;
   neg_loop 1024
 
+let start t = Hashtbl.iter (fun _ task -> kick t task.agent) t.tasks
+
+let settle t = Wf_sim.Netsim.run ~max_steps:t.max_steps t.net
+
 let close t =
+  settle t;
   let lowest p f =
     match Array.find_opt p t.slots with
     | None -> false
@@ -382,7 +437,7 @@ let close t =
         true
   in
   closing
-    ~settle:(fun () -> t.hooks.settle t)
+    ~settle:(fun () -> settle t)
     ~complements:(fun () -> close_round t)
     ~reject_lowest:(fun () ->
       lowest

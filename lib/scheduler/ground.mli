@@ -1,18 +1,16 @@
 open Wf_core
 open Wf_tasks
 
-(** The ground transition core shared by {!Event_sched} and
-    {!Step_sched}.
+(** The ground transition core of {!Event_sched}.
 
-    Both drive the same guard actors, agents and journals built from one
-    {!Run_plan}; they differ only in how messages travel and who decides
-    what happens next.  This module holds the state and transitions
-    they share — journaled delivery, occurrence, rejection, triggering,
-    attempts, crash recovery and the deterministic end-of-run closing —
-    and takes the rest from the driver's {!hooks}: [Event_sched] routes
-    messages through the channel and settles by running the simulated
-    network; [Step_sched] queues them per actor pair and settles by
-    draining in sorted order.  ['d] is the driver's own state.
+    The state and transitions of a ground run: journaled delivery,
+    occurrence, rejection, triggering, agent arrivals and attempts,
+    crash recovery and the deterministic end-of-run closing.  Messages
+    travel through the reliable {!Channel} over the run's
+    {!Wf_sim.Netsim}, and attempts arrive through the network's timed
+    actions, so whoever drives the network drives the run: the latency
+    model in a simulation, a chooser in controlled mode when the model
+    checker ([Wf_check.Mc]) enumerates schedules.
 
     A run addresses its actors by plan slot ({!Run_plan.actor}'s
     [index]): one {!slot} per plan symbol holds everything the run keeps
@@ -58,25 +56,20 @@ and task = {
           finds its slot by address *)
 }
 
-type 'd hooks = {
-  send : 'd t -> priority:bool -> src:slot -> dst:slot -> Messages.t -> unit;
-      (** transport a protocol message between two actors *)
-  kick : 'd t -> Agent.t -> unit;  (** the agent may want to attempt next *)
-  now : 'd t -> float;  (** timestamp for occurrences *)
-  on_fire : 'd t -> occurrence -> unit;
-  emit_assim : 'd t -> slot -> (Wf_obs.Trace.outcome -> int -> unit) option;
-      (** the actor's {!Actor.ctx} assimilation hook *)
-  settle : 'd t -> unit;  (** run pending work to quiescence *)
-  iter_tasks : 'd t -> (task -> unit) -> unit;
-      (** the driver's task order for closing rounds *)
-}
+type payload = int * int * Messages.t
+(** A protocol message on the wire: the sending and receiving actors'
+    slots, and the message. *)
 
-and 'd t = {
+type t = {
   plan : Run_plan.t;
-  hooks : 'd hooks;
-  driver : 'd;
+  net : payload Channel.wire Wf_sim.Netsim.t;
+  chan : payload Channel.t;
+  arrival : Flow.arrival;
+  think_time : float;  (** mean delay between an agent's attempts *)
+  max_steps : int;  (** per settling run of the network *)
+  on_event : occurrence -> unit;  (** called at each occurrence *)
   guard_overrides : (Literal.t * Guard.t) list;
-  stats : Wf_obs.Metrics.t;
+  stats : Wf_obs.Metrics.t;  (** the network's *)
   meters : Actor.meters;  (** resolved on [stats], shared by every ctx *)
   occurrences_counter : Wf_obs.Metrics.counter;
   attempts_counter : Wf_obs.Metrics.counter;
@@ -93,42 +86,50 @@ and 'd t = {
 
 val create :
   ?guard_overrides:(Literal.t * Guard.t) list ->
-  stats:Wf_obs.Metrics.t ->
+  net:payload Channel.wire Wf_sim.Netsim.t ->
+  chan:payload Channel.t ->
   journal:(Run_plan.actor -> jstate) ->
-  hooks:'d hooks ->
-  driver:'d ->
+  arrival:Flow.arrival ->
+  think_time:float ->
+  max_steps:int ->
+  on_event:(occurrence -> unit) ->
   Workflow_def.t ->
   Run_plan.t ->
-  'd t
+  t
 (** One slot (actor, context and journal) per plan symbol, in slot
-    order, and one agent per task.  [guard_overrides] substitutes guards
+    order, and one agent per task, counting into the network's stats
+    and tracing into its sink.  [guard_overrides] substitutes guards
     whenever an actor is created, including on recovery. *)
 
-val slot_of : 'd t -> Symbol.t -> slot
-(** Raises [Invalid_argument] naming a symbol without an actor. *)
+val start : t -> unit
+(** Every agent that wants to attempt an event commits to it, and the
+    attempt arrives after the think time ({!arrive}, labeled with the
+    event's slot). *)
+
+val arrive :
+  Flow.arrival -> think_time:float -> _ Wf_sim.Netsim.t -> _ Channel.t ->
+  site:int -> ?depth_site:int -> ?label:int -> Symbol.t -> (unit -> unit) ->
+  unit
+(** Run an attempt after the think time, through the admission gate at
+    [site] keyed on [depth_site]'s queue depth (default [site]'s).
+    [label] names the arrival to a chooser ({!Wf_sim.Netsim.schedule}). *)
 
 val deliver : ?vetted:Gtable.cell -> slot -> Actor.input -> unit
 (** Journaled delivery: append (syncing inputs that cannot be
     re-derived after a crash), apply ({!Actor.apply}, with [vetted]),
     checkpoint at depth 0. *)
 
-val attempt : 'd t -> Agent.t -> slot -> Attribute.t -> bool
-(** The agent attempts the event: a controllable one goes to its actor
-    for vetting together with the guards of the complements it entails;
-    an uncontrollable one fires outright.  [true] iff it was
-    uncontrollable and its guard said [False]. *)
-
-val replay : 'd t -> slot -> Actor.snapshot option * Actor.input list -> Actor.t
+val replay : t -> slot -> Actor.snapshot option * Actor.input list -> Actor.t
 (** A fresh actor with the checkpoint restored and the suffix applied
     with side effects muted. *)
 
-val recover : 'd t -> slot -> unit
+val recover : t -> slot -> unit
 (** Rebuild the slot's actor from its journal ({!replay}). *)
 
-val hosted : 'd t -> int -> slot list
+val hosted : t -> int -> slot list
 (** The site's slots, in slot order. *)
 
-val handshake : 'd t -> epoch:int -> slot list -> unit
+val handshake : t -> epoch:int -> slot list -> unit
 (** After recovering these actors: each undecided one pings the watched
     peers whose fate it does not know with {!Messages.Recovered}, on the
     priority lane; a decided peer re-announces. *)
@@ -146,8 +147,9 @@ val closing :
     phase order and round budgets live here; the engine supplies the
     steps, each returning whether it acted. *)
 
-val close : 'd t -> unit
-(** {!closing} over the actors: complements of finished agents' events
+val close : t -> unit
+(** Run the network to quiescence, then {!closing} over the actors,
+    settling the same way: complements of finished agents' events
     whose actors hold no parked attempt, [I_close] to the lowest symbol
     with a parked attempt, and the negation of the lowest undecided
     symbol. *)

@@ -3,15 +3,14 @@ open Wf_tasks
 
 (** The spec-invariant part of a ground run, computed once per spec.
 
-    Everything {!Event_sched}, {!Step_sched} and {!Central_sched}
-    derive from the workflow's data alone lives here: the compiled
-    guards, the symbols that get an actor, each actor's creation
-    parameters (site, attributes, both guards, demand automata), the
-    owning task instance of every task event, the subscription map,
-    each task's {!Agent.spec} and the conjunctions of entailed
-    complement guards attempts have asked for.  A run builds only its
-    mutable state — actors, journals, agents, queues or network — from
-    a plan.
+    Everything {!Event_sched} and {!Central_sched} derive from the
+    workflow's data alone lives here: the compiled guards, the symbols
+    that get an actor, each actor's creation parameters (site,
+    attributes, both guards, demand automata), the owning task instance
+    of every task event, the subscription map, each task's {!Agent.spec}
+    and the conjunctions of entailed complement guards attempts have
+    asked for.  A run builds only its mutable state — actors, journals,
+    agents and network — from a plan.
 
     The plan numbers its actors once: slot [i] is the [i]-th symbol of
     {!symbols}, so slot order is symbol order.  Each {!actor} record

@@ -50,6 +50,13 @@ type 'msg event =
 
 type 'msg pending = { p_src : site; p_dst : site; p_control : bool; p_payload : 'msg }
 
+type 'msg choice =
+  | Ready of { lane : int; control : bool; payload : 'msg }
+  | Due of { label : int }
+
+(* Controlled mode: one FIFO per lane, kept nonempty. *)
+type 'msg lane = { key : int; msgs : 'msg pending Queue.t }
+
 (* Per-message metrics, resolved once in [create]; each registers on
    first use, so the registry's contents match name-keyed updates. *)
 type net_metrics = {
@@ -104,11 +111,13 @@ type 'msg t = {
          declare itself idle, ran *)
   mutable busy_before : float; (* [busy] before the running action *)
   mutable seq : int;
-  mutable chooser : ('msg pending list -> int) option;
-      (* controlled delivery: when set, sent messages skip the latency
-         heap and wait in [ready]; the chooser picks which one the run
-         loop delivers next *)
-  mutable ready : 'msg event list; (* controlled mode, arrival order *)
+  mutable chooser : ('msg choice list -> int) option;
+      (* controlled mode: when set, sent messages skip the latency heap
+         and wait in [lanes], scheduled actions wait in [due], and the
+         chooser picks what the run loop does next *)
+  mutable lane_of : 'msg -> int;
+  mutable lanes : 'msg lane list; (* nonempty lanes, creation order *)
+  mutable due : (int * (unit -> unit)) list; (* label, action; schedule order *)
 }
 
 let uniform_latency ~base ~jitter src dst =
@@ -157,7 +166,9 @@ let create ?(seed = 42L) ?(faults = no_faults) ~num_sites ~latency () =
       busy_before = 0.0;
       seq = 0;
       chooser = None;
-      ready = [];
+      lane_of = (fun _ -> 0);
+      lanes = [];
+      due = [];
     }
   in
   t
@@ -170,15 +181,21 @@ let rng t = t.rng
 let set_tracer t sink = t.tracer <- sink
 let tracer t = t.tracer
 
-let set_chooser t chooser = t.chooser <- Some chooser
+let set_chooser t ~lane chooser =
+  t.lane_of <- lane;
+  t.chooser <- Some chooser
 
 let pending_deliveries t =
-  List.filter_map
-    (function
-      | Deliver { src; dst; control; payload; _ } ->
-          Some { p_src = src; p_dst = dst; p_control = control; p_payload = payload }
-      | Action _ -> None)
-    t.ready
+  List.concat_map (fun l -> List.of_seq (Queue.to_seq l.msgs)) t.lanes
+
+let choices t =
+  List.fold_right
+    (fun l acc ->
+      let p = Queue.peek l.msgs in
+      Ready { lane = l.key; control = p.p_control; payload = p.p_payload }
+      :: acc)
+    t.lanes
+    (List.map (fun (label, _) -> Due { label }) t.due)
 
 let on_receive t site handler =
   if site < 0 || site >= t.num_sites then
@@ -204,10 +221,7 @@ let exactly_once fc ~src ~dst =
         && fc.duplicate_rate <= 0.0
         && not (List.exists (fun p -> separates p src dst) fc.partitions))
 
-let crash_site t site =
-  if site < 0 || site >= t.num_sites then invalid_arg "Netsim.crash_site";
-  if not (can_crash t.faults) then
-    invalid_arg "Netsim.crash_site: the fault config cannot crash a site";
+let mark_crashed t site =
   if not t.crashed.(site) then begin
     t.crashed.(site) <- true;
     Metrics.bump t.m.m_crashes;
@@ -216,6 +230,12 @@ let crash_site t site =
     | Some sink ->
         Trace.emit sink (Trace.make ~time:t.clock ~site Trace.Crash)
   end
+
+let crash_site t site =
+  if site < 0 || site >= t.num_sites then invalid_arg "Netsim.crash_site";
+  if not (can_crash t.faults) then
+    invalid_arg "Netsim.crash_site: the fault config cannot crash a site";
+  mark_crashed t site
 
 let restart_site t site =
   if site < 0 || site >= t.num_sites then invalid_arg "Netsim.restart_site";
@@ -228,6 +248,11 @@ let restart_site t site =
         Trace.emit sink (Trace.make ~time:t.clock ~site Trace.Restart));
     List.iter (fun hook -> hook site) t.restart_hooks
   end
+
+let crash_restart t site =
+  if site < 0 || site >= t.num_sites then invalid_arg "Netsim.crash_restart";
+  mark_crashed t site;
+  restart_site t site
 
 let site_crashed t site = t.crashed.(site)
 
@@ -262,11 +287,20 @@ let partitioned t src dst =
       t.clock >= p.cut_from && t.clock < p.cut_until && separates p src dst)
     t.faults.partitions
 
+(* Controlled mode: no latency model — the message is immediately
+   ready, behind the older messages of its lane. *)
+let enqueue_ready t ~src ~dst ~control payload =
+  let p = { p_src = src; p_dst = dst; p_control = control; p_payload = payload } in
+  let key = t.lane_of payload in
+  match List.find_opt (fun l -> l.key = key) t.lanes with
+  | Some l -> Queue.push p l.msgs
+  | None ->
+      let msgs = Queue.create () in
+      Queue.push p msgs;
+      t.lanes <- t.lanes @ [ { key; msgs } ]
+
 let enqueue_delivery t ~src ~dst ~control payload =
-  if t.chooser <> None then
-    (* Controlled mode: no latency model — the message is immediately
-       ready and the installed chooser decides the delivery order. *)
-    t.ready <- t.ready @ [ Deliver { src; dst; control; sent = t.clock; payload } ]
+  if t.chooser <> None then enqueue_ready t ~src ~dst ~control payload
   else begin
   let { base; jitter } = t.latency src dst in
   let delay =
@@ -340,12 +374,15 @@ let send ?(control = false) t ~src ~dst payload =
      it is not a guarded transition of any actor. *)
   if src <> dst && not control then maybe_crash t ~prob:fc.crash_on_send src
 
-let schedule t ~delay action =
-  Heap.push t.queue ~key:(t.clock +. delay) ~seq:(next_seq t) (Action action)
+let schedule ?(label = -1) t ~delay action =
+  match t.chooser with
+  | Some _ -> t.due <- t.due @ [ (label, action) ]
+  | None ->
+      Heap.push t.queue ~key:(t.clock +. delay) ~seq:(next_seq t) (Action action)
 
 let idle t = t.busy <- t.busy_before
 
-let quiescent t = Heap.is_empty t.queue && t.ready = []
+let quiescent t = Heap.is_empty t.queue && t.lanes = [] && t.due = []
 
 (* Execute one delivery at the current clock: drop into a crash window,
    or run the handler — the one delivery path for both the latency heap
@@ -384,29 +421,38 @@ let execute_delivery t ~src ~dst ~control ~sent payload =
       maybe_crash t ~prob:t.faults.crash_on_deliver dst
   end
 
-(* In controlled mode the chooser picks the next ready delivery; its
-   return value indexes the list [pending_deliveries] exposes. *)
-let deliver_chosen t choose =
-  let idx = choose (pending_deliveries t) in
-  let n = List.length t.ready in
-  if idx < 0 || idx >= n then
+(* A lane's head, or a due action, at the clock: in controlled mode
+   time does not pass, so a delivery's latency is 0. *)
+let take t idx =
+  let lanes = List.length t.lanes in
+  if idx < 0 || idx >= lanes + List.length t.due then
     invalid_arg
-      (Printf.sprintf "Netsim: chooser index %d out of range [0,%d)" idx n);
-  let event = List.nth t.ready idx in
-  t.ready <- List.filteri (fun i _ -> i <> idx) t.ready;
-  match event with
-  | Deliver { src; dst; control; sent; payload } ->
-      execute_delivery t ~src ~dst ~control ~sent payload
-  | Action _ -> assert false
+      (Printf.sprintf "Netsim.take: choice %d out of range [0,%d)" idx
+         (lanes + List.length t.due));
+  if idx < lanes then begin
+    let l = List.nth t.lanes idx in
+    let p = Queue.pop l.msgs in
+    if Queue.is_empty l.msgs then t.lanes <- List.filter (( != ) l) t.lanes;
+    t.busy <- t.clock;
+    execute_delivery t ~src:p.p_src ~dst:p.p_dst ~control:p.p_control
+      ~sent:t.clock p.p_payload
+  end
+  else begin
+    let ((_, action) as d) = List.nth t.due (idx - lanes) in
+    t.due <- List.filter (( != ) d) t.due;
+    t.busy_before <- t.busy;
+    t.busy <- t.clock;
+    action ()
+  end
 
 let run ?(until = infinity) ?(max_steps = max_int) t =
   let steps = ref 0 in
   let continue = ref true in
   while !continue && !steps < max_steps do
     match t.chooser with
-    | Some choose when t.ready <> [] ->
+    | Some choose when t.lanes <> [] || t.due <> [] ->
         incr steps;
-        deliver_chosen t choose
+        take t (choose (choices t))
     | _ ->
         if Heap.is_empty t.queue then continue := false
         else

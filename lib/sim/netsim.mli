@@ -140,9 +140,11 @@ val send : ?control:bool -> 'msg t -> src:site -> dst:site -> 'msg -> unit
     to link faults but never triggers crash injection, so recovery
     cannot crash-loop. *)
 
-val schedule : 'msg t -> delay:float -> (unit -> unit) -> unit
+val schedule : ?label:int -> 'msg t -> delay:float -> (unit -> unit) -> unit
 (** Run a local action after a virtual delay.  Timed actions are not
-    subject to faults (they model local computation, not messages). *)
+    subject to faults (they model local computation, not messages).
+    [label] (default [-1]) names the action to a chooser in controlled
+    mode and is ignored otherwise. *)
 
 val idle : 'msg t -> unit
 (** Called by a running {!schedule}d action that found nothing to do
@@ -174,6 +176,12 @@ val restart_site : 'msg t -> site -> unit
 (** Bring a crashed site back and run the registered {!on_restart}
     hooks (in registration order).  No-op if the site is not crashed. *)
 
+val crash_restart : 'msg t -> site -> unit
+(** Crash the site and restart it in one step: the crash and restart
+    are counted and traced and the {!on_restart} hooks run, but no
+    delivery happens or is dropped in between.  Since nothing is lost,
+    every fault config allows it, unlike {!crash_site}. *)
+
 val site_crashed : 'msg t -> site -> bool
 
 val on_restart : 'msg t -> (site -> unit) -> unit
@@ -188,15 +196,21 @@ val run : ?until:float -> ?max_steps:int -> 'msg t -> unit
 val quiescent : 'msg t -> bool
 (** No pending events and no ready deliveries. *)
 
-(** {2 Controlled delivery}
+(** {2 Controlled mode}
 
-    In controlled mode the latency model is bypassed: every sent message
-    becomes {e ready} immediately (in send order), and each time {!run}
-    has ready messages it asks the installed chooser which one to
-    deliver next.  This is the hook the model checker uses to enumerate
-    delivery interleavings — and a test can plug a seeded random chooser
-    in to sample schedules the latency model would never produce.
-    Timed actions still flow through the virtual-time queue. *)
+    In controlled mode the latency model is bypassed and time stands
+    still: every sent message becomes {e ready} at once, every
+    {!schedule}d action becomes {e due} at once, and each time {!run}
+    has a ready message or a due action it asks the installed chooser
+    which to perform next.  Ready messages are grouped into {e lanes} by
+    a caller-given key and each lane is FIFO, so the chooser sees one
+    choice per nonempty lane plus one per due action: choosing costs
+    O(lanes + actions), not O(messages).  A choice is named by its lane
+    key or by the label its action was scheduled with, so the same
+    choice keeps its name in every replay of a run.  The model checker
+    ([Wf_check.Mc]) drives a run this way, with one lane per
+    (sending actor, receiving actor) pair; a test can give every message
+    its own lane to deliver in any order. *)
 
 type 'msg pending = {
   p_src : site;
@@ -204,13 +218,28 @@ type 'msg pending = {
   p_control : bool;
   p_payload : 'msg;
 }
-(** A ready delivery, as shown to the chooser. *)
+(** A ready delivery. *)
 
-val set_chooser : 'msg t -> ('msg pending list -> int) -> unit
-(** Enter controlled mode.  The chooser receives the ready deliveries
-    (send order) and returns the index of the one to deliver next;
-    an out-of-range index raises [Invalid_argument]. *)
+type 'msg choice =
+  | Ready of { lane : int; control : bool; payload : 'msg }
+      (** the oldest ready message of the lane *)
+  | Due of { label : int }  (** a scheduled action, by its [label] *)
+
+val set_chooser :
+  'msg t -> lane:('msg -> int) -> ('msg choice list -> int) -> unit
+(** Enter controlled mode before the first send or action.  [lane]
+    keys each message's lane.  The chooser receives {!choices} and
+    returns the index of the one to perform; an out-of-range index
+    raises [Invalid_argument]. *)
+
+val choices : 'msg t -> 'msg choice list
+(** The nonempty lanes' heads, lanes in creation order, then the due
+    actions in schedule order; empty outside controlled mode. *)
+
+val take : 'msg t -> int -> unit
+(** Perform the choice of that index in {!choices}: deliver the lane's
+    head (or drop it into a crash window), or run the action. *)
 
 val pending_deliveries : 'msg t -> 'msg pending list
-(** The ready deliveries awaiting a choice (send order); empty outside
-    controlled mode. *)
+(** Every ready delivery, lane by lane (creation order), each lane
+    oldest first; empty outside controlled mode. *)

@@ -100,23 +100,6 @@ let crash t =
 
 let last_salvage t = t.last_salvage
 
-(* Entries and checkpoints are immutable values, so a field-wise copy is
-   a full logical copy: the original and the copy evolve independently
-   while sharing the (persistent) suffix spine.  The copy deliberately
-   drops the durable backend — it is a volatile snapshot (the model
-   checker's), and mirroring its appends into the original's medium
-   would corrupt the sequence numbering. *)
-let copy t = { t with store = None }
-
-let restore t ~from =
-  if Option.is_some t.store then invalid_arg "Journal.restore: journal has a medium";
-  t.ckpt <- from.ckpt;
-  t.suffix <- from.suffix;
-  t.suffix_len <- from.suffix_len;
-  t.appended <- from.appended;
-  t.checkpoints <- from.checkpoints;
-  t.last_salvage <- from.last_salvage
-
 let suffix_length t = t.suffix_len
 let total_appended t = t.appended
 let checkpoints_taken t = t.checkpoints

@@ -71,19 +71,6 @@ val last_salvage : ('entry, 'ckpt) t -> Log.salvage_report option
 (** What the most recent {!crash} over a medium kept and dropped;
     [None] before the first one, and always without a medium. *)
 
-val copy : ('entry, 'ckpt) t -> ('entry, 'ckpt) t
-(** An independent logical copy (entries and checkpoints are treated as
-    immutable values and shared).  The model checker snapshots a
-    journaled actor's durable state with this before exploring a
-    branch.  The copy has no medium, even if the original does —
-    mirroring a volatile snapshot's appends into the original's medium
-    would corrupt its frame sequence. *)
-
-val restore : ('entry, 'ckpt) t -> from:('entry, 'ckpt) t -> unit
-(** Rewind the journal's mirror to [from]'s, which stays untouched, so
-    one {!copy} can seed many branches.  Only for journals without a
-    medium (the model checker's); [Invalid_argument] otherwise. *)
-
 val suffix_length : ('entry, 'ckpt) t -> int
 val total_appended : ('entry, 'ckpt) t -> int
 val checkpoints_taken : ('entry, 'ckpt) t -> int

@@ -230,40 +230,9 @@ let undecided_complements t =
         else Some (Literal.neg (symbol_of t ev)))
       t.spec.model.Task_model.significant
 
-(* ---- Model-checker support ------------------------------------------
-
-   The checker snapshots the agent's six mutable fields before exploring
-   a branch and restores them on backtrack; the script itself (which
-   contains closures) and the model are immutable configuration and stay
-   shared. *)
-
-type snapshot = {
-  s_state : string;
-  s_plan : string list;
-  s_awaiting : Symbol.t option;
-  s_occurred : string list;
-  s_counts : (string * int) list;
-  s_given_up : bool;
-}
-
-let snapshot t =
-  {
-    s_state = t.state;
-    s_plan = t.plan;
-    s_awaiting = t.awaiting;
-    s_occurred = t.occurred;
-    s_counts = t.counts;
-    s_given_up = t.given_up;
-  }
-
-let restore t s =
-  t.state <- s.s_state;
-  t.plan <- s.s_plan;
-  t.awaiting <- s.s_awaiting;
-  t.occurred <- s.s_occurred;
-  t.counts <- s.s_counts;
-  t.given_up <- s.s_given_up
-
+(* The model checker's visited-state key: the mutable progress
+   fields; the script (which contains closures) and the model are
+   immutable configuration. *)
 let fingerprint t =
   let open Fingerprint in
   let h = string init t.state in

@@ -114,18 +114,7 @@ val undecided_complements : t -> Literal.t list
     (closing the trace into a maximal one).  Empty for parametrizing
     agents, whose unseen instances are handled by quantification. *)
 
-(** {2 Model-checker support}
-
-    The exhaustive checker explores delivery interleavings by
-    snapshot/restore backtracking over the whole scheduler state, the
-    agent included.  Snapshots capture only the mutable progress fields;
-    the script (which holds closures) and the model are immutable and
-    shared. *)
-
-type snapshot
-
-val snapshot : t -> snapshot
-val restore : t -> snapshot -> unit
+(** {2 Model-checker support} *)
 
 val fingerprint : t -> int
 (** Canonical {!Wf_core.Fingerprint} of the mutable state (occurrence

@@ -2,14 +2,16 @@
    verification pins for the small mc_* specs, the naive-vs-DPOR
    verdict-agreement check, counterexample round-trips (including the
    checked-in regression file), the delivery-commutation property the
-   reduction relies on, the controlled Netsim mode, and the pinned
-   conformance seed streams.  The heavyweight exhaustive runs live in
-   test/check (the @check alias). *)
+   reduction relies on, the replay determinism the stateless search
+   relies on, the crash step's Hello and handshake, the controlled
+   Netsim mode, and the pinned conformance seed streams.  The
+   heavyweight exhaustive runs live in test/check (the @check
+   alias). *)
 
 open Wf_core
 open Helpers
 module Mc = Wf_check.Mc
-module Step = Wf_scheduler.Step_sched
+module Ground = Wf_scheduler.Ground
 module Netsim = Wf_sim.Netsim
 
 let spec_dir =
@@ -62,10 +64,13 @@ let test_pair_exhaustive () =
   check Alcotest.int "states (pinned)" 91 r.Mc.r_states;
   check Alcotest.int "maximal runs (pinned)" 3 r.Mc.r_traces;
   checkb "every closed trace decides every symbol"
-    (let syms = Step.symbols (Step.build (load "mc_pair.wf")) in
+    (let syms =
+       Array.map (fun (slot : Ground.slot) -> slot.sym)
+         (Mc.start (load "mc_pair.wf")).Ground.slots
+     in
      List.for_all
        (fun tr ->
-         List.for_all
+         Array.for_all
            (fun s -> List.exists (fun l -> Symbol.equal (Literal.symbol l) s) tr)
            syms)
        r.Mc.r_closed_traces)
@@ -235,90 +240,118 @@ let commutation_env =
      in
      (wf, deps, class_of))
 
+(* The run's observable end: close it and read the trace, its
+   literal set, per-dependency projections and violation counters. *)
+let trace (rt : Ground.t) = List.rev_map (fun (o : Ground.occurrence) -> o.lit) rt.occurrences
+
+let closed_view deps (rt : Ground.t) =
+  Ground.close rt;
+  let tr = trace rt in
+  let projs =
+    List.map
+      (fun d ->
+        let ds = Expr.symbols d in
+        List.filter (fun l -> Symbol.Set.mem (Literal.symbol l) ds) tr)
+      deps
+  in
+  let count = Wf_obs.Metrics.count rt.stats in
+  ( List.sort Literal.compare tr,
+    projs,
+    count "forced_violations",
+    count "uncontrollable_violations" )
+
+(* A random walk of attempts and deliveries: the schedule taken. *)
+let walk rt rng len =
+  let rec go k acc =
+    match Mc.moves rt with
+    | moves when k > 0 && moves <> [] ->
+        let key, _ = List.nth moves (Random.State.int rng (List.length moves)) in
+        Mc.perform rt key;
+        go (k - 1) (key :: acc)
+    | _ -> List.rev acc
+  in
+  go len []
+
+let replayed wf schedule =
+  let rt = Mc.start wf in
+  List.iter (Mc.perform rt) schedule;
+  rt
+
 let test_commutation =
   qprop ~count:30 "disjoint-footprint deliveries commute"
     QCheck2.Gen.(pair (int_bound 1_000_000) (int_bound 14))
     (fun (seed, len) ->
       let wf, deps, class_of = Lazy.force commutation_env in
-      let footprint t pq =
-        let a, b = pq in
-        let syms =
-          match Step.queue_head t pq with
-          | Some m -> a :: b :: Wf_scheduler.Messages.symbols m
-          | None -> [ a; b ]
-        in
-        List.fold_left
-          (fun acc s ->
-            match (acc, class_of s) with
-            | Some set, Some i -> Some (IntSet.add i set)
-            | _ -> None)
-          (Some IntSet.empty) syms
+      let footprint (key, msg) =
+        match key with
+        | Mc.Tkey.Deliver (a, b) ->
+            let syms =
+              a :: b
+              :: Option.fold ~none:[] ~some:Wf_scheduler.Messages.symbols msg
+            in
+            List.fold_left
+              (fun acc s ->
+                match (acc, class_of s) with
+                | Some set, Some i -> Some (IntSet.add i set)
+                | _ -> None)
+              (Some IntSet.empty) syms
+        | _ -> None
       in
-      let closed_view t =
-        Step.run_closing t;
-        let tr = Step.trace t in
-        let projs =
-          List.map
-            (fun d ->
-              let ds = Expr.symbols d in
-              List.filter (fun l -> Symbol.Set.mem (Literal.symbol l) ds) tr)
-            deps
-        in
-        ( List.sort Literal.compare tr,
-          projs,
-          Step.forced t,
-          Step.uncontrollable t )
-      in
-      let t = Step.build wf in
-      let rng = Random.State.make [| seed |] in
-      let rec walk k =
-        if k > 0 then begin
-          let ts =
-            List.map (fun i -> `A i) (Step.enabled_attempts t)
-            @ List.map (fun pq -> `D pq) (Step.nonempty_queues t)
-          in
-          match ts with
-          | [] -> ()
-          | _ ->
-              (match List.nth ts (Random.State.int rng (List.length ts)) with
-              | `A i -> Step.do_attempt t i
-              | `D pq -> Step.do_deliver t pq);
-              walk (k - 1)
-        end
-      in
-      walk len;
-      let queues = Step.nonempty_queues t in
+      let rt = Mc.start wf in
+      let prefix = walk rt (Random.State.make [| seed |]) len in
+      let moves = Mc.moves rt in
       let disjoint_pairs =
         List.concat_map
-          (fun q1 ->
+          (fun ((k1, _) as m1) ->
             List.filter_map
-              (fun q2 ->
-                if compare q1 q2 >= 0 then None
+              (fun ((k2, _) as m2) ->
+                if Mc.Tkey.compare k1 k2 >= 0 then None
                 else
-                  match (footprint t q1, footprint t q2) with
-                  | Some f1, Some f2 when IntSet.disjoint f1 f2 ->
-                      Some (q1, q2)
+                  match (footprint m1, footprint m2) with
+                  | Some f1, Some f2 when IntSet.disjoint f1 f2 -> Some (k1, k2)
                   | _ -> None)
-              queues)
-          queues
+              moves)
+          moves
       in
       (* Cap the per-case work; any disjoint pair is as good as all. *)
-      let pairs =
-        List.filteri (fun i _ -> i < 3) disjoint_pairs
-      in
+      let pairs = List.filteri (fun i _ -> i < 3) disjoint_pairs in
       List.for_all
-        (fun (q1, q2) ->
-          let snap = Step.snapshot t in
-          Step.do_deliver t q1;
-          Step.do_deliver t q2;
-          let v1 = closed_view t in
-          Step.restore t snap;
-          Step.do_deliver t q2;
-          Step.do_deliver t q1;
-          let v2 = closed_view t in
-          Step.restore t snap;
-          v1 = v2)
+        (fun (k1, k2) ->
+          closed_view deps (replayed wf (prefix @ [ k1; k2 ]))
+          = closed_view deps (replayed wf (prefix @ [ k2; k1 ])))
         pairs)
+
+(* Stateless search rests on determinism: replaying a schedule on a
+   fresh build reaches the state the walk reached, step by step. *)
+let test_replay_fingerprint =
+  qprop ~count:30 "replaying a schedule from the root reaches the same fingerprint"
+    QCheck2.Gen.(pair (int_bound 1_000_000) (int_bound 20))
+    (fun (seed, len) ->
+      let wf = load "mc_trigger.wf" in
+      let rt = Mc.start wf in
+      let rng = Random.State.make [| seed |] in
+      (* The fingerprint before each step of a random walk, and after
+         the last. *)
+      let rec walk_fps k seen =
+        let here = Mc.fingerprint rt in
+        match Mc.moves rt with
+        | moves when k > 0 && moves <> [] ->
+            let key, _ =
+              List.nth moves (Random.State.int rng (List.length moves))
+            in
+            Mc.perform rt key;
+            walk_fps (k - 1) ((key, here) :: seen)
+        | _ -> (List.rev seen, here)
+      in
+      let steps, last = walk_fps len [] in
+      let keys = List.map fst steps in
+      let expected = List.map snd steps @ [ last ] in
+      List.for_all2
+        (fun n fp ->
+          Mc.fingerprint (replayed wf (List.filteri (fun j _ -> j < n) keys))
+          = fp)
+        (List.init (List.length expected) Fun.id)
+        expected)
 
 (* --- Controlled Netsim --------------------------------------------------- *)
 
@@ -332,7 +365,9 @@ let test_netsim_chooser () =
   Netsim.on_receive net 1 (fun _src msg -> received := !received @ [ msg ]);
   (* Always deliver the newest ready message: inverts the send order,
      which the latency heap (jitter < base) could never do. *)
-  Netsim.set_chooser net (fun pend -> List.length pend - 1);
+  (* Every message its own lane, so any ready message can go next. *)
+  Netsim.set_chooser net ~lane:(fun m -> Char.code m.[0]) (fun pend ->
+      List.length pend - 1);
   Netsim.send net ~src:0 ~dst:1 "a";
   Netsim.send net ~src:0 ~dst:1 "b";
   Netsim.send net ~src:0 ~dst:1 "c";
@@ -380,42 +415,97 @@ let test_seed_streams () =
   check Alcotest.int "120 seeds, no collisions" 120
     (List.length (List.sort_uniq Int64.compare all))
 
-(* --- Step_sched state ------------------------------------------------------ *)
+(* --- One run of the explored system ----------------------------------------- *)
 
-(* Snapshot, run to the end (every symbol fires), restore: the
-   fingerprint and the per-slot decided flags are the snapshot's
-   again. *)
+let decided (rt : Ground.t) =
+  Array.fold_right
+    (fun (slot : Ground.slot) acc -> if slot.decided then slot.sym :: acc else acc)
+    rt.slots []
+
+(* Take a schedule, run to the end (every symbol fires), and rebuild the
+   schedule's state by replay from the root: the fingerprint and the
+   per-slot decided flags are the schedule's again. *)
 let test_snapshot_restore_decided () =
-  let t = Step.build (load "mc_pair.wf") in
-  (match Step.enabled_attempts t with
-  | i :: _ -> Step.do_attempt t i
-  | [] -> Alcotest.fail "mc_pair should start with an attempt");
-  let snap = Step.snapshot t in
-  let fp = Step.fingerprint t and decided = Step.decided t in
-  Step.run_closing t;
+  let wf = load "mc_pair.wf" in
+  let rt = Mc.start wf in
+  let schedule =
+    match Mc.moves rt with
+    | (key, _) :: _ ->
+        Mc.perform rt key;
+        [ key ]
+    | [] -> Alcotest.fail "mc_pair should start with an attempt"
+  in
+  let fp = Mc.fingerprint rt and before = decided rt in
+  Ground.close rt;
   check Alcotest.int "the closed run decides every symbol"
-    (List.length (Step.symbols t))
-    (List.length (Step.decided t));
-  checkb "the closed run moved the fingerprint" (Step.fingerprint t <> fp);
-  Step.restore t snap;
-  check Alcotest.int "fingerprint restored" fp (Step.fingerprint t);
+    (Array.length rt.slots)
+    (List.length (decided rt));
+  checkb "the closed run moved the fingerprint" (Mc.fingerprint rt <> fp);
+  let rt = replayed wf schedule in
+  check Alcotest.int "fingerprint restored" fp (Mc.fingerprint rt);
   check
     Alcotest.(list string)
     "decided flags restored"
-    (List.map Symbol.name decided)
-    (List.map Symbol.name (Step.decided t))
+    (List.map Symbol.name before)
+    (List.map Symbol.name (decided rt))
+
+(* A crash step goes through the network's restart path: the channel's
+   epoch moves and its Hello is delivered within the step, the hosted
+   actors recover from their journals, and the handshake reaches the
+   peer as a Recovered message, which the peer answers by re-announcing
+   its decided fate. *)
+let test_crash_handshake () =
+  let wf = load "mc_pair.wf" in
+  let rt = Mc.start wf in
+  (* t1 starts and commits (c_t1 reserves against c_t2 and occurs); the
+     crash then hits site 1, where c_t2 is undecided and has not heard
+     of c_t1's fate. *)
+  List.iter (Mc.perform rt)
+    Mc.Tkey.
+      [
+        Attempt "t1";
+        Attempt "t1";
+        Deliver (Symbol.make "c_t1", Symbol.make "c_t2");
+        Deliver (Symbol.make "c_t2", Symbol.make "c_t1");
+        Crash 1;
+      ];
+  let count = Wf_obs.Metrics.count rt.stats in
+  check Alcotest.int "site 1 is in epoch 1" 1 (Wf_scheduler.Channel.epoch rt.chan 1);
+  check Alcotest.int "one restart" 1 (count "net_restarts");
+  check Alcotest.int "every site-1 actor recovered" 3 (count "actor_recoveries");
+  checkb "the Hello was delivered within the step"
+    (List.for_all
+       (function Netsim.Ready { control; _ } -> not control | Netsim.Due _ -> true)
+       (Netsim.choices rt.net));
+  checkb "the handshake sent Recovered messages" (count "msg_recovered" > 0);
+  let recovered =
+    List.filter_map
+      (function
+        | key, Some (Wf_scheduler.Messages.Recovered { epoch; _ }) ->
+            Some (key, epoch)
+        | _ -> None)
+      (Mc.moves rt)
+  in
+  checkb "they wait as deliveries, stamped with the new epoch"
+    (recovered <> [] && List.for_all (fun (_, e) -> e = 1) recovered);
+  List.iter (fun (key, _) -> Mc.perform rt key) recovered;
+  checkb "a decided peer re-announced" (count "recovery_reannounces" > 0);
+  Ground.close rt;
+  check Alcotest.int "the closed run decides every symbol"
+    (Array.length rt.slots)
+    (List.length (decided rt))
 
 (* A guard naming a symbol no actor hosts makes its actor pursue that
    symbol; the message cannot be routed and the run says which symbol
    it could not find. *)
 let test_send_without_actor () =
   let ghost = Literal.pos (Symbol.make "ghost") in
-  let t =
-    Step.build
+  let rt =
+    Mc.start
       ~guard_overrides:[ (Literal.event "c_t1", Guard.will ghost) ]
       (load "mc_pair.wf")
   in
-  match Step.run_closing t with
+  match Ground.close rt with
   | () -> Alcotest.fail "a send to ghost should raise"
   | exception Invalid_argument msg ->
       let n = String.length "ghost" in
@@ -445,12 +535,15 @@ let suite =
     Alcotest.test_case "stored schedule clean on honest guards" `Quick
       test_stored_clean_on_honest_guards;
     test_commutation;
+    test_replay_fingerprint;
     Alcotest.test_case "netsim chooser controls delivery order" `Quick
       test_netsim_chooser;
     Alcotest.test_case "conformance seed streams are pinned" `Quick
       test_seed_streams;
     Alcotest.test_case "snapshot/restore brings back fingerprint and decided"
       `Quick test_snapshot_restore_decided;
+    Alcotest.test_case "a crash step runs the Hello and the handshake" `Quick
+      test_crash_handshake;
     Alcotest.test_case "a send to a symbol without an actor names it" `Quick
       test_send_without_actor;
   ]
