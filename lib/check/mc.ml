@@ -603,7 +603,8 @@ let closed_divergences st rt schedule =
       add "generates" (Fmt.str "not generated (Definition 4): %a" Trace.pp tr);
     if gen <> sat then
       add "theorem6"
-        (Fmt.str "generates=%b but satisfies_all=%b on %a" gen sat Trace.pp tr);
+        (Fmt.str "Correctness.generates=%b but no dependency violated=%b on %a"
+           gen sat Trace.pp tr);
     List.iter
       (fun (d, denot) ->
         let dsyms = Expr.symbols d in
@@ -853,3 +854,10 @@ let replay ?(guard_overrides = []) wf schedule =
   | Ok () ->
       Ground.close rt;
       Ok (List.rev st.divergences @ closed_divergences st rt schedule, trace rt)
+
+module For_testing = struct
+  let start = start
+  let moves = moves
+  let perform = perform
+  let fingerprint = fingerprint
+end

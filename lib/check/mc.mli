@@ -185,31 +185,34 @@ val replay :
     state plus the realized closed trace.  [Error] if the schedule does
     not apply to the spec. *)
 
-(** {2 One run, step by step}
-
-    The explored system, driven one transition at a time: what the
-    search and {!replay} do. *)
-
-val start :
-  ?guard_overrides:(Literal.t * Guard.t) list ->
-  Wf_tasks.Workflow_def.t ->
-  Wf_scheduler.Ground.t
-(** A fresh run in controlled mode, its agents started. *)
-
-val moves : Wf_scheduler.Ground.t -> (Tkey.t * Wf_scheduler.Messages.t option) list
-(** The attempts and deliveries the run offers, sorted, each delivery
-    with the message it delivers. *)
-
-val perform : Wf_scheduler.Ground.t -> Tkey.t -> unit
-(** Perform one transition ({!Tkey.Torn} as a plain crash).  Raises
-    [Invalid_argument] if it is not offered. *)
-
-val fingerprint : Wf_scheduler.Ground.t -> int
-(** The fingerprint the search deduplicates states by. *)
-
 (** {2 Introspection} *)
 
 val coupling_classes : Wf_tasks.Workflow_def.t -> Symbol.t list list
 (** The coupling classes of the spec's symbols (each sorted; classes
     sorted by first element) — the independence relation the reduction
     is keyed on, exposed for tests and the CLI's [--classes] view. *)
+
+(** {2 Test hooks}
+
+    The explored system, driven one transition at a time: what the
+    search and {!replay} do. *)
+
+module For_testing : sig
+  val start :
+    ?guard_overrides:(Literal.t * Guard.t) list ->
+    Wf_tasks.Workflow_def.t ->
+    Wf_scheduler.Ground.t
+  (** A fresh run in controlled mode, its agents started. *)
+
+  val moves :
+    Wf_scheduler.Ground.t -> (Tkey.t * Wf_scheduler.Messages.t option) list
+  (** The attempts and deliveries the run offers, sorted, each delivery
+      with the message it delivers. *)
+
+  val perform : Wf_scheduler.Ground.t -> Tkey.t -> unit
+  (** Perform one transition ({!Tkey.Torn} as a plain crash).  Raises
+      [Invalid_argument] if it is not offered. *)
+
+  val fingerprint : Wf_scheduler.Ground.t -> int
+  (** The fingerprint the search deduplicates states by. *)
+end

@@ -15,9 +15,6 @@ type t = {
          array read *)
 }
 
-let initial _ = 0
-let state_nf t s = t.states.(s)
-let state_expr t s = Nf.to_expr t.states.(s)
 let num_states t = Array.length t.states
 let alphabet t = t.alphabet
 
@@ -289,8 +286,6 @@ let build d =
         Expr.Tbl.add memo d a;
         a
 
-let stats () = [ ("built", !built); ("renamed", !renamed) ]
-
 let transitions t =
   let acc = ref [] in
   Array.iteri
@@ -404,3 +399,13 @@ let required_literals t s0 =
         req
   in
   req.(s0)
+
+module For_testing = struct
+  let build_naive = build_naive
+  let stats () = [ ("built", !built); ("renamed", !renamed) ]
+  let initial _ = 0
+  let state_nf t s = t.states.(s)
+  let state_expr t s = Nf.to_expr t.states.(s)
+  let is_accepting = is_accepting
+  let transitions = transitions
+end

@@ -21,7 +21,8 @@ val build : Expr.t -> t
     semantically equal states (exact over the dependency's alphabet).
     When {!Intern.enabled}, states dedup through a hash table keyed on
     the interned canonical form with a FIFO frontier; the result —
-    states, numbering, edges, flags — is identical to {!build_naive}.
+    states, numbering, edges, flags — is identical to
+    {!For_testing.build_naive}.
     Also when enabled, results are memoized keyed structurally on the
     dependency, so a repeated build returns the same value.  Behind that
     exact memo sits one keyed on the dependency's {!Shape}: a
@@ -30,24 +31,11 @@ val build : Expr.t -> t
     build, with no residuation.  Both memos are emptied by
     {!Intern.clear_memos}. *)
 
-val stats : unit -> (string * int) list
-(** [built]: automata constructed by residuation since the last
-    {!Intern.clear_memos}; [renamed]: automata obtained by renaming the
-    automaton of an earlier dependency of the same shape. *)
-
-val build_naive : Expr.t -> t
-(** The original quadratic construction (linear-scan dedup, list-append
-    frontier, memo-free residuation) — the differential-testing oracle
-    and the "before" leg of the benches. *)
-
 val small_alphabet : Symbol.Set.t -> bool
 (** Whether a dependency over these symbols gets semantic state
     identity (equivalence over the trace universe); larger alphabets
     identify states by their syntactic canonical form. *)
 
-val initial : t -> state
-val state_nf : t -> state -> Nf.t
-val state_expr : t -> state -> Expr.t
 val num_states : t -> int
 val alphabet : t -> Literal.t list
 (** The literals of [Γ_D], the edge labels. *)
@@ -59,17 +47,11 @@ val step : t -> state -> Literal.t -> state
 val run : t -> Trace.t -> state
 (** Fold [step] from the initial state. *)
 
-val is_accepting : t -> state -> bool
-(** The state is semantically [⊤]: the dependency is already satisfied
-    whatever happens next. *)
-
 val is_dead : t -> state -> bool
 (** The state is semantically [0]: the dependency has been violated. *)
 
 val can_complete : t -> state -> bool
 (** Some continuation leads to an accepting state. *)
-
-val transitions : t -> (state * Literal.t * state) list
 
 val accepted_paths : t -> Trace.t list
 (** [Π(D)]-style enumeration over [Γ_D]: all event sequences (no symbol
@@ -87,3 +69,27 @@ val required_literals : t -> state -> Literal.Set.t
     the scheduler is in this state, these events are obligations — the
     basis for proactively triggering triggerable events ("the scheduler
     causes the events to occur when necessary", Example 4). *)
+
+(** {2 Test hooks} *)
+
+module For_testing : sig
+  val build_naive : Expr.t -> t
+  (** The original quadratic construction (linear-scan dedup, list-append
+      frontier, memo-free residuation) — the differential-testing oracle
+      and the "before" leg of the benches. *)
+
+  val stats : unit -> (string * int) list
+  (** [built]: automata constructed by residuation since the last
+      {!Intern.clear_memos}; [renamed]: automata obtained by renaming the
+      automaton of an earlier dependency of the same shape. *)
+
+  val initial : t -> state
+  val state_nf : t -> state -> Nf.t
+  val state_expr : t -> state -> Expr.t
+
+  val is_accepting : t -> state -> bool
+  (** The state is semantically [⊤]: the dependency is already satisfied
+      whatever happens next. *)
+
+  val transitions : t -> (state * Literal.t * state) list
+end

@@ -10,7 +10,6 @@ let precedes e f =
     ]
 
 let d_arrow = requires (Literal.event "e") (Literal.event "f")
-let d_arrow_transpose = requires (Literal.event "f") (Literal.event "e")
 let d_lt = precedes (Literal.event "e") (Literal.event "f")
 
 let start_of t = Literal.event ("s_" ^ t)

@@ -23,9 +23,6 @@ val precedes : Literal.t -> Literal.t -> Expr.t
 val d_arrow : Expr.t
 (** The paper's [D→ = ē + f] over events [e], [f]. *)
 
-val d_arrow_transpose : Expr.t
-(** [D→ᵀ = f̄ + e] (Example 11). *)
-
 val d_lt : Expr.t
 (** The paper's [D< = ē + f̄ + e·f] over events [e], [f]. *)
 

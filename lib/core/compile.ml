@@ -70,14 +70,6 @@ let plan t literal =
 
 let plans t = List.map snd (Literal.Map.bindings t.table)
 
-let subscribers t sym =
-  List.filter_map
-    (fun (l, p) -> if Symbol.Set.mem sym p.watched then Some l else None)
-    (Literal.Map.bindings t.table)
-
-let total_guard_size t =
-  List.fold_left (fun acc p -> acc + Guard.size p.guard) 0 (plans t)
-
 let pp ppf t =
   Format.fprintf ppf "@[<v>";
   List.iter

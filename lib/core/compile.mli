@@ -34,9 +34,4 @@ val plan : t -> Literal.t -> event_plan
 val plans : t -> event_plan list
 (** Plans for every mentioned literal. *)
 
-val subscribers : t -> Symbol.t -> Literal.t list
-(** The literals whose guards watch the given symbol — the recipients of
-    its occurrence announcements. *)
-
-val total_guard_size : t -> int
 val pp : Format.formatter -> t -> unit

@@ -16,14 +16,14 @@ let generates deps u =
   in
   go 0 u
 
-let satisfies_all deps u = List.for_all (Semantics.satisfies u) deps
-
-let theorem6_holds deps alphabet =
-  List.for_all
-    (fun u -> generates deps u = satisfies_all deps u)
-    (Universe.maximal_traces alphabet)
-
 (* One index per trace, shared by every dependency. *)
 let violations deps u =
   let ix = Semantics.index u in
   List.filter (fun d -> not (Semantics.holds ix d)) deps
+
+module For_testing = struct
+  let theorem6_holds deps alphabet =
+    List.for_all
+      (fun u -> generates deps u = List.for_all (Semantics.satisfies u) deps)
+      (Universe.maximal_traces alphabet)
+end

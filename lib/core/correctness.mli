@@ -9,12 +9,13 @@
 val generates : Expr.t list -> Trace.t -> bool
 (** Definition 4, with guards computed by {!Synth.guard}. *)
 
-val satisfies_all : Expr.t list -> Trace.t -> bool
-(** [∀D ∈ W: u ⊨ D] (algebra semantics). *)
-
-val theorem6_holds : Expr.t list -> Symbol.Set.t -> bool
-(** [generates u ⇔ satisfies_all u] over every maximal trace of the
-    alphabet. *)
-
 val violations : Expr.t list -> Trace.t -> Expr.t list
 (** The dependencies the trace fails to satisfy (diagnostics). *)
+
+(** {2 Test hooks} *)
+
+module For_testing : sig
+  val theorem6_holds : Expr.t list -> Symbol.Set.t -> bool
+  (** Theorem 6: [generates u] iff [u] satisfies every dependency, over
+      every maximal trace of the alphabet. *)
+end

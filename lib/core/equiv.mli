@@ -9,8 +9,12 @@
 val equal : ?alphabet:Symbol.Set.t -> Expr.t -> Expr.t -> bool
 (** [⟦E1⟧ = ⟦E2⟧] over [U_E] of the joint (or given) alphabet. *)
 
-val entails : ?alphabet:Symbol.Set.t -> Expr.t -> Expr.t -> bool
-(** [⟦E1⟧ ⊆ ⟦E2⟧]. *)
-
 val is_zero : ?alphabet:Symbol.Set.t -> Expr.t -> bool
 val is_top : ?alphabet:Symbol.Set.t -> Expr.t -> bool
+
+(** {2 Test hooks} *)
+
+module For_testing : sig
+  val entails : ?alphabet:Symbol.Set.t -> Expr.t -> Expr.t -> bool
+  (** [⟦E1⟧ ⊆ ⟦E2⟧]. *)
+end

@@ -52,11 +52,9 @@ let rec rename f = function
   | Choice (a, b) -> Choice (rename f a, rename f b)
   | Conj (a, b) -> Conj (rename f a, rename f b)
 
-let rec size = function
-  | Zero | Top | Atom _ -> 1
-  | Seq (a, b) | Choice (a, b) | Conj (a, b) -> 1 + size a + size b
-
-(* Structural compare, same motivation as Formula.compare. *)
+(* Structural compare: [Stdlib.compare] would walk [Literal.t] records
+   polymorphically, which is slower and fragile if literals ever gain
+   non-comparable payloads. *)
 let rec compare a b =
   let tag = function
     | Zero -> 0

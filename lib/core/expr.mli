@@ -55,10 +55,6 @@ val rename : (Symbol.t -> Symbol.t) -> t -> t
 (** Rename every atom's symbol, keeping the tree as it is (no smart
     constructor runs). *)
 
-val size : t -> int
-(** Number of operators and atoms, for benchmarks and generators. *)
-
-val compare : t -> t -> int
 val equal_syntactic : t -> t -> bool
 
 val hash : t -> int

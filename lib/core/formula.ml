@@ -59,38 +59,6 @@ let symbols t =
     (fun l acc -> Symbol.Set.add (Literal.symbol l) acc)
     (literals t) Symbol.Set.empty
 
-let rec size = function
-  | Zero | Top | Atom _ -> 1
-  | Seq (a, b) | Or (a, b) | And (a, b) -> 1 + size a + size b
-  | Always a | Eventually a | Not a -> 1 + size a
-
-(* Structural compare: [Stdlib.compare] would walk [Literal.t] records
-   polymorphically, which is slower and fragile if literals ever gain
-   non-comparable payloads. *)
-let rec compare a b =
-  let tag = function
-    | Zero -> 0
-    | Top -> 1
-    | Atom _ -> 2
-    | Seq _ -> 3
-    | Or _ -> 4
-    | And _ -> 5
-    | Always _ -> 6
-    | Eventually _ -> 7
-    | Not _ -> 8
-  in
-  match (a, b) with
-  | Zero, Zero | Top, Top -> 0
-  | Atom x, Atom y -> Literal.compare x y
-  | Seq (a1, a2), Seq (b1, b2)
-  | Or (a1, a2), Or (b1, b2)
-  | And (a1, a2), And (b1, b2) ->
-      let c = compare a1 b1 in
-      if c <> 0 then c else compare a2 b2
-  | Always x, Always y | Eventually x, Eventually y | Not x, Not y ->
-      compare x y
-  | _ -> Int.compare (tag a) (tag b)
-
 let rec pp_prec prec ppf t =
   let open Format in
   match t with

@@ -23,7 +23,6 @@ val atom : Literal.t -> t
 val event : string -> t
 val complement : string -> t
 
-val seq : t -> t -> t
 val or_ : t -> t -> t
 val and_ : t -> t -> t
 val always : t -> t
@@ -36,10 +35,7 @@ val and_all : t list -> t
 val of_expr : Expr.t -> t
 (** The coercion of Syntax 5. *)
 
-val literals : t -> Literal.Set.t
 val symbols : t -> Symbol.Set.t
-val size : t -> int
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 (** Paper-style notation: [[]e] for [□e], [<>e] for [◇e], [!e] for
     [¬e]. *)

@@ -76,17 +76,10 @@ let prom_code = function Literal.Pos -> 2 | Literal.Neg -> 3
 
 let initial _ = 0
 let num_states t = Array.length t.guards
-let num_symbols t = Array.length t.syms
-let alphabet t = Array.to_list t.syms
-let mem_symbol t sym = Symbol_tbl.mem t.sym_index sym
-let guard_of t s = t.guards.(s)
-
 let verdict t s =
   if bit_get t.enabled s then Enabled
   else if bit_get t.violated s then Violated
   else Open
-
-let is_forced t s = bit_get t.forced s
 
 let step_occurred t s (l : Literal.t) =
   match Symbol_tbl.find_opt t.sym_index l.Literal.sym with
@@ -759,34 +752,6 @@ let pursuit t v =
           pu)
   | _ -> symbolic_pursuit ~reserved know g
 
-type audit = {
-  hits_checked : int;
-  mismatches : int;
-  pursuit_hits_checked : int;
-  pursuit_mismatches : int;
-  views_checked : int;
-  view_mismatches : int;
-}
-
-let audit_status_memo f =
-  auditing := true;
-  audit_hits := 0;
-  audit_mismatches := 0;
-  audit_pursuit_hits := 0;
-  audit_pursuit_mismatches := 0;
-  audit_views := 0;
-  audit_view_mismatches := 0;
-  let r = Fun.protect ~finally:(fun () -> auditing := false) f in
-  ( r,
-    {
-      hits_checked = !audit_hits;
-      mismatches = !audit_mismatches;
-      pursuit_hits_checked = !audit_pursuit_hits;
-      pursuit_mismatches = !audit_pursuit_mismatches;
-      views_checked = !audit_views;
-      view_mismatches = !audit_view_mismatches;
-    } )
-
 let memo_entries select =
   Hashtbl.fold
     (fun _ r n ->
@@ -812,16 +777,52 @@ let stats () =
     ("pursuit_memo_misses", !pursuit_misses);
   ]
 
-(* Canonical fingerprint of the flattened table (alphabet, transitions,
-   verdict bitsets), for pinned on/off regression tests. *)
-let fingerprint t =
-  let open Fingerprint in
-  let h = init in
-  let h = int h (Array.length t.guards) in
-  let h =
-    Array.fold_left (fun h sym -> string h (Symbol.name sym)) h t.syms
-  in
-  let h = Array.fold_left int h t.next in
-  let h = string h (Bytes.to_string t.enabled) in
-  let h = string h (Bytes.to_string t.violated) in
-  string h (Bytes.to_string t.forced)
+module For_testing = struct
+  let guard_of t s = t.guards.(s)
+  let compile = compile
+  let step_promised = step_promised
+  let view_equal = view_equal
+  let alphabet t = Array.to_list t.syms
+
+  (* Canonical fingerprint of the flattened table (alphabet, transitions,
+     verdict bitsets), for pinned on/off regression tests. *)
+  let fingerprint t =
+    let open Fingerprint in
+    let h = init in
+    let h = int h (Array.length t.guards) in
+    let h =
+      Array.fold_left (fun h sym -> string h (Symbol.name sym)) h t.syms
+    in
+    let h = Array.fold_left int h t.next in
+    let h = string h (Bytes.to_string t.enabled) in
+    let h = string h (Bytes.to_string t.violated) in
+    string h (Bytes.to_string t.forced)
+
+  type audit = {
+    hits_checked : int;
+    mismatches : int;
+    pursuit_hits_checked : int;
+    pursuit_mismatches : int;
+    views_checked : int;
+    view_mismatches : int;
+  }
+
+  let audit_status_memo f =
+    auditing := true;
+    audit_hits := 0;
+    audit_mismatches := 0;
+    audit_pursuit_hits := 0;
+    audit_pursuit_mismatches := 0;
+    audit_views := 0;
+    audit_view_mismatches := 0;
+    let r = Fun.protect ~finally:(fun () -> auditing := false) f in
+    ( r,
+      {
+        hits_checked = !audit_hits;
+        mismatches = !audit_mismatches;
+        pursuit_hits_checked = !audit_pursuit_hits;
+        pursuit_mismatches = !audit_pursuit_mismatches;
+        views_checked = !audit_views;
+        view_mismatches = !audit_view_mismatches;
+      } )
+end

@@ -40,11 +40,6 @@ type t
 
 (** {1 Compilation} *)
 
-val compile : ?max_states:int -> Guard.t -> t option
-(** Build the table by exhaustive residuation from the guard.  [None]
-    when the state space exceeds [max_states] (default 1024) or the
-    alphabet is unreasonably wide — callers then stay symbolic. *)
-
 val lookup : Guard.t -> t option
 (** Memoized [compile], keyed on the interned {!Guard.uid}; fleets of
     instances sharing a guard pay compilation once.  A guard missing
@@ -64,28 +59,13 @@ val set_enabled : bool -> unit
 
 val initial : t -> state
 val num_states : t -> int
-val num_symbols : t -> int
-val alphabet : t -> Symbol.t list
-val mem_symbol : t -> Symbol.t -> bool
-
-val guard_of : t -> state -> Guard.t
-(** The residual guard a state denotes ([guard_of t (initial t)] is the
-    compiled guard itself). *)
-
 val verdict : t -> state -> verdict
-
-val is_forced : t -> state -> bool
-(** Some literal is required: occurrence of its complement moves the
-    state to [Violated] (advisory, mirrors the trace vocabulary). *)
 
 (** {1 Stepping} *)
 
 val step_occurred : t -> state -> Literal.t -> state
 (** Assimilate an occurrence announcement [□x].  Symbols outside the
     table's alphabet are a no-op, like the symbolic engine. *)
-
-val step_promised : t -> state -> Literal.t -> state
-(** Assimilate a promise [◇x]. *)
 
 val occ_input : t -> Symbol.t -> Literal.polarity -> int option
 (** Resolve an occurrence announcement to its input column, or [None]
@@ -151,17 +131,14 @@ type input =
 val step_view : t -> view -> reserved:Symbol.Set.t -> Knowledge.t -> input -> view
 (** [step_view t v ~reserved k input], where [k] and [reserved] are the
     values after [input] was applied to the ones [v] was taken of:
-    equal ({!view_equal}) to [view t ~reserved k], by one {!step_input}
-    of the occurrence prefix, one promise replay or one code field.
+    equal ({!For_testing.view_equal}) to [view t ~reserved k], by one
+    {!step_input} of the occurrence prefix, one promise replay or one
+    code field.
     Two cases rebuild instead: an occurrence whose seqno is not above
     every occurrence the view holds (states replay occurrences in
     seqno order) or of a symbol already occurred, and a second promise
     on one symbol.  Inputs on symbols outside the alphabet move only
     the knowledge and reservations the view answers from. *)
-
-val view_equal : view -> view -> bool
-(** Same occurrence-prefix state, outstanding promises, state, code,
-    highest seqno and occurred symbols. *)
 
 val view_status : t -> view -> Knowledge.status
 (** [Knowledge.status ~reserved k g] for the compiled guard [g]: a
@@ -217,27 +194,6 @@ val symbolic_pursuit : reserved:Symbol.Set.t -> Knowledge.t -> Guard.t -> pursui
 (** The same pursuit of any guard, evaluated symbolically (the probes
     count in [status_symbolic]). *)
 
-type audit = {
-  hits_checked : int;
-  mismatches : int;
-  pursuit_hits_checked : int;
-  pursuit_mismatches : int;
-  views_checked : int;
-  view_mismatches : int;
-}
-
-val audit_status_memo : (unit -> 'a) -> 'a * audit
-(** [audit_status_memo f] runs [f] with every memo hit and every
-    stepped view checked: a status hit is also evaluated by
-    {!Knowledge.status} on the knowledge that asked, a pursuit hit is
-    recomputed from {!Knowledge.needs} and {!Knowledge.status} (neither
-    counted in [status_symbolic]), a view {!step_view} stepped (not
-    rebuilt) is compared with a fresh {!view}, and a different answer
-    counts as a mismatch.  This checks the claim each memo rests on,
-    that every knowledge with the same key gets the same answer, and
-    the one stepping rests on, over whatever workload [f] runs.  Misses
-    need no check: they are evaluated on the asking knowledge. *)
-
 (** {1 Observability} *)
 
 val stats : unit -> (string * int) list
@@ -252,6 +208,49 @@ val stats : unit -> (string * int) list
     process-wide (no run's metrics registry sees them) and reset by
     {!Intern.clear_memos}. *)
 
-val fingerprint : t -> int
-(** Canonical fingerprint of alphabet, transitions, and verdict
-    bitsets, for pinned regression tests. *)
+(** {2 Test hooks} *)
+
+module For_testing : sig
+  val compile : ?max_states:int -> Guard.t -> t option
+  (** Build the table by exhaustive residuation from the guard.  [None]
+      when the state space exceeds [max_states] (default 1024) or the
+      alphabet is unreasonably wide — callers then stay symbolic. *)
+
+  val alphabet : t -> Symbol.t list
+
+  val guard_of : t -> state -> Guard.t
+  (** The residual guard a state denotes ([guard_of t (initial t)] is the
+      compiled guard itself). *)
+
+  val step_promised : t -> state -> Literal.t -> state
+  (** Assimilate a promise [◇x]. *)
+
+  val view_equal : view -> view -> bool
+  (** Same occurrence-prefix state, outstanding promises, state, code,
+      highest seqno and occurred symbols. *)
+
+  val fingerprint : t -> int
+  (** Canonical fingerprint of alphabet, transitions, and verdict
+      bitsets, for pinned regression tests. *)
+
+  type audit = {
+    hits_checked : int;
+    mismatches : int;
+    pursuit_hits_checked : int;
+    pursuit_mismatches : int;
+    views_checked : int;
+    view_mismatches : int;
+  }
+
+  val audit_status_memo : (unit -> 'a) -> 'a * audit
+  (** [audit_status_memo f] runs [f] with every memo hit and every
+      stepped view checked: a status hit is also evaluated by
+      {!Knowledge.status} on the knowledge that asked, a pursuit hit is
+      recomputed from {!Knowledge.needs} and {!Knowledge.status} (neither
+      counted in [status_symbolic]), a view {!step_view} stepped (not
+      rebuilt) is compared with a fresh {!view}, and a different answer
+      counts as a mismatch.  This checks the claim each memo rests on,
+      that every knowledge with the same key gets the same answer, and
+      the one stepping rests on, over whatever workload [f] runs.  Misses
+      need no check: they are evaluated on the asking knowledge. *)
+end

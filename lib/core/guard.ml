@@ -166,8 +166,6 @@ let of_mask sym mask =
 
 let has (l : Literal.t) = of_mask (Literal.symbol l) (Symbol_state.has l.pol)
 let hasnt (l : Literal.t) = of_mask (Literal.symbol l) (Symbol_state.hasnt l.pol)
-let will (l : Literal.t) = of_mask (Literal.symbol l) (Symbol_state.will l.pol)
-
 let will_term (tau : Term.t) =
   match normalize_product Symbol.Map.empty [ tau ] with
   | None -> bottom
@@ -342,14 +340,6 @@ let product_formula p =
           p.pending))
 
 let to_formula g = Formula.or_all (List.map product_formula g)
-
-let equivalent ~alphabet a b =
-  List.for_all
-    (fun u ->
-      let n = Trace.length u in
-      let rec all i = i > n || (eval u i a = eval u i b && all (i + 1)) in
-      all 0)
-    (Universe.maximal_traces alphabet)
 
 (* --- assimilation ------------------------------------------------------- *)
 
@@ -543,3 +533,15 @@ let uid g =
       uid_next := id + 1;
       uid_table := GMap.add g id !uid_table;
       id
+
+module For_testing = struct
+  let will (l : Literal.t) = of_mask (Literal.symbol l) (Symbol_state.will l.pol)
+
+  let equivalent ~alphabet a b =
+    List.for_all
+      (fun u ->
+        let n = Trace.length u in
+        let rec all i = i > n || (eval u i a = eval u i b && all (i + 1)) in
+        all 0)
+      (Universe.maximal_traces alphabet)
+end

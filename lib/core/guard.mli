@@ -38,9 +38,6 @@ val has : Literal.t -> t
 val hasnt : Literal.t -> t
 (** [¬x]. *)
 
-val will : Literal.t -> t
-(** [◇x]. *)
-
 val will_term : Term.t -> t
 (** [◇τ]: all of τ's literals eventually occur, in τ's order. *)
 
@@ -82,8 +79,6 @@ val eval : Trace.t -> int -> t -> bool
     test oracle).  The trace must decide every constrained symbol. *)
 
 val to_formula : t -> Formula.t
-val equivalent : alphabet:Symbol.Set.t -> t -> t -> bool
-
 (** {1 Assimilation (Section 4.3 proof rules)} *)
 
 val assimilate_occurred : Literal.t -> t -> t
@@ -156,3 +151,12 @@ val uid : t -> int
     keys its compiled-table memo by it on every lookup, so the table
     holds every guard traced or looked up, and each call pays a
     [compare]-keyed map probe.  Reset by [Intern.clear_memos]. *)
+
+(** {2 Test hooks} *)
+
+module For_testing : sig
+  val will : Literal.t -> t
+  (** [◇x]. *)
+
+  val equivalent : alphabet:Symbol.Set.t -> t -> t -> bool
+end

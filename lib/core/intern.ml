@@ -76,10 +76,14 @@ end
 
 module Pair_tbl = Hashtbl.Make (Pair_key)
 
-let stats () =
-  [
-    ("literals", Literal.Tbl.length lit_tbl);
-    ("terms", Ids_tbl.length term_tbl);
-    ("products", Ids_tbl.length prod_tbl);
-    ("nfs", Ids_tbl.length nf_tbl);
-  ]
+module For_testing = struct
+  let term = term
+
+  let stats () =
+    [
+      ("literals", Literal.Tbl.length lit_tbl);
+      ("terms", Ids_tbl.length term_tbl);
+      ("products", Ids_tbl.length prod_tbl);
+      ("nfs", Ids_tbl.length nf_tbl);
+    ]
+end

@@ -29,8 +29,6 @@ type id = int
     ids (within one process). *)
 
 val literal : Literal.t -> id
-val term : Term.t -> id
-val product : Nf.product -> id
 val nf : Nf.t -> id
 
 val ids : id list -> id
@@ -53,10 +51,16 @@ val register_clearer : (unit -> unit) -> unit
 val clear_memos : unit -> unit
 (** Empty every registered derived memo table (interned ids survive). *)
 
-val stats : unit -> (string * int) list
-(** Current table populations, for benches and tests:
-    [("literals", _); ("terms", _); ("products", _); ("nfs", _)]. *)
-
 module Pair_tbl : Hashtbl.S with type key = id * id
 (** Hash tables keyed by a pair of interned ids — the memo-key shape
     shared by {!Residue}, {!Synth}, and {!Automaton}. *)
+
+(** {2 Test hooks} *)
+
+module For_testing : sig
+  val term : Term.t -> id
+
+  val stats : unit -> (string * int) list
+  (** Current table populations:
+      [("literals", _); ("terms", _); ("products", _); ("nfs", _)]. *)
+end

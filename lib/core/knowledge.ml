@@ -236,15 +236,3 @@ let needs ?(reserved = Symbol.Set.empty) ?(never = Symbol.Set.empty) t
           let reserves = List.concat_map snd constraints in
           Some { unresolved; promises; reserves })
     g
-
-let pp ppf t =
-  Format.fprintf ppf "@[<h>";
-  Symbol.Map.iter
-    (fun sym fate ->
-      match fate with
-      | Occurred (Literal.Pos, n) -> Format.fprintf ppf "[]%a@%d " Symbol.pp sym n
-      | Occurred (Literal.Neg, n) -> Format.fprintf ppf "[]~%a@%d " Symbol.pp sym n
-      | Promised Literal.Pos -> Format.fprintf ppf "<>%a " Symbol.pp sym
-      | Promised Literal.Neg -> Format.fprintf ppf "<>~%a " Symbol.pp sym)
-    t;
-  Format.fprintf ppf "@]"

@@ -60,8 +60,6 @@ val pending_status : ?never:Symbol.Set.t -> t -> Term.t -> status
     once one occurred with the wrong polarity or out of order (or an
     earlier one is still missing), else [Unknown]. *)
 
-val pp : Format.formatter -> t -> unit
-
 type needs = {
   unresolved : int;  (** undecided constraints remaining in the product *)
   promises : Literal.t list;

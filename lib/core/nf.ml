@@ -126,18 +126,15 @@ let rec of_expr : Expr.t -> t = function
 let to_expr t =
   Expr.choice_all (List.map (fun p -> Expr.conj_all (List.map Term.to_expr p)) t)
 
-let satisfies u t =
-  List.exists (fun p -> List.for_all (fun tm -> Term.satisfies u tm) p) t
-
 let literals t =
   List.fold_left (fun acc p -> Literal.Set.union acc (product_literals p)) Literal.Set.empty t
-
-let symbols t =
-  Literal.Set.fold
-    (fun l acc -> Symbol.Set.add (Literal.symbol l) acc)
-    (literals t) Symbol.Set.empty
 
 let rename f t = List.map (List.map (Term.rename f)) t
 let compare = List.compare compare_product
 let equal a b = compare a b = 0
 let pp ppf t = Expr.pp ppf (to_expr t)
+
+module For_testing = struct
+  let satisfies u t =
+    List.exists (fun p -> List.for_all (fun tm -> Term.satisfies u tm) p) t
+end

@@ -22,7 +22,6 @@ type t = product list
     weaker one, sorted. *)
 
 val zero : t
-val top : t
 val is_zero : t -> bool
 
 val is_top : t -> bool
@@ -33,8 +32,6 @@ val of_expr : Expr.t -> t
 val to_expr : t -> Expr.t
 
 val sum : t -> t -> t
-val conj : t -> t -> t
-val seq : t -> t -> t
 
 val product_satisfiable : Term.t list -> bool
 (** Exact satisfiability of a conjunction of terms: polarity-consistent
@@ -43,9 +40,7 @@ val product_satisfiable : Term.t list -> bool
 val normalize_product : Term.t list -> product option
 (** Drop [⊤] terms and implied terms, sort; [None] when unsatisfiable. *)
 
-val satisfies : Trace.t -> t -> bool
 val literals : t -> Literal.Set.t
-val symbols : t -> Symbol.Set.t
 val rename : (Symbol.t -> Symbol.t) -> t -> t
 (** Rename every symbol without renormalizing: products and terms keep
     their order.  When the renaming is order-preserving on the normal
@@ -56,3 +51,9 @@ val rename : (Symbol.t -> Symbol.t) -> t -> t
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
+
+(** {2 Test hooks} *)
+
+module For_testing : sig
+  val satisfies : Trace.t -> t -> bool
+end

@@ -19,5 +19,7 @@ let sequence_guard path e =
       in
       Guard.conj_all (boxes @ nots @ [ future ])
 
-let guard_via_paths d e =
-  Guard.sum_all (List.map (fun path -> sequence_guard path e) (pi d))
+module For_testing = struct
+  let guard_via_paths d e =
+    Guard.sum_all (List.map (fun path -> sequence_guard path e) (pi d))
+end

@@ -13,5 +13,9 @@ val pi : Expr.t -> Trace.t list
 (** [Π(D)]: all symbol-distinct residuation paths of [D] ending at a
     semantically-[⊤] residual. *)
 
-val guard_via_paths : Expr.t -> Literal.t -> Guard.t
-(** Lemma 5's sum over [Π(D)] of the closed form above. *)
+(** {2 Test hooks} *)
+
+module For_testing : sig
+  val guard_via_paths : Expr.t -> Literal.t -> Guard.t
+  (** Lemma 5's sum over [Π(D)] of the closed form above. *)
+end

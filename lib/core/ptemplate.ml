@@ -139,3 +139,7 @@ let rec pp_prec prec ppf t =
   | Seq (a, b) -> fprintf ppf "%a.%a" (pp_prec 2) a (pp_prec 2) b
 
 let pp ppf t = pp_prec 0 ppf t
+
+module For_testing = struct
+  let of_expr = of_expr
+end

@@ -31,9 +31,6 @@ val choice_all : t list -> t
 val vars : t -> string list
 (** Distinct variable names, in order of first appearance. *)
 
-val of_expr : Expr.t -> t
-(** Lift an unparametrized dependency (all parameters constant). *)
-
 val instantiate : (string * string) list -> t -> Expr.t
 (** Ground the template; raises [Invalid_argument] on an unbound
     variable. *)
@@ -59,3 +56,10 @@ val mutual_exclusion_template : t1:string -> t2:string -> t
     enter/exit symbols [b_ti]/[e_ti]. *)
 
 val pp : Format.formatter -> t -> unit
+
+(** {2 Test hooks} *)
+
+module For_testing : sig
+  val of_expr : Expr.t -> t
+  (** Lift an unparametrized dependency (all parameters constant). *)
+end

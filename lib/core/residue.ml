@@ -48,33 +48,35 @@ let nf (t : Nf.t) e : Nf.t =
   if not (Intern.enabled ()) then nf_naive t e
   else fst (nf_interned t (Intern.nf t) e (Intern.literal e))
 
-let symbolic d e = Nf.to_expr (nf (Nf.of_expr d) e)
-
 let by_trace t u = List.fold_left nf t u
 
-let semantic alphabet d e =
-  let us = Universe.traces alphabet in
-  let sat_e = List.filter (fun u -> Semantics.satisfies u (Expr.Atom e)) us in
-  List.filter
-    (fun v ->
-      List.for_all
-        (fun u ->
-          match Trace.append u v with
-          | None -> true
-          | Some uv -> Semantics.satisfies uv d)
-        sat_e)
-    us
+module For_testing = struct
+  let symbolic d e = Nf.to_expr (nf (Nf.of_expr d) e)
 
-let agrees_with_oracle ?alphabet d e =
-  let alpha =
-    match alphabet with
-    | Some s -> Symbol.Set.add (Literal.symbol e) s
-    | None -> Symbol.Set.add (Literal.symbol e) (Expr.symbols d)
-  in
-  let residual = symbolic d e in
-  let oracle = semantic alpha d e in
-  let relevant v = not (Symbol.Set.mem (Literal.symbol e) (Trace.symbols v)) in
-  List.for_all
-    (fun v ->
-      Semantics.satisfies v residual = List.exists (Trace.equal v) oracle)
-    (List.filter relevant (Universe.traces alpha))
+  let semantic alphabet d e =
+    let us = Universe.traces alphabet in
+    let sat_e = List.filter (fun u -> Semantics.satisfies u (Expr.Atom e)) us in
+    List.filter
+      (fun v ->
+        List.for_all
+          (fun u ->
+            match Trace.append u v with
+            | None -> true
+            | Some uv -> Semantics.satisfies uv d)
+          sat_e)
+      us
+
+  let agrees_with_oracle ?alphabet d e =
+    let alpha =
+      match alphabet with
+      | Some s -> Symbol.Set.add (Literal.symbol e) s
+      | None -> Symbol.Set.add (Literal.symbol e) (Expr.symbols d)
+    in
+    let residual = symbolic d e in
+    let oracle = semantic alpha d e in
+    let relevant v = not (Symbol.Set.mem (Literal.symbol e) (Trace.symbols v)) in
+    List.for_all
+      (fun v ->
+        Semantics.satisfies v residual = List.exists (Trace.equal v) oracle)
+      (List.filter relevant (Universe.traces alpha))
+end

@@ -12,7 +12,8 @@
     Semantics 6 is vacuously true of it; the symbolic rules instead
     normalize such junk away.  The two therefore agree on continuations
     over [Γ ∖ {e, ē}] — exactly the traces a scheduler can still
-    realize — and {!agrees_with_oracle} compares them there. *)
+    realize — and {!For_testing.agrees_with_oracle} compares them
+    there. *)
 
 val nf : Nf.t -> Literal.t -> Nf.t
 (** Symbolic residuation on normal forms.  When {!Intern.enabled}, the
@@ -32,17 +33,17 @@ val nf_interned : Nf.t -> Intern.id -> Literal.t -> Intern.id -> Nf.t * Intern.i
     so chained residuations never intern a value twice.  Assumes
     interning is enabled. *)
 
-val symbolic : Expr.t -> Literal.t -> Expr.t
-(** [symbolic d e] is [d/e] via normal forms. *)
-
 val by_trace : Nf.t -> Trace.t -> Nf.t
 (** Fold of {!nf} over a trace: [((d/e1)/e2)/…]. *)
 
-val semantic : Symbol.Set.t -> Expr.t -> Literal.t -> Trace.t list
-(** Model-theoretic residual per Semantics 6:
-    [{v | ∀u ⊨ e. uv ∈ U_E ⇒ uv ⊨ d}] over the given alphabet. *)
+(** {2 Test hooks} *)
 
-val agrees_with_oracle : ?alphabet:Symbol.Set.t -> Expr.t -> Literal.t -> bool
-(** Theorem 1 instance check: the symbolic residual and the semantic
-    residual coincide on all traces not mentioning the residuated
-    symbol. *)
+module For_testing : sig
+  val symbolic : Expr.t -> Literal.t -> Expr.t
+  (** [symbolic d e] is [d/e] via normal forms. *)
+
+  val agrees_with_oracle : ?alphabet:Symbol.Set.t -> Expr.t -> Literal.t -> bool
+  (** Theorem 1 instance check: the symbolic residual and the semantic
+      residual coincide on all traces not mentioning the residuated
+      symbol. *)
+end

@@ -62,4 +62,6 @@ let to_formula sym m =
   | 14 -> not_e
   | _ -> Formula.top
 
-let pp sym ppf m = Formula.pp ppf (to_formula sym m)
+module For_testing = struct
+  let situation_of = situation_of
+end

@@ -46,14 +46,16 @@ val possible_after_promise : Literal.polarity -> mask
 (** States reachable once [◇e] (resp. [◇ē]) is known: [{A,C}]
     (resp. [{B,D}]). *)
 
-val situation_of : Trace.t -> int -> Symbol.t -> situation
-(** The symbol's situation on a maximal trace at an index.  Raises
-    [Invalid_argument] if the trace does not decide the symbol. *)
-
 val eval : Trace.t -> int -> Symbol.t -> mask -> bool
 
 val to_formula : Symbol.t -> mask -> Formula.t
 (** A temporal formula denoting exactly the mask; common masks render as
     the usual [□]/[◇]/[¬] forms. *)
 
-val pp : Symbol.t -> Format.formatter -> mask -> unit
+(** {2 Test hooks} *)
+
+module For_testing : sig
+  val situation_of : Trace.t -> int -> Symbol.t -> situation
+  (** The symbol's situation on a maximal trace at an index.  Raises
+      [Invalid_argument] if the trace does not decide the symbol. *)
+end

@@ -129,8 +129,6 @@ let guard_nf d e =
   if Intern.enabled () then guard_shared d e else guard_nf_naive d e
 
 let guard d e = guard_nf (Nf.of_expr d) e
-let guard_naive d e = guard_nf_naive (Nf.of_expr d) e
-
 let mentions d e =
   Literal.Set.mem e (Expr.literals d)
 
@@ -159,3 +157,7 @@ let all_guards deps =
                if Literal.Set.mem l ls then Some (guard_nf nf l) else None)
              nfs) ))
     (Literal.Set.elements lits)
+
+module For_testing = struct
+  let guard_naive d e = guard_nf_naive (Nf.of_expr d) e
+end

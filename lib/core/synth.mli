@@ -19,13 +19,17 @@ val guard : Expr.t -> Literal.t -> Guard.t
     shared subresiduals are computed once across all guards of a run
     (in particular across the literals of {!all_guards}). *)
 
-val guard_naive : Expr.t -> Literal.t -> Guard.t
-(** Memo-per-call reference implementation on top of memo-free
-    residuation — the differential-testing oracle. *)
-
 val workflow_guard : Expr.t list -> Literal.t -> Guard.t
 (** Guard on [e] due to a workflow: the conjunction of the guards from
     the dependencies that mention [e] (Section 4.2); [⊤] if none do. *)
 
 val all_guards : Expr.t list -> (Literal.t * Guard.t) list
 (** Guards for every literal mentioned by the workflow. *)
+
+(** {2 Test hooks} *)
+
+module For_testing : sig
+  val guard_naive : Expr.t -> Literal.t -> Guard.t
+  (** Memo-per-call reference implementation on top of memo-free
+      residuation — the differential-testing oracle. *)
+end

@@ -51,22 +51,6 @@ let example8_laws () =
     ("(f) !e + []~e = !e", equiv (Formula.or_ (neg e) (box ne)) (neg e));
   ]
 
-let gtable_verdicts tbl =
-  let n = Gtable.num_states tbl in
-  let row_labels =
-    List.init n (fun s ->
-        Printf.sprintf "q%d: %s" s
-          (Format.asprintf "%a" Guard.pp (Gtable.guard_of tbl s)))
-  in
-  let cells =
-    Array.init n (fun s ->
-        let v = Gtable.verdict tbl s in
-        [|
-          v = Gtable.Enabled; v = Gtable.Violated; Gtable.is_forced tbl s;
-        |])
-  in
-  { row_labels; col_labels = [ "enabled"; "violated"; "forced" ]; cells }
-
 (* Display width in codepoints (all our glyphs are single-column). *)
 let display_width s =
   let n = ref 0 in

@@ -1,18 +1,14 @@
 (** Regeneration of Figure 3 and the laws of Example 8.
 
     Figure 3 tabulates six temporal formulas against the four
-    (trace, index) points over the one-symbol alphabet [{e}].  The same
-    machinery produces tables for arbitrary formula/point sets, used by
-    the bench harness to print the figure. *)
+    (trace, index) points over the one-symbol alphabet [{e}]; the bench
+    harness prints it. *)
 
 type t = {
   row_labels : string list;
   col_labels : string list;
   cells : bool array array; (* cells.(row).(col) *)
 }
-
-val make :
-  rows:(string * Formula.t) list -> points:(Trace.t * int) list -> t
 
 val figure3 : unit -> t
 (** The exact table of Figure 3: rows [¬e, □e, ◇e, ¬ē, □ē, ◇ē]; columns
@@ -24,12 +20,6 @@ val example8_laws : unit -> (string * bool) list
     (a) [□e + □ē ≠ ⊤]; (b) [◇e + ◇ē = ⊤]; (c) [◇e | ◇ē = 0];
     (d) [◇e + □ē ≠ ⊤]; (e) [¬e] is the boolean complement of [□e];
     (f) [¬e + □ē = ¬e]. *)
-
-val gtable_verdicts : Gtable.t -> t
-(** Verdict matrix of a compiled guard table: one row per residuation
-    state (labeled with its residual guard), columns
-    [enabled]/[violated]/[forced].  Renders with {!render}, like the
-    figure. *)
 
 val render : t -> string
 (** ASCII rendering with ✓ marks, in the style of the figure. *)

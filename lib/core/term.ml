@@ -38,12 +38,5 @@ let residue t e =
 let compare = List.compare Literal.compare
 let equal a b = compare a b = 0
 
-let pp ppf = function
-  | [] -> Format.pp_print_string ppf "T"
-  | t ->
-      Format.pp_print_list
-        ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ".")
-        Literal.pp ppf t
-
 let rename f t = List.map (Literal.rename f) t
 let to_expr t = Expr.seq_all (List.map Expr.atom t)

@@ -35,7 +35,6 @@ val residue : t -> Literal.t -> t option
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 val rename : (Symbol.t -> Symbol.t) -> t -> t
 (** Rename every literal's symbol, keeping the literal order. *)
 

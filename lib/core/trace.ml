@@ -1,7 +1,5 @@
 type t = Literal.t list
 
-let empty = []
-
 let well_formed u =
   let rec go seen = function
     | [] -> true
@@ -16,13 +14,6 @@ let symbols u =
 
 let maximal alphabet u = well_formed u && Symbol.Set.subset alphabet (symbols u)
 let mem lit u = List.exists (Literal.equal lit) u
-
-let index_of lit u =
-  let rec go i = function
-    | [] -> None
-    | l :: rest -> if Literal.equal lit l then Some i else go (i + 1) rest
-  in
-  go 1 u
 
 let length = List.length
 
@@ -58,3 +49,12 @@ let of_events names =
     else Literal.event name
   in
   List.map lit names
+
+module For_testing = struct
+  let index_of lit u =
+    let rec go i = function
+      | [] -> None
+      | l :: rest -> if Literal.equal lit l then Some i else go (i + 1) rest
+    in
+    go 1 u
+end

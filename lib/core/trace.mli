@@ -8,9 +8,6 @@
 
 type t = Literal.t list
 
-val empty : t
-(** The empty trace, written [λ] in the paper. *)
-
 val well_formed : t -> bool
 (** [well_formed u] holds iff [u ∈ U_E]: no symbol occurs twice. *)
 
@@ -24,9 +21,6 @@ val mem : Literal.t -> t -> bool
 
 val symbols : t -> Symbol.Set.t
 (** Symbols decided by the trace. *)
-
-val index_of : Literal.t -> t -> int option
-(** 1-based position of the literal's occurrence, if any. *)
 
 val length : t -> int
 
@@ -50,3 +44,10 @@ val to_string : t -> string
 val of_events : string list -> t
 (** Convenience: ["~e"] means the complement of [e], anything else a
     positive literal, e.g. [of_events ["e"; "~f"]] is [⟨e ~f⟩]. *)
+
+(** {2 Test hooks} *)
+
+module For_testing : sig
+  val index_of : Literal.t -> t -> int option
+  (** 1-based position of the literal's occurrence, if any. *)
+end

@@ -38,10 +38,12 @@ let equivalent ?alphabet a b =
   in
   List.for_all (fun (u, i) -> sat u i a = sat u i b) (points alpha)
 
-let entails ?alphabet a b =
-  let alpha =
-    match alphabet with
-    | Some s -> s
-    | None -> Symbol.Set.union (Formula.symbols a) (Formula.symbols b)
-  in
-  List.for_all (fun (u, i) -> (not (sat u i a)) || sat u i b) (points alpha)
+module For_testing = struct
+  let entails ?alphabet a b =
+    let alpha =
+      match alphabet with
+      | Some s -> s
+      | None -> Symbol.Set.union (Formula.symbols a) (Formula.symbols b)
+    in
+    List.for_all (fun (u, i) -> (not (sat u i a)) || sat u i b) (points alpha)
+end

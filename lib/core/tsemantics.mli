@@ -15,4 +15,8 @@ val equivalent : ?alphabet:Symbol.Set.t -> Formula.t -> Formula.t -> bool
     omitted the joint mentioned symbols are used, which is sound because
     satisfaction depends only on the projection onto them. *)
 
-val entails : ?alphabet:Symbol.Set.t -> Formula.t -> Formula.t -> bool
+(** {2 Test hooks} *)
+
+module For_testing : sig
+  val entails : ?alphabet:Symbol.Set.t -> Formula.t -> Formula.t -> bool
+end

@@ -21,9 +21,6 @@ val expr_of_ast : Ast.expr -> (Expr.t, Ptemplate.t) Either.t
 (** Ground expressions stay in the algebra; an expression with variables
     becomes a template. *)
 
-val elaborate : Ast.t -> result
-(** @raise Error on unknown models, macros, or attribute flags. *)
-
 val load_file : string -> result
 (** Parse and elaborate a [.wf] file. *)
 

@@ -89,14 +89,6 @@ let bump c = bump_by c 1
 
 (* --- gauges -------------------------------------------------------------- *)
 
-let set_gauge t name v =
-  match Hashtbl.find_opt t.gauges name with
-  | Some r -> r := v
-  | None -> Hashtbl.add t.gauges name (ref v)
-
-let gauge t name =
-  match Hashtbl.find_opt t.gauges name with Some r -> Some !r | None -> None
-
 let gauge_max t name v =
   match Hashtbl.find_opt t.gauges name with
   | Some r -> if v > !r then r := v
@@ -144,8 +136,6 @@ let add_sample h v =
   if v < h.h_min then h.h_min <- v;
   if v > h.h_max then h.h_max <- v
 
-let observe t name v = if not (Float.is_nan v) then add_sample (hist t name) v
-
 (* Lazily registered like [counter]: the histogram is looked up (or
    created) on the first recorded sample, then held. *)
 type histogram_handle = {
@@ -189,11 +179,6 @@ let hist_quantile h p =
     if v < h.h_min then h.h_min else if v > h.h_max then h.h_max else v
   end
 
-let quantile t name p =
-  match Hashtbl.find_opt t.histograms name with
-  | None -> nan
-  | Some h -> hist_quantile h p
-
 let summarize t name =
   match Hashtbl.find_opt t.histograms name with
   | None -> { n = 0; mean = nan; min = nan; max = nan; p50 = nan; p95 = nan; p99 = nan }
@@ -225,12 +210,7 @@ let merge a b =
   copy_counters a;
   copy_counters b;
   let copy_gauges src =
-    Hashtbl.iter
-      (fun name r ->
-        match gauge out name with
-        | Some v when v >= !r -> ()
-        | _ -> set_gauge out name !r)
-      src.gauges
+    Hashtbl.iter (fun name r -> gauge_max out name !r) src.gauges
   in
   copy_gauges a;
   copy_gauges b;
@@ -296,3 +276,18 @@ let pp ppf t =
         name s.n s.mean s.min s.p50 s.p95 s.p99 s.max)
     (histogram_names t);
   Format.fprintf ppf "@]"
+
+module For_testing = struct
+  let counters = counters
+  let gauges = gauges
+  let summarize = summarize
+  let histogram_names = histogram_names
+
+  let gauge t name =
+    match Hashtbl.find_opt t.gauges name with Some r -> Some !r | None -> None
+
+  let quantile t name p =
+    match Hashtbl.find_opt t.histograms name with
+    | None -> nan
+    | Some h -> hist_quantile h p
+end

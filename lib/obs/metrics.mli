@@ -22,11 +22,12 @@
 
     {2 Registry}
 
-    A registry is string-keyed: [incr]/[add] for counters, [observe]
-    for histograms, [set_gauge] for gauges.  Names live in disjoint
-    namespaces per type; reusing a counter name as a histogram creates
-    two metrics.  Hot paths resolve a name once into a {!counter} or
-    {!histogram_handle} and update through it without hashing. *)
+    A registry is string-keyed: [incr]/[add] for counters and
+    [gauge_max] for gauges.  Names live in disjoint namespaces per type;
+    reusing a counter name as a histogram creates two metrics.  Hot
+    paths resolve a name once into a {!counter} and update through it
+    without hashing; histograms are recorded through a
+    {!histogram_handle} only. *)
 
 type t
 
@@ -52,17 +53,15 @@ val add : t -> string -> int -> unit
 val count : t -> string -> int
 (** 0 for never-touched counters. *)
 
-val counters : t -> (string * int) list
-(** All counters, sorted by name. *)
-
 type counter
 (** A counter resolved once, for hot paths that would otherwise hash
     its name on every increment. *)
 
 val counter : t -> string -> counter
 (** [counter t name] resolves the handle without registering anything:
-    a counter that is never bumped stays absent from {!counters} and
-    {!to_json}, exactly as if [incr] had never been called.  Handles
+    a counter that is never bumped stays absent from
+    {!For_testing.counters} and {!to_json}, exactly as if [incr] had
+    never been called.  Handles
     and the string API address the same cell. *)
 
 val bump : counter -> unit
@@ -74,21 +73,12 @@ val bump_by : counter -> int -> unit
 
 (** {2 Gauges} *)
 
-val set_gauge : t -> string -> float -> unit
-
 val gauge_max : t -> string -> float -> unit
 (** High-watermark gauge: keep the maximum of the values seen.  Shared
     by the flow controller ([flow_max_*]) and the fleet engine
     ([fleet_*] peaks). *)
 
-val gauge : t -> string -> float option
-
-val gauges : t -> (string * float) list
-
 (** {2 Histograms} *)
-
-val observe : t -> string -> float -> unit
-(** Record a sample.  NaN samples are dropped. *)
 
 type histogram_handle
 (** A histogram resolved once (see {!counter}). *)
@@ -97,17 +87,7 @@ val histogram : t -> string -> histogram_handle
 (** Registers nothing until the first non-NaN sample is recorded. *)
 
 val record : histogram_handle -> float -> unit
-(** [observe] through a handle. *)
-
-val quantile : t -> string -> float -> float
-(** [quantile t name p] with [p] clamped to [0, 1]; [nan] when the
-    histogram is empty or unknown.  [p <= 0] is the exact min,
-    [p >= 1] the exact max. *)
-
-val summarize : t -> string -> summary
-(** All-zero/[nan] summary for unknown names. *)
-
-val histogram_names : t -> string list
+(** Record a sample.  NaN samples are dropped. *)
 
 (** {2 Aggregation and export} *)
 
@@ -124,3 +104,23 @@ val to_json : t -> string
     "histograms":{name: {n,mean,min,max,p50,p95,p99}}}], keys sorted. *)
 
 val pp : Format.formatter -> t -> unit
+
+(** {2 Test hooks} *)
+
+module For_testing : sig
+  val counters : t -> (string * int) list
+  (** All counters, sorted by name. *)
+
+  val gauge : t -> string -> float option
+  val gauges : t -> (string * float) list
+
+  val quantile : t -> string -> float -> float
+  (** [quantile t name p] with [p] clamped to [0, 1]; [nan] when the
+      histogram is empty or unknown.  [p <= 0] is the exact min,
+      [p >= 1] the exact max. *)
+
+  val summarize : t -> string -> summary
+  (** All-zero/[nan] summary for unknown names. *)
+
+  val histogram_names : t -> string list
+end

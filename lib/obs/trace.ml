@@ -371,3 +371,7 @@ let validate_file path =
                 else loop (lineno + 1) r.time (count + 1))
       in
       loop 1 neg_infinity 0)
+
+module For_testing = struct
+  let line_of = line_of
+end

@@ -61,7 +61,7 @@ type kind =
           epoch bump instead of topping up incrementally. *)
   | Dead_letter of { dst : int; tries : int }
       (** The channel parked a message for [dst] in the dead-letter
-          buffer after [tries] retransmissions ([max_retries] reached);
+          buffer after [tries] retransmissions (the retry cap, 30);
           one record per [chan_gave_up] increment. *)
 
 type record = {
@@ -97,9 +97,6 @@ val kind_name : record -> string
     ["ack"], ["epoch_bump"], ["assim"], ["store_fault"],
     ["store_salvage"], ["shed"], ["credit"], ["dead_letter"]. *)
 
-val line_of : record -> string
-(** One JSONL line (no trailing newline). *)
-
 val write_jsonl : out_channel -> record list -> unit
 
 val write_chrome : out_channel -> record list -> unit
@@ -111,9 +108,16 @@ val write_chrome : out_channel -> record list -> unit
 (** {2 Validation} *)
 
 val parse_line : string -> (record, string) result
-(** Inverse of {!line_of}; rejects unknown kinds, missing per-kind
+(** Inverse of {!For_testing.line_of}; rejects unknown kinds, missing per-kind
     fields, and malformed JSON. *)
 
 val validate_file : string -> (int, string) result
 (** Parse every line of a JSONL trace and check time is non-decreasing;
     [Ok n] is the number of records, errors carry the line number. *)
+
+(** {2 Test hooks} *)
+
+module For_testing : sig
+  val line_of : record -> string
+  (** One JSONL line (no trailing newline). *)
+end

@@ -121,8 +121,6 @@ let create ~sym ~site ~guard_pos ~guard_neg ~attr_pos ~attr_neg
   }
 
 let waiters t = t.waiters_front @ List.rev t.waiters_back
-let symbol t = t.sym
-let site t = t.site
 let decided t = t.decided_pol
 let parked_count t = List.length t.parked
 let knowledge t = t.knowledge
@@ -934,3 +932,7 @@ let codec : (input, snapshot) Wf_store.Log.codec =
     enc_ckpt = B.encode put_snapshot;
     dec_ckpt = B.decode get_snapshot;
   }
+
+module For_testing = struct
+  let waiters = waiters
+end

@@ -77,15 +77,12 @@ val create :
     first decision and then stepped by each input that changes either
     ({!Gtable.step_view}). *)
 
-val symbol : t -> Symbol.t
-val site : t -> int
 val decided : t -> Literal.polarity option
 val parked_count : t -> int
 
 (** Reservation requesters queued behind the current holder, in arrival
     order.  Enqueue and dequeue are O(1) (two-list FIFO); exposed for
     the waiter-ordering regression test. *)
-val waiters : t -> Literal.t list
 val knowledge : t -> Knowledge.t
 
 (** {2 Inputs and crash recovery}
@@ -159,3 +156,9 @@ val codec : (input, snapshot) Wf_store.Log.codec
     constructors (see {!Wire}), so a decoded snapshot restores into a
     fresh actor byte-for-byte equivalently to the original
     ({!equal_state} holds after replay). *)
+
+(** {2 Test hooks} *)
+
+module For_testing : sig
+  val waiters : t -> Literal.t list
+end

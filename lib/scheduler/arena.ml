@@ -111,3 +111,7 @@ module Vec = struct
 
   let words v = (v.nseg * (seg_rows + 1)) + Array.length v.segs + 5
 end
+
+module For_testing = struct
+  let seg_rows = seg_rows
+end

@@ -3,14 +3,11 @@
     One row per parameter binding, one column per state word (event
     fates, compiled-guard states).  Rows are dense — the fleet engine's
     binding interner hands out consecutive ids — and live in fixed-size
-    segments of {!seg_rows} rows each, so the whole fleet's guard state
+    segments of 4096 rows each, so the whole fleet's guard state
     is a handful of flat int arrays: no per-instance heap blocks, no
     boxing, O(1) access.  Growth appends a segment and never copies a
     row.  The arena is never serialized: the fleet engine rebuilds it
     from its occurrence log on restore. *)
-
-val seg_rows : int
-(** Rows (or {!Vec} entries) per segment: 4096. *)
 
 type t
 
@@ -73,4 +70,11 @@ module Vec : sig
 
   val words : 'a t -> int
   (** Allocated size in words (whole segments plus the directory). *)
+end
+
+(** {2 Test hooks} *)
+
+module For_testing : sig
+  val seg_rows : int
+  (** Rows (or {!Vec} entries) per segment: 4096. *)
 end

@@ -45,10 +45,6 @@ type 'a pending = {
 type 'a t = {
   net : 'a wire Wf_sim.Netsim.t;
   rto : float;
-  backoff : float;
-  max_rto : float;
-  max_retries : int;
-  retransmit_jitter : float;
   rng : Wf_sim.Rng.t;
       (* the channel's own stream (split off the network's at creation)
          so jitter draws do not perturb latency/fault randomness *)
@@ -92,15 +88,17 @@ and lossy_meters = {
   m_queue_wait : Metrics.histogram_handle; (* flow_queue_wait *)
 }
 
-let default_backoff = 2.0
+(* Retransmission: the delay after [tries] resends is
+   [rto·backoff^tries], capped at [max_rto] and jittered by
+   [±retransmit_jitter]; after [max_retries] resends a message is
+   parked as a dead letter. *)
+let backoff = 2.0
+let max_rto = 60.0
+let max_retries = 30
+let retransmit_jitter = 0.1
 
-let net t = t.net
-let stats t = Wf_sim.Netsim.stats t.net
-let unacked t = Key_tbl.length t.pending
-let dead_letters t = Key_tbl.length t.dead
 let epoch t site = t.epochs.(site)
 let flow t = t.flow
-let dedup_size t = Key_tbl.length t.seen
 
 let now t = Wf_sim.Netsim.now t.net
 
@@ -148,11 +146,9 @@ let mark_seen t ((origin, epoch, mid) as key : key) =
    partition retransmits on the same schedule forever — a synchronized
    retransmit storm each time the partition heals. *)
 let rto_after t tries =
-  let base = Float.min t.max_rto (t.rto *. (t.backoff ** float_of_int tries)) in
-  if t.retransmit_jitter <= 0.0 then base
-  else
-    let u = Wf_sim.Rng.float t.rng 1.0 in
-    base *. (1.0 +. (t.retransmit_jitter *. ((2.0 *. u) -. 1.0)))
+  let base = Float.min max_rto (t.rto *. (backoff ** float_of_int tries)) in
+  let u = Wf_sim.Rng.float t.rng 1.0 in
+  base *. (1.0 +. (retransmit_jitter *. ((2.0 *. u) -. 1.0)))
 
 let key_of p : key = (p.p_src, p.p_epoch, p.p_mid)
 
@@ -170,7 +166,7 @@ let rec retransmit t key () =
   match Key_tbl.find_opt t.pending key with
   | None -> Wf_sim.Netsim.idle t.net (* acked meanwhile *)
   | Some p ->
-      if p.p_tries >= t.max_retries then begin
+      if p.p_tries >= max_retries then begin
         Key_tbl.remove t.pending key;
         (* Keep the message: if the silent destination turns out to have
            crashed, its restart Hello revives the transfer. *)
@@ -354,11 +350,7 @@ let note_peer_epoch t ~observer ~origin epoch =
     reannounce_window t ~receiver:observer ~peer:origin
   end
 
-let default_retransmit_jitter = 0.1
-
-let create ?(rto = 3.0) ?(backoff = default_backoff) ?(max_rto = 60.0)
-    ?(max_retries = 30) ?(retransmit_jitter = default_retransmit_jitter) ?flow
-    net =
+let create ~rto ?flow net =
   let n = Wf_sim.Netsim.num_sites net in
   (* A full mailbox refuses messages, so under flow control every
      cross-site link is lossy whatever the network does.  Without a
@@ -397,10 +389,6 @@ let create ?(rto = 3.0) ?(backoff = default_backoff) ?(max_rto = 60.0)
     {
       net;
       rto;
-      backoff;
-      max_rto;
-      max_retries;
-      retransmit_jitter;
       rng = Wf_sim.Rng.split (Wf_sim.Netsim.rng net);
       pending = Key_tbl.create 16;
       seen = Key_tbl.create 16;
@@ -606,3 +594,9 @@ let on_receive t site handler =
                  receiver. *)
               Flow.on_grant fl ~src:site ~dst:src ~grant ~reset;
               drain_blocked t fl ~src:site ~dst:src))
+
+module For_testing = struct
+  let unacked t = Key_tbl.length t.pending
+  let dead_letters t = Key_tbl.length t.dead
+  let dedup_size t = Key_tbl.length t.seen
+end

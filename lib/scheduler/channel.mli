@@ -14,9 +14,9 @@
       too) but hands the payload to the application at most once,
       suppressing duplicates by [(origin, epoch, id)];
     - the sender retransmits unacknowledged messages with exponential
-      backoff ([rto], [rto·backoff], [rto·backoff²], ..., capped at
-      [max_rto]) up to [max_retries] times, then parks the message as a
-      dead letter (counted ["chan_gave_up"]).
+      backoff ([rto], [2·rto], [4·rto], ..., capped at 60) up to 30
+      times, then parks the message as a dead letter (counted
+      ["chan_gave_up"]).
 
     {2 Epochs and the restart handshake}
 
@@ -105,23 +105,14 @@ type 'a wire =
 
 type 'a t
 
-val create :
-  ?rto:float ->
-  ?backoff:float ->
-  ?max_rto:float ->
-  ?max_retries:int ->
-  ?retransmit_jitter:float ->
-  ?flow:Flow.config ->
-  'a wire Wf_sim.Netsim.t ->
-  'a t
+val create : rto:float -> ?flow:Flow.config -> 'a wire Wf_sim.Netsim.t -> 'a t
 (** One channel manager serves every site of the given network.
-    [rto] is the initial retransmission timeout (default 3.0).
-    [retransmit_jitter] (default 0.1) scales each retransmission delay
-    by a factor uniform in [1-j, 1+j], drawn deterministically from the
-    channel's own RNG stream (split off the network's at creation) —
-    senders that queued traffic behind the same partition desynchronize
-    instead of retransmitting in lockstep storms when it heals; [0.0]
-    restores exact exponential backoff.
+    [rto] is the initial retransmission timeout.  Each retransmission
+    delay is scaled by a factor uniform in [0.9, 1.1], drawn
+    deterministically from the channel's own RNG stream (split off the
+    network's at creation) — senders that queued traffic behind the
+    same partition desynchronize instead of retransmitting in lockstep
+    storms when it heals.
     Registers a {!Wf_sim.Netsim.on_restart} hook that runs the epoch
     handshake; create the channel {e before} any layer whose restart
     hook relies on fresh epochs.
@@ -144,24 +135,25 @@ val on_receive : 'a t -> site -> (site -> 'a -> unit) -> unit
 (** Install the application handler of a site.  The handler sees each
     payload at most once, with the sending site as first argument. *)
 
-val net : 'a t -> 'a wire Wf_sim.Netsim.t
-val stats : 'a t -> Wf_obs.Metrics.t
-
 val epoch : 'a t -> site -> int
 (** Current recovery epoch of the site (0 until its first restart). *)
-
-val unacked : 'a t -> int
-(** Messages still awaiting acknowledgement (in flight or being
-    retransmitted). *)
-
-val dead_letters : 'a t -> int
-(** Messages the sender gave up on; kept for revival on a peer Hello.
-    Each give-up also emits a [Dead_letter] trace record, so spikes
-    are attributable from the JSONL trace. *)
 
 val flow : 'a t -> Flow.t option
 (** The flow-control ledger when the channel was created with one. *)
 
-val dedup_size : 'a t -> int
-(** Receiver dedup entries currently retained above the watermark —
-    O(reorder window) on a fault-free run, not O(messages). *)
+(** {2 Test hooks} *)
+
+module For_testing : sig
+  val unacked : 'a t -> int
+  (** Messages still awaiting acknowledgement (in flight or being
+      retransmitted). *)
+
+  val dead_letters : 'a t -> int
+  (** Messages the sender gave up on; kept for revival on a peer Hello.
+      Each give-up also emits a [Dead_letter] trace record, so spikes
+      are attributable from the JSONL trace. *)
+
+  val dedup_size : 'a t -> int
+  (** Receiver dedup entries currently retained above the watermark —
+      O(reorder window) on a fault-free run, not O(messages). *)
+end

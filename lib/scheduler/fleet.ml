@@ -834,7 +834,10 @@ end
 
 include Param_engine.Make (Core)
 
-let bindings t = Core.bindings (core t)
 let table_states t = Core.table_states (core t)
-let audit_open_verdicts t = Core.audit_open_verdicts (core t)
 let state_words t = Core.state_words (core t)
+
+module For_testing = struct
+  let bindings t = Core.bindings (core t)
+  let audit_open_verdicts t = Core.audit_open_verdicts (core t)
+end

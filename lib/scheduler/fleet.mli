@@ -70,20 +70,24 @@ include Param_engine.S
 val eligible : Ptemplate.t list -> bool
 (** Can this spec run on the fleet engine?  See the module preamble. *)
 
-val bindings : t -> int
-(** Distinct parameter bindings interned so far. *)
-
 val table_states : t -> int
 (** States of the compiled tables over all positive guard slots: the
     bound on [fleet_symbolic_evals] when every guard has a table. *)
-
-val audit_open_verdicts : t -> int * int
-(** [(checked, mismatches)] over every (binding, compiled guard) whose
-    table state is [Open]: the cached per-state verdict the decisions
-    read (filled on a miss, counted) against a fresh symbolic evaluation
-    of that binding (uncounted).  O(bindings × guards); for tests. *)
 
 val state_words : t -> int
 (** Words held by the flat per-binding state (arena, occurrence log,
     token table and interner, whole segments included) — the bench's
     bytes-per-instance numerator for the engine's own structures. *)
+
+(** {2 Test hooks} *)
+
+module For_testing : sig
+  val bindings : t -> int
+  (** Distinct parameter bindings interned so far. *)
+
+  val audit_open_verdicts : t -> int * int
+  (** [(checked, mismatches)] over every (binding, compiled guard) whose
+      table state is [Open]: the cached per-state verdict the decisions
+      read (filled on a miss, counted) against a fresh symbolic evaluation
+      of that binding (uncounted).  O(bindings × guards). *)
+end

@@ -14,25 +14,6 @@ type t =
   | Release of { sym : Symbol.t; holder : Literal.t }
   | Recovered of { sym : Symbol.t; epoch : int }
 
-let pp ppf = function
-  | Announce { lit; seqno } ->
-      Format.fprintf ppf "announce []%a @@%d" Literal.pp lit seqno
-  | Promise_request { target; requester; _ } ->
-      Format.fprintf ppf "promise-request <>%a from %a" Literal.pp target
-        Literal.pp requester
-  | Promise { lit; to_ } ->
-      Format.fprintf ppf "promise <>%a to %a" Literal.pp lit Literal.pp to_
-  | Reserve { sym; requester } ->
-      Format.fprintf ppf "reserve %a for %a" Symbol.pp sym Literal.pp requester
-  | Reserve_granted { sym; to_ } ->
-      Format.fprintf ppf "reserve-granted %a to %a" Symbol.pp sym Literal.pp to_
-  | Reserve_denied { sym; to_ } ->
-      Format.fprintf ppf "reserve-denied %a to %a" Symbol.pp sym Literal.pp to_
-  | Release { sym; holder } ->
-      Format.fprintf ppf "release %a by %a" Symbol.pp sym Literal.pp holder
-  | Recovered { sym; epoch } ->
-      Format.fprintf ppf "recovered %a epoch %d" Symbol.pp sym epoch
-
 let symbols = function
   | Announce { lit; _ } -> [ Literal.symbol lit ]
   | Promise_request { target; requester; offers } ->
@@ -66,4 +47,3 @@ let tag = function
   | Reserve_denied _ -> 5
   | Release _ -> 6
   | Recovered _ -> 7
-

@@ -31,7 +31,6 @@ type t =
   | Release of { sym : Symbol.t; holder : Literal.t }
   | Recovered of { sym : Symbol.t; epoch : int }
 
-val pp : Format.formatter -> t -> unit
 val tag : t -> int
 (** The constructor's index into {!labels}, so per-kind counters can be
     resolved once and indexed per message. *)

@@ -7,8 +7,10 @@ type outcome =
   | Already
   | Busy of { retry_after : float }
 
-(* Template synthesis runs once per dependency skeleton; the list order
-   is part of the contract (see the interface). *)
+(* Template synthesis runs once per dependency skeleton.  Both engines
+   read this one list, in dependency order then atom order, so a
+   binding's first matching positive template (whose instance guard id
+   a trace record carries) is the same in either. *)
 let synthesize deps =
   List.concat
     (List.mapi

@@ -12,7 +12,8 @@ open Wf_core
     - the {!outcome} of an attempt;
     - the journaled input (an attempt or an occurrence) and its durable
       entry codec;
-    - template synthesis ({!synthesize});
+    - template synthesis: one guard template per (dependency index,
+      atom pattern), over [?var]-marked symbols;
     - the journal (which owns its simulated medium), admission
       control, trace sink and logical clock;
     - the input sequence: admit, journal, tick, apply, checkpoint;
@@ -33,13 +34,6 @@ type outcome =
           {!Flow.config.shed_watermark}; retry after [retry_after]
           logical ticks.  Only produced when the engine was created
           with a [flow] config. *)
-
-val synthesize : Ptemplate.t list -> (int * Ptemplate.atom * Guard.t) list
-(** One guard template per (dependency index, atom pattern), over
-    [?var]-marked symbols, in dependency order then atom order.  Both
-    engines read this one list, so a binding's first matching positive
-    template (whose instance guard id a trace record carries) is the
-    same in either. *)
 
 val combine : Knowledge.status -> Knowledge.status -> Knowledge.status
 (** Conjunction of instance verdicts: [False] absorbs, [True] is the
@@ -119,7 +113,7 @@ module type S = sig
     ?flow:Flow.config ->
     Ptemplate.t list ->
     t
-  (** Synthesizes the guard templates ({!synthesize}).
+  (** Synthesizes the guard templates ({!guard_templates}).
       [checkpoint_every] sets the write-ahead journal cadence (default
       per engine: 32 for {!Param_sched}, 1024 for {!Fleet}); see
       {!recover}.  [store] (default absent) backs the journal with a
@@ -172,7 +166,10 @@ module type S = sig
   val knowledge : t -> Knowledge.t
 
   val guard_templates : t -> (int * Ptemplate.atom * Guard.t) list
-  (** The synthesized guard templates ({!synthesize}). *)
+  (** The synthesized guard templates, in dependency order then atom
+      order: both engines read this one list, so a binding's first
+      matching positive template (whose instance guard id a trace
+      record carries) is the same in either. *)
 
   val stats : t -> Wf_obs.Metrics.t
   (** The engine's metrics registry: the admission controller's

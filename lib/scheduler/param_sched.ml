@@ -479,23 +479,25 @@ let instance_status t template ~bound =
   let own sym = { fate = Knowledge.fate_of c.Core.know sym } in
   Core.evaluate c (instance own template bound)
 
-let cached_decision ?know t sym =
-  let c = core t in
-  let cached =
-    match know with
-    | None -> cached
-    | Some know ->
-        cached_under (fun inst i -> Knowledge.fate_of know inst.syms.(i))
-  in
-  match List.find_opt (fun e -> Symbol.equal e.sym sym) c.Core.parked with
-  | None -> None
-  | Some e ->
-      if Array.for_all cached e.insts then
-        Some
-          (Array.fold_left
-             (fun acc inst -> combine acc inst.status)
-             Knowledge.True e.insts)
-      else None
+module For_testing = struct
+  let cached_decision ?know t sym =
+    let c = core t in
+    let cached =
+      match know with
+      | None -> cached
+      | Some know ->
+          cached_under (fun inst i -> Knowledge.fate_of know inst.syms.(i))
+    in
+    match List.find_opt (fun e -> Symbol.equal e.sym sym) c.Core.parked with
+    | None -> None
+    | Some e ->
+        if Array.for_all cached e.insts then
+          Some
+            (Array.fold_left
+               (fun acc inst -> combine acc inst.status)
+               Knowledge.True e.insts)
+        else None
 
-let fate_cells t =
-  Symbol_tbl.fold (fun sym c acc -> (sym, c.fate) :: acc) (core t).Core.cells []
+  let fate_cells t =
+    Symbol_tbl.fold (fun sym c acc -> (sym, c.fate) :: acc) (core t).Core.cells []
+end

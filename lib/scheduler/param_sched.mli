@@ -50,18 +50,21 @@ val instance_status :
     over active bindings plus a fresh one.  Exposed for the Example 14
     walkthrough and tests. *)
 
-val cached_decision :
-  ?know:Knowledge.t -> t -> Symbol.t -> Knowledge.status option
-(** For a parked [sym]: the decision a re-decide would take from the
-    instance cache if the engine's knowledge were [know] (default: its
-    own) — [Some] when every instance is closed and holds a status whose
-    fate key matches [know], [None] when the re-decide would evaluate
-    (or [sym] is not parked).  Without [know] the fates are read from
-    the engine's fate cells, as a re-decide reads them.  Reads only;
-    for tests. *)
+(** {2 Test hooks} *)
 
-val fate_cells : t -> (Symbol.t * Knowledge.fate option) list
-(** The engine's per-symbol fate cells, in no particular order: every
-    symbol its decisions have resolved since creation or the last
-    {!recover}, with the fate the cell holds.  Each should equal
-    {!Knowledge.fate_of} of {!knowledge} at the symbol.  For tests. *)
+module For_testing : sig
+  val cached_decision :
+    ?know:Knowledge.t -> t -> Symbol.t -> Knowledge.status option
+  (** For a parked [sym]: the decision a re-decide would take from the
+      instance cache if the engine's knowledge were [know] (default: its
+      own) — [Some] when every instance is closed and holds a status whose
+      fate key matches [know], [None] when the re-decide would evaluate
+      (or [sym] is not parked).  Without [know] the fates are read from
+      the engine's fate cells, as a re-decide reads them.  Reads only. *)
+
+  val fate_cells : t -> (Symbol.t * Knowledge.fate option) list
+  (** The engine's per-symbol fate cells, in no particular order: every
+      symbol its decisions have resolved since creation or the last
+      {!recover}, with the fate the cell holds.  Each should equal
+      {!Knowledge.fate_of} of {!knowledge} at the symbol. *)
+end

@@ -10,8 +10,6 @@ let vacant () : 'a entry = Obj.magic vacant
 
 let create () = { data = [||]; len = 0 }
 let is_empty h = h.len = 0
-let size h = h.len
-
 let less a b = a.key < b.key || (a.key = b.key && a.seq < b.seq)
 
 let swap h i j =

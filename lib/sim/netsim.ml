@@ -382,8 +382,6 @@ let schedule ?(label = -1) t ~delay action =
 
 let idle t = t.busy <- t.busy_before
 
-let quiescent t = Heap.is_empty t.queue && t.lanes = [] && t.due = []
-
 (* Execute one delivery at the current clock: drop into a crash window,
    or run the handler — the one delivery path for both the latency heap
    and the controlled-mode ready list. *)
@@ -445,7 +443,7 @@ let take t idx =
     action ()
   end
 
-let run ?(until = infinity) ?(max_steps = max_int) t =
+let run ?(max_steps = max_int) t =
   let steps = ref 0 in
   let continue = ref true in
   while !continue && !steps < max_steps do
@@ -455,20 +453,24 @@ let run ?(until = infinity) ?(max_steps = max_int) t =
         take t (choose (choices t))
     | _ ->
         if Heap.is_empty t.queue then continue := false
-        else
+        else begin
           let time = Heap.min_key t.queue in
-          if time > until then continue := false
-          else begin
-            let event = Heap.take t.queue in
-            incr steps;
-            if time > t.clock then t.clock <- time;
-            match event with
-            | Action f ->
-                t.busy_before <- t.busy;
-                t.busy <- t.clock;
-                f ()
-            | Deliver { src; dst; control; sent; payload } ->
-                t.busy <- t.clock;
-                execute_delivery t ~src ~dst ~control ~sent payload
-          end
+          let event = Heap.take t.queue in
+          incr steps;
+          if time > t.clock then t.clock <- time;
+          match event with
+          | Action f ->
+              t.busy_before <- t.busy;
+              t.busy <- t.clock;
+              f ()
+          | Deliver { src; dst; control; sent; payload } ->
+              t.busy <- t.clock;
+              execute_delivery t ~src ~dst ~control ~sent payload
+        end
   done
+
+module For_testing = struct
+  let crash_site = crash_site
+  let restart_site = restart_site
+  let quiescent t = Heap.is_empty t.queue && t.lanes = [] && t.due = []
+end

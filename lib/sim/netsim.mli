@@ -162,25 +162,11 @@ val busy_until : 'msg t -> float
 
 val num_sites : 'msg t -> int
 
-val crash_site : 'msg t -> site -> unit
-(** Crash the site now: until {!restart_site}, every delivery to it is
-    dropped (["net_crash_drops"]).  Idempotent.  Raises
-    [Invalid_argument] when the fault config cannot crash a site
-    ([crash_on_deliver] and [crash_on_send] both zero): layers above
-    rely on {!exactly_once}, and a crash there would lose messages
-    they send without acknowledgement.  A config with a crash
-    probability and [max_crashes = 0] allows manual crashes without
-    injecting any. *)
-
-val restart_site : 'msg t -> site -> unit
-(** Bring a crashed site back and run the registered {!on_restart}
-    hooks (in registration order).  No-op if the site is not crashed. *)
-
 val crash_restart : 'msg t -> site -> unit
 (** Crash the site and restart it in one step: the crash and restart
     are counted and traced and the {!on_restart} hooks run, but no
     delivery happens or is dropped in between.  Since nothing is lost,
-    every fault config allows it, unlike {!crash_site}. *)
+    every fault config allows it, unlike {!For_testing.crash_site}. *)
 
 val site_crashed : 'msg t -> site -> bool
 
@@ -190,11 +176,8 @@ val on_restart : 'msg t -> (site -> unit) -> unit
     deterministic: the channel re-announces its epoch before the
     scheduler replays actors, provided they registered in that order. *)
 
-val run : ?until:float -> ?max_steps:int -> 'msg t -> unit
-(** Process events until the queue drains (or limits are hit). *)
-
-val quiescent : 'msg t -> bool
-(** No pending events and no ready deliveries. *)
+val run : ?max_steps:int -> 'msg t -> unit
+(** Process events until the queue drains (or [max_steps] is hit). *)
 
 (** {2 Controlled mode}
 
@@ -243,3 +226,24 @@ val take : 'msg t -> int -> unit
 val pending_deliveries : 'msg t -> 'msg pending list
 (** Every ready delivery, lane by lane (creation order), each lane
     oldest first; empty outside controlled mode. *)
+
+(** {2 Test hooks} *)
+
+module For_testing : sig
+  val crash_site : 'msg t -> site -> unit
+  (** Crash the site now: until {!restart_site}, every delivery to it is
+      dropped (["net_crash_drops"]).  Idempotent.  Raises
+      [Invalid_argument] when the fault config cannot crash a site
+      ([crash_on_deliver] and [crash_on_send] both zero): layers above
+      rely on {!exactly_once}, and a crash there would lose messages
+      they send without acknowledgement.  A config with a crash
+      probability and [max_crashes = 0] allows manual crashes without
+      injecting any. *)
+
+  val restart_site : 'msg t -> site -> unit
+  (** Bring a crashed site back and run the registered {!on_restart}
+      hooks (in registration order).  No-op if the site is not crashed. *)
+
+  val quiescent : 'msg t -> bool
+  (** No pending events and no ready deliveries. *)
+end

@@ -1,8 +1,6 @@
 type t = { mutable state : int64 }
 
 let create seed = { state = seed }
-let copy t = { state = t.state }
-
 let next_int64 t =
   let open Int64 in
   t.state <- add t.state 0x9E3779B97F4A7C15L;
@@ -40,14 +38,6 @@ let bool t = Int64.logand (next_int64 t) 1L = 1L
 let exponential t ~mean =
   let u = float t 1.0 in
   -.mean *. log (1.0 -. u)
-
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done
 
 let pick t = function
   | [] -> invalid_arg "Rng.pick: empty list"

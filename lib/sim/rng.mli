@@ -6,8 +6,6 @@
 type t
 
 val create : int64 -> t
-val copy : t -> t
-
 val split : t -> t
 (** An independent child generator seeded from one draw of the parent.
     Splitmix's output mixing makes the child's stream statistically
@@ -27,6 +25,5 @@ val bool : t -> bool
 val exponential : t -> mean:float -> float
 (** Exponentially distributed, for inter-arrival and latency jitter. *)
 
-val shuffle : t -> 'a array -> unit
 val pick : t -> 'a list -> 'a
 (** Uniform choice; raises [Invalid_argument] on empty list. *)

@@ -29,4 +29,3 @@ let update crc b ~pos ~len =
   Int32.lognot !c
 
 let bytes b ~pos ~len = update 0l b ~pos ~len
-let string s = bytes (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)

@@ -4,4 +4,3 @@
     CRC-32 tool. *)
 
 val bytes : bytes -> pos:int -> len:int -> int32
-val string : string -> int32

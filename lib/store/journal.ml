@@ -100,6 +100,9 @@ let crash t =
 
 let last_salvage t = t.last_salvage
 
-let suffix_length t = t.suffix_len
 let total_appended t = t.appended
-let checkpoints_taken t = t.checkpoints
+
+module For_testing = struct
+  let suffix_length t = t.suffix_len
+  let checkpoints_taken t = t.checkpoints
+end

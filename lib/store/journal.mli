@@ -62,15 +62,20 @@ val crash : ('entry, 'ckpt) t -> unit
     draws its seeded faults ({!Media.Sim.crash}), the salvage scan
     ({!Log.recover}) keeps the longest verifiable prefix and repairs
     the image, and the mirror is rebuilt from the salvaged checkpoint
-    and suffix; {!total_appended} and {!checkpoints_taken} restart from
-    the salvaged counts.  The salvage is reported through the medium's
-    own stats and trace sink ({!Media.Sim.record_salvage}) and kept for
-    {!last_salvage}. *)
+    and suffix; {!total_appended} and {!For_testing.checkpoints_taken}
+    restart from the salvaged counts.  The salvage is reported through
+    the medium's own stats and trace sink ({!Media.Sim.record_salvage})
+    and kept for {!last_salvage}. *)
 
 val last_salvage : ('entry, 'ckpt) t -> Log.salvage_report option
 (** What the most recent {!crash} over a medium kept and dropped;
     [None] before the first one, and always without a medium. *)
 
-val suffix_length : ('entry, 'ckpt) t -> int
 val total_appended : ('entry, 'ckpt) t -> int
-val checkpoints_taken : ('entry, 'ckpt) t -> int
+
+(** {2 Test hooks} *)
+
+module For_testing : sig
+  val suffix_length : ('entry, 'ckpt) t -> int
+  val checkpoints_taken : ('entry, 'ckpt) t -> int
+end

@@ -69,20 +69,6 @@ let stop_reason_name = function
   | Bad_seq -> "bad_seq"
   | Bad_entry -> "bad_entry"
 
-let ckpt_source_name = function
-  | Latest -> "latest"
-  | Fallback -> "fallback"
-  | No_checkpoint -> "none"
-
-let pp_report ppf r =
-  Format.fprintf ppf
-    "@[<h>frames=%d entries=%d/%d ckpts=%d ckpt=%s stop=%s dropped=%dB \
-     ckpt_failures=%d@]"
-    r.sr_frames r.sr_entries r.sr_total_entries r.sr_checkpoints
-    (ckpt_source_name r.sr_ckpt)
-    (stop_reason_name r.sr_stop)
-    r.sr_dropped_bytes r.sr_ckpt_failures
-
 (* --- writing ------------------------------------------------------------- *)
 
 let max_payload = 1 lsl 28
@@ -114,8 +100,6 @@ let checkpoint t ckpt =
   Media.sync t.media
 
 let sync t = Media.sync t.media
-let frames_written t = t.next_seq
-
 let create codec media =
   if Media.length media <> 0 then
     invalid_arg "Log.create: media not empty (use recover)";
@@ -241,3 +225,21 @@ let recover codec media =
   in
   let t = { codec; media; next_seq = !frames } in
   (t, (!ckpt, List.rev !entries), report)
+
+module For_testing = struct
+  let frames_written t = t.next_seq
+
+  let ckpt_source_name = function
+    | Latest -> "latest"
+    | Fallback -> "fallback"
+    | No_checkpoint -> "none"
+
+  let pp_report ppf r =
+    Format.fprintf ppf
+      "@[<h>frames=%d entries=%d/%d ckpts=%d ckpt=%s stop=%s dropped=%dB \
+       ckpt_failures=%d@]"
+      r.sr_frames r.sr_entries r.sr_total_entries r.sr_checkpoints
+      (ckpt_source_name r.sr_ckpt)
+      (stop_reason_name r.sr_stop)
+      r.sr_dropped_bytes r.sr_ckpt_failures
+end

@@ -44,8 +44,6 @@ val checkpoint : ('entry, 'ckpt) t -> 'ckpt -> unit
     durability point. *)
 
 val sync : ('entry, 'ckpt) t -> unit
-val frames_written : ('entry, 'ckpt) t -> int
-
 (** {2 Salvage} *)
 
 type stop_reason =
@@ -73,9 +71,6 @@ type salvage_report = {
   sr_ckpt_failures : int;  (** checksum-valid checkpoints that failed decode *)
 }
 
-val ckpt_source_name : ckpt_source -> string
-val pp_report : Format.formatter -> salvage_report -> unit
-
 val recover :
   ('entry, 'ckpt) codec ->
   Media.t ->
@@ -86,3 +81,11 @@ val recover :
     with the recovery data: the chosen checkpoint and the entries after
     it, oldest first.  Idempotent: recovering the repaired media again
     yields the same state with a [Clean] stop. *)
+
+(** {2 Test hooks} *)
+
+module For_testing : sig
+  val frames_written : ('entry, 'ckpt) t -> int
+  val ckpt_source_name : ckpt_source -> string
+  val pp_report : Format.formatter -> salvage_report -> unit
+end

@@ -87,8 +87,6 @@ let create ~instance ~model ~script ?parametrize () =
   instantiate (spec ~instance ~model ?parametrize ()) ~script
 
 let instance t = t.spec.instance
-let model t = t.spec.model
-let state t = t.state
 let awaiting t = t.awaiting
 
 let count_of t event =
@@ -115,11 +113,6 @@ let symbol_of t event =
 let event_of_symbol t sym =
   (* Match on the base: any occurrence parameter is stripped. *)
   find_string (Symbol.base sym) t.spec.by_base
-
-let owns t sym = Option.is_some (event_of_symbol t sym)
-
-let attribute_of t sym =
-  Option.map (Task_model.attribute t.spec.model) (event_of_symbol t sym)
 
 let want t =
   if t.given_up || Option.is_some t.awaiting then None

@@ -71,14 +71,7 @@ val create :
 (** [instantiate (spec ~instance ~model ?parametrize ()) ~script]. *)
 
 val instance : t -> string
-val model : t -> Task_model.t
-val state : t -> string
 val awaiting : t -> Symbol.t option
-
-val attribute_of : t -> Symbol.t -> Attribute.t option
-(** Attributes if the symbol belongs to this agent. *)
-
-val owns : t -> Symbol.t -> bool
 
 val want : t -> (Symbol.t * Attribute.t) option
 (** The event the task wishes to attempt next, if it is not already

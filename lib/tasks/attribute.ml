@@ -12,16 +12,3 @@ let uncontrollable =
   { controllable = false; triggerable = false; rejectable = false; delayable = false }
 
 let triggerable = { default with triggerable = true }
-
-let pp ppf t =
-  let flags =
-    List.filter_map
-      (fun (b, s) -> if b then Some s else None)
-      [
-        (t.controllable, "controllable");
-        (t.triggerable, "triggerable");
-        (t.rejectable, "rejectable");
-        (t.delayable, "delayable");
-      ]
-  in
-  Format.pp_print_string ppf (String.concat "," flags)

@@ -27,5 +27,3 @@ val uncontrollable : t
 val triggerable : t
 (** Controllable and additionally triggerable — e.g. the [start] of a
     subtask the scheduler initiates. *)
-
-val pp : Format.formatter -> t -> unit

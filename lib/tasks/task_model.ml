@@ -67,11 +67,6 @@ let attribute m event =
   in
   find m.significant
 
-let enabled m state =
-  List.filter_map
-    (fun tr -> if tr.from_state = state then Some tr.event else None)
-    m.transitions
-
 let next_state m state event =
   List.find_map
     (fun tr ->
@@ -198,10 +193,11 @@ let loop_task =
     terminal = [ "idle" ];
   }
 
-let pp ppf m =
-  Format.fprintf ppf "@[<v>task model %s (init %s)@," m.name m.init;
-  List.iter
-    (fun tr ->
-      Format.fprintf ppf "  %s --%s--> %s@," tr.from_state tr.event tr.to_state)
-    m.transitions;
-  Format.fprintf ppf "@]"
+module For_testing = struct
+  let reachable_events = reachable_events
+
+  let enabled m state =
+    List.filter_map
+      (fun tr -> if tr.from_state = state then Some tr.event else None)
+      m.transitions
+end

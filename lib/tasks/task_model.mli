@@ -38,14 +38,8 @@ val event_of_symbol : t -> instance:string -> Symbol.t -> string option
 val attribute : t -> string -> Attribute.t
 (** Attribute of a significant event (default if unlisted). *)
 
-val enabled : t -> string -> string list
-(** Events with a transition out of the given state. *)
-
 val next_state : t -> string -> string -> string option
 (** [next_state m state event]. *)
-
-val reachable_events : t -> string -> string list
-(** Events that can still occur in some future of the given state. *)
 
 val unreachable_events : t -> string -> string list
 (** Significant events that can no longer occur from the given state —
@@ -72,4 +66,12 @@ val loop_task : t
 (** [idle --enter--> critical --exit--> idle], unboundedly (Example 13);
     significant symbols [b] (enter) and [e] (exit). *)
 
-val pp : Format.formatter -> t -> unit
+(** {2 Test hooks} *)
+
+module For_testing : sig
+  val enabled : t -> string -> string list
+  (** Events with a transition out of the given state. *)
+
+  val reachable_events : t -> string -> string list
+  (** Events that can still occur in some future of the given state. *)
+end

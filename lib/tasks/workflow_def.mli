@@ -40,9 +40,6 @@ val task :
   task
 
 val dependencies : t -> Expr.t list
-val alphabet : t -> Symbol.Set.t
-(** Symbols mentioned by the dependencies. *)
-
 val owner_of : t -> Symbol.t -> task option
 (** The task whose significant events include the symbol (matching on
     the base name, so parametrized occurrences resolve to their task). *)

@@ -77,11 +77,11 @@ let same_automaton a b =
   && List.for_all2
        (fun (s1, l1, d1) (s2, l2, d2) ->
          s1 = s2 && Literal.equal l1 l2 && d1 = d2)
-       (Automaton.transitions a) (Automaton.transitions b)
+       (Automaton.For_testing.transitions a) (Automaton.For_testing.transitions b)
   && List.for_all
        (fun s ->
-         Nf.equal (Automaton.state_nf a s) (Automaton.state_nf b s)
-         && Automaton.is_accepting a s = Automaton.is_accepting b s
+         Nf.equal (Automaton.For_testing.state_nf a s) (Automaton.For_testing.state_nf b s)
+         && Automaton.For_testing.is_accepting a s = Automaton.For_testing.is_accepting b s
          && Automaton.is_dead a s = Automaton.is_dead b s
          && Automaton.can_complete a s = Automaton.can_complete b s)
        (List.init (Automaton.num_states a) Fun.id)
@@ -96,10 +96,10 @@ let same_required a b =
 
 let fail fmt = Format.kasprintf (fun s -> QCheck2.Test.fail_report s) fmt
 
-let automaton_stat name = List.assoc name (Automaton.stats ())
+let automaton_stat name = List.assoc name (Automaton.For_testing.stats ())
 
 let agrees_with_naive what d =
-  let a = Automaton.build d and fresh = Automaton.build_naive d in
+  let a = Automaton.build d and fresh = Automaton.For_testing.build_naive d in
   if not (same_automaton a fresh && same_required a fresh) then
     fail "%s: %a differs from a fresh build" what Expr.pp d
 
@@ -128,17 +128,17 @@ let automata c =
 let table_stat name = List.assoc name (Gtable.stats ())
 
 let agrees_with_compile what g =
-  match (Gtable.lookup g, Gtable.compile g) with
+  match (Gtable.lookup g, Gtable.For_testing.compile g) with
   | None, None -> ()
   | Some t, Some fresh ->
       let n = Gtable.num_states fresh in
       if
-        Gtable.fingerprint t <> Gtable.fingerprint fresh
+        Gtable.For_testing.fingerprint t <> Gtable.For_testing.fingerprint fresh
         || Gtable.num_states t <> n
         || not
              (List.for_all
                 (fun s ->
-                  Guard.compare (Gtable.guard_of t s) (Gtable.guard_of fresh s)
+                  Guard.compare (Gtable.For_testing.guard_of t s) (Gtable.For_testing.guard_of fresh s)
                   = 0)
                 (List.init n Fun.id))
       then fail "%s: the table of %a differs from a fresh compile" what Guard.pp g

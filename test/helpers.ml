@@ -24,7 +24,7 @@ let ng = Expr.complement "g"
 let alpha_ef = Universe.of_names [ "e"; "f" ]
 let alpha_efg = Universe.of_names [ "e"; "f"; "g" ]
 
-(* A network fault config that admits manual [Netsim.crash_site] and
+(* A network fault config that admits manual [Netsim.For_testing.crash_site] and
    injects nothing: a crash probability with a zero crash budget.  A
    config without crash capability refuses manual crashes, since the
    channel then sends without acknowledgement. *)

@@ -66,7 +66,7 @@ let test_pair_exhaustive () =
   checkb "every closed trace decides every symbol"
     (let syms =
        Array.map (fun (slot : Ground.slot) -> slot.sym)
-         (Mc.start (load "mc_pair.wf")).Ground.slots
+         (Mc.For_testing.start (load "mc_pair.wf")).Ground.slots
      in
      List.for_all
        (fun tr ->
@@ -263,18 +263,18 @@ let closed_view deps (rt : Ground.t) =
 (* A random walk of attempts and deliveries: the schedule taken. *)
 let walk rt rng len =
   let rec go k acc =
-    match Mc.moves rt with
+    match Mc.For_testing.moves rt with
     | moves when k > 0 && moves <> [] ->
         let key, _ = List.nth moves (Random.State.int rng (List.length moves)) in
-        Mc.perform rt key;
+        Mc.For_testing.perform rt key;
         go (k - 1) (key :: acc)
     | _ -> List.rev acc
   in
   go len []
 
 let replayed wf schedule =
-  let rt = Mc.start wf in
-  List.iter (Mc.perform rt) schedule;
+  let rt = Mc.For_testing.start wf in
+  List.iter (Mc.For_testing.perform rt) schedule;
   rt
 
 let test_commutation =
@@ -297,9 +297,9 @@ let test_commutation =
               (Some IntSet.empty) syms
         | _ -> None
       in
-      let rt = Mc.start wf in
+      let rt = Mc.For_testing.start wf in
       let prefix = walk rt (Random.State.make [| seed |]) len in
-      let moves = Mc.moves rt in
+      let moves = Mc.For_testing.moves rt in
       let disjoint_pairs =
         List.concat_map
           (fun ((k1, _) as m1) ->
@@ -328,18 +328,18 @@ let test_replay_fingerprint =
     QCheck2.Gen.(pair (int_bound 1_000_000) (int_bound 20))
     (fun (seed, len) ->
       let wf = load "mc_trigger.wf" in
-      let rt = Mc.start wf in
+      let rt = Mc.For_testing.start wf in
       let rng = Random.State.make [| seed |] in
       (* The fingerprint before each step of a random walk, and after
          the last. *)
       let rec walk_fps k seen =
-        let here = Mc.fingerprint rt in
-        match Mc.moves rt with
+        let here = Mc.For_testing.fingerprint rt in
+        match Mc.For_testing.moves rt with
         | moves when k > 0 && moves <> [] ->
             let key, _ =
               List.nth moves (Random.State.int rng (List.length moves))
             in
-            Mc.perform rt key;
+            Mc.For_testing.perform rt key;
             walk_fps (k - 1) ((key, here) :: seen)
         | _ -> (List.rev seen, here)
       in
@@ -348,7 +348,7 @@ let test_replay_fingerprint =
       let expected = List.map snd steps @ [ last ] in
       List.for_all2
         (fun n fp ->
-          Mc.fingerprint (replayed wf (List.filteri (fun j _ -> j < n) keys))
+          Mc.For_testing.fingerprint (replayed wf (List.filteri (fun j _ -> j < n) keys))
           = fp)
         (List.init (List.length expected) Fun.id)
         expected)
@@ -373,11 +373,11 @@ let test_netsim_chooser () =
   Netsim.send net ~src:0 ~dst:1 "c";
   check Alcotest.int "sends parked for the chooser" 3
     (List.length (Netsim.pending_deliveries net));
-  checkb "not quiescent while ready" (not (Netsim.quiescent net));
+  checkb "not quiescent while ready" (not (Netsim.For_testing.quiescent net));
   Netsim.run net;
   check Alcotest.(list string) "chooser ordered the deliveries" [ "c"; "b"; "a" ]
     !received;
-  checkb "quiescent after run" (Netsim.quiescent net)
+  checkb "quiescent after run" (Netsim.For_testing.quiescent net)
 
 (* --- Seed streams -------------------------------------------------------- *)
 
@@ -427,22 +427,22 @@ let decided (rt : Ground.t) =
    per-slot decided flags are the schedule's again. *)
 let test_snapshot_restore_decided () =
   let wf = load "mc_pair.wf" in
-  let rt = Mc.start wf in
+  let rt = Mc.For_testing.start wf in
   let schedule =
-    match Mc.moves rt with
+    match Mc.For_testing.moves rt with
     | (key, _) :: _ ->
-        Mc.perform rt key;
+        Mc.For_testing.perform rt key;
         [ key ]
     | [] -> Alcotest.fail "mc_pair should start with an attempt"
   in
-  let fp = Mc.fingerprint rt and before = decided rt in
+  let fp = Mc.For_testing.fingerprint rt and before = decided rt in
   Ground.close rt;
   check Alcotest.int "the closed run decides every symbol"
     (Array.length rt.slots)
     (List.length (decided rt));
-  checkb "the closed run moved the fingerprint" (Mc.fingerprint rt <> fp);
+  checkb "the closed run moved the fingerprint" (Mc.For_testing.fingerprint rt <> fp);
   let rt = replayed wf schedule in
-  check Alcotest.int "fingerprint restored" fp (Mc.fingerprint rt);
+  check Alcotest.int "fingerprint restored" fp (Mc.For_testing.fingerprint rt);
   check
     Alcotest.(list string)
     "decided flags restored"
@@ -456,11 +456,11 @@ let test_snapshot_restore_decided () =
    its decided fate. *)
 let test_crash_handshake () =
   let wf = load "mc_pair.wf" in
-  let rt = Mc.start wf in
+  let rt = Mc.For_testing.start wf in
   (* t1 starts and commits (c_t1 reserves against c_t2 and occurs); the
      crash then hits site 1, where c_t2 is undecided and has not heard
      of c_t1's fate. *)
-  List.iter (Mc.perform rt)
+  List.iter (Mc.For_testing.perform rt)
     Mc.Tkey.
       [
         Attempt "t1";
@@ -484,11 +484,11 @@ let test_crash_handshake () =
         | key, Some (Wf_scheduler.Messages.Recovered { epoch; _ }) ->
             Some (key, epoch)
         | _ -> None)
-      (Mc.moves rt)
+      (Mc.For_testing.moves rt)
   in
   checkb "they wait as deliveries, stamped with the new epoch"
     (recovered <> [] && List.for_all (fun (_, e) -> e = 1) recovered);
-  List.iter (fun (key, _) -> Mc.perform rt key) recovered;
+  List.iter (fun (key, _) -> Mc.For_testing.perform rt key) recovered;
   checkb "a decided peer re-announced" (count "recovery_reannounces" > 0);
   Ground.close rt;
   check Alcotest.int "the closed run decides every symbol"
@@ -501,8 +501,8 @@ let test_crash_handshake () =
 let test_send_without_actor () =
   let ghost = Literal.pos (Symbol.make "ghost") in
   let rt =
-    Mc.start
-      ~guard_overrides:[ (Literal.event "c_t1", Guard.will ghost) ]
+    Mc.For_testing.start
+      ~guard_overrides:[ (Literal.event "c_t1", Guard.For_testing.will ghost) ]
       (load "mc_pair.wf")
   in
   match Ground.close rt with

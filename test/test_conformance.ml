@@ -127,17 +127,17 @@ let conformance_sweep ~faults ~label () =
    hit with the pursuit recomputed from it, and every stepped view with
    a fresh view of the same knowledge. *)
 let audited label f =
-  let r, a = Gtable.audit_status_memo f in
-  checkb (label ^ ": the sweep hit the status memo") (a.Gtable.hits_checked > 0);
+  let r, a = Gtable.For_testing.audit_status_memo f in
+  checkb (label ^ ": the sweep hit the status memo") (a.Gtable.For_testing.hits_checked > 0);
   check Alcotest.int (label ^ ": status-memo audit mismatches") 0
-    a.Gtable.mismatches;
+    a.Gtable.For_testing.mismatches;
   checkb (label ^ ": the sweep hit the pursuit memo")
-    (a.Gtable.pursuit_hits_checked > 0);
+    (a.Gtable.For_testing.pursuit_hits_checked > 0);
   check Alcotest.int (label ^ ": pursuit-memo audit mismatches") 0
-    a.Gtable.pursuit_mismatches;
-  checkb (label ^ ": the sweep stepped parked views") (a.Gtable.views_checked > 0);
+    a.Gtable.For_testing.pursuit_mismatches;
+  checkb (label ^ ": the sweep stepped parked views") (a.Gtable.For_testing.views_checked > 0);
   check Alcotest.int (label ^ ": stepped-view audit mismatches") 0
-    a.Gtable.view_mismatches;
+    a.Gtable.For_testing.view_mismatches;
   r
 
 let test_conformance_reliable () =

@@ -59,7 +59,7 @@ let test_literal_complement () =
     (Literal.to_string (Literal.complement l))
 
 let test_trace_well_formed () =
-  checkb "empty ok" (Trace.well_formed Trace.empty);
+  checkb "empty ok" (Trace.well_formed []);
   checkb "distinct ok" (Trace.well_formed (Trace.of_events [ "e"; "~f" ]));
   checkb "repeat rejected" (not (Trace.well_formed (Trace.of_events [ "e"; "e" ])));
   checkb "complement pair rejected"
@@ -81,8 +81,8 @@ let test_trace_ops () =
   check
     Alcotest.(option int)
     "index of ~f" (Some 2)
-    (Trace.index_of (lit "~f") u);
-  check Alcotest.(option int) "index of missing" None (Trace.index_of (lit "f") u)
+    (Trace.For_testing.index_of (lit "~f") u);
+  check Alcotest.(option int) "index of missing" None (Trace.For_testing.index_of (lit "f") u)
 
 let test_trace_append () =
   let u = Trace.of_events [ "e" ] and v = Trace.of_events [ "f" ] in
@@ -93,7 +93,7 @@ let test_universe_example1 () =
   (* Example 1: |U_E| = 13 for Γ = {e, ē, f, f̄}. *)
   check Alcotest.int "example 1 size" 13 (List.length (Universe.traces alpha_ef));
   checkb "empty trace included"
-    (List.exists (Trace.equal Trace.empty) (Universe.traces alpha_ef));
+    (List.exists (Trace.equal []) (Universe.traces alpha_ef));
   checkb "all well formed"
     (List.for_all Trace.well_formed (Universe.traces alpha_ef))
 

@@ -50,7 +50,7 @@ let test_eligible () =
        (Fleet.eligible
           [ Ptemplate.atom "a" [ Ptemplate.Const "1" ] ]));
   checkb "zero arity: ineligible"
-    (not (Fleet.eligible [ Ptemplate.of_expr (Expr.seq e f) ]));
+    (not (Fleet.eligible [ Ptemplate.For_testing.of_expr (Expr.seq e f) ]));
   checkb "inconsistent base arity: ineligible"
     (not
        (Fleet.eligible
@@ -135,7 +135,7 @@ let test_differential_deterministic () =
     (Fleet.parked_count fe);
   checkb "and it is c(2)"
     (List.equal Symbol.equal [ psym "c" "2" ] (Fleet.parked fe));
-  check Alcotest.int "four bindings interned" 4 (Fleet.bindings fe);
+  check Alcotest.int "four bindings interned" 4 (Fleet.For_testing.bindings fe);
   checkb "decided covers retried tokens" (Fleet.decided fe (psym "c" "1"));
   checkb "fleet stepped compiled tables"
     (Wf_obs.Metrics.count (Fleet.stats fe) "fleet_table_steps" > 0)
@@ -388,8 +388,8 @@ let crash_points (type r c) (module R : E with type t = r)
   let is_store (name, _) = String.starts_with ~prefix:"store_" name in
   let stats_of e =
     let m = C.stats e in
-    ( List.filter (fun c -> not (is_store c)) (Wf_obs.Metrics.counters m),
-      Wf_obs.Metrics.gauges m,
+    ( List.filter (fun c -> not (is_store c)) (Wf_obs.Metrics.For_testing.counters m),
+      Wf_obs.Metrics.For_testing.gauges m,
       Wf_obs.Metrics.count m "store_salvages" )
   in
   List.iter
@@ -631,7 +631,7 @@ let test_salvage_pinned () =
       (fun (_, r) ->
         ( r.Wf_store.Log.sr_frames,
           r.Wf_store.Log.sr_dropped_bytes,
-          Wf_store.Log.ckpt_source_name r.Wf_store.Log.sr_ckpt ))
+          Wf_store.Log.For_testing.ckpt_source_name r.Wf_store.Log.sr_ckpt ))
       reports
   in
   let pins = Alcotest.(list (triple int int string)) in
@@ -729,7 +729,7 @@ let test_arena_rebuild () =
 
 (* Rows, log entries and tokens on both sides of a segment boundary. *)
 let test_segment_boundaries () =
-  let seg = Arena.seg_rows in
+  let seg = Arena.For_testing.seg_rows in
   check Alcotest.int "segment size" 4096 seg;
   let a = Arena.create ~width:2 in
   Arena.ensure a (seg - 1);
@@ -801,7 +801,7 @@ let test_segment_boundaries () =
           let pre = prefix n len in
           let fe = Fleet.create ~checkpoint_every:(List.length pre) [ saga ] in
           feed_fleet fe pre;
-          check Alcotest.int "bindings at the boundary" n (Fleet.bindings fe);
+          check Alcotest.int "bindings at the boundary" n (Fleet.For_testing.bindings fe);
           check Alcotest.int "log at the boundary" len
             (Trace.length (Fleet.trace fe));
           let r0 = Fleet.recover fe in
@@ -900,7 +900,7 @@ let test_open_verdicts_exact () =
               Fleet.occurred fe (if pos then Literal.pos s else Literal.neg s))
             h)
         (histories bases);
-      let checked, mismatches = Fleet.audit_open_verdicts fe in
+      let checked, mismatches = Fleet.For_testing.audit_open_verdicts fe in
       if mismatches > 0 then
         Alcotest.failf "%s: %d of %d Open verdicts differ from symbolic" name
           mismatches checked;
@@ -990,16 +990,16 @@ let test_reservation_waiters_fifo () =
   (* Nothing is parked, so the first requester was granted immediately;
      the rest queued behind it in arrival order. *)
   check Alcotest.int "one holder, rest queued" (n - 1)
-    (List.length (Actor.waiters actor));
+    (List.length (Actor.For_testing.waiters actor));
   checkb "queue preserves arrival order"
-    (List.equal Literal.equal (List.tl arrival) (Actor.waiters actor));
+    (List.equal Literal.equal (List.tl arrival) (Actor.For_testing.waiters actor));
   for _ = 1 to n do
     Actor.apply ctx actor
       (Actor.I_message (Messages.Release { sym = esym; holder = lit "e" }))
   done;
   checkb "grants follow arrival order exactly, nobody starved"
     (List.equal Literal.equal arrival (List.rev !granted));
-  check Alcotest.int "queue drained" 0 (List.length (Actor.waiters actor))
+  check Alcotest.int "queue drained" 0 (List.length (Actor.For_testing.waiters actor))
 
 let suite =
   [

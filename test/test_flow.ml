@@ -10,7 +10,7 @@ open Helpers
 
 let count stats name = Wf_obs.Metrics.count stats name
 let gauge stats name =
-  match Wf_obs.Metrics.gauge stats name with Some g -> g | None -> 0.0
+  match Wf_obs.Metrics.For_testing.gauge stats name with Some g -> g | None -> 0.0
 
 (* --- channel-level flow control ------------------------------------------ *)
 
@@ -52,7 +52,7 @@ let test_bounded_mailbox_exactly_once () =
   let stats = Netsim.stats net in
   check Alcotest.(list int) "every message exactly once, in order"
     (List.init 200 Fun.id) received;
-  check Alcotest.int "outbox drained" 0 (Channel.unacked chan);
+  check Alcotest.int "outbox drained" 0 (Channel.For_testing.unacked chan);
   checkb "mailbox stayed within its cap"
     (gauge stats "flow_max_mailbox_depth" <= float_of_int small_flow.Flow.mailbox_cap);
   checkb "credits were consumed" (count stats "flow_credits_consumed" > 0);
@@ -77,7 +77,7 @@ let test_mailbox_cap_refusal () =
   check Alcotest.(list int) "exactly once despite refusals"
     (List.init 40 Fun.id)
     (List.sort compare received);
-  check Alcotest.int "outbox drained" 0 (Channel.unacked chan);
+  check Alcotest.int "outbox drained" 0 (Channel.For_testing.unacked chan);
   checkb "the full mailbox refused arrivals"
     (count stats "flow_mailbox_rejects" > 0);
   checkb "refused arrivals were retransmitted"
@@ -126,7 +126,7 @@ let prop_credit_conservation (n, window, cap, drop_pct) =
   let consumed = count stats "flow_credits_consumed" in
   let granted = count stats "flow_credits_granted" in
   List.sort compare received = List.init n Fun.id
-  && Channel.unacked chan = 0
+  && Channel.For_testing.unacked chan = 0
   && consumed <= granted + window
   && granted <= n + window
   && gauge stats "flow_max_mailbox_depth" <= float_of_int cap
@@ -145,8 +145,8 @@ let dedup_high_water ?faults ?flow ~n () =
   Channel.on_receive chan 0 (fun _ _ -> ());
   let high = ref 0 in
   let rec probe () =
-    high := max !high (Channel.dedup_size chan);
-    if not (Netsim.quiescent net) then Netsim.schedule net ~delay:2.0 probe
+    high := max !high (Channel.For_testing.dedup_size chan);
+    if not (Netsim.For_testing.quiescent net) then Netsim.schedule net ~delay:2.0 probe
   in
   Netsim.schedule net ~delay:2.0 probe;
   for i = 0 to n - 1 do
@@ -154,7 +154,7 @@ let dedup_high_water ?faults ?flow ~n () =
         Channel.send chan ~src:0 ~dst:1 i)
   done;
   Netsim.run net;
-  high := max !high (Channel.dedup_size chan);
+  high := max !high (Channel.For_testing.dedup_size chan);
   (chan, !high)
 
 let test_dedup_memory_bounded () =
@@ -163,7 +163,7 @@ let test_dedup_memory_bounded () =
      O(n). *)
   let chan, high = dedup_high_water ~n:500 () in
   checkb "fault-free dedup set is O(1)" (high <= 2);
-  check Alcotest.int "fully pruned after the run" 0 (Channel.dedup_size chan);
+  check Alcotest.int "fully pruned after the run" 0 (Channel.For_testing.dedup_size chan);
   (* Heavy reordering tears holes in the mid sequence: the set may hold
      the out-of-order window but never the whole run. *)
   let faults =
@@ -171,17 +171,17 @@ let test_dedup_memory_bounded () =
   in
   let chan, high = dedup_high_water ~faults ~n:500 () in
   checkb "reordered dedup set is O(window), not O(messages)"
-    (high > 0 || Channel.dedup_size chan = 0);
+    (high > 0 || Channel.For_testing.dedup_size chan = 0);
   checkb (Printf.sprintf "high-water %d stays far below 500 messages" high)
     (high <= 64);
   check Alcotest.int "fully pruned once every hole filled" 0
-    (Channel.dedup_size chan);
+    (Channel.For_testing.dedup_size chan);
   (* Same bound through the flow-controlled consumption path. *)
   let chan, high = dedup_high_water ~faults ~flow:small_flow ~n:300 () in
   checkb
     (Printf.sprintf "flow-controlled high-water %d stays O(window)" high)
     (high <= 64);
-  check Alcotest.int "flow path fully pruned" 0 (Channel.dedup_size chan)
+  check Alcotest.int "flow path fully pruned" 0 (Channel.For_testing.dedup_size chan)
 
 (* --- dead-letter attribution (satellite) --------------------------------- *)
 
@@ -205,7 +205,7 @@ let test_dead_letter_records_match_counter () =
   let net = make_net ~faults () in
   let sink, records = Wf_obs.Trace.collector () in
   Netsim.set_tracer net (Some sink);
-  let chan = Channel.create ~rto:1.0 ~max_rto:2.0 ~max_retries:4 net in
+  let chan = Channel.create ~rto:1.0 net in
   Channel.on_receive chan 1 (fun _ _ -> Alcotest.fail "dead link delivered");
   for i = 0 to 2 do
     Channel.send chan ~src:0 ~dst:1 i
@@ -227,10 +227,10 @@ let test_dead_letter_records_match_counter () =
     (fun (site, dst, tries) ->
       check Alcotest.int "sender site" 0 site;
       check Alcotest.int "peer" 1 dst;
-      check Alcotest.int "tries at give-up" 4 tries)
+      check Alcotest.int "tries at give-up" 30 tries)
     dead;
   check Alcotest.int "records agree with dead_letters" 3
-    (Channel.dead_letters chan)
+    (Channel.For_testing.dead_letters chan)
 
 (* --- admission control in the schedulers --------------------------------- *)
 

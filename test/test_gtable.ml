@@ -33,7 +33,7 @@ let chain_guard () =
   Synth.guard (Expr.seq_all [ e; f; g ]) (lit "g")
 
 let compile_exn g =
-  match Gtable.compile g with
+  match Gtable.For_testing.compile g with
   | Some t -> t
   | None -> Alcotest.fail "chain guard should compile"
 
@@ -57,11 +57,14 @@ let test_foreign_noop () =
   let tbl = compile_exn (chain_guard ()) in
   let s0 = Gtable.initial tbl in
   checkb "z outside alphabet"
-    (not (Gtable.mem_symbol tbl (Literal.symbol (lit "z"))));
+    (not
+       (List.exists
+          (Symbol.equal (Literal.symbol (lit "z")))
+          (Gtable.For_testing.alphabet tbl)));
   check Alcotest.int "occurrence of z is a no-op" s0
     (Gtable.step_occurred tbl s0 (lit "z"));
   check Alcotest.int "promise of z is a no-op" s0
-    (Gtable.step_promised tbl s0 (lit "z"))
+    (Gtable.For_testing.step_promised tbl s0 (lit "z"))
 
 let test_switch_and_memo () =
   let g = chain_guard () in
@@ -76,7 +79,7 @@ let test_switch_and_memo () =
 
 let test_compile_bounds () =
   checkb "state bound respected"
-    (Gtable.compile ~max_states:1 (chain_guard ()) = None);
+    (Gtable.For_testing.compile ~max_states:1 (chain_guard ()) = None);
   let stats = Gtable.stats () in
   List.iter
     (fun k -> checkb (k ^ " reported") (List.mem_assoc k stats))
@@ -86,19 +89,7 @@ let test_fingerprint_stable () =
   let t1 = compile_exn (chain_guard ()) in
   let t2 = compile_exn (chain_guard ()) in
   check Alcotest.int "recompilation reproduces the fingerprint"
-    (Gtable.fingerprint t1) (Gtable.fingerprint t2)
-
-let test_verdict_matrix () =
-  let tbl = compile_exn (chain_guard ()) in
-  let m = Tables.gtable_verdicts tbl in
-  check Alcotest.int "one row per state" (Gtable.num_states tbl)
-    (List.length m.Tables.row_labels);
-  check
-    Alcotest.(list string)
-    "verdict columns"
-    [ "enabled"; "violated"; "forced" ]
-    m.Tables.col_labels;
-  checkb "renders" (String.length (Tables.render m) > 0)
+    (Gtable.For_testing.fingerprint t1) (Gtable.For_testing.fingerprint t2)
 
 (* --- Differential properties --------------------------------------------- *)
 
@@ -120,12 +111,15 @@ let differential =
       Literal.Set.for_all
         (fun l ->
           let g0 = Synth.guard d l in
-          match Gtable.compile g0 with
+          match Gtable.For_testing.compile g0 with
           | None -> true
           | Some tbl ->
               let steps =
                 List.filter
-                  (fun (_, x) -> Gtable.mem_symbol tbl (Literal.symbol x))
+                  (fun (_, x) ->
+                    List.exists
+                      (Symbol.equal (Literal.symbol x))
+                      (Gtable.For_testing.alphabet tbl))
                   steps
               in
               let g, ix, s =
@@ -134,7 +128,7 @@ let differential =
                     if promise then
                       ( Guard.assimilate_promise x g,
                         Guard.Indexed.promised x ix,
-                        Gtable.step_promised tbl s x )
+                        Gtable.For_testing.step_promised tbl s x )
                     else
                       ( Guard.assimilate_occurred x g,
                         Guard.Indexed.occurred x ix,
@@ -142,12 +136,12 @@ let differential =
                   (g0, Guard.Indexed.of_guard g0, Gtable.initial tbl)
                   steps
               in
-              Guard.equal (Gtable.guard_of tbl s) g
+              Guard.equal (Gtable.For_testing.guard_of tbl s) g
               && Gtable.verdict tbl s
                  = (if Guard.is_true g then Gtable.Enabled
                     else if Guard.is_false g then Gtable.Violated
                     else Gtable.Open)
-              && Guard.equivalent
+              && Guard.For_testing.equivalent
                    ~alphabet:(Guard.symbols g0)
                    (Guard.Indexed.to_guard ix)
                    g)
@@ -196,7 +190,7 @@ let memo_matches_symbolic =
       let pool = List.concat_map (fun n -> [ lit n; lit ("~" ^ n) ]) symbol_names in
       let offers = [] :: List.map (fun l -> [ l ]) pool @ [ [ lit "e"; lit "~f" ] ] in
       let ok, audit =
-        Gtable.audit_status_memo @@ fun () ->
+        Gtable.For_testing.audit_status_memo @@ fun () ->
         Literal.Set.for_all
           (fun l ->
             let g = Synth.guard d l in
@@ -226,7 +220,7 @@ let memo_matches_symbolic =
                   (knowledge_prefixes steps))
           (Expr.literals d)
       in
-      ok && audit.Gtable.mismatches = 0)
+      ok && audit.Gtable.For_testing.mismatches = 0)
 
 (* The memoized pursuit equals the symbolic one at every prefix of the
    script, with and without reservations, and every pursuit-memo hit on
@@ -238,7 +232,7 @@ let pursuit_matches_symbolic =
         Symbol.Set.of_list (List.map (fun n -> Literal.symbol (lit n)) reserved)
       in
       let ok, audit =
-        Gtable.audit_status_memo @@ fun () ->
+        Gtable.For_testing.audit_status_memo @@ fun () ->
         Literal.Set.for_all
           (fun l ->
             let g = Synth.guard d l in
@@ -255,7 +249,7 @@ let pursuit_matches_symbolic =
                   (knowledge_prefixes steps))
           (Expr.literals d)
       in
-      ok && audit.Gtable.pursuit_mismatches = 0)
+      ok && audit.Gtable.For_testing.pursuit_mismatches = 0)
 
 let rec permutations = function
   | [] -> [ [] ]
@@ -308,7 +302,7 @@ let subsets syms =
    symbolic pursuit tells apart fails here. *)
 let pursuit_agrees_everywhere g =
   let ok, audit =
-    Gtable.audit_status_memo @@ fun () ->
+    Gtable.For_testing.audit_status_memo @@ fun () ->
     match Gtable.lookup g with
     | None -> true
     | Some tbl ->
@@ -322,7 +316,7 @@ let pursuit_agrees_everywhere g =
               (subsets syms))
           (all_knowledges syms)
   in
-  ok && audit.Gtable.pursuit_mismatches = 0
+  ok && audit.Gtable.For_testing.pursuit_mismatches = 0
 
 (* Occurrence order alone can change a pursuit: [◇(e·f) ∧ ¬h] asks to
    reserve [h] once [e] then [f] occurred, and nothing once [f] then
@@ -359,7 +353,7 @@ let test_memo_counters () =
     | Some t -> t
     | None -> Alcotest.fail "the wide chain guard should compile"
   in
-  check Alcotest.int "wide alphabet" 16 (Gtable.num_symbols tbl);
+  check Alcotest.int "wide alphabet" 16 (List.length (Gtable.For_testing.alphabet tbl));
   let v = Gtable.view tbl ~reserved:Symbol.Set.empty Knowledge.empty in
   checkb "wide guard undecided" (Gtable.view_status tbl v = Knowledge.Unknown);
   check Alcotest.int "wide guard went symbolic" 1 (stat "status_symbolic");
@@ -375,12 +369,12 @@ let test_memo_counters () =
   let v = Gtable.view tbl ~reserved know in
   let first = Gtable.view_status tbl v in
   let again, audit =
-    Gtable.audit_status_memo (fun () ->
+    Gtable.For_testing.audit_status_memo (fun () ->
         Gtable.view_status tbl (Gtable.view tbl ~reserved know))
   in
   checkb "repeat answers alike" (first = again);
-  check Alcotest.int "the repeat is an audited hit" 1 audit.Gtable.hits_checked;
-  check Alcotest.int "audit is clean" 0 audit.Gtable.mismatches;
+  check Alcotest.int "the repeat is an audited hit" 1 audit.Gtable.For_testing.hits_checked;
+  check Alcotest.int "audit is clean" 0 audit.Gtable.For_testing.mismatches;
   check Alcotest.int "one entry" 1 (stat "status_memo_entries");
   check Alcotest.int "one miss" 1 (stat "status_memo_misses");
   check Alcotest.int "no new symbolic fallback" 1 (stat "status_symbolic");
@@ -394,13 +388,13 @@ let test_memo_counters () =
   check Alcotest.int "one pursuit miss" 1 (stat "pursuit_memo_misses");
   let entries = stat "status_memo_entries" in
   let pu', audit =
-    Gtable.audit_status_memo (fun () ->
+    Gtable.For_testing.audit_status_memo (fun () ->
         Gtable.pursuit tbl (Gtable.view tbl ~reserved know))
   in
   checkb "repeat pursues alike" (pu = pu');
   check Alcotest.int "the pursuit repeat is an audited hit" 1
-    audit.Gtable.pursuit_hits_checked;
-  check Alcotest.int "pursuit audit is clean" 0 audit.Gtable.pursuit_mismatches;
+    audit.Gtable.For_testing.pursuit_hits_checked;
+  check Alcotest.int "pursuit audit is clean" 0 audit.Gtable.For_testing.pursuit_mismatches;
   check Alcotest.int "a pursuit hit probes nothing" entries
     (stat "status_memo_entries");
   check Alcotest.int "still one pursuit miss" 1 (stat "pursuit_memo_misses");
@@ -485,7 +479,7 @@ let stepped_view_matches_fresh =
   qprop ~count:300 "stepped view = fresh view (random inputs)" gen_view_case
     (fun (d, inputs) ->
       let ok, audit =
-        Gtable.audit_status_memo @@ fun () ->
+        Gtable.For_testing.audit_status_memo @@ fun () ->
         Literal.Set.for_all
           (fun l ->
             match Gtable.lookup (Synth.guard d l) with
@@ -500,13 +494,13 @@ let stepped_view_matches_fresh =
                       | None -> go state v rest
                       | Some (((k, reserved) as state), step) ->
                           let v = Gtable.step_view tbl v ~reserved k step in
-                          Gtable.view_equal v (Gtable.view tbl ~reserved k)
+                          Gtable.For_testing.view_equal v (Gtable.view tbl ~reserved k)
                           && go state v rest)
                 in
                 go state v inputs)
           (Expr.literals d)
       in
-      ok && audit.Gtable.view_mismatches = 0)
+      ok && audit.Gtable.For_testing.view_mismatches = 0)
 
 (* Table states replay occurrences in seqno order, so an announcement
    stamped below one the view holds must rebuild: under e·f·g, g's
@@ -519,18 +513,18 @@ let test_late_announcement_rebuilds () =
   let k1 = Knowledge.occurred (lit "f") ~seqno:2 Knowledge.empty in
   let k2 = Knowledge.occurred (lit "e") ~seqno:1 k1 in
   let (), audit =
-    Gtable.audit_status_memo (fun () ->
+    Gtable.For_testing.audit_status_memo (fun () ->
         let v = Gtable.view tbl ~reserved Knowledge.empty in
         let v = Gtable.step_view tbl v ~reserved k1 (Gtable.Occurred (lit "f", 2)) in
         let v = Gtable.step_view tbl v ~reserved k2 (Gtable.Occurred (lit "e", 1)) in
         checkb "the late announcement's view equals a fresh one"
-          (Gtable.view_equal v (Gtable.view tbl ~reserved k2));
+          (Gtable.For_testing.view_equal v (Gtable.view tbl ~reserved k2));
         checkb "e then f enables g"
           (Gtable.view_status tbl v = Knowledge.True))
   in
   check Alcotest.int "only the in-order step was stepped" 1
-    audit.Gtable.views_checked;
-  check Alcotest.int "and it matched" 0 audit.Gtable.view_mismatches
+    audit.Gtable.For_testing.views_checked;
+  check Alcotest.int "and it matched" 0 audit.Gtable.For_testing.view_mismatches
 
 let suite =
   [
@@ -543,7 +537,6 @@ let suite =
       test_compile_bounds;
     Alcotest.test_case "fingerprint is reproducible" `Quick
       test_fingerprint_stable;
-    Alcotest.test_case "verdict matrix renders" `Quick test_verdict_matrix;
     differential;
     memo_matches_symbolic;
     pursuit_matches_symbolic;

@@ -13,8 +13,8 @@ let test_constructors () =
   checkb "bottom false" (Guard.is_false Guard.bottom);
   check Alcotest.string "has" "[]e" (gstr (Guard.has (lit "e")));
   check Alcotest.string "hasnt" "!e" (gstr (Guard.hasnt (lit "e")));
-  check Alcotest.string "will" "<>e" (gstr (Guard.will (lit "e")));
-  check Alcotest.string "will neg" "<>~e" (gstr (Guard.will (lit "~e")))
+  check Alcotest.string "will" "<>e" (gstr (Guard.For_testing.will (lit "e")));
+  check Alcotest.string "will neg" "<>~e" (gstr (Guard.For_testing.will (lit "~e")))
 
 let test_boolean_structure () =
   let a = Guard.has (lit "e") in
@@ -27,7 +27,7 @@ let test_boolean_structure () =
 
 let test_example8_as_masks () =
   (* The laws of Example 8 hold by mask arithmetic. *)
-  let dia_e = Guard.will (lit "e") and dia_ne = Guard.will (lit "~e") in
+  let dia_e = Guard.For_testing.will (lit "e") and dia_ne = Guard.For_testing.will (lit "~e") in
   let box_e = Guard.has (lit "e") and not_e = Guard.hasnt (lit "e") in
   checkb "◇e + ◇ē = T" (Guard.is_true (Guard.sum dia_e dia_ne));
   checkb "◇e | ◇ē = 0" (Guard.is_false (Guard.conj dia_e dia_ne));
@@ -58,7 +58,7 @@ let test_will_term () =
        (fun u ->
          List.for_all
            (fun i ->
-             (not (Guard.eval u i gd)) || Guard.eval u i (Guard.will (lit "e")))
+             (not (Guard.eval u i gd)) || Guard.eval u i (Guard.For_testing.will (lit "e")))
            (List.init (Trace.length u + 1) Fun.id))
        (Universe.maximal_traces alpha))
 
@@ -82,7 +82,7 @@ let test_will_nf_distribution () =
 let test_eval_matches_formula () =
   let gd =
     Guard.sum
-      (Guard.conj (Guard.hasnt (lit "f")) (Guard.will (lit "e")))
+      (Guard.conj (Guard.hasnt (lit "f")) (Guard.For_testing.will (lit "e")))
       (Guard.will_term (Option.get (Term.make [ lit "f"; lit "g" ])))
   in
   let form = Guard.to_formula gd in
@@ -103,19 +103,19 @@ let test_assimilate_occurred () =
   checkb "□e to T"
     (Guard.is_true (Guard.assimilate_occurred (lit "e") (Guard.has (lit "e"))));
   checkb "◇e to T"
-    (Guard.is_true (Guard.assimilate_occurred (lit "e") (Guard.will (lit "e"))));
+    (Guard.is_true (Guard.assimilate_occurred (lit "e") (Guard.For_testing.will (lit "e"))));
   checkb "¬e to 0"
     (Guard.is_false (Guard.assimilate_occurred (lit "e") (Guard.hasnt (lit "e"))));
   (* And □ē kills □e and ◇e, validates ¬e. *)
   checkb "□ē kills ◇e"
-    (Guard.is_false (Guard.assimilate_occurred (lit "~e") (Guard.will (lit "e"))));
+    (Guard.is_false (Guard.assimilate_occurred (lit "~e") (Guard.For_testing.will (lit "e"))));
   checkb "□ē validates ¬e"
     (Guard.is_true (Guard.assimilate_occurred (lit "~e") (Guard.hasnt (lit "e"))))
 
 let test_assimilate_promise () =
   (* ◇e reduces ◇e to T but leaves □e and ¬e symbolic. *)
   checkb "promise discharges ◇e"
-    (Guard.is_true (Guard.assimilate_promise (lit "e") (Guard.will (lit "e"))));
+    (Guard.is_true (Guard.assimilate_promise (lit "e") (Guard.For_testing.will (lit "e"))));
   let boxed = Guard.assimilate_promise (lit "e") (Guard.has (lit "e")) in
   checkb "promise leaves □e pending"
     ((not (Guard.is_true boxed)) && not (Guard.is_false boxed));
@@ -123,14 +123,14 @@ let test_assimilate_promise () =
   checkb "promise leaves ¬e pending"
     ((not (Guard.is_true not_e)) && not (Guard.is_false not_e));
   checkb "promise of complement kills ◇e"
-    (Guard.is_false (Guard.assimilate_promise (lit "~e") (Guard.will (lit "e"))))
+    (Guard.is_false (Guard.assimilate_promise (lit "~e") (Guard.For_testing.will (lit "e"))))
 
 let test_assimilate_pending_order () =
   (* ◇(e·f): e first shrinks it to ◇f; f first kills it. *)
   let tau = Option.get (Term.make [ lit "e"; lit "f" ]) in
   let gd = Guard.will_term tau in
   check guard_testable "after e: ◇f"
-    (Guard.will (lit "f"))
+    (Guard.For_testing.will (lit "f"))
     (Guard.assimilate_occurred (lit "e") gd);
   checkb "after f: dead"
     (Guard.is_false (Guard.assimilate_occurred (lit "f") gd));
@@ -138,7 +138,7 @@ let test_assimilate_pending_order () =
     (Guard.is_false (Guard.assimilate_occurred (lit "~f") gd))
 
 let test_map_symbols () =
-  let gd = Guard.conj (Guard.has (lit "e")) (Guard.will (lit "f")) in
+  let gd = Guard.conj (Guard.has (lit "e")) (Guard.For_testing.will (lit "f")) in
   let renamed =
     Guard.map_symbols
       (fun sym -> Symbol.make (Symbol.name sym ^ "_x"))

@@ -35,13 +35,13 @@ let test_promise_rules () =
      and ¬e undecided. *)
   let k = k_of [] [ "e" ] in
   check status_testable "◇e true" Knowledge.True
-    (Knowledge.status k (Guard.will (lit "e")));
+    (Knowledge.status k (Guard.For_testing.will (lit "e")));
   check status_testable "□e unknown" Knowledge.Unknown
     (Knowledge.status k (Guard.has (lit "e")));
   check status_testable "¬e unknown" Knowledge.Unknown
     (Knowledge.status k (Guard.hasnt (lit "e")));
   check status_testable "◇ē false" Knowledge.False
-    (Knowledge.status k (Guard.will (lit "~e")))
+    (Knowledge.status k (Guard.For_testing.will (lit "~e")))
 
 let test_reservation () =
   let reserved = Symbol.Set.singleton (Symbol.make "e") in
@@ -51,7 +51,7 @@ let test_reservation () =
     Knowledge.Unknown
     (Knowledge.status ~reserved Knowledge.empty (Guard.has (lit "e")));
   (* promise + reservation pins situation C: ¬e|◇e becomes true. *)
-  let both = Guard.conj (Guard.hasnt (lit "e")) (Guard.will (lit "e")) in
+  let both = Guard.conj (Guard.hasnt (lit "e")) (Guard.For_testing.will (lit "e")) in
   check status_testable "¬e|◇e unknown with promise alone" Knowledge.Unknown
     (Knowledge.status (k_of [] [ "e" ]) both);
   check status_testable "¬e|◇e true with promise + reservation" Knowledge.True
@@ -63,9 +63,9 @@ let test_never () =
   check status_testable "¬e true" Knowledge.True
     (Knowledge.status ~never Knowledge.empty (Guard.hasnt (lit "e")));
   check status_testable "◇e false" Knowledge.False
-    (Knowledge.status ~never Knowledge.empty (Guard.will (lit "e")));
+    (Knowledge.status ~never Knowledge.empty (Guard.For_testing.will (lit "e")));
   check status_testable "◇ē true" Knowledge.True
-    (Knowledge.status ~never Knowledge.empty (Guard.will (lit "~e")));
+    (Knowledge.status ~never Knowledge.empty (Guard.For_testing.will (lit "~e")));
   check status_testable "□ē false (not yet)" Knowledge.False
     (Knowledge.status ~never Knowledge.empty (Guard.has (lit "~e")))
 
@@ -127,7 +127,7 @@ let test_needs () =
   | [ n ] ->
       checkb "reserve offered" (n.Knowledge.reserves = [ Symbol.make "f" ])
   | _ -> Alcotest.fail "expected one product");
-  (match needs (Guard.will (lit "f")) with
+  (match needs (Guard.For_testing.will (lit "f")) with
   | [ n ] ->
       checkb "promise offered"
         (List.exists (Literal.equal (lit "f")) n.Knowledge.promises)
@@ -139,7 +139,7 @@ let test_needs () =
   | _ -> Alcotest.fail "expected one product");
   (* combination mask ¬f|◇f = {C}: reservation offered so a promise can
      then pin C. *)
-  (match needs (Guard.conj (Guard.hasnt (lit "f")) (Guard.will (lit "f"))) with
+  (match needs (Guard.conj (Guard.hasnt (lit "f")) (Guard.For_testing.will (lit "f"))) with
   | [ n ] -> checkb "combo offers reserve" (n.Knowledge.reserves = [ Symbol.make "f" ])
   | _ -> Alcotest.fail "expected one product")
 

@@ -31,7 +31,7 @@ let int_codec : (int, int) Log.codec =
 let fresh_sim ?faults ?(seed = 1L) () = Media.Sim.create ?faults ~seed ()
 
 let report_testable =
-  Alcotest.testable Log.pp_report (fun (a : Log.salvage_report) b -> a = b)
+  Alcotest.testable Log.For_testing.pp_report (fun (a : Log.salvage_report) b -> a = b)
 
 (* --- frame layer --------------------------------------------------------- *)
 
@@ -43,7 +43,7 @@ let test_roundtrip () =
   Log.checkpoint log "SNAP";
   Log.append log "charlie";
   Log.sync log;
-  check Alcotest.int "four frames" 4 (Log.frames_written log);
+  check Alcotest.int "four frames" 4 (Log.For_testing.frames_written log);
   let _, (ckpt, entries), report =
     Log.recover string_codec (Media.Sim.device sim)
   in
@@ -326,7 +326,7 @@ let test_journal_mirror_reload () =
   check Alcotest.int "lifetime appends carried over" 7
     (Journal.total_appended j);
   check Alcotest.int "checkpoints carried over" 3
-    (Journal.checkpoints_taken j);
+    (Journal.For_testing.checkpoints_taken j);
   checkb "create rejects a used medium"
     (try
        ignore (Journal.create ~store:(int_codec, sim) ());

@@ -9,6 +9,8 @@ module Metrics = Wf_obs.Metrics
 module Trace = Wf_obs.Trace
 module Json = Wf_obs.Json
 
+let observe m name x = Metrics.record (Metrics.histogram m name) x
+
 (* --- the nearest-rank oracle ------------------------------------------- *)
 
 let test_percentile_nearest_rank () =
@@ -39,26 +41,26 @@ let test_metrics_registry () =
   Metrics.add m "a" 2;
   check Alcotest.int "counter" 3 (Metrics.count m "a");
   check Alcotest.int "missing counter" 0 (Metrics.count m "b");
-  Metrics.set_gauge m "level" 2.0;
-  Metrics.set_gauge m "level" 5.0;
-  check (Alcotest.float 0.0) "gauge keeps last" 5.0
-    (Option.get (Metrics.gauge m "level"));
-  checkb "missing gauge" (Metrics.gauge m "nope" = None);
-  List.iter (Metrics.observe m "lat") [ 1.0; 2.0; 3.0; 4.0 ];
-  Metrics.observe m "lat" Float.nan;
-  let s = Metrics.summarize m "lat" in
+  Metrics.gauge_max m "level" 5.0;
+  Metrics.gauge_max m "level" 2.0;
+  check (Alcotest.float 0.0) "gauge keeps the maximum" 5.0
+    (Option.get (Metrics.For_testing.gauge m "level"));
+  checkb "missing gauge" (Metrics.For_testing.gauge m "nope" = None);
+  List.iter (observe m "lat") [ 1.0; 2.0; 3.0; 4.0 ];
+  observe m "lat" Float.nan;
+  let s = Metrics.For_testing.summarize m "lat" in
   check Alcotest.int "n exact, nan dropped" 4 s.Metrics.n;
   check (Alcotest.float 0.001) "mean exact" 2.5 s.Metrics.mean;
   check (Alcotest.float 0.0) "min exact" 1.0 s.Metrics.min;
   check (Alcotest.float 0.0) "max exact" 4.0 s.Metrics.max;
-  check (Alcotest.float 0.0) "p<=0 is min" 1.0 (Metrics.quantile m "lat" 0.0);
-  check (Alcotest.float 0.0) "p>=1 is max" 4.0 (Metrics.quantile m "lat" 1.0);
-  checkb "unknown histogram is nan" (Float.is_nan (Metrics.quantile m "x" 0.5));
+  check (Alcotest.float 0.0) "p<=0 is min" 1.0 (Metrics.For_testing.quantile m "lat" 0.0);
+  check (Alcotest.float 0.0) "p>=1 is max" 4.0 (Metrics.For_testing.quantile m "lat" 1.0);
+  checkb "unknown histogram is nan" (Float.is_nan (Metrics.For_testing.quantile m "x" 0.5));
   (* out-of-range samples land in the overflow buckets but keep the
      exact moments *)
   let o = Metrics.create () in
-  List.iter (Metrics.observe o "wild") [ 1e12; 1e-12; 3.0; -5.0 ];
-  let s = Metrics.summarize o "wild" in
+  List.iter (observe o "wild") [ 1e12; 1e-12; 3.0; -5.0 ];
+  let s = Metrics.For_testing.summarize o "wild" in
   check Alcotest.int "overflow counted" 4 s.Metrics.n;
   check (Alcotest.float 0.0) "overflow min exact" (-5.0) s.Metrics.min;
   check (Alcotest.float 0.0) "overflow max exact" 1e12 s.Metrics.max
@@ -73,11 +75,11 @@ let test_histogram_quantile_bound () =
       let reg = Metrics.create () and samples = ref [] in
       for _ = 1 to n do
         let x = Wf_sim.Rng.exponential rng ~mean:3.0 +. 0.001 in
-        Metrics.observe reg "lat" x;
+        observe reg "lat" x;
         samples := x :: !samples
       done;
       let exact = summarize !samples in
-      let approx = Metrics.summarize reg "lat" in
+      let approx = Metrics.For_testing.summarize reg "lat" in
       check Alcotest.int "n agrees" exact.n approx.Metrics.n;
       let within name a e =
         checkb
@@ -97,8 +99,8 @@ let test_metrics_merge_associative () =
     List.iteri
       (fun i x ->
         Metrics.incr m "c";
-        Metrics.set_gauge m "g" x;
-        Metrics.observe m (if i mod 2 = 0 then "h0" else "h1") x)
+        Metrics.gauge_max m "g" x;
+        observe m (if i mod 2 = 0 then "h0" else "h1") x)
       values;
     m
   in
@@ -110,15 +112,15 @@ let test_metrics_merge_associative () =
   check Alcotest.int "counter total" 9 (Metrics.count l "c");
   check Alcotest.int "counter assoc" (Metrics.count l "c")
     (Metrics.count r "c");
-  (* within a registry set_gauge keeps the last value (a: 2.0, b: 0.5,
-     c: 4.0); merge keeps the maximum of the levels *)
-  check (Alcotest.float 0.0) "gauge is max" 4.0
-    (Option.get (Metrics.gauge l "g"));
-  check (Alcotest.float 0.0) "gauge assoc" (Option.get (Metrics.gauge l "g"))
-    (Option.get (Metrics.gauge r "g"));
+  (* each registry keeps its maximum (a: 5.0, b: 10.0, c: 7.5); merge
+     keeps the maximum of the levels *)
+  check (Alcotest.float 0.0) "gauge is max" 10.0
+    (Option.get (Metrics.For_testing.gauge l "g"));
+  check (Alcotest.float 0.0) "gauge assoc" (Option.get (Metrics.For_testing.gauge l "g"))
+    (Option.get (Metrics.For_testing.gauge r "g"));
   List.iter
     (fun name ->
-      let sl = Metrics.summarize l name and sr = Metrics.summarize r name in
+      let sl = Metrics.For_testing.summarize l name and sr = Metrics.For_testing.summarize r name in
       check Alcotest.int (name ^ " n assoc") sl.Metrics.n sr.Metrics.n;
       check (Alcotest.float 1e-9) (name ^ " mean assoc") sl.Metrics.mean
         sr.Metrics.mean;
@@ -128,7 +130,7 @@ let test_metrics_merge_associative () =
         sr.Metrics.max;
       check (Alcotest.float 0.0) (name ^ " p99 assoc") sl.Metrics.p99
         sr.Metrics.p99)
-    (Metrics.histogram_names l);
+    (Metrics.For_testing.histogram_names l);
   (* merging with an empty registry is the identity on counts *)
   let e = Metrics.merge l (Metrics.create ()) in
   check Alcotest.int "empty merge id" (Metrics.count l "c")
@@ -137,8 +139,8 @@ let test_metrics_merge_associative () =
 let test_metrics_json () =
   let m = Metrics.create () in
   Metrics.add m "sent" 42;
-  Metrics.set_gauge m "makespan" 17.5;
-  List.iter (Metrics.observe m "lat") [ 1.0; 2.0; 4.0 ];
+  Metrics.gauge_max m "makespan" 17.5;
+  List.iter (observe m "lat") [ 1.0; 2.0; 4.0 ];
   let j =
     match Json.parse (Metrics.to_json m) with
     | Ok j -> j
@@ -175,16 +177,16 @@ let test_metrics_handles () =
   Metrics.bump_by sent 2;
   Metrics.bump_by zero 0;
   Metrics.record lat Float.nan;
-  checkb "a NaN sample registers nothing" (Metrics.histogram_names m = []);
+  checkb "a NaN sample registers nothing" (Metrics.For_testing.histogram_names m = []);
   List.iter (Metrics.record lat) [ 1.0; 2.0; 4.0 ];
   check Alcotest.int "bump visible to count" 3 (Metrics.count m "sent");
   Metrics.incr m "sent";
   Metrics.bump sent;
   check Alcotest.int "handle and name share the cell" 5 (Metrics.count m "sent");
   checkb "never-bumped handle stays absent"
-    (List.map fst (Metrics.counters m) = [ "sent"; "zero" ]);
+    (List.map fst (Metrics.For_testing.counters m) = [ "sent"; "zero" ]);
   ignore (idle, quiet);
-  checkb "unrecorded histogram stays absent" (Metrics.histogram_names m = [ "lat" ]);
+  checkb "unrecorded histogram stays absent" (Metrics.For_testing.histogram_names m = [ "lat" ]);
   (* A name registered through the string API after the handle was
      resolved: the first bump joins the existing cell. *)
   let late = Metrics.counter m "late" in
@@ -197,7 +199,7 @@ let test_metrics_handles () =
   Metrics.add r "sent" 5;
   Metrics.add r "zero" 0;
   Metrics.add r "late" 11;
-  List.iter (Metrics.observe r "lat") [ 1.0; 2.0; 4.0 ];
+  List.iter (observe r "lat") [ 1.0; 2.0; 4.0 ];
   check Alcotest.string "same JSON as the string API" (Metrics.to_json r)
     (Metrics.to_json m)
 
@@ -221,12 +223,12 @@ let test_netsim_delivery_metrics () =
   check Alcotest.int "site 2 received one" 1 (Metrics.count m "site_recv_2");
   check Alcotest.int "site 3 received one" 1 (Metrics.count m "site_recv_3");
   checkb "site 0 received nothing: absent"
-    (not (List.mem_assoc "site_recv_0" (Metrics.counters m)));
+    (not (List.mem_assoc "site_recv_0" (Metrics.For_testing.counters m)));
   check Alcotest.int "delivered" 4 (Metrics.count m "messages_delivered");
   check Alcotest.int "no handler at site 3" 1 (Metrics.count m "messages_dropped");
   check Alcotest.int "sent" 4 (Metrics.count m "messages_sent");
   check Alcotest.int "latency samples" 4
-    (Metrics.summarize m "message_latency").Metrics.n
+    (Metrics.For_testing.summarize m "message_latency").Metrics.n
 
 (* --- Trace: schema round-trip -------------------------------------------- *)
 
@@ -263,14 +265,14 @@ let all_kinds =
 let test_trace_roundtrip () =
   List.iter
     (fun r ->
-      match Trace.parse_line (Trace.line_of r) with
+      match Trace.parse_line (Trace.For_testing.line_of r) with
       | Ok r' ->
           checkb
-            ("round trip of " ^ Trace.kind_name r ^ ": " ^ Trace.line_of r)
+            ("round trip of " ^ Trace.kind_name r ^ ": " ^ Trace.For_testing.line_of r)
             (r = r')
       | Error e ->
           Alcotest.fail
-            (Printf.sprintf "%s does not parse back: %s" (Trace.line_of r) e))
+            (Printf.sprintf "%s does not parse back: %s" (Trace.For_testing.line_of r) e))
     all_kinds;
   checkb "unknown kind rejected"
     (Result.is_error (Trace.parse_line {|{"t":0,"kind":"nope","site":0}|}));
@@ -438,7 +440,7 @@ let test_traced_run_agrees () =
   check Alcotest.int "#epoch_bump = net_restarts" (count "net_restarts")
     (count_kind records "epoch_bump");
   check Alcotest.int "#ack = ack_latency.n"
-    (Metrics.summarize stats "ack_latency").Metrics.n
+    (Metrics.For_testing.summarize stats "ack_latency").Metrics.n
     (count_kind records "ack");
   let drops reason =
     List.length

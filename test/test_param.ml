@@ -57,7 +57,7 @@ let test_match_symbol () =
     (Ptemplate.match_symbol rep (Symbol.parametrized "h" [ "1"; "2" ]) = None)
 
 let test_of_expr_lifts () =
-  let t = Ptemplate.of_expr Catalog.d_lt in
+  let t = Ptemplate.For_testing.of_expr Catalog.d_lt in
   check Alcotest.(list string) "ground template has no vars" [] (Ptemplate.vars t);
   checkb "instantiates back"
     (Equiv.equal (Ptemplate.instantiate [] t) Catalog.d_lt)
@@ -290,7 +290,7 @@ let test_instance_cache () =
   check
     Alcotest.(option status_testable)
     "the cache holds c(2)'s decision" (Some Knowledge.Unknown)
-    (Param_sched.cached_decision eng (c 2));
+    (Param_sched.For_testing.cached_decision eng (c 2));
   occur "p" 1;
   (* c(3), c(2), c(1), c(0) re-decide; c(1) misses and is accepted; the
      three left re-decide once more on the pass it triggered *)
@@ -304,12 +304,12 @@ let test_instance_cache () =
   check
     Alcotest.(option status_testable)
     "c(2) is doomed and stays parked" (Some Knowledge.False)
-    (Param_sched.cached_decision eng (c 2));
+    (Param_sched.For_testing.cached_decision eng (c 2));
   (* pending terms are order-sensitive, so the key holds seqnos *)
   check
     Alcotest.(option status_testable)
     "p(2) at another seqno misses the key" None
-    (Param_sched.cached_decision
+    (Param_sched.For_testing.cached_decision
        ~know:(reseq (Param_sched.knowledge eng) (psym "p" "2"))
        eng (c 2));
   occur "p" 8;
@@ -319,7 +319,7 @@ let test_instance_cache () =
   checkb "recovered state equal" (Param_sched.equal_state eng r);
   checkb "restored entries hold no cached decision"
     (List.for_all
-       (fun s -> Param_sched.cached_decision r s = None)
+       (fun s -> Param_sched.For_testing.cached_decision r s = None)
        (Param_sched.parked r));
   let e0 = Param_sched.evaluations eng and r0 = Param_sched.evaluations r in
   let fresh_p = Literal.pos (psym "p" "7") in
@@ -426,10 +426,10 @@ let prop_cache_exact (case, steps) =
             if fate <> Knowledge.fate_of know sym then
               fail i "fate cell of %s differs from the knowledge"
                 (Symbol.name sym))
-          (Param_sched.fate_cells e);
+          (Param_sched.For_testing.fate_cells e);
         List.iter
           (fun sym ->
-            match Param_sched.cached_decision e sym with
+            match Param_sched.For_testing.cached_decision e sym with
             | Some d when d <> fresh_decision e sym ->
                 fail i "stale cached decision for %s" (Symbol.name sym)
             | _ -> ())
@@ -453,7 +453,7 @@ let prop_cache_exact (case, steps) =
               if
                 cadence = 1
                 && List.exists
-                     (fun s -> Param_sched.cached_decision r s <> None)
+                     (fun s -> Param_sched.For_testing.cached_decision r s <> None)
                      (Param_sched.parked r)
               then fail i "a restored entry kept a cached decision";
               eng := r;

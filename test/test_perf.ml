@@ -12,19 +12,19 @@ open Helpers
 
 let test_intern_ids () =
   let t1 = [ lit "e"; lit "~f" ] and t2 = [ lit "e"; lit "~f" ] in
-  check Alcotest.int "equal terms intern to the same id" (Intern.term t1)
-    (Intern.term t2);
+  check Alcotest.int "equal terms intern to the same id" (Intern.For_testing.term t1)
+    (Intern.For_testing.term t2);
   checkb "distinct terms intern apart"
-    (Intern.term [ lit "e" ] <> Intern.term [ lit "f" ]);
+    (Intern.For_testing.term [ lit "e" ] <> Intern.For_testing.term [ lit "f" ]);
   checkb "term id differs from literal id"
-    (Intern.literal (lit "e") <> Intern.term [ lit "f" ]);
+    (Intern.literal (lit "e") <> Intern.For_testing.term [ lit "f" ]);
   let n1 = Nf.of_expr (Expr.choice (Expr.event "e") (Expr.event "f")) in
   let n2 = Nf.of_expr (Expr.choice (Expr.event "f") (Expr.event "e")) in
   check Alcotest.int "normal forms intern by structure" (Intern.nf n1)
     (Intern.nf n2);
   checkb "stats report live tables"
-    (List.length (Intern.stats ()) = 4
-    && List.for_all (fun (_, n) -> n >= 0) (Intern.stats ()))
+    (List.length (Intern.For_testing.stats ()) = 4
+    && List.for_all (fun (_, n) -> n >= 0) (Intern.For_testing.stats ()))
 
 let test_clear_memos () =
   let d = Expr.choice (Expr.seq e f) ng in
@@ -57,7 +57,7 @@ let residue_disabled_agrees =
 let guard_agrees =
   qprop "shared-memo guard synthesis = naive"
     QCheck2.Gen.(pair gen_expr gen_literal)
-    (fun (d, l) -> Guard.equal (Synth.guard d l) (Synth.guard_naive d l))
+    (fun (d, l) -> Guard.equal (Synth.guard d l) (Synth.For_testing.guard_naive d l))
 
 let all_guards_agree =
   qprop ~count:100 "all_guards under one shared memo = per-literal naive"
@@ -71,7 +71,7 @@ let all_guards_agree =
                (List.filter_map
                   (fun d ->
                     if Literal.Set.mem l (Expr.literals d) then
-                      Some (Synth.guard_naive d l)
+                      Some (Synth.For_testing.guard_naive d l)
                     else None)
                   deps)))
         (Synth.all_guards deps))
@@ -82,7 +82,7 @@ let same_automaton = Equivariance.same_automaton
 
 let automaton_agrees =
   qprop "fast automaton build = naive build (states, edges, flags)" gen_expr
-    (fun d -> same_automaton (Automaton.build d) (Automaton.build_naive d))
+    (fun d -> same_automaton (Automaton.build d) (Automaton.For_testing.build_naive d))
 
 let automaton_disabled_is_naive =
   qprop ~count:50 "build with interning disabled = naive build" gen_expr
@@ -90,7 +90,7 @@ let automaton_disabled_is_naive =
       Intern.set_enabled false;
       let off = Automaton.build d in
       Intern.set_enabled true;
-      same_automaton off (Automaton.build_naive d))
+      same_automaton off (Automaton.For_testing.build_naive d))
 
 (* --- shape memos ------------------------------------------------------------ *)
 
@@ -126,14 +126,14 @@ let test_rename_keeps_residuals () =
     }
   in
   let tbl =
-    match Gtable.compile (Synth.workflow_guard case.deps case.lit) with
+    match Gtable.For_testing.compile (Synth.workflow_guard case.deps case.lit) with
     | Some t -> t
     | None -> Alcotest.fail "the guard should compile"
   in
   checkb "some residual is not a fixpoint of renormalization"
     (List.exists
        (fun s ->
-         let r = Gtable.guard_of tbl s in
+         let r = Gtable.For_testing.guard_of tbl s in
          not (Guard.equal (Guard.map_symbols Fun.id r) r))
        (List.init (Gtable.num_states tbl) Fun.id));
   checkb "renamed tables equal fresh compiles" (Equivariance.tables case)
@@ -248,7 +248,7 @@ let assimilation_agrees =
           news
       in
       let got = Guard.Indexed.to_guard indexed in
-      Guard.equal got naive || Guard.equivalent ~alphabet:alpha_efg got naive)
+      Guard.equal got naive || Guard.For_testing.equivalent ~alphabet:alpha_efg got naive)
 
 let test_unwatched_is_noop () =
   let g = Synth.guard (Expr.choice (Expr.seq e f) ne) (lit "f") in

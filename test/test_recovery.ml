@@ -23,14 +23,14 @@ let test_journal_basics () =
   checkb "suffix oldest first" (Wf_store.Journal.recover j = (None, [ 1; 2; 3 ]));
   Wf_store.Journal.checkpoint j "state@3";
   check Alcotest.int "checkpoint truncates suffix" 0
-    (Wf_store.Journal.suffix_length j);
+    (Wf_store.Journal.For_testing.suffix_length j);
   Wf_store.Journal.append j 4;
   checkb "recover = latest checkpoint + suffix"
     (Wf_store.Journal.recover j = (Some "state@3", [ 4 ]));
   check Alcotest.int "total appends survive checkpoints" 4
     (Wf_store.Journal.total_appended j);
   check Alcotest.int "one checkpoint taken" 1
-    (Wf_store.Journal.checkpoints_taken j);
+    (Wf_store.Journal.For_testing.checkpoints_taken j);
   checkb "non-positive cadence rejected"
     (try
        ignore (Wf_store.Journal.create ~checkpoint_every:0 ());
@@ -55,9 +55,9 @@ let test_recover_idempotent () =
   checkb "recover-append-recover sees exactly the one extra entry"
     (r2 = (None, [ 1; 2; 3 ]));
   checkb "recover in the window is side-effect-free"
-    (Wf_store.Journal.suffix_length j = 3
+    (Wf_store.Journal.For_testing.suffix_length j = 3
     && Wf_store.Journal.wants_checkpoint j
-    && Wf_store.Journal.checkpoints_taken j = 0);
+    && Wf_store.Journal.For_testing.checkpoints_taken j = 0);
   checkb "and still idempotent" (Wf_store.Journal.recover j = r2);
   Wf_store.Journal.checkpoint j "s@3";
   let r3 = Wf_store.Journal.recover j in
@@ -80,13 +80,13 @@ let test_crash_drops_and_restart () =
   Netsim.on_receive net 0 (fun _ _ -> ());
   let hook_sites = ref [] in
   Netsim.on_restart net (fun s -> hook_sites := s :: !hook_sites);
-  Netsim.crash_site net 1;
+  Netsim.For_testing.crash_site net 1;
   checkb "site reports crashed" (Netsim.site_crashed net 1);
   Netsim.send net ~src:0 ~dst:1 "lost";
   Netsim.run net;
   checkb "delivery to a crashed site dropped" (!received = []);
   checkb "drop counted" (Wf_obs.Metrics.count (Netsim.stats net) "net_crash_drops" > 0);
-  Netsim.restart_site net 1;
+  Netsim.For_testing.restart_site net 1;
   checkb "site back up" (not (Netsim.site_crashed net 1));
   check Alcotest.(list int) "restart hook ran with the site id" [ 1 ]
     !hook_sites;
@@ -97,7 +97,7 @@ let test_crash_drops_and_restart () =
 let test_crash_needs_capability () =
   let refused faults =
     let net = raw_net ~faults () in
-    match Netsim.crash_site net 1 with
+    match Netsim.For_testing.crash_site net 1 with
     | () -> false
     | exception Invalid_argument _ -> not (Netsim.site_crashed net 1)
   in
@@ -170,8 +170,8 @@ let test_epoch_mid_reuse_not_suppressed () =
   Channel.on_receive chan 0 (fun _ _ -> ());
   Channel.send chan ~src:0 ~dst:1 "pre-crash";
   Netsim.run net;
-  Netsim.crash_site net 0;
-  Netsim.restart_site net 0;
+  Netsim.For_testing.crash_site net 0;
+  Netsim.For_testing.restart_site net 0;
   Netsim.run net;
   (* lets the Hello propagate *)
   check Alcotest.int "epoch bumped" 1 (Channel.epoch chan 0);
@@ -200,25 +200,25 @@ let test_dead_letter_revival () =
   (* The destination stays crashed long enough for the sender to give
      up; its restart Hello revives the transfer with its original key. *)
   let net = raw_net ~faults:manual_crashes () in
-  let chan = Channel.create ~rto:1.0 ~max_retries:2 net in
+  let chan = Channel.create ~rto:1.0 net in
   let received = ref [] in
   Channel.on_receive chan 1 (fun _ m -> received := m :: !received);
   Channel.on_receive chan 0 (fun _ _ -> ());
-  Netsim.crash_site net 1;
+  Netsim.For_testing.crash_site net 1;
   Channel.send chan ~src:0 ~dst:1 "revive-me";
   Netsim.run net;
   checkb "sender gave up while the peer was down"
     (Wf_obs.Metrics.count (Netsim.stats net) "chan_gave_up" > 0);
   check Alcotest.int "message parked as dead letter" 1
-    (Channel.dead_letters chan);
+    (Channel.For_testing.dead_letters chan);
   checkb "nothing delivered yet" (!received = []);
-  Netsim.restart_site net 1;
+  Netsim.For_testing.restart_site net 1;
   Netsim.run net;
   check Alcotest.(list string) "revived and delivered" [ "revive-me" ]
     !received;
   checkb "revival counted" (Wf_obs.Metrics.count (Netsim.stats net) "chan_revived" > 0);
-  check Alcotest.int "no dead letters left" 0 (Channel.dead_letters chan);
-  check Alcotest.int "nothing pending" 0 (Channel.unacked chan)
+  check Alcotest.int "no dead letters left" 0 (Channel.For_testing.dead_letters chan);
+  check Alcotest.int "nothing pending" 0 (Channel.For_testing.unacked chan)
 
 (* --- actors -------------------------------------------------------------- *)
 

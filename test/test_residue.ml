@@ -6,7 +6,7 @@ open Wf_core
 open Helpers
 
 let residual_eq msg d x expected =
-  checkb msg (Equiv.equal (Residue.symbolic d (lit x)) expected)
+  checkb msg (Equiv.equal (Residue.For_testing.symbolic d (lit x)) expected)
 
 let test_rules_on_atoms () =
   residual_eq "e/e = T" e "e" Expr.top;
@@ -30,17 +30,17 @@ let test_figure2_dlt () =
   (* Figure 2, left: the scheduler states of D<. *)
   let aut = Automaton.build Catalog.d_lt in
   check Alcotest.int "D< has 5 states" 5 (Automaton.num_states aut);
-  let s0 = Automaton.initial aut in
+  let s0 = Automaton.For_testing.initial aut in
   let after trace = Automaton.run aut (Trace.of_events trace) in
-  checkb "complement of e accepts" (Automaton.is_accepting aut (after [ "~e" ]));
-  checkb "complement of f accepts" (Automaton.is_accepting aut (after [ "~f" ]));
+  checkb "complement of e accepts" (Automaton.For_testing.is_accepting aut (after [ "~e" ]));
+  checkb "complement of f accepts" (Automaton.For_testing.is_accepting aut (after [ "~f" ]));
   checkb "after e: f+~f"
-    (Equiv.equal (Automaton.state_expr aut (after [ "e" ])) (Expr.choice f nf));
+    (Equiv.equal (Automaton.For_testing.state_expr aut (after [ "e" ])) (Expr.choice f nf));
   checkb "after f: ~e"
-    (Equiv.equal (Automaton.state_expr aut (after [ "f" ])) ne);
+    (Equiv.equal (Automaton.For_testing.state_expr aut (after [ "f" ])) ne);
   checkb "e after f is dead (f precedes e)"
     (Automaton.is_dead aut (after [ "f"; "e" ]));
-  checkb "e then f accepts" (Automaton.is_accepting aut (after [ "e"; "f" ]));
+  checkb "e then f accepts" (Automaton.For_testing.is_accepting aut (after [ "e"; "f" ]));
   checkb "initial completable" (Automaton.can_complete aut s0);
   checkb "dead not completable"
     (not (Automaton.can_complete aut (after [ "f"; "e" ])))
@@ -49,10 +49,10 @@ let test_figure2_darrow () =
   (* Figure 2, right: D→. *)
   let aut = Automaton.build Catalog.d_arrow in
   let after trace = Automaton.run aut (Trace.of_events trace) in
-  checkb "~e accepts" (Automaton.is_accepting aut (after [ "~e" ]));
-  checkb "f accepts" (Automaton.is_accepting aut (after [ "f" ]));
+  checkb "~e accepts" (Automaton.For_testing.is_accepting aut (after [ "~e" ]));
+  checkb "f accepts" (Automaton.For_testing.is_accepting aut (after [ "f" ]));
   checkb "after e must see f"
-    (Equiv.equal (Automaton.state_expr aut (after [ "e" ])) f);
+    (Equiv.equal (Automaton.For_testing.state_expr aut (after [ "e" ])) f);
   checkb "e then ~f dead" (Automaton.is_dead aut (after [ "e"; "~f" ]))
 
 let test_automaton_acceptance_matches_semantics () =
@@ -65,7 +65,7 @@ let test_automaton_acceptance_matches_semantics () =
       let aut = Automaton.build d in
       List.iter
         (fun u ->
-          let by_aut = Automaton.state_expr aut (Automaton.run aut u) in
+          let by_aut = Automaton.For_testing.state_expr aut (Automaton.run aut u) in
           let by_residue = Nf.to_expr (Residue.by_trace (Nf.of_expr d) u) in
           checkb
             (Printf.sprintf "%s consistent on %s" name (Trace.to_string u))
@@ -92,7 +92,7 @@ let test_required_literals () =
   (* After s_buy occurs, dependency (1) of Example 4 requires s_book. *)
   let d1 = Catalog.requires (lit "s_buy") (lit "s_book") in
   let aut = Automaton.build d1 in
-  let s0 = Automaton.initial aut in
+  let s0 = Automaton.For_testing.initial aut in
   checkb "nothing required initially"
     (Literal.Set.is_empty (Automaton.required_literals aut s0));
   let s1 = Automaton.step aut s0 (lit "s_buy") in
@@ -117,18 +117,18 @@ let suite =
     Alcotest.test_case "Π(D) membership (Definition 3)" `Quick test_accepted_paths;
     Alcotest.test_case "trigger obligations" `Quick test_required_literals;
     qtest ~count:150 "Theorem 1: symbolic residuation is sound" gen_expr_lit
-      (fun (d, x) -> Residue.agrees_with_oracle d x);
+      (fun (d, x) -> Residue.For_testing.agrees_with_oracle d x);
     qtest ~count:100 "residuation distributes over + (rule 4)" gen_expr_lit
       (fun (d, x) ->
         Equiv.equal
-          (Residue.symbolic (Expr.choice d f) x)
-          (Expr.choice (Residue.symbolic d x) (Residue.symbolic f x)));
+          (Residue.For_testing.symbolic (Expr.choice d f) x)
+          (Expr.choice (Residue.For_testing.symbolic d x) (Residue.For_testing.symbolic f x)));
     qtest ~count:100 "residuation distributes over | (rule 5)" gen_expr_lit
       (fun (d, x) ->
         Equiv.equal
-          (Residue.symbolic (Expr.conj d f) x)
-          (Expr.conj (Residue.symbolic d x) (Residue.symbolic f x)));
+          (Residue.For_testing.symbolic (Expr.conj d f) x)
+          (Expr.conj (Residue.For_testing.symbolic d x) (Residue.For_testing.symbolic f x)));
     qtest ~count:60 "catalog dependencies have sound residuals"
       (QCheck2.Gen.pair (QCheck2.Gen.oneofl Catalog.named) gen_literal)
-      (fun ((_, d), x) -> Residue.agrees_with_oracle d x);
+      (fun ((_, d), x) -> Residue.For_testing.agrees_with_oracle d x);
   ]

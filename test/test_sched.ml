@@ -64,7 +64,7 @@ let test_travel_happy () =
   checkb "buy committed" (committed r "buy");
   (* d2: c_book precedes c_buy on the realized trace. *)
   let t = Event_sched.trace_literals r in
-  (match (Trace.index_of (lit "c_book") t, Trace.index_of (lit "c_buy") t) with
+  (match (Trace.For_testing.index_of (lit "c_book") t, Trace.For_testing.index_of (lit "c_buy") t) with
   | Some i, Some j -> checkb "commit order respected" (i < j)
   | _ -> Alcotest.fail "expected both commits")
 
@@ -92,7 +92,7 @@ let test_commit_order_pair () =
   assert_good "commit order" r;
   checkb "both committed" (committed r "t1" && committed r "t2");
   let t = Event_sched.trace_literals r in
-  (match (Trace.index_of (lit "c_t1") t, Trace.index_of (lit "c_t2") t) with
+  (match (Trace.For_testing.index_of (lit "c_t1") t, Trace.For_testing.index_of (lit "c_t2") t) with
   | Some i, Some j -> checkb "order" (i < j)
   | _ -> Alcotest.fail "expected both")
 
@@ -188,7 +188,7 @@ let test_serial_dependency () =
   let r = run_dist (pair_wf [ ("sd", Catalog.serial "t1" "t2") ]) in
   assert_good "serial" r;
   let t = Event_sched.trace_literals r in
-  match (Trace.index_of (lit "c_t1") t, Trace.index_of (lit "s_t2") t) with
+  match (Trace.For_testing.index_of (lit "c_t1") t, Trace.For_testing.index_of (lit "s_t2") t) with
   | Some i, Some j -> checkb "t2 starts after t1 terminates" (i < j)
   | _ -> checkb "t2 never started or t1 never finished" true
 
@@ -259,7 +259,7 @@ let test_two_phase_commit () =
   let t = Event_sched.trace_literals r in
   checkb "all commit"
     (committed r "coord" && committed r "p1" && committed r "p2");
-  let idx name = Trace.index_of (lit name) t in
+  let idx name = Trace.For_testing.index_of (lit name) t in
   (match (idx "p_p1", idx "p_p2", idx "c_coord", idx "c_p1", idx "c_p2") with
   | Some pp1, Some pp2, Some cc, Some cp1, Some cp2 ->
       checkb "prepare before coordinator commit" (pp1 < cc && pp2 < cc);
@@ -444,7 +444,7 @@ let observe (r : Event_sched.result) =
       (fun (o : Event_sched.occurrence) ->
         Printf.sprintf "%s#%d@%h" (Literal.to_string o.lit) o.seqno o.time)
       r.trace,
-    Wf_obs.Metrics.counters r.stats )
+    Wf_obs.Metrics.For_testing.counters r.stats )
 
 (* Drops, duplicates, reordering and crashes on the network, torn and
    lost-tail writes under the journals, and credit flow control — the
@@ -600,18 +600,18 @@ let test_pin_memo_audit () =
     (fun (label, config) ->
       Intern.clear_memos ();
       let (), a =
-        Gtable.audit_status_memo (fun () ->
+        Gtable.For_testing.audit_status_memo (fun () ->
             ignore (pin_digest config))
       in
-      checkb (label ^ ": status-memo hits") (a.Gtable.hits_checked > 0);
+      checkb (label ^ ": status-memo hits") (a.Gtable.For_testing.hits_checked > 0);
       check Alcotest.int (label ^ ": status-memo mismatches") 0
-        a.Gtable.mismatches;
-      checkb (label ^ ": pursuit-memo hits") (a.Gtable.pursuit_hits_checked > 0);
+        a.Gtable.For_testing.mismatches;
+      checkb (label ^ ": pursuit-memo hits") (a.Gtable.For_testing.pursuit_hits_checked > 0);
       check Alcotest.int (label ^ ": pursuit-memo mismatches") 0
-        a.Gtable.pursuit_mismatches;
-      checkb (label ^ ": stepped views") (a.Gtable.views_checked > 0);
+        a.Gtable.For_testing.pursuit_mismatches;
+      checkb (label ^ ": stepped views") (a.Gtable.For_testing.views_checked > 0);
       check Alcotest.int (label ^ ": stepped-view mismatches") 0
-        a.Gtable.view_mismatches)
+        a.Gtable.For_testing.view_mismatches)
     [
       ("travel", fun seed -> { Event_sched.default_config with seed });
       ("travel-faulty", faulty_config);

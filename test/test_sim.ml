@@ -9,7 +9,6 @@ let test_heap_order () =
   List.iteri
     (fun i key -> Heap.push h ~key ~seq:i i)
     [ 5.0; 1.0; 3.0; 1.0; 4.0 ];
-  check Alcotest.int "size" 5 (Heap.size h);
   let keys = ref [] in
   while not (Heap.is_empty h) do
     let k = Heap.min_key h in
@@ -33,7 +32,6 @@ let test_heap_interleaved () =
   Heap.push h ~key:1.0 ~seq:1 "b";
   Heap.push h ~key:3.0 ~seq:2 "c";
   check (Alcotest.float 0.0) "min key" 1.0 (Heap.min_key h);
-  check Alcotest.int "size preserved by min_key" 2 (Heap.size h);
   check Alcotest.string "take min" "b" (Heap.take h);
   Alcotest.check_raises "take on empty"
     (Invalid_argument "Heap.take: empty heap") (fun () ->
@@ -63,7 +61,7 @@ let test_heap_releases_popped () =
   done;
   (* the heap itself stays reachable across the collection *)
   Heap.push h ~key:0.0 ~seq:n (Bytes.empty);
-  check Alcotest.int "heap still usable" 1 (Heap.size h)
+  check (Alcotest.float 0.0) "heap still usable" 0.0 (Heap.min_key h)
 
 let test_rng_determinism () =
   let a = Rng.create 7L and b = Rng.create 7L in
@@ -122,23 +120,6 @@ let test_rng_int_uniform () =
   (* df = 6, critical value at p = 0.001 is 22.46 *)
   checkb (Printf.sprintf "bound 7: chi-square %.2f < 22.46" x27) (x27 < 22.46)
 
-let test_rng_shuffle_uniform () =
-  (* Fisher–Yates with an unbiased [int]: every element is equally
-     likely at every position.  Track where element 0 lands. *)
-  let r = Rng.create 4L in
-  let k = 5 in
-  let n = 50_000 in
-  let pos = Array.make k 0 in
-  for _ = 1 to n do
-    let arr = Array.init k (fun i -> i) in
-    Rng.shuffle r arr;
-    Array.iteri (fun i v -> if v = 0 then pos.(i) <- pos.(i) + 1) arr
-  done;
-  let expected = Array.make k (float_of_int n /. float_of_int k) in
-  let x2 = chi_square pos expected in
-  (* df = 4, critical value at p = 0.001 is 18.47 *)
-  checkb (Printf.sprintf "shuffle chi-square %.2f < 18.47" x2) (x2 < 18.47)
-
 let test_rng_pick_uniform () =
   let r = Rng.create 5L in
   let items = [ 0; 1; 2; 3; 4; 5 ] in
@@ -187,7 +168,7 @@ let test_netsim_delivery () =
   Netsim.run net;
   check Alcotest.int "both delivered" 2 (List.length !received);
   checkb "clock advanced" (Netsim.now net >= 1.0);
-  checkb "quiescent after run" (Netsim.quiescent net)
+  checkb "quiescent after run" (Netsim.For_testing.quiescent net)
 
 let test_netsim_fifo () =
   let net =
@@ -343,8 +324,6 @@ let suite =
     Alcotest.test_case "rng ranges" `Quick test_rng_ranges;
     Alcotest.test_case "rng int uniformity (chi-square)" `Slow
       test_rng_int_uniform;
-    Alcotest.test_case "rng shuffle uniformity (chi-square)" `Slow
-      test_rng_shuffle_uniform;
     Alcotest.test_case "rng pick uniformity (chi-square)" `Slow
       test_rng_pick_uniform;
     Alcotest.test_case "rng exponential mean" `Slow test_rng_exponential_mean;

@@ -44,11 +44,11 @@ let test_reachability () =
   check
     Alcotest.(list string)
     "enabled initially" [ "start" ]
-    (Task_model.enabled m "initial");
+    (Task_model.For_testing.enabled m "initial");
   checkb "abort unreachable after commit"
     (List.mem "abort" (Task_model.unreachable_events m "committed"));
   checkb "commit reachable from active"
-    (List.mem "commit" (Task_model.reachable_events m "active"));
+    (List.mem "commit" (Task_model.For_testing.reachable_events m "active"));
   (* loops never exhaust events *)
   check
     Alcotest.(list string)

@@ -19,13 +19,13 @@ let test_example7 () =
        (Formula.and_all
           [ Formula.not_ fe; Formula.not_ ff; Formula.not_ (Formula.event "g") ]));
   checkb "◇(f.g) at 0"
-    (sat u 0 (Formula.eventually (Formula.seq ff (Formula.event "g"))));
+    (sat u 0 (Formula.eventually (Formula.Seq (ff, Formula.event "g"))));
   checkb "□e|¬f|¬g at 1"
     (sat u 1
        (Formula.and_all
           [ Formula.always fe; Formula.not_ ff; Formula.not_ (Formula.event "g") ]));
-  checkb "e.g fails at 1" (not (sat u 1 (Formula.seq fe (Formula.event "g"))));
-  checkb "e.g holds at 3" (sat u 3 (Formula.seq fe (Formula.event "g")))
+  checkb "e.g fails at 1" (not (sat u 1 (Formula.Seq (fe, Formula.event "g"))));
+  checkb "e.g holds at 3" (sat u 3 (Formula.Seq (fe, Formula.event "g")))
 
 let test_stability () =
   (* Semantics 7 validates stability: □e = e, but □¬e ≠ ¬e. *)
@@ -37,7 +37,7 @@ let test_stability () =
           (Formula.always (Formula.not_ fe))
           (Formula.not_ fe)));
   checkb "□e entails ◇e"
-    (Tsemantics.entails ~alphabet:alpha (Formula.always fe) (Formula.eventually fe))
+    (Tsemantics.For_testing.entails ~alphabet:alpha (Formula.always fe) (Formula.eventually fe))
 
 let test_figure3_table () =
   let t = Tables.figure3 () in
@@ -100,11 +100,11 @@ let test_situations () =
            | Symbol_state.D -> "D"))
        ( = ))
     "pending then occurred" Symbol_state.C
-    (Symbol_state.situation_of u 1 sym);
-  checkb "occurred at 2" (Symbol_state.situation_of u 2 sym = Symbol_state.A);
+    (Symbol_state.For_testing.situation_of u 1 sym);
+  checkb "occurred at 2" (Symbol_state.For_testing.situation_of u 2 sym = Symbol_state.A);
   let v = Trace.of_events [ "~e" ] in
-  checkb "complement pending" (Symbol_state.situation_of v 0 sym = Symbol_state.D);
-  checkb "complement occurred" (Symbol_state.situation_of v 1 sym = Symbol_state.B)
+  checkb "complement pending" (Symbol_state.For_testing.situation_of v 0 sym = Symbol_state.D);
+  checkb "complement occurred" (Symbol_state.For_testing.situation_of v 1 sym = Symbol_state.B)
 
 let test_all_masks_against_formulas () =
   (* Every one of the 16 masks renders to a formula with exactly the
@@ -146,7 +146,7 @@ let gen_formula : Formula.t QCheck2.Gen.t =
                (2, map Formula.atom gen_literal);
                (2, map2 Formula.or_ (self (n / 2)) (self (n / 2)));
                (2, map2 Formula.and_ (self (n / 2)) (self (n / 2)));
-               (1, map2 Formula.seq (self (n / 2)) (self (n / 2)));
+               (1, map2 (fun a b -> Formula.Seq (a, b)) (self (n / 2)) (self (n / 2)));
                (1, map Formula.always (self (n - 1)));
                (1, map Formula.eventually (self (n - 1)));
                (1, map Formula.not_ (self (n - 1)));
@@ -175,7 +175,7 @@ let suite =
           (points (Symbol.Set.union (Formula.symbols x) (Universe.of_names [ "e" ]))));
     qtest ~count:150 "□ entails ◇" gen_formula (fun x ->
         let alpha = Symbol.Set.union (Formula.symbols x) (Universe.of_names [ "e" ]) in
-        Tsemantics.entails ~alphabet:alpha (Formula.Always x) (Formula.Eventually x));
+        Tsemantics.For_testing.entails ~alphabet:alpha (Formula.Always x) (Formula.Eventually x));
     qtest ~count:150 "◇ is idempotent" gen_formula (fun x ->
         let alpha = Symbol.Set.union (Formula.symbols x) (Universe.of_names [ "e" ]) in
         Tsemantics.equivalent ~alphabet:alpha

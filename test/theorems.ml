@@ -13,7 +13,7 @@ let check_theorem2 d e lit =
   (not (alphabet_disjoint d e))
   ||
   let alphabet = joint_alphabet_with [ d; e ] lit in
-  Guard.equivalent ~alphabet
+  Guard.For_testing.equivalent ~alphabet
     (Synth.guard (Expr.choice d e) lit)
     (Guard.sum (Synth.guard d lit) (Synth.guard e lit))
 
@@ -27,15 +27,15 @@ let check_lemma3 d lit g =
   let rhs =
     Guard.sum
       (Guard.conj (Guard.hasnt g) (Synth.guard d lit))
-      (Guard.conj (Guard.has g) (Synth.guard (Residue.symbolic d g) lit))
+      (Guard.conj (Guard.has g) (Synth.guard (Residue.For_testing.symbolic d g) lit))
   in
-  Guard.equivalent ~alphabet lhs rhs
+  Guard.For_testing.equivalent ~alphabet lhs rhs
 
 let check_theorem4 d e lit =
   (not (alphabet_disjoint d e))
   ||
   let alphabet = joint_alphabet_with [ d; e ] lit in
-  Guard.equivalent ~alphabet
+  Guard.For_testing.equivalent ~alphabet
     (Synth.guard (Expr.conj d e) lit)
     (Guard.conj (Synth.guard d lit) (Synth.guard e lit))
 
@@ -46,6 +46,6 @@ let check_lemma5 d lit =
   (not (Literal.Set.mem lit (Expr.literals d)))
   ||
   let alphabet = joint_alphabet_with [ d ] lit in
-  Guard.equivalent ~alphabet (Synth.guard d lit) (Paths.guard_via_paths d lit)
+  Guard.For_testing.equivalent ~alphabet (Synth.guard d lit) (Paths.For_testing.guard_via_paths d lit)
 
 let fast_guard deps lit = Synth.workflow_guard deps lit

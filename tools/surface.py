@@ -1,18 +1,32 @@
 #!/usr/bin/env python3
-"""Library surface gate: every exported value must be referenced.
+"""Library surface gate: every exported value must be referenced by code.
 
-For each top-level `val` in a tracked `lib/**/*.mli`, the value counts as
-referenced when some other tracked `.ml`/`.mli` under lib, bin, bench,
-examples or test (any file but the module's own implementation and
-interface) contains the word `Module` and the word `value`; a qualified
-`Module.value` always does.  Every value that is not referenced is
-reported as `Module.value`.
+Each tracked `lib/**/*.mli` exports two kinds of value:
 
-The script exits 1 when a reported value is missing from the allowlist
-(tools/surface.allow) or an allowlisted value is no longer reported,
-and 0 otherwise.  Run it from the repository root:
+- a top-level `val` is runtime API and needs a reference from a tracked
+  `.ml`/`.mli` under lib, bin, bench or examples, outside its own
+  module (its `.ml` and `.mli`);
+- a `val` inside `module For_testing : sig ... end` is a test hook (an
+  audit, an introspection or a differential oracle) and needs a
+  reference from a tracked file under test.
 
-    python3 tools/surface.py
+What counts as a reference is read from code only: OCaml comments
+(nested) and string literals are blanked first.  A reference is then a
+qualified `Module.value` (`Module.For_testing.value` for a test hook),
+through any library prefix or `module X = Module` alias, or the bare
+`value` in a file that opens the module with `open`, `let open`,
+`include` or a local open `Module.( ... )`.  An open counts for the
+whole file, so the gate can miss an unused export whose name a file
+that opens its module uses for something else.
+
+Every value that lacks its reference is reported as `Module.value`
+(`Module.For_testing.value`).  The script exits 1 when a reported value
+is missing from the allowlist (tools/surface.allow) or an allowlisted
+value is no longer reported, and 0 otherwise.  Run it from the
+repository root:
+
+    python3 tools/surface.py              # the gate
+    python3 tools/surface.py --self-test  # the rule on inline fixtures
 """
 
 import os
@@ -20,48 +34,272 @@ import re
 import subprocess
 import sys
 
-ROOTS = ["lib", "bin", "bench", "examples", "test"]
+RUNTIME_ROOTS = ["lib", "bin", "bench", "examples"]
+TEST_ROOTS = ["test"]
 ALLOWLIST = os.path.join(os.path.dirname(__file__), "surface.allow")
-VAL = re.compile(r"^val\s+([a-z_][A-Za-z0-9_']*)\s*:", re.M)
-WORD = re.compile(r"[A-Za-z0-9_']+")
+TESTING = "For_testing"
+
+IDENT = r"[A-Za-z_][A-Za-z0-9_']*"
+UIDENT = r"[A-Z][A-Za-z0-9_']*"
+PATH = rf"{UIDENT}(?:\s*\.\s*{UIDENT})*"
+TOP_VAL = re.compile(rf"^val\s+({IDENT})\s*:", re.M)
+TESTING_SIG = re.compile(rf"^module\s+{TESTING}\s*:\s*sig\b(.*?)^end\b", re.M | re.S)
+NESTED_VAL = re.compile(rf"^\s+val\s+({IDENT})\s*:", re.M)
+ALIAS = re.compile(rf"\bmodule\s+({UIDENT})\s*=\s*({PATH})(?!\s*[.(])")
+OPEN = re.compile(rf"\b(?:open!?|include)\s+({PATH})(?!\s*[.(])")
+LOCAL_OPEN = re.compile(rf"({PATH})\s*\.\s*[([{{]")
+QUALIFIED = re.compile(rf"(?<![\w'.])({PATH})\s*\.\s*([a-z_][A-Za-z0-9_']*)")
+BARE = re.compile(rf"(?<![\w'.])([a-z_][A-Za-z0-9_']*)")
+CHAR = re.compile(r"'(?:\\(?:[\\'\"ntbr ]|[0-9]{3}|x[0-9a-fA-F]{2}|o[0-7]{3})|[^\\'\n])'")
+QUOTED = re.compile(r"\{([a-z_]*)\|")
+
+
+def blank(text):
+    """`text` with comments and string literals replaced by spaces
+    (newlines kept, so line anchors still hold)."""
+    out = list(text)
+    n = len(text)
+
+    def erase(i, j):
+        for k in range(i, j):
+            if out[k] != "\n":
+                out[k] = " "
+
+    def string_end(i):
+        # i is just past the opening quote
+        while i < n:
+            if text[i] == "\\":
+                i += 2
+            elif text[i] == '"':
+                return i + 1
+            else:
+                i += 1
+        return n
+
+    def quoted_end(i, tag):
+        close = text.find("|" + tag + "}", i)
+        return n if close < 0 else close + len(tag) + 2
+
+    def char_end(i):
+        # i is at a quote: the end of a char literal there, or None (a
+        # type variable or a prime inside an identifier)
+        if i > 0 and re.match(r"[\w']", text[i - 1]):
+            return None
+        m = CHAR.match(text, i)
+        return m.end() if m else None
+
+    i = 0
+    while i < n:
+        c = text[i]
+        if text.startswith("(*", i):
+            start, depth = i, 0
+            while i < n:
+                if text.startswith("(*", i):
+                    depth += 1
+                    i += 2
+                elif text.startswith("*)", i):
+                    depth -= 1
+                    i += 2
+                    if depth == 0:
+                        break
+                elif text[i] == '"':
+                    i = string_end(i + 1)
+                elif text[i] == "'" and (j := char_end(i)):
+                    i = j
+                else:
+                    m = QUOTED.match(text, i)
+                    i = quoted_end(m.end(), m.group(1)) if m else i + 1
+            erase(start, i)
+        elif c == '"':
+            j = string_end(i + 1)
+            erase(i, j)
+            i = j
+        elif c == "{" and (m := QUOTED.match(text, i)):
+            j = quoted_end(m.end(), m.group(1))
+            erase(i, j)
+            i = j
+        elif c == "'" and (j := char_end(i)):
+            erase(i, j)
+            i = j
+        else:
+            i += 1
+    return "".join(out)
+
+
+def components(path):
+    return [p for p in re.split(r"\s*\.\s*", path) if p]
+
+
+def key(parts):
+    """The export a module path names: `M` or `M.For_testing`."""
+    if len(parts) >= 2 and parts[-1] == TESTING:
+        return f"{parts[-2]}.{TESTING}"
+    return parts[-1]
+
+
+class Source:
+    """The references one file's code makes."""
+
+    def __init__(self, text):
+        code = blank(text)
+        aliases = {}
+        for name, path in ALIAS.findall(code):
+            aliases[name] = components(path)
+
+        def expand(path):
+            parts = components(path)
+            if parts[0] in aliases:
+                parts = aliases[parts[0]] + parts[1:]
+            return parts
+
+        self.opened = set()
+        for path in OPEN.findall(code) + LOCAL_OPEN.findall(code):
+            parts = expand(path)
+            self.opened.add(key(parts))
+            # opening M brings M.For_testing into scope as `For_testing`
+            self.opened.add(f"{parts[-1]}.{TESTING}")
+        self.qualified = set()
+        for path, value in QUALIFIED.findall(code):
+            parts = expand(path)
+            self.qualified.add((key(parts), value))
+            if parts == [TESTING]:
+                for m in self.opened:
+                    if not m.endswith(TESTING):
+                        self.qualified.add((f"{m}.{TESTING}", value))
+        self.bare = set(BARE.findall(code))
+
+    def names(self, module, value):
+        return (module, value) in self.qualified or (
+            module in self.opened and value in self.bare
+        )
+
+
+def exports(mli_text):
+    """(`M`-relative key suffix, value) pairs: top-level vals with suffix
+    "" and For_testing vals with suffix ".For_testing"."""
+    code = blank(mli_text)
+    out = [("", v) for v in TOP_VAL.findall(code)]
+    for body in TESTING_SIG.findall(code):
+        out += [("." + TESTING, v) for v in NESTED_VAL.findall(body)]
+    return out
+
+
+def under(path, roots):
+    return any(path.startswith(r + "/") for r in roots)
+
+
+def unreferenced(files):
+    """Report every export in `files` (path -> text) that lacks its
+    reference."""
+    sources = {p: Source(t) for p, t in files.items()}
+    report = []
+    for mli in sorted(p for p in files if p.startswith("lib/") and p.endswith(".mli")):
+        own = mli[: -len(".mli")]
+        module = os.path.basename(own).capitalize()
+        for suffix, value in exports(files[mli]):
+            roots = TEST_ROOTS if suffix else RUNTIME_ROOTS
+            refs = [
+                s for p, s in sources.items()
+                if under(p, roots) and os.path.splitext(p)[0] != own
+            ]
+            if not any(s.names(module + suffix, value) for s in refs):
+                report.append(f"{module}{suffix}.{value}")
+    return report
 
 
 def tracked_sources():
     out = subprocess.run(
-        ["git", "ls-files", "--"] + ROOTS,
+        ["git", "ls-files", "--"] + RUNTIME_ROOTS + TEST_ROOTS,
         check=True, capture_output=True, text=True,
     ).stdout
-    return [p for p in out.split("\n") if p.endswith((".ml", ".mli"))]
-
-
-def read(path):
-    with open(path, encoding="utf-8") as f:
-        return f.read()
-
-
-def unreferenced(paths):
-    words = {p: set(WORD.findall(read(p))) for p in paths}
-    report = []
-    for mli in sorted(p for p in paths if p.startswith("lib/") and p.endswith(".mli")):
-        own = mli[: -len(".mli")]
-        module = os.path.basename(own).capitalize()
-        others = [w for p, w in words.items() if os.path.splitext(p)[0] != own]
-        for value in VAL.findall(read(mli)):
-            if not any(module in w and value in w for w in others):
-                report.append(f"{module}.{value}")
-    return report
+    paths = [p for p in out.split("\n") if p.endswith((".ml", ".mli"))]
+    files = {}
+    for p in paths:
+        with open(p, encoding="utf-8") as f:
+            files[p] = f.read()
+    return files
 
 
 def allowlist():
     entries = set()
-    for line in read(ALLOWLIST).splitlines():
-        entry = line.split("#", 1)[0].strip()
-        if entry:
-            entries.add(entry)
+    with open(ALLOWLIST, encoding="utf-8") as f:
+        for line in f.read().splitlines():
+            entry = line.split("#", 1)[0].strip()
+            if entry:
+                entries.add(entry)
     return entries
 
 
-def main():
+PLAIN = "val v : int\n"
+HOOK = "module For_testing : sig\n  val h : int\nend\n"
+
+SELF_TESTS = [
+    # (what it shows, lib/m.mli, the other files, expected report)
+    ("a qualified reference counts",
+     PLAIN, {"bin/a.ml": "let _ = M.v"}, []),
+    ("a library prefix counts",
+     PLAIN, {"bin/a.ml": "let _ = Wf_lib.M.v"}, []),
+    ("a mention in a comment does not count",
+     PLAIN, {"bin/a.ml": "(* M.v (* nested *) M.v *) let x = 1"}, ["M.v"]),
+    ("a comment ends only at its matching close",
+     PLAIN, {"bin/a.ml": "(* (* *) M.v *) let x = 1"}, ["M.v"]),
+    ("a mention in a string does not count",
+     PLAIN, {"bin/a.ml": 'let s = "M.v" let t = {|M.v|}'}, ["M.v"]),
+    ("a string inside a comment does not end it",
+     PLAIN, {"bin/a.ml": '(* "*)" M.v *) let x = 1'}, ["M.v"]),
+    ("a char literal does not start a string",
+     PLAIN, {"bin/a.ml": "let q = '\"' let _ = M.v let r = '\"'"}, []),
+    ("a char literal inside a comment does not start a string",
+     PLAIN, {"bin/a.ml": "(* a '\"' quote *) let _ = M.v"}, []),
+    ("an open counts a bare name",
+     PLAIN, {"bin/a.ml": "open M\nlet _ = v"}, []),
+    ("a let open counts a bare name",
+     PLAIN, {"bin/a.ml": "let _ = let open Wf_lib.M in v"}, []),
+    ("a local open counts a bare name",
+     PLAIN, {"bin/a.ml": "let _ = M.(v + 1)"}, []),
+    ("a functor application is not an alias",
+     PLAIN, {"bin/a.ml": "module X = F (M)\nlet _ = X.v"}, ["M.v"]),
+    ("an alias counts",
+     PLAIN, {"bin/a.ml": "module X = Wf_lib.M\nlet _ = X.v"}, []),
+    ("a bare name without an open does not count",
+     PLAIN, {"bin/a.ml": "let _ = v"}, ["M.v"]),
+    ("a field of another module does not count",
+     PLAIN, {"bin/a.ml": "open M\nlet _ = N.v"}, ["M.v"]),
+    ("its own implementation does not count",
+     PLAIN, {"lib/m.ml": "let v = 1 let _ = M.v"}, ["M.v"]),
+    ("a plain export whose only reference is a test fails",
+     PLAIN, {"test/t.ml": "let _ = M.v"}, ["M.v"]),
+    ("a test hook with a test reference passes",
+     HOOK, {"test/t.ml": "let _ = M.For_testing.h"}, []),
+    ("a test hook through an opened module passes",
+     HOOK, {"test/t.ml": "open M\nlet _ = For_testing.h"}, []),
+    ("a test hook through an alias passes",
+     HOOK, {"test/t.ml": "module T = M.For_testing\nlet _ = T.h"}, []),
+    ("a test hook with no test reference fails",
+     HOOK, {"bin/a.ml": "let _ = M.For_testing.h"}, ["M.For_testing.h"]),
+    ("a plain name does not reach a test hook",
+     HOOK, {"test/t.ml": "let _ = M.h"}, ["M.For_testing.h"]),
+]
+
+
+def self_test():
+    failed = 0
+    for name, mli, others, expected in SELF_TESTS:
+        got = unreferenced({"lib/m.mli": mli, **others})
+        ok = got == expected
+        failed += not ok
+        print(("ok   " if ok else "FAIL ") + name
+              + ("" if ok else f": got {got}, want {expected}"))
+    print(f"surface self-test: {len(SELF_TESTS) - failed}/{len(SELF_TESTS)} passed")
+    return 1 if failed else 0
+
+
+def main(argv):
+    if argv[1:] == ["--self-test"]:
+        return self_test()
+    if argv[1:]:
+        print(f"usage: {argv[0]} [--self-test]", file=sys.stderr)
+        return 2
     report = unreferenced(tracked_sources())
     allowed = allowlist()
     new = [v for v in report if v not in allowed]
@@ -75,4 +313,4 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv))
