@@ -599,7 +599,7 @@ let bench_store ~smoke =
     List.map
       (fun n ->
         let sim = Wf_store.Media.Sim.create () in
-        let log = Wf_store.Log.create store_codec (Wf_store.Media.Sim.device sim) in
+        let log = Wf_store.Log.create store_codec sim in
         for i = 0 to n - 1 do
           Wf_store.Log.append log (payload i);
           if (i + 1) mod 64 = 0 then
@@ -607,8 +607,7 @@ let bench_store ~smoke =
         done;
         Wf_store.Log.sync log;
         let t =
-          min_ns (fun () ->
-              Wf_store.Log.recover store_codec (Wf_store.Media.Sim.device sim))
+          min_ns (fun () -> Wf_store.Log.recover store_codec sim)
         in
         Printf.printf "salvage scan over %6d entries: %12s\n%!" n (pp_ns t);
         Json.Obj [ ("entries", int n); ("scan_ns", Json.Num t) ])
@@ -651,9 +650,7 @@ let bench_store ~smoke =
         suffix
         (List.init (List.length suffix) (fun k -> start + k))
     in
-    let _, _, r2 =
-      Wf_store.Log.recover store_codec (Wf_store.Media.Sim.device sim)
-    in
+    let _, _, r2 = Wf_store.Log.recover store_codec sim in
     let valid =
       consecutive
       && start + List.length suffix <= total

@@ -147,7 +147,7 @@ let max_states =
 
 let naive =
   Arg.(value & flag & info [ "naive" ]
-         ~doc:"Disable dynamic partial-order reduction (full enumeration with state dedup only); for measuring the reduction ratio.")
+         ~doc:"Disable the reduction, sleep sets over static coupling classes (full enumeration with fingerprint state dedup only); for measuring the reduction ratio.")
 
 let no_gtable =
   Arg.(value & flag & info [ "no-gtable" ]

@@ -1,7 +1,7 @@
 open Wf_core
 
-(** Exhaustive interleaving model checker with dynamic partial-order
-    reduction.
+(** Exhaustive interleaving model checker with sleep sets over static
+    coupling classes, with fingerprint state dedup.
 
     Where the conformance suites sample schedules (one per seed), [Mc]
     enumerates the schedules of a spec's runs on its universe — plus,
@@ -152,7 +152,8 @@ val check :
     reporting a ["store"] divergence otherwise; every explored delivery
     checks the transport, reporting a ["delivery"] divergence unless the
     addressed actor took the message exactly once; [max_states] (default 500_000) bounds the exploration; [dpor]
-    (default true) enables the reduction; [guard_overrides] plants
+    (default true) enables the sleep-set reduction (the name predates
+    it; there is no dynamic partial-order reduction yet); [guard_overrides] plants
     wrong guards (via {!Wf_scheduler.Event_sched.build}) so tests can
     watch the checker catch the resulting divergences.  Parametrized
     (looping) tasks are rejected: the checker needs a finite static

@@ -50,7 +50,6 @@ type t = {
   next : int array; (* next.(s * width + input) = successor state *)
   enabled : Bytes.t; (* residual is ⊤ *)
   violated : Bytes.t; (* residual is 0 *)
-  forced : Bytes.t; (* some literal's complement-occurrence violates *)
   guards : Guard.t array; (* residual guard per state, for fallback *)
   state_bits : int; (* bits of a state number in a status-memo key *)
   status_memo : Knowledge.status Int_tbl.t option;
@@ -222,24 +221,11 @@ let compile_over ~max_states syms g0 =
       let nbytes = (n + 7) / 8 in
       let enabled = Bytes.make nbytes '\000' in
       let violated = Bytes.make nbytes '\000' in
-      let forced = Bytes.make nbytes '\000' in
       Array.iteri
         (fun s g ->
           if Guard.is_true g then bit_set enabled s
           else if Guard.is_false g then bit_set violated s)
         guards;
-      for s = 0 to n - 1 do
-        if (not (bit_get enabled s)) && not (bit_get violated s) then begin
-          let f = ref false in
-          for i = 0 to k - 1 do
-            let t_pos = next.((s * width) + (4 * i)) in
-            let t_neg = next.((s * width) + (4 * i) + 1) in
-            if Guard.is_false guards.(t_pos) || Guard.is_false guards.(t_neg)
-            then f := true
-          done;
-          if !f then bit_set forced s
-        end
-      done;
       let sym_index = index_symbols syms in
       let state_bits =
         let rec go b = if 1 lsl b >= n then b else go (b + 1) in
@@ -258,7 +244,6 @@ let compile_over ~max_states syms g0 =
           next;
           enabled;
           violated;
-          forced;
           guards;
           state_bits;
           status_memo;
@@ -795,8 +780,7 @@ module For_testing = struct
     in
     let h = Array.fold_left int h t.next in
     let h = string h (Bytes.to_string t.enabled) in
-    let h = string h (Bytes.to_string t.violated) in
-    string h (Bytes.to_string t.forced)
+    string h (Bytes.to_string t.violated)
 
   type audit = {
     hits_checked : int;

@@ -8,7 +8,7 @@
     guard's canonical form) and flattens it into an immutable int
     table: [state × input → state], where each symbol contributes four
     inputs ([□x], [□x̄], [◇x], [◇x̄]), plus per-state verdict bitsets
-    (enabled / violated / forced).  Assimilating a message then costs
+    (enabled / violated).  Assimilating a message then costs
     one array read instead of a DNF rewrite.
 
     {b Closed-alphabet precondition}: a table is valid only while the

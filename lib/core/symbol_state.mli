@@ -20,7 +20,6 @@ type mask = int
 type situation = A | B | C | D
 
 val full : mask
-val empty : mask
 
 val compare_mask : mask -> mask -> int
 val equal_mask : mask -> mask -> bool

@@ -44,331 +44,253 @@ let collector () =
 
 let streaming f = { emit_fn = f }
 
+(* --- schema ---------------------------------------------------------------
+   [head], [context] and [declare] pass each field's name and value through a
+   [pass], once: a writing pass collects the pairs in export order, a reading
+   pass returns what a JSON object holds under the name. *)
+
+type value = Int of int | Bool of bool | Num of float | Str of string
+  | Name of string (* an enum's wire name *)
+
+type pass = {
+  int : string -> int -> int;
+  bool : string -> bool -> bool;
+  num : string -> float -> float;
+  str : string -> string -> string;
+  enum : 'a. string -> (string * 'a) list -> 'a -> 'a;
+}
+
+(* Each enum's wire names, read both ways. *)
+let reasons = [ ("link", Link); ("partition", Partition); ("crash", Crashed) ]
+
+let outcomes =
+  [ ("enabled", Enabled); ("parked", Parked); ("reduced", Reduced);
+    ("rejected", Rejected); ("forced", Forced) ]
+
+let faults =
+  List.map (fun f -> (f, f)) [ "torn"; "lost_tail"; "bit_flip"; "ckpt_corrupt" ]
+
+(* The fields every line starts with. *)
+let head p (r, name) =
+  let time = p.num "t" r.time in
+  let name = p.str "kind" name in
+  let site = p.int "site" r.site in
+  (time, name, site)
+
+(* The optional fields: written when present ([""] / [-1] mean absent). *)
+let context p r =
+  let actor = p.str "actor" r.actor in
+  let epoch = p.int "epoch" r.epoch in
+  let mid = p.int "mid" r.mid in
+  (actor, epoch, mid)
+
+(* Each kind's wire name and payload fields, in export order. *)
+let declare p = function
+  | Send r ->
+      let src = p.int "src" r.src in
+      let dst = p.int "dst" r.dst in
+      let control = p.bool "control" r.control in
+      ("send", Send { src; dst; control })
+  | Deliver r ->
+      let src = p.int "src" r.src in
+      let dst = p.int "dst" r.dst in
+      ("deliver", Deliver { src; dst })
+  | Drop r ->
+      let src = p.int "src" r.src in
+      let dst = p.int "dst" r.dst in
+      let reason = p.enum "reason" reasons r.reason in
+      ("drop", Drop { src; dst; reason })
+  | Crash -> ("crash", Crash)
+  | Restart -> ("restart", Restart)
+  | Retransmit r ->
+      let dst = p.int "dst" r.dst in
+      let tries = p.int "tries" r.tries in
+      ("retransmit", Retransmit { dst; tries })
+  | Give_up r -> ("give_up", Give_up { dst = p.int "dst" r.dst })
+  | Ack r -> ("ack", Ack { dst = p.int "dst" r.dst })
+  | Epoch_bump -> ("epoch_bump", Epoch_bump)
+  | Assim r ->
+      let outcome = p.enum "outcome" outcomes r.outcome in
+      let guard = p.int "guard" r.guard in
+      ("assim", Assim { outcome; guard })
+  | Store_fault r ->
+      ("store_fault", Store_fault { fault = p.enum "fault" faults r.fault })
+  | Store_salvage r ->
+      let kept = p.int "kept" r.kept in
+      let dropped = p.int "dropped" r.dropped in
+      let fallback = p.bool "fallback" r.fallback in
+      ("store_salvage", Store_salvage { kept; dropped; fallback })
+  | Shed r ->
+      let depth = p.int "depth" r.depth in
+      let retry_after = p.num "retry_after" r.retry_after in
+      ("shed", Shed { depth; retry_after })
+  | Credit r ->
+      let peer = p.int "peer" r.peer in
+      let grant = p.int "grant" r.grant in
+      let reset = p.bool "reset" r.reset in
+      ("credit", Credit { peer; grant; reset })
+  | Dead_letter r ->
+      let dst = p.int "dst" r.dst in
+      let tries = p.int "tries" r.tries in
+      ("dead_letter", Dead_letter { dst; tries })
+
 (* --- export -------------------------------------------------------------- *)
 
-let kind_name r =
-  match r.kind with
-  | Send _ -> "send"
-  | Deliver _ -> "deliver"
-  | Drop _ -> "drop"
-  | Crash -> "crash"
-  | Restart -> "restart"
-  | Retransmit _ -> "retransmit"
-  | Give_up _ -> "give_up"
-  | Ack _ -> "ack"
-  | Epoch_bump -> "epoch_bump"
-  | Assim _ -> "assim"
-  | Store_fault _ -> "store_fault"
-  | Store_salvage _ -> "store_salvage"
-  | Shed _ -> "shed"
-  | Credit _ -> "credit"
-  | Dead_letter _ -> "dead_letter"
+(* The fields [decl] passes [x] through, in order, less those [skip]s. *)
+let collect ?(skip = fun _ -> false) decl x =
+  let acc = ref [] in
+  let put name v x =
+    if not (skip v) then acc := (name, v) :: !acc;
+    x
+  in
+  let name_in table v =
+    match List.find_opt (fun (_, v') -> v' = v) table with
+    | Some (name, _) -> name
+    | None -> invalid_arg "Trace: a field value outside its enum table"
+  in
+  let p =
+    {
+      int = (fun n i -> put n (Int i) i);
+      bool = (fun n b -> put n (Bool b) b);
+      num = (fun n f -> put n (Num f) f);
+      str = (fun n s -> put n (Str s) s);
+      enum = (fun n table v -> put n (Name (name_in table v)) v);
+    }
+  in
+  let result = decl p x in
+  (result, List.rev !acc)
 
-let reason_name = function
-  | Link -> "link"
-  | Partition -> "partition"
-  | Crashed -> "crash"
+let fields k =
+  let (name, _), payload = collect declare k in
+  (name, payload)
 
-let outcome_name = function
-  | Enabled -> "enabled"
-  | Parked -> "parked"
-  | Reduced -> "reduced"
-  | Rejected -> "rejected"
-  | Forced -> "forced"
+let kind_name r = fst (fields r.kind)
+
+(* The context fields and payload: a Chrome event's args. *)
+let args r =
+  let absent = function Int i -> i < 0 | Str s -> s = "" | _ -> false in
+  let name, payload = fields r.kind in
+  (name, snd (collect ~skip:absent context r) @ payload)
+
+let render fields =
+  let value = function
+    | Int i -> string_of_int i
+    | Bool b -> string_of_bool b
+    | Num f -> Json.float_str f
+    | Str s | Name s -> Json.quote s
+  in
+  let field (name, v) = Json.quote name ^ ":" ^ value v in
+  "{" ^ String.concat "," (List.map field fields) ^ "}"
 
 let line_of r =
-  let buf = Buffer.create 96 in
-  let field name value =
-    Buffer.add_char buf ',';
-    Buffer.add_string buf name;
-    Buffer.add_char buf ':';
-    Buffer.add_string buf value
-  in
-  Buffer.add_string buf "{\"t\":";
-  Buffer.add_string buf (Json.float_str r.time);
-  field "\"kind\"" (Json.quote (kind_name r));
-  field "\"site\"" (string_of_int r.site);
-  if r.actor <> "" then field "\"actor\"" (Json.quote r.actor);
-  if r.epoch >= 0 then field "\"epoch\"" (string_of_int r.epoch);
-  if r.mid >= 0 then field "\"mid\"" (string_of_int r.mid);
-  (match r.kind with
-  | Send { src; dst; control } ->
-      field "\"src\"" (string_of_int src);
-      field "\"dst\"" (string_of_int dst);
-      field "\"control\"" (if control then "true" else "false")
-  | Deliver { src; dst } ->
-      field "\"src\"" (string_of_int src);
-      field "\"dst\"" (string_of_int dst)
-  | Drop { src; dst; reason } ->
-      field "\"src\"" (string_of_int src);
-      field "\"dst\"" (string_of_int dst);
-      field "\"reason\"" (Json.quote (reason_name reason))
-  | Crash | Restart | Epoch_bump -> ()
-  | Retransmit { dst; tries } ->
-      field "\"dst\"" (string_of_int dst);
-      field "\"tries\"" (string_of_int tries)
-  | Give_up { dst } | Ack { dst } -> field "\"dst\"" (string_of_int dst)
-  | Assim { outcome; guard } ->
-      field "\"outcome\"" (Json.quote (outcome_name outcome));
-      field "\"guard\"" (string_of_int guard)
-  | Store_fault { fault } -> field "\"fault\"" (Json.quote fault)
-  | Store_salvage { kept; dropped; fallback } ->
-      field "\"kept\"" (string_of_int kept);
-      field "\"dropped\"" (string_of_int dropped);
-      field "\"fallback\"" (if fallback then "true" else "false")
-  | Shed { depth; retry_after } ->
-      field "\"depth\"" (string_of_int depth);
-      field "\"retry_after\"" (Json.float_str retry_after)
-  | Credit { peer; grant; reset } ->
-      field "\"peer\"" (string_of_int peer);
-      field "\"grant\"" (string_of_int grant);
-      field "\"reset\"" (if reset then "true" else "false")
-  | Dead_letter { dst; tries } ->
-      field "\"dst\"" (string_of_int dst);
-      field "\"tries\"" (string_of_int tries));
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  let name, args = args r in
+  render (snd (collect head (r, name)) @ args)
 
 let write_jsonl oc records =
-  List.iter
-    (fun r ->
-      output_string oc (line_of r);
-      output_char oc '\n')
-    records
+  List.iter (fun r -> output_string oc (line_of r ^ "\n")) records
 
-let chrome_category r =
-  match r.kind with
-  | Send _ | Deliver _ | Drop _ | Crash | Restart -> "netsim"
-  | Retransmit _ | Give_up _ | Ack _ | Epoch_bump | Dead_letter _ -> "channel"
-  | Assim _ -> "sched"
-  | Store_fault _ | Store_salvage _ -> "store"
-  | Shed _ | Credit _ -> "flow"
+(* One of each kind, by wire name, with its Chrome category. *)
+let kinds =
+  List.concat_map
+    (fun (c, ks) -> List.map (fun k -> (fst (fields k), (c, k))) ks)
+    [
+      ( "netsim",
+        [ Crash; Restart; Deliver { src = 0; dst = 0 };
+          Send { src = 0; dst = 0; control = false };
+          Drop { src = 0; dst = 0; reason = Link } ] );
+      ( "channel",
+        [ Epoch_bump; Give_up { dst = 0 }; Retransmit { dst = 0; tries = 0 };
+          Ack { dst = 0 }; Dead_letter { dst = 0; tries = 0 } ] );
+      ("sched", [ Assim { outcome = Enabled; guard = 0 } ]);
+      ( "store",
+        [ Store_fault { fault = "torn" };
+          Store_salvage { kept = 0; dropped = 0; fallback = false } ] );
+      ( "flow",
+        [ Shed { depth = 0; retry_after = 0.0 };
+          Credit { peer = 0; grant = 0; reset = false } ] );
+    ]
 
+(* A Chrome event is named by its kind, qualified by the enum in its
+   payload (["drop:link"], ["assim:parked"]); its args are the JSONL
+   fields past [head]. *)
 let write_chrome oc records =
   output_string oc "{\"traceEvents\":[";
   List.iteri
     (fun i r ->
       if i > 0 then output_string oc ",";
-      let name =
-        match r.kind with
-        | Assim { outcome; _ } -> "assim:" ^ outcome_name outcome
-        | Drop { reason; _ } -> "drop:" ^ reason_name reason
-        | Store_fault { fault } -> "store_fault:" ^ fault
-        | _ -> kind_name r
+      let kind, args = args r in
+      let category = fst (List.assoc kind kinds) in
+      let enums =
+        List.filter_map (function _, Name n -> Some n | _ -> None) args
       in
-      let args =
-        let kv k v = Printf.sprintf "%s:%s" (Json.quote k) v in
-        let base =
-          (if r.actor <> "" then [ kv "actor" (Json.quote r.actor) ] else [])
-          @ (if r.epoch >= 0 then [ kv "epoch" (string_of_int r.epoch) ] else [])
-          @ if r.mid >= 0 then [ kv "mid" (string_of_int r.mid) ] else []
-        in
-        let extra =
-          match r.kind with
-          | Send { src; dst; control } ->
-              [
-                kv "src" (string_of_int src);
-                kv "dst" (string_of_int dst);
-                kv "control" (if control then "true" else "false");
-              ]
-          | Deliver { src; dst } | Drop { src; dst; _ } ->
-              [ kv "src" (string_of_int src); kv "dst" (string_of_int dst) ]
-          | Retransmit { dst; tries } ->
-              [ kv "dst" (string_of_int dst); kv "tries" (string_of_int tries) ]
-          | Give_up { dst } | Ack { dst } -> [ kv "dst" (string_of_int dst) ]
-          | Assim { guard; _ } -> [ kv "guard" (string_of_int guard) ]
-          | Store_fault { fault } -> [ kv "fault" (Json.quote fault) ]
-          | Store_salvage { kept; dropped; fallback } ->
-              [
-                kv "kept" (string_of_int kept);
-                kv "dropped" (string_of_int dropped);
-                kv "fallback" (if fallback then "true" else "false");
-              ]
-          | Shed { depth; retry_after } ->
-              [
-                kv "depth" (string_of_int depth);
-                kv "retry_after" (Json.float_str retry_after);
-              ]
-          | Credit { peer; grant; reset } ->
-              [
-                kv "peer" (string_of_int peer);
-                kv "grant" (string_of_int grant);
-                kv "reset" (if reset then "true" else "false");
-              ]
-          | Dead_letter { dst; tries } ->
-              [ kv "dst" (string_of_int dst); kv "tries" (string_of_int tries) ]
-          | Crash | Restart | Epoch_bump -> []
-        in
-        String.concat "," (base @ extra)
-      in
+      let name = String.concat ":" (kind :: enums) in
       Printf.fprintf oc
-        "{\"name\":%s,\"cat\":%s,\"ph\":\"i\",\"s\":\"p\",\"ts\":%s,\"pid\":%d,\"tid\":%d,\"args\":{%s}}"
-        (Json.quote name)
-        (Json.quote (chrome_category r))
+        "{\"name\":%s,\"cat\":%s,\"ph\":\"i\",\"s\":\"p\",\"ts\":%s,\"pid\":%d,\"tid\":%d,\"args\":%s}"
+        (Json.quote name) (Json.quote category)
         (Json.float_str (r.time *. 1e6))
-        r.site r.site args)
+        r.site r.site (render args))
     records;
   output_string oc "]}\n"
 
 (* --- validation ---------------------------------------------------------- *)
 
+exception Invalid of string
+let invalid fmt = Printf.ksprintf (fun e -> raise (Invalid e)) fmt
+
+(* A reading pass over [json]: a missing or mistyped field is an error,
+   or, when [lenient], leaves the value passed in. *)
+let reader ?(lenient = false) json =
+  let get conv what name x =
+    match Option.map conv (Json.member name json) with
+    | Some (Some y) -> y
+    | _ when lenient -> x
+    | None -> invalid "missing field %S" name
+    | Some None -> invalid "field %S is not %s" name what
+  in
+  {
+    int = get Json.to_int "an integer";
+    bool = get Json.to_bool "a bool";
+    num = get Json.to_float "a number";
+    str = get Json.to_string_opt "a string";
+    enum =
+      (fun n table x ->
+        let s = get Json.to_string_opt "a string" n "" in
+        try List.assoc s table
+        with Not_found -> if lenient then x else invalid "unknown %s %S" n s);
+  }
+
 let parse_line line =
-  match Json.parse line with
-  | Error e -> Error e
-  | Ok json -> (
-      let int_field name =
-        match Json.member name json with
-        | Some v -> (
-            match Json.to_int v with
-            | Some i -> Ok i
-            | None -> Error (Printf.sprintf "field %S is not an integer" name))
-        | None -> Error (Printf.sprintf "missing field %S" name)
-      in
-      let str_field name =
-        match Json.member name json with
-        | Some v -> (
-            match Json.to_string_opt v with
-            | Some s -> Ok s
-            | None -> Error (Printf.sprintf "field %S is not a string" name))
-        | None -> Error (Printf.sprintf "missing field %S" name)
-      in
-      let bool_field name =
-        match Json.member name json with
-        | Some v -> (
-            match Json.to_bool v with
-            | Some b -> Ok b
-            | None -> Error (Printf.sprintf "field %S is not a bool" name))
-        | None -> Error (Printf.sprintf "missing field %S" name)
-      in
-      let ( let* ) = Result.bind in
-      let* time =
-        match Json.member "t" json with
-        | Some v -> (
-            match Json.to_float v with
-            | Some f -> Ok f
-            | None -> Error "field \"t\" is not a number")
-        | None -> Error "missing field \"t\""
-      in
-      let* site = int_field "site" in
-      let* kind_s = str_field "kind" in
-      let actor =
-        match Json.member "actor" json with
-        | Some (Json.Str s) -> s
-        | _ -> ""
-      in
-      let opt_int name =
-        match Json.member name json with
-        | Some v -> ( match Json.to_int v with Some i -> i | None -> -1)
-        | None -> -1
-      in
-      let epoch = opt_int "epoch" and mid = opt_int "mid" in
-      let* kind =
-        match kind_s with
-        | "send" ->
-            let* src = int_field "src" in
-            let* dst = int_field "dst" in
-            let* control = bool_field "control" in
-            Ok (Send { src; dst; control })
-        | "deliver" ->
-            let* src = int_field "src" in
-            let* dst = int_field "dst" in
-            Ok (Deliver { src; dst })
-        | "drop" ->
-            let* src = int_field "src" in
-            let* dst = int_field "dst" in
-            let* reason_s = str_field "reason" in
-            let* reason =
-              match reason_s with
-              | "link" -> Ok Link
-              | "partition" -> Ok Partition
-              | "crash" -> Ok Crashed
-              | s -> Error (Printf.sprintf "unknown drop reason %S" s)
-            in
-            Ok (Drop { src; dst; reason })
-        | "crash" -> Ok Crash
-        | "restart" -> Ok Restart
-        | "retransmit" ->
-            let* dst = int_field "dst" in
-            let* tries = int_field "tries" in
-            Ok (Retransmit { dst; tries })
-        | "give_up" ->
-            let* dst = int_field "dst" in
-            Ok (Give_up { dst })
-        | "ack" ->
-            let* dst = int_field "dst" in
-            Ok (Ack { dst })
-        | "epoch_bump" ->
-            if epoch < 0 then Error "epoch_bump record without \"epoch\""
-            else Ok Epoch_bump
-        | "assim" ->
-            let* outcome_s = str_field "outcome" in
-            let* outcome =
-              match outcome_s with
-              | "enabled" -> Ok Enabled
-              | "parked" -> Ok Parked
-              | "reduced" -> Ok Reduced
-              | "rejected" -> Ok Rejected
-              | "forced" -> Ok Forced
-              | s -> Error (Printf.sprintf "unknown assim outcome %S" s)
-            in
-            let* guard = int_field "guard" in
-            if actor = "" then Error "assim record without \"actor\""
-            else Ok (Assim { outcome; guard })
-        | "store_fault" ->
-            let* fault = str_field "fault" in
-            let* () =
-              match fault with
-              | "torn" | "lost_tail" | "bit_flip" | "ckpt_corrupt" -> Ok ()
-              | s -> Error (Printf.sprintf "unknown store fault %S" s)
-            in
-            Ok (Store_fault { fault })
-        | "store_salvage" ->
-            let* kept = int_field "kept" in
-            let* dropped = int_field "dropped" in
-            let* fallback = bool_field "fallback" in
-            Ok (Store_salvage { kept; dropped; fallback })
-        | "shed" ->
-            let* depth = int_field "depth" in
-            let* retry_after =
-              match Json.member "retry_after" json with
-              | Some v -> (
-                  match Json.to_float v with
-                  | Some f -> Ok f
-                  | None -> Error "field \"retry_after\" is not a number")
-              | None -> Error "missing field \"retry_after\""
-            in
-            Ok (Shed { depth; retry_after })
-        | "credit" ->
-            let* peer = int_field "peer" in
-            let* grant = int_field "grant" in
-            let* reset = bool_field "reset" in
-            Ok (Credit { peer; grant; reset })
-        | "dead_letter" ->
-            let* dst = int_field "dst" in
-            let* tries = int_field "tries" in
-            Ok (Dead_letter { dst; tries })
-        | s -> Error (Printf.sprintf "unknown kind %S" s)
-      in
-      Ok { time; site; actor; epoch; mid; kind })
+  let blank = make ~time:0.0 ~site:0 Crash in
+  try
+    let json = Result.fold ~ok:Fun.id ~error:(invalid "%s") (Json.parse line) in
+    let time, name, site = head (reader json) (blank, "") in
+    let actor, epoch, mid = context (reader ~lenient:true json) blank in
+    let kind =
+      match List.assoc_opt name kinds with
+      | Some (_, k) -> snd (declare (reader json) k)
+      | None -> invalid "unknown kind %S" name
+    in
+    (match kind with
+    | Epoch_bump when epoch < 0 -> invalid "%s record without %S" name "epoch"
+    | Assim _ when actor = "" -> invalid "%s record without %S" name "actor"
+    | _ -> ());
+    Ok { time; site; actor; epoch; mid; kind }
+  with Invalid e -> Error e
 
 let validate_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
+  In_channel.with_open_text path (fun ic ->
       let rec loop lineno last_t count =
-        match input_line ic with
-        | exception End_of_file -> Ok count
-        | line when String.trim line = "" -> loop (lineno + 1) last_t count
-        | line -> (
+        match In_channel.input_line ic with
+        | None -> Ok count
+        | Some line when String.trim line = "" -> loop (lineno + 1) last_t count
+        | Some line -> (
             match parse_line line with
             | Error e -> Error (Printf.sprintf "line %d: %s" lineno e)
-            | Ok r ->
-                if r.time < last_t then
-                  Error
-                    (Printf.sprintf "line %d: time %g decreases (previous %g)"
-                       lineno r.time last_t)
-                else loop (lineno + 1) r.time (count + 1))
+            | Ok r when r.time < last_t ->
+                Error
+                  (Printf.sprintf "line %d: time %g decreases (previous %g)"
+                     lineno r.time last_t)
+            | Ok r -> loop (lineno + 1) r.time (count + 1))
       in
       loop 1 neg_infinity 0)
 

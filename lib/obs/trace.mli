@@ -25,7 +25,12 @@
     [{"t":..,"kind":"send","site":0,"src":0,"dst":1,"control":false}].
     {!parse_line} / {!validate_file} check the inverse direction
     (closed kind set, per-kind required fields, non-decreasing time)
-    and are what the CI trace-smoke job runs. *)
+    and are what the CI trace-smoke job runs.
+
+    Each kind's wire name and fields are declared once, in one table
+    that the JSONL writer, {!write_chrome} and {!parse_line} all read:
+    a new field is declared there and nowhere else.  Chrome [args] are
+    the JSONL fields past [t], [kind] and [site]. *)
 
 type drop_reason = Link | Partition | Crashed
 
@@ -103,13 +108,16 @@ val write_chrome : out_channel -> record list -> unit
 (** Chrome [trace_event] JSON ([{"traceEvents":[...]}]): instant
     events, [ts] in microseconds of simulated time, [pid] = site, so a
     trace opens directly in [chrome://tracing] / Perfetto with one
-    track per site. *)
+    track per site.  An event is named by its kind, qualified by the
+    enum in its payload (["drop:link"], ["assim:parked"]), and its
+    [args] are the record's JSONL fields past [t], [kind] and [site]. *)
 
 (** {2 Validation} *)
 
 val parse_line : string -> (record, string) result
 (** Inverse of {!For_testing.line_of}; rejects unknown kinds, missing per-kind
-    fields, and malformed JSON. *)
+    fields, unknown enum names (drop reason, assim outcome, store fault),
+    and malformed JSON. *)
 
 val validate_file : string -> (int, string) result
 (** Parse every line of a JSONL trace and check time is non-decreasing;

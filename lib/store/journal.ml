@@ -46,7 +46,7 @@ let create ?(checkpoint_every = 32) ?store () =
     store =
       Option.map
         (fun (codec, medium) ->
-          { medium; codec; log = Log.create codec (Media.Sim.device medium) })
+          { medium; codec; log = Log.create codec medium })
         store;
     last_salvage = None;
   }
@@ -83,9 +83,7 @@ let crash t =
   | Some s ->
       let before = t.appended in
       Media.Sim.crash s.medium;
-      let log, (ckpt, entries), report =
-        Log.recover s.codec (Media.Sim.device s.medium)
-      in
+      let log, (ckpt, entries), report = Log.recover s.codec s.medium in
       s.log <- log;
       t.ckpt <- ckpt;
       t.suffix <- List.rev entries;

@@ -1,5 +1,5 @@
 (* Length-prefixed, CRC32-checksummed, sequence-numbered framing over a
-   Media device.
+   simulated storage medium.
 
    Frame layout (all integers little-endian):
 
@@ -34,7 +34,7 @@ type ('entry, 'ckpt) codec = {
 
 type ('entry, 'ckpt) t = {
   codec : ('entry, 'ckpt) codec;
-  media : Media.t;
+  media : Media.Sim.sim;
   mutable next_seq : int;
 }
 
@@ -88,20 +88,20 @@ let frame ~tag ~seq payload =
 
 let write t ~tag ~ckpt payload =
   let f = frame ~tag ~seq:t.next_seq payload in
-  let pos = Media.length t.media in
-  Media.append t.media f;
-  Media.note_frame t.media ~pos ~len:(String.length f) ~ckpt;
+  let pos = Media.Sim.length t.media in
+  Media.Sim.append t.media f;
+  Media.Sim.note_frame t.media ~pos ~len:(String.length f) ~ckpt;
   t.next_seq <- t.next_seq + 1
 
 let append t entry = write t ~tag:0 ~ckpt:false (t.codec.enc_entry entry)
 
 let checkpoint t ckpt =
   write t ~tag:1 ~ckpt:true (t.codec.enc_ckpt ckpt);
-  Media.sync t.media
+  Media.Sim.sync t.media
 
-let sync t = Media.sync t.media
+let sync t = Media.Sim.sync t.media
 let create codec media =
-  if Media.length media <> 0 then
+  if Media.Sim.length media <> 0 then
     invalid_arg "Log.create: media not empty (use recover)";
   { codec; media; next_seq = 0 }
 
@@ -114,7 +114,7 @@ let u32 img pos =
   land 0xFFFFFFFF
 
 let recover codec media =
-  let img = Media.contents media in
+  let img = Media.Sim.contents media in
   let n = String.length img in
   let entries = ref [] in
   (* entry frames since the last decodable checkpoint, newest first *)
@@ -197,15 +197,15 @@ let recover codec media =
   let stop = Option.get !stop in
   (* Repair in place: drop everything past the verifiable prefix and
      mark what remains durable. *)
-  Media.truncate media !verified_end;
-  Media.sync media;
+  Media.Sim.truncate media !verified_end;
+  Media.Sim.sync media;
   (match !ckpt_frame_hint with
-  | Some (p, l) -> Media.note_frame media ~pos:p ~len:l ~ckpt:true
+  | Some (p, l) -> Media.Sim.note_frame media ~pos:p ~len:l ~ckpt:true
   | None -> ());
   (match (!last_frame_hint, !ckpt_frame_hint) with
   | Some (p, l), Some (cp, _) when p <> cp ->
-      Media.note_frame media ~pos:p ~len:l ~ckpt:false
-  | Some (p, l), None -> Media.note_frame media ~pos:p ~len:l ~ckpt:false
+      Media.Sim.note_frame media ~pos:p ~len:l ~ckpt:false
+  | Some (p, l), None -> Media.Sim.note_frame media ~pos:p ~len:l ~ckpt:false
   | _ -> ());
   let fallback = !ckpt_failures > 0 || !stopped_on_ckpt in
   let report =

@@ -1,4 +1,4 @@
-(** Torn-write-safe framed log over a {!Media} device.
+(** Torn-write-safe framed log over a simulated {!Media.Sim} medium.
 
     Each record is one frame:
 
@@ -32,7 +32,7 @@ type ('entry, 'ckpt) codec = {
 
 type ('entry, 'ckpt) t
 
-val create : ('entry, 'ckpt) codec -> Media.t -> ('entry, 'ckpt) t
+val create : ('entry, 'ckpt) codec -> Media.Sim.sim -> ('entry, 'ckpt) t
 (** Fresh writer positioned at sequence 0.  Raises [Invalid_argument]
     if the media is non-empty — existing images go through {!recover}. *)
 
@@ -73,7 +73,7 @@ type salvage_report = {
 
 val recover :
   ('entry, 'ckpt) codec ->
-  Media.t ->
+  Media.Sim.sim ->
   ('entry, 'ckpt) t * ('ckpt option * 'entry list) * salvage_report
 (** Scan the media, salvage the longest verifiable prefix, truncate the
     media to it (and sync — salvage repairs the image in place), and

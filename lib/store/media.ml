@@ -1,29 +1,9 @@
-(* Pluggable byte device under the framed log, plus the simulated
-   storage medium with seeded fault injection.
-
-   The log layer only needs five operations — read the whole image,
-   append, truncate, sync, and a layout hint for the last frame — so a
-   device is a record of closures, the same shape as a network link in
-   netsim.  [Sim] is the in-memory implementation: a growable byte
+(* The simulated storage medium under the framed log: a growable byte
    image with a synced watermark and a fault model mirroring netsim's
    crash injection (own RNG stream, probabilities, budget), applied
-   when the owner declares a crash. *)
-
-type t = {
-  m_contents : unit -> string;
-  m_length : unit -> int;
-  m_append : string -> unit;
-  m_truncate : int -> unit;
-  m_sync : unit -> unit;
-  m_note_frame : pos:int -> len:int -> ckpt:bool -> unit;
-}
-
-let contents d = d.m_contents ()
-let length d = d.m_length ()
-let append d s = d.m_append s
-let truncate d n = d.m_truncate n
-let sync d = d.m_sync ()
-let note_frame d ~pos ~len ~ckpt = d.m_note_frame ~pos ~len ~ckpt
+   when the owner declares a crash.  The log layer needs five
+   operations — read the whole image, append, truncate, sync, and a
+   layout hint for the last frame — and calls them directly. *)
 
 module Sim = struct
   type fault_config = {
@@ -84,14 +64,6 @@ module Sim = struct
       site;
       actor;
     }
-
-  let load ?faults ?seed ?stats ?tracer ?clock ?site ?actor image =
-    let s = create ?faults ?seed ?stats ?tracer ?clock ?site ?actor () in
-    let n = String.length image in
-    s.data <- Bytes.of_string image;
-    s.len <- n;
-    s.synced <- n;
-    s
 
   let contents s = Bytes.sub_string s.data 0 s.len
   let length s = s.len
@@ -162,16 +134,6 @@ module Sim = struct
   let note_frame s ~pos ~len ~ckpt =
     s.last_frame <- Some (pos, len);
     if ckpt then s.last_ckpt <- Some (pos, len)
-
-  let device s =
-    {
-      m_contents = (fun () -> contents s);
-      m_length = (fun () -> s.len);
-      m_append = append s;
-      m_truncate = truncate s;
-      m_sync = (fun () -> sync s);
-      m_note_frame = note_frame s;
-    }
 
   (* --- fault injection ---------------------------------------------------- *)
 

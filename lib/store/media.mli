@@ -1,41 +1,24 @@
-(** Pluggable byte device under {!Log}, and the simulated storage
-    medium with seeded fault injection.
+(** The simulated storage medium under {!Log}, with seeded fault
+    injection.
 
-    A device is a record of closures (like a netsim link): the log
-    layer appends framed bytes, reads the whole image back on recovery,
-    truncates to the verified prefix, and calls [sync] at durability
-    points.  [note_frame] is a layout hint — the device learns where
-    the newest frame (and newest checkpoint frame) starts so crash
-    faults can target it without parsing the format.
+    The log layer appends framed bytes, reads the whole image back on
+    recovery, truncates to the verified prefix, and calls [sync] at
+    durability points.  [note_frame] is a layout hint — the medium
+    learns where the newest frame (and newest checkpoint frame) starts
+    so crash faults can target it without parsing the format.
 
-    {!Sim} is the in-memory implementation used everywhere in the
-    simulator.  Its fault model mirrors [Wf_sim.Netsim]'s crash
-    injection: probabilities drawn from the medium's own RNG stream,
-    capped by a fault budget, applied only when the owner declares a
-    crash via {!Sim.crash} (which {!Journal.crash} does for the
-    journal that owns the medium):
+    {!Sim} is the in-memory medium used everywhere in the simulator.
+    Its fault model mirrors [Wf_sim.Netsim]'s crash injection:
+    probabilities drawn from the medium's own RNG stream, capped by a
+    fault budget, applied only when the owner declares a crash via
+    {!Sim.crash} (which {!Journal.crash} does for the journal that owns
+    the medium):
 
     - [torn_write] — the final unsynced frame is cut mid-write;
     - [lost_tail] — everything after the last [sync] is lost;
     - [bit_flip] — one random bit of the image flips;
     - [ckpt_corrupt] — the newest checkpoint frame is truncated or
       bit-flipped, forcing recovery to fall back to an older one. *)
-
-type t = {
-  m_contents : unit -> string;
-  m_length : unit -> int;
-  m_append : string -> unit;
-  m_truncate : int -> unit;
-  m_sync : unit -> unit;
-  m_note_frame : pos:int -> len:int -> ckpt:bool -> unit;
-}
-
-val contents : t -> string
-val length : t -> int
-val append : t -> string -> unit
-val truncate : t -> int -> unit
-val sync : t -> unit
-val note_frame : t -> pos:int -> len:int -> ckpt:bool -> unit
 
 module Sim : sig
   type fault_config = {
@@ -67,21 +50,22 @@ module Sim : sig
       injected fault and a [Store_salvage] record per salvage, stamped
       with [clock ()], [site] and [actor]. *)
 
-  val load :
-    ?faults:fault_config ->
-    ?seed:int64 ->
-    ?stats:Wf_obs.Metrics.t ->
-    ?tracer:(unit -> Wf_obs.Trace.sink option) ->
-    ?clock:(unit -> float) ->
-    ?site:int ->
-    ?actor:string ->
-    string ->
-    sim
-  (** A medium whose image is the given string, fully synced — how
-      checked-in fixture logs are opened. *)
+  (** {2 What {!Log} calls} *)
 
-  val device : sim -> t
-  (** The {!Media.t} view the log layer writes through. *)
+  val contents : sim -> string
+  val length : sim -> int
+  val append : sim -> string -> unit
+
+  val truncate : sim -> int -> unit
+  (** Cut the image to the given length; the synced watermark and the
+      frame hints follow it down. *)
+
+  val sync : sim -> unit
+  (** Everything appended so far survives a crash. *)
+
+  val note_frame : sim -> pos:int -> len:int -> ckpt:bool -> unit
+
+  (** {2 Faults} *)
 
   val crash : sim -> unit
   (** Declare a crash: draw each fault kind against its probability
@@ -115,7 +99,5 @@ module Sim : sig
       a [Store_salvage] record of [kept] frames beside the medium's
       [Store_fault] records.  {!Journal.crash} is its caller. *)
 
-  val contents : sim -> string
-  val length : sim -> int
   val faults_injected : sim -> int
 end

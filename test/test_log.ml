@@ -37,16 +37,14 @@ let report_testable =
 
 let test_roundtrip () =
   let sim = fresh_sim () in
-  let log = Log.create string_codec (Media.Sim.device sim) in
+  let log = Log.create string_codec sim in
   Log.append log "alpha";
   Log.append log "bravo";
   Log.checkpoint log "SNAP";
   Log.append log "charlie";
   Log.sync log;
   check Alcotest.int "four frames" 4 (Log.For_testing.frames_written log);
-  let _, (ckpt, entries), report =
-    Log.recover string_codec (Media.Sim.device sim)
-  in
+  let _, (ckpt, entries), report = Log.recover string_codec sim in
   checkb "checkpoint back" (ckpt = Some "SNAP");
   check Alcotest.(list string) "entries after checkpoint" [ "charlie" ] entries;
   check report_testable "clean report"
@@ -67,26 +65,24 @@ let test_recover_positions_writer () =
      salvage followed by appends followed by another salvage must see
      everything, exactly once, in order. *)
   let sim = fresh_sim () in
-  let log = Log.create string_codec (Media.Sim.device sim) in
+  let log = Log.create string_codec sim in
   Log.append log "a";
   Log.sync log;
-  let log', _, _ = Log.recover string_codec (Media.Sim.device sim) in
+  let log', _, _ = Log.recover string_codec sim in
   Log.append log' "b";
   Log.sync log';
-  let _, (ckpt, entries), report =
-    Log.recover string_codec (Media.Sim.device sim)
-  in
+  let _, (ckpt, entries), report = Log.recover string_codec sim in
   checkb "no checkpoint" (ckpt = None);
   check Alcotest.(list string) "both entries, in order" [ "a"; "b" ] entries;
   checkb "clean" (report.Log.sr_stop = Log.Clean)
 
 let test_create_requires_empty () =
   let sim = fresh_sim () in
-  let log = Log.create string_codec (Media.Sim.device sim) in
+  let log = Log.create string_codec sim in
   Log.append log "a";
   checkb "create on a non-empty media rejected"
     (try
-       ignore (Log.create string_codec (Media.Sim.device sim));
+       ignore (Log.create string_codec sim);
        false
      with Invalid_argument _ -> true)
 
@@ -94,14 +90,12 @@ let test_create_requires_empty () =
 
 let test_tear_tail () =
   let sim = fresh_sim () in
-  let log = Log.create string_codec (Media.Sim.device sim) in
+  let log = Log.create string_codec sim in
   Log.append log "durable";
   Log.sync log;
   Log.append log "in-flight";
   Media.Sim.tear_tail sim ~keep:(Log.header_length + 2);
-  let _, (ckpt, entries), report =
-    Log.recover string_codec (Media.Sim.device sim)
-  in
+  let _, (ckpt, entries), report = Log.recover string_codec sim in
   checkb "no checkpoint" (ckpt = None);
   check Alcotest.(list string) "synced entry survives" [ "durable" ] entries;
   checkb "torn frame verdict" (report.Log.sr_stop = Log.Torn_frame);
@@ -109,35 +103,31 @@ let test_tear_tail () =
     report.Log.sr_dropped_bytes;
   check Alcotest.int "fault recorded" 1 (Media.Sim.faults_injected sim);
   (* The torn bytes are gone from the image: recovery repaired it. *)
-  let _, (_, entries'), report' =
-    Log.recover string_codec (Media.Sim.device sim)
-  in
+  let _, (_, entries'), report' = Log.recover string_codec sim in
   checkb "second recovery is clean" (report'.Log.sr_stop = Log.Clean);
   checkb "and agrees" (entries' = entries)
 
 let test_tear_tail_respects_sync () =
   let sim = fresh_sim () in
-  let log = Log.create string_codec (Media.Sim.device sim) in
+  let log = Log.create string_codec sim in
   Log.append log "a";
   Log.sync log;
   Media.Sim.tear_tail sim ~keep:1;
   check Alcotest.int "synced frame cannot be torn" 0
     (Media.Sim.faults_injected sim);
-  let _, (_, entries), _ = Log.recover string_codec (Media.Sim.device sim) in
+  let _, (_, entries), _ = Log.recover string_codec sim in
   check Alcotest.(list string) "entry intact" [ "a" ] entries
 
 let test_lose_tail () =
   let sim = fresh_sim () in
-  let log = Log.create string_codec (Media.Sim.device sim) in
+  let log = Log.create string_codec sim in
   Log.append log "a";
   Log.checkpoint log "S";
   Log.append log "b";
   Log.append log "c";
   (* b, c unsynced *)
   Media.Sim.lose_tail sim;
-  let _, (ckpt, entries), report =
-    Log.recover string_codec (Media.Sim.device sim)
-  in
+  let _, (ckpt, entries), report = Log.recover string_codec sim in
   checkb "checkpoint survives (it synced)" (ckpt = Some "S");
   checkb "unsynced entries gone" (entries = []);
   checkb "clean stop: the lost tail leaves a whole-frame boundary"
@@ -146,22 +136,20 @@ let test_lose_tail () =
 
 let test_bit_flip_caught () =
   let sim = fresh_sim () in
-  let log = Log.create string_codec (Media.Sim.device sim) in
+  let log = Log.create string_codec sim in
   Log.append log "aaaa";
   Log.append log "bbbb";
   Log.sync log;
   (* Flip a payload bit of the first frame: byte 10, bit 3. *)
   Media.Sim.flip_bit sim ((Log.header_length * 8) + 3);
-  let _, (_, entries), report =
-    Log.recover string_codec (Media.Sim.device sim)
-  in
+  let _, (_, entries), report = Log.recover string_codec sim in
   checkb "scan stops at the flipped frame" (entries = []);
   checkb "CRC catches the flip" (report.Log.sr_stop = Log.Bad_crc);
   check Alcotest.int "nothing salvaged past it" 0 report.Log.sr_frames
 
 let test_corrupt_ckpt_falls_back () =
   let sim = fresh_sim () in
-  let log = Log.create string_codec (Media.Sim.device sim) in
+  let log = Log.create string_codec sim in
   Log.append log "a";
   Log.checkpoint log "OLD";
   Log.append log "b";
@@ -169,9 +157,7 @@ let test_corrupt_ckpt_falls_back () =
   Log.append log "c";
   Log.sync log;
   Media.Sim.corrupt_ckpt sim ~truncated:false;
-  let _, (ckpt, entries), report =
-    Log.recover string_codec (Media.Sim.device sim)
-  in
+  let _, (ckpt, entries), report = Log.recover string_codec sim in
   checkb "fell back to the older checkpoint" (ckpt = Some "OLD");
   check Alcotest.(list string) "replays from the older checkpoint" [ "b" ]
     entries;
@@ -190,18 +176,18 @@ let test_crash_budget () =
     }
   in
   let sim = fresh_sim ~faults () in
-  let log = Log.create string_codec (Media.Sim.device sim) in
+  let log = Log.create string_codec sim in
   Log.append log "a";
   Log.sync log;
   Log.append log "b";
   Media.Sim.crash sim;
   check Alcotest.int "first crash tears" 1 (Media.Sim.faults_injected sim);
-  let log', _, _ = Log.recover string_codec (Media.Sim.device sim) in
+  let log', _, _ = Log.recover string_codec sim in
   Log.append log' "c";
   Media.Sim.crash sim;
   check Alcotest.int "budget exhausted: no second fault" 1
     (Media.Sim.faults_injected sim);
-  let _, (_, entries), _ = Log.recover string_codec (Media.Sim.device sim) in
+  let _, (_, entries), _ = Log.recover string_codec sim in
   check Alcotest.(list string) "post-budget entry survives" [ "a"; "c" ] entries
 
 let test_crash_deterministic () =
@@ -217,7 +203,7 @@ let test_crash_deterministic () =
       }
     in
     let sim = fresh_sim ~faults ~seed () in
-    let log = Log.create string_codec (Media.Sim.device sim) in
+    let log = Log.create string_codec sim in
     Log.append log "one";
     Log.checkpoint log "S";
     Log.append log "two";
@@ -254,10 +240,10 @@ let load_fixture name =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 let fixture_case name expected_ckpt expected_entries expected_report () =
-  let sim = Media.Sim.load (load_fixture name) in
-  let _, (ckpt, entries), report =
-    Log.recover string_codec (Media.Sim.device sim)
-  in
+  let sim = Media.Sim.create () in
+  Media.Sim.append sim (load_fixture name);
+  Media.Sim.sync sim;
+  let _, (ckpt, entries), report = Log.recover string_codec sim in
   checkb (name ^ ": checkpoint") (ckpt = expected_ckpt);
   check Alcotest.(list string) (name ^ ": entries") expected_entries entries;
   check report_testable (name ^ ": exact salvage report") expected_report
@@ -405,7 +391,7 @@ let salvage_is_prefix_replay =
       reload ();
       (* Recovery is idempotent: a second scan of the repaired image is
          clean and changes nothing. *)
-      let _, recovered, report2 = Log.recover int_codec (Media.Sim.device sim) in
+      let _, recovered, report2 = Log.recover int_codec sim in
       if report2.Log.sr_stop <> Log.Clean then ok := false;
       if recovered <> Journal.recover j then ok := false;
       check_prefix ();

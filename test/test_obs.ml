@@ -278,7 +278,18 @@ let test_trace_roundtrip () =
     (Result.is_error (Trace.parse_line {|{"t":0,"kind":"nope","site":0}|}));
   checkb "missing field rejected"
     (Result.is_error (Trace.parse_line {|{"t":0,"kind":"send","site":0}|}));
-  checkb "garbage rejected" (Result.is_error (Trace.parse_line "not json"))
+  checkb "garbage rejected" (Result.is_error (Trace.parse_line "not json"));
+  checkb "unknown drop reason rejected"
+    (Result.is_error
+       (Trace.parse_line
+          {|{"t":0,"kind":"drop","site":0,"src":0,"dst":1,"reason":"lost"}|}));
+  checkb "unknown assim outcome rejected"
+    (Result.is_error
+       (Trace.parse_line
+          {|{"t":0,"kind":"assim","site":0,"actor":"a","outcome":"done","guard":1}|}));
+  checkb "unknown store fault rejected"
+    (Result.is_error
+       (Trace.parse_line {|{"t":0,"kind":"store_fault","site":0,"fault":"melted"}|}))
 
 (* --- JSON rendering ---------------------------------------------------- *)
 
@@ -318,6 +329,37 @@ let test_json_non_finite () =
   check Alcotest.string "inf in a list" "[null, 1.5]"
     (Json.to_string (Json.List [ Json.Num infinity; Json.Num 1.5 ]))
 
+(* The kinds [all_kinds] predates, with their context fields. *)
+let later_kinds =
+  [
+    Trace.make ~time:11.0 ~site:1 ~actor:"b_t1"
+      (Trace.Store_fault { fault = "torn" });
+    Trace.make ~time:11.5 ~site:1 ~actor:"b_t1"
+      (Trace.Store_salvage { kept = 3; dropped = 17; fallback = true });
+    Trace.make ~time:12.0 ~site:0
+      (Trace.Shed { depth = 4; retry_after = 0.375 });
+    Trace.make ~time:12.5 ~site:2 ~epoch:1
+      (Trace.Credit { peer = 0; grant = 2; reset = true });
+    Trace.make ~time:13.0 ~site:0 ~epoch:2 ~mid:5
+      (Trace.Dead_letter { dst = 1; tries = 30 });
+  ]
+
+(* The events [write_chrome] writes for [records]. *)
+let chrome_events records =
+  let path = Filename.temp_file "wf_trace" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out path in
+      Trace.write_chrome oc records;
+      close_out oc;
+      match Json.parse (In_channel.with_open_bin path In_channel.input_all) with
+      | Error e -> Alcotest.fail ("chrome trace does not parse: " ^ e)
+      | Ok j -> (
+          match Json.member "traceEvents" j with
+          | Some (Json.List evs) -> evs
+          | _ -> Alcotest.fail "traceEvents missing"))
+
 let test_trace_files () =
   let path = Filename.temp_file "wf_trace" ".jsonl" in
   Fun.protect
@@ -344,27 +386,29 @@ let test_trace_files () =
       checkb "decreasing time rejected"
         (Result.is_error (Trace.validate_file path)));
   (* the Chrome export is well-formed JSON with one event per record *)
-  let buf = Buffer.create 256 in
-  let path = Filename.temp_file "wf_trace" ".json" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out path in
-      Trace.write_chrome oc all_kinds;
-      close_out oc;
-      let ic = open_in path in
-      (try
-         while true do
-           Buffer.add_channel buf ic 1
-         done
-       with End_of_file -> close_in ic);
-      match Json.parse (Buffer.contents buf) with
-      | Error e -> Alcotest.fail ("chrome trace does not parse: " ^ e)
-      | Ok j -> (
-          match Json.member "traceEvents" j with
-          | Some (Json.List evs) ->
-              check Alcotest.int "one event per record" 16 (List.length evs)
-          | _ -> Alcotest.fail "traceEvents missing"))
+  check Alcotest.int "one event per record" 16
+    (List.length (chrome_events all_kinds));
+  (* the two writers agree: a Chrome event's args are its JSONL line's
+     members past t, kind and site, for every kind (the later ones
+     round-trip here too) *)
+  List.iter
+    (fun r ->
+      checkb ("round trip of " ^ Trace.For_testing.line_of r)
+        (Trace.parse_line (Trace.For_testing.line_of r) = Ok r))
+    later_kinds;
+  let records = all_kinds @ later_kinds in
+  List.iter2
+    (fun r ev ->
+      let line = Trace.For_testing.line_of r in
+      match (Json.parse line, Json.member "args" ev) with
+      | Ok (Json.Obj members), Some (Json.Obj args) ->
+          checkb ("chrome args of " ^ line)
+            (List.filter
+               (fun (k, _) -> not (List.mem k [ "t"; "kind"; "site" ]))
+               members
+            = args)
+      | _ -> Alcotest.fail ("no args to compare for " ^ line))
+    records (chrome_events records)
 
 (* --- end to end: a traced faulty run agrees with its metrics ------------- *)
 

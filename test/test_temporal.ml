@@ -129,7 +129,7 @@ let test_all_masks_against_formulas () =
 
 let test_mask_algebra () =
   let open Symbol_state in
-  checkb "inter" (inter (has Literal.Pos) (hasnt Literal.Pos) = empty);
+  checkb "inter" (is_empty (inter (has Literal.Pos) (hasnt Literal.Pos)));
   checkb "will pos = {A,C}" (will Literal.Pos = 5);
   checkb "subset" (subset (has Literal.Pos) (will Literal.Pos));
   checkb "union full"

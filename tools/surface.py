@@ -14,10 +14,13 @@ What counts as a reference is read from code only: OCaml comments
 (nested) and string literals are blanked first.  A reference is then a
 qualified `Module.value` (`Module.For_testing.value` for a test hook),
 through any library prefix or `module X = Module` alias, or the bare
-`value` in a file that opens the module with `open`, `let open`,
-`include` or a local open `Module.( ... )`.  An open counts for the
-whole file, so the gate can miss an unused export whose name a file
-that opens its module uses for something else.
+`value` where the module is open.  A top-level `open` or `include`
+opens it for the whole file; `let open Module in e` only for `e`, and a
+local open `Module.( ... )` only inside its brackets.  The body `e` of a
+`let open` ends at the first bracket, `end` or `done` it did not open,
+an `in` with no `let` of its own, `;;`, or a line indented less than
+the `let open` (no more than the `let open`'s line, when the `let open`
+follows other code on that line).
 
 Every value that lacks its reference is reported as `Module.value`
 (`Module.For_testing.value`).  The script exits 1 when a reported value
@@ -46,8 +49,11 @@ TOP_VAL = re.compile(rf"^val\s+({IDENT})\s*:", re.M)
 TESTING_SIG = re.compile(rf"^module\s+{TESTING}\s*:\s*sig\b(.*?)^end\b", re.M | re.S)
 NESTED_VAL = re.compile(rf"^\s+val\s+({IDENT})\s*:", re.M)
 ALIAS = re.compile(rf"\bmodule\s+({UIDENT})\s*=\s*({PATH})(?!\s*[.(])")
-OPEN = re.compile(rf"\b(?:open!?|include)\s+({PATH})(?!\s*[.(])")
-LOCAL_OPEN = re.compile(rf"({PATH})\s*\.\s*[([{{]")
+OPEN = re.compile(rf"(\blet\s+)?\b(?:open!?|include)\s+({PATH})(?!\s*[.(])(\s+in\b)?")
+LOCAL_OPEN = re.compile(rf"({PATH})\s*\.\s*(?=[([{{])")
+TOKEN = re.compile(r"[a-z_][A-Za-z0-9_']*|;;|[()\[\]{}]")
+OPENERS = {"(", "[", "{", "begin", "struct", "sig", "object", "do"}
+CLOSERS = {")", "]", "}", "end", "done"}
 QUALIFIED = re.compile(rf"(?<![\w'.])({PATH})\s*\.\s*([a-z_][A-Za-z0-9_']*)")
 BARE = re.compile(rf"(?<![\w'.])([a-z_][A-Za-z0-9_']*)")
 CHAR = re.compile(r"'(?:\\(?:[\\'\"ntbr ]|[0-9]{3}|x[0-9a-fA-F]{2}|o[0-7]{3})|[^\\'\n])'")
@@ -137,6 +143,51 @@ def key(parts):
     return parts[-1]
 
 
+def indent(code, i):
+    """The column of the first non-blank character on i's line."""
+    start = j = code.rfind("\n", 0, i) + 1
+    while j < len(code) and code[j] in " \t":
+        j += 1
+    return j - start
+
+
+def scope_end(code, i, stop_at_dedent):
+    """Where the expression starting at i ends: at the first closer it
+    did not open, an `in` it has no `let` for, `;;`, or (when
+    stop_at_dedent) the first line indented less than `stop_at_dedent`."""
+    depth = lets = 0
+    for m in TOKEN.finditer(code, i):
+        tok = m.group()
+        if stop_at_dedent is not None and depth == 0:
+            line = code.rfind("\n", i, m.start())
+            if line >= 0 and indent(code, m.start()) < stop_at_dedent \
+                    and not code[line + 1:m.start()].strip():
+                return m.start()
+        if tok in OPENERS:
+            depth += 1
+        elif tok in CLOSERS:
+            if depth == 0:
+                return m.start()
+            depth -= 1
+        elif depth == 0 and tok == ";;":
+            return m.start()
+        elif depth == 0 and tok == "let":
+            lets += 1
+        elif depth == 0 and tok == "in":
+            if lets == 0:
+                return m.start()
+            lets -= 1
+    return len(code)
+
+
+def let_open_scope(code, m):
+    """The span `let open M in e` opens M for: e."""
+    line = code.rfind("\n", 0, m.start()) + 1
+    col = indent(code, m.start())
+    first = not code[line:m.start()].strip()
+    return m.end(), scope_end(code, m.end(), col if first else col + 1)
+
+
 class Source:
     """The references one file's code makes."""
 
@@ -152,25 +203,42 @@ class Source:
                 parts = aliases[parts[0]] + parts[1:]
             return parts
 
-        self.opened = set()
-        for path in OPEN.findall(code) + LOCAL_OPEN.findall(code):
+        # module key -> spans of code where it is open
+        self.opened = {}
+
+        def open_in(path, span):
             parts = expand(path)
-            self.opened.add(key(parts))
             # opening M brings M.For_testing into scope as `For_testing`
-            self.opened.add(f"{parts[-1]}.{TESTING}")
+            for k in (key(parts), f"{parts[-1]}.{TESTING}"):
+                self.opened.setdefault(k, []).append(span)
+
+        for m in OPEN.finditer(code):
+            if m.group(1) and m.group(3):
+                open_in(m.group(2), let_open_scope(code, m))
+            elif not m.group(1):
+                open_in(m.group(2), (0, len(code)))
+        for m in LOCAL_OPEN.finditer(code):
+            open_in(m.group(1), (m.end(), scope_end(code, m.end() + 1, None)))
+
+        def open_at(module, pos):
+            return any(a <= pos < b for a, b in self.opened.get(module, ()))
+
         self.qualified = set()
-        for path, value in QUALIFIED.findall(code):
-            parts = expand(path)
-            self.qualified.add((key(parts), value))
+        for m in QUALIFIED.finditer(code):
+            parts = expand(m.group(1))
+            self.qualified.add((key(parts), m.group(2)))
             if parts == [TESTING]:
-                for m in self.opened:
-                    if not m.endswith(TESTING):
-                        self.qualified.add((f"{m}.{TESTING}", value))
-        self.bare = set(BARE.findall(code))
+                for k in self.opened:
+                    if not k.endswith(TESTING) and open_at(k, m.start()):
+                        self.qualified.add((f"{k}.{TESTING}", m.group(2)))
+        self.bare = {}
+        for m in BARE.finditer(code):
+            self.bare.setdefault(m.group(1), []).append(m.start())
+        self.open_at = open_at
 
     def names(self, module, value):
-        return (module, value) in self.qualified or (
-            module in self.opened and value in self.bare
+        return (module, value) in self.qualified or any(
+            self.open_at(module, pos) for pos in self.bare.get(value, ())
         )
 
 
@@ -257,6 +325,24 @@ SELF_TESTS = [
      PLAIN, {"bin/a.ml": "let _ = let open Wf_lib.M in v"}, []),
     ("a local open counts a bare name",
      PLAIN, {"bin/a.ml": "let _ = M.(v + 1)"}, []),
+    ("a bare name inside a local open's brackets counts",
+     PLAIN, {"bin/a.ml": "let _ = M.(f (g v))"}, []),
+    ("a bare name after a local open's brackets does not count",
+     PLAIN, {"bin/a.ml": "let _ = M.(f 1) + v"}, ["M.v"]),
+    ("a bare name after a scoped let open does not count",
+     PLAIN, {"bin/a.ml": "let f () =\n  let open M in\n  w\n\nlet g = v"},
+     ["M.v"]),
+    ("a let open inside brackets ends at the close",
+     PLAIN, {"bin/a.ml": "let _ = (let open M in w) + v"}, ["M.v"]),
+    ("a let open ends at an in it has no let for",
+     PLAIN, {"bin/a.ml": "let _ =\n  let x = let open M in w in\n  x + v"},
+     ["M.v"]),
+    ("a let open covers its nested lets",
+     PLAIN, {"bin/a.ml": "let _ =\n  let open M in\n  let x = 1 in\n  x + v"},
+     []),
+    ("a same-named local definition elsewhere does not count",
+     PLAIN, {"bin/a.ml": "let v = 1\nlet f () =\n  let open M in\n  w + 1\n"},
+     ["M.v"]),
     ("a functor application is not an alias",
      PLAIN, {"bin/a.ml": "module X = F (M)\nlet _ = X.v"}, ["M.v"]),
     ("an alias counts",
