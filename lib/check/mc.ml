@@ -42,6 +42,10 @@ module Tkey = struct
 
     let compare = compare
   end)
+
+  module For_testing = struct
+    let compare = compare
+  end
 end
 
 type divergence = {
@@ -351,9 +355,12 @@ let fingerprint (rt : Ground.t) =
   in
   let h =
     List.fold_left
-      (fun h i -> F.int h (Agent.fingerprint (Hashtbl.find rt.tasks i).agent))
+      (fun h (task : Ground.task) -> F.int h (Agent.fingerprint task.agent))
       h
-      (List.sort String.compare (List.of_seq (Hashtbl.to_seq_keys rt.tasks)))
+      (List.sort
+         (fun (a : Ground.task) (b : Ground.task) ->
+           String.compare (Agent.instance a.agent) (Agent.instance b.agent))
+         (Array.to_list rt.tasks))
   in
   let ready =
     List.stable_sort

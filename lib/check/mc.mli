@@ -93,10 +93,16 @@ module Tkey : sig
             byte offsets; the salvage must keep the synced frames and
             rebuild the state journal recovery rebuilds *)
 
-  val compare : t -> t -> int
   val to_string : t -> string
 
   module Set : Set.S with type elt = t
+
+  (** {2 Test hooks} *)
+
+  module For_testing : sig
+    val compare : t -> t -> int
+    (** The order {!Set} and the search's tie-breaks use. *)
+  end
 end
 
 type divergence = {

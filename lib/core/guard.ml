@@ -465,6 +465,12 @@ module Indexed = struct
       in
       of_guard
         (normalize_sum (touched' @ List.map (fun e -> e.prod) rest))
+
+  module For_testing = struct
+    let to_guard = to_guard
+    let promised = promised
+    let watches_occurred = watches_occurred
+  end
 end
 
 (* --- comparison and printing ------------------------------------------- *)

@@ -115,12 +115,17 @@ module Indexed : sig
   type t
 
   val of_guard : guard -> t
-  val to_guard : t -> guard
   val occurred : Literal.t -> t -> t
-  val promised : Literal.t -> t -> t
 
-  val watches_occurred : t -> Symbol.t -> bool
-  (** Whether an occurrence of the symbol can change the guard. *)
+  (** {2 Test hooks} *)
+
+  module For_testing : sig
+    val to_guard : t -> guard
+    val promised : Literal.t -> t -> t
+
+    val watches_occurred : t -> Symbol.t -> bool
+    (** Whether an occurrence of the symbol can change the guard. *)
+  end
 end
 
 (** {1 Comparison and renaming} *)

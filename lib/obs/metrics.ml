@@ -12,16 +12,44 @@ let num_buckets =
   (* underflow + covered range + overflow *)
   2 + int_of_float (ceil (log (max_track /. min_track) /. log_ratio))
 
+(* A histogram's buckets are filled lazily: [record] updates n, sum, min
+   and max at once and appends the sample to [pending], and the samples
+   go into [buckets] on the first read or when [pending] is full.  A run
+   that records a few hundred samples and is never read allocates no
+   bucket array.  Bucket counts do not depend on the order samples
+   arrive in, so every quantile is the one eager bucketing gives. *)
 type histogram = {
-  buckets : int array;
+  mutable buckets : int array; (* [||] until the first flush *)
+  mutable pending : Float.Array.t; (* grows by doubling up to [max_pending] *)
+  mutable npending : int;
   mutable h_n : int;
   mutable h_sum : float;
   mutable h_min : float;
   mutable h_max : float;
 }
 
+(* Counters are numbered once per process: [key] gives each name its
+   number, and a registry is an int array indexed by number, so a run
+   resolves and bumps its counters without hashing a name.  A cell that
+   was never bumped holds [absent], and [held] lists the keys whose
+   cells do not. *)
+type key = { id : int; name : string }
+
+let keys : (string, key) Hashtbl.t = Hashtbl.create 64
+
+let key name =
+  match Hashtbl.find_opt keys name with
+  | Some k -> k
+  | None ->
+      let k = { id = Hashtbl.length keys; name } in
+      Hashtbl.add keys name k;
+      k
+
+let absent = min_int
+
 type t = {
-  counters : (string, int ref) Hashtbl.t;
+  mutable cells : int array; (* by key *)
+  mutable held : key list;
   gauges : (string, float ref) Hashtbl.t;
   histograms : (string, histogram) Hashtbl.t;
 }
@@ -38,53 +66,62 @@ type summary = {
 
 let create () =
   {
-    counters = Hashtbl.create 16;
+    cells = Array.make (Hashtbl.length keys) absent;
+    held = [];
     gauges = Hashtbl.create 8;
     histograms = Hashtbl.create 8;
   }
 
 (* --- counters ------------------------------------------------------------ *)
 
-let add t name k =
-  match Hashtbl.find_opt t.counters name with
-  | Some r -> r := !r + k
-  | None -> Hashtbl.add t.counters name (ref k)
+(* Make room for [k]: cells only grow, so a key that fits once fits
+   for good. *)
+let ensure t k =
+  let len = Array.length t.cells in
+  if k.id >= len then begin
+    let cells = Array.make (max (k.id + 1) (2 * len)) absent in
+    Array.blit t.cells 0 cells 0 len;
+    t.cells <- cells
+  end
+
+let bump_cell t k n =
+  let v = t.cells.(k.id) in
+  if v = absent then begin
+    t.held <- k :: t.held;
+    t.cells.(k.id) <- n
+  end
+  else t.cells.(k.id) <- v + n
+
+let add t name n =
+  let k = key name in
+  ensure t k;
+  bump_cell t k n
 
 let incr t name = add t name 1
 
 let count t name =
-  match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
+  match Hashtbl.find_opt keys name with
+  | Some k when k.id < Array.length t.cells && t.cells.(k.id) <> absent ->
+      t.cells.(k.id)
+  | _ -> 0
 
 let sorted_bindings tbl f =
   Hashtbl.fold (fun k v acc -> (k, f v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let counters t = sorted_bindings t.counters (fun r -> !r)
+let counters t =
+  List.map (fun k -> (k.name, t.cells.(k.id))) t.held
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-(* A handle holds the registry's cell once the counter exists there;
-   until its first bump it holds a private cell, so resolving a handle
-   registers nothing. *)
-type counter = {
-  c_owner : t;
-  c_name : string;
-  mutable c_cell : int ref;
-  mutable c_live : bool;
-}
+(* A handle is the registry and the key, its cell made room for at
+   resolution, so a bump is the absent test and an add. *)
+type counter = { owner : t; c_key : key }
 
-let counter t name =
-  match Hashtbl.find_opt t.counters name with
-  | Some r -> { c_owner = t; c_name = name; c_cell = r; c_live = true }
-  | None -> { c_owner = t; c_name = name; c_cell = ref 0; c_live = false }
+let counter t k =
+  ensure t k;
+  { owner = t; c_key = k }
 
-let bump_by c k =
-  if not c.c_live then begin
-    (match Hashtbl.find_opt c.c_owner.counters c.c_name with
-    | Some r -> c.c_cell <- r
-    | None -> Hashtbl.add c.c_owner.counters c.c_name c.c_cell);
-    c.c_live <- true
-  end;
-  c.c_cell := !(c.c_cell) + k
-
+let bump_by c n = bump_cell c.owner c.c_key n
 let bump c = bump_by c 1
 
 (* --- gauges -------------------------------------------------------------- *)
@@ -100,7 +137,9 @@ let gauges t = sorted_bindings t.gauges (fun r -> !r)
 
 let new_histogram () =
   {
-    buckets = Array.make num_buckets 0;
+    buckets = [||];
+    pending = Float.Array.create 0;
+    npending = 0;
     h_n = 0;
     h_sum = 0.0;
     h_min = infinity;
@@ -120,6 +159,19 @@ let representative i =
   if i = 0 then min_track
   else min_track *. exp ((float_of_int i -. 0.5) *. log_ratio)
 
+(* The pending buffer's bound: its largest size still allocates on the
+   minor heap. *)
+let max_pending = 256
+
+(* Bucket the pending samples; every read goes through here. *)
+let flush h =
+  if Array.length h.buckets = 0 then h.buckets <- Array.make num_buckets 0;
+  for j = 0 to h.npending - 1 do
+    let i = bucket_of (Float.Array.get h.pending j) in
+    h.buckets.(i) <- h.buckets.(i) + 1
+  done;
+  h.npending <- 0
+
 let hist t name =
   match Hashtbl.find_opt t.histograms name with
   | Some h -> h
@@ -129,14 +181,23 @@ let hist t name =
       h
 
 let add_sample h v =
-  let i = bucket_of v in
-  h.buckets.(i) <- h.buckets.(i) + 1;
+  let cap = Float.Array.length h.pending in
+  if h.npending = cap then begin
+    if cap = max_pending then flush h
+    else begin
+      let pending = Float.Array.create (max 16 (2 * cap)) in
+      Float.Array.blit h.pending 0 pending 0 cap;
+      h.pending <- pending
+    end
+  end;
+  Float.Array.set h.pending h.npending v;
+  h.npending <- h.npending + 1;
   h.h_n <- h.h_n + 1;
   h.h_sum <- h.h_sum +. v;
   if v < h.h_min then h.h_min <- v;
   if v > h.h_max then h.h_max <- v
 
-(* Lazily registered like [counter]: the histogram is looked up (or
+(* Lazily registered like a counter: the histogram is looked up (or
    created) on the first recorded sample, then held. *)
 type histogram_handle = {
   h_owner : t;
@@ -144,8 +205,7 @@ type histogram_handle = {
   mutable h_hist : histogram option;
 }
 
-let histogram t name =
-  { h_owner = t; h_name = name; h_hist = Hashtbl.find_opt t.histograms name }
+let histogram t name = { h_owner = t; h_name = name; h_hist = None }
 
 let record hh v =
   if not (Float.is_nan v) then begin
@@ -170,6 +230,7 @@ let hist_quantile h p =
       let r = int_of_float (ceil (p *. float_of_int h.h_n)) in
       if r < 1 then 1 else if r > h.h_n then h.h_n else r
     in
+    flush h;
     let i = ref 0 and seen = ref 0 in
     while !seen < rank && !i < num_buckets do
       seen := !seen + h.buckets.(!i);
@@ -205,7 +266,11 @@ let histogram_names t =
 let merge a b =
   let out = create () in
   let copy_counters src =
-    Hashtbl.iter (fun name r -> add out name !r) src.counters
+    List.iter
+      (fun k ->
+        ensure out k;
+        bump_cell out k src.cells.(k.id))
+      src.held
   in
   copy_counters a;
   copy_counters b;
@@ -217,7 +282,9 @@ let merge a b =
   let copy_hists src =
     Hashtbl.iter
       (fun name h ->
+        flush h;
         let dst = hist out name in
+        flush dst;
         Array.iteri (fun i c -> dst.buckets.(i) <- dst.buckets.(i) + c) h.buckets;
         dst.h_n <- dst.h_n + h.h_n;
         dst.h_sum <- dst.h_sum +. h.h_sum;

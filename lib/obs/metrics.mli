@@ -20,13 +20,26 @@
     range.  The test suite checks that bound against an exact
     per-sample nearest-rank oracle.
 
+    The buckets are filled lazily.  {!record} updates n, sum, min and
+    max at once and appends the sample to a buffer of at most 256
+    floats; the buffer is bucketed on the first read (a quantile,
+    {!merge}, {!to_json}, {!pp}) or when it fills.  A bucket count does
+    not depend on when its sample was bucketed, so every figure is the
+    one eager bucketing gives, and a registry that records a few
+    hundred samples and is never read allocates no bucket array.
+
     {2 Registry}
 
-    A registry is string-keyed: [incr]/[add] for counters and
-    [gauge_max] for gauges.  Names live in disjoint namespaces per type;
-    reusing a counter name as a histogram creates two metrics.  Hot
-    paths resolve a name once into a {!counter} and update through it
-    without hashing; histograms are recorded through a
+    Counters are keyed: each counter name is numbered once per process
+    ({!key}), and a registry is an int array indexed by that number plus
+    the set of numbers it holds.  Hot paths take a name's key once, at
+    module initialisation, resolve it on a registry into a {!counter}
+    and bump through that: no name is hashed in a run.  [incr]/[add]
+    take a name and look its key up.  Names appear only where a
+    registry is read out ({!to_json}, {!pp}, {!For_testing.counters}).
+    Gauges ([gauge_max]) and histograms stay name-keyed.  Names live in
+    disjoint namespaces per type; reusing a counter name as a histogram
+    creates two metrics.  Histograms are recorded through a
     {!histogram_handle} only. *)
 
 type t
@@ -53,16 +66,22 @@ val add : t -> string -> int -> unit
 val count : t -> string -> int
 (** 0 for never-touched counters. *)
 
-type counter
-(** A counter resolved once, for hot paths that would otherwise hash
-    its name on every increment. *)
+type key
+(** A counter name's process-wide number. *)
 
-val counter : t -> string -> counter
-(** [counter t name] resolves the handle without registering anything:
+val key : string -> key
+(** The name's number, assigned on its first use in the process.
+    Callers on a hot path take it once, at module initialisation. *)
+
+type counter
+(** A counter resolved once on a registry: a bump is an array update. *)
+
+val counter : t -> key -> counter
+(** [counter t k] resolves the handle without registering anything:
     a counter that is never bumped stays absent from
     {!For_testing.counters} and {!to_json}, exactly as if [incr] had
-    never been called.  Handles
-    and the string API address the same cell. *)
+    never been called.  Handles and the string API address the same
+    cell, and two registries never share one. *)
 
 val bump : counter -> unit
 (** [incr] through a handle. *)

@@ -238,14 +238,15 @@ exception Invalid of string
 let invalid fmt = Printf.ksprintf (fun e -> raise (Invalid e)) fmt
 
 (* A reading pass over [json]: a missing or mistyped field is an error,
-   or, when [lenient], leaves the value passed in. *)
+   or, when [lenient], a missing one leaves the value passed in. *)
 let reader ?(lenient = false) json =
   let get conv what name x =
-    match Option.map conv (Json.member name json) with
-    | Some (Some y) -> y
-    | _ when lenient -> x
-    | None -> invalid "missing field %S" name
-    | Some None -> invalid "field %S is not %s" name what
+    match Json.member name json with
+    | None -> if lenient then x else invalid "missing field %S" name
+    | Some v -> (
+        match conv v with
+        | Some y -> y
+        | None -> invalid "field %S is not %s" name what)
   in
   {
     int = get Json.to_int "an integer";
@@ -255,14 +256,27 @@ let reader ?(lenient = false) json =
     enum =
       (fun n table x ->
         let s = get Json.to_string_opt "a string" n "" in
-        try List.assoc s table
-        with Not_found -> if lenient then x else invalid "unknown %s %S" n s);
+        match List.assoc_opt s table with
+        | Some v -> v
+        | None when lenient && Json.member n json = None -> x
+        | None -> invalid "unknown %s %S" n s);
   }
+
+(* A key the line repeats would be read from its first occurrence. *)
+let reject_repeated_keys = function
+  | Json.Obj fields ->
+      ignore
+        (List.fold_left
+           (fun seen (k, _) ->
+             if List.mem k seen then invalid "repeated field %S" k else k :: seen)
+           [] fields)
+  | _ -> ()
 
 let parse_line line =
   let blank = make ~time:0.0 ~site:0 Crash in
   try
     let json = Result.fold ~ok:Fun.id ~error:(invalid "%s") (Json.parse line) in
+    reject_repeated_keys json;
     let time, name, site = head (reader json) (blank, "") in
     let actor, epoch, mid = context (reader ~lenient:true json) blank in
     let kind =

@@ -1,26 +1,60 @@
 open Wf_core
 open Wf_tasks
 
-(* A registry and the counters the decision path bumps on every run,
-   resolved on it once; rarer outcomes count through [stats] by name. *)
+(* Every counter the actor bumps, resolved once per registry: a bump
+   hashes no name. *)
 type meters = {
-  stats : Wf_obs.Metrics.t;
   parked_evaluations : Wf_obs.Metrics.counter;
   promise_requests : Wf_obs.Metrics.counter;
   promises_granted : Wf_obs.Metrics.counter;
   reservations_granted : Wf_obs.Metrics.counter;
   triggers : Wf_obs.Metrics.counter;
+  trigger_faults : Wf_obs.Metrics.counter;
+  forced_violations : Wf_obs.Metrics.counter;
+  sacrificed_attempts : Wf_obs.Metrics.counter;
+  promises_refused : Wf_obs.Metrics.counter;
+  promises_granted_conditional : Wf_obs.Metrics.counter;
+  reservations_denied : Wf_obs.Metrics.counter;
+  contradictory_announcements : Wf_obs.Metrics.counter;
+  duplicate_announcements : Wf_obs.Metrics.counter;
+  recovery_reannounces : Wf_obs.Metrics.counter;
+  parked_rejected_at_close : Wf_obs.Metrics.counter;
 }
+
+let k_parked_evaluations = Wf_obs.Metrics.key "parked_evaluations"
+let k_promise_requests = Wf_obs.Metrics.key "promise_requests"
+let k_promises_granted = Wf_obs.Metrics.key "promises_granted"
+let k_reservations_granted = Wf_obs.Metrics.key "reservations_granted"
+let k_triggers = Wf_obs.Metrics.key "triggers"
+let k_trigger_faults = Wf_obs.Metrics.key "trigger_faults"
+let k_forced_violations = Wf_obs.Metrics.key "forced_violations"
+let k_sacrificed_attempts = Wf_obs.Metrics.key "sacrificed_attempts"
+let k_promises_refused = Wf_obs.Metrics.key "promises_refused"
+let k_promises_granted_conditional = Wf_obs.Metrics.key "promises_granted_conditional"
+let k_reservations_denied = Wf_obs.Metrics.key "reservations_denied"
+let k_contradictory_announcements = Wf_obs.Metrics.key "contradictory_announcements"
+let k_duplicate_announcements = Wf_obs.Metrics.key "duplicate_announcements"
+let k_recovery_reannounces = Wf_obs.Metrics.key "recovery_reannounces"
+let k_parked_rejected_at_close = Wf_obs.Metrics.key "parked_rejected_at_close"
 
 let meters stats =
   let c = Wf_obs.Metrics.counter stats in
   {
-    stats;
-    parked_evaluations = c "parked_evaluations";
-    promise_requests = c "promise_requests";
-    promises_granted = c "promises_granted";
-    reservations_granted = c "reservations_granted";
-    triggers = c "triggers";
+    parked_evaluations = c k_parked_evaluations;
+    promise_requests = c k_promise_requests;
+    promises_granted = c k_promises_granted;
+    reservations_granted = c k_reservations_granted;
+    triggers = c k_triggers;
+    trigger_faults = c k_trigger_faults;
+    forced_violations = c k_forced_violations;
+    sacrificed_attempts = c k_sacrificed_attempts;
+    promises_refused = c k_promises_refused;
+    promises_granted_conditional = c k_promises_granted_conditional;
+    reservations_denied = c k_reservations_denied;
+    contradictory_announcements = c k_contradictory_announcements;
+    duplicate_announcements = c k_duplicate_announcements;
+    recovery_reannounces = c k_recovery_reannounces;
+    parked_rejected_at_close = c k_parked_rejected_at_close;
   }
 
 type ctx = {
@@ -284,7 +318,7 @@ let do_fire ctx t (p : parked) =
     else true
   in
   if ok then ctx.fire l
-  else Wf_obs.Metrics.incr ctx.meters.stats "trigger_faults";
+  else Wf_obs.Metrics.bump ctx.meters.trigger_faults;
   release_all ctx t
 
 let rec try_fire ctx t (p : parked) =
@@ -322,7 +356,7 @@ let rec try_fire ctx t (p : parked) =
                 if not p.via_trigger then ctx.reject (lit t p.pol)
               end
               else begin
-                Wf_obs.Metrics.incr ctx.meters.stats "forced_violations";
+                Wf_obs.Metrics.bump ctx.meters.forced_violations;
                 note_assim ctx Wf_obs.Trace.Forced (guard_of_parked p);
                 do_fire ctx t p
               end
@@ -359,7 +393,7 @@ and grant_or_defer ctx t (pol, requester, offers) =
                && Symbol.compare (Literal.symbol requester) t.sym < 0
                && (attr_of t p.pol).Attribute.rejectable ->
             t.parked <- List.filter (fun q -> q != p) t.parked;
-            Wf_obs.Metrics.incr ctx.meters.stats "sacrificed_attempts";
+            Wf_obs.Metrics.bump ctx.meters.sacrificed_attempts;
             ctx.reject (lit t p.pol);
             true
         | _ -> false
@@ -396,7 +430,7 @@ and grant_or_defer ctx t (pol, requester, offers) =
                 let p = park ~pol ~via_trigger:true (cell_of t pol) in
                 t.parked <- p :: t.parked;
                 try_fire ctx t p)
-        | Knowledge.False -> Wf_obs.Metrics.incr ctx.meters.stats "promises_refused"
+        | Knowledge.False -> Wf_obs.Metrics.bump ctx.meters.promises_refused
         | Knowledge.Unknown -> (
             (* Conditional promise ([14]): if the offered events actually
                occurring would enable us, promise now and fire when their
@@ -405,7 +439,7 @@ and grant_or_defer ctx t (pol, requester, offers) =
                promise". *)
             match status_after t ~occurred:true src offers with
             | Knowledge.True ->
-                Wf_obs.Metrics.incr ctx.meters.stats "promises_granted_conditional";
+                Wf_obs.Metrics.bump ctx.meters.promises_granted_conditional;
                 ctx.send (Literal.symbol requester)
                   (Messages.Promise { lit = lit t pol; to_ = requester });
                 if existing = None && triggerable then begin
@@ -482,7 +516,7 @@ let rec consider_reservation ctx t requester =
   let sym = t.sym in
   if t.decided_pol <> None then begin
     (* The requester hears the announcement (it watches the symbol). *)
-    Wf_obs.Metrics.incr ctx.meters.stats "reservations_denied";
+    Wf_obs.Metrics.bump ctx.meters.reservations_denied;
     ctx.send (Literal.symbol requester)
       (Messages.Reserve_denied { sym; to_ = requester })
   end
@@ -511,7 +545,7 @@ let rec consider_reservation ctx t requester =
       (* Busy: queue until the holder releases. *)
       t.waiters_back <- requester :: t.waiters_back
     else begin
-      Wf_obs.Metrics.incr ctx.meters.stats "reservations_denied";
+      Wf_obs.Metrics.bump ctx.meters.reservations_denied;
       ctx.send (Literal.symbol requester)
         (Messages.Reserve_denied { sym; to_ = requester })
     end
@@ -556,7 +590,7 @@ let attempt ?vetted ~entailed ctx t pol =
             ctx.reject (lit t pol)
           end
           else begin
-            Wf_obs.Metrics.incr ctx.meters.stats "forced_violations";
+            Wf_obs.Metrics.bump ctx.meters.forced_violations;
             note_assim ctx Wf_obs.Trace.Forced (guard_of_parked p);
             do_fire ctx t p
           end
@@ -577,7 +611,7 @@ let note_occurred ctx t l ~seqno =
       t.knowledge <- know;
       step_views t (Gtable.Occurred (l, seqno))
   | exception Invalid_argument _ ->
-      Wf_obs.Metrics.incr ctx.meters.stats "contradictory_announcements");
+      Wf_obs.Metrics.bump ctx.meters.contradictory_announcements);
   t.reserve_backoff <- Symbol.Set.empty;
   t.promise_requested <-
     Literal.Set.filter
@@ -598,7 +632,7 @@ let handle ctx t msg =
          known fate are counted and ignored. *)
       match Knowledge.fate_of t.knowledge (Literal.symbol l) with
       | Some (Knowledge.Occurred (pol, _)) when pol = l.Literal.pol ->
-          Wf_obs.Metrics.incr ctx.meters.stats "duplicate_announcements"
+          Wf_obs.Metrics.bump ctx.meters.duplicate_announcements
       | _ -> note_occurred ctx t l ~seqno)
   | Messages.Promise { lit = l; _ } ->
       t.knowledge <- Knowledge.promised l t.knowledge;
@@ -641,7 +675,7 @@ let handle ctx t msg =
          absorbs the copy if it already knew. *)
       match (t.decided_pol, Knowledge.seqno_of t.knowledge t.sym) with
       | Some pol, Some seqno ->
-          Wf_obs.Metrics.incr ctx.meters.stats "recovery_reannounces";
+          Wf_obs.Metrics.bump ctx.meters.recovery_reannounces;
           ctx.send sym (Messages.Announce { lit = lit t pol; seqno })
       | _ -> ())
 
@@ -651,7 +685,7 @@ let force_reject_parked ctx t =
   List.iter
     (fun p ->
       if not p.via_trigger then ctx.reject (lit t p.pol);
-      Wf_obs.Metrics.incr ctx.meters.stats "parked_rejected_at_close")
+      Wf_obs.Metrics.bump ctx.meters.parked_rejected_at_close)
     parked;
   release_all ctx t
 

@@ -33,10 +33,11 @@ open Wf_tasks
       causes the events to occur when necessary", Example 4). *)
 
 type meters
-(** A registry and its per-decision counters ([parked_evaluations],
-    [promise_requests], [promises_granted], [reservations_granted],
-    [triggers]) resolved on it once ({!Wf_obs.Metrics.counter}): like
-    [incr], a counter appears in the registry on its first bump. *)
+(** Every counter an actor bumps ([parked_evaluations],
+    [promise_requests], [reservations_denied], [trigger_faults], ...),
+    resolved on a registry once ({!Wf_obs.Metrics.counter}, from keys
+    taken at module initialisation): like [incr], a counter appears in
+    the registry on its first bump. *)
 
 val meters : Wf_obs.Metrics.t -> meters
 

@@ -48,14 +48,6 @@ type 'a t = {
   rng : Wf_sim.Rng.t;
       (* the channel's own stream (split off the network's at creation)
          so jitter draws do not perturb latency/fault randomness *)
-  pending : 'a pending Key_tbl.t; (* durable sender outbox *)
-  seen : unit Key_tbl.t; (* receiver dedup above the watermark *)
-  seen_floor : int ref Wf_core.Intern.Pair_tbl.t;
-      (* Cumulative dedup watermark per (origin, epoch): every mid at or
-         below the floor has been delivered, so its [seen] entry can be
-         pruned — mids are assigned densely, so a long fault-free run
-         keeps O(reorder window) entries instead of O(messages). *)
-  dead : 'a pending Key_tbl.t; (* gave up; revived on peer Hello *)
   epochs : int array; (* durable: bumped on every restart *)
   mids : int array; (* volatile: reset to 0 on restart *)
   peer_epoch : int array array; (* per observer: highest epoch seen per origin *)
@@ -64,29 +56,46 @@ type 'a t = {
          message exactly once ({!Wf_sim.Netsim.exactly_once}) and no
          mailbox can refuse one, so its sends skip the protocol *)
   flow : Flow.t option;
+  draining : bool array;
+  handlers : (site -> 'a -> unit) option array; (* by receiving site *)
+  m_acks : Metrics.counter; (* chan_acks, bumped once per delivered copy *)
+  m_direct : Metrics.counter; (* chan_direct_sends *)
+  m_ack_latency : Metrics.histogram_handle;
+  lossy : 'a lossy Lazy.t;
+      (* the protocol's tables and meters, made on first use: runs whose
+         links are all direct never send a protocol message, retransmit,
+         suppress a duplicate or queue in a mailbox *)
+}
+
+and 'a lossy = {
+  pending : 'a pending Key_tbl.t; (* durable sender outbox *)
+  seen : unit Key_tbl.t; (* receiver dedup above the watermark *)
+  seen_floor : int ref Wf_core.Intern.Pair_tbl.t;
+      (* Cumulative dedup watermark per (origin, epoch): every mid at or
+         below the floor has been delivered, so its [seen] entry can be
+         pruned — mids are assigned densely, so a long fault-free run
+         keeps O(reorder window) entries instead of O(messages). *)
+  dead : 'a pending Key_tbl.t; (* gave up; revived on peer Hello *)
   blocked : (site * site, (key * float) Queue.t) Hashtbl.t;
       (* sends awaiting credit, FIFO per (src, dst), with block time *)
   stall_on : (site * site, unit) Hashtbl.t; (* active stall checkers *)
   mbox : (site, (site * key * 'a * float) Queue.t) Hashtbl.t;
       (* receiver inbound mailbox: (wire src, key, payload, enqueued) *)
   mbox_keys : unit Key_tbl.t; (* queued-not-yet-consumed dedup *)
-  draining : bool array;
-  handlers : (site, site -> 'a -> unit) Hashtbl.t;
-  m_acks : Metrics.counter; (* chan_acks, bumped once per delivered copy *)
-  m_direct : Metrics.counter; (* chan_direct_sends *)
-  m_ack_latency : Metrics.histogram_handle;
-  m_lossy : lossy_meters Lazy.t;
-      (* resolved on first use: runs whose links are all direct never
-         retransmit, suppress a duplicate or queue in a mailbox *)
-}
-
-and lossy_meters = {
   m_retransmits : Metrics.counter;
   m_duplicates : Metrics.counter; (* chan_duplicates_suppressed *)
   m_gave_up : Metrics.counter;
   m_revived : Metrics.counter;
   m_queue_wait : Metrics.histogram_handle; (* flow_queue_wait *)
 }
+
+(* The counters' keys, numbered once per process. *)
+let k_acks = Metrics.key "chan_acks"
+let k_direct = Metrics.key "chan_direct_sends"
+let k_retransmits = Metrics.key "chan_retransmits"
+let k_duplicates = Metrics.key "chan_duplicates_suppressed"
+let k_gave_up = Metrics.key "chan_gave_up"
+let k_revived = Metrics.key "chan_revived"
 
 (* Retransmission: the delay after [tries] resends is
    [rto·backoff^tries], capped at [max_rto] and jittered by
@@ -101,6 +110,7 @@ let epoch t site = t.epochs.(site)
 let flow t = t.flow
 
 let now t = Wf_sim.Netsim.now t.net
+let lossy t = Lazy.force t.lossy
 
 let emit_trace t r =
   match Wf_sim.Netsim.tracer t.net with
@@ -110,15 +120,15 @@ let emit_trace t r =
 (* --- receiver dedup with cumulative watermark ---------------------------- *)
 
 let floor_ref t origin epoch =
-  match Wf_core.Intern.Pair_tbl.find_opt t.seen_floor (origin, epoch) with
+  match Wf_core.Intern.Pair_tbl.find_opt (lossy t).seen_floor (origin, epoch) with
   | Some r -> r
   | None ->
       let r = ref (-1) in
-      Wf_core.Intern.Pair_tbl.replace t.seen_floor (origin, epoch) r;
+      Wf_core.Intern.Pair_tbl.replace (lossy t).seen_floor (origin, epoch) r;
       r
 
 let is_seen t ((origin, epoch, mid) : key) =
-  mid <= !(floor_ref t origin epoch) || Key_tbl.mem t.seen (origin, epoch, mid)
+  mid <= !(floor_ref t origin epoch) || Key_tbl.mem (lossy t).seen (origin, epoch, mid)
 
 (* Mark delivered and advance the watermark over any now-contiguous
    prefix, pruning the entries it covers.  The [seen] table is shared
@@ -128,11 +138,11 @@ let is_seen t ((origin, epoch, mid) : key) =
 let mark_seen t ((origin, epoch, mid) as key : key) =
   let fl = floor_ref t origin epoch in
   if mid > !fl then begin
-    Key_tbl.replace t.seen key ();
+    Key_tbl.replace (lossy t).seen key ();
     let rec advance () =
       let next : key = (origin, epoch, !fl + 1) in
-      if Key_tbl.mem t.seen next then begin
-        Key_tbl.remove t.seen next;
+      if Key_tbl.mem (lossy t).seen next then begin
+        Key_tbl.remove (lossy t).seen next;
         incr fl;
         advance ()
       end
@@ -163,15 +173,15 @@ let wire_of p =
     }
 
 let rec retransmit t key () =
-  match Key_tbl.find_opt t.pending key with
+  match Key_tbl.find_opt (lossy t).pending key with
   | None -> Wf_sim.Netsim.idle t.net (* acked meanwhile *)
   | Some p ->
       if p.p_tries >= max_retries then begin
-        Key_tbl.remove t.pending key;
+        Key_tbl.remove (lossy t).pending key;
         (* Keep the message: if the silent destination turns out to have
            crashed, its restart Hello revives the transfer. *)
-        Key_tbl.replace t.dead key p;
-        Metrics.bump (Lazy.force t.m_lossy).m_gave_up;
+        Key_tbl.replace (lossy t).dead key p;
+        Metrics.bump (lossy t).m_gave_up;
         emit_trace t
           (Trace.make ~time:(now t) ~site:p.p_src ~epoch:p.p_epoch ~mid:p.p_mid
              (Trace.Give_up { dst = p.p_dst }));
@@ -181,7 +191,7 @@ let rec retransmit t key () =
       end
       else begin
         p.p_tries <- p.p_tries + 1;
-        Metrics.bump (Lazy.force t.m_lossy).m_retransmits;
+        Metrics.bump (lossy t).m_retransmits;
         emit_trace t
           (Trace.make ~time:(now t) ~site:p.p_src ~epoch:p.p_epoch ~mid:p.p_mid
              (Trace.Retransmit { dst = p.p_dst; tries = p.p_tries }));
@@ -198,11 +208,11 @@ let transmit t p =
   Wf_sim.Netsim.schedule t.net ~delay:(rto_after t 0) (retransmit t (key_of p))
 
 let blocked_queue t ~src ~dst =
-  match Hashtbl.find_opt t.blocked (src, dst) with
+  match Hashtbl.find_opt (lossy t).blocked (src, dst) with
   | Some q -> q
   | None ->
       let q = Queue.create () in
-      Hashtbl.replace t.blocked (src, dst) q;
+      Hashtbl.replace (lossy t).blocked (src, dst) q;
       q
 
 (* Transmit as many credit-blocked sends src -> dst as the window now
@@ -214,7 +224,7 @@ let drain_blocked t flow ~src ~dst =
     if Flow.try_acquire flow ~src ~dst then begin
       let key, _since = Queue.pop q in
       Flow.note_unblocked flow ~src;
-      match Key_tbl.find_opt t.pending key with
+      match Key_tbl.find_opt (lossy t).pending key with
       | Some p when not p.p_sent -> transmit t p
       | _ -> () (* shed from the outbox meanwhile; skip *)
     end
@@ -227,7 +237,7 @@ let drain_blocked t flow ~src ~dst =
 let rec stall_check t flow ~src ~dst () =
   let q = blocked_queue t ~src ~dst in
   if Queue.is_empty q then begin
-    Hashtbl.remove t.stall_on (src, dst);
+    Hashtbl.remove (lossy t).stall_on (src, dst);
     Wf_sim.Netsim.idle t.net (* the backlog drained meanwhile *)
   end
   else begin
@@ -235,11 +245,11 @@ let rec stall_check t flow ~src ~dst () =
     | Some (key, since) when Flow.stalled flow ~src ~dst ~since ->
         let _ = Queue.pop q in
         Flow.note_unblocked flow ~src;
-        (match Key_tbl.find_opt t.pending key with
+        (match Key_tbl.find_opt (lossy t).pending key with
         | Some p when not p.p_sent -> transmit t p
         | _ -> ())
     | _ -> ());
-    if Queue.is_empty q then Hashtbl.remove t.stall_on (src, dst)
+    if Queue.is_empty q then Hashtbl.remove (lossy t).stall_on (src, dst)
     else
       Wf_sim.Netsim.schedule t.net
         ~delay:(Flow.config flow).Flow.stall_timeout
@@ -247,8 +257,8 @@ let rec stall_check t flow ~src ~dst () =
   end
 
 let ensure_stall_check t flow ~src ~dst =
-  if not (Hashtbl.mem t.stall_on (src, dst)) then begin
-    Hashtbl.replace t.stall_on (src, dst) ();
+  if not (Hashtbl.mem (lossy t).stall_on (src, dst)) then begin
+    Hashtbl.replace (lossy t).stall_on (src, dst) ();
     Wf_sim.Netsim.schedule t.net
       ~delay:(Flow.config flow).Flow.stall_timeout
       (stall_check t flow ~src ~dst)
@@ -282,7 +292,7 @@ let send ?(priority = false) t ~src ~dst payload =
         p_sent = false;
       }
     in
-    Key_tbl.replace t.pending (key_of p) p;
+    Key_tbl.replace (lossy t).pending (key_of p) p;
     match t.flow with
     | Some flow when (not priority) && src <> dst ->
         (* Credit gate: transmit only inside the receiver's window;
@@ -311,7 +321,7 @@ let revive_dead_to t ~observer ~origin =
     Key_tbl.fold
       (fun key p acc ->
         if p.p_dst = origin && p.p_src = observer then (key, p) :: acc else acc)
-      t.dead []
+      (lossy t).dead []
   in
   let send_order (_, a) (_, b) =
     match Int.compare a.p_epoch b.p_epoch with
@@ -320,10 +330,10 @@ let revive_dead_to t ~observer ~origin =
   in
   List.iter
     (fun (key, p) ->
-      Key_tbl.remove t.dead key;
+      Key_tbl.remove (lossy t).dead key;
       p.p_tries <- 0;
-      Key_tbl.replace t.pending key p;
-      Metrics.bump (Lazy.force t.m_lossy).m_revived;
+      Key_tbl.replace (lossy t).pending key p;
+      Metrics.bump (lossy t).m_revived;
       Wf_sim.Netsim.send t.net ~src:p.p_src ~dst:p.p_dst (wire_of p);
       Wf_sim.Netsim.schedule t.net ~delay:(rto_after t 0) (retransmit t key))
     (List.sort send_order mine)
@@ -390,33 +400,33 @@ let create ~rto ?flow net =
       net;
       rto;
       rng = Wf_sim.Rng.split (Wf_sim.Netsim.rng net);
-      pending = Key_tbl.create 16;
-      seen = Key_tbl.create 16;
-      seen_floor = Wf_core.Intern.Pair_tbl.create 16;
-      dead = Key_tbl.create 16;
       epochs = Array.make n 0;
       mids = Array.make n 0;
       peer_epoch = Array.init n (fun _ -> Array.make n 0);
       direct;
       flow;
-      blocked = Hashtbl.create 16;
-      stall_on = Hashtbl.create 16;
-      mbox = Hashtbl.create 16;
-      mbox_keys = Key_tbl.create 16;
       draining = Array.make n false;
-      handlers = Hashtbl.create 16;
-      m_acks = Metrics.counter (Wf_sim.Netsim.stats net) "chan_acks";
-      m_direct = Metrics.counter (Wf_sim.Netsim.stats net) "chan_direct_sends";
+      handlers = Array.make n None;
+      m_acks = Metrics.counter (Wf_sim.Netsim.stats net) k_acks;
+      m_direct = Metrics.counter (Wf_sim.Netsim.stats net) k_direct;
       m_ack_latency = Metrics.histogram (Wf_sim.Netsim.stats net) "ack_latency";
-      m_lossy =
+      lossy =
         lazy
           (let stats = Wf_sim.Netsim.stats net in
            let c = Metrics.counter stats in
            {
-             m_retransmits = c "chan_retransmits";
-             m_duplicates = c "chan_duplicates_suppressed";
-             m_gave_up = c "chan_gave_up";
-             m_revived = c "chan_revived";
+             pending = Key_tbl.create 16;
+             seen = Key_tbl.create 16;
+             seen_floor = Wf_core.Intern.Pair_tbl.create 16;
+             dead = Key_tbl.create 16;
+             blocked = Hashtbl.create 16;
+             stall_on = Hashtbl.create 16;
+             mbox = Hashtbl.create 16;
+             mbox_keys = Key_tbl.create 16;
+             m_retransmits = c k_retransmits;
+             m_duplicates = c k_duplicates;
+             m_gave_up = c k_gave_up;
+             m_revived = c k_revived;
              m_queue_wait = Metrics.histogram stats "flow_queue_wait";
            });
     }
@@ -437,10 +447,10 @@ let create ~rto ?flow net =
       (match t.flow with
       | None -> ()
       | Some fl ->
-          (match Hashtbl.find_opt t.mbox site with
+          (match Hashtbl.find_opt (lossy t).mbox site with
           | None -> ()
           | Some q ->
-              Queue.iter (fun (_, key, _, _) -> Key_tbl.remove t.mbox_keys key) q;
+              Queue.iter (fun (_, key, _, _) -> Key_tbl.remove (lossy t).mbox_keys key) q;
               Queue.clear q);
           t.draining.(site) <- false;
           Flow.on_restart fl ~site;
@@ -455,11 +465,11 @@ let create ~rto ?flow net =
   t
 
 let mailbox t site =
-  match Hashtbl.find_opt t.mbox site with
+  match Hashtbl.find_opt (lossy t).mbox site with
   | Some q -> q
   | None ->
       let q = Queue.create () in
-      Hashtbl.replace t.mbox site q;
+      Hashtbl.replace (lossy t).mbox site q;
       q
 
 (* Hand one message to the application: this — not wire arrival — is
@@ -470,7 +480,7 @@ let consume t site src ((origin, d_epoch, d_mid) as key : key) payload =
   Metrics.bump t.m_acks;
   Wf_sim.Netsim.send ~control:true t.net ~src:site ~dst:origin
     (Ack { mid = d_mid; epoch = d_epoch });
-  match Hashtbl.find_opt t.handlers site with
+  match t.handlers.(site) with
   | None -> ()
   | Some handler -> handler src payload
 
@@ -499,8 +509,8 @@ let rec drain_mailbox t flow site () =
           end
         done
     | Some (src, ((origin, _, _) as key), payload, enqueued) ->
-        Key_tbl.remove t.mbox_keys key;
-        Metrics.record (Lazy.force t.m_lossy).m_queue_wait (now t -. enqueued);
+        Key_tbl.remove (lossy t).mbox_keys key;
+        Metrics.record (lossy t).m_queue_wait (now t -. enqueued);
         consume t site src key payload;
         (* Batch credit grants on consumption. *)
         (if origin <> site then
@@ -517,7 +527,7 @@ let rec drain_mailbox t flow site () =
           (drain_mailbox t flow site)
 
 let on_receive t site handler =
-  Hashtbl.replace t.handlers site handler;
+  t.handlers.(site) <- Some handler;
   Wf_sim.Netsim.on_receive t.net site (fun src wire ->
       match wire with
       | Data { payload; origin; _ } when is_direct t ~src:origin ~dst:site ->
@@ -532,18 +542,18 @@ let on_receive t site handler =
                  A full mailbox refuses the message unacknowledged and
                  the sender's retransmission redelivers it later. *)
               if is_seen t key then begin
-                Metrics.bump (Lazy.force t.m_lossy).m_duplicates;
+                Metrics.bump (lossy t).m_duplicates;
                 (* Consumed earlier; the ack must have been lost. *)
                 Metrics.bump t.m_acks;
                 Wf_sim.Netsim.send ~control:true t.net ~src:site ~dst:origin
                   (Ack { mid; epoch })
               end
-              else if Key_tbl.mem t.mbox_keys key then
+              else if Key_tbl.mem (lossy t).mbox_keys key then
                 (* Queued but not yet consumed: suppress the duplicate
                    without acking — the consumption ack settles it. *)
-                Metrics.bump (Lazy.force t.m_lossy).m_duplicates
+                Metrics.bump (lossy t).m_duplicates
               else if Flow.mailbox_enqueue flow ~dst:site then begin
-                Key_tbl.replace t.mbox_keys key ();
+                Key_tbl.replace (lossy t).mbox_keys key ();
                 Queue.push (src, key, payload, now t) (mailbox t site);
                 if not t.draining.(site) then begin
                   t.draining.(site) <- true;
@@ -563,20 +573,20 @@ let on_receive t site handler =
               Wf_sim.Netsim.send ~control:true t.net ~src:site ~dst:origin
                 (Ack { mid; epoch });
               if is_seen t key then
-                Metrics.bump (Lazy.force t.m_lossy).m_duplicates
+                Metrics.bump (lossy t).m_duplicates
               else begin
                 mark_seen t key;
                 handler src payload
               end)
       | Ack { mid; epoch } -> (
           let key : key = (site, epoch, mid) in
-          match Key_tbl.find_opt t.pending key with
+          match Key_tbl.find_opt (lossy t).pending key with
           | None ->
               (* Duplicate ack — or a message that gave up and was then
                  consumed after all (slow mailbox): settle it. *)
-              Key_tbl.remove t.dead key
+              Key_tbl.remove (lossy t).dead key
           | Some p ->
-              Key_tbl.remove t.pending key;
+              Key_tbl.remove (lossy t).pending key;
               Metrics.record t.m_ack_latency (now t -. p.p_first_sent);
               emit_trace t
                 (Trace.make ~time:(now t) ~site ~epoch ~mid
@@ -596,7 +606,7 @@ let on_receive t site handler =
               drain_blocked t fl ~src:site ~dst:src))
 
 module For_testing = struct
-  let unacked t = Key_tbl.length t.pending
-  let dead_letters t = Key_tbl.length t.dead
-  let dedup_size t = Key_tbl.length t.seen
+  let unacked t = Key_tbl.length (lossy t).pending
+  let dead_letters t = Key_tbl.length (lossy t).dead
+  let dedup_size t = Key_tbl.length (lossy t).seen
 end

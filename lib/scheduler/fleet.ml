@@ -172,13 +172,18 @@ module Core = struct
     c_symbolic : Wf_obs.Metrics.counter;
   }
 
+  let k_attempts = Wf_obs.Metrics.key "fleet_attempts"
+  let k_occurred = Wf_obs.Metrics.key "fleet_occurred"
+  let k_table_steps = Wf_obs.Metrics.key "fleet_table_steps"
+  let k_symbolic = Wf_obs.Metrics.key "fleet_symbolic_evals"
+
   let counters_of m =
     let c = Wf_obs.Metrics.counter m in
     {
-      c_attempts = c "fleet_attempts";
-      c_occurred = c "fleet_occurred";
-      c_table_steps = c "fleet_table_steps";
-      c_symbolic = c "fleet_symbolic_evals";
+      c_attempts = c k_attempts;
+      c_occurred = c k_occurred;
+      c_table_steps = c k_table_steps;
+      c_symbolic = c k_symbolic;
     }
 
   type t = {

@@ -44,6 +44,17 @@ type meters = {
   admission_latency : Metrics.histogram_handle;
 }
 
+(* The counters' keys, numbered once per process. *)
+let k_credits_consumed = Metrics.key "flow_credits_consumed"
+let k_sends_blocked = Metrics.key "flow_sends_blocked"
+let k_credit_overrides = Metrics.key "flow_credit_overrides"
+let k_mailbox_rejects = Metrics.key "flow_mailbox_rejects"
+let k_mailbox_enqueued = Metrics.key "flow_mailbox_enqueued"
+let k_credits_granted = Metrics.key "flow_credits_granted"
+let k_admitted = Metrics.key "flow_admitted"
+let k_probe_admits = Metrics.key "flow_probe_admits"
+let k_shed = Metrics.key "flow_shed"
+
 type t = {
   cfg : config;
   rng : Wf_sim.Rng.t;
@@ -74,15 +85,15 @@ let create ?(config = default_config) ~num_sites ~seed ~stats ~now
     m =
       (let c = Metrics.counter stats in
        {
-         credits_consumed = c "flow_credits_consumed";
-         sends_blocked = c "flow_sends_blocked";
-         credit_overrides = c "flow_credit_overrides";
-         mailbox_rejects = c "flow_mailbox_rejects";
-         mailbox_enqueued = c "flow_mailbox_enqueued";
-         credits_granted = c "flow_credits_granted";
-         admitted = c "flow_admitted";
-         probe_admits = c "flow_probe_admits";
-         shed = c "flow_shed";
+         credits_consumed = c k_credits_consumed;
+         sends_blocked = c k_sends_blocked;
+         credit_overrides = c k_credit_overrides;
+         mailbox_rejects = c k_mailbox_rejects;
+         mailbox_enqueued = c k_mailbox_enqueued;
+         credits_granted = c k_credits_granted;
+         admitted = c k_admitted;
+         probe_admits = c k_probe_admits;
+         shed = c k_shed;
          admission_latency = Metrics.histogram stats "flow_admission_latency";
        });
     now;

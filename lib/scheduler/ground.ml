@@ -22,7 +22,7 @@ type slot = {
   mutable pending_complements : Literal.t list option;
 }
 
-and task = { agent : Agent.t; mutable events : slot list }
+and task = { agent : Agent.t; closes : (Literal.t * int) array }
 
 type payload = int * int * Messages.t
 
@@ -40,9 +40,11 @@ type t = {
   occurrences_counter : Wf_obs.Metrics.counter;
   attempts_counter : Wf_obs.Metrics.counter;
   rejections_counter : Wf_obs.Metrics.counter;
+  violations_counter : Wf_obs.Metrics.counter;
   replay_ctx : Actor.ctx;
   slots : slot array;
-  tasks : (string, task) Hashtbl.t;
+  tasks : task array;
+  task_order : int array;
   msg_counters : Wf_obs.Metrics.counter array;
   mutable seqno : int;
   mutable occurrences : occurrence list;
@@ -63,8 +65,8 @@ let fresh_actor overrides (a : Run_plan.actor) =
     | None -> cell
   in
   Actor.create ~sym:a.sym ~site:a.site
-    ~guard_pos:(guard (Literal.pos a.sym) a.guard_pos)
-    ~guard_neg:(guard (Literal.neg a.sym) a.guard_neg)
+    ~guard_pos:(guard a.pos a.guard_pos)
+    ~guard_neg:(guard a.neg a.guard_neg)
     ~attr_pos:a.attr ~attr_neg:Attribute.uncontrollable
     ~demand_automata:a.demand_automata ()
 
@@ -104,8 +106,12 @@ let arrive arrival ~think_time net chan ~site ?depth_site ?label sym attempt =
 (* An event of the task: agents name their events by the plan's own
    symbols, so the slot is found by address. *)
 let event_slot t task sym =
-  match List.find_opt (fun slot -> slot.sym == sym) task.events with
-  | Some _ as found -> found
+  match
+    Array.find_opt
+      (fun (_, i) -> i >= 0 && t.slots.(i).sym == sym)
+      task.closes
+  with
+  | Some (_, i) -> Some t.slots.(i)
   | None -> Option.map (fun i -> t.slots.(i)) (Run_plan.index t.plan sym)
 
 (* The actor's own events fire through its slot; anything else (an
@@ -139,9 +145,11 @@ let deliver ?vetted slot input =
   | Actor.I_message _ | Actor.I_attempt _ -> Wf_store.Journal.sync js.j
   | Actor.I_occurred _ | Actor.I_close -> ());
   js.depth <- js.depth + 1;
-  Fun.protect
-    ~finally:(fun () -> js.depth <- js.depth - 1)
-    (fun () -> Actor.apply ?vetted slot.ctx actor input);
+  (match Actor.apply ?vetted slot.ctx actor input with
+  | () -> js.depth <- js.depth - 1
+  | exception e ->
+      js.depth <- js.depth - 1;
+      raise e);
   if js.depth = 0 && Wf_store.Journal.wants_checkpoint js.j then
     Wf_store.Journal.checkpoint js.j (Actor.snapshot actor)
 
@@ -203,7 +211,7 @@ and kick t agent =
       arrive t.arrival ~think_time:t.think_time t.net t.chan ~site:slot.site
         ~label:slot.index sym (fun () ->
           if attempt t agent slot attr then
-            Wf_obs.Metrics.incr t.stats "uncontrollable_violations")
+            Wf_obs.Metrics.bump t.violations_counter)
 
 (* An uncontrollable event is announced, not requested: [true] iff its
    guard said [False]. *)
@@ -214,7 +222,7 @@ and attempt t agent slot (attr : Attribute.t) =
        event's own guard: committing must be allowed to preclude
        aborting, etc. *)
     let a =
-      Run_plan.attempt t.plan (Literal.pos slot.sym)
+      Run_plan.attempt t.plan slot.plan_actor.pos
         (Agent.would_make_unreachable agent slot.sym)
     in
     let vetted = if slot.vets then Some a.vetted else None in
@@ -231,7 +239,7 @@ and attempt t agent slot (attr : Attribute.t) =
           Gtable.view_status tbl (Gtable.view tbl ~reserved:Symbol.Set.empty know)
       | None -> Gtable.symbolic_status know (Gtable.cell_guard cell)
     in
-    fire t slot (Literal.pos slot.sym);
+    fire t slot slot.plan_actor.pos;
     status = Knowledge.False
   end
 
@@ -268,15 +276,25 @@ let ctx_for t slot : Actor.ctx =
         (Wf_sim.Netsim.tracer t.net);
   }
 
+(* The counters' keys, numbered once per process. *)
+let k_occurrences = Wf_obs.Metrics.key "occurrences"
+let k_attempts = Wf_obs.Metrics.key "attempts"
+let k_rejections = Wf_obs.Metrics.key "rejections"
+let k_violations = Wf_obs.Metrics.key "uncontrollable_violations"
+let k_msgs = Array.map (fun l -> Wf_obs.Metrics.key ("msg_" ^ l)) Messages.labels
+
 let create ?(guard_overrides = []) ~net ~chan ~journal ~arrival ~think_time
     ~max_steps ~on_event (wf : Workflow_def.t) plan =
   let stats = Wf_sim.Netsim.stats net in
-  let tasks = Hashtbl.create 16 in
-  List.iter2
-    (fun (task : Workflow_def.task) spec ->
-      Hashtbl.replace tasks task.instance
-        { agent = Agent.instantiate spec ~script:task.script; events = [] })
-    wf.tasks (Run_plan.agents plan);
+  let tasks =
+    Array.map2
+      (fun (task : Workflow_def.task) (pt : Run_plan.task) ->
+        {
+          agent = Agent.instantiate pt.agent ~script:task.script;
+          closes = pt.closes;
+        })
+      (Array.of_list wf.tasks) (Run_plan.tasks plan)
+  in
   (* Each slot's context closes over the run, so the slots start on the
      muted replay context and get their own once the run exists. *)
   let replay_ctx = Actor.muted_ctx (Wf_obs.Metrics.create ()) in
@@ -291,13 +309,14 @@ let create ?(guard_overrides = []) ~net ~chan ~journal ~arrival ~think_time
           actor = fresh_actor guard_overrides a;
           ctx = replay_ctx;
           journal = journal a;
-          task = Option.map (Hashtbl.find tasks) a.owner;
-          vets = override guard_overrides (Literal.pos a.sym) = None;
+          task = Option.map (fun r -> tasks.(r)) a.task;
+          vets = override guard_overrides a.pos = None;
           decided = false;
           pending_complements = None;
         })
       (Run_plan.actors plan)
   in
+  let counter = Wf_obs.Metrics.counter stats in
   let t =
     {
       plan;
@@ -310,26 +329,21 @@ let create ?(guard_overrides = []) ~net ~chan ~journal ~arrival ~think_time
       guard_overrides;
       stats;
       meters = Actor.meters stats;
-      occurrences_counter = Wf_obs.Metrics.counter stats "occurrences";
-      attempts_counter = Wf_obs.Metrics.counter stats "attempts";
-      rejections_counter = Wf_obs.Metrics.counter stats "rejections";
+      occurrences_counter = counter k_occurrences;
+      attempts_counter = counter k_attempts;
+      rejections_counter = counter k_rejections;
+      violations_counter = counter k_violations;
       replay_ctx;
       slots;
       tasks;
-      msg_counters =
-        Array.map
-          (fun l -> Wf_obs.Metrics.counter stats ("msg_" ^ l))
-          Messages.labels;
+      task_order = Run_plan.task_order plan;
+      msg_counters = Array.map counter k_msgs;
       seqno = 0;
       occurrences = [];
       rejected = [];
     }
   in
-  for i = Array.length slots - 1 downto 0 do
-    let slot = slots.(i) in
-    slot.ctx <- ctx_for t slot;
-    Option.iter (fun task -> task.events <- slot :: task.events) slot.task
-  done;
+  Array.iter (fun slot -> slot.ctx <- ctx_for t slot) slots;
   t
 
 (* {2 Recovery} *)
@@ -368,23 +382,30 @@ let handshake t ~epoch hosted =
 
 (* {2 Closing} *)
 
+(* Emit the complements of events that can no longer occur: each
+   finished agent's significant events that have not occurred (its
+   occurred mask read once, before the scan fires anything), unless
+   the complement's actor holds a parked attempt. *)
 let close_round t =
-  (* Emit complements of events that can no longer occur. *)
   let progress = ref false in
-  Hashtbl.iter (fun _ task ->
-      if Agent.finished task.agent then
-        List.iter
-          (fun c ->
-            match event_slot t task (Literal.symbol c) with
-            | Some slot ->
-                if (not slot.decided) && Actor.parked_count slot.actor = 0
-                then begin
-                  fire t slot c;
-                  progress := true
-                end
-            | None -> ())
-          (Agent.undecided_complements task.agent))
-    t.tasks;
+  Array.iter
+    (fun r ->
+      let task = t.tasks.(r) in
+      if Agent.finished task.agent then begin
+        let occurred = Agent.occurred_mask task.agent in
+        Array.iteri
+          (fun q (c, i) ->
+            if occurred land (1 lsl q) = 0 && i >= 0 then begin
+              let slot = t.slots.(i) in
+              if (not slot.decided) && Actor.parked_count slot.actor = 0
+              then begin
+                fire t slot c;
+                progress := true
+              end
+            end)
+          task.closes
+      end)
+    t.task_order;
   !progress
 
 (* The closing protocol, phase order and budgets, over the engine's own
@@ -423,27 +444,33 @@ let closing ~settle ~complements ~reject_lowest ~negate_lowest =
   reject_loop 256;
   neg_loop 1024
 
-let start t = Hashtbl.iter (fun _ task -> kick t task.agent) t.tasks
+let start t = Array.iter (fun r -> kick t t.tasks.(r).agent) t.task_order
 
 let settle t = Wf_sim.Netsim.run ~max_steps:t.max_steps t.net
 
 let close t =
   settle t;
-  let lowest p f =
-    match Array.find_opt p t.slots with
-    | None -> false
-    | Some slot ->
-        f slot;
-        true
-  in
+  let undecided_from = ref 0 in
   closing
     ~settle:(fun () -> settle t)
     ~complements:(fun () -> close_round t)
     ~reject_lowest:(fun () ->
-      lowest
-        (fun slot -> Actor.parked_count slot.actor > 0)
-        (fun slot -> deliver slot Actor.I_close))
+      match
+        Array.find_opt (fun slot -> Actor.parked_count slot.actor > 0) t.slots
+      with
+      | None -> false
+      | Some slot ->
+          deliver slot Actor.I_close;
+          true)
     ~negate_lowest:(fun () ->
-      lowest
-        (fun slot -> not slot.decided)
-        (fun slot -> fire t slot (Literal.neg slot.sym)))
+      (* A slot never becomes undecided again, so the search for the
+         lowest undecided one resumes where the last one stopped. *)
+      let n = Array.length t.slots in
+      while !undecided_from < n && t.slots.(!undecided_from).decided do
+        incr undecided_from
+      done;
+      !undecided_from < n
+      &&
+      let slot = t.slots.(!undecided_from) in
+      fire t slot slot.plan_actor.neg;
+      true)

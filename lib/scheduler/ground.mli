@@ -49,11 +49,11 @@ type slot = {
 
 and task = {
   agent : Agent.t;
-  mutable events : slot list;
-      (** the slots of its significant events, in slot order; the
-          agent names them by these slots' own symbols
-          ({!Agent.spec}'s [canonical]), so a complement it returns
-          finds its slot by address *)
+  closes : (Literal.t * int) array;
+      (** {!Run_plan.task}'s: the complement of each significant event
+          and its slot, in model order.  The agent names its events by
+          these slots' own symbols ({!Agent.spec}'s [canonical]), so a
+          complement it returns finds its slot by address *)
 }
 
 type payload = int * int * Messages.t
@@ -74,9 +74,14 @@ type t = {
   occurrences_counter : Wf_obs.Metrics.counter;
   attempts_counter : Wf_obs.Metrics.counter;
   rejections_counter : Wf_obs.Metrics.counter;
+  violations_counter : Wf_obs.Metrics.counter;
+      (** [uncontrollable_violations] *)
   replay_ctx : Actor.ctx;  (** muted, counting into a registry no run reads *)
   slots : slot array;  (** by plan slot *)
-  tasks : (string, task) Hashtbl.t;  (** by instance *)
+  tasks : task array;  (** in the workflow's task order *)
+  task_order : int array;
+      (** the order {!start} and {!close} visit the tasks
+          ({!Run_plan.task_order}) *)
   msg_counters : Wf_obs.Metrics.counter array;
       (** [msg_<label>] per {!Messages.tag}, resolved once *)
   mutable seqno : int;
@@ -150,6 +155,8 @@ val closing :
 val close : t -> unit
 (** Run the network to quiescence, then {!closing} over the actors,
     settling the same way: complements of finished agents' events
-    whose actors hold no parked attempt, [I_close] to the lowest symbol
+    whose actors hold no parked attempt (a scan of each task's
+    [closes] against the agent's {!Agent.occurred_mask}, taken once per
+    task and round), [I_close] to the lowest symbol
     with a parked attempt, and the negation of the lowest undecided
     symbol. *)

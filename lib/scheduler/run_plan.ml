@@ -3,14 +3,22 @@ open Wf_tasks
 
 type actor = {
   sym : Symbol.t;
+  pos : Literal.t;
+  neg : Literal.t;
   index : int;
   site : int;
   attr : Attribute.t;
   guard_pos : Gtable.cell;
   guard_neg : Gtable.cell;
   demand_automata : Automaton.t list;
-  owner : string option;
+  task : int option;
   subscribers : int array;
+}
+
+type task = {
+  instance : string;
+  agent : Agent.spec;
+  closes : (Literal.t * int) array;
 }
 
 type attempt = { lit : Literal.t; entailed : Guard.t; vetted : Gtable.cell }
@@ -35,17 +43,23 @@ type t = {
   symbols : Symbol.t list;
   actors : actor array; (* by slot *)
   index : int Symbol_tbl.t;
-  agents : Agent.spec list;
+  tasks : task array; (* workflow order *)
+  task_order : int array;
   entailed : entailed Lits_tbl.t;
 }
 
 let compiled t = t.compiled
 let symbols t = t.symbols
-let agents t = t.agents
+let agents t = Array.to_list (Array.map (fun task -> task.agent) t.tasks)
+let tasks t = t.tasks
+let task_order t = t.task_order
 let actors t = t.actors
 let index t sym = Symbol_tbl.find_opt t.index sym
 
-let owner t sym = Option.bind (index t sym) (fun i -> t.actors.(i).owner)
+let owner t sym =
+  Option.bind (index t sym) (fun i ->
+      Option.map (fun r -> t.tasks.(r).instance) t.actors.(i).task)
+
 let guard t lit = (Compile.plan t.compiled lit).Compile.guard
 
 let attempt t lit lits =
@@ -110,14 +124,15 @@ let build (wf : Workflow_def.t) =
   let compiled = Compile.compile deps in
   let owners =
     List.fold_left
-      (fun acc (task : Workflow_def.task) ->
+      (fun acc (rank, (task : Workflow_def.task)) ->
         List.fold_left
           (fun acc (ev, _, _) ->
             Symbol.Map.add
               (Task_model.symbol_of_event task.model ~instance:task.instance ev)
-              task.instance acc)
+              rank acc)
           acc task.model.Task_model.significant)
-      Symbol.Map.empty wf.tasks
+      Symbol.Map.empty
+      (List.mapi (fun rank task -> (rank, task)) wf.tasks)
   in
   let symbol_set =
     Symbol.Map.fold
@@ -174,15 +189,18 @@ let build (wf : Workflow_def.t) =
     Array.mapi
       (fun i sym ->
         let guard lit = Gtable.cell (Compile.plan compiled lit).Compile.guard in
+        let pos = Literal.pos sym and neg = Literal.neg sym in
         {
           sym;
+          pos;
+          neg;
           index = i;
           site = Workflow_def.site_of wf sym;
           attr = attr_of sym;
-          guard_pos = guard (Literal.pos sym);
-          guard_neg = guard (Literal.neg sym);
+          guard_pos = guard pos;
+          guard_neg = guard neg;
           demand_automata = demand.(i);
-          owner = Symbol.Map.find_opt sym owners;
+          task = Symbol.Map.find_opt sym owners;
           subscribers = Array.of_list subscriptions.(i);
         })
       symbols
@@ -192,19 +210,40 @@ let build (wf : Workflow_def.t) =
   let canonical sym =
     match Symbol_tbl.find_opt index sym with Some i -> symbols.(i) | None -> sym
   in
-  let agents =
-    List.map
-      (fun (task : Workflow_def.task) ->
-        Agent.spec ~instance:task.instance ~model:task.model
-          ~parametrize:task.parametrize ~canonical ())
-      wf.tasks
+  let tasks =
+    Array.of_list
+      (List.map
+         (fun (task : Workflow_def.task) ->
+           let agent =
+             Agent.spec ~instance:task.instance ~model:task.model
+               ~parametrize:task.parametrize ~canonical ()
+           in
+           let closes =
+             Array.map
+               (fun c ->
+                 ( c,
+                   Option.value ~default:(-1)
+                     (Symbol_tbl.find_opt index (Literal.symbol c)) ))
+               (Agent.complements agent)
+           in
+           { instance = task.instance; agent; closes })
+         wf.tasks)
+  in
+  (* Runs start and close their tasks in the iteration order of a
+     16-bucket [Hashtbl] keyed by instance: recorded traces and the
+     behaviour pins depend on it. *)
+  let task_order =
+    let order = Hashtbl.create 16 in
+    Array.iteri (fun r task -> Hashtbl.replace order task.instance r) tasks;
+    Array.of_list (List.rev (Hashtbl.fold (fun _ r acc -> r :: acc) order []))
   in
   {
     compiled;
     symbols = Array.to_list symbols;
     actors;
     index;
-    agents;
+    tasks;
+    task_order;
     entailed = Lits_tbl.create 16;
   }
 
@@ -227,23 +266,39 @@ module Key_tbl = Hashtbl.Make (struct
 end)
 
 let memo : t Key_tbl.t = Key_tbl.create 16
-let () = Intern.register_clearer (fun () -> Key_tbl.reset memo)
+
+(* The workflow last planned, probed by physical identity before the
+   structural key is built and hashed: a workflow is immutable, so the
+   same value has the same plan. *)
+let last : (Workflow_def.t * t) option ref = ref None
+
+let () =
+  Intern.register_clearer (fun () ->
+      Key_tbl.reset memo;
+      last := None)
 
 let of_workflow (wf : Workflow_def.t) =
   let fresh () = Result.map (fun () -> build wf) (Workflow_def.validate wf) in
   if not (Intern.enabled ()) then fresh ()
   else
-    let key =
-      ( Workflow_def.dependencies wf,
-        List.map
-          (fun (t : Workflow_def.task) ->
-            (t.instance, t.model, t.site, t.parametrize))
-          wf.tasks,
-        wf.overrides )
-    in
-    match Key_tbl.find_opt memo key with
-    | Some t -> Ok t
-    | None ->
-        let r = fresh () in
-        Result.iter (Key_tbl.add memo key) r;
+    match !last with
+    | Some (wf', t) when wf' == wf -> Ok t
+    | _ ->
+        let key =
+          ( Workflow_def.dependencies wf,
+            List.map
+              (fun (t : Workflow_def.task) ->
+                (t.instance, t.model, t.site, t.parametrize))
+              wf.tasks,
+            wf.overrides )
+        in
+        let r =
+          match Key_tbl.find_opt memo key with
+          | Some t -> Ok t
+          | None ->
+              let r = fresh () in
+              Result.iter (Key_tbl.add memo key) r;
+              r
+        in
+        Result.iter (fun t -> last := Some (wf, t)) r;
         r

@@ -20,13 +20,19 @@ open Wf_tasks
 
     {!of_workflow} is memoized keyed on the spec's data: the dependency
     expressions, each task's instance, model, site and [parametrize]
-    flag, and the attribute overrides — never on the workflow's name or
-    physical identity.  The memo is emptied by {!Intern.clear_memos}
+    flag, and the attribute overrides — never on the workflow's name,
+    so equal specs share a plan.  Before building that key it probes
+    the workflow it planned last by physical identity: a run loop that
+    plans the same (immutable) workflow value again pays a pointer
+    comparison, not a structural hash.  The memo and the probe are
+    emptied by {!Intern.clear_memos}
     and bypassed while {!Intern.enabled} is [false], like the
     {!Compile} and {!Automaton} memos the plan is built from. *)
 
 type actor = {
   sym : Symbol.t;
+  pos : Literal.t;  (** [Literal.pos sym] *)
+  neg : Literal.t;  (** [Literal.neg sym] *)
   index : int;  (** the actor's slot: [sym]'s rank in {!symbols} *)
   site : int;
   attr : Attribute.t;  (** the positive literal's; the negative is uncontrollable *)
@@ -35,8 +41,9 @@ type actor = {
   demand_automata : Automaton.t list;
       (** automata of the dependencies mentioning the symbol, when it
           is triggerable *)
-  owner : string option;
-      (** the task instance whose significant events include the symbol *)
+  task : int option;
+      (** the task whose significant events include the symbol: its
+          rank in the workflow's task order, an index into {!tasks} *)
   subscribers : int array;
       (** the slots of the actors told of the symbol's occurrences,
           ascending: those whose guards of either polarity mention it,
@@ -70,6 +77,23 @@ val agents : t -> Agent.spec list
 (** One agent spec per task, in the workflow's task order: the model is
     validated and its unreachable events tabulated once per plan, and a
     run instantiates an agent from each with the task's script. *)
+
+type task = {
+  instance : string;
+  agent : Agent.spec;
+  closes : (Literal.t * int) array;
+      (** each of {!Agent.complements}, with the slot of its symbol
+          ([-1] if it has no actor): the complements a run's closing
+          scan fires, resolved once *)
+}
+
+val tasks : t -> task array
+(** Every task, in the workflow's task order. *)
+
+val task_order : t -> int array
+(** The ranks of the tasks in the order a run starts and closes them:
+    the iteration order of a 16-bucket [Hashtbl] keyed by instance,
+    computed once. *)
 
 type attempt = {
   lit : Literal.t;  (** the attempted literal *)

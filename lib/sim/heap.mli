@@ -1,9 +1,15 @@
 (** Binary min-heap keyed by [(float, int)] pairs.
 
     The integer component is a tie-breaking sequence number, which makes
-    the simulator's event ordering total and deterministic.  A removed
-    element is dropped from the heap's storage at once, so the heap
-    never keeps a popped value reachable. *)
+    the simulator's event ordering total and deterministic.
+
+    The entries are unboxed: keys sit in a [Float.Array], with the seqs
+    and the values in parallel arrays, so a comparison reads two floats
+    and, on a tie, two ints — it follows no pointer.  Sifting moves a
+    hole instead of swapping, writing the entry being placed once.  A
+    removed element is dropped from the heap's storage at once (its
+    value slot is cleared), so the heap never keeps a popped value
+    reachable. *)
 
 type 'a t
 

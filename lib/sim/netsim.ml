@@ -75,16 +75,31 @@ type net_metrics = {
   m_restarts : Metrics.counter;
 }
 
-(* [site_recv_<i>], formatted once per site number for every network. *)
-let recv_names = ref [||]
+(* The counters' keys, numbered once per process; [site_recv_<i>] is
+   formatted and numbered once per site number. *)
+let k_sent = Metrics.key "messages_sent"
+let k_remote = Metrics.key "messages_remote"
+let k_delivered = Metrics.key "messages_delivered"
+let k_dropped = Metrics.key "messages_dropped"
+let k_crash_drops = Metrics.key "net_crash_drops"
+let k_reordered = Metrics.key "net_reordered"
+let k_duplicates = Metrics.key "net_duplicates"
+let k_link_drops = Metrics.key "net_drops"
+let k_partition_drops = Metrics.key "net_partition_drops"
+let k_crashes = Metrics.key "net_crashes"
+let k_restarts = Metrics.key "net_restarts"
+let recv_keys = ref [||]
 
-let recv_name i =
-  if i >= Array.length !recv_names then
-    recv_names :=
+let recv_key i =
+  let known = Array.length !recv_keys in
+  if i >= known then
+    recv_keys :=
       Array.init
-        (max (i + 1) (2 * Array.length !recv_names))
-        (fun j -> Printf.sprintf "site_recv_%d" j);
-  !recv_names.(i)
+        (max (i + 1) (2 * known))
+        (fun j ->
+          if j < known then !recv_keys.(j)
+          else Metrics.key (Printf.sprintf "site_recv_%d" j));
+  !recv_keys.(i)
 
 type 'msg t = {
   num_sites : int;
@@ -140,19 +155,19 @@ let create ?(seed = 42L) ?(faults = no_faults) ~num_sites ~latency () =
       stats;
       m =
         {
-          m_sent = c "messages_sent";
-          m_remote = c "messages_remote";
-          m_delivered = c "messages_delivered";
-          m_recv = Array.init num_sites (fun i -> c (recv_name i));
+          m_sent = c k_sent;
+          m_remote = c k_remote;
+          m_delivered = c k_delivered;
+          m_recv = Array.init num_sites (fun i -> c (recv_key i));
           m_latency = Metrics.histogram stats "message_latency";
-          m_dropped = c "messages_dropped";
-          m_crash_drops = c "net_crash_drops";
-          m_reordered = c "net_reordered";
-          m_duplicates = c "net_duplicates";
-          m_link_drops = c "net_drops";
-          m_partition_drops = c "net_partition_drops";
-          m_crashes = c "net_crashes";
-          m_restarts = c "net_restarts";
+          m_dropped = c k_dropped;
+          m_crash_drops = c k_crash_drops;
+          m_reordered = c k_reordered;
+          m_duplicates = c k_duplicates;
+          m_link_drops = c k_link_drops;
+          m_partition_drops = c k_partition_drops;
+          m_crashes = c k_crashes;
+          m_restarts = c k_restarts;
         };
       tracer = None;
       queue = Heap.create ();

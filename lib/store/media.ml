@@ -72,6 +72,10 @@ module Sim = struct
   let incr_stat s name =
     match s.stats with None -> () | Some m -> Wf_obs.Metrics.incr m name
 
+  let k_appends = Wf_obs.Metrics.key "store_appends"
+  let k_appended_bytes = Wf_obs.Metrics.key "store_appended_bytes"
+  let k_syncs = Wf_obs.Metrics.key "store_syncs"
+
   (* The per-append and per-sync counters, resolved on the medium's
      first append or sync; crash-time counters stay name-keyed. *)
   let meters s =
@@ -82,9 +86,9 @@ module Sim = struct
         let m =
           Some
             {
-              appends = c "store_appends";
-              appended_bytes = c "store_appended_bytes";
-              syncs = c "store_syncs";
+              appends = c k_appends;
+              appended_bytes = c k_appended_bytes;
+              syncs = c k_syncs;
             }
         in
         s.meters <- m;
@@ -218,4 +222,11 @@ module Sim = struct
       corrupt_ckpt s ~truncated:(Wf_sim.Rng.bool s.rng);
     if want_flip && budget () && s.len > 0 then
       flip_bit s (Wf_sim.Rng.int s.rng (s.len * 8))
+
+  module For_testing = struct
+    let lose_tail = lose_tail
+    let flip_bit = flip_bit
+    let corrupt_ckpt = corrupt_ckpt
+    let faults_injected = faults_injected
+  end
 end

@@ -73,22 +73,12 @@ module Sim : sig
       budget-independent) and apply those that fire within the
       remaining budget. *)
 
-  (** Deterministic injectors — the same mutations [crash] draws, for
-      fixtures and the model checker's torn-write placements. Each
-      counts against nothing but records the fault in stats/trace. *)
-
-  val lose_tail : sim -> unit
   val tear_tail : sim -> keep:int -> unit
   (** Cut the final unsynced frame, keeping [keep] bytes of it
       (clamped to [0, frame length - 1]).  No-op when the newest frame
-      is synced or absent. *)
-
-  val flip_bit : sim -> int -> unit
-  (** Flip the given bit offset (mod image size in bits). *)
-
-  val corrupt_ckpt : sim -> truncated:bool -> unit
-  (** Truncate the image mid-checkpoint-frame, or flip a bit inside the
-      checkpoint frame.  No-op when no checkpoint frame exists. *)
+      is synced or absent.  The same mutation [crash] draws, for the
+      model checker's torn-write placements; it counts against no
+      budget but records the fault in stats/trace. *)
 
   val record_salvage :
     sim -> kept:int -> dropped_entries:int -> dropped_bytes:int ->
@@ -99,5 +89,22 @@ module Sim : sig
       a [Store_salvage] record of [kept] frames beside the medium's
       [Store_fault] records.  {!Journal.crash} is its caller. *)
 
-  val faults_injected : sim -> int
+  (** {2 Test hooks} *)
+
+  module For_testing : sig
+    (** Deterministic injectors — the other mutations [crash] draws, for
+        fixtures.  Each counts against nothing but records the fault in
+        stats/trace. *)
+
+    val lose_tail : sim -> unit
+
+    val flip_bit : sim -> int -> unit
+    (** Flip the given bit offset (mod image size in bits). *)
+
+    val corrupt_ckpt : sim -> truncated:bool -> unit
+    (** Truncate the image mid-checkpoint-frame, or flip a bit inside
+        the checkpoint frame.  No-op when no checkpoint frame exists. *)
+
+    val faults_injected : sim -> int
+  end
 end

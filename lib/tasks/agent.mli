@@ -37,10 +37,17 @@ val looping : int -> script
 (** [enter]/[exit] repeated the given number of times (Example 13). *)
 
 type spec
-(** The immutable part of an agent: its instance and model, each
-    significant event's symbol, and the significant events unreachable
-    from each model state.  Built once per task and shared by every
-    agent instantiated from it (a run plan holds one per task). *)
+(** The immutable part of an agent, built once per task and shared by
+    every agent instantiated from it (a run plan holds one per task).
+    It numbers the model's states and events once and tabulates, per
+    state, the transitions (event number -> next state) and the
+    significant events unreachable from it, as a bitmask and as a list
+    in model order; per significant event, its symbol and (unless
+    parametrizing) its complement literal.  An agent then holds its
+    state as a number and the significant events that occurred as a
+    mask, so {!want}, {!would_make_unreachable}, {!on_accepted},
+    {!finished} and {!undecided_complements} read arrays: they build no
+    symbol or literal and compare no event names. *)
 
 val spec :
   instance:string ->
@@ -50,11 +57,17 @@ val spec :
   unit ->
   spec
 (** Validate the model ({!Task_model.validate}; [Invalid_argument] if it
-    is invalid) and tabulate {!Task_model.unreachable_events} over its
-    states.  [canonical] (default the identity) picks the value each
-    significant event's symbol is represented by — an equal symbol the
-    caller already holds, so its agents hand back symbols the caller
-    compares by address. *)
+    is invalid, or if it has more significant events than an [int] has
+    bits, [Sys.int_size]) and tabulate it.  [canonical] (default the
+    identity) picks the value each significant event's symbol is
+    represented by — an equal symbol the caller already holds, so its
+    agents hand back symbols the caller compares by address, and a
+    symbol the caller passes back is resolved by address too. *)
+
+val complements : spec -> Literal.t array
+(** The complement of each significant event, in model order: what
+    {!undecided_complements} draws from.  Empty for parametrizing
+    agents. *)
 
 type t
 
@@ -102,6 +115,11 @@ val trigger : t -> Symbol.t -> Literal.t list option
 val finished : t -> bool
 (** Script exhausted and no decision pending. *)
 
+val occurred_mask : t -> int
+(** The significant events that occurred, bit [i] for the [i]-th of
+    {!complements}: a closing scan over {!complements} with this mask
+    taken once reads what {!undecided_complements} would list. *)
+
 val undecided_complements : t -> Literal.t list
 (** At end of run: complements of significant events that never occurred
     (closing the trace into a maximal one).  Empty for parametrizing
@@ -111,4 +129,5 @@ val undecided_complements : t -> Literal.t list
 
 val fingerprint : t -> int
 (** Canonical {!Wf_core.Fingerprint} of the mutable state (occurrence
-    counts are order-canonicalized), for visited-state dedup. *)
+    counts are order-canonicalized), for visited-state dedup.  It
+    hashes the state's and events' names, not their numbers. *)

@@ -25,6 +25,16 @@ let validate m =
       if not (List.exists (fun tr -> tr.event = ev) m.transitions) then
         err "significant event %s labels no transition" ev)
     m.significant;
+  let rec twice = function
+    | [] -> None
+    | x :: rest -> if List.mem x rest then Some x else twice rest
+  in
+  Option.iter
+    (err "significant event %s listed twice")
+    (twice (List.map (fun (ev, _, _) -> ev) m.significant));
+  Option.iter
+    (err "symbol prefix %s names two significant events")
+    (twice (List.map (fun (_, prefix, _) -> prefix) m.significant));
   List.iter
     (fun s -> if not (has_state s) then err "terminal state %s unknown" s)
     m.terminal;

@@ -26,7 +26,9 @@ type t = {
 
 val validate : t -> (unit, string) result
 (** States and events are consistent; the initial state exists; every
-    significant event labels some transition. *)
+    significant event labels some transition; no significant event is
+    listed twice, and no two share a symbol prefix (so each symbol
+    names one event). *)
 
 val symbol_of_event : t -> instance:string -> string -> Symbol.t
 (** [symbol_of_event m ~instance:"buy" "commit"] is [c_buy].  With a

@@ -178,7 +178,7 @@ let test_tamper_roundtrip () =
   | Ok sched -> (
       checkb "schedule survives the round-trip"
         (List.for_all2
-           (fun a b -> Mc.Tkey.compare a b = 0)
+           (fun a b -> Mc.Tkey.For_testing.compare a b = 0)
            sched d.Mc.d_schedule);
       match Mc.replay ~guard_overrides:tamper wf sched with
       | Error e -> Alcotest.failf "replay failed: %s" e
@@ -305,7 +305,7 @@ let test_commutation =
           (fun ((k1, _) as m1) ->
             List.filter_map
               (fun ((k2, _) as m2) ->
-                if Mc.Tkey.compare k1 k2 >= 0 then None
+                if Mc.Tkey.For_testing.compare k1 k2 >= 0 then None
                 else
                   match (footprint m1, footprint m2) with
                   | Some f1, Some f2 when IntSet.disjoint f1 f2 -> Some (k1, k2)

@@ -127,7 +127,7 @@ let differential =
                   (fun (g, ix, s) (promise, x) ->
                     if promise then
                       ( Guard.assimilate_promise x g,
-                        Guard.Indexed.promised x ix,
+                        Guard.Indexed.For_testing.promised x ix,
                         Gtable.For_testing.step_promised tbl s x )
                     else
                       ( Guard.assimilate_occurred x g,
@@ -143,7 +143,7 @@ let differential =
                     else Gtable.Open)
               && Guard.For_testing.equivalent
                    ~alphabet:(Guard.symbols g0)
-                   (Guard.Indexed.to_guard ix)
+                   (Guard.Indexed.For_testing.to_guard ix)
                    g)
         (Expr.literals d))
 

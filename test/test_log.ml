@@ -101,7 +101,7 @@ let test_tear_tail () =
   checkb "torn frame verdict" (report.Log.sr_stop = Log.Torn_frame);
   check Alcotest.int "torn bytes dropped" (Log.header_length + 2)
     report.Log.sr_dropped_bytes;
-  check Alcotest.int "fault recorded" 1 (Media.Sim.faults_injected sim);
+  check Alcotest.int "fault recorded" 1 (Media.Sim.For_testing.faults_injected sim);
   (* The torn bytes are gone from the image: recovery repaired it. *)
   let _, (_, entries'), report' = Log.recover string_codec sim in
   checkb "second recovery is clean" (report'.Log.sr_stop = Log.Clean);
@@ -114,7 +114,7 @@ let test_tear_tail_respects_sync () =
   Log.sync log;
   Media.Sim.tear_tail sim ~keep:1;
   check Alcotest.int "synced frame cannot be torn" 0
-    (Media.Sim.faults_injected sim);
+    (Media.Sim.For_testing.faults_injected sim);
   let _, (_, entries), _ = Log.recover string_codec sim in
   check Alcotest.(list string) "entry intact" [ "a" ] entries
 
@@ -126,7 +126,7 @@ let test_lose_tail () =
   Log.append log "b";
   Log.append log "c";
   (* b, c unsynced *)
-  Media.Sim.lose_tail sim;
+  Media.Sim.For_testing.lose_tail sim;
   let _, (ckpt, entries), report = Log.recover string_codec sim in
   checkb "checkpoint survives (it synced)" (ckpt = Some "S");
   checkb "unsynced entries gone" (entries = []);
@@ -141,7 +141,7 @@ let test_bit_flip_caught () =
   Log.append log "bbbb";
   Log.sync log;
   (* Flip a payload bit of the first frame: byte 10, bit 3. *)
-  Media.Sim.flip_bit sim ((Log.header_length * 8) + 3);
+  Media.Sim.For_testing.flip_bit sim ((Log.header_length * 8) + 3);
   let _, (_, entries), report = Log.recover string_codec sim in
   checkb "scan stops at the flipped frame" (entries = []);
   checkb "CRC catches the flip" (report.Log.sr_stop = Log.Bad_crc);
@@ -156,7 +156,7 @@ let test_corrupt_ckpt_falls_back () =
   Log.checkpoint log "NEW";
   Log.append log "c";
   Log.sync log;
-  Media.Sim.corrupt_ckpt sim ~truncated:false;
+  Media.Sim.For_testing.corrupt_ckpt sim ~truncated:false;
   let _, (ckpt, entries), report = Log.recover string_codec sim in
   checkb "fell back to the older checkpoint" (ckpt = Some "OLD");
   check Alcotest.(list string) "replays from the older checkpoint" [ "b" ]
@@ -181,12 +181,12 @@ let test_crash_budget () =
   Log.sync log;
   Log.append log "b";
   Media.Sim.crash sim;
-  check Alcotest.int "first crash tears" 1 (Media.Sim.faults_injected sim);
+  check Alcotest.int "first crash tears" 1 (Media.Sim.For_testing.faults_injected sim);
   let log', _, _ = Log.recover string_codec sim in
   Log.append log' "c";
   Media.Sim.crash sim;
   check Alcotest.int "budget exhausted: no second fault" 1
-    (Media.Sim.faults_injected sim);
+    (Media.Sim.For_testing.faults_injected sim);
   let _, (_, entries), _ = Log.recover string_codec sim in
   check Alcotest.(list string) "post-budget entry survives" [ "a"; "c" ] entries
 

@@ -168,8 +168,9 @@ let test_metrics_handles () =
      recorded shows up, and it shows up exactly as the string API
      would have put it there. *)
   let m = Metrics.create () in
-  let sent = Metrics.counter m "sent" and idle = Metrics.counter m "idle" in
-  let zero = Metrics.counter m "zero" in
+  let counter name = Metrics.counter m (Metrics.key name) in
+  let sent = counter "sent" and idle = counter "idle" in
+  let zero = counter "zero" in
   let lat = Metrics.histogram m "lat" and quiet = Metrics.histogram m "quiet" in
   check Alcotest.string "resolving registers nothing"
     {|{"counters":{},"gauges":{},"histograms":{}}|} (Metrics.to_json m);
@@ -189,7 +190,7 @@ let test_metrics_handles () =
   checkb "unrecorded histogram stays absent" (Metrics.For_testing.histogram_names m = [ "lat" ]);
   (* A name registered through the string API after the handle was
      resolved: the first bump joins the existing cell. *)
-  let late = Metrics.counter m "late" in
+  let late = counter "late" in
   Metrics.add m "late" 10;
   Metrics.bump late;
   check Alcotest.int "late handle joins the registered cell" 11
@@ -202,6 +203,66 @@ let test_metrics_handles () =
   List.iter (observe r "lat") [ 1.0; 2.0; 4.0 ];
   check Alcotest.string "same JSON as the string API" (Metrics.to_json r)
     (Metrics.to_json m)
+
+(* Lazy bucketing is invisible: a histogram read after every record
+   (bucketed eagerly), one read now and then, and one never read until
+   the end agree on every figure, bit for bit, past the sample buffer's
+   bound; so do merges of unread and of eagerly read histograms. *)
+let test_histogram_lazy_buckets () =
+  let samples =
+    List.init 1500 (fun i -> Float.of_int ((i * 7919) mod 1013) *. 0.37 +. 1e-3)
+  in
+  let fill ~read_every samples =
+    let m = Metrics.create () in
+    let h = Metrics.histogram m "lat" in
+    List.iteri
+      (fun i v ->
+        Metrics.record h v;
+        if read_every > 0 && i mod read_every = 0 then
+          ignore (Metrics.For_testing.quantile m "lat" 0.5))
+      samples;
+    m
+  in
+  let figures m =
+    ( Metrics.to_json m,
+      List.map (Metrics.For_testing.quantile m "lat") [ 0.01; 0.3; 0.5; 0.9; 0.999 ] )
+  in
+  let eager = fill ~read_every:1 samples in
+  List.iter
+    (fun (what, m) ->
+      checkb (what ^ " = eager") (figures m = figures eager))
+    [ ("never read", fill ~read_every:0 samples);
+      ("read every 7th", fill ~read_every:7 samples);
+      ("read every 300th", fill ~read_every:300 samples) ];
+  let a, b = List.partition (fun v -> v < 200.0) samples in
+  let merged ~read_every =
+    Metrics.merge (fill ~read_every a) (fill ~read_every b)
+  in
+  checkb "merge of unread = merge of eager"
+    (figures (merged ~read_every:0) = figures (merged ~read_every:1));
+  checkb "merge of unread = one histogram of every sample"
+    (Metrics.For_testing.summarize (merged ~read_every:0) "lat"
+    = Metrics.For_testing.summarize (fill ~read_every:0 (a @ b)) "lat")
+
+let test_registries_separate () =
+  (* Counter keys are process-wide, cells are not: two registries that
+     resolve the same key count apart. *)
+  let k = Metrics.key "shared_counter" in
+  let m1 = Metrics.create () and m2 = Metrics.create () in
+  let c1 = Metrics.counter m1 k and c2 = Metrics.counter m2 k in
+  Metrics.bump_by c1 5;
+  check Alcotest.int "bumped registry counts" 5 (Metrics.count m1 "shared_counter");
+  check Alcotest.int "other registry untouched" 0 (Metrics.count m2 "shared_counter");
+  checkb "other registry holds nothing" (Metrics.For_testing.counters m2 = []);
+  Metrics.incr m2 "shared_counter";
+  Metrics.bump c2;
+  check Alcotest.int "second registry counts its own" 2
+    (Metrics.count m2 "shared_counter");
+  check Alcotest.int "first registry unchanged" 5 (Metrics.count m1 "shared_counter");
+  (* A key made after a registry exists still resolves on it. *)
+  let late = Metrics.key "made_after_the_registry" in
+  Metrics.bump (Metrics.counter m1 late);
+  check Alcotest.int "late key counts" 1 (Metrics.count m1 "made_after_the_registry")
 
 let test_netsim_delivery_metrics () =
   (* Netsim's per-delivery metrics go through handles resolved at
@@ -289,7 +350,33 @@ let test_trace_roundtrip () =
           {|{"t":0,"kind":"assim","site":0,"actor":"a","outcome":"done","guard":1}|}));
   checkb "unknown store fault rejected"
     (Result.is_error
-       (Trace.parse_line {|{"t":0,"kind":"store_fault","site":0,"fault":"melted"}|}))
+       (Trace.parse_line {|{"t":0,"kind":"store_fault","site":0,"fault":"melted"}|}));
+  (* A context field may be absent, but not mistyped, and no key may
+     repeat: each is rejected with a message naming the field. *)
+  let rejected_naming field line =
+    let quoted = Printf.sprintf "%S" field in
+    let n = String.length quoted in
+    let rec names e i =
+      i + n <= String.length e && (String.sub e i n = quoted || names e (i + 1))
+    in
+    match Trace.parse_line line with
+    | Ok _ -> Alcotest.failf "accepted: %s" line
+    | Error e -> checkb (Printf.sprintf "%S names %s" e quoted) (names e 0)
+  in
+  rejected_naming "epoch"
+    {|{"t":0,"kind":"send","site":0,"epoch":"x","src":0,"dst":1,"control":false}|};
+  rejected_naming "mid"
+    {|{"t":0,"kind":"send","site":0,"mid":1.5,"src":0,"dst":1,"control":false}|};
+  rejected_naming "actor"
+    {|{"t":0,"kind":"crash","site":0,"actor":7}|};
+  rejected_naming "dst"
+    {|{"t":0,"kind":"send","site":0,"src":0,"dst":1,"dst":2,"control":false}|};
+  rejected_naming "epoch"
+    {|{"t":0,"kind":"epoch_bump","site":0,"epoch":1,"epoch":2}|};
+  checkb "absent context fields still accepted"
+    (Result.is_ok
+       (Trace.parse_line
+          {|{"t":0,"kind":"send","site":0,"src":0,"dst":1,"control":false}|}))
 
 (* --- JSON rendering ---------------------------------------------------- *)
 
@@ -558,6 +645,10 @@ let suite =
     Alcotest.test_case "metrics JSON export" `Quick test_metrics_json;
     Alcotest.test_case "metrics handles register lazily" `Quick
       test_metrics_handles;
+    Alcotest.test_case "histogram buckets lazily, figures unchanged" `Quick
+      test_histogram_lazy_buckets;
+    Alcotest.test_case "registries sharing keys keep separate cells" `Quick
+      test_registries_separate;
     Alcotest.test_case "netsim delivery metrics per site" `Quick
       test_netsim_delivery_metrics;
     Alcotest.test_case "trace JSONL round trip" `Quick test_trace_roundtrip;

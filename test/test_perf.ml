@@ -243,11 +243,11 @@ let assimilation_agrees =
         List.fold_left
           (fun ix (occ, x) ->
             if occ then Guard.Indexed.occurred x ix
-            else Guard.Indexed.promised x ix)
+            else Guard.Indexed.For_testing.promised x ix)
           (Guard.Indexed.of_guard g0)
           news
       in
-      let got = Guard.Indexed.to_guard indexed in
+      let got = Guard.Indexed.For_testing.to_guard indexed in
       Guard.equal got naive || Guard.For_testing.equivalent ~alphabet:alpha_efg got naive)
 
 let test_unwatched_is_noop () =
@@ -255,11 +255,11 @@ let test_unwatched_is_noop () =
   let ix = Guard.Indexed.of_guard g in
   let z = lit "z" in
   checkb "unwatched symbol is not watched"
-    (not (Guard.Indexed.watches_occurred ix (Literal.symbol z)));
+    (not (Guard.Indexed.For_testing.watches_occurred ix (Literal.symbol z)));
   checkb "unwatched occurrence returns the index physically unchanged"
     (Guard.Indexed.occurred z ix == ix);
   checkb "unwatched promise returns the index physically unchanged"
-    (Guard.Indexed.promised z ix == ix)
+    (Guard.Indexed.For_testing.promised z ix == ix)
 
 
 (* --- Param_sched's instance cache ---------------------------------------- *)

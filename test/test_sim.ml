@@ -24,6 +24,47 @@ let test_heap_order () =
     [ (1.0, 1); (1.0, 3); (3.0, 2); (4.0, 4); (5.0, 0) ]
     sorted
 
+(* Random interleavings of push and take against a sorted-list model:
+   keys repeat (also on distinct seqs) and include [infinity]; a value
+   is its own (key, seq), so entries equal in both are
+   interchangeable. *)
+let gen_heap_ops =
+  QCheck2.Gen.(
+    list_size (int_bound 120)
+      (frequency
+         [
+           (3, map2 (fun k s -> `Push (k, s))
+                (oneofl [ 0.0; 1.0; 1.0; 2.5; 1e9; infinity ])
+                (int_bound 6));
+           (2, return `Take);
+         ]))
+
+let heap_matches_model ops =
+  let h = Heap.create () in
+  let model = ref [] in
+  List.for_all
+    (function
+      | `Push (key, seq) ->
+          Heap.push h ~key ~seq (key, seq);
+          model := List.merge compare [ (key, seq) ] !model;
+          true
+      | `Take -> (
+          match !model with
+          | [] -> (
+              Heap.is_empty h
+              &&
+              match Heap.take h with
+              | _ -> false
+              | exception Invalid_argument _ -> true)
+          | ((key, _) as top) :: rest ->
+              model := rest;
+              (not (Heap.is_empty h))
+              && Heap.min_key h = key
+              && Heap.take h = top))
+    ops
+  && List.for_all (fun top -> Heap.take h = top) !model
+  && Heap.is_empty h
+
 let test_heap_interleaved () =
   let h = Heap.create () in
   Heap.push h ~key:2.0 ~seq:0 "a";
@@ -342,6 +383,8 @@ let suite =
       test_netsim_reorder;
     Alcotest.test_case "faults: same seed replays identically" `Quick
       test_netsim_fault_determinism;
+    qprop ~count:500 "heap = sorted-list model under push/take"
+      gen_heap_ops heap_matches_model;
     qtest ~count:50 "heap sorts arbitrary keys"
       QCheck2.Gen.(list_size (int_bound 40) (float_bound_inclusive 100.0))
       (fun keys ->

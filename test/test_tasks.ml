@@ -26,7 +26,23 @@ let test_validate_catches_errors () =
       significant = [ ("phantom", "p", Attribute.default) ];
     }
   in
-  checkb "bad model rejected" (Result.is_error (Task_model.validate bad))
+  checkb "bad model rejected" (Result.is_error (Task_model.validate bad));
+  let t = Task_model.transaction in
+  checkb "significant event listed twice rejected"
+    (Result.is_error
+       (Task_model.validate
+          { t with significant = t.significant @ [ ("commit", "k", Attribute.default) ] }));
+  checkb "two events sharing a symbol prefix rejected"
+    (Result.is_error
+       (Task_model.validate
+          {
+            t with
+            significant =
+              List.map
+                (fun (ev, prefix, attr) ->
+                  (ev, (if ev = "abort" then "c" else prefix), attr))
+                t.significant;
+          }))
 
 let test_symbols () =
   let m = Task_model.transaction in
@@ -198,6 +214,160 @@ let test_workflow_def_validation () =
   in
   checkb "duplicate instances rejected" (Result.is_error (Workflow_def.validate dup))
 
+
+(* --- the indexed agent against the string-based reference ------------ *)
+
+(* Every built-in model, under every script shape, parametrizing or not,
+   and every order of up to four agent inputs (three for models with
+   more than two significant events) — accepting, rejecting or
+   triggering each significant event, or accepting what the agent
+   wants —: after each input the indexed agent and
+   [Reference.String_agent] must agree on everything they report. *)
+let test_agent_matches_reference () =
+  let module R = Reference.String_agent in
+  let models =
+    Task_model.
+      [
+        typical_application;
+        transaction;
+        rda_transaction;
+        compensatable_transaction;
+        loop_task;
+      ]
+  in
+  let scripts (m : Task_model.t) =
+    [
+      Agent.transactional ();
+      Agent.aborting ();
+      Agent.straight_line (List.map (fun (ev, _, _) -> ev) m.significant);
+      Agent.looping 2;
+      Agent.straight_line [ "nope"; "start" ];
+    ]
+  in
+  let checked = ref 0 in
+  List.iter
+    (fun (m : Task_model.t) ->
+      List.iter
+        (fun script ->
+          List.iter
+            (fun (parametrize, fresh) ->
+              let instance = "t" in
+              let symbols =
+                List.map
+                  (fun (ev, _, _) -> Task_model.symbol_of_event m ~instance ev)
+                  m.significant
+              in
+              (* The agent's symbols are [symbols] themselves, so an input
+                 naming one resolves by address; [fresh] inputs name an
+                 equal copy and resolve by name. *)
+              let canonical sym =
+                Option.value ~default:sym
+                  (List.find_opt (Symbol.equal sym) symbols)
+              in
+              let spec =
+                Agent.spec ~instance ~model:m ~parametrize ~canonical ()
+              in
+              let name sym = if fresh then Symbol.make (Symbol.name sym) else sym in
+              let ops =
+                `Wanted
+                :: List.concat_map
+                     (fun sym -> [ `Accept sym; `Reject sym; `Trigger sym ])
+                     symbols
+              in
+              let same_lits = List.equal Literal.equal in
+              let fail path what =
+                Alcotest.failf "%s/%s%s after %d inputs: %s differs" m.name
+                  (if parametrize then "param" else "ground")
+                  (if fresh then "/by-name" else "")
+                  (List.length path) what
+              in
+              let agree path a r =
+                incr checked;
+                (match (Agent.want a, R.want r) with
+                | None, None -> ()
+                | Some (s, at), Some (s', at')
+                  when Symbol.equal s s' && at = at' -> ()
+                | _ -> fail path "want");
+                if Agent.finished a <> R.finished r then fail path "finished";
+                if
+                  not
+                    (same_lits (Agent.undecided_complements a)
+                       (R.undecided_complements r))
+                then fail path "undecided_complements";
+                if Agent.fingerprint a <> R.fingerprint r then
+                  fail path "fingerprint";
+                List.iter
+                  (fun sym ->
+                    if
+                      not
+                        (same_lits
+                           (Agent.would_make_unreachable a (name sym))
+                           (R.would_make_unreachable r sym))
+                    then fail path "would_make_unreachable")
+                  symbols
+              in
+              let apply path a r = function
+                | `Wanted -> (
+                    match Agent.want a with
+                    | None -> ()
+                    | Some (sym, _) ->
+                        Agent.begin_attempt a sym;
+                        R.begin_attempt r sym;
+                        if
+                          not
+                            (same_lits (Agent.on_accepted a sym)
+                               (R.on_accepted r sym))
+                        then fail path "on_accepted")
+                | `Accept sym ->
+                    if
+                      not
+                        (same_lits (Agent.on_accepted a (name sym))
+                           (R.on_accepted r sym))
+                    then fail path "on_accepted"
+                | `Reject sym ->
+                    R.on_rejected r sym;
+                    Agent.on_rejected a (name sym)
+                | `Trigger sym ->
+                    if
+                      not
+                        (Option.equal same_lits (Agent.trigger a (name sym))
+                           (R.trigger r sym))
+                    then fail path "trigger"
+              in
+              let rec explore path k =
+                let a = Agent.instantiate spec ~script in
+                let r = R.create ~instance ~model:m ~script ~parametrize () in
+                List.iter (apply path a r) (List.rev path);
+                agree path a r;
+                if k > 0 then List.iter (fun op -> explore (op :: path) (k - 1)) ops
+              in
+              explore [] (if List.length symbols <= 2 then 4 else 3))
+            [ (false, false); (false, true); (true, false) ])
+        (scripts m))
+    models;
+  checkb "explored" (!checked > 10_000)
+
+let test_agent_mask_overflow () =
+  let many n =
+    let events = List.init n (fun i -> Printf.sprintf "e%d" i) in
+    {
+      Task_model.name = "wide";
+      init = "s";
+      states = [ "s" ];
+      transitions =
+        List.map
+          (fun ev -> { Task_model.from_state = "s"; event = ev; to_state = "s" })
+          events;
+      significant =
+        List.mapi (fun i ev -> (ev, Printf.sprintf "p%d" i, Attribute.default)) events;
+      terminal = [ "s" ];
+    }
+  in
+  ignore (Agent.spec ~instance:"w" ~model:(many Sys.int_size) ());
+  match Agent.spec ~instance:"w" ~model:(many (Sys.int_size + 1)) () with
+  | _ -> Alcotest.fail "a model wider than the mask was accepted"
+  | exception Invalid_argument _ -> ()
+
 let test_attributes () =
   checkb "default controllable" Attribute.default.Attribute.controllable;
   checkb "uncontrollable not rejectable"
@@ -220,4 +390,8 @@ let suite =
     Alcotest.test_case "workflow definitions" `Quick test_workflow_def;
     Alcotest.test_case "workflow validation" `Quick test_workflow_def_validation;
     Alcotest.test_case "attributes" `Quick test_attributes;
+    Alcotest.test_case "indexed agent = string-based reference" `Quick
+      test_agent_matches_reference;
+    Alcotest.test_case "agent rejects a model wider than its mask" `Quick
+      test_agent_mask_overflow;
   ]

@@ -3,18 +3,24 @@
 
 Each tracked `lib/**/*.mli` exports two kinds of value:
 
-- a top-level `val` is runtime API and needs a reference from a tracked
-  `.ml`/`.mli` under lib, bin, bench or examples, outside its own
-  module (its `.ml` and `.mli`);
+- a `val` at the top level, or inside a nested `module Sub : sig ...
+  end` (at any depth), is runtime API and needs a reference from a
+  tracked `.ml`/`.mli` under lib, bin, bench or examples, outside its
+  own module (its `.ml` and `.mli`);
 - a `val` inside `module For_testing : sig ... end` is a test hook (an
   audit, an introspection or a differential oracle) and needs a
   reference from a tracked file under test.
 
+Vals of a `module type` or of a functor's result signature are not
+values of the module and are not gated.
+
 What counts as a reference is read from code only: OCaml comments
 (nested) and string literals are blanked first.  A reference is then a
-qualified `Module.value` (`Module.For_testing.value` for a test hook),
-through any library prefix or `module X = Module` alias, or the bare
-`value` where the module is open.  A top-level `open` or `include`
+qualified `Module.value` (`Module.Sub.value` for a nested signature,
+`Module.For_testing.value` for a test hook), through any library
+prefix or `module X = Module` alias, or the bare `value` where the
+module (`Module.Sub`) is open; `Sub.value` counts where `Module` is
+open.  A top-level `open` or `include`
 opens it for the whole file; `let open Module in e` only for `e`, and a
 local open `Module.( ... )` only inside its brackets.  The body `e` of a
 `let open` ends at the first bracket, `end` or `done` it did not open,
@@ -23,7 +29,7 @@ the `let open` (no more than the `let open`'s line, when the `let open`
 follows other code on that line).
 
 Every value that lacks its reference is reported as `Module.value`
-(`Module.For_testing.value`).  The script exits 1 when a reported value
+(`Module.Sub.value`, `Module.For_testing.value`).  The script exits 1 when a reported value
 is missing from the allowlist (tools/surface.allow) or an allowlisted
 value is no longer reported, and 0 otherwise.  Run it from the
 repository root:
@@ -45,9 +51,10 @@ TESTING = "For_testing"
 IDENT = r"[A-Za-z_][A-Za-z0-9_']*"
 UIDENT = r"[A-Z][A-Za-z0-9_']*"
 PATH = rf"{UIDENT}(?:\s*\.\s*{UIDENT})*"
-TOP_VAL = re.compile(rf"^val\s+({IDENT})\s*:", re.M)
-TESTING_SIG = re.compile(rf"^module\s+{TESTING}\s*:\s*sig\b(.*?)^end\b", re.M | re.S)
-NESTED_VAL = re.compile(rf"^\s+val\s+({IDENT})\s*:", re.M)
+SIG_TOKEN = re.compile(
+    rf"\bmodule\s+({UIDENT})\s*:\s*sig\b|\b(sig|struct|object|begin)\b|\b(end)\b"
+    rf"|\bval\s+({IDENT})\s*:")
+BLOCK = re.compile(r"\b(sig|struct|object|begin|end)\b")
 ALIAS = re.compile(rf"\bmodule\s+({UIDENT})\s*=\s*({PATH})(?!\s*[.(])")
 OPEN = re.compile(rf"(\blet\s+)?\b(?:open!?|include)\s+({PATH})(?!\s*[.(])(\s+in\b)?")
 LOCAL_OPEN = re.compile(rf"({PATH})\s*\.\s*(?=[([{{])")
@@ -136,11 +143,14 @@ def components(path):
     return [p for p in re.split(r"\s*\.\s*", path) if p]
 
 
-def key(parts):
-    """The export a module path names: `M` or `M.For_testing`."""
-    if len(parts) >= 2 and parts[-1] == TESTING:
-        return f"{parts[-2]}.{TESTING}"
-    return parts[-1]
+def keys(parts):
+    """The exports a module path may name: its last component (`M`
+    through any library prefix) and its last two (`M.Sub`,
+    `M.For_testing`)."""
+    out = {parts[-1]}
+    if len(parts) >= 2:
+        out.add(f"{parts[-2]}.{parts[-1]}")
+    return out
 
 
 def indent(code, i):
@@ -209,7 +219,7 @@ class Source:
         def open_in(path, span):
             parts = expand(path)
             # opening M brings M.For_testing into scope as `For_testing`
-            for k in (key(parts), f"{parts[-1]}.{TESTING}"):
+            for k in keys(parts) | {f"{parts[-1]}.{TESTING}"}:
                 self.opened.setdefault(k, []).append(span)
 
         for m in OPEN.finditer(code):
@@ -226,11 +236,13 @@ class Source:
         self.qualified = set()
         for m in QUALIFIED.finditer(code):
             parts = expand(m.group(1))
-            self.qualified.add((key(parts), m.group(2)))
-            if parts == [TESTING]:
-                for k in self.opened:
-                    if not k.endswith(TESTING) and open_at(k, m.start()):
-                        self.qualified.add((f"{k}.{TESTING}", m.group(2)))
+            for k in keys(parts):
+                self.qualified.add((k, m.group(2)))
+            # `Sub.v` where M is open names M.Sub.v
+            if len(parts) == 1:
+                for k in list(self.opened):
+                    if "." not in k and open_at(k, m.start()):
+                        self.qualified.add((f"{k}.{parts[0]}", m.group(2)))
         self.bare = {}
         for m in BARE.finditer(code):
             self.bare.setdefault(m.group(1), []).append(m.start())
@@ -242,14 +254,49 @@ class Source:
         )
 
 
-def exports(mli_text):
-    """(`M`-relative key suffix, value) pairs: top-level vals with suffix
-    "" and For_testing vals with suffix ".For_testing"."""
-    code = blank(mli_text)
-    out = [("", v) for v in TOP_VAL.findall(code)]
-    for body in TESTING_SIG.findall(code):
-        out += [("." + TESTING, v) for v in NESTED_VAL.findall(body)]
+def sig_end(code, i):
+    """Where the signature whose body starts at i ends: at its `end`."""
+    depth = 0
+    for m in BLOCK.finditer(code, i):
+        if m.group(1) != "end":
+            depth += 1
+        elif depth == 0:
+            return m.start()
+        else:
+            depth -= 1
+    return len(code)
+
+
+def sig_vals(code, start, stop, path):
+    """(path, value) for each val of the signature body code[start:stop]
+    and, recursively, of its nested `module Sub : sig ... end`s; vals
+    inside any other block (a module type, a functor's result) are
+    skipped."""
+    out = []
+    depth = 0
+    i = start
+    while (m := SIG_TOKEN.search(code, i, stop)):
+        sub, opener, end, val = m.groups()
+        i = m.end()
+        if sub:
+            close = sig_end(code, m.end())
+            if depth == 0:
+                out += sig_vals(code, m.end(), close, path + [sub])
+            i = close + len("end")
+        elif opener:
+            depth += 1
+        elif end:
+            depth -= 1
+        elif depth == 0:
+            out.append((path, val))
     return out
+
+
+def exports(mli_text):
+    """(path, value) pairs: the nested signature path of each exported
+    val, [] at the top level and [..., "For_testing"] for a test hook."""
+    code = blank(mli_text)
+    return sig_vals(code, 0, len(code), [])
 
 
 def under(path, roots):
@@ -264,14 +311,15 @@ def unreferenced(files):
     for mli in sorted(p for p in files if p.startswith("lib/") and p.endswith(".mli")):
         own = mli[: -len(".mli")]
         module = os.path.basename(own).capitalize()
-        for suffix, value in exports(files[mli]):
-            roots = TEST_ROOTS if suffix else RUNTIME_ROOTS
+        for path, value in exports(files[mli]):
+            full = [module] + path
+            roots = TEST_ROOTS if path[-1:] == [TESTING] else RUNTIME_ROOTS
             refs = [
                 s for p, s in sources.items()
                 if under(p, roots) and os.path.splitext(p)[0] != own
             ]
-            if not any(s.names(module + suffix, value) for s in refs):
-                report.append(f"{module}{suffix}.{value}")
+            if not any(s.names(".".join(full[-2:]), value) for s in refs):
+                report.append(".".join(full + [value]))
     return report
 
 
@@ -300,6 +348,7 @@ def allowlist():
 
 PLAIN = "val v : int\n"
 HOOK = "module For_testing : sig\n  val h : int\nend\n"
+NESTED = "module Sub : sig\n  val n : int\nend\n"
 
 SELF_TESTS = [
     # (what it shows, lib/m.mli, the other files, expected report)
@@ -365,6 +414,28 @@ SELF_TESTS = [
      HOOK, {"bin/a.ml": "let _ = M.For_testing.h"}, ["M.For_testing.h"]),
     ("a plain name does not reach a test hook",
      HOOK, {"test/t.ml": "let _ = M.h"}, ["M.For_testing.h"]),
+    ("a nested signature's val is gated",
+     NESTED, {"bin/a.ml": "let x = 1"}, ["M.Sub.n"]),
+    ("a nested val with a qualified reference passes",
+     NESTED, {"bin/a.ml": "let _ = Wf_lib.M.Sub.n"}, []),
+    ("a nested val whose only reference is a test fails",
+     NESTED, {"test/t.ml": "let _ = M.Sub.n"}, ["M.Sub.n"]),
+    ("a nested val through an opened parent passes",
+     NESTED, {"bin/a.ml": "open M\nlet _ = Sub.n"}, []),
+    ("a nested val through an opened signature passes",
+     NESTED, {"bin/a.ml": "open M.Sub\nlet _ = n"}, []),
+    ("a nested val through an alias passes",
+     NESTED, {"bin/a.ml": "module S = M.Sub\nlet _ = S.n"}, []),
+    ("a same-named top-level val does not reach a nested one",
+     NESTED, {"bin/a.ml": "let _ = M.n"}, ["M.Sub.n"]),
+    ("a module type's vals are not gated",
+     "module type S = sig\n  val t : int\nend\n", {"bin/a.ml": "let x = 1"}, []),
+    ("a functor's result vals are not gated",
+     "module Make (X : S) : sig\n  val f : int\nend\n", {"bin/a.ml": "let x = 1"},
+     []),
+    ("a test hook inside a nested signature needs a test reference",
+     "module Sub : sig\n  module For_testing : sig\n    val h : int\n  end\nend\n",
+     {"test/t.ml": "let _ = M.Sub.For_testing.h"}, []),
 ]
 
 
