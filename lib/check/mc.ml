@@ -328,19 +328,8 @@ let fp_sym h s = F.string h (Symbol.name s)
 let fp_pol h = function Literal.Pos -> F.int h 1 | Literal.Neg -> F.int h 2
 let fp_lit h (l : Literal.t) = fp_pol (fp_sym h l.Literal.sym) l.Literal.pol
 
-let fp_msg h (m : Messages.t) =
-  match m with
-  | Messages.Announce { lit; seqno } -> F.int (fp_lit (F.int h 1) lit) seqno
-  | Messages.Promise_request { target; requester; offers } ->
-      F.list fp_lit (fp_lit (fp_lit (F.int h 2) target) requester) offers
-  | Messages.Promise { lit; to_ } -> fp_lit (fp_lit (F.int h 3) lit) to_
-  | Messages.Reserve { sym; requester } ->
-      fp_lit (fp_sym (F.int h 4) sym) requester
-  | Messages.Reserve_granted { sym; to_ } ->
-      fp_lit (fp_sym (F.int h 5) sym) to_
-  | Messages.Reserve_denied { sym; to_ } -> fp_lit (fp_sym (F.int h 6) sym) to_
-  | Messages.Release { sym; holder } -> fp_lit (fp_sym (F.int h 7) sym) holder
-  | Messages.Recovered { sym; epoch } -> F.int (fp_sym (F.int h 8) sym) epoch
+(* A message is hashed by its journal encoding, which is injective. *)
+let fp_msg h m = F.string h (Wf_store.Binio.encode Wf_scheduler.Wire.message m)
 
 (* Canonical fingerprint of the explored state: actors (slot order),
    agents (instance order), the ready lanes (lane order, each oldest

@@ -863,109 +863,63 @@ let watched_symbols t =
 
 module B = Wf_store.Binio
 
-let put_input buf = function
-  | I_attempt { pol; entailed } ->
-      B.put_uint buf 0;
-      Wire.put_polarity buf pol;
-      Wire.put_guard buf entailed
-  | I_occurred { lit; seqno } ->
-      B.put_uint buf 1;
-      Wire.put_literal buf lit;
-      B.put_int buf seqno
-  | I_message m ->
-      B.put_uint buf 2;
-      Wire.put_message buf m
-  | I_close -> B.put_uint buf 3
+let input_codec =
+  B.union B.uint
+    [
+      B.case 0 (B.pair Wire.polarity Wire.guard)
+        (fun (pol, entailed) -> I_attempt { pol; entailed })
+        (function
+          | I_attempt { pol; entailed } -> Some (pol, entailed) | _ -> None);
+      B.case 1 (B.pair Wire.literal B.int)
+        (fun (lit, seqno) -> I_occurred { lit; seqno })
+        (function I_occurred { lit; seqno } -> Some (lit, seqno) | _ -> None);
+      B.case 2 Wire.message
+        (fun m -> I_message m)
+        (function I_message m -> Some m | _ -> None);
+      B.case 3 B.unit
+        (fun () -> I_close)
+        (function I_close -> Some () | _ -> None);
+    ]
 
-let get_input r =
-  match B.get_uint r with
-  | 0 ->
-      let pol = Wire.get_polarity r in
-      let entailed = Wire.get_guard r in
-      I_attempt { pol; entailed }
-  | 1 ->
-      let lit = Wire.get_literal r in
-      let seqno = B.get_int r in
-      I_occurred { lit; seqno }
-  | 2 -> I_message (Wire.get_message r)
-  | 3 -> I_close
-  | n -> raise (B.Corrupt (Printf.sprintf "unknown actor input tag %d" n))
+let snapshot_codec =
+  B.map
+    (fun ( ( (s_knowledge, s_reserved, s_reserve_queue),
+             (s_reserve_inflight, s_reserve_backoff, s_holder) ),
+           ( (s_waiters, s_parked, s_decided_pol),
+             (s_promise_requested, s_deferred_grants, s_trigger_engaged) ) ) ->
+      {
+        s_knowledge;
+        s_reserved;
+        s_reserve_queue;
+        s_reserve_inflight;
+        s_reserve_backoff;
+        s_holder;
+        s_waiters;
+        s_parked;
+        s_decided_pol;
+        s_promise_requested;
+        s_deferred_grants;
+        s_trigger_engaged;
+      })
+    (fun s ->
+      ( ( (s.s_knowledge, s.s_reserved, s.s_reserve_queue),
+          (s.s_reserve_inflight, s.s_reserve_backoff, s.s_holder) ),
+        ( (s.s_waiters, s.s_parked, s.s_decided_pol),
+          (s.s_promise_requested, s.s_deferred_grants, s.s_trigger_engaged) ) ))
+    B.(
+      pair
+        (pair
+           (triple Wire.knowledge Wire.symbol_set (list Wire.symbol))
+           (triple (option Wire.symbol) Wire.symbol_set (option Wire.literal)))
+        (pair
+           (triple (list Wire.literal)
+              (list (triple Wire.polarity bool Wire.guard))
+              (option Wire.polarity))
+           (triple Wire.literal_set
+              (list (triple Wire.polarity Wire.literal (list Wire.literal)))
+              bool)))
 
-let put_snapshot buf s =
-  Wire.put_knowledge buf s.s_knowledge;
-  Wire.put_symbol_set buf s.s_reserved;
-  B.put_list Wire.put_symbol buf s.s_reserve_queue;
-  B.put_option Wire.put_symbol buf s.s_reserve_inflight;
-  Wire.put_symbol_set buf s.s_reserve_backoff;
-  B.put_option Wire.put_literal buf s.s_holder;
-  B.put_list Wire.put_literal buf s.s_waiters;
-  B.put_list
-    (fun buf (pol, via, g) ->
-      Wire.put_polarity buf pol;
-      B.put_bool buf via;
-      Wire.put_guard buf g)
-    buf s.s_parked;
-  B.put_option Wire.put_polarity buf s.s_decided_pol;
-  Wire.put_literal_set buf s.s_promise_requested;
-  B.put_list
-    (fun buf (pol, requester, offers) ->
-      Wire.put_polarity buf pol;
-      Wire.put_literal buf requester;
-      B.put_list Wire.put_literal buf offers)
-    buf s.s_deferred_grants;
-  B.put_bool buf s.s_trigger_engaged
-
-let get_snapshot r =
-  let s_knowledge = Wire.get_knowledge r in
-  let s_reserved = Wire.get_symbol_set r in
-  let s_reserve_queue = B.get_list Wire.get_symbol r in
-  let s_reserve_inflight = B.get_option Wire.get_symbol r in
-  let s_reserve_backoff = Wire.get_symbol_set r in
-  let s_holder = B.get_option Wire.get_literal r in
-  let s_waiters = B.get_list Wire.get_literal r in
-  let s_parked =
-    B.get_list
-      (fun r ->
-        let pol = Wire.get_polarity r in
-        let via = B.get_bool r in
-        let g = Wire.get_guard r in
-        (pol, via, g))
-      r
-  in
-  let s_decided_pol = B.get_option Wire.get_polarity r in
-  let s_promise_requested = Wire.get_literal_set r in
-  let s_deferred_grants =
-    B.get_list
-      (fun r ->
-        let pol = Wire.get_polarity r in
-        let requester = Wire.get_literal r in
-        let offers = B.get_list Wire.get_literal r in
-        (pol, requester, offers))
-      r
-  in
-  let s_trigger_engaged = B.get_bool r in
-  {
-    s_knowledge;
-    s_reserved;
-    s_reserve_queue;
-    s_reserve_inflight;
-    s_reserve_backoff;
-    s_holder;
-    s_waiters;
-    s_parked;
-    s_decided_pol;
-    s_promise_requested;
-    s_deferred_grants;
-    s_trigger_engaged;
-  }
-
-let codec : (input, snapshot) Wf_store.Log.codec =
-  {
-    enc_entry = B.encode put_input;
-    dec_entry = B.decode get_input;
-    enc_ckpt = B.encode put_snapshot;
-    dec_ckpt = B.decode get_snapshot;
-  }
+let codec = Wf_store.Log.binio_codec input_codec snapshot_codec
 
 module For_testing = struct
   let waiters = waiters

@@ -80,10 +80,6 @@ val create :
 
 val decided : t -> Literal.polarity option
 val parked_count : t -> int
-
-(** Reservation requesters queued behind the current holder, in arrival
-    order.  Enqueue and dequeue are O(1) (two-list FIFO); exposed for
-    the waiter-ordering regression test. *)
 val knowledge : t -> Knowledge.t
 
 (** {2 Inputs and crash recovery}
@@ -162,4 +158,7 @@ val codec : (input, snapshot) Wf_store.Log.codec
 
 module For_testing : sig
   val waiters : t -> Literal.t list
+  (** Reservation requesters queued behind the current holder, in
+      arrival order.  Enqueue and dequeue are O(1) (two-list FIFO);
+      exposed for the waiter-ordering regression test. *)
 end

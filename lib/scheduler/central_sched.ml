@@ -46,59 +46,29 @@ type c_snapshot = {
    storage). *)
 module B = Wf_store.Binio
 
-let put_c_input buf = function
-  | C_attempt (lit, entailed) ->
-      B.put_uint buf 0;
-      Wire.put_literal buf lit;
-      B.put_list Wire.put_literal buf entailed
-  | C_occurred lit ->
-      B.put_uint buf 1;
-      Wire.put_literal buf lit
-  | C_reject lit ->
-      B.put_uint buf 2;
-      Wire.put_literal buf lit
+let input_codec =
+  B.union B.uint
+    [
+      B.case 0 (B.pair Wire.literal (B.list Wire.literal))
+        (fun (lit, entailed) -> C_attempt (lit, entailed))
+        (function C_attempt (lit, entailed) -> Some (lit, entailed) | _ -> None);
+      B.case 1 Wire.literal
+        (fun lit -> C_occurred lit)
+        (function C_occurred lit -> Some lit | _ -> None);
+      B.case 2 Wire.literal
+        (fun lit -> C_reject lit)
+        (function C_reject lit -> Some lit | _ -> None);
+    ]
 
-let get_c_input r =
-  match B.get_uint r with
-  | 0 ->
-      let lit = Wire.get_literal r in
-      let entailed = B.get_list Wire.get_literal r in
-      C_attempt (lit, entailed)
-  | 1 -> C_occurred (Wire.get_literal r)
-  | 2 -> C_reject (Wire.get_literal r)
-  | n -> raise (B.Corrupt (Printf.sprintf "unknown center input tag %d" n))
-
-let put_c_snapshot buf s =
-  B.put_list B.put_int buf s.cs_states;
-  B.put_list
-    (fun buf (lit, entailed) ->
-      Wire.put_literal buf lit;
-      B.put_list Wire.put_literal buf entailed)
-    buf s.cs_parked;
-  Wire.put_literal_set buf s.cs_triggered;
-  B.put_list Wire.put_symbol buf s.cs_decided
-
-let get_c_snapshot r =
-  let cs_states = B.get_list B.get_int r in
-  let cs_parked =
-    B.get_list
-      (fun r ->
-        let lit = Wire.get_literal r in
-        let entailed = B.get_list Wire.get_literal r in
-        (lit, entailed))
-      r
-  in
-  let cs_triggered = Wire.get_literal_set r in
-  let cs_decided = B.get_list Wire.get_symbol r in
-  { cs_states; cs_parked; cs_triggered; cs_decided }
-
-let c_codec : (c_input, c_snapshot) Wf_store.Log.codec =
-  {
-    enc_entry = B.encode put_c_input;
-    dec_entry = B.decode get_c_input;
-    enc_ckpt = B.encode put_c_snapshot;
-    dec_ckpt = B.decode get_c_snapshot;
-  }
+let snapshot_codec =
+  B.map
+    (fun ((cs_states, cs_parked), (cs_triggered, cs_decided)) ->
+      { cs_states; cs_parked; cs_triggered; cs_decided })
+    (fun s -> ((s.cs_states, s.cs_parked), (s.cs_triggered, s.cs_decided)))
+    B.(
+      pair
+        (pair (list int) (list (pair Wire.literal (list Wire.literal))))
+        (pair Wire.literal_set (list Wire.symbol)))
 
 type runtime = {
   wf : Workflow_def.t;
@@ -108,7 +78,7 @@ type runtime = {
   chan : msg Channel.t;
   deps : dep_state list;
   journal : (c_input, c_snapshot) Wf_store.Journal.t;
-  agents : (string, Agent.t * int) Hashtbl.t;  (* instance -> agent, site *)
+  agents : (Agent.t * int) array; (* by task rank: agent, site *)
   decided_set : (Symbol.t, unit) Hashtbl.t;
   mutable replaying : bool;
   mutable parked : (Literal.t * Literal.t list) list;
@@ -204,8 +174,8 @@ let feasible rt lit =
 
 (* The agent owning the literal's symbol, with its site. *)
 let owner rt lit =
-  Option.map (Hashtbl.find rt.agents)
-    (Run_plan.owner rt.plan (Literal.symbol lit))
+  Option.bind (Run_plan.index rt.plan (Literal.symbol lit)) (fun i ->
+      Option.map (Array.get rt.agents) (Run_plan.actors rt.plan).(i).task)
 
 let send_to_owner rt lit m =
   if not rt.replaying then
@@ -424,18 +394,22 @@ let agent_handle rt ((agent, site) as owner) m =
   | Attempt _ | Occurred _ -> ()
 
 (* Closing round: complements of events that can no longer occur, for
-   every finished agent, unless the center holds a parked attempt on
-   the symbol. *)
+   every finished agent (its occurred mask read once, before the scan
+   fires anything), unless the center holds a parked attempt on the
+   symbol. *)
 let close_round rt =
   let progress = ref false in
-  Hashtbl.iter
-    (fun _ (agent, _) ->
-      if Agent.finished agent then
-        List.iter
-          (fun c ->
+  Array.iter
+    (fun r ->
+      let agent, _ = rt.agents.(r) in
+      if Agent.finished agent then begin
+        let occurred = Agent.occurred_mask agent in
+        Array.iteri
+          (fun q (c, _) ->
             let sym = Literal.symbol c in
             if
-              (not (decided rt sym))
+              occurred land (1 lsl q) = 0
+              && (not (decided rt sym))
               && not
                    (List.exists
                       (fun (l, _) -> Symbol.equal (Literal.symbol l) sym)
@@ -444,8 +418,9 @@ let close_round rt =
               deliver_center rt (C_occurred c);
               progress := true
             end)
-          (Agent.undecided_complements agent))
-    rt.agents;
+          (Run_plan.tasks rt.plan).(r).closes
+      end)
+    (Run_plan.task_order rt.plan);
   !progress
 
 let run ?(config = Event_sched.default_config) wf =
@@ -459,16 +434,18 @@ let run ?(config = Event_sched.default_config) wf =
   (* The center's medium seeds its faults from the run seed directly:
      there is one medium, not a stream of per-actor ones. *)
   let journal =
-    Event_sched.journal config net c_codec
+    Event_sched.journal config net
+      (Wf_store.Log.binio_codec input_codec snapshot_codec)
       ~seed:(fun () -> Int64.logxor config.seed 0x53544F52L)
       ~site:central_site ~actor:"center"
   in
-  let agents = Hashtbl.create 16 in
-  List.iter2
-    (fun (task : Workflow_def.task) spec ->
-      Hashtbl.replace agents task.instance
-        (Agent.instantiate spec ~script:task.script, task.site))
-    wf.Workflow_def.tasks (Run_plan.agents plan);
+  let agents =
+    Array.map2
+      (fun (task : Workflow_def.task) (pt : Run_plan.task) ->
+        (Agent.instantiate pt.agent ~script:task.script, task.site))
+      (Array.of_list wf.Workflow_def.tasks)
+      (Run_plan.tasks plan)
+  in
   let rt =
     {
       wf;
@@ -518,7 +495,7 @@ let run ?(config = Event_sched.default_config) wf =
      the channel. *)
   Wf_sim.Netsim.on_restart net (fun site ->
       if site = central_site then recover_center rt);
-  Hashtbl.iter (fun _ owner -> schedule_agent rt owner) agents;
+  Array.iter (fun r -> schedule_agent rt agents.(r)) (Run_plan.task_order plan);
   let settle () = Wf_sim.Netsim.run ~max_steps:config.max_steps net in
   settle ();
   let symbols =
@@ -545,3 +522,8 @@ let run ?(config = Event_sched.default_config) wf =
           true);
   Event_sched.result config net ~deps ~occurrences:rt.occurrences
     ~rejected:rt.rejected
+
+module For_testing = struct
+  let input_codec = input_codec
+  let snapshot_codec = snapshot_codec
+end

@@ -1,3 +1,4 @@
+open Wf_core
 open Wf_tasks
 
 (** The centralized dependency-centric scheduler — the baseline the
@@ -29,3 +30,23 @@ open Wf_tasks
       residual-automaton state as the guard id. *)
 
 val run : ?config:Event_sched.config -> Workflow_def.t -> Event_sched.result
+
+(** {2 Test hooks} *)
+
+(** The center's journaled input and its checkpoint. *)
+type c_input =
+  | C_attempt of Literal.t * Literal.t list
+  | C_occurred of Literal.t
+  | C_reject of Literal.t
+
+type c_snapshot = {
+  cs_states : Automaton.state list;
+  cs_parked : (Literal.t * Literal.t list) list;
+  cs_triggered : Literal.Set.t;
+  cs_decided : Symbol.t list;
+}
+
+module For_testing : sig
+  val input_codec : c_input Wf_store.Binio.t
+  val snapshot_codec : c_snapshot Wf_store.Binio.t
+end

@@ -92,65 +92,60 @@ let eligible deps =
         (Ptemplate.atoms dep))
     deps
 
+(* A checkpoint holds no arena: per-binding guard state is a function
+   of the occurrence log (residuation, §3.4) plus the parked fates, so
+   [restore] rebuilds the arena by replaying the log.  [f_tokens] and
+   [f_occ] are views of the engine's append-only vectors
+   ({!Arena.Vec.share}): their segments are shared, and the engine only
+   ever pushes past the views' lengths. *)
+type snapshot = {
+  f_tokens : string Arena.Vec.t; (* binding id -> token *)
+  f_occ : int Arena.Vec.t; (* packed occurrence log *)
+  f_ptick : int;
+  f_extras : Literal.t array; (* off-spec occurrence log, oldest first *)
+  f_parked : int array; (* (binding, base, fate word) per parked fate *)
+}
+
 module Core = struct
   module B = Wf_store.Binio
 
-  (* A checkpoint holds no arena: per-binding guard state is a function
-     of the occurrence log (residuation, §3.4) plus the parked fates, so
-     [restore] rebuilds the arena by replaying the log.  [f_tokens] and
-     [f_occ] are views of the engine's append-only vectors
-     ({!Arena.Vec.share}): their segments are shared, and the engine only
-     ever pushes past the views' lengths. *)
-  type snapshot = {
-    f_tokens : string Arena.Vec.t; (* binding id -> token *)
-    f_occ : int Arena.Vec.t; (* packed occurrence log *)
-    f_ptick : int;
-    f_extras : Literal.t array; (* off-spec occurrence log, oldest first *)
-    f_parked : int array; (* (binding, base, fate word) per parked fate *)
-  }
+  type nonrec snapshot = snapshot
 
   (* The durable frame: O(bindings + occurrences) to encode, and only
-     encoded when a store is attached. *)
-  let put_snapshot buf s =
-    B.put_uint buf (Arena.Vec.length s.f_tokens);
-    Arena.Vec.iter (B.put_string buf) s.f_tokens;
-    B.put_uint buf (Arena.Vec.length s.f_occ);
-    Arena.Vec.iter (B.put_int buf) s.f_occ;
-    B.put_int buf s.f_ptick;
-    B.put_uint buf (Array.length s.f_extras);
-    Array.iter (Wire.put_literal buf) s.f_extras;
-    B.put_uint buf (Array.length s.f_parked);
-    Array.iter (B.put_int buf) s.f_parked
+     encoded when a store is attached.  Vectors and arrays are written
+     as counted sequences, like lists; vectors are streamed, not
+     copied. *)
+  let vec fill c =
+    B.custom
+      (fun buf v ->
+        B.write B.uint buf (Arena.Vec.length v);
+        Arena.Vec.iter (B.write c buf) v)
+      (fun r ->
+        let v = Arena.Vec.create fill in
+        for _ = 1 to B.read B.uint r do
+          Arena.Vec.push v (B.read c r)
+        done;
+        v)
 
-  (* explicit loops: the reader is sequential, and [Array.init]'s
-     evaluation order is unspecified *)
-  let read_array n f r =
-    if n = 0 then [||]
-    else begin
-      let first = f r in
-      let arr = Array.make n first in
-      for i = 1 to n - 1 do
-        arr.(i) <- f r
-      done;
-      arr
-    end
+  let array c = B.map Array.of_list Array.to_list (B.list c)
 
-  let read_vec fill n f r =
-    let v = Arena.Vec.create fill in
-    for _ = 1 to n do
-      Arena.Vec.push v (f r)
-    done;
-    v
+  let triples =
+    B.map
+      (fun a ->
+        if Array.length a mod 3 <> 0 then
+          B.fail "fleet snapshot: ragged parked triples"
+        else a)
+      Fun.id (array B.int)
 
-  let get_snapshot r =
-    let f_tokens = read_vec "" (B.get_uint r) B.get_string r in
-    let f_occ = read_vec 0 (B.get_uint r) B.get_int r in
-    let f_ptick = B.get_int r in
-    let f_extras = read_array (B.get_uint r) Wire.get_literal r in
-    let f_parked = read_array (B.get_uint r) B.get_int r in
-    if Array.length f_parked mod 3 <> 0 then
-      raise (B.Corrupt "fleet snapshot: ragged parked triples");
-    { f_tokens; f_occ; f_ptick; f_extras; f_parked }
+  let snapshot_codec =
+    B.map
+      (fun ((f_tokens, f_occ, f_ptick), (f_extras, f_parked)) ->
+        { f_tokens; f_occ; f_ptick; f_extras; f_parked })
+      (fun s -> ((s.f_tokens, s.f_occ, s.f_ptick), (s.f_extras, s.f_parked)))
+      B.(
+        pair
+          (triple (vec "" string) (vec 0 int) int)
+          (pair (array Wire.literal) triples))
 
   (* --- engine -------------------------------------------------------------- *)
 
@@ -701,7 +696,7 @@ module Core = struct
      the parked fates. *)
   let restore t s =
     let n = Arena.Vec.length s.f_tokens and nb = Array.length t.bases in
-    let corrupt_if c = if c then raise (B.Corrupt "fleet snapshot: bad index") in
+    let corrupt_if c = if c then B.fail "fleet snapshot: bad index" in
     t.tokens <- Arena.Vec.restore s.f_tokens;
     t.itab_keys <- Array.make (itab_capacity_for n) itab_absent;
     t.itab_vals <- Array.make (Array.length t.itab_keys) 0;
@@ -843,6 +838,7 @@ let table_states t = Core.table_states (core t)
 let state_words t = Core.state_words (core t)
 
 module For_testing = struct
+  let snapshot_codec = Core.snapshot_codec
   let bindings t = Core.bindings (core t)
   let audit_open_verdicts t = Core.audit_open_verdicts (core t)
 end

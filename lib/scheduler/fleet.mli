@@ -81,7 +81,19 @@ val state_words : t -> int
 
 (** {2 Test hooks} *)
 
+(** The checkpoint: tokens by binding id, the packed occurrence log, the
+    tick, off-spec occurrences and (binding, base, fate word) triples. *)
+type snapshot = {
+  f_tokens : string Arena.Vec.t;
+  f_occ : int Arena.Vec.t;
+  f_ptick : int;
+  f_extras : Literal.t array;
+  f_parked : int array;
+}
+
 module For_testing : sig
+  val snapshot_codec : snapshot Wf_store.Binio.t
+
   val bindings : t -> int
   (** Distinct parameter bindings interned so far. *)
 

@@ -47,19 +47,16 @@ type input = Attempt of Symbol.t | Occurred of Literal.t
 
 module B = Wf_store.Binio
 
-let put_input buf = function
-  | Attempt sym ->
-      B.put_uint buf 0;
-      Wire.put_symbol buf sym
-  | Occurred lit ->
-      B.put_uint buf 1;
-      Wire.put_literal buf lit
-
-let get_input r =
-  match B.get_uint r with
-  | 0 -> Attempt (Wire.get_symbol r)
-  | 1 -> Occurred (Wire.get_literal r)
-  | n -> raise (B.Corrupt (Printf.sprintf "unknown param input tag %d" n))
+let input_codec =
+  B.union B.uint
+    [
+      B.case 0 Wire.symbol
+        (fun sym -> Attempt sym)
+        (function Attempt sym -> Some sym | Occurred _ -> None);
+      B.case 1 Wire.literal
+        (fun lit -> Occurred lit)
+        (function Occurred lit -> Some lit | Attempt _ -> None);
+    ]
 
 (* --- engine cores -------------------------------------------------------- *)
 
@@ -95,8 +92,7 @@ module type CORE = sig
   val apply_occurred : t -> Literal.t -> unit
   val snapshot : t -> snapshot
   val restore : t -> snapshot -> unit
-  val put_snapshot : Buffer.t -> snapshot -> unit
-  val get_snapshot : Wf_store.Binio.reader -> snapshot
+  val snapshot_codec : snapshot Wf_store.Binio.t
   val carry : from:t -> t -> unit
   val equal_state : t -> t -> bool
   val parked : t -> Symbol.t list
@@ -151,13 +147,7 @@ module Make (C : CORE) = struct
            attempt admitted *)
   }
 
-  let codec : (input, C.snapshot) Wf_store.Log.codec =
-    {
-      enc_entry = B.encode put_input;
-      dec_entry = B.decode get_input;
-      enc_ckpt = B.encode C.put_snapshot;
-      dec_ckpt = B.decode C.get_snapshot;
-    }
+  let codec = Wf_store.Log.binio_codec input_codec C.snapshot_codec
 
   let make env ~journal ~flow deps =
     let templates = synthesize deps in
@@ -268,4 +258,8 @@ module Make (C : CORE) = struct
   let stats t = t.env.fstats
   let work t = t.env.work
   let last_salvage t = Wf_store.Journal.last_salvage t.journal
+end
+
+module For_testing = struct
+  let input_codec = input_codec
 end

@@ -86,8 +86,7 @@ module type CORE = sig
   val apply_occurred : t -> Literal.t -> unit
   val snapshot : t -> snapshot
   val restore : t -> snapshot -> unit
-  val put_snapshot : Buffer.t -> snapshot -> unit
-  val get_snapshot : Wf_store.Binio.reader -> snapshot
+  val snapshot_codec : snapshot Wf_store.Binio.t
 
   val carry : from:t -> t -> unit
   (** Copy the core's own cumulative counters from a crashed state
@@ -211,4 +210,13 @@ module Make (C : CORE) : sig
   include S
 
   val core : t -> C.t
+end
+
+(** {2 Test hooks} *)
+
+(** The journaled input: an admitted attempt or a forced occurrence. *)
+type input = Attempt of Symbol.t | Occurred of Literal.t
+
+module For_testing : sig
+  val input_codec : input Wf_store.Binio.t
 end

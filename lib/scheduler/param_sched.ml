@@ -173,29 +173,25 @@ type entry = {
 
 (* --- the engine core ------------------------------------------------------ *)
 
+(* Checkpointed state; templates are re-synthesized on recovery. *)
+type snapshot = {
+  s_know : Knowledge.t;
+  s_seqno : int;
+  s_occurrences : Literal.t list;
+  s_parked_syms : Symbol.t list;
+}
+
 module Core = struct
-  (* Checkpointed state; templates are re-synthesized on recovery. *)
-  type snapshot = {
-    s_know : Knowledge.t;
-    s_seqno : int;
-    s_occurrences : Literal.t list;
-    s_parked_syms : Symbol.t list;
-  }
+  type nonrec snapshot = snapshot
 
-  module B = Wf_store.Binio
-
-  let put_snapshot buf s =
-    Wire.put_knowledge buf s.s_know;
-    B.put_int buf s.s_seqno;
-    B.put_list Wire.put_literal buf s.s_occurrences;
-    B.put_list Wire.put_symbol buf s.s_parked_syms
-
-  let get_snapshot r =
-    let s_know = Wire.get_knowledge r in
-    let s_seqno = B.get_int r in
-    let s_occurrences = B.get_list Wire.get_literal r in
-    let s_parked_syms = B.get_list Wire.get_symbol r in
-    { s_know; s_seqno; s_occurrences; s_parked_syms }
+  let snapshot_codec =
+    Wf_store.Binio.(
+      map
+        (fun ((s_know, s_seqno), (s_occurrences, s_parked_syms)) ->
+          { s_know; s_seqno; s_occurrences; s_parked_syms })
+        (fun s -> ((s.s_know, s.s_seqno), (s.s_occurrences, s.s_parked_syms)))
+        (pair (pair Wire.knowledge int)
+           (pair (list Wire.literal) (list Wire.symbol))))
 
   type t = {
     env : Param_engine.env;
@@ -480,6 +476,8 @@ let instance_status t template ~bound =
   Core.evaluate c (instance own template bound)
 
 module For_testing = struct
+  let snapshot_codec = Core.snapshot_codec
+
   let cached_decision ?know t sym =
     let c = core t in
     let cached =

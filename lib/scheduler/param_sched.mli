@@ -52,7 +52,17 @@ val instance_status :
 
 (** {2 Test hooks} *)
 
+(** The checkpoint; occurrences and parked tokens newest first. *)
+type snapshot = {
+  s_know : Knowledge.t;
+  s_seqno : int;
+  s_occurrences : Literal.t list;
+  s_parked_syms : Symbol.t list;
+}
+
 module For_testing : sig
+  val snapshot_codec : snapshot Wf_store.Binio.t
+
   val cached_decision :
     ?know:Knowledge.t -> t -> Symbol.t -> Knowledge.status option
   (** For a parked [sym]: the decision a re-decide would take from the

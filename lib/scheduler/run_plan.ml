@@ -16,7 +16,6 @@ type actor = {
 }
 
 type task = {
-  instance : string;
   agent : Agent.spec;
   closes : (Literal.t * int) array;
 }
@@ -50,15 +49,10 @@ type t = {
 
 let compiled t = t.compiled
 let symbols t = t.symbols
-let agents t = Array.to_list (Array.map (fun task -> task.agent) t.tasks)
 let tasks t = t.tasks
 let task_order t = t.task_order
 let actors t = t.actors
 let index t sym = Symbol_tbl.find_opt t.index sym
-
-let owner t sym =
-  Option.bind (index t sym) (fun i ->
-      Option.map (fun r -> t.tasks.(r).instance) t.actors.(i).task)
 
 let guard t lit = (Compile.plan t.compiled lit).Compile.guard
 
@@ -226,7 +220,7 @@ let build (wf : Workflow_def.t) =
                      (Symbol_tbl.find_opt index (Literal.symbol c)) ))
                (Agent.complements agent)
            in
-           { instance = task.instance; agent; closes })
+           { agent; closes })
          wf.tasks)
   in
   (* Runs start and close their tasks in the iteration order of a
@@ -234,7 +228,8 @@ let build (wf : Workflow_def.t) =
      behaviour pins depend on it. *)
   let task_order =
     let order = Hashtbl.create 16 in
-    Array.iteri (fun r task -> Hashtbl.replace order task.instance r) tasks;
+    List.iteri
+      (fun r t -> Hashtbl.replace order t.Workflow_def.instance r) wf.tasks;
     Array.of_list (List.rev (Hashtbl.fold (fun _ r acc -> r :: acc) order []))
   in
   {

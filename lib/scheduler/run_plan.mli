@@ -6,8 +6,8 @@ open Wf_tasks
     Everything {!Event_sched} and {!Central_sched} derive from the
     workflow's data alone lives here: the compiled guards, the symbols
     that get an actor, each actor's creation parameters (site,
-    attributes, both guards, demand automata), the owning task instance
-    of every task event, the subscription map, each task's {!Agent.spec}
+    attributes, both guards, demand automata), the owning task of every
+    task event, the subscription map, each task's {!Agent.spec}
     and the conjunctions of entailed complement guards attempts have
     asked for.  A run builds only its mutable state — actors, journals,
     agents and network — from a plan.
@@ -70,16 +70,7 @@ val actors : t -> actor array
 val index : t -> Symbol.t -> int option
 (** The symbol's slot, if it has an actor. *)
 
-val owner : t -> Symbol.t -> string option
-(** The task instance whose significant events include the symbol. *)
-
-val agents : t -> Agent.spec list
-(** One agent spec per task, in the workflow's task order: the model is
-    validated and its unreachable events tabulated once per plan, and a
-    run instantiates an agent from each with the task's script. *)
-
 type task = {
-  instance : string;
   agent : Agent.spec;
   closes : (Literal.t * int) array;
       (** each of {!Agent.complements}, with the slot of its symbol

@@ -4,211 +4,140 @@
    [Symbol.make]/[Symbol.parametrized], [Term.make], [Knowledge.occurred]
    — so hash-consing and invariants are re-established on the way in;
    nothing is deserialized structurally past what the interfaces expose.
-   Decoders raise [Wf_store.Binio.Corrupt] on any malformed payload
-   (including invariant violations such as a repeated symbol in a term),
-   which [Wf_store.Binio.decode] turns into [None] for the log's typed
-   salvage path. *)
+   An invariant violation (a repeated symbol in a term, say) fails the
+   decode, which [Wf_store.Binio.decode] turns into [None] for the
+   log's typed salvage path. *)
 
 open Wf_core
 module B = Wf_store.Binio
 
-type reader = B.reader
-
-let corrupt msg = raise (B.Corrupt msg)
-
 (* --- symbols and literals ------------------------------------------------- *)
 
-let put_symbol buf s =
-  B.put_string buf (Symbol.base s);
-  B.put_list B.put_string buf (Symbol.args s)
+let symbol =
+  B.map
+    (fun (base, args) ->
+      match args with
+      | [] -> Symbol.make base
+      | args -> Symbol.parametrized base args)
+    (fun s -> (Symbol.base s, Symbol.args s))
+    B.(pair string (list string))
 
-let get_symbol r =
-  let base = B.get_string r in
-  match B.get_list B.get_string r with
-  | [] -> Symbol.make base
-  | args -> Symbol.parametrized base args
+let polarity =
+  B.map
+    (fun pos -> if pos then Literal.Pos else Literal.Neg)
+    (fun p -> p = Literal.Pos)
+    B.bool
 
-let put_polarity buf (p : Literal.polarity) = B.put_bool buf (p = Pos)
+let literal =
+  B.map
+    (fun (sym, pol) -> ({ sym; pol } : Literal.t))
+    (fun (l : Literal.t) -> (l.sym, l.pol))
+    (B.pair symbol polarity)
 
-let get_polarity r : Literal.polarity = if B.get_bool r then Pos else Neg
-
-let put_literal buf (l : Literal.t) =
-  put_symbol buf l.sym;
-  put_polarity buf l.pol
-
-let get_literal r =
-  let sym = get_symbol r in
-  let pol = get_polarity r in
-  ({ sym; pol } : Literal.t)
-
-let put_symbol_set buf s = B.put_list put_symbol buf (Symbol.Set.elements s)
-let get_symbol_set r = Symbol.Set.of_list (B.get_list get_symbol r)
-let put_literal_set buf s = B.put_list put_literal buf (Literal.Set.elements s)
-let get_literal_set r = Literal.Set.of_list (B.get_list get_literal r)
+let symbol_set = B.map Symbol.Set.of_list Symbol.Set.elements (B.list symbol)
+let literal_set = B.map Literal.Set.of_list Literal.Set.elements (B.list literal)
 
 (* --- terms and guards ----------------------------------------------------- *)
 
-let put_term buf (t : Term.t) = B.put_list put_literal buf t
+let term =
+  B.map
+    (fun lits ->
+      match Term.make lits with
+      | Some t -> t
+      | None -> B.fail "term repeats a symbol")
+    Fun.id (B.list literal)
 
-let get_term r =
-  match Term.make (B.get_list get_literal r) with
-  | Some t -> t
-  | None -> corrupt "term repeats a symbol"
-
-let put_mask buf (m : Symbol_state.mask) =
-  if Symbol_state.subset m Symbol_state.full then B.put_uint buf m
-  else corrupt "mask out of range"
-
-let get_mask r : Symbol_state.mask =
-  let m = B.get_uint r in
-  if Symbol_state.subset m Symbol_state.full then m
-  else corrupt "mask out of range"
-
-let put_product buf (p : Guard.product) =
-  B.put_list
-    (fun buf (s, m) ->
-      put_symbol buf s;
-      put_mask buf m)
-    buf
-    (Symbol.Map.bindings p.masks);
-  B.put_list put_term buf p.pending
-
-let get_product r =
-  let bindings =
-    B.get_list
-      (fun r ->
-        let s = get_symbol r in
-        let m = get_mask r in
-        (s, m))
-      r
+let mask =
+  let check m =
+    if Symbol_state.subset m Symbol_state.full then m
+    else B.fail "mask out of range"
   in
-  let masks =
-    List.fold_left
-      (fun acc (s, m) -> Symbol.Map.add s m acc)
-      Symbol.Map.empty bindings
-  in
-  let pending = B.get_list get_term r in
-  ({ masks; pending } : Guard.product)
+  B.map check check B.uint
 
-let put_guard buf (g : Guard.t) = B.put_list put_product buf (Guard.products g)
-let get_guard r : Guard.t = B.get_list get_product r
+let product =
+  B.map
+    (fun (bindings, pending) ->
+      let masks =
+        List.fold_left
+          (fun acc (s, m) -> Symbol.Map.add s m acc)
+          Symbol.Map.empty bindings
+      in
+      ({ masks; pending } : Guard.product))
+    (fun (p : Guard.product) -> (Symbol.Map.bindings p.masks, p.pending))
+    B.(pair (list (pair symbol mask)) (list term))
+
+let guard = B.map (fun ps : Guard.t -> ps) Guard.products (B.list product)
 
 (* --- knowledge ------------------------------------------------------------ *)
 
-let put_fate buf = function
-  | Knowledge.Occurred (p, seqno) ->
-      B.put_bool buf true;
-      put_polarity buf p;
-      B.put_int buf seqno
-  | Knowledge.Promised p ->
-      B.put_bool buf false;
-      put_polarity buf p
+(* The discriminant is a bool byte: true for an occurrence. *)
+let fate =
+  B.union (B.map Bool.to_int (fun tag -> tag = 1) B.bool)
+    [
+      B.case 1 (B.pair polarity B.int)
+        (fun (p, seqno) -> Knowledge.Occurred (p, seqno))
+        (function Knowledge.Occurred (p, seqno) -> Some (p, seqno) | _ -> None);
+      B.case 0 polarity
+        (fun p -> Knowledge.Promised p)
+        (function Knowledge.Promised p -> Some p | _ -> None);
+    ]
 
-let get_fate r =
-  if B.get_bool r then begin
-    let p = get_polarity r in
-    let seqno = B.get_int r in
-    Knowledge.Occurred (p, seqno)
-  end
-  else Knowledge.Promised (get_polarity r)
-
-let put_knowledge buf k =
-  B.put_list
-    (fun buf s ->
-      put_symbol buf s;
-      match Knowledge.fate_of k s with
-      | Some f -> put_fate buf f
-      | None -> corrupt "knowledge symbol without fate")
-    buf (Knowledge.symbols k)
-
-let get_knowledge r =
-  let items =
-    B.get_list
-      (fun r ->
-        let s = get_symbol r in
-        let f = get_fate r in
-        (s, f))
-      r
-  in
-  List.fold_left
-    (fun k (sym, fate) ->
-      match fate with
-      | Knowledge.Occurred (pol, seqno) ->
-          Knowledge.occurred { Literal.sym; pol } ~seqno k
-      | Knowledge.Promised pol -> Knowledge.promised { Literal.sym; pol } k)
-    Knowledge.empty items
+let knowledge =
+  B.map
+    (List.fold_left
+       (fun k (sym, fate) ->
+         match (fate, Knowledge.fate_of k sym) with
+         | Knowledge.Occurred (pol, _), Some (Knowledge.Occurred (pol', _))
+           when pol <> pol' ->
+             B.fail "knowledge contradicts an occurrence"
+         | Knowledge.Occurred (pol, seqno), _ ->
+             Knowledge.occurred { Literal.sym; pol } ~seqno k
+         | Knowledge.Promised pol, _ ->
+             Knowledge.promised { Literal.sym; pol } k)
+       Knowledge.empty)
+    (fun k ->
+      List.map
+        (fun s ->
+          match Knowledge.fate_of k s with
+          | Some f -> (s, f)
+          | None -> B.fail "knowledge symbol without fate")
+        (Knowledge.symbols k))
+    B.(list (pair symbol fate))
 
 (* --- messages ------------------------------------------------------------- *)
 
-let put_message buf (m : Messages.t) =
-  match m with
-  | Announce { lit; seqno } ->
-      B.put_uint buf 0;
-      put_literal buf lit;
-      B.put_int buf seqno
-  | Promise_request { target; requester; offers } ->
-      B.put_uint buf 1;
-      put_literal buf target;
-      put_literal buf requester;
-      B.put_list put_literal buf offers
-  | Promise { lit; to_ } ->
-      B.put_uint buf 2;
-      put_literal buf lit;
-      put_literal buf to_
-  | Reserve { sym; requester } ->
-      B.put_uint buf 3;
-      put_symbol buf sym;
-      put_literal buf requester
-  | Reserve_granted { sym; to_ } ->
-      B.put_uint buf 4;
-      put_symbol buf sym;
-      put_literal buf to_
-  | Reserve_denied { sym; to_ } ->
-      B.put_uint buf 5;
-      put_symbol buf sym;
-      put_literal buf to_
-  | Release { sym; holder } ->
-      B.put_uint buf 6;
-      put_symbol buf sym;
-      put_literal buf holder
-  | Recovered { sym; epoch } ->
-      B.put_uint buf 7;
-      put_symbol buf sym;
-      B.put_int buf epoch
-
-let get_message r : Messages.t =
-  match B.get_uint r with
-  | 0 ->
-      let lit = get_literal r in
-      let seqno = B.get_int r in
-      Announce { lit; seqno }
-  | 1 ->
-      let target = get_literal r in
-      let requester = get_literal r in
-      let offers = B.get_list get_literal r in
-      Promise_request { target; requester; offers }
-  | 2 ->
-      let lit = get_literal r in
-      let to_ = get_literal r in
-      Promise { lit; to_ }
-  | 3 ->
-      let sym = get_symbol r in
-      let requester = get_literal r in
-      Reserve { sym; requester }
-  | 4 ->
-      let sym = get_symbol r in
-      let to_ = get_literal r in
-      Reserve_granted { sym; to_ }
-  | 5 ->
-      let sym = get_symbol r in
-      let to_ = get_literal r in
-      Reserve_denied { sym; to_ }
-  | 6 ->
-      let sym = get_symbol r in
-      let holder = get_literal r in
-      Release { sym; holder }
-  | 7 ->
-      let sym = get_symbol r in
-      let epoch = B.get_int r in
-      Recovered { sym; epoch }
-  | n -> corrupt (Printf.sprintf "unknown message tag %d" n)
+let message : Messages.t B.t =
+  let open Messages in
+  B.union B.uint
+    [
+      B.case 0 (B.pair literal B.int)
+        (fun (lit, seqno) -> Announce { lit; seqno })
+        (function Announce { lit; seqno } -> Some (lit, seqno) | _ -> None);
+      B.case 1
+        (B.triple literal literal (B.list literal))
+        (fun (target, requester, offers) ->
+          Promise_request { target; requester; offers })
+        (function
+          | Promise_request { target; requester; offers } ->
+              Some (target, requester, offers)
+          | _ -> None);
+      B.case 2 (B.pair literal literal)
+        (fun (lit, to_) -> Promise { lit; to_ })
+        (function Promise { lit; to_ } -> Some (lit, to_) | _ -> None);
+      B.case 3 (B.pair symbol literal)
+        (fun (sym, requester) -> Reserve { sym; requester })
+        (function
+          | Reserve { sym; requester } -> Some (sym, requester) | _ -> None);
+      B.case 4 (B.pair symbol literal)
+        (fun (sym, to_) -> Reserve_granted { sym; to_ })
+        (function Reserve_granted { sym; to_ } -> Some (sym, to_) | _ -> None);
+      B.case 5 (B.pair symbol literal)
+        (fun (sym, to_) -> Reserve_denied { sym; to_ })
+        (function Reserve_denied { sym; to_ } -> Some (sym, to_) | _ -> None);
+      B.case 6 (B.pair symbol literal)
+        (fun (sym, holder) -> Release { sym; holder })
+        (function Release { sym; holder } -> Some (sym, holder) | _ -> None);
+      B.case 7 (B.pair symbol B.int)
+        (fun (sym, epoch) -> Recovered { sym; epoch })
+        (function Recovered { sym; epoch } -> Some (sym, epoch) | _ -> None);
+    ]

@@ -1,21 +1,18 @@
-(* Binary payload primitives for the journal codecs.
+(* Binary payload codecs for the journals.
 
-   Encoders write into a Buffer; decoders read from a string through a
-   mutable cursor and raise [Corrupt] on any malformed input — the
-   typed codec layers catch it and turn the payload into a decode
-   failure, never an exception escaping recovery.  Integers use LEB128
-   varints (entries are dominated by small ints and short strings), so
-   payloads stay compact without fixed-width waste. *)
+   A codec pairs a writer into a Buffer with a reader over a string
+   through a mutable cursor; the reader raises [Corrupt] on any
+   malformed input and [decode] turns that into [None], never an
+   exception escaping recovery.  Integers use LEB128 varints (entries
+   are dominated by small ints and short strings), so payloads stay
+   compact without fixed-width waste. *)
 
 exception Corrupt of string
 
 type reader = { src : string; mutable pos : int }
-
-let reader src = { src; pos = 0 }
+type 'a t = { put : Buffer.t -> 'a -> unit; get : reader -> 'a }
 
 let fail msg = raise (Corrupt msg)
-
-let at_end r = r.pos >= String.length r.src
 
 let byte r =
   if r.pos >= String.length r.src then fail "unexpected end of payload";
@@ -23,90 +20,161 @@ let byte r =
   r.pos <- r.pos + 1;
   c
 
-(* --- varint (unsigned LEB128; signed goes through zigzag) ---------------- *)
+(* --- varints: LEB128 over the int's 63 bits as unsigned ------------------- *)
 
-let put_uint buf n =
-  if n < 0 then invalid_arg "Binio.put_uint: negative";
-  let rec go n =
-    if n < 0x80 then Buffer.add_char buf (Char.chr n)
-    else begin
-      Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7F)));
-      go (n lsr 7)
-    end
-  in
-  go n
+let rec put_varint buf n =
+  if n land lnot 0x7F = 0 then Buffer.add_char buf (Char.chr n)
+  else begin
+    Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7F)));
+    put_varint buf (n lsr 7)
+  end
 
-let get_uint r =
+(* Nine bytes carry 63 bits; a ninth byte that continues overflows. *)
+let get_varint r =
   let rec go shift acc =
-    if shift > 56 then fail "varint overflow";
     let b = byte r in
     let acc = acc lor ((b land 0x7F) lsl shift) in
-    if b land 0x80 = 0 then acc else go (shift + 7) acc
+    if b land 0x80 = 0 then acc
+    else if shift = 56 then fail "varint overflow"
+    else go (shift + 7) acc
   in
   go 0 0
 
-let put_int buf n = put_uint buf (if n >= 0 then n lsl 1 else ((-n) lsl 1) - 1)
+let get_unsigned r =
+  let n = get_varint r in
+  if n < 0 then fail "varint overflow" else n
 
-let get_int r =
-  let z = get_uint r in
-  if z land 1 = 0 then z lsr 1 else -((z + 1) lsr 1)
+let uint =
+  let put buf n =
+    if n < 0 then invalid_arg "Binio.uint: negative" else put_varint buf n
+  in
+  { put; get = get_unsigned }
 
-(* --- strings, bools, options, lists -------------------------------------- *)
+(* 63-bit zigzag: 0, -1, 1, -2, ... map to 0, 1, 2, 3, ... *)
+let int =
+  let put buf n = put_varint buf ((n lsl 1) lxor (n asr 62)) in
+  let get r = let z = get_varint r in (z lsr 1) lxor -(z land 1) in
+  { put; get }
 
-let put_string buf s =
-  put_uint buf (String.length s);
-  Buffer.add_string buf s
+(* --- strings, bools, unit ------------------------------------------------- *)
 
-let get_string r =
-  let n = get_uint r in
-  if n < 0 || r.pos + n > String.length r.src then fail "string overruns payload";
-  let s = String.sub r.src r.pos n in
-  r.pos <- r.pos + n;
-  s
+(* Counts and lengths call the varint functions directly, not through
+   [uint]'s closures: every symbol writes and reads two of them.  More
+   than the payload has left is corrupt. *)
+let length r what =
+  let n = get_unsigned r in
+  if n > String.length r.src - r.pos then fail (what ^ " overruns payload")
+  else n
 
-let put_bool buf b = Buffer.add_char buf (if b then '\001' else '\000')
+let string =
+  let put buf s = put_varint buf (String.length s); Buffer.add_string buf s in
+  let get r =
+    let n = length r "string" in
+    let s = String.sub r.src r.pos n in
+    r.pos <- r.pos + n;
+    s
+  in
+  { put; get }
 
-let get_bool r =
+let put_flag buf b = Buffer.add_char buf (if b then '\001' else '\000')
+
+let get_flag what r =
   match byte r with
   | 0 -> false
   | 1 -> true
-  | n -> fail (Printf.sprintf "bad bool byte %d" n)
+  | n -> fail (Printf.sprintf "bad %s byte %d" what n)
 
-let put_option put buf = function
-  | None -> Buffer.add_char buf '\000'
-  | Some v ->
-      Buffer.add_char buf '\001';
-      put buf v
+let bool = { put = put_flag; get = get_flag "bool" }
+let unit = { put = (fun _ () -> ()); get = ignore }
 
-let get_option get r =
-  match byte r with
-  | 0 -> None
-  | 1 -> Some (get r)
-  | n -> fail (Printf.sprintf "bad option byte %d" n)
+(* --- combinators ---------------------------------------------------------- *)
 
-let put_list put buf xs =
-  put_uint buf (List.length xs);
-  List.iter (put buf) xs
+let option c =
+  let put buf = function
+    | None -> put_flag buf false
+    | Some v -> put_flag buf true; c.put buf v
+  in
+  { put; get = (fun r -> if get_flag "option" r then Some (c.get r) else None) }
 
-let get_list get r =
-  let n = get_uint r in
-  if n > String.length r.src - r.pos then fail "list longer than payload";
-  List.init n (fun _ -> get r)
+(* A top-level loop: [List.iter (c.put buf)] would allocate a closure
+   per list, and every symbol writes one. *)
+let rec put_all c buf = function
+  | [] -> ()
+  | x :: rest -> c.put buf x; put_all c buf rest
 
-(* --- typed codec entry points -------------------------------------------- *)
+let list c =
+  let put buf xs = put_varint buf (List.length xs); put_all c buf xs in
+  { put; get = (fun r -> List.init (length r "list") (fun _ -> c.get r)) }
 
-let encode put v =
+(* Fields are read left to right, so each is bound before the next is
+   read: the evaluation order of a tuple's components is unspecified. *)
+let pair a b =
+  let put buf (x, y) = a.put buf x; b.put buf y in
+  { put; get = (fun r -> let x = a.get r in (x, b.get r)) }
+
+let triple a b c =
+  let put buf (x, y, z) = a.put buf x; b.put buf y; c.put buf z in
+  { put; get = (fun r -> let x = a.get r in let y = b.get r in (x, y, c.get r)) }
+
+let map of_wire to_wire c =
+  let put buf v = c.put buf (to_wire v) in
+  { put; get = (fun r -> of_wire (c.get r)) }
+
+type 'a case =
+  | Case : {
+      tag : int;
+      fields : 'b t;
+      build : 'b -> 'a;
+      take_apart : 'a -> 'b option;
+    }
+      -> 'a case
+
+let case tag fields build take_apart = Case { tag; fields; build; take_apart }
+
+(* Decoding indexes the cases by tag; journal recovery decodes every
+   frame of the verified prefix. *)
+let union tag cases =
+  let size = List.fold_left (fun m (Case c) -> max m (c.tag + 1)) 0 cases in
+  let by_tag = Array.make size None in
+  List.iter
+    (fun (Case c as case) ->
+      if Option.is_some by_tag.(c.tag) then
+        invalid_arg "Binio.union: two cases share a tag";
+      by_tag.(c.tag) <- Some case)
+    cases;
+  let rec put_first buf v = function
+    | [] -> invalid_arg "Binio.union: no case takes the value apart"
+    | Case c :: rest -> (
+        match c.take_apart v with
+        | Some fields -> tag.put buf c.tag; c.fields.put buf fields
+        | None -> put_first buf v rest)
+  in
+  let get r =
+    let k = tag.get r in
+    match if k < size then by_tag.(k) else None with
+    | Some (Case c) -> c.build (c.fields.get r)
+    | None -> fail "unknown union tag"
+  in
+  { put = (fun buf v -> put_first buf v cases); get }
+
+let custom put get = { put; get }
+let write c = c.put
+let read c = c.get
+
+(* --- entry points --------------------------------------------------------- *)
+
+let encode c v =
   let buf = Buffer.create 64 in
-  put buf v;
+  c.put buf v;
   Buffer.contents buf
 
 (* A decoder must consume the payload exactly: trailing garbage means
    the payload is not what the encoder produced. *)
-let decode get s =
+let decode c s =
   match
-    let r = reader s in
-    let v = get r in
-    if at_end r then Some v else None
+    let r = { src = s; pos = 0 } in
+    let v = c.get r in
+    if r.pos >= String.length s then Some v else None
   with
   | v -> v
   | exception Corrupt _ -> None

@@ -32,6 +32,14 @@ type ('entry, 'ckpt) codec = {
   dec_ckpt : string -> 'ckpt option;
 }
 
+let binio_codec entry ckpt =
+  {
+    enc_entry = Binio.encode entry;
+    dec_entry = Binio.decode entry;
+    enc_ckpt = Binio.encode ckpt;
+    dec_ckpt = Binio.decode ckpt;
+  }
+
 type ('entry, 'ckpt) t = {
   codec : ('entry, 'ckpt) codec;
   media : Media.Sim.sim;

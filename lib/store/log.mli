@@ -30,6 +30,9 @@ type ('entry, 'ckpt) codec = {
 (** Payload codecs.  Decoders return [None] on any malformed payload
     (never raise) — {!Binio.decode} has exactly this contract. *)
 
+val binio_codec : 'entry Binio.t -> 'ckpt Binio.t -> ('entry, 'ckpt) codec
+(** Entries and checkpoints through their {!Binio} codecs. *)
+
 type ('entry, 'ckpt) t
 
 val create : ('entry, 'ckpt) codec -> Media.Sim.sim -> ('entry, 'ckpt) t

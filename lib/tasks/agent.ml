@@ -274,15 +274,6 @@ let finished t =
   && (t.given_up
      || match t.plan with [] -> true | step :: _ -> next_of t step.ev < 0)
 
-let undecided_complements t =
-  let complements = t.spec.complements in
-  let rec from e =
-    if e = Array.length complements then []
-    else if t.mask land (1 lsl e) <> 0 then from (e + 1)
-    else complements.(e) :: from (e + 1)
-  in
-  from 0
-
 (* The model checker's visited-state key: the mutable progress
    fields; the script (which contains closures) and the model are
    immutable configuration. *)
@@ -305,3 +296,14 @@ let fingerprint t =
     list (fun h (ev, n) -> int (string h ev) n) h (List.sort compare counts)
   in
   bool h t.given_up
+
+module For_testing = struct
+  let undecided_complements t =
+    let complements = t.spec.complements in
+    let rec from e =
+      if e = Array.length complements then []
+      else if t.mask land (1 lsl e) <> 0 then from (e + 1)
+      else complements.(e) :: from (e + 1)
+    in
+    from 0
+end

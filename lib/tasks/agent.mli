@@ -46,8 +46,8 @@ type spec
     parametrizing) its complement literal.  An agent then holds its
     state as a number and the significant events that occurred as a
     mask, so {!want}, {!would_make_unreachable}, {!on_accepted},
-    {!finished} and {!undecided_complements} read arrays: they build no
-    symbol or literal and compare no event names. *)
+    {!finished} and {!occurred_mask} read arrays: they build no symbol
+    or literal and compare no event names. *)
 
 val spec :
   instance:string ->
@@ -65,9 +65,8 @@ val spec :
     symbol the caller passes back is resolved by address too. *)
 
 val complements : spec -> Literal.t array
-(** The complement of each significant event, in model order: what
-    {!undecided_complements} draws from.  Empty for parametrizing
-    agents. *)
+(** The complement of each significant event, in model order: what a
+    run's closing scan draws from.  Empty for parametrizing agents. *)
 
 type t
 
@@ -117,13 +116,10 @@ val finished : t -> bool
 
 val occurred_mask : t -> int
 (** The significant events that occurred, bit [i] for the [i]-th of
-    {!complements}: a closing scan over {!complements} with this mask
-    taken once reads what {!undecided_complements} would list. *)
-
-val undecided_complements : t -> Literal.t list
-(** At end of run: complements of significant events that never occurred
-    (closing the trace into a maximal one).  Empty for parametrizing
-    agents, whose unseen instances are handled by quantification. *)
+    {!complements}: at end of run, the complements whose bit is clear
+    close the trace into a maximal one (parametrizing agents have none;
+    their unseen instances are handled by quantification).  A closing
+    scan takes the mask once, before it fires anything. *)
 
 (** {2 Model-checker support} *)
 
@@ -131,3 +127,12 @@ val fingerprint : t -> int
 (** Canonical {!Wf_core.Fingerprint} of the mutable state (occurrence
     counts are order-canonicalized), for visited-state dedup.  It
     hashes the state's and events' names, not their numbers. *)
+
+(** {2 Test hooks} *)
+
+module For_testing : sig
+  val undecided_complements : t -> Literal.t list
+  (** The complements of significant events that never occurred, in
+      model order: what a closing scan over {!complements} with
+      {!occurred_mask} fires. *)
+end

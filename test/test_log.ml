@@ -22,10 +22,10 @@ let string_codec : (string, string) Log.codec =
    which prefix of the input history it represents. *)
 let int_codec : (int, int) Log.codec =
   {
-    Log.enc_entry = (fun i -> Binio.encode Binio.put_int i);
-    dec_entry = (fun s -> Binio.decode Binio.get_int s);
-    enc_ckpt = (fun i -> Binio.encode Binio.put_int i);
-    dec_ckpt = (fun s -> Binio.decode Binio.get_int s);
+    Log.enc_entry = (fun i -> Binio.encode Binio.int i);
+    dec_entry = (fun s -> Binio.decode Binio.int s);
+    enc_ckpt = (fun i -> Binio.encode Binio.int i);
+    dec_ckpt = (fun s -> Binio.decode Binio.int s);
   }
 
 let fresh_sim ?faults ?(seed = 1L) () = Media.Sim.create ?faults ~seed ()

@@ -14,6 +14,7 @@ let () =
       ("observability", Test_obs.suite);
       ("tasks", Test_tasks.suite);
       ("log", Test_log.suite);
+      ("codec", Test_codec.suite);
       ("schedulers", Test_sched.suite);
       ("conformance", Test_conformance.suite);
       ("recovery", Test_recovery.suite);

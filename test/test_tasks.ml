@@ -151,7 +151,7 @@ let test_agent_loops_parametrize () =
       check Alcotest.string "second token" "b_t1(2)" (Symbol.name sym)
   | None -> Alcotest.fail "expected second round");
   checkb "parametrized agents emit no complements"
-    (Agent.undecided_complements a = [])
+    (Agent.For_testing.undecided_complements a = [])
 
 let test_agent_undecided_complements () =
   let a =
@@ -160,7 +160,7 @@ let test_agent_undecided_complements () =
   in
   ignore (Agent.on_accepted a (Symbol.make "s_t"));
   let names =
-    List.map Literal.to_string (Agent.undecided_complements a)
+    List.map Literal.to_string (Agent.For_testing.undecided_complements a)
   in
   checkb "commit undecided" (List.mem "~c_t" names);
   checkb "abort undecided" (List.mem "~a_t" names);
@@ -291,7 +291,7 @@ let test_agent_matches_reference () =
                 if Agent.finished a <> R.finished r then fail path "finished";
                 if
                   not
-                    (same_lits (Agent.undecided_complements a)
+                    (same_lits (Agent.For_testing.undecided_complements a)
                        (R.undecided_complements r))
                 then fail path "undecided_complements";
                 if Agent.fingerprint a <> R.fingerprint r then
