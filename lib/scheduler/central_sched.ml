@@ -70,8 +70,47 @@ let snapshot_codec =
         (pair (list int) (list (pair Wire.literal (list Wire.literal))))
         (pair Wire.literal_set (list Wire.symbol)))
 
+(* The counters' keys, numbered once per process, and their handles,
+   resolved once per run. *)
+let k_occurrences = Wf_obs.Metrics.key "occurrences"
+let k_dead_residuals = Wf_obs.Metrics.key "dead_residuals"
+let k_parked_evaluations = Wf_obs.Metrics.key "parked_evaluations"
+let k_rejections = Wf_obs.Metrics.key "rejections"
+let k_triggers = Wf_obs.Metrics.key "triggers"
+let k_recoveries = Wf_obs.Metrics.key "center_recoveries"
+let k_replayed = Wf_obs.Metrics.key "center_replayed_entries"
+let k_attempts = Wf_obs.Metrics.key "attempts"
+let k_trigger_faults = Wf_obs.Metrics.key "trigger_faults"
+
+type meters = {
+  occurrences : Wf_obs.Metrics.counter;
+  dead_residuals : Wf_obs.Metrics.counter;
+  parked_evaluations : Wf_obs.Metrics.counter;
+  rejections : Wf_obs.Metrics.counter;
+  triggers : Wf_obs.Metrics.counter;
+  recoveries : Wf_obs.Metrics.counter;
+  replayed : Wf_obs.Metrics.counter;
+  attempts : Wf_obs.Metrics.counter;
+  trigger_faults : Wf_obs.Metrics.counter;
+}
+
+let meters stats =
+  let c = Wf_obs.Metrics.counter stats in
+  {
+    occurrences = c k_occurrences;
+    dead_residuals = c k_dead_residuals;
+    parked_evaluations = c k_parked_evaluations;
+    rejections = c k_rejections;
+    triggers = c k_triggers;
+    recoveries = c k_recoveries;
+    replayed = c k_replayed;
+    attempts = c k_attempts;
+    trigger_faults = c k_trigger_faults;
+  }
+
 type runtime = {
   wf : Workflow_def.t;
+  m : meters;
   cfg : Event_sched.config;
   plan : Run_plan.t;
   net : msg Channel.wire Wf_sim.Netsim.t;
@@ -90,7 +129,6 @@ type runtime = {
 
 let central_site = 0
 
-let stats rt = Wf_sim.Netsim.stats rt.net
 let decided rt sym = Hashtbl.mem rt.decided_set sym
 
 let mentions ds lit = Literal.Set.mem lit ds.lits
@@ -214,14 +252,14 @@ let rec record rt lit =
       in
       rt.occurrences <- o :: rt.occurrences;
       rt.cfg.on_event o;
-      Wf_obs.Metrics.incr (stats rt) "occurrences"
+      Wf_obs.Metrics.bump rt.m.occurrences
     end;
     List.iter
       (fun ds ->
         if mentions ds lit then begin
           ds.state <- Automaton.step ds.automaton ds.state lit;
           if Automaton.is_dead ds.automaton ds.state && not rt.replaying then
-            Wf_obs.Metrics.incr (stats rt) "dead_residuals"
+            Wf_obs.Metrics.bump rt.m.dead_residuals
         end)
       rt.deps;
     retry_parked rt;
@@ -251,7 +289,7 @@ and decide ?(retry = false) rt lit entailed =
   end
   else if feasible rt lit then begin
     if not rt.replaying then
-      Wf_obs.Metrics.incr (stats rt) "parked_evaluations";
+      Wf_obs.Metrics.bump rt.m.parked_evaluations;
     (* a re-examination that stays parked is a reduction step: the
        state vector moved, the attempt did not yet enable *)
     emit_assim rt lit
@@ -261,7 +299,7 @@ and decide ?(retry = false) rt lit entailed =
   else begin
     if not rt.replaying then begin
       rt.rejected <- lit :: rt.rejected;
-      Wf_obs.Metrics.incr (stats rt) "rejections"
+      Wf_obs.Metrics.bump rt.m.rejections
     end;
     emit_assim rt lit Wf_obs.Trace.Rejected;
     send_to_owner rt lit (Rejected lit)
@@ -283,7 +321,7 @@ and fire_triggers rt =
                  .Attribute.triggerable
           then begin
             rt.triggered <- Literal.Set.add l rt.triggered;
-            if not rt.replaying then Wf_obs.Metrics.incr (stats rt) "triggers";
+            if not rt.replaying then Wf_obs.Metrics.bump rt.m.triggers;
             send_to_owner rt l (Trigger l)
           end)
         required)
@@ -341,8 +379,8 @@ let recover_center rt =
   | None -> ());
   List.iter (fun input -> apply_center rt input) suffix;
   rt.replaying <- false;
-  Wf_obs.Metrics.incr (stats rt) "center_recoveries";
-  Wf_obs.Metrics.add (stats rt) "center_replayed_entries" (List.length suffix)
+  Wf_obs.Metrics.bump rt.m.recoveries;
+  Wf_obs.Metrics.bump_by rt.m.replayed (List.length suffix)
 
 let rec schedule_agent rt ((agent, site) as owner) =
   match Agent.want agent with
@@ -354,7 +392,7 @@ let rec schedule_agent rt ((agent, site) as owner) =
          trace record stay with the attempting site. *)
       Ground.arrive rt.cfg.arrival ~think_time:rt.cfg.think_time rt.net
         rt.chan ~site ~depth_site:central_site sym (fun () ->
-          Wf_obs.Metrics.incr (stats rt) "attempts";
+          Wf_obs.Metrics.bump rt.m.attempts;
           let m =
             if attr.Attribute.controllable then
               Attempt (Literal.pos sym, Agent.would_make_unreachable agent sym)
@@ -384,7 +422,7 @@ let agent_handle rt ((agent, site) as owner) m =
       schedule_agent rt owner
   | Trigger lit -> (
       match Agent.trigger agent (Literal.symbol lit) with
-      | None -> Wf_obs.Metrics.incr (stats rt) "trigger_faults"
+      | None -> Wf_obs.Metrics.bump rt.m.trigger_faults
       | Some complements ->
           Channel.send rt.chan ~src:site ~dst:central_site (Occurred lit);
           List.iter
@@ -449,6 +487,7 @@ let run ?(config = Event_sched.default_config) wf =
   let rt =
     {
       wf;
+      m = meters (Wf_sim.Netsim.stats net);
       cfg = config;
       plan;
       net;

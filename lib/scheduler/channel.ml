@@ -14,9 +14,9 @@ type 'a wire =
    key must be the full triple. *)
 type key = site * int * int (* origin, epoch, mid *)
 
-(* The dedup, outbox and mailbox tables hash their int tuples directly
-   instead of through the polymorphic hash; the per-(origin, epoch)
-   watermarks use the core's int-pair table. *)
+(* The dedup and outbox tables hash their int triples directly instead
+   of through the polymorphic hash; the tables by link, site and
+   (origin, epoch) are arrays. *)
 let mix h x =
   let h = (h lxor x) * 0x100000001b3 in
   h lxor (h lsr 29)
@@ -70,17 +70,20 @@ type 'a t = {
 and 'a lossy = {
   pending : 'a pending Key_tbl.t; (* durable sender outbox *)
   seen : unit Key_tbl.t; (* receiver dedup above the watermark *)
-  seen_floor : int ref Wf_core.Intern.Pair_tbl.t;
-      (* Cumulative dedup watermark per (origin, epoch): every mid at or
-         below the floor has been delivered, so its [seen] entry can be
-         pruned — mids are assigned densely, so a long fault-free run
-         keeps O(reorder window) entries instead of O(messages). *)
+  seen_floor : int array array;
+      (* Cumulative dedup watermark by origin, then epoch (-1 where no
+         mid is covered; an origin's array grows with its epochs):
+         every mid at or below the floor has been delivered, so its
+         [seen] entry can be pruned — mids are assigned densely, so a
+         long fault-free run keeps O(reorder window) entries instead of
+         O(messages). *)
   dead : 'a pending Key_tbl.t; (* gave up; revived on peer Hello *)
-  blocked : (site * site, (key * float) Queue.t) Hashtbl.t;
-      (* sends awaiting credit, FIFO per (src, dst), with block time *)
-  stall_on : (site * site, unit) Hashtbl.t; (* active stall checkers *)
-  mbox : (site, (site * key * 'a * float) Queue.t) Hashtbl.t;
-      (* receiver inbound mailbox: (wire src, key, payload, enqueued) *)
+  blocked : (key * float) Queue.t array;
+      (* by link: sends awaiting credit, FIFO, with block time *)
+  stall_on : bool array; (* by link: a stall checker is scheduled *)
+  mbox : (site * key * 'a * float) Queue.t array;
+      (* by receiving site, the inbound mailbox: (wire src, key,
+         payload, enqueued) *)
   mbox_keys : unit Key_tbl.t; (* queued-not-yet-consumed dedup *)
   m_retransmits : Metrics.counter;
   m_duplicates : Metrics.counter; (* chan_duplicates_suppressed *)
@@ -112,23 +115,29 @@ let flow t = t.flow
 let now t = Wf_sim.Netsim.now t.net
 let lossy t = Lazy.force t.lossy
 
-let emit_trace t r =
-  match Wf_sim.Netsim.tracer t.net with
-  | None -> ()
-  | Some sink -> Trace.emit sink r
+let link t ~src ~dst = (src * Wf_sim.Netsim.num_sites t.net) + dst
 
 (* --- receiver dedup with cumulative watermark ---------------------------- *)
 
-let floor_ref t origin epoch =
-  match Wf_core.Intern.Pair_tbl.find_opt (lossy t).seen_floor (origin, epoch) with
-  | Some r -> r
-  | None ->
-      let r = ref (-1) in
-      Wf_core.Intern.Pair_tbl.replace (lossy t).seen_floor (origin, epoch) r;
-      r
+let floor t origin epoch =
+  let floors = (lossy t).seen_floor.(origin) in
+  if epoch < Array.length floors then floors.(epoch) else -1
+
+(* The origin's floors, grown to cover [epoch]. *)
+let floors_upto t origin epoch =
+  let l = lossy t in
+  let floors = l.seen_floor.(origin) in
+  let len = Array.length floors in
+  if epoch < len then floors
+  else begin
+    let grown = Array.make (max (epoch + 1) (2 * len)) (-1) in
+    Array.blit floors 0 grown 0 len;
+    l.seen_floor.(origin) <- grown;
+    grown
+  end
 
 let is_seen t ((origin, epoch, mid) : key) =
-  mid <= !(floor_ref t origin epoch) || Key_tbl.mem (lossy t).seen (origin, epoch, mid)
+  mid <= floor t origin epoch || Key_tbl.mem (lossy t).seen (origin, epoch, mid)
 
 (* Mark delivered and advance the watermark over any now-contiguous
    prefix, pruning the entries it covers.  The [seen] table is shared
@@ -136,14 +145,15 @@ let is_seen t ((origin, epoch, mid) : key) =
    the per-(origin, epoch) mid sequence observed across all receivers
    is dense and the floor keeps up with the send counter. *)
 let mark_seen t ((origin, epoch, mid) as key : key) =
-  let fl = floor_ref t origin epoch in
-  if mid > !fl then begin
-    Key_tbl.replace (lossy t).seen key ();
+  let floors = floors_upto t origin epoch in
+  if mid > floors.(epoch) then begin
+    let seen = (lossy t).seen in
+    Key_tbl.replace seen key ();
     let rec advance () =
-      let next : key = (origin, epoch, !fl + 1) in
-      if Key_tbl.mem (lossy t).seen next then begin
-        Key_tbl.remove (lossy t).seen next;
-        incr fl;
+      let next : key = (origin, epoch, floors.(epoch) + 1) in
+      if Key_tbl.mem seen next then begin
+        Key_tbl.remove seen next;
+        floors.(epoch) <- floors.(epoch) + 1;
         advance ()
       end
     in
@@ -182,19 +192,27 @@ let rec retransmit t key () =
            crashed, its restart Hello revives the transfer. *)
         Key_tbl.replace (lossy t).dead key p;
         Metrics.bump (lossy t).m_gave_up;
-        emit_trace t
-          (Trace.make ~time:(now t) ~site:p.p_src ~epoch:p.p_epoch ~mid:p.p_mid
-             (Trace.Give_up { dst = p.p_dst }));
-        emit_trace t
-          (Trace.make ~time:(now t) ~site:p.p_src ~epoch:p.p_epoch ~mid:p.p_mid
-             (Trace.Dead_letter { dst = p.p_dst; tries = p.p_tries }))
+        match Wf_sim.Netsim.tracer t.net with
+        | None -> ()
+        | Some sink ->
+            let record kind =
+              Trace.make ~time:(now t) ~site:p.p_src ~epoch:p.p_epoch
+                ~mid:p.p_mid kind
+            in
+            Trace.emit sink (record (Trace.Give_up { dst = p.p_dst }));
+            Trace.emit sink
+              (record (Trace.Dead_letter { dst = p.p_dst; tries = p.p_tries }))
       end
       else begin
         p.p_tries <- p.p_tries + 1;
         Metrics.bump (lossy t).m_retransmits;
-        emit_trace t
-          (Trace.make ~time:(now t) ~site:p.p_src ~epoch:p.p_epoch ~mid:p.p_mid
-             (Trace.Retransmit { dst = p.p_dst; tries = p.p_tries }));
+        (match Wf_sim.Netsim.tracer t.net with
+        | None -> ()
+        | Some sink ->
+            Trace.emit sink
+              (Trace.make ~time:(now t) ~site:p.p_src ~epoch:p.p_epoch
+                 ~mid:p.p_mid
+                 (Trace.Retransmit { dst = p.p_dst; tries = p.p_tries })));
         Wf_sim.Netsim.send t.net ~src:p.p_src ~dst:p.p_dst (wire_of p);
         Wf_sim.Netsim.schedule t.net ~delay:(rto_after t p.p_tries)
           (retransmit t key)
@@ -207,13 +225,7 @@ let transmit t p =
   Wf_sim.Netsim.send t.net ~src:p.p_src ~dst:p.p_dst (wire_of p);
   Wf_sim.Netsim.schedule t.net ~delay:(rto_after t 0) (retransmit t (key_of p))
 
-let blocked_queue t ~src ~dst =
-  match Hashtbl.find_opt (lossy t).blocked (src, dst) with
-  | Some q -> q
-  | None ->
-      let q = Queue.create () in
-      Hashtbl.replace (lossy t).blocked (src, dst) q;
-      q
+let blocked_queue t ~src ~dst = (lossy t).blocked.(link t ~src ~dst)
 
 (* Transmit as many credit-blocked sends src -> dst as the window now
    allows, oldest first. *)
@@ -237,7 +249,7 @@ let drain_blocked t flow ~src ~dst =
 let rec stall_check t flow ~src ~dst () =
   let q = blocked_queue t ~src ~dst in
   if Queue.is_empty q then begin
-    Hashtbl.remove (lossy t).stall_on (src, dst);
+    (lossy t).stall_on.(link t ~src ~dst) <- false;
     Wf_sim.Netsim.idle t.net (* the backlog drained meanwhile *)
   end
   else begin
@@ -249,7 +261,7 @@ let rec stall_check t flow ~src ~dst () =
         | Some p when not p.p_sent -> transmit t p
         | _ -> ())
     | _ -> ());
-    if Queue.is_empty q then Hashtbl.remove (lossy t).stall_on (src, dst)
+    if Queue.is_empty q then (lossy t).stall_on.(link t ~src ~dst) <- false
     else
       Wf_sim.Netsim.schedule t.net
         ~delay:(Flow.config flow).Flow.stall_timeout
@@ -257,15 +269,15 @@ let rec stall_check t flow ~src ~dst () =
   end
 
 let ensure_stall_check t flow ~src ~dst =
-  if not (Hashtbl.mem (lossy t).stall_on (src, dst)) then begin
-    Hashtbl.replace (lossy t).stall_on (src, dst) ();
+  let stall_on = (lossy t).stall_on and l = link t ~src ~dst in
+  if not stall_on.(l) then begin
+    stall_on.(l) <- true;
     Wf_sim.Netsim.schedule t.net
       ~delay:(Flow.config flow).Flow.stall_timeout
       (stall_check t flow ~src ~dst)
   end
 
-let is_direct t ~src ~dst =
-  t.direct.((src * Wf_sim.Netsim.num_sites t.net) + dst)
+let is_direct t ~src ~dst = t.direct.(link t ~src ~dst)
 
 let send ?(priority = false) t ~src ~dst payload =
   if is_direct t ~src ~dst then begin
@@ -347,9 +359,12 @@ let reannounce_window t ~receiver ~peer =
   | None -> ()
   | Some flow ->
       let grant = Flow.reset_window flow ~receiver ~peer in
-      emit_trace t
-        (Trace.make ~time:(now t) ~site:receiver
-           (Trace.Credit { peer; grant; reset = true }));
+      (match Wf_sim.Netsim.tracer t.net with
+      | None -> ()
+      | Some sink ->
+          Trace.emit sink
+            (Trace.make ~time:(now t) ~site:receiver
+               (Trace.Credit { peer; grant; reset = true })));
       Wf_sim.Netsim.send ~control:true t.net ~src:receiver ~dst:peer
         (Credit { grant; reset = true })
 
@@ -417,11 +432,11 @@ let create ~rto ?flow net =
            {
              pending = Key_tbl.create 16;
              seen = Key_tbl.create 16;
-             seen_floor = Wf_core.Intern.Pair_tbl.create 16;
+             seen_floor = Array.make n [||];
              dead = Key_tbl.create 16;
-             blocked = Hashtbl.create 16;
-             stall_on = Hashtbl.create 16;
-             mbox = Hashtbl.create 16;
+             blocked = Array.init (n * n) (fun _ -> Queue.create ());
+             stall_on = Array.make (n * n) false;
+             mbox = Array.init n (fun _ -> Queue.create ());
              mbox_keys = Key_tbl.create 16;
              m_retransmits = c k_retransmits;
              m_duplicates = c k_duplicates;
@@ -438,20 +453,21 @@ let create ~rto ?flow net =
   Wf_sim.Netsim.on_restart net (fun site ->
       t.epochs.(site) <- t.epochs.(site) + 1;
       t.mids.(site) <- 0;
-      emit_trace t
-        (Trace.make
-           ~time:(Wf_sim.Netsim.now net)
-           ~site ~epoch:t.epochs.(site) Trace.Epoch_bump);
+      (match Wf_sim.Netsim.tracer net with
+      | None -> ()
+      | Some sink ->
+          Trace.emit sink
+            (Trace.make
+               ~time:(Wf_sim.Netsim.now net)
+               ~site ~epoch:t.epochs.(site) Trace.Epoch_bump));
       (* The inbound mailbox is volatile: queued messages were never
          acked, so the senders' retransmissions redeliver them. *)
       (match t.flow with
       | None -> ()
       | Some fl ->
-          (match Hashtbl.find_opt (lossy t).mbox site with
-          | None -> ()
-          | Some q ->
-              Queue.iter (fun (_, key, _, _) -> Key_tbl.remove (lossy t).mbox_keys key) q;
-              Queue.clear q);
+          let q = (lossy t).mbox.(site) in
+          Queue.iter (fun (_, key, _, _) -> Key_tbl.remove (lossy t).mbox_keys key) q;
+          Queue.clear q;
           t.draining.(site) <- false;
           Flow.on_restart fl ~site;
           for peer = 0 to n - 1 do
@@ -464,13 +480,7 @@ let create ~rto ?flow net =
       done);
   t
 
-let mailbox t site =
-  match Hashtbl.find_opt (lossy t).mbox site with
-  | Some q -> q
-  | None ->
-      let q = Queue.create () in
-      Hashtbl.replace (lossy t).mbox site q;
-      q
+let mailbox t site = (lossy t).mbox.(site)
 
 (* Hand one message to the application: this — not wire arrival — is
    the consumption point under flow control, so the ack and the dedup
@@ -483,6 +493,17 @@ let consume t site src ((origin, d_epoch, d_mid) as key : key) payload =
   match t.handlers.(site) with
   | None -> ()
   | Some handler -> handler src payload
+
+(* Return [grant] consumed credits from [site] to the sender [origin]. *)
+let grant_credit t ~site ~origin grant =
+  (match Wf_sim.Netsim.tracer t.net with
+  | None -> ()
+  | Some sink ->
+      Trace.emit sink
+        (Trace.make ~time:(now t) ~site
+           (Trace.Credit { peer = origin; grant; reset = false })));
+  Wf_sim.Netsim.send ~control:true t.net ~src:site ~dst:origin
+    (Credit { grant; reset = false })
 
 let rec drain_mailbox t flow site () =
   if Wf_sim.Netsim.site_crashed t.net site then
@@ -499,13 +520,7 @@ let rec drain_mailbox t flow site () =
         for origin = 0 to Wf_sim.Netsim.num_sites t.net - 1 do
           if origin <> site then begin
             let grant = Flow.flush_grant flow ~dst:site ~origin in
-            if grant > 0 then begin
-              emit_trace t
-                (Trace.make ~time:(now t) ~site
-                   (Trace.Credit { peer = origin; grant; reset = false }));
-              Wf_sim.Netsim.send ~control:true t.net ~src:site ~dst:origin
-                (Credit { grant; reset = false })
-            end
+            if grant > 0 then grant_credit t ~site ~origin grant
           end
         done
     | Some (src, ((origin, _, _) as key), payload, enqueued) ->
@@ -515,13 +530,7 @@ let rec drain_mailbox t flow site () =
         (* Batch credit grants on consumption. *)
         (if origin <> site then
            let grant = Flow.mailbox_consumed flow ~dst:site ~origin in
-           if grant > 0 then begin
-             emit_trace t
-               (Trace.make ~time:(now t) ~site
-                  (Trace.Credit { peer = origin; grant; reset = false }));
-             Wf_sim.Netsim.send ~control:true t.net ~src:site ~dst:origin
-               (Credit { grant; reset = false })
-           end);
+           if grant > 0 then grant_credit t ~site ~origin grant);
         Wf_sim.Netsim.schedule t.net
           ~delay:(Flow.config flow).Flow.service_time
           (drain_mailbox t flow site)
@@ -588,9 +597,12 @@ let on_receive t site handler =
           | Some p ->
               Key_tbl.remove (lossy t).pending key;
               Metrics.record t.m_ack_latency (now t -. p.p_first_sent);
-              emit_trace t
-                (Trace.make ~time:(now t) ~site ~epoch ~mid
-                   (Trace.Ack { dst = p.p_dst }));
+              (match Wf_sim.Netsim.tracer t.net with
+              | None -> ()
+              | Some sink ->
+                  Trace.emit sink
+                    (Trace.make ~time:(now t) ~site ~epoch ~mid
+                       (Trace.Ack { dst = p.p_dst })));
               (* The ack frees a window slot only when the grant comes
                  back; nothing to do here for flow. *)
               ())
@@ -609,4 +621,6 @@ module For_testing = struct
   let unacked t = Key_tbl.length (lossy t).pending
   let dead_letters t = Key_tbl.length (lossy t).dead
   let dedup_size t = Key_tbl.length (lossy t).seen
+  let mailbox_depth t site = Queue.length (lossy t).mbox.(site)
+  let queued_keys t = Key_tbl.length (lossy t).mbox_keys
 end

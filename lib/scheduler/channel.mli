@@ -65,7 +65,7 @@
 
     With a {!Flow.config} the channel becomes overload-safe.  Senders
     transmit Data only inside a receiver-granted credit window and
-    park the excess in a per-destination backlog; receivers hold
+    park the excess in a per-link backlog; receivers hold
     arrivals in a bounded inbound mailbox consumed at [service_time]
     pace, acknowledge {e at consumption} (so a crash wipes only
     unacked entries and retransmission redelivers them), and return
@@ -156,4 +156,10 @@ module For_testing : sig
   val dedup_size : 'a t -> int
   (** Receiver dedup entries currently retained above the watermark —
       O(reorder window) on a fault-free run, not O(messages). *)
+
+  val mailbox_depth : 'a t -> site -> int
+  (** Messages queued in the site's inbound mailbox (flow control). *)
+
+  val queued_keys : 'a t -> int
+  (** Dedup keys of queued-not-yet-consumed messages, over all sites. *)
 end

@@ -133,7 +133,7 @@ let build ?guard_overrides cfg wf plan =
      receiving actor by slot. *)
   for site = 0 to Workflow_def.num_sites wf - 1 do
     Channel.on_receive chan site (fun _src (_, target, msg) ->
-        Ground.deliver rt.slots.(target) (Actor.I_message msg))
+        Ground.deliver rt rt.slots.(target) (Actor.I_message msg))
   done;
   (* Crash recovery: when a site restarts, the channel's hook (created
      first, so it runs first) has already bumped the epoch and said

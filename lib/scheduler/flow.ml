@@ -69,6 +69,11 @@ type t = {
       (* receiver view: consumed.(dst).(origin) since last grant *)
   shed_streak : int array;
   shed_probe : int array;
+  mutable peak_backlog : int;
+  mutable peak_mailbox : int;
+      (* the highest values this ledger has published to the
+         [flow_max_*] gauges: a gauge is written, and its name hashed,
+         only when its peak rises *)
 }
 
 let batch_of cfg =
@@ -104,11 +109,11 @@ let create ?(config = default_config) ~num_sites ~seed ~stats ~now
     consumed = Array.init n (fun _ -> Array.make n 0);
     shed_streak = Array.make n 0;
     shed_probe = Array.make n 0;
+    peak_backlog = 0;
+    peak_mailbox = 0;
   }
 
 let config t = t.cfg
-
-let gauge_max t name v = Metrics.gauge_max t.stats name (float_of_int v)
 
 (* --- sender side --------------------------------------------------------- *)
 
@@ -123,7 +128,10 @@ let try_acquire t ~src ~dst =
 let note_blocked t ~src =
   t.backlog.(src) <- t.backlog.(src) + 1;
   Metrics.bump t.m.sends_blocked;
-  gauge_max t "flow_max_backlog" t.backlog.(src)
+  if t.backlog.(src) > t.peak_backlog then begin
+    t.peak_backlog <- t.backlog.(src);
+    Metrics.gauge_max t.stats "flow_max_backlog" (float_of_int t.peak_backlog)
+  end
 
 let note_unblocked t ~src = t.backlog.(src) <- max 0 (t.backlog.(src) - 1)
 
@@ -152,7 +160,11 @@ let mailbox_enqueue t ~dst =
   else begin
     t.mailbox.(dst) <- t.mailbox.(dst) + 1;
     Metrics.bump t.m.mailbox_enqueued;
-    gauge_max t "flow_max_mailbox_depth" t.mailbox.(dst);
+    if t.mailbox.(dst) > t.peak_mailbox then begin
+      t.peak_mailbox <- t.mailbox.(dst);
+      Metrics.gauge_max t.stats "flow_max_mailbox_depth"
+        (float_of_int t.peak_mailbox)
+    end;
     true
   end
 

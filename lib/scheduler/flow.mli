@@ -9,7 +9,7 @@
     {b Credit windows.}  Each receiver grants every sender a window of
     [credit_window] send credits.  A sender consumes one credit per
     first transmission of a Data message and stops transmitting (the
-    channel queues the send in a per-destination backlog) when the
+    channel queues the send in a per-link backlog) when the
     window is exhausted.  The receiver returns credits in batches of
     [credit_batch] as messages are {e consumed} (handed to the
     application handler), not merely received, so the in-flight +

@@ -20,6 +20,7 @@ type slot = {
   vets : bool;
   mutable decided : bool;
   mutable pending_complements : Literal.t list option;
+  mutable parked : int; (* [Actor.parked_count actor], kept by [deliver] *)
 }
 
 and task = { agent : Agent.t; closes : (Literal.t * int) array }
@@ -41,6 +42,8 @@ type t = {
   attempts_counter : Wf_obs.Metrics.counter;
   rejections_counter : Wf_obs.Metrics.counter;
   violations_counter : Wf_obs.Metrics.counter;
+  recoveries_counter : Wf_obs.Metrics.counter;
+  replayed_counter : Wf_obs.Metrics.counter;
   replay_ctx : Actor.ctx;
   slots : slot array;
   tasks : task array;
@@ -49,6 +52,7 @@ type t = {
   mutable seqno : int;
   mutable occurrences : occurrence list;
   mutable rejected : Literal.t list;
+  mutable parked_slots : int; (* slots whose actor holds a parked attempt *)
 }
 
 let override overrides lit =
@@ -124,12 +128,22 @@ let slot_for t slot lit =
     | Some s -> s
     | None -> slot_of t sym
 
+(* Only [Actor.apply] and recovery change an actor's parked list, and
+   every apply runs inside [deliver] on the actor's slot, so recounting
+   there and in [recover] keeps [slot.parked] and [t.parked_slots]
+   exact. *)
+let recount_parked t slot =
+  let n = Actor.parked_count slot.actor in
+  if (n > 0) <> (slot.parked > 0) then
+    t.parked_slots <- t.parked_slots + (if n > 0 then 1 else -1);
+  slot.parked <- n
+
 (* The journaled entry point: append the input (write-ahead), apply it,
    and checkpoint when due — but only at depth 0, because an actor's own
    fire feeds back as a nested delivery of its occurrence, and a
    checkpoint taken inside the outer apply would freeze a half-applied
    state. *)
-let deliver ?vetted slot input =
+let deliver ?vetted t slot input =
   let js = slot.journal and actor = slot.actor in
   Wf_store.Journal.append js.j input;
   (* Inputs the actor cannot re-derive after a crash must be durable
@@ -149,7 +163,9 @@ let deliver ?vetted slot input =
   | () -> js.depth <- js.depth - 1
   | exception e ->
       js.depth <- js.depth - 1;
+      recount_parked t slot;
       raise e);
+  recount_parked t slot;
   if js.depth = 0 && Wf_store.Journal.wants_checkpoint js.j then
     Wf_store.Journal.checkpoint js.j (Actor.snapshot actor)
 
@@ -163,7 +179,7 @@ let rec fire t slot lit =
     t.on_event occurrence;
     Wf_obs.Metrics.bump t.occurrences_counter;
     (* Own actor learns first (it hosts the event). *)
-    deliver slot (Actor.I_occurred { lit; seqno });
+    deliver t slot (Actor.I_occurred { lit; seqno });
     (* The owning agent advances; triggered transitions already advanced
        the agent, so use the stashed complements instead. *)
     let complements =
@@ -226,7 +242,7 @@ and attempt t agent slot (attr : Attribute.t) =
         (Agent.would_make_unreachable agent slot.sym)
     in
     let vetted = if slot.vets then Some a.vetted else None in
-    deliver ?vetted slot
+    deliver ?vetted t slot
       (Actor.I_attempt { pol = Literal.Pos; entailed = a.entailed });
     false
   end
@@ -281,6 +297,8 @@ let k_occurrences = Wf_obs.Metrics.key "occurrences"
 let k_attempts = Wf_obs.Metrics.key "attempts"
 let k_rejections = Wf_obs.Metrics.key "rejections"
 let k_violations = Wf_obs.Metrics.key "uncontrollable_violations"
+let k_recoveries = Wf_obs.Metrics.key "actor_recoveries"
+let k_replayed = Wf_obs.Metrics.key "replayed_entries"
 let k_msgs = Array.map (fun l -> Wf_obs.Metrics.key ("msg_" ^ l)) Messages.labels
 
 let create ?(guard_overrides = []) ~net ~chan ~journal ~arrival ~think_time
@@ -313,6 +331,7 @@ let create ?(guard_overrides = []) ~net ~chan ~journal ~arrival ~think_time
           vets = override guard_overrides a.pos = None;
           decided = false;
           pending_complements = None;
+          parked = 0;
         })
       (Run_plan.actors plan)
   in
@@ -333,6 +352,8 @@ let create ?(guard_overrides = []) ~net ~chan ~journal ~arrival ~think_time
       attempts_counter = counter k_attempts;
       rejections_counter = counter k_rejections;
       violations_counter = counter k_violations;
+      recoveries_counter = counter k_recoveries;
+      replayed_counter = counter k_replayed;
       replay_ctx;
       slots;
       tasks;
@@ -341,6 +362,7 @@ let create ?(guard_overrides = []) ~net ~chan ~journal ~arrival ~think_time
       seqno = 0;
       occurrences = [];
       rejected = [];
+      parked_slots = 0;
     }
   in
   Array.iter (fun slot -> slot.ctx <- ctx_for t slot) slots;
@@ -357,8 +379,9 @@ let replay t slot (ckpt, suffix) =
 let recover t slot =
   let ((_, suffix) as content) = Wf_store.Journal.recover slot.journal.j in
   slot.actor <- replay t slot content;
-  Wf_obs.Metrics.incr t.stats "actor_recoveries";
-  Wf_obs.Metrics.add t.stats "replayed_entries" (List.length suffix)
+  recount_parked t slot;
+  Wf_obs.Metrics.bump t.recoveries_counter;
+  Wf_obs.Metrics.bump_by t.replayed_counter (List.length suffix)
 
 let hosted t site =
   Array.fold_right
@@ -397,7 +420,7 @@ let close_round t =
           (fun q (c, i) ->
             if occurred land (1 lsl q) = 0 && i >= 0 then begin
               let slot = t.slots.(i) in
-              if (not slot.decided) && Actor.parked_count slot.actor = 0
+              if (not slot.decided) && slot.parked = 0
               then begin
                 fire t slot c;
                 progress := true
@@ -455,12 +478,12 @@ let close t =
     ~settle:(fun () -> settle t)
     ~complements:(fun () -> close_round t)
     ~reject_lowest:(fun () ->
-      match
-        Array.find_opt (fun slot -> Actor.parked_count slot.actor > 0) t.slots
-      with
+      t.parked_slots > 0
+      &&
+      match Array.find_opt (fun slot -> slot.parked > 0) t.slots with
       | None -> false
       | Some slot ->
-          deliver slot Actor.I_close;
+          deliver t slot Actor.I_close;
           true)
     ~negate_lowest:(fun () ->
       (* A slot never becomes undecided again, so the search for the

@@ -45,6 +45,9 @@ type slot = {
   mutable pending_complements : Literal.t list option;
       (** complements a trigger already advanced the agent past, for the
           occurrence to emit *)
+  mutable parked : int;
+      (** the actor's {!Actor.parked_count}, recounted after each
+          {!deliver} and {!recover} *)
 }
 
 and task = {
@@ -76,6 +79,8 @@ type t = {
   rejections_counter : Wf_obs.Metrics.counter;
   violations_counter : Wf_obs.Metrics.counter;
       (** [uncontrollable_violations] *)
+  recoveries_counter : Wf_obs.Metrics.counter;  (** [actor_recoveries] *)
+  replayed_counter : Wf_obs.Metrics.counter;  (** [replayed_entries] *)
   replay_ctx : Actor.ctx;  (** muted, counting into a registry no run reads *)
   slots : slot array;  (** by plan slot *)
   tasks : task array;  (** in the workflow's task order *)
@@ -87,6 +92,9 @@ type t = {
   mutable seqno : int;
   mutable occurrences : occurrence list;  (** newest first *)
   mutable rejected : Literal.t list;  (** newest first *)
+  mutable parked_slots : int;
+      (** the slots whose [parked] is positive: {!close} stops looking
+          for a parked attempt to reject once it is 0 *)
 }
 
 val create :
@@ -119,10 +127,10 @@ val arrive :
     [site] keyed on [depth_site]'s queue depth (default [site]'s).
     [label] names the arrival to a chooser ({!Wf_sim.Netsim.schedule}). *)
 
-val deliver : ?vetted:Gtable.cell -> slot -> Actor.input -> unit
+val deliver : ?vetted:Gtable.cell -> t -> slot -> Actor.input -> unit
 (** Journaled delivery: append (syncing inputs that cannot be
     re-derived after a crash), apply ({!Actor.apply}, with [vetted]),
-    checkpoint at depth 0. *)
+    recount the slot's parked attempts, checkpoint at depth 0. *)
 
 val replay : t -> slot -> Actor.snapshot option * Actor.input list -> Actor.t
 (** A fresh actor with the checkpoint restored and the suffix applied

@@ -3,29 +3,25 @@
    Hand-rolled because the frame format needs a checksum and the build
    carries no external dependencies.  The algorithm is the ubiquitous
    one (zlib, PNG, Ethernet), so fixtures checked into test/data stay
-   valid against any standard implementation. *)
+   valid against any standard implementation.
+
+   The table and the accumulator are native ints holding 32-bit values
+   (OCaml ints have at least 63 bits), so the loop allocates nothing;
+   only the result is boxed as an [int32]. *)
 
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
-let update crc b ~pos ~len =
-  let t = Lazy.force table in
-  let c = ref (Int32.lognot crc) in
+let bytes b ~pos ~len =
+  let c = ref 0xFFFFFFFF in
   for i = pos to pos + len - 1 do
-    let idx =
-      Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code (Bytes.get b i)))) 0xFFl)
-    in
-    c := Int32.logxor t.(idx) (Int32.shift_right_logical !c 8)
+    c :=
+      Array.unsafe_get table ((!c lxor Char.code (Bytes.get b i)) land 0xFF)
+      lxor (!c lsr 8)
   done;
-  Int32.lognot !c
-
-let bytes b ~pos ~len = update 0l b ~pos ~len
+  Int32.of_int (!c lxor 0xFFFFFFFF)

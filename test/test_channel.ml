@@ -215,6 +215,131 @@ let test_revival_order () =
     (List.rev !received);
   check Alcotest.int "nothing pending" 0 (Channel.For_testing.unacked chan)
 
+(* One origin restarts three times while its earlier batches are still
+   being reordered, duplicated and retransmitted: the dedup watermark of
+   each (origin, epoch) advances on its own, mids that arrive above
+   their floor wait in the dedup set, and once everything lands every
+   floor has caught up and the set is empty. *)
+let test_watermark_across_epochs () =
+  let faults =
+    {
+      manual_crashes with
+      reorder_rate = 0.6;
+      reorder_window = 8.0;
+      duplicate_rate = 0.3;
+    }
+  in
+  let net = make_net ~faults () in
+  let chan = Channel.create ~rto:4.0 net in
+  let received = ref [] and above_floor = ref 0 in
+  Channel.on_receive chan 1 (fun _src m ->
+      received := m :: !received;
+      above_floor := max !above_floor (Channel.For_testing.dedup_size chan));
+  Channel.on_receive chan 0 (fun _ _ -> ());
+  let epochs = 4 and per_epoch = 20 in
+  for e = 0 to epochs - 1 do
+    Netsim.schedule net ~delay:(3.0 *. float_of_int e) (fun () ->
+        if e > 0 then Netsim.crash_restart net 0;
+        for i = 0 to per_epoch - 1 do
+          Channel.send chan ~src:0 ~dst:1 ((100 * e) + i)
+        done)
+  done;
+  Netsim.run net;
+  check Alcotest.int "origin restarted three times" 3 (Channel.epoch chan 0);
+  check
+    Alcotest.(list int)
+    "every message of every epoch exactly once"
+    (List.concat_map
+       (fun e -> List.init per_epoch (fun i -> (100 * e) + i))
+       (List.init epochs Fun.id))
+    (List.sort compare !received);
+  checkb "some mid arrived above its floor" (!above_floor > 0);
+  checkb "duplicates suppressed"
+    (Wf_obs.Metrics.count (Netsim.stats net) "chan_duplicates_suppressed" > 0);
+  check Alcotest.int "every floor caught up" 0 (Channel.For_testing.dedup_size chan);
+  check Alcotest.int "nothing pending" 0 (Channel.For_testing.unacked chan)
+
+(* Two senders blocked on a one-credit window into the same receiver:
+   each link's backlog drains in its own send order, and neither link
+   queues behind the other's backlog. *)
+let test_blocked_links_fifo () =
+  let net = make_net ~num_sites:3 () in
+  let flow = { Flow.default_config with credit_window = 1 } in
+  let chan = Channel.create ~rto:4.0 ~flow net in
+  let received = ref [] in
+  Channel.on_receive chan 2 (fun src m -> received := (src, m) :: !received);
+  Channel.on_receive chan 0 (fun _ _ -> ());
+  Channel.on_receive chan 1 (fun _ _ -> ());
+  let k = 8 in
+  (* Link 0 -> 2 builds its backlog before link 1 -> 2 sends at all. *)
+  for src = 0 to 1 do
+    for i = 0 to k - 1 do
+      Channel.send chan ~src ~dst:2 i
+    done
+  done;
+  Netsim.run net;
+  let arrivals = List.rev !received in
+  let from src =
+    List.filter_map (fun (s, m) -> if s = src then Some m else None) arrivals
+  in
+  check Alcotest.(list int) "link 0 -> 2 in send order" (List.init k Fun.id) (from 0);
+  check Alcotest.(list int) "link 1 -> 2 in send order" (List.init k Fun.id) (from 1);
+  check Alcotest.int "all but each link's first send blocked" (2 * (k - 1))
+    (Wf_obs.Metrics.count (Netsim.stats net) "flow_sends_blocked");
+  let position src m =
+    let rec go i = function
+      | [] -> Alcotest.fail "missing arrival"
+      | x :: rest -> if x = (src, m) then i else go (i + 1) rest
+    in
+    go 0 arrivals
+  in
+  checkb "the links interleave"
+    (position 1 0 < position 0 (k - 1) && position 0 0 < position 1 (k - 1));
+  check Alcotest.int "nothing pending" 0 (Channel.For_testing.unacked chan)
+
+(* A restart empties the restarted site's mailbox and forgets its queued
+   keys; another site's mailbox keeps its messages.  The senders'
+   retransmissions then redeliver the wiped ones, exactly once. *)
+let test_restart_wipes_one_mailbox () =
+  let net = make_net ~num_sites:3 () in
+  let flow = { Flow.default_config with service_time = 10.0 } in
+  let chan = Channel.create ~rto:40.0 ~flow net in
+  let received = Array.make 3 [] in
+  for site = 0 to 2 do
+    Channel.on_receive chan site (fun _src m ->
+        received.(site) <- m :: received.(site))
+  done;
+  let k = 5 in
+  for i = 0 to k - 1 do
+    Channel.send chan ~src:0 ~dst:1 i;
+    Channel.send chan ~src:0 ~dst:2 i
+  done;
+  let state () =
+    Channel.For_testing.
+      (mailbox_depth chan 1, mailbox_depth chan 2, queued_keys chan)
+  in
+  let before = ref (0, 0, 0) and after = ref (0, 0, 0) in
+  (* Every message has arrived (latency at most 1.5) and none has been
+     consumed (the first after its arrival plus the service time). *)
+  Netsim.schedule net ~delay:5.0 (fun () ->
+      before := state ();
+      Netsim.crash_restart net 1;
+      after := state ());
+  Netsim.run net;
+  let triple = Alcotest.(triple int int int) in
+  check triple "both mailboxes full before" (k, k, 2 * k) !before;
+  check triple "site 1's mailbox and keys wiped" (0, k, k) !after;
+  List.iter
+    (fun site ->
+      check
+        Alcotest.(list int)
+        (Printf.sprintf "site %d got each message once" site)
+        (List.init k Fun.id)
+        (List.sort compare received.(site)))
+    [ 1; 2 ];
+  check triple "drained" (0, 0, 0) (state ());
+  check Alcotest.int "nothing pending" 0 (Channel.For_testing.unacked chan)
+
 (* Random fault configs over a three-site stream: every site sends to
    every site, itself included, spread over virtual time so partition
    windows and crashes meet traffic.  Whatever the config, each payload
@@ -336,6 +461,12 @@ let suite =
       test_revival_order;
     Alcotest.test_case "adjacent-seed senders desynchronize retries" `Quick
       test_retransmit_jitter_desync;
+    Alcotest.test_case "dedup watermark across epochs" `Quick
+      test_watermark_across_epochs;
+    Alcotest.test_case "credit-blocked links drain FIFO per link" `Quick
+      test_blocked_links_fifo;
+    Alcotest.test_case "restart wipes only its own mailbox" `Quick
+      test_restart_wipes_one_mailbox;
     qprop ~count:150 "acks exactly off the exactly-once links"
       ~print:show_fault_set
       QCheck2.Gen.(pair gen_fault_set (int_bound 10_000))

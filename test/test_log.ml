@@ -397,8 +397,44 @@ let salvage_is_prefix_replay =
       check_prefix ();
       !ok)
 
+(* --- CRC-32 ----------------------------------------------------------------- *)
+
+let test_crc32_check_value () =
+  let b = Bytes.of_string "123456789" in
+  check Alcotest.int32 "standard check value" 0xCBF43926l
+    (Crc32.bytes b ~pos:0 ~len:9);
+  check Alcotest.int32 "empty input" 0l (Crc32.bytes b ~pos:4 ~len:0)
+
+(* Bit at a time, straight from the reflected polynomial, in [Int32]
+   arithmetic: shares neither the table nor the int accumulator. *)
+let crc32_bitwise b ~pos ~len =
+  let c = ref 0xFFFFFFFFl in
+  for i = pos to pos + len - 1 do
+    c := Int32.logxor !c (Int32.of_int (Char.code (Bytes.get b i)));
+    for _ = 0 to 7 do
+      let low = Int32.logand !c 1l in
+      c := Int32.shift_right_logical !c 1;
+      if low <> 0l then c := Int32.logxor !c 0xEDB88320l
+    done
+  done;
+  Int32.lognot !c
+
+let crc32_matches_bitwise =
+  qprop ~count:300 "CRC-32 equals a bitwise reference at any offset"
+    ~print:(fun (s, pos, len) -> Printf.sprintf "%S pos=%d len=%d" s pos len)
+    QCheck2.Gen.(
+      string_size ~gen:char (int_range 0 300) >>= fun s ->
+      let n = String.length s in
+      int_range 0 n >>= fun pos ->
+      int_range 0 (n - pos) >|= fun len -> (s, pos, len))
+    (fun (s, pos, len) ->
+      let b = Bytes.of_string s in
+      Crc32.bytes b ~pos ~len = crc32_bitwise b ~pos ~len)
+
 let suite =
   [
+    Alcotest.test_case "CRC-32 check value" `Quick test_crc32_check_value;
+    crc32_matches_bitwise;
     Alcotest.test_case "append/checkpoint/recover roundtrip" `Quick
       test_roundtrip;
     Alcotest.test_case "recover positions the writer" `Quick
