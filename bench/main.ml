@@ -776,6 +776,17 @@ let bench_param () =
 
 (* --- S1: precompilation pays off -------------------------------------------- *)
 
+(* An event's guard due to a workflow, synthesized on the spot: the
+   conjunction of the guards its dependencies give it. *)
+let workflow_guard deps ev =
+  Guard.conj_all
+    (List.filter_map
+       (fun d ->
+         List.find_map
+           (fun (l, g) -> if Literal.equal l ev then Some g else None)
+           (Synth.guards d))
+       deps)
+
 let bench_precompile () =
   section "S1"
     "Precompiled guards vs on-the-fly synthesis vs naive residual re-check";
@@ -796,7 +807,7 @@ let bench_precompile () =
   in
   let t_fly =
     min_ns (fun () ->
-        Knowledge.status know (Synth.workflow_guard deps ev))
+        Knowledge.status know (workflow_guard deps ev))
   in
   let t_naive =
     min_ns (fun () ->
@@ -887,7 +898,7 @@ let bench_fastpath () =
               (Printf.sprintf "b%d" i))
       in
       let ev = lit "c_a0" in
-      let t_fast = min_ns (fun () -> Synth.workflow_guard deps ev) in
+      let t_fast = min_ns (fun () -> workflow_guard deps ev) in
       let t_mono = min_ns (fun () -> Synth.guard (Expr.conj_all deps) ev) in
       Printf.printf "%-4d %16s %16s %8.1fx\n" k (pp_ns t_fast) (pp_ns t_mono)
         (t_mono /. t_fast))
@@ -1059,7 +1070,7 @@ let bench_core ~smoke =
         let d = mk n in
         let config = Printf.sprintf "%s-%d" fam n in
         core_bench ~budget ~rows ~bench:"guard-synthesis" ~config (fun () ->
-            ignore (Synth.all_guards [ d ]));
+            ignore (Synth.guards d));
         build_bench ~budget ~rows ~config d)
       widths
   in
@@ -1076,7 +1087,7 @@ let bench_core ~smoke =
       let deps = overlap_deps k in
       core_bench ~budget ~rows ~bench:"guard-synthesis"
         ~config:(Printf.sprintf "overlap-%d" k) (fun () ->
-          ignore (Synth.all_guards deps)))
+          ignore (List.map Synth.guards deps)))
     overlaps;
   dep_benches fanin_dep "fanin" fanins;
   List.iter

@@ -40,23 +40,9 @@ let is_accepting t s = t.accepting.(s)
 let is_dead t s = t.dead.(s)
 let can_complete t s = t.completable.(s)
 
-(* Flags + backward completability fixpoint, shared by both builds. *)
-let finish ~small ~alpha_syms states alphabet edge_tbl =
+(* Backward completability fixpoint, shared by both builds. *)
+let finish states alphabet edge_tbl ~accepting ~dead =
   let n = Array.length states in
-  let accepting =
-    Array.map
-      (fun nf_ ->
-        Nf.is_top nf_
-        || (small && Equiv.is_top ~alphabet:alpha_syms (Nf.to_expr nf_)))
-      states
-  in
-  let dead =
-    Array.map
-      (fun nf_ ->
-        Nf.is_zero nf_
-        || (small && Equiv.is_zero ~alphabet:alpha_syms (Nf.to_expr nf_)))
-      states
-  in
   (* Backward reachability from accepting states. *)
   let completable = Array.copy accepting in
   let changed = ref true in
@@ -136,81 +122,106 @@ let build_naive d =
       | Some i -> edge_tbl.(s).(i) <- s'
       | None -> assert false)
     !edges;
-  finish ~small ~alpha_syms states alphabet edge_tbl
+  let accepting =
+    Array.map
+      (fun nf_ ->
+        Nf.is_top nf_
+        || (small && Equiv.is_top ~alphabet:alpha_syms (Nf.to_expr nf_)))
+      states
+  in
+  let dead =
+    Array.map
+      (fun nf_ ->
+        Nf.is_zero nf_
+        || (small && Equiv.is_zero ~alphabet:alpha_syms (Nf.to_expr nf_)))
+      states
+  in
+  finish states alphabet edge_tbl ~accepting ~dead
+
+(* The denotation signature of an expression over a small alphabet: bit
+   [i] says whether the [i]-th trace of the universe satisfies it.  Two
+   expressions are equivalent over the alphabet exactly when their
+   signatures are equal, so one table probe replaces a comparison with
+   every earlier state.  Each trace is indexed once per build. *)
+let signer alpha_syms =
+  let universe =
+    Array.of_list (List.map Semantics.index (Universe.traces alpha_syms))
+  in
+  let n = Array.length universe in
+  fun e ->
+    let b = Bytes.make ((n + 7) / 8) '\000' in
+    Array.iteri
+      (fun i ix ->
+        if Semantics.holds ix e then
+          Bytes.set b (i lsr 3)
+            (Char.chr (Char.code (Bytes.get b (i lsr 3)) lor (1 lsl (i land 7)))))
+      universe;
+    Bytes.unsafe_to_string b
 
 (* Fast build: states dedup through a table keyed on the interned
    canonical form, frontier as a FIFO queue, edge rows written directly.
    Produces the same automaton (states, numbering, edges, flags) as
    {!build_naive}: the queue visits states in discovery order exactly
    like the naive frontier append, and because states are pairwise
-   non-equivalent, a structural hit in the table is necessarily the
-   unique — hence first — match the naive linear scan would find.  On a
-   structural miss with a small alphabet we still scan once for a
-   semantic match, then record the interned id as an alias so every
-   later structural equal is O(1). *)
+   non-equivalent, a hit in either table is necessarily the unique —
+   hence first — match the naive linear scan would find.  On a
+   structural miss with a small alphabet the state's denotation
+   signature is probed, and the interned id recorded as an alias so
+   every later structural equal is O(1).  The flags read the
+   signatures too: accepting is all ones (⊤), dead all zeros (0). *)
 let build_fast ~alpha_syms ~alphabet d =
   let alpha = List.mapi (fun i l -> (i, l, Intern.literal l)) alphabet in
   let d0 = Nf.of_expr d in
-  let small = small_alphabet alpha_syms in
-  let k = List.length alphabet in
-  (* Dynamic arrays of state normal forms and their interned ids; ids
-     ride along so residuation probes its memo without re-walking the
-     state's structure. *)
-  let cap = ref 16 in
-  let arr = ref (Array.make !cap d0) in
-  let ids = ref (Array.make !cap 0) in
-  let n = ref 0 in
-  let push nf_ id =
-    if !n = !cap then begin
-      let bigger = Array.make (2 * !cap) d0 in
-      Array.blit !arr 0 bigger 0 !n;
-      let bigger_ids = Array.make (2 * !cap) 0 in
-      Array.blit !ids 0 bigger_ids 0 !n;
-      arr := bigger;
-      ids := bigger_ids;
-      cap := 2 * !cap
-    end;
-    !arr.(!n) <- nf_;
-    !ids.(!n) <- id;
-    incr n
+  let sign =
+    if small_alphabet alpha_syms then Some (signer alpha_syms) else None
   in
+  let top, zero =
+    match sign with
+    | Some sign -> (sign Expr.Top, sign Expr.Zero)
+    | None -> ("", "")
+  in
+  let k = List.length alphabet in
+  let n = ref 0 in
+  (* Each state's normal form and flags, newest first. *)
+  let rev_states = ref [] in
   let by_id : (Intern.id, state) Hashtbl.t = Hashtbl.create 64 in
+  let by_sig : (string, state) Hashtbl.t = Hashtbl.create 64 in
+  (* The frontier holds each state's normal form with its interned id,
+     so residuation probes its memo without re-walking the state's
+     structure. *)
   let queue = Queue.create () in
-  let add_state nf_ id =
+  let add_state nf_ id accepting dead =
     let s = !n in
-    push nf_ id;
+    incr n;
+    rev_states := (nf_, accepting, dead) :: !rev_states;
     Hashtbl.replace by_id id s;
-    Queue.add s queue;
+    Queue.add (nf_, id) queue;
     s
   in
   let find_or_add nf_ id =
     match Hashtbl.find_opt by_id id with
     | Some s -> s
-    | None ->
-        if small then begin
-          let e' = Nf.to_expr nf_ in
-          let rec scan i =
-            if i >= !n then add_state nf_ id
-            else if Equiv.equal ~alphabet:alpha_syms (Nf.to_expr !arr.(i)) e'
-            then begin
-              (* Alias: this interned form denotes an existing state. *)
-              Hashtbl.replace by_id id i;
-              i
-            end
-            else scan (i + 1)
-          in
-          scan 0
-        end
-        else add_state nf_ id
+    | None -> (
+        match sign with
+        | None -> add_state nf_ id (Nf.is_top nf_) (Nf.is_zero nf_)
+        | Some sign -> (
+            let sg = sign (Nf.to_expr nf_) in
+            match Hashtbl.find_opt by_sig sg with
+            | Some s ->
+                (* Alias: this interned form denotes an existing state. *)
+                Hashtbl.replace by_id id s;
+                s
+            | None ->
+                let s = add_state nf_ id (sg = top) (sg = zero) in
+                Hashtbl.replace by_sig sg s;
+                s))
   in
-  ignore (add_state d0 (Intern.nf d0));
+  ignore (find_or_add d0 (Intern.nf d0));
   let rows_rev = ref [] in
   (* FIFO processing = states handled in id order, so rows accumulate in
      state order. *)
   while not (Queue.is_empty queue) do
-    let s = Queue.pop queue in
-    let nf_s = !arr.(s) in
-    let s_id = !ids.(s) in
+    let nf_s, s_id = Queue.pop queue in
     let row = Array.make k 0 in
     List.iter
       (fun (i, l, l_id) ->
@@ -219,9 +230,13 @@ let build_fast ~alpha_syms ~alphabet d =
       alpha;
     rows_rev := row :: !rows_rev
   done;
-  let states = Array.sub !arr 0 !n in
-  let edge_tbl = Array.of_list (List.rev !rows_rev) in
-  finish ~small ~alpha_syms states alphabet edge_tbl
+  let states = Array.of_list (List.rev !rev_states) in
+  finish
+    (Array.map (fun (nf_, _, _) -> nf_) states)
+    alphabet
+    (Array.of_list (List.rev !rows_rev))
+    ~accepting:(Array.map (fun (_, a, _) -> a) states)
+    ~dead:(Array.map (fun (_, _, d) -> d) states)
 
 (* The automaton of a renamed dependency, from the original's: under an
    order-preserving renaming the sorted alphabet, the breadth-first

@@ -20,9 +20,14 @@ val build : Expr.t -> t
 (** Breadth-first residuation closure from the dependency, merging
     semantically equal states (exact over the dependency's alphabet).
     When {!Intern.enabled}, states dedup through a hash table keyed on
-    the interned canonical form with a FIFO frontier; the result —
-    states, numbering, edges, flags — is identical to
-    {!For_testing.build_naive}.
+    the interned canonical form with a FIFO frontier.  Over a
+    {!small_alphabet}, a state's identity is its denotation signature:
+    which traces of the alphabet's universe, enumerated once per build,
+    satisfy it.  States dedup through a second table keyed on it,
+    accepting states are those every trace satisfies and dead ones
+    those none does.  The result — states, numbering, edges, flags —
+    is identical to {!For_testing.build_naive}, which compares states
+    with {!Equiv}.
     Also when enabled, results are memoized keyed structurally on the
     dependency, so a repeated build returns the same value.  Behind that
     exact memo sits one keyed on the dependency's {!Shape}: a
@@ -33,8 +38,9 @@ val build : Expr.t -> t
 
 val small_alphabet : Symbol.Set.t -> bool
 (** Whether a dependency over these symbols gets semantic state
-    identity (equivalence over the trace universe); larger alphabets
-    identify states by their syntactic canonical form. *)
+    identity (equivalence over the trace universe: at most 4 symbols,
+    633 traces); larger alphabets identify states by their syntactic
+    canonical form. *)
 
 val num_states : t -> int
 val alphabet : t -> Literal.t list

@@ -10,28 +10,34 @@ type t = {
   table : event_plan Literal.Map.t;
 }
 
-let make_plan deps literal =
-  let guard = Synth.workflow_guard deps literal in
-  let watched =
-    Symbol.Set.remove (Literal.symbol literal) (Guard.symbols guard)
-  in
-  { literal; guard; watched }
-
+(* An event's guard is the conjunction of the guards its dependencies
+   give it, in dependency order; the fold collects them reversed. *)
 let compile_uncached deps =
-  let lits =
+  let rev_guards =
     List.fold_left
-      (fun acc d -> Literal.Set.union acc (Expr.literals d))
-      Literal.Set.empty deps
+      (fun acc d ->
+        List.fold_left
+          (fun acc (l, g) ->
+            Literal.Map.update l
+              (fun gs -> Some (g :: Option.value gs ~default:[]))
+              acc)
+          acc (Synth.guards d))
+      Literal.Map.empty deps
   in
   let table =
-    Literal.Set.fold
-      (fun l acc -> Literal.Map.add l (make_plan deps l) acc)
-      lits Literal.Map.empty
+    Literal.Map.mapi
+      (fun literal gs ->
+        let guard = Guard.conj_all (List.rev gs) in
+        let watched =
+          Symbol.Set.remove (Literal.symbol literal) (Guard.symbols guard)
+        in
+        { literal; guard; watched })
+      rev_guards
   in
   let alphabet =
-    Literal.Set.fold
-      (fun l acc -> Symbol.Set.add (Literal.symbol l) acc)
-      lits Symbol.Set.empty
+    Literal.Map.fold
+      (fun l _ acc -> Symbol.Set.add (Literal.symbol l) acc)
+      table Symbol.Set.empty
   in
   { deps; alphabet; table }
 

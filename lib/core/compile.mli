@@ -20,7 +20,10 @@ type event_plan = {
 type t
 
 val compile : Expr.t list -> t
-(** When {!Intern.enabled}, memoized keyed structurally on the
+(** Each dependency's guards come from one {!Synth.guards} call, so
+    renamed copies of a dependency are synthesized once; an event's
+    guard conjoins its dependencies' guards in dependency order.
+    When {!Intern.enabled}, memoized keyed structurally on the
     dependency list: a repeated call returns the same value until
     {!Intern.clear_memos}.  With interning disabled every call compiles
     afresh. *)

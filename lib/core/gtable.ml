@@ -50,7 +50,11 @@ type t = {
   next : int array; (* next.(s * width + input) = successor state *)
   enabled : Bytes.t; (* residual is ⊤ *)
   violated : Bytes.t; (* residual is 0 *)
-  guards : Guard.t array; (* residual guard per state, for fallback *)
+  guard : Guard.t; (* the compiled guard, state 0's residual, for fallback *)
+  num_states : int;
+  residuals : Guard.t array Lazy.t;
+      (* residual guard per state; only the tests read past state 0, so
+         a renamed table renames them when first read *)
   state_bits : int; (* bits of a state number in a status-memo key *)
   status_memo : Knowledge.status Int_tbl.t option;
       (* (status code, state) -> Knowledge.status of the compiled guard;
@@ -74,7 +78,7 @@ let occ_code = function Literal.Pos -> 0 | Literal.Neg -> 1
 let prom_code = function Literal.Pos -> 2 | Literal.Neg -> 3
 
 let initial _ = 0
-let num_states t = Array.length t.guards
+let num_states t = t.num_states
 let verdict t s =
   if bit_get t.enabled s then Enabled
   else if bit_get t.violated s then Violated
@@ -244,7 +248,9 @@ let compile_over ~max_states syms g0 =
           next;
           enabled;
           violated;
-          guards;
+          guard = g0;
+          num_states = n;
+          residuals = Lazy.from_val guards;
           state_bits;
           status_memo;
           pursuit_memo = None;
@@ -270,17 +276,20 @@ let active () = !enabled_flag && Intern.enabled ()
 (* The table of a renamed guard, from the original's: under an
    order-preserving renaming the sorted alphabet, the breadth-first
    numbering and every residual's canonical form carry over position by
-   position, so only the symbolic parts are renamed.  The transition and
-   verdict arrays are immutable and shared; the status and pursuit
-   memos, filled by symbolic evaluation, start empty (pursuits name
-   symbols, so they never carry over). *)
-let rename t syms =
+   position, so only the symbolic parts are renamed: the root is [g]
+   itself, the guard being looked up, and the other residuals are
+   renamed when first read.  The transition and verdict arrays are
+   immutable and shared; the status and pursuit memos, filled by
+   symbolic evaluation, start empty (pursuits name symbols, so they
+   never carry over). *)
+let rename t syms g =
   let f = Shape.between t.syms syms in
   {
     t with
     syms;
     sym_index = index_symbols syms;
-    guards = Array.map (Guard.rename f) t.guards;
+    guard = g;
+    residuals = lazy (Array.map (Guard.rename f) (Lazy.force t.residuals));
     status_memo = Option.map (fun _ -> new_memo ()) t.status_memo;
     pursuit_memo = None;
   }
@@ -327,7 +336,7 @@ let compile_shape g =
   | Some (Some t) ->
       incr renamed_guards;
       renamed_states := !renamed_states + num_states t;
-      Some (rename t syms)
+      Some (rename t syms g)
   | Some None ->
       incr fallbacks;
       None
@@ -563,16 +572,16 @@ let memo_status t s code ~reserved know =
       | Some st ->
           if !auditing then begin
             incr audit_hits;
-            if Knowledge.status ~reserved (know ()) t.guards.(0) <> st then
+            if Knowledge.status ~reserved (know ()) t.guard <> st then
               incr audit_mismatches
           end;
           st
       | None ->
-          let st = Knowledge.status ~reserved (know ()) t.guards.(0) in
+          let st = Knowledge.status ~reserved (know ()) t.guard in
           incr memo_misses;
           Int_tbl.add m key st;
           st)
-  | _ -> symbolic_status ~reserved (know ()) t.guards.(0)
+  | _ -> symbolic_status ~reserved (know ()) t.guard
 
 let view_status t v =
   match verdict t v.v_state with
@@ -595,7 +604,7 @@ let status_after ~occurred t v lits =
   in
   let rebuild () = List.fold_left record v.v_know lits in
   let reserved = v.v_reserved in
-  if not (memo_live t) then symbolic_status ~reserved (rebuild ()) t.guards.(0)
+  if not (memo_live t) then symbolic_status ~reserved (rebuild ()) t.guard
   else
     match lits with
     | [ (l : Literal.t) ] -> (
@@ -689,7 +698,7 @@ let pursuit_memo t =
       let terms =
         Array.of_list
           (List.sort_uniq (List.compare Literal.compare)
-             (List.concat_map (fun p -> p.Guard.pending) t.guards.(0)))
+             (List.concat_map (fun p -> p.Guard.pending) t.guard))
       in
       let fits =
         (code_bits * Array.length t.syms) + (2 * Array.length terms) <= 62
@@ -707,7 +716,7 @@ let pending_code know tau =
   | Knowledge.False -> 2
 
 let pursuit t v =
-  let reserved = v.v_reserved and know = v.v_know and g = t.guards.(0) in
+  let reserved = v.v_reserved and know = v.v_know and g = t.guard in
   match if active () then pursuit_memo t else None with
   | Some { terms; pursuits = Some m } -> (
       let key =
@@ -763,7 +772,7 @@ let stats () =
   ]
 
 module For_testing = struct
-  let guard_of t s = t.guards.(s)
+  let guard_of t s = (Lazy.force t.residuals).(s)
   let compile = compile
   let step_promised = step_promised
   let view_equal = view_equal
@@ -774,7 +783,7 @@ module For_testing = struct
   let fingerprint t =
     let open Fingerprint in
     let h = init in
-    let h = int h (Array.length t.guards) in
+    let h = int h t.num_states in
     let h =
       Array.fold_left (fun h sym -> string h (Symbol.name sym)) h t.syms
     in

@@ -45,11 +45,12 @@ val lookup : Guard.t -> t option
     instances sharing a guard pay compilation once.  A guard missing
     from that memo is looked up by its {!Shape}: when an
     order-preserving renaming carries it onto an earlier guard, the
-    earlier table is renamed (alphabet, residual guards, a fresh status
-    memo; the transition and verdict arrays are shared), equal to a
-    fresh [compile] with no residuation.  Always [None] while tables
-    are {!set_enabled} off or {!Intern.enabled} is off.  Both memos
-    are dropped by {!Intern.clear_memos}. *)
+    earlier table is renamed (alphabet, a fresh status memo, the
+    looked-up guard as its root and the other residual guards renamed
+    when first read; the transition and verdict arrays are shared),
+    equal to a fresh [compile] with no residuation.  Always [None]
+    while tables are {!set_enabled} off or {!Intern.enabled} is off.
+    Both memos are dropped by {!Intern.clear_memos}. *)
 
 val set_enabled : bool -> unit
 (** Global switch (default on).  Off: [lookup] answers [None]

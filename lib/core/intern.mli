@@ -11,7 +11,7 @@
 
     Ids are process-wide and live for the whole run: the memo tables of
     {!Residue} and {!Synth} key on them, which is what lets every event
-    of a run (and every literal of {!Synth.all_guards}) share residual
+    of a run (and every literal of {!Synth.guards}) share residual
     work instead of rebuilding a per-call memo.
 
     The tables only ever grow.  {!clear_memos} empties the registered

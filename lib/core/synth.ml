@@ -40,7 +40,7 @@ let guard_nf_naive d e = guard_memo (ref Memo.empty) d e
    One process-wide table keyed on interned ids.  [G(D,e)] recursion
    revisits the same [(residual, event)] pairs both within one guard
    (diamonds in the residual graph) and across the guards of a workflow
-   ([all_guards] residuates the same dependency for every literal), so a
+   ([guards] residuates the same dependency for every literal), so a
    memo that outlives the call replaces recomputation with a hash probe. *)
 
 let guard_tbl : Guard.t Intern.Pair_tbl.t = Intern.Pair_tbl.create 4096
@@ -129,35 +129,53 @@ let guard_nf d e =
   if Intern.enabled () then guard_shared d e else guard_nf_naive d e
 
 let guard d e = guard_nf (Nf.of_expr d) e
-let mentions d e =
-  Literal.Set.mem e (Expr.literals d)
 
-let workflow_guard deps e =
-  Guard.conj_all
-    (List.filter_map
-       (fun d -> if mentions d e then Some (guard d e) else None)
-       deps)
+(* --- per-dependency synthesis ---------------------------------------------
+   The guards of all a dependency's literals come from one normal form
+   and one literal set.  Behind that, one synthesis per shape (see
+   {!Shape}): guard synthesis compares symbols only through
+   [Symbol.compare], so the guards of a dependency that an
+   order-preserving renaming carries onto an earlier one are the
+   earlier guards renamed.  [Guard.rename] renames in place; a renaming
+   that renormalized could merge products a fresh synthesis keeps. *)
 
-let all_guards deps =
-  (* Normal forms and literal sets are per-dependency, not per-(dep,
-     literal): hoisting them out of the inner loop saves recomputing
-     the (exponential-width) shuffle normal form once per event. *)
-  let nfs = List.map (fun d -> (Expr.literals d, Nf.of_expr d)) deps in
-  let lits =
-    List.fold_left
-      (fun acc (ls, _) -> Literal.Set.union acc ls)
-      Literal.Set.empty nfs
+let shapes : (Symbol.t array * Guard.t list) Expr.Tbl.t = Expr.Tbl.create 64
+let synthesized = ref 0
+let renamed = ref 0
+
+let () =
+  Intern.register_clearer (fun () ->
+      Expr.Tbl.reset shapes;
+      synthesized := 0;
+      renamed := 0)
+
+let synthesize d lits =
+  let nf_ = Nf.of_expr d in
+  if Intern.enabled () then
+    let d_id = Intern.nf nf_ in
+    List.map (fun l -> guard_shared_ids nf_ d_id l (Intern.literal l)) lits
+  else List.map (guard_nf_naive nf_) lits
+
+let guards d =
+  let lits = Literal.Set.elements (Expr.literals d) in
+  let gs =
+    if not (Intern.enabled ()) then synthesize d lits
+    else
+      let syms = Array.of_list (Symbol.Set.elements (Expr.symbols d)) in
+      let key = Expr.rename (Shape.canonical syms) d in
+      match Expr.Tbl.find_opt shapes key with
+      | Some (from, gs) ->
+          incr renamed;
+          List.map (Guard.rename (Shape.between from syms)) gs
+      | None ->
+          let gs = synthesize d lits in
+          incr synthesized;
+          Expr.Tbl.add shapes key (syms, gs);
+          gs
   in
-  List.map
-    (fun l ->
-      ( l,
-        Guard.conj_all
-          (List.filter_map
-             (fun (ls, nf) ->
-               if Literal.Set.mem l ls then Some (guard_nf nf l) else None)
-             nfs) ))
-    (Literal.Set.elements lits)
+  List.combine lits gs
 
 module For_testing = struct
   let guard_naive d e = guard_nf_naive (Nf.of_expr d) e
+  let stats () = [ ("synthesized", !synthesized); ("renamed", !renamed) ]
 end

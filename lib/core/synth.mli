@@ -17,14 +17,18 @@ val guard : Expr.t -> Literal.t -> Guard.t
 (** [guard d e] is [G(d, e)].  When {!Intern.enabled}, memoized in a
     process-wide table keyed on interned [(residual, event)] ids, so
     shared subresiduals are computed once across all guards of a run
-    (in particular across the literals of {!all_guards}). *)
+    (in particular across the literals of {!guards}). *)
 
-val workflow_guard : Expr.t list -> Literal.t -> Guard.t
-(** Guard on [e] due to a workflow: the conjunction of the guards from
-    the dependencies that mention [e] (Section 4.2); [⊤] if none do. *)
-
-val all_guards : Expr.t list -> (Literal.t * Guard.t) list
-(** Guards for every literal mentioned by the workflow. *)
+val guards : Expr.t -> (Literal.t * Guard.t) list
+(** [G(d, e)] for every literal [e] of [d], in literal order, from one
+    normal form of [d].  When {!Intern.enabled}, memoized by the
+    dependency's {!Shape}: a dependency that an order-preserving
+    renaming carries onto an earlier one gets the earlier guards renamed
+    ([Guard.rename]), equal to a fresh synthesis.  The memo is emptied by
+    {!Intern.clear_memos}; with interning disabled every call
+    synthesizes afresh through the naive kernel.  An event's guard due
+    to a workflow is the conjunction of the guards its dependencies give
+    it, in dependency order ({!Compile}). *)
 
 (** {2 Test hooks} *)
 
@@ -32,4 +36,9 @@ module For_testing : sig
   val guard_naive : Expr.t -> Literal.t -> Guard.t
   (** Memo-per-call reference implementation on top of memo-free
       residuation — the differential-testing oracle. *)
+
+  val stats : unit -> (string * int) list
+  (** [synthesized]: dependencies whose guards {!guards} synthesized
+      since the last {!Intern.clear_memos}; [renamed]: dependencies that
+      got the guards of an earlier dependency of the same shape. *)
 end

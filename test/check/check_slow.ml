@@ -100,6 +100,7 @@ let () =
       | exception e -> fail "%s: %s" name (Printexc.to_string e))
     [
       ("renamed automata = fresh builds", 2_000, Equivariance.automata);
+      ("renamed dependency guards = fresh syntheses", 5_000, Equivariance.synthesis);
       ("renamed guard tables = fresh compiles", 20_000, Equivariance.tables);
     ];
 

@@ -1,11 +1,11 @@
-(* Renaming equivariance of the shape memos (Automaton.build and
-   Gtable.lookup): after a first build, a renamed input must get exactly
-   what a fresh build gives.  A case is one to three
+(* Renaming equivariance of the shape memos (Automaton.build,
+   Synth.guards and Gtable.lookup): after a first build, a renamed input
+   must get exactly what a fresh build gives.  A case is one to three
    [Helpers.gen_expr_over] dependencies over e < f < g < h < i and one
    of their literals.  Each case clears the memos, builds the first
-   dependency's automaton and the table of the literal's workflow
-   guard, then renames the case twice onto five generated symbols, with
-   and without arguments:
+   dependency's automaton or guards, or the table of the literal's
+   workflow guard, then renames the case twice onto five generated
+   symbols, with and without arguments:
 
    - order-preserving (onto the targets in sorted order): the shape
      memo hits unless the renamed input is the original itself;
@@ -125,6 +125,52 @@ let automata c =
   then fail "order-reversing renaming hit the shape memo";
   true
 
+let synth_stat name = List.assoc name (Synth.For_testing.stats ())
+
+let agrees_with_synthesis what d =
+  let got = Synth.guards d in
+  if
+    not
+      (List.equal Literal.equal (List.map fst got)
+         (Literal.Set.elements (Expr.literals d)))
+  then fail "%s: the guards of %a are not one per literal" what Expr.pp d;
+  List.iter
+    (fun (l, g) ->
+      if
+        not
+          (Guard.equal g (Synth.guard d l)
+          && Guard.equal g (Synth.For_testing.guard_naive d l))
+      then
+        fail "%s: G(%a, %a) differs from a fresh synthesis" what Expr.pp d
+          Literal.pp l)
+    got
+
+(* Synth.guards has no exact memo, so every order-preserving renaming,
+   the original included, is a shape hit. *)
+let synthesis c =
+  let d = List.hd c.deps in
+  Intern.clear_memos ();
+  if synth_stat "synthesized" <> 0 || synth_stat "renamed" <> 0 then
+    fail "clear_memos left synthesis counters set";
+  ignore (Synth.guards d);
+  if synth_stat "synthesized" <> 1 || synth_stat "renamed" <> 0 then
+    fail "the first synthesis after clear_memos was not synthesized";
+  agrees_with_synthesis "order-preserving renaming"
+    (Expr.rename (renaming ~reverse:false c) d);
+  if synth_stat "renamed" <> 1 then
+    fail "order-preserving renaming: %d shape hits, expected 1"
+      (synth_stat "renamed");
+  agrees_with_synthesis "order-reversing renaming"
+    (Expr.rename (renaming ~reverse:true c) d);
+  if
+    Symbol.Set.cardinal (Expr.symbols d) >= 2
+    && (synth_stat "synthesized" <> 2 || synth_stat "renamed" <> 1)
+  then fail "order-reversing renaming hit the shape memo";
+  true
+
+(* The guard on [lit] of the workflow [deps]. *)
+let workflow_guard deps lit = (Compile.plan (Compile.compile deps) lit).guard
+
 let table_stat name = List.assoc name (Gtable.stats ())
 
 let agrees_with_compile what g =
@@ -148,12 +194,12 @@ let tables c =
   Intern.clear_memos ();
   if table_stat "renamed_guards" <> 0 || table_stat "compiled_states" <> 0 then
     fail "clear_memos left table counters set";
-  let g = Synth.workflow_guard c.deps c.lit in
+  let g = workflow_guard c.deps c.lit in
   ignore (Gtable.lookup g);
   if table_stat "renamed_guards" <> 0 then
     fail "the first lookup after clear_memos was renamed";
   let synth rho =
-    Synth.workflow_guard (List.map (Expr.rename rho) c.deps) (Literal.rename rho c.lit)
+    workflow_guard (List.map (Expr.rename rho) c.deps) (Literal.rename rho c.lit)
   in
   let g' = synth (renaming ~reverse:false c) in
   agrees_with_compile "order-preserving renaming" g';

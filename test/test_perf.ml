@@ -59,29 +59,80 @@ let guard_agrees =
     QCheck2.Gen.(pair gen_expr gen_literal)
     (fun (d, l) -> Guard.equal (Synth.guard d l) (Synth.For_testing.guard_naive d l))
 
-let all_guards_agree =
-  qprop ~count:100 "all_guards under one shared memo = per-literal naive"
+let compiled_guards_agree =
+  qprop ~count:100 "compiled guards = per-literal naive conjunction"
     gen_expr_pair
     (fun (d1, d2) ->
       let deps = [ d1; d2 ] in
       List.for_all
-        (fun (l, g) ->
-          Guard.equal g
+        (fun (p : Compile.event_plan) ->
+          Guard.equal p.guard
             (Guard.conj_all
                (List.filter_map
                   (fun d ->
-                    if Literal.Set.mem l (Expr.literals d) then
-                      Some (Synth.For_testing.guard_naive d l)
+                    if Literal.Set.mem p.literal (Expr.literals d) then
+                      Some (Synth.For_testing.guard_naive d p.literal)
                     else None)
                   deps)))
-        (Synth.all_guards deps))
+        (Compile.plans (Compile.compile deps)))
+
+(* Compilation through the memos (per-dependency synthesis behind the
+   shape memo) must give what the naive kernels give: every literal's
+   guard and watch set, on every spec and on five renamed copies of the
+   travel workflow, where four copies of each dependency are shape
+   hits. *)
+let test_compile_memo_off () =
+  let same (p : Compile.event_plan) (q : Compile.event_plan) =
+    Literal.equal p.literal q.literal
+    && Guard.equal p.guard q.guard
+    && Symbol.Set.equal p.watched q.watched
+  in
+  let copy i =
+    Expr.rename (fun sym -> Symbol.make (Symbol.name sym ^ string_of_int i))
+  in
+  let travel5 =
+    List.concat_map
+      (fun i -> List.map (fun (_, d) -> copy i d) (Catalog.travel_workflow ()))
+      (List.init 5 Fun.id)
+  in
+  let cases =
+    ("travel x5", travel5)
+    :: List.map
+         (fun path ->
+           ( Filename.basename path,
+             Wf_tasks.Workflow_def.dependencies
+               (Wf_lang.Elaborate.load_file path).Wf_lang.Elaborate.def ))
+         (Test_conformance.spec_files ())
+  in
+  List.iter
+    (fun (name, deps) ->
+      Intern.clear_memos ();
+      let on = Compile.compile deps in
+      let off =
+        Intern.set_enabled false;
+        Fun.protect
+          ~finally:(fun () -> Intern.set_enabled true)
+          (fun () -> Compile.compile deps)
+      in
+      checkb (name ^ ": same alphabet")
+        (Symbol.Set.equal (Compile.alphabet on) (Compile.alphabet off));
+      checkb (name ^ ": same guards and watch sets")
+        (List.equal same (Compile.plans on) (Compile.plans off)))
+    cases;
+  checkb "the travel copies hit the synthesis shape memo"
+    (Intern.clear_memos ();
+     ignore (Compile.compile travel5);
+     Synth.For_testing.stats () = [ ("synthesized", 3); ("renamed", 12) ])
 
 (* --- automaton construction ---------------------------------------------- *)
 
 let same_automaton = Equivariance.same_automaton
 
+(* Half the cases draw from four symbols, the widest alphabet whose
+   states are identified by signature over the 633-trace universe. *)
 let automaton_agrees =
-  qprop "fast automaton build = naive build (states, edges, flags)" gen_expr
+  qprop "fast automaton build = naive build (states, edges, flags)"
+    QCheck2.Gen.(oneof [ gen_expr; gen_expr_over [ "e"; "f"; "g"; "h" ] ])
     (fun d -> same_automaton (Automaton.build d) (Automaton.For_testing.build_naive d))
 
 let automaton_disabled_is_naive =
@@ -101,6 +152,11 @@ let automata_equivariant =
   qprop ~count:100 ~print:Equivariance.print
     "renamed automata = fresh builds (shape memo)" Equivariance.gen
     Equivariance.automata
+
+let synthesis_equivariant =
+  qprop ~count:200 ~print:Equivariance.print
+    "renamed dependency guards = fresh syntheses (shape memo)" Equivariance.gen
+    Equivariance.synthesis
 
 let tables_equivariant =
   qprop ~count:1000 ~print:Equivariance.print
@@ -126,7 +182,9 @@ let test_rename_keeps_residuals () =
     }
   in
   let tbl =
-    match Gtable.For_testing.compile (Synth.workflow_guard case.deps case.lit) with
+    match
+      Gtable.For_testing.compile (Equivariance.workflow_guard case.deps case.lit)
+    with
     | Some t -> t
     | None -> Alcotest.fail "the guard should compile"
   in
@@ -137,6 +195,28 @@ let test_rename_keeps_residuals () =
          not (Guard.equal (Guard.map_symbols Fun.id r) r))
        (List.init (Gtable.num_states tbl) Fun.id));
   checkb "renamed tables equal fresh compiles" (Equivariance.tables case)
+
+(* A dependency one of whose guards renormalization rewrites: a shape
+   hit must rename that guard exactly as a fresh synthesis builds it,
+   which a renaming through Guard.map_symbols would not. *)
+let test_rename_keeps_guards () =
+  let d =
+    Expr.seq (Expr.choice ne g)
+      (Expr.choice_all [ Expr.seq (Expr.complement "i") ne; g; f ])
+  in
+  let case =
+    {
+      Equivariance.deps = [ d ];
+      lit = lit "~i";
+      targets =
+        List.sort Symbol.compare (List.filteri (fun i _ -> i >= 3) Equivariance.pool);
+    }
+  in
+  checkb "some guard is not a fixpoint of renormalization"
+    (List.exists
+       (fun (_, gd) -> not (Guard.equal (Guard.map_symbols Fun.id gd) gd))
+       (Synth.guards d));
+  checkb "renamed guards equal fresh syntheses" (Equivariance.synthesis case)
 
 (* --- compile-once memos ---------------------------------------------------- *)
 
@@ -360,13 +440,18 @@ let suite =
     residue_agrees;
     residue_disabled_agrees;
     guard_agrees;
-    all_guards_agree;
+    compiled_guards_agree;
+    Alcotest.test_case "compile with memos = compile without, on every spec"
+      `Quick test_compile_memo_off;
     automaton_agrees;
     automaton_disabled_is_naive;
     automata_equivariant;
+    synthesis_equivariant;
     tables_equivariant;
     Alcotest.test_case "renamed tables keep unrenormalized residuals" `Quick
       test_rename_keeps_residuals;
+    Alcotest.test_case "renamed guards keep unrenormalized guards" `Quick
+      test_rename_keeps_guards;
     Alcotest.test_case "compile-once memo contract" `Quick test_memo_contract;
     Alcotest.test_case "run plan memo keyed on spec data" `Quick test_plan_memo;
     assimilation_agrees;

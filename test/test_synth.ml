@@ -49,8 +49,8 @@ let test_example11 () =
   checkb "G(D→ᵀ,e) = T"
     (Guard.is_true (Synth.guard d_arrow_transpose (lit "e")));
   let w = [ Catalog.d_arrow; d_arrow_transpose ] in
-  let ge = Synth.workflow_guard w (lit "e") in
-  let gf = Synth.workflow_guard w (lit "f") in
+  let guard l = (Compile.plan (Compile.compile w) (lit l)).guard in
+  let ge = guard "e" and gf = guard "f" in
   check Alcotest.string "workflow guard on e" "<>f"
     (Formula.to_string (Guard.to_formula ge));
   check Alcotest.string "workflow guard on f" "<>e"
@@ -72,9 +72,10 @@ let test_sequence_closed_form () =
          Formula.eventually (Formula.event "g") ])
 
 let test_unmentioned_event_guard () =
-  (* workflow_guard is T for events no dependency mentions. *)
+  (* A workflow's guard is T for events no dependency mentions. *)
   checkb "unmentioned is T"
-    (Guard.is_true (Synth.workflow_guard [ Catalog.d_lt ] (lit "zz")))
+    (Guard.is_true
+       (Compile.plan (Compile.compile [ Catalog.d_lt ]) (lit "zz")).guard)
 
 (* --- Section 4.4 results -------------------------------------------------- *)
 

@@ -48,4 +48,4 @@ let check_lemma5 d lit =
   let alphabet = joint_alphabet_with [ d ] lit in
   Guard.For_testing.equivalent ~alphabet (Synth.guard d lit) (Paths.For_testing.guard_via_paths d lit)
 
-let fast_guard deps lit = Synth.workflow_guard deps lit
+let fast_guard deps lit = (Compile.plan (Compile.compile deps) lit).guard

@@ -25,4 +25,4 @@ val fast_guard : Expr.t list -> Literal.t -> Guard.t
 (** Synthesis exploiting Theorem 4: the guard of the conjunction of an
     alphabet-disjoint dependency family is computed dependency-wise
     instead of on the (exponentially larger) conjunction. Falls back to
-    {!Synth.workflow_guard} semantics in all cases. *)
+    {!Compile.plan} semantics in all cases. *)
