@@ -29,7 +29,6 @@ val rename : (Symbol.t -> Symbol.t) -> t -> t
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val hash : t -> int
 val pp : Format.formatter -> t -> unit
 (** Prints [e] or [~e]. *)
 

@@ -1,5 +1,6 @@
 module Metrics = Wf_obs.Metrics
 module Trace = Wf_obs.Trace
+module Int_table = Wf_core.Int_table
 
 type site = Wf_sim.Netsim.site
 
@@ -11,24 +12,56 @@ type 'a wire =
 
 (* A message id is unique only within one (origin, epoch): mid counters
    are volatile and restart from 0 after a crash, so the dedup and ack
-   key must be the full triple. *)
-type key = site * int * int (* origin, epoch, mid *)
+   key must be the full triple.  The tables keyed by it hold one
+   [Int_table] per origin and epoch, keyed by mid and made on first
+   use: an operation reads two arrays and probes one int, and builds no
+   triple.  The tables by link and site are arrays. *)
+module By_key = struct
+  type 'v t = 'v Int_table.t array array (* by origin, then epoch *)
 
-(* The dedup and outbox tables hash their int triples directly instead
-   of through the polymorphic hash; the tables by link, site and
-   (origin, epoch) are arrays. *)
-let mix h x =
-  let h = (h lxor x) * 0x100000001b3 in
-  h lxor (h lsr 29)
+  let create sites : 'v t = Array.make sites [||]
 
-module Key_tbl = Hashtbl.Make (struct
-  type t = key
+  let find_table (t : 'v t) origin epoch =
+    let by_epoch = t.(origin) in
+    if epoch < Array.length by_epoch then by_epoch.(epoch) else raise Not_found
 
-  let equal ((o, e, m) : t) ((o', e', m') : t) =
-    Int.equal m m' && Int.equal e e' && Int.equal o o'
+  (* The table, made (and the origin's array grown) on demand. *)
+  let table (t : 'v t) origin epoch =
+    let by_epoch = t.(origin) in
+    let len = Array.length by_epoch in
+    if epoch < len then by_epoch.(epoch)
+    else begin
+      let grown =
+        Array.init
+          (max (epoch + 1) (2 * len))
+          (fun e -> if e < len then by_epoch.(e) else Int_table.create ())
+      in
+      t.(origin) <- grown;
+      grown.(epoch)
+    end
 
-  let hash ((o, e, m) : t) = mix (mix (mix 0 o) e) m land max_int
-end)
+  let find t origin epoch mid = Int_table.find (find_table t origin epoch) mid
+
+  let mem t origin epoch mid =
+    match find_table t origin epoch with
+    | tbl -> Int_table.mem tbl mid
+    | exception Not_found -> false
+
+  let replace t origin epoch mid v = Int_table.replace (table t origin epoch) mid v
+
+  let remove t origin epoch mid =
+    match find_table t origin epoch with
+    | tbl -> Int_table.remove tbl mid
+    | exception Not_found -> ()
+
+  let fold f (t : 'v t) acc =
+    Array.fold_left
+      (fun acc by_epoch ->
+        Array.fold_left (fun acc tbl -> Int_table.fold f tbl acc) acc by_epoch)
+      acc t
+
+  let length t = fold (fun _ _ n -> n + 1) t 0
+end
 
 type 'a pending = {
   p_src : site;
@@ -67,9 +100,19 @@ type 'a t = {
          suppress a duplicate or queue in a mailbox *)
 }
 
+(* A message waiting in a receiver's mailbox. *)
+and 'a queued = {
+  q_src : site; (* the wire source *)
+  q_origin : site;
+  q_epoch : int;
+  q_mid : int;
+  q_payload : 'a;
+  q_enqueued : float;
+}
+
 and 'a lossy = {
-  pending : 'a pending Key_tbl.t; (* durable sender outbox *)
-  seen : unit Key_tbl.t; (* receiver dedup above the watermark *)
+  pending : 'a pending By_key.t; (* durable sender outbox *)
+  seen : unit By_key.t; (* receiver dedup above the watermark *)
   seen_floor : int array array;
       (* Cumulative dedup watermark by origin, then epoch (-1 where no
          mid is covered; an origin's array grows with its epochs):
@@ -77,14 +120,12 @@ and 'a lossy = {
          [seen] entry can be pruned — mids are assigned densely, so a
          long fault-free run keeps O(reorder window) entries instead of
          O(messages). *)
-  dead : 'a pending Key_tbl.t; (* gave up; revived on peer Hello *)
-  blocked : (key * float) Queue.t array;
+  dead : 'a pending By_key.t; (* gave up; revived on peer Hello *)
+  blocked : ('a pending * float) Queue.t array;
       (* by link: sends awaiting credit, FIFO, with block time *)
   stall_on : bool array; (* by link: a stall checker is scheduled *)
-  mbox : (site * key * 'a * float) Queue.t array;
-      (* by receiving site, the inbound mailbox: (wire src, key,
-         payload, enqueued) *)
-  mbox_keys : unit Key_tbl.t; (* queued-not-yet-consumed dedup *)
+  mbox : 'a queued Queue.t array; (* by receiving site, the inbound mailbox *)
+  mbox_keys : unit By_key.t; (* queued-not-yet-consumed dedup *)
   m_retransmits : Metrics.counter;
   m_duplicates : Metrics.counter; (* chan_duplicates_suppressed *)
   m_gave_up : Metrics.counter;
@@ -136,28 +177,23 @@ let floors_upto t origin epoch =
     grown
   end
 
-let is_seen t ((origin, epoch, mid) : key) =
-  mid <= floor t origin epoch || Key_tbl.mem (lossy t).seen (origin, epoch, mid)
+let is_seen t ~origin ~epoch mid =
+  mid <= floor t origin epoch || By_key.mem (lossy t).seen origin epoch mid
 
 (* Mark delivered and advance the watermark over any now-contiguous
    prefix, pruning the entries it covers.  The [seen] table is shared
    by every site of the simulation and each delivery lands here, so
    the per-(origin, epoch) mid sequence observed across all receivers
    is dense and the floor keeps up with the send counter. *)
-let mark_seen t ((origin, epoch, mid) as key : key) =
+let mark_seen t ~origin ~epoch mid =
   let floors = floors_upto t origin epoch in
   if mid > floors.(epoch) then begin
-    let seen = (lossy t).seen in
-    Key_tbl.replace seen key ();
-    let rec advance () =
-      let next : key = (origin, epoch, floors.(epoch) + 1) in
-      if Key_tbl.mem seen next then begin
-        Key_tbl.remove seen next;
-        floors.(epoch) <- floors.(epoch) + 1;
-        advance ()
-      end
-    in
-    advance ()
+    let seen = By_key.table (lossy t).seen origin epoch in
+    Int_table.replace seen mid ();
+    while Int_table.mem seen (floors.(epoch) + 1) do
+      Int_table.remove seen (floors.(epoch) + 1);
+      floors.(epoch) <- floors.(epoch) + 1
+    done
   end
 
 (* Exponential backoff with deterministic jitter: the base delay is
@@ -170,7 +206,8 @@ let rto_after t tries =
   let u = Wf_sim.Rng.float t.rng 1.0 in
   base *. (1.0 +. (retransmit_jitter *. ((2.0 *. u) -. 1.0)))
 
-let key_of p : key = (p.p_src, p.p_epoch, p.p_mid)
+(* The outbox entry of [p]'s key. *)
+let pending_of t p = By_key.find (lossy t).pending p.p_src p.p_epoch p.p_mid
 
 let wire_of p =
   Data
@@ -182,15 +219,15 @@ let wire_of p =
       payload = p.p_payload;
     }
 
-let rec retransmit t key () =
-  match Key_tbl.find_opt (lossy t).pending key with
-  | None -> Wf_sim.Netsim.idle t.net (* acked meanwhile *)
-  | Some p ->
+let rec retransmit t sent () =
+  match pending_of t sent with
+  | exception Not_found -> Wf_sim.Netsim.idle t.net (* acked meanwhile *)
+  | p ->
       if p.p_tries >= max_retries then begin
-        Key_tbl.remove (lossy t).pending key;
+        By_key.remove (lossy t).pending p.p_src p.p_epoch p.p_mid;
         (* Keep the message: if the silent destination turns out to have
            crashed, its restart Hello revives the transfer. *)
-        Key_tbl.replace (lossy t).dead key p;
+        By_key.replace (lossy t).dead p.p_src p.p_epoch p.p_mid p;
         Metrics.bump (lossy t).m_gave_up;
         match Wf_sim.Netsim.tracer t.net with
         | None -> ()
@@ -215,7 +252,7 @@ let rec retransmit t key () =
                  (Trace.Retransmit { dst = p.p_dst; tries = p.p_tries })));
         Wf_sim.Netsim.send t.net ~src:p.p_src ~dst:p.p_dst (wire_of p);
         Wf_sim.Netsim.schedule t.net ~delay:(rto_after t p.p_tries)
-          (retransmit t key)
+          (retransmit t p)
       end
 
 (* First transmission of a pending entry (possibly after waiting in the
@@ -223,7 +260,7 @@ let rec retransmit t key () =
 let transmit t p =
   p.p_sent <- true;
   Wf_sim.Netsim.send t.net ~src:p.p_src ~dst:p.p_dst (wire_of p);
-  Wf_sim.Netsim.schedule t.net ~delay:(rto_after t 0) (retransmit t (key_of p))
+  Wf_sim.Netsim.schedule t.net ~delay:(rto_after t 0) (retransmit t p)
 
 let blocked_queue t ~src ~dst = (lossy t).blocked.(link t ~src ~dst)
 
@@ -234,11 +271,11 @@ let drain_blocked t flow ~src ~dst =
   let continue = ref true in
   while !continue && not (Queue.is_empty q) do
     if Flow.try_acquire flow ~src ~dst then begin
-      let key, _since = Queue.pop q in
+      let blocked, _since = Queue.pop q in
       Flow.note_unblocked flow ~src;
-      match Key_tbl.find_opt (lossy t).pending key with
-      | Some p when not p.p_sent -> transmit t p
-      | _ -> () (* shed from the outbox meanwhile; skip *)
+      match pending_of t blocked with
+      | p when not p.p_sent -> transmit t p
+      | _ | (exception Not_found) -> () (* shed from the outbox meanwhile; skip *)
     end
     else continue := false
   done
@@ -254,12 +291,12 @@ let rec stall_check t flow ~src ~dst () =
   end
   else begin
     (match Queue.peek_opt q with
-    | Some (key, since) when Flow.stalled flow ~src ~dst ~since ->
+    | Some (blocked, since) when Flow.stalled flow ~src ~dst ~since ->
         let _ = Queue.pop q in
         Flow.note_unblocked flow ~src;
-        (match Key_tbl.find_opt (lossy t).pending key with
-        | Some p when not p.p_sent -> transmit t p
-        | _ -> ())
+        (match pending_of t blocked with
+        | p when not p.p_sent -> transmit t p
+        | _ | (exception Not_found) -> ())
     | _ -> ());
     if Queue.is_empty q then (lossy t).stall_on.(link t ~src ~dst) <- false
     else
@@ -304,7 +341,7 @@ let send ?(priority = false) t ~src ~dst payload =
         p_sent = false;
       }
     in
-    Key_tbl.replace (lossy t).pending (key_of p) p;
+    By_key.replace (lossy t).pending src epoch mid p;
     match t.flow with
     | Some flow when (not priority) && src <> dst ->
         (* Credit gate: transmit only inside the receiver's window;
@@ -315,7 +352,7 @@ let send ?(priority = false) t ~src ~dst payload =
         if Queue.is_empty q && Flow.try_acquire flow ~src ~dst then
           transmit t p
         else begin
-          Queue.push (key_of p, now t) q;
+          Queue.push (p, now t) q;
           Flow.note_blocked flow ~src;
           ensure_stall_check t flow ~src ~dst
         end
@@ -330,24 +367,24 @@ let send ?(priority = false) t ~src ~dst payload =
    table's hash order. *)
 let revive_dead_to t ~observer ~origin =
   let mine =
-    Key_tbl.fold
-      (fun key p acc ->
-        if p.p_dst = origin && p.p_src = observer then (key, p) :: acc else acc)
+    By_key.fold
+      (fun _ p acc ->
+        if p.p_dst = origin && p.p_src = observer then p :: acc else acc)
       (lossy t).dead []
   in
-  let send_order (_, a) (_, b) =
+  let send_order a b =
     match Int.compare a.p_epoch b.p_epoch with
     | 0 -> Int.compare a.p_mid b.p_mid
     | c -> c
   in
   List.iter
-    (fun (key, p) ->
-      Key_tbl.remove (lossy t).dead key;
+    (fun p ->
+      By_key.remove (lossy t).dead p.p_src p.p_epoch p.p_mid;
       p.p_tries <- 0;
-      Key_tbl.replace (lossy t).pending key p;
+      By_key.replace (lossy t).pending p.p_src p.p_epoch p.p_mid p;
       Metrics.bump (lossy t).m_revived;
       Wf_sim.Netsim.send t.net ~src:p.p_src ~dst:p.p_dst (wire_of p);
-      Wf_sim.Netsim.schedule t.net ~delay:(rto_after t 0) (retransmit t key))
+      Wf_sim.Netsim.schedule t.net ~delay:(rto_after t 0) (retransmit t p))
     (List.sort send_order mine)
 
 (* Re-announce a full credit window from [receiver] to [peer] after an
@@ -430,14 +467,14 @@ let create ~rto ?flow net =
           (let stats = Wf_sim.Netsim.stats net in
            let c = Metrics.counter stats in
            {
-             pending = Key_tbl.create 16;
-             seen = Key_tbl.create 16;
+             pending = By_key.create n;
+             seen = By_key.create n;
              seen_floor = Array.make n [||];
-             dead = Key_tbl.create 16;
+             dead = By_key.create n;
              blocked = Array.init (n * n) (fun _ -> Queue.create ());
              stall_on = Array.make (n * n) false;
              mbox = Array.init n (fun _ -> Queue.create ());
-             mbox_keys = Key_tbl.create 16;
+             mbox_keys = By_key.create n;
              m_retransmits = c k_retransmits;
              m_duplicates = c k_duplicates;
              m_gave_up = c k_gave_up;
@@ -466,7 +503,9 @@ let create ~rto ?flow net =
       | None -> ()
       | Some fl ->
           let q = (lossy t).mbox.(site) in
-          Queue.iter (fun (_, key, _, _) -> Key_tbl.remove (lossy t).mbox_keys key) q;
+          Queue.iter
+            (fun m -> By_key.remove (lossy t).mbox_keys m.q_origin m.q_epoch m.q_mid)
+            q;
           Queue.clear q;
           t.draining.(site) <- false;
           Flow.on_restart fl ~site;
@@ -485,11 +524,11 @@ let mailbox t site = (lossy t).mbox.(site)
 (* Hand one message to the application: this — not wire arrival — is
    the consumption point under flow control, so the ack and the dedup
    mark happen here and a crash wipes only unacked mailbox entries. *)
-let consume t site src ((origin, d_epoch, d_mid) as key : key) payload =
-  mark_seen t key;
+let consume t site src ~origin ~epoch mid payload =
+  mark_seen t ~origin ~epoch mid;
   Metrics.bump t.m_acks;
   Wf_sim.Netsim.send ~control:true t.net ~src:site ~dst:origin
-    (Ack { mid = d_mid; epoch = d_epoch });
+    (Ack { mid; epoch });
   match t.handlers.(site) with
   | None -> ()
   | Some handler -> handler src payload
@@ -523,10 +562,11 @@ let rec drain_mailbox t flow site () =
             if grant > 0 then grant_credit t ~site ~origin grant
           end
         done
-    | Some (src, ((origin, _, _) as key), payload, enqueued) ->
-        Key_tbl.remove (lossy t).mbox_keys key;
-        Metrics.record (lossy t).m_queue_wait (now t -. enqueued);
-        consume t site src key payload;
+    | Some m ->
+        let origin = m.q_origin in
+        By_key.remove (lossy t).mbox_keys origin m.q_epoch m.q_mid;
+        Metrics.record (lossy t).m_queue_wait (now t -. m.q_enqueued);
+        consume t site m.q_src ~origin ~epoch:m.q_epoch m.q_mid m.q_payload;
         (* Batch credit grants on consumption. *)
         (if origin <> site then
            let grant = Flow.mailbox_consumed flow ~dst:site ~origin in
@@ -542,7 +582,6 @@ let on_receive t site handler =
       | Data { payload; origin; _ } when is_direct t ~src:origin ~dst:site ->
           handler src payload
       | Data { mid; epoch; origin; prio; payload } -> (
-          let key : key = (origin, epoch, mid) in
           if origin <> site then note_peer_epoch t ~observer:site ~origin epoch;
           match t.flow with
           | Some flow when (not prio) && not (src = site && origin = site) ->
@@ -550,20 +589,29 @@ let on_receive t site handler =
                  so a crash cannot lose acked-but-unprocessed messages.
                  A full mailbox refuses the message unacknowledged and
                  the sender's retransmission redelivers it later. *)
-              if is_seen t key then begin
+              if is_seen t ~origin ~epoch mid then begin
                 Metrics.bump (lossy t).m_duplicates;
                 (* Consumed earlier; the ack must have been lost. *)
                 Metrics.bump t.m_acks;
                 Wf_sim.Netsim.send ~control:true t.net ~src:site ~dst:origin
                   (Ack { mid; epoch })
               end
-              else if Key_tbl.mem (lossy t).mbox_keys key then
+              else if By_key.mem (lossy t).mbox_keys origin epoch mid then
                 (* Queued but not yet consumed: suppress the duplicate
                    without acking — the consumption ack settles it. *)
                 Metrics.bump (lossy t).m_duplicates
               else if Flow.mailbox_enqueue flow ~dst:site then begin
-                Key_tbl.replace (lossy t).mbox_keys key ();
-                Queue.push (src, key, payload, now t) (mailbox t site);
+                By_key.replace (lossy t).mbox_keys origin epoch mid ();
+                Queue.push
+                  {
+                    q_src = src;
+                    q_origin = origin;
+                    q_epoch = epoch;
+                    q_mid = mid;
+                    q_payload = payload;
+                    q_enqueued = now t;
+                  }
+                  (mailbox t site);
                 if not t.draining.(site) then begin
                   t.draining.(site) <- true;
                   Wf_sim.Netsim.schedule t.net
@@ -581,21 +629,20 @@ let on_receive t site handler =
               Metrics.bump t.m_acks;
               Wf_sim.Netsim.send ~control:true t.net ~src:site ~dst:origin
                 (Ack { mid; epoch });
-              if is_seen t key then
+              if is_seen t ~origin ~epoch mid then
                 Metrics.bump (lossy t).m_duplicates
               else begin
-                mark_seen t key;
+                mark_seen t ~origin ~epoch mid;
                 handler src payload
               end)
       | Ack { mid; epoch } -> (
-          let key : key = (site, epoch, mid) in
-          match Key_tbl.find_opt (lossy t).pending key with
-          | None ->
+          match By_key.find (lossy t).pending site epoch mid with
+          | exception Not_found ->
               (* Duplicate ack — or a message that gave up and was then
                  consumed after all (slow mailbox): settle it. *)
-              Key_tbl.remove (lossy t).dead key
-          | Some p ->
-              Key_tbl.remove (lossy t).pending key;
+              By_key.remove (lossy t).dead site epoch mid
+          | p ->
+              By_key.remove (lossy t).pending site epoch mid;
               Metrics.record t.m_ack_latency (now t -. p.p_first_sent);
               (match Wf_sim.Netsim.tracer t.net with
               | None -> ()
@@ -618,9 +665,9 @@ let on_receive t site handler =
               drain_blocked t fl ~src:site ~dst:src))
 
 module For_testing = struct
-  let unacked t = Key_tbl.length (lossy t).pending
-  let dead_letters t = Key_tbl.length (lossy t).dead
-  let dedup_size t = Key_tbl.length (lossy t).seen
+  let unacked t = By_key.length (lossy t).pending
+  let dead_letters t = By_key.length (lossy t).dead
+  let dedup_size t = By_key.length (lossy t).seen
   let mailbox_depth t site = Queue.length (lossy t).mbox.(site)
-  let queued_keys t = Key_tbl.length (lossy t).mbox_keys
+  let queued_keys t = By_key.length (lossy t).mbox_keys
 end

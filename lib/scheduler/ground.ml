@@ -23,7 +23,7 @@ type slot = {
   mutable parked : int; (* [Actor.parked_count actor], kept by [deliver] *)
 }
 
-and task = { agent : Agent.t; closes : (Literal.t * int) array }
+and task = { rank : int; agent : Agent.t; closes : (Literal.t * int) array }
 
 type payload = int * int * Messages.t
 
@@ -68,7 +68,7 @@ let fresh_actor overrides (a : Run_plan.actor) =
     | Some g -> Gtable.cell g
     | None -> cell
   in
-  Actor.create ~sym:a.sym ~site:a.site
+  Actor.create ~sym:a.sym ~site:a.site ~route:a.route
     ~guard_pos:(guard a.pos a.guard_pos)
     ~guard_neg:(guard a.neg a.guard_neg)
     ~attr_pos:a.attr ~attr_neg:Attribute.uncontrollable
@@ -108,15 +108,21 @@ let arrive arrival ~think_time net chan ~site ?depth_site ?label sym attempt =
       admitted_thunk (Wf_sim.Netsim.now net) ())
 
 (* An event of the task: agents name their events by the plan's own
-   symbols, so the slot is found by address. *)
-let event_slot t task sym =
-  match
-    Array.find_opt
-      (fun (_, i) -> i >= 0 && t.slots.(i).sym == sym)
-      task.closes
-  with
-  | Some (_, i) -> Some t.slots.(i)
-  | None -> Option.map (fun i -> t.slots.(i)) (Run_plan.index t.plan sym)
+   symbols, so the slot of a significant event is found by address
+   among the task's [closes]; any other symbol by the plan's index. *)
+let task_slot t task sym =
+  let closes = task.closes in
+  let n = Array.length closes in
+  let q = ref 0 in
+  while
+    !q < n
+    &&
+    let i = snd closes.(!q) in
+    not (i >= 0 && t.slots.(i).sym == sym)
+  do
+    incr q
+  done;
+  if !q < n then t.slots.(snd closes.(!q)) else slot_of t sym
 
 (* The actor's own events fire through its slot; anything else (an
    agent's complements) resolves its symbol first. *)
@@ -124,8 +130,8 @@ let slot_for t slot lit =
   let sym = Literal.symbol lit in
   if Symbol.equal sym slot.sym then slot
   else
-    match Option.bind slot.task (fun task -> event_slot t task sym) with
-    | Some s -> s
+    match slot.task with
+    | Some task -> task_slot t task sym
     | None -> slot_of t sym
 
 (* Only [Actor.apply] and recovery change an actor's parked list, and
@@ -192,9 +198,9 @@ let rec fire t slot lit =
           else
             match slot.task with
             | None -> []
-            | Some { agent; _ } ->
-                let cs = Agent.on_accepted agent slot.sym in
-                kick t agent;
+            | Some task ->
+                let cs = Agent.on_accepted task.agent slot.sym in
+                kick t task;
                 cs)
     in
     (* Announce to every subscriber actor, in symbol order. *)
@@ -211,35 +217,35 @@ and reject t slot lit =
   Wf_obs.Metrics.bump t.rejections_counter;
   match slot.task with
   | None -> ()
-  | Some { agent; _ } ->
-      Agent.on_rejected agent slot.sym;
-      kick t agent
+  | Some task ->
+      Agent.on_rejected task.agent slot.sym;
+      kick t task
 
 (* The agent may want to attempt next: it commits to the event now and
    the attempt arrives after the think time, labeled with the event's
    slot for a chooser. *)
-and kick t agent =
-  match Agent.want agent with
+and kick t task =
+  match Agent.want task.agent with
   | None -> ()
   | Some (sym, attr) ->
-      Agent.begin_attempt agent sym;
-      let slot = slot_of t sym in
+      Agent.begin_attempt task.agent sym;
+      let slot = task_slot t task sym in
       arrive t.arrival ~think_time:t.think_time t.net t.chan ~site:slot.site
         ~label:slot.index sym (fun () ->
-          if attempt t agent slot attr then
+          if attempt t task slot attr then
             Wf_obs.Metrics.bump t.violations_counter)
 
 (* An uncontrollable event is announced, not requested: [true] iff its
    guard said [False]. *)
-and attempt t agent slot (attr : Attribute.t) =
+and attempt t task slot (attr : Attribute.t) =
   Wf_obs.Metrics.bump t.attempts_counter;
   if attr.controllable then begin
     (* Vet the complements the transition entails together with the
        event's own guard: committing must be allowed to preclude
        aborting, etc. *)
     let a =
-      Run_plan.attempt t.plan slot.plan_actor.pos
-        (Agent.would_make_unreachable agent slot.sym)
+      Run_plan.attempt t.plan slot.plan_actor.pos ~task:task.rank
+        (Agent.unreachable_mask task.agent slot.sym)
     in
     let vetted = if slot.vets then Some a.vetted else None in
     deliver ?vetted t slot
@@ -262,12 +268,12 @@ and attempt t agent slot (attr : Attribute.t) =
 and trigger_task t slot =
   match slot.task with
   | None -> false
-  | Some { agent; _ } -> (
-      match Agent.trigger agent slot.sym with
+  | Some task -> (
+      match Agent.trigger task.agent slot.sym with
       | None -> false
       | Some complements ->
           slot.pending_complements <- Some complements;
-          kick t agent;
+          kick t task;
           true)
 
 (* Per-slot context, built once per run.  The closures capture the
@@ -275,7 +281,7 @@ and trigger_task t slot =
    without invalidating the context. *)
 let ctx_for t slot : Actor.ctx =
   {
-    Actor.send = (fun dst msg -> send t ~src:slot ~dst:(slot_of t dst) msg);
+    Actor.send = (fun dst msg -> send t ~src:slot ~dst:t.slots.(dst) msg);
     fire = (fun lit -> fire t (slot_for t slot lit) lit);
     reject = (fun lit -> reject t (slot_for t slot lit) lit);
     trigger_task = (fun lit -> trigger_task t (slot_for t slot lit));
@@ -304,14 +310,18 @@ let k_msgs = Array.map (fun l -> Wf_obs.Metrics.key ("msg_" ^ l)) Messages.label
 let create ?(guard_overrides = []) ~net ~chan ~journal ~arrival ~think_time
     ~max_steps ~on_event (wf : Workflow_def.t) plan =
   let stats = Wf_sim.Netsim.stats net in
+  let plan_tasks = Run_plan.tasks plan in
   let tasks =
-    Array.map2
-      (fun (task : Workflow_def.task) (pt : Run_plan.task) ->
-        {
-          agent = Agent.instantiate pt.agent ~script:task.script;
-          closes = pt.closes;
-        })
-      (Array.of_list wf.tasks) (Run_plan.tasks plan)
+    Array.of_list
+      (List.mapi
+         (fun rank (task : Workflow_def.task) ->
+           let pt = plan_tasks.(rank) in
+           {
+             rank;
+             agent = Agent.instantiate pt.Run_plan.agent ~script:task.script;
+             closes = pt.closes;
+           })
+         wf.tasks)
   in
   (* Each slot's context closes over the run, so the slots start on the
      muted replay context and get their own once the run exists. *)
@@ -467,7 +477,7 @@ let closing ~settle ~complements ~reject_lowest ~negate_lowest =
   reject_loop 256;
   neg_loop 1024
 
-let start t = Array.iter (fun r -> kick t t.tasks.(r).agent) t.task_order
+let start t = Array.iter (fun r -> kick t t.tasks.(r)) t.task_order
 
 let settle t = Wf_sim.Netsim.run ~max_steps:t.max_steps t.net
 

@@ -15,8 +15,9 @@ open Wf_tasks
     A run addresses its actors by plan slot ({!Run_plan.actor}'s
     [index]): one {!slot} per plan symbol holds everything the run keeps
     for it, so delivering, firing, announcing and the closing scans read
-    arrays, and only a symbol named inside a message or returned by an
-    agent is looked up in the plan's index. *)
+    arrays.  An actor names the destination of its message by slot,
+    through its plan actor's [route], and an agent's event is found by
+    address among its task's [closes]. *)
 
 type occurrence = { lit : Literal.t; seqno : int; time : float }
 
@@ -51,6 +52,7 @@ type slot = {
 }
 
 and task = {
+  rank : int;  (** the task's rank in the workflow's task order *)
   agent : Agent.t;
   closes : (Literal.t * int) array;
       (** {!Run_plan.task}'s: the complement of each significant event

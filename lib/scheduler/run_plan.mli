@@ -50,6 +50,11 @@ type actor = {
           whose demand automata read it, or whose task's transitions may
           entail a complement whose guard mentions it.  Never the
           actor's own slot. *)
+  route : Symbol.t -> int;
+      (** the slot of the actor a message from this one to the symbol
+          goes to: its subscribers and the actors it watches are found
+          by a scan of their precomputed hashes, any other symbol by
+          {!index}; [Invalid_argument] names a symbol without an actor *)
 }
 
 type t
@@ -95,9 +100,10 @@ type attempt = {
           attempt vets *)
 }
 
-val attempt : t -> Literal.t -> Literal.t list -> attempt
-(** [attempt t lit lits]: the attempt of [lit] whose transition entails
-    the complements [lits] ({!Agent.would_make_unreachable}).  The
-    entailed conjunction is memoized on the plan keyed by the literal
-    list, and each attempted literal's vetted guard next to it, so a
-    repeated attempt conjoins and interns nothing. *)
+val attempt : t -> Literal.t -> task:int -> int -> attempt
+(** [attempt t lit ~task mask]: the attempt of [lit] whose transition
+    entails the complements of the task's significant events set in
+    [mask] ({!Agent.unreachable_mask}; the bits index the task's
+    [closes]).  The entailed conjunction is memoized per task keyed by
+    the mask, an int, and each attempted literal's vetted guard next to
+    it, so a repeated attempt conjoins, interns and hashes nothing. *)

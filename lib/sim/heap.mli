@@ -18,7 +18,10 @@ val is_empty : 'a t -> bool
 val push : 'a t -> key:float -> seq:int -> 'a -> unit
 
 val min_key : 'a t -> float
-(** Key of the minimum element, without allocating.  Raises
+(** Key of the minimum element: one read of the key array.  The float
+    it returns is boxed for a caller in another module unless the
+    compiler inlines across modules, which it does not under [-opaque]
+    (dune's dev profile): there each call allocates two words.  Raises
     [Invalid_argument] on an empty heap. *)
 
 val take : 'a t -> 'a

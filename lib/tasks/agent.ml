@@ -188,23 +188,24 @@ let want t =
 
 let begin_attempt t sym = t.awaiting <- Some sym
 
-(* The complements of the significant events the transition [before ->
-   after] makes unreachable, other than [event] and those that occurred,
-   in model order. *)
-let complements_made_unreachable t ~before ~after event =
-  if t.spec.parametrize then []
+(* The significant events the transition [before -> after] makes
+   unreachable, other than [event] and those that occurred, as a mask. *)
+let fresh_unreachable t ~before ~after event =
+  if t.spec.parametrize then 0
   else
     let spec = t.spec in
-    let fresh =
-      spec.gone_mask.(after)
-      land lnot (spec.gone_mask.(before) lor t.mask lor (1 lsl event))
-    in
-    if fresh = 0 then []
-    else
-      List.filter_map
-        (fun e ->
-          if fresh land (1 lsl e) <> 0 then Some spec.complements.(e) else None)
-        spec.gone.(after)
+    spec.gone_mask.(after)
+    land lnot (spec.gone_mask.(before) lor t.mask lor (1 lsl event))
+
+(* Their complements, in model order. *)
+let complements_made_unreachable t ~before ~after event =
+  let fresh = fresh_unreachable t ~before ~after event in
+  if fresh = 0 then []
+  else
+    List.filter_map
+      (fun e ->
+        if fresh land (1 lsl e) <> 0 then Some t.spec.complements.(e) else None)
+      t.spec.gone.(after)
 
 let would_make_unreachable t sym =
   match event_of_symbol t sym with
@@ -213,6 +214,14 @@ let would_make_unreachable t sym =
       match next_of t event with
       | -1 -> []
       | next -> complements_made_unreachable t ~before:t.state ~after:next event)
+
+let unreachable_mask t sym =
+  match event_of_symbol t sym with
+  | -1 -> 0
+  | event -> (
+      match next_of t event with
+      | -1 -> 0
+      | next -> fresh_unreachable t ~before:t.state ~after:next event)
 
 let advance t event =
   match next_of t event with

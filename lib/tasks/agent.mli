@@ -98,6 +98,11 @@ val would_make_unreachable : t -> Symbol.t -> Literal.t list
     advancing the task.  The scheduler vets these complements' guards
     together with the event's own guard. *)
 
+val unreachable_mask : t -> Symbol.t -> int
+(** The same complements as a mask, bit [i] for the [i]-th of
+    {!complements} (bits ascend in model order): a function of the task
+    state that keys what a scheduler derives from the list. *)
+
 val on_accepted : t -> Symbol.t -> Literal.t list
 (** The attempted (or triggered) event occurred: advance the task state
     and return the complements of significant events that have just

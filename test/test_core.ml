@@ -118,6 +118,100 @@ let test_universe_maximal () =
   checkb "every maximal trace decides both symbols"
     (List.for_all (Trace.maximal alpha_ef) ms)
 
+(* --- Int_table against Stdlib.Hashtbl ------------------------------------ *)
+
+(* Keys whose probe starts in one of the last two of 16 slots, hence in
+   the last eighth of the slots at every capacity: they pile into one
+   probe chain that wraps past the end of the slots, from homes that
+   differ, so removals shift entries across the wrap and must tell
+   which entries may move. *)
+let chained_keys =
+  let rec go k acc n =
+    if n = 0 then Array.of_list (List.rev acc)
+    else if Int_table.For_testing.home ~capacity:16 k >= 14 then
+      go (k + 1) (k :: acc) (n - 1)
+    else go (k + 1) acc n
+  in
+  go 0 [] 48
+
+let gen_table_ops =
+  QCheck2.Gen.(
+    let key =
+      frequency
+        [ (3, map (fun i -> chained_keys.(i)) (int_bound 47)); (1, int_bound 5000) ]
+    in
+    list_size (int_bound 300)
+      (frequency
+         [
+           (4, map2 (fun k v -> `Replace (k, v)) key (float_bound_inclusive 10.0));
+           (3, map (fun k -> `Remove k) key);
+           (2, map (fun k -> `Find k) key);
+           (1, map (fun k -> `Mem k) key);
+           (1, return `Fold);
+         ]))
+
+(* Every operation answers as [Hashtbl] does, and after each one the
+   length agrees and the capacity stays a power of two at least twice
+   the length.  Float values check that the table boxes nothing it
+   should not (no flat float array). *)
+let table_matches_hashtbl ops =
+  let t = Int_table.create () and m = Hashtbl.create 16 in
+  let bindings () =
+    List.sort compare (Int_table.fold (fun k v acc -> (k, v) :: acc) t [])
+  in
+  List.for_all
+    (fun op ->
+      let agrees =
+        match op with
+        | `Replace (k, v) ->
+            Int_table.replace t k v;
+            Hashtbl.replace m k v;
+            true
+        | `Remove k ->
+            Int_table.remove t k;
+            Hashtbl.remove m k;
+            true
+        | `Find k ->
+            (match Int_table.find t k with
+            | v -> Some v
+            | exception Not_found -> None)
+            = Hashtbl.find_opt m k
+        | `Mem k -> Int_table.mem t k = Hashtbl.mem m k
+        | `Fold ->
+            bindings ()
+            = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) m [])
+      in
+      let cap = Int_table.For_testing.capacity t in
+      agrees
+      && Int_table.length t = Hashtbl.length m
+      && (cap = 0 || (cap land (cap - 1) = 0 && cap >= 2 * Int_table.length t)))
+    ops
+  && bindings () = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) m [])
+
+let test_int_table_edges () =
+  let t = Int_table.create () in
+  check Alcotest.int "no slots before the first replace" 0
+    (Int_table.For_testing.capacity t);
+  checkb "empty find raises"
+    (match Int_table.find t 3 with _ -> false | exception Not_found -> true);
+  Int_table.remove t 3;
+  Alcotest.check_raises "negative keys are refused"
+    (Invalid_argument "Int_table.replace: negative key") (fun () ->
+      Int_table.replace t (-1) "x");
+  Array.iter (fun k -> Int_table.replace t k (string_of_int k)) chained_keys;
+  check Alcotest.int "one chain of 48" 48 (Int_table.length t);
+  Array.iteri
+    (fun i k -> if i mod 2 = 0 then Int_table.remove t k)
+    chained_keys;
+  checkb "every odd key of the chain is still found"
+    (Array.for_all Fun.id
+       (Array.mapi
+          (fun i k -> Int_table.mem t k = (i mod 2 = 1))
+          chained_keys));
+  Int_table.reset t;
+  check Alcotest.int "reset drops the slots" 0 (Int_table.For_testing.capacity t);
+  check Alcotest.int "reset drops the bindings" 0 (Int_table.length t)
+
 let suite =
   [
     Alcotest.test_case "symbol identity" `Quick test_symbol_identity;
@@ -141,4 +235,7 @@ let suite =
       (fun u ->
         List.for_all (fun (v, w) -> Trace.equal u (v @ w)) (Reference.splits u));
     prop_symbol_equal_is_compare;
+    Alcotest.test_case "int table edge cases" `Quick test_int_table_edges;
+    qprop ~count:300 "int table = Hashtbl model across resizes and removals"
+      gen_table_ops table_matches_hashtbl;
   ]

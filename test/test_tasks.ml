@@ -303,7 +303,16 @@ let test_agent_matches_reference () =
                         (same_lits
                            (Agent.would_make_unreachable a (name sym))
                            (R.would_make_unreachable r sym))
-                    then fail path "would_make_unreachable")
+                    then fail path "would_make_unreachable";
+                    let mask = Agent.unreachable_mask a (name sym) in
+                    if
+                      not
+                        (same_lits
+                           (List.filteri
+                              (fun i _ -> mask land (1 lsl i) <> 0)
+                              (Array.to_list (Agent.complements spec)))
+                           (R.would_make_unreachable r sym))
+                    then fail path "unreachable_mask")
                   symbols
               in
               let apply path a r = function
