@@ -56,8 +56,7 @@ let network cfg wf =
   let net =
     Wf_sim.Netsim.create ~seed:cfg.seed ~faults:cfg.faults
       ~num_sites:(Workflow_def.num_sites wf)
-      ~latency:
-        (Wf_sim.Netsim.uniform_latency ~base:cfg.base_latency ~jitter:cfg.jitter)
+      ~latency:{ Wf_sim.Netsim.base = cfg.base_latency; jitter = cfg.jitter }
       ()
   in
   Wf_sim.Netsim.set_tracer net cfg.tracer;

@@ -7,7 +7,7 @@ open Helpers
 
 let make_net ?(num_sites = 2) ?(seed = 42L) ?(faults = Netsim.no_faults) () =
   Netsim.create ~seed ~faults ~num_sites
-    ~latency:(Netsim.uniform_latency ~base:1.0 ~jitter:0.5)
+    ~latency:{ Netsim.base = 1.0; jitter = 0.5 }
     ()
 
 (* Send [n] distinct messages 0..n-1 from site 0 to site 1 and return
@@ -149,7 +149,7 @@ let retransmit_times ~seed =
   let faults = { Netsim.no_faults with drop_rate = 1.0 } in
   let net =
     Netsim.create ~seed ~faults ~num_sites:2
-      ~latency:(Netsim.uniform_latency ~base:1.0 ~jitter:0.0)
+      ~latency:{ Netsim.base = 1.0; jitter = 0.0 }
       ()
   in
   let sink, records = Wf_obs.Trace.collector () in
@@ -189,7 +189,7 @@ let test_revival_order () =
   let n = 8 in
   let net =
     Netsim.create ~seed:3L ~faults:manual_crashes ~num_sites:2
-      ~latency:(Netsim.uniform_latency ~base:1.0 ~jitter:0.0)
+      ~latency:{ Netsim.base = 1.0; jitter = 0.0 }
       ()
   in
   let chan = Channel.create ~rto:1.0 net in

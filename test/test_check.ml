@@ -358,7 +358,7 @@ let test_replay_fingerprint =
 let test_netsim_chooser () =
   let net =
     Netsim.create ~seed:7L ~num_sites:2
-      ~latency:(Netsim.uniform_latency ~base:1.0 ~jitter:0.5)
+      ~latency:{ Netsim.base = 1.0; jitter = 0.5 }
       ()
   in
   let received = ref [] in

@@ -76,6 +76,7 @@ let actor_inputs =
 let actor_under d =
   let esym = sym "e" in
   Actor.create ~sym:esym ~site:0
+    ~route:(fun _ -> -1)
     ~guard_pos:(Gtable.cell (Synth.guard d (pos "e")))
     ~guard_neg:(Gtable.cell (Synth.guard d (neg "e")))
     ~attr_pos:Wf_tasks.Attribute.default

@@ -973,6 +973,7 @@ let test_reservation_waiters_fifo () =
   let esym = Literal.symbol (lit "e") in
   let actor =
     Actor.create ~sym:esym ~site:0
+      ~route:(fun _ -> -1)
       ~guard_pos:(Gtable.cell (Synth.guard e (lit "e")))
       ~guard_neg:(Gtable.cell (Synth.guard e (lit "~e")))
       ~attr_pos:Wf_tasks.Attribute.default

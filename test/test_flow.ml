@@ -16,7 +16,7 @@ let gauge stats name =
 
 let make_net ?(num_sites = 2) ?(seed = 42L) ?(faults = Netsim.no_faults) () =
   Netsim.create ~seed ~faults ~num_sites
-    ~latency:(Netsim.uniform_latency ~base:1.0 ~jitter:0.5)
+    ~latency:{ Netsim.base = 1.0; jitter = 0.5 }
     ()
 
 (* Burst-send [n] distinct messages 0 -> 1 through a flow-controlled

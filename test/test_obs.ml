@@ -271,7 +271,7 @@ let test_netsim_delivery_metrics () =
      without a handler counts as dropped. *)
   let net =
     Wf_sim.Netsim.create ~seed:5L ~num_sites:4
-      ~latency:(Wf_sim.Netsim.uniform_latency ~base:1.0 ~jitter:0.5)
+      ~latency:{ Wf_sim.Netsim.base = 1.0; jitter = 0.5 }
       ()
   in
   List.iter (fun site -> Wf_sim.Netsim.on_receive net site (fun _ _ -> ())) [ 0; 1; 2 ];

@@ -70,7 +70,7 @@ let test_recover_idempotent () =
 
 let raw_net ?(num_sites = 2) ?(seed = 7L) ?(faults = Netsim.no_faults) () =
   Netsim.create ~seed ~faults ~num_sites
-    ~latency:(Netsim.uniform_latency ~base:1.0 ~jitter:0.0)
+    ~latency:{ Netsim.base = 1.0; jitter = 0.0 }
     ()
 
 let test_crash_drops_and_restart () =
@@ -241,6 +241,7 @@ let esym = Literal.symbol (lit "e")
 
 let mk_actor d =
   Actor.create ~sym:esym ~site:0
+    ~route:(fun _ -> -1)
     ~guard_pos:(Gtable.cell (Synth.guard d (lit "e")))
     ~guard_neg:(Gtable.cell (Synth.guard d (lit "~e")))
     ~attr_pos:Wf_tasks.Attribute.default
