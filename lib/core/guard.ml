@@ -387,92 +387,6 @@ let assimilate_product_promise (x : Literal.t) p =
 let assimilate_promise x g =
   normalize_sum (List.filter_map (assimilate_product_promise x) g)
 
-(* Incremental assimilation: each product carries the symbols whose
-   announcements can change it, so an assimilation visits only the
-   watching products and an unwatched announcement is a no-op.  See the
-   interface for the exactness contract. *)
-module Indexed = struct
-  type entry = {
-    prod : product;
-    occ_syms : Symbol.Set.t; (* masks ∪ pending: occurrences touch both *)
-    mask_syms : Symbol.Set.t; (* promises only touch masks *)
-  }
-
-  type t = {
-    entries : entry list;
-    occ_watch : Symbol.Set.t; (* union over entries *)
-    mask_watch : Symbol.Set.t;
-  }
-
-  let entry_of_product p =
-    let mask_syms =
-      Symbol.Map.fold (fun sym _ a -> Symbol.Set.add sym a) p.masks
-        Symbol.Set.empty
-    in
-    let occ_syms =
-      List.fold_left
-        (fun a tau ->
-          List.fold_left
-            (fun a l -> Symbol.Set.add (Literal.symbol l) a)
-            a tau)
-        mask_syms p.pending
-    in
-    { prod = p; occ_syms; mask_syms }
-
-  let of_guard g =
-    let entries = List.map entry_of_product g in
-    {
-      entries;
-      occ_watch =
-        List.fold_left
-          (fun a e -> Symbol.Set.union a e.occ_syms)
-          Symbol.Set.empty entries;
-      mask_watch =
-        List.fold_left
-          (fun a e -> Symbol.Set.union a e.mask_syms)
-          Symbol.Set.empty entries;
-    }
-
-  let to_guard t = List.map (fun e -> e.prod) t.entries
-  let watches_occurred t sym = Symbol.Set.mem sym t.occ_watch
-
-  (* Both updates assimilate the watching products, pass the rest
-     through, and renormalize the sum exactly as the naive path would:
-     the naive per-product step is the identity on non-watching
-     products, so the multiset entering [normalize_sum] is the same. *)
-  let occurred x t =
-    let sym = Literal.symbol x in
-    if not (Symbol.Set.mem sym t.occ_watch) then t
-    else
-      let touched, rest =
-        List.partition (fun e -> Symbol.Set.mem sym e.occ_syms) t.entries
-      in
-      let touched' =
-        List.filter_map (fun e -> assimilate_product_occurred x e.prod) touched
-      in
-      of_guard
-        (normalize_sum (touched' @ List.map (fun e -> e.prod) rest))
-
-  let promised x t =
-    let sym = Literal.symbol x in
-    if not (Symbol.Set.mem sym t.mask_watch) then t
-    else
-      let touched, rest =
-        List.partition (fun e -> Symbol.Set.mem sym e.mask_syms) t.entries
-      in
-      let touched' =
-        List.filter_map (fun e -> assimilate_product_promise x e.prod) touched
-      in
-      of_guard
-        (normalize_sum (touched' @ List.map (fun e -> e.prod) rest))
-
-  module For_testing = struct
-    let to_guard = to_guard
-    let promised = promised
-    let watches_occurred = watches_occurred
-  end
-end
-
 (* --- comparison and printing ------------------------------------------- *)
 
 let compare = List.compare compare_product

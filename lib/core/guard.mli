@@ -87,47 +87,6 @@ val assimilate_occurred : Literal.t -> t -> t
 val assimilate_promise : Literal.t -> t -> t
 (** The event [x] is guaranteed to occur but has not yet ([◇x]). *)
 
-(** Incremental assimilation through a per-product watch index.
-
-    A long-lived guard assimilates a stream of announcements; most
-    announcements touch few of its products.  [Indexed.t] carries each
-    product's mentioned symbols (and, separately, its mask symbols — a
-    promise can only affect masks), so an assimilation visits and
-    re-normalizes only the products watching the announced symbol; an
-    announcement watched by no product returns the value physically
-    unchanged.
-
-    Exactness: on a watched symbol the result equals the naive
-    {!assimilate_occurred}/{!assimilate_promise} structurally (the
-    untouched products pass through the same normalization with the same
-    inputs).  On an unwatched symbol the result is semantically
-    equivalent but may differ structurally, because re-running
-    {!val-sum}'s normalization can merge products the previous pass left
-    apart; callers that compare against the naive path should fall back
-    to {!equivalent} (the differential tests do).
-
-    No scheduler calls it: runtime decisions read a compiled [Gtable] or
-    [Knowledge.status].  It is the symbolic leg of the CORE
-    [guard-assimilation] bench, whose gate was set against it. *)
-module Indexed : sig
-  type guard := t
-
-  type t
-
-  val of_guard : guard -> t
-  val occurred : Literal.t -> t -> t
-
-  (** {2 Test hooks} *)
-
-  module For_testing : sig
-    val to_guard : t -> guard
-    val promised : Literal.t -> t -> t
-
-    val watches_occurred : t -> Symbol.t -> bool
-    (** Whether an occurrence of the symbol can change the guard. *)
-  end
-end
-
 (** {1 Comparison and renaming} *)
 
 val compare : t -> t -> int

@@ -1,12 +1,11 @@
 (* Compiled guard tables (Gtable): unit pins on a chain guard; the
    differential property against the symbolic assimilation engine
    (walking the table step by step must land on exactly the residual
-   guard the naive fold computes, with matching verdicts, and stay
-   semantically equal to the indexed fold); the status memo against
-   Knowledge.status; and the model-checker state-count invariance:
-   switching tables off must not change what wfmc explores, because
-   tables only short-circuit evaluations whose answers they share with
-   the symbolic path. *)
+   guard the naive fold computes, with matching verdicts); the status
+   memo against Knowledge.status; and the model-checker state-count
+   invariance: switching tables off must not change what wfmc explores,
+   because tables only short-circuit evaluations whose answers they
+   share with the symbolic path. *)
 
 open Wf_core
 open Helpers
@@ -102,10 +101,9 @@ let gen_script =
 (* Exact differential: over the table's own alphabet the walk must
    reproduce the naive assimilation fold literally — compile builds
    transitions with the same functions, so any gap is a real bug — and
-   the indexed fold must stay semantically equal (it skips unwatched
-   renormalizations, so only equivalence is promised; see Guard.Indexed). *)
+   its verdict must be the fold's. *)
 let differential =
-  qprop ~count:150 "table walk = naive fold; = indexed fold semantically"
+  qprop ~count:150 "table walk = naive fold, verdicts agree"
     gen_script
     (fun (d, steps) ->
       Literal.Set.for_all
@@ -122,29 +120,22 @@ let differential =
                       (Gtable.For_testing.alphabet tbl))
                   steps
               in
-              let g, ix, s =
+              let g, s =
                 List.fold_left
-                  (fun (g, ix, s) (promise, x) ->
+                  (fun (g, s) (promise, x) ->
                     if promise then
                       ( Guard.assimilate_promise x g,
-                        Guard.Indexed.For_testing.promised x ix,
                         Gtable.For_testing.step_promised tbl s x )
                     else
                       ( Guard.assimilate_occurred x g,
-                        Guard.Indexed.occurred x ix,
                         Gtable.step_occurred tbl s x ))
-                  (g0, Guard.Indexed.of_guard g0, Gtable.initial tbl)
-                  steps
+                  (g0, Gtable.initial tbl) steps
               in
               Guard.equal (Gtable.For_testing.guard_of tbl s) g
               && Gtable.verdict tbl s
                  = (if Guard.is_true g then Gtable.Enabled
                     else if Guard.is_false g then Gtable.Violated
-                    else Gtable.Open)
-              && Guard.For_testing.equivalent
-                   ~alphabet:(Guard.symbols g0)
-                   (Guard.Indexed.For_testing.to_guard ix)
-                   g)
+                    else Gtable.Open))
         (Expr.literals d))
 
 (* --- Status memo ----------------------------------------------------------- *)

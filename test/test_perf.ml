@@ -1,9 +1,7 @@
 (* Differential suites for the performance layer: the interned/memoized
-   kernels must agree with the naive reference implementations that
-   remain the oracle — structurally wherever the optimized path promises
-   structural equality (residuation, guard synthesis, automaton
-   construction), and at worst up to semantic equivalence for the
-   indexed-assimilation fast path (see Guard.Indexed's contract). *)
+   kernels (residuation, guard synthesis, automaton construction, the
+   shape and compile-once memos) must agree structurally with the naive
+   reference implementations that remain the oracle. *)
 
 open Wf_core
 open Helpers
@@ -297,51 +295,6 @@ let test_plan_memo () =
   Intern.clear_memos ();
   checkb "cleared plan is fresh" (plan wf != p)
 
-(* --- indexed assimilation ------------------------------------------------ *)
-
-(* Random announcement streams: occurrences and promises of random
-   literals, applied to a synthesized (hence realistic) guard.  The
-   indexed walk must match the naive fold structurally on watched
-   symbols; unwatched announcements may leave latent merges the naive
-   renormalization would perform, so fall back to semantic equivalence
-   (exactly the contract Guard.Indexed documents). *)
-let gen_news = QCheck2.Gen.(list_size (int_bound 6) (pair bool gen_literal))
-
-let assimilation_agrees =
-  qprop "indexed assimilation = naive assimilation (up to equivalence)"
-    QCheck2.Gen.(triple gen_expr gen_literal gen_news)
-    (fun (d, l, news) ->
-      let g0 = Synth.guard d l in
-      let naive =
-        List.fold_left
-          (fun g (occ, x) ->
-            if occ then Guard.assimilate_occurred x g
-            else Guard.assimilate_promise x g)
-          g0 news
-      in
-      let indexed =
-        List.fold_left
-          (fun ix (occ, x) ->
-            if occ then Guard.Indexed.occurred x ix
-            else Guard.Indexed.For_testing.promised x ix)
-          (Guard.Indexed.of_guard g0)
-          news
-      in
-      let got = Guard.Indexed.For_testing.to_guard indexed in
-      Guard.equal got naive || Guard.For_testing.equivalent ~alphabet:alpha_efg got naive)
-
-let test_unwatched_is_noop () =
-  let g = Synth.guard (Expr.choice (Expr.seq e f) ne) (lit "f") in
-  let ix = Guard.Indexed.of_guard g in
-  let z = lit "z" in
-  checkb "unwatched symbol is not watched"
-    (not (Guard.Indexed.For_testing.watches_occurred ix (Literal.symbol z)));
-  checkb "unwatched occurrence returns the index physically unchanged"
-    (Guard.Indexed.occurred z ix == ix);
-  checkb "unwatched promise returns the index physically unchanged"
-    (Guard.Indexed.For_testing.promised z ix == ix)
-
-
 (* --- Param_sched's instance cache ---------------------------------------- *)
 
 open Wf_scheduler
@@ -454,9 +407,6 @@ let suite =
       test_rename_keeps_guards;
     Alcotest.test_case "compile-once memo contract" `Quick test_memo_contract;
     Alcotest.test_case "run plan memo keyed on spec data" `Quick test_plan_memo;
-    assimilation_agrees;
-    Alcotest.test_case "unwatched announcements are no-ops" `Quick
-      test_unwatched_is_noop;
     Alcotest.test_case "param-burst shape: work pinned, evaluations bounded"
       `Quick test_burst_counts;
   ]
