@@ -536,9 +536,9 @@ let bench_check ~smoke =
 
 let store_codec : (string, string) Wf_store.Log.codec =
   {
-    Wf_store.Log.enc_entry = Fun.id;
+    Wf_store.Log.enc_entry = Buffer.add_string;
     dec_entry = Option.some;
-    enc_ckpt = Fun.id;
+    enc_ckpt = Buffer.add_string;
     dec_ckpt = Option.some;
   }
 

@@ -207,10 +207,12 @@ let plan_of wf =
   | Ok plan -> plan
   | Error msg -> invalid_arg ("Mc: " ^ msg)
 
+(* The explored network is fault-free, so every link is direct and no
+   frame carries an ack ([Channel.Acked] never occurs). *)
 let lane (rt : Ground.t) : Ground.payload Channel.wire -> int = function
   | Channel.Data { payload = src, dst, _; _ } -> (src * Array.length rt.slots) + dst
   | Channel.Hello { origin; _ } -> -1 - origin
-  | Channel.Ack _ | Channel.Credit _ -> min_int
+  | Channel.Acked _ | Channel.Ack _ | Channel.Credit _ -> min_int
 
 (* The transition a choice performs; [None] for control traffic. *)
 let key_of (rt : Ground.t) = function

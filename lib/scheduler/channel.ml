@@ -6,8 +6,9 @@ type site = Wf_sim.Netsim.site
 
 type 'a wire =
   | Data of { mid : int; epoch : int; origin : site; prio : bool; payload : 'a }
-  | Ack of { mid : int; epoch : int }
-  | Hello of { origin : site; epoch : int }
+  | Acked of { ack_mid : int; ack_epoch : int; ack_grant : int; data : 'a wire }
+  | Ack of { mid : int; epoch : int; grant : int }
+  | Hello of { origin : site; epoch : int; window : int }
   | Credit of { grant : int; reset : bool }
 
 (* A message id is unique only within one (origin, epoch): mid counters
@@ -126,11 +127,30 @@ and 'a lossy = {
   stall_on : bool array; (* by link: a stall checker is scheduled *)
   mbox : 'a queued Queue.t array; (* by receiving site, the inbound mailbox *)
   mbox_keys : unit By_key.t; (* queued-not-yet-consumed dedup *)
+  held : held;
   m_retransmits : Metrics.counter;
   m_duplicates : Metrics.counter; (* chan_duplicates_suppressed *)
   m_gave_up : Metrics.counter;
   m_revived : Metrics.counter;
   m_queue_wait : Metrics.histogram_handle; (* flow_queue_wait *)
+  m_data_frames : Metrics.counter; (* frames put on the wire, by kind *)
+  m_ack_frames : Metrics.counter;
+  m_credit_frames : Metrics.counter;
+  m_hello_frames : Metrics.counter;
+  m_piggybacked : Metrics.counter; (* chan_acks_piggybacked *)
+}
+
+(* The ack of the copy a handler is consuming, held across the handler
+   call so that it can ride on the handler's first transmission to the
+   acked origin.  Handlers never nest (a send only enqueues on the
+   network), so one slot serves the whole channel. *)
+and held = {
+  mutable h_on : bool;
+  mutable h_site : site; (* the consuming site, which owes the ack *)
+  mutable h_origin : site;
+  mutable h_mid : int;
+  mutable h_epoch : int;
+  mutable h_grant : int; (* credits returned with the ack *)
 }
 
 (* The counters' keys, numbered once per process. *)
@@ -140,6 +160,11 @@ let k_retransmits = Metrics.key "chan_retransmits"
 let k_duplicates = Metrics.key "chan_duplicates_suppressed"
 let k_gave_up = Metrics.key "chan_gave_up"
 let k_revived = Metrics.key "chan_revived"
+let k_data_frames = Metrics.key "chan_frames_data"
+let k_ack_frames = Metrics.key "chan_frames_ack"
+let k_credit_frames = Metrics.key "chan_frames_credit"
+let k_hello_frames = Metrics.key "chan_frames_hello"
+let k_piggybacked = Metrics.key "chan_acks_piggybacked"
 
 (* Retransmission: the delay after [tries] resends is
    [rto·backoff^tries], capped at [max_rto] and jittered by
@@ -157,6 +182,28 @@ let now t = Wf_sim.Netsim.now t.net
 let lossy t = Lazy.force t.lossy
 
 let link t ~src ~dst = (src * Wf_sim.Netsim.num_sites t.net) + dst
+
+(* Put a protocol frame on the wire, counted by kind.  Data (with or
+   without an ack riding on it) is a transition of the sending actor;
+   the rest is wire bookkeeping, exempt from crash injection. *)
+let put t ~src ~dst frame =
+  let l = lossy t in
+  let control =
+    match frame with
+    | Data _ | Acked _ ->
+        Metrics.bump l.m_data_frames;
+        false
+    | Ack _ ->
+        Metrics.bump l.m_ack_frames;
+        true
+    | Credit _ ->
+        Metrics.bump l.m_credit_frames;
+        true
+    | Hello _ ->
+        Metrics.bump l.m_hello_frames;
+        true
+  in
+  Wf_sim.Netsim.send ~control t.net ~src ~dst frame
 
 (* --- receiver dedup with cumulative watermark ---------------------------- *)
 
@@ -250,17 +297,35 @@ let rec retransmit t sent () =
               (Trace.make ~time:(now t) ~site:p.p_src ~epoch:p.p_epoch
                  ~mid:p.p_mid
                  (Trace.Retransmit { dst = p.p_dst; tries = p.p_tries })));
-        Wf_sim.Netsim.send t.net ~src:p.p_src ~dst:p.p_dst (wire_of p);
+        put t ~src:p.p_src ~dst:p.p_dst (wire_of p);
         Wf_sim.Netsim.schedule t.net ~delay:(rto_after t p.p_tries)
           (retransmit t p)
       end
 
 (* First transmission of a pending entry (possibly after waiting in the
-   credit backlog): put it on the wire and start the retransmit timer. *)
-let transmit t p =
+   credit backlog): put [frame] (the entry's Data, perhaps carrying an
+   ack) on the wire and start the retransmit timer. *)
+let transmit t p frame =
   p.p_sent <- true;
-  Wf_sim.Netsim.send t.net ~src:p.p_src ~dst:p.p_dst (wire_of p);
+  put t ~src:p.p_src ~dst:p.p_dst frame;
   Wf_sim.Netsim.schedule t.net ~delay:(rto_after t 0) (retransmit t p)
+
+(* The frame of a send made and transmitted at once: the held ack rides
+   on it when it goes to the acked origin. *)
+let fresh_frame t p =
+  let h = (lossy t).held in
+  if h.h_on && h.h_site = p.p_src && h.h_origin = p.p_dst then begin
+    h.h_on <- false;
+    Metrics.bump (lossy t).m_piggybacked;
+    Acked
+      {
+        ack_mid = h.h_mid;
+        ack_epoch = h.h_epoch;
+        ack_grant = h.h_grant;
+        data = wire_of p;
+      }
+  end
+  else wire_of p
 
 let blocked_queue t ~src ~dst = (lossy t).blocked.(link t ~src ~dst)
 
@@ -274,11 +339,17 @@ let drain_blocked t flow ~src ~dst =
       let blocked, _since = Queue.pop q in
       Flow.note_unblocked flow ~src;
       match pending_of t blocked with
-      | p when not p.p_sent -> transmit t p
+      | p when not p.p_sent -> transmit t p (wire_of p)
       | _ | (exception Not_found) -> () (* shed from the outbox meanwhile; skip *)
     end
     else continue := false
   done
+
+(* A credit grant from the receiver [src] reached the sender [site]:
+   transmit what the window now allows. *)
+let on_grant t flow ~site ~src ~grant ~reset =
+  Flow.on_grant flow ~src:site ~dst:src ~grant ~reset;
+  drain_blocked t flow ~src:site ~dst:src
 
 (* Blocked-sender override: lost credit grants must not deadlock the
    link, so a sender stalled past the flow layer's timeout forcibly
@@ -295,7 +366,7 @@ let rec stall_check t flow ~src ~dst () =
         let _ = Queue.pop q in
         Flow.note_unblocked flow ~src;
         (match pending_of t blocked with
-        | p when not p.p_sent -> transmit t p
+        | p when not p.p_sent -> transmit t p (wire_of p)
         | _ | (exception Not_found) -> ())
     | _ -> ());
     if Queue.is_empty q then (lossy t).stall_on.(link t ~src ~dst) <- false
@@ -350,13 +421,13 @@ let send ?(priority = false) t ~src ~dst payload =
            already blocked queues behind them. *)
         let q = blocked_queue t ~src ~dst in
         if Queue.is_empty q && Flow.try_acquire flow ~src ~dst then
-          transmit t p
+          transmit t p (fresh_frame t p)
         else begin
           Queue.push (p, now t) q;
           Flow.note_blocked flow ~src;
           ensure_stall_check t flow ~src ~dst
         end
-    | _ -> transmit t p
+    | _ -> transmit t p (fresh_frame t p)
   end
 
 (* [observer] just learned (via Hello, or a Data stamped with a newer
@@ -383,27 +454,34 @@ let revive_dead_to t ~observer ~origin =
       p.p_tries <- 0;
       By_key.replace (lossy t).pending p.p_src p.p_epoch p.p_mid p;
       Metrics.bump (lossy t).m_revived;
-      Wf_sim.Netsim.send t.net ~src:p.p_src ~dst:p.p_dst (wire_of p);
+      put t ~src:p.p_src ~dst:p.p_dst (wire_of p);
       Wf_sim.Netsim.schedule t.net ~delay:(rto_after t 0) (retransmit t p))
     (List.sort send_order mine)
 
-(* Re-announce a full credit window from [receiver] to [peer] after an
-   epoch bump on either side: both ledgers are volatile, so the PR 3
-   recovery handshake only converges if the window is restated.  Reset
-   grants overwrite instead of topping up, so duplicates are safe. *)
+(* Trace one credit grant from [site] to [peer], whichever frame
+   carries it. *)
+let trace_grant t ~site ~peer ~grant ~reset =
+  match Wf_sim.Netsim.tracer t.net with
+  | None -> ()
+  | Some sink ->
+      Trace.emit sink
+        (Trace.make ~time:(now t) ~site (Trace.Credit { peer; grant; reset }))
+
+(* A full credit window from [receiver] to [peer] after an epoch bump
+   on either side: both ledgers are volatile, so the recovery handshake
+   only converges if the window is restated.  Reset grants overwrite
+   instead of topping up, so duplicates are safe. *)
+let reset_grant t flow ~receiver ~peer =
+  let grant = Flow.reset_window flow ~receiver ~peer in
+  trace_grant t ~site:receiver ~peer ~grant ~reset:true;
+  grant
+
 let reannounce_window t ~receiver ~peer =
   match t.flow with
   | None -> ()
   | Some flow ->
-      let grant = Flow.reset_window flow ~receiver ~peer in
-      (match Wf_sim.Netsim.tracer t.net with
-      | None -> ()
-      | Some sink ->
-          Trace.emit sink
-            (Trace.make ~time:(now t) ~site:receiver
-               (Trace.Credit { peer; grant; reset = true })));
-      Wf_sim.Netsim.send ~control:true t.net ~src:receiver ~dst:peer
-        (Credit { grant; reset = true })
+      let grant = reset_grant t flow ~receiver ~peer in
+      put t ~src:receiver ~dst:peer (Credit { grant; reset = true })
 
 let note_peer_epoch t ~observer ~origin epoch =
   if epoch > t.peer_epoch.(observer).(origin) then begin
@@ -475,18 +553,33 @@ let create ~rto ?flow net =
              stall_on = Array.make (n * n) false;
              mbox = Array.init n (fun _ -> Queue.create ());
              mbox_keys = By_key.create n;
+             held =
+               {
+                 h_on = false;
+                 h_site = 0;
+                 h_origin = 0;
+                 h_mid = 0;
+                 h_epoch = 0;
+                 h_grant = 0;
+               };
              m_retransmits = c k_retransmits;
              m_duplicates = c k_duplicates;
              m_gave_up = c k_gave_up;
              m_revived = c k_revived;
              m_queue_wait = Metrics.histogram stats "flow_queue_wait";
+             m_data_frames = c k_data_frames;
+             m_ack_frames = c k_ack_frames;
+             m_credit_frames = c k_credit_frames;
+             m_hello_frames = c k_hello_frames;
+             m_piggybacked = c k_piggybacked;
            });
     }
   in
   (* Epoch handshake, sender side: a restarted site loses its volatile
      mid counter but keeps its durable epoch, which it bumps and
      announces.  Peers react by reviving any transfer they had given up
-     on while the site was down. *)
+     on while the site was down.  Under flow control the Hello also
+     carries the restarted receiver's full window to each peer. *)
   Wf_sim.Netsim.on_restart net (fun site ->
       t.epochs.(site) <- t.epochs.(site) + 1;
       t.mids.(site) <- 0;
@@ -508,41 +601,62 @@ let create ~rto ?flow net =
             q;
           Queue.clear q;
           t.draining.(site) <- false;
-          Flow.on_restart fl ~site;
-          for peer = 0 to n - 1 do
-            if peer <> site then reannounce_window t ~receiver:site ~peer
-          done);
+          Flow.on_restart fl ~site);
       for dst = 0 to n - 1 do
         if dst <> site then
-          Wf_sim.Netsim.send ~control:true t.net ~src:site ~dst
-            (Hello { origin = site; epoch = t.epochs.(site) })
+          let window =
+            match t.flow with
+            | None -> 0
+            | Some fl -> reset_grant t fl ~receiver:site ~peer:dst
+          in
+          put t ~src:site ~dst
+            (Hello { origin = site; epoch = t.epochs.(site); window })
       done);
   t
 
 let mailbox t site = (lossy t).mbox.(site)
 
+(* Acknowledge a duplicate copy of a consumed message, whose ack may
+   have been lost.  It returns no credits: the consumption's ack
+   carried them, and a lost grant is the stall override's to heal. *)
+let reack t ~site ~origin ~epoch mid =
+  Metrics.bump t.m_acks;
+  put t ~src:site ~dst:origin (Ack { mid; epoch; grant = 0 })
+
+(* The held ack, if the handler's sends did not carry it, leaves on its
+   own as soon as the handler returns. *)
+let release_ack t =
+  let h = (lossy t).held in
+  if h.h_on then begin
+    h.h_on <- false;
+    put t ~src:h.h_site ~dst:h.h_origin
+      (Ack { mid = h.h_mid; epoch = h.h_epoch; grant = h.h_grant })
+  end
+
 (* Hand one message to the application: this — not wire arrival — is
    the consumption point under flow control, so the ack and the dedup
-   mark happen here and a crash wipes only unacked mailbox entries. *)
-let consume t site src ~origin ~epoch mid payload =
+   mark happen here and a crash wipes only unacked mailbox entries.
+   The ack, with [grant] credits, is held across the handler call (see
+   [fresh_frame]). *)
+let consume t site src ~origin ~epoch mid ~grant payload =
   mark_seen t ~origin ~epoch mid;
   Metrics.bump t.m_acks;
-  Wf_sim.Netsim.send ~control:true t.net ~src:site ~dst:origin
-    (Ack { mid; epoch });
-  match t.handlers.(site) with
+  let h = (lossy t).held in
+  h.h_on <- true;
+  h.h_site <- site;
+  h.h_origin <- origin;
+  h.h_mid <- mid;
+  h.h_epoch <- epoch;
+  h.h_grant <- grant;
+  (match t.handlers.(site) with
   | None -> ()
-  | Some handler -> handler src payload
+  | Some handler -> handler src payload);
+  release_ack t
 
 (* Return [grant] consumed credits from [site] to the sender [origin]. *)
 let grant_credit t ~site ~origin grant =
-  (match Wf_sim.Netsim.tracer t.net with
-  | None -> ()
-  | Some sink ->
-      Trace.emit sink
-        (Trace.make ~time:(now t) ~site
-           (Trace.Credit { peer = origin; grant; reset = false })));
-  Wf_sim.Netsim.send ~control:true t.net ~src:site ~dst:origin
-    (Credit { grant; reset = false })
+  trace_grant t ~site ~peer:origin ~grant ~reset:false;
+  put t ~src:site ~dst:origin (Credit { grant; reset = false })
 
 let rec drain_mailbox t flow site () =
   if Wf_sim.Netsim.site_crashed t.net site then
@@ -566,103 +680,115 @@ let rec drain_mailbox t flow site () =
         let origin = m.q_origin in
         By_key.remove (lossy t).mbox_keys origin m.q_epoch m.q_mid;
         Metrics.record (lossy t).m_queue_wait (now t -. m.q_enqueued);
-        consume t site m.q_src ~origin ~epoch:m.q_epoch m.q_mid m.q_payload;
-        (* Batch credit grants on consumption. *)
-        (if origin <> site then
-           let grant = Flow.mailbox_consumed flow ~dst:site ~origin in
-           if grant > 0 then grant_credit t ~site ~origin grant);
+        (* Batch credit grants on consumption; the grant rides on the
+           consumption's ack. *)
+        let grant =
+          if origin = site then 0
+          else Flow.mailbox_consumed flow ~dst:site ~origin
+        in
+        if grant > 0 then trace_grant t ~site ~peer:origin ~grant ~reset:false;
+        consume t site m.q_src ~origin ~epoch:m.q_epoch m.q_mid ~grant
+          m.q_payload;
         Wf_sim.Netsim.schedule t.net
           ~delay:(Flow.config flow).Flow.service_time
           (drain_mailbox t flow site)
 
+(* An ack from [src] reached the sender [site], perhaps returning
+   credits. *)
+let on_ack t site ~src ~mid ~epoch ~grant =
+  (match By_key.find (lossy t).pending site epoch mid with
+  | exception Not_found ->
+      (* Duplicate ack — or a message that gave up and was then
+         consumed after all (slow mailbox): settle it. *)
+      By_key.remove (lossy t).dead site epoch mid
+  | p -> (
+      By_key.remove (lossy t).pending site epoch mid;
+      Metrics.record t.m_ack_latency (now t -. p.p_first_sent);
+      match Wf_sim.Netsim.tracer t.net with
+      | None -> ()
+      | Some sink ->
+          Trace.emit sink
+            (Trace.make ~time:(now t) ~site ~epoch ~mid
+               (Trace.Ack { dst = p.p_dst }))));
+  (* The ack itself frees no window slot; only its grant does. *)
+  match t.flow with
+  | Some fl when grant > 0 -> on_grant t fl ~site ~src ~grant ~reset:false
+  | _ -> ()
+
+(* A protocol frame from [src] reached [site]. *)
+let rec on_wire t site handler src = function
+  | Data { mid; epoch; origin; prio; payload } -> (
+      if origin <> site then note_peer_epoch t ~observer:site ~origin epoch;
+      match t.flow with
+      | Some flow when (not prio) && not (src = site && origin = site) ->
+          (* Flow-controlled path: ack at consumption, not arrival, so a
+             crash cannot lose acked-but-unprocessed messages.  A full
+             mailbox refuses the message unacknowledged and the sender's
+             retransmission redelivers it later. *)
+          if is_seen t ~origin ~epoch mid then begin
+            Metrics.bump (lossy t).m_duplicates;
+            (* Consumed earlier; the ack must have been lost. *)
+            reack t ~site ~origin ~epoch mid
+          end
+          else if By_key.mem (lossy t).mbox_keys origin epoch mid then
+            (* Queued but not yet consumed: suppress the duplicate
+               without acking — the consumption ack settles it. *)
+            Metrics.bump (lossy t).m_duplicates
+          else if Flow.mailbox_enqueue flow ~dst:site then begin
+            By_key.replace (lossy t).mbox_keys origin epoch mid ();
+            Queue.push
+              {
+                q_src = src;
+                q_origin = origin;
+                q_epoch = epoch;
+                q_mid = mid;
+                q_payload = payload;
+                q_enqueued = now t;
+              }
+              (mailbox t site);
+            if not t.draining.(site) then begin
+              t.draining.(site) <- true;
+              Wf_sim.Netsim.schedule t.net
+                ~delay:(Flow.config flow).Flow.service_time
+                (drain_mailbox t flow site)
+            end
+          end
+      | _ ->
+          (* Unqueued path (no flow control, or priority lane): ack every
+             copy — the previous ack may itself have been lost.  Deliver
+             to the handler at most once per key — a fresh epoch makes an
+             old mid a distinct message, so a post-restart (mid 0, epoch
+             n+1) is never suppressed by a pre-crash (mid 0, epoch n). *)
+          if is_seen t ~origin ~epoch mid then begin
+            reack t ~site ~origin ~epoch mid;
+            Metrics.bump (lossy t).m_duplicates
+          end
+          else consume t site src ~origin ~epoch mid ~grant:0 payload)
+  | Acked { ack_mid; ack_epoch; ack_grant; data } ->
+      (* The ack was sent first: settle it before the data it rode on. *)
+      on_ack t site ~src ~mid:ack_mid ~epoch:ack_epoch ~grant:ack_grant;
+      on_wire t site handler src data
+  | Ack { mid; epoch; grant } -> on_ack t site ~src ~mid ~epoch ~grant
+  | Hello { origin; epoch; window } ->
+      if origin <> site then begin
+        (* The restarted receiver's window, then the epoch it opens. *)
+        (match t.flow with
+        | None -> ()
+        | Some fl -> on_grant t fl ~site ~src:origin ~grant:window ~reset:true);
+        note_peer_epoch t ~observer:site ~origin epoch
+      end
+  | Credit { grant; reset } -> (
+      match t.flow with
+      | None -> ()
+      | Some fl -> on_grant t fl ~site ~src ~grant ~reset)
+
 let on_receive t site handler =
   t.handlers.(site) <- Some handler;
-  Wf_sim.Netsim.on_receive t.net site (fun src wire ->
-      match wire with
+  Wf_sim.Netsim.on_receive t.net site (fun src frame ->
+      match frame with
       | Data { payload; origin; _ } when is_direct t ~src:origin ~dst:site ->
           handler src payload
-      | Data { mid; epoch; origin; prio; payload } -> (
-          if origin <> site then note_peer_epoch t ~observer:site ~origin epoch;
-          match t.flow with
-          | Some flow when (not prio) && not (src = site && origin = site) ->
-              (* Flow-controlled path: ack at consumption, not arrival,
-                 so a crash cannot lose acked-but-unprocessed messages.
-                 A full mailbox refuses the message unacknowledged and
-                 the sender's retransmission redelivers it later. *)
-              if is_seen t ~origin ~epoch mid then begin
-                Metrics.bump (lossy t).m_duplicates;
-                (* Consumed earlier; the ack must have been lost. *)
-                Metrics.bump t.m_acks;
-                Wf_sim.Netsim.send ~control:true t.net ~src:site ~dst:origin
-                  (Ack { mid; epoch })
-              end
-              else if By_key.mem (lossy t).mbox_keys origin epoch mid then
-                (* Queued but not yet consumed: suppress the duplicate
-                   without acking — the consumption ack settles it. *)
-                Metrics.bump (lossy t).m_duplicates
-              else if Flow.mailbox_enqueue flow ~dst:site then begin
-                By_key.replace (lossy t).mbox_keys origin epoch mid ();
-                Queue.push
-                  {
-                    q_src = src;
-                    q_origin = origin;
-                    q_epoch = epoch;
-                    q_mid = mid;
-                    q_payload = payload;
-                    q_enqueued = now t;
-                  }
-                  (mailbox t site);
-                if not t.draining.(site) then begin
-                  t.draining.(site) <- true;
-                  Wf_sim.Netsim.schedule t.net
-                    ~delay:(Flow.config flow).Flow.service_time
-                    (drain_mailbox t flow site)
-                end
-              end
-          | _ ->
-              (* Unqueued path (no flow control, or priority lane): ack
-                 every copy — the previous ack may itself have been
-                 lost.  Deliver to the handler at most once per key — a
-                 fresh epoch makes an old mid a distinct message, so a
-                 post-restart (mid 0, epoch n+1) is never suppressed by
-                 a pre-crash (mid 0, epoch n). *)
-              Metrics.bump t.m_acks;
-              Wf_sim.Netsim.send ~control:true t.net ~src:site ~dst:origin
-                (Ack { mid; epoch });
-              if is_seen t ~origin ~epoch mid then
-                Metrics.bump (lossy t).m_duplicates
-              else begin
-                mark_seen t ~origin ~epoch mid;
-                handler src payload
-              end)
-      | Ack { mid; epoch } -> (
-          match By_key.find (lossy t).pending site epoch mid with
-          | exception Not_found ->
-              (* Duplicate ack — or a message that gave up and was then
-                 consumed after all (slow mailbox): settle it. *)
-              By_key.remove (lossy t).dead site epoch mid
-          | p ->
-              By_key.remove (lossy t).pending site epoch mid;
-              Metrics.record t.m_ack_latency (now t -. p.p_first_sent);
-              (match Wf_sim.Netsim.tracer t.net with
-              | None -> ()
-              | Some sink ->
-                  Trace.emit sink
-                    (Trace.make ~time:(now t) ~site ~epoch ~mid
-                       (Trace.Ack { dst = p.p_dst })));
-              (* The ack frees a window slot only when the grant comes
-                 back; nothing to do here for flow. *)
-              ())
-      | Hello { origin; epoch } ->
-          if origin <> site then note_peer_epoch t ~observer:site ~origin epoch
-      | Credit { grant; reset } -> (
-          match t.flow with
-          | None -> ()
-          | Some fl ->
-              (* [site] is the sender being granted; [src] the granting
-                 receiver. *)
-              Flow.on_grant fl ~src:site ~dst:src ~grant ~reset;
-              drain_blocked t fl ~src:site ~dst:src))
+      | _ -> on_wire t site handler src frame)
 
 module For_testing = struct
   let unacked t = By_key.length (lossy t).pending

@@ -27,7 +27,7 @@
     counter, which restarts from 0.
 
     On restart a site bumps its epoch and broadcasts
-    [Hello {origin; epoch}] (control traffic, exempt from crash
+    [Hello {origin; epoch; window}] (control traffic, exempt from crash
     injection).  Because the dedup key is the full
     [(origin, epoch, id)] triple, a post-restart message reusing id 0
     is a {e distinct} message from the pre-crash id 0 and is never
@@ -69,13 +69,43 @@
     arrivals in a bounded inbound mailbox consumed at [service_time]
     pace, acknowledge {e at consumption} (so a crash wipes only
     unacked entries and retransmission redelivers them), and return
-    credits in batches.  A full mailbox refuses messages
-    unacknowledged.  Windows are re-announced with [reset] grants
-    after every epoch bump, and a blocked sender whose grants were all
-    lost force-transmits after [stall_timeout] — so flow control never
-    deadlocks and never breaks exactly-once.  Priority sends and the
-    restart handshake bypass both gates: control traffic is never
-    queued behind data.
+    credits in batches, on the consumption acks.  A full mailbox
+    refuses messages unacknowledged.  Windows are re-announced with
+    [reset] grants after every epoch bump, and a blocked sender whose
+    grants were all lost force-transmits after [stall_timeout] — so
+    flow control never deadlocks and never breaks exactly-once.
+    Priority sends and the restart handshake bypass both gates: control
+    traffic is never queued behind data.
+
+    {2 Fused frames}
+
+    Acks, grants and Hellos are the channel's own traffic, so a control
+    frame that would leave at the same instant, for the same peer, as a
+    frame the channel sends anyway rides on that frame instead.  Every
+    fused frame carries exactly the fields of the frames it replaces:
+    keys, ids, epochs and retransmit timers are unchanged.
+
+    - {b A grant rides on the consumption's ack.}  The receiver computes
+      the batch grant before it consumes a message, and the ack of that
+      consumption carries it ([Ack.grant]).  When the consumption
+      empties the mailbox it also carries whatever that origin's partial
+      batch owes; partial batches of other origins still leave as one
+      [Credit] each when the next drain tick finds the mailbox dry.  A
+      lost ack loses its grant like a lost [Credit] did, and the
+      blocked-sender override heals it.
+    - {b The restart's window rides on Hello.}  A restarted receiver
+      sends each peer one [Hello] whose [window] the peer applies as a
+      [reset] grant (overwrite, never top up) before it notes the new
+      epoch.  Peers still re-announce their own windows as
+      [Credit {reset}].
+    - {b An ack rides on a reply.}  Both consumption paths (the
+      mailbox and the unqueued one) hold the ack across the synchronous
+      handler call.  If the handler's send makes a {e first}
+      transmission to the acked origin, the ack rides on it as
+      [Acked]; otherwise the ack leaves as a plain [Ack] as soon as the
+      handler returns.  A held ack never rides on a credit-blocked send,
+      a retransmission or a revival, all of which leave outside the
+      handler.  ["chan_acks"] still counts one ack per delivered copy.
 
     The receiver dedup set is pruned against a cumulative watermark
     per [(origin, epoch)] — ids are assigned densely, so entries at or
@@ -85,7 +115,12 @@
     Counters in the network's {!Wf_obs.Metrics.t}: ["chan_direct_sends"],
     ["chan_retransmits"], ["chan_duplicates_suppressed"], ["chan_acks"],
     ["chan_gave_up"], ["chan_revived"]; histogram ["ack_latency"] (first
-    send to ack).
+    send to ack).  Frames the protocol puts on the wire, by kind (a
+    direct send counts only in ["chan_direct_sends"]):
+    ["chan_frames_data"] (with or without a riding ack, retransmissions
+    included), ["chan_frames_ack"], ["chan_frames_credit"],
+    ["chan_frames_hello"]; ["chan_acks_piggybacked"] counts the acks that
+    rode on a [Data].
     With flow control: the [flow_*] counters, gauges and histograms
     documented in {!Flow}, plus ["flow_queue_wait"] (mailbox entry to
     consumption). *)
@@ -96,9 +131,16 @@ type 'a wire =
   | Data of { mid : int; epoch : int; origin : site; prio : bool; payload : 'a }
       (** [prio] rides the priority lane: never credit-gated, never
           mailbox-queued behind data *)
-  | Ack of { mid : int; epoch : int }
-  | Hello of { origin : site; epoch : int }
-      (** broadcast by a restarted site; triggers dead-letter revival *)
+  | Acked of { ack_mid : int; ack_epoch : int; ack_grant : int; data : 'a wire }
+      (** an [Ack] riding on the first transmission of [data] (a
+          [Data]) to the acked origin; the receiver settles the ack
+          first *)
+  | Ack of { mid : int; epoch : int; grant : int }
+      (** [grant] credits (0 without one) return with the ack *)
+  | Hello of { origin : site; epoch : int; window : int }
+      (** broadcast by a restarted site; triggers dead-letter revival.
+          Under flow control [window] is the restarted receiver's full
+          window for the addressee, applied as a [reset] grant *)
   | Credit of { grant : int; reset : bool }
       (** receiver-granted send credits; [reset] re-announces a full
           window after an epoch bump *)

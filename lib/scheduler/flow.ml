@@ -177,10 +177,14 @@ let grant_ready t ~dst ~origin ~threshold =
   end
   else 0
 
+(* The last consumption of a burst flushes the origin's partial batch:
+   its grant leaves with this consumption's ack instead of waiting for
+   the next drain tick. *)
 let mailbox_consumed t ~dst ~origin =
   t.mailbox.(dst) <- max 0 (t.mailbox.(dst) - 1);
   t.consumed.(dst).(origin) <- t.consumed.(dst).(origin) + 1;
-  grant_ready t ~dst ~origin ~threshold:(batch_of t.cfg)
+  let threshold = if t.mailbox.(dst) = 0 then 1 else batch_of t.cfg in
+  grant_ready t ~dst ~origin ~threshold
 
 let flush_grant t ~dst ~origin = grant_ready t ~dst ~origin ~threshold:1
 

@@ -13,15 +13,18 @@
     window is exhausted.  The receiver returns credits in batches of
     [credit_batch] as messages are {e consumed} (handed to the
     application handler), not merely received, so the in-flight +
-    queued total per sender is bounded by the window.  Credit grants
-    travel as control traffic: they are never queued behind data and
-    are exempt from crash injection, so the system cannot livelock
-    itself out of recovery.
+    queued total per sender is bounded by the window; the last
+    consumption of a burst (the one that empties the mailbox) flushes
+    the partial batch.  Grants ride on the consumption's ack, or
+    travel alone as control traffic: they are never queued behind data
+    and never wait on a crash-injected transition, so the system
+    cannot livelock itself out of recovery.
 
     {b Epoch convergence.}  Credit state is volatile.  After a crash
     the restarted site's mailbox is gone and both sides' ledgers are
     stale, so windows are {e re-announced}: the restarted receiver
-    sends a [reset] grant (window := full) to every peer, and every
+    sends a [reset] grant (window := full) to every peer on its restart
+    Hello, and every
     peer that observes the new epoch re-announces its own full window
     back.  Reset grants overwrite rather than top up, so duplicated or
     reordered announcements cannot inflate the window.  A lost
@@ -123,11 +126,15 @@ val mailbox_enqueue : t -> dst:int -> bool
 val mailbox_consumed : t -> dst:int -> origin:int -> int
 (** A message from [origin] left [dst]'s mailbox and was handed to the
     application.  Returns the credit grant to send back to [origin]
-    right now (0 = batch not yet full). *)
+    right now, with the consumption's ack: the batch once
+    [credit_batch] consumptions are owed, and everything owed to
+    [origin] when this was the mailbox's last message (0 = nothing
+    yet).  Grants therefore flush at the last consumption of a burst. *)
 
 val flush_grant : t -> dst:int -> origin:int -> int
-(** Any partial grant batch owed by [dst] to [origin] (sent when the
-    mailbox drains so the tail of a burst is never stranded). *)
+(** Any partial grant batch owed by [dst] to [origin].  The channel
+    asks for it when the mailbox is found dry, so a batch left by
+    another origin's last consumption is never stranded. *)
 
 val reset_window : t -> receiver:int -> peer:int -> int
 (** Re-announce a full window from [receiver] to [peer] after an epoch

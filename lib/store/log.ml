@@ -26,17 +26,17 @@ let header_length = 10
 let trailer_length = 4
 
 type ('entry, 'ckpt) codec = {
-  enc_entry : 'entry -> string;
+  enc_entry : Buffer.t -> 'entry -> unit;
   dec_entry : string -> 'entry option;
-  enc_ckpt : 'ckpt -> string;
+  enc_ckpt : Buffer.t -> 'ckpt -> unit;
   dec_ckpt : string -> 'ckpt option;
 }
 
 let binio_codec entry ckpt =
   {
-    enc_entry = Binio.encode entry;
+    enc_entry = Binio.write entry;
     dec_entry = Binio.decode entry;
-    enc_ckpt = Binio.encode ckpt;
+    enc_ckpt = Binio.write ckpt;
     dec_ckpt = Binio.decode ckpt;
   }
 
@@ -81,30 +81,37 @@ let stop_reason_name = function
 
 let max_payload = 1 lsl 28
 
-let frame ~tag ~seq payload =
-  let plen = String.length payload in
-  if plen >= max_payload then invalid_arg "Log: payload too large";
-  let b = Bytes.create (header_length + plen + trailer_length) in
-  Bytes.set b 0 magic;
-  Bytes.set b 1 (Char.chr tag);
-  Bytes.set_int32_le b 2 (Int32.of_int (seq land 0xFFFFFFFF));
-  Bytes.set_int32_le b 6 (Int32.of_int plen);
-  Bytes.blit_string payload 0 b header_length plen;
-  let crc = Crc32.bytes b ~pos:0 ~len:(header_length + plen) in
-  Bytes.set_int32_le b (header_length + plen) crc;
-  Bytes.unsafe_to_string b
+(* The payload being framed.  Writes never nest, so one buffer serves
+   every log; it keeps its capacity between frames. *)
+let payload = Buffer.create 256
 
-let write t ~tag ~ckpt payload =
-  let f = frame ~tag ~seq:t.next_seq payload in
+(* Frame the payload in place past the medium's end: header, payload
+   and checksum are written once, straight into the image. *)
+let write t ~tag ~ckpt =
+  let plen = Buffer.length payload in
+  if plen >= max_payload then invalid_arg "Log: payload too large";
+  let flen = header_length + plen + trailer_length in
+  let b = Media.Sim.reserve t.media flen in
   let pos = Media.Sim.length t.media in
-  Media.Sim.append t.media f;
-  Media.Sim.note_frame t.media ~pos ~len:(String.length f) ~ckpt;
+  Bytes.set b pos magic;
+  Bytes.set b (pos + 1) (Char.chr tag);
+  Bytes.set_int32_le b (pos + 2) (Int32.of_int (t.next_seq land 0xFFFFFFFF));
+  Bytes.set_int32_le b (pos + 6) (Int32.of_int plen);
+  Buffer.blit payload 0 b (pos + header_length) plen;
+  let crc = Crc32.bytes b ~pos ~len:(header_length + plen) in
+  Bytes.set_int32_le b (pos + header_length + plen) crc;
+  Media.Sim.commit_frame t.media ~len:flen ~ckpt;
   t.next_seq <- t.next_seq + 1
 
-let append t entry = write t ~tag:0 ~ckpt:false (t.codec.enc_entry entry)
+let append t entry =
+  Buffer.clear payload;
+  t.codec.enc_entry payload entry;
+  write t ~tag:0 ~ckpt:false
 
 let checkpoint t ckpt =
-  write t ~tag:1 ~ckpt:true (t.codec.enc_ckpt ckpt);
+  Buffer.clear payload;
+  t.codec.enc_ckpt payload ckpt;
+  write t ~tag:1 ~ckpt:true;
   Media.Sim.sync t.media
 
 let sync t = Media.Sim.sync t.media

@@ -22,13 +22,15 @@
 val header_length : int
 
 type ('entry, 'ckpt) codec = {
-  enc_entry : 'entry -> string;
+  enc_entry : Buffer.t -> 'entry -> unit;
   dec_entry : string -> 'entry option;
-  enc_ckpt : 'ckpt -> string;
+  enc_ckpt : Buffer.t -> 'ckpt -> unit;
   dec_ckpt : string -> 'ckpt option;
 }
-(** Payload codecs.  Decoders return [None] on any malformed payload
-    (never raise) — {!Binio.decode} has exactly this contract. *)
+(** Payload codecs.  Encoders append the payload to the buffer (the
+    log frames it from there, straight into the medium).  Decoders
+    return [None] on any malformed payload (never raise) —
+    {!Binio.decode} has exactly this contract. *)
 
 val binio_codec : 'entry Binio.t -> 'ckpt Binio.t -> ('entry, 'ckpt) codec
 (** Entries and checkpoints through their {!Binio} codecs. *)

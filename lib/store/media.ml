@@ -2,8 +2,9 @@
    image with a synced watermark and a fault model mirroring netsim's
    crash injection (own RNG stream, probabilities, budget), applied
    when the owner declares a crash.  The log layer needs five
-   operations — read the whole image, append, truncate, sync, and a
-   layout hint for the last frame — and calls them directly. *)
+   operations — read the whole image, write a frame in place past its
+   end, truncate, sync, and a layout hint for the last frame — and
+   calls them directly. *)
 
 module Sim = struct
   type fault_config = {
@@ -35,8 +36,12 @@ module Sim = struct
     mutable data : Bytes.t;
     mutable len : int;
     mutable synced : int; (* bytes guaranteed durable across a crash *)
-    mutable last_frame : (int * int) option; (* pos, len of newest frame *)
-    mutable last_ckpt : (int * int) option; (* pos, len of newest ckpt frame *)
+    (* Position and length of the newest frame and of the newest
+       checkpoint frame; a position of -1 means there is none. *)
+    mutable frame_pos : int;
+    mutable frame_len : int;
+    mutable ckpt_pos : int;
+    mutable ckpt_len : int;
     mutable injected : int;
     stats : Wf_obs.Metrics.t option;
     mutable meters : meters option; (* on [stats], once resolved *)
@@ -54,8 +59,10 @@ module Sim = struct
       data = Bytes.create 256;
       len = 0;
       synced = 0;
-      last_frame = None;
-      last_ckpt = None;
+      frame_pos = -1;
+      frame_len = 0;
+      ckpt_pos = -1;
+      ckpt_len = 0;
       injected = 0;
       stats;
       meters = None;
@@ -109,10 +116,8 @@ module Sim = struct
       s.data <- data
     end
 
-  let append s chunk =
-    let n = String.length chunk in
-    ensure s n;
-    Bytes.blit_string chunk 0 s.data s.len n;
+  (* [n] bytes were appended past the old end. *)
+  let extend s n =
     s.len <- s.len + n;
     match meters s with
     | None -> ()
@@ -120,24 +125,44 @@ module Sim = struct
         Wf_obs.Metrics.bump m.appends;
         Wf_obs.Metrics.bump_by m.appended_bytes n
 
-  let clamp_hint len = function
-    | Some (pos, flen) when pos + flen <= len -> Some (pos, flen)
-    | _ -> None
+  let append s chunk =
+    let n = String.length chunk in
+    ensure s n;
+    Bytes.blit_string chunk 0 s.data s.len n;
+    extend s n
 
   let truncate s n =
     if n < 0 || n > s.len then invalid_arg "Media.Sim.truncate";
     s.len <- n;
     s.synced <- min s.synced n;
-    s.last_frame <- clamp_hint n s.last_frame;
-    s.last_ckpt <- clamp_hint n s.last_ckpt
+    if s.frame_pos + s.frame_len > n then s.frame_pos <- -1;
+    if s.ckpt_pos + s.ckpt_len > n then s.ckpt_pos <- -1
 
   let sync s =
     s.synced <- s.len;
     match meters s with None -> () | Some m -> Wf_obs.Metrics.bump m.syncs
 
   let note_frame s ~pos ~len ~ckpt =
-    s.last_frame <- Some (pos, len);
-    if ckpt then s.last_ckpt <- Some (pos, len)
+    s.frame_pos <- pos;
+    s.frame_len <- len;
+    if ckpt then begin
+      s.ckpt_pos <- pos;
+      s.ckpt_len <- len
+    end
+
+  let reserve s n =
+    ensure s n;
+    s.data
+
+  let commit_frame s ~len ~ckpt =
+    let pos = s.len in
+    extend s len;
+    note_frame s ~pos ~len ~ckpt
+
+  (* The newest frame, when it ends the image unsynced: what a torn
+     write can cut. *)
+  let unsynced_tail s =
+    s.frame_pos >= 0 && s.frame_pos + s.frame_len = s.len && s.frame_pos >= s.synced
 
   (* --- fault injection ---------------------------------------------------- *)
 
@@ -171,12 +196,11 @@ module Sim = struct
     end
 
   let tear_tail s ~keep =
-    match s.last_frame with
-    | Some (pos, flen) when pos + flen = s.len && pos >= s.synced ->
-        let keep = max 0 (min keep (flen - 1)) in
-        truncate s (pos + keep);
-        record_fault s "torn"
-    | _ -> ()
+    if unsynced_tail s then begin
+      let keep = max 0 (min keep (s.frame_len - 1)) in
+      truncate s (s.frame_pos + keep);
+      record_fault s "torn"
+    end
 
   let flip_bit s bit =
     let nbits = s.len * 8 in
@@ -188,19 +212,19 @@ module Sim = struct
     end
 
   let corrupt_ckpt s ~truncated =
-    match s.last_ckpt with
-    | None -> ()
-    | Some (pos, flen) ->
-        if truncated then truncate s (pos + (flen / 2))
-        else begin
-          (* Flip a bit inside the checkpoint frame's payload region,
-             past the 10-byte header so the frame still parses far
-             enough to identify itself before the CRC rejects it. *)
-          let off = pos + min (flen - 1) (10 + ((flen - 10) / 2)) in
-          Bytes.set s.data off
-            (Char.chr (Char.code (Bytes.get s.data off) lxor 0x10))
-        end;
-        record_fault s "ckpt_corrupt"
+    if s.ckpt_pos >= 0 then begin
+      let pos = s.ckpt_pos and flen = s.ckpt_len in
+      if truncated then truncate s (pos + (flen / 2))
+      else begin
+        (* Flip a bit inside the checkpoint frame's payload region,
+           past the 10-byte header so the frame still parses far
+           enough to identify itself before the CRC rejects it. *)
+        let off = pos + min (flen - 1) (10 + ((flen - 10) / 2)) in
+        Bytes.set s.data off
+          (Char.chr (Char.code (Bytes.get s.data off) lxor 0x10))
+      end;
+      record_fault s "ckpt_corrupt"
+    end
 
   let crash s =
     (* Draw every probability unconditionally so the RNG stream does
@@ -212,18 +236,15 @@ module Sim = struct
     let want_ckpt = roll s.faults.ckpt_corrupt in
     let want_flip = roll s.faults.bit_flip in
     if want_lost && budget () then lose_tail s;
-    if want_torn && budget () then begin
-      match s.last_frame with
-      | Some (pos, flen) when pos + flen = s.len && pos >= s.synced ->
-          tear_tail s ~keep:(Wf_sim.Rng.int s.rng flen)
-      | _ -> ()
-    end;
-    if want_ckpt && budget () && s.last_ckpt <> None then
+    if want_torn && budget () && unsynced_tail s then
+      tear_tail s ~keep:(Wf_sim.Rng.int s.rng s.frame_len);
+    if want_ckpt && budget () && s.ckpt_pos >= 0 then
       corrupt_ckpt s ~truncated:(Wf_sim.Rng.bool s.rng);
     if want_flip && budget () && s.len > 0 then
       flip_bit s (Wf_sim.Rng.int s.rng (s.len * 8))
 
   module For_testing = struct
+    let append = append
     let lose_tail = lose_tail
     let flip_bit = flip_bit
     let corrupt_ckpt = corrupt_ckpt

@@ -1,11 +1,13 @@
 (** The simulated storage medium under {!Log}, with seeded fault
     injection.
 
-    The log layer appends framed bytes, reads the whole image back on
-    recovery, truncates to the verified prefix, and calls [sync] at
-    durability points.  [note_frame] is a layout hint — the medium
-    learns where the newest frame (and newest checkpoint frame) starts
-    so crash faults can target it without parsing the format.
+    The log layer writes each frame in place past the image's end
+    ({!Sim.reserve}, then {!Sim.commit_frame}), reads the whole image
+    back on recovery, truncates to the verified prefix, and calls
+    [sync] at durability points.  A committed frame is also a layout
+    hint — the medium learns where the newest frame (and newest
+    checkpoint frame) starts so crash faults can target it without
+    parsing the format.
 
     {!Sim} is the in-memory medium used everywhere in the simulator.
     Its fault model mirrors [Wf_sim.Netsim]'s crash injection:
@@ -54,7 +56,18 @@ module Sim : sig
 
   val contents : sim -> string
   val length : sim -> int
-  val append : sim -> string -> unit
+
+  val reserve : sim -> int -> bytes
+  (** [reserve s n] grows the image to hold [n] more bytes and returns
+      it: the writer fills bytes [length s] to [length s + n - 1] in
+      place, then calls {!commit_frame}.  The bytes are the medium's
+      own, valid until the next call on [s]. *)
+
+  val commit_frame : sim -> len:int -> ckpt:bool -> unit
+  (** The [len] bytes written past the end (after {!reserve}) are one
+      frame, a checkpoint frame if [ckpt]: extend the image over them
+      (counted in [store_appends] and [store_appended_bytes]) and note
+      the frame as the newest. *)
 
   val truncate : sim -> int -> unit
   (** Cut the image to the given length; the synced watermark and the
@@ -64,6 +77,8 @@ module Sim : sig
   (** Everything appended so far survives a crash. *)
 
   val note_frame : sim -> pos:int -> len:int -> ckpt:bool -> unit
+  (** Note the frame at [pos] as the newest (and as the newest
+      checkpoint frame if [ckpt]), for a salvaged image. *)
 
   (** {2 Faults} *)
 
@@ -92,6 +107,9 @@ module Sim : sig
   (** {2 Test hooks} *)
 
   module For_testing : sig
+    val append : sim -> string -> unit
+    (** Append raw bytes (a fixture's image), noting no frame. *)
+
     (** Deterministic injectors — the other mutations [crash] draws, for
         fixtures.  Each counts against nothing but records the fault in
         stats/trace. *)

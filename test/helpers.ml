@@ -24,6 +24,21 @@ let ng = Expr.complement "g"
 let alpha_ef = Universe.of_names [ "e"; "f" ]
 let alpha_efg = Universe.of_names [ "e"; "f"; "g" ]
 
+(* [u ⊨ d] via the denotation: the projection of the realized trace onto
+   the dependency's own symbols must be one of [⟦d⟧]'s traces. *)
+let satisfied_by_denotation dep trace =
+  let alpha = Expr.symbols dep in
+  let proj =
+    List.filter (fun l -> Symbol.Set.mem (Literal.symbol l) alpha) trace
+  in
+  List.exists (Trace.equal proj) (Semantics.denotation alpha dep)
+
+(* The bytes a buffer writer (a journal codec's encoder) produces. *)
+let encoded write x =
+  let b = Buffer.create 64 in
+  write b x;
+  Buffer.contents b
+
 (* A network fault config that admits manual [Netsim.For_testing.crash_site] and
    injects nothing: a crash probability with a zero crash budget.  A
    config without crash capability refuses manual crashes, since the

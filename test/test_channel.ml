@@ -340,6 +340,186 @@ let test_restart_wipes_one_mailbox () =
   check triple "drained" (0, 0, 0) (state ());
   check Alcotest.int "nothing pending" 0 (Channel.For_testing.unacked chan)
 
+(* A two-site network with no latency jitter: a message takes exactly
+   one time unit, so a test can aim a partition window at one frame. *)
+let steady_net ?(num_sites = 2) ?(faults = Netsim.no_faults) () =
+  Netsim.create ~seed:5L ~faults ~num_sites
+    ~latency:{ Netsim.base = 1.0; jitter = 0.0 }
+    ()
+
+let cut ~from ~until =
+  { Netsim.cut_from = from; cut_until = until; group_a = [ 0 ]; group_b = [ 1 ] }
+
+(* Grants ride on consumption acks, so a lost ack loses its grant.  Site
+   0 sends one message at time 0: its consumption (the mailbox's last)
+   returns the credit on its ack, topping the window up to full.  At
+   time 10 it sends two, and a partition cuts both consumption acks, so
+   both grants are lost; the retransmitted copies are re-acked without
+   credit.  The window is then empty, and the message sent at time 30
+   waits for the stall override, which transmits it.  Every message is
+   delivered exactly once, no grant ever needs a Credit frame of its
+   own, and the trace still holds a credit record for each grant. *)
+let test_lost_ack_grant_healed () =
+  let faults = { Netsim.no_faults with partitions = [ cut ~from:11.0 ~until:11.2 ] } in
+  let net = steady_net ~faults () in
+  let flow = { Flow.default_config with credit_window = 2; credit_batch = 1 } in
+  let chan = Channel.create ~rto:4.0 ~flow net in
+  let sink, records = Wf_obs.Trace.collector () in
+  Netsim.set_tracer net (Some sink);
+  let received = ref [] in
+  Channel.on_receive chan 1 (fun _src m -> received := m :: !received);
+  Channel.on_receive chan 0 (fun _ _ -> ());
+  List.iter
+    (fun (at, ms) ->
+      Netsim.schedule net ~delay:at (fun () ->
+          List.iter (Channel.send chan ~src:0 ~dst:1) ms))
+    [ (0.0, [ 0 ]); (10.0, [ 1; 2 ]); (30.0, [ 3 ]) ];
+  Netsim.run net;
+  let count name = Wf_obs.Metrics.count (Netsim.stats net) name in
+  check Alcotest.(list int) "each message exactly once" [ 0; 1; 2; 3 ]
+    (List.sort compare !received);
+  check Alcotest.int "both acks of time 10 cut" 2 (count "net_partition_drops");
+  check Alcotest.int "the window was full at time 10: only the last send waited"
+    1 (count "flow_sends_blocked");
+  check Alcotest.int "the stall override healed the lost grants" 1
+    (count "flow_credit_overrides");
+  check Alcotest.int "every grant rode on an ack" 0 (count "chan_frames_credit");
+  check Alcotest.int "one credit record per grant, riding or not"
+    (count "flow_credits_granted")
+    (List.fold_left
+       (fun acc (r : Wf_obs.Trace.record) ->
+         match r.Wf_obs.Trace.kind with
+         | Wf_obs.Trace.Credit { grant; _ } -> acc + grant
+         | _ -> acc)
+       0 (records ()));
+  check Alcotest.int "nothing pending" 0 (Channel.For_testing.unacked chan)
+
+(* The time of each ack that reached [site], in arrival order. *)
+let ack_times records site =
+  List.filter_map
+    (fun (r : Wf_obs.Trace.record) ->
+      match r.Wf_obs.Trace.kind with
+      | Wf_obs.Trace.Ack _ when r.Wf_obs.Trace.site = site -> Some r.Wf_obs.Trace.time
+      | _ -> None)
+    records
+
+(* The ack of a consumption is held across the handler.  Site 1 answers
+   site 0's message [m] at the instant it consumes it (time 1.05): the
+   ack rides on the answer when the answer is transmitted at once, and
+   otherwise leaves on its own right away, so either way it reaches site
+   0 at 2.05.  The answer is credit-blocked when site 1 spent its
+   one-credit window on a message of its own first ([blocked]); the ack
+   then leaves alone and the answer follows, without it, when the grant
+   returns.  A handler that sends only to a third site, or nothing, also
+   releases the ack at once. *)
+let held_ack_run ~blocked ~answer =
+  let net = steady_net ~num_sites:3 () in
+  let flow = { Flow.default_config with credit_window = 1 } in
+  let chan = Channel.create ~rto:4.0 ~flow net in
+  let sink, records = Wf_obs.Trace.collector () in
+  Netsim.set_tracer net (Some sink);
+  let received = Array.make 3 [] in
+  for site = 0 to 2 do
+    Channel.on_receive chan site (fun src m ->
+        received.(site) <- m :: received.(site);
+        if site = 1 && src = 0 then
+          match answer with
+          | `Origin -> Channel.send chan ~src:1 ~dst:0 "answer"
+          | `Third -> Channel.send chan ~src:1 ~dst:2 "aside"
+          | `Nothing -> ())
+  done;
+  if blocked then Channel.send chan ~src:1 ~dst:0 "first";
+  Channel.send chan ~src:0 ~dst:1 "m";
+  Netsim.run net;
+  let count name = Wf_obs.Metrics.count (Netsim.stats net) name in
+  check Alcotest.(list string) "m delivered once" [ "m" ] received.(1);
+  check Alcotest.int "no retransmission" 0 (count "chan_retransmits");
+  check Alcotest.int "nothing pending" 0 (Channel.For_testing.unacked chan);
+  (count "chan_acks_piggybacked", ack_times (records ()) 0)
+
+let test_held_ack () =
+  let same_time = Alcotest.(list (float 1e-9)) in
+  let rides, times = held_ack_run ~blocked:false ~answer:`Origin in
+  check Alcotest.int "the ack rides on the answer" 1 rides;
+  check same_time "and arrives with it" [ 2.05 ] times;
+  let rides, times = held_ack_run ~blocked:true ~answer:`Origin in
+  check Alcotest.int "never on a credit-blocked answer" 0 rides;
+  check same_time "the ack of m left at once" [ 2.05 ] times;
+  List.iter
+    (fun (label, answer) ->
+      let rides, times = held_ack_run ~blocked:false ~answer in
+      check Alcotest.int (label ^ ": nothing to ride on") 0 rides;
+      check same_time (label ^ ": the ack left at once") [ 2.05 ] times)
+    [ ("third site", `Third); ("no answer", `Nothing) ]
+
+(* Ping-pong over a lossy, duplicating link: site 1 answers every ping
+   it consumes, site 0 answers nothing.  Each answer's first
+   transmission carries its ping's ack, and nothing else does: not the
+   retransmissions of answers or pings, nor the re-acks of duplicate
+   copies.  One ack still goes out per delivered copy. *)
+let test_acks_ride_first_answers_only () =
+  let faults = { Netsim.no_faults with drop_rate = 0.3; duplicate_rate = 0.2 } in
+  List.iter
+    (fun seed ->
+      let net = make_net ~seed ~faults () in
+      let chan = Channel.create ~rto:4.0 net in
+      let pongs = ref [] in
+      Channel.on_receive chan 1 (fun _src i -> Channel.send chan ~src:1 ~dst:0 i);
+      Channel.on_receive chan 0 (fun _src i -> pongs := i :: !pongs);
+      let n = 40 in
+      for i = 0 to n - 1 do
+        Channel.send chan ~src:0 ~dst:1 i
+      done;
+      Netsim.run net;
+      let count name = Wf_obs.Metrics.count (Netsim.stats net) name in
+      exactly_once (Printf.sprintf "seed %Ld: pongs" seed) !pongs n;
+      checkb "retransmissions happened" (count "chan_retransmits" > 0);
+      check Alcotest.int "one riding ack per answer" n
+        (count "chan_acks_piggybacked");
+      check Alcotest.int "an ack per delivered copy, riding or not"
+        (count "chan_acks")
+        (count "chan_frames_ack" + count "chan_acks_piggybacked");
+      check Alcotest.int "nothing pending" 0 (Channel.For_testing.unacked chan))
+    [ 1L; 2L; 3L ]
+
+(* A restart's window rides on its Hellos, applied as a reset: however
+   many copies arrive, in whatever order, the sender's window toward
+   the restarted site is [credit_window] again, never more.  Site 1
+   restarts three times over a link that duplicates every frame and
+   reorders most; afterwards site 0 sends six messages into a window of
+   two, so four must wait for grants. *)
+let test_hello_windows_overwrite () =
+  let faults =
+    {
+      manual_crashes with
+      duplicate_rate = 1.0;
+      reorder_rate = 0.8;
+      reorder_window = 5.0;
+    }
+  in
+  let net = steady_net ~faults () in
+  let flow = { Flow.default_config with credit_window = 2 } in
+  let chan = Channel.create ~rto:4.0 ~flow net in
+  let received = ref [] in
+  Channel.on_receive chan 1 (fun _src m -> received := m :: !received);
+  Channel.on_receive chan 0 (fun _ _ -> ());
+  for _ = 1 to 3 do
+    Netsim.crash_restart net 1
+  done;
+  Netsim.schedule net ~delay:20.0 (fun () ->
+      for i = 0 to 5 do
+        Channel.send chan ~src:0 ~dst:1 i
+      done);
+  Netsim.run net;
+  let count name = Wf_obs.Metrics.count (Netsim.stats net) name in
+  check Alcotest.int "three restarts, one Hello each" 3 (count "chan_frames_hello");
+  checkb "Hellos duplicated" (count "net_duplicates" >= 3);
+  check Alcotest.int "a window of two: four sends waited" 4
+    (count "flow_sends_blocked");
+  check Alcotest.(list int) "each message exactly once" (List.init 6 Fun.id)
+    (List.sort compare !received);
+  check Alcotest.int "nothing pending" 0 (Channel.For_testing.unacked chan)
+
 (* Random fault configs over a three-site stream: every site sends to
    every site, itself included, spread over virtual time so partition
    windows and crashes meet traffic.  Whatever the config, each payload
@@ -467,6 +647,14 @@ let suite =
       test_blocked_links_fifo;
     Alcotest.test_case "restart wipes only its own mailbox" `Quick
       test_restart_wipes_one_mailbox;
+    Alcotest.test_case "a lost ack's grant is healed by the stall override"
+      `Quick test_lost_ack_grant_healed;
+    Alcotest.test_case "a held ack rides on a first answer or leaves at once"
+      `Quick test_held_ack;
+    Alcotest.test_case "acks ride on first answers only" `Quick
+      test_acks_ride_first_answers_only;
+    Alcotest.test_case "Hello windows overwrite, never top up" `Quick
+      test_hello_windows_overwrite;
     qprop ~count:150 "acks exactly off the exactly-once links"
       ~print:show_fault_set
       QCheck2.Gen.(pair gen_fault_set (int_bound 10_000))

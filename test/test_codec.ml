@@ -151,8 +151,8 @@ let goldens () =
       ("knowledge", B.encode Wire.knowledge knowledge);
       ("guard", B.encode Wire.guard guard);
     ]
-  @ each "actor input" Actor.codec.enc_entry actor_inputs
-  @ [ ("actor snapshot", Actor.codec.enc_ckpt (actor_snapshot ())) ]
+  @ each "actor input" (encoded Actor.codec.enc_entry) actor_inputs
+  @ [ ("actor snapshot", encoded Actor.codec.enc_ckpt (actor_snapshot ())) ]
   @ each "center input" (B.encode Central_sched.For_testing.input_codec) center_inputs
   @ [
       ( "center snapshot",
@@ -418,13 +418,13 @@ let actor_snapshot_round_trips =
       let ctx = Actor.muted_ctx (Wf_obs.Metrics.create ()) in
       let live = actor_under d in
       List.iter (Actor.apply ctx live) inputs;
-      let bytes = Actor.codec.enc_ckpt (Actor.snapshot live) in
+      let bytes = encoded Actor.codec.enc_ckpt (Actor.snapshot live) in
       match Actor.codec.dec_ckpt bytes with
       | None -> false
       | Some s ->
           let fresh = actor_under d in
           Actor.restore fresh s;
-          Actor.codec.enc_ckpt s = bytes && Actor.equal_state live fresh)
+          encoded Actor.codec.enc_ckpt s = bytes && Actor.equal_state live fresh)
 
 let round_trip_tests =
   let open QCheck2.Gen in

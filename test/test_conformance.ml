@@ -52,15 +52,6 @@ let fault_load =
       ];
   }
 
-(* [u ⊨ d] via the denotation: the projection of the realized trace onto
-   the dependency's own symbols must be one of [⟦d⟧]'s traces. *)
-let satisfied_by_denotation dep trace =
-  let alpha = Expr.symbols dep in
-  let proj =
-    List.filter (fun l -> Symbol.Set.mem (Literal.symbol l) alpha) trace
-  in
-  List.exists (Trace.equal proj) (Semantics.denotation alpha dep)
-
 let run_one ~sched ~faults ~seed wf =
   match sched with
   | `Distributed ->

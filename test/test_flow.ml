@@ -254,13 +254,6 @@ let spec_files () =
 
 let load path = Wf_lang.Elaborate.load_file path
 
-let satisfied_by_denotation dep trace =
-  let alpha = Expr.symbols dep in
-  let proj =
-    List.filter (fun l -> Symbol.Set.mem (Literal.symbol l) alpha) trace
-  in
-  List.exists (Trace.equal proj) (Semantics.denotation alpha dep)
-
 (* Aggressively small windows so the gates actually engage on the small
    conformance specs. *)
 let tight_flow =

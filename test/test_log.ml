@@ -10,9 +10,9 @@ open Helpers
    every verdict in these tests comes from the framing layer itself. *)
 let string_codec : (string, string) Log.codec =
   {
-    Log.enc_entry = Fun.id;
+    Log.enc_entry = Buffer.add_string;
     dec_entry = Option.some;
-    enc_ckpt = Fun.id;
+    enc_ckpt = Buffer.add_string;
     dec_ckpt = Option.some;
   }
 
@@ -22,9 +22,9 @@ let string_codec : (string, string) Log.codec =
    which prefix of the input history it represents. *)
 let int_codec : (int, int) Log.codec =
   {
-    Log.enc_entry = (fun i -> Binio.encode Binio.int i);
+    Log.enc_entry = Binio.write Binio.int;
     dec_entry = (fun s -> Binio.decode Binio.int s);
-    enc_ckpt = (fun i -> Binio.encode Binio.int i);
+    enc_ckpt = Binio.write Binio.int;
     dec_ckpt = (fun s -> Binio.decode Binio.int s);
   }
 
@@ -241,7 +241,7 @@ let load_fixture name =
 
 let fixture_case name expected_ckpt expected_entries expected_report () =
   let sim = Media.Sim.create () in
-  Media.Sim.append sim (load_fixture name);
+  Media.Sim.For_testing.append sim (load_fixture name);
   Media.Sim.sync sim;
   let _, (ckpt, entries), report = Log.recover string_codec sim in
   checkb (name ^ ": checkpoint") (ckpt = expected_ckpt);

@@ -320,7 +320,7 @@ let actor_replay_agrees =
       let fresh = mk_actor d in
       let ckpt, suffix = Wf_store.Journal.recover j in
       let codec = Actor.codec in
-      let round_trip dec enc x = Option.get (dec (enc x)) in
+      let round_trip dec enc x = Option.get (dec (encoded enc x)) in
       Option.iter
         (fun s -> Actor.restore fresh (round_trip codec.dec_ckpt codec.enc_ckpt s))
         ckpt;
@@ -385,7 +385,7 @@ let actor_codec_round_trips =
     gen_codec_inputs (fun inputs ->
       List.for_all
         (fun x ->
-          match Actor.codec.dec_entry (Actor.codec.enc_entry x) with
+          match Actor.codec.dec_entry (encoded Actor.codec.enc_entry x) with
           | Some y -> input_equal x y
           | None -> false)
         inputs)
@@ -469,13 +469,6 @@ let spec_files () =
   |> List.filter (fun f -> Filename.check_suffix f ".wf")
   |> List.sort compare
   |> List.map (Filename.concat spec_dir)
-
-let satisfied_by_denotation dep trace =
-  let alpha = Expr.symbols dep in
-  let proj =
-    List.filter (fun l -> Symbol.Set.mem (Literal.symbol l) alpha) trace
-  in
-  List.exists (Trace.equal proj) (Semantics.denotation alpha dep)
 
 (* Crashes layered on link faults: sites fall over mid-protocol and
    come back a couple of time units later. *)
