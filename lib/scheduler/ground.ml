@@ -97,8 +97,10 @@ let arrive arrival ~think_time net chan ~site ?depth_site ?label sym attempt =
     match Channel.flow chan with
     | None -> attempt ()
     | Some fl -> (
-        let depth = Option.map (fun s -> Flow.depth fl ~site:s) depth_site in
-        match Flow.admit fl ~site ~actor:(Symbol.name sym) ?depth ~first () with
+        let depth =
+          Channel.depth chan ~site:(Option.value depth_site ~default:site)
+        in
+        match Flow.admit fl ~site ~actor:(Symbol.name sym) ~depth ~first () with
         | Flow.Admitted -> attempt ()
         | Flow.Busy { retry_after } ->
             Wf_sim.Netsim.schedule ?label net ~delay:retry_after
