@@ -215,6 +215,65 @@ let test_revival_order () =
     (List.rev !received);
   check Alcotest.int "nothing pending" 0 (Channel.For_testing.unacked chan)
 
+(* A transfer whose destination restarts while it is still being
+   retried: the restart Hello lands after the last retransmission and
+   before the give-up timer, so it finds no dead letter to revive.  At
+   the give-up the sender sees the newer epoch and restarts the
+   transfer instead, and the message is delivered exactly once.  A dry
+   run with the destination kept down times the last retransmission
+   and the give-up (the channel's jitter stream is its own, so the two
+   runs retry on one schedule). *)
+let test_hello_before_give_up_revives () =
+  let run ~restart_at =
+    let net =
+      Netsim.create ~seed:3L ~faults:manual_crashes ~num_sites:2
+        ~latency:{ Netsim.base = 1.0; jitter = 0.0 }
+        ()
+    in
+    let sink, records = Wf_obs.Trace.collector () in
+    Netsim.set_tracer net (Some sink);
+    let chan = Channel.create ~rto:1.0 net in
+    let received = ref [] in
+    Channel.on_receive chan 1 (fun _src m -> received := m :: !received);
+    Channel.on_receive chan 0 (fun _ _ -> ());
+    Netsim.For_testing.crash_site net 1;
+    Channel.send chan ~src:0 ~dst:1 "late";
+    Option.iter
+      (fun at ->
+        Netsim.schedule net ~delay:at (fun () ->
+            Netsim.For_testing.restart_site net 1))
+      restart_at;
+    Netsim.run net;
+    (net, chan, !received, records ())
+  in
+  let _, _, _, dry = run ~restart_at:None in
+  let times f =
+    List.filter_map
+      (fun (r : Wf_obs.Trace.record) ->
+        if f r.Wf_obs.Trace.kind then Some r.Wf_obs.Trace.time else None)
+      dry
+  in
+  let last_retransmit =
+    List.fold_left Float.max 0.0
+      (times (function Wf_obs.Trace.Retransmit _ -> true | _ -> false))
+  and give_up =
+    List.fold_left Float.max 0.0
+      (times (function Wf_obs.Trace.Give_up _ -> true | _ -> false))
+  in
+  (* The restart lands after the last retransmitted copy was dropped at
+     the crashed site, and its Hello (one time unit later) before the
+     give-up. *)
+  let restart_at = last_retransmit +. 5.0 in
+  checkb "the Hello lands between the last retransmission and the give-up"
+    (restart_at +. 1.0 < give_up);
+  let net, chan, received, _ = run ~restart_at:(Some restart_at) in
+  let count name = Wf_obs.Metrics.count (Netsim.stats net) name in
+  check Alcotest.(list string) "delivered exactly once" [ "late" ] received;
+  check Alcotest.int "no give-up" 0 (count "chan_gave_up");
+  check Alcotest.int "the transfer restarted once" 1 (count "chan_revived");
+  check Alcotest.int "no dead letter" 0 (Channel.For_testing.dead_letters chan);
+  check Alcotest.int "nothing pending" 0 (Channel.For_testing.unacked chan)
+
 (* One origin restarts three times while its earlier batches are still
    being reordered, duplicated and retransmitted: the dedup watermark of
    each (origin, epoch) advances on its own, mids that arrive above
@@ -637,6 +696,8 @@ let suite =
     Alcotest.test_case "timed partition" `Quick test_partition_window;
     Alcotest.test_case "ack latency series" `Quick test_ack_latency_observed;
     Alcotest.test_case "retry cap on a dead link" `Quick test_retry_cap;
+    Alcotest.test_case "a Hello before the give-up revives the transfer"
+      `Quick test_hello_before_give_up_revives;
     Alcotest.test_case "revival after restart keeps send order" `Quick
       test_revival_order;
     Alcotest.test_case "adjacent-seed senders desynchronize retries" `Quick
