@@ -839,6 +839,7 @@ let state_words t = Core.state_words (core t)
 
 module For_testing = struct
   let snapshot_codec = Core.snapshot_codec
+  let snapshot t = Core.snapshot (core t)
   let bindings t = Core.bindings (core t)
   let audit_open_verdicts t = Core.audit_open_verdicts (core t)
 end

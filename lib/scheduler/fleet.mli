@@ -94,6 +94,10 @@ type snapshot = {
 module For_testing : sig
   val snapshot_codec : snapshot Wf_store.Binio.t
 
+  val snapshot : t -> snapshot
+  (** The checkpoint the engine would write now: right after its
+      [checkpoint_every]-th input it equals the one just written. *)
+
   val bindings : t -> int
   (** Distinct parameter bindings interned so far. *)
 

@@ -475,6 +475,69 @@ let prop_checkpoint_aliasing (deps, steps) =
     cadences;
   true
 
+(* --- golden checkpoint frames ---------------------------------------------- *)
+
+let hex s =
+  String.concat ""
+    (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (String.to_seq s)))
+
+(* Commits that park and are released, park for good, are accepted
+   directly, or are rejected: 28 inputs, four commits parked at the end. *)
+let saga_frame_stream =
+  List.concat_map
+    (fun j ->
+      let t = string_of_int j in
+      match j mod 4 with
+      | 0 -> [ A (psym "c" t); O (Literal.pos (psym "p" t)) ]
+      | 1 -> [ A (psym "c" t); A (psym "c" t) ]
+      | 2 -> [ O (Literal.pos (psym "p" t)); A (psym "c" t) ]
+      | _ -> [ O (Literal.neg (psym "p" t)); A (psym "c" t) ])
+    (List.init 14 Fun.id)
+
+(* 21 inputs in which bindings park out of (binding, base) order: c(7)
+   parks before b(7), and b(0) after b(1). *)
+let two_stage_frame_stream =
+  [
+    A (psym "c" "0"); A (psym "b" "1"); A (psym "b" "0"); O (Literal.pos (psym "a" "2"));
+    A (psym "b" "2"); A (psym "c" "3"); A (psym "c" "1"); O (Literal.pos (psym "a" "1"));
+    A (psym "a" "4"); A (psym "c" "4"); O (Literal.neg (psym "a" "5")); A (psym "b" "5");
+    A (psym "b" "3"); O (Literal.pos (psym "b" "6")); A (psym "c" "6"); A (psym "c" "7");
+    O (Literal.pos (psym "a" "0")); A (psym "b" "4"); A (psym "b" "7");
+    O (Literal.neg (psym "c" "3")); A (psym "a" "8");
+  ]
+
+(* The checkpoint frame a real engine writes at cadence 7 over
+   fault-free media, on its last input, with bindings parked; and the
+   frame of the engine recovered from that medium.  The parked triples
+   are in ascending (binding, base) order whatever order the fates
+   parked in, so the two_stage pin fixes that order. *)
+let test_checkpoint_frames_pinned () =
+  List.iter
+    (fun (name, deps, evs, want) ->
+      check Alcotest.int (name ^ ": a checkpoint on the last input") 0
+        (List.length evs mod 7);
+      let fe = Fleet.create ~checkpoint_every:7 ~store:Wf_store.Media.Sim.no_faults deps in
+      feed_fleet fe evs;
+      checkb (name ^ ": bindings parked") (Fleet.parked_count fe > 1);
+      let frame e =
+        hex (Wf_store.Binio.encode Fleet.For_testing.snapshot_codec (Fleet.For_testing.snapshot e))
+      in
+      check Alcotest.string (name ^ ": frame") want (frame fe);
+      check Alcotest.string (name ^ ": frame recovered from the medium") want
+        (frame (Fleet.recover fe)))
+    [
+      ( "saga",
+        [ saga ],
+        saga_frame_stream,
+        "0e013001310132013301340135013601370138013902313002313102313202313311060216121c26"
+        ^ "2236323c464256525c666210000c0200120a00221200321a0042" );
+      ( "two_stage",
+        two_stage,
+        two_stage_frame_stream,
+        "09013001310132013301340135013601370138101a1e0e1216323c4e5202060a363a2c6212000906"
+        ^ "023a0e024a0e0442" );
+    ]
+
 (* --- decision records ------------------------------------------------------ *)
 
 (* The Assim records of a decision stream.  [Reduced] records differ by
@@ -1029,6 +1092,8 @@ let suite =
       test_driver_decisions;
     Alcotest.test_case "salvage of a faulty store pinned" `Quick
       test_salvage_pinned;
+    Alcotest.test_case "checkpoint frames pinned" `Quick
+      test_checkpoint_frames_pinned;
     Alcotest.test_case "arena rebuild from the log" `Quick test_arena_rebuild;
     Alcotest.test_case "segmented storage across segment boundaries" `Quick
       test_segment_boundaries;
