@@ -194,12 +194,20 @@ module Core = struct
     mutable arena : Arena.t; (* width = |bases| + |slots| *)
     (* Binding interner, open-addressed (power-of-two capacity, linear
        probing, resize at 4/5 load): at fleet scale a generic Hashtbl
-       costs ~6 words per binding in cons buckets and slack, these two
-       flat arrays ~3.  [itab_absent] marks empty slots by physical
-       identity, so any token content is admissible as a key. *)
-    mutable itab_keys : string array;
-    mutable itab_vals : int array;
+       costs ~6 words per binding in cons buckets and slack, this one
+       flat int array ~1.3.  A slot is [-1] or [(hash lsl 31) lor id]
+       (see [itab_slot]), so a probe reads the token only on a hash
+       match and growth moves ints. *)
+    mutable itab : int array;
     mutable tokens : string Arena.Vec.t; (* binding id -> token *)
+    (* Park log: the fate cell [bind * |bases| + base] of every fate
+       parked since the last compaction.  A cell parks at most once
+       (parked only moves to occurred), so the log holds every parked
+       fate once, plus cells that have occurred since, which [snapshot]
+       and [parked] drop.  Derived state: [equal_state] ignores it. *)
+    mutable plog : int array;
+    mutable plog_len : int;
+    mutable snapshot_reads : int; (* fate cells read by every snapshot *)
     mutable occ : int Arena.Vec.t; (* packed occurrence log, oldest first *)
     mutable extras_log : Literal.t array; (* off-spec occurrences *)
     mutable extras_len : int;
@@ -231,29 +239,35 @@ module Core = struct
 
   (* --- binding interner ----------------------------------------------------- *)
 
-  let itab_absent = String.make 1 '\000'
+  (* A slot packs the token's [Hashtbl.hash] (30 bits) above its 31-bit
+     binding id; empty slots are [-1]. *)
+  let id_bits = 31
+  let id_mask = (1 lsl id_bits) - 1
+  let itab_slot h id = (h lsl id_bits) lor id
 
-  let itab_find t tok =
-    let mask = Array.length t.itab_keys - 1 in
+  (* The id of [tok], whose hash is [h], or -1. *)
+  let itab_find t tok h =
+    let itab = t.itab in
+    let mask = Array.length itab - 1 in
     let rec probe i =
-      let k = Array.unsafe_get t.itab_keys i in
-      if k == itab_absent then -1
-      else if String.equal k tok then Array.unsafe_get t.itab_vals i
+      let s = Array.unsafe_get itab i in
+      if s < 0 then -1
+      else if
+        s lsr id_bits = h
+        && String.equal (Arena.Vec.get t.tokens (s land id_mask)) tok
+      then s land id_mask
       else probe ((i + 1) land mask)
     in
-    probe (Hashtbl.hash tok land mask)
+    probe (h land mask)
 
-  (* [tok] must be absent. *)
-  let itab_put t tok v =
-    let mask = Array.length t.itab_keys - 1 in
+  (* Store a slot whose id is not in [itab] yet. *)
+  let itab_put itab s =
+    let mask = Array.length itab - 1 in
     let rec probe i =
-      if t.itab_keys.(i) == itab_absent then begin
-        t.itab_keys.(i) <- tok;
-        t.itab_vals.(i) <- v
-      end
+      if Array.unsafe_get itab i < 0 then Array.unsafe_set itab i s
       else probe ((i + 1) land mask)
     in
-    probe (Hashtbl.hash tok land mask)
+    probe ((s lsr id_bits) land mask)
 
   let itab_capacity_for n =
     let cap = ref 1024 in
@@ -262,12 +276,16 @@ module Core = struct
     done;
     !cap
 
+  (* Doubles at 4/5 load, moving the slots' ints: no token is read. *)
   let itab_maybe_grow t =
-    if 5 * (Arena.Vec.length t.tokens + 1) > 4 * Array.length t.itab_keys then begin
-      let keys = t.itab_keys and vals = t.itab_vals in
-      t.itab_keys <- Array.make (2 * Array.length keys) itab_absent;
-      t.itab_vals <- Array.make (2 * Array.length vals) 0;
-      Array.iteri (fun i k -> if k != itab_absent then itab_put t k vals.(i)) keys
+    let old = t.itab in
+    if 5 * (Arena.Vec.length t.tokens + 1) > 4 * Array.length old then begin
+      let itab = Array.make (2 * Array.length old) (-1) in
+      for i = 0 to Array.length old - 1 do
+        let s = Array.unsafe_get old i in
+        if s >= 0 then itab_put itab s
+      done;
+      t.itab <- itab
     end
 
   let checkpoint_every = 1024
@@ -357,9 +375,11 @@ module Core = struct
       pos_slots;
       steps;
       arena = Arena.create ~width:(nb + Array.length slots);
-      itab_keys = Array.make 1024 itab_absent;
-      itab_vals = Array.make 1024 0;
+      itab = Array.make 1024 (-1);
       tokens = Arena.Vec.create "";
+      plog = [||];
+      plog_len = 0;
+      snapshot_reads = 0;
       occ = Arena.Vec.create 0;
       extras_log = [||];
       extras_len = 0;
@@ -400,15 +420,19 @@ module Core = struct
             else Off_spec)
 
   let intern t tok =
-    match itab_find t tok with
+    let h = Hashtbl.hash tok in
+    match itab_find t tok h with
     | i when i >= 0 -> i
     | _ ->
         let i = Arena.Vec.length t.tokens in
+        if i > id_mask then invalid_arg "Fleet: more than 2^31 bindings";
         itab_maybe_grow t;
-        itab_put t tok i;
+        itab_put t.itab (itab_slot h i);
         Arena.Vec.push t.tokens tok;
         Arena.ensure t.arena i;
         i
+
+  let find_binding t tok = itab_find t tok (Hashtbl.hash tok)
 
   let ground_symbol t b tok =
     Symbol.parametrized t.bases.(b) (List.init t.base_arity.(b) (fun _ -> tok))
@@ -473,6 +497,36 @@ module Core = struct
       ((t.seqno lsl 1)
       lor (match lit.Literal.pol with Literal.Pos -> 1 | Literal.Neg -> 0));
     push_occ t (-t.extras_len)
+
+  (* --- park log ------------------------------------------------------------ *)
+
+  let plog_push t cell =
+    if t.plog_len = Array.length t.plog then begin
+      let a = Array.make (max 256 (2 * t.plog_len)) 0 in
+      Array.blit t.plog 0 a 0 t.plog_len;
+      t.plog <- a
+    end;
+    Array.unsafe_set t.plog t.plog_len cell;
+    t.plog_len <- t.plog_len + 1
+
+  let cell_word t cell =
+    let nb = Array.length t.bases in
+    Arena.get t.arena (cell / nb) (cell mod nb)
+
+  (* Drop the log's cells that have occurred since they parked; returns
+     the cells read.  Afterwards the log holds exactly the parked fates. *)
+  let plog_compact t =
+    let read = t.plog_len in
+    let k = ref 0 in
+    for i = 0 to read - 1 do
+      let cell = Array.unsafe_get t.plog i in
+      if tag_of (cell_word t cell) = tag_parked then begin
+        Array.unsafe_set t.plog !k cell;
+        incr k
+      end
+    done;
+    t.plog_len <- !k;
+    read
 
   (* --- evaluation ---------------------------------------------------------- *)
 
@@ -578,33 +632,43 @@ module Core = struct
 
   (* --- the engine ---------------------------------------------------------- *)
 
+  (* The base of [bind]'s newest parked fate with a park tick below
+     [below], or -1.  Park ticks are distinct, and a retry pass parks
+     nothing, so successive calls with the last tick found walk the
+     row's parked fates newest first without sorting or allocating. *)
+  let newest_parked_below t bind below =
+    let best = ref (-1) and best_tick = ref (-1) in
+    for b = 0 to Array.length t.bases - 1 do
+      let w = Arena.get t.arena bind b in
+      if tag_of w = tag_parked then begin
+        let tick = parked_tick w in
+        if tick < below && tick > !best_tick then begin
+          best := b;
+          best_tick := tick
+        end
+      end
+    done;
+    !best
+
   (* Binding-level dispatch: an occurrence for binding [bind] can only
      change [bind]'s own verdicts (independence, see the header), so the
      retry loop walks just that binding's parked attempts — newest first
      by park tick, matching Param_sched's global parked list order — and
      recurses until a pass accepts nothing, like [retry_parked]. *)
   let rec retry_binding t bind =
-    let nb = Array.length t.bases in
-    let order = ref [] in
-    for b = nb - 1 downto 0 do
-      let w = Arena.get t.arena bind b in
-      if tag_of w = tag_parked then order := (parked_tick w, b) :: !order
-    done;
-    let order = List.sort (fun (ta, _) (tb, _) -> Int.compare tb ta) !order in
     let progress = ref false in
-    List.iter
-      (fun (_, b) ->
-        let w = Arena.get t.arena bind b in
-        if tag_of w = tag_parked then begin
-          match decide t bind b with
-          | Knowledge.True ->
-              emit_assim_at t b bind Wf_obs.Trace.Enabled;
-              record_onspec t bind b Literal.Pos;
-              progress := true
-          | Knowledge.False | Knowledge.Unknown ->
-              emit_assim_at t b bind Wf_obs.Trace.Reduced
-        end)
-      order;
+    let b = ref (newest_parked_below t bind max_int) in
+    while !b >= 0 do
+      let tick = parked_tick (Arena.get t.arena bind !b) in
+      (match decide t bind !b with
+      | Knowledge.True ->
+          emit_assim_at t !b bind Wf_obs.Trace.Enabled;
+          record_onspec t bind !b Literal.Pos;
+          progress := true
+      | Knowledge.False | Knowledge.Unknown ->
+          emit_assim_at t !b bind Wf_obs.Trace.Reduced);
+      b := newest_parked_below t bind tick
+    done;
     if !progress then retry_binding t bind
 
   let apply_attempt t sym =
@@ -629,6 +693,7 @@ module Core = struct
               if tag_of w <> tag_parked then begin
                 t.ptick <- t.ptick + 1;
                 Arena.set t.arena bind b (parked_word ~tick:t.ptick);
+                plog_push t ((bind * Array.length t.bases) + b);
                 t.parked_n <- t.parked_n + 1;
                 if t.parked_n > t.parked_peak then begin
                   t.parked_peak <- t.parked_n;
@@ -662,24 +727,24 @@ module Core = struct
 
   (* --- crash recovery ------------------------------------------------------ *)
 
-  (* O(1) in the logs, which are shared (see [snapshot]'s type), plus one
-     read-only scan of the fate columns that allocates only the parked
-     triples. *)
+  (* O(1) in the logs, which are shared (see [snapshot]'s type), plus
+     the park log: the cells parked at the last snapshot and those parked
+     since, compacted to the parked ones.  Sorting the cells puts the
+     triples in (binding, base) order, the order of the full scan of the
+     fate columns this replaced, so the frames keep their bytes.
+     Allocates only the parked cells and triples. *)
   let snapshot t =
     let nb = Array.length t.bases in
-    let parked = Array.make (3 * t.parked_n) 0 in
-    let k = ref 0 in
-    for bind = 0 to Arena.rows t.arena - 1 do
-      for b = 0 to nb - 1 do
-        let w = Arena.get t.arena bind b in
-        if tag_of w = tag_parked then begin
-          parked.(!k) <- bind;
-          parked.(!k + 1) <- b;
-          parked.(!k + 2) <- w;
-          k := !k + 3
-        end
-      done
-    done;
+    t.snapshot_reads <- t.snapshot_reads + plog_compact t;
+    let cells = Array.sub t.plog 0 t.plog_len in
+    Array.sort Int.compare cells;
+    let parked = Array.make (3 * t.plog_len) 0 in
+    Array.iteri
+      (fun k cell ->
+        parked.(3 * k) <- cell / nb;
+        parked.((3 * k) + 1) <- cell mod nb;
+        parked.((3 * k) + 2) <- cell_word t cell)
+      cells;
     {
       f_tokens = Arena.Vec.share t.tokens;
       f_occ = Arena.Vec.share t.occ;
@@ -698,10 +763,9 @@ module Core = struct
     let n = Arena.Vec.length s.f_tokens and nb = Array.length t.bases in
     let corrupt_if c = if c then B.fail "fleet snapshot: bad index" in
     t.tokens <- Arena.Vec.restore s.f_tokens;
-    t.itab_keys <- Array.make (itab_capacity_for n) itab_absent;
-    t.itab_vals <- Array.make (Array.length t.itab_keys) 0;
+    t.itab <- Array.make (itab_capacity_for n) (-1);
     for i = 0 to n - 1 do
-      itab_put t (token t i) i
+      itab_put t.itab (itab_slot (Hashtbl.hash (token t i)) i)
     done;
     t.occ <- Arena.Vec.restore s.f_occ;
     t.seqno <- Arena.Vec.length t.occ;
@@ -729,11 +793,17 @@ module Core = struct
     done;
     let p = s.f_parked in
     t.parked_n <- Array.length p / 3;
+    t.plog <- Array.make t.parked_n 0;
+    t.plog_len <- t.parked_n;
     for k = 0 to t.parked_n - 1 do
       let bind = p.(3 * k) and b = p.((3 * k) + 1) and w = p.((3 * k) + 2) in
+      let cell = (bind * nb) + b in
+      (* ascending cells: each parked fate once, as [snapshot] writes *)
       corrupt_if
-        (bind < 0 || bind >= n || b < 0 || b >= nb || tag_of w <> tag_parked);
-      Arena.set t.arena bind b w
+        (bind < 0 || bind >= n || b < 0 || b >= nb || tag_of w <> tag_parked
+        || (k > 0 && cell <= t.plog.(k - 1)));
+      Arena.set t.arena bind b w;
+      t.plog.(k) <- cell
     done
 
   let vec_equal eq a b =
@@ -760,17 +830,36 @@ module Core = struct
 
   (* --- queries ------------------------------------------------------------- *)
 
-  let parked t =
+  let cell_symbol t cell =
     let nb = Array.length t.bases in
-    let acc = ref [] in
-    for bind = 0 to Arena.rows t.arena - 1 do
-      for b = 0 to nb - 1 do
+    ground_symbol t (cell mod nb) (token t (cell / nb))
+
+  (* Served from the park log: O(parked log), not O(bindings × bases). *)
+  let parked t =
+    ignore (plog_compact t);
+    let cells = Array.sub t.plog 0 t.plog_len in
+    Array.sort
+      (fun a b -> Int.compare (parked_tick (cell_word t b)) (parked_tick (cell_word t a)))
+      cells;
+    Array.fold_right (fun cell acc -> cell_symbol t cell :: acc) cells []
+
+  (* The full scan of every row's fate words that the park log replaced:
+     the parked triples in (binding, base) order and the parked symbols
+     newest first.  O(bindings × bases); a differential oracle. *)
+  let scan_parked t =
+    let nb = Array.length t.bases in
+    let triples = ref [] and by_tick = ref [] in
+    for bind = Arena.rows t.arena - 1 downto 0 do
+      for b = nb - 1 downto 0 do
         let w = Arena.get t.arena bind b in
-        if tag_of w = tag_parked then
-          acc := (parked_tick w, ground_symbol t b (token t bind)) :: !acc
+        if tag_of w = tag_parked then begin
+          triples := bind :: b :: w :: !triples;
+          by_tick := (parked_tick w, ground_symbol t b (token t bind)) :: !by_tick
+        end
       done
     done;
-    List.map snd (List.sort (fun (ta, _) (tb, _) -> Int.compare tb ta) !acc)
+    ( Array.of_list !triples,
+      List.map snd (List.sort (fun (ta, _) (tb, _) -> Int.compare tb ta) !by_tick) )
 
   let parked_count t = t.parked_n
 
@@ -781,7 +870,7 @@ module Core = struct
   let decided t sym =
     match classify t sym with
     | On_spec (b, tok) -> (
-        match itab_find t tok with
+        match find_binding t tok with
         | -1 -> false
         | bind -> tag_of (Arena.get t.arena bind b) = tag_occurred)
     | Off_spec -> Hashtbl.mem t.extras (Symbol.name sym)
@@ -797,6 +886,8 @@ module Core = struct
     !know
 
   let bindings t = Arena.Vec.length t.tokens
+
+  let interner_slots t = Array.length t.itab
 
   let table_states t =
     Array.fold_left
@@ -829,7 +920,7 @@ module Core = struct
 
   let state_words t =
     Arena.words t.arena + Arena.Vec.words t.occ + Arena.Vec.words t.tokens
-    + Array.length t.itab_keys + Array.length t.itab_vals
+    + Array.length t.itab + Array.length t.plog
 end
 
 include Param_engine.Make (Core)
@@ -840,6 +931,10 @@ let state_words t = Core.state_words (core t)
 module For_testing = struct
   let snapshot_codec = Core.snapshot_codec
   let snapshot t = Core.snapshot (core t)
+  let snapshot_reads t = (core t).Core.snapshot_reads
+  let scan_parked t = Core.scan_parked (core t)
+  let binding_id t tok = match Core.find_binding (core t) tok with -1 -> None | i -> Some i
+  let interner_slots t = Core.interner_slots (core t)
   let bindings t = Core.bindings (core t)
   let audit_open_verdicts t = Core.audit_open_verdicts (core t)
 end

@@ -49,19 +49,22 @@ include Param_engine.S
     {!eligible}; [checkpoint_every] defaults to 1024.  An in-memory
     checkpoint shares the segments of the engine's append-only token
     and occurrence logs (copying one directory word per segment) and
-    copies only the parked fates: one read-only scan of the fate
-    columns, no per-binding allocation.  With a [store] the checkpoint
-    is also encoded as one durable frame of tokens and logs (no arena),
-    which is O(bindings); drivers running 10^6 bindings against a store
-    should raise the cadence to amortize it.  {!recover} restores the
-    checkpoint by replaying its occurrence log into a fresh arena
-    (table steps are not counted again) and overlaying the parked
-    fates; the recovered engine keeps the checkpoint's full log
-    segments shared and copies the partial last ones, so it never
-    writes where the crashed engine, or another engine recovered from
-    the same checkpoint, can.  {!parked} is an O(bindings × bases)
-    scan, {!trace} and {!knowledge} rebuild from the packed log
-    (O(occurrences)): conformance queries, not the hot path.  {!stats}
+    copies only the parked fates, read from a park log of the fates
+    parked at the previous checkpoint and those parked since: no scan
+    of the fate columns, no per-binding allocation.  With a [store]
+    the checkpoint is also encoded as one durable frame of tokens and
+    logs (no arena), which is O(bindings); drivers running 10^6
+    bindings against a store should raise the cadence to amortize it.
+    {!recover} restores the checkpoint by replaying its occurrence log
+    into a fresh arena (table steps are not counted again) and
+    overlaying the parked fates; the recovered engine keeps the
+    checkpoint's full log segments shared and copies the partial last
+    ones, so it never writes where the crashed engine, or another
+    engine recovered from the same checkpoint, can.  {!parked} sorts
+    the park log (O(parked log)); {!trace} and {!knowledge} rebuild
+    from the packed log (O(occurrences)): conformance queries, not the
+    hot path.  Once 2^31 bindings are interned, an input naming a new
+    one raises [Invalid_argument]: binding ids are 31 bits.  {!stats}
     holds the [fleet_*] counters (attempts, occurred, table steps,
     symbolic evaluations, parked peak); [fleet_symbolic_evals] counts
     every {!Knowledge.status} call: per-state verdict fills on
@@ -76,8 +79,10 @@ val table_states : t -> int
 
 val state_words : t -> int
 (** Words held by the flat per-binding state (arena, occurrence log,
-    token table and interner, whole segments included) — the bench's
-    bytes-per-instance numerator for the engine's own structures. *)
+    token table, interner and park log, whole segments and array
+    capacities included) — the bench's bytes-per-instance numerator
+    for the engine's own structures.  The interner is one int per slot,
+    ~1.3 words per binding at its load factor. *)
 
 (** {2 Test hooks} *)
 
@@ -97,6 +102,23 @@ module For_testing : sig
   val snapshot : t -> snapshot
   (** The checkpoint the engine would write now: right after its
       [checkpoint_every]-th input it equals the one just written. *)
+
+  val snapshot_reads : t -> int
+  (** Fate cells read by every snapshot taken so far, {!snapshot}'s
+      included: the park log's length at each, i.e. the fates parked at
+      the previous snapshot plus those parked since. *)
+
+  val scan_parked : t -> int array * Symbol.t list
+  (** The full O(bindings × bases) scan of the fate columns that the
+      park log replaced: the parked (binding, base, fate word) triples
+      in (binding, base) order, and the parked symbols newest first.
+      A differential oracle for the snapshot's triples and {!parked}. *)
+
+  val binding_id : t -> string -> int option
+  (** The dense id the interner holds for a token, if any. *)
+
+  val interner_slots : t -> int
+  (** The interner's capacity; it doubles on each growth. *)
 
   val bindings : t -> int
   (** Distinct parameter bindings interned so far. *)

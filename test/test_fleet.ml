@@ -382,8 +382,9 @@ let stores = [ None; Some Wf_store.Media.Sim.no_faults ]
    the crashing engine [C] is exact, a recover that replays nothing
    leaves the engine's counters alone (over a medium it counts one
    salvage among the medium's [store_*] counters, and nothing else
-   moves), and [C] stays in lockstep with an uncrashed [R]. *)
-let crash_points (type r c) (module R : E with type t = r)
+   moves), and [C] stays in lockstep with an uncrashed [R].  [audit]
+   sees [C] at every checkpoint and after every recover. *)
+let crash_points (type r c) ?(audit = fun _ _ -> ()) (module R : E with type t = r)
     (module C : E with type t = c) (deps, steps) =
   let is_store (name, _) = String.starts_with ~prefix:"store_" name in
   let stats_of e =
@@ -410,11 +411,15 @@ let crash_points (type r c) (module R : E with type t = r)
                     Alcotest.failf
                       "cadence %d, step %d, attempt %s: symbolic=%s fleet=%s"
                       cadence i (Symbol.name sym) (show_outcome a)
-                      (show_outcome b)
+                      (show_outcome b);
+                  if !inputs mod cadence = 0 then
+                    audit !fe (Printf.sprintf "cadence %d, step %d, checkpoint" cadence i)
               | In (O l) ->
                   incr inputs;
                   R.occurred se l;
-                  C.occurred !fe l
+                  C.occurred !fe l;
+                  if !inputs mod cadence = 0 then
+                    audit !fe (Printf.sprintf "cadence %d, step %d, checkpoint" cadence i)
               | Crash ->
                   let counters, gauges, salvages = stats_of !fe in
                   let fe' = C.recover !fe in
@@ -430,6 +435,7 @@ let crash_points (type r c) (module R : E with type t = r)
                       cadence i;
                   check trace_testable "trace in lockstep after recover"
                     (R.trace se) (C.trace fe');
+                  audit fe' (Printf.sprintf "cadence %d, step %d, recover" cadence i);
                   fe := fe')
             steps;
           check trace_testable "final traces agree" (R.trace se) (C.trace !fe);
@@ -441,8 +447,18 @@ let crash_points (type r c) (module R : E with type t = r)
     cadences;
   true
 
+(* The park log against the full scan of the fate columns it replaced:
+   [Fleet.parked] lists the scan's parked fates newest first, and the
+   snapshot's triples are the scan's, in its (binding, base) order. *)
+let audit_park_log fe where =
+  let triples, newest_first = Fleet.For_testing.scan_parked fe in
+  if not (List.equal Symbol.equal (Fleet.parked fe) newest_first) then
+    Alcotest.failf "%s: parked differs from the scan" where;
+  if (Fleet.For_testing.snapshot fe).Fleet.f_parked <> triples then
+    Alcotest.failf "%s: snapshot triples differ from the scan" where
+
 let prop_crash_points case =
-  crash_points (module Param_sched) (module Fleet) case
+  crash_points ~audit:audit_park_log (module Param_sched) (module Fleet) case
 
 (* A checkpoint shares the engine's logs.  Inputs fed to the original
    engine after the checkpoint must not leak into what a later recover
@@ -883,6 +899,140 @@ let test_segment_boundaries () =
         [ seg - 1; seg; seg + 1 ])
     [ seg - 1; seg; seg + 1 ]
 
+(* --- binding interner and checkpoint work ---------------------------------- *)
+
+(* [n] pairs of distinct tokens with equal [Hashtbl.hash]: they collide
+   modulo every capacity and carry the same hash bits in their slots, so
+   only the token compare tells them apart. *)
+let same_hash_pairs n =
+  let seen = Hashtbl.create 65536 in
+  let rec go i acc =
+    if List.length acc >= n then List.rev acc
+    else
+      let tok = Printf.sprintf "h%d" i in
+      let h = Hashtbl.hash tok in
+      match Hashtbl.find_opt seen h with
+      | Some other -> go (i + 1) ((other, tok) :: acc)
+      | None ->
+          Hashtbl.add seen h tok;
+          go (i + 1) acc
+  in
+  go 0 []
+
+(* [n] tokens whose hashes agree modulo 4096: one probe run at every
+   capacity up to 4096. *)
+let same_bucket_tokens n =
+  let rec go i acc k =
+    if k = n then List.rev acc
+    else
+      let tok = Printf.sprintf "m%d" i in
+      if Hashtbl.hash tok land 4095 = 7 then go (i + 1) (tok :: acc) (k + 1)
+      else go (i + 1) acc k
+  in
+  go 0 [] 0
+
+(* Over 20k tokens, across 4096-entry token segments and at least four
+   interner growths: after every growth and after a recover, each
+   token resolves to its dense id (its interning order), and tokens
+   never interned, one of them sharing an interned token's hash, stay
+   undecided. *)
+let test_interner () =
+  let pairs = same_hash_pairs 3 in
+  let twin_a = List.map fst pairs and twin_b = List.map snd pairs in
+  let plain = List.init 22_000 (fun i -> "t" ^ string_of_int i) in
+  let early, late = split_at 9_000 plain in
+  let toks =
+    Array.of_list
+      (early @ twin_a @ same_bucket_tokens 48 @ late @ List.tl twin_b)
+  in
+  let absent = [ List.hd twin_b; "t-1"; ""; "t22000" ] in
+  let n = Array.length toks in
+  let prep tok = Literal.pos (psym "p" tok) in
+  let resolves where fe upto =
+    for j = 0 to upto - 1 do
+      if Fleet.For_testing.binding_id fe toks.(j) <> Some j then
+        Alcotest.failf "%s: token %S lost id %d" where toks.(j) j
+    done;
+    List.iter
+      (fun tok ->
+        if Fleet.For_testing.binding_id fe tok <> None || Fleet.decided fe (psym "p" tok)
+        then Alcotest.failf "%s: %S was never interned" where tok)
+      absent
+  in
+  let fe = Fleet.create ~checkpoint_every:4096 [ saga ] in
+  let growths = ref 0 in
+  Array.iteri
+    (fun i tok ->
+      let slots = Fleet.For_testing.interner_slots fe in
+      Fleet.occurred fe (prep tok);
+      if Fleet.For_testing.interner_slots fe <> slots then begin
+        incr growths;
+        resolves (Printf.sprintf "growth %d" !growths) fe (i + 1)
+      end)
+    toks;
+  checkb "at least four growths" (!growths >= 4);
+  check Alcotest.int "every token a binding" n (Fleet.For_testing.bindings fe);
+  checkb "more than 20k tokens" (n > 20_000);
+  resolves "end of stream" fe n;
+  let fe' = Fleet.recover fe in
+  checkb "recovered state equal" (Fleet.equal_state fe fe');
+  resolves "after recover" fe' n;
+  checkb "a twin interned after the recover gets the next id"
+    (Fleet.occurred fe' (prep (List.hd twin_b));
+     Fleet.For_testing.binding_id fe' (List.hd twin_b) = Some n)
+
+(* The saga schedule of the fleet benchmarks over [n] bindings: commit
+   c(j) at a Poisson arrival, prepare p(j) an exponential lag later, so
+   most commits park until their prepare. *)
+let saga_schedule n =
+  let rng = Wf_sim.Rng.create 1L in
+  let times = Array.make (2 * n) 0.0 in
+  let t = ref 0.0 in
+  for j = 0 to n - 1 do
+    t := !t +. Wf_sim.Rng.exponential rng ~mean:1.0;
+    times.(2 * j) <- !t;
+    times.((2 * j) + 1) <- !t +. Wf_sim.Rng.exponential rng ~mean:8.0
+  done;
+  let order = Array.init (2 * n) Fun.id in
+  Array.stable_sort (fun a b -> Float.compare times.(a) times.(b)) order;
+  Array.map
+    (fun slot ->
+      let tok = string_of_int (slot / 2) in
+      if slot land 1 = 0 then A (psym "c" tok) else O (Literal.pos (psym "p" tok)))
+    order
+
+(* A checkpoint reads the park log, not the fate columns: on a 50k-binding
+   saga stream each snapshot reads exactly the fates parked at the
+   previous checkpoint plus those parked since, where a full scan reads
+   rows × bases. *)
+let test_snapshot_work () =
+  let n = 50_000 in
+  let cadence = n / 16 in
+  let fe = Fleet.create ~checkpoint_every:cadence [ saga ] in
+  let parked_before = ref 0 and parks = ref 0 in
+  let reads = ref 0 and scan_cells = ref 0 and checkpoints = ref 0 in
+  Array.iteri
+    (fun i ev ->
+      (match ev with
+      | A s -> if Fleet.attempt fe s = Param_engine.Parked then incr parks
+      | O l -> Fleet.occurred fe l);
+      if (i + 1) mod cadence = 0 then begin
+        incr checkpoints;
+        let r = Fleet.For_testing.snapshot_reads fe - !reads in
+        if r <> !parked_before + !parks then
+          Alcotest.failf "checkpoint %d read %d cells, parked %d + parks %d" !checkpoints
+            r !parked_before !parks;
+        reads := !reads + r;
+        scan_cells := !scan_cells + (2 * Fleet.For_testing.bindings fe);
+        parked_before := Fleet.parked_count fe;
+        parks := 0
+      end)
+    (saga_schedule n);
+  check Alcotest.int "checkpoints" 32 !checkpoints;
+  check Alcotest.int "every commit released" 0 (Fleet.parked_count fe);
+  if !reads * 10 > !scan_cells then
+    Alcotest.failf "snapshots read %d cells; full scans would read %d" !reads !scan_cells
+
 (* --- per-state Open verdicts --------------------------------------------- *)
 
 (* x0·x1·…·x(k-1) over one binding. *)
@@ -1094,6 +1244,10 @@ let suite =
       test_salvage_pinned;
     Alcotest.test_case "checkpoint frames pinned" `Quick
       test_checkpoint_frames_pinned;
+    Alcotest.test_case "interner: 20k+ tokens, growths, collisions, recover" `Quick
+      test_interner;
+    Alcotest.test_case "a checkpoint reads the park log, not every fate" `Quick
+      test_snapshot_work;
     Alcotest.test_case "arena rebuild from the log" `Quick test_arena_rebuild;
     Alcotest.test_case "segmented storage across segment boundaries" `Quick
       test_segment_boundaries;
