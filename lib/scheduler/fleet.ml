@@ -200,11 +200,11 @@ module Core = struct
        match and growth moves ints. *)
     mutable itab : int array;
     mutable tokens : string Arena.Vec.t; (* binding id -> token *)
-    (* Park log: the fate cell [bind * |bases| + base] of every fate
-       parked since the last compaction.  A cell parks at most once
-       (parked only moves to occurred), so the log holds every parked
-       fate once, plus cells that have occurred since, which [snapshot]
-       and [parked] drop.  Derived state: [equal_state] ignores it. *)
+    (* Park log: fate cells [bind * |bases| + base], appended as each
+       fate parks.  A cell parks at most once (parked only moves to
+       occurred), so the log holds every parked fate exactly once, plus
+       cells that have occurred since they parked, which [snapshot] and
+       [parked] compact away.  Derived state: [equal_state] ignores it. *)
     mutable plog : int array;
     mutable plog_len : int;
     mutable snapshot_reads : int; (* fate cells read by every snapshot *)
@@ -730,9 +730,8 @@ module Core = struct
   (* O(1) in the logs, which are shared (see [snapshot]'s type), plus
      the park log: the cells parked at the last snapshot and those parked
      since, compacted to the parked ones.  Sorting the cells puts the
-     triples in (binding, base) order, the order of the full scan of the
-     fate columns this replaced, so the frames keep their bytes.
-     Allocates only the parked cells and triples. *)
+     triples in (binding, base) order, which [restore] checks and the
+     pinned frames fix.  Allocates only the parked cells and triples. *)
   let snapshot t =
     let nb = Array.length t.bases in
     t.snapshot_reads <- t.snapshot_reads + plog_compact t;
