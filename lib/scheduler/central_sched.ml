@@ -118,7 +118,7 @@ type runtime = {
   deps : dep_state list;
   journal : (c_input, c_snapshot) Wf_store.Journal.t;
   agents : (Agent.t * int) array; (* by task rank: agent, site *)
-  decided_set : (Symbol.t, unit) Hashtbl.t;
+  decided_set : unit Symbol_tbl.t;
   mutable replaying : bool;
   mutable parked : (Literal.t * Literal.t list) list;
   mutable triggered : Literal.Set.t;
@@ -129,7 +129,7 @@ type runtime = {
 
 let central_site = 0
 
-let decided rt sym = Hashtbl.mem rt.decided_set sym
+let decided rt sym = Symbol_tbl.mem rt.decided_set sym
 
 let mentions ds lit = Literal.Set.mem lit ds.lits
 
@@ -241,7 +241,7 @@ let emit_assim rt lit outcome =
 
 let rec record rt lit =
   if not (decided rt (Literal.symbol lit)) then begin
-    Hashtbl.replace rt.decided_set (Literal.symbol lit) ();
+    Symbol_tbl.replace rt.decided_set (Literal.symbol lit) ();
     (* Durable commit: during replay the occurrence log already holds
        the event (committed by the pre-crash incarnation), so only the
        volatile state below is rebuilt. *)
@@ -339,12 +339,17 @@ let apply_center rt = function
         send_to_owner rt lit (Rejected lit)
       end
 
+(* Sorted, so the checkpoint's bytes do not depend on the order in
+   which the table happens to hold its symbols. *)
+let decided_list tbl =
+  List.sort Symbol.compare (Symbol_tbl.fold (fun sym () acc -> sym :: acc) tbl [])
+
 let snapshot_center rt =
   {
     cs_states = List.map (fun ds -> ds.state) rt.deps;
     cs_parked = rt.parked;
     cs_triggered = rt.triggered;
-    cs_decided = Hashtbl.fold (fun sym () acc -> sym :: acc) rt.decided_set [];
+    cs_decided = decided_list rt.decided_set;
   }
 
 (* The journaled entry point of the center: write ahead, apply,
@@ -368,14 +373,14 @@ let recover_center rt =
   List.iter (fun ds -> ds.state <- 0) rt.deps;
   rt.parked <- [];
   rt.triggered <- Literal.Set.empty;
-  Hashtbl.reset rt.decided_set;
+  Symbol_tbl.reset rt.decided_set;
   let ckpt, suffix = Wf_store.Journal.recover rt.journal in
   (match ckpt with
   | Some s ->
       List.iter2 (fun ds st -> ds.state <- st) rt.deps s.cs_states;
       rt.parked <- s.cs_parked;
       rt.triggered <- s.cs_triggered;
-      List.iter (fun sym -> Hashtbl.replace rt.decided_set sym ()) s.cs_decided
+      List.iter (fun sym -> Symbol_tbl.replace rt.decided_set sym ()) s.cs_decided
   | None -> ());
   List.iter (fun input -> apply_center rt input) suffix;
   rt.replaying <- false;
@@ -505,7 +510,7 @@ let run ?(config = Event_sched.default_config) wf =
           deps;
       journal;
       agents;
-      decided_set = Hashtbl.create 64;
+      decided_set = Symbol_tbl.create 64;
       replaying = false;
       parked = [];
       triggered = Literal.Set.empty;
@@ -565,4 +570,15 @@ let run ?(config = Event_sched.default_config) wf =
 module For_testing = struct
   let input_codec = input_codec
   let snapshot_codec = snapshot_codec
+
+  let decided_checkpoint syms =
+    let tbl = Symbol_tbl.create 1 in
+    List.iter (fun sym -> Symbol_tbl.replace tbl sym ()) syms;
+    B.encode snapshot_codec
+      {
+        cs_states = [];
+        cs_parked = [];
+        cs_triggered = Literal.Set.empty;
+        cs_decided = decided_list tbl;
+      }
 end

@@ -49,4 +49,9 @@ type c_snapshot = {
 module For_testing : sig
   val input_codec : c_input Wf_store.Binio.t
   val snapshot_codec : c_snapshot Wf_store.Binio.t
+
+  val decided_checkpoint : Symbol.t list -> string
+  (** The encoded checkpoint of a center that decided [syms], in that
+      order, and holds nothing else: its decided table is filled the
+      way a run fills it and snapshotted the way a run snapshots it. *)
 end

@@ -185,7 +185,6 @@ module Core = struct
     env : Param_engine.env;
     bases : string array;
     base_arity : int array;
-    base_index : (string, int) Hashtbl.t;
     slots : slot array; (* positive templates, in template order *)
     pos_slots : int array array; (* per base: its positive slots *)
     steps : (int * Gtable.t * int * int) array array;
@@ -370,7 +369,6 @@ module Core = struct
       env;
       bases;
       base_arity;
-      base_index;
       slots;
       pos_slots;
       steps;
@@ -404,10 +402,18 @@ module Core = struct
      side, mirroring Param_sched's empty-verdict path. *)
   type cls = On_spec of int * string | Off_spec
 
+  (* A template has a handful of bases, so a scan of their names finds
+     a symbol's base faster than hashing the name and comparing it
+     polymorphically in a [Hashtbl]. *)
+  let rec find_base bases base i =
+    if i < 0 then -1
+    else if String.equal bases.(i) base then i
+    else find_base bases base (i - 1)
+
   let classify t sym =
-    match Hashtbl.find_opt t.base_index (Symbol.base sym) with
-    | None -> Off_spec
-    | Some b -> (
+    match find_base t.bases (Symbol.base sym) (Array.length t.bases - 1) with
+    | -1 -> Off_spec
+    | b -> (
         match Symbol.args sym with
         | [] -> Off_spec
         | a0 :: rest ->

@@ -110,7 +110,8 @@ let admit t ~site ?actor ~depth:d ~first () =
       | None -> ()
       | Some sink ->
           Trace.emit sink
-            (Trace.make ~time:(t.now ()) ~site ?actor
+            (Trace.make ~time:(t.now ()) ~site
+               ?actor:(Option.map Wf_core.Symbol.name actor)
                (Trace.Shed { depth = d; retry_after })));
       Busy { retry_after }
     end

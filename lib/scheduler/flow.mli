@@ -64,14 +64,21 @@ val create :
 (** {2 Admission control} *)
 
 val admit :
-  t -> site:int -> ?actor:string -> depth:int -> first:float -> unit -> verdict
+  t ->
+  site:int ->
+  ?actor:Wf_core.Symbol.t ->
+  depth:int ->
+  first:float ->
+  unit ->
+  verdict
 (** Admission verdict for an attempt at [site] against the queue depth
     [depth] of the congested resource (the local site's, or the
     centralized scheduler's site's, or a backlog).  [first] is the simulated
     time of the first try of this attempt; on admission the elapsed
     wait lands in the [flow_admission_latency] histogram.  [Busy]
-    emits a [Shed] trace record and schedules nothing — the caller
-    owns the retry timer. *)
+    emits a [Shed] trace record, naming [actor] in it only when a tracer
+    is attached, and schedules nothing — the caller owns the retry
+    timer. *)
 
 (** {2 Arrival processes} *)
 

@@ -100,7 +100,7 @@ let arrive arrival ~think_time net chan ~site ?depth_site ?label sym attempt =
         let depth =
           Channel.depth chan ~site:(Option.value depth_site ~default:site)
         in
-        match Flow.admit fl ~site ~actor:(Symbol.name sym) ~depth ~first () with
+        match Flow.admit fl ~site ~actor:sym ~depth ~first () with
         | Flow.Admitted -> attempt ()
         | Flow.Busy { retry_after } ->
             Wf_sim.Netsim.schedule ?label net ~delay:retry_after

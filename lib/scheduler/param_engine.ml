@@ -202,7 +202,7 @@ module Make (C : CORE) = struct
       match t.flow with
       | None -> Flow.Admitted
       | Some fl ->
-          Flow.admit fl ~site:0 ~actor:(Symbol.name sym)
+          Flow.admit fl ~site:0 ~actor:sym
             ~depth:(C.parked_count t.core)
             ~first:(float_of_int !(t.env.tick))
             ()

@@ -492,6 +492,34 @@ let round_trip_tests =
       fleet_equal;
   ]
 
+(* The center's decided set is a hash table; its checkpoint must not
+   carry the table's internal order, or two centers in the same state
+   would write different bytes.  Sixty symbols in a table grown from one
+   bucket share buckets, where the order is the insertion order. *)
+let test_center_decided_order () =
+  let syms =
+    List.init 60 (fun i ->
+        if i mod 3 = 0 then Symbol.make (Printf.sprintf "e%d" i)
+        else Symbol.parametrized (Printf.sprintf "t%d" (i mod 7)) [ string_of_int i ])
+  in
+  let bytes = Central_sched.For_testing.decided_checkpoint in
+  let forward = bytes syms in
+  check Alcotest.string "reversed decisions, same checkpoint" (hex forward)
+    (hex (bytes (List.rev syms)));
+  check Alcotest.string "interleaved decisions, same checkpoint" (hex forward)
+    (hex
+       (bytes
+          (List.filteri (fun i _ -> i mod 2 = 1) syms
+          @ List.filteri (fun i _ -> i mod 2 = 0) syms)));
+  match B.decode Central_sched.For_testing.snapshot_codec forward with
+  | None -> Alcotest.fail "checkpoint does not decode"
+  | Some s ->
+      check
+        Alcotest.(list string)
+        "decided symbols in Symbol.compare order"
+        (List.map Symbol.name (List.sort Symbol.compare syms))
+        (List.map Symbol.name s.Central_sched.cs_decided)
+
 let suite =
   [
     Alcotest.test_case "golden payload bytes" `Quick test_golden_bytes;
@@ -501,5 +529,7 @@ let suite =
     Alcotest.test_case "invalid payloads decode to None" `Quick test_rejections;
     Alcotest.test_case "varints past 63 bits are corrupt" `Quick test_varint_overflow;
     Alcotest.test_case "union tags are distinct" `Quick test_union_tags_distinct;
+    Alcotest.test_case "center checkpoint independent of decision order" `Quick
+      test_center_decided_order;
   ]
   @ round_trip_tests

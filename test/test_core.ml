@@ -49,6 +49,66 @@ let prop_symbol_equal_is_compare =
       && Literal.equal (Literal.pos a) (Literal.pos b) = Symbol.equal a b
       && not (Literal.equal (Literal.pos a) (Literal.neg b)))
 
+(* The integer keys must keep the name order exactly.  Names share
+   6-, 7-, 8- and 9-byte prefixes (the keys hold 7 bytes and a length
+   capped at 8), carry NUL bytes (the keys' padding) and high bytes, and
+   may be empty; half the pairs are two fresh builds of one name or
+   differ in one argument, so ties reach every branch of [compare]. *)
+let gen_name =
+  QCheck2.Gen.(
+    map2 ( ^ )
+      (oneofl [ ""; "abcdef"; "abcdefg"; "abcdefgh"; "abcdefghi"; "ab\000d\000f\000" ])
+      (string_size ~gen:(oneofl [ '\000'; 'a'; 'h'; '\255' ]) (int_bound 3)))
+
+let gen_spec =
+  QCheck2.Gen.(pair gen_name (list_size (int_bound 3) gen_name))
+
+let gen_spec_pair =
+  QCheck2.Gen.(
+    gen_spec >>= fun ((base, args) as a) ->
+    frequency
+      [
+        (2, map (fun b -> (a, b)) gen_spec);
+        (1, return (a, a));
+        (1, map (fun extra -> (a, (base, args @ [ extra ]))) gen_name);
+        ( 1,
+          map
+            (fun arg ->
+              (a, (base, match args with [] -> [ arg ] | _ :: rest -> arg :: rest)))
+            gen_name );
+      ])
+
+let symbol_of (base, args) =
+  match args with [] -> Symbol.make base | _ -> Symbol.parametrized base args
+
+let reference_compare (b1, a1) (b2, a2) =
+  match String.compare b1 b2 with
+  | 0 -> List.compare String.compare a1 a2
+  | c -> c
+
+let prop_symbol_order =
+  let sign c = Int.compare c 0 in
+  let show (b, a) =
+    Printf.sprintf "%S %s" b (String.concat "," (List.map (Printf.sprintf "%S") a))
+  in
+  qprop ~count:2000 "Symbol.compare is the name order; equal, hash and Literal agree"
+    ~print:(fun (x, y) -> show x ^ " vs " ^ show y)
+    gen_spec_pair
+    (fun (x, y) ->
+      let a = symbol_of x and b = symbol_of y in
+      let c = Symbol.compare a b in
+      sign c = sign (reference_compare x y)
+      && sign (Symbol.compare b a) = - sign c
+      && Symbol.compare a (symbol_of x) = 0
+      && Symbol.equal a b = (c = 0)
+      && Symbol.equal b a = (c = 0)
+      && Symbol.equal a (symbol_of x)
+      && Symbol.hash a = Hashtbl.hash x
+      && Symbol.hash b = Hashtbl.hash y
+      && sign (Literal.compare (Literal.pos a) (Literal.pos b)) = sign c
+      && sign (Literal.compare (Literal.neg a) (Literal.neg b)) = sign c
+      && (c <> 0 || Literal.compare (Literal.pos a) (Literal.neg b) < 0))
+
 let test_literal_complement () =
   let l = Literal.event "e" in
   checkb "complement flips" (not (Literal.is_pos (Literal.complement l)));
@@ -235,6 +295,7 @@ let suite =
       (fun u ->
         List.for_all (fun (v, w) -> Trace.equal u (v @ w)) (Reference.splits u));
     prop_symbol_equal_is_compare;
+    prop_symbol_order;
     Alcotest.test_case "int table edge cases" `Quick test_int_table_edges;
     qprop ~count:300 "int table = Hashtbl model across resizes and removals"
       gen_table_ops table_matches_hashtbl;

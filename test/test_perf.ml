@@ -386,6 +386,20 @@ let test_burst_counts () =
     Alcotest.failf "%d instance evaluations for %d jobs (> 2.1 per job)" evals
       jobs
 
+(* Symbols compare by their integer keys: no compare on the
+   param-burst shape (saga bindings [c(j)], [p(j)] over 2,000 jobs) or
+   on a fault-free travel run falls back to walking a name. *)
+let test_no_string_walks () =
+  let walks f =
+    let w0 = Symbol.For_testing.string_walks () in
+    ignore (f ());
+    Symbol.For_testing.string_walks () - w0
+  in
+  check Alcotest.int "param-burst shape" 0
+    (walks (fun () -> burst_run ~jobs:2000 ~seed:1));
+  check Alcotest.int "fault-free travel" 0
+    (walks (fun () -> Event_sched.run (Test_sched.travel_wf ())))
+
 let suite =
   [
     Alcotest.test_case "interned ids are canonical" `Quick test_intern_ids;
@@ -409,4 +423,5 @@ let suite =
     Alcotest.test_case "run plan memo keyed on spec data" `Quick test_plan_memo;
     Alcotest.test_case "param-burst shape: work pinned, evaluations bounded"
       `Quick test_burst_counts;
+    Alcotest.test_case "symbol compares walk no name" `Quick test_no_string_walks;
   ]
