@@ -11,59 +11,6 @@ type 'a wire =
   | Hello of { origin : site; epoch : int; window : int }
   | Credit of { grant : int; reset : bool }
 
-(* A message id is unique only within one (origin, epoch): mid counters
-   are volatile and restart from 0 after a crash, so the dedup and ack
-   key must be the full triple.  The tables keyed by it hold one
-   [Int_table] per origin and epoch, keyed by mid and made on first
-   use: an operation reads two arrays and probes one int, and builds no
-   triple.  The tables by link and site are arrays. *)
-module By_key = struct
-  type 'v t = 'v Int_table.t array array (* by origin, then epoch *)
-
-  let create sites : 'v t = Array.make sites [||]
-
-  let find_table (t : 'v t) origin epoch =
-    let by_epoch = t.(origin) in
-    if epoch < Array.length by_epoch then by_epoch.(epoch) else raise Not_found
-
-  (* The table, made (and the origin's array grown) on demand. *)
-  let table (t : 'v t) origin epoch =
-    let by_epoch = t.(origin) in
-    let len = Array.length by_epoch in
-    if epoch < len then by_epoch.(epoch)
-    else begin
-      let grown =
-        Array.init
-          (max (epoch + 1) (2 * len))
-          (fun e -> if e < len then by_epoch.(e) else Int_table.create ())
-      in
-      t.(origin) <- grown;
-      grown.(epoch)
-    end
-
-  let find t origin epoch mid = Int_table.find (find_table t origin epoch) mid
-
-  let mem t origin epoch mid =
-    match find_table t origin epoch with
-    | tbl -> Int_table.mem tbl mid
-    | exception Not_found -> false
-
-  let replace t origin epoch mid v = Int_table.replace (table t origin epoch) mid v
-
-  let remove t origin epoch mid =
-    match find_table t origin epoch with
-    | tbl -> Int_table.remove tbl mid
-    | exception Not_found -> ()
-
-  let fold f (t : 'v t) acc =
-    Array.fold_left
-      (fun acc by_epoch ->
-        Array.fold_left (fun acc tbl -> Int_table.fold f tbl acc) acc by_epoch)
-      acc t
-
-  let length t = fold (fun _ _ n -> n + 1) t 0
-end
-
 type 'a pending = {
   p_src : site;
   p_dst : site;
@@ -71,13 +18,86 @@ type 'a pending = {
   p_mid : int;
   p_payload : 'a;
   p_prio : bool;
-  p_first_sent : float;
+  p_first_sent : float; (* also the block time of a credit-blocked send *)
   mutable p_tries : int;
-  mutable p_sent : bool; (* false while credit-blocked in the backlog *)
+  mutable p_state : state;
   mutable p_peer_epoch : int;
       (* the destination's epoch as the sender knew it when the
          transfer (re)started: a newer one at give-up means the
          destination restarted while the transfer was being retried *)
+}
+
+(* An outbox entry is [Blocked] from its send until its first
+   transmission (which follows at once unless the credit window is
+   empty), [Sent] while its retransmit timer runs, and [Dead] once the
+   sender gave up: kept for revival on the destination's Hello, and
+   settled by a late ack. *)
+and state = Blocked | Sent | Dead
+
+(* Everything the protocol keeps about the messages of one
+   (origin, epoch).  A message id is unique only within it: mid
+   counters are volatile and restart from 0 after a crash, so the dedup
+   and ack key is the full triple, and an operation reads two arrays to
+   find the stream and probes one int in it. *)
+type 'a stream = {
+  outbox : 'a pending Int_table.t; (* durable, at the origin *)
+  mutable floor : int;
+      (* Cumulative dedup watermark (-1 while no mid is covered): every
+         mid at or below it has been delivered, so its [seen] entry is
+         pruned.  Mids are assigned densely, so a long fault-free run
+         keeps O(reorder window) entries instead of O(messages). *)
+  seen : unit Int_table.t; (* delivered mids above the floor *)
+  queued : unit Int_table.t; (* in a mailbox, not yet consumed *)
+}
+
+(* A message waiting in a receiver's mailbox. *)
+type 'a queued = {
+  q_src : site; (* the wire source *)
+  q_origin : site;
+  q_epoch : int;
+  q_mid : int;
+  q_payload : 'a;
+  q_enqueued : float;
+}
+
+(* Flow control: the credit ledger beside the backlogs and mailboxes it
+   bounds (their depths are the queues' lengths). *)
+type 'a flow = {
+  cfg : Flow.config;
+  credits : int array; (* by link [src -> dst]: the sender's credits left *)
+  owed : int array;
+      (* by link [site -> origin]: consumptions at [site] since its
+         last grant to [origin] *)
+  blocked : 'a pending Queue.t array; (* by link: sends awaiting credit, FIFO *)
+  stall_on : bool array; (* by link: a stall checker is scheduled *)
+  mbox : 'a queued Queue.t array; (* by receiving site, the inbound mailbox *)
+  draining : bool array; (* by site: a mailbox drain tick is scheduled *)
+  mutable peak_backlog : int;
+  mutable peak_mailbox : int;
+      (* the highest values published to the [flow_max_*] gauges: a
+         gauge is written, and its name hashed, only when its peak
+         rises *)
+  m_credits_consumed : Metrics.counter;
+  m_sends_blocked : Metrics.counter;
+  m_credit_overrides : Metrics.counter;
+  m_mailbox_rejects : Metrics.counter;
+  m_mailbox_enqueued : Metrics.counter;
+  m_credits_granted : Metrics.counter; (* returned for consumptions *)
+  m_window_resets : Metrics.counter; (* reset grants, one per grant *)
+  m_queue_wait : Metrics.histogram_handle; (* flow_queue_wait *)
+}
+
+(* The ack of the copy a handler is consuming, held across the handler
+   call so that it can ride on the handler's first transmission to the
+   acked origin.  Handlers never nest (a send only enqueues on the
+   network), so one slot serves the whole channel. *)
+type held = {
+  mutable h_on : bool;
+  mutable h_site : site; (* the consuming site, which owes the ack *)
+  mutable h_origin : site;
+  mutable h_mid : int;
+  mutable h_epoch : int;
+  mutable h_grant : int; (* credits returned with the ack *)
 }
 
 type 'a t = {
@@ -93,91 +113,27 @@ type 'a t = {
       (* per link, [src * num_sites + dst]: the link delivers every
          message exactly once ({!Wf_sim.Netsim.exactly_once}) and no
          mailbox can refuse one, so its sends skip the protocol *)
+  streams : 'a stream array array;
+      (* by origin, then epoch; an origin's array grows with its
+         epochs and a stream is made on first use *)
   admission : Flow.t option;
-  flow : flow option;
-  draining : bool array;
+  flow : 'a flow option;
   handlers : (site -> 'a -> unit) option array; (* by receiving site *)
+  held : held;
+  (* Counters register on their first bump, so a run whose links are
+     all direct reports none of the protocol's. *)
   m_acks : Metrics.counter; (* chan_acks, bumped once per delivered copy *)
   m_direct : Metrics.counter; (* chan_direct_sends *)
   m_ack_latency : Metrics.histogram_handle;
-  lossy : 'a lossy Lazy.t;
-      (* the protocol's tables and meters, made on first use: runs whose
-         links are all direct never send a protocol message, retransmit,
-         suppress a duplicate or queue in a mailbox *)
-}
-
-(* Flow control's credit ledger, beside the backlogs and mailboxes it
-   bounds (their depths are the queues' lengths). *)
-and flow = {
-  cfg : Flow.config;
-  credits : int array; (* by link [src -> dst]: the sender's credits left *)
-  owed : int array;
-      (* by link [site -> origin]: consumptions at [site] since its
-         last grant to [origin] *)
-  mutable peak_backlog : int;
-  mutable peak_mailbox : int;
-      (* the highest values published to the [flow_max_*] gauges: a
-         gauge is written, and its name hashed, only when its peak
-         rises *)
-  m_credits_consumed : Metrics.counter;
-  m_sends_blocked : Metrics.counter;
-  m_credit_overrides : Metrics.counter;
-  m_mailbox_rejects : Metrics.counter;
-  m_mailbox_enqueued : Metrics.counter;
-  m_credits_granted : Metrics.counter; (* returned for consumptions *)
-  m_window_resets : Metrics.counter; (* reset grants, one per grant *)
-}
-
-(* A message waiting in a receiver's mailbox. *)
-and 'a queued = {
-  q_src : site; (* the wire source *)
-  q_origin : site;
-  q_epoch : int;
-  q_mid : int;
-  q_payload : 'a;
-  q_enqueued : float;
-}
-
-and 'a lossy = {
-  pending : 'a pending By_key.t; (* durable sender outbox *)
-  seen : unit By_key.t; (* receiver dedup above the watermark *)
-  seen_floor : int array array;
-      (* Cumulative dedup watermark by origin, then epoch (-1 where no
-         mid is covered; an origin's array grows with its epochs):
-         every mid at or below the floor has been delivered, so its
-         [seen] entry can be pruned — mids are assigned densely, so a
-         long fault-free run keeps O(reorder window) entries instead of
-         O(messages). *)
-  dead : 'a pending By_key.t; (* gave up; revived on peer Hello *)
-  blocked : ('a pending * float) Queue.t array;
-      (* by link: sends awaiting credit, FIFO, with block time *)
-  stall_on : bool array; (* by link: a stall checker is scheduled *)
-  mbox : 'a queued Queue.t array; (* by receiving site, the inbound mailbox *)
-  mbox_keys : unit By_key.t; (* queued-not-yet-consumed dedup *)
-  held : held;
   m_retransmits : Metrics.counter;
   m_duplicates : Metrics.counter; (* chan_duplicates_suppressed *)
   m_gave_up : Metrics.counter;
   m_revived : Metrics.counter;
-  m_queue_wait : Metrics.histogram_handle; (* flow_queue_wait *)
   m_data_frames : Metrics.counter; (* frames put on the wire, by kind *)
   m_ack_frames : Metrics.counter;
   m_credit_frames : Metrics.counter;
   m_hello_frames : Metrics.counter;
   m_piggybacked : Metrics.counter; (* chan_acks_piggybacked *)
-}
-
-(* The ack of the copy a handler is consuming, held across the handler
-   call so that it can ride on the handler's first transmission to the
-   acked origin.  Handlers never nest (a send only enqueues on the
-   network), so one slot serves the whole channel. *)
-and held = {
-  mutable h_on : bool;
-  mutable h_site : site; (* the consuming site, which owes the ack *)
-  mutable h_origin : site;
-  mutable h_mid : int;
-  mutable h_epoch : int;
-  mutable h_grant : int; (* credits returned with the ack *)
 }
 
 (* The counters' keys, numbered once per process. *)
@@ -213,67 +169,69 @@ let epoch t site = t.epochs.(site)
 let flow t = t.admission
 
 let now t = Wf_sim.Netsim.now t.net
-let lossy t = Lazy.force t.lossy
 
 let link t ~src ~dst = (src * Wf_sim.Netsim.num_sites t.net) + dst
+
+let new_stream () =
+  {
+    outbox = Int_table.create ();
+    floor = -1;
+    seen = Int_table.create ();
+    queued = Int_table.create ();
+  }
+
+(* The stream of [(origin, epoch)], made (and the origin's array grown)
+   on demand. *)
+let stream t origin epoch =
+  let by_epoch = t.streams.(origin) in
+  let len = Array.length by_epoch in
+  if epoch < len then by_epoch.(epoch)
+  else begin
+    let grown =
+      Array.init
+        (max (epoch + 1) (2 * len))
+        (fun e -> if e < len then by_epoch.(e) else new_stream ())
+    in
+    t.streams.(origin) <- grown;
+    grown.(epoch)
+  end
 
 (* Put a protocol frame on the wire, counted by kind.  Data (with or
    without an ack riding on it) is a transition of the sending actor;
    the rest is wire bookkeeping, exempt from crash injection. *)
 let put t ~src ~dst frame =
-  let l = lossy t in
   let control =
     match frame with
     | Data _ | Acked _ ->
-        Metrics.bump l.m_data_frames;
+        Metrics.bump t.m_data_frames;
         false
     | Ack _ ->
-        Metrics.bump l.m_ack_frames;
+        Metrics.bump t.m_ack_frames;
         true
     | Credit _ ->
-        Metrics.bump l.m_credit_frames;
+        Metrics.bump t.m_credit_frames;
         true
     | Hello _ ->
-        Metrics.bump l.m_hello_frames;
+        Metrics.bump t.m_hello_frames;
         true
   in
   Wf_sim.Netsim.send ~control t.net ~src ~dst frame
 
 (* --- receiver dedup with cumulative watermark ---------------------------- *)
 
-let floor t origin epoch =
-  let floors = (lossy t).seen_floor.(origin) in
-  if epoch < Array.length floors then floors.(epoch) else -1
-
-(* The origin's floors, grown to cover [epoch]. *)
-let floors_upto t origin epoch =
-  let l = lossy t in
-  let floors = l.seen_floor.(origin) in
-  let len = Array.length floors in
-  if epoch < len then floors
-  else begin
-    let grown = Array.make (max (epoch + 1) (2 * len)) (-1) in
-    Array.blit floors 0 grown 0 len;
-    l.seen_floor.(origin) <- grown;
-    grown
-  end
-
-let is_seen t ~origin ~epoch mid =
-  mid <= floor t origin epoch || By_key.mem (lossy t).seen origin epoch mid
+let is_seen s mid = mid <= s.floor || Int_table.mem s.seen mid
 
 (* Mark delivered and advance the watermark over any now-contiguous
-   prefix, pruning the entries it covers.  The [seen] table is shared
-   by every site of the simulation and each delivery lands here, so
-   the per-(origin, epoch) mid sequence observed across all receivers
-   is dense and the floor keeps up with the send counter. *)
-let mark_seen t ~origin ~epoch mid =
-  let floors = floors_upto t origin epoch in
-  if mid > floors.(epoch) then begin
-    let seen = By_key.table (lossy t).seen origin epoch in
-    Int_table.replace seen mid ();
-    while Int_table.mem seen (floors.(epoch) + 1) do
-      Int_table.remove seen (floors.(epoch) + 1);
-      floors.(epoch) <- floors.(epoch) + 1
+   prefix, pruning the entries it covers.  A stream is shared by every
+   site of the simulation and each delivery lands here, so the mid
+   sequence observed across all receivers is dense and the floor keeps
+   up with the send counter. *)
+let mark_seen s mid =
+  if mid > s.floor then begin
+    Int_table.replace s.seen mid ();
+    while Int_table.mem s.seen (s.floor + 1) do
+      Int_table.remove s.seen (s.floor + 1);
+      s.floor <- s.floor + 1
     done
   end
 
@@ -286,9 +244,6 @@ let rto_after t tries =
   let base = Float.min max_rto (t.rto *. (backoff ** float_of_int tries)) in
   let u = Wf_sim.Rng.float t.rng 1.0 in
   base *. (1.0 +. (retransmit_jitter *. ((2.0 *. u) -. 1.0)))
-
-(* The outbox entry of [p]'s key. *)
-let pending_of t p = By_key.find (lossy t).pending p.p_src p.p_epoch p.p_mid
 
 let wire_of p =
   Data
@@ -303,61 +258,58 @@ let wire_of p =
 (* (Re)start a transfer's retransmission cycle: tries from 0 against the
    destination's epoch as known now. *)
 let rec restart t p =
+  p.p_state <- Sent;
   p.p_tries <- 0;
   p.p_peer_epoch <- t.peer_epoch.(p.p_src).(p.p_dst);
-  Metrics.bump (lossy t).m_revived;
+  Metrics.bump t.m_revived;
   put t ~src:p.p_src ~dst:p.p_dst (wire_of p);
   Wf_sim.Netsim.schedule t.net ~delay:(rto_after t 0) (retransmit t p)
 
-and retransmit t sent () =
-  match pending_of t sent with
-  | exception Not_found -> Wf_sim.Netsim.idle t.net (* acked meanwhile *)
-  | p ->
-      if
-        p.p_tries >= max_retries
-        && p.p_peer_epoch < t.peer_epoch.(p.p_src).(p.p_dst)
-      then
-        (* The destination's restart Hello arrived while this transfer
-           was still retrying, so it found no dead letter to revive:
-           revive the transfer now instead of giving up. *)
-        restart t p
-      else if p.p_tries >= max_retries then begin
-        By_key.remove (lossy t).pending p.p_src p.p_epoch p.p_mid;
-        (* Keep the message: if the silent destination turns out to have
-           crashed, its restart Hello revives the transfer. *)
-        By_key.replace (lossy t).dead p.p_src p.p_epoch p.p_mid p;
-        Metrics.bump (lossy t).m_gave_up;
-        match Wf_sim.Netsim.tracer t.net with
-        | None -> ()
-        | Some sink ->
-            let record kind =
-              Trace.make ~time:(now t) ~site:p.p_src ~epoch:p.p_epoch
-                ~mid:p.p_mid kind
-            in
-            Trace.emit sink (record (Trace.Give_up { dst = p.p_dst }));
-            Trace.emit sink
-              (record (Trace.Dead_letter { dst = p.p_dst; tries = p.p_tries }))
-      end
-      else begin
-        p.p_tries <- p.p_tries + 1;
-        Metrics.bump (lossy t).m_retransmits;
-        (match Wf_sim.Netsim.tracer t.net with
-        | None -> ()
-        | Some sink ->
-            Trace.emit sink
-              (Trace.make ~time:(now t) ~site:p.p_src ~epoch:p.p_epoch
-                 ~mid:p.p_mid
-                 (Trace.Retransmit { dst = p.p_dst; tries = p.p_tries })));
-        put t ~src:p.p_src ~dst:p.p_dst (wire_of p);
-        Wf_sim.Netsim.schedule t.net ~delay:(rto_after t p.p_tries)
-          (retransmit t p)
-      end
+and retransmit t p () =
+  if not (Int_table.mem (stream t p.p_src p.p_epoch).outbox p.p_mid) then
+    Wf_sim.Netsim.idle t.net (* acked meanwhile *)
+  else if
+    p.p_tries >= max_retries
+    && p.p_peer_epoch < t.peer_epoch.(p.p_src).(p.p_dst)
+  then
+    (* The destination's restart Hello arrived while this transfer was
+       still retrying, so it found no dead letter to revive: revive the
+       transfer now instead of giving up. *)
+    restart t p
+  else if p.p_tries >= max_retries then begin
+    (* Keep the message: if the silent destination turns out to have
+       crashed, its restart Hello revives the transfer. *)
+    p.p_state <- Dead;
+    Metrics.bump t.m_gave_up;
+    match Wf_sim.Netsim.tracer t.net with
+    | None -> ()
+    | Some sink ->
+        let record kind =
+          Trace.make ~time:(now t) ~site:p.p_src ~epoch:p.p_epoch ~mid:p.p_mid
+            kind
+        in
+        Trace.emit sink (record (Trace.Give_up { dst = p.p_dst }));
+        Trace.emit sink
+          (record (Trace.Dead_letter { dst = p.p_dst; tries = p.p_tries }))
+  end
+  else begin
+    p.p_tries <- p.p_tries + 1;
+    Metrics.bump t.m_retransmits;
+    (match Wf_sim.Netsim.tracer t.net with
+    | None -> ()
+    | Some sink ->
+        Trace.emit sink
+          (Trace.make ~time:(now t) ~site:p.p_src ~epoch:p.p_epoch ~mid:p.p_mid
+             (Trace.Retransmit { dst = p.p_dst; tries = p.p_tries })));
+    put t ~src:p.p_src ~dst:p.p_dst (wire_of p);
+    Wf_sim.Netsim.schedule t.net ~delay:(rto_after t p.p_tries) (retransmit t p)
+  end
 
-(* First transmission of a pending entry (possibly after waiting in the
+(* First transmission of an outbox entry (possibly after waiting in the
    credit backlog): put [frame] (the entry's Data, perhaps carrying an
    ack) on the wire and start the retransmit timer. *)
 let transmit t p frame =
-  p.p_sent <- true;
+  p.p_state <- Sent;
   p.p_peer_epoch <- t.peer_epoch.(p.p_src).(p.p_dst);
   put t ~src:p.p_src ~dst:p.p_dst frame;
   Wf_sim.Netsim.schedule t.net ~delay:(rto_after t 0) (retransmit t p)
@@ -365,10 +317,10 @@ let transmit t p frame =
 (* The frame of a send made and transmitted at once: the held ack rides
    on it when it goes to the acked origin. *)
 let fresh_frame t p =
-  let h = (lossy t).held in
+  let h = t.held in
   if h.h_on && h.h_site = p.p_src && h.h_origin = p.p_dst then begin
     h.h_on <- false;
-    Metrics.bump (lossy t).m_piggybacked;
+    Metrics.bump t.m_piggybacked;
     Acked
       {
         ack_mid = h.h_mid;
@@ -378,8 +330,6 @@ let fresh_frame t p =
       }
   end
   else wire_of p
-
-let blocked_queue t ~src ~dst = (lossy t).blocked.(link t ~src ~dst)
 
 (* --- credit windows, sender side ----------------------------------------- *)
 
@@ -395,27 +345,22 @@ let try_acquire t fl ~src ~dst =
   else false
 
 (* Credit-blocked sends queued at [src], over all its links. *)
-let backlog t ~src =
-  let n = Wf_sim.Netsim.num_sites t.net and blocked = (lossy t).blocked in
+let backlog t fl ~src =
+  let n = Wf_sim.Netsim.num_sites t.net in
   let depth = ref 0 in
   for dst = 0 to n - 1 do
-    depth := !depth + Queue.length blocked.((src * n) + dst)
+    depth := !depth + Queue.length fl.blocked.((src * n) + dst)
   done;
   !depth
 
 (* Transmit as many credit-blocked sends src -> dst as the window now
-   allows, oldest first. *)
+   allows, oldest first.  Only this function and [stall_check] take an
+   entry out of a backlog, and both transmit it. *)
 let drain_blocked t fl ~src ~dst =
-  let q = blocked_queue t ~src ~dst in
-  let continue = ref true in
-  while !continue && not (Queue.is_empty q) do
-    if try_acquire t fl ~src ~dst then begin
-      let blocked, _since = Queue.pop q in
-      match pending_of t blocked with
-      | p when not p.p_sent -> transmit t p (wire_of p)
-      | _ | (exception Not_found) -> () (* shed from the outbox meanwhile; skip *)
-    end
-    else continue := false
+  let q = fl.blocked.(link t ~src ~dst) in
+  while (not (Queue.is_empty q)) && try_acquire t fl ~src ~dst do
+    let p = Queue.pop q in
+    transmit t p (wire_of p)
   done
 
 (* A credit grant from the receiver [src] reached the sender [site]:
@@ -429,25 +374,24 @@ let on_grant t fl ~site ~src ~grant ~reset =
 (* Blocked-sender override: lost credit grants must not deadlock the
    link, so a sender stalled with an empty window for [stall_timeout]
    forcibly transmits one message, which restarts the consume/grant
-   cycle. *)
+   cycle.  A send blocks when it is made, so its block time is
+   [p_first_sent]. *)
 let rec stall_check t fl ~src ~dst () =
-  let q = blocked_queue t ~src ~dst in
+  let l = link t ~src ~dst in
+  let q = fl.blocked.(l) in
   if Queue.is_empty q then begin
-    (lossy t).stall_on.(link t ~src ~dst) <- false;
+    fl.stall_on.(l) <- false;
     Wf_sim.Netsim.idle t.net (* the backlog drained meanwhile *)
   end
   else begin
-    (match Queue.peek_opt q with
-    | Some (blocked, since)
-      when fl.credits.(link t ~src ~dst) = 0
-           && now t -. since >= fl.cfg.stall_timeout ->
-        Metrics.bump fl.m_credit_overrides;
-        let _ = Queue.pop q in
-        (match pending_of t blocked with
-        | p when not p.p_sent -> transmit t p (wire_of p)
-        | _ | (exception Not_found) -> ())
-    | _ -> ());
-    if Queue.is_empty q then (lossy t).stall_on.(link t ~src ~dst) <- false
+    let p = Queue.peek q in
+    if fl.credits.(l) = 0 && now t -. p.p_first_sent >= fl.cfg.stall_timeout
+    then begin
+      Metrics.bump fl.m_credit_overrides;
+      ignore (Queue.pop q);
+      transmit t p (wire_of p)
+    end;
+    if Queue.is_empty q then fl.stall_on.(l) <- false
     else
       Wf_sim.Netsim.schedule t.net ~delay:fl.cfg.stall_timeout
         (stall_check t fl ~src ~dst)
@@ -455,17 +399,17 @@ let rec stall_check t fl ~src ~dst () =
 
 (* Queue a send behind the credit window [src -> dst]. *)
 let block t fl p ~src ~dst =
-  Queue.push (p, now t) (blocked_queue t ~src ~dst);
+  let l = link t ~src ~dst in
+  Queue.push p fl.blocked.(l);
   Metrics.bump fl.m_sends_blocked;
-  let depth = backlog t ~src in
+  let depth = backlog t fl ~src in
   if depth > fl.peak_backlog then begin
     fl.peak_backlog <- depth;
     Metrics.gauge_max (Wf_sim.Netsim.stats t.net) "flow_max_backlog"
       (float_of_int depth)
   end;
-  let stall_on = (lossy t).stall_on and l = link t ~src ~dst in
-  if not stall_on.(l) then begin
-    stall_on.(l) <- true;
+  if not fl.stall_on.(l) then begin
+    fl.stall_on.(l) <- true;
     Wf_sim.Netsim.schedule t.net ~delay:fl.cfg.stall_timeout
       (stall_check t fl ~src ~dst)
   end
@@ -494,11 +438,11 @@ let send ?(priority = false) t ~src ~dst payload =
         p_prio = priority;
         p_first_sent = now t;
         p_tries = 0;
-        p_sent = false;
+        p_state = Blocked;
         p_peer_epoch = 0; (* set at first transmission *)
       }
     in
-    By_key.replace (lossy t).pending src epoch mid p;
+    Int_table.replace (stream t src epoch).outbox mid p;
     match t.flow with
     | Some fl when (not priority) && src <> dst ->
         (* Credit gate: transmit only inside the receiver's window;
@@ -506,7 +450,7 @@ let send ?(priority = false) t ~src ~dst payload =
            FIFO keeps queued sends ordered, so a send finding peers
            already blocked queues behind them. *)
         if
-          Queue.is_empty (blocked_queue t ~src ~dst)
+          Queue.is_empty fl.blocked.(link t ~src ~dst)
           && try_acquire t fl ~src ~dst
         then transmit t p (fresh_frame t p)
         else block t fl p ~src ~dst
@@ -514,29 +458,27 @@ let send ?(priority = false) t ~src ~dst payload =
   end
 
 (* [observer] just learned (via Hello, or a Data stamped with a newer
-   epoch) that [origin] restarted: resurrect the observer's gave-up
-   messages to [origin] with their original keys, so receiver dedup
-   still suppresses the ones that did arrive before the silence.  They
-   go out in send order — ascending (epoch, mid) — never in the dead
-   table's hash order. *)
+   epoch) that [origin] restarted: resurrect the observer's dead letters
+   to [origin] with their original keys, so receiver dedup still
+   suppresses the ones that did arrive before the silence.  They go out
+   in send order — ascending (epoch, mid) — never in the outboxes' hash
+   order. *)
 let revive_dead_to t ~observer ~origin =
   let mine =
-    By_key.fold
-      (fun _ p acc ->
-        if p.p_dst = origin && p.p_src = observer then p :: acc else acc)
-      (lossy t).dead []
+    Array.fold_left
+      (fun acc s ->
+        Int_table.fold
+          (fun _ p acc ->
+            if p.p_state = Dead && p.p_dst = origin then p :: acc else acc)
+          s.outbox acc)
+      [] t.streams.(observer)
   in
   let send_order a b =
     match Int.compare a.p_epoch b.p_epoch with
     | 0 -> Int.compare a.p_mid b.p_mid
     | c -> c
   in
-  List.iter
-    (fun p ->
-      By_key.remove (lossy t).dead p.p_src p.p_epoch p.p_mid;
-      By_key.replace (lossy t).pending p.p_src p.p_epoch p.p_mid p;
-      restart t p)
-    (List.sort send_order mine)
+  List.iter (restart t) (List.sort send_order mine)
 
 (* Trace one credit grant from [site] to [peer], whichever frame
    carries it. *)
@@ -596,6 +538,7 @@ let create ~rto ?flow net =
       Array.init (n * n) (fun link -> direct ~src:(link / n) ~dst:(link mod n))
   in
   let stats = Wf_sim.Netsim.stats net in
+  let c = Metrics.counter stats in
   (* The admission seed is drawn before the channel splits its own
      stream off the network's. *)
   let admission =
@@ -612,11 +555,14 @@ let create ~rto ?flow net =
   let flow =
     Option.map
       (fun (cfg : Flow.config) ->
-        let c = Metrics.counter stats in
         {
           cfg;
           credits = Array.make (n * n) cfg.credit_window;
           owed = Array.make (n * n) 0;
+          blocked = Array.init (n * n) (fun _ -> Queue.create ());
+          stall_on = Array.make (n * n) false;
+          mbox = Array.init n (fun _ -> Queue.create ());
+          draining = Array.make n false;
           peak_backlog = 0;
           peak_mailbox = 0;
           m_credits_consumed = c k_credits_consumed;
@@ -626,6 +572,7 @@ let create ~rto ?flow net =
           m_mailbox_enqueued = c k_mailbox_enqueued;
           m_credits_granted = c k_credits_granted;
           m_window_resets = c k_window_resets;
+          m_queue_wait = Metrics.histogram stats "flow_queue_wait";
         })
       flow
   in
@@ -638,45 +585,31 @@ let create ~rto ?flow net =
       mids = Array.make n 0;
       peer_epoch = Array.init n (fun _ -> Array.make n 0);
       direct;
+      streams = Array.make n [||];
       admission;
       flow;
-      draining = Array.make n false;
       handlers = Array.make n None;
-      m_acks = Metrics.counter stats k_acks;
-      m_direct = Metrics.counter stats k_direct;
+      held =
+        {
+          h_on = false;
+          h_site = 0;
+          h_origin = 0;
+          h_mid = 0;
+          h_epoch = 0;
+          h_grant = 0;
+        };
+      m_acks = c k_acks;
+      m_direct = c k_direct;
       m_ack_latency = Metrics.histogram stats "ack_latency";
-      lossy =
-        lazy
-          (let c = Metrics.counter stats in
-           {
-             pending = By_key.create n;
-             seen = By_key.create n;
-             seen_floor = Array.make n [||];
-             dead = By_key.create n;
-             blocked = Array.init (n * n) (fun _ -> Queue.create ());
-             stall_on = Array.make (n * n) false;
-             mbox = Array.init n (fun _ -> Queue.create ());
-             mbox_keys = By_key.create n;
-             held =
-               {
-                 h_on = false;
-                 h_site = 0;
-                 h_origin = 0;
-                 h_mid = 0;
-                 h_epoch = 0;
-                 h_grant = 0;
-               };
-             m_retransmits = c k_retransmits;
-             m_duplicates = c k_duplicates;
-             m_gave_up = c k_gave_up;
-             m_revived = c k_revived;
-             m_queue_wait = Metrics.histogram stats "flow_queue_wait";
-             m_data_frames = c k_data_frames;
-             m_ack_frames = c k_ack_frames;
-             m_credit_frames = c k_credit_frames;
-             m_hello_frames = c k_hello_frames;
-             m_piggybacked = c k_piggybacked;
-           });
+      m_retransmits = c k_retransmits;
+      m_duplicates = c k_duplicates;
+      m_gave_up = c k_gave_up;
+      m_revived = c k_revived;
+      m_data_frames = c k_data_frames;
+      m_ack_frames = c k_ack_frames;
+      m_credit_frames = c k_credit_frames;
+      m_hello_frames = c k_hello_frames;
+      m_piggybacked = c k_piggybacked;
     }
   in
   (* Epoch handshake, sender side: a restarted site loses its volatile
@@ -699,12 +632,13 @@ let create ~rto ?flow net =
       (match t.flow with
       | None -> ()
       | Some fl ->
-          let q = (lossy t).mbox.(site) in
+          let q = fl.mbox.(site) in
           Queue.iter
-            (fun m -> By_key.remove (lossy t).mbox_keys m.q_origin m.q_epoch m.q_mid)
+            (fun m ->
+              Int_table.remove (stream t m.q_origin m.q_epoch).queued m.q_mid)
             q;
           Queue.clear q;
-          t.draining.(site) <- false;
+          fl.draining.(site) <- false;
           Array.fill fl.owed (site * n) n 0);
       for dst = 0 to n - 1 do
         if dst <> site then
@@ -718,13 +652,10 @@ let create ~rto ?flow net =
       done);
   t
 
-let mailbox t site = (lossy t).mbox.(site)
-
-(* Before the first lossy send there is no mailbox or backlog. *)
 let depth t ~site =
-  if Lazy.is_val t.lossy then
-    Queue.length (mailbox t site) + backlog t ~src:site
-  else 0
+  match t.flow with
+  | None -> 0
+  | Some fl -> Queue.length fl.mbox.(site) + backlog t fl ~src:site
 
 (* Acknowledge a duplicate copy of a consumed message, whose ack may
    have been lost.  It returns no credits: the consumption's ack
@@ -736,22 +667,22 @@ let reack t ~site ~origin ~epoch mid =
 (* The held ack, if the handler's sends did not carry it, leaves on its
    own as soon as the handler returns. *)
 let release_ack t =
-  let h = (lossy t).held in
+  let h = t.held in
   if h.h_on then begin
     h.h_on <- false;
     put t ~src:h.h_site ~dst:h.h_origin
       (Ack { mid = h.h_mid; epoch = h.h_epoch; grant = h.h_grant })
   end
 
-(* Hand one message to the application: this — not wire arrival — is
-   the consumption point under flow control, so the ack and the dedup
-   mark happen here and a crash wipes only unacked mailbox entries.
-   The ack, with [grant] credits, is held across the handler call (see
-   [fresh_frame]). *)
-let consume t site src ~origin ~epoch mid ~grant payload =
-  mark_seen t ~origin ~epoch mid;
+(* Hand one message of stream [s] to the application: this — not wire
+   arrival — is the consumption point under flow control, so the ack
+   and the dedup mark happen here and a crash wipes only unacked
+   mailbox entries.  The ack, with [grant] credits, is held across the
+   handler call (see [fresh_frame]). *)
+let consume t site src s ~origin ~epoch mid ~grant payload =
+  mark_seen s mid;
   Metrics.bump t.m_acks;
-  let h = (lossy t).held in
+  let h = t.held in
   h.h_on <- true;
   h.h_site <- site;
   h.h_origin <- origin;
@@ -769,7 +700,7 @@ let consume t site src ~origin ~epoch mid ~grant payload =
    refuses it unacknowledged, and the sender's retransmission
    redelivers it later. *)
 let mailbox_admits t fl site =
-  let depth = Queue.length (mailbox t site) in
+  let depth = Queue.length fl.mbox.(site) in
   if depth >= fl.cfg.mailbox_cap then begin
     Metrics.bump fl.m_mailbox_rejects;
     false
@@ -804,7 +735,7 @@ let consumption_grant t fl ~site ~origin =
   let l = link t ~src:site ~dst:origin in
   fl.owed.(l) <- fl.owed.(l) + 1;
   let threshold =
-    if Queue.is_empty (mailbox t site) then 1
+    if Queue.is_empty fl.mbox.(site) then 1
     else if fl.cfg.credit_batch > 0 then fl.cfg.credit_batch
     else max 1 (fl.cfg.credit_window / 2)
   in
@@ -819,12 +750,11 @@ let rec drain_mailbox t fl site () =
   if Wf_sim.Netsim.site_crashed t.net site then
     (* The crash wipes the mailbox; the restart hook resets the flag
        and fresh arrivals restart the drain. *)
-    t.draining.(site) <- false
+    fl.draining.(site) <- false
   else
-    let q = mailbox t site in
-    match Queue.take_opt q with
+    match Queue.take_opt fl.mbox.(site) with
     | None ->
-        t.draining.(site) <- false;
+        fl.draining.(site) <- false;
         (* The mailbox ran dry: flush partial grant batches so the tail
            of a burst is never stranded waiting for a full batch. *)
         for origin = 0 to Wf_sim.Netsim.num_sites t.net - 1 do
@@ -835,13 +765,14 @@ let rec drain_mailbox t fl site () =
         done
     | Some m ->
         let origin = m.q_origin in
-        By_key.remove (lossy t).mbox_keys origin m.q_epoch m.q_mid;
-        Metrics.record (lossy t).m_queue_wait (now t -. m.q_enqueued);
+        let s = stream t origin m.q_epoch in
+        Int_table.remove s.queued m.q_mid;
+        Metrics.record fl.m_queue_wait (now t -. m.q_enqueued);
         (* Batch credit grants on consumption; the grant rides on the
            consumption's ack. *)
         let grant = consumption_grant t fl ~site ~origin in
         if grant > 0 then trace_grant t ~site ~peer:origin ~grant ~reset:false;
-        consume t site m.q_src ~origin ~epoch:m.q_epoch m.q_mid ~grant
+        consume t site m.q_src s ~origin ~epoch:m.q_epoch m.q_mid ~grant
           m.q_payload;
         Wf_sim.Netsim.schedule t.net ~delay:fl.cfg.service_time
           (drain_mailbox t fl site)
@@ -849,13 +780,15 @@ let rec drain_mailbox t fl site () =
 (* An ack from [src] reached the sender [site], perhaps returning
    credits. *)
 let on_ack t site ~src ~mid ~epoch ~grant =
-  (match By_key.find (lossy t).pending site epoch mid with
-  | exception Not_found ->
-      (* Duplicate ack — or a message that gave up and was then
-         consumed after all (slow mailbox): settle it. *)
-      By_key.remove (lossy t).dead site epoch mid
+  let outbox = (stream t site epoch).outbox in
+  (match Int_table.find outbox mid with
+  | exception Not_found -> () (* duplicate ack *)
+  | { p_state = Dead; _ } ->
+      (* A message that gave up and was then consumed after all (slow
+         mailbox): settle it. *)
+      Int_table.remove outbox mid
   | p -> (
-      By_key.remove (lossy t).pending site epoch mid;
+      Int_table.remove outbox mid;
       Metrics.record t.m_ack_latency (now t -. p.p_first_sent);
       match Wf_sim.Netsim.tracer t.net with
       | None -> ()
@@ -869,26 +802,27 @@ let on_ack t site ~src ~mid ~epoch ~grant =
   | _ -> ()
 
 (* A protocol frame from [src] reached [site]. *)
-let rec on_wire t site handler src = function
+let rec on_wire t site src = function
   | Data { mid; epoch; origin; prio; payload } -> (
       if origin <> site then note_peer_epoch t ~observer:site ~origin epoch;
+      let s = stream t origin epoch in
       match t.flow with
       | Some fl when (not prio) && not (src = site && origin = site) ->
           (* Flow-controlled path: ack at consumption, not arrival, so a
              crash cannot lose acked-but-unprocessed messages.  A full
              mailbox refuses the message unacknowledged and the sender's
              retransmission redelivers it later. *)
-          if is_seen t ~origin ~epoch mid then begin
-            Metrics.bump (lossy t).m_duplicates;
+          if is_seen s mid then begin
+            Metrics.bump t.m_duplicates;
             (* Consumed earlier; the ack must have been lost. *)
             reack t ~site ~origin ~epoch mid
           end
-          else if By_key.mem (lossy t).mbox_keys origin epoch mid then
+          else if Int_table.mem s.queued mid then
             (* Queued but not yet consumed: suppress the duplicate
                without acking — the consumption ack settles it. *)
-            Metrics.bump (lossy t).m_duplicates
+            Metrics.bump t.m_duplicates
           else if mailbox_admits t fl site then begin
-            By_key.replace (lossy t).mbox_keys origin epoch mid ();
+            Int_table.replace s.queued mid ();
             Queue.push
               {
                 q_src = src;
@@ -898,9 +832,9 @@ let rec on_wire t site handler src = function
                 q_payload = payload;
                 q_enqueued = now t;
               }
-              (mailbox t site);
-            if not t.draining.(site) then begin
-              t.draining.(site) <- true;
+              fl.mbox.(site);
+            if not fl.draining.(site) then begin
+              fl.draining.(site) <- true;
               Wf_sim.Netsim.schedule t.net ~delay:fl.cfg.service_time
                 (drain_mailbox t fl site)
             end
@@ -911,15 +845,15 @@ let rec on_wire t site handler src = function
              to the handler at most once per key — a fresh epoch makes an
              old mid a distinct message, so a post-restart (mid 0, epoch
              n+1) is never suppressed by a pre-crash (mid 0, epoch n). *)
-          if is_seen t ~origin ~epoch mid then begin
+          if is_seen s mid then begin
             reack t ~site ~origin ~epoch mid;
-            Metrics.bump (lossy t).m_duplicates
+            Metrics.bump t.m_duplicates
           end
-          else consume t site src ~origin ~epoch mid ~grant:0 payload)
+          else consume t site src s ~origin ~epoch mid ~grant:0 payload)
   | Acked { ack_mid; ack_epoch; ack_grant; data } ->
       (* The ack was sent first: settle it before the data it rode on. *)
       on_ack t site ~src ~mid:ack_mid ~epoch:ack_epoch ~grant:ack_grant;
-      on_wire t site handler src data
+      on_wire t site src data
   | Ack { mid; epoch; grant } -> on_ack t site ~src ~mid ~epoch ~grant
   | Hello { origin; epoch; window } ->
       if origin <> site then begin
@@ -940,12 +874,119 @@ let on_receive t site handler =
       match frame with
       | Data { payload; origin; _ } when is_direct t ~src:origin ~dst:site ->
           handler src payload
-      | _ -> on_wire t site handler src frame)
+      | _ -> on_wire t site src frame)
 
 module For_testing = struct
-  let unacked t = By_key.length (lossy t).pending
-  let dead_letters t = By_key.length (lossy t).dead
-  let dedup_size t = By_key.length (lossy t).seen
-  let mailbox_depth t site = Queue.length (lossy t).mbox.(site)
-  let queued_keys t = By_key.length (lossy t).mbox_keys
+  let fold_streams f t acc =
+    Array.fold_left (Array.fold_left (fun acc s -> f s acc)) acc t.streams
+
+  let count_entries t keep =
+    fold_streams
+      (fun s n ->
+        Int_table.fold
+          (fun _ p n -> if keep p.p_state then n + 1 else n)
+          s.outbox n)
+      t 0
+
+  let unacked t = count_entries t (fun st -> st <> Dead)
+  let dead_letters t = count_entries t (fun st -> st = Dead)
+  let dedup_size t = fold_streams (fun s n -> n + Int_table.length s.seen) t 0
+
+  let mailbox_depth t site =
+    match t.flow with None -> 0 | Some fl -> Queue.length fl.mbox.(site)
+
+  let queued_keys t =
+    fold_streams (fun s n -> n + Int_table.length s.queued) t 0
+
+  let holds ok invariant =
+    if not ok then failwith ("Channel invariant: " ^ invariant)
+
+  let check t =
+    Array.iteri
+      (fun origin by_epoch ->
+        Array.iteri
+          (fun epoch s ->
+            Int_table.fold
+              (fun mid () () ->
+                holds (mid > s.floor) "seen mids lie above the floor")
+              s.seen ();
+            Int_table.fold
+              (fun mid () () ->
+                holds (not (is_seen s mid))
+                  "queued mids are above the floor, not seen")
+              s.queued ();
+            holds
+              (epoch <> t.epochs.(origin) || s.floor < t.mids.(origin))
+              "the current epoch's floor is below the mid counter";
+            Int_table.fold
+              (fun mid p () ->
+                holds
+                  (p.p_src = origin && p.p_epoch = epoch && p.p_mid = mid)
+                  "each outbox entry sits under its own key";
+                holds
+                  (p.p_state <> Dead || p.p_tries = max_retries)
+                  "a dead letter made every retry")
+              s.outbox ())
+          by_epoch)
+      t.streams;
+    let blocked = count_entries t (fun st -> st = Blocked) in
+    (match t.flow with
+    | None ->
+        holds
+          (blocked = 0 && queued_keys t = 0)
+          "no backlog or mailbox without flow"
+    | Some fl ->
+        let keys = Hashtbl.create 16 in
+        let once key =
+          holds (not (Hashtbl.mem keys key)) "a queue holds each key once";
+          Hashtbl.replace keys key ()
+        in
+        Array.iteri
+          (fun l q ->
+            Queue.iter
+              (fun p ->
+                once (p.p_src, p.p_epoch, p.p_mid);
+                holds
+                  (p.p_state = Blocked
+                  && link t ~src:p.p_src ~dst:p.p_dst = l
+                  &&
+                  let outbox = (stream t p.p_src p.p_epoch).outbox in
+                  Int_table.mem outbox p.p_mid
+                  && Int_table.find outbox p.p_mid == p)
+                  "a backlog holds its link's blocked outbox entries")
+              q;
+            holds
+              (Queue.is_empty q || fl.stall_on.(l))
+              "a non-empty backlog has its stall check scheduled";
+            holds
+              (fl.credits.(l) >= 0
+              && fl.credits.(l) <= fl.cfg.credit_window
+              && fl.owed.(l) >= 0)
+              "credits lie in [0, credit_window], owed counts are not negative")
+          fl.blocked;
+        holds
+          (Hashtbl.length keys = blocked)
+          "the blocked entries are the backlogs'";
+        Hashtbl.reset keys;
+        Array.iteri
+          (fun site q ->
+            holds
+              (Queue.length q <= fl.cfg.mailbox_cap)
+              "mailboxes hold at most the cap";
+            holds
+              (Queue.is_empty q || fl.draining.(site)
+              || Wf_sim.Netsim.site_crashed t.net site)
+              "a non-empty mailbox at a live site is draining";
+            Queue.iter
+              (fun m ->
+                once (m.q_origin, m.q_epoch, m.q_mid);
+                holds
+                  (Int_table.mem (stream t m.q_origin m.q_epoch).queued m.q_mid)
+                  "each mailbox entry is a queued key")
+              q)
+          fl.mbox;
+        holds
+          (Hashtbl.length keys = queued_keys t)
+          "the queued keys are the mailboxes'");
+    holds (not t.held.h_on) "no ack is held between steps"
 end

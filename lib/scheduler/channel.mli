@@ -20,11 +20,18 @@
 
     {2 Epochs and the restart handshake}
 
-    Crash recovery splits the channel state into a durable and a
-    volatile half.  Durable (journaled by assumption, so it survives a
-    crash): the sender's unacked outbox, the receiver's dedup set, and
-    the per-site {e epoch} counter.  Volatile: the per-site message-id
-    counter, which restarts from 0.
+    The channel keeps what it knows about a message in the {e stream}
+    of its [(origin, epoch)]: the origin's [outbox] of entries by id,
+    the receivers' dedup [floor] and the [seen] ids above it, and the
+    ids [queued] in some mailbox.  An outbox entry is [Blocked]
+    (waiting for credit), [Sent] (being retransmitted until acked) or
+    [Dead] (given up, kept for revival).  Crash recovery splits this
+    state into a durable and a volatile half.  Durable (journaled by
+    assumption, so it survives a crash): the outbox in every state,
+    the dedup floor and [seen] set, and the per-site {e epoch}
+    counter.  Volatile: the per-site message-id counter, which
+    restarts from 0, and under flow control the mailboxes with their
+    [queued] ids and the credit ledger.
 
     On restart a site bumps its epoch and broadcasts
     [Hello {origin; epoch; window}] (control traffic, exempt from crash
@@ -225,4 +232,18 @@ module For_testing : sig
 
   val queued_keys : 'a t -> int
   (** Dedup keys of queued-not-yet-consumed messages, over all sites. *)
+
+  val check : 'a t -> unit
+  (** Check the channel's invariants between two network steps; raises
+      [Failure] naming the first broken one.  Per stream: seen mids lie
+      above the floor; queued mids above it and not seen; in the
+      origin's current epoch the floor is below its mid counter; each
+      outbox entry sits under its own key; a [Dead] entry has made
+      every retry.  Under flow control: the [Blocked] entries are
+      exactly the backlogs', each the very record in its outbox; a
+      non-empty backlog has its stall check scheduled; the mailbox
+      entries are exactly the queued keys, each mailbox within
+      [mailbox_cap] and, at a live site, draining when non-empty;
+      credits lie in [[0, credit_window]] and owed counts are not
+      negative.  No ack is held. *)
 end

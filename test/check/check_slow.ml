@@ -104,6 +104,17 @@ let () =
       ("renamed guard tables = fresh compiles", 20_000, Equivariance.tables);
     ];
 
+  (* The channel's invariants at every step of scheduler runs, and each
+     stepped run equal to one run, over a deeper seed set than tier 1's
+     (test/channel_sweep.ml). *)
+  let sweep =
+    Channel_sweep.sweep ~spec_dir:"../../specs"
+      ~seeds:(List.init 20 (fun i -> Int64.of_int (i + 1)))
+  in
+  say "channel invariant sweep: %d runs, %d checked steps"
+    sweep.Channel_sweep.runs sweep.Channel_sweep.steps;
+  List.iter (fun f -> fail "channel sweep: %s" f) sweep.Channel_sweep.failures;
+
   if !failures > 0 then begin
     say "@check: %d failures" !failures;
     exit 1

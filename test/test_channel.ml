@@ -687,6 +687,33 @@ let prop_exactly_once_links (f, seed) =
   && ((not f.partition) || not (eo (0, 2) || eo (2, 0)))
   && (f.drop || f.dup || crash || f.partition || List.for_all eo links)
 
+(* The channel's invariants after every network step of scheduler runs
+   under five fault and flow mixes, and each stepped run equal to one
+   unstepped run of its config (test/channel_sweep.ml; @check sweeps
+   seeds 1-20).  The mixes must reach the parts of the protocol the
+   invariants are about; mailbox refusals are rare (the credit window
+   keeps mailboxes below their cap), and seed 4 is the first with one. *)
+let test_invariant_sweep () =
+  let o =
+    Channel_sweep.sweep ~spec_dir:Test_flow.spec_dir
+      ~seeds:[ 1L; 2L; 3L; 4L; 5L ]
+  in
+  check Alcotest.(list string) "no invariant broken, stepped = one run" []
+    o.Channel_sweep.failures;
+  check Alcotest.int "runs" 250 o.Channel_sweep.runs;
+  let count = Wf_obs.Metrics.count o.Channel_sweep.stats in
+  List.iter
+    (fun name -> checkb (name ^ " reached") (count name > 0))
+    [
+      "chan_retransmits";
+      "chan_duplicates_suppressed";
+      "chan_gave_up";
+      "chan_revived";
+      "flow_sends_blocked";
+      "flow_credit_overrides";
+      "flow_mailbox_rejects";
+    ]
+
 let suite =
   [
     Alcotest.test_case "clean network" `Quick test_clean_network;
@@ -720,4 +747,6 @@ let suite =
       ~print:show_fault_set
       QCheck2.Gen.(pair gen_fault_set (int_bound 10_000))
       prop_exactly_once_links;
+    Alcotest.test_case "invariants hold at every step of scheduler runs"
+      `Quick test_invariant_sweep;
   ]
